@@ -747,7 +747,7 @@ func (t *Thread) journalCommit(v *mem.Version) {
 		Tid:     t.tid,
 		Clock:   t.icount,
 	}
-	c.Pages = make([]journal.PageHash, 0, len(v.Pages))
+	c.Pages = make([]journal.PageHash, 0, v.NumPages())
 	v.ForEachPageHash(func(pg int, h uint64) {
 		c.Pages = append(c.Pages, journal.PageHash{Page: pg, Hash: h})
 	})
@@ -772,7 +772,7 @@ func (t *Thread) logCommit(v *mem.Version) {
 		Tid:     t.tid,
 		Clock:   t.icount,
 	}
-	c.Pages = make([]commitlog.PageDiff, 0, len(v.Pages))
+	c.Pages = make([]commitlog.PageDiff, 0, v.NumPages())
 	v.ForEachPageDiff(func(pg int, d mem.Diff) {
 		c.Pages = append(c.Pages, commitlog.PageDiff{Page: pg, Runs: d.Runs})
 	})

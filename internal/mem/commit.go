@@ -68,8 +68,7 @@ func (ws *Workspace) rediff(misses []int) {
 	if len(misses) < rediffParallelMin {
 		for _, pg := range misses {
 			dp := ws.dirty[pg]
-			d := computeDiff(dp.data, dp.twin)
-			dp.spec = &d
+			dp.spec, dp.specOK = computeDiff(dp.data, dp.twin), true
 		}
 		return
 	}
@@ -86,8 +85,7 @@ func (ws *Workspace) rediff(misses []int) {
 			defer wg.Done()
 			for _, pg := range sub {
 				dp := ws.dirty[pg]
-				d := computeDiff(dp.data, dp.twin)
-				dp.spec = &d
+				dp.spec, dp.specOK = computeDiff(dp.data, dp.twin), true
 			}
 		}()
 	}
@@ -135,9 +133,9 @@ func (ws *Workspace) BeginCommit() *PendingCommit {
 	if oldV < headBefore {
 		touched := ws.touchedScratch()
 		for i := oldV - s.floor; i < headBefore-s.floor; i++ {
-			for pg, slot := range s.versions[i].Pages {
-				touched[pg] = true
-				if _, dirtyHere := ws.dirty[pg]; dirtyHere {
+			for _, slot := range s.versions[i].slots {
+				touched[slot.page] = true
+				if _, dirtyHere := ws.dirty[slot.page]; dirtyHere {
 					patches = append(patches, slot)
 				}
 			}
@@ -168,7 +166,7 @@ func (ws *Workspace) BeginCommit() *PendingCommit {
 
 	var misses []int
 	for _, pg := range pages {
-		if ws.dirty[pg].spec == nil {
+		if !ws.dirty[pg].specOK {
 			misses = append(misses, pg)
 		}
 	}
@@ -180,7 +178,10 @@ func (ws *Workspace) BeginCommit() *PendingCommit {
 	var slots []*pageSlot
 	kept := ws.scratchKept[:0]
 	var wasted int64
-	freed := int64(0)
+	// Buffers this commit releases, recycled once the lock is dropped.
+	// Their count is also the live-page delta: every page that stops being
+	// live here is one buffer put.
+	freed := ws.scratchFreed[:0]
 	mi := 0
 	s.mu.Lock()
 	for _, pg := range pages {
@@ -189,7 +190,7 @@ func (ws *Workspace) BeginCommit() *PendingCommit {
 			mi++
 		}
 		dp := ws.dirty[pg]
-		diff := *dp.spec
+		diff := dp.spec
 		if diff.Empty() {
 			// Prefetched pages never written live through exactly one
 			// commit: fresh ones are retained (demoted to stale) so the
@@ -205,7 +206,7 @@ func (ws *Workspace) BeginCommit() *PendingCommit {
 			if dp.pf != pfNone {
 				wasted++
 			}
-			freed -= 2 // dirty copy and twin both freed
+			freed = append(freed, dp.data, dp.twin)
 			continue
 		}
 		slot := &pageSlot{
@@ -218,10 +219,10 @@ func (ws *Workspace) BeginCommit() *PendingCommit {
 		// snapshot; phase 2 must merge rather than install our copy.
 		if slot.prev != nil && slot.prev.version.Num > oldV {
 			slot.conflict = true
-			freed -= 2 // our raw copy and twin freed; merge allocates
+			freed = append(freed, dp.data, dp.twin) // the merge takes its own page
 		} else {
 			slot.fastData = dp.data // our copy becomes the committed page
-			freed--                 // twin freed
+			freed = append(freed, dp.twin)
 		}
 		pc.stats.DiffBytes += diff.Bytes()
 		if miss {
@@ -237,7 +238,7 @@ func (ws *Workspace) BeginCommit() *PendingCommit {
 		ws.version = headBefore
 		s.mu.Unlock()
 		ws.resetDirty(pages, kept)
-		s.allocPages(freed)
+		ws.recycle(freed)
 		s.addPulled(int64(pc.stats.PulledPages))
 		s.notePrefetchWasted(wasted)
 		return pc
@@ -246,12 +247,10 @@ func (ws *Workspace) BeginCommit() *PendingCommit {
 	v := &Version{
 		Num:       headBefore + 1,
 		Committer: ws.tid,
-		Pages:     make(map[int]*pageSlot, len(slots)),
 		slots:     slots,
 	}
 	for _, slot := range slots {
 		slot.version = v
-		v.Pages[slot.page] = slot
 		s.latest[slot.page] = slot
 		if slot.conflict {
 			pc.stats.MergedPages++
@@ -265,7 +264,7 @@ func (ws *Workspace) BeginCommit() *PendingCommit {
 	s.mu.Unlock()
 
 	ws.resetDirty(pages, kept)
-	s.allocPages(freed)
+	ws.recycle(freed)
 	s.noteCommit(pc.stats)
 	s.notePrefetchWasted(wasted)
 	return pc
@@ -281,7 +280,7 @@ func (ws *Workspace) BeginCommit() *PendingCommit {
 func (ws *Workspace) resetDirty(pages, kept []int) {
 	ws.scratchKept = kept
 	if len(kept) == 0 {
-		ws.dirty = make(map[int]*dirtyPage)
+		clear(ws.dirty)
 		return
 	}
 	ki := 0
@@ -292,6 +291,15 @@ func (ws *Workspace) resetDirty(pages, kept []int) {
 		}
 		delete(ws.dirty, pg)
 	}
+}
+
+// recycle returns the buffers a commit released (workspace scratch) to the
+// segment's free list and takes them off the live-page count.
+func (ws *Workspace) recycle(freed [][]byte) {
+	ws.seg.putPages(freed...)
+	ws.seg.allocPages(-int64(len(freed)))
+	clear(freed)
+	ws.scratchFreed = freed[:0]
 }
 
 // Complete runs the merge phase: every page the version touches gets its
@@ -342,7 +350,9 @@ func (s *Segment) CompleteThrough(n int64) {
 
 // ReadCommitted copies bytes from the segment's state as of version `at`
 // into buf, ignoring all workspaces. Used by the harness and tests to
-// observe and hash final memory. Blocks on pending versions.
+// observe and hash final memory. Forces pending versions. Like every page
+// lookup it needs `at` pinned while it copies: either no GC runs
+// concurrently, or some live workspace's version is <= at.
 func (s *Segment) ReadCommitted(buf []byte, off int, at int64) {
 	if off < 0 || off+len(buf) > s.size {
 		panic("mem: ReadCommitted out of range")

@@ -118,19 +118,37 @@ func nextSameByte(cur, twin []byte, i int) int {
 // The scan is word-wide (8 bytes per compare) in both the clean-skip and
 // the run-extent phases; the runs produced are identical to a
 // byte-at-a-time scan (FuzzComputeDiff pins this against the reference).
+//
+// The diff is packed: a first scan counts the runs and their bytes, a
+// second fills exactly one []Run and one backing []byte that every run's
+// Data slices into — two allocations per diffed page however fragmented
+// the changes are. Runs are immutable after publication (the commit log
+// and followers alias them), so sharing one backing array is safe.
 func computeDiff(cur, twin []byte) Diff {
-	var d Diff
-	i, n := 0, len(cur)
-	for i < n {
-		i = nextDiffByte(cur, twin, i)
-		if i >= n {
-			break
-		}
-		start := i
-		i = nextSameByte(cur, twin, i)
-		d.Runs = append(d.Runs, Run{Off: start, Data: append([]byte(nil), cur[start:i]...)})
+	n := len(cur)
+	nruns, nbytes := 0, 0
+	for i := nextDiffByte(cur, twin, 0); i < n; {
+		end := nextSameByte(cur, twin, i)
+		nruns++
+		nbytes += end - i
+		i = nextDiffByte(cur, twin, end)
 	}
-	return d
+	if nruns == 0 {
+		return Diff{}
+	}
+	runs := make([]Run, nruns)
+	backing := make([]byte, nbytes)
+	i := 0
+	for k := range runs {
+		i = nextDiffByte(cur, twin, i)
+		end := nextSameByte(cur, twin, i)
+		data := backing[: end-i : end-i]
+		backing = backing[end-i:]
+		copy(data, cur[i:end])
+		runs[k] = Run{Off: i, Data: data}
+		i = end
+	}
+	return Diff{Runs: runs}
 }
 
 // apply overwrites dst with the diff's bytes. dst must be at least as long

@@ -27,10 +27,12 @@ func (s *Segment) GC() int {
 		if budget > 0 && reclaimed >= budget {
 			break
 		}
-		for pg, slot := range v.Pages {
-			if s.base[pg] != nil {
+		for _, slot := range v.slots {
+			pg := slot.page
+			if old := s.base[pg]; old != nil {
 				reclaimed++ // superseded base page freed
 				s.allocPages(-1)
+				s.putPages(old) // no reader can hold it: see Segment.free
 			}
 			s.base[pg] = slot.data
 			// Drop the chain link: anything at or below the new floor is

@@ -24,6 +24,7 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -32,24 +33,6 @@ import (
 // 4096 matches the hardware page size the paper's kernel implementation
 // operates on.
 const DefaultPageSize = 4096
-
-// zeroPage is shared backing for never-written pages so that sparse
-// segments cost nothing until touched.
-var (
-	zeroPages   = map[int][]byte{}
-	zeroPagesMu sync.Mutex
-)
-
-func zeroPage(size int) []byte {
-	zeroPagesMu.Lock()
-	defer zeroPagesMu.Unlock()
-	p, ok := zeroPages[size]
-	if !ok {
-		p = make([]byte, size)
-		zeroPages[size] = p
-	}
-	return p
-}
 
 // SegmentConfig parameterizes a Segment.
 type SegmentConfig struct {
@@ -83,6 +66,9 @@ type Segment struct {
 	floor int64
 	head  int64
 	base  [][]byte // npages entries; nil means zero page
+	// zero is the shared read-only backing for never-written pages, so
+	// sparse segments cost nothing until touched.
+	zero []byte
 	// versions holds the retained delta chain, versions[i] has
 	// Num == floor+1+i. Entries may be pending (phase 2 incomplete).
 	versions []*Version
@@ -94,7 +80,74 @@ type Segment struct {
 	stats   Stats
 	statsMu sync.Mutex
 
+	// free is the segment's stack of recycled page buffers. Every page
+	// buffer (dirty copy, twin, merged page) is taken from it and returned
+	// to it, so the steady-state commit path allocates no pages; it holds
+	// only buffers that were live once, so it never outgrows the segment's
+	// own live-page high-water mark. A plain stack rather than a sync.Pool:
+	// the collector must not decide how many pages a run allocates.
+	//
+	// The invariant: only a buffer with NO READER may be put. Page slices
+	// escape the segment lock — committedPage returns one after unlocking
+	// and the caller copies from it — so a put buffer must be unreachable
+	// from every lookup a reader can still make:
+	//
+	//   - thread-private buffers: a twin, a dirty copy dropped unpublished
+	//     (empty diff, wasted prefetch, discard), and a conflicting page's
+	//     raw copy (the version publishes the merge, not the copy);
+	//   - a superseded base[pg], put by GC when it folds version w over it.
+	//     A reader holding it looked up pg at some `at` and found no version
+	//     in (floor, at] touching pg, so at < w; but GC folds w only when
+	//     w <= limit <= every live workspace's version, and readers read at
+	//     a version a live workspace pins (see ReadCommitted). A pending
+	//     conflict slot that still needs the buffer as its prev.data is
+	//     safe for the same reason from the other side: it is w's slot,
+	//     and GC stops at the first Pending() version.
+	//
+	// The zero page and fastData handed to a slot are never put: both are
+	// (or become) committed content readers may hold.
+	freeMu sync.Mutex
+	free   [][]byte
+	// onPut, when set, sees every buffer as it is put. Test seam: the
+	// recycling stress test poisons buffers here, so a put that races a
+	// reader shows up as poison in what the reader copied.
+	onPut func([]byte)
+
 	workspaces map[int]*Workspace // live workspaces keyed by owner tid
+}
+
+// getPage returns a page-sized buffer with arbitrary contents; the caller
+// overwrites all of it.
+func (s *Segment) getPage() []byte {
+	s.freeMu.Lock()
+	if n := len(s.free); n > 0 {
+		b := s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+		s.freeMu.Unlock()
+		return b
+	}
+	s.freeMu.Unlock()
+	return make([]byte, s.pageSize)
+}
+
+// copyPage returns a recycled buffer holding a copy of src.
+func (s *Segment) copyPage(src []byte) []byte {
+	b := s.getPage()
+	copy(b, src)
+	return b
+}
+
+// putPages recycles buffers that no reader can reach (see free).
+func (s *Segment) putPages(bufs ...[]byte) {
+	if s.onPut != nil {
+		for _, b := range bufs {
+			s.onPut(b)
+		}
+	}
+	s.freeMu.Lock()
+	s.free = append(s.free, bufs...)
+	s.freeMu.Unlock()
 }
 
 // Version is one committed (or pending) set of page modifications.
@@ -103,12 +156,23 @@ type Version struct {
 	Num int64
 	// Committer is the thread ID that produced this version.
 	Committer int
-	// Pages maps page index -> slot holding the merged page content.
-	Pages map[int]*pageSlot
-	// slots lists the same slots in ascending page order (deterministic
-	// phase-2 processing order).
+	// slots holds one slot per modified page, in ascending page order
+	// (the deterministic phase-2 processing order, and what slot looks
+	// pages up in).
 	slots []*pageSlot
 }
+
+// slot returns the version's slot for pg, or nil if it did not modify pg.
+func (v *Version) slot(pg int) *pageSlot {
+	i, ok := slices.BinarySearchFunc(v.slots, pg, func(sl *pageSlot, pg int) int { return sl.page - pg })
+	if !ok {
+		return nil
+	}
+	return v.slots[i]
+}
+
+// NumPages returns the number of pages this version modified.
+func (v *Version) NumPages() int { return len(v.slots) }
 
 // Pending reports whether any of the version's pages still await their
 // merge phase.
@@ -121,12 +185,11 @@ func (v *Version) Pending() bool {
 	return false
 }
 
-// PageIndexes returns the sorted-free set of page indexes this version
-// modified (iteration order unspecified).
+// PageIndexes returns the page indexes this version modified, ascending.
 func (v *Version) PageIndexes() []int {
-	idx := make([]int, 0, len(v.Pages))
-	for pg := range v.Pages {
-		idx = append(idx, pg)
+	idx := make([]int, len(v.slots))
+	for i, slot := range v.slots {
+		idx[i] = slot.page
 	}
 	return idx
 }
@@ -193,8 +256,7 @@ type pageSlot struct {
 func (s *pageSlot) resolve() []byte {
 	s.once.Do(func() {
 		if s.conflict {
-			base := s.prev.resolve()
-			data := append([]byte(nil), base...)
+			data := s.seg.copyPage(s.prev.resolve())
 			s.diff.apply(data)
 			s.data = data
 			s.seg.allocPages(1)
@@ -231,6 +293,7 @@ func NewSegment(cfg SegmentConfig) (*Segment, error) {
 		npages:     np,
 		size:       np * ps,
 		base:       make([][]byte, np),
+		zero:       make([]byte, ps),
 		latest:     make(map[int]*pageSlot),
 		workspaces: make(map[int]*Workspace),
 		stats:      Stats{GCPageBudget: cfg.GCPageBudget},
@@ -262,17 +325,18 @@ func (s *Segment) pageIndex(off int) (int, int) {
 }
 
 // committedPage returns the content of pg as of version `at`, following
-// the retained delta chain. The returned slice must not be mutated. If the
-// governing version is still pending, its content is resolved on demand.
+// the retained delta chain. The returned slice must not be mutated, and is
+// only stable while a live workspace pins a version <= at (the recycling
+// invariant on Segment.free): callers copy out of it before their
+// workspace moves. If the governing version is still pending, its content
+// is resolved on demand.
 func (s *Segment) committedPage(pg int, at int64) []byte {
 	s.mu.Lock()
 	var slot *pageSlot
 	// Walk back from `at` to floor looking for the newest version <= at
 	// touching pg.
 	for i := at - s.floor - 1; i >= 0; i-- {
-		v := s.versions[i]
-		if sl, ok := v.Pages[pg]; ok {
-			slot = sl
+		if slot = s.versions[i].slot(pg); slot != nil {
 			break
 		}
 	}
@@ -280,7 +344,7 @@ func (s *Segment) committedPage(pg int, at int64) []byte {
 		data := s.base[pg]
 		s.mu.Unlock()
 		if data == nil {
-			return zeroPage(s.pageSize)
+			return s.zero
 		}
 		return data
 	}
@@ -347,7 +411,7 @@ func (s *Segment) PopulatedPages() int {
 		}
 	}
 	for _, v := range s.versions {
-		n += len(v.Pages)
+		n += len(v.slots)
 	}
 	return n
 }

@@ -1,0 +1,237 @@
+package mem
+
+import (
+	"bytes"
+	"math/rand"
+	"runtime"
+	"sync"
+	"testing"
+)
+
+// Tests of the segment's page free list (Segment.free): that no buffer is
+// recycled while a reader can still reach it, and that the steady-state
+// commit path allocates no pages.
+
+const poison = 0xFF
+
+// checkNoPoison fails if buf holds a poison byte. The stress test writes
+// only bytes in [1, 0x7f], so poison in a read means a reader was handed a
+// buffer that had already been put.
+func checkNoPoison(t *testing.T, what string, buf []byte) {
+	if i := bytes.IndexByte(buf, poison); i >= 0 {
+		t.Errorf("%s: poison at byte %d: a recycled buffer was still readable", what, i)
+	}
+}
+
+// loggedDiff is one page's diff as published by a version, kept by the
+// stress test to rebuild the final state without the segment.
+type loggedDiff struct {
+	page int
+	diff Diff
+}
+
+// TestRecycleNeverReachesReaders runs every operation that takes or puts a
+// page buffer — Read, Write, Prepopulate, Commit (both phases, merges
+// included), UpdateTo, Discard, GC, ReadCommitted — concurrently, with
+// every buffer poisoned as it is put. BeginCommit is serialized by the
+// caller, as the runtimes' token does; everything else races freely. Run
+// with -race: a put that overlaps a reader is also a data race on the
+// buffer.
+//
+// It asserts that no read ever returns poison and that the final memory
+// equals a reference that never recycles anything: the published diffs
+// replayed in version order onto a zero array.
+func TestRecycleNeverReachesReaders(t *testing.T) {
+	const (
+		threads  = 6
+		iters    = 150
+		pageSize = 256
+		npages   = 24
+		size     = pageSize * npages
+	)
+	s, err := NewSegment(SegmentConfig{Name: "recycle", Size: size, PageSize: pageSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.onPut = func(b []byte) {
+		for i := range b {
+			b[i] = poison
+		}
+	}
+
+	var token sync.Mutex
+	var history [][]loggedDiff // history[v-1] = version v's diffs; token-guarded
+	var wg sync.WaitGroup
+	for w := 0; w < threads; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ws, err := s.Snapshot(w)
+			if err != nil {
+				t.Errorf("snapshot %d: %v", w, err)
+				return
+			}
+			ws.SetPredict(w%2 == 0) // half the threads keep fresh prefetches across a commit
+			rng := rand.New(rand.NewSource(int64(w) + 1))
+			buf := make([]byte, 96)
+			page := make([]byte, pageSize)
+			var late []*PendingCommit // merge phases left pending for readers to force
+			for i := 0; i < iters; i++ {
+				if rng.Intn(3) == 0 {
+					ws.Prepopulate([]int{rng.Intn(npages), rng.Intn(npages)})
+				}
+				for k := 0; k < 3; k++ {
+					off := rng.Intn(size - len(buf))
+					n := 1 + rng.Intn(len(buf)-1)
+					ws.Read(buf[:n], off)
+					checkNoPoison(t, "Read", buf[:n])
+					for j := range buf[:n] {
+						buf[j] = byte(1 + rng.Intn(0x7f))
+					}
+					ws.Write(buf[:n], off)
+				}
+				s.ReadCommitted(page, rng.Intn(npages)*pageSize, ws.Version())
+				checkNoPoison(t, "ReadCommitted", page)
+
+				switch rng.Intn(8) {
+				case 0:
+					ws.Discard()
+				case 1:
+					ws.PrepareCommit()
+				}
+				token.Lock()
+				pc := ws.BeginCommit()
+				if v := pc.Version(); v != nil {
+					var ds []loggedDiff
+					v.ForEachPageDiff(func(pg int, d Diff) { ds = append(ds, loggedDiff{pg, d}) })
+					history = append(history, ds)
+				}
+				token.Unlock()
+				if rng.Intn(2) == 0 {
+					late = append(late, pc)
+				} else {
+					pc.Complete()
+				}
+				switch rng.Intn(5) {
+				case 0:
+					ws.UpdateTo(ws.Version() + 1 + int64(rng.Intn(3)))
+				case 1:
+					ws.Update()
+				case 2:
+					for _, pc := range late {
+						pc.Complete()
+					}
+					late = late[:0]
+					s.GC()
+				}
+			}
+			for _, pc := range late {
+				pc.Complete()
+			}
+			s.Release(ws)
+		}(w)
+	}
+	wg.Wait()
+	s.GC()
+
+	want := make([]byte, size)
+	for _, ds := range history {
+		for _, ld := range ds {
+			ld.diff.apply(want[ld.page*pageSize : (ld.page+1)*pageSize])
+		}
+	}
+	got := make([]byte, size)
+	s.ReadCommitted(got, 0, s.Head())
+	checkNoPoison(t, "final state", got)
+	if !bytes.Equal(got, want) {
+		t.Fatal("final memory differs from the diffs replayed without recycling")
+	}
+	st := s.Stats()
+	if st.MergedPages == 0 || st.GCReclaimedPages == 0 || st.PrefetchWasted == 0 {
+		t.Fatalf("stress missed a release site (merges, GC, wasted prefetches): %+v", st)
+	}
+	// Everything is folded and every workspace released: what is live is
+	// exactly the base table.
+	if live := int64(s.PopulatedPages()); st.CurPages != live {
+		t.Fatalf("CurPages %d, but %d pages are populated: free-listed buffers must not count", st.CurPages, live)
+	}
+}
+
+// allocBytesPerRun is testing.AllocsPerRun for bytes: the average number
+// of heap bytes f allocates, after one warm-up call.
+func allocBytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestCommitCycleAllocatesNoPages is the tier-1 gate on the free list: once
+// a fault → write → commit → GC cycle over a fixed page set has run, the
+// same cycle again takes every dirty copy, twin and merged page from the
+// free list. Pages are 64 KiB so that one page-sized allocation dwarfs
+// the cycle's small ones (slots, diffs, the version).
+func TestCommitCycleAllocatesNoPages(t *testing.T) {
+	const (
+		pageSize = 64 << 10
+		npages   = 8
+	)
+	s, err := NewSegment(SegmentConfig{Name: "gate", Size: pageSize * npages, PageSize: pageSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := s.Snapshot(0)
+	b, _ := s.Snapshot(1)
+	a.SetPredict(true)
+	round := byte(0)
+	cycle := func() {
+		round++
+		a.Prepopulate([]int{6, 7}) // 6 is written (a hit), 7 never is
+		for pg := 0; pg < 7; pg++ {
+			a.Write([]byte{round}, pg*pageSize)
+			b.Write([]byte{round}, pg*pageSize+1)
+		}
+		b.Commit()
+		a.Commit() // conflicts with b on every page: the merge takes a page too
+		a.Commit() // nothing to publish; drops the stale prefetch of 7
+		b.Update()
+		s.GC()
+	}
+	cycle()
+	if got := allocBytesPerRun(20, cycle); got >= pageSize {
+		t.Fatalf("steady-state commit cycle allocates %d B, at least one %d B page", got, pageSize)
+	}
+	if st := s.Stats(); st.MergedPages == 0 || st.PrefetchHits == 0 || st.PrefetchWasted == 0 || st.GCReclaimedPages == 0 {
+		t.Fatalf("cycle did not exercise merge, prefetch and GC: %+v", st)
+	}
+}
+
+// TestPackedDiffLayout pins the packed representation: however many runs,
+// a diff is one run slice and one backing array, and no run has slack an
+// append could grow into its neighbour.
+func TestPackedDiffLayout(t *testing.T) {
+	twin := make([]byte, 256)
+	cur := make([]byte, 256)
+	for _, span := range [][2]int{{0, 3}, {9, 10}, {64, 100}, {250, 256}} {
+		for i := span[0]; i < span[1]; i++ {
+			cur[i] = 1
+		}
+	}
+	d := computeDiff(cur, twin)
+	if len(d.Runs) != 4 {
+		t.Fatalf("got %d runs, want 4", len(d.Runs))
+	}
+	for i, r := range d.Runs {
+		if cap(r.Data) != len(r.Data) {
+			t.Errorf("run %d has slack: len %d cap %d", i, len(r.Data), cap(r.Data))
+		}
+	}
+	if n := testing.AllocsPerRun(50, func() { computeDiff(cur, twin) }); n > 2 {
+		t.Errorf("computeDiff made %.0f allocations, want the run slice and one backing array", n)
+	}
+}

@@ -38,6 +38,7 @@ type Stats struct {
 	GCReclaimedPages int64
 	// CurPages and PeakPages track live allocated pages (dirty copies,
 	// twins, committed version pages) — the Figure 12 memory statistic.
+	// Buffers resting on the segment's free list are not live.
 	CurPages  int64
 	PeakPages int64
 	// GCPageBudget is the per-invocation reclaim bound (0 = unlimited),
@@ -56,11 +57,15 @@ func (s *Segment) Stats() Stats {
 // tracks the peak.
 func (s *Segment) allocPages(n int64) {
 	s.statsMu.Lock()
+	s.allocPagesLocked(n)
+	s.statsMu.Unlock()
+}
+
+func (s *Segment) allocPagesLocked(n int64) {
 	s.stats.CurPages += n
 	if s.stats.CurPages > s.stats.PeakPages {
 		s.stats.PeakPages = s.stats.CurPages
 	}
-	s.statsMu.Unlock()
 }
 
 func (s *Segment) addPulled(n int64) {
@@ -81,14 +86,16 @@ func (s *Segment) noteCommit(cs CommitStats) {
 	s.statsMu.Unlock()
 }
 
-// noteFault records one copy-on-write fault; with prediction enabled the
-// fault is also a prefetch miss (the predictor did not cover the page).
+// noteFault records one copy-on-write fault and the two live pages it
+// creates (dirty copy and twin); with prediction enabled the fault is also
+// a prefetch miss (the predictor did not cover the page).
 func (s *Segment) noteFault(predicted bool) {
 	s.statsMu.Lock()
 	s.stats.Faults++
 	if predicted {
 		s.stats.PrefetchMisses++
 	}
+	s.allocPagesLocked(2)
 	s.statsMu.Unlock()
 }
 

@@ -36,11 +36,12 @@ type Workspace struct {
 	chunkWrites []int
 
 	// Commit-path scratch, reused across BeginCommit calls to avoid
-	// re-allocating the sorted page list, the retained-prefetch list and
-	// the pulled-page set on every commit. Owned by the workspace's
-	// thread, like dirty.
+	// re-allocating the sorted page list, the retained-prefetch list, the
+	// released-buffer list and the pulled-page set on every commit. Owned
+	// by the workspace's thread, like dirty.
 	scratchPages   []int
 	scratchKept    []int
+	scratchFreed   [][]byte
 	scratchTouched map[int]bool
 }
 
@@ -63,15 +64,17 @@ const (
 type dirtyPage struct {
 	data []byte
 	twin []byte
-	// spec is the page's speculative diff (PrepareCommit). The invariant: a
-	// non-nil spec always equals computeDiff(data, twin) over the current
-	// contents. Local writes reset it to nil; remote imports do NOT, because
+	// spec is the page's speculative diff (PrepareCommit), meaningful only
+	// while specOK is set. The invariant: a valid spec always equals
+	// computeDiff(data, twin) over the current contents. Local writes
+	// clear specOK; remote imports do NOT, because
 	// applyWhereClean is diff-preserving — it writes each pulled byte to
 	// both data and twin only at positions where data[i] == twin[i], so
 	// clean positions stay clean (both take the pulled byte) and dirty
 	// positions are untouched in both, leaving the diff byte-identical.
 	// TestApplyWhereCleanPreservesDiff/FuzzApplyWhereClean pin this.
-	spec *Diff
+	spec   Diff
+	specOK bool
 	// pf is the page's prefetch state. A prefetched page holds data == twin
 	// (no local modifications), which makes it semantically equivalent to a
 	// clean page: updates import every remote byte into both copies
@@ -157,7 +160,7 @@ func (ws *Workspace) Write(data []byte, off int) {
 				ws.chunkWrites = append(ws.chunkWrites, pg)
 			}
 		}
-		dp.spec = nil // the write invalidates any speculative diff
+		dp.specOK = false // the write invalidates any speculative diff
 		copy(dp.data[po:po+n], data[:n])
 		data = data[n:]
 		off += n
@@ -172,8 +175,8 @@ func (ws *Workspace) fault(pg int) *dirtyPage {
 	}
 	base := ws.seg.committedPage(pg, ws.version)
 	dp := &dirtyPage{
-		data: append([]byte(nil), base...),
-		twin: append([]byte(nil), base...),
+		data: ws.seg.copyPage(base),
+		twin: ws.seg.copyPage(base),
 	}
 	ws.dirty[pg] = dp
 	ws.faults++
@@ -181,7 +184,6 @@ func (ws *Workspace) fault(pg int) *dirtyPage {
 		ws.chaosFaultNS += ws.faultPerturb(pg)
 	}
 	ws.seg.noteFault(ws.predict)
-	ws.seg.allocPages(2)
 	if ws.predict {
 		ws.chunkWrites = append(ws.chunkWrites, pg)
 	}
@@ -226,17 +228,16 @@ func (ws *Workspace) UpdateTo(at int64) (pulled int) {
 		s.mu.Unlock()
 		return 0
 	}
-	touched := make(map[int]bool)
+	touched := ws.touchedScratch()
 	var patches []*pageSlot
 	for i := ws.version - s.floor; i < head-s.floor; i++ {
 		if i < 0 {
 			// Should not happen: GC never passes a live workspace.
 			panic(fmt.Sprintf("mem: workspace for tid %d (version %d) behind GC floor %d", ws.tid, ws.version, s.floor))
 		}
-		v := s.versions[i]
-		for pg, slot := range v.Pages {
-			touched[pg] = true
-			if _, dirtyHere := ws.dirty[pg]; dirtyHere {
+		for _, slot := range s.versions[i].slots {
+			touched[slot.page] = true
+			if _, dirtyHere := ws.dirty[slot.page]; dirtyHere {
 				patches = append(patches, slot)
 			}
 		}
@@ -274,9 +275,8 @@ func (ws *Workspace) UpdateTo(at int64) (pulled int) {
 func (ws *Workspace) PrepareCommit() int {
 	prepared := 0
 	for _, dp := range ws.dirty {
-		if dp.spec == nil {
-			d := computeDiff(dp.data, dp.twin)
-			dp.spec = &d
+		if !dp.specOK {
+			dp.spec, dp.specOK = computeDiff(dp.data, dp.twin), true
 			prepared++
 		}
 	}
@@ -306,13 +306,6 @@ func (ws *Workspace) TakeChunkWrites() []int {
 	ws.chunkWrites = ws.chunkWrites[:0]
 	return w
 }
-
-// emptyDiff backs the speculative diff of prefetched pages: a prefetched
-// page holds data == twin, whose diff is empty, so sharing one immutable
-// zero-value Diff avoids a per-page allocation. BeginCommit copies specs
-// by value and rediff replaces the pointer, so nothing ever writes
-// through it.
-var emptyDiff Diff
 
 // Prepopulate installs copy-on-write copies of the given pages ahead of
 // the writes a predictor expects, so those writes will not fault. It is
@@ -345,10 +338,10 @@ func (ws *Workspace) Prepopulate(pages []int) (populated int) {
 		}
 		base := ws.seg.committedPage(pg, ws.version)
 		dp := &dirtyPage{
-			data: append([]byte(nil), base...),
-			twin: append([]byte(nil), base...),
-			spec: &emptyDiff,
-			pf:   pfFresh,
+			data:   ws.seg.copyPage(base),
+			twin:   ws.seg.copyPage(base),
+			specOK: true, // data == twin: the zero Diff is its diff
+			pf:     pfFresh,
 		}
 		ws.dirty[pg] = dp
 		if ws.faultPerturb != nil {
@@ -370,6 +363,9 @@ func (ws *Workspace) Discard() {
 func (ws *Workspace) discardLocked() {
 	if n := len(ws.dirty); n > 0 {
 		ws.seg.allocPages(int64(-2 * n))
-		ws.dirty = make(map[int]*dirtyPage)
+		for _, dp := range ws.dirty {
+			ws.seg.putPages(dp.data, dp.twin)
+		}
+		clear(ws.dirty)
 	}
 }

@@ -48,6 +48,14 @@ type pageRev struct {
 	data []byte
 }
 
+// undoRef names one undo entry by the commit that created it. The
+// follower keeps them in apply order, so the entries a prune must drop are
+// always a prefix.
+type undoRef struct {
+	ver  int64
+	page int
+}
+
 // Follower is one replica: the current committed pages plus a bounded
 // per-page undo history for versioned reads. Applies come from the
 // follower's feed goroutine; reads take the read-lock, so many readers
@@ -58,9 +66,18 @@ type Follower struct {
 	npages   int
 	window   int64 // undo history depth in versions; <= 0 keeps everything
 
-	mu      sync.RWMutex
-	pages   map[int][]byte
-	hist    map[int][]pageRev
+	mu    sync.RWMutex
+	pages map[int][]byte
+	hist  map[int][]pageRev
+	// undo lists every hist entry in apply order (ascending ver) while a
+	// window is set, so prune pops the expired prefix instead of scanning
+	// every page with history.
+	undo []undoRef
+	// free holds page buffers no reader can reach: every read copies out
+	// under the read lock, and buffers are only put under the write lock
+	// (pruned undo entries, everything at reset/restore). apply takes its
+	// undo buffers from here, so past the window it allocates no pages.
+	free    [][]byte
 	version int64 // last applied commit's version
 	atSeq   int64
 	applied int64 // commit records applied since the last restore
@@ -108,12 +125,45 @@ func (f *Follower) effectiveFloor() int64 {
 	return floor
 }
 
+// getBuf returns a page buffer with arbitrary contents (mu held).
+func (f *Follower) getBuf() []byte {
+	if n := len(f.free); n > 0 {
+		b := f.free[n-1]
+		f.free[n-1] = nil
+		f.free = f.free[:n-1]
+		return b
+	}
+	return make([]byte, f.pageSize)
+}
+
+// getZeroBuf returns a zeroed page buffer (mu held).
+func (f *Follower) getZeroBuf() []byte {
+	b := f.getBuf()
+	clear(b)
+	return b
+}
+
+// dropAll empties the replica, recycling every page and undo buffer (mu
+// held).
+func (f *Follower) dropAll() {
+	for _, buf := range f.pages {
+		f.free = append(f.free, buf)
+	}
+	for _, revs := range f.hist {
+		for _, rev := range revs {
+			f.free = append(f.free, rev.data)
+		}
+	}
+	clear(f.pages)
+	clear(f.hist)
+	f.undo = f.undo[:0]
+}
+
 // reset discards all replica state (a restart from scratch).
 func (f *Follower) reset() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.pages = make(map[int][]byte)
-	f.hist = make(map[int][]pageRev)
+	f.dropAll()
 	f.version, f.atSeq, f.applied, f.floor = 0, 0, 0, 0
 }
 
@@ -122,10 +172,9 @@ func (f *Follower) reset() {
 func (f *Follower) restore(s commitlog.Snapshot) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.pages = make(map[int][]byte)
-	f.hist = make(map[int][]pageRev)
+	f.dropAll()
 	for _, pd := range s.Pages {
-		buf := make([]byte, f.pageSize)
+		buf := f.getZeroBuf()
 		for _, r := range pd.Runs {
 			copy(buf[r.Off:], r.Data)
 		}
@@ -156,13 +205,16 @@ func (f *Follower) apply(c commitlog.Commit) (bool, error) {
 	for _, pd := range c.Pages {
 		buf := f.pages[pd.Page]
 		if buf == nil {
-			buf = make([]byte, f.pageSize)
+			buf = f.getZeroBuf()
 			f.pages[pd.Page] = buf
 		}
 		// Undo entry: the content this commit replaces.
-		prev := make([]byte, f.pageSize)
+		prev := f.getBuf()
 		copy(prev, buf)
 		f.hist[pd.Page] = append(f.hist[pd.Page], pageRev{ver: c.Version, data: prev})
+		if f.window > 0 {
+			f.undo = append(f.undo, undoRef{ver: c.Version, page: pd.Page})
+		}
 		for _, r := range pd.Runs {
 			copy(buf[r.Off:], r.Data)
 		}
@@ -176,28 +228,26 @@ func (f *Follower) apply(c commitlog.Commit) (bool, error) {
 // prune drops undo entries older than the window (mu held). An entry at
 // ver answers reads for versions < ver, so it is droppable once every
 // answerable version has a newer entry or the current page to serve from.
+// The expired entries are a prefix of undo, and each is the oldest entry
+// of its page, so the cost is the number of entries dropped — one commit's
+// worth in the steady state — not the number of pages with history. A
+// follower with no window keeps undo empty and never prunes.
 func (f *Follower) prune() {
-	if f.window <= 0 {
-		return
-	}
 	cut := f.version - f.window
-	if cut <= 0 {
-		return
-	}
-	for pg, revs := range f.hist {
-		i := 0
-		for i < len(revs) && revs[i].ver <= cut {
-			i++
-		}
-		if i == 0 {
-			continue
-		}
-		if i == len(revs) {
+	n := 0
+	for n < len(f.undo) && f.undo[n].ver <= cut {
+		pg := f.undo[n].page
+		revs := f.hist[pg]
+		f.free = append(f.free, revs[0].data)
+		revs[0].data = nil // the trimmed slot stays in the backing array
+		if len(revs) == 1 {
 			delete(f.hist, pg)
-			continue
+		} else {
+			f.hist[pg] = revs[1:]
 		}
-		f.hist[pg] = append([]pageRev(nil), revs[i:]...)
+		n++
 	}
+	f.undo = f.undo[n:]
 }
 
 // ReadAt returns a copy of the page's committed content at exactly

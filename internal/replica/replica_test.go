@@ -3,6 +3,7 @@ package replica
 import (
 	"errors"
 	"hash/fnv"
+	"runtime"
 	"testing"
 	"time"
 
@@ -478,5 +479,133 @@ func TestFleetMetricsRegistered(t *testing.T) {
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Recycled undo buffers must never be served. A windowed follower past
+// 2x its window has pruned (and reused) most undo buffers it ever took;
+// every (version, page) it still answers must equal the log replayed to
+// that version from disk, and every evicted version must still be
+// refused. A snapshot restore in the middle recycles everything at once,
+// including into the zeroed first-touch pages.
+func TestFollowerRecycledHistoryStaysExact(t *testing.T) {
+	const (
+		window = 8
+		n      = 5*window + 3
+		mid    = 3 * window
+	)
+	commits := mkCommits(n)
+	dir := t.TempDir()
+	writeLog(t, dir, commits, commitlog.Options{}, false)
+	states := make([]*commitlog.State, n+1) // states[v] = replay to version v, on demand
+	stateAt := func(v int64) *commitlog.State {
+		if states[v] == nil {
+			st, err := commitlog.ReplayToSeq(dir, 3*v) // mkCommits: AtSeq = 3 * version
+			if err != nil {
+				t.Fatalf("replay to version %d: %v", v, err)
+			}
+			states[v] = st
+		}
+		return states[v]
+	}
+	check := func(f *Follower) {
+		t.Helper()
+		floor := f.Floor()
+		for v := int64(0); v <= f.Version(); v++ {
+			for pg := 0; pg < tNumPages; pg++ {
+				got, err := f.ReadAt(v, pg)
+				if v < floor {
+					if !errors.Is(err, ErrEvictedVersion) {
+						t.Fatalf("at v%d: ReadAt(%d,%d) below floor %d: err=%v", f.Version(), v, pg, floor, err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("at v%d: ReadAt(%d,%d): %v", f.Version(), v, pg, err)
+				}
+				if string(got) != string(stateAt(v).Page(pg)) {
+					t.Fatalf("at v%d: ReadAt(%d,%d) differs from the replayed log", f.Version(), v, pg)
+				}
+			}
+		}
+	}
+
+	f := newFollower(0, tPageSize, tNumPages, window)
+	for _, c := range commits[:mid] {
+		if _, err := f.apply(c); err != nil {
+			t.Fatal(err)
+		}
+		if c.Version > 2*window {
+			check(f)
+		}
+	}
+	if len(f.free) == 0 {
+		t.Fatal("nothing was pruned onto the free list")
+	}
+
+	// Restore from a snapshot of version mid whose runs cover only each
+	// page's non-zero span: the rest of a recycled buffer must read zero.
+	snap := commitlog.Snapshot{Version: mid, AtSeq: 3 * mid}
+	for pg := 0; pg < tNumPages; pg++ {
+		page := stateAt(mid).Page(pg)
+		lo, hi := 0, len(page)
+		for lo < hi && page[lo] == 0 {
+			lo++
+		}
+		for hi > lo && page[hi-1] == 0 {
+			hi--
+		}
+		if lo < hi {
+			snap.Pages = append(snap.Pages, commitlog.PageDiff{Page: pg, Runs: []mem.Run{{Off: lo, Data: page[lo:hi]}}})
+		}
+	}
+	f.restore(snap)
+	if f.Floor() != mid {
+		t.Fatalf("floor %d after restore, want %d", f.Floor(), mid)
+	}
+	check(f)
+	for _, c := range commits[mid:] {
+		if _, err := f.apply(c); err != nil {
+			t.Fatal(err)
+		}
+		check(f)
+	}
+	if f.Floor() != n-window {
+		t.Fatalf("floor %d, want %d", f.Floor(), n-window)
+	}
+}
+
+// Past its window a follower's apply takes every undo buffer from the
+// free list prune refills. Pages are 64 KiB so one page-sized allocation
+// dwarfs the small ones (history and undo slices growing).
+func TestFollowerApplyAllocatesNoPages(t *testing.T) {
+	const (
+		pageSize = 64 << 10
+		window   = 4
+	)
+	f := newFollower(0, pageSize, 4, window)
+	v := int64(0)
+	apply := func() {
+		v++
+		c := commitlog.Commit{Version: v, AtSeq: v}
+		for pg := 0; pg < 3; pg++ {
+			c.Pages = append(c.Pages, commitlog.PageDiff{Page: pg, Runs: []mem.Run{{Off: int(v) % 64, Data: []byte{byte(v)}}}})
+		}
+		if ok, err := f.apply(c); !ok || err != nil {
+			t.Fatalf("apply v%d: applied=%v err=%v", v, ok, err)
+		}
+	}
+	for v <= window {
+		apply()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 50
+	for i := 0; i < runs; i++ {
+		apply()
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got >= pageSize {
+		t.Fatalf("apply past the window allocates %d B, at least one %d B page", got, pageSize)
 	}
 }

@@ -25,8 +25,11 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
-echo "== go test -race (obs + det + chaos + replica)"
-go test -race ./internal/obs/... ./internal/det ./internal/chaos/... ./internal/replica
+echo "== go test -race (obs + mem + det + chaos + replica)"
+go test -race ./internal/obs/... ./internal/mem ./internal/det ./internal/chaos/... ./internal/replica
+
+echo "== bench module (own go.mod: the root ./... does not descend into it)"
+(cd bench && go vet ./... && go test ./...)
 
 echo "== conseq-analyze smoke (golden trace)"
 go run ./cmd/conseq-analyze -input internal/obs/testdata/golden_trace.json >/dev/null
