@@ -1,24 +1,9 @@
 # `make check` is the pre-PR gate (see README): gofmt, vet, build, test.
 
-.PHONY: check build test fmt figures chaos bench-sched bench-commitlog bench-replica diff-smoke
+.PHONY: check build test fmt figures chaos diff-smoke
 
 check:
 	./scripts/check.sh
-
-# Scheduler micro-benchmarks (token handoff, fork/join) at 1 and 4 shards;
-# writes BENCH_sched.json (see docs/scheduler.md).
-bench-sched:
-	./scripts/bench_sched.sh
-
-# Commit-log micro-benchmarks (append hot path, full-log replay); writes
-# BENCH_commitlog.json (see docs/commitlog.md).
-bench-commitlog:
-	./scripts/bench_commitlog.sh
-
-# Replica-fleet micro-benchmarks (versioned reads, restart-to-caught-up);
-# writes BENCH_replica.json (see docs/replication.md).
-bench-replica:
-	./scripts/bench_replica.sh
 
 # Longer fault-injection sweep: every chaos profile x 5 seeds over the
 # golden benchmarks, asserting results never move (see docs/robustness.md).

@@ -35,7 +35,7 @@ func main() {
 	scale := flag.Int("scale", 1, "problem-size multiplier for the live run")
 	seed := flag.Int64("seed", 42, "input seed for the live run")
 	predict := flag.Bool("predict", true, "enable write-set prediction (page prefetch during token wait) for the live run")
-	shards := flag.Int("shards", 1, "token-arbitration shards for the live run; >= 2 enables the scheduler scale-out trio (docs/scheduler.md)")
+	shards := flag.Int("shards", 1, "token-arbitration shards for the live run; >= 2 selects the sharded scheduler (docs/scheduler.md)")
 	jsonOut := flag.Bool("json", false, "emit the stable JSON report instead of text")
 	flag.Parse()
 

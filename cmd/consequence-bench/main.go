@@ -42,7 +42,7 @@ func main() {
 	traceRuntime := flag.String("trace-runtime", string(harness.KindConsequenceIC), "runtime for the observed cell (consequence-ic | consequence-rr)")
 	listen := flag.String("listen", "", "serve the observed cell's live /metrics (Prometheus text format) and /debug/pprof on this address while the cell runs (e.g. :9090)")
 	chaosSpec := flag.String("chaos", "", "arm seeded fault injection on the observed cell: profile[:seed] (see internal/chaos); the cell's checksum must be unchanged")
-	shards := flag.Int("shards", 1, "token-arbitration shards for the observed cell; >= 2 enables the scheduler scale-out trio (docs/scheduler.md) — results are unchanged by construction")
+	shards := flag.Int("shards", 1, "token-arbitration shards for the observed cell; >= 2 selects the sharded scheduler (docs/scheduler.md) — results are unchanged by construction")
 	journalPath := flag.String("journal", "", "write the observed cell's divergence journal (internal/journal) to this file; compare two with conseq-diff — the cell's checksum is unchanged by construction")
 	commitLogDir := flag.String("commitlog", "", "write the observed cell's persistent commit log (internal/commitlog) into this empty directory; replay with conseq-replay — the cell's checksum is unchanged by construction")
 	flag.Parse()

@@ -64,19 +64,18 @@ var predictFlag = flag.Bool("predict", true, "enable write-set prediction (page 
 // in scripts/check.sh asserts exactly that.
 var chaosFlag = flag.String("chaos", "", "arm seeded fault injection on the consequence runtimes: profile[:seed], e.g. storm:7 (profiles: "+strings.Join(chaos.Profiles(), ", ")+")")
 
-// shardsFlag selects sharded token arbitration on the consequence
-// runtimes. 1 (the default) is the legacy single-token time model; N >= 2
-// partitions lock objects into N shards with real per-shard granting
-// authority (docs/scheduler.md stage 2) and also enables the rest of the
-// scale-out trio — the deterministic worker pool (pre-spawned to the
-// benchmark thread count) and lazy fast-forward — since all three target
-// the same token-handoff critical path. Checksums are identical at every
-// shard count, and each count's sync-order hash is itself a deterministic
-// constant (per-shard grant loops legitimately interleave threads
-// differently at different counts, so the hash is pinned per count, not
-// across counts); the shard determinism gate in scripts/check.sh asserts
-// exactly that against its per-count golden set.
-var shardsFlag = flag.Int("shards", 1, "token arbitration shards on the consequence runtimes (>=2 also enables the worker pool and lazy fast-forward)")
+// shardsFlag selects the scheduler on consequence-ic. 1 (the default) is
+// the paper's single token; N >= 2 partitions lock objects into N shards
+// with real per-shard granting authority (docs/scheduler.md), with the
+// deterministic worker pool pre-spawned to the benchmark thread count.
+// consequence-rr ignores it: round-robin has no clock domain to shard.
+// Checksums are identical at every shard count, and each count's
+// sync-order hash is itself a deterministic constant (per-shard grant
+// loops legitimately interleave threads differently at different counts,
+// so the hash is pinned per count, not across counts); the shard
+// determinism gate in scripts/check.sh asserts exactly that against its
+// per-count golden set.
+var shardsFlag = flag.Int("shards", 1, "token arbitration shards on consequence-ic; >= 2 selects per-shard granting with worker reuse and lazy fast-forward (consequence-rr stays on the single token: round-robin has no clock domain to shard)")
 
 // benchThreads mirrors -threads for mkRuntime (the worker-pool prespawn
 // depth), set once after flag parsing.
@@ -176,9 +175,6 @@ func main() {
 			"scale":   fmt.Sprint(*scale),
 			"seed":    fmt.Sprint(*seed),
 			"shards":  fmt.Sprint(*shardsFlag),
-			// Grant mode matters when diffing journals: per-shard granting
-			// orders events differently from a same-count stage-1 run.
-			"shard-grants": fmt.Sprint(*shardsFlag >= 2),
 		})
 		if err != nil {
 			fatal(err)
@@ -196,13 +192,12 @@ func main() {
 		}
 		cl, err = commitlog.Create(*commitLogDir, commitlog.Options{
 			Meta: map[string]string{
-				"bench":        spec.Name,
-				"runtime":      *rtName,
-				"threads":      fmt.Sprint(*threads),
-				"scale":        fmt.Sprint(*scale),
-				"seed":         fmt.Sprint(*seed),
-				"shards":       fmt.Sprint(*shardsFlag),
-				"shard-grants": fmt.Sprint(*shardsFlag >= 2),
+				"bench":   spec.Name,
+				"runtime": *rtName,
+				"threads": fmt.Sprint(*threads),
+				"scale":   fmt.Sprint(*scale),
+				"seed":    fmt.Sprint(*seed),
+				"shards":  fmt.Sprint(*shardsFlag),
 			},
 		})
 		if err != nil {

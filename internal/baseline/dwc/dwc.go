@@ -42,8 +42,6 @@ func New(cfg Config, h host.Host) (api.Runtime, error) {
 	d.SpeculativeDiff = false
 	d.WriteSetPrediction = false
 	d.Shards = 1
-	d.WorkerPool = false
-	d.LazyFastForward = false
 	d.SingleGlobalLock = true
 	d.NameOverride = "dwc"
 	d.SegmentSize = cfg.SegmentSize

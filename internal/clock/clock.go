@@ -68,8 +68,8 @@ type threadState struct {
 	// granted.
 	wanting bool
 	// scope is the shard of the thread's pending/latest request under
-	// sharded granting (GlobalScope for cross-shard edges); unused in the
-	// legacy single-domain mode.
+	// sharded granting (GlobalScope for cross-shard edges); unused on the
+	// single token.
 	scope int
 }
 
@@ -90,8 +90,8 @@ type Arbiter struct {
 	lastRelease int64
 	// fastForward enables §3.5 on Arrive.
 	fastForward bool
-	// nShards > 0 switches grant decisions to sharded granting (stage 2,
-	// shardgrant.go): per-shard release clocks, scoped fast-forward, and
+	// nShards > 0 switches grant decisions to sharded granting
+	// (shardgrant.go): per-shard release clocks, scoped fast-forward, and
 	// the (count, shard id, tid) merge rule.
 	nShards     int
 	shardClocks []int64
@@ -325,15 +325,6 @@ func (a *Arbiter) ArriveWanting(tid int) int {
 	}
 	st.wanting = true
 	return a.grantLocked()
-}
-
-// LastRelease returns the clock of the most recent token release. The
-// sharded-arbitration invariant tests compare it against merged shard
-// clocks: no shard clock may ever exceed it.
-func (a *Arbiter) LastRelease() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.lastRelease
 }
 
 // Holder returns the tid currently holding the token, or NoGrant.

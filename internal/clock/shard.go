@@ -6,20 +6,16 @@ import (
 	"sync"
 )
 
-// ShardSet is the bookkeeping half of sharded token arbitration
+// ShardSet is the pricing half of sharded token arbitration
 // (docs/scheduler.md): lock objects are partitioned into N shards, each
-// with its own sub-token holder and shard clock. Grant decisions live in
-// the Arbiter (legacy single-domain, or the stage-2 sharded merge rule in
-// shardgrant.go) — the ShardSet never grants anything — but it records,
-// per shard, who last held the shard's sub-token and the release clock of
-// the shard's last operation, so the runtime can tell a cheap shard-local
-// re-acquire (the previous holder taking its own sub-token back) from a
-// full cross-thread transfer, and can price the shard-clock merge that
-// cross-shard edges (barriers, forks, joins, exits) must perform. Under
-// per-shard granting it additionally carries each shard's virtual-time
-// frontier — the anchor that lets operations in different shards overlap
-// in modeled time — and per-shard busy accounting for the
-// grant-parallelism metric.
+// with its own sub-token. Grant decisions and the shard clocks live in
+// the Arbiter (the merge rule in shardgrant.go) — the ShardSet never
+// grants anything — but it records, per shard, who last held the shard's
+// sub-token, so the runtime can tell a cheap shard-local re-acquire (the
+// previous holder taking its own sub-token back) from a cross-thread
+// transfer. It also carries each shard's virtual-time frontier — the
+// anchor that lets operations in different shards overlap in modeled time
+// — and per-shard busy accounting for the grant-parallelism metric.
 //
 // All methods are called with the global token held (grant decisions are
 // token-serialized), so the state transitions are deterministic; the mutex
@@ -27,15 +23,13 @@ import (
 type ShardSet struct {
 	mu      sync.Mutex
 	holders []int   // last tid granted each shard's sub-token (NoGrant = never)
-	clocks  []int64 // shard clock: release clock of the shard's last op
 	grants  []int64 // per-shard grant counts
 
 	locals    int64 // sub-token re-acquires by the shard's previous holder
 	transfers int64 // sub-token handoffs to a different thread
-	merges    int64 // cross-shard merges performed at edges
+	merges    int64 // cross-shard edges (every sub-token engaged at once)
 
-	// Stage-2 (per-shard granting) virtual-time state, all written with
-	// the machine token held:
+	// Virtual-time state, all written with the machine token held:
 	frontiers    []int64 // virtual ns at which each shard's last op released
 	busy         []int64 // summed token-held virtual ns per shard
 	globalBusyNS int64   // token-held virtual ns of cross-shard edges
@@ -48,7 +42,6 @@ func NewShardSet(n int) *ShardSet {
 	}
 	s := &ShardSet{
 		holders:   make([]int, n),
-		clocks:    make([]int64, n),
 		grants:    make([]int64, n),
 		frontiers: make([]int64, n),
 		busy:      make([]int64, n),
@@ -64,7 +57,7 @@ func (s *ShardSet) Shards() int { return len(s.holders) }
 
 // NoteGrant records that tid was granted shard sh's sub-token and reports
 // whether this was a shard-local re-acquire (tid already held it — the
-// cheap path priced at Model.ShardHandoff instead of TokenHandoff).
+// cheap path priced at Model.ShardHandoff instead of ShardTransfer).
 func (s *ShardSet) NoteGrant(sh, tid int) (local bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -78,63 +71,14 @@ func (s *ShardSet) NoteGrant(sh, tid int) (local bool) {
 	return false
 }
 
-// NoteRelease publishes clk as shard sh's clock at sub-token release.
-// Shard clocks are monotone: a stale clk (possible only through a runtime
-// bug) is ignored rather than rolled back.
-func (s *ShardSet) NoteRelease(sh int, clk int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if clk > s.clocks[sh] {
-		s.clocks[sh] = clk
-	}
-}
-
-// Merge performs a cross-shard edge: every shard clock is folded together
-// with clk, the merged value is published back to all shards, and the
-// merged clock is returned. After a Merge all shard clocks are equal —
-// the edge (barrier, fork, join, exit) has synchronized the partitions.
-func (s *ShardSet) Merge(clk int64) int64 {
+// Merge records a cross-shard edge granted to tid: the edge engages every
+// partition, so tid becomes the holder of every shard's sub-token — the
+// next single-shard op on any shard by a different thread is a transfer,
+// not a local re-acquire.
+func (s *ShardSet) Merge(tid int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.merges++
-	max := clk
-	for _, c := range s.clocks {
-		if c > max {
-			max = c
-		}
-	}
-	for i := range s.clocks {
-		s.clocks[i] = max
-	}
-	return max
-}
-
-// ReleaseAll publishes clk to every shard clock (monotone, like
-// NoteRelease) without counting a merge: the release half of a cross-shard
-// edge, whose merged clock every shard must observe.
-func (s *ShardSet) ReleaseAll(clk int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range s.clocks {
-		if clk > s.clocks[i] {
-			s.clocks[i] = clk
-		}
-	}
-}
-
-// Clock returns shard sh's current shard clock.
-func (s *ShardSet) Clock(sh int) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.clocks[sh]
-}
-
-// SetAllHolders marks tid as the holder of every shard's sub-token — a
-// cross-shard edge engages all partitions, so the next single-shard op on
-// any shard by a different thread is a transfer, not a local re-acquire.
-func (s *ShardSet) SetAllHolders(tid int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for i := range s.holders {
 		s.holders[i] = tid
 	}
@@ -237,8 +181,8 @@ func (s *ShardSet) DumpState() string {
 	fmt.Fprintf(&b, "shards: n=%d locals=%d transfers=%d merges=%d\n",
 		len(s.holders), s.locals, s.transfers, s.merges)
 	for i := range s.holders {
-		fmt.Fprintf(&b, "  shard %-3d holder=%-4d clock=%-12d grants=%d\n",
-			i, s.holders[i], s.clocks[i], s.grants[i])
+		fmt.Fprintf(&b, "  shard %-3d holder=%-4d grants=%d\n",
+			i, s.holders[i], s.grants[i])
 	}
 	return strings.TrimRight(b.String(), "\n")
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // The ShardSet is pure bookkeeping: it never grants. These tests pin the
-// three behaviours the runtime's pricing depends on — locality detection,
-// monotone shard clocks, and the merge-equalizes-everything edge rule.
+// two behaviours the runtime's pricing depends on — locality detection
+// and the merge-engages-every-sub-token edge rule.
 
 func TestShardSetRejectsZeroShards(t *testing.T) {
 	defer func() {
@@ -45,52 +45,24 @@ func TestShardSetGrantLocality(t *testing.T) {
 	}
 }
 
-func TestShardSetClocksMonotone(t *testing.T) {
-	s := NewShardSet(2)
-	s.NoteRelease(0, 100)
-	s.NoteRelease(0, 60) // stale: must be ignored, not rolled back
-	if got := s.Clock(0); got != 100 {
-		t.Errorf("shard 0 clock = %d, want 100", got)
-	}
-	if got := s.Clock(1); got != 0 {
-		t.Errorf("shard 1 clock = %d, want untouched 0", got)
-	}
-}
-
 func TestShardSetMergeEqualizes(t *testing.T) {
 	s := NewShardSet(3)
-	s.NoteRelease(0, 10)
-	s.NoteRelease(1, 50)
-	s.NoteRelease(2, 30)
-	if got := s.Merge(40); got != 50 {
-		t.Fatalf("Merge(40) = %d, want max 50", got)
-	}
+	s.NoteGrant(0, 1)
+	s.NoteGrant(1, 2)
+	s.Merge(7)
+	// After a cross-shard edge every sub-token is held by the edge's
+	// thread: its next op on any shard is local, anyone else's a transfer.
 	for sh := 0; sh < 3; sh++ {
-		if got := s.Clock(sh); got != 50 {
-			t.Errorf("after merge, shard %d clock = %d, want 50", sh, got)
+		if !s.NoteGrant(sh, 7) {
+			t.Errorf("after Merge(7), shard %d re-acquire by 7 not local", sh)
 		}
 	}
-	// The caller's clock can also be the max.
-	if got := s.Merge(80); got != 80 {
-		t.Errorf("Merge(80) = %d, want 80", got)
+	if s.NoteGrant(1, 2) {
+		t.Error("after Merge(7), shard 1 grant to its old holder reported local")
 	}
+	s.Merge(2)
 	if st := s.Stats(); st.Merges != 2 {
 		t.Errorf("merges = %d, want 2", st.Merges)
-	}
-}
-
-func TestShardSetReleaseAll(t *testing.T) {
-	s := NewShardSet(2)
-	s.NoteRelease(1, 90)
-	s.ReleaseAll(70)
-	if got := s.Clock(0); got != 70 {
-		t.Errorf("shard 0 clock = %d, want 70", got)
-	}
-	if got := s.Clock(1); got != 90 {
-		t.Errorf("shard 1 clock = %d, want monotone 90", got)
-	}
-	if st := s.Stats(); st.Merges != 0 {
-		t.Errorf("ReleaseAll counted a merge: %d", st.Merges)
 	}
 }
 
@@ -107,56 +79,10 @@ func TestShardSetStatsSnapshotIsolated(t *testing.T) {
 func TestShardSetDumpState(t *testing.T) {
 	s := NewShardSet(2)
 	s.NoteGrant(1, 4)
-	s.NoteRelease(1, 12)
 	d := s.DumpState()
-	for _, want := range []string{"shards: n=2", "shard 0", "shard 1", "holder=4", "clock=12"} {
+	for _, want := range []string{"shards: n=2", "shard 0", "shard 1", "holder=4", "grants=1"} {
 		if !strings.Contains(d, want) {
 			t.Errorf("DumpState missing %q:\n%s", want, d)
-		}
-	}
-}
-
-// Shard clocks are derived from token-release clocks, so no shard clock —
-// and no merged clock — may ever run ahead of the arbiter's last release.
-// Drive an Arbiter and a ShardSet together the way the runtime does and
-// check the invariant at every step.
-func TestShardClocksNeverExceedArbiterRelease(t *testing.T) {
-	a := New(PolicyIC, false)
-	s := NewShardSet(4)
-	const n = 4
-	clocks := make([]int64, n)
-	for tid := 0; tid < n; tid++ {
-		a.Register(tid, 0)
-	}
-	// Deterministic pseudo-random walk: each thread advances by a tid- and
-	// step-dependent stride, requests, and on grant releases into its shard.
-	granted := a.Request(0)
-	for step := 0; step < 200; step++ {
-		tid := step % n
-		if tid == granted {
-			continue
-		}
-		stride := int64(1 + (step*7+tid*13)%29)
-		clocks[tid] += stride
-		g := a.Advance(tid, stride)
-		if g == NoGrant {
-			g = a.Request(tid)
-		}
-		for g != NoGrant {
-			sh := g % s.Shards()
-			s.NoteGrant(sh, g)
-			s.NoteRelease(sh, clocks[g])
-			next := a.Release(g)
-			last := a.LastRelease()
-			for i := 0; i < s.Shards(); i++ {
-				if c := s.Clock(i); c > last {
-					t.Fatalf("step %d: shard %d clock %d > arbiter last release %d", step, i, c, last)
-				}
-			}
-			if merged := s.Merge(0); merged > last {
-				t.Fatalf("step %d: merged clock %d > arbiter last release %d", step, merged, last)
-			}
-			g = next
 		}
 	}
 }

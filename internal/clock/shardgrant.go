@@ -2,11 +2,11 @@ package clock
 
 import "fmt"
 
-// Sharded granting (stage 2, docs/scheduler.md): the arbiter itself is
-// partitioned into per-shard grant domains. Every request names a scope —
-// one shard for shardable operations (mutex and condition ops, exits in
-// the exiting thread's domain, joins in the child's domain) or GlobalScope
-// for true cross-shard edges (spawn, barrier rendezvous, forced commits).
+// Sharded granting (docs/scheduler.md): the arbiter itself is partitioned
+// into per-shard grant domains. Every request names a scope — one shard
+// for shardable operations (mutex and condition ops, spawns and exits in
+// the acting thread's domain, joins in the child's domain) or GlobalScope
+// for true cross-shard edges (barrier rendezvous, forced commits).
 // Each shard keeps its own release clock, blocked threads fast-forward
 // only to their scope's shard clock instead of the global last release,
 // and the grant decision orders candidates by the merge rule
@@ -25,8 +25,8 @@ import "fmt"
 // free-running thread x with clock c_x can at best request shard 0 at
 // key (c_x, 0, x.tid) — clocks are monotone — so the candidate (c, k, w)
 // is held back exactly when c_x < c, or c_x == c and (k > 0 or
-// x.tid < w.tid). This is the sharded generalization of the legacy GMIC
-// condition "the eligible minimum must be the one wanting".
+// x.tid < w.tid). This is the sharded generalization of the single-token
+// GMIC condition "the eligible minimum must be the one wanting".
 
 // GlobalScope is the request scope of a cross-shard edge: the operation
 // rendezvouses with every shard, and its grant key sorts after any
@@ -55,13 +55,6 @@ func (a *Arbiter) EnableShardGrants(n int) {
 	}
 	a.nShards = n
 	a.shardClocks = make([]int64, n)
-}
-
-// ShardGrants reports whether sharded granting is enabled.
-func (a *Arbiter) ShardGrants() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.nShards > 0
 }
 
 // RequestSharded is Request with an explicit scope: shard in [0, n) for a
@@ -123,7 +116,7 @@ func (a *Arbiter) checkScope(shard int) {
 
 // foldReleaseLocked publishes a release at clock clk into the releaser's
 // scope: a single-shard release overwrites its shard's clock (the shard's
-// "last release", mirroring the legacy lastRelease semantics per domain);
+// "last release", mirroring the single-token lastRelease per domain);
 // a global edge folds every shard clock and the release together to their
 // maximum — the rendezvous all partitions observe.
 func (a *Arbiter) foldReleaseLocked(st *threadState, clk int64) {

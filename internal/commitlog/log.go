@@ -4,13 +4,14 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/mem"
 )
 
 // Options configures a Log writer.
@@ -399,16 +400,7 @@ func (d *drain) apply(pages []PageDiff) {
 // checksum hashes the full replica state — every page in ascending order,
 // absent pages as zeros — exactly as the live runtime's Checksum does.
 func (d *drain) checksum() uint64 {
-	h := fnv.New64a()
-	zero := make([]byte, d.l.pageSize)
-	for pg := 0; pg < d.l.npages; pg++ {
-		if buf, ok := d.pages[pg]; ok {
-			h.Write(buf)
-		} else {
-			h.Write(zero)
-		}
-	}
-	return h.Sum64()
+	return mem.ChecksumSparse(d.pages, d.l.npages, d.l.pageSize)
 }
 
 // takeSnapshot rolls to a fresh segment and writes the replica's non-zero

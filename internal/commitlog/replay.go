@@ -2,7 +2,8 @@ package commitlog
 
 import (
 	"fmt"
-	"hash/fnv"
+
+	"repro/internal/mem"
 )
 
 // State is a replica of the run's committed memory, reconstructed from
@@ -59,26 +60,13 @@ func (st *State) Page(pg int) []byte {
 // per-page hash the run journal records, so a replayed state can be
 // cross-checked against a journal commit by commit.
 func (st *State) PageHash(pg int) uint64 {
-	h := uint64(14695981039346656037) // FNV-1a offset basis
-	for _, b := range st.Page(pg) {
-		h = (h ^ uint64(b)) * 1099511628211
-	}
-	return h
+	return mem.HashPage(st.Page(pg))
 }
 
 // Checksum hashes the full replica — every page ascending, untouched
 // pages as zeros — matching the live runtime's Checksum exactly.
 func (st *State) Checksum() uint64 {
-	h := fnv.New64a()
-	zero := make([]byte, st.pageSize)
-	for pg := 0; pg < st.npages; pg++ {
-		if buf, ok := st.pages[pg]; ok {
-			h.Write(buf)
-		} else {
-			h.Write(zero)
-		}
-	}
-	return h.Sum64()
+	return mem.ChecksumSparse(st.pages, st.npages, st.pageSize)
 }
 
 // apply advances the replica by one record's page diffs.

@@ -71,33 +71,26 @@ type Model struct {
 	ForkPerPage int64
 	PoolReuse   int64
 
-	// PoolWorkerWake is the spawner-side cost of adopting a parked pooled
-	// worker (docs/scheduler.md): a free-list pop, the deterministic
-	// registration of the new tid, and a futex wake of the worker's parked
-	// task. The worker's own warm-up (view rebind and page pulls, modeled
-	// as WorkerWarmup + pulled×UpdatePage) runs on the worker's timeline,
-	// overlapping the spawner — which is the point: the spawner's critical
-	// path pays only this term instead of ForkBase or PoolReuse.
-	PoolWorkerWake int64
-
-	// PoolAdoptDispatch is the spawner-side cost of a pool adoption under
-	// per-shard granting (docs/scheduler.md stage 2): pop the free list,
-	// publish the assignment, and trip the worker's wake, then move on.
-	// The deterministic re-registration that the legacy PoolWorkerWake
-	// also covered is not a separate charge in stage 2 — the worker's
-	// first sub-token acquisition prices it (ShardHandoff/ShardTransfer),
-	// and the wake latency itself is already modeled host-side (Wakeup) —
-	// the same waker-to-woken cost move lazy fast-forward makes for token
-	// wakes.
+	// PoolAdoptDispatch is the spawner-side cost of adopting a parked
+	// pooled worker (Config.Shards >= 2, docs/scheduler.md): pop the free
+	// list, publish the assignment, and trip the worker's wake, then move
+	// on. The spawner's critical path pays only this term instead of
+	// ForkBase or PoolReuse. The deterministic registration of the new tid
+	// is not a separate charge — the worker's first sub-token acquisition
+	// prices it (ShardHandoff/ShardTransfer), and the wake latency itself
+	// is already modeled host-side (Wakeup) — the same waker-to-woken cost
+	// move lazy fast-forward makes for token wakes.
 	PoolAdoptDispatch int64
 
 	// WorkerWarmup is the adopted worker's wake-to-ready cost: swap the
 	// workspace's address-space base to the new tid and revalidate its
-	// view against the pinned spawn head. Much cheaper than PoolReuse —
-	// the legacy workspace pool reconstructs a cold workspace's mappings
-	// from pool state, while a live worker's mappings never went away, so
-	// adoption pays only the rebind and the per-page delta pulls
-	// (UpdatePage each) for commits that landed while it was parked.
+	// view against the pinned spawn head. It runs on the worker's own
+	// timeline, overlapping the spawner, and is much cheaper than
+	// PoolReuse — the single-token workspace pool reconstructs a cold
+	// workspace's mappings from pool state, while a live worker's
+	// mappings never went away, so adoption pays only the rebind and the
+	// per-page delta pulls (UpdatePage each) for commits that landed
+	// while it was parked.
 	WorkerWarmup int64
 
 	// WakeHandoff is the wake-side share of a token handoff under lazy
@@ -105,8 +98,8 @@ type Model struct {
 	// the grant word, with the woken thread's counter fast-forward
 	// *deferred*. FastForwardResync is that deferred resync, charged when
 	// the thread actually takes the token and publishes its clock. The
-	// split replaces TokenHandoff on wake paths when
-	// Config.LazyFastForward is set; WakeHandoff + FastForwardResync <
+	// split replaces TokenHandoff on wake paths when Config.Shards >= 2
+	// and Config.FastForward is on; WakeHandoff + FastForwardResync <
 	// TokenHandoff because deferral batches the counter reprogramming
 	// with the clock read the thread was about to do anyway.
 	WakeHandoff       int64
@@ -115,21 +108,20 @@ type Model struct {
 	// ShardHandoff is a sub-token re-acquire within one arbitration shard
 	// by the shard's previous holder (docs/scheduler.md): no cross-thread
 	// transfer, no remote cache line, just revalidating the locally-held
-	// sub-token against the shard clock. Charged instead of TokenHandoff
-	// when Config.Shards ≥ 2 and the acquiring thread was the shard's
-	// last holder. ShardClockRead is the per-foreign-shard cost of the
-	// shard-clock merge performed at cross-shard edges (barriers, forks,
-	// joins, exits): a cross-shard op pays (Shards−1)×ShardClockRead on
-	// top of its handoff to fold every shard clock into the global order.
+	// sub-token against the shard clock. ShardClockRead is the
+	// per-foreign-shard cost of the shard-clock fold performed at
+	// cross-shard edges (barriers, forced commits): a cross-shard op pays
+	// (Shards−1)×ShardClockRead on top of its handoff to fold every shard
+	// clock into the global order.
 	ShardHandoff   int64
 	ShardClockRead int64
 
 	// ShardTransfer is a sub-token handoff between threads within one
-	// arbitration shard under per-shard granting (stage 2,
-	// docs/scheduler.md): one remote cache-line transfer for the shard's
-	// holder word plus the shard-clock publish, but no global fold — the
-	// other shards' clock lines stay untouched. Sits between ShardHandoff
-	// (shard-local re-acquire) and TokenHandoff (full cross-shard edge).
+	// arbitration shard (docs/scheduler.md): one remote cache-line
+	// transfer for the shard's holder word plus the shard-clock publish,
+	// but no global fold — the other shards' clock lines stay untouched.
+	// Sits between ShardHandoff (shard-local re-acquire) and TokenHandoff
+	// (full cross-shard edge).
 	ShardTransfer int64
 
 	// SyncOpLocal is the cost of an uncontended pthreads mutex/barrier
@@ -158,7 +150,6 @@ func Default() Model {
 		ForkBase:          120_000,
 		ForkPerPage:       450,
 		PoolReuse:         15_000,
-		PoolWorkerWake:    1_800,
 		PoolAdoptDispatch: 600,
 		WorkerWarmup:      4_000,
 		WakeHandoff:       130,

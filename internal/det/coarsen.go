@@ -27,6 +27,21 @@ const (
 	coarsenUnlock
 )
 
+const (
+	// maxChunkInit/Floor/Cap bound the MIMD adaptation of the maximum
+	// coarsened chunk length, in instructions.
+	maxChunkInit  int64 = 200_000
+	maxChunkFloor int64 = 60_000
+	maxChunkCap   int64 = 2_000_000
+	// coarsenChunkThreshold gates the adaptive policy: a chunk is only
+	// fused into a token-held span if its estimated length is at most this
+	// many instructions — i.e., comparable to the coordination overhead
+	// fusion eliminates. Chunks longer than this do real parallel work
+	// that would be serialized for no net gain. (An extension to §3.1's
+	// scheme; see DESIGN.md.)
+	coarsenChunkThreshold int64 = 12_000
+)
+
 type coarsenState struct {
 	active      bool
 	ops         int
@@ -59,7 +74,7 @@ func (t *Thread) maybeCoarsen(kind coarsenKind, nextEstimate int64) bool {
 	// saves, and (b) the chunk so far plus the estimate fits the MIMD
 	// budget. No history means no estimate — be conservative and end the
 	// chunk.
-	if nextEstimate < 0 || nextEstimate > cfg.CoarsenChunkThreshold {
+	if nextEstimate < 0 || nextEstimate > coarsenChunkThreshold {
 		return false
 	}
 	var soFar int64

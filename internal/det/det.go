@@ -58,84 +58,52 @@ type Config struct {
 	// StaticLevel >= 2, exactly that many coordination phases are fused.
 	Coarsening  bool
 	StaticLevel int
-	// MaxChunkInit/Floor/Cap bound the MIMD adaptation of the maximum
-	// coarsened chunk length, in instructions.
-	MaxChunkInit  int64
-	MaxChunkFloor int64
-	MaxChunkCap   int64
-	// CoarsenChunkThreshold gates the adaptive policy: a chunk is only
-	// fused into a token-held span if its estimated length is at most this
-	// many instructions — i.e., comparable to the coordination overhead
-	// fusion eliminates. Chunks longer than this do real parallel work
-	// that would be serialized for no net gain. (An extension to §3.1's
-	// scheme; see DESIGN.md.)
-	CoarsenChunkThreshold int64
 
-	// AdaptiveOverflow enables §3.2; OverflowBase is the static interval
-	// (and the adaptive policy's per-chunk reset value).
+	// AdaptiveOverflow enables §3.2; off, the counter overflows every
+	// overflowBase instructions.
 	AdaptiveOverflow bool
-	OverflowBase     int64
 
 	// UserspaceClockRead enables §3.4: clock reads at sync ops inside a
 	// coarsened chunk skip the syscall.
 	UserspaceClockRead bool
 	// ThreadPool enables §3.3 thread reuse for fork-join programs.
 	ThreadPool bool
-	// PoolCap bounds the number of pooled workspaces (and, under
-	// WorkerPool, parked workers).
+	// PoolCap bounds the number of pooled workspaces (parked workers at
+	// Shards >= 2).
 	PoolCap int
-	// WorkerPool upgrades §3.3 thread reuse from workspace recycling to
-	// full worker reuse (docs/scheduler.md): an exiting thread parks its
-	// host task and workspace on a replay-stable free list keyed by
-	// (exit clock, tid), and a later Spawn adopts the warmest parked
-	// worker instead of forking. The spawner pays only
-	// Model.PoolWorkerWake; the adopted worker performs its own view
-	// warm-up off the spawner's critical path. Results (checksums, sync
-	// traces) are identical with the pool on or off — only modeled time
-	// and its placement move.
-	WorkerPool bool
 	// PoolPrespawn pre-creates this many parked workers before the root
-	// thread starts (requires WorkerPool), so even a program's first
-	// spawns adopt instead of forking: worker creation cost lands on the
-	// workers' own timelines at startup, overlapping the root thread's
-	// ramp-up. Bounded by PoolCap.
+	// thread starts (requires worker reuse: Shards >= 2 with ThreadPool),
+	// so even a program's first spawns adopt instead of forking: worker
+	// creation cost lands on the workers' own timelines at startup,
+	// overlapping the root thread's ramp-up. Bounded by PoolCap.
 	PoolPrespawn int
-	// LazyFastForward defers a woken thread's counter fast-forward off
-	// the wake path (§3.5 refined, docs/scheduler.md): the wake itself
-	// pays only Model.WakeHandoff, and the deferred resync
-	// (Model.FastForwardResync) is charged when the thread actually
-	// takes the token. Logical clock values are unchanged — the arbiter
-	// still fast-forwards exactly as with eager FF — so grant order and
-	// traces are identical; only the charge structure moves. Effective
-	// only when FastForward is on.
-	LazyFastForward bool
-	// Shards partitions lock objects into this many arbitration shards
-	// (docs/scheduler.md), each with its own sub-token and shard clock,
-	// merged only at cross-shard edges (barriers, forks, joins, exits).
-	// Without ShardGrants the global grant order is unchanged — the
-	// sharded structure grants in exactly the single-token order, which
-	// is the stage-1 determinism argument — but a shard-local sub-token
-	// re-acquire is priced at Model.ShardHandoff instead of a full
-	// TokenHandoff. 0 and 1 both mean the legacy single token and
-	// reproduce the pre-shard time model exactly (dwc-strict keeps
-	// Shards = 1).
+	// Shards is the scheduler knob (docs/scheduler.md). 0 and 1 both mean
+	// the paper's scheduler: one global token granted in GMIC order, the
+	// time model of Figures 10-16 and of the RR/DWC baselines. Shards >= 2
+	// partitions lock objects into that many arbitration shards with real
+	// granting authority: every request names a scope — the operation's
+	// shard, or a global scope for cross-shard edges (barrier, forced
+	// commits) — per-shard release clocks advance independently, blocked
+	// threads fast-forward only into their scope's clock domain, and
+	// grants follow the deterministic merge rule (shard clock, shard id,
+	// tid). Results (checksums) are byte-identical to the single-token
+	// order for race-free programs, but the sync trace legitimately
+	// changes: events carry shard provenance and interleave per the merge
+	// rule (the ordering-contract equivalence argument in
+	// docs/scheduler.md). Requires PolicyIC.
+	//
+	// Two refinements ride on Shards >= 2, each still gated by the paper
+	// optimization it refines. With ThreadPool, §3.3 reuse recycles whole
+	// workers, not just workspaces: an exiting thread parks its host task
+	// and workspace on a replay-stable free list keyed (exit clock, tid),
+	// and a later Spawn adopts a parked worker instead of forking, paying
+	// only Model.PoolAdoptDispatch; the worker warms its own view off the
+	// spawner's critical path. With FastForward, a woken thread's counter
+	// fast-forward is charged lazily: the wake pays Model.WakeHandoff and
+	// the deferred Model.FastForwardResync lands when the thread takes the
+	// token. Logical clocks are unchanged by either — only the charge
+	// structure moves.
 	Shards int
-	// Sharder maps lock object ids to shards; nil selects FNVSharder
-	// (fnv32a hash + modulo). Only consulted when Shards >= 2.
-	Sharder Sharder
-	// ShardGrants promotes the shards from priced bookkeeping to real
-	// granting authority (stage 2, docs/scheduler.md): every request
-	// names a scope — the operation's shard, or a global scope for
-	// cross-shard edges (spawn, barrier, forced commits) — per-shard
-	// release clocks advance independently, blocked threads fast-forward
-	// only into their scope's clock domain, and grants follow the
-	// deterministic merge rule (shard clock, shard id, tid). Results
-	// (checksums) are byte-identical to the legacy order for race-free
-	// programs, but the sync trace legitimately changes: events carry
-	// shard provenance and interleave per the merge rule instead of the
-	// single-token order (the ordering-contract equivalence argument in
-	// docs/scheduler.md). Requires PolicyIC and Shards >= 2.
-	ShardGrants bool
 	// ParallelBarrier enables the two-phase parallel barrier commit (§4.2).
 	ParallelBarrier bool
 	// SpeculativeDiff hoists commit diff computation off the token path: a
@@ -232,23 +200,18 @@ type Config struct {
 // enabled.
 func Default() Config {
 	return Config{
-		Policy:                clock.PolicyIC,
-		FastForward:           true,
-		Coarsening:            true,
-		MaxChunkInit:          200_000,
-		MaxChunkFloor:         60_000,
-		MaxChunkCap:           2_000_000,
-		CoarsenChunkThreshold: 12_000,
-		AdaptiveOverflow:      true,
-		OverflowBase:          10_000,
-		UserspaceClockRead:    true,
-		ThreadPool:            true,
-		PoolCap:               64,
-		Shards:                1,
-		ParallelBarrier:       true,
-		SpeculativeDiff:       true,
-		WriteSetPrediction:    true,
-		SegmentSize:           1 << 24,
+		Policy:             clock.PolicyIC,
+		FastForward:        true,
+		Coarsening:         true,
+		AdaptiveOverflow:   true,
+		UserspaceClockRead: true,
+		ThreadPool:         true,
+		PoolCap:            64,
+		Shards:             1,
+		ParallelBarrier:    true,
+		SpeculativeDiff:    true,
+		WriteSetPrediction: true,
+		SegmentSize:        1 << 24,
 		// GCPageBudget models the single-threaded Conversion collector: a
 		// bounded reclaim per pass, so programs that churn pages faster
 		// than one collector thread can fold them retain versions — the
@@ -261,23 +224,21 @@ func Default() Config {
 	}
 }
 
-// EnableScaleOut applies the scheduler scale-out set (docs/scheduler.md)
-// for a run with the given thread count: Shards-way per-shard granting
-// (ShardGrants), the deterministic worker pool pre-spawned to the thread
-// count, and lazy fast-forward. A shards value below 2 leaves the
-// configuration untouched — the legacy single-token time model. Results
-// (checksums) are identical at every shard count for race-free programs;
-// the sync trace at shards >= 2 follows the per-shard merge-rule order
-// (deterministic and replay-stable, but different events/interleave than
-// shards = 1 — see the stage-2 equivalence argument in docs/scheduler.md).
+// EnableScaleOut selects the sharded scheduler (docs/scheduler.md) for a
+// run with the given thread count: Shards-way per-shard granting, with the
+// worker pool pre-spawned to the thread count. A shards value below 2
+// leaves the configuration untouched — the paper's single-token scheduler
+// — and so does PolicyRR: round-robin has no clock domain to shard, so a
+// Consequence-RR run stays on the single token at any requested count.
+// Results (checksums) are identical at every shard count for race-free
+// programs; the sync trace at shards >= 2 follows the per-shard merge-rule
+// order (deterministic and replay-stable, but different events/interleave
+// than shards = 1 — see the equivalence argument in docs/scheduler.md).
 func (c *Config) EnableScaleOut(shards, threads int) {
-	if shards < 2 {
+	if shards < 2 || c.Policy == clock.PolicyRR {
 		return
 	}
 	c.Shards = shards
-	c.ShardGrants = true
-	c.WorkerPool = true
-	c.LazyFastForward = true
 	c.PoolPrespawn = threads
 }
 
@@ -320,18 +281,19 @@ type Runtime struct {
 	mu      sync.Mutex // guards threads map, pool and workers
 	threads map[int]*Thread
 	pool    []*mem.Workspace
-	// workers is the parked-worker free list (WorkerPool), kept sorted by
-	// free-list key ascending so the warmest worker pops from the end.
-	// Mutations are token-serialized (spawn adopts, exit parks, the last
-	// exit drains) — the list order, and therefore which worker a spawn
-	// adopts, is replay-stable.
-	workers   []*worker
-	workerSeq int
+	// workerPool is worker reuse: cfg.Shards >= 2 with cfg.ThreadPool.
+	// workers is its parked-worker free list, kept sorted by free-list key
+	// ascending so the coldest worker pops from the front. Mutations are
+	// token-serialized (spawn adopts, exit parks, the last exit drains) —
+	// the list order, and therefore which worker a spawn adopts, is
+	// replay-stable.
+	workerPool bool
+	workers    []*worker
+	workerSeq  int
 
-	// shardSet/sharder are the sharded-arbitration bookkeeping, nil/unused
-	// when cfg.Shards < 2.
+	// shardSet is the sharded scheduler's bookkeeping; non-nil exactly
+	// when cfg.Shards >= 2, which is how the runtime asks "sharded?".
 	shardSet *clock.ShardSet
-	sharder  Sharder
 
 	// diagMu guards heldLocks: per-tid held mutex ids for failure
 	// diagnostics (RuntimeError, DumpState). Ownership changes are
@@ -376,19 +338,16 @@ func New(cfg Config, h host.Host) (*Runtime, error) {
 	if cfg.PoolPrespawn < 0 {
 		return nil, fmt.Errorf("det: negative prespawn count %d", cfg.PoolPrespawn)
 	}
-	if cfg.PoolPrespawn > 0 && !cfg.WorkerPool {
-		return nil, fmt.Errorf("det: PoolPrespawn requires WorkerPool")
+	sharded := cfg.Shards >= 2
+	if sharded && cfg.Policy != clock.PolicyIC {
+		return nil, fmt.Errorf("det: Shards = %d requires PolicyIC (round-robin has no clock domain to shard)", cfg.Shards)
 	}
-	if cfg.WorkerPool && cfg.PoolCap <= 0 {
-		return nil, fmt.Errorf("det: WorkerPool requires a positive PoolCap")
+	workerPool := sharded && cfg.ThreadPool
+	if cfg.PoolPrespawn > 0 && !workerPool {
+		return nil, fmt.Errorf("det: PoolPrespawn requires worker reuse (Shards >= 2 with ThreadPool)")
 	}
-	if cfg.ShardGrants {
-		if cfg.Shards < 2 {
-			return nil, fmt.Errorf("det: ShardGrants requires Shards >= 2 (got %d)", cfg.Shards)
-		}
-		if cfg.Policy != clock.PolicyIC {
-			return nil, fmt.Errorf("det: ShardGrants requires PolicyIC (round-robin has no clock domain to shard)")
-		}
+	if workerPool && cfg.PoolCap <= 0 {
+		return nil, fmt.Errorf("det: worker reuse (Shards >= 2 with ThreadPool) requires a positive PoolCap")
 	}
 	seg, err := mem.NewSegment(mem.SegmentConfig{
 		Name:         "heap",
@@ -407,6 +366,7 @@ func New(cfg Config, h host.Host) (*Runtime, error) {
 		seg:          seg,
 		rec:          trace.New(cfg.TraceKeep),
 		threads:      make(map[int]*Thread),
+		workerPool:   workerPool,
 		lastCoordTid: -1,
 	}
 	if cfg.JournalCheckpointK > 0 {
@@ -415,14 +375,8 @@ func New(cfg Config, h host.Host) (*Runtime, error) {
 	if cfg.SingleGlobalLock {
 		rt.globalMutex = &dMutex{id: 1, owner: -1}
 	}
-	if cfg.Shards >= 2 {
+	if sharded {
 		rt.shardSet = clock.NewShardSet(cfg.Shards)
-		rt.sharder = cfg.Sharder
-		if rt.sharder == nil {
-			rt.sharder = FNVSharder{}
-		}
-	}
-	if cfg.ShardGrants {
 		rt.arb.EnableShardGrants(cfg.Shards)
 	}
 	if cfg.CommitLog != nil {
@@ -496,18 +450,16 @@ func (rt *Runtime) SetObserver(o *obs.Observer) {
 			sh := i
 			r.Func("clock_shard_grants", func() int64 { return ss.Stats().Grants[sh] }, obs.L("shard", sh))
 		}
-		if rt.cfg.ShardGrants {
-			// Stage-2 virtual-time gauges: per-shard token-held busy time
-			// and frontier, plus the cross-shard edges' bucket. The analyzer
-			// divides busy by wall for per-shard arbiter utilization and the
-			// grant-parallelism metric.
-			for i := 0; i < ss.Shards(); i++ {
-				sh := i
-				r.Func("clock_shard_busy_ns", func() int64 { b, _ := ss.BusyNS(); return b[sh] }, obs.L("shard", sh))
-				r.Func("clock_shard_frontier_ns", func() int64 { return ss.FrontierNS(sh) }, obs.L("shard", sh))
-			}
-			r.Func("clock_global_edge_busy_ns", func() int64 { _, g := ss.BusyNS(); return g })
+		// Virtual-time gauges: per-shard token-held busy time and frontier,
+		// plus the cross-shard edges' bucket. The analyzer divides busy by
+		// wall for per-shard arbiter utilization and the grant-parallelism
+		// metric.
+		for i := 0; i < ss.Shards(); i++ {
+			sh := i
+			r.Func("clock_shard_busy_ns", func() int64 { b, _ := ss.BusyNS(); return b[sh] }, obs.L("shard", sh))
+			r.Func("clock_shard_frontier_ns", func() int64 { return ss.FrontierNS(sh) }, obs.L("shard", sh))
 		}
+		r.Func("clock_global_edge_busy_ns", func() int64 { _, g := ss.BusyNS(); return g })
 	}
 	aggFunc := func(f func(api.RunStats) int64) func() int64 {
 		return func() int64 {
@@ -689,6 +641,10 @@ func (rt *Runtime) newThread(tid int, startClock int64) (*Thread, error) {
 	return t, nil
 }
 
+// overflowBase is the counter-overflow interval (§3.2): the static
+// interval, and the adaptive policy's per-chunk reset value.
+const overflowBase = 10_000
+
 func (rt *Runtime) attachThread(tid int, startClock int64, ws *mem.Workspace) *Thread {
 	t := &Thread{
 		rt:       rt,
@@ -696,15 +652,15 @@ func (rt *Runtime) attachThread(tid int, startClock int64, ws *mem.Workspace) *T
 		ws:       ws,
 		icount:   startClock,
 		curShard: -1,
-		overflow: clock.NewOverflow(rt.cfg.OverflowBase, rt.cfg.AdaptiveOverflow),
+		overflow: clock.NewOverflow(overflowBase, rt.cfg.AdaptiveOverflow),
 	}
-	if rt.cfg.ShardGrants {
+	if rt.shardSet != nil {
 		// Home shard: where the thread's exit (and any join on it) is
 		// arbitrated until a shardable op moves its domain. tid-derived, so
 		// a joiner can compute it without racing the running child.
 		t.domShard = tid % rt.cfg.Shards
 	}
-	t.coarse.maxChunk = rt.cfg.MaxChunkInit
+	t.coarse.maxChunk = maxChunkInit
 	if in := rt.cfg.Chaos; in != nil {
 		// Per-thread perturbation streams, keyed (seed, subsystem, tid):
 		// each subsystem draws independently, so one consuming more draws
@@ -799,7 +755,7 @@ func (rt *Runtime) deliverFrom(waker host.Binding, grant int) {
 			})
 		}
 	}()
-	if rt.cfg.ShardGrants && rt.timed {
+	if rt.shardSet != nil && rt.timed {
 		if aw, ok := waker.(host.AnchoredWaker); ok {
 			// Anchor the wake at the granted op's scope frontier instead of
 			// the waker's own clock: the target's sub-token became free at

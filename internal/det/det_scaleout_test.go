@@ -2,7 +2,6 @@ package det_test
 
 import (
 	"fmt"
-	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,9 +14,8 @@ import (
 	"repro/internal/trace"
 )
 
-// scaleOutCfg is cfg() with the scheduler scale-out trio enabled
-// (docs/scheduler.md): sharded arbitration, the worker pool pre-spawned to
-// threads, and lazy fast-forward.
+// scaleOutCfg is cfg() on the sharded scheduler (docs/scheduler.md):
+// per-shard granting with the worker pool pre-spawned to threads.
 func scaleOutCfg(shards, threads int) det.Config {
 	c := cfg()
 	c.EnableScaleOut(shards, threads)
@@ -81,21 +79,35 @@ func TestShardMatrixDeterminism(t *testing.T) {
 	}
 }
 
-// EnableScaleOut below 2 shards is a no-op by contract: the config stays
-// the legacy one, and a run reproduces the legacy time model bit for bit —
-// not just the checksum but every RunStats field, including WallNS.
-func TestShardsOneIsLegacyTimeModel(t *testing.T) {
-	c := cfg()
-	c.EnableScaleOut(1, 8)
-	if !reflect.DeepEqual(c, cfg()) {
-		t.Fatalf("EnableScaleOut(1, 8) changed the config:\n got %+v\nwant %+v", c, cfg())
-	}
+// Shards is the only scheduler knob: setting it directly selects the
+// same scheduler EnableScaleOut does (which adds nothing but the prespawn
+// depth), on every host, and the paper knobs that gate its refinements
+// still gate them — with ThreadPool off no thread is ever reused, and the
+// result does not move.
+func TestShardsAloneSelectsScheduler(t *testing.T) {
 	prog := counterProg(4, 20)
-	_, _, rt0 := run(t, cfg(), simhost.New(costmodel.Default()), prog)
-	_, _, rt1 := run(t, c, simhost.New(costmodel.Default()), prog)
-	s0, s1 := rt0.Stats(), rt1.Stats()
-	if !reflect.DeepEqual(s0, s1) {
-		t.Errorf("RunStats diverged at Shards=1:\n got %+v\nwant %+v", s1, s0)
+	for _, hm := range allHosts() {
+		t.Run(hm.name, func(t *testing.T) {
+			sum0, rec0, _ := run(t, scaleOutCfg(4, 4), hm.mk(), prog)
+			c := cfg()
+			c.Shards = 4
+			sum1, rec1, _ := run(t, c, hm.mk(), prog)
+			if sum1 != sum0 {
+				t.Errorf("Shards=4 checksum %x != EnableScaleOut(4, 4) %x", sum1, sum0)
+			}
+			if h0, h1 := rec0.Hash(), rec1.Hash(); h1 != h0 {
+				t.Errorf("Shards=4 trace hash %x != EnableScaleOut(4, 4) %x\n%s",
+					h1, h0, trace.Diff(rec0, rec1))
+			}
+			c.ThreadPool = false
+			sum2, _, rt2 := run(t, c, hm.mk(), prog)
+			if sum2 != sum0 {
+				t.Errorf("Shards=4 without ThreadPool: checksum %x != %x", sum2, sum0)
+			}
+			if reused := rt2.Stats().ThreadsReused; reused != 0 {
+				t.Errorf("Shards=4 without ThreadPool reused %d threads", reused)
+			}
+		})
 	}
 }
 

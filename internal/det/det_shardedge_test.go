@@ -16,7 +16,7 @@ import (
 	"repro/internal/trace"
 )
 
-// Cross-shard edge suite (docs/scheduler.md stage 2): per-shard granting
+// Cross-shard edge suite (docs/scheduler.md): per-shard granting
 // hands real authority to the shard grant loops, so every place where
 // ordering crosses a shard boundary — fork/join, barrier rendezvous, and
 // a lock migrating between threads homed in different shards — exercises

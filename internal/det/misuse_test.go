@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/clock"
 	"repro/internal/costmodel"
 	"repro/internal/host/simhost"
 )
@@ -218,4 +219,36 @@ func TestDumpState(t *testing.T) {
 		}
 		root.Unlock(m)
 	})
+}
+
+// Scheduler misconfiguration is rejected by New with a message that names
+// the field the caller set — Shards is the only scheduler knob, so every
+// message is phrased in terms of it.
+func TestSchedulerConfigMisuse(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*Config)
+		want   string
+	}{
+		{"shards-with-round-robin", func(c *Config) { c.Policy = clock.PolicyRR; c.Shards = 4 },
+			"Shards = 4 requires PolicyIC"},
+		{"negative-shards", func(c *Config) { c.Shards = -1 }, "negative shard count"},
+		{"prespawn-on-single-token", func(c *Config) { c.PoolPrespawn = 2 },
+			"PoolPrespawn requires worker reuse (Shards >= 2 with ThreadPool)"},
+		{"prespawn-without-thread-pool", func(c *Config) { c.EnableScaleOut(4, 2); c.ThreadPool = false },
+			"PoolPrespawn requires worker reuse (Shards >= 2 with ThreadPool)"},
+		{"worker-reuse-without-pool-cap", func(c *Config) { c.Shards = 4; c.PoolCap = 0 },
+			"requires a positive PoolCap"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := Default()
+			c.SegmentSize = 1 << 20
+			tc.mutate(&c)
+			_, err := New(c, simhost.New(costmodel.Default()))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("New error = %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
 }

@@ -1,26 +1,15 @@
 package det
 
-// Sharder maps sync-object ids to arbitration shards for sharded token
-// arbitration (Config.Shards, docs/scheduler.md). Implementations must be
-// pure functions: Shard must return the same value in [0, shards) for the
-// same inputs on every call, or replay determinism is lost. The runtime
-// consults it only for shardable operations (mutex lock/unlock, condition
-// wait/signal/broadcast); barriers, forks, joins and exits are cross-shard
-// edges and never reach the Sharder.
-type Sharder interface {
-	// Shard returns obj's shard index in [0, shards).
-	Shard(obj uint64, shards int) int
-}
-
-// FNVSharder is the default Sharder: fnv32a over the object id's eight
-// little-endian bytes, modulo the shard count. FNV spreads the runtime's
-// densely-allocated object ids (tid-and-sequence composites) evenly across
-// shards, where a bare modulo would alias objects allocated by the same
-// thread into the same shard.
-type FNVSharder struct{}
-
-// Shard implements Sharder.
-func (FNVSharder) Shard(obj uint64, shards int) int {
+// FNVSharder maps a sync-object id to its arbitration shard in
+// [0, shards) (Config.Shards, docs/scheduler.md): fnv32a over the object
+// id's eight little-endian bytes, modulo the shard count. FNV spreads the
+// runtime's densely-allocated object ids (tid-and-sequence composites)
+// evenly across shards, where a bare modulo would alias objects allocated
+// by the same thread into the same shard. A pure function of its inputs,
+// which replay determinism depends on. The runtime consults it only for
+// shardable operations (mutex lock/unlock, condition wait/signal/
+// broadcast); barriers, spawns, joins and exits never reach it.
+func FNVSharder(obj uint64, shards int) int {
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619

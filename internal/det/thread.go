@@ -46,23 +46,23 @@ type Thread struct {
 	holding bool // holds the global token
 
 	// worker is the pooled worker this thread runs on (nil for the root
-	// thread, and for every thread when Config.WorkerPool is off).
+	// thread, and for every thread without worker reuse).
 	worker *worker
 	// curShard is the arbitration shard of the sync op in progress, -1
 	// for cross-shard edges and whenever sharding is off. Set by
 	// syncOpStart (Join overrides it with the child's home shard, a
-	// waker's retarget refreshes it in blockForToken), consumed by the
-	// handoff and release charge sites; under ShardGrants it is also the
-	// request scope passed to the arbiter.
+	// waker's retarget refreshes it in blockForToken); it is the request
+	// scope passed to the arbiter and consumed by the handoff and release
+	// charge sites.
 	curShard int
-	// domShard is the thread's domain shard under ShardGrants: the shard
-	// of its most recent shardable op (home shard, tid mod Shards, until
-	// one happens). Exit is arbitrated there, and exit retargets parked
-	// joiners to it.
+	// domShard is the thread's domain shard (Shards >= 2): the shard of
+	// its most recent shardable op (home shard, tid mod Shards, until one
+	// happens). Spawn and exit are arbitrated there, and exit retargets
+	// parked joiners to it.
 	domShard int
 	// tokenAcqNS is the host time at which the thread's current token
 	// hold began (after any sub-token-busy top-up); releaseTokenRaw
-	// accrues the held span to the scope's busy bucket. ShardGrants only.
+	// accrues the held span to the scope's busy bucket. Shards >= 2 only.
 	tokenAcqNS int64
 
 	coarse          coarsenState
@@ -439,21 +439,21 @@ func (t *Thread) acquireToken() {
 	t.speculate()
 	t.publishPending()
 	t.account(obs.PhaseCompute)
-	// End-of-chunk clock read. Legacy and stage-1 sharding publish the
-	// chunk count through the syscall path (the user-space fast path
-	// applies only inside coarsened chunks, see tokenBegin). Under
-	// per-shard granting a shard-scoped op instead publishes to the
-	// shard's in-process clock word — a user-space store, same price as
-	// the in-chunk fast path; only global edges (barriers and other
-	// all-shard rendezvous) still pay the syscall to fold every shard.
+	// End-of-chunk clock read. The single token publishes the chunk count
+	// through the syscall path (the user-space fast path applies only
+	// inside coarsened chunks, see tokenBegin). A shard-scoped op instead
+	// publishes to the shard's in-process clock word — a user-space store,
+	// same price as the in-chunk fast path; only global edges (barriers
+	// and other all-shard rendezvous) still pay the syscall to fold every
+	// shard. curShard is -1 whenever sharding is off.
 	clockRead := m.SyscallClockRead
-	if t.rt.cfg.ShardGrants && t.curShard >= 0 {
+	if t.curShard >= 0 {
 		clockRead = m.UserClockRead
 	}
 	t.charge(obs.PhaseLib, clockRead)
 	woken := false
 	var g int
-	if t.rt.cfg.ShardGrants {
+	if t.rt.shardSet != nil {
 		g = t.rt.arb.RequestSharded(t.tid, t.curShard)
 	} else {
 		g = t.rt.arb.Request(t.tid)
@@ -471,66 +471,42 @@ func (t *Thread) acquireToken() {
 	t.toOverflow = 0
 }
 
-// chargeHandoff prices taking the global token. The price depends on how
-// the token arrived, never on anything that could change grant order:
+// chargeHandoff prices taking the token. The price depends on how the
+// token arrived, never on anything that could change grant order.
 //
-//   - Legacy (Shards < 2, no lazy FF): the full Model.TokenHandoff,
-//     exactly the pre-scale-out time model.
-//   - Lazy fast-forward (woken wake paths): the slim Model.WakeHandoff on
-//     the wake, plus the deferred Model.FastForwardResync charged here —
-//     when the thread actually takes the token — as its own phase.
-//   - Sharded arbitration, shardable op: a shard-local sub-token
-//     re-acquire (this thread was the shard's last holder) costs only
-//     Model.ShardHandoff; a sub-token transfer costs the full handoff.
-//   - Sharded arbitration, cross-shard edge: the full handoff plus
-//     (Shards−1) × Model.ShardClockRead to fold every shard clock.
-//   - Per-shard granting (ShardGrants): the stage-2 pricing and
-//     virtual-time anchoring in chargeShardedHandoff.
+// Single token (Shards < 2): the full Model.TokenHandoff, the paper's time
+// model.
+//
+// Sharded (docs/scheduler.md): the op is first anchored in its scope's
+// virtual time — it may not begin before its scope's frontier, the instant
+// the scope's previous op released, i.e. the sub-token-busy model. Wakes
+// are already anchored there (Runtime.deliverFrom), so the top-up is
+// usually zero for woken threads; it is what serializes the
+// immediate-grant path behind the sub-token. Then:
+//
+//   - a shard-local re-acquire (this thread was the shard's last holder)
+//     costs Model.ShardHandoff;
+//   - a within-shard transfer costs Model.ShardTransfer (one holder cache
+//     line plus the shard clock, no global fold);
+//   - a cross-shard edge costs the full handoff plus (Shards−1) ×
+//     Model.ShardClockRead for the fold of every shard clock, after which
+//     every partition's sub-token is engaged (ShardSet.Merge).
+//
+// The full handoff of a woken thread with fast-forward on is charged
+// lazily: the slim Model.WakeHandoff, plus the deferred
+// Model.FastForwardResync as its own phase — here, when the thread
+// actually takes the token, not on the wake path.
 func (t *Thread) chargeHandoff(woken bool) {
-	cfg := &t.rt.cfg
-	m := &cfg.Model
-	base := m.TokenHandoff
-	var ff int64
-	if woken && cfg.FastForward && cfg.LazyFastForward {
-		base = m.WakeHandoff
-		ff = m.FastForwardResync
-	}
-	if ss := t.rt.shardSet; ss != nil {
-		if cfg.ShardGrants {
-			t.chargeShardedHandoff(ss, base, ff)
-			return
-		}
-		if t.curShard >= 0 {
-			if ss.NoteGrant(t.curShard, t.tid) && m.ShardHandoff < base+ff {
-				// The sub-token never left this thread: no transfer, no
-				// deferred resync to pay.
-				base, ff = m.ShardHandoff, 0
-			}
-		} else {
-			ss.Merge(t.icount)
-			base += int64(ss.Shards()-1) * m.ShardClockRead
-		}
-	}
-	t.charge(obs.PhaseHandoff, base)
-	if ff > 0 {
-		t.charge(obs.PhaseFastForward, ff)
-	}
-}
-
-// chargeShardedHandoff prices taking the token under per-shard granting
-// and anchors the op in its scope's virtual time (stage 2,
-// docs/scheduler.md). The op may not begin before its scope's frontier —
-// the instant the scope's previous op released, i.e. the sub-token-busy
-// model. Wakes are already anchored there (Runtime.deliverFrom), so the
-// top-up below is usually zero for woken threads; it is what serializes
-// the immediate-grant path behind the sub-token. Pricing: a shard-local
-// re-acquire costs Model.ShardHandoff, a within-shard transfer
-// Model.ShardTransfer (one holder cache line plus the shard clock, no
-// global fold), and a cross-shard edge the full base handoff plus
-// (Shards−1) × Model.ShardClockRead for the fold of every shard clock —
-// after which every partition's sub-token is engaged (SetAllHolders).
-func (t *Thread) chargeShardedHandoff(ss *clock.ShardSet, base, ff int64) {
 	m := &t.rt.cfg.Model
+	ss := t.rt.shardSet
+	if ss == nil {
+		t.charge(obs.PhaseHandoff, m.TokenHandoff)
+		return
+	}
+	base, ff := m.TokenHandoff, int64(0)
+	if woken && t.rt.cfg.FastForward {
+		base, ff = m.WakeHandoff, m.FastForwardResync
+	}
 	scope := t.curShard
 	if t.rt.timed {
 		if f := ss.Frontier(scope); f > t.b.Now() {
@@ -547,8 +523,7 @@ func (t *Thread) chargeShardedHandoff(ss *clock.ShardSet, base, ff int64) {
 			base, ff = m.ShardTransfer, 0
 		}
 	} else {
-		ss.Merge(t.icount)
-		ss.SetAllHolders(t.tid)
+		ss.Merge(t.tid)
 		base += int64(ss.Shards()-1) * m.ShardClockRead
 	}
 	t.charge(obs.PhaseHandoff, base)
@@ -558,30 +533,21 @@ func (t *Thread) chargeShardedHandoff(ss *clock.ShardSet, base, ff int64) {
 }
 
 // releaseTokenRaw gives up the token without committing. The arbiter
-// advances our clock by one (the sync op itself); mirror it. Under
-// sharded arbitration the release clock is also published to the op's
-// shard (or, for a cross-shard edge, to every shard) before the arbiter
-// hands the token on, so the next holder observes up-to-date shard
-// clocks.
+// advances our clock by one (the sync op itself) and, when sharded, folds
+// it into the op's shard clock (every shard clock for a cross-shard
+// edge); mirror the increment.
 func (t *Thread) releaseTokenRaw() {
 	t.publishPending()
 	t.holding = false
 	t.icount++
 	if ss := t.rt.shardSet; ss != nil {
-		if t.curShard >= 0 {
-			ss.NoteRelease(t.curShard, t.icount)
-		} else {
-			ss.ReleaseAll(t.icount)
-		}
-		if t.rt.cfg.ShardGrants {
-			// Publish the scope's virtual-time frontier BEFORE the arbiter
-			// hands the token on, so a grant-time wake anchors against this
-			// op's release instant; accrue the held span to the scope's
-			// busy bucket for the grant-parallelism metric.
-			now := t.b.Now()
-			ss.PublishFrontier(t.curShard, now)
-			ss.AddBusy(t.curShard, now-t.tokenAcqNS)
-		}
+		// Publish the scope's virtual-time frontier BEFORE the arbiter
+		// hands the token on, so a grant-time wake anchors against this
+		// op's release instant; accrue the held span to the scope's busy
+		// bucket for the grant-parallelism metric.
+		now := t.b.Now()
+		ss.PublishFrontier(t.curShard, now)
+		ss.AddBusy(t.curShard, now-t.tokenAcqNS)
 	}
 	t.deliver(t.rt.arb.Release(t.tid))
 }
@@ -604,7 +570,7 @@ func (t *Thread) blockForToken(phase int32, reason string) {
 	t.speculate() // overlap the sleep with pre-diffing, like acquireToken
 	t.park(phase, reason)
 	t.resyncClock()
-	if t.rt.cfg.ShardGrants {
+	if t.rt.shardSet != nil {
 		// The waker may have retargeted our request scope while we slept
 		// (exit does, pointing joiners at the child's actual domain shard);
 		// refresh the local mirror so this op releases into the scope the
@@ -723,7 +689,7 @@ func (t *Thread) commitAndUpdate() {
 // chain (curShard is the scope the token was granted under, refreshed on
 // every syncOpStart and after waker-retargeted wakeups).
 func (t *Thread) record(op trace.Op, obj uint64) {
-	if t.rt.cfg.ShardGrants {
+	if t.rt.shardSet != nil {
 		t.rt.rec.RecordSharded(t.tid, op, obj, t.icount, t.curShard)
 		return
 	}
@@ -804,37 +770,19 @@ const (
 func siteID(kind, obj uint64) uint64 { return kind<<56 | obj&(1<<56-1) }
 
 // shardOf maps a sync site to its arbitration shard: lock-object
-// operations shard by object id through the configured Sharder (and move
-// the thread's domain shard); barriers, forks and joins are cross-shard
-// edges (-1). Under per-shard granting (stage 2) spawn and exit are
-// instead arbitrated in the acting thread's domain shard, and a join is
-// scoped to the child's home (threads.go) — only barriers and other
-// rendezvous ops remain global edges. Only called when sharding is on. A
-// Sharder that returns an out-of-range shard is a configuration bug
-// surfaced as a RuntimeError, not silently clamped.
+// operations shard by object id (and move the thread's domain shard);
+// spawn and exit are arbitrated in the acting thread's domain shard, so
+// fork/join programs do not rendezvous every partition per lifecycle op;
+// a join is scoped to the child's home shard until the exit retargets it
+// to its own domain (threads.go). Only barriers and other rendezvous ops
+// remain global edges (-1). Only called when sharding is on.
 func (t *Thread) shardOf(site uint64) int {
 	switch site >> 56 {
 	case siteLock, siteUnlock, siteCondWait, siteSignal, siteBroadcast:
-		obj := site & (1<<56 - 1)
-		sh := t.rt.sharder.Shard(obj, t.rt.cfg.Shards)
-		if sh < 0 || sh >= t.rt.cfg.Shards {
-			panic(t.runtimeError("bad-shard", "shard", obj,
-				"Sharder returned shard %d for object %d with %d shards", sh, obj, t.rt.cfg.Shards))
-		}
-		if t.rt.cfg.ShardGrants {
-			t.domShard = sh
-		}
-		return sh
+		t.domShard = FNVSharder(site&(1<<56-1), t.rt.cfg.Shards)
+		return t.domShard
 	case siteSpawn, siteExit:
-		// Stage 2 only: thread creation and destruction are ordered in the
-		// acting thread's domain shard (a joiner is retargeted to the
-		// exit's domain, see threads.go), so fork/join programs do not
-		// rendezvous every partition per lifecycle op. Stage 1 keeps both
-		// as global edges — its pricing-only time model is frozen.
-		if t.rt.cfg.ShardGrants {
-			return t.domShard
-		}
-		return -1
+		return t.domShard
 	default:
 		return -1
 	}
@@ -915,13 +863,13 @@ func (t *Thread) mimdAdapt() {
 	c := &t.coarse
 	if t.rt.lastCoordTid == t.tid {
 		c.maxChunk *= 2
-		if c.maxChunk > cfg.MaxChunkCap {
-			c.maxChunk = cfg.MaxChunkCap
+		if c.maxChunk > maxChunkCap {
+			c.maxChunk = maxChunkCap
 		}
 	} else {
 		c.maxChunk /= 2
-		if c.maxChunk < cfg.MaxChunkFloor {
-			c.maxChunk = cfg.MaxChunkFloor
+		if c.maxChunk < maxChunkFloor {
+			c.maxChunk = maxChunkFloor
 		}
 	}
 	t.rt.lastCoordTid = t.tid

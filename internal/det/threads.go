@@ -37,8 +37,8 @@ func (t *Thread) Spawn(fn func(api.T)) api.Handle {
 	reused := false
 	var adopted *worker
 	var adoptedB host.Binding
-	if rt.cfg.WorkerPool {
-		if w := rt.popWorker(tid); w != nil {
+	if rt.workerPool {
+		if w := rt.popWorker(); w != nil {
 			// Adopt a parked worker (docs/scheduler.md): the spawner pays
 			// only the free-list pop + registration + wake; the worker does
 			// its own view warm-up off this thread's critical path. The
@@ -63,15 +63,11 @@ func (t *Thread) Spawn(fn func(api.T)) api.Handle {
 				}
 				warmPulls = int64(rt.seg.PopulatedPages())
 			}
+			// The spawner only dispatches the adoption; re-registration is
+			// priced by the worker's first sub-token acquisition and the
+			// wake latency host-side.
 			t.account(obs.PhaseCompute)
-			if rt.cfg.ShardGrants {
-				// Stage 2 (docs/scheduler.md): the spawner only dispatches the
-				// adoption; re-registration is priced by the worker's first
-				// sub-token acquisition and the wake latency host-side.
-				t.charge(obs.PhaseSpawn, m.PoolAdoptDispatch)
-			} else {
-				t.charge(obs.PhaseSpawn, m.PoolWorkerWake)
-			}
+			t.charge(obs.PhaseSpawn, m.PoolAdoptDispatch)
 			child = rt.attachThread(tid, t.icount, ws)
 			child.worker = w
 			head := rt.seg.Head()
@@ -131,7 +127,7 @@ func (t *Thread) Spawn(fn func(api.T)) api.Handle {
 		if adoptedB != nil {
 			t.b.Wake(adoptedB)
 		}
-	case rt.cfg.WorkerPool:
+	case rt.workerPool:
 		rt.spawnWorker(child, fn, t.b)
 	default:
 		rt.h.Go(fmt.Sprintf("t%d", tid), t.b, func(b host.Binding) {
@@ -143,7 +139,8 @@ func (t *Thread) Spawn(fn func(api.T)) api.Handle {
 	return child
 }
 
-// pooledWorkspaces returns the legacy workspace-pool depth.
+// pooledWorkspaces returns the workspace-pool depth (single-token §3.3
+// reuse).
 func (rt *Runtime) pooledWorkspaces() int {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -163,7 +160,7 @@ func (t *Thread) Join(h api.Handle) {
 		panic("det: foreign handle")
 	}
 	t.syncOpStart(siteID(siteJoin, 0))
-	if t.rt.cfg.ShardGrants {
+	if t.rt.shardSet != nil {
 		// Arbitrate the join in the child's provisional home shard
 		// (tid-derived, computable without racing the running child). If
 		// the child is still running, its exit retargets us to its final
@@ -204,7 +201,7 @@ func (t *Thread) exit() {
 		h.OnRelease(t.tid, spawnObj(t.tid))
 	}
 	for _, j := range t.joiners {
-		if rt.cfg.ShardGrants {
+		if rt.shardSet != nil {
 			// Retarget the blocked joiner to this exit's domain shard so the
 			// join grant is arbitrated where the exit event lives; the joiner
 			// refreshes its own curShard from the arbiter on wakeup.
@@ -238,9 +235,8 @@ func (t *Thread) exit() {
 		rt.mu.Lock()
 		rt.insertWorkerLocked(w, [2]int64{t.icount, int64(t.tid)})
 		rt.mu.Unlock()
-	case rt.cfg.ThreadPool && !rt.cfg.WorkerPool && rt.pooledWorkspaces() < rt.cfg.PoolCap:
-		// Legacy workspace-only pool (PR 3): keep the workspace, the host
-		// task ends.
+	case rt.cfg.ThreadPool && !rt.workerPool && rt.pooledWorkspaces() < rt.cfg.PoolCap:
+		// Single-token §3.3 reuse: keep the workspace, the host task ends.
 		t.ws.UpdateTo(rt.seg.Head())
 		rt.mu.Lock()
 		rt.pool = append(rt.pool, t.ws)
@@ -248,7 +244,7 @@ func (t *Thread) exit() {
 	default:
 		rt.seg.Release(t.ws)
 	}
-	if rt.cfg.WorkerPool && remaining == 0 {
+	if rt.workerPool && remaining == 0 {
 		rt.drainWorkers(t)
 	}
 

@@ -227,13 +227,13 @@ func TablePrefetch(s Sweep) (map[string]map[string]int64, string, error) {
 	return data, text, nil
 }
 
-// TableShards sweeps the scheduler scale-out trio (docs/scheduler.md):
-// sharded token arbitration with the worker pool and lazy fast-forward,
-// against the legacy single-token scheduler. Results are identical at
-// every shard count — scripts/check.sh pins the checksums and sync traces
-// byte-for-byte — so the interesting columns are the wall-time speedup
-// and how many sub-token grants stayed shard-local (the cheap re-acquire
-// path that never crosses threads).
+// TableShards sweeps the sharded scheduler (docs/scheduler.md) — per-shard
+// granting with worker reuse and lazy fast-forward — against the paper's
+// single-token scheduler. Results are identical at every shard count —
+// scripts/check.sh pins the checksums and sync traces byte-for-byte — so
+// the interesting columns are the wall-time speedup and how many
+// sub-token grants stayed shard-local (the cheap re-acquire path that
+// never crosses threads).
 func TableShards(s Sweep) (map[string]map[string]int64, string, error) {
 	const threads = 8
 	benches := []string{"kmeans", "water_nsquared", "canneal", "histogram", "dedup", "ferret"}

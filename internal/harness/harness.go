@@ -53,15 +53,15 @@ type Options struct {
 	Threads int
 	Scale   int
 	Seed    int64
-	// Shards, when >= 2, applies the scheduler scale-out set
-	// (det.Config.EnableScaleOut): sharded token arbitration with
-	// per-shard granting authority (docs/scheduler.md stage 2) plus the
-	// worker pool pre-spawned to Threads and lazy fast-forward. Consequence
-	// runtimes only; the cell's checksum is unchanged by construction.
+	// Shards, when >= 2, selects the sharded scheduler
+	// (det.Config.EnableScaleOut, docs/scheduler.md): per-shard granting
+	// with the worker pool pre-spawned to Threads. Consequence-IC only —
+	// Consequence-RR stays on the single token (round-robin has no clock
+	// domain to shard); the cell's checksum is unchanged by construction.
 	Shards int
 	// Modify tweaks the det configuration (ablations, coarsening sweeps);
-	// it runs after Shards is applied, so it can override the trio.
-	// Only honoured by the Consequence runtimes.
+	// it runs after Shards is applied. Only honoured by the Consequence
+	// runtimes.
 	Modify func(*det.Config)
 	// WithLRC attaches the happens-before propagation tracker
 	// (Consequence runtimes only).
@@ -110,7 +110,9 @@ type Result struct {
 	WallNS   int64
 	Stats    api.RunStats
 	Checksum uint64
-	LRCPages int64
+	// TraceHash is the sync-order trace hash (Consequence runtimes only).
+	TraceHash uint64
+	LRCPages  int64
 	// Replica carries the fleet's counters when Options.Replicas was set.
 	Replica *replica.FleetStats
 }
@@ -143,6 +145,7 @@ func Run(o Options) (res Result, retErr error) {
 	}
 
 	var rt api.Runtime
+	var drt *det.Runtime
 	var tracker *lrc.Tracker
 	var cl *commitlog.Log
 	var fl *replica.Fleet
@@ -165,7 +168,7 @@ func Run(o Options) (res Result, retErr error) {
 		if o.Modify != nil {
 			o.Modify(&c)
 		}
-		drt, err := det.New(c, h)
+		drt, err = det.New(c, h)
 		if err != nil {
 			return Result{}, err
 		}
@@ -184,9 +187,6 @@ func Run(o Options) (res Result, retErr error) {
 				"scale":   fmt.Sprint(o.Scale),
 				"seed":    fmt.Sprint(o.Seed),
 				"shards":  fmt.Sprint(max(o.Shards, 1)),
-				// Grant mode matters when diffing journals: per-shard
-				// granting orders events differently from stage 1.
-				"shard-grants": fmt.Sprint(o.Shards >= 2),
 			})
 			if err != nil {
 				return Result{}, err
@@ -201,13 +201,12 @@ func Run(o Options) (res Result, retErr error) {
 		if o.CommitLogDir != "" {
 			cl, err = commitlog.Create(o.CommitLogDir, commitlog.Options{
 				Meta: map[string]string{
-					"bench":        o.Bench,
-					"runtime":      string(o.Runtime),
-					"threads":      fmt.Sprint(o.Threads),
-					"scale":        fmt.Sprint(o.Scale),
-					"seed":         fmt.Sprint(o.Seed),
-					"shards":       fmt.Sprint(max(o.Shards, 1)),
-					"shard-grants": fmt.Sprint(o.Shards >= 2),
+					"bench":   o.Bench,
+					"runtime": string(o.Runtime),
+					"threads": fmt.Sprint(o.Threads),
+					"scale":   fmt.Sprint(o.Scale),
+					"seed":    fmt.Sprint(o.Seed),
+					"shards":  fmt.Sprint(max(o.Shards, 1)),
 				},
 			})
 			if err != nil {
@@ -281,6 +280,9 @@ func Run(o Options) (res Result, retErr error) {
 		Checksum: rt.Checksum(),
 	}
 	res.WallNS = res.Stats.WallNS
+	if drt != nil {
+		res.TraceHash = drt.Trace().Hash()
+	}
 	if tracker != nil {
 		res.LRCPages = tracker.LRCPages()
 	}

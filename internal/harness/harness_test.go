@@ -348,3 +348,57 @@ func TestReplicasOption(t *testing.T) {
 		t.Error("replicas accepted without a commit log")
 	}
 }
+
+// The time model is pinned: both schedulers — the paper's single token
+// (shards = 1) and per-shard granting (shards = 4) — must reproduce, to
+// the nanosecond, the modeled wall time recorded before the intermediate
+// scheduler generation was deleted, with the golden checksum and the
+// per-shard-count trace hash. A refactor that moves any of the three has
+// changed the time model or the grant order, not just the code.
+func TestTimeModelPinned(t *testing.T) {
+	cases := []struct {
+		bench  string
+		shards int
+		wallNS int64
+		sum    uint64
+		trace  uint64
+	}{
+		{"kmeans", 1, 3245522, 0x1f8b09e15b1b689c, 0xcd6c25c0a0405d2b},
+		{"kmeans", 4, 602806, 0x1f8b09e15b1b689c, 0xcd6c25c0a0405d2b},
+		{"water_nsquared", 1, 15166761, 0x8cd4c7596c268f28, 0xaadb9ab2a9588a2a},
+		{"water_nsquared", 4, 5037955, 0x8cd4c7596c268f28, 0xc56202d013570111},
+	}
+	for _, tc := range cases {
+		r, err := Run(Options{
+			Bench: tc.bench, Runtime: KindConsequenceIC, Threads: 8,
+			Scale: 1, Seed: 42, Shards: tc.shards,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.WallNS != tc.wallNS || r.Checksum != tc.sum || r.TraceHash != tc.trace {
+			t.Errorf("%s shards=%d: wall %d sum %016x trace %016x, want wall %d sum %016x trace %016x",
+				tc.bench, tc.shards, r.WallNS, r.Checksum, r.TraceHash, tc.wallNS, tc.sum, tc.trace)
+		}
+	}
+}
+
+// Round-robin has no clock domain to shard: a Consequence-RR cell asked
+// for 4 shards must run (it used to die in det.New) and be the
+// single-token cell exactly.
+func TestShardsLeaveRoundRobinOnSingleToken(t *testing.T) {
+	o := Options{Bench: "kmeans", Runtime: KindConsequenceRR, Threads: 4, Scale: 1, Seed: 42}
+	base, err := Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Shards = 4
+	got, err := Run(o)
+	if err != nil {
+		t.Fatalf("consequence-rr at -shards 4: %v", err)
+	}
+	if got.WallNS != base.WallNS || got.Checksum != base.Checksum || got.TraceHash != base.TraceHash {
+		t.Errorf("consequence-rr moved at shards=4: wall %d sum %016x trace %016x, single-token wall %d sum %016x trace %016x",
+			got.WallNS, got.Checksum, got.TraceHash, base.WallNS, base.Checksum, base.TraceHash)
+	}
+}

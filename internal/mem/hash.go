@@ -1,0 +1,31 @@
+package mem
+
+import "hash/fnv"
+
+// HashPage returns the FNV-1a hash of one page's content: the per-page
+// hash the run journal records at publication and a replayed commit log
+// is cross-checked against.
+func HashPage(data []byte) uint64 {
+	h := uint64(14695981039346656037) // FNV-1a offset basis
+	for _, b := range data {
+		h = (h ^ uint64(b)) * 1099511628211
+	}
+	return h
+}
+
+// ChecksumSparse hashes a sparsely stored replica of a segment — npages
+// pages ascending, pages absent from the map as zeros — to the same
+// FNV-1a value the live runtime's Checksum computes over the committed
+// state.
+func ChecksumSparse(pages map[int][]byte, npages, pageSize int) uint64 {
+	h := fnv.New64a()
+	zero := make([]byte, pageSize)
+	for pg := 0; pg < npages; pg++ {
+		if buf, ok := pages[pg]; ok {
+			h.Write(buf)
+		} else {
+			h.Write(zero)
+		}
+	}
+	return h.Sum64()
+}

@@ -201,12 +201,7 @@ func (v *Version) PageIndexes() []int {
 // hashes at publication time.
 func (v *Version) ForEachPageHash(f func(page int, hash uint64)) {
 	for _, slot := range v.slots {
-		data := slot.resolve()
-		h := uint64(14695981039346656037) // FNV-1a offset basis
-		for _, b := range data {
-			h = (h ^ uint64(b)) * 1099511628211
-		}
-		f(slot.page, h)
+		f(slot.page, HashPage(slot.resolve()))
 	}
 }
 

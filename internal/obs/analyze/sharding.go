@@ -7,7 +7,7 @@ import (
 	"repro/internal/obs"
 )
 
-// ShardingReport summarizes per-shard arbiter activity under stage-2
+// ShardingReport summarizes per-shard arbiter activity under
 // per-shard granting (docs/scheduler.md). It is present only when the run
 // exported the clock_shard_busy_ns gauges — i.e. the runtime actually
 // granted per shard; unsharded runs (and Chrome-trace inputs, which carry

@@ -25,10 +25,10 @@ package replica
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync"
 
 	"repro/internal/commitlog"
+	"repro/internal/mem"
 )
 
 // ErrFutureVersion reports a ReadAt target the follower has not applied
@@ -305,14 +305,5 @@ func (f *Follower) ReadLatest(pg int) ([]byte, int64, error) {
 func (f *Follower) Checksum() uint64 {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	h := fnv.New64a()
-	zero := make([]byte, f.pageSize)
-	for pg := 0; pg < f.npages; pg++ {
-		if buf, ok := f.pages[pg]; ok {
-			h.Write(buf)
-		} else {
-			h.Write(zero)
-		}
-	}
-	return h.Sum64()
+	return mem.ChecksumSparse(f.pages, f.npages, f.pageSize)
 }

@@ -159,7 +159,7 @@ func dedup() Spec {
 					lk[i] = t.NewMutex()
 				}
 				var hs []api.Handle
-				// Stage 1: chunkers.
+				// First stage: chunkers.
 				for c := 0; c < nChunk; c++ {
 					c := c
 					hs = append(hs, t.Spawn(func(t api.T) {
@@ -171,7 +171,7 @@ func dedup() Spec {
 						q1.ProducerDone(t)
 					}))
 				}
-				// Stage 2: dedup (hash-table lookups under bucket locks).
+				// Second stage: dedup (hash-table lookups under bucket locks).
 				for d := 0; d < nDedup; d++ {
 					hs = append(hs, t.Spawn(func(t api.T) {
 						for {
@@ -192,7 +192,7 @@ func dedup() Spec {
 						q2.ProducerDone(t)
 					}))
 				}
-				// Stage 3: compressors.
+				// Third stage: compressors.
 				for cm := 0; cm < nComp; cm++ {
 					cm := cm
 					hs = append(hs, t.Spawn(func(t api.T) {
@@ -247,7 +247,7 @@ func ferret() Spec {
 				q3 := conc.NewQueue(t, q3Off, qcap, nMid)
 				rankLock := t.NewMutex()
 				var hs []api.Handle
-				// Stage 1 (ferret_1): image segmentation — short chunks,
+				// First stage (ferret_1): image segmentation — short chunks,
 				// very frequent queue ops.
 				hs = append(hs, t.Spawn(func(t api.T) {
 					for i := 0; i < items; i++ {
@@ -256,7 +256,7 @@ func ferret() Spec {
 					}
 					q1.ProducerDone(t)
 				}))
-				// Stage 2: feature extraction — long chunks.
+				// Second stage: feature extraction — long chunks.
 				for w := 0; w < nMid; w++ {
 					hs = append(hs, t.Spawn(func(t api.T) {
 						for {
@@ -270,7 +270,7 @@ func ferret() Spec {
 						q2.ProducerDone(t)
 					}))
 				}
-				// Stage 3: indexing/query — long chunks.
+				// Third stage: indexing/query — long chunks.
 				for w := 0; w < nMid; w++ {
 					hs = append(hs, t.Spawn(func(t api.T) {
 						for {
@@ -284,7 +284,7 @@ func ferret() Spec {
 						q3.ProducerDone(t)
 					}))
 				}
-				// Stage 4: rank aggregation under a single lock.
+				// Fourth stage: rank aggregation under a single lock.
 				hs = append(hs, t.Spawn(func(t api.T) {
 					for {
 						v, ok := q3.Get(t)

@@ -16,8 +16,8 @@ fi
 echo "== go vet ./..."
 go vet ./...
 
-echo "== lintdoc (godoc coverage of det, clock, trace, journal, commitlog, replica, predict, harness)"
-go run ./scripts/lintdoc ./internal/det ./internal/clock ./internal/trace ./internal/journal ./internal/commitlog ./internal/replica ./internal/predict ./internal/harness
+echo "== lintdoc (godoc coverage of det, clock, costmodel, trace, journal, commitlog, replica, predict, harness)"
+go run ./scripts/lintdoc ./internal/det ./internal/clock ./internal/costmodel ./internal/trace ./internal/journal ./internal/commitlog ./internal/replica ./internal/predict ./internal/harness
 
 echo "== go build ./..."
 go build ./...
@@ -37,6 +37,12 @@ go run ./cmd/conseq-analyze -input internal/obs/testdata/golden_trace.json >/dev
 echo "== bench smoke (1 iteration)"
 go test -run=NONE -bench=. -benchtime=1x ./internal/mem >/dev/null
 
+echo "== compare smoke (every runtime tabulates at -shards 4)"
+# -compare builds every runtime from the same flags, so -shards must be
+# harmless where it does not apply: consequence-rr stays on the single
+# token (round-robin has no clock domain to shard).
+go run ./cmd/detrun -bench kmeans -threads 4 -compare -shards 4 >/dev/null
+
 echo "== determinism gate (final memory + sync-trace hashes vs goldens)"
 # The gate (and the chaos gate below) run detrun many times: build it once.
 detrun_bin=$(mktemp -t detrun.XXXXXX)
@@ -53,7 +59,7 @@ go build -o "$conseq_replay_bin" ./cmd/conseq-replay
 # seed=42 on the simulation host. The checksum pins program results at
 # EVERY shard count: per-shard granting must never move what the program
 # computes. The trace hash is pinned per shard count — under per-shard
-# granting (shards >= 2, docs/scheduler.md stage 2) the merge rule may
+# granting (shards >= 2, docs/scheduler.md) the merge rule may
 # legitimately reorder independent grants between shards, so each shard
 # count has its own golden interleave, and that interleave must be
 # byte-stable across runs, hosts, prediction, and chaos. Regenerate a
@@ -78,9 +84,9 @@ trace_golden() {
 
 # Each benchmark runs over the full scheduler matrix — write-set
 # prediction on (the default) and off, crossed with 1/2/4/8 arbitration
-# shards (shards >= 2 also turn on the worker pool, lazy fast-forward and
-# per-shard granting, docs/scheduler.md) — and every cell must hit the
-# same checksum and its shard count's trace golden: the scale-out trio
+# shards (shards >= 2 is per-shard granting with worker reuse and lazy
+# fast-forward, docs/scheduler.md) — and every cell must hit the same
+# checksum and its shard count's trace golden: the sharded scheduler
 # must never move program results, and within a shard count the grant
 # interleave is replay-stable by the merge rule.
 for spec in $goldens; do
@@ -127,7 +133,7 @@ for spec in $goldens; do
             fi
         done
     done
-    # Chaos and the scale-out trio compose: the heaviest profile must
+    # Chaos and the sharded scheduler compose: the heaviest profile must
     # leave the checksum AND the 4-shard grant interleave unmoved on the
     # per-shard granting scheduler too — chaos perturbs host timing, and
     # the merge rule's whole claim is that the interleave is independent
@@ -322,53 +328,5 @@ for prof in follower-kill follower-tear logstall; do
     done
     echo "   kmeans ok under $prof (seeds 1-3: checksum + sweep digest unmoved)"
 done
-
-echo "== scheduler bench (BENCH_sched.json vs committed baseline)"
-# Re-run the suite at smoke iterations into temp files — the committed
-# BENCH_sched.json is the baseline and is left untouched — and compare
-# each benchmark against it with a tolerance band: a hot path may not
-# get more than BENCH_TOLERANCE x slower than the committed ns/op
-# (default 3.0 — the committed numbers come from the larger default
-# benchtime). Smoke runs on a loaded CI host spike hard (single 200x
-# samples vary up to 8x), so the gate takes the best of two runs: a
-# spike must hit both to fail the gate, a real regression always does.
-# New benchmarks absent from the baseline pass trivially. The band also
-# asserts the one ordering the pool must win: ForkJoin pooled <= legacy
-# within the same fresh run.
-fresh1=$(mktemp -t bench_fresh1.XXXXXX)
-fresh2=$(mktemp -t bench_fresh2.XXXXXX)
-BENCHTIME=500x ./scripts/bench_sched.sh "$fresh1" >/dev/null
-BENCHTIME=500x ./scripts/bench_sched.sh "$fresh2" >/dev/null
-awk -v tol="${BENCH_TOLERANCE:-3.0}" '
-    function val(s) { gsub(/[^0-9]/, "", s); return s + 0 }
-    /"name"/ {
-        name = $0; sub(/.*"name": "/, "", name); sub(/".*/, "", name)
-        ns = $0; sub(/.*"ns_per_op": /, "", ns)
-        if (FILENAME == ARGV[1]) base[name] = val(ns)
-        else if (!(name in fresh) || val(ns) < fresh[name]) fresh[name] = val(ns)
-    }
-    END {
-        bad = 0
-        for (name in fresh) {
-            if (name in base && base[name] > 0 && fresh[name] > base[name] * tol) {
-                printf "bench gate: %s regressed: %d ns/op vs baseline %d (tolerance %.1fx)\n",
-                    name, fresh[name], base[name], tol > "/dev/stderr"
-                bad = 1
-            }
-        }
-        # Same-run comparison, so host noise largely cancels: steady-state
-        # pooled adoption must stay within 1.5x of legacy (it wins by
-        # ~25% on a quiet host; 1.5x leaves headroom for CI jitter
-        # without letting the old 30% regression back in).
-        fj = "BenchmarkForkJoin/"
-        if ((fj "pooled") in fresh && (fj "legacy") in fresh &&
-            fresh[fj "pooled"] > fresh[fj "legacy"] * 1.5) {
-            printf "bench gate: ForkJoin pooled (%d ns/op) lost to legacy (%d ns/op) beyond 1.5x\n",
-                fresh[fj "pooled"], fresh[fj "legacy"] > "/dev/stderr"
-            bad = 1
-        }
-        exit bad
-    }' BENCH_sched.json "$fresh1" "$fresh2"
-rm -f "$fresh1" "$fresh2"
 
 echo "check: OK"
