@@ -41,6 +41,12 @@ type T interface {
 	Read(buf []byte, off int)
 	// Write stores to the shared segment at byte offset off.
 	Write(data []byte, off int)
+	// Word returns the thread's own 8-byte staging buffer. The typed
+	// accessors (U64, PutU64, ...) encode through it and hand it to Read
+	// and Write, which are interface calls: a buffer declared in the
+	// accessor would escape to the heap on every access. Its contents are
+	// meaningful only within one accessor call.
+	Word() *[8]byte
 
 	// NewMutex, NewCond and NewBarrier create synchronization objects.
 	// Creation is a thread-local operation (as in pthreads).
@@ -130,14 +136,14 @@ type ThreadTime struct {
 
 // U64 reads a little-endian uint64 at off.
 func U64(t T, off int) uint64 {
-	var b [8]byte
+	b := t.Word()
 	t.Read(b[:], off)
 	return binary.LittleEndian.Uint64(b[:])
 }
 
 // PutU64 writes a little-endian uint64 at off.
 func PutU64(t T, off int, v uint64) {
-	var b [8]byte
+	b := t.Word()
 	binary.LittleEndian.PutUint64(b[:], v)
 	t.Write(b[:], off)
 }
@@ -156,16 +162,16 @@ func PutF64(t T, off int, v float64) { PutU64(t, off, math.Float64bits(v)) }
 
 // U32 reads a little-endian uint32 at off.
 func U32(t T, off int) uint32 {
-	var b [4]byte
-	t.Read(b[:], off)
-	return binary.LittleEndian.Uint32(b[:])
+	b := t.Word()[:4]
+	t.Read(b, off)
+	return binary.LittleEndian.Uint32(b)
 }
 
 // PutU32 writes a little-endian uint32 at off.
 func PutU32(t T, off int, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	t.Write(b[:], off)
+	b := t.Word()[:4]
+	binary.LittleEndian.PutUint32(b, v)
+	t.Write(b, off)
 }
 
 // AddU64 reads, adds delta, and writes back a uint64 at off. Not atomic:

@@ -9,9 +9,11 @@ import (
 // memT is a trivial in-memory T implementation for testing the typed
 // accessors.
 type memT struct {
-	buf [64]byte
+	buf  [64]byte
+	word [8]byte
 }
 
+func (m *memT) Word() *[8]byte          { return &m.word }
 func (m *memT) Tid() int                { return 0 }
 func (m *memT) Compute(int64)           {}
 func (m *memT) Read(b []byte, off int)  { copy(b, m.buf[off:]) }

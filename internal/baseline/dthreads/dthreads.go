@@ -182,6 +182,9 @@ type thread struct {
 	op           func() bool
 	blockCat     *int64
 	updateTarget int64
+
+	// word is the staging buffer behind api.T.Word.
+	word [8]byte
 }
 
 func (t *thread) account(cat *int64) {
@@ -282,6 +285,9 @@ func (rt *Runtime) admitLocked(w *thread) {
 
 // Tid implements api.T.
 func (t *thread) Tid() int { return t.tid }
+
+// Word implements api.T.
+func (t *thread) Word() *[8]byte { return &t.word }
 
 // Compute implements api.T.
 func (t *thread) Compute(n int64) {

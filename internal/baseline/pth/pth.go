@@ -95,6 +95,7 @@ type thread struct {
 	lastEvent int64
 	syncOps   int64
 	objSeq    uint64
+	word      [8]byte // staging buffer behind api.T.Word
 }
 
 func (t *thread) account(cat *int64) {
@@ -136,6 +137,9 @@ func (t *thread) finish() {
 
 // Tid implements api.T.
 func (t *thread) Tid() int { return t.tid }
+
+// Word implements api.T.
+func (t *thread) Word() *[8]byte { return &t.word }
 
 // Compute implements api.T.
 func (t *thread) Compute(n int64) {

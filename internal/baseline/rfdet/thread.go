@@ -35,6 +35,9 @@ type thread struct {
 	// barrierVC is set by the releasing barrier arrival before the wake.
 	barrierVC vclock
 	objSeq    uint64
+
+	// word is the staging buffer behind api.T.Word.
+	word [8]byte
 }
 
 func (t *thread) start(b host.Binding) {
@@ -96,6 +99,9 @@ func (t *thread) blockForToken() {
 
 // Tid implements api.T.
 func (t *thread) Tid() int { return t.tid }
+
+// Word implements api.T.
+func (t *thread) Word() *[8]byte { return &t.word }
 
 // Compute implements api.T.
 func (t *thread) Compute(n int64) {

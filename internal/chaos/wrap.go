@@ -116,9 +116,9 @@ func (b *chaosBinding) wakeChaos() int64 {
 // SetBlockReason forwards the diagnostic block reason to hosts that
 // record one (the simulation host's deadlock report, the real host's
 // watchdog dump).
-func (b *chaosBinding) SetBlockReason(reason string) {
+func (b *chaosBinding) SetBlockReason(r host.BlockReason) {
 	if br, ok := b.inner.(host.BlockReasoner); ok {
-		br.SetBlockReason(reason)
+		br.SetBlockReason(r)
 	}
 }
 

@@ -45,6 +45,7 @@ func BenchmarkCommitLogAppend(b *testing.B) {
 		b.Fatal(err)
 	}
 	commits := benchCommits(1024)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := commits[i%len(commits)]

@@ -395,11 +395,16 @@ func decodeRecord(payload []byte, pageSize, npages int) (Record, error) {
 	}
 }
 
+// appendFrameHeader appends a payload's length+CRC frame header
+// (frameHeaderLen bytes).
+func appendFrameHeader(b, payload []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(payload, castagnoli))
+}
+
 // appendFrame wraps a payload in the length+CRC framing.
 func appendFrame(b, payload []byte) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
-	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(payload, castagnoli))
-	return append(b, payload...)
+	return append(appendFrameHeader(b, payload), payload...)
 }
 
 // zeroRuns encodes a page's non-zero content as runs against the zero

@@ -98,14 +98,17 @@ type Log struct {
 	lastVersion atomic.Int64
 }
 
-// logMsg is one unit of work for the drain goroutine.
+// logMsg is one unit of work for the drain goroutine. The commit travels
+// by value (isCommit marks it): the channel's own buffer carries it, so an
+// append allocates nothing.
 type logMsg struct {
-	commit *Commit
-	sub    *Stream       // subscribe request when non-nil
-	from   int64         // subscribe start version
-	unsub  *Stream       // unsubscribe request when non-nil
-	snap   bool          // RequestSnapshot: force a snapshot at the next commit boundary
-	sync   chan struct{} // Sync barrier: closed once buffered bytes are durable-readable
+	isCommit bool
+	commit   Commit
+	sub      *Stream       // subscribe request when non-nil
+	from     int64         // subscribe start version
+	unsub    *Stream       // unsubscribe request when non-nil
+	snap     bool          // RequestSnapshot: force a snapshot at the next commit boundary
+	sync     chan struct{} // Sync barrier: closed once buffered bytes are durable-readable
 }
 
 // Create prepares an empty log directory (created if absent; must contain
@@ -196,7 +199,7 @@ func (l *Log) Append(c Commit) {
 	if !l.begun || l.closed {
 		return
 	}
-	msg := logMsg{commit: &c}
+	msg := logMsg{isCommit: true, commit: c}
 	select {
 	case l.ch <- msg:
 	default:
@@ -309,6 +312,9 @@ type drain struct {
 	handled     int64
 	subs        []*Stream
 	scratch     []byte // payload encode buffer, reused across records
+	// hdr stages each record's index entry and then its frame header; it
+	// lives in the drain's state so neither escapes per record.
+	hdr [entWidth]byte
 
 	err error // first I/O error; later writes are skipped
 }
@@ -318,8 +324,8 @@ type drain struct {
 func (d *drain) run() {
 	for msg := range d.l.ch {
 		switch {
-		case msg.commit != nil:
-			d.handleCommit(*msg.commit)
+		case msg.isCommit:
+			d.handleCommit(msg.commit)
 		case msg.sub != nil:
 			d.handleSubscribe(msg.sub, msg.from)
 		case msg.unsub != nil:
@@ -463,27 +469,34 @@ func (d *drain) truncate() {
 }
 
 // writeRecord frames a payload into the active segment and records its
-// index entry.
+// index entry. The frame is never assembled: its header and then the
+// payload go straight into the store's buffered writer, the same bytes
+// appendFrame would produce.
 func (d *drain) writeRecord(payload []byte) {
 	if d.err != nil {
 		return
 	}
-	var ent [entWidth]byte
+	ent := d.hdr[:]
 	binary.LittleEndian.PutUint32(ent[0:4], uint32(d.segRecs))
 	binary.LittleEndian.PutUint64(ent[4:12], uint64(d.storeSize))
-	if _, err := d.iw.Write(ent[:]); err != nil {
+	if _, err := d.iw.Write(ent); err != nil {
 		d.err = err
 		return
 	}
-	frame := appendFrame(nil, payload)
-	if _, err := d.sw.Write(frame); err != nil {
+	hdr := appendFrameHeader(d.hdr[:0], payload)
+	if _, err := d.sw.Write(hdr); err != nil {
 		d.err = err
 		return
 	}
-	d.storeSize += int64(len(frame))
+	if _, err := d.sw.Write(payload); err != nil {
+		d.err = err
+		return
+	}
+	frameLen := int64(len(hdr) + len(payload))
+	d.storeSize += frameLen
 	d.segRecs++
 	d.nextRec++
-	d.l.bytes.Add(int64(len(frame)))
+	d.l.bytes.Add(frameLen)
 }
 
 // openSegment creates the segment pair based at the given record number

@@ -2,6 +2,7 @@ package commitlog
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -19,9 +20,15 @@ import (
 type Stream struct {
 	l *Log
 
-	mu     sync.Mutex
-	cond   *sync.Cond
+	mu   sync.Mutex
+	cond *sync.Cond
+	// buf[head:] is what has been pushed and not yet delivered. Next
+	// advances head instead of re-slicing buf, and rewinds both once the
+	// consumer has caught up, so a follower that keeps up reuses one array
+	// for the whole run; it zeroes each entry it hands out, so the buffer
+	// never pins a delivered commit's diff data.
 	buf    []Commit
+	head   int
 	closed bool // no more pushes: log closed, or Close was called
 }
 
@@ -49,14 +56,18 @@ func (l *Log) Stream(fromVersion int64) (*Stream, error) {
 func (s *Stream) Next() (c Commit, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for len(s.buf) == 0 && !s.closed {
+	for s.head == len(s.buf) && !s.closed {
 		s.cond.Wait()
 	}
-	if len(s.buf) == 0 {
+	if s.head == len(s.buf) {
 		return Commit{}, false
 	}
-	c = s.buf[0]
-	s.buf = s.buf[1:]
+	c = s.buf[s.head]
+	s.buf[s.head] = Commit{}
+	s.head++
+	if s.head == len(s.buf) {
+		s.buf, s.head = s.buf[:0], 0
+	}
 	return c, true
 }
 
@@ -65,7 +76,7 @@ func (s *Stream) Next() (c Commit, ok bool) {
 func (s *Stream) Close() {
 	s.mu.Lock()
 	s.closed = true
-	s.buf = nil
+	s.buf, s.head = nil, 0
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	l := s.l
@@ -82,6 +93,11 @@ func (s *Stream) push(c Commit) {
 	defer s.mu.Unlock()
 	if s.closed {
 		return
+	}
+	if s.head > 0 && len(s.buf) == cap(s.buf) {
+		// A consumer that lags without ever draining: reclaim the delivered
+		// prefix before growing, so the array stays proportional to the lag.
+		s.buf, s.head = slices.Delete(s.buf, 0, s.head), 0
 	}
 	s.buf = append(s.buf, c)
 	s.cond.Signal()

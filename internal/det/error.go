@@ -96,7 +96,7 @@ func (t *Thread) runtimeError(code, op string, obj uint64, format string, a ...a
 // (read by DumpState) and the host block reason (rendered by the sim
 // host's deadlock report and the real host's watchdog dump) — then blocks,
 // clearing the phase on wake. All runtime blocking funnels through here.
-func (t *Thread) park(phase int32, reason string) {
+func (t *Thread) park(phase int32, reason host.BlockReason) {
 	t.diagPhase.Store(phase)
 	t.diagClock.Store(t.icount)
 	if br, ok := t.b.(host.BlockReasoner); ok {

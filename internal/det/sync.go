@@ -1,9 +1,8 @@
 package det
 
 import (
-	"strconv"
-
 	"repro/internal/api"
+	"repro/internal/host"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -112,7 +111,7 @@ func (t *Thread) Lock(mx api.Mutex) {
 		t.uncoarsen()
 		t.deliver(t.rt.arb.Depart(t.tid))
 		t.releaseTokenRaw()
-		t.blockForToken(diagMutexWait, "mutex "+strconv.FormatUint(m.id, 10))
+		t.blockForToken(diagMutexWait, host.BlockReason{Label: "mutex %d", ID: m.id})
 	}
 	t.tokenEnd(coarsenLock, m.csEWMA.estimate())
 }
@@ -165,7 +164,7 @@ func (t *Thread) Wait(cx api.Cond, mx api.Mutex) {
 	c.waiters = append(c.waiters, t.tid)
 	t.deliver(t.rt.arb.Depart(t.tid))
 	t.releaseTokenRaw()
-	t.blockForToken(diagCondWait, "cond "+strconv.FormatUint(c.id, 10))
+	t.blockForToken(diagCondWait, host.BlockReason{Label: "cond %d", ID: c.id})
 	if h := t.rt.hooks; h != nil {
 		h.OnAcquire(t.tid, c.id)
 	}
@@ -175,7 +174,7 @@ func (t *Thread) Wait(cx api.Cond, mx api.Mutex) {
 		m.waiters = append(m.waiters, t.tid)
 		t.deliver(t.rt.arb.Depart(t.tid))
 		t.releaseTokenRaw()
-		t.blockForToken(diagMutexWait, "mutex "+strconv.FormatUint(m.id, 10))
+		t.blockForToken(diagMutexWait, host.BlockReason{Label: "mutex %d", ID: m.id})
 	}
 	m.locked, m.owner, m.acquiredAt = true, t.tid, t.icount
 	t.rt.noteLockHeld(t.tid, m.id, true)
@@ -319,7 +318,7 @@ func (t *Thread) barrierSleep(bar *dBarrier) {
 	// byte-identical to committed state until written.
 	t.prefetchNext()
 	t.account(obs.PhaseCommit)
-	t.park(diagBarrierWait, "barrier "+strconv.FormatUint(bar.id, 10)+" rendezvous")
+	t.park(diagBarrierWait, host.BlockReason{Label: "barrier %d rendezvous", ID: bar.id})
 	t.account(obs.PhaseBarrierWait)
 	t.resyncClock()
 	pulled := t.ws.UpdateTo(t.barrierTarget)

@@ -138,6 +138,9 @@ type Thread struct {
 
 	// objSeq allocates deterministic sync-object ids local to this thread.
 	objSeq uint64
+
+	// word is the staging buffer behind api.T.Word.
+	word [8]byte
 }
 
 // start binds the thread to its host context; first thing run on the
@@ -149,6 +152,9 @@ func (t *Thread) start(b host.Binding) {
 
 // Tid implements api.T.
 func (t *Thread) Tid() int { return t.tid }
+
+// Word implements api.T.
+func (t *Thread) Word() *[8]byte { return &t.word }
 
 // account closes the current accounting interval into phase p, and emits
 // it as a span when an observer lane is attached. Zero-length intervals
@@ -460,7 +466,7 @@ func (t *Thread) acquireToken() {
 	}
 	if g != t.tid {
 		t.deliver(g)
-		t.park(diagTokenWait, "global token")
+		t.park(diagTokenWait, host.BlockReason{Label: "global token"})
 		t.resyncClock()
 		woken = true
 	}
@@ -566,7 +572,7 @@ func (t *Thread) resyncClock() {
 // blockForToken parks until a grant wakes us holding the token; phase and
 // reason describe the wait for failure diagnostics. The caller must
 // already have departed and released.
-func (t *Thread) blockForToken(phase int32, reason string) {
+func (t *Thread) blockForToken(phase int32, reason host.BlockReason) {
 	t.speculate() // overlap the sleep with pre-diffing, like acquireToken
 	t.park(phase, reason)
 	t.resyncClock()

@@ -183,7 +183,7 @@ func (t *Thread) Join(h api.Handle) {
 		child.joiners = append(child.joiners, t.tid)
 		t.deliver(t.rt.arb.Depart(t.tid))
 		t.releaseTokenRaw()
-		t.blockForToken(diagJoinWait, fmt.Sprintf("join t%d", child.tid))
+		t.blockForToken(diagJoinWait, host.BlockReason{Label: "join t%d", ID: uint64(child.tid)})
 		// Woken holding the token; loop re-checks done (guaranteed now).
 	}
 }

@@ -55,9 +55,6 @@ type worker struct {
 	pooled     bool
 	terminate  bool
 	key        [2]int64
-	// parkReason caches the watchdog-exempt block-reason string (parkIdle
-	// runs once per adoption; formatting it each time is measurable).
-	parkReason string
 }
 
 // spawnWorker creates a worker host task. With child == nil this is a
@@ -149,15 +146,10 @@ func (rt *Runtime) runWorker(w *worker, b host.Binding) {
 
 // parkIdle blocks a worker between threads, with an idle-exempt block
 // reason so the real host's watchdog does not mistake a parked pool
-// worker for a stalled thread (host.IdleReasonPrefix). The reason string
-// is built once per worker — a pooled worker parks once per adoption, on
-// the run's hottest host path.
+// worker for a stalled thread (host.IdleReasonPrefix).
 func (rt *Runtime) parkIdle(w *worker, b host.Binding) {
 	if br, ok := b.(host.BlockReasoner); ok {
-		if w.parkReason == "" {
-			w.parkReason = fmt.Sprintf("%spooled worker w%d", host.IdleReasonPrefix, w.seq)
-		}
-		br.SetBlockReason(w.parkReason)
+		br.SetBlockReason(host.BlockReason{Label: host.IdleReasonPrefix + "pooled worker w%d", ID: uint64(w.seq)})
 	}
 	b.Block()
 }

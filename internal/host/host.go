@@ -5,6 +5,11 @@
 // state — is identical on both hosts, which the integration tests assert.
 package host
 
+import (
+	"fmt"
+	"strings"
+)
+
 // Host creates and runs threads.
 type Host interface {
 	// Go starts a thread executing fn. parent is the binding of the
@@ -28,14 +33,37 @@ type Host interface {
 // since an idle thread at simulation end is a drain bug in the runtime.
 const IdleReasonPrefix = "idle: "
 
+// BlockReason says what a thread is about to block on: a constant label
+// and the id of the object involved. A runtime declares one before every
+// park, so making it must cost nothing; the text is only built (String)
+// when a failure report is printed. A "%d" in Label is where ID goes
+// ("mutex %d" with ID 7 reads "mutex 7"); a Label without one stands alone
+// ("global token").
+type BlockReason struct {
+	Label string
+	ID    uint64
+}
+
+// String renders the reason; the zero BlockReason renders empty.
+func (r BlockReason) String() string {
+	if strings.Contains(r.Label, "%d") {
+		return fmt.Sprintf(r.Label, r.ID)
+	}
+	return r.Label
+}
+
+// Idle reports whether the reason declares intentional idleness
+// (IdleReasonPrefix).
+func (r BlockReason) Idle() bool { return strings.HasPrefix(r.Label, IdleReasonPrefix) }
+
 // BlockReasoner is an optional Binding extension: hosts that implement it
-// record a human-readable description of what the thread is about to
-// block on, surfaced in failure diagnostics — the simulation host's
-// deadlock report and the real host's watchdog stall dump. Runtimes call
-// it (from the bound thread) immediately before Block; the reason is
-// purely diagnostic and never affects scheduling.
+// record what the thread is about to block on, surfaced in failure
+// diagnostics — the simulation host's deadlock report and the real host's
+// watchdog stall dump. Runtimes call it (from the bound thread)
+// immediately before Block; the reason is purely diagnostic and never
+// affects scheduling.
 type BlockReasoner interface {
-	SetBlockReason(reason string)
+	SetBlockReason(r BlockReason)
 }
 
 // AnchoredWaker is an optional Binding extension for hosts that model

@@ -20,6 +20,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/host"
@@ -36,14 +37,23 @@ type Host struct {
 	rngMu   sync.Mutex
 	rng     *rand.Rand
 
-	// watchdog state. blocked tracks bindings currently inside Block,
-	// keyed to the wall time they entered; guarded by wdMu (a stalled
-	// thread reads it to build the report while others mutate it).
+	// watchdog state. wdTimeout (nanoseconds, 0 = unarmed) is atomic so a
+	// parking thread reads it without wdMu: with no watchdog armed, Block
+	// takes no host-wide lock at all. blocked tracks bindings currently
+	// inside a watched Block — when they entered and on what; guarded by
+	// wdMu (a stalled thread reads it to build the report while others
+	// mutate it).
+	wdTimeout atomic.Int64
 	wdMu      sync.Mutex
-	wdTimeout time.Duration
 	onStall   func(report string)
 	stalled   bool
-	blocked   map[*binding]time.Time
+	blocked   map[*binding]blockedRec
+}
+
+// blockedRec is one watched Block in progress.
+type blockedRec struct {
+	since  time.Time
+	reason host.BlockReason
 }
 
 // New creates a real host. perturb > 0 enables schedule perturbation with
@@ -52,7 +62,7 @@ func New(perturb time.Duration, seed int64) *Host {
 	h := &Host{
 		start:   time.Now(),
 		perturb: perturb,
-		blocked: make(map[*binding]time.Time),
+		blocked: make(map[*binding]blockedRec),
 	}
 	if perturb > 0 {
 		h.rng = rand.New(rand.NewSource(seed))
@@ -73,7 +83,7 @@ func (h *Host) SetWatchdog(timeout time.Duration, onStall func(report string)) {
 	}
 	h.wdMu.Lock()
 	defer h.wdMu.Unlock()
-	h.wdTimeout = timeout
+	h.wdTimeout.Store(int64(timeout))
 	h.onStall = onStall
 }
 
@@ -81,9 +91,10 @@ type binding struct {
 	h    *Host
 	name string
 	ch   chan struct{}
-	// reason is the declared block reason (host.BlockReasoner), written
-	// by the bound thread and read by the watchdog under wdMu.
-	reason string
+	// reason is the declared block reason (host.BlockReasoner). Only the
+	// bound thread touches it; a watched Block copies it into the host's
+	// blocked table, which is what the report reads.
+	reason host.BlockReason
 }
 
 // Go implements host.Host.
@@ -121,26 +132,27 @@ func (h *Host) noteBlocked(b *binding, blocked bool) {
 	h.wdMu.Lock()
 	defer h.wdMu.Unlock()
 	if blocked {
-		h.blocked[b] = time.Now()
+		h.blocked[b] = blockedRec{since: time.Now(), reason: b.reason}
 	} else {
 		delete(h.blocked, b)
 	}
 }
 
-// stallReportLocked renders the blocked-thread table. Caller holds wdMu.
+// stallReportLocked renders the blocked-thread table; block reasons are
+// formatted here and nowhere earlier. Caller holds wdMu.
 func (h *Host) stallReportLocked(now time.Time) string {
 	var lines []string
-	for b, since := range h.blocked {
-		reason := b.reason
+	for b, rec := range h.blocked {
+		reason := rec.reason.String()
 		if reason == "" {
 			reason = "unknown"
 		}
 		lines = append(lines, fmt.Sprintf("  %-6s blocked %8s on %s",
-			b.name, now.Sub(since).Round(time.Millisecond), reason))
+			b.name, now.Sub(rec.since).Round(time.Millisecond), reason))
 	}
 	sort.Strings(lines)
 	return fmt.Sprintf("realhost: watchdog: no progress for %s — %d thread(s) blocked:\n%s",
-		h.wdTimeout, len(lines), strings.Join(lines, "\n"))
+		time.Duration(h.wdTimeout.Load()), len(lines), strings.Join(lines, "\n"))
 }
 
 // fireWatchdog runs the stall handler once, with the report snapshotted
@@ -162,19 +174,12 @@ func (b *binding) Now() int64      { return time.Since(b.h.start).Nanoseconds() 
 func (b *binding) Charge(ns int64) {}
 
 // SetBlockReason implements host.BlockReasoner for the watchdog report.
-func (b *binding) SetBlockReason(reason string) {
-	b.h.wdMu.Lock()
-	b.reason = reason
-	b.h.wdMu.Unlock()
-}
+func (b *binding) SetBlockReason(r host.BlockReason) { b.reason = r }
 
 func (b *binding) Block() {
 	b.h.maybePerturb()
-	b.h.wdMu.Lock()
-	timeout := b.h.wdTimeout
-	idle := strings.HasPrefix(b.reason, host.IdleReasonPrefix)
-	b.h.wdMu.Unlock()
-	if timeout <= 0 || idle {
+	timeout := time.Duration(b.h.wdTimeout.Load())
+	if timeout <= 0 || b.reason.Idle() {
 		// Idle-declared parks (pooled workers awaiting adoption) wait for
 		// work indefinitely by design; counting them as stalls would trip
 		// the watchdog on every quiet pool.

@@ -26,7 +26,7 @@ func TestWatchdogCatchesStallThenLateWakeLands(t *testing.T) {
 	woke := make(chan struct{})
 	h.Go("t0", nil, func(b host.Binding) {
 		blocker = b
-		b.(host.BlockReasoner).SetBlockReason("mutex 7")
+		b.(host.BlockReasoner).SetBlockReason(host.BlockReason{Label: "mutex %d", ID: 7})
 		close(ready)
 		b.Block() // no one wakes us until after the watchdog fires
 		close(woke)
@@ -136,7 +136,7 @@ func TestWatchdogExemptsIdleParks(t *testing.T) {
 
 	bindings := make(chan host.Binding, 1)
 	h.Go("w0", nil, func(b host.Binding) {
-		b.(host.BlockReasoner).SetBlockReason(host.IdleReasonPrefix + "pooled worker w0")
+		b.(host.BlockReasoner).SetBlockReason(host.BlockReason{Label: host.IdleReasonPrefix + "pooled worker w%d"})
 		bindings <- b
 		b.Block() // parked idle: waits for work, not for progress
 	})

@@ -36,6 +36,9 @@ type binding struct {
 	// thread was still running; -1 means none. Execution is single-threaded
 	// in the engine, so no locking is needed.
 	pendingWake int64
+	// reason is the declared block reason; the proc holds a pointer to it
+	// and formats it only if the engine reports a deadlock.
+	reason host.BlockReason
 }
 
 // Go implements host.Host.
@@ -59,7 +62,10 @@ func (b *binding) Charge(ns int64) { b.proc.Advance(ns) }
 
 // SetBlockReason implements host.BlockReasoner: the reason appears next
 // to the proc's name in the engine's deadlock report.
-func (b *binding) SetBlockReason(reason string) { b.proc.SetBlockReason(reason) }
+func (b *binding) SetBlockReason(r host.BlockReason) {
+	b.reason = r
+	b.proc.SetBlockReason(&b.reason)
+}
 
 func (b *binding) Block() {
 	if b.pendingWake >= 0 {

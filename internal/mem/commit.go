@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -36,18 +37,19 @@ type CommitStats struct {
 // implements Conversion's two-phase parallel commit (§4.2): phase one runs
 // under the runtime's global token and fixes the total order; phase two
 // does the expensive page merging and may run concurrently across threads.
+// It is a plain value — a version pointer and the counters — so a commit
+// with nothing to publish leaves no object behind.
 type PendingCommit struct {
-	seg     *Segment
 	version *Version // nil if the workspace had no changes
 	stats   CommitStats
 }
 
 // Stats returns the commit's accounting counters.
-func (pc *PendingCommit) Stats() CommitStats { return pc.stats }
+func (pc PendingCommit) Stats() CommitStats { return pc.stats }
 
 // Version returns the version this commit created, or nil if the workspace
 // had no modified bytes (the commit degenerated to an update).
-func (pc *PendingCommit) Version() *Version { return pc.version }
+func (pc PendingCommit) Version() *Version { return pc.version }
 
 // rediffParallelMin is the invalidated-page count at which BeginCommit
 // fans re-diffing across a worker pool instead of the inline loop;
@@ -101,6 +103,50 @@ func (ws *Workspace) touchedScratch() map[int]bool {
 	return ws.scratchTouched
 }
 
+// pullWindowLocked walks the versions in (ws.version, head], which the
+// caller is about to advance the workspace past: it returns the number of
+// distinct pages they touch and leaves in ws.scratchPatches, in version
+// order, the published slots that must patch pages dirty here
+// (applyPatches). Caller holds the segment lock and guarantees head <=
+// s.head.
+func (ws *Workspace) pullWindowLocked(head int64) (pulled int) {
+	s := ws.seg
+	if ws.version >= head {
+		return 0
+	}
+	if ws.version < s.floor {
+		// Should not happen: GC never passes a live workspace.
+		panic(fmt.Sprintf("mem: workspace for tid %d (version %d) behind GC floor %d", ws.tid, ws.version, s.floor))
+	}
+	touched := ws.touchedScratch()
+	patches := ws.scratchPatches
+	for _, v := range s.versions[ws.version-s.floor : head-s.floor] {
+		for i := range v.slots {
+			slot := &v.slots[i]
+			touched[slot.page] = true
+			if _, dirtyHere := ws.dirty[slot.page]; dirtyHere {
+				patches = append(patches, slot)
+			}
+		}
+	}
+	ws.scratchPatches = patches
+	return len(touched)
+}
+
+// applyPatches imports the remote bytes pullWindowLocked collected into
+// the dirty pages they touch. Published diffs are immutable and the
+// patched pages are the workspace's own, so it runs outside the segment
+// lock. applyWhereClean is diff-preserving (see dirtyPage.spec), so
+// speculative diffs survive the import.
+func (ws *Workspace) applyPatches() {
+	for _, slot := range ws.scratchPatches {
+		dp := ws.dirty[slot.page]
+		slot.diff.applyWhereClean(dp.data, dp.twin)
+	}
+	clear(ws.scratchPatches) // do not pin the versions patched from
+	ws.scratchPatches = ws.scratchPatches[:0]
+}
+
 // BeginCommit runs the serial phase of a commit: it assigns the next
 // version number, records which pages the version modifies together with
 // their byte diffs, and advances the workspace snapshot past the new
@@ -120,39 +166,33 @@ func (ws *Workspace) touchedScratch() map[int]bool {
 //
 // Pages whose bytes did not actually change are dropped (their fault was
 // wasted work, which the fault counter already recorded).
-func (ws *Workspace) BeginCommit() *PendingCommit {
+//
+// The token-held section leaves no garbage: every list it builds is
+// workspace scratch, the result is a value, and the one allocation — the
+// version with its slots — is sized and made before the publish lock. With
+// an empty dirty set the commit is an update: one lock, no allocation.
+func (ws *Workspace) BeginCommit() PendingCommit {
 	s := ws.seg
-	pc := &PendingCommit{seg: s}
+	var pc PendingCommit
 
 	// Serial decision 1 (locked): fix the pull window and collect the
 	// published slots that must patch our dirty pages.
 	s.mu.Lock()
 	oldV := ws.version
 	headBefore := s.head
-	var patches []*pageSlot
-	if oldV < headBefore {
-		touched := ws.touchedScratch()
-		for i := oldV - s.floor; i < headBefore-s.floor; i++ {
-			for _, slot := range s.versions[i].slots {
-				touched[slot.page] = true
-				if _, dirtyHere := ws.dirty[slot.page]; dirtyHere {
-					patches = append(patches, slot)
-				}
-			}
-		}
-		pc.stats.PulledPages = len(touched)
+	pc.stats.PulledPages = ws.pullWindowLocked(headBefore)
+	if len(ws.dirty) == 0 {
+		// Nothing to diff, so nothing to publish: behave as an update.
+		ws.version = headBefore
+		s.mu.Unlock()
+		s.addPulled(int64(pc.stats.PulledPages))
+		return pc
 	}
 	s.mu.Unlock()
 
 	// Import remote bytes into dirty pages before diffing so the commit
 	// cannot resurrect stale values for bytes this thread never wrote.
-	// Published diffs are immutable and the patched pages are ours, so no
-	// lock is needed. applyWhereClean is diff-preserving (see
-	// dirtyPage.spec), so speculative diffs survive the import.
-	for _, slot := range patches {
-		dp := ws.dirty[slot.page]
-		slot.diff.applyWhereClean(dp.data, dp.twin)
-	}
+	ws.applyPatches()
 
 	// Diff dirty pages in deterministic (ascending page) order. Pages with
 	// valid speculative diffs are free; the invalidated rest are re-diffed
@@ -164,25 +204,39 @@ func (ws *Workspace) BeginCommit() *PendingCommit {
 	slices.Sort(pages)
 	ws.scratchPages = pages
 
-	var misses []int
+	misses := ws.scratchMisses[:0]
 	for _, pg := range pages {
 		if !ws.dirty[pg].specOK {
 			misses = append(misses, pg)
 		}
 	}
+	ws.scratchMisses = misses
 	ws.rediff(misses)
 
+	// Every diff is known now, so the version can be sized — one slot per
+	// page that changed — and allocated before the lock is taken.
+	npub := 0
+	for _, pg := range pages {
+		if !ws.dirty[pg].spec.Empty() {
+			npub++
+		}
+	}
+	var v *Version
+	if npub > 0 {
+		v = newVersion(ws.tid, npub)
+	}
+
 	// Serial decision 2 (locked): conflict checks against the latest table
-	// and version publication. Nothing below computes diffs; the lock
-	// covers only version construction and the latest/head update.
-	var slots []*pageSlot
+	// and version publication. Nothing below computes diffs or allocates;
+	// the lock covers only filling the version's slots in place and the
+	// latest/head update.
 	kept := ws.scratchKept[:0]
 	var wasted int64
 	// Buffers this commit releases, recycled once the lock is dropped.
 	// Their count is also the live-page delta: every page that stops being
 	// live here is one buffer put.
 	freed := ws.scratchFreed[:0]
-	mi := 0
+	mi, si := 0, 0
 	s.mu.Lock()
 	for _, pg := range pages {
 		miss := mi < len(misses) && misses[mi] == pg
@@ -209,31 +263,33 @@ func (ws *Workspace) BeginCommit() *PendingCommit {
 			freed = append(freed, dp.data, dp.twin)
 			continue
 		}
-		slot := &pageSlot{
-			page: pg,
-			prev: s.latest[pg],
-			diff: diff,
-			seg:  s,
-		}
+		slot := &v.slots[si]
+		si++
+		slot.page = pg
+		slot.version = v
+		slot.prev = s.latest[pg]
+		slot.diff = diff
+		slot.seg = s
 		// A conflict means some other thread committed this page after our
 		// snapshot; phase 2 must merge rather than install our copy.
 		if slot.prev != nil && slot.prev.version.Num > oldV {
 			slot.conflict = true
+			pc.stats.MergedPages++
 			freed = append(freed, dp.data, dp.twin) // the merge takes its own page
 		} else {
 			slot.fastData = dp.data // our copy becomes the committed page
 			freed = append(freed, dp.twin)
 		}
+		s.latest[pg] = slot
 		pc.stats.DiffBytes += diff.Bytes()
 		if miss {
 			pc.stats.SpecMisses++
 		} else {
 			pc.stats.SpecHits++
 		}
-		slots = append(slots, slot)
 	}
 
-	if len(slots) == 0 {
+	if v == nil {
 		// Nothing to publish: behave as an update.
 		ws.version = headBefore
 		s.mu.Unlock()
@@ -244,23 +300,12 @@ func (ws *Workspace) BeginCommit() *PendingCommit {
 		return pc
 	}
 
-	v := &Version{
-		Num:       headBefore + 1,
-		Committer: ws.tid,
-		slots:     slots,
-	}
-	for _, slot := range slots {
-		slot.version = v
-		s.latest[slot.page] = slot
-		if slot.conflict {
-			pc.stats.MergedPages++
-		}
-	}
+	v.Num = headBefore + 1
 	s.versions = append(s.versions, v)
 	s.head = v.Num
 	ws.version = v.Num
 	pc.version = v
-	pc.stats.CommittedPages = len(slots)
+	pc.stats.CommittedPages = npub
 	s.mu.Unlock()
 
 	ws.resetDirty(pages, kept)
@@ -279,16 +324,13 @@ func (ws *Workspace) BeginCommit() *PendingCommit {
 // alike.
 func (ws *Workspace) resetDirty(pages, kept []int) {
 	ws.scratchKept = kept
-	if len(kept) == 0 {
-		clear(ws.dirty)
-		return
-	}
 	ki := 0
 	for _, pg := range pages {
 		if ki < len(kept) && kept[ki] == pg {
 			ki++
 			continue
 		}
+		ws.putDirty(ws.dirty[pg])
 		delete(ws.dirty, pg)
 	}
 }
@@ -306,15 +348,15 @@ func (ws *Workspace) recycle(freed [][]byte) {
 // final content, merging the committer's diff over the previous version of
 // the page where a conflict exists. Safe to call from any goroutine;
 // multiple calls (and concurrent reader-forced resolution) are idempotent.
-func (pc *PendingCommit) Complete() {
+func (pc PendingCommit) Complete() {
 	if pc.version != nil {
 		pc.version.complete()
 	}
 }
 
 func (v *Version) complete() {
-	for _, slot := range v.slots {
-		slot.resolve()
+	for i := range v.slots {
+		v.slots[i].resolve()
 	}
 }
 

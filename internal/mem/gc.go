@@ -1,5 +1,7 @@
 package mem
 
+import "slices"
+
 // GC squashes fully-visible versions into the segment's flat base table,
 // freeing superseded pages. A version is collectible once every live
 // workspace's snapshot is at or past it and its merge phase has completed.
@@ -19,15 +21,16 @@ func (s *Segment) GC() int {
 	budget := s.stats.GCPageBudget
 	reclaimed := 0
 	folded := 0
-	for s.floor < limit && len(s.versions) > 0 {
-		v := s.versions[0]
+	for s.floor < limit && folded < len(s.versions) {
+		v := s.versions[folded]
 		if v.Pending() {
 			break
 		}
 		if budget > 0 && reclaimed >= budget {
 			break
 		}
-		for _, slot := range v.slots {
+		for i := range v.slots {
+			slot := &v.slots[i]
 			pg := slot.page
 			if old := s.base[pg]; old != nil {
 				reclaimed++ // superseded base page freed
@@ -39,10 +42,13 @@ func (s *Segment) GC() int {
 			// reachable through the base table.
 			slot.prev = nil
 		}
-		s.versions = s.versions[1:]
 		s.floor++
 		folded++
 	}
+	// Compact in place (copy down, nil the tail) rather than re-slicing past
+	// the folded prefix: the array is reused by later appends instead of
+	// regrown, and the folded versions are not left reachable from its head.
+	s.versions = slices.Delete(s.versions, 0, folded)
 	if folded > 0 || reclaimed > 0 {
 		s.statsMu.Lock()
 		s.stats.GCRuns++

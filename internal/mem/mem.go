@@ -24,7 +24,7 @@ package mem
 
 import (
 	"fmt"
-	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -156,19 +156,38 @@ type Version struct {
 	Num int64
 	// Committer is the thread ID that produced this version.
 	Committer int
-	// slots holds one slot per modified page, in ascending page order
-	// (the deterministic phase-2 processing order, and what slot looks
-	// pages up in).
-	slots []*pageSlot
+	// slots holds one slot per modified page, by value, in ascending page
+	// order (the deterministic phase-2 processing order, and what slot
+	// looks pages up in). BeginCommit fills the array in place before the
+	// version is published; after that it is never copied, re-sliced or
+	// appended to, because latest, the next committer's prev and pending
+	// patch lists all hold &slots[i], and a pageSlot carries a sync.Once
+	// that must not be duplicated. Walk it by index, never by value.
+	slots []pageSlot
+	// one backs slots for a one-page version, so the version and its slot
+	// are a single allocation.
+	one [1]pageSlot
+}
+
+// newVersion allocates a version with room for npages slots; the caller
+// fills them in place.
+func newVersion(committer, npages int) *Version {
+	v := &Version{Committer: committer}
+	if npages == 1 {
+		v.slots = v.one[:]
+	} else {
+		v.slots = make([]pageSlot, npages)
+	}
+	return v
 }
 
 // slot returns the version's slot for pg, or nil if it did not modify pg.
 func (v *Version) slot(pg int) *pageSlot {
-	i, ok := slices.BinarySearchFunc(v.slots, pg, func(sl *pageSlot, pg int) int { return sl.page - pg })
-	if !ok {
+	i := sort.Search(len(v.slots), func(i int) bool { return v.slots[i].page >= pg })
+	if i == len(v.slots) || v.slots[i].page != pg {
 		return nil
 	}
-	return v.slots[i]
+	return &v.slots[i]
 }
 
 // NumPages returns the number of pages this version modified.
@@ -177,8 +196,8 @@ func (v *Version) NumPages() int { return len(v.slots) }
 // Pending reports whether any of the version's pages still await their
 // merge phase.
 func (v *Version) Pending() bool {
-	for _, slot := range v.slots {
-		if !slot.resolved.Load() {
+	for i := range v.slots {
+		if !v.slots[i].resolved.Load() {
 			return true
 		}
 	}
@@ -188,8 +207,8 @@ func (v *Version) Pending() bool {
 // PageIndexes returns the page indexes this version modified, ascending.
 func (v *Version) PageIndexes() []int {
 	idx := make([]int, len(v.slots))
-	for i, slot := range v.slots {
-		idx[i] = slot.page
+	for i := range v.slots {
+		idx[i] = v.slots[i].page
 	}
 	return idx
 }
@@ -200,7 +219,8 @@ func (v *Version) PageIndexes() []int {
 // order-independent); the run journal uses it to record per-commit page
 // hashes at publication time.
 func (v *Version) ForEachPageHash(f func(page int, hash uint64)) {
-	for _, slot := range v.slots {
+	for i := range v.slots {
+		slot := &v.slots[i]
 		f(slot.page, HashPage(slot.resolve()))
 	}
 }
@@ -214,8 +234,8 @@ func (v *Version) ForEachPageHash(f func(page int, hash uint64)) {
 // alike), which is what the commit log persists. The Diff's run data
 // aliases the version's immutable buffers: read-only.
 func (v *Version) ForEachPageDiff(f func(page int, d Diff)) {
-	for _, slot := range v.slots {
-		f(slot.page, slot.diff)
+	for i := range v.slots {
+		f(v.slots[i].page, v.slots[i].diff)
 	}
 }
 
@@ -229,6 +249,10 @@ func (v *Version) ForEachPageDiff(f func(page int, d Diff)) {
 // This keeps the memory layer free of blocking, which matters both for the
 // discrete-event host (a blocked virtual thread would stall the engine) and
 // for deadlock-freedom in general.
+//
+// Slots live by value inside their Version (Version.slots) and are only
+// ever handled through pointers into that array: the once and resolved
+// fields make a copy a different, unresolved slot.
 type pageSlot struct {
 	page    int
 	version *Version

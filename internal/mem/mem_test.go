@@ -258,7 +258,7 @@ func TestTwoPhaseCommitParallel(t *testing.T) {
 	// and yield the same result as sequential commits.
 	s := newTestSegment(t, 64, 64)
 	var ws [3]*Workspace
-	var pcs [3]*PendingCommit
+	var pcs [3]PendingCommit
 	for i := range ws {
 		ws[i], _ = s.Snapshot(i)
 	}
@@ -289,7 +289,7 @@ func TestTwoPhaseCommitParallel(t *testing.T) {
 func TestCompleteThroughMatchesParallelComplete(t *testing.T) {
 	run := func(useThrough bool) []byte {
 		s := newTestSegment(t, 128, 64)
-		var pcs []*PendingCommit
+		var pcs []PendingCommit
 		for i := 0; i < 4; i++ {
 			w, _ := s.Snapshot(i)
 			w.Write([]byte{byte(10 + i)}, 3)
@@ -302,7 +302,7 @@ func TestCompleteThroughMatchesParallelComplete(t *testing.T) {
 			var wg sync.WaitGroup
 			for _, pc := range pcs {
 				wg.Add(1)
-				go func(pc *PendingCommit) { defer wg.Done(); pc.Complete() }(pc)
+				go func(pc PendingCommit) { defer wg.Done(); pc.Complete() }(pc)
 			}
 			wg.Wait()
 		}

@@ -75,7 +75,7 @@ func TestRecycleNeverReachesReaders(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w) + 1))
 			buf := make([]byte, 96)
 			page := make([]byte, pageSize)
-			var late []*PendingCommit // merge phases left pending for readers to force
+			var late []PendingCommit // merge phases left pending for readers to force
 			for i := 0; i < iters; i++ {
 				if rng.Intn(3) == 0 {
 					ws.Prepopulate([]int{rng.Intn(npages), rng.Intn(npages)})

@@ -69,6 +69,9 @@ func (s *Segment) allocPagesLocked(n int64) {
 }
 
 func (s *Segment) addPulled(n int64) {
+	if n == 0 {
+		return
+	}
 	s.statsMu.Lock()
 	s.stats.PulledPages += n
 	s.statsMu.Unlock()

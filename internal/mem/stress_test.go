@@ -74,7 +74,7 @@ func TestConcurrentCommitUpdateStress(t *testing.T) {
 func TestConcurrentReadersDuringPendingMerges(t *testing.T) {
 	// Readers force pending merges on demand; committers Complete late.
 	s, _ := NewSegment(SegmentConfig{Name: "pend", Size: 1 << 16})
-	var pcs []*PendingCommit
+	var pcs []PendingCommit
 	for w := 0; w < 6; w++ {
 		ws, _ := s.Snapshot(w)
 		for pg := 0; pg < 8; pg++ {
@@ -98,7 +98,7 @@ func TestConcurrentReadersDuringPendingMerges(t *testing.T) {
 	}
 	for i := len(pcs) - 1; i >= 0; i-- {
 		wg.Add(1)
-		go func(pc *PendingCommit) {
+		go func(pc PendingCommit) {
 			defer wg.Done()
 			pc.Complete()
 		}(pcs[i])
@@ -194,7 +194,7 @@ func TestLinearizableWithTokenDiscipline(t *testing.T) {
 			wss = append(wss, ws)
 		}
 		type commitRec struct {
-			pc     *PendingCommit
+			pc     PendingCommit
 			writes map[int]byte
 		}
 		var pending []commitRec

@@ -35,14 +35,26 @@ type Workspace struct {
 	// TakeChunkWrites. Only maintained while predict is set.
 	chunkWrites []int
 
-	// Commit-path scratch, reused across BeginCommit calls to avoid
-	// re-allocating the sorted page list, the retained-prefetch list, the
-	// released-buffer list and the pulled-page set on every commit. Owned
-	// by the workspace's thread, like dirty.
+	// Commit-path scratch, reused across BeginCommit and UpdateTo calls so
+	// neither allocates the sorted page list, the re-diff list, the
+	// retained-prefetch list, the released-buffer list, the pulled-page set
+	// or the patch list. Owned by the workspace's thread, like dirty;
+	// scratchPatches and scratchFreed are cleared after use so they pin
+	// neither versions nor page buffers.
 	scratchPages   []int
+	scratchMisses  []int
 	scratchKept    []int
 	scratchFreed   [][]byte
 	scratchTouched map[int]bool
+	scratchPatches []*pageSlot
+
+	// freeDirty is the workspace's stack of recycled dirtyPage records:
+	// every page that leaves the dirty set (resetDirty, discardLocked) puts
+	// its record here zeroed, and fault and Prepopulate take from it, so
+	// the steady-state fault path allocates none. It holds only records
+	// that were in the dirty set once, so it never outgrows the dirty
+	// set's high-water mark.
+	freeDirty []*dirtyPage
 }
 
 // Prefetch states of a dirty page (dirtyPage.pf).
@@ -82,6 +94,24 @@ type dirtyPage struct {
 	// commits drop it before any stats are counted — so prefetching can
 	// never change memory contents, commit order, or commit statistics.
 	pf uint8
+}
+
+// newDirty returns an empty dirtyPage record, recycled if one is free.
+func (ws *Workspace) newDirty() *dirtyPage {
+	if n := len(ws.freeDirty); n > 0 {
+		dp := ws.freeDirty[n-1]
+		ws.freeDirty[n-1] = nil
+		ws.freeDirty = ws.freeDirty[:n-1]
+		return dp
+	}
+	return &dirtyPage{}
+}
+
+// putDirty recycles the record of a page that left the dirty set. The
+// caller has already disposed of its buffers.
+func (ws *Workspace) putDirty(dp *dirtyPage) {
+	*dp = dirtyPage{}
+	ws.freeDirty = append(ws.freeDirty, dp)
 }
 
 // Tid returns the owning thread id.
@@ -174,10 +204,9 @@ func (ws *Workspace) fault(pg int) *dirtyPage {
 		return dp
 	}
 	base := ws.seg.committedPage(pg, ws.version)
-	dp := &dirtyPage{
-		data: ws.seg.copyPage(base),
-		twin: ws.seg.copyPage(base),
-	}
+	dp := ws.newDirty()
+	dp.data = ws.seg.copyPage(base)
+	dp.twin = ws.seg.copyPage(base)
 	ws.dirty[pg] = dp
 	ws.faults++
 	if ws.faultPerturb != nil {
@@ -228,32 +257,15 @@ func (ws *Workspace) UpdateTo(at int64) (pulled int) {
 		s.mu.Unlock()
 		return 0
 	}
-	touched := ws.touchedScratch()
-	var patches []*pageSlot
-	for i := ws.version - s.floor; i < head-s.floor; i++ {
-		if i < 0 {
-			// Should not happen: GC never passes a live workspace.
-			panic(fmt.Sprintf("mem: workspace for tid %d (version %d) behind GC floor %d", ws.tid, ws.version, s.floor))
-		}
-		for _, slot := range s.versions[i].slots {
-			touched[slot.page] = true
-			if _, dirtyHere := ws.dirty[slot.page]; dirtyHere {
-				patches = append(patches, slot)
-			}
-		}
-	}
+	pulled = ws.pullWindowLocked(head)
 	ws.version = head
 	s.mu.Unlock()
 	// Patch dirty pages outside the segment lock; diffs are immutable after
-	// phase 1 and patches is in version order because the version list is.
-	for _, slot := range patches {
-		dp := ws.dirty[slot.page]
-		// Diff-preserving (see dirtyPage.spec): any speculative diff for
-		// this page remains valid across the import.
-		slot.diff.applyWhereClean(dp.data, dp.twin)
-	}
-	s.addPulled(int64(len(touched)))
-	return len(touched)
+	// phase 1 and the patch list is in version order because the version
+	// list is.
+	ws.applyPatches()
+	s.addPulled(int64(pulled))
+	return pulled
 }
 
 // PrepareCommit speculatively computes the per-page diffs the next
@@ -337,12 +349,11 @@ func (ws *Workspace) Prepopulate(pages []int) (populated int) {
 			continue
 		}
 		base := ws.seg.committedPage(pg, ws.version)
-		dp := &dirtyPage{
-			data:   ws.seg.copyPage(base),
-			twin:   ws.seg.copyPage(base),
-			specOK: true, // data == twin: the zero Diff is its diff
-			pf:     pfFresh,
-		}
+		dp := ws.newDirty()
+		dp.data = ws.seg.copyPage(base)
+		dp.twin = ws.seg.copyPage(base)
+		dp.specOK = true // data == twin: the zero Diff is its diff
+		dp.pf = pfFresh
 		ws.dirty[pg] = dp
 		if ws.faultPerturb != nil {
 			ws.chaosFaultNS += ws.faultPerturb(pg)
@@ -365,6 +376,7 @@ func (ws *Workspace) discardLocked() {
 		ws.seg.allocPages(int64(-2 * n))
 		for _, dp := range ws.dirty {
 			ws.seg.putPages(dp.data, dp.twin)
+			ws.putDirty(dp)
 		}
 		clear(ws.dirty)
 	}

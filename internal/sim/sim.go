@@ -37,8 +37,9 @@ type Proc struct {
 	// scheduled guards the ≤1-outstanding-event invariant.
 	scheduled bool
 	// reason describes what the proc is (about to be) parked on; set by
-	// the proc itself before Park and surfaced in the deadlock report.
-	reason string
+	// the proc itself before Park and formatted only by the deadlock
+	// report.
+	reason fmt.Stringer
 }
 
 type yieldKind int
@@ -134,8 +135,12 @@ func (e *Engine) Run() error {
 	if e.alive > 0 {
 		var names []string
 		for p := range e.parked {
-			if p.reason != "" {
-				names = append(names, fmt.Sprintf("%s (%s)", p.name, p.reason))
+			reason := ""
+			if p.reason != nil {
+				reason = p.reason.String()
+			}
+			if reason != "" {
+				names = append(names, fmt.Sprintf("%s (%s)", p.name, reason))
 			} else {
 				names = append(names, p.name)
 			}
@@ -153,9 +158,11 @@ func (p *Proc) Now() int64 { return p.now }
 func (p *Proc) Name() string { return p.name }
 
 // SetBlockReason records what the proc is about to park on. Must be
-// called from the proc's own body; the value appears next to the proc's
-// name in the engine's deadlock report and has no scheduling effect.
-func (p *Proc) SetBlockReason(reason string) { p.reason = reason }
+// called from the proc's own body; the rendered value appears next to the
+// proc's name in the engine's deadlock report and has no scheduling
+// effect. The engine keeps the Stringer and calls it only for that report,
+// so callers on the park path pass a pointer to state they already own.
+func (p *Proc) SetBlockReason(reason fmt.Stringer) { p.reason = reason }
 
 // Advance elapses d nanoseconds of virtual time for this proc, yielding to
 // any proc with an earlier event. d must be non-negative; zero is a no-op.
@@ -186,7 +193,7 @@ func (p *Proc) Park() {
 	p.eng.yieldc <- yield{p, yParked}
 	<-p.resume
 	delete(p.eng.parked, p)
-	p.reason = "" // a stale reason must not outlive the park it described
+	p.reason = nil // a stale reason must not outlive the park it described
 }
 
 // UnparkAt schedules a parked proc to resume at virtual time `at` (or its

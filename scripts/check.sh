@@ -25,8 +25,8 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
-echo "== go test -race (obs + mem + det + chaos + replica)"
-go test -race ./internal/obs/... ./internal/mem ./internal/det ./internal/chaos/... ./internal/replica
+echo "== go test -race (obs + mem + det + chaos + replica + commitlog + api)"
+go test -race ./internal/obs/... ./internal/mem ./internal/det ./internal/chaos/... ./internal/replica ./internal/commitlog ./internal/api
 
 echo "== bench module (own go.mod: the root ./... does not descend into it)"
 (cd bench && go vet ./... && go test ./...)
@@ -34,8 +34,8 @@ echo "== bench module (own go.mod: the root ./... does not descend into it)"
 echo "== conseq-analyze smoke (golden trace)"
 go run ./cmd/conseq-analyze -input internal/obs/testdata/golden_trace.json >/dev/null
 
-echo "== bench smoke (1 iteration)"
-go test -run=NONE -bench=. -benchtime=1x ./internal/mem >/dev/null
+echo "== bench smoke (1 iteration, allocations reported)"
+go test -run=NONE -bench=. -benchtime=1x -benchmem ./internal/mem ./internal/commitlog >/dev/null
 
 echo "== compare smoke (every runtime tabulates at -shards 4)"
 # -compare builds every runtime from the same flags, so -shards must be
