@@ -1,20 +1,10 @@
-# `make check` is the pre-PR gate (see README): gofmt, vet, build, test.
+# `make check` is the pre-PR gate (see README): gofmt, vet, build, test
+# (the determinism gate is a Go test: internal/harness/gate_test.go).
 
-.PHONY: check build test fmt figures chaos diff-smoke
+.PHONY: check build test fmt figures
 
 check:
 	./scripts/check.sh
-
-# Longer fault-injection sweep: every chaos profile x 5 seeds over the
-# golden benchmarks, asserting results never move (see docs/robustness.md).
-chaos:
-	./scripts/chaos_sweep.sh
-
-# Divergence-observatory smoke: journal a golden run twice (byte-identical
-# by construction), plant a swapped token grant, and let conseq-diff
-# localize it (see docs/divergence.md).
-diff-smoke:
-	./scripts/diff_smoke.sh
 
 build:
 	go build ./...

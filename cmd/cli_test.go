@@ -1,0 +1,81 @@
+// Package cmd_test smokes the artifact CLIs end to end. The determinism
+// gate (internal/harness/gate_test.go) calls the libraries in-process;
+// this keeps the binaries' own contract covered — flag handling, the
+// printed lines docs/divergence.md and docs/commitlog.md quote, and the
+// exit codes scripts branch on.
+package cmd_test
+
+import (
+	"errors"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// cli runs one built binary and returns its stdout and exit code.
+func cli(t *testing.T, bin string, args ...string) (string, int) {
+	t.Helper()
+	out, err := exec.Command(bin, args...).Output()
+	var ee *exec.ExitError
+	switch {
+	case err == nil:
+		return string(out), 0
+	case errors.As(err, &ee):
+		return string(out), ee.ExitCode()
+	}
+	t.Fatalf("%s %v: %v", filepath.Base(bin), args, err)
+	return "", 0
+}
+
+// expect fails the test unless the command exited with code and printed
+// every wanted substring.
+func expect(t *testing.T, code int, want []string, bin string, args ...string) {
+	t.Helper()
+	out, got := cli(t, bin, args...)
+	if got != code {
+		t.Errorf("%s %v: exit %d, want %d\n%s", filepath.Base(bin), args, got, code, out)
+	}
+	for _, w := range want {
+		if !strings.Contains(out, w) {
+			t.Errorf("%s %v: output lacks %q:\n%s", filepath.Base(bin), args, w, out)
+		}
+	}
+}
+
+func TestArtifactCLIs(t *testing.T) {
+	dir := t.TempDir()
+	if out, err := exec.Command("go", "build", "-o", dir+"/", "./detrun", "./conseq-diff", "./conseq-replay", "./conseq-serve").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	in := func(name string) string { return filepath.Join(dir, name) }
+
+	// One golden cell (kmeans t=8: checksum 1f8b…689c), journaled and logged.
+	cell := []string{"-bench", "kmeans", "-threads", "8", "-scale", "1", "-seed", "42"}
+	expect(t, 0, []string{"checksum    1f8b09e15b1b689c", "journal     " + in("a.csqj"), "commitlog   " + in("log")},
+		in("detrun"), append(cell, "-journal", in("a.csqj"), "-commitlog", in("log"))...)
+	expect(t, 0, nil, in("detrun"), append(cell, "-journal", in("b.csqj"))...)
+
+	// conseq-diff: 0 on equivalent journals, 1 with the site named on a
+	// divergence (text and -json), -live re-executes from the metadata.
+	expect(t, 0, nil, in("conseq-diff"), in("a.csqj"), in("b.csqj"))
+	expect(t, 0, nil, in("conseq-diff"), "-perturb", "swap-grant", "-at", "100", "-o", in("swap.csqj"), in("a.csqj"))
+	expect(t, 1, []string{"first divergent event at seq 100"}, in("conseq-diff"), in("a.csqj"), in("swap.csqj"))
+	expect(t, 0, nil, in("conseq-diff"), "-perturb", "flip-page", "-at", "5", "-o", in("flip.csqj"), in("a.csqj"))
+	expect(t, 1, []string{`"kind": "commit"`}, in("conseq-diff"), "-json", in("a.csqj"), in("flip.csqj"))
+	expect(t, 0, nil, in("conseq-diff"), "-live", in("a.csqj"))
+	expect(t, 2, nil, in("conseq-diff"), in("a.csqj"))
+
+	// conseq-replay: -verify against the journal, -resume, and -checksum
+	// exiting 1 on a mismatch.
+	expect(t, 0, []string{"checksum    1f8b09e15b1b689c"}, in("conseq-replay"), "-dir", in("log"), "-verify", in("a.csqj"), "-checksum", "1f8b09e15b1b689c", "-quiet")
+	expect(t, 0, []string{"checksum    1f8b09e15b1b689c"}, in("conseq-replay"), "-dir", in("log"), "-resume", "-checksum", "1f8b09e15b1b689c")
+	expect(t, 1, nil, in("conseq-replay"), "-dir", in("log"), "-checksum", "1f8b09e15b1b688c")
+	expect(t, 1, nil, in("conseq-replay"), "-dir", in("log"), "-verify", in("flip.csqj"), "-quiet")
+
+	// conseq-serve: the fleet's checksum and sweep-digest lines, unmoved
+	// by a follower-kill schedule.
+	served := []string{"checksum    1f8b09e15b1b689c", "sweep digest bb62a31a7e02126b"}
+	expect(t, 0, served, in("conseq-serve"), cell...)
+	expect(t, 0, served, in("conseq-serve"), append(cell, "-chaos", "follower-kill:2")...)
+}

@@ -18,7 +18,8 @@
 //
 // The -perturb modes write a deliberately corrupted copy of a journal
 // (checkpoints recomputed so the file stays internally consistent) —
-// the self-test fuel for the divergence gate in scripts/check.sh.
+// the self-test fuel for the journal gate (TestGateJournal in
+// internal/harness plants the same divergences in-process).
 //
 // Exit status: 0 when the journals are equivalent, 1 on divergence,
 // 2 on usage or I/O errors.
@@ -29,7 +30,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 
 	"repro/internal/harness"
 	"repro/internal/journal"
@@ -96,98 +96,31 @@ func main() {
 }
 
 // reexecute replays the run described by the journal's metadata
-// (bench/runtime/threads/scale/seed/shards, as written by detrun and
-// consequence-bench) on a fresh simulation host, journaling into a
-// temporary file, and returns the decoded result. Determinism makes
-// this a valid second side: a live replay of an honest journal diffs
-// as equivalent.
+// (harness.Reexecute) into a temporary journal and returns the decoded
+// result.
 func reexecute(a *journal.Data) (*journal.Data, string, error) {
-	bench := a.Meta["bench"]
-	if bench == "" || a.Meta["runtime"] == "" {
-		return nil, "", fmt.Errorf("journal lacks run metadata (bench/runtime); cannot re-execute")
-	}
-	atoi := func(key string, def int64) (int64, error) {
-		v, ok := a.Meta[key]
-		if !ok {
-			return def, nil
-		}
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("journal meta %s=%q: %w", key, v, err)
-		}
-		return n, nil
-	}
-	threads, err := atoi("threads", 0)
-	if err != nil {
-		return nil, "", err
-	}
-	scale, err := atoi("scale", 1)
-	if err != nil {
-		return nil, "", err
-	}
-	seed, err := atoi("seed", 42)
-	if err != nil {
-		return nil, "", err
-	}
-	shards, err := atoi("shards", 1)
-	if err != nil {
-		return nil, "", err
-	}
 	dir, err := os.MkdirTemp("", "conseq-diff")
 	if err != nil {
 		return nil, "", err
 	}
 	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "live.csqj")
-	if _, err := harness.Run(harness.Options{
-		Bench:       bench,
-		Runtime:     harness.Kind(a.Meta["runtime"]),
-		Threads:     int(threads),
-		Scale:       int(scale),
-		Seed:        seed,
-		Shards:      int(shards),
-		JournalPath: path,
-	}); err != nil {
-		return nil, "", err
-	}
-	d, err := journal.Load(path)
+	d, err := harness.Reexecute(a.Meta, filepath.Join(dir, "live.csqj"))
 	if err != nil {
 		return nil, "", err
 	}
-	return d, fmt.Sprintf("live re-execution of %s on %s", bench, a.Meta["runtime"]), nil
+	return d, fmt.Sprintf("live re-execution of %s on %s", a.Meta["bench"], a.Meta["runtime"]), nil
 }
 
-// perturb loads a journal, applies one deliberate corruption, recomputes
-// the interval checkpoints so the file stays internally consistent, and
-// writes the result.
+// perturb writes a copy of the journal with one planted divergence
+// (journal.Data.Perturb).
 func perturb(in, mode string, at int64, out string) error {
 	d, err := journal.Load(in)
 	if err != nil {
 		return err
 	}
-	switch mode {
-	case "swap-grant":
-		i := int(at)
-		if i < 0 || i+1 >= len(d.Events) {
-			return fmt.Errorf("swap-grant site %d out of range (journal has %d events)", at, len(d.Events))
-		}
-		// Swap the two adjacent grants but keep the seq column honest:
-		// the divergence is the reordering, not a renumbering artifact.
-		d.Events[i], d.Events[i+1] = d.Events[i+1], d.Events[i]
-		d.Events[i].Seq, d.Events[i+1].Seq = int64(i), int64(i+1)
-	case "flip-page":
-		i := int(at)
-		if i < 0 || i >= len(d.Commits) {
-			return fmt.Errorf("flip-page site %d out of range (journal has %d commits)", at, len(d.Commits))
-		}
-		if len(d.Commits[i].Pages) == 0 {
-			return fmt.Errorf("commit %d has no pages to flip", at)
-		}
-		d.Commits[i].Pages[0].Hash ^= 1 << 63
-	default:
-		return fmt.Errorf("unknown perturbation %q (want swap-grant or flip-page)", mode)
+	if err := d.Perturb(mode, at); err != nil {
+		return err
 	}
-	journal.RecomputeCheckpoints(d)
 	return journal.WriteFile(out, d)
 }
 

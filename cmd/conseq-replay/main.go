@@ -128,51 +128,19 @@ func main() {
 	}
 }
 
-// verifyAgainstJournal replays the full log with a per-commit cross-check
-// against the run journal: both artifacts record each commit at the same
-// sync-order position, so the sequences must agree coordinate for
-// coordinate, and the replica's page content must hash to the journal's
-// recorded page hashes.
+// verifyAgainstJournal loads the run journal and cross-checks the log
+// against it commit by commit (commitlog.VerifyAgainstJournal).
 func verifyAgainstJournal(dir, jpath string, quiet bool) (*commitlog.State, error) {
 	jd, err := journal.Load(jpath)
 	if err != nil {
 		return nil, err
 	}
-	i := 0
-	st, err := commitlog.ReplayWith(dir, -1, func(st *commitlog.State, lc commitlog.Commit) error {
-		if i >= len(jd.Commits) {
-			return fmt.Errorf("verify: log has more commits than the journal (%d)", len(jd.Commits))
-		}
-		jc := jd.Commits[i]
-		i++
-		if lc.AtSeq != jc.AtSeq || lc.Version != jc.Version || lc.Tid != jc.Tid || lc.Clock != jc.Clock {
-			return fmt.Errorf("verify: commit %d: log (seq %d v%d tid %d clock %d) != journal (seq %d v%d tid %d clock %d)",
-				i-1, lc.AtSeq, lc.Version, lc.Tid, lc.Clock, jc.AtSeq, jc.Version, jc.Tid, jc.Clock)
-		}
-		if len(lc.Pages) != len(jc.Pages) {
-			return fmt.Errorf("verify: commit %d (v%d): %d logged pages, journal has %d",
-				i-1, lc.Version, len(lc.Pages), len(jc.Pages))
-		}
-		for k, pd := range lc.Pages {
-			if pd.Page != jc.Pages[k].Page {
-				return fmt.Errorf("verify: commit %d (v%d): page set diverges (%d vs %d)",
-					i-1, lc.Version, pd.Page, jc.Pages[k].Page)
-			}
-			if got := st.PageHash(pd.Page); got != jc.Pages[k].Hash {
-				return fmt.Errorf("verify: commit %d (v%d) page %d: replayed content hashes to %016x, journal recorded %016x",
-					i-1, lc.Version, pd.Page, got, jc.Pages[k].Hash)
-			}
-		}
-		return nil
-	})
+	st, err := commitlog.VerifyAgainstJournal(dir, jd)
 	if err != nil {
 		return nil, err
 	}
-	if i != len(jd.Commits) {
-		return nil, fmt.Errorf("verify: log has %d commits, journal has %d", i, len(jd.Commits))
-	}
 	if !quiet {
-		fmt.Printf("verified    %d commits against %s: sequence, page sets and content hashes all agree\n", i, jpath)
+		fmt.Printf("verified    %d commits against %s: sequence, page sets and content hashes all agree\n", len(jd.Commits), jpath)
 	}
 	return st, nil
 }

@@ -8,34 +8,28 @@
 // FNV-1a digest summarizes every answered (version, page, content)
 // triple. Because reads are served from replicas and replicas cannot
 // move the writer, the digest must be byte-identical whatever
-// follower-side chaos profile is armed — scripts/check.sh's replica gate
-// compares an undisturbed fleet's digest against follower-kill,
-// follower-tear and logstall fleets, seed by seed.
+// follower-side chaos profile is armed — TestGateReplica (internal/harness)
+// holds undisturbed, follower-kill, follower-tear and logstall fleets to
+// one golden digest, seed by seed.
 //
 // Usage:
 //
 //	conseq-serve -bench histogram -threads 4                # undisturbed fleet
 //	conseq-serve -bench histogram -chaos follower-kill:3    # kill/restart storm
-//	conseq-serve -bench histogram -followers 4 -max-lag 32  # bigger fleet, tighter bound
+//	conseq-serve -bench histogram -followers 4              # bigger fleet
 //	conseq-serve -bench histogram -dir /tmp/log -keep       # keep the log directory
 package main
 
 import (
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/commitlog"
 	"repro/internal/costmodel"
-	"repro/internal/det"
+	"repro/internal/harness"
 	"repro/internal/host/simhost"
-	"repro/internal/obs"
-	"repro/internal/replica"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -46,19 +40,10 @@ func main() {
 	dir := flag.String("dir", "", "commit-log directory (default: a temp dir, removed unless -keep)")
 	keep := flag.Bool("keep", false, "keep the commit-log directory after the run")
 	followers := flag.Int("followers", 2, "serving followers in the fleet (an archive follower is always added)")
-	history := flag.Int64("history", 256, "per-follower undo window in versions (serving followers; the archive keeps everything)")
-	maxLag := flag.Int64("max-lag", 64, "staleness bound in versions: followers lagging further drain from latest-read routing")
-	fleetSeed := flag.Int64("fleet-seed", 1, "seed for the fleet's backoff jitter and the read sweep")
 	chaosSpec := flag.String("chaos", "", "arm seeded follower-side fault injection: profile[:seed], e.g. follower-kill:3 (profiles: "+strings.Join(chaos.Profiles(), ", ")+")")
 	sweep := flag.Int("sweep", 256, "versioned reads in the deterministic sweep")
 	metrics := flag.Bool("metrics", false, "print the replica metrics snapshot after the run")
 	flag.Parse()
-
-	spec, err := workload.ByName(*bench)
-	if err != nil {
-		fatal(err)
-	}
-	p := workload.Params{Threads: *threads, Scale: *scale, Seed: *seed}
 
 	logDir := *dir
 	if logDir == "" {
@@ -72,140 +57,54 @@ func main() {
 		logDir = td
 	}
 
-	in, err := chaos.Parse(*chaosSpec)
+	cell, err := harness.Build(harness.Options{
+		Bench: *bench, Runtime: harness.KindConsequenceIC,
+		Threads: *threads, Scale: *scale, Seed: *seed,
+		Chaos: *chaosSpec, CommitLogDir: logDir, Replicas: *followers,
+	}, simhost.New(costmodel.Default()))
 	if err != nil {
 		fatal(err)
 	}
-
-	c := det.Default()
-	c.SegmentSize = spec.SegmentSize(p)
-	c.Model = costmodel.Default()
-	rt, err := det.New(c, simhost.New(costmodel.Default()))
+	// Run waits for the fleet to catch up and checks that every follower
+	// holds the writer's exact final state.
+	res, err := cell.Run()
 	if err != nil {
 		fatal(err)
 	}
-	cl, err := commitlog.Create(logDir, commitlog.Options{
-		Meta: map[string]string{
-			"bench":   spec.Name,
-			"runtime": rt.Name(),
-			"threads": fmt.Sprint(*threads),
-			"scale":   fmt.Sprint(*scale),
-			"seed":    fmt.Sprint(*seed),
-		},
-	})
+	digest, err := cell.SweepDigest(*sweep)
 	if err != nil {
 		fatal(err)
 	}
-	if err := rt.SetCommitLog(cl); err != nil {
+	if err := cell.Close(); err != nil {
 		fatal(err)
 	}
 
-	reg := obs.NewRegistry()
-	fl := replica.New(logDir, cl, replica.Options{
-		Followers:         *followers,
-		HistoryVersions:   *history,
-		MaxLag:            *maxLag,
-		Archive:           true,
-		Seed:              *fleetSeed,
-		Chaos:             in,
-		Registry:          reg,
-		SnapshotOnRestart: true,
-	})
-	if err := fl.Start(); err != nil {
-		fatal(err)
-	}
-
-	start := time.Now()
-	if err := rt.Run(spec.Prog(p)); err != nil {
-		fatal(err)
-	}
-	elapsed := time.Since(start)
-
-	final := cl.Stats().LastVersion
-	if err := fl.WaitCaughtUp(final, 60*time.Second); err != nil {
-		fatal(err)
-	}
-
-	// Every follower must hold the writer's exact final state.
-	wantSum := rt.Checksum()
-	for _, f := range fl.Followers() {
-		if got := f.Checksum(); got != wantSum {
-			fmt.Fprintf(os.Stderr, "conseq-serve: follower %d checksum %016x != runtime %016x\n", f.ID(), got, wantSum)
-			os.Exit(1)
-		}
-	}
-
-	digest, reads, err := sweepDigest(fl, final, *sweep, *fleetSeed)
-	if err != nil {
-		fatal(err)
-	}
-
-	if err := cl.Close(); err != nil {
-		fatal(err)
-	}
-	fl.Close()
-
-	st := fl.Stats()
-	cs := cl.Stats()
+	spec, st, cs := cell.Spec, cell.Fleet.Stats(), cell.Log.Stats()
 	fmt.Printf("benchmark   %s (%s, %s)\n", spec.Name, spec.Suite, spec.Class)
-	fmt.Printf("runtime     %s, %d threads, scale %d, seed %d\n", rt.Name(), *threads, *scale, *seed)
-	if in != nil {
+	fmt.Printf("runtime     %s, %d threads, scale %d, seed %d\n", cell.Runtime.Name(), *threads, *scale, *seed)
+	if in := cell.Chaos; in != nil {
 		fmt.Printf("chaos       %s (%d kills, %d tears, %d stalls)\n",
 			in, in.Stats().FollowerKills, in.Stats().FollowerTears, in.Stats().FollowerStalls)
 	}
-	fmt.Printf("checksum    %016x\n", wantSum)
+	fmt.Printf("checksum    %016x\n", res.Checksum)
 	fmt.Printf("commitlog   %d commits, %d snapshots, %d segments, %d bytes (%d append stalls)\n",
 		cs.Commits, cs.Snapshots, cs.Segments, cs.Bytes, cs.AppendStalls)
 	fmt.Printf("fleet       %d followers + archive, frontier %d, %d restarts, %d/%d admitted\n",
 		st.Followers, st.Frontier, st.Restarts, st.Admitted, st.Followers)
 	fmt.Printf("reads       %d swept: %d served, %d redirected, %d rejected\n",
-		reads, st.ReadsServed, st.ReadsRedirected, st.ReadsRejected)
+		*sweep, st.ReadsServed, st.ReadsRedirected, st.ReadsRejected)
 	if st.Catchups > 0 {
 		fmt.Printf("catchup     %d cycles, last %.3f ms, max %.3f ms\n",
 			st.Catchups, float64(st.CatchupNSLast)/1e6, float64(st.CatchupNSMax)/1e6)
 	}
-	fmt.Printf("host        %.3f ms\n", float64(elapsed.Nanoseconds())/1e6)
+	fmt.Printf("host        %.3f ms\n", float64(res.HostNS)/1e6)
 	fmt.Printf("sweep digest %016x\n", digest)
 	if *metrics {
 		fmt.Println("metrics:")
-		for _, s := range reg.Snapshot() {
+		for _, s := range cell.Registry.Snapshot() {
 			fmt.Println("  ", s)
 		}
 	}
-}
-
-// sweepDigest reads n seeded (version, page) samples through the fleet's
-// routing and hashes every answer. The sample sequence is a pure
-// function of (final version, geometry, seed), so two runs of the same
-// benchmark produce the same sweep — and replica equivalence demands
-// they produce the same digest, chaos or not.
-func sweepDigest(fl *replica.Fleet, final int64, n int, seed int64) (uint64, int, error) {
-	npages := fl.NumPages()
-	h := fnv.New64a()
-	state := uint64(seed)*0x9e3779b97f4a7c15 + 0x636f6e736571 // "conseq"
-	next := func() uint64 {
-		state += 0x9e3779b97f4a7c15
-		z := state
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return z ^ (z >> 31)
-	}
-	var rec [16]byte
-	for i := 0; i < n; i++ {
-		v := int64(next() % uint64(final+1))
-		pg := int(next() % uint64(npages))
-		b, err := fl.ReadAt(v, pg)
-		if err != nil {
-			return 0, 0, fmt.Errorf("sweep read (version %d, page %d): %w", v, pg, err)
-		}
-		for j := 0; j < 8; j++ {
-			rec[j] = byte(uint64(v) >> (8 * j))
-			rec[8+j] = byte(uint64(pg) >> (8 * j))
-		}
-		h.Write(rec[:])
-		h.Write(b)
-	}
-	return h.Sum64(), n, nil
 }
 
 func fatal(err error) {

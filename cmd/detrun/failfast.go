@@ -6,18 +6,16 @@ import (
 	goruntime "runtime"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/det"
 )
 
-// lastRuntime holds the most recently created runtime (stored by
-// mkRuntime), so failure dumps triggered from timers and watchdog
-// handlers can include its diagnostic state regardless of which code
-// path (direct, -verify, -compare) built it.
-var lastRuntime atomic.Value
-
-// dumper is implemented by runtimes that can render a diagnostic state
-// snapshot (the consequence runtimes' Runtime.DumpState: per-thread
-// phase, clock and held locks, plus the arbiter's token state).
-type dumper interface{ DumpState() string }
+// lastRuntime holds the most recently built det-backed runtime (stored
+// by build), so failure dumps triggered from timers and watchdog handlers
+// can include its diagnostic state — per-thread phase, clock and held
+// locks, plus the arbiter's token state — regardless of which mode
+// (direct, -verify, -compare) built it.
+var lastRuntime atomic.Pointer[det.Runtime]
 
 // dumpDiagnostics writes the failure bundle to stderr: the triggering
 // report, the runtime's deterministic state snapshot when available, and
@@ -25,8 +23,8 @@ type dumper interface{ DumpState() string }
 // waiting on instead of an opaque hang.
 func dumpDiagnostics(reason string) {
 	fmt.Fprintln(os.Stderr, "detrun:", reason)
-	if d, ok := lastRuntime.Load().(dumper); ok {
-		fmt.Fprintln(os.Stderr, d.DumpState())
+	if rt := lastRuntime.Load(); rt != nil {
+		fmt.Fprintln(os.Stderr, rt.DumpState())
 	}
 	buf := make([]byte, 1<<20)
 	n := goruntime.Stack(buf, true)

@@ -27,59 +27,17 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/api"
-	"repro/internal/baseline/dthreads"
-	"repro/internal/baseline/dwc"
-	"repro/internal/baseline/pth"
-	"repro/internal/baseline/rfdet"
 	"repro/internal/chaos"
-	"repro/internal/clock"
-	"repro/internal/commitlog"
 	"repro/internal/costmodel"
 	"repro/internal/det"
 	"repro/internal/harness"
 	"repro/internal/host"
 	"repro/internal/host/realhost"
 	"repro/internal/host/simhost"
-	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
-
-// predictFlag gates write-set prediction on the consequence runtimes. A
-// package-level flag so mkRuntime sees it from the direct, -verify and
-// -compare paths alike. Results are identical either way (prediction is
-// an overlap optimization); the flag exists so the determinism gate can
-// assert exactly that, and so timings can be compared on/off.
-var predictFlag = flag.Bool("predict", true, "enable write-set prediction (page prefetch during token wait) on the consequence runtimes")
-
-// chaosFlag arms seeded fault injection on the consequence runtimes. A
-// package-level flag so mkRuntime sees it from the direct, -verify and
-// -compare paths alike; each mkRuntime call builds a fresh injector from
-// the spec, so every run of a (profile, seed) pair replays identically.
-// Results are identical with chaos on or off (perturbations are confined
-// to modeled time and advisory predictions); the chaos determinism gate
-// in scripts/check.sh asserts exactly that.
-var chaosFlag = flag.String("chaos", "", "arm seeded fault injection on the consequence runtimes: profile[:seed], e.g. storm:7 (profiles: "+strings.Join(chaos.Profiles(), ", ")+")")
-
-// shardsFlag selects the scheduler on consequence-ic. 1 (the default) is
-// the paper's single token; N >= 2 partitions lock objects into N shards
-// with real per-shard granting authority (docs/scheduler.md), with the
-// deterministic worker pool pre-spawned to the benchmark thread count.
-// consequence-rr ignores it: round-robin has no clock domain to shard.
-// Checksums are identical at every shard count, and each count's
-// sync-order hash is itself a deterministic constant (per-shard grant
-// loops legitimately interleave threads differently at different counts,
-// so the hash is pinned per count, not across counts); the shard
-// determinism gate in scripts/check.sh asserts exactly that against its
-// per-count golden set.
-var shardsFlag = flag.Int("shards", 1, "token arbitration shards on consequence-ic; >= 2 selects per-shard granting with worker reuse and lazy fast-forward (consequence-rr stays on the single token: round-robin has no clock domain to shard)")
-
-// benchThreads mirrors -threads for mkRuntime (the worker-pool prespawn
-// depth), set once after flag parsing.
-var benchThreads int
 
 func main() {
 	bench := flag.String("bench", "histogram", "benchmark name (see -list)")
@@ -87,6 +45,17 @@ func main() {
 	threads := flag.Int("threads", 4, "thread count")
 	scale := flag.Int("scale", 1, "problem-size multiplier")
 	seed := flag.Int64("seed", 42, "input seed")
+	// Results are identical with prediction on or off (it is an overlap
+	// optimization); the flag exists so timings can be compared.
+	predict := flag.Bool("predict", true, "enable write-set prediction (page prefetch during token wait) on the consequence runtimes")
+	// Results are identical with chaos on or off: perturbations are
+	// confined to modeled time and advisory predictions.
+	chaosSpec := flag.String("chaos", "", "arm seeded fault injection on the consequence runtimes: profile[:seed], e.g. storm:7 (profiles: "+strings.Join(chaos.Profiles(), ", ")+")")
+	// Checksums are identical at every shard count, and each count's
+	// sync-order hash is itself a deterministic constant (per-shard grant
+	// loops legitimately interleave threads differently at different
+	// counts, so the hash is pinned per count, not across counts).
+	shards := flag.Int("shards", 1, "token arbitration shards on consequence-ic; >= 2 selects per-shard granting with worker reuse and lazy fast-forward (consequence-rr stays on the single token: round-robin has no clock domain to shard)")
 	verify := flag.Bool("verify", false, "run repeatedly (sim + perturbed real host) and check determinism")
 	compare := flag.Bool("compare", false, "run the benchmark on every runtime and tabulate")
 	useReal := flag.Bool("real", false, "run on the real (goroutine) host instead of the simulator")
@@ -103,7 +72,6 @@ func main() {
 	list := flag.Bool("list", false, "list benchmarks and exit")
 	listChaos := flag.Bool("list-chaos", false, "list built-in chaos profiles and exit")
 	flag.Parse()
-	benchThreads = *threads
 
 	if *timeout > 0 {
 		defer armTimeout(*timeout).Stop()
@@ -122,98 +90,57 @@ func main() {
 		return
 	}
 
-	spec, err := workload.ByName(*bench)
-	if err != nil {
-		fatal(err)
-	}
-	p := workload.Params{Threads: *threads, Scale: *scale, Seed: *seed}
-
-	if *verify {
-		if *journalPath != "" {
-			fatal(fmt.Errorf("-journal records a single run; use it without -verify (journal two runs and conseq-diff them instead)"))
-		}
-		if *commitLogDir != "" {
-			fatal(fmt.Errorf("-commitlog records a single run; use it without -verify"))
-		}
-		runVerify(spec, p, *rtName)
-		return
-	}
-	if *compare {
-		if *journalPath != "" {
-			fatal(fmt.Errorf("-journal records a single run; use it without -compare"))
-		}
-		if *commitLogDir != "" {
-			fatal(fmt.Errorf("-commitlog records a single run; use it without -compare"))
-		}
-		runCompare(spec, p)
-		return
+	// The cell every mode builds; -verify and -compare vary the host and
+	// the runtime around it.
+	o := harness.Options{
+		Bench: *bench, Runtime: harness.Kind(*rtName),
+		Threads: *threads, Scale: *scale, Seed: *seed,
+		Shards: *shards, Chaos: *chaosSpec,
+		Modify: func(c *det.Config) { c.WriteSetPrediction = *predict },
 	}
 
-	h := mkHost(*useReal, 0)
-	if *watchdog > 0 {
-		rh, ok := h.(*realhost.Host)
-		if !ok {
-			fatal(fmt.Errorf("-watchdog requires -real (the simulation host proves deadlocks itself)"))
+	if *verify || *compare {
+		mode := "-verify"
+		if *compare {
+			mode = "-compare"
 		}
-		rh.SetWatchdog(*watchdog, onStall)
+		switch {
+		case *useReal:
+			// Both modes pick their own hosts; the real-host ratio to
+			// pthreads is the bench ledger's slowdown_vs_pthreads.
+			usage(fmt.Errorf("%s chooses its own hosts; it cannot be combined with -real", mode))
+		case *journalPath != "":
+			fatal(fmt.Errorf("-journal records a single run; use it without %s (journal two runs and conseq-diff them instead)", mode))
+		case *commitLogDir != "":
+			fatal(fmt.Errorf("-commitlog records a single run; use it without %s", mode))
+		}
+		if *verify {
+			runVerify(o)
+		} else {
+			runCompare(o)
+		}
+		return
 	}
-	rt, err := mkRuntime(*rtName, spec.SegmentSize(p), h)
-	if err != nil {
-		fatal(err)
-	}
-	var jw *journal.Writer
-	if *journalPath != "" {
-		type journalable interface{ SetJournal(*journal.Writer) }
-		jr, ok := rt.(journalable)
-		if !ok {
-			fatal(fmt.Errorf("runtime %q does not support journaling (the consequence runtimes do)", *rtName))
+
+	var h host.Host = simhost.New(costmodel.Default())
+	if *useReal {
+		rh := realhost.New(0, 0)
+		if *watchdog > 0 {
+			rh.SetWatchdog(*watchdog, onStall)
 		}
-		jw, err = journal.Create(*journalPath, map[string]string{
-			"bench":   spec.Name,
-			"runtime": *rtName,
-			"threads": fmt.Sprint(*threads),
-			"scale":   fmt.Sprint(*scale),
-			"seed":    fmt.Sprint(*seed),
-			"shards":  fmt.Sprint(*shardsFlag),
-		})
-		if err != nil {
-			fatal(err)
-		}
-		jr.SetJournal(jw)
-	}
-	var cl *commitlog.Log
-	if *commitLogDir != "" {
-		type loggable interface {
-			SetCommitLog(*commitlog.Log) error
-		}
-		lr, ok := rt.(loggable)
-		if !ok {
-			fatal(fmt.Errorf("runtime %q does not support commit logging (the consequence runtimes do)", *rtName))
-		}
-		cl, err = commitlog.Create(*commitLogDir, commitlog.Options{
-			Meta: map[string]string{
-				"bench":   spec.Name,
-				"runtime": *rtName,
-				"threads": fmt.Sprint(*threads),
-				"scale":   fmt.Sprint(*scale),
-				"seed":    fmt.Sprint(*seed),
-				"shards":  fmt.Sprint(*shardsFlag),
-			},
-		})
-		if err != nil {
-			fatal(err)
-		}
-		if err := lr.SetCommitLog(cl); err != nil {
-			fatal(err)
-		}
+		h = rh
+	} else if *watchdog > 0 {
+		fatal(fmt.Errorf("-watchdog requires -real (the simulation host proves deadlocks itself)"))
 	}
 	var observer *obs.Observer
 	if *traceOut != "" || *metrics || *analyzeRun || *listen != "" || *sample > 0 {
-		observer = attachObserver(rt)
-		if observer == nil {
-			fatal(fmt.Errorf("runtime %q does not support observability (consequence and dwc runtimes do)", *rtName))
-		}
+		observer = obs.New()
 	}
+	o.Observer = observer
+	o.JournalPath = *journalPath
+	o.CommitLogDir = *commitLogDir
+	cell := build(o, h)
+	spec, rt := cell.Spec, cell.Runtime
 	if *listen != "" {
 		srv, err := observer.ListenAndServe(*listen)
 		if err != nil {
@@ -226,49 +153,42 @@ func main() {
 	if *sample > 0 {
 		sampler = obs.NewSampler(observer.Registry(), *sample)
 	}
-	start := time.Now()
-	if err := rt.Run(spec.Prog(p)); err != nil {
+	res, err := cell.Run()
+	if err != nil {
 		fatal(err)
 	}
-	elapsed := time.Since(start)
-	if jw != nil {
-		if err := jw.Close(); err != nil {
-			fatal(err)
-		}
+	if err := cell.Close(); err != nil {
+		fatal(err)
 	}
-	if cl != nil {
-		if err := cl.Close(); err != nil {
-			fatal(err)
-		}
-	}
-	st := rt.Stats()
+	st := res.Stats
 	fmt.Printf("benchmark   %s (%s, %s)\n", spec.Name, spec.Suite, spec.Class)
 	fmt.Printf("runtime     %s, %d threads, scale %d, seed %d\n", rt.Name(), *threads, *scale, *seed)
-	if in, err := chaos.Parse(*chaosFlag); err == nil && in != nil {
-		fmt.Printf("chaos       %s\n", in)
+	if cell.Chaos != nil {
+		fmt.Printf("chaos       %s\n", cell.Chaos)
 	}
-	fmt.Printf("checksum    %016x\n", rt.Checksum())
-	if tr := traceOf(rt); tr != nil {
-		fmt.Printf("trace       %d events, hash %016x\n", tr.Len(), tr.Hash())
+	fmt.Printf("checksum    %016x\n", res.Checksum)
+	tr := cell.Trace()
+	if tr != nil {
+		fmt.Printf("trace       %d events, hash %016x\n", tr.Len(), res.TraceHash)
 	}
 	if h.Timed() {
 		fmt.Printf("virtual     %.3f ms\n", float64(st.WallNS)/1e6)
 	}
-	fmt.Printf("host        %.3f ms\n", float64(elapsed.Nanoseconds())/1e6)
+	fmt.Printf("host        %.3f ms\n", float64(res.HostNS)/1e6)
 	fmt.Printf("sync ops    %d (%d coarsened), token grants %d\n", st.SyncOps, st.CoarsenedOps, st.TokenGrants)
 	fmt.Printf("memory      %d versions, %d pages committed (%d merged), %d pulled, %d faults, peak %d pages\n",
 		st.Versions, st.CommittedPages, st.MergedPages, st.PulledPages, st.Faults, st.PeakPages)
-	if jw != nil {
-		js := jw.Stats()
+	if cell.Journal != nil {
+		js := cell.Journal.Stats()
 		fmt.Printf("journal     %s: %d events, %d commits, %d checkpoints, %d bytes (%d flush stalls)\n",
 			*journalPath, js.Events, js.Commits, js.Checkpoints, js.Bytes, js.FlushStalls)
 	}
-	if cl != nil {
-		cs := cl.Stats()
+	if cell.Log != nil {
+		cs := cell.Log.Stats()
 		fmt.Printf("commitlog   %s: %d commits, %d snapshots, %d segments (%d rolls, %d truncated), %d bytes (%d append stalls)\n",
 			*commitLogDir, cs.Commits, cs.Snapshots, cs.Segments, cs.Rolls, cs.Truncated, cs.Bytes, cs.AppendStalls)
 	}
-	if tr := traceOf(rt); tr != nil && *dumpTrace > 0 {
+	if tr != nil && *dumpTrace > 0 {
 		evs := tr.Events()
 		if len(evs) > *dumpTrace {
 			evs = evs[:*dumpTrace]
@@ -278,8 +198,7 @@ func main() {
 		}
 	}
 	if *traceOut != "" {
-		name := fmt.Sprintf("%s %s t=%d scale=%d seed=%d", rt.Name(), spec.Name, *threads, *scale, *seed)
-		if err := writeTraceFile(*traceOut, observer, name); err != nil {
+		if err := writeTraceFile(*traceOut, observer, harness.CellName(o)); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("trace json  %s (%d threads observed)\n", *traceOut, len(observer.Lanes()))
@@ -295,8 +214,7 @@ func main() {
 		printSamplePoints(sampler.Points())
 	}
 	if *analyzeRun {
-		name := fmt.Sprintf("%s %s t=%d scale=%d seed=%d", rt.Name(), spec.Name, *threads, *scale, *seed)
-		rep, err := analyze.Analyze(analyze.FromObserver(observer, name))
+		rep, err := analyze.Analyze(analyze.FromObserver(observer, harness.CellName(o)))
 		if err != nil {
 			fatal(err)
 		}
@@ -306,6 +224,32 @@ func main() {
 		fmt.Println()
 		rep.WriteText(os.Stdout)
 	}
+}
+
+// build assembles one cell (harness.Build is the only place a run is put
+// together) and remembers its runtime for failure dumps.
+func build(o harness.Options, h host.Host) *harness.Cell {
+	cell, err := harness.Build(o, h)
+	if err != nil {
+		fatal(err)
+	}
+	if cell.Det != nil {
+		lastRuntime.Store(cell.Det)
+	}
+	return cell
+}
+
+// run builds o on h, runs it and closes it.
+func run(o harness.Options, h host.Host) harness.Result {
+	cell := build(o, h)
+	res, err := cell.Run()
+	if err != nil {
+		fatal(err)
+	}
+	if err := cell.Close(); err != nil {
+		fatal(err)
+	}
+	return res
 }
 
 // printSamplePoints renders the sampler's per-interval deltas, skipping
@@ -328,20 +272,6 @@ func printSamplePoints(pts []obs.SamplePoint) {
 	}
 }
 
-// attachObserver attaches a fresh observer to runtimes that support one
-// (the det-based runtimes: consequence-ic/rr and dwc). Returns nil
-// otherwise.
-func attachObserver(rt api.Runtime) *obs.Observer {
-	type observable interface{ SetObserver(*obs.Observer) }
-	or, ok := rt.(observable)
-	if !ok {
-		return nil
-	}
-	o := obs.New()
-	or.SetObserver(o)
-	return o
-}
-
 // writeTraceFile exports the observer's timeline as Chrome trace JSON.
 func writeTraceFile(path string, o *obs.Observer, name string) error {
 	f, err := os.Create(path)
@@ -355,50 +285,36 @@ func writeTraceFile(path string, o *obs.Observer, name string) error {
 	return f.Close()
 }
 
-// runVerify demonstrates determinism: repeated sim runs and (for det
-// runtimes) perturbed real-host runs must agree bit-for-bit.
-func runVerify(spec workload.Spec, p workload.Params, rtName string) {
-	type obs struct {
-		label string
-		sum   uint64
-		thash uint64
+// runVerify demonstrates determinism: repeated sim runs and (for
+// deterministic runtimes) schedule-perturbed real-host runs must agree
+// bit-for-bit.
+func runVerify(o harness.Options) {
+	var all []harness.Result
+	var labels []string
+	try := func(label string, h host.Host) {
+		r := run(o, h)
+		all, labels = append(all, r), append(labels, label)
+		fmt.Printf("  %-22s checksum=%016x trace=%016x\n", label, r.Checksum, r.TraceHash)
 	}
-	var all []obs
-	run := func(label string, h host.Host) {
-		rt, err := mkRuntime(rtName, spec.SegmentSize(p), h)
-		if err != nil {
-			fatal(err)
-		}
-		if err := rt.Run(spec.Prog(p)); err != nil {
-			fatal(err)
-		}
-		o := obs{label: label, sum: rt.Checksum()}
-		if tr := traceOf(rt); tr != nil {
-			o.thash = tr.Hash()
-		}
-		all = append(all, o)
-		fmt.Printf("  %-22s checksum=%016x trace=%016x\n", label, o.sum, o.thash)
+	fmt.Printf("verifying %s on %s (%d threads):\n", o.Bench, o.Runtime, o.Threads)
+	try("sim #1", simhost.New(costmodel.Default()))
+	try("sim #2", simhost.New(costmodel.Default()))
+	if o.Runtime != harness.KindPthreads {
+		try("real perturbed #1", realhost.New(200*time.Microsecond, 1))
+		try("real perturbed #2", realhost.New(200*time.Microsecond, 99))
 	}
-	fmt.Printf("verifying %s on %s (%d threads):\n", spec.Name, rtName, p.Threads)
-	run("sim #1", simhost.New(costmodel.Default()))
-	run("sim #2", simhost.New(costmodel.Default()))
-	if rtName != string(harness.KindPthreads) {
-		run("real perturbed #1", realhost.New(200*time.Microsecond, 1))
-		run("real perturbed #2", realhost.New(200*time.Microsecond, 99))
-	}
-	base := all[0]
 	ok := true
-	for _, o := range all[1:] {
-		if o.sum != base.sum || o.thash != base.thash {
+	for i, r := range all[1:] {
+		if r.Checksum != all[0].Checksum || r.TraceHash != all[0].TraceHash {
 			ok = false
-			fmt.Printf("MISMATCH: %s differs from %s\n", o.label, base.label)
+			fmt.Printf("MISMATCH: %s differs from %s\n", labels[i+1], labels[0])
 		}
 	}
 	if ok {
 		fmt.Println("deterministic: all runs agree")
 		return
 	}
-	if rtName == string(harness.KindPthreads) {
+	if o.Runtime == harness.KindPthreads {
 		fmt.Println("(expected: pthreads is the nondeterministic baseline)")
 		return
 	}
@@ -407,85 +323,33 @@ func runVerify(spec workload.Spec, p workload.Params, rtName string) {
 
 // runCompare tabulates one benchmark across all runtimes on the
 // simulation host.
-func runCompare(spec workload.Spec, p workload.Params) {
+func runCompare(o harness.Options) {
+	spec, err := workload.ByName(o.Bench)
+	if err != nil {
+		fatal(err)
+	}
 	fmt.Printf("%s (%s), %d threads, scale %d — simulated runtimes:\n\n",
-		spec.Name, spec.Suite, p.Threads, p.Scale)
+		spec.Name, spec.Suite, o.Threads, o.Scale)
 	fmt.Printf("%-16s %10s %10s %10s %12s %10s\n", "runtime", "wall(ms)", "syncOps", "grants", "pagesCommit", "peakPages")
 	var pthWall int64
-	for _, name := range []string{"pthreads", "consequence-ic", "consequence-rr", "dwc", "dthreads", "rfdet-lrc"} {
-		rt, err := mkRuntime(name, spec.SegmentSize(p), simhost.New(costmodel.Default()))
-		if err != nil {
-			fatal(err)
-		}
-		if err := rt.Run(spec.Prog(p)); err != nil {
-			fatal(err)
-		}
-		st := rt.Stats()
+	for _, kind := range []harness.Kind{harness.KindPthreads, harness.KindConsequenceIC, harness.KindConsequenceRR, harness.KindDWC, harness.KindDThreads, harness.KindRFDet} {
+		o.Runtime = kind
+		st := run(o, simhost.New(costmodel.Default())).Stats
 		norm := ""
-		if name == "pthreads" {
+		if kind == harness.KindPthreads {
 			pthWall = st.WallNS
 		} else if pthWall > 0 {
 			norm = fmt.Sprintf("  (%.2fx)", float64(st.WallNS)/float64(pthWall))
 		}
 		fmt.Printf("%-16s %10.2f %10d %10d %12d %10d%s\n",
-			name, float64(st.WallNS)/1e6, st.SyncOps, st.TokenGrants, st.CommittedPages, st.PeakPages, norm)
+			kind, float64(st.WallNS)/1e6, st.SyncOps, st.TokenGrants, st.CommittedPages, st.PeakPages, norm)
 	}
 }
 
-func mkHost(real bool, perturb time.Duration) host.Host {
-	if real {
-		return realhost.New(perturb, 0)
-	}
-	return simhost.New(costmodel.Default())
-}
-
-func mkRuntime(name string, segSize int, h host.Host) (api.Runtime, error) {
-	m := costmodel.Default()
-	if *chaosFlag != "" && name != "consequence-ic" && name != "consequence-rr" {
-		return nil, fmt.Errorf("-chaos requires a consequence runtime (got %q)", name)
-	}
-	switch name {
-	case "consequence-ic", "consequence-rr":
-		c := det.Default()
-		if name == "consequence-rr" {
-			c.Policy = clock.PolicyRR
-		}
-		c.WriteSetPrediction = *predictFlag
-		c.SegmentSize = segSize
-		c.Model = m
-		c.EnableScaleOut(*shardsFlag, benchThreads)
-		// A fresh injector per runtime: streams carry per-thread sequence
-		// state, so sharing one across runs would decorrelate replays.
-		in, err := chaos.Parse(*chaosFlag)
-		if err != nil {
-			return nil, err
-		}
-		c.Chaos = in
-		rt, err := det.New(c, h)
-		if err != nil {
-			return nil, err
-		}
-		lastRuntime.Store(rt)
-		return rt, nil
-	case "dthreads":
-		return dthreads.New(dthreads.Config{SegmentSize: segSize, Model: m}, h)
-	case "dwc":
-		return dwc.New(dwc.Config{SegmentSize: segSize, Model: m}, h)
-	case "pthreads":
-		return pth.New(pth.Config{SegmentSize: segSize, Model: m}, h)
-	case "rfdet-lrc":
-		return rfdet.New(rfdet.Config{SegmentSize: segSize, Model: m}, h)
-	}
-	return nil, fmt.Errorf("unknown runtime %q", name)
-}
-
-// traceOf extracts the trace recorder from runtimes that keep one.
-func traceOf(rt api.Runtime) *trace.Recorder {
-	type tracer interface{ Trace() *trace.Recorder }
-	if t, ok := rt.(tracer); ok {
-		return t.Trace()
-	}
-	return nil
+// usage reports a flag combination detrun cannot honour and exits 2.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "detrun:", err)
+	os.Exit(2)
 }
 
 func fatal(err error) {

@@ -5,9 +5,9 @@
 // arrival skew, page-fault and commit slowdowns — without being allowed
 // to perturb *results*. The paper's central claim is that a racy program
 // under Consequence yields the same output regardless of thread timing;
-// chaos exists to exercise that claim adversarially: the determinism gate
-// in scripts/check.sh runs every golden benchmark under several
-// (profile, seed) pairs and asserts byte-identical checksums and
+// chaos exists to exercise that claim adversarially: the chaos gate
+// (TestGateChaos in internal/harness) runs every golden benchmark under
+// every profile in Profiles() x five seeds and asserts byte-identical checksums and
 // sync-trace hashes against the unperturbed goldens.
 //
 // Every perturbation decision is drawn from a splitmix64 stream keyed by
@@ -68,7 +68,7 @@ type Profile struct {
 	// wall-clock only — the drain is off the critical path, so a stalled
 	// log exerts backpressure (visible as commitlog_append_stalls) but can
 	// never move modeled time or results, and the logged bytes themselves
-	// are unchanged; scripts/check.sh gates both.
+	// are unchanged; TestGateCommitLog (internal/harness) gates both.
 	LogStallNS int64
 	// FollowerKillPer10K kills a replica follower (a recovered panic the
 	// fleet supervisor restarts from the newest snapshot) with this
@@ -273,17 +273,19 @@ const (
 // it was created for (no internal locking) — the same ownership
 // discipline as the runtime's unlock estimators and predictor tables.
 type Stream struct {
-	in    *Injector
-	state uint64
+	in  *Injector
+	rng Rand
 }
 
 func (in *Injector) stream(salt, id uint64) *Stream {
 	if in == nil {
 		return nil
 	}
-	// Decorrelate (seed, salt, id) into the initial splitmix64 state.
-	s := in.seed ^ mix(salt) ^ mix(id*0x9e3779b97f4a7c15+salt)
-	return &Stream{in: in, state: s}
+	// Decorrelate (seed, salt, id) into the initial splitmix64 state. The
+	// stream's first draw is two increments past s (its draws predate the
+	// exported Rand and are pinned by the chaos stats tests).
+	s := in.seed ^ mix(salt) ^ mix(id*gamma+salt)
+	return &Stream{in: in, rng: Rand{state: s + gamma}}
 }
 
 // ThreadStream returns the det-thread stream for tid (barrier skew and
@@ -313,23 +315,45 @@ func (in *Injector) LogStream() *Stream { return in.stream(saltLog, 0) }
 // another's.
 func (in *Injector) FollowerStream(id int) *Stream { return in.stream(saltReplica, uint64(id)) }
 
-// mix is the splitmix64 output permutation.
+// splitmix64's increment and its two finalizer multipliers (NewRand also
+// decorrelates ids with the first).
+const (
+	gamma = 0x9e3779b97f4a7c15
+	mul1  = 0xbf58476d1ce4e5b9
+	mul2  = 0x94d049bb133111eb
+)
+
+// Rand is the repo's one splitmix64 generator: the chaos streams, the
+// replica fleet's backoff jitter and the versioned-read sweep all draw
+// from it. Not safe for concurrent use; the zero value is a valid stream.
+type Rand struct{ state uint64 }
+
+// NewRand derives an independent stream from (seed, id) under a
+// per-subsystem salt: a pure function of its arguments, so a draw
+// sequence replays exactly.
+func NewRand(seed, id int64, salt uint64) Rand {
+	return Rand{state: uint64(seed)*gamma + uint64(id)*mul1 + salt}
+}
+
+// mix is the splitmix64 output permutation of x: the first draw of a
+// stream whose state is x.
 func mix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	x += gamma
+	x = (x ^ (x >> 30)) * mul1
+	x = (x ^ (x >> 27)) * mul2
 	return x ^ (x >> 31)
 }
 
-// next draws the stream's next 64-bit value.
-func (s *Stream) next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	return mix(s.state)
+// Next draws the stream's next 64-bit value.
+func (r *Rand) Next() uint64 {
+	v := mix(r.state)
+	r.state += gamma
+	return v
 }
 
-// below draws a value in [0, n); n must be positive.
-func (s *Stream) below(n int64) int64 {
-	return int64(s.next() % uint64(n))
+// Below draws a value in [0, n); n must be positive.
+func (r *Rand) Below(n int64) int64 {
+	return int64(r.Next() % uint64(n))
 }
 
 // ChargeJitter returns the extra nanoseconds to stretch an ns-long Charge
@@ -338,7 +362,7 @@ func (s *Stream) ChargeJitter(ns int64) int64 {
 	if s == nil || s.in.prof.ChargeJitterPct <= 0 || ns <= 0 {
 		return 0
 	}
-	extra := ns * s.below(s.in.prof.ChargeJitterPct+1) / 100
+	extra := ns * s.rng.Below(s.in.prof.ChargeJitterPct+1) / 100
 	if extra > 0 {
 		s.in.chargeJitterEvents.Add(1)
 		s.in.chargeJitterNS.Add(extra)
@@ -351,7 +375,7 @@ func (s *Stream) WakeDelay() int64 {
 	if s == nil || s.in.prof.WakeDelayNS <= 0 {
 		return 0
 	}
-	d := s.below(s.in.prof.WakeDelayNS + 1)
+	d := s.rng.Below(s.in.prof.WakeDelayNS + 1)
 	if d > 0 {
 		s.in.wakeDelays.Add(1)
 		s.in.wakeDelayNS.Add(d)
@@ -366,7 +390,7 @@ func (s *Stream) OverflowInterval(iv int64) int64 {
 	if s == nil || s.in.prof.OverflowShrinkPct <= 0 || iv <= 1 {
 		return iv
 	}
-	shrunk := iv - iv*s.below(s.in.prof.OverflowShrinkPct+1)/100
+	shrunk := iv - iv*s.rng.Below(s.in.prof.OverflowShrinkPct+1)/100
 	if shrunk < 1 {
 		shrunk = 1
 	}
@@ -386,7 +410,7 @@ func (s *Stream) FilterPrediction(pages []int) []int {
 	kept := pages[:0]
 	dropped := int64(0)
 	for _, pg := range pages {
-		if s.below(100) < s.in.prof.MispredictPct {
+		if s.rng.Below(100) < s.in.prof.MispredictPct {
 			dropped++
 			continue
 		}
@@ -403,7 +427,7 @@ func (s *Stream) BarrierSkew() int64 {
 	if s == nil || s.in.prof.BarrierSkewNS <= 0 {
 		return 0
 	}
-	d := s.below(s.in.prof.BarrierSkewNS + 1)
+	d := s.rng.Below(s.in.prof.BarrierSkewNS + 1)
 	if d > 0 {
 		s.in.barrierSkews.Add(1)
 		s.in.barrierSkewNS.Add(d)
@@ -417,7 +441,7 @@ func (s *Stream) FaultDelay(page int) int64 {
 	if s == nil || s.in.prof.FaultDelayNS <= 0 {
 		return 0
 	}
-	d := s.below(s.in.prof.FaultDelayNS + 1)
+	d := s.rng.Below(s.in.prof.FaultDelayNS + 1)
 	if d > 0 {
 		s.in.faultDelays.Add(1)
 		s.in.faultDelayNS.Add(d)
@@ -431,7 +455,7 @@ func (s *Stream) LogStall() int64 {
 	if s == nil || s.in.prof.LogStallNS <= 0 {
 		return 0
 	}
-	d := s.below(s.in.prof.LogStallNS + 1)
+	d := s.rng.Below(s.in.prof.LogStallNS + 1)
 	if d > 0 {
 		s.in.logStalls.Add(1)
 		s.in.logStallNS.Add(d)
@@ -445,7 +469,7 @@ func (s *Stream) FollowerKill() bool {
 	if s == nil || s.in.prof.FollowerKillPer10K <= 0 {
 		return false
 	}
-	if s.below(10_000) >= s.in.prof.FollowerKillPer10K {
+	if s.rng.Below(10_000) >= s.in.prof.FollowerKillPer10K {
 		return false
 	}
 	s.in.followerKills.Add(1)
@@ -458,7 +482,7 @@ func (s *Stream) FollowerStall() int64 {
 	if s == nil || s.in.prof.FollowerStallNS <= 0 {
 		return 0
 	}
-	d := s.below(s.in.prof.FollowerStallNS + 1)
+	d := s.rng.Below(s.in.prof.FollowerStallNS + 1)
 	if d > 0 {
 		s.in.followerStalls.Add(1)
 		s.in.followerStallNS.Add(d)
@@ -473,7 +497,7 @@ func (s *Stream) FollowerTear() bool {
 	if s == nil || s.in.prof.FollowerTearPer10K <= 0 {
 		return false
 	}
-	if s.below(10_000) >= s.in.prof.FollowerTearPer10K {
+	if s.rng.Below(10_000) >= s.in.prof.FollowerTearPer10K {
 		return false
 	}
 	s.in.followerTears.Add(1)
@@ -486,7 +510,7 @@ func (s *Stream) CommitDelay() int64 {
 	if s == nil || s.in.prof.CommitDelayNS <= 0 {
 		return 0
 	}
-	d := s.below(s.in.prof.CommitDelayNS + 1)
+	d := s.rng.Below(s.in.prof.CommitDelayNS + 1)
 	if d > 0 {
 		s.in.commitDelays.Add(1)
 		s.in.commitDelayNS.Add(d)

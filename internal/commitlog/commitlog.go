@@ -46,8 +46,9 @@
 //
 // Segment rolls, snapshot cadence and truncation are pure functions of
 // the record stream (byte counts and commit counts — never wall time), so
-// two identical runs write byte-identical segment files; scripts/check.sh
-// gates exactly that, alongside log-on/log-off result equality.
+// two identical runs write byte-identical segment files; TestGateCommitLog
+// (internal/harness) gates exactly that, alongside log-on/log-off result
+// equality.
 package commitlog
 
 import (

@@ -3,6 +3,7 @@ package commitlog
 import (
 	"fmt"
 
+	"repro/internal/journal"
 	"repro/internal/mem"
 )
 
@@ -157,7 +158,7 @@ func Replay(dir string, toVersion int64) (*State, error) {
 }
 
 // ReplayWith is Replay with a per-commit callback (after the commit is
-// applied) — the hook conseq-replay's journal cross-verification uses.
+// applied) — the hook VerifyAgainstJournal uses.
 func ReplayWith(dir string, toVersion int64, after func(*State, Commit) error) (*State, error) {
 	r, err := OpenReader(dir)
 	if err != nil {
@@ -173,6 +174,49 @@ func ReplayWith(dir string, toVersion int64, after func(*State, Commit) error) (
 	}
 	if toVersion >= 0 && st.Version < toVersion {
 		return nil, fmt.Errorf("commitlog: log ends at version %d, before requested %d", st.Version, toVersion)
+	}
+	return st, nil
+}
+
+// VerifyAgainstJournal replays the full log in dir with a per-commit
+// cross-check against the same run's journal: both artifacts record each
+// commit at the same sync-order position, so the sequences must agree
+// coordinate for coordinate (AtSeq, Version, Tid, Clock, page set), and
+// the replica's page content must hash to the journal's recorded page
+// hashes. Returns the fully replayed state.
+func VerifyAgainstJournal(dir string, jd *journal.Data) (*State, error) {
+	i := 0
+	st, err := ReplayWith(dir, -1, func(st *State, lc Commit) error {
+		if i >= len(jd.Commits) {
+			return fmt.Errorf("verify: log has more commits than the journal (%d)", len(jd.Commits))
+		}
+		jc := jd.Commits[i]
+		i++
+		if lc.AtSeq != jc.AtSeq || lc.Version != jc.Version || lc.Tid != jc.Tid || lc.Clock != jc.Clock {
+			return fmt.Errorf("verify: commit %d: log (seq %d v%d tid %d clock %d) != journal (seq %d v%d tid %d clock %d)",
+				i-1, lc.AtSeq, lc.Version, lc.Tid, lc.Clock, jc.AtSeq, jc.Version, jc.Tid, jc.Clock)
+		}
+		if len(lc.Pages) != len(jc.Pages) {
+			return fmt.Errorf("verify: commit %d (v%d): %d logged pages, journal has %d",
+				i-1, lc.Version, len(lc.Pages), len(jc.Pages))
+		}
+		for k, pd := range lc.Pages {
+			if pd.Page != jc.Pages[k].Page {
+				return fmt.Errorf("verify: commit %d (v%d): page set diverges (%d vs %d)",
+					i-1, lc.Version, pd.Page, jc.Pages[k].Page)
+			}
+			if got := st.PageHash(pd.Page); got != jc.Pages[k].Hash {
+				return fmt.Errorf("verify: commit %d (v%d) page %d: replayed content hashes to %016x, journal recorded %016x",
+					i-1, lc.Version, pd.Page, got, jc.Pages[k].Hash)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if i != len(jd.Commits) {
+		return nil, fmt.Errorf("verify: log has %d commits, journal has %d", i, len(jd.Commits))
 	}
 	return st, nil
 }
@@ -214,8 +258,8 @@ func checkOrigin(r *Reader, toVersion int64) error {
 // Resume reconstructs the replica from the newest snapshot anchor plus
 // the log tail — the restart path, touching only the records after the
 // last snapshot instead of the whole history. Equivalent to a full Replay
-// by the replica-equivalence argument; scripts/check.sh gates the
-// equivalence on the golden benches.
+// by the replica-equivalence argument; TestGateCommitLog
+// (internal/harness) gates the equivalence on the golden benches.
 func Resume(dir string) (*State, error) {
 	r, err := OpenReader(dir)
 	if err != nil {

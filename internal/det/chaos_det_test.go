@@ -50,8 +50,8 @@ func uint64OffsetFor(i int) int { return 64 + 8*i }
 // whole subsystem exists for: every (profile, seed) pair must reproduce
 // the unperturbed run's checksum and sync-trace hash byte-for-byte on the
 // simulation host, while actually injecting (non-zero event counters).
-// The chaos gate in scripts/check.sh asserts the same property over the
-// golden benchmarks; this is the in-tree fast version.
+// TestGateChaos (internal/harness) asserts the same property over the
+// golden benchmarks; this is the racy-workload version.
 func TestChaosPreservesResults(t *testing.T) {
 	baseSum, baseTrace, _ := run(t, cfg(), simhost.New(costmodel.Default()), mixedProg(4, 12))
 	baseHash := baseTrace.Hash()

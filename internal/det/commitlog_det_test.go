@@ -1,7 +1,6 @@
 package det_test
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -84,8 +83,8 @@ func TestCommitLogInvisibleAndReplays(t *testing.T) {
 }
 
 // TestCommitLogByteIdentical: two identical runs must produce
-// byte-identical log directories — the determinism property check.sh
-// gates on the golden benches, in-tree and fast.
+// byte-identical log directories — the determinism property
+// TestGateCommitLog (internal/harness) gates on the golden benches.
 func TestCommitLogByteIdentical(t *testing.T) {
 	opts := commitlog.Options{SegmentBytes: 4096, SnapshotEvery: 16, Meta: map[string]string{"bench": "mixed"}}
 	dirA, dirB := t.TempDir(), t.TempDir()
@@ -118,8 +117,7 @@ func TestCommitLogByteIdentical(t *testing.T) {
 // commit log attached together and verifies them against each other
 // record for record: same commit sequence (AtSeq/Version/Tid/Clock), same
 // page sets, and the replayed page content hashing to the journal's
-// recorded page hashes. This is the in-process version of
-// `conseq-replay -verify`.
+// recorded page hashes — the check `conseq-replay -verify` runs.
 func TestCommitLogCrossChecksJournal(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(t.TempDir(), "run.csqj")
@@ -156,36 +154,9 @@ func TestCommitLogCrossChecksJournal(t *testing.T) {
 	if len(jd.Commits) == 0 {
 		t.Fatal("journal recorded no commits")
 	}
-	i := 0
-	st, err := commitlog.ReplayWith(dir, -1, func(st *commitlog.State, lc commitlog.Commit) error {
-		if i >= len(jd.Commits) {
-			return fmt.Errorf("commit log has more commits than the journal (%d)", len(jd.Commits))
-		}
-		jc := jd.Commits[i]
-		i++
-		if lc.AtSeq != jc.AtSeq || lc.Version != jc.Version || lc.Tid != jc.Tid || lc.Clock != jc.Clock {
-			return fmt.Errorf("commit %d: log (seq %d v%d tid %d clk %d) != journal (seq %d v%d tid %d clk %d)",
-				i-1, lc.AtSeq, lc.Version, lc.Tid, lc.Clock, jc.AtSeq, jc.Version, jc.Tid, jc.Clock)
-		}
-		if len(lc.Pages) != len(jc.Pages) {
-			return fmt.Errorf("commit %d: %d logged pages, journal has %d", i-1, len(lc.Pages), len(jc.Pages))
-		}
-		for k, pd := range lc.Pages {
-			if pd.Page != jc.Pages[k].Page {
-				return fmt.Errorf("commit %d: page set diverges at %d", i-1, k)
-			}
-			if got := st.PageHash(pd.Page); got != jc.Pages[k].Hash {
-				return fmt.Errorf("commit %d page %d: replayed hash %016x, journal %016x",
-					i-1, pd.Page, got, jc.Pages[k].Hash)
-			}
-		}
-		return nil
-	})
+	st, err := commitlog.VerifyAgainstJournal(dir, jd)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if i != len(jd.Commits) {
-		t.Fatalf("replayed %d commits, journal has %d", i, len(jd.Commits))
 	}
 	if st.Checksum() != liveSum {
 		t.Fatalf("replay checksum %016x, live %016x", st.Checksum(), liveSum)

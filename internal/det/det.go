@@ -180,7 +180,7 @@ type Config struct {
 	// are single-use — create a fresh one per runtime so replays line up.
 	// Perturbations are confined to modeled time and advisory predictions,
 	// so results (checksums, sync traces) are identical with chaos on or
-	// off; scripts/check.sh gates on exactly that.
+	// off; TestGateChaos (internal/harness) gates on exactly that.
 	Chaos *chaos.Injector
 
 	// CommitLog, when non-nil, attaches a persistent commit log: both
@@ -191,7 +191,7 @@ type Config struct {
 	// Equivalent to calling SetCommitLog before Run. Logging never changes
 	// results — checksums and sync traces are byte-identical with the log
 	// on or off, and identical runs produce byte-identical log files;
-	// scripts/check.sh gates both. The caller owns the log and must Close
+	// TestGateCommitLog (internal/harness) gates both. The caller owns the log and must Close
 	// it after Run to flush.
 	CommitLog *commitlog.Log
 }
@@ -501,7 +501,7 @@ func (rt *Runtime) SetObserver(o *obs.Observer) {
 // published version's page-set with per-page content hashes
 // (docs/divergence.md). Journaling never changes results — checksums and
 // sync traces are byte-identical with the journal on or off, which
-// scripts/check.sh gates. The caller owns the writer and must Close it
+// TestGateJournal (internal/harness) gates. The caller owns the writer and must Close it
 // after Run to flush.
 func (rt *Runtime) SetJournal(w *journal.Writer) {
 	if rt.started {

@@ -39,7 +39,7 @@ func runJournaled(t *testing.T, c det.Config, path string, prog func(api.T)) (ui
 
 // Journaling is observation only: checksum and sync trace must be
 // byte-identical with the journal on or off, on every host — the
-// in-process version of the scripts/check.sh journal gate.
+// racy-workload version of TestGateJournal (internal/harness).
 func TestJournalDoesNotPerturbResults(t *testing.T) {
 	for _, prog := range []struct {
 		name string

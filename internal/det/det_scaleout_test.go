@@ -60,7 +60,7 @@ func TestScaleOutMatchesLegacy(t *testing.T) {
 }
 
 // Checksum and trace must be invariant across the whole shard matrix — the
-// in-process version of the scripts/check.sh golden gate.
+// small-program version of TestGateDeterminism (internal/harness).
 func TestShardMatrixDeterminism(t *testing.T) {
 	prog := counterProg(4, 20)
 	sum0, rec0, _ := run(t, cfg(), simhost.New(costmodel.Default()), prog)

@@ -27,8 +27,8 @@ import (
 //  2. byte-identical checksums vs the legacy single-shard runtime;
 //  3. byte-identical journals across repeated runs on both hosts.
 //
-// Only the interleave may differ from legacy (the per-count golden set in
-// scripts/check.sh pins those), never the results.
+// Only the interleave may differ from legacy (the per-count golden table
+// in internal/harness/gate_test.go pins those), never the results.
 
 // forkJoinTreeProg builds a two-level spawn tree: the root forks width
 // children, each child forks width grandchildren. Child tids land in

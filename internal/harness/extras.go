@@ -182,7 +182,7 @@ func TableLRC(s Sweep) (map[string]map[string]int64, string, error) {
 
 // TablePrefetch ablates write-set prediction (internal/predict): per-site
 // page prefetch overlapped with the token wait. Results are identical
-// either way — scripts/check.sh asserts the checksums and sync traces
+// either way — TestGateDeterminism asserts the checksums and sync traces
 // byte-for-byte — so the interesting columns are the wall-time delta and
 // how well the last-value predictor covers the fault stream (hits vs
 // misses vs prefetched-but-unwritten pages).
@@ -230,7 +230,7 @@ func TablePrefetch(s Sweep) (map[string]map[string]int64, string, error) {
 // TableShards sweeps the sharded scheduler (docs/scheduler.md) — per-shard
 // granting with worker reuse and lazy fast-forward — against the paper's
 // single-token scheduler. Results are identical at every shard count —
-// scripts/check.sh pins the checksums and sync traces byte-for-byte — so
+// TestGateDeterminism pins the checksums and sync traces byte-for-byte — so
 // the interesting columns are the wall-time speedup and how many
 // sub-token grants stayed shard-local (the cheap re-acquire path that
 // never crosses threads).

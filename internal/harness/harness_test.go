@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/commitlog"
+	"repro/internal/costmodel"
 	"repro/internal/det"
+	"repro/internal/host/simhost"
 	"repro/internal/journal"
 	"repro/internal/obs"
 )
@@ -349,37 +351,68 @@ func TestReplicasOption(t *testing.T) {
 	}
 }
 
-// The time model is pinned: both schedulers — the paper's single token
-// (shards = 1) and per-shard granting (shards = 4) — must reproduce, to
-// the nanosecond, the modeled wall time recorded before the intermediate
-// scheduler generation was deleted, with the golden checksum and the
-// per-shard-count trace hash. A refactor that moves any of the three has
-// changed the time model or the grant order, not just the code.
-func TestTimeModelPinned(t *testing.T) {
-	cases := []struct {
-		bench  string
-		shards int
-		wallNS int64
-		sum    uint64
-		trace  uint64
-	}{
-		{"kmeans", 1, 3245522, 0x1f8b09e15b1b689c, 0xcd6c25c0a0405d2b},
-		{"kmeans", 4, 602806, 0x1f8b09e15b1b689c, 0xcd6c25c0a0405d2b},
-		{"water_nsquared", 1, 15166761, 0x8cd4c7596c268f28, 0xaadb9ab2a9588a2a},
-		{"water_nsquared", 4, 5037955, 0x8cd4c7596c268f28, 0xc56202d013570111},
+// An attachment that plugs into det.Runtime must be refused on a runtime
+// that is not det-backed — not silently dropped — and accepted on dwc,
+// which is one. A failed Build leaves nothing open.
+func TestBuildRefusesAttachmentsItCannotHonour(t *testing.T) {
+	base := Options{Bench: "histogram", Threads: 2, Scale: 1, Seed: 1}
+	for _, kind := range []Kind{KindDThreads, KindPthreads, KindRFDet} {
+		o := base
+		o.Runtime = kind
+		o.Observer = obs.New()
+		if _, err := Run(o); err == nil || !strings.Contains(err.Error(), "observer") {
+			t.Errorf("%s: observer accepted on a runtime that cannot be observed (err %v)", kind, err)
+		}
+		o.Observer, o.WithLRC = nil, true
+		if _, err := Run(o); err == nil {
+			t.Errorf("%s: LRC tracker accepted on a runtime without hooks", kind)
+		}
 	}
-	for _, tc := range cases {
-		r, err := Run(Options{
-			Bench: tc.bench, Runtime: KindConsequenceIC, Threads: 8,
-			Scale: 1, Seed: 42, Shards: tc.shards,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.WallNS != tc.wallNS || r.Checksum != tc.sum || r.TraceHash != tc.trace {
-			t.Errorf("%s shards=%d: wall %d sum %016x trace %016x, want wall %d sum %016x trace %016x",
-				tc.bench, tc.shards, r.WallNS, r.Checksum, r.TraceHash, tc.wallNS, tc.sum, tc.trace)
-		}
+	o := base
+	o.Runtime = KindDWC
+	o.Observer = obs.New()
+	r, err := Run(o)
+	if err != nil {
+		t.Fatalf("dwc is det-backed and must take an observer: %v", err)
+	}
+	if r.TraceHash == 0 || len(o.Observer.Lanes()) == 0 {
+		t.Errorf("dwc cell observed nothing: trace %016x, %d lanes", r.TraceHash, len(o.Observer.Lanes()))
+	}
+	// The journal is already open when the commit log refuses a used
+	// directory: Build must close it on the way out, leaving a complete
+	// (empty) journal file rather than a dangling writer.
+	o = base
+	o.Runtime = KindConsequenceIC
+	o.CommitLogDir = filepath.Join(t.TempDir(), "log")
+	if _, err := Run(o); err != nil {
+		t.Fatal(err)
+	}
+	o.JournalPath = filepath.Join(t.TempDir(), "a.csqj")
+	if _, err := Run(o); err == nil {
+		t.Fatal("commit log accepted a directory that already holds a log")
+	}
+	if d, err := journal.Load(o.JournalPath); err != nil || len(d.Events) != 0 {
+		t.Errorf("failed Build left the journal unclosed: %v", err)
+	}
+}
+
+// optionsFromMeta must invert the metadata Build writes, so a recorded
+// run re-executes as the same cell.
+func TestOptionsFromMetaInvertsRunMeta(t *testing.T) {
+	o := Options{Bench: "kmeans", Runtime: KindConsequenceIC, Threads: 8, Scale: 2, Seed: 7, Shards: 4}
+	got, err := optionsFromMeta(runMeta(o))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Bench != o.Bench || got.Runtime != o.Runtime || got.Threads != o.Threads ||
+		got.Scale != o.Scale || got.Seed != o.Seed || got.Shards != o.Shards {
+		t.Errorf("round trip moved the cell: %+v -> %+v", o, got)
+	}
+	if _, err := optionsFromMeta(map[string]string{"bench": "kmeans"}); err == nil {
+		t.Error("metadata without a runtime accepted")
+	}
+	if _, err := optionsFromMeta(map[string]string{"bench": "kmeans", "runtime": "dwc", "threads": "x"}); err == nil {
+		t.Error("non-numeric thread count accepted")
 	}
 }
 
@@ -400,5 +433,39 @@ func TestShardsLeaveRoundRobinOnSingleToken(t *testing.T) {
 	if got.WallNS != base.WallNS || got.Checksum != base.Checksum || got.TraceHash != base.TraceHash {
 		t.Errorf("consequence-rr moved at shards=4: wall %d sum %016x trace %016x, single-token wall %d sum %016x trace %016x",
 			got.WallNS, got.Checksum, got.TraceHash, base.WallNS, base.Checksum, base.TraceHash)
+	}
+}
+
+// Every deterministic runtime records a sync trace, not only the
+// det-backed ones: dthreads and rfdet-lrc keep their own recorder. The
+// result must carry its hash (detrun -verify compares it across hosts —
+// a zero there would let a sync-order divergence pass on checksums
+// alone); pthreads, the nondeterministic reference, records none.
+func TestTraceHashCoversEveryDeterministicRuntime(t *testing.T) {
+	for _, tc := range []struct {
+		kind Kind
+		hash uint64 // kmeans t=4 scale=1 seed=42, as detrun prints it
+	}{
+		{KindDThreads, 0x0c4d9005262888ad},
+		{KindRFDet, 0x7421576b94bcda74},
+		{KindPthreads, 0},
+	} {
+		c, err := Build(Options{Bench: "kmeans", Runtime: tc.kind, Threads: 4, Scale: 1, Seed: 42}, simhost.New(costmodel.Default()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := c.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.TraceHash != tc.hash {
+			t.Errorf("%s: trace hash %016x, want %016x", tc.kind, r.TraceHash, tc.hash)
+		}
+		if tr := c.Trace(); (tr != nil) != (tc.hash != 0) {
+			t.Errorf("%s: Trace() = %v", tc.kind, tr)
+		} else if tr != nil && (tr.Len() != 73 || tr.Hash() != r.TraceHash) {
+			t.Errorf("%s: trace has %d events, hash %016x; want 73, %016x", tc.kind, tr.Len(), tr.Hash(), r.TraceHash)
+		}
+		c.Close()
 	}
 }

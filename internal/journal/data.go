@@ -1,11 +1,15 @@
 package journal
 
-import "repro/internal/trace"
+import (
+	"fmt"
+
+	"repro/internal/trace"
+)
 
 // RecomputeCheckpoints rebuilds d.Checkpoints from d.Events at the same
 // interval as the existing checkpoints (no-op when the journal has none).
-// Use after editing a decoded journal (e.g. conseq-diff's perturb modes)
-// to keep it internally consistent: Diff's checkpoint probe assumes a
+// Use after editing a decoded journal (Perturb does) to keep it
+// internally consistent: Diff's checkpoint probe assumes a
 // journal's checkpoints are true prefix hashes of its events, which holds
 // for every journal the runtime writes.
 func RecomputeCheckpoints(d *Data) {
@@ -49,4 +53,35 @@ func WriteFile(path string, d *Data) error {
 	}
 	emit(1 << 62)
 	return w.Close()
+}
+
+// Perturb plants one deliberate divergence in a decoded journal and
+// recomputes the interval checkpoints so the journal stays internally
+// consistent — the self-test fuel for Diff (conseq-diff -perturb and the
+// journal gate). Mode "swap-grant" swaps the adjacent events at seq at
+// and at+1; "flip-page" flips the first page hash of commit index at.
+func (d *Data) Perturb(mode string, at int64) error {
+	i := int(at)
+	switch mode {
+	case "swap-grant":
+		if i < 0 || i+1 >= len(d.Events) {
+			return fmt.Errorf("swap-grant site %d out of range (journal has %d events)", at, len(d.Events))
+		}
+		// Swap the two adjacent grants but keep the seq column honest:
+		// the divergence is the reordering, not a renumbering artifact.
+		d.Events[i], d.Events[i+1] = d.Events[i+1], d.Events[i]
+		d.Events[i].Seq, d.Events[i+1].Seq = int64(i), int64(i+1)
+	case "flip-page":
+		if i < 0 || i >= len(d.Commits) {
+			return fmt.Errorf("flip-page site %d out of range (journal has %d commits)", at, len(d.Commits))
+		}
+		if len(d.Commits[i].Pages) == 0 {
+			return fmt.Errorf("commit %d has no pages to flip", at)
+		}
+		d.Commits[i].Pages[0].Hash ^= 1 << 63
+	default:
+		return fmt.Errorf("unknown perturbation %q (want swap-grant or flip-page)", mode)
+	}
+	RecomputeCheckpoints(d)
+	return nil
 }

@@ -36,8 +36,9 @@
 // under a mutex (callers are token-serialized already) and hands full
 // blocks to a background goroutine that does the file I/O. Stats exposes
 // events/commits/checkpoints/bytes/flush-stall counters for the journal_*
-// metrics. Journaling must never change program results; scripts/check.sh
-// gates journal-on vs journal-off byte-identical checksums and traces.
+// metrics. Journaling must never change program results; TestGateJournal
+// (internal/harness) gates journal-on vs journal-off byte-identical
+// checksums and traces.
 package journal
 
 import (

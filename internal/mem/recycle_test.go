@@ -61,16 +61,22 @@ func TestRecycleNeverReachesReaders(t *testing.T) {
 
 	var token sync.Mutex
 	var history [][]loggedDiff // history[v-1] = version v's diffs; token-guarded
-	var wg sync.WaitGroup
+	// Every thread snapshots before any commits, so even if the scheduler
+	// runs them back to back the later ones commit against a moved head
+	// and take the merge path.
+	var wg, snapped sync.WaitGroup
+	snapped.Add(threads)
 	for w := 0; w < threads; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			ws, err := s.Snapshot(w)
+			snapped.Done()
 			if err != nil {
 				t.Errorf("snapshot %d: %v", w, err)
 				return
 			}
+			snapped.Wait()
 			ws.SetPredict(w%2 == 0) // half the threads keep fresh prefetches across a commit
 			rng := rand.New(rand.NewSource(int64(w) + 1))
 			buf := make([]byte, 96)

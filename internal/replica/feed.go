@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/commitlog"
 	"repro/internal/obs"
 )
@@ -57,19 +58,12 @@ func (fl *Fleet) supervise(s *fstate) {
 			// Read-side failure: state is intact, resubscribe from
 			// version+1 — the no-gap, no-duplicate path.
 		default:
-			// A version gap or an unreadable interior segment. In
-			// directory mode with a known-dead writer the supervisor may
-			// repair the log first; either way the follower rebuilds
-			// from scratch so it cannot serve a state no writer had.
-			if fl.log == nil && fl.o.RepairOnError {
-				if _, rerr := commitlog.Repair(fl.dir); rerr != nil {
-					err = fmt.Errorf("%w (repair also failed: %v)", err, rerr)
-				}
-			}
+			// A version gap or an unreadable interior segment: the
+			// follower rebuilds from scratch so it cannot serve a state
+			// no writer had.
 			s.f.reset()
 			s.cursor = -1
 		}
-		_ = err
 		if !fl.sleep(bo.next(attempt)) {
 			return
 		}
@@ -162,7 +156,7 @@ func (fl *Fleet) feedDir(s *fstate, attempt int) (err error) {
 		}
 		// Nothing new yet: poll, with seeded jitter so a fleet of
 		// followers does not stat the directory in lockstep.
-		d := fl.o.PollInterval + time.Duration(bo.rng.below(int64(fl.o.PollInterval)))
+		d := fl.o.PollInterval + time.Duration(bo.rng.Below(int64(fl.o.PollInterval)))
 		if !fl.sleep(d) {
 			return errClosing
 		}
@@ -321,17 +315,10 @@ func (fl *Fleet) refreshFrontier() {
 // watchdog is the fleet's monitor goroutine: it refreshes the frontier,
 // re-evaluates admission (a stalled follower must drain even though it
 // is not applying), and kicks followers that made no progress while the
-// frontier advanced past StallTimeout.
+// frontier advanced past stallTimeout.
 func (fl *Fleet) watchdog() {
 	defer fl.wg.Done()
-	tick := fl.o.StallTimeout / 4
-	if tick > 20*time.Millisecond {
-		tick = 20 * time.Millisecond
-	}
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	t := time.NewTicker(tick)
+	t := time.NewTicker(20 * time.Millisecond)
 	defer t.Stop()
 	for {
 		select {
@@ -353,7 +340,7 @@ func (fl *Fleet) watchdog() {
 				s.lastMoveNS.Store(now)
 				continue
 			}
-			if frontier > v && now-s.lastMoveNS.Load() > int64(fl.o.StallTimeout) {
+			if frontier > v && now-s.lastMoveNS.Load() > int64(stallTimeout) {
 				// Stalled: ask the feed to restart and unblock it if it
 				// is parked in Stream.Next.
 				s.lastMoveNS.Store(now) // one kick per timeout window
@@ -381,51 +368,31 @@ func (fl *Fleet) sleep(d time.Duration) bool {
 	}
 }
 
-// splitmix64 is the same generator the chaos and scheduler layers use;
-// the fleet keeps its own so backoff jitter is deterministic per
-// (Seed, follower) without coupling to chaos draw order.
-type rng struct{ state uint64 }
-
-func (r *rng) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (r *rng) below(n int64) int64 {
-	if n <= 0 {
-		return 0
-	}
-	return int64(r.next() % uint64(n))
-}
-
 // backoff produces the jittered, capped, exponential restart delays.
 type backoff struct {
-	base, cap time.Duration
-	rng       rng
+	rng chaos.Rand
 }
 
 // backoffFor builds the seeded backoff source for one follower (or a
-// derived id for auxiliary jitter streams).
+// derived id for auxiliary jitter streams): its own splitmix64 stream,
+// so jitter is deterministic per (Seed, follower) without coupling to
+// chaos draw order.
 func (fl *Fleet) backoffFor(id int) *backoff {
-	seed := uint64(fl.o.Seed)*0x9e3779b97f4a7c15 + uint64(int64(id))*0xbf58476d1ce4e5b9 + 0x7265706c696361 // "replica"
-	return &backoff{base: fl.o.RetryBase, cap: fl.o.RetryCap, rng: rng{state: seed}}
+	return &backoff{rng: chaos.NewRand(fl.o.Seed, int64(id), 0x7265706c696361)} // "replica"
 }
 
-// next returns the delay before retry number attempt (0-based): base
-// doubled per attempt, capped, with ±50% jitter.
+// next returns the delay before retry number attempt (0-based):
+// retryBase doubled per attempt, capped at retryCap, with ±50% jitter.
 func (b *backoff) next(attempt int) time.Duration {
-	d := b.base
-	for i := 0; i < attempt && d < b.cap; i++ {
+	d := retryBase
+	for i := 0; i < attempt && d < retryCap; i++ {
 		d *= 2
 	}
-	if d > b.cap {
-		d = b.cap
+	if d > retryCap {
+		d = retryCap
 	}
 	half := int64(d / 2)
-	return time.Duration(half + b.rng.below(half+1))
+	return time.Duration(half + b.rng.Below(half+1))
 }
 
 // registerMetrics exposes the fleet on the run's obs registry; nil

@@ -16,6 +16,19 @@ import (
 // version's history (ReadAt).
 var ErrNoFollower = fmt.Errorf("replica: no follower can serve this read")
 
+// retryBase and retryCap bound the exponential backoff between a
+// follower's restart attempts. Jitter is seeded-deterministic: the k-th
+// backoff of follower i is a pure function of (Seed, i, k).
+const (
+	retryBase = 500 * time.Microsecond
+	retryCap  = 100 * time.Millisecond
+)
+
+// stallTimeout restarts a follower that made no progress while the
+// writer's frontier advanced for this long — the stalled-stream death
+// mode.
+const stallTimeout = 2 * time.Second
+
 // Options configures a Fleet.
 type Options struct {
 	// Followers is the number of serving followers (default 2).
@@ -40,16 +53,6 @@ type Options struct {
 	// Seed drives the fleet's jittered backoff draws and, combined with
 	// Chaos, the injected follower faults; fixed seed, fixed schedule.
 	Seed int64
-	// RetryBase/RetryCap bound the exponential backoff between a
-	// follower's restart attempts (defaults 500µs, 100ms). Jitter is
-	// seeded-deterministic: the k-th backoff of follower i is a pure
-	// function of (Seed, i, k).
-	RetryBase time.Duration
-	RetryCap  time.Duration
-	// StallTimeout restarts a follower that made no progress while the
-	// writer's frontier advanced for this long (default 2s) — the
-	// stalled-stream death mode.
-	StallTimeout time.Duration
 	// PollInterval paces directory tailing between records appearing
 	// (default 2ms); live streams push and do not poll.
 	PollInterval time.Duration
@@ -66,11 +69,6 @@ type Options struct {
 	// Log.RequestSnapshot before a killed follower rebuilds, so the
 	// rebuild replays from a fresh anchor instead of a long tail.
 	SnapshotOnRestart bool
-	// RepairOnError, in directory mode, invokes commitlog.Repair when a
-	// scan hits an unreadable segment (not a mere torn tail, which
-	// tolerant reads skip). Only safe when no writer is alive on the
-	// directory.
-	RepairOnError bool
 	// OnApply, when non-nil, observes every commit a follower applies
 	// (called from the follower's feed goroutine, after the apply).
 	// conseq-replay -follow uses it for per-commit output.
@@ -87,15 +85,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxLag <= 0 {
 		o.MaxLag = 64
-	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 500 * time.Microsecond
-	}
-	if o.RetryCap <= 0 {
-		o.RetryCap = 100 * time.Millisecond
-	}
-	if o.StallTimeout <= 0 {
-		o.StallTimeout = 2 * time.Second
 	}
 	if o.PollInterval <= 0 {
 		o.PollInterval = 2 * time.Millisecond

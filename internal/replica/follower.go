@@ -20,7 +20,7 @@
 // none of this can move the writer's results: any read at version v
 // returns byte-identical content on every follower that can serve it,
 // across every chaos profile and crash/restart schedule —
-// scripts/check.sh gates exactly that.
+// TestGateReplica (internal/harness) gates exactly that.
 package replica
 
 import (

@@ -417,7 +417,7 @@ func TestFleetDrainAndReadmit(t *testing.T) {
 // Backoff delays must be deterministic per (seed, follower), jittered,
 // and capped.
 func TestBackoffDeterministicCapped(t *testing.T) {
-	fl := New("/nonexistent", nil, Options{Seed: 5, RetryBase: time.Millisecond, RetryCap: 16 * time.Millisecond})
+	fl := New("/nonexistent", nil, Options{Seed: 5})
 	a, b := fl.backoffFor(2), fl.backoffFor(2)
 	other := fl.backoffFor(3)
 	differs := false
@@ -426,8 +426,8 @@ func TestBackoffDeterministicCapped(t *testing.T) {
 		if da != db {
 			t.Fatalf("attempt %d: %v != %v across replays", i, da, db)
 		}
-		if da > 16*time.Millisecond+8*time.Millisecond {
-			t.Fatalf("attempt %d: %v exceeds cap+jitter", i, da)
+		if da > retryCap {
+			t.Fatalf("attempt %d: %v exceeds the cap", i, da)
 		}
 		if da != other.next(i) {
 			differs = true
