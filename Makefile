@@ -15,5 +15,7 @@ test:
 fmt:
 	gofmt -w .
 
+# Regenerates the golden TestFiguresGolden compares against: only for a
+# change that means to move the time model.
 figures:
-	go run ./cmd/consequence-bench -fig all
+	go run ./cmd/consequence-bench -fig all -table all > docs/figures-scale1.txt

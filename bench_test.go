@@ -1,11 +1,11 @@
-// Package consequence_test holds the benchmark harness entry points: one
-// benchmark family per figure/table of the paper's evaluation (§5), plus
-// microbenchmarks of the runtime's primitives on the real host.
+// Package consequence_test holds the benchmark harness entry points: the
+// figures and tables of the paper's evaluation (§5), plus microbenchmarks
+// of the runtime's primitives on the real host.
 //
 // The figure benchmarks drive the same deterministic simulation harness as
-// cmd/consequence-bench, at reduced sweeps suitable for `go test -bench`.
+// cmd/consequence-bench, at a reduced sweep suitable for `go test -bench`.
 // Wall-clock ns/op measures harness execution; the paper's actual metric —
-// modeled runtime, memory, or propagated pages — is attached via
+// modeled runtime, memory, time shares, propagated pages — is attached via
 // b.ReportMetric.
 package consequence_test
 
@@ -14,169 +14,42 @@ import (
 	"testing"
 
 	consequence "repro"
-	"repro/internal/det"
 	"repro/internal/harness"
 )
 
-// benchSweep is the reduced thread sweep used by figure benches.
-var benchSweep = harness.Sweep{Threads: []int{2, 4, 8}, Scale: 1, Seed: 42}
-
-// reportRun runs one harness configuration and reports its modeled wall
-// time as the "vms/op" (virtual milliseconds) metric.
-func reportRun(b *testing.B, o harness.Options) harness.Result {
-	b.Helper()
-	var last harness.Result
-	for i := 0; i < b.N; i++ {
-		r, err := harness.Run(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = r
-	}
-	b.ReportMetric(float64(last.WallNS)/1e6, "vms")
-	return last
-}
-
-// BenchmarkFig10 regenerates Figure 10's normalized slowdowns: each
-// sub-benchmark is one (benchmark × runtime) cell, best-of thread sweep.
-func BenchmarkFig10(b *testing.B) {
-	kinds := append([]harness.Kind{harness.KindPthreads}, harness.DetKinds...)
-	for _, bench := range []string{"histogram", "reverse_index", "ferret", "canneal", "ocean_cp", "water_nsquared"} {
-		for _, k := range kinds {
-			b.Run(bench+"/"+string(k), func(b *testing.B) {
-				var best harness.Result
-				for i := 0; i < b.N; i++ {
-					r, err := harness.BestOver(harness.Options{
-						Bench: bench, Runtime: k, Scale: benchSweep.Scale, Seed: benchSweep.Seed,
-					}, benchSweep.Threads)
-					if err != nil {
+// BenchmarkFigures runs every cell of every entry of harness.Figures — the
+// table consequence-bench prints from — as the sub-benchmark
+// <figure>/<bench>/t<threads>/<variant>; select with -bench, e.g.
+// `-bench 'Figures/13/ferret'` for ferret's Figure 13 ablations or
+// `-bench 'Figures/lrc'` for the TSO-vs-LRC table.
+func BenchmarkFigures(b *testing.B) {
+	// The reduced thread sweep of the figures that sweep threads (10–12).
+	sweep := harness.Sweep{Threads: []int{2, 4, 8}, Scale: 1, Seed: 42}
+	for i := range harness.Figures {
+		f := &harness.Figures[i]
+		for i, o := range f.Cells(sweep) {
+			variant := f.Variants[i%len(f.Variants)].Name // Cells iterates variants innermost
+			b.Run(fmt.Sprintf("%s/%s/t%d/%s", f.Name, o.Bench, o.Threads, variant), func(b *testing.B) {
+				var r harness.Result
+				for n := 0; n < b.N; n++ {
+					// Re-expanded per run: a cell that attaches an observer
+					// (-table shards) must get a fresh one.
+					var err error
+					if r, err = harness.Run(f.Cells(sweep)[i]); err != nil {
 						b.Fatal(err)
 					}
-					best = r
 				}
-				b.ReportMetric(float64(best.WallNS)/1e6, "vms")
-			})
-		}
-	}
-}
-
-// BenchmarkFig11 regenerates Figure 11's scalability curves: runtime vs
-// thread count on the six pathological benchmarks.
-func BenchmarkFig11(b *testing.B) {
-	for _, bench := range harness.Fig11Benches {
-		for _, th := range benchSweep.Threads {
-			for _, k := range []harness.Kind{harness.KindConsequenceIC, harness.KindDThreads, harness.KindDWC} {
-				b.Run(fmt.Sprintf("%s/t%d/%s", bench, th, k), func(b *testing.B) {
-					reportRun(b, harness.Options{Bench: bench, Runtime: k, Threads: th, Scale: 1, Seed: 42})
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkFig12 regenerates Figure 12's peak-memory comparison; the
-// reported metric is peak pages.
-func BenchmarkFig12(b *testing.B) {
-	for _, bench := range []string{"canneal", "lu_ncb", "histogram", "ocean_cp"} {
-		for _, th := range benchSweep.Threads {
-			for _, k := range []harness.Kind{harness.KindConsequenceIC, harness.KindDThreads} {
-				b.Run(fmt.Sprintf("%s/t%d/%s", bench, th, k), func(b *testing.B) {
-					r := reportRun(b, harness.Options{Bench: bench, Runtime: k, Threads: th, Scale: 1, Seed: 42})
-					b.ReportMetric(float64(r.Stats.PeakPages), "peakPages")
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkFig13 regenerates Figure 13's per-optimization ablations: each
-// sub-benchmark disables one optimization on one hard benchmark; compare
-// its vms metric against the /full baseline.
-func BenchmarkFig13(b *testing.B) {
-	for _, bench := range harness.Fig13Benches {
-		b.Run(bench+"/full", func(b *testing.B) {
-			reportRun(b, harness.Options{Bench: bench, Runtime: harness.KindConsequenceIC, Threads: 8, Scale: 1, Seed: 42})
-		})
-		for _, v := range harness.Fig13Variants {
-			v := v
-			b.Run(bench+"/no-"+v.Name, func(b *testing.B) {
-				reportRun(b, harness.Options{
-					Bench: bench, Runtime: harness.KindConsequenceIC, Threads: 8,
-					Scale: 1, Seed: 42, Modify: v.Disable,
-				})
-			})
-		}
-	}
-}
-
-// BenchmarkFig14 regenerates Figure 14's static-vs-adaptive coarsening
-// sweep on reverse_index and ferret.
-func BenchmarkFig14(b *testing.B) {
-	for _, bench := range []string{"reverse_index", "ferret"} {
-		for _, lvl := range harness.Fig14Levels {
-			lvl := lvl
-			b.Run(fmt.Sprintf("%s/static%d", bench, lvl), func(b *testing.B) {
-				reportRun(b, harness.Options{
-					Bench: bench, Runtime: harness.KindConsequenceIC, Threads: 8, Scale: 1, Seed: 42,
-					Modify: func(c *det.Config) {
-						if lvl == 0 {
-							c.Coarsening = false
-						} else {
-							c.StaticLevel = lvl
-						}
-					},
-				})
-			})
-		}
-		b.Run(bench+"/adaptive", func(b *testing.B) {
-			reportRun(b, harness.Options{Bench: bench, Runtime: harness.KindConsequenceIC, Threads: 8, Scale: 1, Seed: 42})
-		})
-	}
-}
-
-// BenchmarkFig15 regenerates Figure 15's time-breakdown rows; the metrics
-// are the category percentages.
-func BenchmarkFig15(b *testing.B) {
-	for _, bench := range []string{"string_match", "canneal", "ferret", "reverse_index"} {
-		for _, k := range []harness.Kind{harness.KindPthreads, harness.KindDWC, harness.KindConsequenceIC} {
-			b.Run(bench+"/"+string(k), func(b *testing.B) {
-				r := reportRun(b, harness.Options{Bench: bench, Runtime: k, Threads: 8, Scale: 1, Seed: 42})
-				total := float64(r.Stats.LocalWorkNS + r.Stats.DetermWaitNS + r.Stats.BarrierWaitNS +
-					r.Stats.CommitNS + r.Stats.FaultNS + r.Stats.LibNS)
-				if total > 0 {
-					b.ReportMetric(100*float64(r.Stats.LocalWorkNS)/total, "local%")
-					b.ReportMetric(100*float64(r.Stats.DetermWaitNS)/total, "determ%")
-					b.ReportMetric(100*float64(r.Stats.BarrierWaitNS)/total, "barrier%")
-					b.ReportMetric(100*float64(r.Stats.CommitNS)/total, "commit%")
+				b.ReportMetric(float64(r.WallNS)/1e6, "vms")
+				b.ReportMetric(float64(r.Stats.PeakPages), "peakPages")
+				for i, share := range harness.BreakdownOf(r.Stats) {
+					b.ReportMetric(100*share, harness.BreakdownCategories[i]+"%")
+				}
+				if r.Opts.WithLRC {
+					b.ReportMetric(float64(r.Stats.PulledPages), "tsoPages")
+					b.ReportMetric(float64(r.LRCPages), "lrcPages")
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkFig16 regenerates Figure 16's page-propagation comparison; the
-// metrics are TSO and hypothetical-LRC propagated pages.
-func BenchmarkFig16(b *testing.B) {
-	for _, bench := range []string{"canneal", "ferret", "word_count", "water_nsquared", "ocean_cp"} {
-		b.Run(bench, func(b *testing.B) {
-			r := reportRun(b, harness.Options{
-				Bench: bench, Runtime: harness.KindConsequenceIC, Threads: 8,
-				Scale: 1, Seed: 42, WithLRC: true,
-			})
-			b.ReportMetric(float64(r.Stats.PulledPages), "tsoPages")
-			b.ReportMetric(float64(r.LRCPages), "lrcPages")
-		})
-	}
-}
-
-// BenchmarkTableLRC compares Consequence's TSO against the deterministic
-// LRC runtime on the fine-grained-locking benchmark where §6 predicts LRC
-// wins; compare the vms metrics of the two sub-benchmarks.
-func BenchmarkTableLRC(b *testing.B) {
-	for _, k := range []harness.Kind{harness.KindConsequenceIC, harness.KindRFDet} {
-		b.Run("water_nsquared/"+string(k), func(b *testing.B) {
-			reportRun(b, harness.Options{Bench: "water_nsquared", Runtime: k, Threads: 8, Scale: 1, Seed: 42})
-		})
 	}
 }
 

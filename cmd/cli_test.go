@@ -2,7 +2,8 @@
 // gate (internal/harness/gate_test.go) calls the libraries in-process;
 // this keeps the binaries' own contract covered — flag handling, the
 // printed lines docs/divergence.md and docs/commitlog.md quote, and the
-// exit codes scripts branch on.
+// exit codes scripts branch on — and vets the bench/ module, which the
+// root module's build never compiles.
 package cmd_test
 
 import (
@@ -11,6 +12,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/harness"
 )
 
 // cli runs one built binary and returns its stdout and exit code.
@@ -78,4 +81,43 @@ func TestArtifactCLIs(t *testing.T) {
 	served := []string{"checksum    1f8b09e15b1b689c", "sweep digest bb62a31a7e02126b"}
 	expect(t, 0, served, in("conseq-serve"), cell...)
 	expect(t, 0, served, in("conseq-serve"), append(cell, "-chaos", "follower-kill:2")...)
+}
+
+// consequence-bench is a name lookup over harness.Figures: a known name
+// prints that figure, an unknown one exits non-zero listing the table's
+// names.
+func TestConsequenceBench(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "consequence-bench")
+	if out, err := exec.Command("go", "build", "-o", bin, "./consequence-bench").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	out, code := cli(t, bin, "-fig", "13")
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if code != 0 || len(lines) != 2+8 || !strings.HasPrefix(lines[0], "Figure 13:") || !strings.HasPrefix(lines[1], "benchmark ") {
+		t.Errorf("-fig 13: exit %d, want the title, the header and 8 rows:\n%s", code, out)
+	}
+	for _, flag := range []string{"-fig", "-table"} {
+		// "none" for the other selector, so a lookup that wrongly succeeds
+		// prints nothing and still fails the checks below.
+		msg, err := exec.Command(bin, "-fig", "none", "-table", "none", flag, "nope").CombinedOutput()
+		if err == nil {
+			t.Errorf("%s nope: exit 0, want a failure", flag)
+		}
+		for _, f := range harness.Figures {
+			if f.Extra == (flag == "-table") && !strings.Contains(string(msg), f.Name) {
+				t.Errorf("%s nope: message does not list %q:\n%s", flag, f.Name, msg)
+			}
+		}
+	}
+}
+
+// bench/ is its own module, so the root `go build ./... && go test ./...`
+// never compiles it: vet it here, so renaming a symbol the ledger compiles
+// against fails tier-1 and not only `make check`.
+func TestBenchModuleVets(t *testing.T) {
+	cmd := exec.Command("go", "vet", "./...")
+	cmd.Dir = "../bench"
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet ./... in bench/: %v\n%s", err, out)
+	}
 }

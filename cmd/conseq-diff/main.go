@@ -1,11 +1,10 @@
 // Command conseq-diff localizes the first divergence between two
 // deterministic run journals (internal/journal, written by
-// `detrun -journal` or `consequence-bench -journal`). Identical runs
-// write byte-identical journals, so any difference is a determinism
-// violation; the report pins it to the first divergent sync event or
-// commit (tid, clock, site) with the surrounding context — the last
-// common events, the locks held at that point, and each thread's last
-// commit. The checkpoint probe localizes in O(log n) hash comparisons
+// `detrun -journal`). Identical runs write byte-identical journals, so
+// any difference is a determinism violation; the report pins it to the
+// first divergent sync event or commit (tid, clock, site) with the
+// surrounding context — the last common events, the locks held at that
+// point, and each thread's last commit. The checkpoint probe localizes in O(log n) hash comparisons
 // (docs/divergence.md).
 //
 // Usage:

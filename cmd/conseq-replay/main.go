@@ -1,9 +1,8 @@
 // Command conseq-replay reconstructs program memory from a persistent
-// commit log (internal/commitlog, written by `detrun -commitlog` or
-// `consequence-bench -commitlog`). The log records every committed
-// version's page diffs in sync order, so the replica is an exact copy of
-// the live run's committed state at any version — time travel — and the
-// reconstruction is verifiable: against the log's own end trailer,
+// commit log (internal/commitlog, written by `detrun -commitlog`). The
+// log records every committed version's page diffs in sync order, so the
+// replica is an exact copy of the live run's committed state at any
+// version — time travel — and the reconstruction is verifiable: against the log's own end trailer,
 // against an expected checksum, or commit-by-commit against the run's
 // divergence journal.
 //
@@ -83,8 +82,7 @@ func main() {
 			fatal(err)
 		}
 		if rep.Repaired {
-			fmt.Printf("repaired    truncated %d bytes, dropped %d segments, rebuilt %d indexes\n",
-				rep.TruncatedBytes, rep.DroppedSegments, rep.RewroteIndexes)
+			fmt.Printf("repaired    truncated %d bytes, dropped %d segments\n", rep.TruncatedBytes, rep.DroppedSegments)
 		} else {
 			fmt.Println("repaired    log was already clean")
 		}

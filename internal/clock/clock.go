@@ -67,9 +67,8 @@ type threadState struct {
 	// wanting threads have requested the token and are blocked until
 	// granted.
 	wanting bool
-	// scope is the shard of the thread's pending/latest request under
-	// sharded granting (GlobalScope for cross-shard edges); unused on the
-	// single token.
+	// scope is the shard of the thread's pending/latest request
+	// (GlobalScope for cross-shard edges); always 0 on the single token.
 	scope int
 }
 
@@ -85,15 +84,12 @@ type Arbiter struct {
 	// unregistered tid after exits; grant search starts at the first
 	// registered tid >= rrNext (cyclically).
 	rrNext int
-	// lastRelease is the clock of the thread that most recently released
-	// the token; used by the fast-forward optimization (§3.5).
-	lastRelease int64
 	// fastForward enables §3.5 on Arrive.
 	fastForward bool
-	// nShards > 0 switches grant decisions to sharded granting
-	// (shardgrant.go): per-shard release clocks, scoped fast-forward, and
-	// the (count, shard id, tid) merge rule.
-	nShards     int
+	// shardClocks holds, per shard, the clock of the thread that most
+	// recently released the token in that shard: the fast-forward target
+	// (§3.5). The paper's single token is the one-shard case;
+	// EnableShardGrants splits the clock domain (shardgrant.go).
 	shardClocks []int64
 
 	// stats
@@ -110,8 +106,8 @@ func New(policy Policy, fastForward bool) *Arbiter {
 		policy:      policy,
 		threads:     make(map[int]*threadState),
 		holder:      NoGrant,
-		rrNext:      0,
 		fastForward: fastForward,
+		shardClocks: make([]int64, 1),
 	}
 }
 
@@ -127,7 +123,7 @@ func (a *Arbiter) Register(tid int, start int64) int {
 	if _, ok := a.threads[tid]; ok {
 		panic(fmt.Sprintf("clock: tid %d registered twice", tid))
 	}
-	a.threads[tid] = &threadState{tid: tid, count: start, eligible: true, scope: GlobalScope}
+	a.threads[tid] = &threadState{tid: tid, count: start, eligible: true, scope: a.scopeLocked(GlobalScope)}
 	i := sort.SearchInts(a.order, tid)
 	a.order = append(a.order, 0)
 	copy(a.order[i+1:], a.order[i:])
@@ -175,20 +171,9 @@ func (a *Arbiter) Count(tid int) int64 {
 // Request records that tid wants the token. If the grant conditions already
 // hold, the token is assigned immediately and Request returns tid; the
 // caller proceeds without blocking. Otherwise the caller must block until
-// some later operation returns tid as its grant.
-func (a *Arbiter) Request(tid int) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	st := a.state(tid)
-	if a.holder == tid {
-		panic(fmt.Sprintf("clock: tid %d requested token it already holds", tid))
-	}
-	if !st.eligible {
-		panic(fmt.Sprintf("clock: departed tid %d requested token", tid))
-	}
-	st.wanting = true
-	return a.grantLocked()
-}
+// some later operation returns tid as its grant. It is the shard-0
+// request: the whole clock domain on the single token.
+func (a *Arbiter) Request(tid int) int { return a.RequestSharded(tid, 0) }
 
 // Release gives up the token and returns the next grant, if any.
 // The releaser's clock is advanced by one instruction: the synchronization
@@ -204,43 +189,11 @@ func (a *Arbiter) Release(tid int) int {
 	a.holder = NoGrant
 	st := a.state(tid)
 	st.count++
-	a.lastRelease = st.count
-	if a.nShards > 0 {
-		a.foldReleaseLocked(st, st.count)
-	}
+	a.foldReleaseLocked(st, st.count)
 	if a.policy == PolicyRR {
 		a.rrNext = tid + 1
 	}
 	return a.grantLocked()
-}
-
-// TransferTo hands the token directly from the current holder to tid,
-// bypassing arbitration. The Consequence mutexUnlock path uses this when
-// the thread it wakes is the next thread in the deterministic order
-// (paper §4.1 footnote: the token must pass directly to the woken thread to
-// avoid nondeterminism). tid must be eligible and not already waiting.
-func (a *Arbiter) TransferTo(from, to int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.holder != from {
-		panic(fmt.Sprintf("clock: transfer from %d but holder is %d", from, a.holder))
-	}
-	st := a.state(to)
-	if !st.eligible {
-		panic(fmt.Sprintf("clock: transfer to departed tid %d", to))
-	}
-	fromSt := a.state(from)
-	fromSt.count++
-	a.lastRelease = fromSt.count
-	if a.nShards > 0 {
-		a.foldReleaseLocked(fromSt, fromSt.count)
-	}
-	if a.policy == PolicyRR {
-		a.rrNext = from + 1
-	}
-	a.holder = to
-	st.wanting = false
-	a.grants++
 }
 
 // NudgePast raises tid's clock to just above the smallest clock among the
@@ -393,39 +346,12 @@ func (a *Arbiter) grantLocked() int {
 	}
 	switch a.policy {
 	case PolicyIC:
-		if a.nShards > 0 {
-			return a.grantShardedLocked()
-		}
 		return a.grantICLocked()
 	case PolicyRR:
 		return a.grantRRLocked()
 	default:
 		panic("clock: unknown policy")
 	}
-}
-
-// grantICLocked: grant to the unique eligible minimum of (count, tid) if it
-// is waiting. If the minimum belongs to a running (non-waiting) thread, no
-// waiter may proceed yet — the running thread could still synchronize at a
-// lower clock.
-func (a *Arbiter) grantICLocked() int {
-	var min *threadState
-	for _, tid := range a.order {
-		st := a.threads[tid]
-		if !st.eligible {
-			continue
-		}
-		if min == nil || st.count < min.count || (st.count == min.count && st.tid < min.tid) {
-			min = st
-		}
-	}
-	if min == nil || !min.wanting {
-		return NoGrant
-	}
-	a.holder = min.tid
-	min.wanting = false
-	a.grants++
-	return min.tid
 }
 
 // grantRRLocked: the turn belongs to the first eligible thread at or after
@@ -467,25 +393,19 @@ type Stats struct {
 	FastForwardSkip int64 // total instructions skipped by fast-forwards
 }
 
-// DumpState renders the arbiter's thread table — holder, and each
-// registered thread's clock, eligibility and wanting flags — for failure
-// diagnostics (watchdog stall dumps, RuntimeError context). Safe to call
-// from any goroutine at any time.
+// DumpState renders the arbiter's thread table — holder, shard clocks, and
+// each registered thread's clock, eligibility, wanting flag and scope — for
+// failure diagnostics (watchdog stall dumps, RuntimeError context). Safe to
+// call from any goroutine at any time.
 func (a *Arbiter) DumpState() string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	var b strings.Builder
 	fmt.Fprintf(&b, "arbiter: policy=%s holder=%d grants=%d departs=%d\n", a.policy, a.holder, a.grants, a.departs)
-	if a.nShards > 0 {
-		fmt.Fprintf(&b, "  shard clocks: %v\n", a.shardClocks)
-	}
+	fmt.Fprintf(&b, "  shard clocks: %v\n", a.shardClocks)
 	for _, tid := range a.order {
 		st := a.threads[tid]
-		fmt.Fprintf(&b, "  t%-4d clock=%-12d eligible=%-5v wanting=%v", tid, st.count, st.eligible, st.wanting)
-		if a.nShards > 0 {
-			fmt.Fprintf(&b, " scope=%d", st.scope)
-		}
-		b.WriteByte('\n')
+		fmt.Fprintf(&b, "  t%-4d clock=%-12d eligible=%-5v wanting=%v scope=%d\n", tid, st.count, st.eligible, st.wanting, st.scope)
 	}
 	return strings.TrimRight(b.String(), "\n")
 }

@@ -185,20 +185,6 @@ func TestReleaseAdvancesClock(t *testing.T) {
 	}
 }
 
-func TestTransferTo(t *testing.T) {
-	a := New(PolicyIC, false)
-	a.Register(0, 0)
-	a.Register(1, 5)
-	a.Request(0)
-	a.TransferTo(0, 1)
-	if a.Holder() != 1 {
-		t.Fatalf("holder = %d after transfer", a.Holder())
-	}
-	if g := a.Release(1); g != NoGrant {
-		t.Fatal("spurious grant")
-	}
-}
-
 func TestUnregisterUnblocks(t *testing.T) {
 	a := New(PolicyIC, false)
 	a.Register(0, 1)
@@ -318,6 +304,107 @@ func TestPropICGrantOrder(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// gmic is the paper's single-token arbiter, written down as plainly as
+// possible: the reference the one-shard Arbiter must match grant for grant.
+type gmic struct {
+	count             map[int]int64
+	eligible, wanting map[int]bool
+	holder            int
+	lastRelease       int64
+}
+
+// grant hands the free token to the eligible (count, tid)-minimum — if, and
+// only if, that thread is waiting for it.
+func (g *gmic) grant() int {
+	min := NoGrant
+	for tid, c := range g.count {
+		if g.eligible[tid] && (min == NoGrant || c < g.count[min] || (c == g.count[min] && tid < min)) {
+			min = tid
+		}
+	}
+	if g.holder != NoGrant || min == NoGrant || !g.wanting[min] {
+		return NoGrant
+	}
+	g.holder, g.wanting[min] = min, false
+	return min
+}
+
+// Property: a one-shard arbiter (what New returns) is GMIC. Seeded random
+// sequences of every operation the runtime issues — including cross-shard
+// scoped requests, which one shard folds to shard 0 — must produce the
+// reference's grant at every step and its clocks at the end.
+func TestPropOneShardIsGMIC(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		a := New(PolicyIC, true)
+		ref := &gmic{count: map[int]int64{}, eligible: map[int]bool{}, wanting: map[int]bool{}, holder: NoGrant}
+		next := 0
+		for step := 0; step < 400; step++ {
+			var tids []int
+			for tid := range ref.count {
+				tids = append(tids, tid)
+			}
+			sort.Ints(tids)
+			tid := NoGrant
+			if len(tids) > 0 {
+				tid = tids[rng.Intn(len(tids))]
+			}
+			got, want := NoGrant, NoGrant
+			switch op := rng.Intn(8); {
+			case tid == NoGrant || (op == 0 && len(tids) < 6):
+				start := int64(rng.Intn(50))
+				got = a.Register(next, start)
+				ref.count[next], ref.eligible[next] = start, true
+				next++
+			case op == 1:
+				d := int64(rng.Intn(20))
+				got = a.Advance(tid, d)
+				ref.count[tid] += d
+			case op <= 3 && tid != ref.holder && ref.eligible[tid] && !ref.wanting[tid]:
+				got = a.RequestSharded(tid, []int{0, GlobalScope}[rng.Intn(2)])
+				ref.wanting[tid] = true
+			case op == 4 && ref.holder != NoGrant:
+				tid = ref.holder
+				got = a.Release(tid)
+				ref.count[tid]++
+				ref.holder, ref.lastRelease = NoGrant, ref.count[tid]
+			case op == 5:
+				got = a.Depart(tid)
+				ref.eligible[tid], ref.wanting[tid] = false, false
+			case op == 6 && !ref.eligible[tid]:
+				wake := rng.Intn(2) == 0
+				if wake {
+					got = a.ArriveWanting(tid)
+				} else {
+					got = a.Arrive(tid)
+				}
+				ref.eligible[tid], ref.wanting[tid] = true, wake
+				ref.count[tid] = max(ref.count[tid], ref.lastRelease)
+			case op == 7 && tid != ref.holder && !ref.wanting[tid]:
+				got = a.Unregister(tid)
+				delete(ref.count, tid)
+				delete(ref.eligible, tid)
+			default:
+				continue
+			}
+			if want = ref.grant(); got != want {
+				t.Logf("seed %d step %d: arbiter granted %d, GMIC grants %d", seed, step, got, want)
+				return false
+			}
+		}
+		for tid, c := range ref.count {
+			if a.Count(tid) != c {
+				t.Logf("seed %d: tid %d clock %d, GMIC has %d", seed, tid, a.Count(tid), c)
+				return false
+			}
+		}
+		return a.Holder() == ref.holder
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

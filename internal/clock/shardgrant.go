@@ -2,9 +2,10 @@ package clock
 
 import "fmt"
 
-// Sharded granting (docs/scheduler.md): the arbiter itself is partitioned
-// into per-shard grant domains. Every request names a scope — one shard
-// for shardable operations (mutex and condition ops, spawns and exits in
+// Instruction-count granting (docs/scheduler.md): the arbiter is
+// partitioned into per-shard grant domains — one, for the paper's single
+// token, until EnableShardGrants splits it. Every request names a scope —
+// one shard for shardable operations (mutex and condition ops, spawns and exits in
 // the acting thread's domain, joins in the child's domain) or GlobalScope
 // for true cross-shard edges (barrier rendezvous, forced commits).
 // Each shard keeps its own release clock, blocked threads fast-forward
@@ -25,8 +26,10 @@ import "fmt"
 // free-running thread x with clock c_x can at best request shard 0 at
 // key (c_x, 0, x.tid) — clocks are monotone — so the candidate (c, k, w)
 // is held back exactly when c_x < c, or c_x == c and (k > 0 or
-// x.tid < w.tid). This is the sharded generalization of the single-token
-// GMIC condition "the eligible minimum must be the one wanting".
+// x.tid < w.tid). With one shard every key's shard slot is 0 and this is
+// the paper's GMIC condition: "the eligible minimum of (count, tid) must be
+// the one wanting" — if the minimum belongs to a running thread, no waiter
+// may proceed yet, since it could still synchronize at a lower clock.
 
 // GlobalScope is the request scope of a cross-shard edge: the operation
 // rendezvouses with every shard, and its grant key sorts after any
@@ -53,7 +56,6 @@ func (a *Arbiter) EnableShardGrants(n int) {
 	if len(a.threads) > 0 {
 		panic("clock: EnableShardGrants after threads registered")
 	}
-	a.nShards = n
 	a.shardClocks = make([]int64, n)
 }
 
@@ -64,7 +66,7 @@ func (a *Arbiter) EnableShardGrants(n int) {
 func (a *Arbiter) RequestSharded(tid, shard int) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.checkScope(shard)
+	shard = a.scopeLocked(shard)
 	st := a.state(tid)
 	if a.holder == tid {
 		panic(fmt.Sprintf("clock: tid %d requested token it already holds", tid))
@@ -84,41 +86,43 @@ func (a *Arbiter) RequestSharded(tid, shard int) int {
 func (a *Arbiter) SetScope(tid, shard int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.checkScope(shard)
-	a.state(tid).scope = shard
+	a.state(tid).scope = a.scopeLocked(shard)
 }
 
-// Scope returns tid's current request scope (meaningful only under
-// sharded granting). The runtime reads it when routing a wake to compute
-// the target's virtual-time anchor.
+// Scope returns tid's current request scope. The runtime reads it when
+// routing a wake to compute the target's virtual-time anchor.
 func (a *Arbiter) Scope(tid int) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.state(tid).scope
 }
 
-// ShardClock returns shard sh's release clock under sharded granting.
+// ShardClock returns shard sh's release clock.
 func (a *Arbiter) ShardClock(sh int) int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.shardClocks[sh]
 }
 
-// checkScope panics on a scope outside [0, n) ∪ {GlobalScope}.
-func (a *Arbiter) checkScope(shard int) {
-	if a.nShards == 0 {
-		panic("clock: scoped call without EnableShardGrants")
+// scopeLocked panics on a scope outside [0, n) ∪ {GlobalScope} and returns
+// the scope to record. On the single token the one shard is the whole
+// domain, so a "cross-shard" edge is a shard-0 request like any other —
+// which is what makes one-shard granting exactly GMIC.
+func (a *Arbiter) scopeLocked(shard int) int {
+	n := len(a.shardClocks)
+	if shard != GlobalScope && (shard < 0 || shard >= n) {
+		panic(fmt.Sprintf("clock: scope %d out of range (%d shards)", shard, n))
 	}
-	if shard != GlobalScope && (shard < 0 || shard >= a.nShards) {
-		panic(fmt.Sprintf("clock: scope %d out of range (%d shards)", shard, a.nShards))
+	if n == 1 {
+		return 0
 	}
+	return shard
 }
 
 // foldReleaseLocked publishes a release at clock clk into the releaser's
 // scope: a single-shard release overwrites its shard's clock (the shard's
-// "last release", mirroring the single-token lastRelease per domain);
-// a global edge folds every shard clock and the release together to their
-// maximum — the rendezvous all partitions observe.
+// "last release"); a global edge folds every shard clock and the release
+// together to their maximum — the rendezvous all partitions observe.
 func (a *Arbiter) foldReleaseLocked(st *threadState, clk int64) {
 	if st.scope != GlobalScope {
 		a.shardClocks[st.scope] = clk
@@ -141,9 +145,6 @@ func (a *Arbiter) foldReleaseLocked(st *threadState, clk int64) {
 // blocked threads in different shards resume without dragging each other's
 // clock domain forward.
 func (a *Arbiter) ffTargetLocked(st *threadState) int64 {
-	if a.nShards == 0 {
-		return a.lastRelease
-	}
 	if st.scope != GlobalScope {
 		return a.shardClocks[st.scope]
 	}
@@ -176,36 +177,33 @@ func mergeLess(x, y *threadState) bool {
 	return x.tid < y.tid
 }
 
-// grantShardedLocked evaluates the sharded grant condition: pick the
-// merge-rule minimum among wanting threads, then apply the free-runner
-// gate (see the package comment above) so that the grant order is
-// independent of when free-running threads publish their clocks.
-func (a *Arbiter) grantShardedLocked() int {
-	var cand *threadState
+// grantICLocked evaluates the grant condition in one pass over the
+// threads: the merge-rule minimum among the waiters is the candidate, and
+// the free-runner gate (see the comment at the top of this file) needs
+// only the (count, tid)-minimum free-runner — if any free-running thread
+// could still request ahead of the candidate, that one can.
+func (a *Arbiter) grantICLocked() int {
+	var cand, free *threadState
 	for _, tid := range a.order {
-		st := a.threads[tid]
-		if !st.eligible || !st.wanting {
-			continue
-		}
-		if cand == nil || mergeLess(st, cand) {
-			cand = st
+		switch st := a.threads[tid]; {
+		case !st.eligible:
+		case st.wanting:
+			if cand == nil || mergeLess(st, cand) {
+				cand = st
+			}
+		case free == nil || st.count < free.count: // a.order ascends, so ties keep the smaller tid
+			free = st
 		}
 	}
 	if cand == nil {
 		return NoGrant
 	}
-	ck := shardKey(cand)
-	for _, tid := range a.order {
-		st := a.threads[tid]
-		if !st.eligible || st.wanting || st.tid == cand.tid {
-			continue
-		}
-		// st free-runs: its earliest possible future request key is
-		// (st.count, 0, st.tid). Hold the candidate back if that key could
-		// precede the candidate's — clocks only grow, so the check is exact.
-		if st.count < cand.count || (st.count == cand.count && (ck > 0 || st.tid < cand.tid)) {
-			return NoGrant
-		}
+	// free's earliest possible future request key is (free.count, 0,
+	// free.tid). Hold the candidate back if that key could precede the
+	// candidate's — clocks only grow, so the check is exact.
+	if free != nil && (free.count < cand.count ||
+		(free.count == cand.count && (shardKey(cand) > 0 || free.tid < cand.tid))) {
+		return NoGrant
 	}
 	a.holder = cand.tid
 	cand.wanting = false

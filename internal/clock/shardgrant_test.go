@@ -193,9 +193,9 @@ func TestEnableShardGrantsValidation(t *testing.T) {
 		a.Register(0, 0)
 		a.RequestSharded(0, 2)
 	})
-	expectPanic("scoped call unsharded", func() {
+	expectPanic("scope out of range on the single token", func() {
 		a := New(PolicyIC, false)
 		a.Register(0, 0)
-		a.RequestSharded(0, 0)
+		a.RequestSharded(0, 1)
 	})
 }

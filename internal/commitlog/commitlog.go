@@ -13,11 +13,10 @@
 //
 // # On-disk format
 //
-// A log is a directory of fixed-size segment pairs named by the global
+// A log is a directory of fixed-size segment files named by the global
 // number of their first record:
 //
 //	00000000000000000000.store   CRC-framed records
-//	00000000000000000000.index   fixed-width (rel, pos) entries
 //
 // A store file is a 5-byte magic ("CSQL" + format version 1), then a meta
 // frame, then record frames until EOF. Every frame is
@@ -40,9 +39,7 @@
 // A commit's atSeq is the sync-trace event count at recording time — the
 // same interleave contract journal.Commit.AtSeq uses, so commit-log
 // records and journal records order identically against the sync-event
-// stream. An index entry is 12 bytes: u32le record number relative to the
-// segment base, u64le frame offset in the store file. The index is
-// derived state, rebuilt from the store by Repair.
+// stream.
 //
 // Segment rolls, snapshot cadence and truncation are pure functions of
 // the record stream (byte counts and commit counts — never wall time), so
@@ -84,10 +81,6 @@ const (
 
 // frameHeaderLen is the fixed per-frame framing cost (length + CRC).
 const frameHeaderLen = 8
-
-// entWidth is the fixed size of one index entry: u32le relative record
-// number + u64le store offset (the segment exemplar layout).
-const entWidth = 12
 
 // Decoder sanity caps for payloads whose geometry is not yet known (the
 // fuzz target and meta frames).
@@ -437,5 +430,5 @@ func zeroRuns(page []byte) []mem.Run {
 	return runs
 }
 
-// segName formats the store/index basename for a segment's base record.
+// segName formats the store file basename for a segment's base record.
 func segName(base int64) string { return fmt.Sprintf("%020d", base) }

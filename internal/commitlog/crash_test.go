@@ -237,33 +237,6 @@ func TestRepairCorruptMiddleSegment(t *testing.T) {
 	}
 }
 
-// TestRepairRebuildsIndex scribbles over an index file; Repair rebuilds
-// it from the store and LookupIndex works again.
-func TestRepairRebuildsIndex(t *testing.T) {
-	dir, _, lastBase, _ := buildCrashFixture(t)
-	idx := filepath.Join(dir, segName(lastBase)) + ".index"
-	if err := os.WriteFile(idx, []byte("garbage"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Repair(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.RewroteIndexes == 0 {
-		t.Fatalf("index not rebuilt: %+v", rep)
-	}
-	r, err := OpenReader(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.ForEach(func(rec int64, rc Record) error {
-		_, _, err := r.LookupIndex(rec)
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestStrictReadRejectsTornTail documents the flip side of Repair: a
 // strict reader (ForEach / Replay) refuses a torn tail instead of
 // silently shortening history, while ForEachAvailable reads the prefix.

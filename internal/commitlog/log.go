@@ -2,7 +2,6 @@ package commitlog
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,8 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/mem"
 )
 
 // Options configures a Log writer.
@@ -38,9 +35,9 @@ type Options struct {
 type Stats struct {
 	Commits      int64
 	Snapshots    int64
-	Segments     int64 // live segment-file pairs on disk
+	Segments     int64 // live segment files on disk
 	Rolls        int64
-	Truncated    int64 // segment-file pairs deleted by retention
+	Truncated    int64 // segment files deleted by retention
 	Bytes        int64 // encoded bytes across all segments, including truncated ones
 	AppendStalls int64 // appends that blocked because the drain goroutine was behind
 	LastVersion  int64
@@ -174,9 +171,9 @@ func (l *Log) Begin(pageSize, npages int) error {
 	header := append([]byte(nil), storeMagic...)
 	header = appendFrame(header, appendMeta(nil, pageSize, npages, keys, l.opts.Meta))
 	d := &drain{
-		l:      l,
-		header: header,
-		pages:  make(map[int][]byte),
+		l:       l,
+		header:  header,
+		replica: State{pageSize: pageSize, npages: npages, pages: make(map[int][]byte)},
 	}
 	if err := d.openSegment(0); err != nil {
 		return err
@@ -286,7 +283,7 @@ type segState struct {
 	snapshotLed bool // first record is a snapshot (Resume/truncation anchor)
 }
 
-// drain is the background goroutine's state: the active segment pair,
+// drain is the background goroutine's state: the active segment file,
 // the replica (for snapshot records and the end-trailer checksum), and
 // the live-subscriber list. Single-goroutine ownership; the producer side
 // only touches the channel and atomics.
@@ -295,26 +292,21 @@ type drain struct {
 	header []byte // magic + meta frame, repeated per segment
 
 	store     *os.File
-	index     *os.File
 	sw        *bufio.Writer
-	iw        *bufio.Writer
 	storeSize int64
 	segRecs   int64 // records in the active segment
-	base      int64 // active segment's base record number
 
-	nextRec     int64
-	segs        []segState
-	pages       map[int][]byte // replica state (absent page = zero page)
-	lastVersion int64
-	lastAtSeq   int64
-	sinceSnap   int
-	snapWanted  bool // RequestSnapshot pending: snapshot at the next commit
-	handled     int64
-	subs        []*Stream
-	scratch     []byte // payload encode buffer, reused across records
-	// hdr stages each record's index entry and then its frame header; it
-	// lives in the drain's state so neither escapes per record.
-	hdr [entWidth]byte
+	nextRec    int64
+	segs       []segState
+	replica    State // the committed state so far: Version/AtSeq are the last record's
+	sinceSnap  int
+	snapWanted bool // RequestSnapshot pending: snapshot at the next commit
+	handled    int64
+	subs       []*Stream
+	scratch    []byte // payload encode buffer, reused across records
+	// hdr stages each record's frame header; it lives in the drain's state
+	// so it does not escape per record.
+	hdr [frameHeaderLen]byte
 
 	err error // first I/O error; later writes are skipped
 }
@@ -336,14 +328,14 @@ func (d *drain) run() {
 		case msg.snap:
 			// The request drains between two records, so this IS a commit
 			// boundary; an empty log defers to the first commit instead.
-			if d.lastVersion > 0 {
+			if d.replica.Version > 0 {
 				d.takeSnapshot()
 			} else {
 				d.snapWanted = true
 			}
 		}
 	}
-	d.writeRecord(appendEnd(d.scratch[:0], End{Version: d.lastVersion, Checksum: d.checksum()}))
+	d.writeRecord(appendEnd(d.scratch[:0], End{Version: d.replica.Version, Checksum: d.replica.Checksum()}))
 	d.closeSegment()
 	for _, s := range d.subs {
 		s.finish()
@@ -366,8 +358,8 @@ func (d *drain) handleCommit(c Commit) {
 	}
 	d.writeRecord(payload)
 	d.scratch = payload[:0]
-	d.apply(c.Pages)
-	d.lastVersion, d.lastAtSeq = c.Version, c.AtSeq
+	d.replica.apply(c.Pages)
+	d.replica.Version, d.replica.AtSeq = c.Version, c.AtSeq
 	for _, s := range d.subs {
 		s.push(c)
 	}
@@ -389,39 +381,19 @@ func (d *drain) stall() {
 	}
 }
 
-// apply advances the replica by one record's page diffs.
-func (d *drain) apply(pages []PageDiff) {
-	for _, pd := range pages {
-		buf := d.pages[pd.Page]
-		if buf == nil {
-			buf = make([]byte, d.l.pageSize)
-			d.pages[pd.Page] = buf
-		}
-		for _, r := range pd.Runs {
-			copy(buf[r.Off:], r.Data)
-		}
-	}
-}
-
-// checksum hashes the full replica state — every page in ascending order,
-// absent pages as zeros — exactly as the live runtime's Checksum does.
-func (d *drain) checksum() uint64 {
-	return mem.ChecksumSparse(d.pages, d.l.npages, d.l.pageSize)
-}
-
 // takeSnapshot rolls to a fresh segment and writes the replica's non-zero
 // pages as its first record, then applies the retention policy. A
 // snapshot-led segment is a self-contained replay anchor.
 func (d *drain) takeSnapshot() {
 	d.roll()
-	snap := Snapshot{AtSeq: d.lastAtSeq, Version: d.lastVersion}
-	pgs := make([]int, 0, len(d.pages))
-	for pg := range d.pages {
+	snap := Snapshot{AtSeq: d.replica.AtSeq, Version: d.replica.Version}
+	pgs := make([]int, 0, len(d.replica.pages))
+	for pg := range d.replica.pages {
 		pgs = append(pgs, pg)
 	}
 	sort.Ints(pgs)
 	for _, pg := range pgs {
-		if runs := zeroRuns(d.pages[pg]); len(runs) > 0 {
+		if runs := zeroRuns(d.replica.pages[pg]); len(runs) > 0 {
 			snap.Pages = append(snap.Pages, PageDiff{Page: pg, Runs: runs})
 		}
 	}
@@ -457,10 +429,8 @@ func (d *drain) truncate() {
 		return
 	}
 	for _, s := range d.segs[:anchor] {
-		for _, ext := range []string{".store", ".index"} {
-			if err := os.Remove(filepath.Join(d.l.dir, segName(s.base)+ext)); err != nil && d.err == nil {
-				d.err = err
-			}
+		if err := os.Remove(filepath.Join(d.l.dir, segName(s.base)+".store")); err != nil && d.err == nil {
+			d.err = err
 		}
 		d.l.truncated.Add(1)
 		d.l.segments.Add(-1)
@@ -468,19 +438,11 @@ func (d *drain) truncate() {
 	d.segs = append([]segState(nil), d.segs[anchor:]...)
 }
 
-// writeRecord frames a payload into the active segment and records its
-// index entry. The frame is never assembled: its header and then the
-// payload go straight into the store's buffered writer, the same bytes
-// appendFrame would produce.
+// writeRecord frames a payload into the active segment. The frame is
+// never assembled: its header and then the payload go straight into the
+// store's buffered writer, the same bytes appendFrame would produce.
 func (d *drain) writeRecord(payload []byte) {
 	if d.err != nil {
-		return
-	}
-	ent := d.hdr[:]
-	binary.LittleEndian.PutUint32(ent[0:4], uint32(d.segRecs))
-	binary.LittleEndian.PutUint64(ent[4:12], uint64(d.storeSize))
-	if _, err := d.iw.Write(ent); err != nil {
-		d.err = err
 		return
 	}
 	hdr := appendFrameHeader(d.hdr[:0], payload)
@@ -499,45 +461,37 @@ func (d *drain) writeRecord(payload []byte) {
 	d.l.bytes.Add(frameLen)
 }
 
-// openSegment creates the segment pair based at the given record number
+// openSegment creates the segment file based at the given record number
 // and writes the store header.
 func (d *drain) openSegment(base int64) error {
-	name := filepath.Join(d.l.dir, segName(base))
-	store, err := os.OpenFile(name+".store", os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
+	store, err := os.OpenFile(filepath.Join(d.l.dir, segName(base)+".store"), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
 	if err != nil {
 		return err
 	}
-	index, err := os.OpenFile(name+".index", os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
-	if err != nil {
-		store.Close()
-		return err
-	}
-	d.store, d.index = store, index
+	d.store = store
 	d.sw = bufio.NewWriterSize(store, 64<<10)
-	d.iw = bufio.NewWriterSize(index, 8<<10)
 	if _, err := d.sw.Write(d.header); err != nil {
 		return err
 	}
 	d.storeSize = int64(len(d.header))
 	d.segRecs = 0
-	d.base = base
 	d.segs = append(d.segs, segState{base: base})
 	d.l.segments.Add(1)
 	d.l.bytes.Add(int64(len(d.header)))
 	return nil
 }
 
-// closeSegment flushes and closes the active pair.
+// closeSegment flushes and closes the active segment file.
 func (d *drain) closeSegment() {
 	if d.store == nil {
 		return
 	}
-	for _, f := range []func() error{d.sw.Flush, d.iw.Flush, d.store.Close, d.index.Close} {
+	for _, f := range []func() error{d.sw.Flush, d.store.Close} {
 		if err := f(); err != nil && d.err == nil {
 			d.err = err
 		}
 	}
-	d.store, d.index = nil, nil
+	d.store = nil
 }
 
 // roll closes the active segment and opens the next.
@@ -552,16 +506,13 @@ func (d *drain) roll() {
 	}
 }
 
-// flush pushes buffered store/index bytes to disk (subscribe requests
-// read history from the files).
+// flush pushes buffered store bytes to disk (subscribe requests read
+// history from the files).
 func (d *drain) flush() {
 	if d.err != nil || d.store == nil {
 		return
 	}
 	if err := d.sw.Flush(); err != nil {
-		d.err = err
-	}
-	if err := d.iw.Flush(); err != nil && d.err == nil {
 		d.err = err
 	}
 }

@@ -78,7 +78,7 @@ func (r *Reader) NumPages() int { return r.npages }
 // Meta returns the run metadata persisted with the log.
 func (r *Reader) Meta() map[string]string { return r.meta }
 
-// Segments returns the number of segment pairs in the directory.
+// Segments returns the number of segment files in the directory.
 func (r *Reader) Segments() int { return len(r.bases) }
 
 // storePath returns the store filename for a segment base.
@@ -259,16 +259,14 @@ type RepairReport struct {
 	Records         int64 // readable records after repair
 	TruncatedBytes  int64 // bytes cut from a torn store tail
 	DroppedSegments int   // segments deleted past the torn point
-	RewroteIndexes  int   // index files rebuilt from their store
 	Repaired        bool  // anything was changed
 }
 
 // Repair scans a log directory after a crash and recovers the longest
 // valid record prefix: the first torn or corrupt frame truncates its
-// store file there, every later segment is deleted (records past a tear
-// cannot be ordered against the lost ones), and each surviving index file
-// is rebuilt from its store when it disagrees (the index is derived
-// state). A clean log is a no-op. The repaired log always replays.
+// store file there and every later segment is deleted (records past a tear
+// cannot be ordered against the lost ones). A clean log is a no-op. The
+// repaired log always replays.
 func Repair(dir string) (RepairReport, error) {
 	var rep RepairReport
 	bases, err := listBases(dir)
@@ -281,8 +279,8 @@ func Repair(dir string) (RepairReport, error) {
 	var pageSize, npages int
 	torn := len(bases) // first segment index that does not survive
 	for i, base := range bases {
-		name := filepath.Join(dir, segName(base))
-		recs, validBytes, ents, segErr := scanStore(name+".store", i == 0, &pageSize, &npages)
+		name := filepath.Join(dir, segName(base)+".store")
+		recs, validBytes, segErr := scanStore(name, i == 0, &pageSize, &npages)
 		if segErr != nil {
 			// The oldest segment's header must be readable: without its
 			// meta frame there is no geometry to replay under.
@@ -294,31 +292,23 @@ func Repair(dir string) (RepairReport, error) {
 		}
 		rep.Records += recs
 		rep.Segments++
-		st, err := os.Stat(name + ".store")
+		st, err := os.Stat(name)
 		if err != nil {
 			return rep, err
 		}
 		if st.Size() > validBytes {
-			if err := os.Truncate(name+".store", validBytes); err != nil {
+			if err := os.Truncate(name, validBytes); err != nil {
 				return rep, err
 			}
 			rep.TruncatedBytes += st.Size() - validBytes
 			rep.Repaired = true
 			torn = i + 1
-		}
-		if err := syncIndex(name+".index", ents, &rep); err != nil {
-			return rep, err
-		}
-		if torn == i+1 {
 			break
 		}
 	}
 	for _, base := range bases[torn:] {
-		name := filepath.Join(dir, segName(base))
-		for _, ext := range []string{".store", ".index"} {
-			if err := os.Remove(name + ext); err != nil && !os.IsNotExist(err) {
-				return rep, err
-			}
+		if err := os.Remove(filepath.Join(dir, segName(base)+".store")); err != nil && !os.IsNotExist(err) {
+			return rep, err
 		}
 		rep.DroppedSegments++
 		rep.Repaired = true
@@ -327,83 +317,36 @@ func Repair(dir string) (RepairReport, error) {
 }
 
 // scanStore walks one store file's frames, validating header, CRCs and
-// payload decode, and returns the record count, the byte length of the
-// valid prefix, and the index entries that prefix implies. headErr is
-// non-nil only when the header itself (magic or meta frame) is
-// unreadable.
-func scanStore(path string, wantGeometry bool, pageSize, npages *int) (recs int64, validBytes int64, ents []byte, headErr error) {
+// payload decode, and returns the record count and the byte length of the
+// valid prefix. headErr is non-nil only when the header itself (magic or
+// meta frame) is unreadable.
+func scanStore(path string, wantGeometry bool, pageSize, npages *int) (recs int64, validBytes int64, headErr error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, 0, nil, err
+		return 0, 0, err
 	}
 	defer f.Close()
 	ps, np, _, err := readHeader(f)
 	if err != nil {
-		return 0, 0, nil, fmt.Errorf("commitlog: %s: %w", path, err)
+		return 0, 0, fmt.Errorf("commitlog: %s: %w", path, err)
 	}
 	if wantGeometry {
 		*pageSize, *npages = ps, np
 	}
 	pos, err := f.Seek(0, io.SeekCurrent)
 	if err != nil {
-		return 0, 0, nil, err
+		return 0, 0, err
 	}
 	validBytes = pos
 	for {
 		payload, err := readFrame(f)
 		if err != nil {
-			return recs, validBytes, ents, nil // torn or clean EOF: prefix ends here
+			return recs, validBytes, nil // torn or clean EOF: prefix ends here
 		}
 		if _, err := decodeRecord(payload, *pageSize, *npages); err != nil {
-			return recs, validBytes, ents, nil
+			return recs, validBytes, nil
 		}
-		var ent [entWidth]byte
-		binary.LittleEndian.PutUint32(ent[0:4], uint32(recs))
-		binary.LittleEndian.PutUint64(ent[4:12], uint64(validBytes))
-		ents = append(ents, ent[:]...)
 		recs++
 		validBytes += int64(frameHeaderLen + len(payload))
 	}
-}
-
-// syncIndex rewrites an index file when its content differs from the
-// entries derived from the store scan.
-func syncIndex(path string, want []byte, rep *RepairReport) error {
-	got, err := os.ReadFile(path)
-	if err == nil && bytes.Equal(got, want) {
-		return nil
-	}
-	if err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	if err := os.WriteFile(path, want, 0o666); err != nil {
-		return err
-	}
-	rep.RewroteIndexes++
-	rep.Repaired = true
-	return nil
-}
-
-// LookupIndex resolves a global record number to its store offset through
-// the segment's index file — the exemplar segment read path; sequential
-// consumers use ForEach instead.
-func (r *Reader) LookupIndex(rec int64) (base int64, pos int64, err error) {
-	i := sort.Search(len(r.bases), func(i int) bool { return r.bases[i] > rec }) - 1
-	if i < 0 {
-		return 0, 0, fmt.Errorf("commitlog: record %d precedes the log", rec)
-	}
-	base = r.bases[i]
-	idx, err := os.ReadFile(filepath.Join(r.dir, segName(base)+".index"))
-	if err != nil {
-		return 0, 0, err
-	}
-	rel := rec - base
-	if rel*entWidth+entWidth > int64(len(idx)) {
-		return 0, 0, fmt.Errorf("commitlog: record %d past the end of segment %d", rec, base)
-	}
-	ent := idx[rel*entWidth:]
-	if got := int64(binary.LittleEndian.Uint32(ent[0:4])); got != rel {
-		return 0, 0, fmt.Errorf("commitlog: index entry %d names rel %d", rel, got)
-	}
-	return base, int64(binary.LittleEndian.Uint64(ent[4:12])), nil
 }

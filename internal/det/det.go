@@ -68,15 +68,16 @@ type Config struct {
 	UserspaceClockRead bool
 	// ThreadPool enables §3.3 thread reuse for fork-join programs.
 	ThreadPool bool
-	// PoolCap bounds the number of pooled workspaces (parked workers at
-	// Shards >= 2).
-	PoolCap int
-	// PoolPrespawn pre-creates this many parked workers before the root
-	// thread starts (requires worker reuse: Shards >= 2 with ThreadPool),
-	// so even a program's first spawns adopt instead of forking: worker
-	// creation cost lands on the workers' own timelines at startup,
-	// overlapping the root thread's ramp-up. Bounded by PoolCap.
-	PoolPrespawn int
+	// poolCap bounds the number of pooled workspaces (parked workers at
+	// Shards >= 2); Default sets it.
+	poolCap int
+	// poolPrespawn pre-creates this many parked workers before the root
+	// thread starts, so even a program's first spawns adopt instead of
+	// forking: worker creation cost lands on the workers' own timelines at
+	// startup, overlapping the root thread's ramp-up. Bounded by poolCap.
+	// Only EnableScaleOut sets it, so it implies the sharded scheduler; it
+	// is inert without ThreadPool.
+	poolPrespawn int
 	// Shards is the scheduler knob (docs/scheduler.md). 0 and 1 both mean
 	// the paper's scheduler: one global token granted in GMIC order, the
 	// time model of Figures 10-16 and of the RR/DWC baselines. Shards >= 2
@@ -206,7 +207,7 @@ func Default() Config {
 		AdaptiveOverflow:   true,
 		UserspaceClockRead: true,
 		ThreadPool:         true,
-		PoolCap:            64,
+		poolCap:            64,
 		Shards:             1,
 		ParallelBarrier:    true,
 		SpeculativeDiff:    true,
@@ -239,7 +240,7 @@ func (c *Config) EnableScaleOut(shards, threads int) {
 		return
 	}
 	c.Shards = shards
-	c.PoolPrespawn = threads
+	c.poolPrespawn = threads
 }
 
 // Hooks receives token-serialized notifications of runtime events; the LRC
@@ -335,19 +336,13 @@ func New(cfg Config, h host.Host) (*Runtime, error) {
 	if cfg.Shards == 0 {
 		cfg.Shards = 1
 	}
-	if cfg.PoolPrespawn < 0 {
-		return nil, fmt.Errorf("det: negative prespawn count %d", cfg.PoolPrespawn)
-	}
 	sharded := cfg.Shards >= 2
 	if sharded && cfg.Policy != clock.PolicyIC {
 		return nil, fmt.Errorf("det: Shards = %d requires PolicyIC (round-robin has no clock domain to shard)", cfg.Shards)
 	}
 	workerPool := sharded && cfg.ThreadPool
-	if cfg.PoolPrespawn > 0 && !workerPool {
-		return nil, fmt.Errorf("det: PoolPrespawn requires worker reuse (Shards >= 2 with ThreadPool)")
-	}
-	if workerPool && cfg.PoolCap <= 0 {
-		return nil, fmt.Errorf("det: worker reuse (Shards >= 2 with ThreadPool) requires a positive PoolCap")
+	if workerPool && cfg.poolCap <= 0 {
+		return nil, fmt.Errorf("det: worker reuse (Shards >= 2 with ThreadPool) requires a positive pool cap: build the Config from Default()")
 	}
 	seg, err := mem.NewSegment(mem.SegmentConfig{
 		Name:         "heap",
@@ -615,12 +610,10 @@ func (rt *Runtime) Run(root func(api.T)) error {
 	// timelines before the root thread runs, so a program's first spawns
 	// can adopt instead of forking. No token exists yet: the list build is
 	// single-threaded and its order (creation order) is deterministic.
-	prespawn := rt.cfg.PoolPrespawn
-	if prespawn > rt.cfg.PoolCap {
-		prespawn = rt.cfg.PoolCap
-	}
-	for i := 0; i < prespawn; i++ {
-		rt.spawnWorker(nil, nil, nil)
+	if rt.workerPool {
+		for i := 0; i < min(rt.cfg.poolPrespawn, rt.cfg.poolCap); i++ {
+			rt.spawnWorker(nil, nil, nil)
+		}
 	}
 	rt.h.Go("t0", nil, func(b host.Binding) {
 		t.start(b)

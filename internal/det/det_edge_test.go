@@ -147,29 +147,6 @@ func TestPollingMutexCorrectAndDeterministic(t *testing.T) {
 	}
 }
 
-func TestPoolCapBoundsReuse(t *testing.T) {
-	c := cfg()
-	c.PoolCap = 1
-	_, _, rt := run(t, c, simhost.New(costmodel.Default()), func(root api.T) {
-		for it := 0; it < 4; it++ {
-			var hs []api.Handle
-			for i := 0; i < 3; i++ {
-				hs = append(hs, root.Spawn(func(w api.T) { w.Compute(1000) }))
-			}
-			for _, h := range hs {
-				root.Join(h)
-			}
-		}
-	})
-	st := rt.Stats()
-	if st.ThreadsReused == 0 {
-		t.Error("pool cap 1 should still allow some reuse")
-	}
-	if st.ThreadsReused > 4 {
-		t.Errorf("pool cap 1 reused %d threads (max one per iteration possible)", st.ThreadsReused)
-	}
-}
-
 func TestRRWithCoarsening(t *testing.T) {
 	c := cfg()
 	c.Policy = clock.PolicyRR
@@ -271,5 +248,23 @@ func TestConfigValidation(t *testing.T) {
 	c.StaticLevel = 1
 	if _, err := det.New(c, simhost.New(costmodel.Default())); err == nil {
 		t.Error("static level 1 accepted")
+	}
+}
+
+// EnableScaleOut's pre-spawned workers are the worker pool's: with
+// ThreadPool off there is no pool, so the sharded scheduler forks every
+// thread and reaches the same result.
+func TestScaleOutWithoutThreadPool(t *testing.T) {
+	pooled := cfg()
+	pooled.EnableScaleOut(4, 3)
+	forked := pooled
+	forked.ThreadPool = false
+	want, _, _ := run(t, pooled, simhost.New(costmodel.Default()), counterProg(3, 30))
+	got, _, rt := run(t, forked, simhost.New(costmodel.Default()), counterProg(3, 30))
+	if got != want {
+		t.Errorf("checksum %x without the pool, %x with it", got, want)
+	}
+	if st := rt.Stats(); st.ThreadsReused != 0 || st.ThreadsSpawned != 3 {
+		t.Errorf("without ThreadPool: %d spawned, %d reused; want 3 forked, none reused", st.ThreadsSpawned, st.ThreadsReused)
 	}
 }

@@ -233,12 +233,8 @@ func TestSchedulerConfigMisuse(t *testing.T) {
 		{"shards-with-round-robin", func(c *Config) { c.Policy = clock.PolicyRR; c.Shards = 4 },
 			"Shards = 4 requires PolicyIC"},
 		{"negative-shards", func(c *Config) { c.Shards = -1 }, "negative shard count"},
-		{"prespawn-on-single-token", func(c *Config) { c.PoolPrespawn = 2 },
-			"PoolPrespawn requires worker reuse (Shards >= 2 with ThreadPool)"},
-		{"prespawn-without-thread-pool", func(c *Config) { c.EnableScaleOut(4, 2); c.ThreadPool = false },
-			"PoolPrespawn requires worker reuse (Shards >= 2 with ThreadPool)"},
-		{"worker-reuse-without-pool-cap", func(c *Config) { c.Shards = 4; c.PoolCap = 0 },
-			"requires a positive PoolCap"},
+		{"worker-reuse-without-pool-cap", func(c *Config) { c.Shards = 4; c.poolCap = 0 },
+			"requires a positive pool cap"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -458,13 +458,7 @@ func (t *Thread) acquireToken() {
 	}
 	t.charge(obs.PhaseLib, clockRead)
 	woken := false
-	var g int
-	if t.rt.shardSet != nil {
-		g = t.rt.arb.RequestSharded(t.tid, t.curShard)
-	} else {
-		g = t.rt.arb.Request(t.tid)
-	}
-	if g != t.tid {
+	if g := t.rt.arb.RequestSharded(t.tid, t.curShard); g != t.tid {
 		t.deliver(g)
 		t.park(diagTokenWait, host.BlockReason{Label: "global token"})
 		t.resyncClock()

@@ -235,7 +235,7 @@ func (t *Thread) exit() {
 		rt.mu.Lock()
 		rt.insertWorkerLocked(w, [2]int64{t.icount, int64(t.tid)})
 		rt.mu.Unlock()
-	case rt.cfg.ThreadPool && !rt.workerPool && rt.pooledWorkspaces() < rt.cfg.PoolCap:
+	case rt.cfg.ThreadPool && !rt.workerPool && rt.pooledWorkspaces() < rt.cfg.poolCap:
 		// Single-token §3.3 reuse: keep the workspace, the host task ends.
 		t.ws.UpdateTo(rt.seg.Head())
 		rt.mu.Lock()
@@ -259,5 +259,5 @@ func (t *Thread) exit() {
 func (rt *Runtime) workerSlotFree() bool {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return len(rt.workers) < rt.cfg.PoolCap
+	return len(rt.workers) < rt.cfg.poolCap
 }

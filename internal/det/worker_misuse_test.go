@@ -101,3 +101,36 @@ func TestDeliverFromRuntimeErrorsPooled(t *testing.T) {
 		})
 	}
 }
+
+// The pool cap is not a Config knob (Default sets it), so the bound is
+// tested in-package.
+func TestPoolCapBoundsReuse(t *testing.T) {
+	c := Default()
+	c.SegmentSize = 1 << 20
+	c.poolCap = 1
+	rt, err := New(c, simhost.New(costmodel.Default()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = rt.Run(func(root api.T) {
+		for it := 0; it < 4; it++ {
+			var hs []api.Handle
+			for i := 0; i < 3; i++ {
+				hs = append(hs, root.Spawn(func(w api.T) { w.Compute(1000) }))
+			}
+			for _, h := range hs {
+				root.Join(h)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := rt.Stats()
+	if st.ThreadsReused == 0 {
+		t.Error("pool cap 1 should still allow some reuse")
+	}
+	if st.ThreadsReused > 4 {
+		t.Errorf("pool cap 1 reused %d threads (max one per iteration possible)", st.ThreadsReused)
+	}
+}

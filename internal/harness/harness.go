@@ -1,8 +1,8 @@
 // Package harness runs the paper's evaluation grid: (benchmark × runtime ×
 // thread count × configuration) on the simulation host, and renders each
-// of the evaluation section's figures (10–16) as a table. Every cell is a
-// deterministic function of the options, so regenerated figures are
-// bit-stable.
+// of the evaluation section's figures (10–16) as a table — Figures is the
+// one list of them. Every cell is a deterministic function of the options,
+// so regenerated figures are bit-stable (TestFiguresGolden).
 //
 // It is also the one place a run is assembled: Build turns Options and a
 // host into a Cell (runtime kind, chaos, journal, commit log, replica
@@ -484,28 +484,4 @@ func RunAll(opts []Options) ([]Result, error) {
 		}
 	}
 	return results, nil
-}
-
-// BestOver runs o across the given thread counts and returns the result
-// with the lowest wall time (the paper's Figure 10 methodology: "we
-// measured the performance using 2–32 threads, and retained the
-// corresponding best result").
-func BestOver(o Options, threads []int) (Result, error) {
-	var opts []Options
-	for _, th := range threads {
-		oo := o
-		oo.Threads = th
-		opts = append(opts, oo)
-	}
-	rs, err := RunAll(opts)
-	if err != nil {
-		return Result{}, err
-	}
-	best := rs[0]
-	for _, r := range rs[1:] {
-		if r.WallNS < best.WallNS {
-			best = r
-		}
-	}
-	return best, nil
 }

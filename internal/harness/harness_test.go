@@ -43,21 +43,33 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// Figure 10 keeps each runtime's best time over the thread sweep (the
+// paper's methodology), normalized to the best pthreads time.
 func TestBestOverPicksMinimum(t *testing.T) {
-	o := Options{Bench: "histogram", Runtime: KindPthreads, Scale: 1, Seed: 1}
-	best, err := BestOver(o, []int{1, 2, 4})
+	f := figure(t, "10")
+	rows, err := (&Figure{Benches: []string{"histogram"}, Variants: f.Variants}).Run(Sweep{Threads: []int{1, 2, 4}, Scale: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, th := range []int{1, 2, 4} {
-		oo := o
-		oo.Threads = th
-		r, err := Run(oo)
-		if err != nil {
-			t.Fatal(err)
+	pth, slow := fig10Slowdowns(rows[0])
+	reached := map[Kind]bool{}
+	for _, r := range rows[0] {
+		k, got := r.Opts.Runtime, float64(r.WallNS)/float64(pth)
+		want := slow[k]
+		if k == KindPthreads {
+			want = 1
 		}
-		if r.WallNS < best.WallNS {
-			t.Fatalf("BestOver missed threads=%d (%d < %d)", th, r.WallNS, best.WallNS)
+		if got < want {
+			t.Errorf("%s: best-over missed threads=%d (%f < %f)", k, r.Opts.Threads, got, want)
+		}
+		reached[k] = reached[k] || got == want
+	}
+	if len(reached) != 5 {
+		t.Fatalf("ran %d runtimes, want 5", len(reached))
+	}
+	for k, ok := range reached {
+		if !ok {
+			t.Errorf("%s: no thread count reaches the reported best", k)
 		}
 	}
 }
@@ -205,67 +217,109 @@ func TestWithLRCPopulatesPages(t *testing.T) {
 	}
 }
 
-// Small-sweep figure smoke tests: each figure function runs end to end and
-// renders a non-empty table, deterministically.
+func figure(t *testing.T, name string) *Figure {
+	t.Helper()
+	fs, err := Select(name, false)
+	if err != nil || len(fs) != 1 {
+		t.Fatalf("Select(%q): %v, %v", name, fs, err)
+	}
+	return fs[0]
+}
+
+// Small-sweep figure smoke tests: each figure runs end to end into the one
+// result shape (a []Result per benchmark) and renders, deterministically.
 func TestFiguresSmoke(t *testing.T) {
-	s := Sweep{Threads: []int{2, 4}, Scale: 1, Seed: 5}
+	s := Sweep{Threads: []int{2, 4}, Scale: 1, Seed: 5, MinPages: 100}
 	t.Run("fig13", func(t *testing.T) {
 		t.Parallel()
-		data, text, err := Fig13(s)
+		f := figure(t, "13")
+		rows, err := f.Run(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(data) != len(Fig13Benches) || !strings.Contains(text, "adaptive-coarsening") {
-			t.Error("fig13 incomplete")
+		if len(rows) != len(f.Benches) || len(rows[0]) != len(f.Variants) {
+			t.Errorf("fig13 ran %d rows of %d cells, want %d of %d", len(rows), len(rows[0]), len(f.Benches), len(f.Variants))
+		}
+		text, err := f.Render(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Title, header, a line per benchmark; the full configuration is
+		// the denominator, not a column.
+		lines := strings.Split(text, "\n")
+		if len(lines) != 3+len(f.Benches) || !strings.Contains(lines[1], "adaptive-coarsening") || strings.Contains(lines[1], "full") {
+			t.Errorf("fig13 rendered:\n%s", text)
 		}
 	})
 	t.Run("fig14", func(t *testing.T) {
 		t.Parallel()
-		data, _, err := Fig14(s)
+		rows, err := figure(t, "14").Run(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, bench := range []string{"reverse_index", "ferret"} {
-			if data[bench]["adaptive"] <= 0 {
-				t.Errorf("%s missing adaptive point", bench)
+		for _, rs := range rows {
+			last := rs[len(rs)-1]
+			if last.Opts.Modify != nil || last.WallNS <= 0 {
+				t.Errorf("%s missing adaptive point", last.Opts.Bench)
 			}
 		}
 	})
 	t.Run("fig15", func(t *testing.T) {
 		t.Parallel()
-		data, _, err := Fig15(s)
+		f := figure(t, "15")
+		rows, err := f.Run(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// ferret must be split.
-		if _, ok := data["ferret_1"]; !ok {
-			t.Error("ferret_1 breakdown missing")
-		}
-		if _, ok := data["ferret_n"]; !ok {
-			t.Error("ferret_n breakdown missing")
-		}
-		for label, byKind := range data {
-			for kind, b := range byKind {
-				sum := b.Local + b.DetermWait + b.BarrierWait + b.Commit + b.Fault + b.Lib
-				if sum < 0.99 || sum > 1.01 {
-					t.Errorf("%s/%s breakdown sums to %f", label, kind, sum)
+		for _, rs := range rows {
+			for _, r := range rs {
+				bs := []Breakdown{BreakdownOf(r.Stats)}
+				if r.Opts.Bench == "ferret" { // split, as in the paper
+					b1, bn := splitFerret(r)
+					bs = []Breakdown{b1, bn}
+				}
+				for _, b := range bs {
+					sum := 0.0
+					for _, share := range b {
+						sum += share
+					}
+					if sum < 0.99 || sum > 1.01 {
+						t.Errorf("%s/%s breakdown sums to %f", r.Opts.Bench, r.Opts.Runtime, sum)
+					}
 				}
 			}
+		}
+		lines, err := f.Row(s, rows[8])
+		if err != nil || len(lines) != 6 || lines[0][0] != "ferret_1" || lines[1][0] != "ferret_n" {
+			t.Errorf("ferret row not split into ferret_1/ferret_n per runtime: %v, %v", lines, err)
 		}
 	})
 	t.Run("fig16", func(t *testing.T) {
 		t.Parallel()
-		rows, _, err := Fig16(s, 100)
+		f := figure(t, "16")
+		rows, err := f.Run(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rows) == 0 {
-			t.Error("no benchmarks qualified for fig16")
-		}
-		for _, r := range rows {
-			if r.TSOPages <= 0 || r.LRCPages < 0 {
-				t.Errorf("%s: bad page counts %+v", r.Bench, r)
+		qualified := 0
+		for _, rs := range rows {
+			r := rs[0]
+			lines, err := f.Row(s, rs)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if (r.Stats.PulledPages >= s.MinPages) != (len(lines) == 1) {
+				t.Errorf("%s: %d pages against a cutoff of %d printed %d lines", r.Opts.Bench, r.Stats.PulledPages, s.MinPages, len(lines))
+			}
+			if len(lines) == 1 {
+				qualified++
+				if r.Stats.PulledPages <= 0 || r.LRCPages < 0 {
+					t.Errorf("%s: bad page counts tso=%d lrc=%d", r.Opts.Bench, r.Stats.PulledPages, r.LRCPages)
+				}
+			}
+		}
+		if qualified == 0 {
+			t.Error("no benchmarks qualified for fig16")
 		}
 	})
 }
@@ -274,23 +328,86 @@ func TestFig10SmallSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full grid")
 	}
-	rows, text, err := Fig10(Sweep{Threads: []int{2}, Scale: 1, Seed: 5})
+	f, s := figure(t, "10"), Sweep{Threads: []int{2}, Scale: 1, Seed: 5}
+	rows, err := f.Run(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 19 {
 		t.Fatalf("fig10 has %d rows, want 19", len(rows))
 	}
-	for _, r := range rows {
-		for k, s := range r.Slowdown {
+	for _, rs := range rows {
+		_, slow := fig10Slowdowns(rs)
+		for k, s := range slow {
 			if s < 0.5 {
-				t.Errorf("%s/%s: deterministic runtime faster than half pthreads (%f) — model broken?", r.Bench, k, s)
+				t.Errorf("%s/%s: deterministic runtime faster than half pthreads (%f) — model broken?", rs[0].Opts.Bench, k, s)
 			}
 		}
 	}
-	if !strings.Contains(text, "five hardest") {
+	if !strings.Contains(f.Footer(s, rows), "five hardest") {
 		t.Error("fig10 summary missing")
 	}
+}
+
+// Every entry with its own thread counts, figure or table, must run and
+// render at a small sweep (the supplementary tables had no test before the
+// figure table).
+func TestEveryFigureRenders(t *testing.T) {
+	s := Sweep{Threads: []int{2}, Scale: 1, Seed: 5}
+	for i := range Figures {
+		f := &Figures[i]
+		if f.Threads == nil {
+			continue // the swept figures (10–12): TestFig10SmallSweep and the golden cover them
+		}
+		t.Run(f.Name, func(t *testing.T) {
+			t.Parallel()
+			text, err := f.Render(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.HasPrefix(text, f.Title+"\n") || strings.Count(text, "\n") < 2+len(f.Benches) {
+				t.Errorf("short rendering:\n%s", text)
+			}
+		})
+	}
+}
+
+// TestFiguresGolden renders every figure and table at consequence-bench's
+// default sweep and compares with docs/figures-scale1.txt — the recorded
+// output EXPERIMENTS.md quotes — byte for byte. The file is what
+// `consequence-bench -fig all -table all` prints; regenerate it only for a
+// change that means to move the time model, and re-read EXPERIMENTS.md's
+// numbers from it when you do.
+func TestFiguresGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full grid")
+	}
+	want, err := os.ReadFile("../../docs/figures-scale1.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for i := range Figures {
+		text, err := Figures[i].Render(Sweep{Threads: []int{2, 4, 8, 16, 32}, Scale: 1, Seed: 42, MinPages: 500})
+		if err != nil {
+			t.Fatalf("figure %s: %v", Figures[i].Name, err)
+		}
+		got.WriteString(text + "\n")
+	}
+	if got.String() == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range gl {
+		if i >= len(wl) || gl[i] != wl[i] {
+			w := "<end of file>"
+			if i < len(wl) {
+				w = wl[i]
+			}
+			t.Fatalf("docs/figures-scale1.txt line %d differs:\n got: %s\nwant: %s", i+1, gl[i], w)
+		}
+	}
+	t.Fatalf("rendered %d lines, docs/figures-scale1.txt has %d", len(gl), len(wl))
 }
 
 // Replicas must attach a live replica fleet without changing the cell's
