@@ -53,28 +53,27 @@ func TestArtifactCLIs(t *testing.T) {
 	}
 	in := func(name string) string { return filepath.Join(dir, name) }
 
-	// One golden cell (kmeans t=8: checksum 1f8b…689c), journaled and logged.
+	// One golden cell (kmeans t=8: checksum 1f8b…689c), logged twice.
 	cell := []string{"-bench", "kmeans", "-threads", "8", "-scale", "1", "-seed", "42"}
-	expect(t, 0, []string{"checksum    1f8b09e15b1b689c", "journal     " + in("a.csqj"), "commitlog   " + in("log")},
-		in("detrun"), append(cell, "-journal", in("a.csqj"), "-commitlog", in("log"))...)
-	expect(t, 0, nil, in("detrun"), append(cell, "-journal", in("b.csqj"))...)
+	expect(t, 0, []string{"checksum    1f8b09e15b1b689c", "commitlog   " + in("a") + ": 11 commits, 169 events"},
+		in("detrun"), append(cell, "-commitlog", in("a"))...)
+	expect(t, 0, nil, in("detrun"), append(cell, "-commitlog", in("b"))...)
 
-	// conseq-diff: 0 on equivalent journals, 1 with the site named on a
-	// divergence (text and -json), -live re-executes from the metadata.
-	expect(t, 0, nil, in("conseq-diff"), in("a.csqj"), in("b.csqj"))
-	expect(t, 0, nil, in("conseq-diff"), "-perturb", "swap-grant", "-at", "100", "-o", in("swap.csqj"), in("a.csqj"))
-	expect(t, 1, []string{"first divergent event at seq 100"}, in("conseq-diff"), in("a.csqj"), in("swap.csqj"))
-	expect(t, 0, nil, in("conseq-diff"), "-perturb", "flip-page", "-at", "5", "-o", in("flip.csqj"), in("a.csqj"))
-	expect(t, 1, []string{`"kind": "commit"`}, in("conseq-diff"), "-json", in("a.csqj"), in("flip.csqj"))
-	expect(t, 0, nil, in("conseq-diff"), "-live", in("a.csqj"))
-	expect(t, 2, nil, in("conseq-diff"), in("a.csqj"))
+	// conseq-diff: 0 on equivalent runs, 1 with the site named when a
+	// divergence is planted in one's history (text and -json), -live
+	// re-executes from the log's metadata.
+	expect(t, 0, nil, in("conseq-diff"), in("a"), in("b"))
+	expect(t, 1, []string{"first divergent event at seq 100"}, in("conseq-diff"), "-perturb", "swap-grant", "-at", "100", in("a"))
+	expect(t, 1, []string{`"kind": "commit"`}, in("conseq-diff"), "-json", "-perturb", "flip-page", "-at", "5", in("a"))
+	expect(t, 0, nil, in("conseq-diff"), "-live", in("a"))
+	expect(t, 2, nil, in("conseq-diff"), in("a"))
+	expect(t, 2, nil, in("conseq-diff"), "-perturb", "swap-grant", "-at", "100", in("a"), in("b"))
 
-	// conseq-replay: -verify against the journal, -resume, and -checksum
-	// exiting 1 on a mismatch.
-	expect(t, 0, []string{"checksum    1f8b09e15b1b689c"}, in("conseq-replay"), "-dir", in("log"), "-verify", in("a.csqj"), "-checksum", "1f8b09e15b1b689c", "-quiet")
-	expect(t, 0, []string{"checksum    1f8b09e15b1b689c"}, in("conseq-replay"), "-dir", in("log"), "-resume", "-checksum", "1f8b09e15b1b689c")
-	expect(t, 1, nil, in("conseq-replay"), "-dir", in("log"), "-checksum", "1f8b09e15b1b688c")
-	expect(t, 1, nil, in("conseq-replay"), "-dir", in("log"), "-verify", in("flip.csqj"), "-quiet")
+	// conseq-replay: the full replay and -resume reach the checksum, and
+	// -checksum exits 1 on a mismatch.
+	expect(t, 0, []string{"checksum    1f8b09e15b1b689c", "end trailer present"}, in("conseq-replay"), "-dir", in("a"), "-checksum", "1f8b09e15b1b689c")
+	expect(t, 0, []string{"checksum    1f8b09e15b1b689c"}, in("conseq-replay"), "-dir", in("a"), "-resume", "-checksum", "1f8b09e15b1b689c")
+	expect(t, 1, nil, in("conseq-replay"), "-dir", in("a"), "-checksum", "1f8b09e15b1b688c")
 
 	// conseq-serve: the fleet's checksum and sweep-digest lines, unmoved
 	// by a follower-kill schedule.

@@ -2,9 +2,10 @@
 // commit log (internal/commitlog, written by `detrun -commitlog`). The
 // log records every committed version's page diffs in sync order, so the
 // replica is an exact copy of the live run's committed state at any
-// version — time travel — and the reconstruction is verifiable: against the log's own end trailer,
-// against an expected checksum, or commit-by-commit against the run's
-// divergence journal.
+// version — time travel — and the reconstruction is verifiable: against
+// the log's own end trailer, or against an expected checksum. The sync
+// events the same log carries are conseq-diff's business; replay passes
+// over them.
 //
 // Usage:
 //
@@ -13,7 +14,6 @@
 //	conseq-replay -dir /tmp/alog -at-seq 500          # state as of sync-order seq 500
 //	conseq-replay -dir /tmp/alog -resume              # newest snapshot + tail (restart path)
 //	conseq-replay -dir /tmp/alog -checksum 9c02…      # assert the final checksum
-//	conseq-replay -dir /tmp/alog -verify a.csqj       # cross-check against the run journal
 //	conseq-replay -dir /tmp/alog -follow              # tail a live run's commits
 //	conseq-replay -dir /tmp/alog -follow -max-lag 64  # tail with a liveness bound
 //	conseq-replay -dir /tmp/alog -repair              # crash recovery: keep the longest valid prefix
@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"repro/internal/commitlog"
-	"repro/internal/journal"
 	"repro/internal/replica"
 )
 
@@ -40,12 +39,11 @@ func main() {
 	atSeq := flag.Int64("at-seq", -1, "replay to this sync-order seq (commits with AtSeq <= seq)")
 	resume := flag.Bool("resume", false, "reconstruct from the newest snapshot plus the log tail (the restart path) instead of the full history")
 	sum := flag.String("checksum", "", "expected final checksum (16 hex digits, as printed by detrun); exit 1 on mismatch")
-	verifyPath := flag.String("verify", "", "cross-check the replay against this run journal (.csqj): same commit sequence, and every replayed page must hash to the journal's recorded page hash")
 	follow := flag.Bool("follow", false, "tail the log as it is written: print each commit until the end trailer appears")
 	followPoll := flag.Duration("follow-poll", 200*time.Millisecond, "poll interval for -follow")
 	maxLag := flag.Int64("max-lag", -1, "with -follow: exit 2 if the follower falls more than this many versions behind the durable frontier (-1 disables)")
 	repair := flag.Bool("repair", false, "scan for a torn tail after a crash and truncate to the longest valid record prefix, then replay what survives")
-	quiet := flag.Bool("quiet", false, "suppress per-commit output (-verify, -follow)")
+	quiet := flag.Bool("quiet", false, "suppress per-commit output (-follow)")
 	flag.Parse()
 
 	if *dir == "" {
@@ -54,13 +52,13 @@ func main() {
 		os.Exit(2)
 	}
 	modes := 0
-	for _, on := range []bool{*atSeq >= 0, *resume, *verifyPath != "", *follow} {
+	for _, on := range []bool{*atSeq >= 0, *resume, *follow} {
 		if on {
 			modes++
 		}
 	}
 	if modes > 1 {
-		fatalUsage(fmt.Errorf("-at-seq, -resume, -verify and -follow are mutually exclusive"))
+		fatalUsage(fmt.Errorf("-at-seq, -resume and -follow are mutually exclusive"))
 	}
 	if *maxLag >= 0 && !*follow {
 		fatalUsage(fmt.Errorf("-max-lag requires -follow"))
@@ -94,8 +92,6 @@ func main() {
 	switch {
 	case *follow:
 		st, err = followLog(*dir, *followPoll, *maxLag, *quiet)
-	case *verifyPath != "":
-		st, err = verifyAgainstJournal(*dir, *verifyPath, *quiet)
 	case *resume:
 		st, err = commitlog.Resume(*dir)
 	case *atSeq >= 0:
@@ -124,23 +120,6 @@ func main() {
 		}
 		fmt.Println("expected    checksum matches")
 	}
-}
-
-// verifyAgainstJournal loads the run journal and cross-checks the log
-// against it commit by commit (commitlog.VerifyAgainstJournal).
-func verifyAgainstJournal(dir, jpath string, quiet bool) (*commitlog.State, error) {
-	jd, err := journal.Load(jpath)
-	if err != nil {
-		return nil, err
-	}
-	st, err := commitlog.VerifyAgainstJournal(dir, jd)
-	if err != nil {
-		return nil, err
-	}
-	if !quiet {
-		fmt.Printf("verified    %d commits against %s: sequence, page sets and content hashes all agree\n", len(jd.Commits), jpath)
-	}
-	return st, nil
 }
 
 // followLog tails a growing log directory with an incremental replica

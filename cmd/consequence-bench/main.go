@@ -13,8 +13,8 @@
 // Every table is a deterministic function of the flags: rerunning prints
 // byte-identical output (docs/figures-scale1.txt is `-fig all -table all`
 // at the defaults, pinned by TestFiguresGolden). To run one cell of a
-// figure with a trace, journal, commit log, chaos or live metrics
-// attached, use detrun.
+// figure with a trace, commit log, chaos or live metrics attached, use
+// detrun.
 package main
 
 import (

@@ -12,8 +12,7 @@
 //	detrun -bench histogram -runtime pthreads       # nondeterministic ref
 //	detrun -bench ferret -trace /tmp/ferret.json    # Chrome/Perfetto trace
 //	detrun -bench ferret -metrics                   # metrics snapshot
-//	detrun -bench ferret -journal /tmp/a.csqj       # divergence journal (conseq-diff)
-//	detrun -bench ferret -commitlog /tmp/alog       # persistent commit log (conseq-replay)
+//	detrun -bench ferret -commitlog /tmp/alog       # the run's record (conseq-replay, conseq-diff)
 //	detrun -bench ferret -analyze                   # critical-path report
 //	detrun -bench ferret -real -listen :9090        # live /metrics + pprof
 //	detrun -list
@@ -67,8 +66,7 @@ func main() {
 	dumpTrace := flag.Int("dump-sync", 0, "dump the first N sync-order events")
 	watchdog := flag.Duration("watchdog", 0, "real-host stall watchdog: if any thread stays blocked longer than this, dump per-thread diagnostics and exit non-zero (requires -real)")
 	timeout := flag.Duration("timeout", 0, "bound the run's host wall clock: on expiry dump goroutine stacks and runtime state and exit non-zero (e.g. 30s)")
-	journalPath := flag.String("journal", "", "write the run's divergence journal (sync events, hash checkpoints, commit page hashes) to this file; compare two with conseq-diff")
-	commitLogDir := flag.String("commitlog", "", "write the run's persistent commit log (committed page diffs, segmented) into this empty directory; replay with conseq-replay")
+	commitLogDir := flag.String("commitlog", "", "write the run's record (committed page diffs, sync events and hash checkpoints in one segmented log) into this empty directory; replay it with conseq-replay, compare two with conseq-diff")
 	list := flag.Bool("list", false, "list benchmarks and exit")
 	listChaos := flag.Bool("list-chaos", false, "list built-in chaos profiles and exit")
 	flag.Parse()
@@ -109,10 +107,8 @@ func main() {
 			// Both modes pick their own hosts; the real-host ratio to
 			// pthreads is the bench ledger's slowdown_vs_pthreads.
 			usage(fmt.Errorf("%s chooses its own hosts; it cannot be combined with -real", mode))
-		case *journalPath != "":
-			fatal(fmt.Errorf("-journal records a single run; use it without %s (journal two runs and conseq-diff them instead)", mode))
 		case *commitLogDir != "":
-			fatal(fmt.Errorf("-commitlog records a single run; use it without %s", mode))
+			usage(fmt.Errorf("-commitlog records a single run; it cannot be combined with %s (log two runs and conseq-diff them instead)", mode))
 		}
 		if *verify {
 			runVerify(o)
@@ -137,7 +133,6 @@ func main() {
 		observer = obs.New()
 	}
 	o.Observer = observer
-	o.JournalPath = *journalPath
 	o.CommitLogDir = *commitLogDir
 	cell := build(o, h)
 	spec, rt := cell.Spec, cell.Runtime
@@ -178,15 +173,10 @@ func main() {
 	fmt.Printf("sync ops    %d (%d coarsened), token grants %d\n", st.SyncOps, st.CoarsenedOps, st.TokenGrants)
 	fmt.Printf("memory      %d versions, %d pages committed (%d merged), %d pulled, %d faults, peak %d pages\n",
 		st.Versions, st.CommittedPages, st.MergedPages, st.PulledPages, st.Faults, st.PeakPages)
-	if cell.Journal != nil {
-		js := cell.Journal.Stats()
-		fmt.Printf("journal     %s: %d events, %d commits, %d checkpoints, %d bytes (%d flush stalls)\n",
-			*journalPath, js.Events, js.Commits, js.Checkpoints, js.Bytes, js.FlushStalls)
-	}
 	if cell.Log != nil {
 		cs := cell.Log.Stats()
-		fmt.Printf("commitlog   %s: %d commits, %d snapshots, %d segments (%d rolls, %d truncated), %d bytes (%d append stalls)\n",
-			*commitLogDir, cs.Commits, cs.Snapshots, cs.Segments, cs.Rolls, cs.Truncated, cs.Bytes, cs.AppendStalls)
+		fmt.Printf("commitlog   %s: %d commits, %d events, %d checkpoints, %d snapshots, %d segments (%d rolls, %d truncated), %d bytes (%d append stalls)\n",
+			*commitLogDir, cs.Commits, cs.Events, cs.Checkpoints, cs.Snapshots, cs.Segments, cs.Rolls, cs.Truncated, cs.Bytes, cs.AppendStalls)
 	}
 	if tr != nil && *dumpTrace > 0 {
 		evs := tr.Events()

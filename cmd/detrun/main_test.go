@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -42,6 +43,33 @@ func TestRealWithVerifyOrCompareIsAUsageError(t *testing.T) {
 	// Without -real both modes still work.
 	if out, err := exec.Command(bin, "-bench", "histogram", "-threads", "2", "-compare").Output(); err != nil || !strings.Contains(string(out), "rfdet-lrc") {
 		t.Errorf("detrun -compare: err %v, output:\n%s", err, out)
+	}
+}
+
+// -commitlog records one run; beside -verify or -compare, which run many,
+// it is a usage error like -real is: exit 2, nothing on stdout, and no
+// log directory created.
+func TestCommitLogWithVerifyOrCompareIsAUsageError(t *testing.T) {
+	bin := detrunBin(t)
+	for _, mode := range []string{"-verify", "-compare"} {
+		dir := filepath.Join(t.TempDir(), "log")
+		cmd := exec.Command(bin, "-bench", "histogram", "-commitlog", dir, mode)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		stdout, err := cmd.Output()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("detrun -commitlog %s: err %v, want exit status 2", mode, err)
+		}
+		if len(stdout) != 0 {
+			t.Errorf("detrun -commitlog %s printed results anyway:\n%s", mode, stdout)
+		}
+		if !strings.Contains(stderr.String(), mode) || !strings.Contains(stderr.String(), "-commitlog") {
+			t.Errorf("detrun -commitlog %s: stderr %q does not name the flags", mode, stderr.String())
+		}
+		if _, err := os.Stat(dir); err == nil {
+			t.Errorf("detrun -commitlog %s created %s", mode, dir)
+		}
 	}
 }
 

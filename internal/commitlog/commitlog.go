@@ -1,51 +1,68 @@
-// Package commitlog persists a deterministic run's committed memory
-// history — every published version's byte diffs, exactly as computed by
-// the commit pipeline — as a segmented append-only log. Where the run
-// journal (internal/journal) records per-commit page *hashes* for
-// divergence search, the commit log records the diff *bytes* themselves,
-// which makes the log a complete, replayable description of memory:
+// Package commitlog persists a deterministic run as one record stream: a
+// segmented append-only log that carries, in the one total order the
+// token defines, every published version's byte diffs — exactly as
+// computed by the commit pipeline — and, when the run's history is
+// attached too, every synchronization event and interval hash checkpoint.
+// The diffs make the log a complete, replayable description of memory:
 // applying each version's committer diff in version order to a
 // zero-initialized replica reproduces the committed state of every page
 // byte-for-byte (the replica-equivalence argument in docs/commitlog.md).
 // That one property buys crash recovery (Repair + Resume), time-travel
 // debugging (Replay to any version or sync seq), and read scale-out
-// (Stream followers tailing committed versions).
+// (Stream followers tailing committed versions). The history records are
+// what internal/journal loads for divergence search (cmd/conseq-diff);
+// per-commit page hashes are not stored, they are a function of the diffs.
 //
 // # On-disk format
 //
-// A log is a directory of fixed-size segment files named by the global
-// number of their first record:
+// This comment is the format's only specification. A log is a directory
+// of fixed-size segment files named by the global number of their first
+// record:
 //
 //	00000000000000000000.store   CRC-framed records
 //
-// A store file is a 5-byte magic ("CSQL" + format version 1), then a meta
+// A store file is a 5-byte magic ("CSQL" + format version 2), then a meta
 // frame, then record frames until EOF. Every frame is
 //
 //	u32le payload length | u32le CRC-32C of payload | payload
 //
 // and every payload starts with a one-byte kind; integers are unsigned
-// varints (binary.Uvarint) unless noted. Each segment repeats the same
-// meta frame (geometry + run metadata), so any retained suffix of
-// segments is self-contained after truncation:
+// varints (binary.Uvarint) and hashes fixed 8-byte little-endian words.
+// Each segment repeats the same meta frame (geometry + run metadata), so
+// any retained suffix of segments is self-contained after truncation:
 //
-//	meta     (0x01): pageSize, npages, n, then n (key, value) string pairs
-//	commit   (0x02): atSeq, version, tid, clock, npages,
-//	                 then per page: page, nruns, then per run: off, len, bytes
-//	snapshot (0x03): atSeq, version, npages, same page encoding
-//	                 (runs are relative to the zero page)
-//	end      (0x04): version, then a fixed 8-byte LE FNV-1a checksum of
-//	                 the full replica state (written at clean Close)
+//	meta       (0x01): pageSize, npages, n, then n (key, value) string pairs
+//	commit     (0x02): atSeq, version, tid, clock, npages,
+//	                   then per page: page, nruns, then per run: off, len, bytes
+//	snapshot   (0x03): atSeq, version, npages, same page encoding
+//	                   (runs are relative to the zero page)
+//	end        (0x04): version, then the FNV-1a checksum of the full
+//	                   replica state (written at clean Close)
+//	events     (0x05): until the payload ends: seq, tid, opcode, obj, clock,
+//	                   shard+1 — a batch of consecutive sync-trace events
+//	checkpoint (0x06): seq, hash, nthreads, then nthreads x (tid, hash),
+//	                   nshards, then nshards x (shard, hash)
 //
-// A commit's atSeq is the sync-trace event count at recording time — the
-// same interleave contract journal.Commit.AtSeq uses, so commit-log
-// records and journal records order identically against the sync-event
-// stream.
+// An event's opcode is a fixed one-byte code for the known trace.Op values
+// (opcode 0 escapes to a length-prefixed string). Its shard field is the
+// granting-shard provenance offset by one (0 = trace.NoShard: an
+// unsharded run or a cross-shard edge); a checkpoint's shard list carries
+// the per-shard rolling hashes under per-shard granting. Signed values
+// (clocks, seqs) are non-negative by construction.
+//
+// A commit's atSeq is the sync-trace event count at recording time, and
+// the events recorded before a commit are framed ahead of it, so file
+// order is the total order: the commit with atSeq m and the checkpoint
+// with seq m both precede the event with seq m. A log whose run attached
+// no history (det.Config.CommitLog alone) holds no events or checkpoint
+// frames and is otherwise identical. Replay, Resume, Stream and the
+// followers skip history frames without decoding them.
 //
 // Segment rolls, snapshot cadence and truncation are pure functions of
 // the record stream (byte counts and commit counts — never wall time), so
-// two identical runs write byte-identical segment files; TestGateCommitLog
-// (internal/harness) gates exactly that, alongside log-on/log-off result
-// equality.
+// two identical runs write byte-identical segment files; TestGateJournal
+// and TestGateCommitLog (internal/harness) gate exactly that, alongside
+// log-on/log-off result equality.
 package commitlog
 
 import (
@@ -54,18 +71,21 @@ import (
 	"hash/crc32"
 
 	"repro/internal/mem"
+	"repro/internal/trace"
 )
 
 // storeMagic heads every segment store file; the trailing byte is the
 // format version.
-var storeMagic = []byte{'C', 'S', 'Q', 'L', 1}
+var storeMagic = []byte{'C', 'S', 'Q', 'L', 2}
 
 // Record kinds.
 const (
-	kindMeta     = 0x01
-	kindCommit   = 0x02
-	kindSnapshot = 0x03
-	kindEnd      = 0x04
+	kindMeta       = 0x01
+	kindCommit     = 0x02
+	kindSnapshot   = 0x03
+	kindEnd        = 0x04
+	kindEvents     = 0x05
+	kindCheckpoint = 0x06
 )
 
 // Exported record kinds (Record.Kind values).
@@ -77,7 +97,35 @@ const (
 	// KindEnd is the clean-close trailer carrying the final version and
 	// replica checksum.
 	KindEnd = kindEnd
+	// KindEvents is a batch of consecutive sync-trace events.
+	KindEvents = kindEvents
+	// KindCheckpoint is one interval hash checkpoint of the event stream.
+	KindCheckpoint = kindCheckpoint
 )
+
+// opCodes maps the known trace ops to stable one-byte codes. Code 0 is
+// reserved as the string-escape for ops unknown to this encoder version.
+var opCodes = map[trace.Op]byte{
+	trace.OpLock:    1,
+	trace.OpUnlock:  2,
+	trace.OpWait:    3,
+	trace.OpSignal:  4,
+	trace.OpBcast:   5,
+	trace.OpBarrier: 6,
+	trace.OpSpawn:   7,
+	trace.OpJoin:    8,
+	trace.OpExit:    9,
+	trace.OpCommit:  10,
+}
+
+// opNames is the inverse of opCodes.
+var opNames = func() map[byte]trace.Op {
+	m := make(map[byte]trace.Op, len(opCodes))
+	for op, c := range opCodes {
+		m[c] = op
+	}
+	return m
+}()
 
 // frameHeaderLen is the fixed per-frame framing cost (length + CRC).
 const frameHeaderLen = 8
@@ -106,8 +154,8 @@ type PageDiff struct {
 
 // Commit is one committed version's replayable record: which thread
 // published it, at what logical clock, at what position in the sync-event
-// total order (AtSeq — the journal's interleave contract), and the exact
-// byte diffs of every page it changed, in ascending page order.
+// total order (AtSeq: the sync-trace event count when it was recorded),
+// and the exact byte diffs of every page it changed, in ascending page order.
 type Commit struct {
 	AtSeq   int64
 	Version int64
@@ -136,13 +184,16 @@ type End struct {
 
 // Record is one decoded log record.
 type Record struct {
-	Kind     byte
-	Commit   Commit   // valid when Kind == KindCommit
-	Snapshot Snapshot // valid when Kind == KindSnapshot
-	End      End      // valid when Kind == KindEnd
+	Kind       byte
+	Commit     Commit           // valid when Kind == KindCommit
+	Snapshot   Snapshot         // valid when Kind == KindSnapshot
+	End        End              // valid when Kind == KindEnd
+	Events     []trace.Event    // valid when Kind == KindEvents
+	Checkpoint trace.Checkpoint // valid when Kind == KindCheckpoint
 }
 
-// Version returns the record's version number regardless of kind.
+// Version returns the record's version number (zero for the history
+// kinds, which carry none).
 func (r Record) Version() int64 {
 	switch r.Kind {
 	case kindCommit:
@@ -214,6 +265,42 @@ func appendEnd(b []byte, e End) []byte {
 	return binary.LittleEndian.AppendUint64(b, e.Checksum)
 }
 
+// appendEvent encodes one sync-trace event onto an events payload,
+// starting the payload with its kind byte when b is empty.
+func appendEvent(b []byte, e trace.Event) []byte {
+	if len(b) == 0 {
+		b = append(b, kindEvents)
+	}
+	b = binary.AppendUvarint(b, uint64(e.Seq))
+	b = binary.AppendUvarint(b, uint64(e.Tid))
+	if code, ok := opCodes[e.Op]; ok {
+		b = append(b, code)
+	} else {
+		b = appendString(append(b, 0), string(e.Op))
+	}
+	b = binary.AppendUvarint(b, e.Obj)
+	b = binary.AppendUvarint(b, uint64(e.Clock))
+	return binary.AppendUvarint(b, uint64(e.Shard+1))
+}
+
+// appendCheckpoint encodes a checkpoint payload.
+func appendCheckpoint(b []byte, c trace.Checkpoint) []byte {
+	b = append(b, kindCheckpoint)
+	b = binary.AppendUvarint(b, uint64(c.Seq))
+	b = binary.LittleEndian.AppendUint64(b, c.Hash)
+	b = binary.AppendUvarint(b, uint64(len(c.Threads)))
+	for _, th := range c.Threads {
+		b = binary.AppendUvarint(b, uint64(th.Tid))
+		b = binary.LittleEndian.AppendUint64(b, th.Hash)
+	}
+	b = binary.AppendUvarint(b, uint64(len(c.Shards)))
+	for _, sh := range c.Shards {
+		b = binary.AppendUvarint(b, uint64(sh.Shard))
+		b = binary.LittleEndian.AppendUint64(b, sh.Hash)
+	}
+	return b
+}
+
 // errShort is the generic truncated-payload decode error.
 var errShort = fmt.Errorf("commitlog: truncated payload")
 
@@ -234,6 +321,75 @@ func getString(b []byte) (string, []byte, error) {
 		return "", nil, fmt.Errorf("commitlog: string length %d out of range", n)
 	}
 	return string(b[:n]), b[n:], nil
+}
+
+// getHash reads a fixed 8-byte little-endian hash word.
+func getHash(b []byte) (uint64, []byte, error) {
+	if len(b) < 8 {
+		return 0, nil, errShort
+	}
+	return binary.LittleEndian.Uint64(b), b[8:], nil
+}
+
+// getHashes decodes a checkpoint's (id, hash) list, handing each pair to
+// add. Every pair takes at least nine bytes, which bounds the count a
+// payload can claim.
+func getHashes(b []byte, add func(id int, hash uint64)) ([]byte, error) {
+	n, b, err := getUvarint(b)
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(len(b))/9 {
+		return nil, fmt.Errorf("commitlog: hash list of %d entries exceeds the payload", n)
+	}
+	for i := uint64(0); i < n; i++ {
+		var id, h uint64
+		if id, b, err = getUvarint(b); err != nil {
+			return nil, err
+		}
+		if h, b, err = getHash(b); err != nil {
+			return nil, err
+		}
+		add(int(id), h)
+	}
+	return b, nil
+}
+
+// decodeEvent decodes one event off the front of an events payload.
+func decodeEvent(b []byte) (trace.Event, []byte, error) {
+	var seq, tid, obj, clk, shard uint64
+	var err error
+	if seq, b, err = getUvarint(b); err != nil {
+		return trace.Event{}, nil, err
+	}
+	if tid, b, err = getUvarint(b); err != nil {
+		return trace.Event{}, nil, err
+	}
+	if len(b) == 0 {
+		return trace.Event{}, nil, errShort
+	}
+	code := b[0]
+	b = b[1:]
+	op := opNames[code]
+	if code == 0 {
+		var s string
+		if s, b, err = getString(b); err != nil {
+			return trace.Event{}, nil, err
+		}
+		op = trace.Op(s)
+	} else if op == "" {
+		return trace.Event{}, nil, fmt.Errorf("commitlog: unknown opcode %d", code)
+	}
+	if obj, b, err = getUvarint(b); err != nil {
+		return trace.Event{}, nil, err
+	}
+	if clk, b, err = getUvarint(b); err != nil {
+		return trace.Event{}, nil, err
+	}
+	if shard, b, err = getUvarint(b); err != nil {
+		return trace.Event{}, nil, err
+	}
+	return trace.Event{Seq: int64(seq), Tid: int(tid), Op: op, Obj: obj, Clock: int64(clk), Shard: int(shard) - 1}, b, nil
 }
 
 // decodePages decodes a page-diff list. pageSize and npages bound the
@@ -384,6 +540,36 @@ func decodeRecord(payload []byte, pageSize, npages int) (Record, error) {
 			return Record{}, fmt.Errorf("commitlog: end trailer has %d checksum bytes", len(b))
 		}
 		return Record{Kind: kindEnd, End: End{Version: int64(ver), Checksum: binary.LittleEndian.Uint64(b)}}, nil
+	case kindEvents:
+		var evs []trace.Event
+		for len(b) > 0 {
+			var e trace.Event
+			if e, b, err = decodeEvent(b); err != nil {
+				return Record{}, err
+			}
+			evs = append(evs, e)
+		}
+		return Record{Kind: kindEvents, Events: evs}, nil
+	case kindCheckpoint:
+		var c trace.Checkpoint
+		var seq uint64
+		if seq, b, err = getUvarint(b); err != nil {
+			return Record{}, err
+		}
+		c.Seq = int64(seq)
+		if c.Hash, b, err = getHash(b); err != nil {
+			return Record{}, err
+		}
+		if b, err = getHashes(b, func(tid int, h uint64) { c.Threads = append(c.Threads, trace.ThreadHash{Tid: tid, Hash: h}) }); err != nil {
+			return Record{}, err
+		}
+		if b, err = getHashes(b, func(sh int, h uint64) { c.Shards = append(c.Shards, trace.ShardHash{Shard: sh, Hash: h}) }); err != nil {
+			return Record{}, err
+		}
+		if len(b) != 0 {
+			return Record{}, fmt.Errorf("commitlog: %d trailing bytes after checkpoint", len(b))
+		}
+		return Record{Kind: kindCheckpoint, Checkpoint: c}, nil
 	default:
 		return Record{}, fmt.Errorf("commitlog: unknown record kind 0x%02x", kind)
 	}

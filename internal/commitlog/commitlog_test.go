@@ -5,9 +5,12 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/trace"
 )
 
 // Test geometry: small pages so tests exercise multi-run diffs cheaply.
@@ -92,6 +95,221 @@ func writeLog(t *testing.T, dir string, opts Options, commits []Commit) *Log {
 		t.Fatal(err)
 	}
 	return l
+}
+
+// writeHistoryLog is writeLog for a run that attached its history too: a
+// recorder whose sink is the log records every sync event up to each
+// commit's AtSeq before the commit is appended, as the runtime does, and
+// three more after the last. Events rotate through the known ops, an op
+// the encoder has no code for, and sharded and unsharded provenance;
+// checkpoints fall every 16 events.
+func writeHistoryLog(t *testing.T, dir string, opts Options, commits []Commit) (*Log, *trace.Recorder) {
+	t.Helper()
+	l, err := Create(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Begin(tPageSize, tNumPages); err != nil {
+		t.Fatal(err)
+	}
+	rec := trace.New(0)
+	rec.SetCheckpointInterval(16)
+	rec.SetSink(l)
+	ops := []trace.Op{trace.OpLock, trace.OpUnlock, trace.OpBarrier, trace.OpSignal, "future-op"}
+	record := func(upto int64) {
+		for i := rec.Len(); i < upto; i++ {
+			rec.RecordSharded(int(i%3), ops[i%int64(len(ops))], uint64(10+i%5), 100+i, int(i%3)-1)
+		}
+	}
+	for _, c := range commits {
+		record(c.AtSeq)
+		l.Append(c)
+	}
+	record(rec.Len() + 3)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return l, rec
+}
+
+// TestHistoryRecords: a log that is the run's trace sink carries every
+// event and checkpoint in the total order — each commit behind exactly
+// the events its AtSeq counts, each checkpoint behind the events it
+// summarizes — and they read back equal to what the recorder holds.
+// Memory's readers pass over them: the log replays to the same state as
+// the same commits logged alone.
+func TestHistoryRecords(t *testing.T) {
+	dir, bare := t.TempDir(), t.TempDir()
+	commits := mkCommits(40)
+	l, rec := writeHistoryLog(t, dir, Options{SegmentBytes: 2048, SnapshotEvery: 16}, commits)
+	writeLog(t, bare, Options{SegmentBytes: 2048, SnapshotEvery: 16}, commits)
+	if st := l.Stats(); st.Events != rec.Len() || st.Checkpoints != int64(len(rec.Checkpoints())) || st.Commits != 40 {
+		t.Fatalf("stats %+v, recorder has %d events and %d checkpoints", st, rec.Len(), len(rec.Checkpoints()))
+	}
+
+	r, err := OpenReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []trace.Event
+	var cps []trace.Checkpoint
+	ncommits := 0
+	if err := r.ForEach(func(_ int64, rc Record) error {
+		switch rc.Kind {
+		case KindEvents:
+			events = append(events, rc.Events...)
+		case KindCheckpoint:
+			if rc.Checkpoint.Seq != int64(len(events)) {
+				t.Errorf("checkpoint for seq %d sits behind %d events", rc.Checkpoint.Seq, len(events))
+			}
+			cps = append(cps, rc.Checkpoint)
+		case KindCommit:
+			if rc.Commit.AtSeq != int64(len(events)) {
+				t.Errorf("commit v%d (AtSeq %d) sits behind %d events", rc.Commit.Version, rc.Commit.AtSeq, len(events))
+			}
+			ncommits++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if ncommits != 40 || !reflect.DeepEqual(events, rec.Events()) || !reflect.DeepEqual(cps, rec.Checkpoints()) {
+		t.Fatalf("read back %d commits, %d events, %d checkpoints; recorded 40, %d, %d (or their contents differ)",
+			ncommits, len(events), len(cps), rec.Len(), len(rec.Checkpoints()))
+	}
+
+	seen := 0
+	if _, err := r.ForEachAvailable(func(_ int64, rc Record) error {
+		if rc.Kind == KindEvents || rc.Kind == KindCheckpoint {
+			t.Errorf("a follower's read was handed a history record (kind %d)", rc.Kind)
+		}
+		seen++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if seen == 0 {
+		t.Fatal("the tolerant read delivered nothing")
+	}
+	want, err := Replay(bare, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, replay := range map[string]func() (*State, error){
+		"Replay": func() (*State, error) { return Replay(dir, -1) },
+		"Resume": func() (*State, error) { return Resume(dir) },
+	} {
+		st, err := replay()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !st.SawEnd || st.Version != want.Version || st.Checksum() != want.Checksum() {
+			t.Fatalf("%s over a log with history reached v%d %016x (end %t), the diffs alone v%d %016x",
+				name, st.Version, st.Checksum(), st.SawEnd, want.Version, want.Checksum())
+		}
+	}
+}
+
+// TestRecordingOutsideBeginAndClose: the sink methods follow Append's
+// rule — dropped before Begin and after Close, however much is recorded:
+// nothing may pile up for, or be sent to, a drain that has gone.
+func TestRecordingOutsideBeginAndClose(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Create(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := trace.Event{Tid: 1, Op: trace.OpLock, Obj: 7, Clock: 1 << 40, Shard: trace.NoShard}
+	l.RecordEvent(e)
+	l.RecordCheckpoint(trace.Checkpoint{Seq: 1})
+	if err := l.Begin(tPageSize, tNumPages); err != nil {
+		t.Fatal(err)
+	}
+	if l.batch != nil {
+		t.Fatal("a log that has recorded no event holds a batch buffer")
+	}
+	l.RecordEvent(e)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2*eventBatchBytes/8; i++ { // well past one batch, were it kept
+		l.RecordEvent(e)
+	}
+	l.RecordCheckpoint(trace.Checkpoint{Seq: 2})
+	if st := l.Stats(); st.Events != 1 || st.Checkpoints != 0 {
+		t.Fatalf("stats %+v, want the one event recorded between Begin and Close", st)
+	}
+	r, err := OpenReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	if err := r.ForEach(func(_ int64, rc Record) error {
+		if rc.Kind == KindEvents {
+			n += len(rc.Events)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n != 1 {
+		t.Fatalf("the log holds %d events, want 1", n)
+	}
+}
+
+// TestConcurrentRecording: the recorder's threads, the committer and a
+// Sync caller reach the batch from different goroutines; every event must
+// land in the log exactly once (run under -race by scripts/check.sh).
+func TestConcurrentRecording(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Create(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Begin(tPageSize, tNumPages); err != nil {
+		t.Fatal(err)
+	}
+	const recorders, perRecorder = 4, 3000 // past one batch in total
+	var wg sync.WaitGroup
+	for g := 0; g < recorders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perRecorder; i++ {
+				l.RecordEvent(trace.Event{Seq: int64(i), Tid: g, Op: trace.OpLock, Obj: uint64(i), Clock: int64(i) << 20})
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, c := range mkCommits(50) {
+			l.Append(c)
+			l.Sync()
+		}
+	}()
+	wg.Wait()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perTid := map[int]int{}
+	if err := r.ForEach(func(_ int64, rc Record) error {
+		for _, e := range rc.Events {
+			perTid[e.Tid]++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for g := 0; g < recorders; g++ {
+		if perTid[g] != perRecorder {
+			t.Fatalf("recorder %d: %d of %d events in the log", g, perTid[g], perRecorder)
+		}
+	}
 }
 
 func TestRoundTrip(t *testing.T) {

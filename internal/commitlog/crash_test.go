@@ -6,9 +6,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/trace"
 )
 
 // frameInfo describes one record frame in a store file: where it ends and
@@ -81,13 +83,14 @@ func copyDir(t *testing.T, src string) string {
 	return dst
 }
 
-// buildCrashFixture writes a multi-segment log plus the per-version
-// reference checksums (sums[0] is the untouched zero state).
+// buildCrashFixture writes a multi-segment log that carries the run's
+// history between its commits, plus the per-version reference checksums
+// (sums[0] is the untouched zero state).
 func buildCrashFixture(t *testing.T) (dir string, sums map[int64]uint64, lastBase int64, priorVersion int64) {
 	t.Helper()
 	dir = t.TempDir()
 	commits := mkCommits(160)
-	writeLog(t, dir, Options{SegmentBytes: 1500, SnapshotEvery: 40}, commits)
+	writeHistoryLog(t, dir, Options{SegmentBytes: 1500, SnapshotEvery: 40}, commits)
 
 	sums = map[int64]uint64{0: refChecksum(freshRef())}
 	ref := freshRef()
@@ -266,9 +269,12 @@ func TestStrictReadRejectsTornTail(t *testing.T) {
 	}
 }
 
-// FuzzDecodeRecord throws arbitrary bytes at the record decoder: it must
-// reject or accept without panicking or over-allocating, and an accepted
-// commit must re-encode to the same decode.
+// FuzzDecodeRecord throws arbitrary bytes at the record decoder — the one
+// decoder every kind of record goes through: it must reject or accept
+// without panicking or over-allocating, and an accepted record must
+// re-encode to the same decode. testdata/fuzz/FuzzDecodeRecord holds a
+// well-formed and a truncated payload of each kind, which `go test`
+// replays with the seeds below.
 func FuzzDecodeRecord(f *testing.F) {
 	c := Commit{AtSeq: 9, Version: 4, Tid: 1, Clock: 77, Pages: []PageDiff{
 		{Page: 2, Runs: []mem.Run{{Off: 5, Data: []byte{1, 2, 3}}}},
@@ -280,6 +286,16 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{kindMeta})
 	f.Add(binary.LittleEndian.AppendUint32([]byte{KindCommit, 0xFF}, 1<<31))
+	var events []byte
+	for _, e := range []trace.Event{
+		{Seq: 300, Tid: 2, Op: trace.OpBarrier, Obj: 9, Clock: 1 << 33, Shard: trace.NoShard},
+		{Seq: 301, Tid: 0, Op: "future-op", Obj: 1, Clock: 5, Shard: 3},
+	} {
+		events = appendEvent(events, e)
+	}
+	f.Add(events)
+	f.Add(appendCheckpoint(nil, trace.Checkpoint{Seq: 256, Hash: 0xfeedface,
+		Threads: []trace.ThreadHash{{Tid: 0, Hash: 1}, {Tid: 4, Hash: 2}}, Shards: []trace.ShardHash{{Shard: 1, Hash: 3}}}))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		rc, err := decodeRecord(payload, tPageSize, tNumPages)
 		if err != nil {
@@ -293,6 +309,13 @@ func FuzzDecodeRecord(f *testing.F) {
 			re = appendSnapshot(nil, rc.Snapshot)
 		case KindEnd:
 			re = appendEnd(nil, rc.End)
+		case KindEvents:
+			re = []byte{KindEvents}
+			for _, e := range rc.Events {
+				re = appendEvent(re, e)
+			}
+		case KindCheckpoint:
+			re = appendCheckpoint(nil, rc.Checkpoint)
 		default:
 			t.Fatalf("decoder accepted unknown kind %d", rc.Kind)
 		}
@@ -300,7 +323,8 @@ func FuzzDecodeRecord(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded record rejected: %v", err)
 		}
-		if rc2.Kind != rc.Kind || rc2.Version() != rc.Version() {
+		if rc2.Kind != rc.Kind || rc2.Version() != rc.Version() ||
+			!reflect.DeepEqual(rc2.Events, rc.Events) || !reflect.DeepEqual(rc2.Checkpoint, rc.Checkpoint) {
 			t.Fatalf("re-encode changed the record: %+v vs %+v", rc, rc2)
 		}
 		// Geometry-free decode (the fuzz/repair path) must also cope.

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // Options configures a Log writer.
@@ -24,7 +26,7 @@ type Options struct {
 	// RetainSnapshots, when positive, truncates the log after each
 	// snapshot to the segments reachable from the k newest snapshots:
 	// bounded storage at the cost of full-history Replay. 0 keeps
-	// everything (the gate's replay-verify mode needs record zero).
+	// everything (journal.Load needs record zero).
 	RetainSnapshots int
 	// Meta is arbitrary run metadata persisted in every segment's meta
 	// frame (encoded in sorted key order).
@@ -34,12 +36,14 @@ type Options struct {
 // Stats counts a Log's activity; all fields are lifetime totals.
 type Stats struct {
 	Commits      int64
+	Events       int64
+	Checkpoints  int64
 	Snapshots    int64
 	Segments     int64 // live segment files on disk
 	Rolls        int64
 	Truncated    int64 // segment files deleted by retention
 	Bytes        int64 // encoded bytes across all segments, including truncated ones
-	AppendStalls int64 // appends that blocked because the drain goroutine was behind
+	AppendStalls int64 // sends (a commit or a history frame) that blocked because the drain goroutine was behind
 	LastVersion  int64
 }
 
@@ -53,28 +57,46 @@ const defaultSnapshotEvery = 1024
 // beyond it appends block (counted as AppendStalls).
 const appendQueueDepth = 256
 
-// perturbPeriod is the record cadence at which the drain goroutine
+// perturbPeriod is the commit cadence at which the drain goroutine
 // consults the chaos perturb hook (it also fires on every roll).
 const perturbPeriod = 128
 
+// eventBatchBytes is the size at which a batch of encoded events is handed
+// to the drain goroutine even though no commit, checkpoint, Sync or Close
+// has come to flush it.
+const eventBatchBytes = 32 << 10
+
+// freeBatches is how many written batch buffers the drain goroutine keeps
+// for the recording side to reuse; a recorder that finds none allocates.
+const freeBatches = 4
+
 // Log is an append-only commit-log writer. Create it, attach it to a
 // runtime (det.Runtime.SetCommitLog calls Begin with the segment
-// geometry), and Close it after the run to flush, write the end trailer
-// and surface any I/O error. Appends are cheap and off the file-I/O path:
-// records are handed to a background drain goroutine over a bounded
-// queue, the journal's block-drain discipline at record granularity. The
-// drain goroutine owns all files, the snapshot replica and the
-// subscriber list, so no file state needs locking.
+// geometry; SetJournal makes it the run's trace.Sink too), and Close it
+// after the run to flush, write the end trailer and surface any I/O
+// error. Appends are cheap and off the file-I/O path: commits are handed
+// by value to a background drain goroutine over a bounded queue, and sync
+// events are encoded on the recording thread into a batch that reaches
+// the drain as one frame. The drain goroutine owns all files, the
+// snapshot replica and the subscriber list, so no file state needs
+// locking.
 type Log struct {
 	dir  string
 	opts Options
 
-	mu       sync.Mutex // guards begun/closed and the send-side of ch
+	mu       sync.Mutex // guards begun/closed, batch and the send-side of ch
 	begun    bool
 	closed   bool
 	ch       chan logMsg
 	done     chan struct{}
 	closeErr error
+
+	// batch is the pending history payload: the events recorded since the
+	// last flush, already encoded. It is allocated by the first event, so
+	// a log that carries only diffs never has one. free returns written
+	// batches from the drain goroutine for reuse.
+	batch []byte
+	free  chan []byte
 
 	pageSize int
 	npages   int
@@ -86,6 +108,8 @@ type Log struct {
 	perturb func() int64
 
 	commits     atomic.Int64
+	events      atomic.Int64
+	checkpoints atomic.Int64
 	snapshots   atomic.Int64
 	segments    atomic.Int64
 	rolls       atomic.Int64
@@ -101,6 +125,7 @@ type Log struct {
 type logMsg struct {
 	isCommit bool
 	commit   Commit
+	history  []byte        // an encoded events or checkpoint payload when non-nil
 	sub      *Stream       // subscribe request when non-nil
 	from     int64         // subscribe start version
 	unsub    *Stream       // unsubscribe request when non-nil
@@ -146,6 +171,18 @@ func (l *Log) SetPerturb(f func() int64) {
 	l.perturb = f
 }
 
+// storeHeader builds what heads every store file: the magic and the meta
+// frame, its keys sorted so identical runs write identical bytes.
+func storeHeader(pageSize, npages int, meta map[string]string) []byte {
+	keys := make([]string, 0, len(meta))
+	for k := range meta {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	header := append([]byte(nil), storeMagic...)
+	return appendFrame(header, appendMeta(nil, pageSize, npages, keys, meta))
+}
+
 // Begin fixes the replica geometry and starts the drain goroutine; the
 // attaching runtime calls it once with its segment's page size and page
 // count. The first segment (with its meta frame) is created here so
@@ -163,22 +200,16 @@ func (l *Log) Begin(pageSize, npages int) error {
 		return fmt.Errorf("commitlog: Begin after Close")
 	}
 	l.pageSize, l.npages = pageSize, npages
-	keys := make([]string, 0, len(l.opts.Meta))
-	for k := range l.opts.Meta {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	header := append([]byte(nil), storeMagic...)
-	header = appendFrame(header, appendMeta(nil, pageSize, npages, keys, l.opts.Meta))
 	d := &drain{
 		l:       l,
-		header:  header,
+		header:  storeHeader(pageSize, npages, l.opts.Meta),
 		replica: State{pageSize: pageSize, npages: npages, pages: make(map[int][]byte)},
 	}
 	if err := d.openSegment(0); err != nil {
 		return err
 	}
 	l.ch = make(chan logMsg, appendQueueDepth)
+	l.free = make(chan []byte, freeBatches)
 	l.done = make(chan struct{})
 	l.begun = true
 	go d.run()
@@ -189,22 +220,77 @@ func (l *Log) Begin(pageSize, npages int) error {
 // sites; the encode and file I/O happen on the drain goroutine, so the
 // token-held cost is one channel send (or a blocking wait, counted as an
 // AppendStall, when the drain is behind — real time only, never modeled
-// time). Appends after Close, or before Begin, are dropped.
+// time). The events recorded so far are framed ahead of the commit.
+// Appends after Close, or before Begin, are dropped.
 func (l *Log) Append(c Commit) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if !l.begun || l.closed {
 		return
 	}
-	msg := logMsg{isCommit: true, commit: c}
+	l.flushBatchLocked()
+	l.sendLocked(logMsg{isCommit: true, commit: c})
+	l.commits.Add(1)
+	l.lastVersion.Store(c.Version)
+}
+
+// RecordEvent records one sync-trace event (trace.Sink): it is encoded
+// here, on the recording thread, onto the pending batch, which reaches the
+// drain goroutine as one events frame ahead of the next commit,
+// checkpoint, Sync or Close, or once it holds eventBatchBytes. Like
+// Append, it is dropped before Begin and after Close.
+func (l *Log) RecordEvent(e trace.Event) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !l.begun || l.closed {
+		return
+	}
+	l.batch = appendEvent(l.batch, e)
+	l.events.Add(1)
+	if len(l.batch) >= eventBatchBytes {
+		l.flushBatchLocked()
+	}
+}
+
+// RecordCheckpoint records one interval hash checkpoint (trace.Sink) as
+// its own frame, behind the events it summarizes. Dropped before Begin
+// and after Close.
+func (l *Log) RecordCheckpoint(c trace.Checkpoint) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !l.begun || l.closed {
+		return
+	}
+	l.flushBatchLocked()
+	l.batch = appendCheckpoint(l.batch, c)
+	l.flushBatchLocked()
+	l.checkpoints.Add(1)
+}
+
+// flushBatchLocked hands the pending history payload, if any, to the
+// drain goroutine and picks up a written buffer to encode into next.
+// Caller holds l.mu.
+func (l *Log) flushBatchLocked() {
+	if len(l.batch) == 0 {
+		return
+	}
+	l.sendLocked(logMsg{history: l.batch})
+	select {
+	case l.batch = <-l.free:
+	default:
+		l.batch = nil
+	}
+}
+
+// sendLocked queues one message for the drain goroutine, counting a stall
+// when the queue is full. Caller holds l.mu.
+func (l *Log) sendLocked(msg logMsg) {
 	select {
 	case l.ch <- msg:
 	default:
 		l.stalls.Add(1)
 		l.ch <- msg
 	}
-	l.commits.Add(1)
-	l.lastVersion.Store(c.Version)
 }
 
 // RequestSnapshot asks the drain goroutine to write a full-state snapshot
@@ -235,6 +321,7 @@ func (l *Log) Sync() {
 		l.mu.Unlock()
 		return
 	}
+	l.flushBatchLocked()
 	done := make(chan struct{})
 	l.ch <- logMsg{sync: done}
 	l.mu.Unlock()
@@ -247,8 +334,11 @@ func (l *Log) Sync() {
 func (l *Log) Close() error {
 	l.mu.Lock()
 	first := !l.closed
-	l.closed = true
 	begun := l.begun
+	if first && begun {
+		l.flushBatchLocked()
+	}
+	l.closed = true
 	l.mu.Unlock()
 	if !begun {
 		return nil
@@ -267,6 +357,8 @@ func (l *Log) Dir() string { return l.dir }
 func (l *Log) Stats() Stats {
 	return Stats{
 		Commits:      l.commits.Load(),
+		Events:       l.events.Load(),
+		Checkpoints:  l.checkpoints.Load(),
 		Snapshots:    l.snapshots.Load(),
 		Segments:     l.segments.Load(),
 		Rolls:        l.rolls.Load(),
@@ -318,6 +410,13 @@ func (d *drain) run() {
 		switch {
 		case msg.isCommit:
 			d.handleCommit(msg.commit)
+		case msg.history != nil:
+			d.rollIfFull(len(msg.history))
+			d.writeRecord(msg.history)
+			select {
+			case d.l.free <- msg.history[:0]:
+			default:
+			}
 		case msg.sub != nil:
 			d.handleSubscribe(msg.sub, msg.from)
 		case msg.unsub != nil:
@@ -349,16 +448,10 @@ func (d *drain) run() {
 // retention policy — all pure functions of the record stream.
 func (d *drain) handleCommit(c Commit) {
 	payload := appendCommit(d.scratch[:0], c)
-	frameLen := int64(frameHeaderLen + len(payload))
-	// Fixed-size segments: roll first if this record would overflow a
-	// non-empty segment (an oversized single record still gets a segment
-	// to itself).
-	if d.segRecs > 0 && d.storeSize+frameLen > int64(d.l.opts.SegmentBytes) {
-		d.roll()
-	}
+	d.rollIfFull(len(payload))
 	d.writeRecord(payload)
 	d.scratch = payload[:0]
-	d.replica.apply(c.Pages)
+	d.replica.Apply(c.Pages)
 	d.replica.Version, d.replica.AtSeq = c.Version, c.AtSeq
 	for _, s := range d.subs {
 		s.push(c)
@@ -371,6 +464,15 @@ func (d *drain) handleCommit(c Commit) {
 	d.handled++
 	if d.l.perturb != nil && d.handled%perturbPeriod == 0 {
 		d.stall()
+	}
+}
+
+// rollIfFull keeps segments fixed-size: it rolls first if a record with
+// this payload would overflow a non-empty segment (an oversized single
+// record still gets a segment to itself).
+func (d *drain) rollIfFull(payloadLen int) {
+	if d.segRecs > 0 && d.storeSize+int64(frameHeaderLen+payloadLen) > int64(d.l.opts.SegmentBytes) {
+		d.roll()
 	}
 }
 

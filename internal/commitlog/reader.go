@@ -130,8 +130,10 @@ func readFrame(f io.Reader) ([]byte, error) {
 
 // forEachSeg iterates the decoded records of one segment. strict turns a
 // torn tail into ErrTruncated; otherwise iteration just stops there
-// (complete reports false). f's errStop return stops cleanly.
-func (r *Reader) forEachSeg(segIdx int, strict bool, f func(rec int64, rc Record) error) (complete bool, err error) {
+// (complete reports false). Without history, events and checkpoint frames
+// are counted and passed over undecoded — memory's readers (replay,
+// followers) have no use for them. f's errStop return stops cleanly.
+func (r *Reader) forEachSeg(segIdx int, strict, history bool, f func(rec int64, rc Record) error) (complete bool, err error) {
 	base := r.bases[segIdx]
 	sf, err := os.Open(r.storePath(base))
 	if err != nil {
@@ -156,6 +158,10 @@ func (r *Reader) forEachSeg(segIdx int, strict bool, f func(rec int64, rc Record
 			}
 			return false, nil
 		}
+		if !history && len(payload) > 0 && (payload[0] == kindEvents || payload[0] == kindCheckpoint) {
+			rec++
+			continue
+		}
 		rc, err := decodeRecord(payload, r.pageSize, r.npages)
 		if err != nil {
 			if strict {
@@ -173,9 +179,9 @@ func (r *Reader) forEachSeg(segIdx int, strict bool, f func(rec int64, rc Record
 // forEachFrom iterates records from the given segment index to the end of
 // the log. In strict mode a torn tail is an error; otherwise iteration
 // stops at the first unreadable frame and reports complete=false.
-func (r *Reader) forEachFrom(segIdx int, strict bool, f func(rec int64, rc Record) error) (complete bool, err error) {
+func (r *Reader) forEachFrom(segIdx int, strict, history bool, f func(rec int64, rc Record) error) (complete bool, err error) {
 	for i := segIdx; i < len(r.bases); i++ {
-		complete, err = r.forEachSeg(i, strict, f)
+		complete, err = r.forEachSeg(i, strict, history, f)
 		if err == errStop {
 			return true, nil
 		}
@@ -189,18 +195,20 @@ func (r *Reader) forEachFrom(segIdx int, strict bool, f func(rec int64, rc Recor
 	return true, nil
 }
 
-// ForEach iterates every record in the log in order; a torn or corrupt
-// frame is an error (run Repair first after a crash).
+// ForEach iterates every record in the log in order, the run's history
+// (events and checkpoints) included; a torn or corrupt frame is an error
+// (run Repair first after a crash).
 func (r *Reader) ForEach(f func(rec int64, rc Record) error) error {
-	_, err := r.forEachFrom(0, true, f)
+	_, err := r.forEachFrom(0, true, true, f)
 	return err
 }
 
-// ForEachAvailable iterates every readable record, stopping silently at a
-// torn tail (a live writer may be mid-frame); complete reports whether
-// the whole log was readable. Followers poll with it.
+// ForEachAvailable iterates every readable commit, snapshot and end
+// record, stopping silently at a torn tail (a live writer may be
+// mid-frame); complete reports whether the whole log was readable.
+// Followers poll with it.
 func (r *Reader) ForEachAvailable(f func(rec int64, rc Record) error) (complete bool, err error) {
-	return r.forEachFrom(0, false, f)
+	return r.forEachFrom(0, false, false, f)
 }
 
 // ForEachAvailableFrom iterates the readable records whose global record
@@ -214,7 +222,7 @@ func (r *Reader) ForEachAvailableFrom(rec int64, f func(rec int64, rc Record) er
 	if segIdx < 0 {
 		segIdx = 0
 	}
-	return r.forEachFrom(segIdx, false, func(got int64, rc Record) error {
+	return r.forEachFrom(segIdx, false, false, func(got int64, rc Record) error {
 		if got < rec {
 			return nil
 		}
@@ -240,10 +248,11 @@ func (r *Reader) NewestAnchorRec() (int64, error) {
 	return 0, nil
 }
 
-// first returns segment segIdx's first record (ok=false for a segment
-// with no readable records).
+// first returns segment segIdx's first commit, snapshot or end record
+// (ok=false for a segment with none readable). A snapshot is only ever
+// written straight after a roll, so one found here leads its segment.
 func (r *Reader) first(segIdx int) (rc Record, ok bool, err error) {
-	_, err = r.forEachSeg(segIdx, false, func(_ int64, got Record) error {
+	_, err = r.forEachSeg(segIdx, false, false, func(_ int64, got Record) error {
 		rc, ok = got, true
 		return errStop
 	})

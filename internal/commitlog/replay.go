@@ -3,7 +3,6 @@ package commitlog
 import (
 	"fmt"
 
-	"repro/internal/journal"
 	"repro/internal/mem"
 )
 
@@ -33,8 +32,9 @@ type State struct {
 	pages map[int][]byte
 }
 
-// newState builds an empty replica with the reader's geometry.
-func newState(r *Reader) *State {
+// NewState builds an empty replica with the reader's geometry: what a
+// caller walking the records itself (Reader.ForEach) applies commits to.
+func NewState(r *Reader) *State {
 	return &State{pageSize: r.pageSize, npages: r.npages, meta: r.meta, pages: make(map[int][]byte)}
 }
 
@@ -57,9 +57,8 @@ func (st *State) Page(pg int) []byte {
 	return make([]byte, st.pageSize)
 }
 
-// PageHash returns the FNV-1a hash of one page's content — the same
-// per-page hash the run journal records, so a replayed state can be
-// cross-checked against a journal commit by commit.
+// PageHash returns the FNV-1a hash (mem.HashPage) of one page's content:
+// how internal/journal derives each commit's page hashes from its diffs.
 func (st *State) PageHash(pg int) uint64 {
 	return mem.HashPage(st.Page(pg))
 }
@@ -70,8 +69,8 @@ func (st *State) Checksum() uint64 {
 	return mem.ChecksumSparse(st.pages, st.npages, st.pageSize)
 }
 
-// apply advances the replica by one record's page diffs.
-func (st *State) apply(pages []PageDiff) {
+// Apply advances the replica by one record's page diffs.
+func (st *State) Apply(pages []PageDiff) {
 	for _, pd := range pages {
 		buf := st.pages[pd.Page]
 		if buf == nil {
@@ -87,7 +86,7 @@ func (st *State) apply(pages []PageDiff) {
 // restore resets the replica to a snapshot record's state.
 func (st *State) restore(s Snapshot) {
 	st.pages = make(map[int][]byte)
-	st.apply(s.Pages)
+	st.Apply(s.Pages)
 	st.Version, st.AtSeq = s.Version, s.AtSeq
 }
 
@@ -96,11 +95,11 @@ func (st *State) restore(s Snapshot) {
 type stopReplay func(c Commit) bool
 
 // replayFrom drives the shared replay loop from the given segment index.
-func replayFrom(r *Reader, segIdx int, include stopReplay, after func(*State, Commit) error) (*State, error) {
-	st := newState(r)
+func replayFrom(r *Reader, segIdx int, include stopReplay) (*State, error) {
+	st := NewState(r)
 	stopped := false
 	first := true
-	_, err := r.forEachFrom(segIdx, true, func(rec int64, rc Record) error {
+	_, err := r.forEachFrom(segIdx, true, false, func(rec int64, rc Record) error {
 		switch rc.Kind {
 		case kindSnapshot:
 			if first {
@@ -119,14 +118,9 @@ func replayFrom(r *Reader, segIdx int, include stopReplay, after func(*State, Co
 				return fmt.Errorf("commitlog: commit at record %d jumps version %d -> %d",
 					rec, st.Version, c.Version)
 			}
-			st.apply(c.Pages)
+			st.Apply(c.Pages)
 			st.Version, st.AtSeq = c.Version, c.AtSeq
 			st.Commits++
-			first = false
-			if after != nil {
-				return after(st, c)
-			}
-			return nil
 		case kindEnd:
 			if !stopped {
 				if rc.End.Version != st.Version {
@@ -154,12 +148,6 @@ func replayFrom(r *Reader, segIdx int, include stopReplay, after func(*State, Co
 // is replayed and the log was closed cleanly, the end trailer's checksum
 // is verified against the replica.
 func Replay(dir string, toVersion int64) (*State, error) {
-	return ReplayWith(dir, toVersion, nil)
-}
-
-// ReplayWith is Replay with a per-commit callback (after the commit is
-// applied) — the hook VerifyAgainstJournal uses.
-func ReplayWith(dir string, toVersion int64, after func(*State, Commit) error) (*State, error) {
 	r, err := OpenReader(dir)
 	if err != nil {
 		return nil, err
@@ -168,7 +156,7 @@ func ReplayWith(dir string, toVersion int64, after func(*State, Commit) error) (
 		return nil, err
 	}
 	include := func(c Commit) bool { return toVersion < 0 || c.Version <= toVersion }
-	st, err := replayFrom(r, 0, include, after)
+	st, err := replayFrom(r, 0, include)
 	if err != nil {
 		return nil, err
 	}
@@ -178,52 +166,9 @@ func ReplayWith(dir string, toVersion int64, after func(*State, Commit) error) (
 	return st, nil
 }
 
-// VerifyAgainstJournal replays the full log in dir with a per-commit
-// cross-check against the same run's journal: both artifacts record each
-// commit at the same sync-order position, so the sequences must agree
-// coordinate for coordinate (AtSeq, Version, Tid, Clock, page set), and
-// the replica's page content must hash to the journal's recorded page
-// hashes. Returns the fully replayed state.
-func VerifyAgainstJournal(dir string, jd *journal.Data) (*State, error) {
-	i := 0
-	st, err := ReplayWith(dir, -1, func(st *State, lc Commit) error {
-		if i >= len(jd.Commits) {
-			return fmt.Errorf("verify: log has more commits than the journal (%d)", len(jd.Commits))
-		}
-		jc := jd.Commits[i]
-		i++
-		if lc.AtSeq != jc.AtSeq || lc.Version != jc.Version || lc.Tid != jc.Tid || lc.Clock != jc.Clock {
-			return fmt.Errorf("verify: commit %d: log (seq %d v%d tid %d clock %d) != journal (seq %d v%d tid %d clock %d)",
-				i-1, lc.AtSeq, lc.Version, lc.Tid, lc.Clock, jc.AtSeq, jc.Version, jc.Tid, jc.Clock)
-		}
-		if len(lc.Pages) != len(jc.Pages) {
-			return fmt.Errorf("verify: commit %d (v%d): %d logged pages, journal has %d",
-				i-1, lc.Version, len(lc.Pages), len(jc.Pages))
-		}
-		for k, pd := range lc.Pages {
-			if pd.Page != jc.Pages[k].Page {
-				return fmt.Errorf("verify: commit %d (v%d): page set diverges (%d vs %d)",
-					i-1, lc.Version, pd.Page, jc.Pages[k].Page)
-			}
-			if got := st.PageHash(pd.Page); got != jc.Pages[k].Hash {
-				return fmt.Errorf("verify: commit %d (v%d) page %d: replayed content hashes to %016x, journal recorded %016x",
-					i-1, lc.Version, pd.Page, got, jc.Pages[k].Hash)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if i != len(jd.Commits) {
-		return nil, fmt.Errorf("verify: log has %d commits, journal has %d", i, len(jd.Commits))
-	}
-	return st, nil
-}
-
 // ReplayToSeq reconstructs the replica as of sync-order seq: every commit
-// whose AtSeq is at most seq is applied (the journal interleave contract
-// orders commits against sync events by AtSeq).
+// whose AtSeq is at most seq is applied (AtSeq orders commits against the
+// sync events).
 func ReplayToSeq(dir string, seq int64) (*State, error) {
 	r, err := OpenReader(dir)
 	if err != nil {
@@ -232,7 +177,7 @@ func ReplayToSeq(dir string, seq int64) (*State, error) {
 	if err := checkOrigin(r, -1); err != nil {
 		return nil, err
 	}
-	return replayFrom(r, 0, func(c Commit) bool { return c.AtSeq <= seq }, nil)
+	return replayFrom(r, 0, func(c Commit) bool { return c.AtSeq <= seq })
 }
 
 // checkOrigin verifies the oldest retained segment is a valid replay
@@ -281,5 +226,5 @@ func Resume(dir string) (*State, error) {
 			return nil, err
 		}
 	}
-	return replayFrom(r, start, func(Commit) bool { return true }, nil)
+	return replayFrom(r, start, func(Commit) bool { return true })
 }

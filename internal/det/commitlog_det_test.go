@@ -1,6 +1,11 @@
 package det_test
 
+// The runtime's two attach points on the one commit log: Config.CommitLog
+// / SetCommitLog (the diffs) and SetJournal (the sync events and
+// checkpoints, into the same record stream).
+
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,12 +14,170 @@ import (
 	"repro/internal/commitlog"
 	"repro/internal/costmodel"
 	"repro/internal/det"
+	"repro/internal/host"
 	"repro/internal/host/simhost"
 	"repro/internal/journal"
+	"repro/internal/mem"
+	"repro/internal/obs"
 )
 
-// runWithLog runs prog with a commit log attached in dir and returns the
-// live checksum and trace hash.
+// runJournaled runs prog on h with a commit log in dir attached both ways
+// — diffs and history — and closed; it returns the runtime.
+func runJournaled(t *testing.T, c det.Config, h host.Host, dir string, opts commitlog.Options, prog func(api.T)) *det.Runtime {
+	t.Helper()
+	cl, err := commitlog.Create(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.CommitLog = cl
+	rt, err := det.New(c, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.SetJournal(cl)
+	if err := rt.Run(prog); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return rt
+}
+
+// dirBytes folds a log directory into one byte string: every file's name
+// and contents, in name order.
+func dirBytes(t *testing.T, dir string) []byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all bytes.Buffer
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		all.WriteString(e.Name())
+		all.Write(b)
+	}
+	return all.Bytes()
+}
+
+// Recording is observation only: checksum and sync trace must be
+// byte-identical with the log and its history on or off, on every host —
+// the racy-workload version of TestGateJournal (internal/harness).
+func TestJournalDoesNotPerturbResults(t *testing.T) {
+	for _, prog := range []struct {
+		name string
+		fn   func(api.T)
+	}{{"counter", counterProg(4, 20)}, {"racy", racyProg(4)}} {
+		t.Run(prog.name, func(t *testing.T) {
+			for _, hm := range allHosts() {
+				t.Run(hm.name, func(t *testing.T) {
+					sum0, rec0, _ := run(t, cfg(), hm.mk(), prog.fn)
+					rt := runJournaled(t, cfg(), hm.mk(), t.TempDir(), commitlog.Options{}, prog.fn)
+					if sum := rt.Checksum(); sum != sum0 {
+						t.Errorf("recorded checksum %x != %x", sum, sum0)
+					}
+					if h := rt.Trace().Hash(); h != rec0.Hash() {
+						t.Errorf("recorded trace hash %x != %x", h, rec0.Hash())
+					}
+				})
+			}
+		})
+	}
+}
+
+// Two identical runs must write byte-identical logs, and the history
+// loaded from one must reproduce the run's events, checkpoints and
+// commits.
+func TestJournalReproducibleAndComplete(t *testing.T) {
+	a, b := t.TempDir(), t.TempDir()
+	prog := counterProg(4, 20)
+	c := cfg()
+	c.JournalCheckpointK = 16
+	recA := runJournaled(t, c, simhost.New(costmodel.Default()), a, commitlog.Options{}, prog).Trace()
+	runJournaled(t, c, simhost.New(costmodel.Default()), b, commitlog.Options{}, prog)
+	if !bytes.Equal(dirBytes(t, a), dirBytes(t, b)) {
+		t.Fatal("identical runs wrote different log bytes")
+	}
+
+	da, err := journal.Load(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(da.Events)) != recA.Len() {
+		t.Fatalf("the log has %d events, trace recorded %d", len(da.Events), recA.Len())
+	}
+	if len(da.Commits) == 0 {
+		t.Fatal("no commits loaded")
+	}
+	for _, c := range da.Commits {
+		if len(c.Pages) == 0 {
+			t.Fatalf("commit version %d loaded with no pages", c.Version)
+		}
+	}
+	if want := recA.Checkpoints(); len(want) == 0 || len(da.Checkpoints) != len(want) {
+		t.Fatalf("the log has %d checkpoints, recorder %d", len(da.Checkpoints), len(want))
+	}
+	db, err := journal.Load(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := journal.Diff(da, db, journal.DiffOptions{}); rep.Kind != journal.DivNone {
+		t.Fatalf("identical runs diverge: %s", rep.Detail)
+	}
+}
+
+// The history's gauges sit beside the other commitlog_* ones and appear
+// once an observer and the log are both attached, in either order.
+func TestJournalMetrics(t *testing.T) {
+	for _, order := range []string{"journal-first", "observer-first"} {
+		t.Run(order, func(t *testing.T) {
+			cl, err := commitlog.Create(t.TempDir(), commitlog.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt, err := det.New(cfg(), simhost.New(costmodel.Default()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := obs.New()
+			attach := func() {
+				if err := rt.SetCommitLog(cl); err != nil {
+					t.Fatal(err)
+				}
+				rt.SetJournal(cl)
+			}
+			if order == "journal-first" {
+				attach()
+				rt.SetObserver(o)
+			} else {
+				rt.SetObserver(o)
+				attach()
+			}
+			if err := rt.Run(counterProg(2, 5)); err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got := map[string]int64{}
+			for _, s := range o.Registry().Snapshot() {
+				got[s.Name] = s.Value
+			}
+			st := cl.Stats()
+			if st.Events == 0 || got["commitlog_events"] != st.Events || got["commitlog_checkpoints"] != st.Checkpoints || got["commitlog_commits"] != st.Commits {
+				t.Fatalf("gauges %v do not match the log's stats %+v", got, st)
+			}
+		})
+	}
+}
+
+// runWithLog runs prog with a commit log attached in dir through
+// Config.CommitLog alone — diffs, no history, the way bench/ attaches it —
+// and returns the live checksum and trace hash.
 func runWithLog(t *testing.T, c det.Config, dir string, opts commitlog.Options, prog func(api.T)) (uint64, uint64) {
 	t.Helper()
 	cl, err := commitlog.Create(dir, opts)
@@ -84,82 +247,43 @@ func TestCommitLogInvisibleAndReplays(t *testing.T) {
 
 // TestCommitLogByteIdentical: two identical runs must produce
 // byte-identical log directories — the determinism property
-// TestGateCommitLog (internal/harness) gates on the golden benches.
+// TestGateJournal (internal/harness) gates on the golden benches.
 func TestCommitLogByteIdentical(t *testing.T) {
 	opts := commitlog.Options{SegmentBytes: 4096, SnapshotEvery: 16, Meta: map[string]string{"bench": "mixed"}}
 	dirA, dirB := t.TempDir(), t.TempDir()
 	runWithLog(t, cfg(), dirA, opts, mixedProg(4, 12))
 	runWithLog(t, cfg(), dirB, opts, mixedProg(4, 12))
-	entsA, err := os.ReadDir(dirA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entsB, err := os.ReadDir(dirB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entsA) != len(entsB) {
-		t.Fatalf("%d vs %d log files", len(entsA), len(entsB))
-	}
-	for i := range entsA {
-		if entsA[i].Name() != entsB[i].Name() {
-			t.Fatalf("file %d: %s vs %s", i, entsA[i].Name(), entsB[i].Name())
-		}
-		a, _ := os.ReadFile(filepath.Join(dirA, entsA[i].Name()))
-		b, _ := os.ReadFile(filepath.Join(dirB, entsB[i].Name()))
-		if string(a) != string(b) {
-			t.Fatalf("%s differs between identical runs", entsA[i].Name())
-		}
+	if !bytes.Equal(dirBytes(t, dirA), dirBytes(t, dirB)) {
+		t.Fatal("identical runs wrote different log bytes")
 	}
 }
 
-// TestCommitLogCrossChecksJournal runs with the hash journal and the
-// commit log attached together and verifies them against each other
-// record for record: same commit sequence (AtSeq/Version/Tid/Clock), same
-// page sets, and the replayed page content hashing to the journal's
-// recorded page hashes — the check `conseq-replay -verify` runs.
+// TestCommitLogCrossChecksJournal holds the history the log yields to the
+// live run, commit for commit: every page hash journal.Load derives by
+// replaying a commit's diffs must equal the hash of what the live segment
+// holds for that page at that version. This is replica equivalence per
+// commit, not only at the end trailer.
 func TestCommitLogCrossChecksJournal(t *testing.T) {
 	dir := t.TempDir()
-	jpath := filepath.Join(t.TempDir(), "run.csqj")
-	jw, err := journal.Create(jpath, map[string]string{"bench": "mixed"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := commitlog.Create(dir, commitlog.Options{SegmentBytes: 8192, SnapshotEvery: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
 	c := cfg()
-	c.CommitLog = cl
-	rt, err := det.New(c, simhost.New(costmodel.Default()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.SetJournal(jw)
-	if err := rt.Run(mixedProg(4, 12)); err != nil {
-		t.Fatal(err)
-	}
-	liveSum := rt.Checksum()
-	if err := jw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	jd, err := journal.Load(jpath)
+	c.GCEveryNCommits = 0 // every version stays readable after the run
+	rt := runJournaled(t, c, simhost.New(costmodel.Default()), dir, commitlog.Options{SegmentBytes: 8192, SnapshotEvery: 32}, mixedProg(4, 12))
+	jd, err := journal.Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(jd.Commits) == 0 {
-		t.Fatal("journal recorded no commits")
+		t.Fatal("the log recorded no commits")
 	}
-	st, err := commitlog.VerifyAgainstJournal(dir, jd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Checksum() != liveSum {
-		t.Fatalf("replay checksum %016x, live %016x", st.Checksum(), liveSum)
+	seg := rt.Segment()
+	page := make([]byte, seg.PageSize())
+	for _, jc := range jd.Commits {
+		for _, ph := range jc.Pages {
+			seg.ReadCommitted(page, ph.Page*seg.PageSize(), jc.Version)
+			if live := mem.HashPage(page); live != ph.Hash {
+				t.Fatalf("commit v%d page %d: the log replays to hash %016x, the live segment holds %016x", jc.Version, ph.Page, ph.Hash, live)
+			}
+		}
 	}
 }
 

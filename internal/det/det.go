@@ -35,7 +35,6 @@ import (
 	"repro/internal/commitlog"
 	"repro/internal/costmodel"
 	"repro/internal/host"
-	"repro/internal/journal"
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/predict"
@@ -168,8 +167,9 @@ type Config struct {
 	// JournalCheckpointK is the interval, in sync-trace events, between
 	// rolling-hash checkpoints (trace.Checkpoint; 0 disables). Checkpoints
 	// are cheap in-memory snapshots of the global and per-thread hashes;
-	// with a run journal attached they are also persisted, letting
-	// conseq-diff localize a divergence in O(log n) hash probes.
+	// with the commit log attached as the journal (SetJournal) they are
+	// also persisted, letting conseq-diff localize a divergence in
+	// O(log n) hash probes.
 	JournalCheckpointK int64
 	// Model is the simulation cost model (ignored on untimed hosts).
 	Model costmodel.Model
@@ -192,8 +192,8 @@ type Config struct {
 	// Equivalent to calling SetCommitLog before Run. Logging never changes
 	// results — checksums and sync traces are byte-identical with the log
 	// on or off, and identical runs produce byte-identical log files;
-	// TestGateCommitLog (internal/harness) gates both. The caller owns the log and must Close
-	// it after Run to flush.
+	// TestGateCommitLog (internal/harness) gates both. The caller owns
+	// the log and must Close it after Run to flush.
 	CommitLog *commitlog.Log
 }
 
@@ -268,16 +268,15 @@ type Hooks interface {
 // Runtime is one deterministic execution context. Create with New, use
 // once via Run.
 type Runtime struct {
-	cfg     Config
-	h       host.Host
-	timed   bool
-	arb     *clock.Arbiter
-	seg     *mem.Segment
-	rec     *trace.Recorder
-	hooks   Hooks
-	obs     *obs.Observer
-	journal *journal.Writer
-	clog    *commitlog.Log
+	cfg   Config
+	h     host.Host
+	timed bool
+	arb   *clock.Arbiter
+	seg   *mem.Segment
+	rec   *trace.Recorder
+	hooks Hooks
+	obs   *obs.Observer
+	clog  *commitlog.Log
 
 	mu      sync.Mutex // guards threads map, pool and workers
 	threads map[int]*Thread
@@ -486,54 +485,28 @@ func (rt *Runtime) SetObserver(o *obs.Observer) {
 	r.Func("det_determ_wait_ns", aggFunc(func(s api.RunStats) int64 { return s.DetermWaitNS }))
 	r.Func("det_barrier_wait_ns", aggFunc(func(s api.RunStats) int64 { return s.BarrierWaitNS }))
 	r.Func("det_commit_ns", aggFunc(func(s api.RunStats) int64 { return s.CommitNS }))
-	rt.registerJournalMetrics()
 	rt.registerCommitLogMetrics()
 }
 
-// SetJournal attaches a run journal; must be called before Run (nil
-// detaches). Every sync-trace event and interval checkpoint streams to the
-// writer through the trace sink, and both commit sites record each
-// published version's page-set with per-page content hashes
-// (docs/divergence.md). Journaling never changes results — checksums and
-// sync traces are byte-identical with the journal on or off, which
-// TestGateJournal (internal/harness) gates. The caller owns the writer and must Close it
-// after Run to flush.
-func (rt *Runtime) SetJournal(w *journal.Writer) {
+// SetJournal makes the commit log the run's history too; must be called
+// before Run. Every sync-trace event and interval checkpoint then streams
+// to l through the trace sink and is framed into the same record stream
+// as the commits, in order (docs/divergence.md). l is the log given to
+// SetCommitLog, which binds it to the memory geometry: a log that has not
+// begun drops what it is handed. Recording never changes results —
+// checksums and sync traces are byte-identical with the history on or
+// off, which TestGateJournal (internal/harness) gates.
+func (rt *Runtime) SetJournal(l *commitlog.Log) {
 	if rt.started {
 		panic("det: SetJournal after Run")
 	}
-	rt.journal = w
-	if w == nil {
-		rt.rec.SetSink(nil)
-		return
-	}
-	rt.rec.SetSink(w)
-	rt.registerJournalMetrics()
-}
-
-// registerJournalMetrics exposes journal_* func gauges once both an
-// observer and a journal are attached (either attach order works:
-// SetObserver and SetJournal both call this).
-func (rt *Runtime) registerJournalMetrics() {
-	if rt.obs == nil || rt.journal == nil {
-		return
-	}
-	r := rt.obs.Registry()
-	jFunc := func(f func(journal.Stats) int64) func() int64 {
-		return func() int64 { return f(rt.journal.Stats()) }
-	}
-	r.Func("journal_events", jFunc(func(s journal.Stats) int64 { return s.Events }))
-	r.Func("journal_commits", jFunc(func(s journal.Stats) int64 { return s.Commits }))
-	r.Func("journal_checkpoints", jFunc(func(s journal.Stats) int64 { return s.Checkpoints }))
-	r.Func("journal_bytes", jFunc(func(s journal.Stats) int64 { return s.Bytes }))
-	r.Func("journal_flush_stalls", jFunc(func(s journal.Stats) int64 { return s.FlushStalls }))
+	rt.rec.SetSink(l)
 }
 
 // SetCommitLog attaches a persistent commit log; must be called before
 // Run. The log is bound to the runtime's memory geometry (Begin) and from
 // then on both commit sites append each published version's page diffs at
-// its sync-order position (the same AtSeq interleave contract the run
-// journal uses, so the two artifacts cross-reference record for record).
+// its sync-order position (AtSeq, the trace event count at the commit).
 // With a chaos injector armed, the log's write path is perturbed by the
 // injector's logstall stream — real-time-only stalls that exercise
 // backpressure without touching results. The caller owns the log and must
@@ -569,6 +542,8 @@ func (rt *Runtime) registerCommitLogMetrics() {
 		return func() int64 { return f(rt.clog.Stats()) }
 	}
 	r.Func("commitlog_commits", cFunc(func(s commitlog.Stats) int64 { return s.Commits }))
+	r.Func("commitlog_events", cFunc(func(s commitlog.Stats) int64 { return s.Events }))
+	r.Func("commitlog_checkpoints", cFunc(func(s commitlog.Stats) int64 { return s.Checkpoints }))
 	r.Func("commitlog_snapshots", cFunc(func(s commitlog.Stats) int64 { return s.Snapshots }))
 	r.Func("commitlog_segments", cFunc(func(s commitlog.Stats) int64 { return s.Segments }))
 	r.Func("commitlog_rolls", cFunc(func(s commitlog.Stats) int64 { return s.Rolls }))

@@ -3,16 +3,12 @@ package det_test
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/api"
+	"repro/internal/commitlog"
 	"repro/internal/costmodel"
-	"repro/internal/det"
-	"repro/internal/host"
 	"repro/internal/host/simhost"
-	"repro/internal/journal"
 	"repro/internal/trace"
 )
 
@@ -25,7 +21,8 @@ import (
 //  1. one total order: repeated runs yield identical event streams, on
 //     the simulation host and the (perturbed) real host;
 //  2. byte-identical checksums vs the legacy single-shard runtime;
-//  3. byte-identical journals across repeated runs on both hosts.
+//  3. byte-identical logs, history included, across repeated runs on both
+//     hosts.
 //
 // Only the interleave may differ from legacy (the per-count golden table
 // in internal/harness/gate_test.go pins those), never the results.
@@ -157,53 +154,27 @@ func TestCrossShardEdges(t *testing.T) {
 	}
 }
 
-// journaledShardRun executes prog at the given shard count with a journal
-// attached and returns the journal bytes.
-func journaledShardRun(t *testing.T, shards int, h host.Host, path string, prog func(api.T)) []byte {
-	t.Helper()
-	w, err := journal.Create(path, map[string]string{"suite": "shardedge"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := det.New(scaleOutCfg(shards, 4), h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.SetJournal(w)
-	if err := rt.Run(prog); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
 // TestCrossShardJournalsByteIdentical: with per-shard granting on, two
-// identical runs must write byte-identical journals (v2 format: shard
-// provenance + per-shard hash chains), and the sim and real hosts must
-// agree with each other too — the journal encodes only deterministic
-// state.
+// identical runs must write byte-identical logs (events carry shard
+// provenance, checkpoints the per-shard hash chains), and the sim and
+// real hosts must agree with each other too — the log encodes only
+// deterministic state.
 func TestCrossShardJournalsByteIdentical(t *testing.T) {
 	prog := forkJoinTreeProg(3)
 	for _, shards := range []int{2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			dir := t.TempDir()
 			var first []byte
 			for rep := 0; rep < 2; rep++ {
 				for _, hm := range shardEdgeHosts() {
-					p := filepath.Join(dir, fmt.Sprintf("%s-%d.csqj", hm.name, rep))
-					b := journaledShardRun(t, shards, hm.mk(), p, prog)
+					dir := t.TempDir()
+					runJournaled(t, scaleOutCfg(shards, 4), hm.mk(), dir, commitlog.Options{Meta: map[string]string{"suite": "shardedge"}}, prog)
+					b := dirBytes(t, dir)
 					if first == nil {
 						first = b
 						continue
 					}
 					if !bytes.Equal(b, first) {
-						t.Fatalf("journal %s rep %d differs from the first run (%d vs %d bytes)",
+						t.Fatalf("log %s rep %d differs from the first run (%d vs %d bytes)",
 							hm.name, rep, len(b), len(first))
 					}
 				}

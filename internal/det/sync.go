@@ -264,7 +264,6 @@ func (t *Thread) BarrierWait(bx api.Barrier) {
 		pc := t.ws.BeginCommit()
 		st := pc.Stats()
 		t.chargeCommitSerial(st)
-		t.journalCommit(pc.Version())
 		t.logCommit(pc.Version())
 		if h := t.rt.hooks; h != nil {
 			h.OnCommit(t.tid, pc.Version())

@@ -8,7 +8,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/commitlog"
 	"repro/internal/host"
-	"repro/internal/journal"
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/predict"
@@ -664,7 +663,6 @@ func (t *Thread) commitAndUpdate() {
 	pc := t.ws.BeginCommit()
 	st := pc.Stats()
 	t.chargeCommitSerial(st)
-	t.journalCommit(pc.Version())
 	t.logCommit(pc.Version())
 	pc.Complete()
 	t.charge(obs.PhaseMerge, int64(st.CommittedPages)*m.CommitPageMerge)
@@ -696,35 +694,11 @@ func (t *Thread) record(op trace.Op, obj uint64) {
 	t.rt.rec.Record(t.tid, op, obj, t.icount)
 }
 
-// journalCommit records a just-published version's page content hashes in
-// the run journal (no-op without one, or for empty commits). Called
-// token-held immediately after BeginCommit, so the version number and the
-// event-order position (AtSeq) are replay-stable; hashing forces early
-// slot resolution, which mem documents as idempotent and
-// order-independent, so results are unchanged.
-func (t *Thread) journalCommit(v *mem.Version) {
-	jw := t.rt.journal
-	if jw == nil || v == nil {
-		return
-	}
-	c := journal.Commit{
-		AtSeq:   t.rt.rec.Len(),
-		Version: v.Num,
-		Tid:     t.tid,
-		Clock:   t.icount,
-	}
-	c.Pages = make([]journal.PageHash, 0, v.NumPages())
-	v.ForEachPageHash(func(pg int, h uint64) {
-		c.Pages = append(c.Pages, journal.PageHash{Page: pg, Hash: h})
-	})
-	jw.RecordCommit(c)
-}
-
 // logCommit appends a just-published version's page diffs to the commit
-// log (no-op without one, or for empty commits). Called token-held at the
-// same point as journalCommit, so the two artifacts share the AtSeq
-// interleave contract and cross-reference record for record. The diffs
-// are the committer's own byte runs — immutable once published — so the
+// log (no-op without one, or for empty commits). Called token-held
+// immediately after BeginCommit, so the version number and the
+// event-order position (AtSeq) are replay-stable. The diffs are the
+// committer's own byte runs — immutable once published — so the
 // log's drain goroutine can encode them off the critical path without
 // copying.
 func (t *Thread) logCommit(v *mem.Version) {

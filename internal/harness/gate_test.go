@@ -3,8 +3,9 @@ package harness
 // The determinism gate. The paper's contract — same program + same input
 // ⇒ same sync order and same memory — is a checkable system property,
 // and this file checks it in tier-1 (`go test ./...`): one golden table
-// and five gates (determinism, chaos, journal, commit log, replica) over
-// it, all through Build — the code path detrun and conseq-serve run.
+// and five gates over it (determinism, chaos, the commit log as the run's
+// history and as its replayable memory, replica), all through Build — the
+// code path detrun and conseq-serve run.
 //
 //	go test ./internal/harness -run Gate            # all five (~20 s)
 //	go test ./internal/harness -run GateChaos       # every profile x 5 seeds
@@ -12,7 +13,9 @@ package harness
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -41,6 +44,12 @@ var gateShards = [4]int{1, 2, 4, 8}
 // modeled wall time with prediction on (0: not pinned): a refactor that
 // moves it has changed the time model, not just the code. sweep is the
 // replica fleet's versioned-read digest (Cell.SweepDigest, 256 reads).
+// history is the run's whole recorded history at 1 and at 4 shards, as
+// journal.Load yields it from the commit log, folded by historyDigests
+// into {events + checkpoints, commits with every page hash}. The values
+// were taken from the separate journal file at the last commit that wrote
+// one (PR 16), so they hold the log to the same history, commit for
+// commit, that journal's per-commit cross-check against the log used to.
 //
 // Regenerate a value only if an intentional semantic change is fully
 // understood: run cmd/detrun (cmd/conseq-serve for sweep) with the flags
@@ -51,21 +60,30 @@ type golden struct {
 	trace  [4]uint64 // at gateShards
 	wallNS [4]int64  // at gateShards
 	sweep  uint64
+	// history[i] is {sync, commits} at historyShards[i].
+	history [2][2]uint64
 }
+
+// historyShards are the shard counts the history digests are pinned at.
+var historyShards = [2]int{1, 4}
 
 var goldens = []golden{
 	{"water_nsquared", 0x8cd4c7596c268f28,
 		[4]uint64{0xaadb9ab2a9588a2a, 0xed0e122f20ce827b, 0xc56202d013570111, 0x0d3e1d9b985f439d},
-		[4]int64{15166761, 0, 5037955, 0}, 0x63895402ea9faa4f},
+		[4]int64{15166761, 0, 5037955, 0}, 0x63895402ea9faa4f,
+		[2][2]uint64{{0xd56fa6340d7303ad, 0x4746ea42d6384716}, {0xa712d23debb6f7d6, 0x8244ac28d59591f2}}},
 	{"canneal", 0x52afe913b556d5da,
 		[4]uint64{0x054928fab9f631f8, 0xb7be0c1e137f8578, 0xd294fd670ca2f9b8, 0x054928fab9f631f8},
-		[4]int64{}, 0xd94cce37c4bfd06c},
+		[4]int64{}, 0xd94cce37c4bfd06c,
+		[2][2]uint64{{0x7f38278438e8a17e, 0x45bacf7654bc5b43}, {0x0d2ad7baaadf6346, 0x45bacf7654bc5b43}}},
 	{"histogram", 0x09e07ed580954ecc,
 		[4]uint64{0xcaafd5842fd5020b, 0xcaafd5842fd5020b, 0xcaafd5842fd5020b, 0xcaafd5842fd5020b},
-		[4]int64{}, 0x38698e66044577cb},
+		[4]int64{}, 0x38698e66044577cb,
+		[2][2]uint64{{0x045c3e5fe7c051c4, 0x0958d3db0164e029}, {0x79732bd795e24b24, 0x0958d3db0164e029}}},
 	{"kmeans", 0x1f8b09e15b1b689c,
 		[4]uint64{0xcd6c25c0a0405d2b, 0xcd6c25c0a0405d2b, 0xcd6c25c0a0405d2b, 0xcd6c25c0a0405d2b},
-		[4]int64{3245522, 0, 602806, 0}, 0xbb62a31a7e02126b},
+		[4]int64{3245522, 0, 602806, 0}, 0xbb62a31a7e02126b,
+		[2][2]uint64{{0xb1755620a73a6bff, 0x6dc7daedc08cc4b8}, {0xb4388f45f2486537, 0x6dc7daedc08cc4b8}}},
 }
 
 func goldenFor(t *testing.T, bench string) golden {
@@ -270,94 +288,51 @@ func TestGateChaos(t *testing.T) {
 	}
 }
 
-// journaled runs the cell with a journal at path, checks it against the
-// golden row and returns the decoded journal and its bytes.
-func (c gateCell) journaled(path string) (*journal.Data, []byte, error) {
-	if err := c.run(func(o *Options) { o.JournalPath = path }); err != nil {
-		return nil, nil, err
+// historyDigests folds a loaded history into two FNV-1a digests: sync
+// over every event and checkpoint, commits over every commit's
+// coordinates and page hashes.
+func historyDigests(d *journal.Data) (sync, commits uint64) {
+	hs, hc := fnv.New64a(), fnv.New64a()
+	var w [8]byte
+	put := func(h interface{ Write([]byte) (int, error) }, vs ...uint64) {
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(w[:], v)
+			h.Write(w[:])
+		}
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, err
+	for _, e := range d.Events {
+		put(hs, uint64(e.Seq), uint64(e.Tid))
+		hs.Write([]byte(e.Op))
+		put(hs, e.Obj, uint64(e.Clock), uint64(int64(e.Shard)))
 	}
-	d, err := journal.Load(path)
-	return d, raw, err
-}
-
-// twoJournals journals the cell twice and requires byte-identical files
-// that Diff reports equivalent; it returns the first.
-func (c gateCell) twoJournals(dir string) (*journal.Data, error) {
-	a, rawA, err := c.journaled(filepath.Join(dir, "a.csqj"))
-	if err != nil {
-		return nil, err
+	for _, c := range d.Checkpoints {
+		put(hs, uint64(c.Seq), c.Hash, uint64(len(c.Threads)), uint64(len(c.Shards)))
+		for _, th := range c.Threads {
+			put(hs, uint64(th.Tid), th.Hash)
+		}
+		for _, sh := range c.Shards {
+			put(hs, uint64(sh.Shard), sh.Hash)
+		}
 	}
-	b, rawB, err := c.journaled(filepath.Join(dir, "b.csqj"))
-	if err != nil {
-		return nil, err
+	for _, c := range d.Commits {
+		put(hc, uint64(c.AtSeq), uint64(c.Version), uint64(c.Tid), uint64(c.Clock), uint64(len(c.Pages)))
+		for _, p := range c.Pages {
+			put(hc, uint64(p.Page), p.Hash)
+		}
 	}
-	if len(rawA) == 0 || !bytes.Equal(rawA, rawB) {
-		return nil, fmt.Errorf("%s: two identical runs wrote different journal bytes (%d vs %d)", c, len(rawA), len(rawB))
-	}
-	if rep := journal.Diff(a, b, journal.DiffOptions{}); rep.Kind != journal.DivNone {
-		return nil, fmt.Errorf("%s: Diff reports identical journals divergent: %s at seq %d (%s)", c, rep.Kind, rep.Seq, rep.Detail)
-	}
-	return a, nil
-}
-
-// TestGateJournal: journaling is observation off the token critical
-// path. With a journal attached the goldens are unmoved and two runs
-// write byte-identical files — at 1 shard and in the sharded (v2) format.
-// Then the divergence observatory's self-test (docs/divergence.md): a
-// planted grant swap is localized to exactly its seq, a planted page
-// flip is reported at the commit level, and re-executing a run from its
-// journal's own metadata reproduces it.
-func TestGateJournal(t *testing.T) {
-	for _, g := range goldens {
-		c := gateCell{g: g, predict: true, shards: 1}
-		gate(t, c.String(), func(t *testing.T) error {
-			a, err := c.twoJournals(t.TempDir())
-			if err != nil {
-				return err
-			}
-			switch g.bench {
-			case "water_nsquared":
-				return plantedDivergences(t.TempDir(), a)
-			case "histogram":
-				return liveReexecution(filepath.Join(t.TempDir(), "live.csqj"), a)
-			}
-			return nil
-		})
-	}
-	for _, bench := range []string{"water_nsquared", "kmeans"} {
-		c := gateCell{g: goldenFor(t, bench), predict: true, shards: 4}
-		gate(t, c.String(), func(t *testing.T) error {
-			_, err := c.twoJournals(t.TempDir())
-			return err
-		})
-	}
+	return hs.Sum64(), hc.Sum64()
 }
 
 // plantedDivergences plants a swapped token grant at seq 100 and a
-// flipped page hash in commit 5 — each in a fresh copy of the journal,
-// round-tripped through the on-disk format like conseq-diff -perturb —
-// and demands Diff name the exact site.
+// flipped page hash in commit 5 — each in a fresh load of the log, like
+// conseq-diff -perturb — and demands Diff name the exact site.
 func plantedDivergences(dir string, a *journal.Data) error {
 	plant := func(mode string, at int64) (*journal.Report, error) {
-		path := filepath.Join(dir, mode+".csqj")
-		if err := journal.WriteFile(path, a); err != nil {
-			return nil, err
-		}
-		p, err := journal.Load(path)
+		p, err := journal.Load(dir)
 		if err != nil {
 			return nil, err
 		}
 		if err := p.Perturb(mode, at); err != nil {
-			return nil, err
-		}
-		if err := journal.WriteFile(path, p); err != nil {
-			return nil, err
-		}
-		if p, err = journal.Load(path); err != nil {
 			return nil, err
 		}
 		return journal.Diff(a, p, journal.DiffOptions{}), nil
@@ -379,15 +354,15 @@ func plantedDivergences(dir string, a *journal.Data) error {
 	return nil
 }
 
-// liveReexecution replays the run the journal's own metadata describes
-// (conseq-diff -live) and requires an equivalent journal.
-func liveReexecution(path string, a *journal.Data) error {
-	b, err := Reexecute(a.Meta, path)
+// liveReexecution replays the run the log's own metadata describes
+// (conseq-diff -live) and requires an equivalent history.
+func liveReexecution(dir string, a *journal.Data) error {
+	b, err := Reexecute(a.Meta, dir)
 	if err != nil {
 		return err
 	}
 	if rep := journal.Diff(a, b, journal.DiffOptions{}); rep.Kind != journal.DivNone {
-		return fmt.Errorf("live re-execution diverged from the recorded journal: %s at seq %d (%s)", rep.Kind, rep.Seq, rep.Detail)
+		return fmt.Errorf("live re-execution diverged from the recorded history: %s at seq %d (%s)", rep.Kind, rep.Seq, rep.Detail)
 	}
 	return nil
 }
@@ -425,36 +400,82 @@ func sameDir(a, b string) error {
 	return nil
 }
 
-// TestGateCommitLog: the commit log's load-bearing properties
-// (docs/commitlog.md), per golden. (1) Logging is invisible: with a log
-// attached the goldens are unmoved. (2) Logs are canonical: two identical
-// runs write byte-identical directories. (3) The log proves itself: it
-// replays against the same run's journal hash for hash to the golden
-// checksum, and Resume (newest snapshot + tail, the restart path) reaches
-// it too. (4) Backpressure is invisible: the logstall profile stalls the
-// drain goroutine in REAL time, and neither the goldens NOR the log bytes
-// may move.
+// logged runs the cell with its commit log — diffs and history — in dir,
+// and checks the result against the golden row: logging is invisible.
+func (c gateCell) logged(dir string) error {
+	return c.run(func(o *Options) { o.CommitLogDir = dir })
+}
+
+// TestGateJournal gates the commit log as the run's history
+// (docs/divergence.md), per golden at 1 and at 4 shards. With the log
+// attached the goldens are unmoved, two identical runs write
+// byte-identical directories whose histories Diff as equivalent, and the
+// history journal.Load derives from the log — events, checkpoints, and
+// every commit's page hashes, replayed from its diffs — folds to the
+// golden digests. Then the divergence observatory's self-test: a planted
+// grant swap is localized to exactly its seq, a planted page flip is
+// reported at the commit level, and re-executing a run from its log's own
+// metadata reproduces it.
+func TestGateJournal(t *testing.T) {
+	for _, g := range goldens {
+		for hi, shards := range historyShards {
+			c := gateCell{g: g, predict: true, shards: shards}
+			gate(t, c.String(), func(t *testing.T) error {
+				dir := t.TempDir()
+				logA, logB := filepath.Join(dir, "a"), filepath.Join(dir, "b")
+				if err := c.logged(logA); err != nil {
+					return err
+				}
+				if err := c.logged(logB); err != nil {
+					return err
+				}
+				if err := sameDir(logA, logB); err != nil {
+					return fmt.Errorf("%s: two identical runs wrote different log bytes: %w", c, err)
+				}
+				a, err := journal.Load(logA)
+				if err != nil {
+					return err
+				}
+				b, err := journal.Load(logB)
+				if err != nil {
+					return err
+				}
+				if rep := journal.Diff(a, b, journal.DiffOptions{}); rep.Kind != journal.DivNone {
+					return fmt.Errorf("%s: Diff reports identical runs divergent: %s at seq %d (%s)", c, rep.Kind, rep.Seq, rep.Detail)
+				}
+				if sync, commits := historyDigests(a); [2]uint64{sync, commits} != g.history[hi] {
+					return fmt.Errorf("%s diverged: history digests %#016x %#016x (golden %#016x)", c, sync, commits, g.history[hi])
+				}
+				switch {
+				case g.bench == "water_nsquared" && shards == 1:
+					return plantedDivergences(logA, a)
+				case g.bench == "histogram" && shards == 1:
+					return liveReexecution(filepath.Join(dir, "live"), a)
+				}
+				return nil
+			})
+		}
+	}
+}
+
+// TestGateCommitLog gates the commit log as the replayable record of
+// memory (docs/commitlog.md), per golden. (1) Logging is invisible: with
+// the log attached the goldens are unmoved. (2) The log proves itself: it
+// replays to the golden checksum under a verified end trailer, and Resume
+// (newest snapshot + tail, the restart path) reaches it too. (3)
+// Backpressure is invisible: the logstall profile stalls the drain
+// goroutine in REAL time, and neither the goldens NOR the log bytes may
+// move — the stalled run's directory is byte-identical to the first's.
 func TestGateCommitLog(t *testing.T) {
 	for _, g := range goldens {
 		c := gateCell{g: g, predict: true, shards: 1}
 		gate(t, c.String(), func(t *testing.T) error {
 			dir := t.TempDir()
-			logA, logB, logC := filepath.Join(dir, "a"), filepath.Join(dir, "b"), filepath.Join(dir, "c")
-			jpath := filepath.Join(dir, "a.csqj")
-			if err := c.run(func(o *Options) { o.JournalPath, o.CommitLogDir = jpath, logA }); err != nil {
+			logA, logC := filepath.Join(dir, "a"), filepath.Join(dir, "c")
+			if err := c.logged(logA); err != nil {
 				return err
 			}
-			jd, err := journal.Load(jpath)
-			if err != nil {
-				return err
-			}
-			if err := c.run(func(o *Options) { o.CommitLogDir = logB }); err != nil {
-				return err
-			}
-			if err := sameDir(logA, logB); err != nil {
-				return fmt.Errorf("%s: two identical runs wrote different log bytes: %w", c, err)
-			}
-			st, err := commitlog.VerifyAgainstJournal(logA, jd)
+			st, err := commitlog.Replay(logA, -1)
 			if err != nil {
 				return fmt.Errorf("%s: %w", c, err)
 			}
@@ -469,7 +490,7 @@ func TestGateCommitLog(t *testing.T) {
 			}
 			stalled := c
 			stalled.chaos = "logstall:1"
-			if err := stalled.run(func(o *Options) { o.CommitLogDir = logC }); err != nil {
+			if err := stalled.logged(logC); err != nil {
 				return err
 			}
 			if err := sameDir(logA, logC); err != nil {

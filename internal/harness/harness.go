@@ -5,10 +5,10 @@
 // so regenerated figures are bit-stable (TestFiguresGolden).
 //
 // It is also the one place a run is assembled: Build turns Options and a
-// host into a Cell (runtime kind, chaos, journal, commit log, replica
-// fleet, observer), and the figures, cmd/detrun, cmd/conseq-serve and the
+// host into a Cell (runtime kind, chaos, commit log, replica fleet,
+// observer), and the figures, cmd/detrun, cmd/conseq-serve and the
 // determinism gate (gate_test.go: the golden table and the determinism,
-// chaos, journal, commit-log and replica gates over it) all go through it.
+// chaos, commit-log and replica gates over it) all go through it.
 package harness
 
 import (
@@ -75,7 +75,7 @@ type Options struct {
 	// runtimes.
 	Modify func(*det.Config)
 	// WithLRC attaches the happens-before propagation tracker. Like the
-	// observer, journal and commit log below it plugs into det.Runtime, so
+	// observer and commit log below it plugs into det.Runtime, so
 	// Build refuses it on a runtime that is not det-backed (the
 	// Consequence runtimes and dwc are).
 	WithLRC bool
@@ -88,22 +88,16 @@ type Options struct {
 	// only; a fresh injector is built per run, so identical options replay
 	// identically — and the cell's checksum is unchanged by construction.
 	Chaos string
-	// JournalPath, when non-empty, writes the run's divergence journal
-	// (internal/journal: every sync event, interval hash checkpoints, and
-	// each commit's page hashes) to this file. Det-backed runtimes only.
-	// Journaling is observation off the token critical path: the cell's
-	// checksum and sync trace are identical with it on or off, and two
-	// identical cells write byte-identical journals — TestGateJournal
-	// asserts both.
-	JournalPath string
-	// CommitLogDir, when non-empty, writes the run's persistent commit log
-	// (internal/commitlog: every committed version's page diffs in a
-	// segmented, CRC-framed on-disk log) into this directory, which must be
-	// empty. Det-backed runtimes only. Like journaling, logging is
-	// observation off the token critical path: the cell's checksum and sync
-	// trace are identical with it on or off, identical cells write
-	// byte-identical logs, and conseq-replay reconstructs the cell's final
-	// state from the directory — TestGateCommitLog gates all three.
+	// CommitLogDir, when non-empty, writes the run's record into this
+	// directory, which must be empty (internal/commitlog: a segmented,
+	// CRC-framed log of every committed version's page diffs and, in the
+	// same order, every sync event and interval hash checkpoint).
+	// Det-backed runtimes only. Logging is observation off the token
+	// critical path: the cell's checksum and sync trace are identical with
+	// it on or off, identical cells write byte-identical logs,
+	// conseq-replay reconstructs the cell's final state from the directory
+	// and conseq-diff compares two of them — TestGateCommitLog and
+	// TestGateJournal gate all of it.
 	CommitLogDir string
 	// Replicas, when >= 1, starts a supervised replica fleet
 	// (internal/replica) of that many serving followers plus a
@@ -147,12 +141,11 @@ type Cell struct {
 	// dwc), nil otherwise: what the attachments plug into, and the handle
 	// for DumpState.
 	Det *det.Runtime
-	// Chaos, Journal, Log and Fleet are the attachments Options armed
-	// (nil when not asked for). The cell owns them: Close closes them.
-	Chaos   *chaos.Injector
-	Journal *journal.Writer
-	Log     *commitlog.Log
-	Fleet   *replica.Fleet
+	// Chaos, Log and Fleet are the attachments Options armed (nil when
+	// not asked for). The cell owns them: Close closes them.
+	Chaos *chaos.Injector
+	Log   *commitlog.Log
+	Fleet *replica.Fleet
 	// Registry is where the fleet's replica_* metrics land: the
 	// Observer's registry when one is attached, so AnalyzeCell picks up
 	// the replication section.
@@ -162,8 +155,8 @@ type Cell struct {
 	tracker *lrc.Tracker
 }
 
-// runMeta is the run description written into the journal and the commit
-// log: what conseq-diff -live re-executes from and conseq-replay prints.
+// runMeta is the run description written into the commit log: what
+// conseq-diff -live re-executes from and conseq-replay prints.
 func runMeta(o Options) map[string]string {
 	return map[string]string{
 		"bench":   o.Bench,
@@ -175,9 +168,8 @@ func runMeta(o Options) map[string]string {
 	}
 }
 
-// optionsFromMeta is runMeta's inverse: the cell a journal's or commit
-// log's run metadata describes. Keys an older artifact lacks take
-// detrun's defaults.
+// optionsFromMeta is runMeta's inverse: the cell a commit log's run
+// metadata describes. Keys an older artifact lacks take detrun's defaults.
 func optionsFromMeta(meta map[string]string) (Options, error) {
 	if meta["bench"] == "" || meta["runtime"] == "" {
 		return Options{}, fmt.Errorf("harness: artifact lacks run metadata (bench/runtime); cannot re-execute")
@@ -206,19 +198,19 @@ func optionsFromMeta(meta map[string]string) (Options, error) {
 }
 
 // Reexecute replays the run that recorded run metadata describes on a
-// fresh simulation host, journaling into path, and returns the decoded
-// journal (conseq-diff -live). Determinism makes this a valid second
-// side: re-executing an honest journal's run diffs as equivalent.
-func Reexecute(meta map[string]string, path string) (*journal.Data, error) {
+// fresh simulation host, logging into dir, and returns the loaded history
+// (conseq-diff -live). Determinism makes this a valid second side:
+// re-executing an honest log's run diffs as equivalent.
+func Reexecute(meta map[string]string, dir string) (*journal.Data, error) {
 	o, err := optionsFromMeta(meta)
 	if err != nil {
 		return nil, err
 	}
-	o.JournalPath = path
+	o.CommitLogDir = dir
 	if _, err := Run(o); err != nil {
 		return nil, err
 	}
-	return journal.Load(path)
+	return journal.Load(dir)
 }
 
 // Build assembles the cell o describes on host h (a fresh simhost for
@@ -283,8 +275,8 @@ func Build(o Options, h host.Host) (*Cell, error) {
 	return c, nil
 }
 
-// attach hangs the observer, LRC tracker, journal, commit log and fleet
-// Options asked for on the built runtime. They all plug into det.Runtime,
+// attach hangs the observer, LRC tracker, commit log and fleet Options
+// asked for on the built runtime. They all plug into det.Runtime,
 // so asking for one on a runtime that is not det-backed is an error, not
 // a silently unobserved run.
 func (c *Cell) attach() error {
@@ -296,7 +288,6 @@ func (c *Cell) attach() error {
 		}{
 			{o.Observer != nil, "an observer"},
 			{o.WithLRC, "the LRC tracker"},
-			{o.JournalPath != "", "journaling"},
 			{o.CommitLogDir != "", "commit logging"},
 		} {
 			if a.set {
@@ -314,22 +305,17 @@ func (c *Cell) attach() error {
 		c.Det.SetObserver(o.Observer)
 		c.Registry = o.Observer.Registry()
 	}
-	var err error
-	if o.JournalPath != "" {
-		if c.Journal, err = journal.Create(o.JournalPath, runMeta(o)); err != nil {
-			return err
-		}
-		c.Det.SetJournal(c.Journal)
-	}
 	if o.CommitLogDir == "" {
 		return nil
 	}
+	var err error
 	if c.Log, err = commitlog.Create(o.CommitLogDir, commitlog.Options{Meta: runMeta(o)}); err != nil {
 		return err
 	}
 	if err := c.Det.SetCommitLog(c.Log); err != nil {
 		return err
 	}
+	c.Det.SetJournal(c.Log)
 	if o.Replicas > 0 {
 		c.Fleet = replica.New(o.CommitLogDir, c.Log, replica.Options{
 			Followers:         o.Replicas,
@@ -423,25 +409,19 @@ func (c *Cell) SweepDigest(n int) (uint64, error) {
 	return h.Sum64(), nil
 }
 
-// Close releases what Build attached — the fleet, then the commit log,
-// then the journal — and reports the first writer close error: a torn
-// artifact must fail the cell, not vanish. Idempotent.
+// Close releases what Build attached — the fleet, then the commit log —
+// and reports the log's close error: a torn artifact must fail the cell,
+// not vanish. Idempotent.
 func (c *Cell) Close() error {
-	var first error
 	if c.Fleet != nil {
 		c.Fleet.Close()
 	}
 	if c.Log != nil {
 		if err := c.Log.Close(); err != nil {
-			first = fmt.Errorf("harness: closing commit log: %w", err)
+			return fmt.Errorf("harness: closing commit log: %w", err)
 		}
 	}
-	if c.Journal != nil {
-		if err := c.Journal.Close(); err != nil && first == nil {
-			first = fmt.Errorf("harness: closing journal: %w", err)
-		}
-	}
-	return first
+	return nil
 }
 
 // Run builds o on a fresh simulation host, runs it and closes it.

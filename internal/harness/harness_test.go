@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -121,53 +120,10 @@ func TestModifyAppliesToConsequenceOnly(t *testing.T) {
 	}
 }
 
-// JournalPath must attach the divergence journal without changing the
-// cell's result, write byte-identical journals for identical options,
-// and refuse non-consequence runtimes.
-func TestJournalPathOption(t *testing.T) {
-	dir := t.TempDir()
-	o := Options{Bench: "word_count", Runtime: KindConsequenceIC, Threads: 4, Scale: 1, Seed: 9}
-	plain, err := Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oj := o
-	oj.JournalPath = filepath.Join(dir, "a.csqj")
-	a, err := Run(oj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Checksum != plain.Checksum || a.WallNS != plain.WallNS {
-		t.Fatalf("journaling perturbed the cell: sum %x vs %x, wall %d vs %d",
-			a.Checksum, plain.Checksum, a.WallNS, plain.WallNS)
-	}
-	oj.JournalPath = filepath.Join(dir, "b.csqj")
-	if _, err := Run(oj); err != nil {
-		t.Fatal(err)
-	}
-	ba, _ := os.ReadFile(filepath.Join(dir, "a.csqj"))
-	bb, _ := os.ReadFile(filepath.Join(dir, "b.csqj"))
-	if len(ba) == 0 || !bytes.Equal(ba, bb) {
-		t.Fatalf("identical cells wrote different journal bytes (%d vs %d)", len(ba), len(bb))
-	}
-	d, err := journal.Load(filepath.Join(dir, "a.csqj"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Meta["bench"] != "word_count" || d.Meta["threads"] != "4" {
-		t.Fatalf("journal meta incomplete: %v", d.Meta)
-	}
-	if _, err := Run(Options{
-		Bench: "histogram", Runtime: KindPthreads, Threads: 2,
-		JournalPath: filepath.Join(dir, "p.csqj"),
-	}); err == nil {
-		t.Error("journaling accepted on a non-consequence runtime")
-	}
-}
-
-// CommitLogDir must attach the persistent commit log without changing
-// the cell's result, replay to the cell's exact checksum, and refuse
-// non-consequence runtimes.
+// CommitLogDir must attach the commit log — diffs and history — without
+// changing the cell's result, write byte-identical directories for
+// identical options, replay to the cell's exact checksum, load as the
+// run's history, and refuse non-consequence runtimes.
 func TestCommitLogDirOption(t *testing.T) {
 	o := Options{Bench: "word_count", Runtime: KindConsequenceIC, Threads: 4, Scale: 1, Seed: 9}
 	plain, err := Run(o)
@@ -193,6 +149,21 @@ func TestCommitLogDirOption(t *testing.T) {
 	}
 	if st.Meta()["bench"] != "word_count" || st.Meta()["threads"] != "4" {
 		t.Fatalf("commit log meta incomplete: %v", st.Meta())
+	}
+	ob := ol
+	ob.CommitLogDir = filepath.Join(t.TempDir(), "clog")
+	if _, err := Run(ob); err != nil {
+		t.Fatal(err)
+	}
+	if err := sameDir(ol.CommitLogDir, ob.CommitLogDir); err != nil {
+		t.Fatalf("identical cells wrote different logs: %v", err)
+	}
+	d, err := journal.Load(ol.CommitLogDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Events) == 0 || int64(len(d.Commits)) != st.Commits || d.Meta["bench"] != "word_count" {
+		t.Fatalf("the log's history has %d events, %d commits (replay applied %d), meta %v", len(d.Events), len(d.Commits), st.Commits, d.Meta)
 	}
 	if _, err := Run(Options{
 		Bench: "histogram", Runtime: KindPthreads, Threads: 2,
@@ -495,21 +466,19 @@ func TestBuildRefusesAttachmentsItCannotHonour(t *testing.T) {
 	if r.TraceHash == 0 || len(o.Observer.Lanes()) == 0 {
 		t.Errorf("dwc cell observed nothing: trace %016x, %d lanes", r.TraceHash, len(o.Observer.Lanes()))
 	}
-	// The journal is already open when the commit log refuses a used
-	// directory: Build must close it on the way out, leaving a complete
-	// (empty) journal file rather than a dangling writer.
+	// A directory that already holds a log is refused, and the log it
+	// holds is left as it was.
 	o = base
 	o.Runtime = KindConsequenceIC
 	o.CommitLogDir = filepath.Join(t.TempDir(), "log")
 	if _, err := Run(o); err != nil {
 		t.Fatal(err)
 	}
-	o.JournalPath = filepath.Join(t.TempDir(), "a.csqj")
 	if _, err := Run(o); err == nil {
 		t.Fatal("commit log accepted a directory that already holds a log")
 	}
-	if d, err := journal.Load(o.JournalPath); err != nil || len(d.Events) != 0 {
-		t.Errorf("failed Build left the journal unclosed: %v", err)
+	if _, err := journal.Load(o.CommitLogDir); err != nil {
+		t.Errorf("the refused Build damaged the log already there: %v", err)
 	}
 }
 

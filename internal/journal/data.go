@@ -7,11 +7,11 @@ import (
 )
 
 // RecomputeCheckpoints rebuilds d.Checkpoints from d.Events at the same
-// interval as the existing checkpoints (no-op when the journal has none).
-// Use after editing a decoded journal (Perturb does) to keep it
-// internally consistent: Diff's checkpoint probe assumes a
-// journal's checkpoints are true prefix hashes of its events, which holds
-// for every journal the runtime writes.
+// interval as the existing checkpoints (no-op when the history has none).
+// Use after editing a loaded history (Perturb does) to keep it
+// internally consistent: Diff's checkpoint probe assumes a history's
+// checkpoints are true prefix hashes of its events, which holds for every
+// history the runtime records.
 func RecomputeCheckpoints(d *Data) {
 	if len(d.Checkpoints) == 0 {
 		return
@@ -28,44 +28,17 @@ func RecomputeCheckpoints(d *Data) {
 	d.Checkpoints = r.Checkpoints()
 }
 
-// WriteFile re-encodes a decoded journal to path, interleaving commits and
-// checkpoints back into the event order (a commit with AtSeq m and a
-// checkpoint with Seq m both precede the event with Seq m).
-func WriteFile(path string, d *Data) error {
-	w, err := Create(path, d.Meta)
-	if err != nil {
-		return err
-	}
-	ci, ki := 0, 0
-	emit := func(upto int64) {
-		for ci < len(d.Commits) && d.Commits[ci].AtSeq <= upto {
-			w.RecordCommit(d.Commits[ci])
-			ci++
-		}
-		for ki < len(d.Checkpoints) && d.Checkpoints[ki].Seq <= upto {
-			w.RecordCheckpoint(d.Checkpoints[ki])
-			ki++
-		}
-	}
-	for _, e := range d.Events {
-		emit(e.Seq)
-		w.RecordEvent(e)
-	}
-	emit(1 << 62)
-	return w.Close()
-}
-
-// Perturb plants one deliberate divergence in a decoded journal and
-// recomputes the interval checkpoints so the journal stays internally
-// consistent — the self-test fuel for Diff (conseq-diff -perturb and the
-// journal gate). Mode "swap-grant" swaps the adjacent events at seq at
-// and at+1; "flip-page" flips the first page hash of commit index at.
+// Perturb plants one deliberate divergence in a loaded history and
+// recomputes the interval checkpoints so it stays internally consistent —
+// the self-test fuel for Diff (conseq-diff -perturb and TestGateJournal).
+// Mode "swap-grant" swaps the adjacent events at seq at and at+1;
+// "flip-page" flips the first page hash of commit index at.
 func (d *Data) Perturb(mode string, at int64) error {
 	i := int(at)
 	switch mode {
 	case "swap-grant":
 		if i < 0 || i+1 >= len(d.Events) {
-			return fmt.Errorf("swap-grant site %d out of range (journal has %d events)", at, len(d.Events))
+			return fmt.Errorf("swap-grant site %d out of range (the history has %d events)", at, len(d.Events))
 		}
 		// Swap the two adjacent grants but keep the seq column honest:
 		// the divergence is the reordering, not a renumbering artifact.
@@ -73,7 +46,7 @@ func (d *Data) Perturb(mode string, at int64) error {
 		d.Events[i].Seq, d.Events[i+1].Seq = int64(i), int64(i+1)
 	case "flip-page":
 		if i < 0 || i >= len(d.Commits) {
-			return fmt.Errorf("flip-page site %d out of range (journal has %d commits)", at, len(d.Commits))
+			return fmt.Errorf("flip-page site %d out of range (the history has %d commits)", at, len(d.Commits))
 		}
 		if len(d.Commits[i].Pages) == 0 {
 			return fmt.Errorf("commit %d has no pages to flip", at)

@@ -12,10 +12,10 @@ import (
 
 // Divergence kinds reported by Diff.
 const (
-	DivNone   = "none"   // journals are equivalent
+	DivNone   = "none"   // histories are equivalent
 	DivEvent  = "event"  // sync-trace events differ at Seq
 	DivCommit = "commit" // same events up to Seq, but a commit's pages differ
-	DivLength = "length" // one journal is a strict prefix of the other
+	DivLength = "length" // one history is a strict prefix of the other (a crashed or repaired log)
 	DivMeta   = "meta"   // run parameters differ (results incomparable)
 )
 
@@ -176,9 +176,14 @@ func Diff(a, b *Data, opts DiffOptions) *Report {
 	} else if len(ae) != len(be) {
 		eventSeq = int64(ne)
 	}
+	// A commit only one side has, recorded at or past the point where the
+	// other side's events end, is that side ending early seen in the commit
+	// stream: a prefix (a log torn there and repaired), not a divergence.
+	prefix := div < 0 && cdiv >= int64(ne) &&
+		((cA == nil && len(ae) <= len(be)) || (cB == nil && len(be) <= len(ae)))
 
 	switch {
-	case cdiv >= 0 && (eventSeq < 0 || cdiv <= eventSeq):
+	case cdiv >= 0 && !prefix && (eventSeq < 0 || cdiv <= eventSeq):
 		rep.Kind = DivCommit
 		rep.Seq = cdiv
 		rep.CommitA = cA
@@ -194,13 +199,14 @@ func Diff(a, b *Data, opts DiffOptions) *Report {
 		rep.Detail = fmt.Sprintf("first divergent event at seq %d: tid %d vs tid %d, %s vs %s, clk %d vs %d",
 			div, ae[div].Tid, be[div].Tid, ae[div].Op, be[div].Op, ae[div].Clock, be[div].Clock)
 		fillContext(rep, a, b, int64(div), opts.Context)
-	case len(ae) != len(be):
+	case len(ae) != len(be) || prefix:
 		rep.Kind = DivLength
 		rep.Seq = int64(ne)
-		rep.Detail = fmt.Sprintf("common prefix of %d events, then one side ends (%d vs %d events)", ne, len(ae), len(be))
+		rep.Detail = fmt.Sprintf("common prefix of %d events, then one side ends (%d vs %d events, %d vs %d commits)",
+			ne, len(ae), len(be), len(a.Commits), len(b.Commits))
 		fillContext(rep, a, b, int64(ne), opts.Context)
 	default:
-		rep.Detail = "journals are equivalent"
+		rep.Detail = "histories are equivalent"
 	}
 	return rep
 }

@@ -2,151 +2,180 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/commitlog"
+	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
-// record feeds a recorder-with-journal pair n synthetic events across
-// three threads, with a commit after every fourth event.
-func record(t *testing.T, w *Writer, rec *trace.Recorder, n int) {
+// Test geometry.
+const (
+	tPageSize = 64
+	tNumPages = 32
+)
+
+// history is what mkHistory recorded, as the recorder and an independent
+// page array hold it: what Load must derive from the log alone.
+type history struct {
+	rec     *trace.Recorder
+	commits []Commit
+}
+
+// mkHistory writes a commit log the way a run does — a recorder whose
+// sink is the log, n synthetic events across three threads, a two-page
+// commit after every fourth — and returns what was recorded, each
+// commit's page hashes taken from a reference page array.
+func mkHistory(t testing.TB, dir string, n int) history {
 	t.Helper()
+	l, err := commitlog.Create(dir, commitlog.Options{SegmentBytes: 1024, Meta: map[string]string{"bench": "synthetic", "threads": "3"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Begin(tPageSize, tNumPages); err != nil {
+		t.Fatal(err)
+	}
+	h := history{rec: trace.New(0)}
+	h.rec.SetCheckpointInterval(8)
+	h.rec.SetSink(l)
+	ref := make([][]byte, tNumPages)
+	for i := range ref {
+		ref[i] = make([]byte, tPageSize)
+	}
 	ops := []trace.Op{trace.OpLock, trace.OpUnlock, trace.OpBarrier, trace.OpSignal}
 	for i := 0; i < n; i++ {
-		rec.Record(i%3, ops[i%len(ops)], uint64(10+i%5), int64(100+i))
-		if i%4 == 3 {
-			w.RecordCommit(Commit{
-				AtSeq:   int64(i + 1),
-				Version: int64(i / 4),
-				Tid:     i % 3,
-				Clock:   int64(100 + i),
-				Pages:   []PageHash{{Page: i % 7, Hash: uint64(0xabc + i)}, {Page: 20 + i%3, Hash: uint64(i)}},
-			})
+		h.rec.Record(i%3, ops[i%len(ops)], uint64(10+i%5), int64(100+i))
+		if i%4 != 3 {
+			continue
 		}
+		lc := commitlog.Commit{AtSeq: int64(i + 1), Version: int64(i/4 + 1), Tid: i % 3, Clock: int64(100 + i)}
+		c := Commit{AtSeq: lc.AtSeq, Version: lc.Version, Tid: lc.Tid, Clock: lc.Clock}
+		for _, pg := range []int{i % 7, 20 + i%3} {
+			run := mem.Run{Off: i % (tPageSize - 2), Data: []byte{byte(i), byte(pg + 1)}}
+			lc.Pages = append(lc.Pages, commitlog.PageDiff{Page: pg, Runs: []mem.Run{run}})
+			copy(ref[pg][run.Off:], run.Data)
+			c.Pages = append(c.Pages, PageHash{Page: pg, Hash: mem.HashPage(ref[pg])})
+		}
+		l.Append(lc)
+		h.commits = append(h.commits, c)
 	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return h
 }
 
-func mkJournal(t *testing.T, path string, n int) {
+// loadTwo records the same n-event history into two logs and loads both.
+func loadTwo(t *testing.T, n int) (a, b *Data) {
 	t.Helper()
-	w, err := Create(path, map[string]string{"bench": "synthetic", "threads": "3"})
+	dirA, dirB := t.TempDir(), t.TempDir()
+	mkHistory(t, dirA, n)
+	mkHistory(t, dirB, n)
+	a, err := Load(dirA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := trace.New(0)
-	rec.SetCheckpointInterval(8)
-	rec.SetSink(w)
-	record(t, w, rec, n)
-	if err := w.Close(); err != nil {
+	if b, err = Load(dirB); err != nil {
 		t.Fatal(err)
 	}
+	return a, b
 }
 
+// isPrefix reports whether got's events, checkpoints and commits are each
+// a prefix of full's.
+func isPrefix(got, full *Data) bool {
+	return len(got.Events) <= len(full.Events) && reflect.DeepEqual(got.Events, full.Events[:len(got.Events)]) &&
+		len(got.Checkpoints) <= len(full.Checkpoints) && reflect.DeepEqual(got.Checkpoints, full.Checkpoints[:len(got.Checkpoints)]) &&
+		len(got.Commits) <= len(full.Commits) && reflect.DeepEqual(got.Commits, full.Commits[:len(got.Commits)])
+}
+
+// TestRoundtrip: Load derives the whole history from the log — the meta,
+// every event and checkpoint the recorder holds, and every commit with
+// the hash of each page it changed, equal to hashing the page content the
+// writer published.
 func TestRoundtrip(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "run.csqj")
-
-	w, err := Create(path, map[string]string{"bench": "kmeans", "seed": "42"})
+	h := mkHistory(t, dir, 60)
+	d, err := Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := trace.New(0)
-	rec.SetCheckpointInterval(4)
-	rec.SetSink(w)
-	record(t, w, rec, 10)
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	d, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Meta["bench"] != "kmeans" || d.Meta["seed"] != "42" {
+	if d.Meta["bench"] != "synthetic" || d.Meta["threads"] != "3" {
 		t.Fatalf("meta = %v", d.Meta)
 	}
-	want := rec.Events()
-	if len(d.Events) != len(want) {
-		t.Fatalf("decoded %d events, want %d", len(d.Events), len(want))
+	if !reflect.DeepEqual(d.Events, h.rec.Events()) {
+		t.Fatalf("loaded %d events, recorded %d (or their contents differ)", len(d.Events), h.rec.Len())
 	}
-	for i := range want {
-		if d.Events[i] != want[i] {
-			t.Fatalf("event %d = %v, want %v", i, d.Events[i], want[i])
-		}
+	if len(d.Checkpoints) == 0 || !reflect.DeepEqual(d.Checkpoints, h.rec.Checkpoints()) {
+		t.Fatalf("loaded checkpoints %+v, recorded %+v", d.Checkpoints, h.rec.Checkpoints())
 	}
-	if len(d.Commits) != 2 {
-		t.Fatalf("decoded %d commits, want 2", len(d.Commits))
-	}
-	if d.Commits[1].Version != 1 || len(d.Commits[1].Pages) != 2 {
-		t.Fatalf("commit[1] = %+v", d.Commits[1])
-	}
-	wantCps := rec.Checkpoints()
-	if len(d.Checkpoints) != len(wantCps) {
-		t.Fatalf("decoded %d checkpoints, want %d", len(d.Checkpoints), len(wantCps))
-	}
-	for i, cp := range wantCps {
-		got := d.Checkpoints[i]
-		if got.Seq != cp.Seq || got.Hash != cp.Hash || len(got.Threads) != len(cp.Threads) {
-			t.Fatalf("checkpoint %d = %+v, want %+v", i, got, cp)
-		}
-		for j := range cp.Threads {
-			if got.Threads[j] != cp.Threads[j] {
-				t.Fatalf("checkpoint %d thread %d = %v, want %v", i, j, got.Threads[j], cp.Threads[j])
-			}
-		}
+	if len(d.Commits) != 15 || !reflect.DeepEqual(d.Commits, h.commits) {
+		t.Fatalf("loaded commits %+v, recorded %+v", d.Commits, h.commits)
 	}
 }
 
+// record feeds w n synthetic events.
+func record(w interface{ RecordEvent(trace.Event) }, n int) []trace.Event {
+	evs := make([]trace.Event, n)
+	for i := range evs {
+		evs[i] = trace.Event{Seq: int64(i), Tid: i % 3, Op: trace.OpLock, Obj: uint64(i % 16), Clock: int64(i) * 50, Shard: i % 4}
+		w.RecordEvent(evs[i])
+	}
+	return evs
+}
+
+// TestWriterDeterministicBytes: the stream NewWriter writes (the frozen
+// bench's probe) is a pure function of the events, and it is the log's
+// own format — dropped into a directory as the first segment, Load reads
+// the events back.
 func TestWriterDeterministicBytes(t *testing.T) {
+	var a, b bytes.Buffer
+	meta := map[string]string{"bench": "probe"}
+	wa, wb := NewWriter(&a, meta), NewWriter(&b, meta)
+	evs := record(wa, 5000) // more than one batch
+	record(wb, 5000)
+	if err := errors.Join(wa.Close(), wb.Close()); err != nil {
+		t.Fatal(err)
+	}
+	if a.Len() == 0 || !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("identical event streams produced different bytes")
+	}
 	dir := t.TempDir()
-	a, b := filepath.Join(dir, "a"), filepath.Join(dir, "b")
-	mkJournal(t, a, 50)
-	mkJournal(t, b, 50)
-	ba, err := os.ReadFile(a)
+	if err := os.WriteFile(filepath.Join(dir, "00000000000000000000.store"), a.Bytes(), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	d, err := Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb, err := os.ReadFile(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ba, bb) {
-		t.Fatal("identical runs produced different journal bytes")
+	if d.Meta["bench"] != "probe" || !reflect.DeepEqual(d.Events, evs) {
+		t.Fatalf("the stream loaded as %d events (meta %v), wrote %d", len(d.Events), d.Meta, len(evs))
 	}
 }
 
 func TestStats(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf, nil)
-	rec := trace.New(0)
-	rec.SetCheckpointInterval(4)
-	rec.SetSink(w)
-	record(t, w, rec, 12)
+	record(w, 12)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st := w.Stats()
-	if st.Events != 12 || st.Commits != 3 || st.Checkpoints != 3 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.Bytes != int64(buf.Len()) {
-		t.Fatalf("bytes = %d, file = %d", st.Bytes, buf.Len())
+	if st := w.Stats(); st.Events != 12 || st.Bytes != int64(buf.Len()) {
+		t.Fatalf("stats = %+v, wrote %d bytes", st, buf.Len())
 	}
 }
 
 func TestDiffIdentical(t *testing.T) {
-	dir := t.TempDir()
-	a, b := filepath.Join(dir, "a"), filepath.Join(dir, "b")
-	mkJournal(t, a, 40)
-	mkJournal(t, b, 40)
-	da, _ := Load(a)
-	db, _ := Load(b)
+	da, db := loadTwo(t, 40)
 	rep := Diff(da, db, DiffOptions{})
 	if rep.Kind != DivNone {
-		t.Fatalf("identical journals diverge: %+v", rep)
+		t.Fatalf("identical histories diverge: %+v", rep)
 	}
 }
 
@@ -154,12 +183,7 @@ func TestDiffIdentical(t *testing.T) {
 // (modeling a swapped token grant) and asserts Diff names exactly that
 // event, using checkpoint probes.
 func TestDiffPinpointsSwappedGrant(t *testing.T) {
-	dir := t.TempDir()
-	a, b := filepath.Join(dir, "a"), filepath.Join(dir, "b")
-	mkJournal(t, a, 200)
-	mkJournal(t, b, 200)
-	da, _ := Load(a)
-	db, _ := Load(b)
+	da, db := loadTwo(t, 200)
 
 	// Swap events 123 and 124 on side B, renumbering their seqs as a real
 	// swapped grant would.
@@ -197,12 +221,7 @@ func TestDiffPinpointsSwappedGrant(t *testing.T) {
 // (modeling a single corrupted page byte) and asserts Diff reports a
 // commit divergence naming exactly that version and page.
 func TestDiffPinpointsFlippedPage(t *testing.T) {
-	dir := t.TempDir()
-	a, b := filepath.Join(dir, "a"), filepath.Join(dir, "b")
-	mkJournal(t, a, 200)
-	mkJournal(t, b, 200)
-	da, _ := Load(a)
-	db, _ := Load(b)
+	da, db := loadTwo(t, 200)
 
 	const ci = 17
 	db.Commits[ci].Pages[1].Hash ^= 0x80 // one flipped bit
@@ -223,12 +242,7 @@ func TestDiffPinpointsFlippedPage(t *testing.T) {
 }
 
 func TestDiffLengthAndMeta(t *testing.T) {
-	dir := t.TempDir()
-	a, b := filepath.Join(dir, "a"), filepath.Join(dir, "b")
-	mkJournal(t, a, 30)
-	mkJournal(t, b, 30)
-	da, _ := Load(a)
-	db, _ := Load(b)
+	da, db := loadTwo(t, 30)
 	db.Events = db.Events[:20]
 	RecomputeCheckpoints(db)
 	rep := Diff(da, db, DiffOptions{})
@@ -236,7 +250,7 @@ func TestDiffLengthAndMeta(t *testing.T) {
 		t.Fatalf("rep = %+v", rep)
 	}
 
-	db2, _ := Load(b)
+	_, db2 := loadTwo(t, 30)
 	db2.Meta["threads"] = "4"
 	rep = Diff(da, db2, DiffOptions{})
 	if rep.Kind != DivMeta || len(rep.MetaDiffs) != 1 {
@@ -245,12 +259,7 @@ func TestDiffLengthAndMeta(t *testing.T) {
 }
 
 func TestDiffReportRendering(t *testing.T) {
-	dir := t.TempDir()
-	a, b := filepath.Join(dir, "a"), filepath.Join(dir, "b")
-	mkJournal(t, a, 100)
-	mkJournal(t, b, 100)
-	da, _ := Load(a)
-	db, _ := Load(b)
+	da, db := loadTwo(t, 100)
 	db.Events[50].Clock++
 	RecomputeCheckpoints(db)
 	rep := Diff(da, db, DiffOptions{})
@@ -273,96 +282,153 @@ func TestDiffReportRendering(t *testing.T) {
 	}
 }
 
-func TestWriteFileRoundtrip(t *testing.T) {
-	dir := t.TempDir()
-	a, b := filepath.Join(dir, "a"), filepath.Join(dir, "b")
-	mkJournal(t, a, 60)
-	da, err := Load(a)
+// frameEnds returns the offset just past each frame of a store file, the
+// meta frame first.
+func frameEnds(t *testing.T, path string) []int64 {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFile(b, da); err != nil {
-		t.Fatal(err)
+	var ends []int64
+	for pos := int64(5); pos < int64(len(data)); { // past the magic
+		pos += 8 + int64(binary.LittleEndian.Uint32(data[pos:]))
+		ends = append(ends, pos)
 	}
-	db, err := Load(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep := Diff(da, db, DiffOptions{}); rep.Kind != DivNone {
-		t.Fatalf("re-encoded journal diverges: %s", rep.Detail)
-	}
-	if len(db.Checkpoints) != len(da.Checkpoints) {
-		t.Fatalf("checkpoints %d vs %d", len(db.Checkpoints), len(da.Checkpoints))
-	}
+	return ends
 }
 
+// TestDecodeTruncated is crash consistency for the history: the last
+// segment of a multi-segment log is cut at every frame boundary and torn
+// just past each. A torn log does not load (ErrTruncated). After Repair it
+// does, what loads is a prefix of the uncrashed run's events, checkpoints
+// and commits, and Diff against the uncrashed run reports a length
+// divergence at exactly the cut — the prefix's event count — and nothing
+// earlier.
 func TestDecodeTruncated(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "a")
-	mkJournal(t, path, 60)
-	full, err := os.ReadFile(path)
+	mkHistory(t, dir, 200)
+	full, err := Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Any strict prefix must either decode fewer records or fail with
-	// ErrTruncated — never panic, never fabricate data.
-	for cut := 0; cut < len(full); cut += 7 {
-		_, err := Decode(bytes.NewReader(full[:cut]))
-		if err != nil && !errors.Is(err, ErrTruncated) && cut >= len(magic) {
-			// Cutting inside a varint can also surface as a framing error;
-			// both are acceptable, panics are not. Just require an error
-			// or a successful shorter decode.
-			continue
+	stores, err := filepath.Glob(filepath.Join(dir, "*.store"))
+	if err != nil || len(stores) < 3 {
+		t.Fatalf("fixture has %d segments (%v), want >= 3", len(stores), err)
+	}
+	last := filepath.Base(stores[len(stores)-1])
+	ends := frameEnds(t, stores[len(stores)-1])
+	crash := func(cut int64) string {
+		cutDir := t.TempDir()
+		for _, s := range stores {
+			data, err := os.ReadFile(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(cutDir, filepath.Base(s)), data, 0o666); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.Truncate(filepath.Join(cutDir, last), cut); err != nil {
+			t.Fatal(err)
+		}
+		return cutDir
+	}
+	lengths := map[int]bool{}
+	for i, end := range ends {
+		for _, torn := range []bool{false, true} {
+			cut := end
+			if torn {
+				if i == len(ends)-1 || ends[i+1] <= end+3 {
+					continue
+				}
+				cut += 3 // a few bytes of the next frame made it to disk
+			}
+			cutDir := crash(cut)
+			if _, err := Load(cutDir); torn && !errors.Is(err, commitlog.ErrTruncated) {
+				t.Fatalf("cut at %d: a torn log loaded with err %v, want ErrTruncated", cut, err)
+			}
+			if _, err := commitlog.Repair(cutDir); err != nil {
+				t.Fatalf("cut at %d: repair: %v", cut, err)
+			}
+			got, err := Load(cutDir)
+			if err != nil {
+				t.Fatalf("cut at %d: load after repair: %v", cut, err)
+			}
+			if !isPrefix(got, full) {
+				t.Fatalf("cut at %d: the repaired history is not a prefix of the uncrashed run's", cut)
+			}
+			rep := Diff(full, got, DiffOptions{})
+			if len(got.Events) == len(full.Events) && len(got.Commits) == len(full.Commits) {
+				if rep.Kind != DivNone { // only the end trailer was lost
+					t.Fatalf("cut at %d: the whole history survived, Diff says %s: %s", cut, rep.Kind, rep.Detail)
+				}
+				continue
+			}
+			if rep.Kind != DivLength || rep.Seq != int64(len(got.Events)) {
+				t.Fatalf("cut at %d (%d events, %d commits survive): Diff says %s at seq %d (%s), want length at %d",
+					cut, len(got.Events), len(got.Commits), rep.Kind, rep.Seq, rep.Detail, len(got.Events))
+			}
+			lengths[len(got.Events)] = true
 		}
 	}
-	// A cut mid-record (inside the final commit) must report truncation.
-	_, err = Decode(bytes.NewReader(full[:len(full)-3]))
-	if err == nil {
-		t.Fatal("mid-record truncation decoded cleanly")
+	if len(lengths) < 3 {
+		t.Fatalf("the cuts reached only %d distinct history lengths", len(lengths))
 	}
 }
 
+// TestDecodeCorrupt: a directory that is not a log of this format, or a
+// log with a flipped byte, is an error, never a shorter history.
 func TestDecodeCorrupt(t *testing.T) {
-	_, err := Decode(bytes.NewReader([]byte("XXXX\x01")))
-	if err == nil || !strings.Contains(err.Error(), "magic") {
-		t.Fatalf("err = %v", err)
+	dir := t.TempDir()
+	mkHistory(t, dir, 60)
+	stores, _ := filepath.Glob(filepath.Join(dir, "*.store"))
+	first, err := os.ReadFile(stores[0])
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, err = Decode(bytes.NewReader([]byte{'C', 'S', 'Q', 'J', 9}))
-	if err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("err = %v", err)
+	if _, err := Load(t.TempDir()); err == nil {
+		t.Fatal("an empty directory loaded")
 	}
-	// Unknown record kind.
-	bad := append(append([]byte{}, magic...), 0x7f)
-	_, err = Decode(bytes.NewReader(bad))
-	if err == nil || !strings.Contains(err.Error(), "unknown kind") {
-		t.Fatalf("err = %v", err)
+	for name, corrupt := range map[string]func([]byte){
+		"magic":   func(b []byte) { copy(b, "XXXX") },
+		"version": func(b []byte) { b[4] = 1 },
+		"payload": func(b []byte) { b[len(b)-1] ^= 0xFF },
+	} {
+		bad := append([]byte(nil), first...)
+		corrupt(bad)
+		if err := os.WriteFile(stores[0], bad, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(dir); err == nil {
+			t.Errorf("a log with a corrupt %s loaded", name)
+		}
 	}
 }
 
-// FuzzDecode hammers the decoder with mutated journals: it must never
-// panic or allocate unboundedly, only return data or an error.
+// FuzzDecode hammers Load with a mutated log — the fuzzed bytes stand as
+// the directory's only segment — so the header, the framing, the one
+// record decoder and the replay of what it yields all see hostile input:
+// Load must return a history or an error, never panic or over-allocate.
 func FuzzDecode(f *testing.F) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf, map[string]string{"bench": "fuzz"})
-	rec := trace.New(0)
-	rec.SetCheckpointInterval(4)
-	rec.SetSink(w)
-	for i := 0; i < 20; i++ {
-		rec.Record(i%2, trace.OpLock, uint64(i), int64(i))
-	}
-	w.RecordCommit(Commit{AtSeq: 20, Version: 1, Tid: 0, Clock: 20, Pages: []PageHash{{Page: 3, Hash: 0xdead}}})
-	if err := w.Close(); err != nil {
+	dir := f.TempDir()
+	mkHistory(f, dir, 20)
+	stores, _ := filepath.Glob(filepath.Join(dir, "*.store"))
+	valid, err := os.ReadFile(stores[0])
+	if err != nil {
 		f.Fatal(err)
 	}
-	valid := buf.Bytes()
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte{})
-	f.Add([]byte("CSQJ\x01"))
+	f.Add([]byte("CSQL\x01"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := Decode(bytes.NewReader(data))
-		if err == nil && d == nil {
-			t.Fatal("nil data without error")
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "00000000000000000000.store"), data, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		if d, err := Load(dir); err == nil && d == nil {
+			t.Fatal("nil history without error")
 		}
 	})
 }

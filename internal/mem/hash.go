@@ -3,8 +3,8 @@ package mem
 import "hash/fnv"
 
 // HashPage returns the FNV-1a hash of one page's content: the per-page
-// hash the run journal records at publication and a replayed commit log
-// is cross-checked against.
+// hash the divergence search (internal/journal) compares commits by,
+// taken over a commit log's replayed pages.
 func HashPage(data []byte) uint64 {
 	h := uint64(14695981039346656037) // FNV-1a offset basis
 	for _, b := range data {

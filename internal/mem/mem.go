@@ -213,25 +213,13 @@ func (v *Version) PageIndexes() []int {
 	return idx
 }
 
-// ForEachPageHash calls f with an FNV-1a content hash of every page this
-// version modified, in ascending page order. It forces resolution of any
-// still-pending slots, which is safe anywhere (resolve is idempotent and
-// order-independent); the run journal uses it to record per-commit page
-// hashes at publication time.
-func (v *Version) ForEachPageHash(f func(page int, hash uint64)) {
-	for i := range v.slots {
-		slot := &v.slots[i]
-		f(slot.page, HashPage(slot.resolve()))
-	}
-}
-
 // ForEachPageDiff calls f with the committer's own byte changes for every
-// page this version modified, in ascending page order. Unlike
-// ForEachPageHash this exposes the diff itself, not the merged content:
-// replaying each version's diffs in version order onto a zero replica
-// reproduces the committed content exactly (the merge chain resolves to
-// "previous content + this diff" for conflict and non-conflict slots
-// alike), which is what the commit log persists. The Diff's run data
+// page this version modified, in ascending page order. This exposes the
+// diff itself, not the merged content: replaying each version's diffs in
+// version order onto a zero replica reproduces the committed content
+// exactly (the merge chain resolves to "previous content + this diff" for
+// conflict and non-conflict slots alike), which is what the commit log
+// persists. The Diff's run data
 // aliases the version's immutable buffers: read-only.
 func (v *Version) ForEachPageDiff(f func(page int, d Diff)) {
 	for i := range v.slots {

@@ -104,56 +104,6 @@ func TestCommitPublishes(t *testing.T) {
 	}
 }
 
-func TestForEachPageHash(t *testing.T) {
-	s := newTestSegment(t, 256, 64)
-	w0, _ := s.Snapshot(0)
-	w0.Write([]byte("hello"), 10) // page 0
-	w0.Write([]byte("x"), 130)    // page 2
-	pc := w0.BeginCommit()
-	v := pc.Version()
-	if v == nil {
-		t.Fatal("no version")
-	}
-	// Hashing before Complete must be safe (resolve is idempotent) and
-	// ascending by page.
-	var pages []int
-	hashes := map[int]uint64{}
-	v.ForEachPageHash(func(pg int, h uint64) {
-		pages = append(pages, pg)
-		hashes[pg] = h
-	})
-	pc.Complete()
-	if len(pages) != 2 || pages[0] != 0 || pages[1] != 2 {
-		t.Fatalf("pages = %v", pages)
-	}
-	// The hash is over the committed content: recompute from ReadCommitted.
-	buf := make([]byte, 64)
-	s.ReadCommitted(buf, 0, s.Head())
-	h := uint64(14695981039346656037)
-	for _, b := range buf {
-		h = (h ^ uint64(b)) * 1099511628211
-	}
-	if hashes[0] != h {
-		t.Fatalf("page 0 hash %016x, want %016x", hashes[0], h)
-	}
-	// A different write produces a different hash.
-	w1, _ := s.Snapshot(1)
-	w1.Update()
-	w1.Write([]byte("hellp"), 10)
-	pc1 := w1.BeginCommit()
-	v1 := pc1.Version()
-	var h1 uint64
-	v1.ForEachPageHash(func(pg int, h uint64) {
-		if pg == 0 {
-			h1 = h
-		}
-	})
-	pc1.Complete()
-	if h1 == hashes[0] {
-		t.Fatal("different content, same page hash")
-	}
-}
-
 func TestEmptyDiffProducesNoVersion(t *testing.T) {
 	s := newTestSegment(t, 256, 64)
 	ws, _ := s.Snapshot(0)

@@ -103,6 +103,11 @@ func (fl *Fleet) feedLive(s *fstate, attempt int) (err error) {
 		s.stream.Store(nil)
 		st.Close()
 	}()
+	// Fleet.Close sets stopped and then closes the streams it finds; one
+	// registered after it looked would leave Next blocked for good.
+	if fl.stopped.Load() {
+		return errClosing
+	}
 	for {
 		c, ok := st.Next()
 		if !ok {

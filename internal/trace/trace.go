@@ -88,7 +88,7 @@ type Checkpoint struct {
 // Sink receives a copy of every recorded event and every interval
 // checkpoint, in order. Calls are made while the recorder's lock is held:
 // implementations must be fast, must not block indefinitely, and must not
-// call back into the Recorder. The run journal (internal/journal) is the
+// call back into the Recorder. The commit log (commitlog.Log) is the
 // canonical sink.
 type Sink interface {
 	RecordEvent(e Event)

@@ -27,8 +27,10 @@ go build ./...
 echo "== go test ./... (includes the determinism gate, internal/harness/gate_test.go)"
 go test ./...
 
-echo "== go test -race (obs + mem + det + chaos + replica + commitlog + api)"
-go test -race ./internal/obs/... ./internal/mem ./internal/det ./internal/chaos/... ./internal/replica ./internal/commitlog ./internal/api
+echo "== go test -race (obs + mem + det + chaos + replica + commitlog + journal + api)"
+# journal has no goroutine of its own; its tests drive the log's recorder
+# and drain as a run does.
+go test -race ./internal/obs/... ./internal/mem ./internal/det ./internal/chaos/... ./internal/replica ./internal/commitlog ./internal/journal ./internal/api
 
 echo "== bench module (own go.mod: the root ./... does not descend into it)"
 (cd bench && go vet ./... && go test ./...)
@@ -46,8 +48,9 @@ echo "== compare smoke (every runtime tabulates at -shards 4)"
 go run ./cmd/detrun -bench kmeans -threads 4 -compare -shards 4 >/dev/null
 
 echo "== detrun output smoke (the printed checksum / trace lines vs one golden)"
-# The determinism, chaos, journal, commit-log and replica gates are Go
-# tests (internal/harness/gate_test.go, run by `go test ./...` above), and
+# The determinism, chaos, commit-log (history and memory) and replica
+# gates are Go tests (internal/harness/gate_test.go, run by `go test ./...`
+# above), and
 # cmd/cli_test.go drives the conseq-diff / -replay / -serve binaries. This
 # keeps the printed format covered from the shell side: docs/divergence.md
 # and the golden table's regeneration note both quote these two lines.
