@@ -111,12 +111,19 @@ func TestConsequenceBench(t *testing.T) {
 }
 
 // bench/ is its own module, so the root `go build ./... && go test ./...`
-// never compiles it: vet it here, so renaming a symbol the ledger compiles
-// against fails tier-1 and not only `make check`.
+// never compiles it: vet it here, and (a few seconds; not under -short) run
+// its tests, so changing a symbol or a behaviour the ledger leans on fails
+// tier-1 and not only `make check`.
 func TestBenchModuleVets(t *testing.T) {
-	cmd := exec.Command("go", "vet", "./...")
-	cmd.Dir = "../bench"
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go vet ./... in bench/: %v\n%s", err, out)
+	steps := [][]string{{"go", "vet", "./..."}}
+	if !testing.Short() {
+		steps = append(steps, []string{"go", "test", "./..."})
+	}
+	for _, argv := range steps {
+		cmd := exec.Command(argv[0], argv[1:]...)
+		cmd.Dir = "../bench"
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("%s in bench/: %v\n%s", strings.Join(argv, " "), err, out)
+		}
 	}
 }

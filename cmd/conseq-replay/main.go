@@ -35,7 +35,7 @@ import (
 
 func main() {
 	dir := flag.String("dir", "", "commit log directory (required)")
-	at := flag.Int64("at", -1, "replay to this version (default: the whole retained history)")
+	at := flag.Int64("at", -1, "replay to this version (default: the whole history)")
 	atSeq := flag.Int64("at-seq", -1, "replay to this sync-order seq (commits with AtSeq <= seq)")
 	resume := flag.Bool("resume", false, "reconstruct from the newest snapshot plus the log tail (the restart path) instead of the full history")
 	sum := flag.String("checksum", "", "expected final checksum (16 hex digits, as printed by detrun); exit 1 on mismatch")
@@ -187,16 +187,7 @@ func newestDurableVersion(dir string) int64 {
 	}
 	var v int64
 	r.ForEachAvailableFrom(anchor, func(_ int64, rc commitlog.Record) error {
-		switch rc.Kind {
-		case commitlog.KindCommit:
-			if rc.Commit.Version > v {
-				v = rc.Commit.Version
-			}
-		case commitlog.KindEnd:
-			if rc.End.Version > v {
-				v = rc.End.Version
-			}
-		}
+		v = max(v, rc.Version()) // the anchor snapshot's, then each commit's, then the trailer's
 		return nil
 	})
 	return v

@@ -175,8 +175,8 @@ func main() {
 		st.Versions, st.CommittedPages, st.MergedPages, st.PulledPages, st.Faults, st.PeakPages)
 	if cell.Log != nil {
 		cs := cell.Log.Stats()
-		fmt.Printf("commitlog   %s: %d commits, %d events, %d checkpoints, %d snapshots, %d segments (%d rolls, %d truncated), %d bytes (%d append stalls)\n",
-			*commitLogDir, cs.Commits, cs.Events, cs.Checkpoints, cs.Snapshots, cs.Segments, cs.Rolls, cs.Truncated, cs.Bytes, cs.AppendStalls)
+		fmt.Printf("commitlog   %s: %d commits, %d events, %d checkpoints, %d snapshots, %d segments (%d rolls), %d bytes (%d append stalls)\n",
+			*commitLogDir, cs.Commits, cs.Events, cs.Checkpoints, cs.Snapshots, cs.Segments, cs.Rolls, cs.Bytes, cs.AppendStalls)
 	}
 	if tr != nil && *dumpTrace > 0 {
 		evs := tr.Events()

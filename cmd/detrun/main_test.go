@@ -110,11 +110,19 @@ func TestBaselineRuntimesKeepTheirTrace(t *testing.T) {
 			t.Errorf("detrun -runtime %s -dump-sync 2 listed %d events, want %d:\n%s", tc.runtime, dumped, want, out)
 		}
 	}
-	out, err := exec.Command(bin, "-bench", "kmeans", "-threads", "4", "-runtime", "dthreads", "-verify").Output()
-	if err != nil {
-		t.Fatalf("detrun -runtime dthreads -verify: %v\n%s", err, out)
-	}
-	if n := strings.Count(string(out), "checksum=fdfb1f1419ca40cc trace=0c4d9005262888ad"); n != 4 {
-		t.Errorf("detrun -runtime dthreads -verify: %d of 4 runs report the trace hash:\n%s", n, out)
+	// kmeans creates no sync object; water_nsquared's mutexes and barrier
+	// carry ids, which enter the trace hash and so must not depend on the
+	// runs the process made before (-verify makes four in one process).
+	for _, tc := range []struct{ bench, line string }{
+		{"kmeans", "checksum=fdfb1f1419ca40cc trace=0c4d9005262888ad"},
+		{"water_nsquared", "checksum=7058ec2839217536 trace=5a165c65a95acff5"},
+	} {
+		out, err := exec.Command(bin, "-bench", tc.bench, "-threads", "4", "-runtime", "dthreads", "-verify").Output()
+		if err != nil {
+			t.Fatalf("detrun -runtime dthreads -bench %s -verify: %v\n%s", tc.bench, err, out)
+		}
+		if n := strings.Count(string(out), tc.line); n != 4 {
+			t.Errorf("detrun -runtime dthreads -bench %s -verify: %d of 4 runs report %q:\n%s", tc.bench, n, tc.line, out)
+		}
 	}
 }

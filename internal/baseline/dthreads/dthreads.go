@@ -171,6 +171,7 @@ type thread struct {
 
 	lastEvent int64
 	syncOps   int64
+	objSeq    uint64 // sync-object ids created by this thread
 
 	done    bool
 	joiners []*thread
@@ -335,31 +336,28 @@ type dtBarrier struct {
 
 func (*dtBarrier) ImplBarrier() {}
 
-var objSeq struct {
-	sync.Mutex
-	n uint64
-}
-
-func nextObj() uint64 {
-	objSeq.Lock()
-	defer objSeq.Unlock()
-	objSeq.n++
-	return objSeq.n
+// newObjID allocates a sync-object id from the creating thread's own
+// counter, as det, rfdet and pth do: ids — and so the trace hash — depend
+// on the program alone, not on what else the process ran or on the order
+// the host scheduled the creators.
+func (t *thread) newObjID() uint64 {
+	t.objSeq++
+	return uint64(t.tid)<<32 | t.objSeq
 }
 
 // NewMutex implements api.T. All mutexes alias the single global lock; the
 // handle exists only for trace identity.
-func (t *thread) NewMutex() api.Mutex { return &dtMutex{id: nextObj()} }
+func (t *thread) NewMutex() api.Mutex { return &dtMutex{id: t.newObjID()} }
 
 // NewCond implements api.T.
-func (t *thread) NewCond() api.Cond { return &dtCond{id: nextObj()} }
+func (t *thread) NewCond() api.Cond { return &dtCond{id: t.newObjID()} }
 
 // NewBarrier implements api.T.
 func (t *thread) NewBarrier(parties int) api.Barrier {
 	if parties < 1 {
 		panic("dthreads: barrier needs at least one party")
 	}
-	return &dtBarrier{id: nextObj(), parties: parties}
+	return &dtBarrier{id: t.newObjID(), parties: parties}
 }
 
 // Lock implements api.T: acquire the global lock during the serial phase.

@@ -94,7 +94,7 @@ func TestWriteRecordMatchesAppendFrame(t *testing.T) {
 // follower with zero capacity, and every push reallocated.)
 func TestCaughtUpStreamDoesNotAllocate(t *testing.T) {
 	l := openBenchLog(t)
-	s, err := l.Stream(1)
+	s, err := l.Stream()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestCaughtUpStreamDoesNotAllocate(t *testing.T) {
 // must run while the stream is still open.
 func TestStreamDoesNotPinDelivered(t *testing.T) {
 	l := openBenchLog(t)
-	s, err := l.Stream(1)
+	s, err := l.Stream()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestStreamDoesNotPinDelivered(t *testing.T) {
 // reclaimed on growth; the array stays proportional to the lag.
 func TestLaggingStreamStaysBounded(t *testing.T) {
 	l := openBenchLog(t)
-	s, err := l.Stream(1)
+	s, err := l.Stream()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,8 +28,9 @@
 //
 // and every payload starts with a one-byte kind; integers are unsigned
 // varints (binary.Uvarint) and hashes fixed 8-byte little-endian words.
-// Each segment repeats the same meta frame (geometry + run metadata), so
-// any retained suffix of segments is self-contained after truncation:
+// A directory is always one complete stream — its first segment starts at
+// record zero and the writer never deletes one — and each segment repeats
+// the same meta frame (geometry + run metadata) ahead of its records:
 //
 //	meta       (0x01): pageSize, npages, n, then n (key, value) string pairs
 //	commit     (0x02): atSeq, version, tid, clock, npages,
@@ -58,9 +59,9 @@
 // frames and is otherwise identical. Replay, Resume, Stream and the
 // followers skip history frames without decoding them.
 //
-// Segment rolls, snapshot cadence and truncation are pure functions of
-// the record stream (byte counts and commit counts — never wall time), so
-// two identical runs write byte-identical segment files; TestGateJournal
+// Segment rolls and snapshot cadence are pure functions of the record
+// stream (byte counts and commit counts — never wall time), so two
+// identical runs write byte-identical segment files; TestGateJournal
 // and TestGateCommitLog (internal/harness) gate exactly that, alongside
 // log-on/log-off result equality.
 package commitlog

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -179,7 +180,7 @@ func TestHistoryRecords(t *testing.T) {
 	}
 
 	seen := 0
-	if _, err := r.ForEachAvailable(func(_ int64, rc Record) error {
+	if _, err := r.ForEachAvailableFrom(0, func(_ int64, rc Record) error {
 		if rc.Kind == KindEvents || rc.Kind == KindCheckpoint {
 			t.Errorf("a follower's read was handed a history record (kind %d)", rc.Kind)
 		}
@@ -515,43 +516,37 @@ func TestReplayResumeAndTimeTravel(t *testing.T) {
 	}
 }
 
-func TestRetentionTruncatesHistory(t *testing.T) {
+// TestResumeRejectsGapAfterAnchor: a log whose first commit after a
+// snapshot anchor skips a version describes a state no writer had. Replay
+// meets the gap mid-stream and Resume as its very first commit; both read
+// through ApplyRecord, so both refuse it, with the same error.
+func TestResumeRejectsGapAfterAnchor(t *testing.T) {
 	dir := t.TempDir()
-	commits := mkCommits(300)
-	l := writeLog(t, dir, Options{SegmentBytes: 1024, SnapshotEvery: 40, RetainSnapshots: 2}, commits)
-	st := l.Stats()
-	if st.Truncated == 0 {
-		t.Fatalf("retention never truncated: %+v", st)
+	// Versions 1-16 and 18-30: the one snapshot (after 16 commits) is at
+	// v16, so the gap is the first thing behind Resume's anchor. (A gap
+	// ahead of the newest anchor is not Resume's to see: it never reads
+	// those records.)
+	commits := mkCommits(30)
+	commits = append(commits[:16:16], commits[17:]...)
+	l := writeLog(t, dir, Options{SnapshotEvery: 16}, commits)
+	if got := l.Stats().Snapshots; got != 1 {
+		t.Fatalf("fixture took %d snapshots, want the one at v16", got)
 	}
-	r, err := OpenReader(dir)
-	if err != nil {
-		t.Fatal(err)
+	_, replayErr := Replay(dir, -1)
+	_, resumeErr := Resume(dir)
+	if replayErr == nil || resumeErr == nil {
+		t.Fatalf("a log that jumps version 16 -> 18: Replay error %v, Resume error %v; both must fail", replayErr, resumeErr)
 	}
-	if r.bases[0] == 0 {
-		t.Fatal("record zero still present despite retention")
-	}
-	// The retained suffix must still resume to the true final state.
-	ref := freshRef()
-	for _, c := range commits {
-		applyRef(ref, c)
-	}
-	rst, err := Resume(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rst.Checksum() != refChecksum(ref) {
-		t.Fatal("resume after truncation diverged")
-	}
-	// Full replay of the retained history works (snapshot anchor origin) …
-	if _, err := Replay(dir, -1); err != nil {
-		t.Fatal(err)
-	}
-	// … but replaying to a version older than the anchor must fail loudly.
-	if _, err := Replay(dir, 1); err == nil {
-		t.Fatal("replay to truncated version succeeded")
+	if replayErr.Error() != resumeErr.Error() || !strings.Contains(resumeErr.Error(), "jumps version 16 -> 18") {
+		t.Fatalf("Replay and Resume must report the same gap:\n  replay: %v\n  resume: %v", replayErr, resumeErr)
 	}
 }
 
+// TestStreamTailsHistoryAndLive is the splice property a follower's feed
+// rests on: subscribe mid-run, then scan the directory, then drain the
+// stream. The stream carries no history and the scan no future, but
+// between them every version arrives — once, after the consumer's
+// skip-what-I-hold rule (replica.Follower.apply's) drops the overlap.
 func TestStreamTailsHistoryAndLive(t *testing.T) {
 	dir := t.TempDir()
 	commits := mkCommits(120)
@@ -565,67 +560,73 @@ func TestStreamTailsHistoryAndLive(t *testing.T) {
 	for _, c := range commits[:50] {
 		l.Append(c)
 	}
-	s, err := l.Stream(1)
+	s, err := l.Stream()
 	if err != nil {
 		t.Fatal(err)
 	}
-	recv := make(chan []int64, 1)
-	go func() {
-		var vs []int64
-		for {
-			c, ok := s.Next()
-			if !ok {
-				break
-			}
-			vs = append(vs, c.Version)
+	// More commits land between the subscription and the scan: the stream
+	// has them, and whichever the drain has flushed by then the directory
+	// has too — the overlap.
+	for _, c := range commits[50:80] {
+		l.Append(c)
+	}
+	var version int64 // the consumer's replica, reduced to its version
+	skipped := 0
+	apply := func(c Commit) {
+		switch {
+		case c.Version <= version:
+			skipped++
+		case c.Version == version+1:
+			version++
+		default:
+			t.Fatalf("consumer at v%d was handed v%d: a gap", version, c.Version)
 		}
-		recv <- vs
+	}
+	r, err := OpenReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.ForEachAvailableFrom(0, func(_ int64, rc Record) error {
+		if rc.Kind == KindCommit {
+			apply(rc.Commit)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	scanned := version
+	if scanned < 50 || skipped != 0 {
+		t.Fatalf("the scan after Stream returned reached v%d (%d duplicates): the 50 commits before the subscription must be readable, once", scanned, skipped)
+	}
+	drained := make(chan int64, 1)
+	go func() {
+		first := int64(0)
+		for c, ok := s.Next(); ok; c, ok = s.Next() {
+			if first == 0 {
+				first = c.Version
+			}
+			apply(c)
+		}
+		drained <- first
 	}()
-	for _, c := range commits[50:] {
+	for _, c := range commits[80:] {
 		l.Append(c)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	vs := <-recv
-	if len(vs) != len(commits) {
-		t.Fatalf("follower saw %d commits, want %d", len(vs), len(commits))
+	if first := <-drained; first != 51 {
+		t.Fatalf("the stream's first commit is v%d, want v51: it carries what follows the subscription and no history", first)
 	}
-	for i, v := range vs {
-		if v != int64(i+1) {
-			t.Fatalf("follower position %d saw version %d", i, v)
-		}
+	if version != int64(len(commits)) {
+		t.Fatalf("scan + stream brought the consumer to v%d, want v%d", version, len(commits))
 	}
-
-	// A mid-history start version only sees the tail.
-	dir2 := t.TempDir()
-	l2, _ := Create(dir2, Options{})
-	if err := l2.Begin(tPageSize, tNumPages); err != nil {
-		t.Fatal(err)
+	if want := int(scanned) - 50; skipped != want {
+		t.Fatalf("the consumer skipped %d duplicates, want %d: exactly the commits both the scan (to v%d) and the stream (from v51) delivered", skipped, want, scanned)
 	}
-	for _, c := range commits {
-		l2.Append(c)
-	}
-	s2, err := l2.Stream(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for {
-		c, ok := s2.Next()
-		if !ok {
-			break
-		}
-		if c.Version < 100 {
-			t.Fatalf("follower from 100 saw version %d", c.Version)
-		}
-		n++
-	}
-	if n != 21 {
-		t.Fatalf("follower from 100 saw %d commits, want 21", n)
+	// A closed log takes no subscribers: the directory is all there is.
+	if _, err := l.Stream(); err == nil {
+		t.Fatal("Stream on a closed log succeeded")
 	}
 }
 

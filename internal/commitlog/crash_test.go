@@ -242,7 +242,7 @@ func TestRepairCorruptMiddleSegment(t *testing.T) {
 
 // TestStrictReadRejectsTornTail documents the flip side of Repair: a
 // strict reader (ForEach / Replay) refuses a torn tail instead of
-// silently shortening history, while ForEachAvailable reads the prefix.
+// silently shortening history, while ForEachAvailableFrom reads the prefix.
 func TestStrictReadRejectsTornTail(t *testing.T) {
 	dir, _, lastBase, _ := buildCrashFixture(t)
 	store := filepath.Join(dir, segName(lastBase)) + ".store"
@@ -260,7 +260,7 @@ func TestStrictReadRejectsTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	complete, err := r.ForEachAvailable(func(int64, Record) error { return nil })
+	complete, err := r.ForEachAvailableFrom(0, func(int64, Record) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

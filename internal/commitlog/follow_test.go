@@ -24,7 +24,7 @@ func TestSyncMakesRecordsDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	var seen int64
-	if _, err := r.ForEachAvailable(func(_ int64, rc Record) error {
+	if _, err := r.ForEachAvailableFrom(0, func(_ int64, rc Record) error {
 		if rc.Kind == KindCommit {
 			seen++
 		}
@@ -128,7 +128,7 @@ func TestForEachAvailableFrom(t *testing.T) {
 		t.Fatal(err)
 	}
 	var all []int64
-	if _, err := r.ForEachAvailable(func(rec int64, _ Record) error {
+	if _, err := r.ForEachAvailableFrom(0, func(rec int64, _ Record) error {
 		all = append(all, rec)
 		return nil
 	}); err != nil {

@@ -21,13 +21,8 @@ type Options struct {
 	SegmentBytes int
 	// SnapshotEvery writes a full-state snapshot (opening a fresh segment)
 	// after this many commit records (default 1024; negative disables).
-	// Snapshots bound Resume's replay tail and enable truncation.
+	// Snapshots bound Resume's replay tail and a restarting follower's.
 	SnapshotEvery int
-	// RetainSnapshots, when positive, truncates the log after each
-	// snapshot to the segments reachable from the k newest snapshots:
-	// bounded storage at the cost of full-history Replay. 0 keeps
-	// everything (journal.Load needs record zero).
-	RetainSnapshots int
 	// Meta is arbitrary run metadata persisted in every segment's meta
 	// frame (encoded in sorted key order).
 	Meta map[string]string
@@ -39,10 +34,9 @@ type Stats struct {
 	Events       int64
 	Checkpoints  int64
 	Snapshots    int64
-	Segments     int64 // live segment files on disk
+	Segments     int64 // segment files on disk
 	Rolls        int64
-	Truncated    int64 // segment files deleted by retention
-	Bytes        int64 // encoded bytes across all segments, including truncated ones
+	Bytes        int64 // encoded bytes across all segments
 	AppendStalls int64 // sends (a commit or a history frame) that blocked because the drain goroutine was behind
 	LastVersion  int64
 }
@@ -113,7 +107,6 @@ type Log struct {
 	snapshots   atomic.Int64
 	segments    atomic.Int64
 	rolls       atomic.Int64
-	truncated   atomic.Int64
 	bytes       atomic.Int64
 	stalls      atomic.Int64
 	lastVersion atomic.Int64
@@ -126,11 +119,10 @@ type logMsg struct {
 	isCommit bool
 	commit   Commit
 	history  []byte        // an encoded events or checkpoint payload when non-nil
-	sub      *Stream       // subscribe request when non-nil
-	from     int64         // subscribe start version
+	sub      *Stream       // subscribe request when non-nil (acknowledged through sync)
 	unsub    *Stream       // unsubscribe request when non-nil
 	snap     bool          // RequestSnapshot: force a snapshot at the next commit boundary
-	sync     chan struct{} // Sync barrier: closed once buffered bytes are durable-readable
+	sync     chan struct{} // barrier: closed once buffered bytes are durable-readable
 }
 
 // Create prepares an empty log directory (created if absent; must contain
@@ -312,7 +304,7 @@ func (l *Log) RequestSnapshot() {
 
 // Sync blocks until every record appended before the call has been
 // flushed to the segment files, so a directory reader (OpenReader +
-// ForEachAvailable) observes them. The barrier is ordered like an append:
+// ForEachAvailableFrom) observes them. The barrier is ordered like an append:
 // it drains behind all earlier records. No-op before Begin or after Close
 // (Close already flushes everything).
 func (l *Log) Sync() {
@@ -362,17 +354,10 @@ func (l *Log) Stats() Stats {
 		Snapshots:    l.snapshots.Load(),
 		Segments:     l.segments.Load(),
 		Rolls:        l.rolls.Load(),
-		Truncated:    l.truncated.Load(),
 		Bytes:        l.bytes.Load(),
 		AppendStalls: l.stalls.Load(),
 		LastVersion:  l.lastVersion.Load(),
 	}
-}
-
-// segState tracks live segments for the drain goroutine's retention scan.
-type segState struct {
-	base        int64
-	snapshotLed bool // first record is a snapshot (Resume/truncation anchor)
 }
 
 // drain is the background goroutine's state: the active segment file,
@@ -389,7 +374,6 @@ type drain struct {
 	segRecs   int64 // records in the active segment
 
 	nextRec    int64
-	segs       []segState
 	replica    State // the committed state so far: Version/AtSeq are the last record's
 	sinceSnap  int
 	snapWanted bool // RequestSnapshot pending: snapshot at the next commit
@@ -418,7 +402,7 @@ func (d *drain) run() {
 			default:
 			}
 		case msg.sub != nil:
-			d.handleSubscribe(msg.sub, msg.from)
+			d.handleSubscribe(msg.sub, msg.sync)
 		case msg.unsub != nil:
 			d.handleUnsubscribe(msg.unsub)
 		case msg.sync != nil:
@@ -444,14 +428,14 @@ func (d *drain) run() {
 }
 
 // handleCommit encodes and persists one commit record, advances the
-// replica, fans out to subscribers, and applies the snapshot/roll/
-// retention policy — all pure functions of the record stream.
+// replica, fans out to subscribers, and applies the snapshot/roll
+// policy — a pure function of the record stream.
 func (d *drain) handleCommit(c Commit) {
 	payload := appendCommit(d.scratch[:0], c)
 	d.rollIfFull(len(payload))
 	d.writeRecord(payload)
 	d.scratch = payload[:0]
-	d.replica.Apply(c.Pages)
+	d.replica.apply(c.Pages)
 	d.replica.Version, d.replica.AtSeq = c.Version, c.AtSeq
 	for _, s := range d.subs {
 		s.push(c)
@@ -484,8 +468,8 @@ func (d *drain) stall() {
 }
 
 // takeSnapshot rolls to a fresh segment and writes the replica's non-zero
-// pages as its first record, then applies the retention policy. A
-// snapshot-led segment is a self-contained replay anchor.
+// pages as its first record. A snapshot-led segment is a self-contained
+// replay anchor.
 func (d *drain) takeSnapshot() {
 	d.roll()
 	snap := Snapshot{AtSeq: d.replica.AtSeq, Version: d.replica.Version}
@@ -500,44 +484,11 @@ func (d *drain) takeSnapshot() {
 		}
 	}
 	d.writeRecord(appendSnapshot(d.scratch[:0], snap))
-	d.segs[len(d.segs)-1].snapshotLed = true
 	d.sinceSnap = 0
 	d.l.snapshots.Add(1)
 	if d.l.perturb != nil {
 		d.stall()
 	}
-	d.truncate()
-}
-
-// truncate deletes segments older than the RetainSnapshots-th newest
-// snapshot anchor.
-func (d *drain) truncate() {
-	keep := d.l.opts.RetainSnapshots
-	if keep <= 0 {
-		return
-	}
-	anchor := -1
-	seen := 0
-	for i := len(d.segs) - 1; i >= 0; i-- {
-		if d.segs[i].snapshotLed {
-			seen++
-			if seen == keep {
-				anchor = i
-				break
-			}
-		}
-	}
-	if anchor <= 0 {
-		return
-	}
-	for _, s := range d.segs[:anchor] {
-		if err := os.Remove(filepath.Join(d.l.dir, segName(s.base)+".store")); err != nil && d.err == nil {
-			d.err = err
-		}
-		d.l.truncated.Add(1)
-		d.l.segments.Add(-1)
-	}
-	d.segs = append([]segState(nil), d.segs[anchor:]...)
 }
 
 // writeRecord frames a payload into the active segment. The frame is
@@ -577,7 +528,6 @@ func (d *drain) openSegment(base int64) error {
 	}
 	d.storeSize = int64(len(d.header))
 	d.segRecs = 0
-	d.segs = append(d.segs, segState{base: base})
 	d.l.segments.Add(1)
 	d.l.bytes.Add(int64(len(d.header)))
 	return nil
@@ -608,8 +558,8 @@ func (d *drain) roll() {
 	}
 }
 
-// flush pushes buffered store bytes to disk (subscribe requests read
-// history from the files).
+// flush pushes buffered store bytes to disk, where directory readers
+// find them (a Sync barrier, or a subscriber about to scan).
 func (d *drain) flush() {
 	if d.err != nil || d.store == nil {
 		return

@@ -47,8 +47,9 @@ func listBases(dir string) ([]int64, error) {
 	return bases, nil
 }
 
-// OpenReader opens a log directory, reading the oldest segment's meta
-// frame for the geometry and run metadata.
+// OpenReader opens a log directory, reading the first segment's meta
+// frame for the geometry and run metadata. A log is one complete stream:
+// its first segment starts at record zero.
 func OpenReader(dir string) (*Reader, error) {
 	bases, err := listBases(dir)
 	if err != nil {
@@ -56,6 +57,9 @@ func OpenReader(dir string) (*Reader, error) {
 	}
 	if len(bases) == 0 {
 		return nil, fmt.Errorf("commitlog: no segments in %s", dir)
+	}
+	if bases[0] != 0 {
+		return nil, fmt.Errorf("commitlog: %s starts at record %d, not record zero", dir, bases[0])
 	}
 	r := &Reader{dir: dir, bases: bases}
 	f, err := os.Open(r.storePath(bases[0]))
@@ -128,68 +132,60 @@ func readFrame(f io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// forEachSeg iterates the decoded records of one segment. strict turns a
-// torn tail into ErrTruncated; otherwise iteration just stops there
-// (complete reports false). Without history, events and checkpoint frames
-// are counted and passed over undecoded — memory's readers (replay,
-// followers) have no use for them. f's errStop return stops cleanly.
-func (r *Reader) forEachSeg(segIdx int, strict, history bool, f func(rec int64, rc Record) error) (complete bool, err error) {
-	base := r.bases[segIdx]
-	sf, err := os.Open(r.storePath(base))
-	if err != nil {
-		return false, err
-	}
-	defer sf.Close()
-	if _, _, _, err := readHeader(sf); err != nil {
+// walk is the one record iterator: it delivers the decoded records
+// numbered from and up, in order, starting in the segment that holds from.
+// strict turns a torn or corrupt frame into an error; otherwise the walk
+// just stops there and complete reports false (a live writer may be
+// mid-frame). Without history, events and checkpoint frames are counted
+// and passed over undecoded — memory's readers (replay, followers) have no
+// use for them. f's errStop return ends the walk cleanly.
+func (r *Reader) walk(from int64, strict, history bool, f func(rec int64, rc Record) error) (complete bool, err error) {
+	fail := func(err error) (bool, error) {
 		if strict {
-			return false, fmt.Errorf("commitlog: %s: %w", r.storePath(base), err)
+			return false, err
 		}
 		return false, nil
 	}
-	rec := base
-	for {
-		payload, err := readFrame(sf)
-		if err == io.EOF {
-			return true, nil
-		}
+	segment := func(base int64) (bool, error) {
+		path := r.storePath(base)
+		sf, err := os.Open(path)
 		if err != nil {
-			if strict {
-				return false, fmt.Errorf("%w (%s record %d: %v)", ErrTruncated, r.storePath(base), rec, err)
+			return false, err
+		}
+		defer sf.Close()
+		if _, _, _, err := readHeader(sf); err != nil {
+			return fail(fmt.Errorf("commitlog: %s: %w", path, err))
+		}
+		for rec := base; ; rec++ {
+			payload, err := readFrame(sf)
+			if err == io.EOF {
+				return true, nil
 			}
-			return false, nil
-		}
-		if !history && len(payload) > 0 && (payload[0] == kindEvents || payload[0] == kindCheckpoint) {
-			rec++
-			continue
-		}
-		rc, err := decodeRecord(payload, r.pageSize, r.npages)
-		if err != nil {
-			if strict {
-				return false, fmt.Errorf("commitlog: %s record %d: %w", r.storePath(base), rec, err)
+			if err != nil {
+				return fail(fmt.Errorf("%w (%s record %d: %v)", ErrTruncated, path, rec, err))
 			}
-			return false, nil
+			if rec < from || (!history && len(payload) > 0 && (payload[0] == kindEvents || payload[0] == kindCheckpoint)) {
+				continue
+			}
+			rc, err := decodeRecord(payload, r.pageSize, r.npages)
+			if err != nil {
+				return fail(fmt.Errorf("commitlog: %s record %d: %w", path, rec, err))
+			}
+			if err := f(rec, rc); err != nil {
+				return true, err
+			}
 		}
-		if err := f(rec, rc); err != nil {
-			return true, err
-		}
-		rec++
 	}
-}
-
-// forEachFrom iterates records from the given segment index to the end of
-// the log. In strict mode a torn tail is an error; otherwise iteration
-// stops at the first unreadable frame and reports complete=false.
-func (r *Reader) forEachFrom(segIdx int, strict, history bool, f func(rec int64, rc Record) error) (complete bool, err error) {
-	for i := segIdx; i < len(r.bases); i++ {
-		complete, err = r.forEachSeg(i, strict, history, f)
+	// The last segment based at or before from holds it; record zero always
+	// has one (OpenReader checks).
+	first := sort.Search(len(r.bases), func(i int) bool { return r.bases[i] > from }) - 1
+	for _, base := range r.bases[first:] {
+		complete, err := segment(base)
 		if err == errStop {
 			return true, nil
 		}
-		if err != nil {
+		if err != nil || !complete {
 			return complete, err
-		}
-		if !complete {
-			return false, nil
 		}
 	}
 	return true, nil
@@ -199,67 +195,42 @@ func (r *Reader) forEachFrom(segIdx int, strict, history bool, f func(rec int64,
 // (events and checkpoints) included; a torn or corrupt frame is an error
 // (run Repair first after a crash).
 func (r *Reader) ForEach(f func(rec int64, rc Record) error) error {
-	_, err := r.forEachFrom(0, true, true, f)
+	_, err := r.walk(0, true, true, f)
 	return err
 }
 
-// ForEachAvailable iterates every readable commit, snapshot and end
-// record, stopping silently at a torn tail (a live writer may be
-// mid-frame); complete reports whether the whole log was readable.
-// Followers poll with it.
-func (r *Reader) ForEachAvailable(f func(rec int64, rc Record) error) (complete bool, err error) {
-	return r.forEachFrom(0, false, false, f)
-}
-
-// ForEachAvailableFrom iterates the readable records whose global record
-// number is at least rec (clamped to the oldest retained record),
-// stopping silently at a torn tail like ForEachAvailable. A follower
-// tailing the directory polls with it, passing one past its last applied
-// record so each poll touches only the new suffix (plus the tail of the
-// segment the cursor sits in) instead of rescanning the whole log.
+// ForEachAvailableFrom iterates the readable commit, snapshot and end
+// records whose global record number is at least rec (rec >= 0), stopping
+// silently at a torn tail (a live writer may be mid-frame); complete
+// reports whether the log was readable to its end. A follower tailing the
+// directory polls with it, passing one past its last applied record so
+// each poll touches only the new suffix (plus the head of the segment the
+// cursor sits in) instead of rescanning the whole log.
 func (r *Reader) ForEachAvailableFrom(rec int64, f func(rec int64, rc Record) error) (complete bool, err error) {
-	segIdx := sort.Search(len(r.bases), func(i int) bool { return r.bases[i] > rec }) - 1
-	if segIdx < 0 {
-		segIdx = 0
-	}
-	return r.forEachFrom(segIdx, false, false, func(got int64, rc Record) error {
-		if got < rec {
-			return nil
-		}
-		return f(got, rc)
-	})
+	return r.walk(rec, false, false, f)
 }
 
 // NewestAnchorRec returns the record number of the newest readable
 // snapshot record that leads a segment, or 0 when the only replay origin
-// is record zero. A follower restarting after a crash begins its tolerant
-// scan here — the Resume path without strictness: snapshot restore plus
-// whatever tail is readable.
+// is record zero: where Resume starts its strict replay and a restarting
+// follower its tolerant scan.
 func (r *Reader) NewestAnchorRec() (int64, error) {
 	for i := len(r.bases) - 1; i > 0; i-- {
-		rc, ok, err := r.first(i)
+		// A snapshot is only ever written straight after a roll, so it is
+		// its segment's base record.
+		leads := false
+		_, err := r.walk(r.bases[i], false, false, func(rec int64, rc Record) error {
+			leads = rec == r.bases[i] && rc.Kind == kindSnapshot
+			return errStop
+		})
 		if err != nil {
 			return 0, err
 		}
-		if ok && rc.Kind == kindSnapshot {
+		if leads {
 			return r.bases[i], nil
 		}
 	}
 	return 0, nil
-}
-
-// first returns segment segIdx's first commit, snapshot or end record
-// (ok=false for a segment with none readable). A snapshot is only ever
-// written straight after a roll, so one found here leads its segment.
-func (r *Reader) first(segIdx int) (rc Record, ok bool, err error) {
-	_, err = r.forEachSeg(segIdx, false, false, func(_ int64, got Record) error {
-		rc, ok = got, true
-		return errStop
-	})
-	if err == errStop {
-		err = nil
-	}
-	return rc, ok, err
 }
 
 // RepairReport describes what Repair found and fixed.

@@ -33,7 +33,8 @@ type State struct {
 }
 
 // NewState builds an empty replica with the reader's geometry: what a
-// caller walking the records itself (Reader.ForEach) applies commits to.
+// caller walking the records itself (Reader.ForEach) hands each one to,
+// through ApplyRecord.
 func NewState(r *Reader) *State {
 	return &State{pageSize: r.pageSize, npages: r.npages, meta: r.meta, pages: make(map[int][]byte)}
 }
@@ -69,8 +70,10 @@ func (st *State) Checksum() uint64 {
 	return mem.ChecksumSparse(st.pages, st.npages, st.pageSize)
 }
 
-// Apply advances the replica by one record's page diffs.
-func (st *State) Apply(pages []PageDiff) {
+// apply advances the replica by one record's page diffs, unvetted: the
+// writer's drain uses it to produce the stream, and ApplyRecord once it
+// has vetted a record.
+func (st *State) apply(pages []PageDiff) {
 	for _, pd := range pages {
 		buf := st.pages[pd.Page]
 		if buf == nil {
@@ -83,56 +86,58 @@ func (st *State) Apply(pages []PageDiff) {
 	}
 }
 
-// restore resets the replica to a snapshot record's state.
-func (st *State) restore(s Snapshot) {
-	st.pages = make(map[int][]byte)
-	st.Apply(s.Pages)
-	st.Version, st.AtSeq = s.Version, s.AtSeq
+// ApplyRecord advances the replica by the next record of an in-order
+// stream and is the one statement of what such a stream must look like:
+// a snapshot restores a replica that has applied nothing and otherwise
+// must name the replica's version; a commit must be exactly the next
+// version; the end trailer must name the replica's version and checksum.
+// History records carry no memory and pass. Replay, ReplayToSeq, Resume
+// and journal.Load all read through it, so a log any of them accepts
+// describes a state the writer had. (replica.Follower.apply keeps a
+// tolerant rule of its own, and says why.)
+func (st *State) ApplyRecord(rc Record) error {
+	switch rc.Kind {
+	case kindSnapshot:
+		s := rc.Snapshot
+		if st.Version == 0 {
+			st.pages = make(map[int][]byte)
+			st.apply(s.Pages)
+			st.Version, st.AtSeq = s.Version, s.AtSeq
+		} else if s.Version != st.Version {
+			return fmt.Errorf("snapshot claims version %d, replica is at %d", s.Version, st.Version)
+		}
+	case kindCommit:
+		c := rc.Commit
+		if c.Version != st.Version+1 {
+			return fmt.Errorf("commit jumps version %d -> %d", st.Version, c.Version)
+		}
+		st.apply(c.Pages)
+		st.Version, st.AtSeq = c.Version, c.AtSeq
+		st.Commits++
+	case kindEnd:
+		if rc.End.Version != st.Version {
+			return fmt.Errorf("end trailer names version %d, replica is at %d", rc.End.Version, st.Version)
+		}
+		if got := st.Checksum(); got != rc.End.Checksum {
+			return fmt.Errorf("end trailer checksum %016x, replica is %016x", rc.End.Checksum, got)
+		}
+		st.SawEnd = true
+	}
+	return nil
 }
 
-// stopReplay bounds a replay: the commit that fails the predicate (and
-// everything after it) is not applied.
-type stopReplay func(c Commit) bool
-
-// replayFrom drives the shared replay loop from the given segment index.
-func replayFrom(r *Reader, segIdx int, include stopReplay) (*State, error) {
+// replayFrom is the strict replay loop: every commit, snapshot and end
+// record numbered from and up goes through ApplyRecord, stopping short of
+// the first commit include refuses.
+func replayFrom(r *Reader, from int64, include func(c Commit) bool) (*State, error) {
 	st := NewState(r)
-	stopped := false
-	first := true
-	_, err := r.forEachFrom(segIdx, true, false, func(rec int64, rc Record) error {
-		switch rc.Kind {
-		case kindSnapshot:
-			if first {
-				st.restore(rc.Snapshot)
-			} else if rc.Snapshot.Version != st.Version {
-				return fmt.Errorf("commitlog: snapshot at record %d claims version %d, replica is at %d",
-					rec, rc.Snapshot.Version, st.Version)
-			}
-		case kindCommit:
-			c := rc.Commit
-			if !include(c) {
-				stopped = true
-				return errStop
-			}
-			if st.Commits > 0 && c.Version != st.Version+1 {
-				return fmt.Errorf("commitlog: commit at record %d jumps version %d -> %d",
-					rec, st.Version, c.Version)
-			}
-			st.Apply(c.Pages)
-			st.Version, st.AtSeq = c.Version, c.AtSeq
-			st.Commits++
-		case kindEnd:
-			if !stopped {
-				if rc.End.Version != st.Version {
-					return fmt.Errorf("commitlog: end trailer names version %d, replica is at %d", rc.End.Version, st.Version)
-				}
-				if got := st.Checksum(); got != rc.End.Checksum {
-					return fmt.Errorf("commitlog: end trailer checksum %016x, replica is %016x", rc.End.Checksum, got)
-				}
-				st.SawEnd = true
-			}
+	_, err := r.walk(from, true, false, func(rec int64, rc Record) error {
+		if rc.Kind == kindCommit && !include(rc.Commit) {
+			return errStop
 		}
-		first = false
+		if err := st.ApplyRecord(rc); err != nil {
+			return fmt.Errorf("commitlog: record %d: %w", rec, err)
+		}
 		return nil
 	})
 	if err != nil {
@@ -142,21 +147,15 @@ func replayFrom(r *Reader, segIdx int, include stopReplay) (*State, error) {
 }
 
 // Replay reconstructs the replica at toVersion (negative: the whole
-// retained history) by applying every retained record from the log's
-// oldest segment. If retention truncated history past toVersion the
-// replay fails rather than silently starting late. When the full history
-// is replayed and the log was closed cleanly, the end trailer's checksum
-// is verified against the replica.
+// history) by applying every record from record zero. When the full
+// history is replayed and the log was closed cleanly, the end trailer's
+// checksum is verified against the replica.
 func Replay(dir string, toVersion int64) (*State, error) {
 	r, err := OpenReader(dir)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkOrigin(r, toVersion); err != nil {
-		return nil, err
-	}
-	include := func(c Commit) bool { return toVersion < 0 || c.Version <= toVersion }
-	st, err := replayFrom(r, 0, include)
+	st, err := replayFrom(r, 0, func(c Commit) bool { return toVersion < 0 || c.Version <= toVersion })
 	if err != nil {
 		return nil, err
 	}
@@ -174,30 +173,7 @@ func ReplayToSeq(dir string, seq int64) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := checkOrigin(r, -1); err != nil {
-		return nil, err
-	}
 	return replayFrom(r, 0, func(c Commit) bool { return c.AtSeq <= seq })
-}
-
-// checkOrigin verifies the oldest retained segment is a valid replay
-// origin for the target: record zero, or a snapshot anchor that does not
-// postdate the target version.
-func checkOrigin(r *Reader, toVersion int64) error {
-	if r.bases[0] == 0 {
-		return nil
-	}
-	rc, ok, err := r.first(0)
-	if err != nil {
-		return err
-	}
-	if !ok || rc.Kind != kindSnapshot {
-		return fmt.Errorf("commitlog: oldest retained segment (base %d) is not a snapshot anchor", r.bases[0])
-	}
-	if toVersion >= 0 && rc.Snapshot.Version > toVersion {
-		return fmt.Errorf("commitlog: history truncated to version %d, cannot replay to %d", rc.Snapshot.Version, toVersion)
-	}
-	return nil
 }
 
 // Resume reconstructs the replica from the newest snapshot anchor plus
@@ -210,21 +186,9 @@ func Resume(dir string) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
-	start := 0
-	for i := len(r.bases) - 1; i > 0; i-- {
-		rc, ok, err := r.first(i)
-		if err != nil {
-			return nil, err
-		}
-		if ok && rc.Kind == kindSnapshot {
-			start = i
-			break
-		}
+	anchor, err := r.NewestAnchorRec()
+	if err != nil {
+		return nil, err
 	}
-	if start == 0 {
-		if err := checkOrigin(r, -1); err != nil {
-			return nil, err
-		}
-	}
-	return replayFrom(r, start, func(Commit) bool { return true })
+	return replayFrom(r, anchor, func(Commit) bool { return true })
 }

@@ -6,14 +6,18 @@ import (
 	"sync"
 )
 
-// Stream is a live follower of a running Log: an iterator over committed
-// versions, starting from any version in the retained history and then
-// tailing new commits as the runtime publishes them. Delivery is ordered
-// and complete (history first, then live records, no gaps or duplicates:
-// the drain goroutine flushes and splices the subscription in between two
-// records). The consumer pulls with Next on its own goroutine; the buffer
-// between drain and consumer is unbounded, so a slow follower costs
-// memory, never runtime backpressure — and therefore never results.
+// Stream is a live subscription to a running Log: an iterator over the
+// versions committed after it was spliced in, in order and without gaps,
+// until the log closes. It carries no history. The drain goroutine
+// flushes and splices the subscription in between two records, so when
+// Log.Stream returns every earlier record is readable in the directory
+// and every later commit will be pushed: subscribe, then scan the
+// directory, then drain the stream, and the two meet with an overlap (the
+// commits flushed between the splice and the scan) that the consumer
+// skips by version — replica.Follower does. The consumer pulls with Next
+// on its own goroutine; the buffer between drain and consumer is
+// unbounded, so a slow follower costs memory, never runtime backpressure
+// — and therefore never results.
 //
 // A streamed Commit's run data may alias the runtime's own immutable diff
 // buffers: read-only.
@@ -32,22 +36,29 @@ type Stream struct {
 	closed bool // no more pushes: log closed, or Close was called
 }
 
-// Stream subscribes a follower from the given version (inclusive;
-// versions below the retained history simply start at the oldest
-// available record). It must be called after the log is attached to a
-// runtime (Begin) and before Close.
-func (l *Log) Stream(fromVersion int64) (*Stream, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.begun {
-		return nil, fmt.Errorf("commitlog: Stream before the log is attached to a runtime")
-	}
-	if l.closed {
-		return nil, fmt.Errorf("commitlog: Stream on a closed log")
-	}
+// Stream subscribes a follower to the commits appended from now on,
+// returning once the subscription is spliced in. It must be called after
+// the log is attached to a runtime (Begin); once Close has begun it is
+// refused, and what the log still drains reaches only the directory.
+func (l *Log) Stream() (*Stream, error) {
 	s := &Stream{l: l}
 	s.cond = sync.NewCond(&s.mu)
-	l.ch <- logMsg{sub: s, from: fromVersion}
+	spliced := make(chan struct{})
+	var err error
+	l.mu.Lock()
+	switch {
+	case !l.begun:
+		err = fmt.Errorf("commitlog: Stream before the log is attached to a runtime")
+	case l.closed:
+		err = fmt.Errorf("commitlog: Stream on a closed log")
+	default:
+		l.ch <- logMsg{sub: s, sync: spliced}
+	}
+	l.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	<-spliced
 	return s, nil
 }
 
@@ -112,29 +123,14 @@ func (s *Stream) finish() {
 	s.cond.Broadcast()
 }
 
-// handleSubscribe splices a follower in: flush buffered bytes, replay the
-// durable history at or past the requested version into the follower's
-// buffer, then add it to the live fan-out list. Runs on the drain
-// goroutine between two records, so the history/live boundary is exact.
-func (d *drain) handleSubscribe(s *Stream, from int64) {
+// handleSubscribe splices a follower in between two records: flush, so
+// the directory holds everything before the splice; join the fan-out, so
+// the stream carries everything after it; acknowledge. The drain never
+// reads its own files.
+func (d *drain) handleSubscribe(s *Stream, spliced chan struct{}) {
 	d.flush()
-	r, err := OpenReader(d.l.dir)
-	if err == nil {
-		_, err = r.ForEachAvailable(func(_ int64, rc Record) error {
-			if rc.Kind == kindCommit && rc.Commit.Version >= from {
-				s.push(rc.Commit)
-			}
-			return nil
-		})
-	}
-	if err != nil {
-		if d.err == nil {
-			d.err = err
-		}
-		s.finish()
-		return
-	}
 	d.subs = append(d.subs, s)
+	close(spliced)
 }
 
 // handleUnsubscribe removes a follower from the fan-out list.

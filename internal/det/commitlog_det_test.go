@@ -323,7 +323,7 @@ func TestCommitLogStreamFollowsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := cl.Stream(1)
+	s, err := cl.Stream()
 	if err != nil {
 		t.Fatal(err)
 	}

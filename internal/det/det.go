@@ -547,7 +547,6 @@ func (rt *Runtime) registerCommitLogMetrics() {
 	r.Func("commitlog_snapshots", cFunc(func(s commitlog.Stats) int64 { return s.Snapshots }))
 	r.Func("commitlog_segments", cFunc(func(s commitlog.Stats) int64 { return s.Segments }))
 	r.Func("commitlog_rolls", cFunc(func(s commitlog.Stats) int64 { return s.Rolls }))
-	r.Func("commitlog_truncated", cFunc(func(s commitlog.Stats) int64 { return s.Truncated }))
 	r.Func("commitlog_bytes", cFunc(func(s commitlog.Stats) int64 { return s.Bytes }))
 	r.Func("commitlog_append_stalls", cFunc(func(s commitlog.Stats) int64 { return s.AppendStalls }))
 }

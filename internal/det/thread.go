@@ -685,13 +685,10 @@ func (t *Thread) commitAndUpdate() {
 // per-shard granting the event carries its granting-shard provenance so
 // the recorder can fold per-shard rolling hashes alongside the global
 // chain (curShard is the scope the token was granted under, refreshed on
-// every syncOpStart and after waker-retargeted wakeups).
+// every syncOpStart and after waker-retargeted wakeups). With sharding
+// off curShard stays -1, which is trace.NoShard.
 func (t *Thread) record(op trace.Op, obj uint64) {
-	if t.rt.shardSet != nil {
-		t.rt.rec.RecordSharded(t.tid, op, obj, t.icount, t.curShard)
-		return
-	}
-	t.rt.rec.Record(t.tid, op, obj, t.icount)
+	t.rt.rec.RecordSharded(t.tid, op, obj, t.icount, t.curShard)
 }
 
 // logCommit appends a just-published version's page diffs to the commit

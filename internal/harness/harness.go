@@ -318,12 +318,11 @@ func (c *Cell) attach() error {
 	c.Det.SetJournal(c.Log)
 	if o.Replicas > 0 {
 		c.Fleet = replica.New(o.CommitLogDir, c.Log, replica.Options{
-			Followers:         o.Replicas,
-			Archive:           true,
-			Seed:              o.Seed,
-			Chaos:             c.Chaos,
-			Registry:          c.Registry,
-			SnapshotOnRestart: true,
+			Followers: o.Replicas,
+			Archive:   true,
+			Seed:      o.Seed,
+			Chaos:     c.Chaos,
+			Registry:  c.Registry,
 		})
 		return c.Fleet.Start()
 	}

@@ -45,12 +45,14 @@ type Data struct {
 }
 
 // Load reads the history out of the commit log in dir, walking its
-// records once. A page hash is taken from the replica right after the
-// commit's diffs are applied to it, which is the content the live run
+// records once from record zero. Every record goes through the replica's
+// ApplyRecord, the log's one rule for an in-order stream, so a history
+// whose commits skip a version or whose end trailer disagrees with its
+// diffs does not load. A page hash is taken from the replica right after
+// the commit's diffs are applied to it, which is the content the live run
 // published (the replica-equivalence argument, docs/commitlog.md). A torn
 // log is an error (commitlog.ErrTruncated; commitlog.Repair recovers its
-// longest valid prefix, which then loads), and so is one whose retention
-// policy has deleted record zero: a history starts at the first event.
+// longest valid prefix, which then loads).
 func Load(dir string) (*Data, error) {
 	r, err := commitlog.OpenReader(dir)
 	if err != nil {
@@ -58,12 +60,10 @@ func Load(dir string) (*Data, error) {
 	}
 	d := &Data{Meta: r.Meta()}
 	st := commitlog.NewState(r)
-	first := true
 	err = r.ForEach(func(rec int64, rc commitlog.Record) error {
-		if first && rec != 0 {
-			return fmt.Errorf("history truncated by retention: the oldest record is %d", rec)
+		if err := st.ApplyRecord(rc); err != nil {
+			return fmt.Errorf("record %d: %w", rec, err)
 		}
-		first = false
 		switch rc.Kind {
 		case commitlog.KindEvents:
 			d.Events = append(d.Events, rc.Events...)
@@ -71,7 +71,6 @@ func Load(dir string) (*Data, error) {
 			d.Checkpoints = append(d.Checkpoints, rc.Checkpoint)
 		case commitlog.KindCommit:
 			lc := rc.Commit
-			st.Apply(lc.Pages)
 			c := Commit{AtSeq: lc.AtSeq, Version: lc.Version, Tid: lc.Tid, Clock: lc.Clock, Pages: make([]PageHash, len(lc.Pages))}
 			for i, pd := range lc.Pages {
 				c.Pages[i] = PageHash{Page: pd.Page, Hash: st.PageHash(pd.Page)}

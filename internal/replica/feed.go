@@ -12,7 +12,7 @@ import (
 
 // errKilled marks a follower death (panic or injected kill): its
 // in-memory state is untrusted, so the supervisor rebuilds from the
-// newest retained snapshot.
+// newest snapshot.
 var errKilled = fmt.Errorf("replica: follower died")
 
 // errClosing marks a feed unwound by Fleet.Close; the supervisor exits
@@ -26,12 +26,7 @@ func (fl *Fleet) supervise(s *fstate) {
 	defer fl.wg.Done()
 	bo := fl.backoffFor(s.f.id)
 	for attempt := 0; ; attempt++ {
-		var err error
-		if fl.log != nil {
-			err = fl.feedLive(s, attempt)
-		} else {
-			err = fl.feedDir(s, attempt)
-		}
+		err := fl.feed(s)
 		if err == nil {
 			// The log ended cleanly and the follower holds its final
 			// state; one last admission check and the feed retires.
@@ -44,25 +39,17 @@ func (fl *Fleet) supervise(s *fstate) {
 		}
 		fl.restarts.Add(1)
 		s.restartReq.Store(false)
-		switch {
-		case errors.Is(err, errKilled):
-			// Crash: nothing in memory is trusted. Rebuild from the
-			// newest retained snapshot (optionally minting a fresh one
-			// first to cap replay cost).
+		if !errors.Is(err, errTear) && !errors.Is(err, errKicked) {
+			// Anything but a read-side failure — a crash, a version gap, an
+			// unreadable interior segment — leaves nothing in memory to
+			// trust: rebuild from the newest snapshot, so the follower
+			// cannot serve a state no writer had. A crashed follower of a
+			// live writer has it mint a fresh one first, to cap the replay.
 			s.f.reset()
 			s.cursor = -1
-			if fl.log != nil && fl.o.SnapshotOnRestart {
+			if fl.log != nil && errors.Is(err, errKilled) {
 				fl.log.RequestSnapshot()
 			}
-		case errors.Is(err, errTear), errors.Is(err, errKicked):
-			// Read-side failure: state is intact, resubscribe from
-			// version+1 — the no-gap, no-duplicate path.
-		default:
-			// A version gap or an unreadable interior segment: the
-			// follower rebuilds from scratch so it cannot serve a state
-			// no writer had.
-			s.f.reset()
-			s.cursor = -1
 		}
 		if !fl.sleep(bo.next(attempt)) {
 			return
@@ -70,110 +57,82 @@ func (fl *Fleet) supervise(s *fstate) {
 	}
 }
 
-// feedLive runs one live-mode feed attempt: directory catch-up when the
-// follower has no state, then an exact-splice subscription to the
-// writer. Returns nil only when the log has ended and the follower is
-// final.
-func (fl *Fleet) feedLive(s *fstate, attempt int) (err error) {
+// feed runs one feed attempt, the same loop in both modes: subscribe (live
+// only), scan the directory from the cursor, retire if the end trailer
+// was there, otherwise wait for news and go round again. Subscribing
+// before scanning is what leaves no gap: the writer flushes as it splices
+// the subscription in, so the scan reads at least everything the stream
+// will not carry, and the overlap is skipped by version in Follower.apply
+// — as is whatever a restarted feed rescans of what it already holds. The
+// mode decides only how the feed waits: a live feed drains the writer's
+// pushes until the stream ends (the log closed, or the watchdog or
+// Fleet.Close ended it), a directory feed — and a live one whose writer is
+// closing and takes no more subscribers — sleeps the jittered
+// PollInterval. The end trailer is the only way out that is not an error.
+func (fl *Fleet) feed(s *fstate) (err error) {
 	defer func() {
+		fl.unsubscribe(s)
 		if r := recover(); r != nil {
 			err = fmt.Errorf("%w: %v", errKilled, r)
 		}
 	}()
 	fl.beginAttempt(s)
-	if s.f.Version() == 0 {
-		// Snapshot-anchored rebuild: force buffered records durable,
-		// then replay the newest snapshot-led tail from the directory.
-		fl.log.Sync()
-		if _, err := fl.scanDir(s); err != nil {
-			return err
-		}
-	}
-	st, err := fl.log.Stream(s.f.Version() + 1)
-	if err != nil {
-		// The writer already closed, so the directory holds everything;
-		// finish from there.
-		if _, err := fl.scanDir(s); err != nil {
-			return err
-		}
-		return nil
-	}
-	s.stream.Store(st)
-	defer func() {
-		s.stream.Store(nil)
-		st.Close()
-	}()
-	// Fleet.Close sets stopped and then closes the streams it finds; one
-	// registered after it looked would leave Next blocked for good.
-	if fl.stopped.Load() {
-		return errClosing
-	}
+	poll := fl.backoffFor(^s.f.id) // poll jitter stream, distinct from restart backoff
 	for {
-		c, ok := st.Next()
-		if !ok {
-			break
+		var st *commitlog.Stream
+		if fl.log != nil {
+			st, _ = fl.log.Stream()
+			s.stream.Store(st)
 		}
-		if err := fl.applyOne(s, c); err != nil {
-			return err
-		}
-	}
-	if fl.stopped.Load() {
-		return errClosing
-	}
-	if s.restartReq.Load() {
-		return errKicked
-	}
-	// Clean end of stream: the log closed. Pick up the end trailer (and
-	// prove there is no residue) with a final directory pass.
-	if _, err := fl.scanDir(s); err != nil {
-		return err
-	}
-	return nil
-}
-
-// feedDir runs one directory-mode feed attempt: poll the segment files
-// for new records with a jittered interval until the end trailer
-// appears. Returns nil only at a clean end trailer.
-func (fl *Fleet) feedDir(s *fstate, attempt int) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%w: %v", errKilled, r)
-		}
-	}()
-	fl.beginAttempt(s)
-	bo := fl.backoffFor(^s.f.id) // poll jitter stream, distinct from restart backoff
-	for {
+		// Checked after the stream is registered: Fleet.Close and the
+		// watchdog set their flag and then close the stream they find, so
+		// one registered after they looked is caught here, not left parked
+		// in Next.
 		if fl.stopped.Load() {
 			return errClosing
 		}
 		if s.restartReq.Load() {
 			return errKicked
 		}
-		progressed, err := fl.scanDir(s)
+		ended, err := fl.scanDir(s)
 		if err != nil {
 			return err
 		}
-		if s.sawEnd {
+		if ended {
 			return nil
 		}
-		if progressed {
+		if st == nil {
+			// Seeded jitter, so a fleet of followers does not stat the
+			// directory in lockstep.
+			if !fl.sleep(fl.o.PollInterval + time.Duration(poll.rng.Below(int64(fl.o.PollInterval)))) {
+				return errClosing
+			}
 			continue
 		}
-		// Nothing new yet: poll, with seeded jitter so a fleet of
-		// followers does not stat the directory in lockstep.
-		d := fl.o.PollInterval + time.Duration(bo.rng.Below(int64(fl.o.PollInterval)))
-		if !fl.sleep(d) {
-			return errClosing
+		for c, ok := st.Next(); ok; c, ok = st.Next() {
+			if err := fl.applyOne(s, c); err != nil {
+				return err
+			}
 		}
+		fl.unsubscribe(s)
 	}
 }
 
-// scanDir advances the follower from the directory: a tolerant scan
-// from its cursor (first call picks the newest snapshot anchor, or
-// record zero for the archive) applying snapshots, commits and the end
-// trailer. A torn tail simply ends the scan; interior decode errors
-// surface for the supervisor's repair/rebuild path.
-func (fl *Fleet) scanDir(s *fstate) (progressed bool, err error) {
+// unsubscribe detaches the follower's live subscription, if it has one.
+func (fl *Fleet) unsubscribe(s *fstate) {
+	if st := s.stream.Swap(nil); st != nil {
+		st.Close()
+	}
+}
+
+// scanDir advances the follower from the directory: a tolerant scan from
+// its cursor (a follower with no state starts at the newest snapshot
+// anchor; the archive, which keeps every version, at record zero)
+// applying snapshots and commits; ended reports that it reached the end
+// trailer. A torn tail simply
+// ends the scan; interior decode errors surface for the supervisor's
+// rebuild path.
+func (fl *Fleet) scanDir(s *fstate) (ended bool, err error) {
 	r, err := commitlog.OpenReader(fl.dir)
 	if err != nil {
 		return false, err
@@ -186,15 +145,12 @@ func (fl *Fleet) scanDir(s *fstate) (progressed bool, err error) {
 			}
 		}
 	}
-	startV := s.f.Version()
-	restored := false
 	_, err = r.ForEachAvailableFrom(s.cursor, func(rec int64, rc commitlog.Record) error {
 		switch rc.Kind {
 		case commitlog.KindSnapshot:
 			switch {
 			case s.f.Version() == 0:
 				s.f.restore(rc.Snapshot)
-				restored = true
 				fl.noteProgress(s)
 			case rc.Snapshot.Version > s.f.Version():
 				// A snapshot ahead of us means the scan skipped commits.
@@ -208,20 +164,25 @@ func (fl *Fleet) scanDir(s *fstate) (progressed bool, err error) {
 			}
 		case commitlog.KindEnd:
 			fl.raiseFrontier(rc.End.Version)
-			s.sawEnd = true
+			ended = true
 		}
 		s.cursor = rec + 1
 		return nil
 	})
-	return restored || s.f.Version() > startV, err
+	return ended, err
 }
 
 // applyOne pushes one commit into the follower with the chaos hooks
 // around it: an injected stall delays the apply (slow disk), a tear
 // aborts the feed with state intact, a kill panics — the supervisor's
-// recover turns it into a from-snapshot rebuild. Duplicates (replay
-// overlap after a resubscribe) are skipped by the follower itself.
+// recover turns it into a from-snapshot rebuild. A duplicate (the overlap
+// of a scan and a subscription, or of a rescan and what the follower
+// holds) is not an apply: it draws no fault and is dropped here, by the
+// same version rule Follower.apply would drop it by.
 func (fl *Fleet) applyOne(s *fstate, c commitlog.Commit) error {
+	if c.Version <= s.f.Version() {
+		return nil
+	}
 	if cs := s.cs; cs != nil {
 		if d := cs.FollowerStall(); d > 0 {
 			if !fl.sleep(time.Duration(d)) {
@@ -346,15 +307,20 @@ func (fl *Fleet) watchdog() {
 				continue
 			}
 			if frontier > v && now-s.lastMoveNS.Load() > int64(stallTimeout) {
-				// Stalled: ask the feed to restart and unblock it if it
-				// is parked in Stream.Next.
+				// Stalled.
 				s.lastMoveNS.Store(now) // one kick per timeout window
-				s.restartReq.Store(true)
-				if st := s.stream.Load(); st != nil {
-					st.Close()
-				}
+				fl.kick(s)
 			}
 		}
+	}
+}
+
+// kick asks a follower's feed to restart, unparking it if it is in
+// Stream.Next.
+func (fl *Fleet) kick(s *fstate) {
+	s.restartReq.Store(true)
+	if st := s.stream.Load(); st != nil {
+		st.Close()
 	}
 }
 

@@ -65,10 +65,6 @@ type Options struct {
 	// replica_reads_{served,redirected,rejected}, the replica_lag_hist
 	// histogram and replica_catchup_ns) for the analyzer.
 	Registry *obs.Registry
-	// SnapshotOnRestart, in live mode, has the supervisor call
-	// Log.RequestSnapshot before a killed follower rebuilds, so the
-	// rebuild replays from a fresh anchor instead of a long tail.
-	SnapshotOnRestart bool
 	// OnApply, when non-nil, observes every commit a follower applies
 	// (called from the follower's feed goroutine, after the apply).
 	// conseq-replay -follow uses it for per-commit output.
@@ -107,7 +103,8 @@ type FleetStats struct {
 }
 
 // errTear marks an injected (or real) mid-stream read failure: the
-// follower keeps its state and resubscribes from version+1.
+// follower keeps its state and its cursor, and the next attempt's scan
+// picks up what the torn stream did not deliver.
 var errTear = fmt.Errorf("replica: subscription torn mid-stream")
 
 // errKicked marks a supervisor-forced restart (stalled stream).
@@ -118,12 +115,11 @@ type fstate struct {
 	f       *Follower
 	archive bool
 
-	// Feed-goroutine-owned (no locking): the chaos draw stream, the next
-	// directory record to scan (-1 = recompute from the newest anchor),
-	// and whether the end trailer has been seen.
+	// Feed-goroutine-owned (no locking): the chaos draw stream and the
+	// next directory record to scan (-1 = recompute from the newest
+	// anchor).
 	cs     *chaos.Stream
 	cursor int64
-	sawEnd bool
 
 	admitted    atomic.Bool
 	finished    atomic.Bool // feed reached the log's end
@@ -171,7 +167,7 @@ type Fleet struct {
 
 // New prepares a fleet over a commit-log directory. live, when non-nil,
 // is the in-process writer: followers subscribe to its Stream and the
-// supervisor may request snapshots from it. With live nil the fleet
+// supervisor has it mint a snapshot before a crashed follower rebuilds. With live nil the fleet
 // tails the directory (the out-of-process mode conseq-replay -follow
 // uses). Nothing runs until Start.
 func New(dir string, live *commitlog.Log, o Options) *Fleet {

@@ -2,16 +2,17 @@
 // followers — the read scale-out layer the commit log's
 // replica-equivalence property (docs/commitlog.md) pays for. Each
 // follower feeds an incremental replica of the run's committed memory
-// from internal/commitlog, either live (Log.Stream) or by tailing the
-// directory (Reader.ForEachAvailableFrom), and answers versioned reads:
+// from internal/commitlog — a scan of the log directory
+// (Reader.ForEachAvailableFrom) and then, beside a live writer, its pushes
+// (Log.Stream); without one, more scans — and answers versioned reads:
 // ReadAt(version, page) returns the page's committed content at exactly
 // that version, ReadLatest returns the follower's newest state under an
 // explicit staleness bound.
 //
 // The robustness machinery is the point (docs/replication.md). A
 // supervisor goroutine per follower recovers panics (including injected
-// follower-kill chaos), restarts the follower from the newest retained
-// snapshot with replay-resume, and wraps every directory read in a
+// follower-kill chaos), restarts the follower from the newest snapshot
+// with replay-resume, and wraps every directory read in a
 // jittered, capped, seeded-deterministic retry/backoff loop so torn
 // tails and unreadable segments degrade to latency, never to wrong
 // answers. Followers whose lag exceeds the fleet's bound are drained
@@ -185,10 +186,13 @@ func (f *Follower) restore(s commitlog.Snapshot) {
 	f.floor = s.Version
 }
 
-// apply advances the replica by one commit. Duplicates (a resubscribe
-// overlapping the already-applied prefix) are skipped and report false;
-// a version gap is an error — the feed must restart rather than serve a
-// state no writer ever had.
+// apply advances the replica by one commit. Duplicates (a scan or a
+// subscription overlapping the already-applied prefix) are skipped and
+// report false; a version gap is an error — the feed must restart rather
+// than serve a state no writer ever had. This is the follower's own,
+// tolerant rule, not commitlog.State.ApplyRecord's strict one: its input
+// overlaps by design, it captures an undo entry per page, and its
+// allocations are gated (TestFollowerApplyAllocatesNoPages).
 func (f *Follower) apply(c commitlog.Commit) (bool, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -196,10 +200,6 @@ func (f *Follower) apply(c commitlog.Commit) (bool, error) {
 		return false, nil // duplicate: already applied
 	}
 	if c.Version != f.version+1 {
-		// On a fresh follower this means history was truncated underneath
-		// it with no snapshot to anchor on; mid-stream it is a gap. Either
-		// way the feed must restart rather than serve a state no writer
-		// ever had.
 		return false, fmt.Errorf("replica: version gap %d -> %d", f.version, c.Version)
 	}
 	for _, pd := range c.Pages {

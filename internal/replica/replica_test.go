@@ -4,6 +4,7 @@ import (
 	"errors"
 	"hash/fnv"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -247,7 +248,7 @@ func TestFleetChaosDeterminism(t *testing.T) {
 			}
 			fl := New(dir, l, Options{
 				Followers: 2, Archive: true, HistoryVersions: 64,
-				Seed: seed, Chaos: in, SnapshotOnRestart: true,
+				Seed: seed, Chaos: in,
 			})
 			if err := fl.Start(); err != nil {
 				t.Fatal(err)
@@ -348,6 +349,105 @@ func TestFleetDirModeTailsToEnd(t *testing.T) {
 	}
 	if got := fl.Frontier(); got != n {
 		t.Fatalf("frontier %d, want %d", got, n)
+	}
+}
+
+// TestFeedSurvivesRestartDuringClose: a feed retires at the end trailer
+// and nowhere else. A follower restart — here the stall watchdog's kick; a
+// chaos tear takes the same path — can land while the writer is closing:
+// Log.Close has stopped taking subscribers but its drain is still writing
+// the tail. "The writer is closed" does not mean "the directory holds
+// everything": the restarted feed must keep polling until the trailer is
+// on disk, not scan once and retire short of the end for good. The mirror
+// case is the same kick with the writer still open:
+// the feed resubscribes and rescans, and the overlap must be skipped, not
+// re-applied. Either way every version is applied exactly once, in order,
+// and Done is reported only with the follower at the final version.
+func TestFeedSurvivesRestartDuringClose(t *testing.T) {
+	const n = 200
+	commits := mkCommits(n)
+	for _, tc := range []struct {
+		name    string
+		closing bool
+	}{{"writer closing", true}, {"writer open", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, err := commitlog.Create(dir, commitlog.Options{SegmentBytes: 512, SnapshotEvery: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A slow disk: the drain stalls at every roll and snapshot, so
+			// Close spends tens of milliseconds draining.
+			l.SetPerturb(func() int64 { return int64(3 * time.Millisecond) })
+			if err := l.Begin(tPageSize, tNumPages); err != nil {
+				t.Fatal(err)
+			}
+			var mu sync.Mutex
+			var applied []int64
+			fl := New(dir, l, Options{Followers: 1, Seed: 1, OnApply: func(_ int, c commitlog.Commit) {
+				mu.Lock()
+				applied = append(applied, c.Version)
+				mu.Unlock()
+			}})
+			if err := fl.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer fl.Close()
+			s := fl.states[0]
+			waitFor(t, "the follower to subscribe", func() bool { return s.stream.Load() != nil })
+
+			closed := make(chan error, 1)
+			for _, c := range commits[:n/2] {
+				l.Append(c)
+			}
+			if tc.closing {
+				for _, c := range commits[n/2:] {
+					l.Append(c)
+				}
+				go func() { closed <- l.Close() }()
+				time.Sleep(5 * time.Millisecond) // Close has begun; its drain has most of the log to go
+			}
+			fl.kick(s)
+			if !tc.closing {
+				for _, c := range commits[n/2:] {
+					l.Append(c)
+				}
+				if err := fl.WaitCaughtUp(n, 10*time.Second); err != nil {
+					t.Fatal(err)
+				}
+				go func() { closed <- l.Close() }()
+			}
+			if err := <-closed; err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "the feed to retire", fl.Done)
+			if got := s.f.Version(); got != n {
+				t.Fatalf("the feed retired with the follower at version %d of %d", got, n)
+			}
+			if got := fl.Stats().Restarts; got == 0 {
+				t.Fatal("the kick restarted nothing")
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			for i, v := range applied {
+				if v != int64(i+1) {
+					t.Fatalf("apply number %d was version %d: a duplicate or a gap (applied %v)", i+1, v, applied)
+				}
+			}
+			if len(applied) != n {
+				t.Fatalf("%d versions applied, want %d", len(applied), n)
+			}
+		})
+	}
+}
+
+// waitFor polls cond for up to ten seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(200 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
 	}
 }
 

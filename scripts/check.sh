@@ -1,8 +1,8 @@
 #!/bin/sh
 # Pre-PR gate: formatting, vet, godoc lint, build, tests (the determinism
-# gate is one of them), race detector, the bench module, CLI smokes. Run
-# from the repo root (directly or via `make check`); exits non-zero on the
-# first failure.
+# gate is one of them, and so are the bench module's), race detector, CLI
+# smokes. Run from the repo root (directly or via `make check`); exits
+# non-zero on the first failure.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -24,16 +24,13 @@ go run ./scripts/lintdoc ./internal/det ./internal/clock ./internal/costmodel ./
 echo "== go build ./..."
 go build ./...
 
-echo "== go test ./... (includes the determinism gate, internal/harness/gate_test.go)"
+echo "== go test ./... (includes the determinism gate, internal/harness/gate_test.go, and — through cmd/cli_test.go — go vet + go test inside bench/, which has its own go.mod)"
 go test ./...
 
 echo "== go test -race (obs + mem + det + chaos + replica + commitlog + journal + api)"
 # journal has no goroutine of its own; its tests drive the log's recorder
 # and drain as a run does.
 go test -race ./internal/obs/... ./internal/mem ./internal/det ./internal/chaos/... ./internal/replica ./internal/commitlog ./internal/journal ./internal/api
-
-echo "== bench module (own go.mod: the root ./... does not descend into it)"
-(cd bench && go vet ./... && go test ./...)
 
 echo "== conseq-analyze smoke (golden trace)"
 go run ./cmd/conseq-analyze -input internal/obs/testdata/golden_trace.json >/dev/null
