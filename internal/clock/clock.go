@@ -72,31 +72,45 @@ type threadState struct {
 	scope int
 }
 
+// Shard is one grant domain's record, written only inside the grant and
+// the release. The paper's single token is the one-shard case.
+type Shard struct {
+	// Clock is the clock of the shard's last release: the fast-forward
+	// target (§3.5).
+	Clock int64
+	// Holder is the last tid granted the shard's sub-token (NoGrant =
+	// never); Grants counts its single-shard takes.
+	Holder int
+	Grants int64
+	// FrontierNS is the virtual time at which the shard's last operation
+	// released — an operation entering the shard may not begin before it,
+	// which is what lets operations in different shards overlap in modeled
+	// time — and BusyNS the summed token-held time of its operations.
+	FrontierNS int64
+	BusyNS     int64
+}
+
 // Arbiter is the deterministic token arbiter. All methods are safe for
-// concurrent use.
+// concurrent use; state transitions are token-serialized, so the mutex
+// matters on the real host and against Stats/DumpState scrapes.
 type Arbiter struct {
-	mu      sync.Mutex
-	policy  Policy
-	threads map[int]*threadState
-	order   []int // registered tids, sorted (the RR ring)
+	mu     sync.Mutex
+	policy Policy
+	// threads is the one thread table, ascending by tid: the RR ring and
+	// the order the IC grant loop walks.
+	threads []threadState
 	holder  int
+	kind    TakeKind // how the token reached holder
 	// rrNext is the tid whose turn it is (RR policy). It may name an
 	// unregistered tid after exits; grant search starts at the first
 	// registered tid >= rrNext (cyclically).
 	rrNext int
 	// fastForward enables §3.5 on Arrive.
 	fastForward bool
-	// shardClocks holds, per shard, the clock of the thread that most
-	// recently released the token in that shard: the fast-forward target
-	// (§3.5). The paper's single token is the one-shard case;
-	// EnableShardGrants splits the clock domain (shardgrant.go).
-	shardClocks []int64
-
-	// stats
-	grants   int64
-	departs  int64
-	ffJumps  int64
-	ffAmount int64
+	// shards holds the per-shard records; one until EnableShardGrants
+	// splits the clock domain (shardgrant.go).
+	shards []Shard
+	stats  Stats // the counters; Stats fills in Shards
 }
 
 // New creates an arbiter with the given policy. fastForward enables the
@@ -104,15 +118,20 @@ type Arbiter struct {
 func New(policy Policy, fastForward bool) *Arbiter {
 	return &Arbiter{
 		policy:      policy,
-		threads:     make(map[int]*threadState),
 		holder:      NoGrant,
 		fastForward: fastForward,
-		shardClocks: make([]int64, 1),
+		shards:      newShards(1),
 	}
 }
 
-// Policy returns the arbiter's ordering policy.
-func (a *Arbiter) Policy() Policy { return a.policy }
+// newShards returns n shard records nobody has held yet.
+func newShards(n int) []Shard {
+	shards := make([]Shard, n)
+	for i := range shards {
+		shards[i].Holder = NoGrant
+	}
+	return shards
+}
 
 // Register adds a thread with the given starting clock. The thread starts
 // eligible and not wanting. Returns a grant if the registration unblocks
@@ -120,14 +139,13 @@ func (a *Arbiter) Policy() Policy { return a.policy }
 func (a *Arbiter) Register(tid int, start int64) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if _, ok := a.threads[tid]; ok {
+	i := a.search(tid)
+	if i < len(a.threads) && a.threads[i].tid == tid {
 		panic(fmt.Sprintf("clock: tid %d registered twice", tid))
 	}
-	a.threads[tid] = &threadState{tid: tid, count: start, eligible: true, scope: a.scopeLocked(GlobalScope)}
-	i := sort.SearchInts(a.order, tid)
-	a.order = append(a.order, 0)
-	copy(a.order[i+1:], a.order[i:])
-	a.order[i] = tid
+	a.threads = append(a.threads, threadState{})
+	copy(a.threads[i+1:], a.threads[i:])
+	a.threads[i] = threadState{tid: tid, count: start, eligible: true, scope: a.scopeLocked(GlobalScope)}
 	return a.grantLocked()
 }
 
@@ -136,16 +154,14 @@ func (a *Arbiter) Register(tid int, start int64) int {
 func (a *Arbiter) Unregister(tid int) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	st := a.state(tid)
-	if st.wanting {
+	if a.state(tid).wanting {
 		panic(fmt.Sprintf("clock: tid %d unregistered while waiting for token", tid))
 	}
 	if a.holder == tid {
 		panic(fmt.Sprintf("clock: tid %d unregistered while holding token", tid))
 	}
-	delete(a.threads, tid)
-	i := sort.SearchInts(a.order, tid)
-	a.order = append(a.order[:i], a.order[i+1:]...)
+	i := a.search(tid)
+	a.threads = append(a.threads[:i], a.threads[i+1:]...)
 	return a.grantLocked()
 }
 
@@ -175,18 +191,38 @@ func (a *Arbiter) Count(tid int) int64 {
 // request: the whole clock domain on the single token.
 func (a *Arbiter) Request(tid int) int { return a.RequestSharded(tid, 0) }
 
-// Release gives up the token and returns the next grant, if any.
+// Release gives up the token and returns the next grant, if any: ReleaseAt
+// for a caller with no time model (it publishes nothing).
+func (a *Arbiter) Release(tid int) int { return a.ReleaseAt(tid, 0, 0, 0) }
+
+// ReleaseAt gives up the token at virtual time now, after holding it for
+// held ns, and returns the next grant, if any. scope is the scope of the
+// operation that ends the hold — a coarsened chunk carries one grant across
+// operations in other shards — and its frontier and busy time move before
+// the grant is evaluated, so a wake anchored on the grant (Take) sees this
+// release. The release clock folds into the scope the token was granted in.
+//
 // The releaser's clock is advanced by one instruction: the synchronization
 // operation itself retires work (Kendo does the same), and without it two
 // threads at equal clocks would livelock — the smaller tid would win the
 // token forever.
-func (a *Arbiter) Release(tid int) int {
+func (a *Arbiter) ReleaseAt(tid, scope int, now, held int64) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.holder != tid {
 		panic(fmt.Sprintf("clock: tid %d released token held by %d", tid, a.holder))
 	}
 	a.holder = NoGrant
+	if scope = a.scopeLocked(scope); scope != GlobalScope {
+		sh := &a.shards[scope]
+		sh.FrontierNS = max(sh.FrontierNS, now)
+		sh.BusyNS += held
+	} else {
+		for i := range a.shards {
+			a.shards[i].FrontierNS = max(a.shards[i].FrontierNS, now)
+		}
+		a.stats.GlobalBusyNS += held
+	}
 	st := a.state(tid)
 	st.count++
 	a.foldReleaseLocked(st, st.count)
@@ -209,7 +245,8 @@ func (a *Arbiter) NudgePast(tid int) (int64, int) {
 	// Exceed the minimum clock among the other eligible threads.
 	var minOther int64
 	found := false
-	for _, other := range a.threads {
+	for i := range a.threads {
+		other := &a.threads[i]
 		if other.tid == tid || !other.eligible {
 			continue
 		}
@@ -237,7 +274,7 @@ func (a *Arbiter) Depart(tid int) int {
 	st := a.state(tid)
 	st.eligible = false
 	st.wanting = false
-	a.departs++
+	a.stats.Departs++
 	return a.grantLocked()
 }
 
@@ -245,18 +282,7 @@ func (a *Arbiter) Depart(tid int) int {
 // enabled, the thread's clock jumps to the clock of the last token releaser
 // if that is larger (§3.5), preventing a long-blocked thread from pinning
 // the global minimum. Returns the follow-on grant, if any.
-func (a *Arbiter) Arrive(tid int) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	st := a.state(tid)
-	st.eligible = true
-	if target := a.ffTargetLocked(st); a.fastForward && target > st.count {
-		a.ffJumps++
-		a.ffAmount += target - st.count
-		st.count = target
-	}
-	return a.grantLocked()
-}
+func (a *Arbiter) Arrive(tid int) int { return a.arrive(tid, false) }
 
 // ArriveWanting atomically re-admits tid to consideration (with
 // fast-forward, as Arrive) and marks it as waiting for the token — on the
@@ -266,17 +292,19 @@ func (a *Arbiter) Arrive(tid int) int {
 // real-time scheduling (the hazard the paper's footnote 4 describes).
 // Returns the follow-on grant, if any (none while the caller holds the
 // token).
-func (a *Arbiter) ArriveWanting(tid int) int {
+func (a *Arbiter) ArriveWanting(tid int) int { return a.arrive(tid, true) }
+
+func (a *Arbiter) arrive(tid int, wanting bool) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	st := a.state(tid)
 	st.eligible = true
 	if target := a.ffTargetLocked(st); a.fastForward && target > st.count {
-		a.ffJumps++
-		a.ffAmount += target - st.count
+		a.stats.FastForwards++
+		a.stats.FastForwardSkip += target - st.count
 		st.count = target
 	}
-	st.wanting = true
+	st.wanting = st.wanting || wanting
 	return a.grantLocked()
 }
 
@@ -294,11 +322,13 @@ func (a *Arbiter) Holder() int {
 func (a *Arbiter) IsMinEligible(tid int) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	self, ok := a.threads[tid]
-	if !ok || !self.eligible {
+	i := a.search(tid)
+	if i == len(a.threads) || a.threads[i].tid != tid || !a.threads[i].eligible {
 		return false
 	}
-	for _, st := range a.threads {
+	self := &a.threads[i]
+	for j := range a.threads {
+		st := &a.threads[j]
 		if !st.eligible || st.tid == tid {
 			continue
 		}
@@ -319,7 +349,8 @@ func (a *Arbiter) MinWantingAbove(above int64) (int64, bool) {
 	defer a.mu.Unlock()
 	best := int64(0)
 	found := false
-	for _, st := range a.threads {
+	for i := range a.threads {
+		st := &a.threads[i]
 		if st.wanting && st.count > above && (!found || st.count < best) {
 			best = st.count
 			found = true
@@ -328,14 +359,20 @@ func (a *Arbiter) MinWantingAbove(above int64) (int64, bool) {
 	return best, found
 }
 
+// search returns tid's position in the thread table: the index of the
+// first registered tid >= tid.
+func (a *Arbiter) search(tid int) int {
+	return sort.Search(len(a.threads), func(i int) bool { return a.threads[i].tid >= tid })
+}
+
 // state looks up tid or panics: calls against unknown threads are runtime
-// bugs, not recoverable conditions.
+// bugs, not recoverable conditions. The pointer is good until the next
+// Register or Unregister.
 func (a *Arbiter) state(tid int) *threadState {
-	st, ok := a.threads[tid]
-	if !ok {
-		panic(fmt.Sprintf("clock: unknown tid %d", tid))
+	if i := a.search(tid); i < len(a.threads) && a.threads[i].tid == tid {
+		return &a.threads[i]
 	}
-	return st
+	panic(fmt.Sprintf("clock: unknown tid %d", tid))
 }
 
 // grantLocked evaluates the grant condition and assigns the token if some
@@ -359,60 +396,60 @@ func (a *Arbiter) grantLocked() int {
 // waiting; otherwise everyone waits for it to synchronize (this is exactly
 // the round-robin pathology of Figure 1b).
 func (a *Arbiter) grantRRLocked() int {
-	if len(a.order) == 0 {
-		return NoGrant
-	}
-	turn := a.turnLocked()
-	if turn == nil || !turn.wanting {
-		return NoGrant
-	}
-	a.holder = turn.tid
-	turn.wanting = false
-	a.grants++
-	return turn.tid
-}
-
-// turnLocked finds the thread whose RR turn it is.
-func (a *Arbiter) turnLocked() *threadState {
-	i := sort.SearchInts(a.order, a.rrNext)
-	n := len(a.order)
-	for k := 0; k < n; k++ {
-		st := a.threads[a.order[(i+k)%n]]
-		if st.eligible {
-			return st
+	n := len(a.threads)
+	for i, k := a.search(a.rrNext), 0; k < n; k++ {
+		if turn := &a.threads[(i+k)%n]; turn.eligible {
+			if !turn.wanting {
+				return NoGrant
+			}
+			return a.grantToLocked(turn)
 		}
 	}
-	return nil
+	return NoGrant
 }
 
-// Stats reports arbitration counters.
+// Stats reports arbitration counters and the per-shard records. Every take
+// is exactly one of a shard-local re-acquire, a transfer or a cross-shard
+// edge (Locals + Transfers + Merges == Grants); on the single token every
+// take is an edge.
 type Stats struct {
 	Grants          int64
 	Departs         int64
 	FastForwards    int64
 	FastForwardSkip int64 // total instructions skipped by fast-forwards
+
+	Locals       int64 // shard-local sub-token re-acquires (cheap path)
+	Transfers    int64 // cross-thread sub-token handoffs
+	Merges       int64 // cross-shard edges (every sub-token engaged at once)
+	GlobalBusyNS int64 // token-held time of the cross-shard edges
+	Shards       []Shard
 }
 
-// DumpState renders the arbiter's thread table — holder, shard clocks, and
-// each registered thread's clock, eligibility, wanting flag and scope — for
-// failure diagnostics (watchdog stall dumps, RuntimeError context). Safe to
-// call from any goroutine at any time.
+// DumpState renders the arbiter's tables — holder, the per-shard records,
+// and each registered thread's clock, eligibility, wanting flag and scope —
+// for failure diagnostics (watchdog stall dumps, RuntimeError context).
+// Safe to call from any goroutine at any time.
 func (a *Arbiter) DumpState() string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	var b strings.Builder
-	fmt.Fprintf(&b, "arbiter: policy=%s holder=%d grants=%d departs=%d\n", a.policy, a.holder, a.grants, a.departs)
-	fmt.Fprintf(&b, "  shard clocks: %v\n", a.shardClocks)
-	for _, tid := range a.order {
-		st := a.threads[tid]
-		fmt.Fprintf(&b, "  t%-4d clock=%-12d eligible=%-5v wanting=%v scope=%d\n", tid, st.count, st.eligible, st.wanting, st.scope)
+	fmt.Fprintf(&b, "arbiter: policy=%s holder=%d grants=%d departs=%d\n", a.policy, a.holder, a.stats.Grants, a.stats.Departs)
+	fmt.Fprintf(&b, "  shards: n=%d locals=%d transfers=%d merges=%d\n",
+		len(a.shards), a.stats.Locals, a.stats.Transfers, a.stats.Merges)
+	for i, sh := range a.shards {
+		fmt.Fprintf(&b, "  shard %-3d clock=%-12d holder=%-4d grants=%d\n", i, sh.Clock, sh.Holder, sh.Grants)
+	}
+	for _, st := range a.threads {
+		fmt.Fprintf(&b, "  t%-4d clock=%-12d eligible=%-5v wanting=%v scope=%d\n", st.tid, st.count, st.eligible, st.wanting, st.scope)
 	}
 	return strings.TrimRight(b.String(), "\n")
 }
 
-// Stats returns a snapshot of arbitration counters.
+// Stats returns a snapshot; the caller owns the Shards slice.
 func (a *Arbiter) Stats() Stats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return Stats{Grants: a.grants, Departs: a.departs, FastForwards: a.ffJumps, FastForwardSkip: a.ffAmount}
+	s := a.stats
+	s.Shards = append([]Shard(nil), a.shards...)
+	return s
 }

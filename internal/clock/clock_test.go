@@ -338,75 +338,104 @@ func (g *gmic) grant() int {
 // scoped requests, which one shard folds to shard 0 — must produce the
 // reference's grant at every step and its clocks at the end.
 func TestPropOneShardIsGMIC(t *testing.T) {
+	f := func(seed int64) bool { return oneShardRun(t, seed, nil) }
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: the one-shard rule. On the single token every take — whatever
+// scope was requested — reports the global scope and is an edge, never a
+// shard-local re-acquire or a transfer, over the very grant sequences
+// TestPropOneShardIsGMIC holds to the reference.
+func TestPropOneShardTakesAreGlobal(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a := New(PolicyIC, true)
-		ref := &gmic{count: map[int]int64{}, eligible: map[int]bool{}, wanting: map[int]bool{}, holder: NoGrant}
-		next := 0
-		for step := 0; step < 400; step++ {
-			var tids []int
-			for tid := range ref.count {
-				tids = append(tids, tid)
-			}
-			sort.Ints(tids)
-			tid := NoGrant
-			if len(tids) > 0 {
-				tid = tids[rng.Intn(len(tids))]
-			}
-			got, want := NoGrant, NoGrant
-			switch op := rng.Intn(8); {
-			case tid == NoGrant || (op == 0 && len(tids) < 6):
-				start := int64(rng.Intn(50))
-				got = a.Register(next, start)
-				ref.count[next], ref.eligible[next] = start, true
-				next++
-			case op == 1:
-				d := int64(rng.Intn(20))
-				got = a.Advance(tid, d)
-				ref.count[tid] += d
-			case op <= 3 && tid != ref.holder && ref.eligible[tid] && !ref.wanting[tid]:
-				got = a.RequestSharded(tid, []int{0, GlobalScope}[rng.Intn(2)])
-				ref.wanting[tid] = true
-			case op == 4 && ref.holder != NoGrant:
-				tid = ref.holder
-				got = a.Release(tid)
-				ref.count[tid]++
-				ref.holder, ref.lastRelease = NoGrant, ref.count[tid]
-			case op == 5:
-				got = a.Depart(tid)
-				ref.eligible[tid], ref.wanting[tid] = false, false
-			case op == 6 && !ref.eligible[tid]:
-				wake := rng.Intn(2) == 0
-				if wake {
-					got = a.ArriveWanting(tid)
-				} else {
-					got = a.Arrive(tid)
-				}
-				ref.eligible[tid], ref.wanting[tid] = true, wake
-				ref.count[tid] = max(ref.count[tid], ref.lastRelease)
-			case op == 7 && tid != ref.holder && !ref.wanting[tid]:
-				got = a.Unregister(tid)
-				delete(ref.count, tid)
-				delete(ref.eligible, tid)
-			default:
-				continue
-			}
-			if want = ref.grant(); got != want {
-				t.Logf("seed %d step %d: arbiter granted %d, GMIC grants %d", seed, step, got, want)
+		return oneShardRun(t, seed, func(a *Arbiter, tid int) bool {
+			tk := a.Take(tid)
+			if tk.Scope != GlobalScope || tk.Kind != TakeEdge || tk.Count != a.Count(tid) {
+				t.Logf("seed %d: take by tid %d = %+v, want the global scope, an edge, the thread's clock", seed, tid, tk)
 				return false
 			}
-		}
-		for tid, c := range ref.count {
-			if a.Count(tid) != c {
-				t.Logf("seed %d: tid %d clock %d, GMIC has %d", seed, tid, a.Count(tid), c)
-				return false
-			}
-		}
-		return a.Holder() == ref.holder
+			st := a.Stats()
+			return st.Locals == 0 && st.Transfers == 0 && st.Merges == st.Grants && len(st.Shards) == 1
+		})
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// oneShardRun drives a one-shard arbiter and the gmic reference through one
+// seeded operation sequence and reports whether every grant and the final
+// clocks matched; onGrant, when set, also judges each grant as it happens.
+func oneShardRun(t *testing.T, seed int64, onGrant func(a *Arbiter, tid int) bool) bool {
+	rng := rand.New(rand.NewSource(seed))
+	a := New(PolicyIC, true)
+	ref := &gmic{count: map[int]int64{}, eligible: map[int]bool{}, wanting: map[int]bool{}, holder: NoGrant}
+	next := 0
+	for step := 0; step < 400; step++ {
+		var tids []int
+		for tid := range ref.count {
+			tids = append(tids, tid)
+		}
+		sort.Ints(tids)
+		tid := NoGrant
+		if len(tids) > 0 {
+			tid = tids[rng.Intn(len(tids))]
+		}
+		got, want := NoGrant, NoGrant
+		switch op := rng.Intn(8); {
+		case tid == NoGrant || (op == 0 && len(tids) < 6):
+			start := int64(rng.Intn(50))
+			got = a.Register(next, start)
+			ref.count[next], ref.eligible[next] = start, true
+			next++
+		case op == 1:
+			d := int64(rng.Intn(20))
+			got = a.Advance(tid, d)
+			ref.count[tid] += d
+		case op <= 3 && tid != ref.holder && ref.eligible[tid] && !ref.wanting[tid]:
+			got = a.RequestSharded(tid, []int{0, GlobalScope}[rng.Intn(2)])
+			ref.wanting[tid] = true
+		case op == 4 && ref.holder != NoGrant:
+			tid = ref.holder
+			got = a.Release(tid)
+			ref.count[tid]++
+			ref.holder, ref.lastRelease = NoGrant, ref.count[tid]
+		case op == 5:
+			got = a.Depart(tid)
+			ref.eligible[tid], ref.wanting[tid] = false, false
+		case op == 6 && !ref.eligible[tid]:
+			wake := rng.Intn(2) == 0
+			if wake {
+				got = a.ArriveWanting(tid)
+			} else {
+				got = a.Arrive(tid)
+			}
+			ref.eligible[tid], ref.wanting[tid] = true, wake
+			ref.count[tid] = max(ref.count[tid], ref.lastRelease)
+		case op == 7 && tid != ref.holder && !ref.wanting[tid]:
+			got = a.Unregister(tid)
+			delete(ref.count, tid)
+			delete(ref.eligible, tid)
+		default:
+			continue
+		}
+		if want = ref.grant(); got != want {
+			t.Logf("seed %d step %d: arbiter granted %d, GMIC grants %d", seed, step, got, want)
+			return false
+		}
+		if got != NoGrant && onGrant != nil && !onGrant(a, got) {
+			return false
+		}
+	}
+	for tid, c := range ref.count {
+		if a.Count(tid) != c {
+			t.Logf("seed %d: tid %d clock %d, GMIC has %d", seed, tid, a.Count(tid), c)
+			return false
+		}
+	}
+	return a.Holder() == ref.holder
 }
 
 // Property: RR grants visit every requesting thread exactly once per cycle,

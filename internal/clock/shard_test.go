@@ -2,87 +2,213 @@ package clock
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
-// The ShardSet is pure bookkeeping: it never grants. These tests pin the
-// two behaviours the runtime's pricing depends on — locality detection
-// and the merge-engages-every-sub-token edge rule.
+// The per-shard records are bookkeeping the grant itself writes. These
+// tests pin the two behaviours the runtime's pricing depends on — locality
+// detection and the edge-engages-every-sub-token rule — and that the
+// records can be scraped while the token moves.
 
-func TestShardSetRejectsZeroShards(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewShardSet(0) did not panic")
-		}
-	}()
-	NewShardSet(0)
+// newParked builds an n-shard arbiter whose registered threads have all
+// departed, so take can bring them back one at a time.
+func newParked(t *testing.T, n int, tids ...int) *Arbiter {
+	t.Helper()
+	a := New(PolicyIC, false)
+	a.EnableShardGrants(n)
+	for _, tid := range tids {
+		a.Register(tid, 0)
+		a.Depart(tid)
+	}
+	return a
+}
+
+// take drives one token hold by tid in scope and returns the arbiter's
+// answer about it. Every other thread is departed, so the request is
+// granted at once.
+func take(t *testing.T, a *Arbiter, tid, scope int) Take {
+	t.Helper()
+	a.Arrive(tid)
+	if g := a.RequestSharded(tid, scope); g != tid {
+		t.Fatalf("request by the only eligible tid %d granted %d", tid, g)
+	}
+	tk := a.Take(tid)
+	if tk.Scope != scope {
+		t.Fatalf("take by tid %d reports scope %d, requested %d", tid, tk.Scope, scope)
+	}
+	a.Release(tid)
+	a.Depart(tid)
+	return tk
 }
 
 func TestShardSetGrantLocality(t *testing.T) {
-	s := NewShardSet(2)
+	a := newParked(t, 2, 5, 7)
 	// First grant on a shard is never local — nobody has held it.
-	if s.NoteGrant(0, 5) {
-		t.Error("first grant on shard 0 reported local")
+	if k := take(t, a, 5, 0).Kind; k != TakeTransfer {
+		t.Errorf("first grant on shard 0 is %v, want a transfer", k)
 	}
 	// Same thread re-acquiring its own shard's sub-token: the cheap path.
-	if !s.NoteGrant(0, 5) {
-		t.Error("re-acquire by holder not reported local")
+	if k := take(t, a, 5, 0).Kind; k != TakeLocal {
+		t.Errorf("re-acquire by holder is %v, want local", k)
 	}
 	// A different thread taking the sub-token is a transfer.
-	if s.NoteGrant(0, 7) {
-		t.Error("handoff to a new thread reported local")
+	if k := take(t, a, 7, 0).Kind; k != TakeTransfer {
+		t.Errorf("handoff to a new thread is %v, want a transfer", k)
 	}
 	// Holder state is per shard: tid 5 still owns nothing on shard 1.
-	if s.NoteGrant(1, 5) {
-		t.Error("first grant on shard 1 reported local")
+	if k := take(t, a, 5, 1).Kind; k != TakeTransfer {
+		t.Errorf("first grant on shard 1 is %v, want a transfer", k)
 	}
-	st := s.Stats()
-	if st.Locals != 1 || st.Transfers != 3 {
-		t.Errorf("locals/transfers = %d/%d, want 1/3", st.Locals, st.Transfers)
+	st := a.Stats()
+	if st.Locals != 1 || st.Transfers != 3 || st.Merges != 0 || st.Grants != 4 {
+		t.Errorf("locals/transfers/merges/grants = %d/%d/%d/%d, want 1/3/0/4", st.Locals, st.Transfers, st.Merges, st.Grants)
 	}
-	if st.Grants[0] != 3 || st.Grants[1] != 1 {
-		t.Errorf("per-shard grants = %v, want [3 1]", st.Grants)
+	if st.Shards[0].Grants != 3 || st.Shards[1].Grants != 1 {
+		t.Errorf("per-shard grants = %d, %d, want 3, 1", st.Shards[0].Grants, st.Shards[1].Grants)
 	}
 }
 
 func TestShardSetMergeEqualizes(t *testing.T) {
-	s := NewShardSet(3)
-	s.NoteGrant(0, 1)
-	s.NoteGrant(1, 2)
-	s.Merge(7)
+	a := newParked(t, 3, 1, 2, 7)
+	take(t, a, 1, 0)
+	take(t, a, 2, 1)
+	if k := take(t, a, 7, GlobalScope).Kind; k != TakeEdge {
+		t.Fatalf("global-scope take is %v, want an edge", k)
+	}
 	// After a cross-shard edge every sub-token is held by the edge's
 	// thread: its next op on any shard is local, anyone else's a transfer.
 	for sh := 0; sh < 3; sh++ {
-		if !s.NoteGrant(sh, 7) {
-			t.Errorf("after Merge(7), shard %d re-acquire by 7 not local", sh)
+		if k := take(t, a, 7, sh).Kind; k != TakeLocal {
+			t.Errorf("after tid 7's edge, shard %d re-acquire by 7 is %v, want local", sh, k)
 		}
 	}
-	if s.NoteGrant(1, 2) {
-		t.Error("after Merge(7), shard 1 grant to its old holder reported local")
+	if k := take(t, a, 2, 1).Kind; k != TakeTransfer {
+		t.Errorf("after tid 7's edge, shard 1 grant to its old holder is %v, want a transfer", k)
 	}
-	s.Merge(2)
-	if st := s.Stats(); st.Merges != 2 {
+	take(t, a, 2, GlobalScope)
+	if st := a.Stats(); st.Merges != 2 {
 		t.Errorf("merges = %d, want 2", st.Merges)
 	}
 }
 
 func TestShardSetStatsSnapshotIsolated(t *testing.T) {
-	s := NewShardSet(1)
-	s.NoteGrant(0, 3)
-	st := s.Stats()
-	st.Grants[0] = 999
-	if got := s.Stats().Grants[0]; got != 1 {
-		t.Errorf("Stats shares its Grants slice: %d", got)
+	a := newParked(t, 2, 3)
+	take(t, a, 3, 0)
+	st := a.Stats()
+	st.Shards[0].Grants = 999
+	if got := a.Stats().Shards[0].Grants; got != 1 {
+		t.Errorf("Stats shares its Shards slice: %d", got)
 	}
 }
 
 func TestShardSetDumpState(t *testing.T) {
-	s := NewShardSet(2)
-	s.NoteGrant(1, 4)
-	d := s.DumpState()
-	for _, want := range []string{"shards: n=2", "shard 0", "shard 1", "holder=4", "grants=1"} {
+	a := newParked(t, 2, 4)
+	take(t, a, 4, 1)
+	d := a.DumpState()
+	for _, want := range []string{"shards: n=2", "shard 0", "shard 1", "holder=4", "grants=1", "transfers=1"} {
 		if !strings.Contains(d, want) {
 			t.Errorf("DumpState missing %q:\n%s", want, d)
 		}
+	}
+}
+
+// A release publishes its scope's frontier and busy time before the next
+// grant is evaluated, so the thread that grant wakes — and whoever anchors
+// its wake — reads this release's instant.
+func TestReleaseAtPublishesBeforeGrant(t *testing.T) {
+	a := newSharded(t, 2, map[int]int64{0: 0, 1: 5})
+	a.RequestSharded(0, 1)
+	if g := a.RequestSharded(1, 1); g != NoGrant {
+		t.Fatalf("tid 1 granted %d while tid 0 holds", g)
+	}
+	a.Depart(0) // tid 0 blocks, as a lock loser does: it leaves the order, then releases
+	if g := a.ReleaseAt(0, 1, 700, 40); g != 1 {
+		t.Fatalf("release granted %d, want the waiter 1", g)
+	}
+	if tk := a.Take(1); tk.FrontierNS != 700 || tk.Kind != TakeTransfer || tk.Count != 5 {
+		t.Fatalf("take after the release = %+v, want frontier 700, a transfer, clock 5", tk)
+	}
+	// A global release moves every frontier and accrues to the edge bucket;
+	// frontiers never move backwards.
+	a.ReleaseAt(1, GlobalScope, 600, 9)
+	st := a.Stats()
+	if st.Shards[0].FrontierNS != 600 || st.Shards[1].FrontierNS != 700 {
+		t.Errorf("frontiers = %d, %d, want 600, 700", st.Shards[0].FrontierNS, st.Shards[1].FrontierNS)
+	}
+	if st.Shards[1].BusyNS != 40 || st.GlobalBusyNS != 9 {
+		t.Errorf("busy = shard 1 %d, global %d, want 40, 9", st.Shards[1].BusyNS, st.GlobalBusyNS)
+	}
+}
+
+// Scraping is the one reason the shard records sit behind a mutex: a
+// metrics endpoint or a watchdog dump reads them while the token moves.
+// Four threads ping-pong the token across four shards while another
+// goroutine loops Stats and DumpState; meaningful under -race.
+func TestArbiterScrapeDuringTraffic(t *testing.T) {
+	const threads, shards, rounds = 4, 4, 300
+	a := New(PolicyIC, true)
+	a.EnableShardGrants(shards)
+	wake := make([]chan struct{}, threads)
+	for tid := range wake {
+		wake[tid] = make(chan struct{}, 1)
+		a.Register(tid, int64(tid))
+	}
+	deliver := func(g int) {
+		if g != NoGrant {
+			wake[g] <- struct{}{}
+		}
+	}
+	var traffic sync.WaitGroup
+	for tid := 0; tid < threads; tid++ {
+		traffic.Add(1)
+		go func(tid int) {
+			defer traffic.Done()
+			for i := 0; i < rounds; i++ {
+				scope := (tid + i) % shards
+				if i%7 == 0 {
+					scope = GlobalScope
+				}
+				if g := a.RequestSharded(tid, scope); g != tid {
+					deliver(g)
+					<-wake[tid]
+				}
+				if tk := a.Take(tid); tk.Scope != scope {
+					t.Errorf("tid %d round %d: take reports scope %d, requested %d", tid, i, tk.Scope, scope)
+				}
+				deliver(a.ReleaseAt(tid, scope, int64(i), 1))
+				deliver(a.Advance(tid, int64(1+tid)))
+			}
+			deliver(a.Unregister(tid))
+		}(tid)
+	}
+	done := make(chan struct{})
+	scraped := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-done:
+				scraped <- n
+				return
+			default:
+			}
+			st := a.Stats()
+			if st.Locals+st.Transfers+st.Merges != st.Grants || len(st.Shards) != shards {
+				t.Errorf("torn scrape: %+v", st)
+			}
+			if d := a.DumpState(); !strings.Contains(d, "shards: n=4") {
+				t.Errorf("torn dump:\n%s", d)
+			}
+			n++
+		}
+	}()
+	traffic.Wait()
+	close(done)
+	if n := <-scraped; n == 0 {
+		t.Error("the scraper never ran")
+	}
+	if st := a.Stats(); st.Grants != threads*rounds {
+		t.Errorf("grants = %d, want %d", st.Grants, threads*rounds)
 	}
 }

@@ -56,13 +56,14 @@ func (a *Arbiter) EnableShardGrants(n int) {
 	if len(a.threads) > 0 {
 		panic("clock: EnableShardGrants after threads registered")
 	}
-	a.shardClocks = make([]int64, n)
+	a.shards = newShards(n)
 }
 
 // RequestSharded is Request with an explicit scope: shard in [0, n) for a
 // single-shard operation, or GlobalScope for a cross-shard edge. The scope
 // sticks to the thread — Depart/ArriveWanting re-arms and fast-forwards
-// against the same scope — until the next RequestSharded or SetScope.
+// against the same scope — until the next RequestSharded or SetScope; the
+// grant reports it (Take).
 func (a *Arbiter) RequestSharded(tid, shard int) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -89,27 +90,69 @@ func (a *Arbiter) SetScope(tid, shard int) {
 	a.state(tid).scope = a.scopeLocked(shard)
 }
 
-// Scope returns tid's current request scope. The runtime reads it when
-// routing a wake to compute the target's virtual-time anchor.
-func (a *Arbiter) Scope(tid int) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.state(tid).scope
+// TakeKind says how the token reached its holder: what the runtime prices
+// a handoff from.
+type TakeKind int
+
+const (
+	// TakeEdge is a cross-shard edge: the grant engaged every shard's
+	// sub-token at once. Every take on the single token is one.
+	TakeEdge TakeKind = iota
+	// TakeLocal: the shard's previous holder took its sub-token back.
+	TakeLocal
+	// TakeTransfer: the sub-token went to a different thread.
+	TakeTransfer
+)
+
+// String names the kind ("edge", "local", "transfer").
+func (k TakeKind) String() string {
+	return [...]string{"edge", "local", "transfer"}[k]
 }
 
-// ShardClock returns shard sh's release clock.
-func (a *Arbiter) ShardClock(sh int) int64 {
+// Take is the arbiter's answer about the current token hold.
+type Take struct {
+	// Count is the holder's clock: fast-forwards and release increments
+	// happen arbiter-side.
+	Count int64
+	// Scope is the scope the grant was made in — the requested one unless
+	// a waker retargeted it (SetScope).
+	Scope int
+	// FrontierNS is the instant the scope's previous operation released
+	// (the maximum over all shards for GlobalScope).
+	FrontierNS int64
+	Kind       TakeKind
+}
+
+// Take describes the token hold of tid, which must be the holder: the one
+// question a thread asks on taking the token, and a waker asks to anchor
+// the wake of the grant it was handed. The answer is the same whenever it
+// is asked between the grant and the holder's release.
+func (a *Arbiter) Take(tid int) Take {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.shardClocks[sh]
+	if a.holder != tid {
+		panic(fmt.Sprintf("clock: take by tid %d, token held by %d", tid, a.holder))
+	}
+	st := a.state(tid)
+	t := Take{Count: st.count, Scope: a.reportLocked(st.scope), Kind: a.kind}
+	if t.Scope != GlobalScope {
+		t.FrontierNS = a.shards[t.Scope].FrontierNS
+		return t
+	}
+	for i := range a.shards {
+		t.FrontierNS = max(t.FrontierNS, a.shards[i].FrontierNS)
+	}
+	return t
 }
 
 // scopeLocked panics on a scope outside [0, n) ∪ {GlobalScope} and returns
-// the scope to record. On the single token the one shard is the whole
-// domain, so a "cross-shard" edge is a shard-0 request like any other —
-// which is what makes one-shard granting exactly GMIC.
+// the scope to record. It and reportLocked are the one-shard rule — every
+// scope is the global scope — and nothing outside the arbiter normalises a
+// scope: on the single token any request is recorded against shard 0, the
+// global scope's one clock domain, which makes one-shard granting exactly
+// GMIC.
 func (a *Arbiter) scopeLocked(shard int) int {
-	n := len(a.shardClocks)
+	n := len(a.shards)
 	if shard != GlobalScope && (shard < 0 || shard >= n) {
 		panic(fmt.Sprintf("clock: scope %d out of range (%d shards)", shard, n))
 	}
@@ -119,23 +162,27 @@ func (a *Arbiter) scopeLocked(shard int) int {
 	return shard
 }
 
+// reportLocked is what a recorded scope is reported and classified as:
+// itself, or GlobalScope on the single token.
+func (a *Arbiter) reportLocked(scope int) int {
+	if len(a.shards) == 1 {
+		return GlobalScope
+	}
+	return scope
+}
+
 // foldReleaseLocked publishes a release at clock clk into the releaser's
 // scope: a single-shard release overwrites its shard's clock (the shard's
 // "last release"); a global edge folds every shard clock and the release
 // together to their maximum — the rendezvous all partitions observe.
 func (a *Arbiter) foldReleaseLocked(st *threadState, clk int64) {
 	if st.scope != GlobalScope {
-		a.shardClocks[st.scope] = clk
+		a.shards[st.scope].Clock = clk
 		return
 	}
-	max := clk
-	for _, c := range a.shardClocks {
-		if c > max {
-			max = c
-		}
-	}
-	for i := range a.shardClocks {
-		a.shardClocks[i] = max
+	clk = max(clk, a.ffTargetLocked(st))
+	for i := range a.shards {
+		a.shards[i].Clock = clk
 	}
 }
 
@@ -146,15 +193,13 @@ func (a *Arbiter) foldReleaseLocked(st *threadState, clk int64) {
 // clock domain forward.
 func (a *Arbiter) ffTargetLocked(st *threadState) int64 {
 	if st.scope != GlobalScope {
-		return a.shardClocks[st.scope]
+		return a.shards[st.scope].Clock
 	}
-	var max int64
-	for _, c := range a.shardClocks {
-		if c > max {
-			max = c
-		}
+	var target int64
+	for i := range a.shards {
+		target = max(target, a.shards[i].Clock)
 	}
-	return max
+	return target
 }
 
 // shardKey returns st's shard-id slot in the merge rule.
@@ -184,14 +229,14 @@ func mergeLess(x, y *threadState) bool {
 // could still request ahead of the candidate, that one can.
 func (a *Arbiter) grantICLocked() int {
 	var cand, free *threadState
-	for _, tid := range a.order {
-		switch st := a.threads[tid]; {
+	for i := range a.threads {
+		switch st := &a.threads[i]; {
 		case !st.eligible:
 		case st.wanting:
 			if cand == nil || mergeLess(st, cand) {
 				cand = st
 			}
-		case free == nil || st.count < free.count: // a.order ascends, so ties keep the smaller tid
+		case free == nil || st.count < free.count: // the table ascends by tid, so ties keep the smaller tid
 			free = st
 		}
 	}
@@ -205,8 +250,31 @@ func (a *Arbiter) grantICLocked() int {
 		(free.count == cand.count && (shardKey(cand) > 0 || free.tid < cand.tid))) {
 		return NoGrant
 	}
-	a.holder = cand.tid
-	cand.wanting = false
-	a.grants++
-	return cand.tid
+	return a.grantToLocked(cand)
+}
+
+// grantToLocked hands the token to st and classifies the take against the
+// scope's last holder. A cross-shard edge engages every partition: st
+// becomes the holder of every sub-token, so the next single-shard take on
+// any shard by a different thread is a transfer.
+func (a *Arbiter) grantToLocked(st *threadState) int {
+	a.holder, st.wanting = st.tid, false
+	a.stats.Grants++
+	if scope := a.reportLocked(st.scope); scope == GlobalScope {
+		a.kind = TakeEdge
+		a.stats.Merges++
+		for i := range a.shards {
+			a.shards[i].Holder = st.tid
+		}
+	} else if sh := &a.shards[scope]; sh.Holder == st.tid {
+		a.kind = TakeLocal
+		a.stats.Locals++
+		sh.Grants++
+	} else {
+		a.kind = TakeTransfer
+		a.stats.Transfers++
+		sh.Grants++
+		sh.Holder = st.tid
+	}
+	return st.tid
 }

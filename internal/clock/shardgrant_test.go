@@ -84,11 +84,11 @@ func TestShardClockFolding(t *testing.T) {
 	}
 	a.Advance(0, 5) // clock 15; Release retires one op, publishing 16
 	a.Release(0)
-	if c := a.ShardClock(1); c != 16 {
+	if c := a.Stats().Shards[1].Clock; c != 16 {
 		t.Fatalf("shard 1 clock = %d, want 16", c)
 	}
 	for _, sh := range []int{0, 2} {
-		if c := a.ShardClock(sh); c != 0 {
+		if c := a.Stats().Shards[sh].Clock; c != 0 {
 			t.Fatalf("shard %d clock = %d, want 0 (untouched by a shard-1 release)", sh, c)
 		}
 	}
@@ -99,7 +99,7 @@ func TestShardClockFolding(t *testing.T) {
 	a.Advance(0, 10) // clock 26, published as 27
 	a.Release(0)
 	for sh := 0; sh < 3; sh++ {
-		if c := a.ShardClock(sh); c != 27 {
+		if c := a.Stats().Shards[sh].Clock; c != 27 {
 			t.Fatalf("shard %d clock = %d, want 27 after the global fold", sh, c)
 		}
 	}
@@ -120,8 +120,8 @@ func TestSetScopeRetargetsJoiner(t *testing.T) {
 	if g := a.RequestSharded(1, 1); g != 0 {
 		t.Fatalf("grant = %d, want the retargeted tid 0", g)
 	}
-	if sc := a.Scope(0); sc != 0 {
-		t.Fatalf("Scope(0) = %d, want 0", sc)
+	if sc := a.Take(0).Scope; sc != 0 {
+		t.Fatalf("the grant reports scope %d, want the retargeted 0", sc)
 	}
 }
 

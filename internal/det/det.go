@@ -258,8 +258,6 @@ type Hooks interface {
 	// OnCommit fires after tid commits version v (nil if the commit had no
 	// changed pages).
 	OnCommit(tid int, v *mem.Version)
-	// OnUpdate fires after tid imports remote versions up to `to`.
-	OnUpdate(tid int, to int64)
 	// OnSpawn fires when parent creates child (the fork copies the
 	// parent's view wholesale).
 	OnSpawn(parent, child int)
@@ -290,10 +288,6 @@ type Runtime struct {
 	workerPool bool
 	workers    []*worker
 	workerSeq  int
-
-	// shardSet is the sharded scheduler's bookkeeping; non-nil exactly
-	// when cfg.Shards >= 2, which is how the runtime asks "sharded?".
-	shardSet *clock.ShardSet
 
 	// diagMu guards heldLocks: per-tid held mutex ids for failure
 	// diagnostics (RuntimeError, DumpState). Ownership changes are
@@ -335,6 +329,9 @@ func New(cfg Config, h host.Host) (*Runtime, error) {
 	if cfg.Shards == 0 {
 		cfg.Shards = 1
 	}
+	// Pool choice: §3.3 reuse recycles workspaces on the single token and
+	// whole workers at Shards >= 2 (worker.go), pinned by the gate table's
+	// wallNS column and the "shards" table of docs/figures-scale1.txt.
 	sharded := cfg.Shards >= 2
 	if sharded && cfg.Policy != clock.PolicyIC {
 		return nil, fmt.Errorf("det: Shards = %d requires PolicyIC (round-robin has no clock domain to shard)", cfg.Shards)
@@ -370,7 +367,6 @@ func New(cfg Config, h host.Host) (*Runtime, error) {
 		rt.globalMutex = &dMutex{id: 1, owner: -1}
 	}
 	if sharded {
-		rt.shardSet = clock.NewShardSet(cfg.Shards)
 		rt.arb.EnableShardGrants(cfg.Shards)
 	}
 	if cfg.CommitLog != nil {
@@ -433,27 +429,21 @@ func (rt *Runtime) SetObserver(o *obs.Observer) {
 	r.Func("clock_departs", arbFunc(func(s clock.Stats) int64 { return s.Departs }))
 	r.Func("clock_fast_forwards", arbFunc(func(s clock.Stats) int64 { return s.FastForwards }))
 	r.Func("clock_fast_forward_skip", arbFunc(func(s clock.Stats) int64 { return s.FastForwardSkip }))
-	if ss := rt.shardSet; ss != nil {
-		ssFunc := func(f func(clock.ShardStats) int64) func() int64 {
-			return func() int64 { return f(ss.Stats()) }
+	// Gauge registration: the sub-token gauges exist only at Shards >= 2,
+	// pinned by internal/obs/testdata/golden_report.json (a single-token
+	// run lists what it always did). The analyzer divides busy by wall for
+	// per-shard arbiter utilization and the grant-parallelism metric.
+	if rt.cfg.Shards >= 2 {
+		r.Func("clock_shard_local_reacquires", arbFunc(func(s clock.Stats) int64 { return s.Locals }))
+		r.Func("clock_shard_transfers", arbFunc(func(s clock.Stats) int64 { return s.Transfers }))
+		r.Func("clock_shard_merges", arbFunc(func(s clock.Stats) int64 { return s.Merges }))
+		r.Func("clock_global_edge_busy_ns", arbFunc(func(s clock.Stats) int64 { return s.GlobalBusyNS }))
+		for sh := 0; sh < rt.cfg.Shards; sh++ {
+			l := obs.L("shard", sh)
+			r.Func("clock_shard_grants", arbFunc(func(s clock.Stats) int64 { return s.Shards[sh].Grants }), l)
+			r.Func("clock_shard_busy_ns", arbFunc(func(s clock.Stats) int64 { return s.Shards[sh].BusyNS }), l)
+			r.Func("clock_shard_frontier_ns", arbFunc(func(s clock.Stats) int64 { return s.Shards[sh].FrontierNS }), l)
 		}
-		r.Func("clock_shard_local_reacquires", ssFunc(func(s clock.ShardStats) int64 { return s.Locals }))
-		r.Func("clock_shard_transfers", ssFunc(func(s clock.ShardStats) int64 { return s.Transfers }))
-		r.Func("clock_shard_merges", ssFunc(func(s clock.ShardStats) int64 { return s.Merges }))
-		for i := 0; i < ss.Shards(); i++ {
-			sh := i
-			r.Func("clock_shard_grants", func() int64 { return ss.Stats().Grants[sh] }, obs.L("shard", sh))
-		}
-		// Virtual-time gauges: per-shard token-held busy time and frontier,
-		// plus the cross-shard edges' bucket. The analyzer divides busy by
-		// wall for per-shard arbiter utilization and the grant-parallelism
-		// metric.
-		for i := 0; i < ss.Shards(); i++ {
-			sh := i
-			r.Func("clock_shard_busy_ns", func() int64 { b, _ := ss.BusyNS(); return b[sh] }, obs.L("shard", sh))
-			r.Func("clock_shard_frontier_ns", func() int64 { return ss.FrontierNS(sh) }, obs.L("shard", sh))
-		}
-		r.Func("clock_global_edge_busy_ns", func() int64 { _, g := ss.BusyNS(); return g })
 	}
 	aggFunc := func(f func(api.RunStats) int64) func() int64 {
 		return func() int64 {
@@ -568,6 +558,10 @@ func (rt *Runtime) Segment() *mem.Segment { return rt.seg }
 // Trace exposes the sync-order trace recorder.
 func (rt *Runtime) Trace() *trace.Recorder { return rt.rec }
 
+// ClockStats snapshots the arbiter's counters and per-shard records (what
+// the clock_* gauges read).
+func (rt *Runtime) ClockStats() clock.Stats { return rt.arb.Stats() }
+
 // Run implements api.Runtime: executes root as thread 0 and waits for all
 // threads.
 func (rt *Runtime) Run(root func(api.T)) error {
@@ -618,14 +612,12 @@ func (rt *Runtime) attachThread(tid int, startClock int64, ws *mem.Workspace) *T
 		tid:      tid,
 		ws:       ws,
 		icount:   startClock,
-		curShard: -1,
-		overflow: clock.NewOverflow(overflowBase, rt.cfg.AdaptiveOverflow),
-	}
-	if rt.shardSet != nil {
+		curShard: clock.GlobalScope,
 		// Home shard: where the thread's exit (and any join on it) is
 		// arbitrated until a shardable op moves its domain. tid-derived, so
 		// a joiner can compute it without racing the running child.
-		t.domShard = tid % rt.cfg.Shards
+		domShard: tid % rt.cfg.Shards,
+		overflow: clock.NewOverflow(overflowBase, rt.cfg.AdaptiveOverflow),
 	}
 	t.coarse.maxChunk = maxChunkInit
 	if in := rt.cfg.Chaos; in != nil {
@@ -722,15 +714,17 @@ func (rt *Runtime) deliverFrom(waker host.Binding, grant int) {
 			})
 		}
 	}()
-	if rt.shardSet != nil && rt.timed {
+	// Wake anchoring — time model: the single token wakes from the waker's
+	// own clock, the paper's model. Pinned by the gate table's wallNS
+	// column and the "shards" table of docs/figures-scale1.txt.
+	if rt.cfg.Shards >= 2 && rt.timed {
 		if aw, ok := waker.(host.AnchoredWaker); ok {
-			// Anchor the wake at the granted op's scope frontier instead of
-			// the waker's own clock: the target's sub-token became free at
-			// that instant, so ops granted in different shards resume in
-			// overlapping virtual time. The frontier was published before
-			// the arbiter produced this grant (releaseTokenRaw), and both
-			// reads are token-serialized, so the anchor is deterministic.
-			aw.WakeFrom(target.b, rt.shardSet.Frontier(rt.arb.Scope(grant)))
+			// Anchor the wake at the granted op's scope frontier instead:
+			// the target's sub-token became free at that instant, so ops
+			// granted in different shards resume in overlapping virtual
+			// time. The release that produced this grant published the
+			// frontier in the same critical section (clock.ReleaseAt).
+			aw.WakeFrom(target.b, rt.arb.Take(grant).FrontierNS)
 			return
 		}
 	}

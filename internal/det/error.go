@@ -169,9 +169,5 @@ func (rt *Runtime) DumpState() string {
 			tid, diagNames[th.diagPhase.Load()], th.diagClock.Load(), rt.heldLocksOf(tid))
 	}
 	b.WriteString(rt.arb.DumpState())
-	if rt.shardSet != nil {
-		b.WriteString("\n")
-		b.WriteString(rt.shardSet.DumpState())
-	}
 	return b.String()
 }

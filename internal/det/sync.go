@@ -319,7 +319,7 @@ func (t *Thread) barrierSleep(bar *dBarrier) {
 	t.account(obs.PhaseCommit)
 	t.park(diagBarrierWait, host.BlockReason{Label: "barrier %d rendezvous", ID: bar.id})
 	t.account(obs.PhaseBarrierWait)
-	t.resyncClock()
+	t.resyncClock(t.rt.arb.Count(t.tid))
 	pulled := t.ws.UpdateTo(t.barrierTarget)
 	t.charge(obs.PhaseCommit, int64(pulled)*m.UpdatePage)
 	t.lastCommitCount = t.icount
@@ -335,7 +335,6 @@ func (t *Thread) barrierRelease(bar *dBarrier) {
 	t.charge(obs.PhaseCommit, int64(pulled)*m.UpdatePage)
 	t.lastCommitCount = t.icount
 	if h := t.rt.hooks; h != nil {
-		h.OnUpdate(t.tid, t.ws.Version())
 		h.OnAcquire(t.tid, bar.id)
 	}
 	waiters := bar.waiting
@@ -347,7 +346,6 @@ func (t *Thread) barrierRelease(bar *dBarrier) {
 		// have run, and they must not observe the next round's version.
 		wt.barrierTarget = final
 		if h := t.rt.hooks; h != nil {
-			h.OnUpdate(w, final)
 			h.OnAcquire(w, bar.id)
 		}
 		t.deliver(t.rt.arb.Arrive(w))

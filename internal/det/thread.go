@@ -47,21 +47,22 @@ type Thread struct {
 	// worker is the pooled worker this thread runs on (nil for the root
 	// thread, and for every thread without worker reuse).
 	worker *worker
-	// curShard is the arbitration shard of the sync op in progress, -1
-	// for cross-shard edges and whenever sharding is off. Set by
-	// syncOpStart (Join overrides it with the child's home shard, a
-	// waker's retarget refreshes it in blockForToken); it is the request
-	// scope passed to the arbiter and consumed by the handoff and release
-	// charge sites.
+	// curShard is the scope of the sync op in progress: its arbitration
+	// shard, or clock.GlobalScope for cross-shard edges and for every op
+	// on the single token. Set by syncOpStart (Join sets the child's home
+	// shard; takeToken refreshes it from the grant, which a waker may have
+	// retargeted); it is the scope requested from the arbiter, recorded in
+	// the trace and published by the release.
 	curShard int
-	// domShard is the thread's domain shard (Shards >= 2): the shard of
-	// its most recent shardable op (home shard, tid mod Shards, until one
-	// happens). Spawn and exit are arbitrated there, and exit retargets
-	// parked joiners to it.
+	// domShard is the thread's domain shard: the shard of its most recent
+	// shardable op (home shard, tid mod Shards, until one happens). Spawn
+	// and exit are arbitrated there, and exit retargets parked joiners to
+	// it.
 	domShard int
-	// tokenAcqNS is the host time at which the thread's current token
-	// hold began (after any sub-token-busy top-up); releaseTokenRaw
-	// accrues the held span to the scope's busy bucket. Shards >= 2 only.
+	// take is the arbiter's answer about the current (or latest) token
+	// hold, and tokenAcqNS the host time at which the hold began (after
+	// any sub-token-busy top-up): the release reports the held span.
+	take       clock.Take
 	tokenAcqNS int64
 
 	coarse          coarsenState
@@ -296,7 +297,7 @@ func (t *Thread) maybeForceCommit() {
 	}
 	// A forced commit is not an operation on any lock object: it is a
 	// global publication, i.e. a cross-shard edge.
-	t.curShard = -1
+	t.curShard = clock.GlobalScope
 	t.tokenBegin()
 	t.tokenEnd(coarsenNever, 0)
 }
@@ -444,15 +445,14 @@ func (t *Thread) acquireToken() {
 	t.speculate()
 	t.publishPending()
 	t.account(obs.PhaseCompute)
-	// End-of-chunk clock read. The single token publishes the chunk count
-	// through the syscall path (the user-space fast path applies only
-	// inside coarsened chunks, see tokenBegin). A shard-scoped op instead
-	// publishes to the shard's in-process clock word — a user-space store,
-	// same price as the in-chunk fast path; only global edges (barriers
-	// and other all-shard rendezvous) still pay the syscall to fold every
-	// shard. curShard is -1 whenever sharding is off.
+	// End-of-chunk clock read. A global edge — every op on the single
+	// token, barriers and other all-shard rendezvous at Shards >= 2 —
+	// publishes the chunk count through the syscall path (the user-space
+	// fast path applies only inside coarsened chunks, see tokenBegin). A
+	// shard-scoped op instead publishes to the shard's in-process clock
+	// word: a user-space store, same price as the in-chunk fast path.
 	clockRead := m.SyscallClockRead
-	if t.curShard >= 0 {
+	if t.curShard != clock.GlobalScope {
 		clockRead = m.UserClockRead
 	}
 	t.charge(obs.PhaseLib, clockRead)
@@ -460,23 +460,21 @@ func (t *Thread) acquireToken() {
 	if g := t.rt.arb.RequestSharded(t.tid, t.curShard); g != t.tid {
 		t.deliver(g)
 		t.park(diagTokenWait, host.BlockReason{Label: "global token"})
-		t.resyncClock()
 		woken = true
 	}
-	t.holding = true
-	t.account(obs.PhaseTokenWait)
-	t.chargeHandoff(woken)
-	t.overflow.ResetChunk()
-	t.toOverflow = 0
+	t.takeToken(woken)
 }
 
-// chargeHandoff prices taking the token. The price depends on how the
-// token arrived, never on anything that could change grant order.
+// takeToken runs on the thread just granted the token — immediately, or by
+// a wake — and asks the arbiter the one question a take needs (clock.Take):
+// the thread's clock, the scope the grant was made in (exit retargets
+// joiners to its domain shard), that scope's frontier, and how the
+// sub-token arrived. Then it prices the handoff. The price depends on how
+// the token arrived, never on anything that could change grant order.
 //
-// Single token (Shards < 2): the full Model.TokenHandoff, the paper's time
-// model.
+// Single token: the full Model.TokenHandoff, the paper's time model.
 //
-// Sharded (docs/scheduler.md): the op is first anchored in its scope's
+// Shards >= 2 (docs/scheduler.md): the op is first anchored in its scope's
 // virtual time — it may not begin before its scope's frontier, the instant
 // the scope's previous op released, i.e. the sub-token-busy model. Wakes
 // are already anchored there (Runtime.deliverFrom), so the top-up is
@@ -488,78 +486,76 @@ func (t *Thread) acquireToken() {
 //   - a within-shard transfer costs Model.ShardTransfer (one holder cache
 //     line plus the shard clock, no global fold);
 //   - a cross-shard edge costs the full handoff plus (Shards−1) ×
-//     Model.ShardClockRead for the fold of every shard clock, after which
-//     every partition's sub-token is engaged (ShardSet.Merge).
+//     Model.ShardClockRead for the fold of every shard clock.
 //
 // The full handoff of a woken thread with fast-forward on is charged
 // lazily: the slim Model.WakeHandoff, plus the deferred
 // Model.FastForwardResync as its own phase — here, when the thread
 // actually takes the token, not on the wake path.
-func (t *Thread) chargeHandoff(woken bool) {
+func (t *Thread) takeToken(woken bool) {
+	t.take = t.rt.arb.Take(t.tid)
+	t.resyncClock(t.take.Count)
+	t.curShard = t.take.Scope
+	t.holding = true
+	t.account(obs.PhaseTokenWait)
 	m := &t.rt.cfg.Model
-	ss := t.rt.shardSet
-	if ss == nil {
-		t.charge(obs.PhaseHandoff, m.TokenHandoff)
-		return
-	}
 	base, ff := m.TokenHandoff, int64(0)
-	if woken && t.rt.cfg.FastForward {
-		base, ff = m.WakeHandoff, m.FastForwardResync
-	}
-	scope := t.curShard
-	if t.rt.timed {
-		if f := ss.Frontier(scope); f > t.b.Now() {
+	// Handoff pricing — time model: the single token priced as a one-shard
+	// edge moves the gate table's wallNS column (water_nsquared 15 166 761
+	// → 12 839 249) and Fig. 10 of docs/figures-scale1.txt.
+	if t.rt.cfg.Shards >= 2 {
+		if woken && t.rt.cfg.FastForward {
+			base, ff = m.WakeHandoff, m.FastForwardResync
+		}
+		if f := t.take.FrontierNS; t.rt.timed && f > t.b.Now() {
 			t.charge(obs.PhaseTokenWait, f-t.b.Now())
 		}
-	}
-	t.tokenAcqNS = t.b.Now()
-	if scope >= 0 {
-		if ss.NoteGrant(scope, t.tid) {
+		switch t.take.Kind {
+		case clock.TakeLocal:
 			if m.ShardHandoff < base+ff {
 				base, ff = m.ShardHandoff, 0
 			}
-		} else if m.ShardTransfer < base+ff {
-			base, ff = m.ShardTransfer, 0
+		case clock.TakeTransfer:
+			if m.ShardTransfer < base+ff {
+				base, ff = m.ShardTransfer, 0
+			}
+		case clock.TakeEdge:
+			base += int64(t.rt.cfg.Shards-1) * m.ShardClockRead
 		}
-	} else {
-		ss.Merge(t.tid)
-		base += int64(ss.Shards()-1) * m.ShardClockRead
 	}
+	t.tokenAcqNS = t.b.Now()
 	t.charge(obs.PhaseHandoff, base)
 	if ff > 0 {
 		t.charge(obs.PhaseFastForward, ff)
 	}
+	t.overflow.ResetChunk()
+	t.toOverflow = 0
 }
 
 // releaseTokenRaw gives up the token without committing. The arbiter
-// advances our clock by one (the sync op itself) and, when sharded, folds
-// it into the op's shard clock (every shard clock for a cross-shard
-// edge); mirror the increment.
+// advances our clock by one (the sync op itself) and folds it into the
+// grant's shard clock (every shard clock for a cross-shard edge); mirror
+// the increment. The same critical section publishes the op's scope
+// frontier — which a grant-time wake anchors against — and the held span
+// (the grant-parallelism metric) before it evaluates the next grant.
 func (t *Thread) releaseTokenRaw() {
 	t.publishPending()
 	t.holding = false
 	t.icount++
-	if ss := t.rt.shardSet; ss != nil {
-		// Publish the scope's virtual-time frontier BEFORE the arbiter
-		// hands the token on, so a grant-time wake anchors against this
-		// op's release instant; accrue the held span to the scope's busy
-		// bucket for the grant-parallelism metric.
-		now := t.b.Now()
-		ss.PublishFrontier(t.curShard, now)
-		ss.AddBusy(t.curShard, now-t.tokenAcqNS)
-	}
-	t.deliver(t.rt.arb.Release(t.tid))
+	now := t.b.Now()
+	t.deliver(t.rt.arb.ReleaseAt(t.tid, t.curShard, now, now-t.tokenAcqNS))
 }
 
-// resyncClock refreshes the local clock mirror after a wake: arbiter-side
-// fast-forwards and release increments may have moved it. Pending progress
-// must already have been published (we only block after a release).
-func (t *Thread) resyncClock() {
+// resyncClock refreshes the local clock mirror after a wake or a take:
+// arbiter-side fast-forwards and release increments may have moved it.
+// Pending progress must already have been published (we only block after a
+// release).
+func (t *Thread) resyncClock(count int64) {
 	if t.pending != 0 {
 		panic(t.runtimeError("unpublished-progress", "resync", 0,
 			"%d instruction(s) of unpublished clock progress across a block", t.pending))
 	}
-	t.icount = t.rt.arb.Count(t.tid)
+	t.icount = count
 }
 
 // blockForToken parks until a grant wakes us holding the token; phase and
@@ -568,19 +564,7 @@ func (t *Thread) resyncClock() {
 func (t *Thread) blockForToken(phase int32, reason host.BlockReason) {
 	t.speculate() // overlap the sleep with pre-diffing, like acquireToken
 	t.park(phase, reason)
-	t.resyncClock()
-	if t.rt.shardSet != nil {
-		// The waker may have retargeted our request scope while we slept
-		// (exit does, pointing joiners at the child's actual domain shard);
-		// refresh the local mirror so this op releases into the scope the
-		// grant was actually made in.
-		t.curShard = t.rt.arb.Scope(t.tid)
-	}
-	t.holding = true
-	t.account(obs.PhaseTokenWait)
-	t.chargeHandoff(true)
-	t.overflow.ResetChunk()
-	t.toOverflow = 0
+	t.takeToken(true)
 	// Acquire semantics: import everything committed while we slept.
 	t.commitAndUpdate()
 }
@@ -673,7 +657,6 @@ func (t *Thread) commitAndUpdate() {
 	t.lastCommitCount = t.icount
 	if h := t.rt.hooks; h != nil {
 		h.OnCommit(t.tid, pc.Version())
-		h.OnUpdate(t.tid, t.ws.Version())
 	}
 	t.rt.commitCount++
 	if n := t.rt.cfg.GCEveryNCommits; n > 0 && t.rt.commitCount%int64(n) == 0 {
@@ -685,8 +668,8 @@ func (t *Thread) commitAndUpdate() {
 // per-shard granting the event carries its granting-shard provenance so
 // the recorder can fold per-shard rolling hashes alongside the global
 // chain (curShard is the scope the token was granted under, refreshed on
-// every syncOpStart and after waker-retargeted wakeups). With sharding
-// off curShard stays -1, which is trace.NoShard.
+// every syncOpStart and after waker-retargeted wakeups). On the single
+// token curShard stays clock.GlobalScope, which is trace.NoShard.
 func (t *Thread) record(op trace.Op, obj uint64) {
 	t.rt.rec.RecordSharded(t.tid, op, obj, t.icount, t.curShard)
 }
@@ -740,22 +723,32 @@ const (
 // train against.
 func siteID(kind, obj uint64) uint64 { return kind<<56 | obj&(1<<56-1) }
 
-// shardOf maps a sync site to its arbitration shard: lock-object
-// operations shard by object id (and move the thread's domain shard);
-// spawn and exit are arbitrated in the acting thread's domain shard, so
-// fork/join programs do not rendezvous every partition per lifecycle op;
-// a join is scoped to the child's home shard until the exit retargets it
-// to its own domain (threads.go). Only barriers and other rendezvous ops
-// remain global edges (-1). Only called when sharding is on.
+// shardOf is scope selection: it maps a sync site to its request scope.
+// Lock-object operations shard by object id (and move the thread's domain
+// shard); spawn and exit are arbitrated in the acting thread's domain
+// shard, so fork/join programs do not rendezvous every partition per
+// lifecycle op; a join (Join passes the child's tid as the object) is
+// scoped to the child's home shard until the exit retargets it to its own
+// domain (threads.go). Only barriers and other rendezvous ops remain global
+// edges — and, on the single token, every op: the arbiter would fold any
+// scope to its one shard anyway, but the clock-read price (acquireToken)
+// and the trace's shard provenance (record) are read off curShard before
+// it is asked, pinned by the gate table's wallNS and trace@1 columns.
 func (t *Thread) shardOf(site uint64) int {
+	n, obj := t.rt.cfg.Shards, site&(1<<56-1)
+	if n < 2 {
+		return clock.GlobalScope
+	}
 	switch site >> 56 {
 	case siteLock, siteUnlock, siteCondWait, siteSignal, siteBroadcast:
-		t.domShard = FNVSharder(site&(1<<56-1), t.rt.cfg.Shards)
+		t.domShard = FNVSharder(obj, n)
 		return t.domShard
 	case siteSpawn, siteExit:
 		return t.domShard
+	case siteJoin:
+		return int(obj) % n
 	default:
-		return -1
+		return clock.GlobalScope
 	}
 }
 
@@ -767,9 +760,7 @@ func (t *Thread) shardOf(site uint64) int {
 // trains the site that started it, and the site now starting becomes the
 // key the next speculate consults.
 func (t *Thread) syncOpStart(site uint64) {
-	if t.rt.shardSet != nil {
-		t.curShard = t.shardOf(site)
-	}
+	t.curShard = t.shardOf(site)
 	chunk := t.icount - t.lastSyncIcount
 	if t.prevUnlockID != 0 {
 		t.unlockEstimator(t.prevUnlockID).update(float64(chunk))

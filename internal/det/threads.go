@@ -160,14 +160,12 @@ func (t *Thread) Join(h api.Handle) {
 		panic("det: foreign handle")
 	}
 	t.syncOpStart(siteID(siteJoin, 0))
-	if t.rt.shardSet != nil {
-		// Arbitrate the join in the child's provisional home shard
-		// (tid-derived, computable without racing the running child). If
-		// the child is still running, its exit retargets us to its final
-		// domain shard via SetScope before the wake; if it has already
-		// exited, the provisional request simply lands in the home shard.
-		t.curShard = child.tid % t.rt.cfg.Shards
-	}
+	// Arbitrate the join in the child's provisional home shard
+	// (tid-derived, computable without racing the running child). If the
+	// child is still running, its exit retargets us to its final domain
+	// shard via SetScope before the wake; if it has already exited, the
+	// provisional request simply lands in the home shard.
+	t.curShard = t.shardOf(siteID(siteJoin, uint64(child.tid)))
 	for {
 		t.tokenBegin()
 		t.uncoarsen()
@@ -175,7 +173,6 @@ func (t *Thread) Join(h api.Handle) {
 			t.record(trace.OpJoin, uint64(child.tid))
 			if hk := t.rt.hooks; hk != nil {
 				hk.OnAcquire(t.tid, spawnObj(child.tid))
-				hk.OnUpdate(t.tid, t.ws.Version())
 			}
 			t.tokenEnd(coarsenNever, 0)
 			return
@@ -201,12 +198,10 @@ func (t *Thread) exit() {
 		h.OnRelease(t.tid, spawnObj(t.tid))
 	}
 	for _, j := range t.joiners {
-		if rt.shardSet != nil {
-			// Retarget the blocked joiner to this exit's domain shard so the
-			// join grant is arbitrated where the exit event lives; the joiner
-			// refreshes its own curShard from the arbiter on wakeup.
-			rt.arb.SetScope(j, t.curShard)
-		}
+		// Retarget the blocked joiner to this exit's domain shard so the
+		// join grant is arbitrated where the exit event lives; the joiner
+		// reads the scope back from the grant on wakeup (takeToken).
+		rt.arb.SetScope(j, t.curShard)
 		t.deliver(rt.arb.ArriveWanting(j))
 	}
 	t.joiners = nil

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/det"
-	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -459,13 +458,13 @@ var Figures = []Figure{
 		// single token. Results are identical at every shard count, so the
 		// interesting columns are the speedup and how many sub-token grants
 		// stayed shard-local (the cheap re-acquire path that never crosses
-		// threads) — read from a fresh observer per cell, whose
-		// clock_shard_* gauges see that run's arbiter alone.
+		// threads) — read from the run's own arbiter counters
+		// (Result.Sched).
 		Name: "shards", Extra: true, Title: "Scheduler scale-out sweep (8 threads; shards >= 2 also enables the worker pool and lazy fast-forward; x = speedup vs the legacy single-token scheduler; local = shard-local re-acquires / (re-acquires + cross-shard transfers))",
 		Header:   []string{"benchmark", "1(ms)", "2(ms)", "x", "local", "4(ms)", "x", "local", "8(ms)", "x", "local"},
 		Benches:  []string{"kmeans", "water_nsquared", "canneal", "histogram", "dedup", "ferret"},
 		Threads:  at8,
-		Variants: []Variant{{Name: "1"}, shardsVariant(2), shardsVariant(4), shardsVariant(8)},
+		Variants: []Variant{{Name: "1"}, atShards(2), atShards(4), atShards(8)},
 		Row: func(_ Sweep, rs []Result) ([][]string, error) {
 			base := rs[0]
 			line := []string{benchOf(base), ms(base.WallNS)}
@@ -475,8 +474,8 @@ var Figures = []Figure{
 						base.Opts.Bench, r.Opts.Shards, r.Checksum, base.Checksum)
 				}
 				local := "-"
-				if locals, transfers := shardCounters(r.Opts.Observer); locals+transfers > 0 {
-					local = percent(float64(locals), float64(locals+transfers))
+				if st := r.Sched; st.Locals+st.Transfers > 0 {
+					local = percent(float64(st.Locals), float64(st.Locals+st.Transfers))
 				}
 				line = append(line, ms(r.WallNS), ratio(base.WallNS, r.WallNS), local)
 			}
@@ -591,21 +590,6 @@ func fig16Reduction(s Sweep, r Result) (red float64, qualifies bool) {
 	return 1 - float64(r.LRCPages)/float64(r.Stats.PulledPages), true
 }
 
-func shardsVariant(n int) Variant {
-	return Variant{fmt.Sprint(n), func(o *Options) { o.Shards, o.Observer = n, obs.New() }}
-}
-
-// shardCounters reads the sharded arbiter's sub-token traffic split from
-// the observer of one finished cell: grants that stayed on the cheap
-// shard-local re-acquire path vs grants that crossed shards.
-func shardCounters(o *obs.Observer) (locals, transfers int64) {
-	for _, s := range o.Registry().Snapshot() {
-		switch s.Name {
-		case "clock_shard_local_reacquires":
-			locals = s.Value
-		case "clock_shard_transfers":
-			transfers = s.Value
-		}
-	}
-	return locals, transfers
+func atShards(n int) Variant {
+	return Variant{fmt.Sprint(n), func(o *Options) { o.Shards = n }}
 }

@@ -117,8 +117,12 @@ type Result struct {
 	WallNS int64
 	// HostNS is the host wall clock the program run itself took (not the
 	// fleet catch-up or the checksum); the one nondeterministic field.
-	HostNS   int64
-	Stats    api.RunStats
+	HostNS int64
+	Stats  api.RunStats
+	// Sched is the arbiter's counters and per-shard records (zero on a
+	// runtime that is not det-backed): grants split into shard-local
+	// re-acquires, transfers and cross-shard edges.
+	Sched    clock.Stats
 	Checksum uint64
 	// TraceHash is the sync-order trace hash (zero on pthreads, the one
 	// runtime that records no trace).
@@ -356,6 +360,9 @@ func (c *Cell) Run() (Result, error) {
 		Checksum: c.Runtime.Checksum(),
 	}
 	res.WallNS = res.Stats.WallNS
+	if c.Det != nil {
+		res.Sched = c.Det.ClockStats()
+	}
 	if tr := c.Trace(); tr != nil {
 		res.TraceHash = tr.Hash()
 	}
@@ -441,7 +448,8 @@ func Run(o Options) (Result, error) {
 
 // RunAll executes a batch of options concurrently (each run is an
 // independent deterministic simulation) and returns results in input
-// order. The first error aborts the batch.
+// order. Every cell runs even if one fails; the error returned is the
+// first in input order.
 func RunAll(opts []Options) ([]Result, error) {
 	results := make([]Result, len(opts))
 	errs := make([]error, len(opts))

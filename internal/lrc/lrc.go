@@ -143,10 +143,6 @@ func (tr *Tracker) OnCommit(tid int, v *mem.Version) {
 	})
 }
 
-// OnUpdate implements det.Hooks (unused: TSO propagation is counted by the
-// memory substrate itself).
-func (tr *Tracker) OnUpdate(tid int, to int64) {}
-
 // OnSpawn implements det.Hooks: the fork copies the parent's view, so the
 // child starts knowing everything the parent knew — no propagation
 // counted.
