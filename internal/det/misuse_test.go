@@ -152,6 +152,25 @@ func TestMisuseRuntimeErrors(t *testing.T) {
 	}
 }
 
+// On the simulation host thread bodies are coroutines resumed by Run
+// (sim.Engine.Run), so a misuse panic the program does not recover reaches
+// Run's caller as the *RuntimeError it was raised with.
+func TestUnrecoveredMisuseSurfacesFromRun(t *testing.T) {
+	c := Default()
+	c.SegmentSize = 1 << 20
+	rt, err := New(c, simhost.New(costmodel.Default()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	re := catchRuntimeError(func() {
+		err = rt.Run(func(root api.T) { root.Unlock(root.NewMutex()) })
+		t.Errorf("Run returned (%v); want the misuse panic", err)
+	})
+	if re == nil || re.Code != "unlock-unheld" || re.Tid != 0 {
+		t.Errorf("Run panicked with %+v, want the root thread's unlock-unheld RuntimeError", re)
+	}
+}
+
 // The diagnostics must reflect the thread's actual state: held locks and
 // pending (uncommitted) dirty pages at the violation.
 func TestRuntimeErrorDiagnosticsPopulated(t *testing.T) {

@@ -1,59 +1,67 @@
+//go:build go1.23
+
 // Package sim is a deterministic discrete-event simulation engine with
 // process-style virtual threads.
 //
-// Each virtual thread (Proc) is an ordinary goroutine writing straight-line
-// code, but exactly one proc runs at a time: the engine resumes the proc
-// whose next event is earliest in virtual time, and the proc runs until it
-// advances its own clock, parks, or exits, at which point control returns
-// to the engine. Because execution is strictly alternating and the event
-// queue is ordered by (time, sequence), a simulation is a deterministic
-// function of its inputs — which is what lets the benchmark harness
-// regenerate the paper's figures bit-identically on any machine.
+// Each virtual thread (Proc) is a coroutine writing straight-line code:
+// the engine resumes the proc whose next event is earliest in virtual
+// time, and the proc runs until it advances its own clock, parks, or
+// returns, at which point it yields back to the engine. A switch is a
+// direct hand-off between the two (iter.Pull, hence the go1.23 constraint:
+// go.mod's go line stays lower for the bench module's sake), so the Go
+// scheduler is never asked who runs next, and exactly one proc runs at a
+// time, in place of the goroutine that called Run. Because execution is
+// strictly alternating and the event queue is ordered by (time, sequence),
+// a simulation is a deterministic function of its inputs — which is what
+// lets the benchmark harness regenerate the paper's figures bit-identically
+// on any machine.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"iter"
 	"sort"
 )
 
 // Engine owns the virtual clock and event queue.
 type Engine struct {
-	pq      eventHeap
+	pq      []event // binary min-heap in (at, seq) order
 	seq     int64
-	yieldc  chan yield
 	alive   int
-	parked  map[*Proc]bool
+	procs   []*Proc // every proc started; read only by the deadlock report
 	running bool
 }
 
 // Proc is one virtual thread. Its methods must only be called from within
 // its own body function, except where noted.
 type Proc struct {
-	eng    *Engine
-	name   string
-	now    int64
-	resume chan struct{}
+	eng  *Engine
+	name string
+	now  int64
+	// next resumes the body until its next yield; ok is false once the
+	// body has returned. yield is the body's side of the same switch.
+	next  func() (yieldKind, bool)
+	yield func(yieldKind) bool
 	// scheduled guards the ≤1-outstanding-event invariant.
 	scheduled bool
+	// parked is set by the engine when the proc yields to park and cleared
+	// by the proc itself when it resumes — so it stays up between an
+	// UnparkAt and the resume, and a second wake in that window trips
+	// schedule's check.
+	parked bool
 	// reason describes what the proc is (about to be) parked on; set by
 	// the proc itself before Park and formatted only by the deadlock
 	// report.
 	reason fmt.Stringer
 }
 
+// yieldKind is what a proc tells the engine when it hands control back.
 type yieldKind int
 
 const (
 	yScheduled yieldKind = iota // proc advanced and has an event queued
 	yParked                     // proc is waiting for an Unpark
-	yExited
 )
-
-type yield struct {
-	p    *Proc
-	kind yieldKind
-}
 
 type event struct {
 	at  int64
@@ -61,39 +69,70 @@ type event struct {
 	p   *Proc
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+func (ev event) before(o event) bool {
+	return ev.at < o.at || ev.at == o.at && ev.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+
+// push and pop keep pq a binary heap directly on []event: the standard
+// library's heap.Interface would box every event into an any, two
+// allocations per yield.
+func (e *Engine) push(ev event) {
+	h := append(e.pq, ev)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
+	e.pq = h
+}
+
+func (e *Engine) pop() event {
+	h := e.pq
+	n := len(h) - 1
+	top, last := h[0], h[n]
+	h[n] = event{} // the slot outlives the pop; drop its *Proc
+	h = h[:n]
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	e.pq = h
+	return top
+}
 
 // New creates an empty engine.
-func New() *Engine {
-	return &Engine{
-		yieldc: make(chan yield),
-		parked: make(map[*Proc]bool),
-	}
-}
+func New() *Engine { return &Engine{} }
 
 // Go creates a virtual thread that begins executing fn at virtual time
 // `start`. May be called before Run (from the host) or during Run (from a
 // running proc). The name appears in deadlock reports.
 func (e *Engine) Go(name string, start int64, fn func(*Proc)) *Proc {
-	p := &Proc{eng: e, name: name, now: start, resume: make(chan struct{})}
-	e.alive++
-	e.schedule(p, start)
-	go func() {
-		<-p.resume
+	p := &Proc{eng: e, name: name, now: start}
+	// The coroutine's stop function is never called: after stop, yield
+	// returns false into the body, which would run on as if resumed. A
+	// proc the engine never resumes again stays suspended.
+	p.next, _ = iter.Pull(func(yield func(yieldKind) bool) {
+		p.yield = yield
 		fn(p)
-		e.yieldc <- yield{p, yExited}
-	}()
+	})
+	e.alive++
+	e.procs = append(e.procs, p)
+	e.schedule(p, start)
 	return p
 }
 
@@ -103,11 +142,16 @@ func (e *Engine) schedule(p *Proc, at int64) {
 	}
 	p.scheduled = true
 	e.seq++
-	heap.Push(&e.pq, event{at: at, seq: e.seq, p: p})
+	e.push(event{at: at, seq: e.seq, p: p})
 }
 
 // Run executes events until no runnable procs remain. It returns an error
 // describing a deadlock if parked procs remain when the queue drains.
+//
+// A panic a proc body does not recover itself is carried across the switch
+// and re-panics out of Run with its original value, on the caller's
+// goroutine, where the caller can recover it; the engine is not usable
+// afterwards.
 func (e *Engine) Run() error {
 	if e.running {
 		panic("sim: Run reentered")
@@ -115,26 +159,25 @@ func (e *Engine) Run() error {
 	e.running = true
 	defer func() { e.running = false }()
 	for len(e.pq) > 0 {
-		ev := heap.Pop(&e.pq).(event)
+		ev := e.pop()
 		p := ev.p
 		p.scheduled = false
 		if ev.at > p.now {
 			p.now = ev.at
 		}
-		p.resume <- struct{}{}
-		y := <-e.yieldc
-		switch y.kind {
-		case yExited:
+		switch kind, ok := p.next(); {
+		case !ok:
 			e.alive--
-		case yParked:
-			e.parked[y.p] = true
-		case yScheduled:
-			// nothing: event already queued
+		case kind == yParked:
+			p.parked = true
 		}
 	}
 	if e.alive > 0 {
 		var names []string
-		for p := range e.parked {
+		for _, p := range e.procs {
+			if !p.parked {
+				continue
+			}
 			reason := ""
 			if p.reason != nil {
 				reason = p.reason.String()
@@ -178,21 +221,19 @@ func (p *Proc) Advance(d int64) {
 	// pop this proc right back (a same-time event would win the seq
 	// tie-break, so strict inequality is required). Skipping the yield is
 	// behavior-identical — same schedule, same clocks — and saves the two
-	// goroutine switches that otherwise dominate simulated runs.
+	// switches.
 	if pq := p.eng.pq; len(pq) == 0 || pq[0].at > p.now {
 		return
 	}
 	p.eng.schedule(p, p.now)
-	p.eng.yieldc <- yield{p, yScheduled}
-	<-p.resume
+	p.yield(yScheduled)
 }
 
 // Park suspends the proc until another proc calls UnparkAt. The proc's
 // clock on resume is max(its own time, the unpark time).
 func (p *Proc) Park() {
-	p.eng.yieldc <- yield{p, yParked}
-	<-p.resume
-	delete(p.eng.parked, p)
+	p.yield(yParked)
+	p.parked = false
 	p.reason = nil // a stale reason must not outlive the park it described
 }
 
@@ -202,7 +243,7 @@ func (p *Proc) Park() {
 // must prevent (the host layer's wake-permit handles the wake-before-block
 // race).
 func (p *Proc) UnparkAt(at int64) {
-	if !p.eng.parked[p] {
+	if !p.parked {
 		panic(fmt.Sprintf("sim: unpark of non-parked proc %q", p.name))
 	}
 	if at < p.now {
@@ -213,4 +254,4 @@ func (p *Proc) UnparkAt(at int64) {
 
 // Parked reports whether p is currently parked. Meaningful only from
 // within another running proc (execution is single-threaded).
-func (p *Proc) Parked() bool { return p.eng.parked[p] }
+func (p *Proc) Parked() bool { return p.parked }

@@ -27,12 +27,13 @@ go build ./...
 echo "== go test ./... (includes the determinism gate, internal/harness/gate_test.go, and — through cmd/cli_test.go — go vet + go test inside bench/, which has its own go.mod)"
 go test ./...
 
-echo "== go test -race (obs + mem + det + clock + trace + host + chaos + replica + commitlog + journal + api)"
+echo "== go test -race (obs + mem + det + clock + trace + sim + host + chaos + replica + commitlog + journal + api)"
 # journal has no goroutine of its own; its tests drive the log's recorder
 # and drain as a run does. clock is here for the arbiter: the most contended
 # mutex in the tree, scraped while the token moves
-# (TestArbiterScrapeDuringTraffic).
-go test -race ./internal/obs/... ./internal/mem ./internal/det ./internal/clock ./internal/trace ./internal/host/... ./internal/chaos/... ./internal/replica ./internal/commitlog ./internal/journal ./internal/api
+# (TestArbiterScrapeDuringTraffic). sim is here for its coroutine switch:
+# every simhost thread body runs on it.
+go test -race ./internal/obs/... ./internal/mem ./internal/det ./internal/clock ./internal/trace ./internal/sim ./internal/host/... ./internal/chaos/... ./internal/replica ./internal/commitlog ./internal/journal ./internal/api
 
 echo "== conseq-analyze smoke (golden trace)"
 go run ./cmd/conseq-analyze -input internal/obs/testdata/golden_trace.json >/dev/null
