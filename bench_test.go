@@ -15,6 +15,7 @@ import (
 
 	consequence "repro"
 	"repro/internal/harness"
+	"repro/internal/host/realhost"
 )
 
 // BenchmarkFigures runs every cell of every entry of harness.Figures — the
@@ -50,6 +51,34 @@ func BenchmarkFigures(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkRealHost runs the ledger's four programs (bench/README.md) whole
+// on the real host, at the ledger's threads 4 / shards 4, one sub-benchmark
+// each — so the real-host CPU profile is one command:
+//
+//	go test -run xxx -bench RealHost/water -cpuprofile cpu.prof .
+func BenchmarkRealHost(b *testing.B) {
+	for _, p := range []struct {
+		bench string
+		scale int
+	}{{"water_nsquared", 8}, {"canneal", 8}, {"kmeans", 32}, {"ferret", 8}} {
+		b.Run(p.bench, func(b *testing.B) {
+			o := harness.Options{Bench: p.bench, Runtime: harness.KindConsequenceIC, Threads: 4, Scale: p.scale, Seed: 42, Shards: 4}
+			for n := 0; n < b.N; n++ {
+				cell, err := harness.Build(o, realhost.New(0, 0))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := cell.Run(); err != nil {
+					b.Fatal(err)
+				}
+				if err := cell.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -5,8 +5,7 @@
 // determinism violation; the report pins it to the first divergent sync
 // event or commit (tid, clock, site) with the surrounding context — the
 // last common events, the locks held at that point, and each thread's
-// last commit. The checkpoint probe localizes in O(log n) hash
-// comparisons (docs/divergence.md).
+// last commit (docs/divergence.md).
 //
 // Usage:
 //
@@ -17,8 +16,7 @@
 //	conseq-diff -perturb flip-page  -at 17  alog
 //
 // The -perturb modes diff a log against a deliberately corrupted copy of
-// its own history, made in memory (checkpoints recomputed so the copy
-// stays internally consistent): the report must name the planted site.
+// its own history, made in memory: the report must name the planted site.
 // It is the self-test TestGateJournal (internal/harness) runs in-process.
 //
 // Exit status: 0 when the runs are equivalent, 1 on divergence,

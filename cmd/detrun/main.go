@@ -66,7 +66,7 @@ func main() {
 	dumpTrace := flag.Int("dump-sync", 0, "dump the first N sync-order events")
 	watchdog := flag.Duration("watchdog", 0, "real-host stall watchdog: if any thread stays blocked longer than this, dump per-thread diagnostics and exit non-zero (requires -real)")
 	timeout := flag.Duration("timeout", 0, "bound the run's host wall clock: on expiry dump goroutine stacks and runtime state and exit non-zero (e.g. 30s)")
-	commitLogDir := flag.String("commitlog", "", "write the run's record (committed page diffs, sync events and hash checkpoints in one segmented log) into this empty directory; replay it with conseq-replay, compare two with conseq-diff")
+	commitLogDir := flag.String("commitlog", "", "write the run's record (committed page diffs and sync events in one segmented log) into this empty directory; replay it with conseq-replay, compare two with conseq-diff")
 	list := flag.Bool("list", false, "list benchmarks and exit")
 	listChaos := flag.Bool("list-chaos", false, "list built-in chaos profiles and exit")
 	flag.Parse()
@@ -175,8 +175,8 @@ func main() {
 		st.Versions, st.CommittedPages, st.MergedPages, st.PulledPages, st.Faults, st.PeakPages)
 	if cell.Log != nil {
 		cs := cell.Log.Stats()
-		fmt.Printf("commitlog   %s: %d commits, %d events, %d checkpoints, %d snapshots, %d segments (%d rolls), %d bytes (%d append stalls)\n",
-			*commitLogDir, cs.Commits, cs.Events, cs.Checkpoints, cs.Snapshots, cs.Segments, cs.Rolls, cs.Bytes, cs.AppendStalls)
+		fmt.Printf("commitlog   %s: %d commits, %d events, %d snapshots, %d segments (%d rolls), %d bytes (%d append stalls)\n",
+			*commitLogDir, cs.Commits, cs.Events, cs.Snapshots, cs.Segments, cs.Rolls, cs.Bytes, cs.AppendStalls)
 	}
 	if tr != nil && *dumpTrace > 0 {
 		evs := tr.Events()

@@ -15,7 +15,6 @@ package dthreads
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 
@@ -118,16 +117,7 @@ func (rt *Runtime) Run(root func(api.T)) error {
 }
 
 // Checksum implements api.Runtime.
-func (rt *Runtime) Checksum() uint64 {
-	h := fnv.New64a()
-	buf := make([]byte, rt.seg.PageSize())
-	at := rt.seg.Head()
-	for pg := 0; pg < rt.seg.NumPages(); pg++ {
-		rt.seg.ReadCommitted(buf, pg*rt.seg.PageSize(), at)
-		h.Write(buf)
-	}
-	return h.Sum64()
-}
+func (rt *Runtime) Checksum() uint64 { return rt.seg.Checksum() }
 
 // Stats implements api.Runtime.
 func (rt *Runtime) Stats() api.RunStats {

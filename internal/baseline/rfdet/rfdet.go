@@ -86,11 +86,10 @@ func (a vclock) clone() vclock {
 
 // Runtime implements api.Runtime with deterministic LRC semantics.
 type Runtime struct {
-	cfg   Config
-	h     host.Host
-	timed bool
-	arb   *clock.Arbiter
-	rec   *trace.Recorder
+	cfg Config
+	h   host.Host
+	arb *clock.Arbiter
+	rec *trace.Recorder
 
 	mu      sync.Mutex // threads map (grant delivery)
 	threads map[int]*thread
@@ -126,7 +125,6 @@ func New(cfg Config, h host.Host) (*Runtime, error) {
 	return &Runtime{
 		cfg:       cfg,
 		h:         h,
-		timed:     h.Timed(),
 		arb:       clock.New(clock.PolicyIC, true),
 		rec:       trace.New(keep),
 		threads:   make(map[int]*thread),

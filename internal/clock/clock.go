@@ -315,48 +315,31 @@ func (a *Arbiter) Holder() int {
 	return a.holder
 }
 
-// IsMinEligible reports whether tid currently has the smallest clock
-// (ties by tid) among eligible threads — i.e., whether it is the GMIC.
-// The adaptive overflow policy's rule 2 only applies to the GMIC thread:
-// it is the one whose progress gates every waiter.
-func (a *Arbiter) IsMinEligible(tid int) bool {
+// waiterAbove answers the adaptive counter-overflow policy's question
+// (§3.2) in one pass over the thread table: the smallest clock strictly
+// above cur among threads waiting for the token, whether there is one, and
+// whether tid has the smallest clock (ties by tid) among eligible threads
+// — i.e., whether it is the GMIC, the one thread whose progress gates
+// every waiter and so the only one that sets its next overflow to fire
+// just as its clock passes the next waiter's.
+func (a *Arbiter) waiterAbove(tid int, cur int64) (w int64, found, gmic bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	i := a.search(tid)
-	if i == len(a.threads) || a.threads[i].tid != tid || !a.threads[i].eligible {
-		return false
+	var self *threadState
+	if i := a.search(tid); i < len(a.threads) && a.threads[i].tid == tid && a.threads[i].eligible {
+		self = &a.threads[i]
 	}
-	self := &a.threads[i]
-	for j := range a.threads {
-		st := &a.threads[j]
-		if !st.eligible || st.tid == tid {
-			continue
-		}
-		if st.count < self.count || (st.count == self.count && st.tid < tid) {
-			return false
-		}
-	}
-	return true
-}
-
-// MinWantingAbove returns the smallest clock value among threads waiting
-// for the token whose clock is strictly greater than `above`, and whether
-// one exists. The adaptive counter-overflow policy (§3.2) uses this: a
-// running GMIC thread sets its next overflow to fire just as its clock
-// passes the next waiter's.
-func (a *Arbiter) MinWantingAbove(above int64) (int64, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	best := int64(0)
-	found := false
+	gmic = self != nil
 	for i := range a.threads {
 		st := &a.threads[i]
-		if st.wanting && st.count > above && (!found || st.count < best) {
-			best = st.count
-			found = true
+		if st.wanting && st.count > cur && (!found || st.count < w) {
+			w, found = st.count, true
+		}
+		if gmic && st.eligible && (st.count < self.count || (st.count == self.count && st.tid < tid)) {
+			gmic = false
 		}
 	}
-	return best, found
+	return w, found, gmic
 }
 
 // search returns tid's position in the thread table: the index of the

@@ -204,14 +204,18 @@ func TestMinWantingAbove(t *testing.T) {
 	a.Register(2, 200)
 	a.Request(1)
 	a.Request(2)
-	if v, ok := a.MinWantingAbove(10); !ok || v != 100 {
-		t.Errorf("MinWantingAbove(10) = %d,%v", v, ok)
+	// Thread 0 (clock 10) is the GMIC; thread 1 is not, whatever it asks.
+	if v, ok, gmic := a.waiterAbove(0, 10); !ok || v != 100 || !gmic {
+		t.Errorf("waiterAbove(0, 10) = %d,%v,%v", v, ok, gmic)
 	}
-	if v, ok := a.MinWantingAbove(150); !ok || v != 200 {
-		t.Errorf("MinWantingAbove(150) = %d,%v", v, ok)
+	if v, ok, gmic := a.waiterAbove(1, 150); !ok || v != 200 || gmic {
+		t.Errorf("waiterAbove(1, 150) = %d,%v,%v", v, ok, gmic)
 	}
-	if _, ok := a.MinWantingAbove(300); ok {
-		t.Error("MinWantingAbove(300) should find nothing")
+	if _, ok, gmic := a.waiterAbove(0, 300); ok || !gmic {
+		t.Errorf("waiterAbove(0, 300) = _,%v,%v: should find no waiter", ok, gmic)
+	}
+	if _, _, gmic := a.waiterAbove(7, 0); gmic {
+		t.Error("an unregistered tid is the GMIC")
 	}
 }
 

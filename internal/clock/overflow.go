@@ -67,14 +67,11 @@ func (o *Overflow) next(tid int, cur int64, a *Arbiter) int64 {
 	if !o.adaptive {
 		return o.base
 	}
-	waiterAbove := false
-	if w, ok := a.MinWantingAbove(cur); ok {
-		if a.IsMinEligible(tid) {
-			// Rule 2: we are the GMIC — fire just as our clock exceeds the
-			// next waiter's.
-			return w - cur + 1
-		}
-		waiterAbove = true
+	w, waiterAbove, gmic := a.waiterAbove(tid, cur)
+	if waiterAbove && gmic {
+		// Rule 2: we are the GMIC — fire just as our clock exceeds the
+		// next waiter's.
+		return w - cur + 1
 	}
 	// Rule 3: back off. Growth is capped tightly: a waiter that appears
 	// *after* we armed the counter cannot be notified before the armed

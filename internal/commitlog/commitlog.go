@@ -2,7 +2,7 @@
 // segmented append-only log that carries, in the one total order the
 // token defines, every published version's byte diffs — exactly as
 // computed by the commit pipeline — and, when the run's history is
-// attached too, every synchronization event and interval hash checkpoint.
+// attached too, every synchronization event.
 // The diffs make the log a complete, replayable description of memory:
 // applying each version's committer diff in version order to a
 // zero-initialized replica reproduces the committed state of every page
@@ -21,7 +21,7 @@
 //
 //	00000000000000000000.store   CRC-framed records
 //
-// A store file is a 5-byte magic ("CSQL" + format version 2), then a meta
+// A store file is a 5-byte magic ("CSQL" + format version 3), then a meta
 // frame, then record frames until EOF. Every frame is
 //
 //	u32le payload length | u32le CRC-32C of payload | payload
@@ -41,23 +41,22 @@
 //	                   replica state (written at clean Close)
 //	events     (0x05): until the payload ends: seq, tid, opcode, obj, clock,
 //	                   shard+1 — a batch of consecutive sync-trace events
-//	checkpoint (0x06): seq, hash, nthreads, then nthreads x (tid, hash),
-//	                   nshards, then nshards x (shard, hash)
 //
 // An event's opcode is a fixed one-byte code for the known trace.Op values
 // (opcode 0 escapes to a length-prefixed string). Its shard field is the
 // granting-shard provenance offset by one (0 = trace.NoShard: an
-// unsharded run or a cross-shard edge); a checkpoint's shard list carries
-// the per-shard rolling hashes under per-shard granting. Signed values
-// (clocks, seqs) are non-negative by construction.
+// unsharded run or a cross-shard edge). Signed values (clocks, seqs) are
+// non-negative by construction. Version 3 is version 2 without record
+// kind 0x06 (rolling hashes of the event stream, which no reader needed);
+// a reader refuses any other version at the header.
 //
 // A commit's atSeq is the sync-trace event count at recording time, and
 // the events recorded before a commit are framed ahead of it, so file
-// order is the total order: the commit with atSeq m and the checkpoint
-// with seq m both precede the event with seq m. A log whose run attached
-// no history (det.Config.CommitLog alone) holds no events or checkpoint
-// frames and is otherwise identical. Replay, Resume, Stream and the
-// followers skip history frames without decoding them.
+// order is the total order: the commit with atSeq m precedes the event
+// with seq m. A log whose run attached no history (det.Config.CommitLog
+// alone) holds no events frames and is otherwise identical. Replay,
+// Resume, Stream and the followers skip events frames without decoding
+// them.
 //
 // Segment rolls and snapshot cadence are pure functions of the record
 // stream (byte counts and commit counts — never wall time), so two
@@ -77,16 +76,15 @@ import (
 
 // storeMagic heads every segment store file; the trailing byte is the
 // format version.
-var storeMagic = []byte{'C', 'S', 'Q', 'L', 2}
+var storeMagic = []byte{'C', 'S', 'Q', 'L', 3}
 
 // Record kinds.
 const (
-	kindMeta       = 0x01
-	kindCommit     = 0x02
-	kindSnapshot   = 0x03
-	kindEnd        = 0x04
-	kindEvents     = 0x05
-	kindCheckpoint = 0x06
+	kindMeta     = 0x01
+	kindCommit   = 0x02
+	kindSnapshot = 0x03
+	kindEnd      = 0x04
+	kindEvents   = 0x05
 )
 
 // Exported record kinds (Record.Kind values).
@@ -100,8 +98,6 @@ const (
 	KindEnd = kindEnd
 	// KindEvents is a batch of consecutive sync-trace events.
 	KindEvents = kindEvents
-	// KindCheckpoint is one interval hash checkpoint of the event stream.
-	KindCheckpoint = kindCheckpoint
 )
 
 // opCodes maps the known trace ops to stable one-byte codes. Code 0 is
@@ -185,12 +181,11 @@ type End struct {
 
 // Record is one decoded log record.
 type Record struct {
-	Kind       byte
-	Commit     Commit           // valid when Kind == KindCommit
-	Snapshot   Snapshot         // valid when Kind == KindSnapshot
-	End        End              // valid when Kind == KindEnd
-	Events     []trace.Event    // valid when Kind == KindEvents
-	Checkpoint trace.Checkpoint // valid when Kind == KindCheckpoint
+	Kind     byte
+	Commit   Commit        // valid when Kind == KindCommit
+	Snapshot Snapshot      // valid when Kind == KindSnapshot
+	End      End           // valid when Kind == KindEnd
+	Events   []trace.Event // valid when Kind == KindEvents
 }
 
 // Version returns the record's version number (zero for the history
@@ -284,24 +279,6 @@ func appendEvent(b []byte, e trace.Event) []byte {
 	return binary.AppendUvarint(b, uint64(e.Shard+1))
 }
 
-// appendCheckpoint encodes a checkpoint payload.
-func appendCheckpoint(b []byte, c trace.Checkpoint) []byte {
-	b = append(b, kindCheckpoint)
-	b = binary.AppendUvarint(b, uint64(c.Seq))
-	b = binary.LittleEndian.AppendUint64(b, c.Hash)
-	b = binary.AppendUvarint(b, uint64(len(c.Threads)))
-	for _, th := range c.Threads {
-		b = binary.AppendUvarint(b, uint64(th.Tid))
-		b = binary.LittleEndian.AppendUint64(b, th.Hash)
-	}
-	b = binary.AppendUvarint(b, uint64(len(c.Shards)))
-	for _, sh := range c.Shards {
-		b = binary.AppendUvarint(b, uint64(sh.Shard))
-		b = binary.LittleEndian.AppendUint64(b, sh.Hash)
-	}
-	return b
-}
-
 // errShort is the generic truncated-payload decode error.
 var errShort = fmt.Errorf("commitlog: truncated payload")
 
@@ -322,38 +299,6 @@ func getString(b []byte) (string, []byte, error) {
 		return "", nil, fmt.Errorf("commitlog: string length %d out of range", n)
 	}
 	return string(b[:n]), b[n:], nil
-}
-
-// getHash reads a fixed 8-byte little-endian hash word.
-func getHash(b []byte) (uint64, []byte, error) {
-	if len(b) < 8 {
-		return 0, nil, errShort
-	}
-	return binary.LittleEndian.Uint64(b), b[8:], nil
-}
-
-// getHashes decodes a checkpoint's (id, hash) list, handing each pair to
-// add. Every pair takes at least nine bytes, which bounds the count a
-// payload can claim.
-func getHashes(b []byte, add func(id int, hash uint64)) ([]byte, error) {
-	n, b, err := getUvarint(b)
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(b))/9 {
-		return nil, fmt.Errorf("commitlog: hash list of %d entries exceeds the payload", n)
-	}
-	for i := uint64(0); i < n; i++ {
-		var id, h uint64
-		if id, b, err = getUvarint(b); err != nil {
-			return nil, err
-		}
-		if h, b, err = getHash(b); err != nil {
-			return nil, err
-		}
-		add(int(id), h)
-	}
-	return b, nil
 }
 
 // decodeEvent decodes one event off the front of an events payload.
@@ -551,26 +496,6 @@ func decodeRecord(payload []byte, pageSize, npages int) (Record, error) {
 			evs = append(evs, e)
 		}
 		return Record{Kind: kindEvents, Events: evs}, nil
-	case kindCheckpoint:
-		var c trace.Checkpoint
-		var seq uint64
-		if seq, b, err = getUvarint(b); err != nil {
-			return Record{}, err
-		}
-		c.Seq = int64(seq)
-		if c.Hash, b, err = getHash(b); err != nil {
-			return Record{}, err
-		}
-		if b, err = getHashes(b, func(tid int, h uint64) { c.Threads = append(c.Threads, trace.ThreadHash{Tid: tid, Hash: h}) }); err != nil {
-			return Record{}, err
-		}
-		if b, err = getHashes(b, func(sh int, h uint64) { c.Shards = append(c.Shards, trace.ShardHash{Shard: sh, Hash: h}) }); err != nil {
-			return Record{}, err
-		}
-		if len(b) != 0 {
-			return Record{}, fmt.Errorf("commitlog: %d trailing bytes after checkpoint", len(b))
-		}
-		return Record{Kind: kindCheckpoint, Checkpoint: c}, nil
 	default:
 		return Record{}, fmt.Errorf("commitlog: unknown record kind 0x%02x", kind)
 	}

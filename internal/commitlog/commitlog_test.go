@@ -102,8 +102,7 @@ func writeLog(t *testing.T, dir string, opts Options, commits []Commit) *Log {
 // recorder whose sink is the log records every sync event up to each
 // commit's AtSeq before the commit is appended, as the runtime does, and
 // three more after the last. Events rotate through the known ops, an op
-// the encoder has no code for, and sharded and unsharded provenance;
-// checkpoints fall every 16 events.
+// the encoder has no code for, and sharded and unsharded provenance.
 func writeHistoryLog(t *testing.T, dir string, opts Options, commits []Commit) (*Log, *trace.Recorder) {
 	t.Helper()
 	l, err := Create(dir, opts)
@@ -114,7 +113,6 @@ func writeHistoryLog(t *testing.T, dir string, opts Options, commits []Commit) (
 		t.Fatal(err)
 	}
 	rec := trace.New(0)
-	rec.SetCheckpointInterval(16)
 	rec.SetSink(l)
 	ops := []trace.Op{trace.OpLock, trace.OpUnlock, trace.OpBarrier, trace.OpSignal, "future-op"}
 	record := func(upto int64) {
@@ -134,9 +132,8 @@ func writeHistoryLog(t *testing.T, dir string, opts Options, commits []Commit) (
 }
 
 // TestHistoryRecords: a log that is the run's trace sink carries every
-// event and checkpoint in the total order — each commit behind exactly
-// the events its AtSeq counts, each checkpoint behind the events it
-// summarizes — and they read back equal to what the recorder holds.
+// event in the total order — each commit behind exactly the events its
+// AtSeq counts — and they read back equal to what the recorder holds.
 // Memory's readers pass over them: the log replays to the same state as
 // the same commits logged alone.
 func TestHistoryRecords(t *testing.T) {
@@ -144,8 +141,8 @@ func TestHistoryRecords(t *testing.T) {
 	commits := mkCommits(40)
 	l, rec := writeHistoryLog(t, dir, Options{SegmentBytes: 2048, SnapshotEvery: 16}, commits)
 	writeLog(t, bare, Options{SegmentBytes: 2048, SnapshotEvery: 16}, commits)
-	if st := l.Stats(); st.Events != rec.Len() || st.Checkpoints != int64(len(rec.Checkpoints())) || st.Commits != 40 {
-		t.Fatalf("stats %+v, recorder has %d events and %d checkpoints", st, rec.Len(), len(rec.Checkpoints()))
+	if st := l.Stats(); st.Events != rec.Len() || st.Commits != 40 {
+		t.Fatalf("stats %+v, recorder has %d events", st, rec.Len())
 	}
 
 	r, err := OpenReader(dir)
@@ -153,17 +150,11 @@ func TestHistoryRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	var events []trace.Event
-	var cps []trace.Checkpoint
 	ncommits := 0
 	if err := r.ForEach(func(_ int64, rc Record) error {
 		switch rc.Kind {
 		case KindEvents:
 			events = append(events, rc.Events...)
-		case KindCheckpoint:
-			if rc.Checkpoint.Seq != int64(len(events)) {
-				t.Errorf("checkpoint for seq %d sits behind %d events", rc.Checkpoint.Seq, len(events))
-			}
-			cps = append(cps, rc.Checkpoint)
 		case KindCommit:
 			if rc.Commit.AtSeq != int64(len(events)) {
 				t.Errorf("commit v%d (AtSeq %d) sits behind %d events", rc.Commit.Version, rc.Commit.AtSeq, len(events))
@@ -174,15 +165,15 @@ func TestHistoryRecords(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if ncommits != 40 || !reflect.DeepEqual(events, rec.Events()) || !reflect.DeepEqual(cps, rec.Checkpoints()) {
-		t.Fatalf("read back %d commits, %d events, %d checkpoints; recorded 40, %d, %d (or their contents differ)",
-			ncommits, len(events), len(cps), rec.Len(), len(rec.Checkpoints()))
+	if ncommits != 40 || !reflect.DeepEqual(events, rec.Events()) {
+		t.Fatalf("read back %d commits, %d events; recorded 40, %d (or their contents differ)",
+			ncommits, len(events), rec.Len())
 	}
 
 	seen := 0
 	if _, err := r.ForEachAvailableFrom(0, func(_ int64, rc Record) error {
-		if rc.Kind == KindEvents || rc.Kind == KindCheckpoint {
-			t.Errorf("a follower's read was handed a history record (kind %d)", rc.Kind)
+		if rc.Kind == KindEvents {
+			t.Error("a follower's read was handed an events record")
 		}
 		seen++
 		return nil
@@ -211,7 +202,7 @@ func TestHistoryRecords(t *testing.T) {
 	}
 }
 
-// TestRecordingOutsideBeginAndClose: the sink methods follow Append's
+// TestRecordingOutsideBeginAndClose: the sink method follows Append's
 // rule — dropped before Begin and after Close, however much is recorded:
 // nothing may pile up for, or be sent to, a drain that has gone.
 func TestRecordingOutsideBeginAndClose(t *testing.T) {
@@ -222,7 +213,6 @@ func TestRecordingOutsideBeginAndClose(t *testing.T) {
 	}
 	e := trace.Event{Tid: 1, Op: trace.OpLock, Obj: 7, Clock: 1 << 40, Shard: trace.NoShard}
 	l.RecordEvent(e)
-	l.RecordCheckpoint(trace.Checkpoint{Seq: 1})
 	if err := l.Begin(tPageSize, tNumPages); err != nil {
 		t.Fatal(err)
 	}
@@ -236,8 +226,7 @@ func TestRecordingOutsideBeginAndClose(t *testing.T) {
 	for i := 0; i < 2*eventBatchBytes/8; i++ { // well past one batch, were it kept
 		l.RecordEvent(e)
 	}
-	l.RecordCheckpoint(trace.Checkpoint{Seq: 2})
-	if st := l.Stats(); st.Events != 1 || st.Checkpoints != 0 {
+	if st := l.Stats(); st.Events != 1 {
 		t.Fatalf("stats %+v, want the one event recorded between Begin and Close", st)
 	}
 	r, err := OpenReader(dir)

@@ -32,7 +32,6 @@ type Options struct {
 type Stats struct {
 	Commits      int64
 	Events       int64
-	Checkpoints  int64
 	Snapshots    int64
 	Segments     int64 // segment files on disk
 	Rolls        int64
@@ -56,8 +55,8 @@ const appendQueueDepth = 256
 const perturbPeriod = 128
 
 // eventBatchBytes is the size at which a batch of encoded events is handed
-// to the drain goroutine even though no commit, checkpoint, Sync or Close
-// has come to flush it.
+// to the drain goroutine even though no commit, Sync or Close has come to
+// flush it.
 const eventBatchBytes = 32 << 10
 
 // freeBatches is how many written batch buffers the drain goroutine keeps
@@ -103,7 +102,6 @@ type Log struct {
 
 	commits     atomic.Int64
 	events      atomic.Int64
-	checkpoints atomic.Int64
 	snapshots   atomic.Int64
 	segments    atomic.Int64
 	rolls       atomic.Int64
@@ -118,7 +116,7 @@ type Log struct {
 type logMsg struct {
 	isCommit bool
 	commit   Commit
-	history  []byte        // an encoded events or checkpoint payload when non-nil
+	history  []byte        // an encoded events payload when non-nil
 	sub      *Stream       // subscribe request when non-nil (acknowledged through sync)
 	unsub    *Stream       // unsubscribe request when non-nil
 	snap     bool          // RequestSnapshot: force a snapshot at the next commit boundary
@@ -228,9 +226,9 @@ func (l *Log) Append(c Commit) {
 
 // RecordEvent records one sync-trace event (trace.Sink): it is encoded
 // here, on the recording thread, onto the pending batch, which reaches the
-// drain goroutine as one events frame ahead of the next commit,
-// checkpoint, Sync or Close, or once it holds eventBatchBytes. Like
-// Append, it is dropped before Begin and after Close.
+// drain goroutine as one events frame ahead of the next commit, Sync or
+// Close, or once it holds eventBatchBytes. Like Append, it is dropped
+// before Begin and after Close.
 func (l *Log) RecordEvent(e trace.Event) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -242,21 +240,6 @@ func (l *Log) RecordEvent(e trace.Event) {
 	if len(l.batch) >= eventBatchBytes {
 		l.flushBatchLocked()
 	}
-}
-
-// RecordCheckpoint records one interval hash checkpoint (trace.Sink) as
-// its own frame, behind the events it summarizes. Dropped before Begin
-// and after Close.
-func (l *Log) RecordCheckpoint(c trace.Checkpoint) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.begun || l.closed {
-		return
-	}
-	l.flushBatchLocked()
-	l.batch = appendCheckpoint(l.batch, c)
-	l.flushBatchLocked()
-	l.checkpoints.Add(1)
 }
 
 // flushBatchLocked hands the pending history payload, if any, to the
@@ -342,15 +325,11 @@ func (l *Log) Close() error {
 	return l.closeErr
 }
 
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Stats snapshots the activity counters (safe mid-run).
 func (l *Log) Stats() Stats {
 	return Stats{
 		Commits:      l.commits.Load(),
 		Events:       l.events.Load(),
-		Checkpoints:  l.checkpoints.Load(),
 		Snapshots:    l.snapshots.Load(),
 		Segments:     l.segments.Load(),
 		Rolls:        l.rolls.Load(),

@@ -136,9 +136,9 @@ func readFrame(f io.Reader) ([]byte, error) {
 // numbered from and up, in order, starting in the segment that holds from.
 // strict turns a torn or corrupt frame into an error; otherwise the walk
 // just stops there and complete reports false (a live writer may be
-// mid-frame). Without history, events and checkpoint frames are counted
-// and passed over undecoded — memory's readers (replay, followers) have no
-// use for them. f's errStop return ends the walk cleanly.
+// mid-frame). Without history, events frames are counted and passed over
+// undecoded — memory's readers (replay, followers) have no use for them.
+// f's errStop return ends the walk cleanly.
 func (r *Reader) walk(from int64, strict, history bool, f func(rec int64, rc Record) error) (complete bool, err error) {
 	fail := func(err error) (bool, error) {
 		if strict {
@@ -164,7 +164,7 @@ func (r *Reader) walk(from int64, strict, history bool, f func(rec int64, rc Rec
 			if err != nil {
 				return fail(fmt.Errorf("%w (%s record %d: %v)", ErrTruncated, path, rec, err))
 			}
-			if rec < from || (!history && len(payload) > 0 && (payload[0] == kindEvents || payload[0] == kindCheckpoint)) {
+			if rec < from || (!history && len(payload) > 0 && payload[0] == kindEvents) {
 				continue
 			}
 			rc, err := decodeRecord(payload, r.pageSize, r.npages)
@@ -191,8 +191,8 @@ func (r *Reader) walk(from int64, strict, history bool, f func(rec int64, rc Rec
 	return true, nil
 }
 
-// ForEach iterates every record in the log in order, the run's history
-// (events and checkpoints) included; a torn or corrupt frame is an error
+// ForEach iterates every record in the log in order, the run's events
+// included; a torn or corrupt frame is an error
 // (run Repair first after a crash).
 func (r *Reader) ForEach(f func(rec int64, rc Record) error) error {
 	_, err := r.walk(0, true, true, f)

@@ -1,8 +1,8 @@
 package det_test
 
 // The runtime's two attach points on the one commit log: Config.CommitLog
-// / SetCommitLog (the diffs) and SetJournal (the sync events and
-// checkpoints, into the same record stream).
+// / SetCommitLog (the diffs) and SetJournal (the sync events, into the
+// same record stream).
 
 import (
 	"bytes"
@@ -90,15 +90,12 @@ func TestJournalDoesNotPerturbResults(t *testing.T) {
 }
 
 // Two identical runs must write byte-identical logs, and the history
-// loaded from one must reproduce the run's events, checkpoints and
-// commits.
+// loaded from one must reproduce the run's events and commits.
 func TestJournalReproducibleAndComplete(t *testing.T) {
 	a, b := t.TempDir(), t.TempDir()
 	prog := counterProg(4, 20)
-	c := cfg()
-	c.JournalCheckpointK = 16
-	recA := runJournaled(t, c, simhost.New(costmodel.Default()), a, commitlog.Options{}, prog).Trace()
-	runJournaled(t, c, simhost.New(costmodel.Default()), b, commitlog.Options{}, prog)
+	recA := runJournaled(t, cfg(), simhost.New(costmodel.Default()), a, commitlog.Options{}, prog).Trace()
+	runJournaled(t, cfg(), simhost.New(costmodel.Default()), b, commitlog.Options{}, prog)
 	if !bytes.Equal(dirBytes(t, a), dirBytes(t, b)) {
 		t.Fatal("identical runs wrote different log bytes")
 	}
@@ -117,9 +114,6 @@ func TestJournalReproducibleAndComplete(t *testing.T) {
 		if len(c.Pages) == 0 {
 			t.Fatalf("commit version %d loaded with no pages", c.Version)
 		}
-	}
-	if want := recA.Checkpoints(); len(want) == 0 || len(da.Checkpoints) != len(want) {
-		t.Fatalf("the log has %d checkpoints, recorder %d", len(da.Checkpoints), len(want))
 	}
 	db, err := journal.Load(b)
 	if err != nil {
@@ -168,7 +162,7 @@ func TestJournalMetrics(t *testing.T) {
 				got[s.Name] = s.Value
 			}
 			st := cl.Stats()
-			if st.Events == 0 || got["commitlog_events"] != st.Events || got["commitlog_checkpoints"] != st.Checkpoints || got["commitlog_commits"] != st.Commits {
+			if st.Events == 0 || got["commitlog_events"] != st.Events || got["commitlog_commits"] != st.Commits {
 				t.Fatalf("gauges %v do not match the log's stats %+v", got, st)
 			}
 		})

@@ -25,7 +25,6 @@ package det
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 
@@ -164,12 +163,10 @@ type Config struct {
 
 	// TraceKeep bounds retained trace events (hashing always covers all).
 	TraceKeep int
-	// JournalCheckpointK is the interval, in sync-trace events, between
-	// rolling-hash checkpoints (trace.Checkpoint; 0 disables). Checkpoints
-	// are cheap in-memory snapshots of the global and per-thread hashes;
-	// with the commit log attached as the journal (SetJournal) they are
-	// also persisted, letting conseq-diff localize a divergence in
-	// O(log n) hash probes.
+	// JournalCheckpointK survives for bench/probes.go, its only reader:
+	// bench/ is frozen and its trace probe still passes the field to
+	// (*trace.Recorder).SetCheckpointInterval. Nothing in the runtime
+	// reads it; delete it with the next benchmark PR.
 	JournalCheckpointK int64
 	// Model is the simulation cost model (ignored on untimed hosts).
 	Model costmodel.Model
@@ -217,11 +214,10 @@ func Default() Config {
 		// bounded reclaim per pass, so programs that churn pages faster
 		// than one collector thread can fold them retain versions — the
 		// canneal / lu_ncb memory growth of Figure 12.
-		GCPageBudget:       192,
-		GCEveryNCommits:    16,
-		TraceKeep:          4096,
-		JournalCheckpointK: 256,
-		Model:              costmodel.Default(),
+		GCPageBudget:    192,
+		GCEveryNCommits: 16,
+		TraceKeep:       4096,
+		Model:           costmodel.Default(),
 	}
 }
 
@@ -360,9 +356,6 @@ func New(cfg Config, h host.Host) (*Runtime, error) {
 		workerPool:   workerPool,
 		lastCoordTid: -1,
 	}
-	if cfg.JournalCheckpointK > 0 {
-		rt.rec.SetCheckpointInterval(cfg.JournalCheckpointK)
-	}
 	if cfg.SingleGlobalLock {
 		rt.globalMutex = &dMutex{id: 1, owner: -1}
 	}
@@ -479,13 +472,13 @@ func (rt *Runtime) SetObserver(o *obs.Observer) {
 }
 
 // SetJournal makes the commit log the run's history too; must be called
-// before Run. Every sync-trace event and interval checkpoint then streams
-// to l through the trace sink and is framed into the same record stream
-// as the commits, in order (docs/divergence.md). l is the log given to
-// SetCommitLog, which binds it to the memory geometry: a log that has not
-// begun drops what it is handed. Recording never changes results —
-// checksums and sync traces are byte-identical with the history on or
-// off, which TestGateJournal (internal/harness) gates.
+// before Run. Every sync-trace event then streams to l through the trace
+// sink and is framed into the same record stream as the commits, in order
+// (docs/divergence.md). l is the log given to SetCommitLog, which binds
+// it to the memory geometry: a log that has not begun drops what it is
+// handed. Recording never changes results — checksums and sync traces
+// are byte-identical with the history on or off, which TestGateJournal
+// (internal/harness) gates.
 func (rt *Runtime) SetJournal(l *commitlog.Log) {
 	if rt.started {
 		panic("det: SetJournal after Run")
@@ -533,7 +526,6 @@ func (rt *Runtime) registerCommitLogMetrics() {
 	}
 	r.Func("commitlog_commits", cFunc(func(s commitlog.Stats) int64 { return s.Commits }))
 	r.Func("commitlog_events", cFunc(func(s commitlog.Stats) int64 { return s.Events }))
-	r.Func("commitlog_checkpoints", cFunc(func(s commitlog.Stats) int64 { return s.Checkpoints }))
 	r.Func("commitlog_snapshots", cFunc(func(s commitlog.Stats) int64 { return s.Snapshots }))
 	r.Func("commitlog_segments", cFunc(func(s commitlog.Stats) int64 { return s.Segments }))
 	r.Func("commitlog_rolls", cFunc(func(s commitlog.Stats) int64 { return s.Rolls }))
@@ -732,16 +724,7 @@ func (rt *Runtime) deliverFrom(waker host.Binding, grant int) {
 }
 
 // Checksum implements api.Runtime: FNV-1a over the final committed state.
-func (rt *Runtime) Checksum() uint64 {
-	h := fnv.New64a()
-	buf := make([]byte, rt.seg.PageSize())
-	at := rt.seg.Head()
-	for pg := 0; pg < rt.seg.NumPages(); pg++ {
-		rt.seg.ReadCommitted(buf, pg*rt.seg.PageSize(), at)
-		h.Write(buf)
-	}
-	return h.Sum64()
-}
+func (rt *Runtime) Checksum() uint64 { return rt.seg.Checksum() }
 
 // Stats implements api.Runtime.
 func (rt *Runtime) Stats() api.RunStats {

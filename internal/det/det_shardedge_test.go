@@ -156,9 +156,8 @@ func TestCrossShardEdges(t *testing.T) {
 
 // TestCrossShardJournalsByteIdentical: with per-shard granting on, two
 // identical runs must write byte-identical logs (events carry shard
-// provenance, checkpoints the per-shard hash chains), and the sim and
-// real hosts must agree with each other too — the log encodes only
-// deterministic state.
+// provenance), and the sim and real hosts must agree with each other too —
+// the log encodes only deterministic state.
 func TestCrossShardJournalsByteIdentical(t *testing.T) {
 	prog := forkJoinTreeProg(3)
 	for _, shards := range []int{2, 4} {

@@ -213,7 +213,11 @@ func (t *Thread) Compute(n int64) {
 // overflow costs an interrupt and is the moment a waiting thread can learn
 // it has become the GMIC — and at chunk ends (publishPending); in between,
 // progress accumulates locally like an unread hardware counter. Untimed
-// hosts publish every operation (latency is real there, not modeled).
+// hosts publish every operation: latency is real there, not modeled, and
+// a late publication costs more than the arbiter lock it saves — with the
+// real host publishing at overflow boundaries too, sync_storm ran
+// 11.12x pthreads instead of 10.53x, slower in ten alternated pairs of
+// ten (EXPERIMENTS.md "Real-host clock publication").
 //
 // Advancing also enforces the adaptive-coarsening budget: if a coarsened
 // chunk turns out to be longer than the estimate that justified it

@@ -91,13 +91,12 @@ type Options struct {
 	// CommitLogDir, when non-empty, writes the run's record into this
 	// directory, which must be empty (internal/commitlog: a segmented,
 	// CRC-framed log of every committed version's page diffs and, in the
-	// same order, every sync event and interval hash checkpoint).
-	// Det-backed runtimes only. Logging is observation off the token
-	// critical path: the cell's checksum and sync trace are identical with
-	// it on or off, identical cells write byte-identical logs,
-	// conseq-replay reconstructs the cell's final state from the directory
-	// and conseq-diff compares two of them — TestGateCommitLog and
-	// TestGateJournal gate all of it.
+	// same order, every sync event). Det-backed runtimes only. Logging is
+	// observation off the token critical path: the cell's checksum and
+	// sync trace are identical with it on or off, identical cells write
+	// byte-identical logs, conseq-replay reconstructs the cell's final
+	// state from the directory and conseq-diff compares two of them —
+	// TestGateCommitLog and TestGateJournal gate all of it.
 	CommitLogDir string
 	// Replicas, when >= 1, starts a supervised replica fleet
 	// (internal/replica) of that many serving followers plus a

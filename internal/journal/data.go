@@ -1,36 +1,9 @@
 package journal
 
-import (
-	"fmt"
+import "fmt"
 
-	"repro/internal/trace"
-)
-
-// RecomputeCheckpoints rebuilds d.Checkpoints from d.Events at the same
-// interval as the existing checkpoints (no-op when the history has none).
-// Use after editing a loaded history (Perturb does) to keep it
-// internally consistent: Diff's checkpoint probe assumes a history's
-// checkpoints are true prefix hashes of its events, which holds for every
-// history the runtime records.
-func RecomputeCheckpoints(d *Data) {
-	if len(d.Checkpoints) == 0 {
-		return
-	}
-	k := d.Checkpoints[0].Seq
-	if k <= 0 {
-		return
-	}
-	r := trace.New(1)
-	r.SetCheckpointInterval(k)
-	for _, e := range d.Events {
-		r.RecordSharded(e.Tid, e.Op, e.Obj, e.Clock, e.Shard)
-	}
-	d.Checkpoints = r.Checkpoints()
-}
-
-// Perturb plants one deliberate divergence in a loaded history and
-// recomputes the interval checkpoints so it stays internally consistent —
-// the self-test fuel for Diff (conseq-diff -perturb and TestGateJournal).
+// Perturb plants one deliberate divergence in a loaded history — the
+// self-test fuel for Diff (conseq-diff -perturb and TestGateJournal).
 // Mode "swap-grant" swaps the adjacent events at seq at and at+1;
 // "flip-page" flips the first page hash of commit index at.
 func (d *Data) Perturb(mode string, at int64) error {
@@ -55,6 +28,5 @@ func (d *Data) Perturb(mode string, at int64) error {
 	default:
 		return fmt.Errorf("unknown perturbation %q (want swap-grant or flip-page)", mode)
 	}
-	RecomputeCheckpoints(d)
 	return nil
 }

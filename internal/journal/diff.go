@@ -71,7 +71,6 @@ type Report struct {
 	Kind      string   `json:"kind"`
 	Seq       int64    `json:"seq"` // first divergent event seq (DivEvent/DivLength) or atSeq (DivCommit)
 	Detail    string   `json:"detail"`
-	Probes    int      `json:"probes"` // checkpoint hash comparisons used to localize
 	EventsA   int64    `json:"events_a"`
 	EventsB   int64    `json:"events_b"`
 	CommitsA  int64    `json:"commits_a"`
@@ -95,12 +94,11 @@ type DiffOptions struct {
 	Context int // common events of context to include (default 8)
 }
 
-// Diff localizes the first divergence between two journals. It first
-// probes the interval checkpoints (binary search over prefix hashes, one
-// comparison per probe) to narrow the search to one interval, then
-// compares events and commits inside it; with checkpoints every K events
-// this is O(log n) probes plus O(K) event comparisons, matching the
-// Merkle-interval scheme in docs/divergence.md.
+// Diff localizes the first divergence between two journals: one linear
+// pass over the paired events and one over the paired commits, the
+// earlier difference winning (docs/divergence.md). Both histories are
+// already in memory — Load read every record and replayed every diff to
+// produce them — so the scan is the cheap part.
 func Diff(a, b *Data, opts DiffOptions) *Report {
 	if opts.Context <= 0 {
 		opts.Context = 8
@@ -119,55 +117,22 @@ func Diff(a, b *Data, opts DiffOptions) *Report {
 		return rep
 	}
 
-	// Phase 1: checkpoint probe. Checkpoints with equal Seq prefixes and
-	// equal hashes prove the prefix identical without touching events.
-	lo := 0 // events below lo are proven identical
-	probes := 0
-	ca, cb := a.Checkpoints, b.Checkpoints
-	n := len(ca)
-	if len(cb) < n {
-		n = len(cb)
-	}
-	comparable := true
-	for i := 0; i < n; i++ {
-		if ca[i].Seq != cb[i].Seq {
-			comparable = false // different checkpoint intervals: fall back
-			break
-		}
-	}
-	if comparable && n > 0 {
-		// Binary search for the first checkpoint whose prefix hash
-		// differs; everything before the previous one is identical.
-		first := sort.Search(n, func(i int) bool {
-			probes++
-			return ca[i].Hash != cb[i].Hash
-		})
-		if first > 0 {
-			lo = int(ca[first-1].Seq)
-		}
-	}
-	rep.Probes = probes
-
-	// Phase 2: event scan inside the suspect interval.
 	ae, be := a.Events, b.Events
 	ne := len(ae)
 	if len(be) < ne {
 		ne = len(be)
 	}
-	if lo > ne {
-		lo = ne // checkpoints claim more events than present (truncated file)
-	}
 	div := -1
-	for i := lo; i < ne; i++ {
+	for i := 0; i < ne; i++ {
 		if ae[i] != be[i] {
 			div = i
 			break
 		}
 	}
 
-	// Phase 3: commit-stream scan. Commits interleave with events via
-	// AtSeq; a commit divergence strictly before the event divergence is
-	// the earlier (and therefore first) observable difference.
+	// Commits interleave with events via AtSeq; a commit divergence
+	// strictly before the event divergence is the earlier (and therefore
+	// first) observable difference.
 	cdiv, cA, cB, pd := firstCommitDiff(a.Commits, b.Commits)
 
 	eventSeq := int64(-1)
@@ -403,8 +368,7 @@ func (r *Report) WriteJSON(w io.Writer) error {
 func (r *Report) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "divergence: %s\n", r.Kind)
 	fmt.Fprintf(w, "  %s\n", r.Detail)
-	fmt.Fprintf(w, "  events: %d vs %d   commits: %d vs %d   checkpoint probes: %d\n",
-		r.EventsA, r.EventsB, r.CommitsA, r.CommitsB, r.Probes)
+	fmt.Fprintf(w, "  events: %d vs %d   commits: %d vs %d\n", r.EventsA, r.EventsB, r.CommitsA, r.CommitsB)
 	for _, m := range r.MetaDiffs {
 		fmt.Fprintf(w, "  meta %s\n", m)
 	}

@@ -1,13 +1,12 @@
 // Package journal is the divergence analysis over a deterministic run's
-// history — the total order of synchronization events, the interval hash
-// checkpoints over it, and each commit's page content hashes. The history
-// is not a file of its own: Load derives it from the run's commit log
-// (internal/commitlog, whose package comment is the one format spec),
-// taking the events and checkpoints from their records and each commit's
-// page hashes by replaying its diffs. Two runs of the same program have
-// identical histories, so Diff (cmd/conseq-diff) localizes the *first*
-// divergent event or commit instead of reporting a bare hash mismatch
-// (docs/divergence.md).
+// history — the total order of synchronization events and each commit's
+// page content hashes. The history is not a file of its own: Load derives
+// it from the run's commit log (internal/commitlog, whose package comment
+// is the one format spec), taking the events from their records and each
+// commit's page hashes by replaying its diffs. Two runs of the same
+// program have identical histories, so Diff (cmd/conseq-diff) localizes
+// the *first* divergent event or commit instead of reporting a bare hash
+// mismatch (docs/divergence.md).
 package journal
 
 import (
@@ -38,10 +37,9 @@ type Commit struct {
 
 // Data is a run's loaded history.
 type Data struct {
-	Meta        map[string]string
-	Events      []trace.Event
-	Commits     []Commit
-	Checkpoints []trace.Checkpoint
+	Meta    map[string]string
+	Events  []trace.Event
+	Commits []Commit
 }
 
 // Load reads the history out of the commit log in dir, walking its
@@ -67,8 +65,6 @@ func Load(dir string) (*Data, error) {
 		switch rc.Kind {
 		case commitlog.KindEvents:
 			d.Events = append(d.Events, rc.Events...)
-		case commitlog.KindCheckpoint:
-			d.Checkpoints = append(d.Checkpoints, rc.Checkpoint)
 		case commitlog.KindCommit:
 			lc := rc.Commit
 			c := Commit{AtSeq: lc.AtSeq, Version: lc.Version, Tid: lc.Tid, Clock: lc.Clock, Pages: make([]PageHash, len(lc.Pages))}

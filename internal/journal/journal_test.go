@@ -42,7 +42,6 @@ func mkHistory(t testing.TB, dir string, n int) history {
 		t.Fatal(err)
 	}
 	h := history{rec: trace.New(0)}
-	h.rec.SetCheckpointInterval(8)
 	h.rec.SetSink(l)
 	ref := make([][]byte, tNumPages)
 	for i := range ref {
@@ -87,18 +86,16 @@ func loadTwo(t *testing.T, n int) (a, b *Data) {
 	return a, b
 }
 
-// isPrefix reports whether got's events, checkpoints and commits are each
-// a prefix of full's.
+// isPrefix reports whether got's events and commits are each a prefix of
+// full's.
 func isPrefix(got, full *Data) bool {
 	return len(got.Events) <= len(full.Events) && reflect.DeepEqual(got.Events, full.Events[:len(got.Events)]) &&
-		len(got.Checkpoints) <= len(full.Checkpoints) && reflect.DeepEqual(got.Checkpoints, full.Checkpoints[:len(got.Checkpoints)]) &&
 		len(got.Commits) <= len(full.Commits) && reflect.DeepEqual(got.Commits, full.Commits[:len(got.Commits)])
 }
 
 // TestRoundtrip: Load derives the whole history from the log — the meta,
-// every event and checkpoint the recorder holds, and every commit with
-// the hash of each page it changed, equal to hashing the page content the
-// writer published.
+// every event the recorder holds, and every commit with the hash of each
+// page it changed, equal to hashing the page content the writer published.
 func TestRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	h := mkHistory(t, dir, 60)
@@ -111,9 +108,6 @@ func TestRoundtrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(d.Events, h.rec.Events()) {
 		t.Fatalf("loaded %d events, recorded %d (or their contents differ)", len(d.Events), h.rec.Len())
-	}
-	if len(d.Checkpoints) == 0 || !reflect.DeepEqual(d.Checkpoints, h.rec.Checkpoints()) {
-		t.Fatalf("loaded checkpoints %+v, recorded %+v", d.Checkpoints, h.rec.Checkpoints())
 	}
 	if len(d.Commits) != 15 || !reflect.DeepEqual(d.Commits, h.commits) {
 		t.Fatalf("loaded commits %+v, recorded %+v", d.Commits, h.commits)
@@ -181,7 +175,7 @@ func TestDiffIdentical(t *testing.T) {
 
 // TestDiffPinpointsSwappedGrant injects a single swapped pair of events
 // (modeling a swapped token grant) and asserts Diff names exactly that
-// event, using checkpoint probes.
+// event.
 func TestDiffPinpointsSwappedGrant(t *testing.T) {
 	da, db := loadTwo(t, 200)
 
@@ -190,7 +184,6 @@ func TestDiffPinpointsSwappedGrant(t *testing.T) {
 	const at = 123
 	db.Events[at], db.Events[at+1] = db.Events[at+1], db.Events[at]
 	db.Events[at].Seq, db.Events[at+1].Seq = int64(at), int64(at+1)
-	RecomputeCheckpoints(db) // a genuinely divergent run has consistent checkpoints
 
 	rep := Diff(da, db, DiffOptions{Context: 4})
 	if rep.Kind != DivEvent {
@@ -204,9 +197,6 @@ func TestDiffPinpointsSwappedGrant(t *testing.T) {
 	}
 	if rep.EventA.Tid != da.Events[at].Tid || rep.EventB.Tid != db.Events[at].Tid {
 		t.Fatalf("tids = %d/%d", rep.EventA.Tid, rep.EventB.Tid)
-	}
-	if rep.Probes == 0 {
-		t.Error("no checkpoint probes used despite checkpoints present")
 	}
 	if len(rep.Context) != 4 {
 		t.Fatalf("context = %d lines, want 4", len(rep.Context))
@@ -244,7 +234,6 @@ func TestDiffPinpointsFlippedPage(t *testing.T) {
 func TestDiffLengthAndMeta(t *testing.T) {
 	da, db := loadTwo(t, 30)
 	db.Events = db.Events[:20]
-	RecomputeCheckpoints(db)
 	rep := Diff(da, db, DiffOptions{})
 	if rep.Kind != DivLength || rep.Seq != 20 {
 		t.Fatalf("rep = %+v", rep)
@@ -261,7 +250,6 @@ func TestDiffLengthAndMeta(t *testing.T) {
 func TestDiffReportRendering(t *testing.T) {
 	da, db := loadTwo(t, 100)
 	db.Events[50].Clock++
-	RecomputeCheckpoints(db)
 	rep := Diff(da, db, DiffOptions{})
 
 	var txt bytes.Buffer
@@ -301,8 +289,8 @@ func frameEnds(t *testing.T, path string) []int64 {
 // TestDecodeTruncated is crash consistency for the history: the last
 // segment of a multi-segment log is cut at every frame boundary and torn
 // just past each. A torn log does not load (ErrTruncated). After Repair it
-// does, what loads is a prefix of the uncrashed run's events, checkpoints
-// and commits, and Diff against the uncrashed run reports a length
+// does, what loads is a prefix of the uncrashed run's events and
+// commits, and Diff against the uncrashed run reports a length
 // divergence at exactly the cut — the prefix's event count — and nothing
 // earlier.
 func TestDecodeTruncated(t *testing.T) {
@@ -392,7 +380,7 @@ func TestDecodeCorrupt(t *testing.T) {
 	}
 	for name, corrupt := range map[string]func([]byte){
 		"magic":   func(b []byte) { copy(b, "XXXX") },
-		"version": func(b []byte) { b[4] = 1 },
+		"version": func(b []byte) { b[4] = 2 }, // CSQL v2, the format with checkpoint records
 		"payload": func(b []byte) { b[len(b)-1] ^= 0xFF },
 	} {
 		bad := append([]byte(nil), first...)

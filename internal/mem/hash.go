@@ -13,10 +13,22 @@ func HashPage(data []byte) uint64 {
 	return h
 }
 
+// Checksum is the FNV-1a hash of the segment's final committed state,
+// pages ascending: the checksum a runtime over the segment reports.
+func (s *Segment) Checksum() uint64 {
+	h := fnv.New64a()
+	buf := make([]byte, s.PageSize())
+	at := s.Head()
+	for pg := 0; pg < s.NumPages(); pg++ {
+		s.ReadCommitted(buf, pg*s.PageSize(), at)
+		h.Write(buf)
+	}
+	return h.Sum64()
+}
+
 // ChecksumSparse hashes a sparsely stored replica of a segment — npages
 // pages ascending, pages absent from the map as zeros — to the same
-// FNV-1a value the live runtime's Checksum computes over the committed
-// state.
+// FNV-1a value Checksum computes over the live segment's committed state.
 func ChecksumSparse(pages map[int][]byte, npages, pageSize int) uint64 {
 	h := fnv.New64a()
 	zero := make([]byte, pageSize)

@@ -264,9 +264,6 @@ func (fl *Fleet) Done() bool {
 	return true
 }
 
-// Dir returns the commit-log directory the fleet follows.
-func (fl *Fleet) Dir() string { return fl.dir }
-
 // NumPages returns the replica geometry's page count (0 before Start).
 func (fl *Fleet) NumPages() int { return fl.npages }
 

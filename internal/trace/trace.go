@@ -8,7 +8,6 @@ package trace
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -56,43 +55,12 @@ func (e Event) String() string {
 	return s
 }
 
-// ThreadHash pairs a thread id with its rolling per-thread hash.
-type ThreadHash struct {
-	Tid  int
-	Hash uint64
-}
-
-// ShardHash pairs a granting shard with its rolling per-shard hash: the
-// hash chain over only that shard's events, each folded with its
-// shard-local sequence number, so a shard's grant stream can be compared
-// between runs independent of how the streams interleaved globally.
-type ShardHash struct {
-	Shard int
-	Hash  uint64
-}
-
-// Checkpoint summarizes a prefix of the event stream: after the first Seq
-// events, the global rolling hash is Hash and each thread's rolling hash
-// (over only its own events) is listed in Threads, ascending by tid.
-// Under per-shard granting each shard's rolling hash is listed in Shards,
-// ascending by shard (empty otherwise). Comparing the checkpoints of two
-// runs localizes the first divergent interval in O(log n) hash probes
-// without retaining full event history.
-type Checkpoint struct {
-	Seq     int64
-	Hash    uint64
-	Threads []ThreadHash
-	Shards  []ShardHash
-}
-
-// Sink receives a copy of every recorded event and every interval
-// checkpoint, in order. Calls are made while the recorder's lock is held:
-// implementations must be fast, must not block indefinitely, and must not
-// call back into the Recorder. The commit log (commitlog.Log) is the
-// canonical sink.
+// Sink receives a copy of every recorded event, in order. Calls are made
+// while the recorder's lock is held: implementations must be fast, must
+// not block indefinitely, and must not call back into the Recorder. The
+// commit log (commitlog.Log) is the canonical sink.
 type Sink interface {
 	RecordEvent(e Event)
-	RecordCheckpoint(c Checkpoint)
 }
 
 // Recorder accumulates events and a rolling FNV-1a hash of their canonical
@@ -105,54 +73,23 @@ type Recorder struct {
 	hash   uint64
 	// keep bounds memory when recording long runs
 	keep int
-
-	// perThread and perShard are the rolling hash chains, kept sorted by
-	// tid / shard at all times (new entries are insertion-sorted on first
-	// appearance, which is rare) so a checkpoint is a copy, not a sort —
-	// checkpoints fire every interval events and a long run accumulates
-	// thousands of exited threads that would otherwise be re-sorted each
-	// time. threadIdx / shardIdx map the id to its slice position for the
-	// per-event hash update.
-	perThread   []ThreadHash
-	threadIdx   map[int]int
-	perShard    []ShardHash
-	shardIdx    map[int]int
-	perShardSeq []int64 // shard-local event counts, parallel to perShard
-	interval    int64   // checkpoint every interval events (0 = off)
-	checkpoints []Checkpoint
-	sink        Sink
+	sink Sink
 }
 
 // New creates a recorder. keep bounds how many events are retained for
 // inspection (0 = all); the hash always covers every event.
 func New(keep int) *Recorder {
 	h := fnv.New64a()
-	return &Recorder{
-		hash:      h.Sum64(),
-		keep:      keep,
-		threadIdx: make(map[int]int),
-		shardIdx:  make(map[int]int),
-	}
+	return &Recorder{hash: h.Sum64(), keep: keep}
 }
 
-// SetCheckpointInterval enables interval checkpoints: after every k events
-// the recorder snapshots the global and per-thread rolling hashes
-// (Checkpoints). k <= 0 disables. Must be called before the first Record;
-// changing it mid-run would make checkpoint sequences incomparable.
-func (r *Recorder) SetCheckpointInterval(k int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.interval = k
-}
+// SetCheckpointInterval survives for bench/probes.go, its only caller:
+// bench/ is frozen and its trace probe still sets the interval of the
+// hash checkpoints the recorder no longer takes. It does nothing; delete
+// it with the next benchmark PR.
+func (r *Recorder) SetCheckpointInterval(int64) {}
 
-// CheckpointInterval reports the configured checkpoint interval.
-func (r *Recorder) CheckpointInterval() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.interval
-}
-
-// SetSink installs s to receive every subsequent event and checkpoint.
+// SetSink installs s to receive every subsequent event.
 // Pass nil to detach. Must be set before the run starts for the sink to
 // see the full stream.
 func (r *Recorder) SetSink(s Sink) {
@@ -168,112 +105,21 @@ func (r *Recorder) Record(tid int, op Op, obj uint64, clock int64) {
 }
 
 // RecordSharded appends an event carrying the granting shard (NoShard for
-// cross-shard edges and unsharded runs). The global rolling hash folds the
-// same fields as before — shard provenance never enters it, so a sharded
-// run's global hash is comparable with hashes recorded before sharding
-// existed — while each shard additionally maintains its own hash chain
-// over its events, keyed by shard-local sequence.
+// cross-shard edges and unsharded runs). The rolling hash folds the same
+// fields as before — shard provenance never enters it, so a sharded run's
+// hash is comparable with hashes recorded before sharding existed.
 func (r *Recorder) RecordSharded(tid int, op Op, obj uint64, clock int64, shard int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e := Event{Seq: r.seq, Tid: tid, Op: op, Obj: obj, Clock: clock, Shard: shard}
 	r.seq++
-	if shard >= 0 {
-		si, ok := r.shardIdx[shard]
-		if !ok {
-			si = insertSorted(&r.perShard, r.shardIdx, shard, func(id int) ShardHash {
-				return ShardHash{Shard: id, Hash: fnvOffset}
-			}, func(h ShardHash) int { return h.Shard })
-			r.perShardSeq = append(r.perShardSeq, 0)
-			copy(r.perShardSeq[si+1:], r.perShardSeq[si:])
-			r.perShardSeq[si] = 0
-		}
-		// The per-shard chain positions the event by its shard-local seq,
-		// so two runs agree on a shard's hash iff that shard saw the same
-		// events in the same order — regardless of global interleaving.
-		se := e
-		se.Seq = r.perShardSeq[si]
-		r.perShard[si].Hash = mix(r.perShard[si].Hash, se)
-		r.perShardSeq[si]++
-	}
 	r.hash = mix(r.hash, e)
-	ti, ok := r.threadIdx[tid]
-	if !ok {
-		ti = insertSorted(&r.perThread, r.threadIdx, tid, func(id int) ThreadHash {
-			return ThreadHash{Tid: id, Hash: fnvOffset}
-		}, func(h ThreadHash) int { return h.Tid })
-	}
-	r.perThread[ti].Hash = mix(r.perThread[ti].Hash, e)
 	if r.keep == 0 || len(r.events) < r.keep {
 		r.events = append(r.events, e)
 	}
 	if r.sink != nil {
 		r.sink.RecordEvent(e)
 	}
-	if r.interval > 0 && r.seq%r.interval == 0 {
-		c := r.checkpointLocked()
-		r.checkpoints = append(r.checkpoints, c)
-		if r.sink != nil {
-			r.sink.RecordCheckpoint(c)
-		}
-	}
-}
-
-// fnvOffset is the FNV-1a 64-bit offset basis; per-thread hashes start
-// from it so a thread's hash is itself a valid FNV-1a chain.
-const fnvOffset = 14695981039346656037
-
-// insertSorted places a new id's chain into the sorted slice s, keeping
-// idx consistent, and returns the insertion position. New ids usually
-// arrive in increasing order (the runtime assigns tids monotonically), so
-// the common case is an append; a middle insert shifts the tail and
-// refreshes its index entries.
-func insertSorted[T any](s *[]T, idx map[int]int, id int, mk func(int) T, key func(T) int) int {
-	i := sort.Search(len(*s), func(i int) bool { return key((*s)[i]) > id })
-	*s = append(*s, mk(id))
-	if i < len(*s)-1 {
-		copy((*s)[i+1:], (*s)[i:])
-		(*s)[i] = mk(id)
-		for j := i + 1; j < len(*s); j++ {
-			idx[key((*s)[j])] = j
-		}
-	}
-	idx[id] = i
-	return i
-}
-
-// checkpointLocked snapshots the current hashes. Caller holds r.mu. The
-// chains are maintained in sorted order, so this is a pair of copies.
-func (r *Recorder) checkpointLocked() Checkpoint {
-	ths := append([]ThreadHash(nil), r.perThread...)
-	var shs []ShardHash
-	if len(r.perShard) > 0 {
-		shs = append([]ShardHash(nil), r.perShard...)
-	}
-	return Checkpoint{Seq: r.seq, Hash: r.hash, Threads: ths, Shards: shs}
-}
-
-// ShardHashes returns the current per-shard rolling hashes, ascending by
-// shard (nil when no sharded events were recorded).
-func (r *Recorder) ShardHashes() []ShardHash {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.checkpointLocked().Shards
-}
-
-// Checkpoints returns the interval checkpoints taken so far.
-func (r *Recorder) Checkpoints() []Checkpoint {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Checkpoint(nil), r.checkpoints...)
-}
-
-// ThreadHashes returns the current per-thread rolling hashes, ascending
-// by tid.
-func (r *Recorder) ThreadHashes() []ThreadHash {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.checkpointLocked().Threads
 }
 
 // mix folds an event into the rolling hash. Clock values are included:

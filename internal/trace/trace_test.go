@@ -91,71 +91,14 @@ func TestDumpFormat(t *testing.T) {
 	}
 }
 
-func TestCheckpoints(t *testing.T) {
-	r := New(0)
-	r.SetCheckpointInterval(4)
-	for i := 0; i < 10; i++ {
-		r.Record(i%3, OpLock, 1, int64(i))
-	}
-	cps := r.Checkpoints()
-	if len(cps) != 2 {
-		t.Fatalf("got %d checkpoints, want 2", len(cps))
-	}
-	if cps[0].Seq != 4 || cps[1].Seq != 8 {
-		t.Fatalf("checkpoint seqs = %d, %d", cps[0].Seq, cps[1].Seq)
-	}
-	// A checkpoint's global hash equals the rolling hash of a fresh
-	// recorder fed the same prefix.
-	pre := New(0)
-	for i := 0; i < 4; i++ {
-		pre.Record(i%3, OpLock, 1, int64(i))
-	}
-	if cps[0].Hash != pre.Hash() {
-		t.Error("checkpoint hash is not the prefix hash")
-	}
-	// Per-thread hashes are listed ascending by tid and cover only that
-	// thread's events: tid 0 saw events 0 and 3 within the first four.
-	if len(cps[0].Threads) != 3 {
-		t.Fatalf("threads = %v", cps[0].Threads)
-	}
-	for i := 1; i < len(cps[0].Threads); i++ {
-		if cps[0].Threads[i-1].Tid >= cps[0].Threads[i].Tid {
-			t.Fatalf("thread hashes not ascending: %v", cps[0].Threads)
-		}
-	}
-}
-
-func TestPerThreadHashIsolation(t *testing.T) {
-	// Interleaving another thread's events must not move a thread's own
-	// rolling hash (it is a function of that thread's subsequence alone,
-	// except for the shared global Seq, so compare traces where the other
-	// thread's events come after).
-	a, b := New(0), New(0)
-	a.Record(1, OpLock, 10, 100)
-	a.Record(1, OpUnlock, 10, 200)
-	b.Record(1, OpLock, 10, 100)
-	b.Record(1, OpUnlock, 10, 200)
-	b.Record(2, OpLock, 11, 300)
-	ha, hb := a.ThreadHashes(), b.ThreadHashes()
-	if ha[0].Tid != 1 || hb[0].Tid != 1 || ha[0].Hash != hb[0].Hash {
-		t.Fatalf("tid 1 hash moved: %v vs %v", ha, hb)
-	}
-	if len(hb) != 2 || hb[1].Tid != 2 {
-		t.Fatalf("tid 2 hash missing: %v", hb)
-	}
-}
-
 type captureSink struct {
 	events []Event
-	cps    []Checkpoint
 }
 
-func (s *captureSink) RecordEvent(e Event)           { s.events = append(s.events, e) }
-func (s *captureSink) RecordCheckpoint(c Checkpoint) { s.cps = append(s.cps, c) }
+func (s *captureSink) RecordEvent(e Event) { s.events = append(s.events, e) }
 
 func TestSinkReceivesStream(t *testing.T) {
 	r := New(1) // tiny retention: the sink must still see everything
-	r.SetCheckpointInterval(2)
 	s := &captureSink{}
 	r.SetSink(s)
 	for i := 0; i < 5; i++ {
@@ -168,9 +111,6 @@ func TestSinkReceivesStream(t *testing.T) {
 		if e.Seq != int64(i) || e.Obj != uint64(i) {
 			t.Fatalf("event %d = %v", i, e)
 		}
-	}
-	if len(s.cps) != 2 || s.cps[0].Seq != 2 || s.cps[1].Seq != 4 {
-		t.Fatalf("sink checkpoints = %v", s.cps)
 	}
 	r.SetSink(nil)
 	r.Record(0, OpLock, 9, 9)

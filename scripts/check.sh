@@ -40,6 +40,9 @@ go run ./cmd/conseq-analyze -input internal/obs/testdata/golden_trace.json >/dev
 
 echo "== bench smoke (1 iteration, allocations reported)"
 go test -run=NONE -bench=. -benchtime=1x -benchmem ./internal/mem ./internal/commitlog >/dev/null
+# The root package's real-host benchmark only: -bench=. there would run
+# BenchmarkFigures, the whole figure sweep.
+go test -run=NONE -bench=RealHost -benchtime=1x . >/dev/null
 
 echo "== compare smoke (every runtime tabulates at -shards 4)"
 # -compare builds every runtime from the same flags, so -shards must be
