@@ -55,30 +55,35 @@ func BenchmarkFigures(b *testing.B) {
 }
 
 // BenchmarkRealHost runs the ledger's four programs (bench/README.md) whole
-// on the real host, at the ledger's threads 4 / shards 4, one sub-benchmark
-// each — so the real-host CPU profile is one command:
+// on the real host at the ledger's threads 4 / shards 4 (consequence-ic is
+// the one runtime shards applies to; Build ignores it elsewhere), as the
+// sub-benchmark <bench>/<runtime> over the paper's five runtimes — the
+// real-host row set of Figure 10. The real-host CPU profile of one cell is
+// one command:
 //
-//	go test -run xxx -bench RealHost/water -cpuprofile cpu.prof .
+//	go test -run xxx -bench RealHost/water_nsquared/consequence-ic -cpuprofile cpu.prof .
 func BenchmarkRealHost(b *testing.B) {
 	for _, p := range []struct {
 		bench string
 		scale int
 	}{{"water_nsquared", 8}, {"canneal", 8}, {"kmeans", 32}, {"ferret", 8}} {
-		b.Run(p.bench, func(b *testing.B) {
-			o := harness.Options{Bench: p.bench, Runtime: harness.KindConsequenceIC, Threads: 4, Scale: p.scale, Seed: 42, Shards: 4}
-			for n := 0; n < b.N; n++ {
-				cell, err := harness.Build(o, realhost.New(0, 0))
-				if err != nil {
-					b.Fatal(err)
+		for _, kind := range append([]harness.Kind{harness.KindPthreads}, harness.DetKinds...) {
+			b.Run(p.bench+"/"+string(kind), func(b *testing.B) {
+				o := harness.Options{Bench: p.bench, Runtime: kind, Threads: 4, Scale: p.scale, Seed: 42, Shards: 4}
+				for n := 0; n < b.N; n++ {
+					cell, err := harness.Build(o, realhost.New(0, 0))
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := cell.Run(); err != nil {
+						b.Fatal(err)
+					}
+					if err := cell.Close(); err != nil {
+						b.Fatal(err)
+					}
 				}
-				if _, err := cell.Run(); err != nil {
-					b.Fatal(err)
-				}
-				if err := cell.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -60,7 +60,7 @@ func main() {
 		fatal(err)
 	}
 	if rep.Partial {
-		fmt.Fprintf(os.Stderr, "conseq-analyze: warning: %d timeline events were dropped; the report is partial (raise obs.WithLaneCap)\n", rep.DroppedEvents)
+		fmt.Fprintf(os.Stderr, "conseq-analyze: warning: %d timeline events were dropped; the report is partial (each thread keeps its newest 65536 events: trace a smaller -scale)\n", rep.DroppedEvents)
 	}
 	if *jsonOut {
 		b, err := rep.JSON()

@@ -10,11 +10,19 @@
 // shared segment, which stand in for the instruction stream and memory
 // accesses that the paper's runtime observes via performance counters and
 // page protection.
+//
+// It also holds, written once, what every runtime must agree on for those
+// comparisons to mean anything: what a memory operation costs the clock
+// (MemInstr), what a sync-object id is (ObjID), and how a finished thread
+// and the memory substrate reach RunStats (AddThread, SetMem). The
+// per-thread half of that chassis is host.Ledger.
 package api
 
 import (
 	"encoding/binary"
 	"math"
+
+	"repro/internal/mem"
 )
 
 // Mutex, Cond, Barrier and Handle are opaque handles created by a T.
@@ -121,8 +129,9 @@ type RunStats struct {
 	ThreadsSpawned int64
 	ThreadsReused  int64
 
-	// PerThread carries each thread's own breakdown, in tid order
-	// (Figure 15 separates ferret's first pipeline thread from the rest).
+	// PerThread carries each thread's own breakdown, one entry per thread
+	// in the order they finished (Figure 15 separates ferret's first
+	// pipeline thread from the rest).
 	PerThread []ThreadTime
 }
 
@@ -131,6 +140,49 @@ type ThreadTime struct {
 	Tid                                                    int
 	LocalWork, DetermWait, BarrierWait, Commit, Fault, Lib int64
 }
+
+// AddThread folds one finished thread into the run: its breakdown into the
+// six category totals and PerThread, its synchronization operations into
+// SyncOps, and its finish time into the makespan. Every runtime reports a
+// thread through here and nowhere else, so a category total is always the
+// sum of its PerThread column.
+func (s *RunStats) AddThread(tt ThreadTime, syncOps, finishNS int64) {
+	s.LocalWorkNS += tt.LocalWork
+	s.DetermWaitNS += tt.DetermWait
+	s.BarrierWaitNS += tt.BarrierWait
+	s.CommitNS += tt.Commit
+	s.FaultNS += tt.Fault
+	s.LibNS += tt.Lib
+	s.SyncOps += syncOps
+	s.PerThread = append(s.PerThread, tt)
+	s.WallNS = max(s.WallNS, finishNS)
+}
+
+// SetMem copies the memory substrate's counters into the run (the
+// runtimes built on internal/mem call it from Stats).
+func (s *RunStats) SetMem(ms mem.Stats) {
+	s.Faults = ms.Faults
+	s.Versions = ms.Versions
+	s.CommittedPages = ms.CommittedPages
+	s.MergedPages = ms.MergedPages
+	s.PulledPages = ms.PulledPages
+	s.PeakPages = ms.PeakPages
+	s.PrefetchHits = ms.PrefetchHits
+	s.PrefetchMisses = ms.PrefetchMisses
+	s.PrefetchWasted = ms.PrefetchWasted
+}
+
+// MemInstr is the retired-instruction count of an n-byte Read or Write:
+// two for the access itself plus one per 8-byte word moved. Instruction
+// counts are the deterministic clock (DESIGN.md §2), so every runtime
+// must price a memory operation identically for their results to compare.
+func MemInstr(n int) int64 { return 2 + int64(n+7)/8 }
+
+// ObjID is the id of the seq-th synchronization object thread tid created
+// (seq counts from 1). Creation is thread-local, as pthread_*_init is, so
+// ids — and the trace hashes that cover them — depend on the program alone,
+// not on host scheduling or on what else the process ran.
+func ObjID(tid int, seq uint64) uint64 { return uint64(tid)<<32 | seq }
 
 // --- typed accessors over the byte-addressed segment ---
 

@@ -2,6 +2,7 @@ package api
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -99,5 +100,47 @@ func TestEndianness(t *testing.T) {
 	m.Read(b[:], 0)
 	if b[0] != 0x08 || b[7] != 0x01 {
 		t.Errorf("not little-endian: % x", b)
+	}
+}
+
+// The clock and the trace are built on these two: a drift in either moves
+// every modeled number or every trace hash on one runtime only.
+func TestMemInstrAndObjID(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		want int64
+	}{{0, 2}, {1, 3}, {4, 3}, {8, 3}, {9, 4}, {16, 4}, {64, 10}, {4096, 514}} {
+		if got := MemInstr(tc.n); got != tc.want {
+			t.Errorf("MemInstr(%d) = %d, want %d", tc.n, got, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		tid  int
+		seq  uint64
+		want uint64
+	}{{0, 1, 1}, {0, 2, 2}, {1, 1, 1<<32 | 1}, {3, 7, 3<<32 | 7}, {1 << 20, 1, 1<<52 | 1}} {
+		if got := ObjID(tc.tid, tc.seq); got != tc.want {
+			t.Errorf("ObjID(%d, %d) = %#x, want %#x", tc.tid, tc.seq, got, tc.want)
+		}
+	}
+}
+
+func TestAddThreadFoldsCategoriesAndMakespan(t *testing.T) {
+	var s RunStats
+	a := ThreadTime{Tid: 1, LocalWork: 10, DetermWait: 20, BarrierWait: 30, Commit: 40, Fault: 50, Lib: 60}
+	b := ThreadTime{Tid: 0, LocalWork: 1, Lib: 2}
+	s.AddThread(a, 5, 900)
+	s.AddThread(b, 2, 300) // an earlier finish must not pull the makespan back
+	want := RunStats{
+		WallNS: 900, LocalWorkNS: 11, DetermWaitNS: 20, BarrierWaitNS: 30,
+		CommitNS: 40, FaultNS: 50, LibNS: 62, SyncOps: 7,
+	}
+	got := s
+	got.PerThread = nil
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("totals %+v, want %+v", got, want)
+	}
+	if len(s.PerThread) != 2 || s.PerThread[0] != a || s.PerThread[1] != b {
+		t.Errorf("PerThread = %+v", s.PerThread)
 	}
 }

@@ -28,8 +28,6 @@ import (
 // Config parameterizes the DThreads baseline.
 type Config struct {
 	SegmentSize int
-	PageSize    int
-	TraceKeep   int
 	Model       costmodel.Model
 }
 
@@ -69,19 +67,15 @@ func New(cfg Config, h host.Host) (*Runtime, error) {
 	if cfg.SegmentSize <= 0 {
 		return nil, fmt.Errorf("dthreads: segment size must be positive")
 	}
-	seg, err := mem.NewSegment(mem.SegmentConfig{Name: "heap", Size: cfg.SegmentSize, PageSize: cfg.PageSize})
+	seg, err := mem.NewSegment(mem.SegmentConfig{Name: "heap", Size: cfg.SegmentSize})
 	if err != nil {
 		return nil, err
-	}
-	keep := cfg.TraceKeep
-	if keep == 0 {
-		keep = 4096
 	}
 	return &Runtime{
 		cfg:        cfg,
 		h:          h,
 		seg:        seg,
-		rec:        trace.New(keep),
+		rec:        trace.New(4096), // events kept for -dump-sync; the hash covers all
 		members:    make(map[int]*thread),
 		arrived:    make(map[int]*thread),
 		glockOwner: -1,
@@ -104,12 +98,11 @@ func (rt *Runtime) Run(root func(api.T)) error {
 	if err != nil {
 		return err
 	}
-	t := &thread{rt: rt, tid: 0, ws: ws}
+	t := &thread{Ledger: host.NewLedger(0), rt: rt, ws: ws}
 	rt.members[0] = t
 	rt.nextTid = 1
 	rt.h.Go("t0", nil, func(b host.Binding) {
-		t.b = b
-		t.lastEvent = b.Now()
+		t.Start(b)
 		root(t)
 		t.exit()
 	})
@@ -124,13 +117,7 @@ func (rt *Runtime) Stats() api.RunStats {
 	rt.aggMu.Lock()
 	s := rt.agg
 	rt.aggMu.Unlock()
-	ms := rt.seg.Stats()
-	s.Faults = ms.Faults
-	s.Versions = ms.Versions
-	s.CommittedPages = ms.CommittedPages
-	s.MergedPages = ms.MergedPages
-	s.PulledPages = ms.PulledPages
-	s.PeakPages = ms.PeakPages
+	s.SetMem(rt.seg.Stats())
 	return s
 }
 
@@ -145,23 +132,16 @@ func (rt *Runtime) maybeStartRoundLocked() *thread {
 	for _, th := range rt.arrived {
 		order = append(order, th)
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i].tid < order[j].tid })
+	sort.Slice(order, func(i, j int) bool { return order[i].Tid() < order[j].Tid() })
 	rt.arrived = make(map[int]*thread)
 	rt.round = &round{order: order}
 	return order[0]
 }
 
 type thread struct {
-	rt  *Runtime
-	tid int
-	b   host.Binding
-	ws  *mem.Workspace
-
-	localWork, determWait, barrierWait, commitNS, faultNS, libNS int64
-
-	lastEvent int64
-	syncOps   int64
-	objSeq    uint64 // sync-object ids created by this thread
+	host.Ledger
+	rt *Runtime
+	ws *mem.Workspace
 
 	done    bool
 	joiners []*thread
@@ -173,43 +153,27 @@ type thread struct {
 	op           func() bool
 	blockCat     *int64
 	updateTarget int64
-
-	// word is the staging buffer behind api.T.Word.
-	word [8]byte
-}
-
-func (t *thread) account(cat *int64) {
-	now := t.b.Now()
-	*cat += now - t.lastEvent
-	t.lastEvent = now
-}
-
-func (t *thread) charge(cat *int64, ns int64) {
-	if ns > 0 {
-		t.b.Charge(ns)
-	}
-	t.account(cat)
 }
 
 // syncPoint arrives at the fence with a pending serial op, waits for the
 // round, takes its serial turn, and (if the op said to proceed) resumes
 // local work.
 func (t *thread) syncPoint(op func() bool) {
-	t.syncOps++
-	t.account(&t.localWork)
+	t.SyncOps++
+	t.Account(&t.Time.LocalWork)
 	rt := t.rt
 	rt.mu.Lock()
 	t.op = op
-	rt.arrived[t.tid] = t
+	rt.arrived[t.Tid()] = t
 	first := rt.maybeStartRoundLocked()
 	rt.mu.Unlock()
 	if first != t {
 		if first != nil {
-			t.b.Wake(first.b)
+			t.B.Wake(first.B)
 		}
-		t.b.Block() // until our serial turn
+		t.B.Block() // until our serial turn
 	}
-	t.account(&t.determWait)
+	t.Account(&t.Time.DetermWait)
 	t.serialTurn()
 }
 
@@ -224,7 +188,7 @@ func (t *thread) serialTurn() {
 	pc := t.ws.BeginCommit()
 	st := pc.Stats()
 	pc.Complete()
-	t.charge(&t.commitNS, m.CommitFixed+
+	t.Charge(&t.Time.Commit, m.CommitFixed+
 		int64(st.CommittedPages)*(m.CommitPageSerial+m.CommitPageMerge)+
 		int64(st.PulledPages)*m.UpdatePage)
 
@@ -250,17 +214,17 @@ func (t *thread) serialTurn() {
 		rt.seg.GC()
 	}
 	if next != nil && next != t {
-		t.b.Wake(next.b)
+		t.B.Wake(next.B)
 	}
 	if !proceed {
 		cat := t.blockCat
 		if cat == nil {
-			cat = &t.determWait
+			cat = &t.Time.DetermWait
 		}
-		t.b.Block()
-		t.account(cat)
+		t.B.Block()
+		t.Account(cat)
 		pulled := t.ws.UpdateTo(t.updateTarget)
-		t.charge(&t.commitNS, int64(pulled)*m.UpdatePage)
+		t.Charge(&t.Time.Commit, int64(pulled)*m.UpdatePage)
 	}
 }
 
@@ -268,32 +232,24 @@ func (t *thread) serialTurn() {
 // deterministic view target it must refresh to on wake. Caller holds
 // rt.mu and wakes w afterwards.
 func (rt *Runtime) admitLocked(w *thread) {
-	rt.members[w.tid] = w
+	rt.members[w.Tid()] = w
 	w.updateTarget = rt.seg.Head()
 }
 
 // --- api.T ---
-
-// Tid implements api.T.
-func (t *thread) Tid() int { return t.tid }
-
-// Word implements api.T.
-func (t *thread) Word() *[8]byte { return &t.word }
 
 // Compute implements api.T.
 func (t *thread) Compute(n int64) {
 	if n < 0 {
 		panic("dthreads: negative compute")
 	}
-	t.charge(&t.localWork, t.rt.cfg.Model.Instr(n))
+	t.Charge(&t.Time.LocalWork, t.rt.cfg.Model.Instr(n))
 }
-
-func memInstr(n int) int64 { return 2 + int64(n+7)/8 }
 
 // Read implements api.T.
 func (t *thread) Read(buf []byte, off int) {
 	t.ws.Read(buf, off)
-	t.charge(&t.localWork, t.rt.cfg.Model.Instr(memInstr(len(buf))))
+	t.Charge(&t.Time.LocalWork, t.rt.cfg.Model.Instr(api.MemInstr(len(buf))))
 }
 
 // Write implements api.T. Faults cost the mprotect path: SIGSEGV, handler,
@@ -301,10 +257,10 @@ func (t *thread) Read(buf []byte, off int) {
 func (t *thread) Write(data []byte, off int) {
 	t.ws.Write(data, off)
 	if f := t.ws.TakeFaults(); f > 0 {
-		t.account(&t.localWork)
-		t.charge(&t.faultNS, f*t.rt.cfg.Model.MprotectFault)
+		t.Account(&t.Time.LocalWork)
+		t.Charge(&t.Time.Fault, f*t.rt.cfg.Model.MprotectFault)
 	}
-	t.charge(&t.localWork, t.rt.cfg.Model.Instr(memInstr(len(data))))
+	t.Charge(&t.Time.LocalWork, t.rt.cfg.Model.Instr(api.MemInstr(len(data))))
 }
 
 type dtMutex struct{ id uint64 }
@@ -326,28 +282,19 @@ type dtBarrier struct {
 
 func (*dtBarrier) ImplBarrier() {}
 
-// newObjID allocates a sync-object id from the creating thread's own
-// counter, as det, rfdet and pth do: ids — and so the trace hash — depend
-// on the program alone, not on what else the process ran or on the order
-// the host scheduled the creators.
-func (t *thread) newObjID() uint64 {
-	t.objSeq++
-	return uint64(t.tid)<<32 | t.objSeq
-}
-
 // NewMutex implements api.T. All mutexes alias the single global lock; the
 // handle exists only for trace identity.
-func (t *thread) NewMutex() api.Mutex { return &dtMutex{id: t.newObjID()} }
+func (t *thread) NewMutex() api.Mutex { return &dtMutex{id: t.NewObjID()} }
 
 // NewCond implements api.T.
-func (t *thread) NewCond() api.Cond { return &dtCond{id: t.newObjID()} }
+func (t *thread) NewCond() api.Cond { return &dtCond{id: t.NewObjID()} }
 
 // NewBarrier implements api.T.
 func (t *thread) NewBarrier(parties int) api.Barrier {
 	if parties < 1 {
 		panic("dthreads: barrier needs at least one party")
 	}
-	return &dtBarrier{id: t.newObjID(), parties: parties}
+	return &dtBarrier{id: t.NewObjID(), parties: parties}
 }
 
 // Lock implements api.T: acquire the global lock during the serial phase.
@@ -357,14 +304,14 @@ func (t *thread) Lock(mx api.Mutex) {
 	t.syncPoint(func() bool {
 		rt.mu.Lock()
 		defer rt.mu.Unlock()
-		rt.rec.Record(t.tid, trace.OpLock, m.id, 0)
+		rt.rec.Record(t.Tid(), trace.OpLock, m.id, 0)
 		if !rt.glockHeld {
-			rt.glockHeld, rt.glockOwner = true, t.tid
+			rt.glockHeld, rt.glockOwner = true, t.Tid()
 			return true
 		}
 		rt.glockWaiters = append(rt.glockWaiters, t)
-		delete(rt.members, t.tid)
-		t.blockCat = &t.determWait
+		delete(rt.members, t.Tid())
+		t.blockCat = &t.Time.DetermWait
 		return false
 	})
 }
@@ -375,23 +322,23 @@ func (t *thread) Unlock(mx api.Mutex) {
 	rt := t.rt
 	t.syncPoint(func() bool {
 		rt.mu.Lock()
-		rt.rec.Record(t.tid, trace.OpUnlock, m.id, 0)
-		if rt.glockOwner != t.tid {
+		rt.rec.Record(t.Tid(), trace.OpUnlock, m.id, 0)
+		if rt.glockOwner != t.Tid() {
 			rt.mu.Unlock()
-			panic(fmt.Sprintf("dthreads: tid %d unlocking lock owned by %d", t.tid, rt.glockOwner))
+			panic(fmt.Sprintf("dthreads: tid %d unlocking lock owned by %d", t.Tid(), rt.glockOwner))
 		}
 		var w *thread
 		if len(rt.glockWaiters) > 0 {
 			w = rt.glockWaiters[0]
 			rt.glockWaiters = rt.glockWaiters[1:]
-			rt.glockOwner = w.tid // direct handoff
+			rt.glockOwner = w.Tid() // direct handoff
 			rt.admitLocked(w)
 		} else {
 			rt.glockHeld, rt.glockOwner = false, -1
 		}
 		rt.mu.Unlock()
 		if w != nil {
-			t.b.Wake(w.b)
+			t.B.Wake(w.B)
 		}
 		return true
 	})
@@ -403,8 +350,8 @@ func (t *thread) Wait(cx api.Cond, mx api.Mutex) {
 	rt := t.rt
 	t.syncPoint(func() bool {
 		rt.mu.Lock()
-		rt.rec.Record(t.tid, trace.OpWait, c.id, 0)
-		if rt.glockOwner != t.tid {
+		rt.rec.Record(t.Tid(), trace.OpWait, c.id, 0)
+		if rt.glockOwner != t.Tid() {
 			rt.mu.Unlock()
 			panic("dthreads: cond wait without holding the lock")
 		}
@@ -413,17 +360,17 @@ func (t *thread) Wait(cx api.Cond, mx api.Mutex) {
 		if len(rt.glockWaiters) > 0 {
 			w = rt.glockWaiters[0]
 			rt.glockWaiters = rt.glockWaiters[1:]
-			rt.glockOwner = w.tid
+			rt.glockOwner = w.Tid()
 			rt.admitLocked(w)
 		} else {
 			rt.glockHeld, rt.glockOwner = false, -1
 		}
 		c.waiters = append(c.waiters, t)
-		delete(rt.members, t.tid)
-		t.blockCat = &t.determWait
+		delete(rt.members, t.Tid())
+		t.blockCat = &t.Time.DetermWait
 		rt.mu.Unlock()
 		if w != nil {
-			t.b.Wake(w.b)
+			t.B.Wake(w.B)
 		}
 		return false
 	})
@@ -439,7 +386,7 @@ func (rt *Runtime) signalLocked(c *dtCond) *thread {
 	w := c.waiters[0]
 	c.waiters = c.waiters[1:]
 	if !rt.glockHeld {
-		rt.glockHeld, rt.glockOwner = true, w.tid
+		rt.glockHeld, rt.glockOwner = true, w.Tid()
 		rt.admitLocked(w)
 		return w
 	}
@@ -453,11 +400,11 @@ func (t *thread) Signal(cx api.Cond) {
 	rt := t.rt
 	t.syncPoint(func() bool {
 		rt.mu.Lock()
-		rt.rec.Record(t.tid, trace.OpSignal, c.id, 0)
+		rt.rec.Record(t.Tid(), trace.OpSignal, c.id, 0)
 		w := rt.signalLocked(c)
 		rt.mu.Unlock()
 		if w != nil {
-			t.b.Wake(w.b)
+			t.B.Wake(w.B)
 		}
 		return true
 	})
@@ -469,7 +416,7 @@ func (t *thread) Broadcast(cx api.Cond) {
 	rt := t.rt
 	t.syncPoint(func() bool {
 		rt.mu.Lock()
-		rt.rec.Record(t.tid, trace.OpBcast, c.id, 0)
+		rt.rec.Record(t.Tid(), trace.OpBcast, c.id, 0)
 		var wake []*thread
 		for len(c.waiters) > 0 {
 			if w := rt.signalLocked(c); w != nil {
@@ -478,7 +425,7 @@ func (t *thread) Broadcast(cx api.Cond) {
 		}
 		rt.mu.Unlock()
 		for _, w := range wake {
-			t.b.Wake(w.b)
+			t.B.Wake(w.B)
 		}
 		return true
 	})
@@ -490,7 +437,7 @@ func (t *thread) BarrierWait(bx api.Barrier) {
 	rt := t.rt
 	t.syncPoint(func() bool {
 		rt.mu.Lock()
-		rt.rec.Record(t.tid, trace.OpBarrier, bar.id, 0)
+		rt.rec.Record(t.Tid(), trace.OpBarrier, bar.id, 0)
 		if len(bar.waiting) == bar.parties-1 {
 			ws := bar.waiting
 			bar.waiting = nil
@@ -499,13 +446,13 @@ func (t *thread) BarrierWait(bx api.Barrier) {
 			}
 			rt.mu.Unlock()
 			for _, w := range ws {
-				t.b.Wake(w.b)
+				t.B.Wake(w.B)
 			}
 			return true
 		}
 		bar.waiting = append(bar.waiting, t)
-		delete(rt.members, t.tid)
-		t.blockCat = &t.barrierWait
+		delete(rt.members, t.Tid())
+		t.blockCat = &t.Time.BarrierWait
 		rt.mu.Unlock()
 		return false
 	})
@@ -523,25 +470,24 @@ func (t *thread) Spawn(fn func(api.T)) api.Handle {
 		rt.mu.Lock()
 		tid := rt.nextTid
 		rt.nextTid++
-		rt.rec.Record(t.tid, trace.OpSpawn, uint64(tid), 0)
+		rt.rec.Record(t.Tid(), trace.OpSpawn, uint64(tid), 0)
 		rt.mu.Unlock()
 		// Fork: DThreads threads are processes; copying the page table
 		// costs per populated page (plus re-protection).
-		t.charge(&t.libNS, m.ForkBase+int64(rt.seg.PopulatedPages())*m.ForkPerPage)
+		t.Charge(&t.Time.Lib, m.ForkBase+int64(rt.seg.PopulatedPages())*m.ForkPerPage)
 		ws, err := rt.seg.Snapshot(tid)
 		if err != nil {
 			panic(fmt.Sprintf("dthreads: spawn: %v", err))
 		}
-		child = &thread{rt: rt, tid: tid, ws: ws}
+		child = &thread{Ledger: host.NewLedger(tid), rt: rt, ws: ws}
 		rt.mu.Lock()
 		rt.members[tid] = child
 		rt.mu.Unlock()
 		rt.aggMu.Lock()
 		rt.agg.ThreadsSpawned++
 		rt.aggMu.Unlock()
-		rt.h.Go(fmt.Sprintf("t%d", tid), t.b, func(b host.Binding) {
-			child.b = b
-			child.lastEvent = b.Now()
+		rt.h.Go(fmt.Sprintf("t%d", tid), t.B, func(b host.Binding) {
+			child.Start(b)
 			fn(child)
 			child.exit()
 		})
@@ -560,13 +506,13 @@ func (t *thread) Join(h api.Handle) {
 	t.syncPoint(func() bool {
 		rt.mu.Lock()
 		defer rt.mu.Unlock()
-		rt.rec.Record(t.tid, trace.OpJoin, uint64(child.tid), 0)
+		rt.rec.Record(t.Tid(), trace.OpJoin, uint64(child.Tid()), 0)
 		if child.done {
 			return true
 		}
 		child.joiners = append(child.joiners, t)
-		delete(rt.members, t.tid)
-		t.blockCat = &t.determWait
+		delete(rt.members, t.Tid())
+		t.blockCat = &t.Time.DetermWait
 		return false
 	})
 }
@@ -576,32 +522,23 @@ func (t *thread) exit() {
 	rt := t.rt
 	t.syncPoint(func() bool {
 		rt.mu.Lock()
-		rt.rec.Record(t.tid, trace.OpExit, uint64(t.tid), 0)
+		rt.rec.Record(t.Tid(), trace.OpExit, uint64(t.Tid()), 0)
 		t.done = true
 		joiners := t.joiners
 		t.joiners = nil
 		for _, j := range joiners {
 			rt.admitLocked(j)
 		}
-		delete(rt.members, t.tid)
+		delete(rt.members, t.Tid())
 		rt.mu.Unlock()
 		for _, j := range joiners {
-			t.b.Wake(j.b)
+			t.B.Wake(j.B)
 		}
 		rt.seg.Release(t.ws)
 		rt.seg.GC()
-		t.account(&t.localWork)
+		t.Account(&t.Time.LocalWork)
 		rt.aggMu.Lock()
-		rt.agg.LocalWorkNS += t.localWork
-		rt.agg.DetermWaitNS += t.determWait
-		rt.agg.BarrierWaitNS += t.barrierWait
-		rt.agg.CommitNS += t.commitNS
-		rt.agg.FaultNS += t.faultNS
-		rt.agg.LibNS += t.libNS
-		rt.agg.SyncOps += t.syncOps
-		if now := t.b.Now(); now > rt.agg.WallNS {
-			rt.agg.WallNS = now
-		}
+		rt.agg.AddThread(t.Time, t.SyncOps, t.B.Now())
 		rt.aggMu.Unlock()
 		return true
 	})

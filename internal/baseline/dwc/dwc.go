@@ -21,12 +21,8 @@ import (
 
 // Config parameterizes the DWC baseline.
 type Config struct {
-	SegmentSize     int
-	PageSize        int
-	GCPageBudget    int
-	GCEveryNCommits int
-	TraceKeep       int
-	Model           costmodel.Model
+	SegmentSize int
+	Model       costmodel.Model
 }
 
 // New creates a DWC runtime on the given host.
@@ -44,15 +40,12 @@ func New(cfg Config, h host.Host) (api.Runtime, error) {
 	d.Shards = 1
 	d.SingleGlobalLock = true
 	d.NameOverride = "dwc"
+	// DWC's collector is unbudgeted — every pass reclaims all it can —
+	// unlike Default's 192-page passes. Deliberate: the DWC rows of Figure
+	// 12 (docs/figures-scale1.txt) were generated this way, and handing
+	// DWC the budget is a memory-model change that regenerates them.
+	d.GCPageBudget = 0
 	d.SegmentSize = cfg.SegmentSize
-	d.PageSize = cfg.PageSize
-	d.GCPageBudget = cfg.GCPageBudget
-	if cfg.GCEveryNCommits > 0 {
-		d.GCEveryNCommits = cfg.GCEveryNCommits
-	}
-	if cfg.TraceKeep > 0 {
-		d.TraceKeep = cfg.TraceKeep
-	}
 	d.Model = cfg.Model
 	return det.New(d, h)
 }

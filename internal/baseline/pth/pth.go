@@ -56,10 +56,9 @@ func (rt *Runtime) Run(root func(api.T)) error {
 		panic("pth: Runtime is single-use")
 	}
 	rt.began = true
-	t := &thread{rt: rt, tid: 0}
+	t := &thread{Ledger: host.NewLedger(0), rt: rt}
 	rt.h.Go("t0", nil, func(b host.Binding) {
-		t.b = b
-		t.lastEvent = b.Now()
+		t.Start(b)
 		root(t)
 		t.finish()
 	})
@@ -83,32 +82,11 @@ func (rt *Runtime) Stats() api.RunStats {
 }
 
 type thread struct {
-	rt        *Runtime
-	b         host.Binding
-	tid       int
-	nextTid   int // children allocated as parent-tid-scoped (nondeterministic anyway)
-	done      bool
-	joiners   []*thread
-	localWork int64
-	waitNS    int64
-	barNS     int64
-	lastEvent int64
-	syncOps   int64
-	objSeq    uint64
-	word      [8]byte // staging buffer behind api.T.Word
-}
-
-func (t *thread) account(cat *int64) {
-	now := t.b.Now()
-	*cat += now - t.lastEvent
-	t.lastEvent = now
-}
-
-func (t *thread) charge(cat *int64, ns int64) {
-	if ns > 0 {
-		t.b.Charge(ns)
-	}
-	t.account(cat)
+	host.Ledger
+	rt      *Runtime
+	nextTid int // children allocated as parent-tid-scoped (nondeterministic anyway)
+	done    bool
+	joiners []*thread
 }
 
 func (t *thread) finish() {
@@ -118,38 +96,21 @@ func (t *thread) finish() {
 	t.joiners = nil
 	t.rt.mu.Unlock()
 	for _, j := range joiners {
-		t.b.Wake(j.b)
+		t.B.Wake(j.B)
 	}
-	t.account(&t.localWork)
+	t.Account(&t.Time.LocalWork)
 	t.rt.aggMu.Lock()
-	t.rt.agg.LocalWorkNS += t.localWork
-	t.rt.agg.DetermWaitNS += t.waitNS
-	t.rt.agg.BarrierWaitNS += t.barNS
-	t.rt.agg.SyncOps += t.syncOps
-	t.rt.agg.PerThread = append(t.rt.agg.PerThread, api.ThreadTime{
-		Tid: t.tid, LocalWork: t.localWork, DetermWait: t.waitNS, BarrierWait: t.barNS,
-	})
-	if now := t.b.Now(); now > t.rt.agg.WallNS {
-		t.rt.agg.WallNS = now
-	}
+	t.rt.agg.AddThread(t.Time, t.SyncOps, t.B.Now())
 	t.rt.aggMu.Unlock()
 }
-
-// Tid implements api.T.
-func (t *thread) Tid() int { return t.tid }
-
-// Word implements api.T.
-func (t *thread) Word() *[8]byte { return &t.word }
 
 // Compute implements api.T.
 func (t *thread) Compute(n int64) {
 	if n < 0 {
 		panic("pth: negative compute")
 	}
-	t.charge(&t.localWork, t.rt.cfg.Model.Instr(n))
+	t.Charge(&t.Time.LocalWork, t.rt.cfg.Model.Instr(n))
 }
-
-func memInstr(n int) int64 { return 2 + int64(n+7)/8 }
 
 // Read implements api.T. Reads under the runtime lock: the model is not in
 // the business of reproducing torn reads, only racy interleavings.
@@ -157,7 +118,7 @@ func (t *thread) Read(buf []byte, off int) {
 	t.rt.mu.Lock()
 	copy(buf, t.rt.mem[off:off+len(buf)])
 	t.rt.mu.Unlock()
-	t.charge(&t.localWork, t.rt.cfg.Model.Instr(memInstr(len(buf))))
+	t.Charge(&t.Time.LocalWork, t.rt.cfg.Model.Instr(api.MemInstr(len(buf))))
 }
 
 // Write implements api.T.
@@ -165,7 +126,7 @@ func (t *thread) Write(data []byte, off int) {
 	t.rt.mu.Lock()
 	copy(t.rt.mem[off:off+len(data)], data)
 	t.rt.mu.Unlock()
-	t.charge(&t.localWork, t.rt.cfg.Model.Instr(memInstr(len(data))))
+	t.Charge(&t.Time.LocalWork, t.rt.cfg.Model.Instr(api.MemInstr(len(data))))
 }
 
 type pMutex struct {
@@ -203,57 +164,57 @@ func (t *thread) NewBarrier(parties int) api.Barrier {
 // Lock implements api.T: FIFO mutex with futex-style blocking.
 func (t *thread) Lock(mx api.Mutex) {
 	m := mx.(*pMutex)
-	t.syncOps++
-	t.account(&t.localWork)
+	t.SyncOps++
+	t.Account(&t.Time.LocalWork)
 	t.rt.mu.Lock()
 	if !m.locked {
 		m.locked = true
 		t.rt.mu.Unlock()
-		t.charge(&t.localWork, t.rt.cfg.Model.SyncOpLocal)
+		t.Charge(&t.Time.LocalWork, t.rt.cfg.Model.SyncOpLocal)
 		return
 	}
 	m.waiters = append(m.waiters, t)
 	t.rt.mu.Unlock()
-	t.b.Block() // woken holding the lock (direct handoff)
-	t.account(&t.waitNS)
+	t.B.Block() // woken holding the lock (direct handoff)
+	t.Account(&t.Time.DetermWait)
 }
 
 // Unlock implements api.T.
 func (t *thread) Unlock(mx api.Mutex) {
 	m := mx.(*pMutex)
-	t.syncOps++
-	t.account(&t.localWork)
+	t.SyncOps++
+	t.Account(&t.Time.LocalWork)
 	t.rt.mu.Lock()
 	if len(m.waiters) > 0 {
 		w := m.waiters[0]
 		m.waiters = m.waiters[1:]
 		t.rt.mu.Unlock()
-		t.b.Wake(w.b) // lock stays held, ownership transfers
+		t.B.Wake(w.B) // lock stays held, ownership transfers
 	} else {
 		m.locked = false
 		t.rt.mu.Unlock()
 	}
-	t.charge(&t.localWork, t.rt.cfg.Model.SyncOpLocal)
+	t.Charge(&t.Time.LocalWork, t.rt.cfg.Model.SyncOpLocal)
 }
 
 // Wait implements api.T.
 func (t *thread) Wait(cx api.Cond, mx api.Mutex) {
 	c := cx.(*pCond)
-	t.syncOps++
-	t.account(&t.localWork)
+	t.SyncOps++
+	t.Account(&t.Time.LocalWork)
 	t.rt.mu.Lock()
 	c.waiters = append(c.waiters, t)
 	t.rt.mu.Unlock()
 	t.Unlock(mx)
-	t.b.Block()
-	t.account(&t.waitNS)
+	t.B.Block()
+	t.Account(&t.Time.DetermWait)
 	t.Lock(mx)
 }
 
 // Signal implements api.T.
 func (t *thread) Signal(cx api.Cond) {
 	c := cx.(*pCond)
-	t.syncOps++
+	t.SyncOps++
 	t.rt.mu.Lock()
 	var w *thread
 	if len(c.waiters) > 0 {
@@ -262,45 +223,45 @@ func (t *thread) Signal(cx api.Cond) {
 	}
 	t.rt.mu.Unlock()
 	if w != nil {
-		t.b.Wake(w.b)
+		t.B.Wake(w.B)
 	}
-	t.charge(&t.localWork, t.rt.cfg.Model.SyncOpLocal)
+	t.Charge(&t.Time.LocalWork, t.rt.cfg.Model.SyncOpLocal)
 }
 
 // Broadcast implements api.T.
 func (t *thread) Broadcast(cx api.Cond) {
 	c := cx.(*pCond)
-	t.syncOps++
+	t.SyncOps++
 	t.rt.mu.Lock()
 	ws := c.waiters
 	c.waiters = nil
 	t.rt.mu.Unlock()
 	for _, w := range ws {
-		t.b.Wake(w.b)
+		t.B.Wake(w.B)
 	}
-	t.charge(&t.localWork, t.rt.cfg.Model.SyncOpLocal)
+	t.Charge(&t.Time.LocalWork, t.rt.cfg.Model.SyncOpLocal)
 }
 
 // BarrierWait implements api.T.
 func (t *thread) BarrierWait(bx api.Barrier) {
 	bar := bx.(*pBarrier)
-	t.syncOps++
-	t.account(&t.localWork)
+	t.SyncOps++
+	t.Account(&t.Time.LocalWork)
 	t.rt.mu.Lock()
 	if len(bar.waiting) == bar.parties-1 {
 		ws := bar.waiting
 		bar.waiting = nil
 		t.rt.mu.Unlock()
 		for _, w := range ws {
-			t.b.Wake(w.b)
+			t.B.Wake(w.B)
 		}
-		t.charge(&t.localWork, t.rt.cfg.Model.SyncOpLocal)
+		t.Charge(&t.Time.LocalWork, t.rt.cfg.Model.SyncOpLocal)
 		return
 	}
 	bar.waiting = append(bar.waiting, t)
 	t.rt.mu.Unlock()
-	t.b.Block()
-	t.account(&t.barNS)
+	t.B.Block()
+	t.Account(&t.Time.BarrierWait)
 }
 
 // ImplHandle marks thread as an api.Handle.
@@ -308,16 +269,15 @@ func (t *thread) ImplHandle() {}
 
 // Spawn implements api.T.
 func (t *thread) Spawn(fn func(api.T)) api.Handle {
-	t.syncOps++
+	t.SyncOps++
 	t.nextTid++
-	child := &thread{rt: t.rt, tid: t.tid*100 + t.nextTid}
-	t.charge(&t.localWork, t.rt.cfg.Model.ForkBase/5) // pthread_create
+	child := &thread{Ledger: host.NewLedger(t.Tid()*100 + t.nextTid), rt: t.rt}
+	t.Charge(&t.Time.LocalWork, t.rt.cfg.Model.ForkBase/5) // pthread_create
 	t.rt.aggMu.Lock()
 	t.rt.agg.ThreadsSpawned++
 	t.rt.aggMu.Unlock()
-	t.rt.h.Go(fmt.Sprintf("p%d", child.tid), t.b, func(b host.Binding) {
-		child.b = b
-		child.lastEvent = b.Now()
+	t.rt.h.Go(fmt.Sprintf("p%d", child.Tid()), t.B, func(b host.Binding) {
+		child.Start(b)
 		fn(child)
 		child.finish()
 	})
@@ -327,8 +287,8 @@ func (t *thread) Spawn(fn func(api.T)) api.Handle {
 // Join implements api.T.
 func (t *thread) Join(h api.Handle) {
 	child := h.(*thread)
-	t.syncOps++
-	t.account(&t.localWork)
+	t.SyncOps++
+	t.Account(&t.Time.LocalWork)
 	t.rt.mu.Lock()
 	if child.done {
 		t.rt.mu.Unlock()
@@ -336,8 +296,8 @@ func (t *thread) Join(h api.Handle) {
 	}
 	child.joiners = append(child.joiners, t)
 	t.rt.mu.Unlock()
-	t.b.Block()
-	t.account(&t.waitNS)
+	t.B.Block()
+	t.Account(&t.Time.DetermWait)
 }
 
 var _ api.Runtime = (*Runtime)(nil)

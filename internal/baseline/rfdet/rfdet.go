@@ -42,10 +42,7 @@ import (
 // Config parameterizes the LRC runtime.
 type Config struct {
 	SegmentSize int
-	TraceKeep   int
 	Model       costmodel.Model
-	// FastForward mirrors det's §3.5 option (on by default via New).
-	FastForward bool
 }
 
 // patch is one logged store.
@@ -118,15 +115,11 @@ func New(cfg Config, h host.Host) (*Runtime, error) {
 	if cfg.SegmentSize <= 0 {
 		return nil, fmt.Errorf("rfdet: segment size must be positive")
 	}
-	keep := cfg.TraceKeep
-	if keep == 0 {
-		keep = 4096
-	}
 	return &Runtime{
 		cfg:       cfg,
 		h:         h,
 		arb:       clock.New(clock.PolicyIC, true),
-		rec:       trace.New(keep),
+		rec:       trace.New(4096), // events kept for -dump-sync; the hash covers all
 		threads:   make(map[int]*thread),
 		intervals: make(map[int][]*interval),
 	}, nil
@@ -147,7 +140,7 @@ func (rt *Runtime) Run(root func(api.T)) error {
 	t := rt.newThread(0, 0, make([]byte, rt.cfg.SegmentSize), vclock{})
 	rt.nextTid = 1
 	rt.h.Go("t0", nil, func(b host.Binding) {
-		t.start(b)
+		t.Start(b)
 		root(t)
 		t.exit()
 	})
@@ -156,8 +149,8 @@ func (rt *Runtime) Run(root func(api.T)) error {
 
 func (rt *Runtime) newThread(tid int, startClock int64, view []byte, vc vclock) *thread {
 	t := &thread{
+		Ledger: host.NewLedger(tid),
 		rt:     rt,
-		tid:    tid,
 		view:   view,
 		vc:     vc,
 		icount: startClock,
@@ -182,7 +175,7 @@ func (rt *Runtime) deliverFrom(waker host.Binding, grant int) {
 	if waker == nil {
 		panic("rfdet: grant before any thread is running")
 	}
-	waker.Wake(target.b)
+	waker.Wake(target.B)
 }
 
 // gcIntervals drops interval prefixes every live thread has applied.
@@ -236,6 +229,7 @@ func (rt *Runtime) Stats() api.RunStats {
 	rt.aggMu.Lock()
 	s := rt.agg
 	rt.aggMu.Unlock()
+	s.TokenGrants = rt.arb.Stats().Grants
 	s.PulledPages = rt.appliedBytes / 4096
 	s.PeakPages = rt.peakRetained / 4096
 	return s

@@ -13,9 +13,8 @@ import (
 // thread is one LRC thread: a private full view of the segment, a write
 // log (the pending interval), and a vector clock of applied intervals.
 type thread struct {
-	rt  *Runtime
-	tid int
-	b   host.Binding
+	host.Ledger
+	rt *Runtime
 
 	view         []byte
 	pending      []patch
@@ -26,82 +25,50 @@ type thread struct {
 	icount  int64
 	holding bool
 
-	localWork, determWait, barrierWait, commitNS, libNS int64
-	lastEvent                                           int64
-	syncOps                                             int64
-
 	done    bool
 	joiners []int
 	// barrierVC is set by the releasing barrier arrival before the wake.
 	barrierVC vclock
-	objSeq    uint64
-
-	// word is the staging buffer behind api.T.Word.
-	word [8]byte
-}
-
-func (t *thread) start(b host.Binding) {
-	t.b = b
-	t.lastEvent = b.Now()
-}
-
-func (t *thread) account(cat *int64) {
-	now := t.b.Now()
-	*cat += now - t.lastEvent
-	t.lastEvent = now
-}
-
-func (t *thread) charge(cat *int64, ns int64) {
-	if ns > 0 {
-		t.b.Charge(ns)
-	}
-	t.account(cat)
 }
 
 func (t *thread) deliver(grant int) {
 	if grant == clock.NoGrant {
 		return
 	}
-	t.rt.deliverFrom(t.b, grant)
+	t.rt.deliverFrom(t.B, grant)
 }
 
 // --- token protocol (sync ordering is global, as in Consequence) ---
 
 func (t *thread) acquireToken() {
 	m := &t.rt.cfg.Model
-	t.account(&t.localWork)
-	t.charge(&t.libNS, m.SyscallClockRead)
-	if g := t.rt.arb.Request(t.tid); g != t.tid {
+	t.Account(&t.Time.LocalWork)
+	t.Charge(&t.Time.Lib, m.SyscallClockRead)
+	if g := t.rt.arb.Request(t.Tid()); g != t.Tid() {
 		t.deliver(g)
-		t.b.Block()
-		t.icount = t.rt.arb.Count(t.tid)
+		t.B.Block()
+		t.icount = t.rt.arb.Count(t.Tid())
 	}
 	t.holding = true
-	t.account(&t.determWait)
-	t.charge(&t.libNS, m.TokenHandoff)
+	t.Account(&t.Time.DetermWait)
+	t.Charge(&t.Time.Lib, m.TokenHandoff)
 }
 
 func (t *thread) releaseToken() {
 	t.holding = false
 	t.icount++
-	t.deliver(t.rt.arb.Release(t.tid))
+	t.deliver(t.rt.arb.Release(t.Tid()))
 }
 
 func (t *thread) blockForToken() {
-	t.b.Block()
-	t.icount = t.rt.arb.Count(t.tid)
+	t.B.Block()
+	t.icount = t.rt.arb.Count(t.Tid())
 	t.holding = true
-	t.account(&t.determWait)
-	t.charge(&t.libNS, t.rt.cfg.Model.TokenHandoff)
+	t.Account(&t.Time.DetermWait)
+	t.Charge(&t.Time.Lib, t.rt.cfg.Model.TokenHandoff)
 }
 
 // --- LRC memory ---
-
-// Tid implements api.T.
-func (t *thread) Tid() int { return t.tid }
-
-// Word implements api.T.
-func (t *thread) Word() *[8]byte { return &t.word }
 
 // Compute implements api.T.
 func (t *thread) Compute(n int64) {
@@ -109,19 +76,17 @@ func (t *thread) Compute(n int64) {
 		panic("rfdet: negative compute")
 	}
 	t.icount += n
-	t.charge(&t.localWork, t.rt.cfg.Model.Instr(n))
-	t.deliver(t.rt.arb.Advance(t.tid, n))
+	t.Charge(&t.Time.LocalWork, t.rt.cfg.Model.Instr(n))
+	t.deliver(t.rt.arb.Advance(t.Tid(), n))
 }
-
-func memInstr(n int) int64 { return 2 + int64(n+7)/8 }
 
 // Read implements api.T: private view, no coordination.
 func (t *thread) Read(buf []byte, off int) {
 	copy(buf, t.view[off:off+len(buf)])
-	n := memInstr(len(buf))
+	n := api.MemInstr(len(buf))
 	t.icount += n
-	t.charge(&t.localWork, t.rt.cfg.Model.Instr(n))
-	t.deliver(t.rt.arb.Advance(t.tid, n))
+	t.Charge(&t.Time.LocalWork, t.rt.cfg.Model.Instr(n))
+	t.deliver(t.rt.arb.Advance(t.Tid(), n))
 }
 
 // Write implements api.T: apply to the private view and log the store.
@@ -131,10 +96,10 @@ func (t *thread) Write(data []byte, off int) {
 	copy(t.view[off:off+len(data)], data)
 	t.pending = append(t.pending, patch{off: off, data: append([]byte(nil), data...)})
 	t.pendingBytes += int64(len(data))
-	n := 2 * memInstr(len(data))
+	n := 2 * api.MemInstr(len(data))
 	t.icount += n
-	t.charge(&t.localWork, t.rt.cfg.Model.Instr(n))
-	t.deliver(t.rt.arb.Advance(t.tid, n))
+	t.Charge(&t.Time.LocalWork, t.rt.cfg.Model.Instr(n))
+	t.deliver(t.rt.arb.Advance(t.Tid(), n))
 }
 
 // releaseInterval publishes the pending write log as this thread's next
@@ -144,25 +109,25 @@ func (t *thread) Write(data []byte, off int) {
 func (t *thread) releaseInterval() {
 	if len(t.pending) == 0 {
 		t.relSeq++ // empty releases still advance the component
-		t.vc[t.tid] = t.relSeq
+		t.vc[t.Tid()] = t.relSeq
 		return
 	}
 	m := &t.rt.cfg.Model
 	t.relSeq++
-	t.vc[t.tid] = t.relSeq
+	t.vc[t.Tid()] = t.relSeq
 	rt0 := t.rt
 	rt0.gseq++
-	iv := &interval{owner: t.tid, seq: t.relSeq, gseq: rt0.gseq, patches: t.pending, bytes: t.pendingBytes}
+	iv := &interval{owner: t.Tid(), seq: t.relSeq, gseq: rt0.gseq, patches: t.pending, bytes: t.pendingBytes}
 	t.pending = nil
 	t.pendingBytes = 0
 	rt := t.rt
-	rt.intervals[t.tid] = append(rt.intervals[t.tid], iv)
+	rt.intervals[t.Tid()] = append(rt.intervals[t.Tid()], iv)
 	rt.retainedBytes += iv.bytes
 	if rt.retainedBytes > rt.peakRetained {
 		rt.peakRetained = rt.retainedBytes
 	}
 	// The release itself is local work: log finalization only.
-	t.charge(&t.commitNS, m.CommitFixed/4+iv.bytes/64*int64(m.InstrNS*8))
+	t.Charge(&t.Time.Commit, m.CommitFixed/4+iv.bytes/64*int64(m.InstrNS*8))
 }
 
 // applyUpTo applies, in (owner, seq) order, every interval covered by
@@ -173,7 +138,7 @@ func (t *thread) applyUpTo(target vclock) {
 	var needed []*interval
 	for owner, upto := range target {
 		have := t.vc[owner]
-		if upto <= have || owner == t.tid {
+		if upto <= have || owner == t.Tid() {
 			continue
 		}
 		for _, iv := range t.rt.intervals[owner] {
@@ -196,7 +161,7 @@ func (t *thread) applyUpTo(target vclock) {
 	if applied > 0 {
 		t.rt.appliedBytes += applied
 		// Per-byte apply cost plus a per-page-equivalent fixed cost.
-		t.charge(&t.commitNS, applied/8*int64(m.InstrNS*8)+applied/4096*m.UpdatePage)
+		t.Charge(&t.Time.Commit, applied/8*int64(m.InstrNS*8)+applied/4096*m.UpdatePage)
 	}
 	t.rt.gcIntervals()
 }
@@ -230,42 +195,36 @@ type lrcBarrier struct {
 
 func (*lrcBarrier) ImplBarrier() {}
 
-func (t *thread) newObjID() uint64 {
-	// Object ids combine tid and a per-thread counter (deterministic).
-	t.objSeq++
-	return uint64(t.tid)<<32 | t.objSeq
-}
-
 // NewMutex implements api.T.
-func (t *thread) NewMutex() api.Mutex { return &lrcMutex{id: t.newObjID(), vc: vclock{}, owner: -1} }
+func (t *thread) NewMutex() api.Mutex { return &lrcMutex{id: t.NewObjID(), vc: vclock{}, owner: -1} }
 
 // NewCond implements api.T.
-func (t *thread) NewCond() api.Cond { return &lrcCond{id: t.newObjID(), vc: vclock{}} }
+func (t *thread) NewCond() api.Cond { return &lrcCond{id: t.NewObjID(), vc: vclock{}} }
 
 // NewBarrier implements api.T.
 func (t *thread) NewBarrier(parties int) api.Barrier {
 	if parties < 1 {
 		panic("rfdet: barrier needs at least one party")
 	}
-	return &lrcBarrier{id: t.newObjID(), vc: vclock{}, parties: parties}
+	return &lrcBarrier{id: t.NewObjID(), vc: vclock{}, parties: parties}
 }
 
 // Lock implements api.T: acquire edge from the mutex.
 func (t *thread) Lock(mx api.Mutex) {
 	m := mx.(*lrcMutex)
-	t.syncOps++
+	t.SyncOps++
 	for {
 		if !t.holding {
 			t.acquireToken()
 		}
 		if !m.locked {
-			m.locked, m.owner = true, t.tid
-			t.rt.rec.Record(t.tid, trace.OpLock, m.id, t.icount)
+			m.locked, m.owner = true, t.Tid()
+			t.rt.rec.Record(t.Tid(), trace.OpLock, m.id, t.icount)
 			t.applyUpTo(m.vc)
 			break
 		}
-		m.waiters = append(m.waiters, t.tid)
-		t.deliver(t.rt.arb.Depart(t.tid))
+		m.waiters = append(m.waiters, t.Tid())
+		t.deliver(t.rt.arb.Depart(t.Tid()))
 		t.releaseToken()
 		t.blockForToken()
 	}
@@ -275,13 +234,13 @@ func (t *thread) Lock(mx api.Mutex) {
 // Unlock implements api.T: release edge into the mutex.
 func (t *thread) Unlock(mx api.Mutex) {
 	m := mx.(*lrcMutex)
-	t.syncOps++
+	t.SyncOps++
 	t.acquireToken()
-	if !m.locked || m.owner != t.tid {
-		panic(fmt.Sprintf("rfdet: tid %d unlocking mutex %d it does not hold", t.tid, m.id))
+	if !m.locked || m.owner != t.Tid() {
+		panic(fmt.Sprintf("rfdet: tid %d unlocking mutex %d it does not hold", t.Tid(), m.id))
 	}
 	m.locked, m.owner = false, -1
-	t.rt.rec.Record(t.tid, trace.OpUnlock, m.id, t.icount)
+	t.rt.rec.Record(t.Tid(), trace.OpUnlock, m.id, t.icount)
 	t.releaseInterval()
 	m.vc.join(t.vc)
 	if len(m.waiters) > 0 {
@@ -296,13 +255,13 @@ func (t *thread) Unlock(mx api.Mutex) {
 func (t *thread) Wait(cx api.Cond, mx api.Mutex) {
 	c := cx.(*lrcCond)
 	m := mx.(*lrcMutex)
-	t.syncOps++
+	t.SyncOps++
 	t.acquireToken()
-	if !m.locked || m.owner != t.tid {
+	if !m.locked || m.owner != t.Tid() {
 		panic("rfdet: cond wait without holding the mutex")
 	}
 	m.locked, m.owner = false, -1
-	t.rt.rec.Record(t.tid, trace.OpWait, c.id, t.icount)
+	t.rt.rec.Record(t.Tid(), trace.OpWait, c.id, t.icount)
 	t.releaseInterval()
 	m.vc.join(t.vc)
 	if len(m.waiters) > 0 {
@@ -310,20 +269,20 @@ func (t *thread) Wait(cx api.Cond, mx api.Mutex) {
 		m.waiters = m.waiters[1:]
 		t.deliver(t.rt.arb.ArriveWanting(w))
 	}
-	c.waiters = append(c.waiters, t.tid)
-	t.deliver(t.rt.arb.Depart(t.tid))
+	c.waiters = append(c.waiters, t.Tid())
+	t.deliver(t.rt.arb.Depart(t.Tid()))
 	t.releaseToken()
 	t.blockForToken()
 	t.applyUpTo(c.vc)
 	// Reacquire the mutex (token held).
 	for m.locked {
-		m.waiters = append(m.waiters, t.tid)
-		t.deliver(t.rt.arb.Depart(t.tid))
+		m.waiters = append(m.waiters, t.Tid())
+		t.deliver(t.rt.arb.Depart(t.Tid()))
 		t.releaseToken()
 		t.blockForToken()
 	}
-	m.locked, m.owner = true, t.tid
-	t.rt.rec.Record(t.tid, trace.OpLock, m.id, t.icount)
+	m.locked, m.owner = true, t.Tid()
+	t.rt.rec.Record(t.Tid(), trace.OpLock, m.id, t.icount)
 	t.applyUpTo(m.vc)
 	t.releaseToken()
 }
@@ -331,9 +290,9 @@ func (t *thread) Wait(cx api.Cond, mx api.Mutex) {
 // Signal implements api.T.
 func (t *thread) Signal(cx api.Cond) {
 	c := cx.(*lrcCond)
-	t.syncOps++
+	t.SyncOps++
 	t.acquireToken()
-	t.rt.rec.Record(t.tid, trace.OpSignal, c.id, t.icount)
+	t.rt.rec.Record(t.Tid(), trace.OpSignal, c.id, t.icount)
 	t.releaseInterval()
 	c.vc.join(t.vc)
 	if len(c.waiters) > 0 {
@@ -347,9 +306,9 @@ func (t *thread) Signal(cx api.Cond) {
 // Broadcast implements api.T.
 func (t *thread) Broadcast(cx api.Cond) {
 	c := cx.(*lrcCond)
-	t.syncOps++
+	t.SyncOps++
 	t.acquireToken()
-	t.rt.rec.Record(t.tid, trace.OpBcast, c.id, t.icount)
+	t.rt.rec.Record(t.Tid(), trace.OpBcast, c.id, t.icount)
 	t.releaseInterval()
 	c.vc.join(t.vc)
 	for _, w := range c.waiters {
@@ -363,9 +322,9 @@ func (t *thread) Broadcast(cx api.Cond) {
 // the barrier, everyone leaves with the joined clock.
 func (t *thread) BarrierWait(bx api.Barrier) {
 	bar := bx.(*lrcBarrier)
-	t.syncOps++
+	t.SyncOps++
 	t.acquireToken()
-	t.rt.rec.Record(t.tid, trace.OpBarrier, bar.id, t.icount)
+	t.rt.rec.Record(t.Tid(), trace.OpBarrier, bar.id, t.icount)
 	t.releaseInterval()
 	bar.vc.join(t.vc)
 	if bar.parties == 1 {
@@ -374,13 +333,13 @@ func (t *thread) BarrierWait(bx api.Barrier) {
 		return
 	}
 	if len(bar.waiting) < bar.parties-1 {
-		bar.waiting = append(bar.waiting, t.tid)
-		t.deliver(t.rt.arb.Depart(t.tid))
+		bar.waiting = append(bar.waiting, t.Tid())
+		t.deliver(t.rt.arb.Depart(t.Tid()))
 		t.releaseToken()
-		t.account(&t.localWork)
-		t.b.Block()
-		t.account(&t.barrierWait)
-		t.icount = t.rt.arb.Count(t.tid)
+		t.Account(&t.Time.LocalWork)
+		t.B.Block()
+		t.Account(&t.Time.BarrierWait)
+		t.icount = t.rt.arb.Count(t.Tid())
 		// Apply the clock the releasing arrival pinned for us.
 		t.acquireToken()
 		t.applyUpTo(t.barrierVC)
@@ -398,7 +357,7 @@ func (t *thread) BarrierWait(bx api.Barrier) {
 		rt.mu.Unlock()
 		wt.barrierVC = final
 		t.deliver(t.rt.arb.Arrive(w))
-		t.b.Wake(wt.b)
+		t.B.Wake(wt.B)
 	}
 	t.applyUpTo(final)
 	t.releaseToken()
@@ -411,19 +370,19 @@ func (t *thread) ImplHandle() {}
 func (t *thread) Spawn(fn func(api.T)) api.Handle {
 	rt := t.rt
 	m := &rt.cfg.Model
-	t.syncOps++
+	t.SyncOps++
 	t.acquireToken()
 	tid := rt.nextTid
 	rt.nextTid++
-	rt.rec.Record(t.tid, trace.OpSpawn, uint64(tid), t.icount)
+	rt.rec.Record(t.Tid(), trace.OpSpawn, uint64(tid), t.icount)
 	view := append([]byte(nil), t.view...)
-	t.charge(&t.libNS, m.ForkBase+int64(len(view)/4096)*m.ForkPerPage)
+	t.Charge(&t.Time.Lib, m.ForkBase+int64(len(view)/4096)*m.ForkPerPage)
 	child := rt.newThread(tid, t.icount, view, t.vc.clone())
 	rt.aggMu.Lock()
 	rt.agg.ThreadsSpawned++
 	rt.aggMu.Unlock()
-	rt.h.Go(fmt.Sprintf("t%d", tid), t.b, func(b host.Binding) {
-		child.start(b)
+	rt.h.Go(fmt.Sprintf("t%d", tid), t.B, func(b host.Binding) {
+		child.Start(b)
 		fn(child)
 		child.exit()
 	})
@@ -437,19 +396,19 @@ func (t *thread) Join(h api.Handle) {
 	if !ok {
 		panic("rfdet: foreign handle")
 	}
-	t.syncOps++
+	t.SyncOps++
 	for {
 		if !t.holding {
 			t.acquireToken()
 		}
 		if child.done {
-			t.rt.rec.Record(t.tid, trace.OpJoin, uint64(child.tid), t.icount)
+			t.rt.rec.Record(t.Tid(), trace.OpJoin, uint64(child.Tid()), t.icount)
 			t.applyUpTo(child.vc)
 			t.releaseToken()
 			return
 		}
-		child.joiners = append(child.joiners, t.tid)
-		t.deliver(t.rt.arb.Depart(t.tid))
+		child.joiners = append(child.joiners, t.Tid())
+		t.deliver(t.rt.arb.Depart(t.Tid()))
 		t.releaseToken()
 		t.blockForToken()
 	}
@@ -458,9 +417,9 @@ func (t *thread) Join(h api.Handle) {
 // exit releases the thread's final interval and leaves the order.
 func (t *thread) exit() {
 	rt := t.rt
-	t.syncOps++
+	t.SyncOps++
 	t.acquireToken()
-	t.rt.rec.Record(t.tid, trace.OpExit, uint64(t.tid), t.icount)
+	t.rt.rec.Record(t.Tid(), trace.OpExit, uint64(t.Tid()), t.icount)
 	t.releaseInterval()
 	// The exiting thread's state flows to joiners through child.vc; the
 	// runtime also applies every outstanding interval into this view so
@@ -480,28 +439,15 @@ func (t *thread) exit() {
 	}
 	t.joiners = nil
 
-	t.account(&t.localWork)
+	t.Account(&t.Time.LocalWork)
 	rt.aggMu.Lock()
-	rt.agg.LocalWorkNS += t.localWork
-	rt.agg.DetermWaitNS += t.determWait
-	rt.agg.BarrierWaitNS += t.barrierWait
-	rt.agg.CommitNS += t.commitNS
-	rt.agg.LibNS += t.libNS
-	rt.agg.SyncOps += t.syncOps
-	rt.agg.TokenGrants = rt.arb.Stats().Grants
-	rt.agg.PerThread = append(rt.agg.PerThread, api.ThreadTime{
-		Tid: t.tid, LocalWork: t.localWork, DetermWait: t.determWait,
-		BarrierWait: t.barrierWait, Commit: t.commitNS, Lib: t.libNS,
-	})
-	if now := t.b.Now(); now > rt.agg.WallNS {
-		rt.agg.WallNS = now
-	}
+	rt.agg.AddThread(t.Time, t.SyncOps, t.B.Now())
 	rt.aggMu.Unlock()
 
 	t.releaseToken()
-	t.deliver(rt.arb.Unregister(t.tid))
+	t.deliver(rt.arb.Unregister(t.Tid()))
 	rt.mu.Lock()
-	delete(rt.threads, t.tid)
+	delete(rt.threads, t.Tid())
 	rt.mu.Unlock()
 }
 

@@ -303,12 +303,8 @@ type Runtime struct {
 	commitSerialNS atomic.Int64
 
 	started bool
-	agg     aggStats
+	agg     api.RunStats
 	aggMu   sync.Mutex
-}
-
-type aggStats struct {
-	api.RunStats
 }
 
 // New creates a runtime on the given host.
@@ -442,7 +438,7 @@ func (rt *Runtime) SetObserver(o *obs.Observer) {
 		return func() int64 {
 			rt.aggMu.Lock()
 			defer rt.aggMu.Unlock()
-			return f(rt.agg.RunStats)
+			return f(rt.agg)
 		}
 	}
 	if in := rt.cfg.Chaos; in != nil {
@@ -576,7 +572,7 @@ func (rt *Runtime) Run(root func(api.T)) error {
 		}
 	}
 	rt.h.Go("t0", nil, func(b host.Binding) {
-		t.start(b)
+		t.Start(b)
 		rt.threadMain(t, root)
 	})
 	return rt.h.Run()
@@ -600,8 +596,8 @@ const overflowBase = 10_000
 
 func (rt *Runtime) attachThread(tid int, startClock int64, ws *mem.Workspace) *Thread {
 	t := &Thread{
+		Ledger:   host.NewLedger(tid),
 		rt:       rt,
-		tid:      tid,
 		ws:       ws,
 		icount:   startClock,
 		curShard: clock.GlobalScope,
@@ -697,12 +693,12 @@ func (rt *Runtime) deliverFrom(waker host.Binding, grant int) {
 			}
 			panic(&RuntimeError{
 				Code:      "double-wake",
-				Tid:       target.tid,
+				Tid:       target.Tid(),
 				Clock:     target.diagClock.Load(),
 				Phase:     diagNames[target.diagPhase.Load()],
 				Op:        "wake",
-				HeldLocks: rt.heldLocksOf(target.tid),
-				Detail:    fmt.Sprintf("waking tid %d which already holds a wake permit: %v", target.tid, r),
+				HeldLocks: rt.heldLocksOf(target.Tid()),
+				Detail:    fmt.Sprintf("waking tid %d which already holds a wake permit: %v", target.Tid(), r),
 			})
 		}
 	}()
@@ -716,11 +712,11 @@ func (rt *Runtime) deliverFrom(waker host.Binding, grant int) {
 			// granted in different shards resume in overlapping virtual
 			// time. The release that produced this grant published the
 			// frontier in the same critical section (clock.ReleaseAt).
-			aw.WakeFrom(target.b, rt.arb.Take(grant).FrontierNS)
+			aw.WakeFrom(target.B, rt.arb.Take(grant).FrontierNS)
 			return
 		}
 	}
-	waker.Wake(target.b)
+	waker.Wake(target.B)
 }
 
 // Checksum implements api.Runtime: FNV-1a over the final committed state.
@@ -729,18 +725,9 @@ func (rt *Runtime) Checksum() uint64 { return rt.seg.Checksum() }
 // Stats implements api.Runtime.
 func (rt *Runtime) Stats() api.RunStats {
 	rt.aggMu.Lock()
-	s := rt.agg.RunStats
+	s := rt.agg
 	rt.aggMu.Unlock()
-	ms := rt.seg.Stats()
-	s.Faults = ms.Faults
-	s.Versions = ms.Versions
-	s.CommittedPages = ms.CommittedPages
-	s.MergedPages = ms.MergedPages
-	s.PulledPages = ms.PulledPages
-	s.PeakPages = ms.PeakPages
-	s.PrefetchHits = ms.PrefetchHits
-	s.PrefetchMisses = ms.PrefetchMisses
-	s.PrefetchWasted = ms.PrefetchWasted
+	s.SetMem(rt.seg.Stats())
 	s.TokenGrants = rt.arb.Stats().Grants
 	return s
 }
@@ -749,36 +736,20 @@ func (rt *Runtime) Stats() api.RunStats {
 // Called with the token held (exit is a sync op), so it is serialized, but
 // Stats may read concurrently — hence aggMu.
 func (rt *Runtime) aggregate(t *Thread) {
-	rt.aggMu.Lock()
-	defer rt.aggMu.Unlock()
-	a := &rt.agg.RunStats
 	// Commit, merge and speculative diffing are distinct trace phases but
 	// one RunStats category, preserving the seed's Figure 15 breakdown;
 	// likewise prefetch is page-population time and folds into Fault, and
 	// spawn, handoff and fast-forward are the scheduler refinement of Lib.
-	commitNS := t.bd[obs.PhaseCommit] + t.bd[obs.PhaseMerge] + t.bd[obs.PhaseSpecDiff]
-	faultNS := t.bd[obs.PhaseFault] + t.bd[obs.PhasePrefetch]
-	libNS := t.bd[obs.PhaseLib] + t.bd[obs.PhaseSpawn] + t.bd[obs.PhaseHandoff] + t.bd[obs.PhaseFastForward]
-	a.LocalWorkNS += t.bd[obs.PhaseCompute]
-	a.DetermWaitNS += t.bd[obs.PhaseTokenWait]
-	a.BarrierWaitNS += t.bd[obs.PhaseBarrierWait]
-	a.CommitNS += commitNS
-	a.FaultNS += faultNS
-	a.LibNS += libNS
-	a.SyncOps += t.syncOps
-	a.CoarsenedOps += t.coarsenedOps
-	a.PerThread = append(a.PerThread, api.ThreadTime{
-		Tid:         t.tid,
-		LocalWork:   t.bd[obs.PhaseCompute],
-		DetermWait:  t.bd[obs.PhaseTokenWait],
-		BarrierWait: t.bd[obs.PhaseBarrierWait],
-		Commit:      commitNS,
-		Fault:       faultNS,
-		Lib:         libNS,
-	})
-	if now := t.b.Now(); now > a.WallNS {
-		a.WallNS = now
-	}
+	t.Time.LocalWork = t.bd[obs.PhaseCompute]
+	t.Time.DetermWait = t.bd[obs.PhaseTokenWait]
+	t.Time.BarrierWait = t.bd[obs.PhaseBarrierWait]
+	t.Time.Commit = t.bd[obs.PhaseCommit] + t.bd[obs.PhaseMerge] + t.bd[obs.PhaseSpecDiff]
+	t.Time.Fault = t.bd[obs.PhaseFault] + t.bd[obs.PhasePrefetch]
+	t.Time.Lib = t.bd[obs.PhaseLib] + t.bd[obs.PhaseSpawn] + t.bd[obs.PhaseHandoff] + t.bd[obs.PhaseFastForward]
+	rt.aggMu.Lock()
+	defer rt.aggMu.Unlock()
+	rt.agg.AddThread(t.Time, t.SyncOps, t.B.Now())
+	rt.agg.CoarsenedOps += t.coarsenedOps
 }
 
 // noteSpawn records spawn accounting (token-held).

@@ -81,12 +81,12 @@ var diagNames = [...]string{
 func (t *Thread) runtimeError(code, op string, obj uint64, format string, a ...any) *RuntimeError {
 	return &RuntimeError{
 		Code:           code,
-		Tid:            t.tid,
+		Tid:            t.Tid(),
 		Clock:          t.icount,
 		Phase:          diagNames[t.diagPhase.Load()],
 		Op:             op,
 		Object:         obj,
-		HeldLocks:      t.rt.heldLocksOf(t.tid),
+		HeldLocks:      t.rt.heldLocksOf(t.Tid()),
 		PendingCommits: t.ws.DirtyPages(),
 		Detail:         fmt.Sprintf(format, a...),
 	}
@@ -99,10 +99,10 @@ func (t *Thread) runtimeError(code, op string, obj uint64, format string, a ...a
 func (t *Thread) park(phase int32, reason host.BlockReason) {
 	t.diagPhase.Store(phase)
 	t.diagClock.Store(t.icount)
-	if br, ok := t.b.(host.BlockReasoner); ok {
+	if br, ok := t.B.(host.BlockReasoner); ok {
 		br.SetBlockReason(reason)
 	}
-	t.b.Block()
+	t.B.Block()
 	t.diagPhase.Store(diagRunning)
 }
 

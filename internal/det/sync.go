@@ -42,25 +42,17 @@ type dBarrier struct {
 
 func (*dBarrier) ImplBarrier() {}
 
-// newObjID allocates a deterministic sync-object id: creation is
-// thread-local (as pthread_*_init is), so ids combine tid and a per-thread
-// counter.
-func (t *Thread) newObjID() uint64 {
-	t.objSeq++
-	return uint64(t.tid)<<32 | t.objSeq
-}
-
 // NewMutex implements api.T. Under SingleGlobalLock (the DThreads/DWC
 // locking model) every mutex is the same global lock.
 func (t *Thread) NewMutex() api.Mutex {
 	if t.rt.globalMutex != nil {
 		return t.rt.globalMutex
 	}
-	return &dMutex{id: t.newObjID(), owner: -1}
+	return &dMutex{id: t.NewObjID(), owner: -1}
 }
 
 // NewCond implements api.T.
-func (t *Thread) NewCond() api.Cond { return &dCond{id: t.newObjID()} }
+func (t *Thread) NewCond() api.Cond { return &dCond{id: t.NewObjID()} }
 
 // NewBarrier implements api.T.
 func (t *Thread) NewBarrier(parties int) api.Barrier {
@@ -68,7 +60,7 @@ func (t *Thread) NewBarrier(parties int) api.Barrier {
 		panic(t.runtimeError("zero-party-barrier", "barrier-init", 0,
 			"barrier needs at least one party (got %d)", parties))
 	}
-	return &dBarrier{id: t.newObjID(), parties: parties}
+	return &dBarrier{id: t.NewObjID(), parties: parties}
 }
 
 // Lock implements api.T (Figure 7's mutexLock).
@@ -78,12 +70,12 @@ func (t *Thread) Lock(mx api.Mutex) {
 	for {
 		t.tokenBegin()
 		if !m.locked {
-			m.locked, m.owner, m.acquiredAt = true, t.tid, t.icount
-			t.rt.noteLockHeld(t.tid, m.id, true)
+			m.locked, m.owner, m.acquiredAt = true, t.Tid(), t.icount
+			t.rt.noteLockHeld(t.Tid(), m.id, true)
 			t.record(trace.OpLock, m.id)
 			t.noteLockAcquire(m.id)
 			if h := t.rt.hooks; h != nil {
-				h.OnAcquire(t.tid, m.id)
+				h.OnAcquire(t.Tid(), m.id)
 			}
 			break
 		}
@@ -94,9 +86,9 @@ func (t *Thread) Lock(mx api.Mutex) {
 			t.uncoarsen()
 			if bump := t.rt.cfg.PollingBump; bump > 0 {
 				t.icount += bump
-				t.deliver(t.rt.arb.Advance(t.tid, bump))
+				t.deliver(t.rt.arb.Advance(t.Tid(), bump))
 			} else {
-				newCount, g := t.rt.arb.NudgePast(t.tid)
+				newCount, g := t.rt.arb.NudgePast(t.Tid())
 				t.icount = newCount
 				t.deliver(g)
 			}
@@ -107,9 +99,9 @@ func (t *Thread) Lock(mx api.Mutex) {
 		// consideration, give up the token, and sleep until the unlocker
 		// re-arms us (we wake holding the token and retry).
 		t.mark(obs.MarkLockBlock, int64(m.id))
-		m.waiters = append(m.waiters, t.tid)
+		m.waiters = append(m.waiters, t.Tid())
 		t.uncoarsen()
-		t.deliver(t.rt.arb.Depart(t.tid))
+		t.deliver(t.rt.arb.Depart(t.Tid()))
 		t.releaseTokenRaw()
 		t.blockForToken(diagMutexWait, host.BlockReason{Label: "mutex %d", ID: m.id})
 	}
@@ -129,16 +121,16 @@ func (t *Thread) Unlock(mx api.Mutex) {
 
 // unlockLocked releases m (token held) and re-arms the next waiter.
 func (t *Thread) unlockLocked(m *dMutex, op trace.Op) {
-	if !m.locked || m.owner != t.tid {
+	if !m.locked || m.owner != t.Tid() {
 		panic(t.runtimeError("unlock-unheld", "unlock", m.id,
-			"tid %d unlocking mutex %d it does not hold (owner %d)", t.tid, m.id, m.owner))
+			"tid %d unlocking mutex %d it does not hold (owner %d)", t.Tid(), m.id, m.owner))
 	}
 	m.csEWMA.update(float64(t.icount - m.acquiredAt))
 	m.locked, m.owner = false, -1
-	t.rt.noteLockHeld(t.tid, m.id, false)
+	t.rt.noteLockHeld(t.Tid(), m.id, false)
 	t.record(op, m.id)
 	if h := t.rt.hooks; h != nil {
-		h.OnRelease(t.tid, m.id)
+		h.OnRelease(t.Tid(), m.id)
 	}
 	if len(m.waiters) > 0 {
 		w := m.waiters[0]
@@ -161,27 +153,27 @@ func (t *Thread) Wait(cx api.Cond, mx api.Mutex) {
 	t.tokenBegin()
 	t.uncoarsen() // cond ops terminate coarsened chunks (§3.1)
 	t.unlockLocked(m, trace.OpWait)
-	c.waiters = append(c.waiters, t.tid)
-	t.deliver(t.rt.arb.Depart(t.tid))
+	c.waiters = append(c.waiters, t.Tid())
+	t.deliver(t.rt.arb.Depart(t.Tid()))
 	t.releaseTokenRaw()
 	t.blockForToken(diagCondWait, host.BlockReason{Label: "cond %d", ID: c.id})
 	if h := t.rt.hooks; h != nil {
-		h.OnAcquire(t.tid, c.id)
+		h.OnAcquire(t.Tid(), c.id)
 	}
 	// Reacquire the mutex; we already hold the token.
 	for m.locked {
 		t.mark(obs.MarkLockBlock, int64(m.id))
-		m.waiters = append(m.waiters, t.tid)
-		t.deliver(t.rt.arb.Depart(t.tid))
+		m.waiters = append(m.waiters, t.Tid())
+		t.deliver(t.rt.arb.Depart(t.Tid()))
 		t.releaseTokenRaw()
 		t.blockForToken(diagMutexWait, host.BlockReason{Label: "mutex %d", ID: m.id})
 	}
-	m.locked, m.owner, m.acquiredAt = true, t.tid, t.icount
-	t.rt.noteLockHeld(t.tid, m.id, true)
+	m.locked, m.owner, m.acquiredAt = true, t.Tid(), t.icount
+	t.rt.noteLockHeld(t.Tid(), m.id, true)
 	t.record(trace.OpLock, m.id)
 	t.noteLockAcquire(m.id)
 	if h := t.rt.hooks; h != nil {
-		h.OnAcquire(t.tid, m.id)
+		h.OnAcquire(t.Tid(), m.id)
 	}
 	t.tokenEnd(coarsenNever, 0)
 }
@@ -194,7 +186,7 @@ func (t *Thread) Signal(cx api.Cond) {
 	t.uncoarsen()
 	t.record(trace.OpSignal, c.id)
 	if h := t.rt.hooks; h != nil {
-		h.OnRelease(t.tid, c.id)
+		h.OnRelease(t.Tid(), c.id)
 	}
 	if len(c.waiters) > 0 {
 		w := c.waiters[0]
@@ -212,7 +204,7 @@ func (t *Thread) Broadcast(cx api.Cond) {
 	t.uncoarsen()
 	t.record(trace.OpBcast, c.id)
 	if h := t.rt.hooks; h != nil {
-		h.OnRelease(t.tid, c.id)
+		h.OnRelease(t.Tid(), c.id)
 	}
 	for _, w := range c.waiters {
 		t.deliver(t.rt.arb.ArriveWanting(w))
@@ -248,8 +240,8 @@ func (t *Thread) BarrierWait(bx api.Barrier) {
 	if bar.parties == 1 {
 		t.commitAndUpdate()
 		if h := t.rt.hooks; h != nil {
-			h.OnRelease(t.tid, bar.id)
-			h.OnAcquire(t.tid, bar.id)
+			h.OnRelease(t.Tid(), bar.id)
+			h.OnAcquire(t.Tid(), bar.id)
 		}
 		t.releaseTokenRaw()
 		return
@@ -266,12 +258,12 @@ func (t *Thread) BarrierWait(bx api.Barrier) {
 		t.chargeCommitSerial(st)
 		t.logCommit(pc.Version())
 		if h := t.rt.hooks; h != nil {
-			h.OnCommit(t.tid, pc.Version())
-			h.OnRelease(t.tid, bar.id) // entry edge: after the commit
+			h.OnCommit(t.Tid(), pc.Version())
+			h.OnRelease(t.Tid(), bar.id) // entry edge: after the commit
 		}
 		if !last {
-			bar.waiting = append(bar.waiting, t.tid)
-			t.deliver(t.rt.arb.Depart(t.tid))
+			bar.waiting = append(bar.waiting, t.Tid())
+			t.deliver(t.rt.arb.Depart(t.Tid()))
 			t.releaseTokenRaw()
 			// Phase 2 runs outside the token, in parallel with other
 			// arrivals' merges and with threads not in the barrier.
@@ -291,11 +283,11 @@ func (t *Thread) BarrierWait(bx api.Barrier) {
 		// under the token, arrival by arrival.
 		t.commitAndUpdate()
 		if h := t.rt.hooks; h != nil {
-			h.OnRelease(t.tid, bar.id)
+			h.OnRelease(t.Tid(), bar.id)
 		}
 		if !last {
-			bar.waiting = append(bar.waiting, t.tid)
-			t.deliver(t.rt.arb.Depart(t.tid))
+			bar.waiting = append(bar.waiting, t.Tid())
+			t.deliver(t.rt.arb.Depart(t.Tid()))
 			t.releaseTokenRaw()
 			t.barrierSleep(bar)
 			return
@@ -319,7 +311,7 @@ func (t *Thread) barrierSleep(bar *dBarrier) {
 	t.account(obs.PhaseCommit)
 	t.park(diagBarrierWait, host.BlockReason{Label: "barrier %d rendezvous", ID: bar.id})
 	t.account(obs.PhaseBarrierWait)
-	t.resyncClock(t.rt.arb.Count(t.tid))
+	t.resyncClock(t.rt.arb.Count(t.Tid()))
 	pulled := t.ws.UpdateTo(t.barrierTarget)
 	t.charge(obs.PhaseCommit, int64(pulled)*m.UpdatePage)
 	t.lastCommitCount = t.icount
@@ -335,7 +327,7 @@ func (t *Thread) barrierRelease(bar *dBarrier) {
 	t.charge(obs.PhaseCommit, int64(pulled)*m.UpdatePage)
 	t.lastCommitCount = t.icount
 	if h := t.rt.hooks; h != nil {
-		h.OnAcquire(t.tid, bar.id)
+		h.OnAcquire(t.Tid(), bar.id)
 	}
 	waiters := bar.waiting
 	bar.waiting = nil // reset for barrier reuse
@@ -349,7 +341,7 @@ func (t *Thread) barrierRelease(bar *dBarrier) {
 			h.OnAcquire(w, bar.id)
 		}
 		t.deliver(t.rt.arb.Arrive(w))
-		t.b.Wake(wt.b)
+		t.B.Wake(wt.B)
 	}
 	t.releaseTokenRaw()
 }

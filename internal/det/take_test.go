@@ -26,7 +26,7 @@ func (l *takeLog) note(t api.T, op string) {
 	th := t.(*Thread)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.ops[th.tid] = append(l.ops[th.tid], fmt.Sprintf("%s:%v@%d", op, th.take.Kind, th.take.Scope))
+	l.ops[th.Tid()] = append(l.ops[th.Tid()], fmt.Sprintf("%s:%v@%d", op, th.take.Kind, th.take.Scope))
 }
 
 // TestTakeKindsAtFourShards pins what the handoff price list reads — the

@@ -24,10 +24,14 @@ type breakdown [obs.NumTimePhases]int64
 // Thread is one deterministic thread. It implements api.T; all methods
 // must be called by the owning thread.
 type Thread struct {
-	rt  *Runtime
-	tid int
-	b   host.Binding
-	ws  *mem.Workspace
+	// Ledger is the shared thread chassis: binding, tid, object ids, the
+	// staging word, and the interval boundaries account closes. det
+	// accounts by phase (account/charge below, into bd) and fills
+	// Ledger.Time from bd once, at exit (Runtime.aggregate): the
+	// ledger's own Account/Charge are not used here.
+	host.Ledger
+	rt *Runtime
+	ws *mem.Workspace
 
 	// icount mirrors the arbiter's clock for this thread. It is advanced
 	// locally on every compute/memory operation and resynchronized from
@@ -89,20 +93,17 @@ type Thread struct {
 	chunkSite   uint64
 	predScratch []int
 
-	// bd accumulates the per-phase time breakdown. lastEvent is the host
-	// time at the last accounting boundary: every call to account/charge
-	// closes the interval [lastEvent, Now) into one obs.Phase bucket and —
-	// when an observer lane is attached — emits that same interval as a
-	// begin/end span on the thread's timeline (the obs span API), so the
-	// Figure 15 aggregates and the phase-resolved trace are two views of
-	// the identical boundaries.
-	bd        breakdown
-	lastEvent int64
+	// bd accumulates the per-phase time breakdown: every call to
+	// account/charge closes the ledger's current interval (Ledger.Lap) into
+	// one obs.Phase bucket and — when an observer lane is attached — emits
+	// that same interval as a begin/end span on the thread's timeline (the
+	// obs span API), so the Figure 15 aggregates and the phase-resolved
+	// trace are two views of the identical boundaries.
+	bd breakdown
 	// lane is the thread's observability span ring (nil when no observer
 	// is attached — the disabled fast path is this one nil check).
 	lane *obs.Lane
 
-	syncOps      int64
 	coarsenedOps int64
 	// mSyncOps/mCoarsenedOps/mCommits/hChunk are live per-thread labeled
 	// metrics, non-nil only when an observer is attached. mLockAcq caches
@@ -135,46 +136,25 @@ type Thread struct {
 	// wake, per-thread so that barrier reuse cannot leak a later round's
 	// version to an earlier round's waiter.
 	barrierTarget int64
-
-	// objSeq allocates deterministic sync-object ids local to this thread.
-	objSeq uint64
-
-	// word is the staging buffer behind api.T.Word.
-	word [8]byte
 }
-
-// start binds the thread to its host context; first thing run on the
-// thread's goroutine/proc.
-func (t *Thread) start(b host.Binding) {
-	t.b = b
-	t.lastEvent = b.Now()
-}
-
-// Tid implements api.T.
-func (t *Thread) Tid() int { return t.tid }
-
-// Word implements api.T.
-func (t *Thread) Word() *[8]byte { return &t.word }
 
 // account closes the current accounting interval into phase p, and emits
 // it as a span when an observer lane is attached. Zero-length intervals
 // (common on the simulation host, where time only moves on Charge) are
 // neither accumulated nor recorded.
 func (t *Thread) account(p obs.Phase) {
-	now := t.b.Now()
-	if now != t.lastEvent {
-		t.bd[p] += now - t.lastEvent
+	if from, to := t.Lap(); to != from {
+		t.bd[p] += to - from
 		if t.lane != nil {
-			t.lane.Span(p, t.lastEvent, now)
+			t.lane.Span(p, from, to)
 		}
-		t.lastEvent = now
 	}
 }
 
 // charge elapses modeled time and accounts it to phase p.
 func (t *Thread) charge(p obs.Phase, ns int64) {
 	if ns > 0 {
-		t.b.Charge(ns)
+		t.B.Charge(ns)
 	}
 	t.account(p)
 }
@@ -183,7 +163,7 @@ func (t *Thread) charge(p obs.Phase, ns int64) {
 // host time; a no-op without an observer.
 func (t *Thread) mark(p obs.Phase, arg int64) {
 	if t.lane != nil {
-		t.lane.Mark(p, t.b.Now(), arg)
+		t.lane.Mark(p, t.B.Now(), arg)
 	}
 }
 
@@ -192,11 +172,11 @@ func (t *Thread) deliver(grant int) {
 	if grant == clock.NoGrant {
 		return
 	}
-	if grant == t.tid {
+	if grant == t.Tid() {
 		panic(t.runtimeError("self-grant", "deliver", 0,
-			"tid %d delivered a token grant to itself", t.tid))
+			"tid %d delivered a token grant to itself", t.Tid()))
 	}
-	t.rt.deliverFrom(t.b, grant)
+	t.rt.deliverFrom(t.B, grant)
 }
 
 // Compute implements api.T: retire n instructions of local work.
@@ -253,7 +233,7 @@ func (t *Thread) advance(n int64) {
 			if t.rt.timed {
 				// Split at overflow boundaries.
 				if t.toOverflow <= 0 && t.rt.cfg.Policy == clock.PolicyIC {
-					t.toOverflow = t.overflow.Next(t.tid, t.icount, t.rt.arb)
+					t.toOverflow = t.overflow.Next(t.Tid(), t.icount, t.rt.arb)
 				}
 				if t.rt.cfg.Policy == clock.PolicyIC && t.toOverflow < step {
 					step = t.toOverflow
@@ -269,7 +249,7 @@ func (t *Thread) advance(n int64) {
 				}
 			} else {
 				t.icount += step
-				t.deliver(t.rt.arb.Advance(t.tid, step))
+				t.deliver(t.rt.arb.Advance(t.Tid(), step))
 			}
 			rem -= step
 		}
@@ -289,7 +269,7 @@ func (t *Thread) publishPending() {
 	if t.pending > 0 {
 		p := t.pending
 		t.pending = 0
-		t.deliver(t.rt.arb.Advance(t.tid, p))
+		t.deliver(t.rt.arb.Advance(t.Tid(), p))
 	}
 }
 
@@ -306,13 +286,10 @@ func (t *Thread) maybeForceCommit() {
 	t.tokenEnd(coarsenNever, 0)
 }
 
-// memInstr models the retired instructions of an n-byte memory operation.
-func memInstr(n int) int64 { return 2 + int64(n+7)/8 }
-
 // Read implements api.T.
 func (t *Thread) Read(buf []byte, off int) {
 	t.ws.Read(buf, off)
-	t.advance(memInstr(len(buf)))
+	t.advance(api.MemInstr(len(buf)))
 }
 
 // Write implements api.T.
@@ -325,7 +302,7 @@ func (t *Thread) Write(data []byte, off int) {
 		// perturbation pure time.
 		t.charge(obs.PhaseFault, f*t.rt.cfg.Model.PageFault+t.ws.TakeChaosFaultNS())
 	}
-	t.advance(memInstr(len(data)))
+	t.advance(api.MemInstr(len(data)))
 	t.maybeForceCommit()
 }
 
@@ -461,7 +438,7 @@ func (t *Thread) acquireToken() {
 	}
 	t.charge(obs.PhaseLib, clockRead)
 	woken := false
-	if g := t.rt.arb.RequestSharded(t.tid, t.curShard); g != t.tid {
+	if g := t.rt.arb.RequestSharded(t.Tid(), t.curShard); g != t.Tid() {
 		t.deliver(g)
 		t.park(diagTokenWait, host.BlockReason{Label: "global token"})
 		woken = true
@@ -497,7 +474,7 @@ func (t *Thread) acquireToken() {
 // Model.FastForwardResync as its own phase — here, when the thread
 // actually takes the token, not on the wake path.
 func (t *Thread) takeToken(woken bool) {
-	t.take = t.rt.arb.Take(t.tid)
+	t.take = t.rt.arb.Take(t.Tid())
 	t.resyncClock(t.take.Count)
 	t.curShard = t.take.Scope
 	t.holding = true
@@ -511,8 +488,8 @@ func (t *Thread) takeToken(woken bool) {
 		if woken && t.rt.cfg.FastForward {
 			base, ff = m.WakeHandoff, m.FastForwardResync
 		}
-		if f := t.take.FrontierNS; t.rt.timed && f > t.b.Now() {
-			t.charge(obs.PhaseTokenWait, f-t.b.Now())
+		if f := t.take.FrontierNS; t.rt.timed && f > t.B.Now() {
+			t.charge(obs.PhaseTokenWait, f-t.B.Now())
 		}
 		switch t.take.Kind {
 		case clock.TakeLocal:
@@ -527,7 +504,7 @@ func (t *Thread) takeToken(woken bool) {
 			base += int64(t.rt.cfg.Shards-1) * m.ShardClockRead
 		}
 	}
-	t.tokenAcqNS = t.b.Now()
+	t.tokenAcqNS = t.B.Now()
 	t.charge(obs.PhaseHandoff, base)
 	if ff > 0 {
 		t.charge(obs.PhaseFastForward, ff)
@@ -546,8 +523,8 @@ func (t *Thread) releaseTokenRaw() {
 	t.publishPending()
 	t.holding = false
 	t.icount++
-	now := t.b.Now()
-	t.deliver(t.rt.arb.ReleaseAt(t.tid, t.curShard, now, now-t.tokenAcqNS))
+	now := t.B.Now()
+	t.deliver(t.rt.arb.ReleaseAt(t.Tid(), t.curShard, now, now-t.tokenAcqNS))
 }
 
 // resyncClock refreshes the local clock mirror after a wake or a take:
@@ -660,7 +637,7 @@ func (t *Thread) commitAndUpdate() {
 	}
 	t.lastCommitCount = t.icount
 	if h := t.rt.hooks; h != nil {
-		h.OnCommit(t.tid, pc.Version())
+		h.OnCommit(t.Tid(), pc.Version())
 	}
 	t.rt.commitCount++
 	if n := t.rt.cfg.GCEveryNCommits; n > 0 && t.rt.commitCount%int64(n) == 0 {
@@ -675,7 +652,7 @@ func (t *Thread) commitAndUpdate() {
 // every syncOpStart and after waker-retargeted wakeups). On the single
 // token curShard stays clock.GlobalScope, which is trace.NoShard.
 func (t *Thread) record(op trace.Op, obj uint64) {
-	t.rt.rec.RecordSharded(t.tid, op, obj, t.icount, t.curShard)
+	t.rt.rec.RecordSharded(t.Tid(), op, obj, t.icount, t.curShard)
 }
 
 // logCommit appends a just-published version's page diffs to the commit
@@ -693,7 +670,7 @@ func (t *Thread) logCommit(v *mem.Version) {
 	c := commitlog.Commit{
 		AtSeq:   t.rt.rec.Len(),
 		Version: v.Num,
-		Tid:     t.tid,
+		Tid:     t.Tid(),
 		Clock:   t.icount,
 	}
 	c.Pages = make([]commitlog.PageDiff, 0, v.NumPages())
@@ -779,7 +756,7 @@ func (t *Thread) syncOpStart(site uint64) {
 	}
 	t.lastSyncIcount = t.icount
 	t.diagClock.Store(t.icount)
-	t.syncOps++
+	t.SyncOps++
 	if t.mSyncOps != nil {
 		t.mSyncOps.Inc()
 		t.hChunk.Observe(chunk)
@@ -798,7 +775,7 @@ func (t *Thread) noteLockAcquire(mutexID uint64) {
 	c, ok := t.mLockAcq[mutexID]
 	if !ok {
 		c = t.rt.obs.Registry().Counter("det_lock_acquires",
-			obs.L("tid", t.tid), obs.L("mutex", mutexID))
+			obs.L("tid", t.Tid()), obs.L("mutex", mutexID))
 		t.mLockAcq[mutexID] = c
 	}
 	c.Inc()
@@ -827,7 +804,7 @@ func (t *Thread) mimdAdapt() {
 		return
 	}
 	c := &t.coarse
-	if t.rt.lastCoordTid == t.tid {
+	if t.rt.lastCoordTid == t.Tid() {
 		c.maxChunk *= 2
 		if c.maxChunk > maxChunkCap {
 			c.maxChunk = maxChunkCap
@@ -838,7 +815,7 @@ func (t *Thread) mimdAdapt() {
 			c.maxChunk = maxChunkFloor
 		}
 	}
-	t.rt.lastCoordTid = t.tid
+	t.rt.lastCoordTid = t.Tid()
 }
 
 var _ api.T = (*Thread)(nil)

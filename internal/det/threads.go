@@ -30,7 +30,7 @@ func (t *Thread) Spawn(fn func(api.T)) api.Handle {
 	rt.nextTid++
 	t.record(trace.OpSpawn, uint64(tid))
 	if h := rt.hooks; h != nil {
-		h.OnRelease(t.tid, spawnObj(tid))
+		h.OnRelease(t.Tid(), spawnObj(tid))
 	}
 
 	var child *Thread
@@ -120,18 +120,18 @@ func (t *Thread) Spawn(fn func(api.T)) api.Handle {
 	}
 	rt.noteSpawn(reused)
 	if h := rt.hooks; h != nil {
-		h.OnSpawn(t.tid, tid)
+		h.OnSpawn(t.Tid(), tid)
 	}
 	switch {
 	case adopted != nil:
 		if adoptedB != nil {
-			t.b.Wake(adoptedB)
+			t.B.Wake(adoptedB)
 		}
 	case rt.workerPool:
-		rt.spawnWorker(child, fn, t.b)
+		rt.spawnWorker(child, fn, t.B)
 	default:
-		rt.h.Go(fmt.Sprintf("t%d", tid), t.b, func(b host.Binding) {
-			child.start(b)
+		rt.h.Go(fmt.Sprintf("t%d", tid), t.B, func(b host.Binding) {
+			child.Start(b)
 			rt.threadMain(child, fn)
 		})
 	}
@@ -165,22 +165,22 @@ func (t *Thread) Join(h api.Handle) {
 	// child is still running, its exit retargets us to its final domain
 	// shard via SetScope before the wake; if it has already exited, the
 	// provisional request simply lands in the home shard.
-	t.curShard = t.shardOf(siteID(siteJoin, uint64(child.tid)))
+	t.curShard = t.shardOf(siteID(siteJoin, uint64(child.Tid())))
 	for {
 		t.tokenBegin()
 		t.uncoarsen()
 		if child.done {
-			t.record(trace.OpJoin, uint64(child.tid))
+			t.record(trace.OpJoin, uint64(child.Tid()))
 			if hk := t.rt.hooks; hk != nil {
-				hk.OnAcquire(t.tid, spawnObj(child.tid))
+				hk.OnAcquire(t.Tid(), spawnObj(child.Tid()))
 			}
 			t.tokenEnd(coarsenNever, 0)
 			return
 		}
-		child.joiners = append(child.joiners, t.tid)
-		t.deliver(t.rt.arb.Depart(t.tid))
+		child.joiners = append(child.joiners, t.Tid())
+		t.deliver(t.rt.arb.Depart(t.Tid()))
 		t.releaseTokenRaw()
-		t.blockForToken(diagJoinWait, host.BlockReason{Label: "join t%d", ID: uint64(child.tid)})
+		t.blockForToken(diagJoinWait, host.BlockReason{Label: "join t%d", ID: uint64(child.Tid())})
 		// Woken holding the token; loop re-checks done (guaranteed now).
 	}
 }
@@ -193,9 +193,9 @@ func (t *Thread) exit() {
 	t.tokenBegin() // commits final writes
 	t.uncoarsen()
 	t.done = true
-	t.record(trace.OpExit, uint64(t.tid))
+	t.record(trace.OpExit, uint64(t.Tid()))
 	if h := rt.hooks; h != nil {
-		h.OnRelease(t.tid, spawnObj(t.tid))
+		h.OnRelease(t.Tid(), spawnObj(t.Tid()))
 	}
 	for _, j := range t.joiners {
 		// Retarget the blocked joiner to this exit's domain shard so the
@@ -211,7 +211,7 @@ func (t *Thread) exit() {
 	// token release would let another exiting thread observe us as still
 	// live, pool its worker, and park forever.
 	rt.mu.Lock()
-	delete(rt.threads, t.tid)
+	delete(rt.threads, t.Tid())
 	remaining := len(rt.threads)
 	rt.mu.Unlock()
 
@@ -228,7 +228,7 @@ func (t *Thread) exit() {
 		w.ws = t.ws
 		w.pooled = true
 		rt.mu.Lock()
-		rt.insertWorkerLocked(w, [2]int64{t.icount, int64(t.tid)})
+		rt.insertWorkerLocked(w, [2]int64{t.icount, int64(t.Tid())})
 		rt.mu.Unlock()
 	case rt.cfg.ThreadPool && !rt.workerPool && rt.pooledWorkspaces() < rt.cfg.poolCap:
 		// Single-token §3.3 reuse: keep the workspace, the host task ends.
@@ -246,7 +246,7 @@ func (t *Thread) exit() {
 	t.account(obs.PhaseCompute)
 	rt.aggregate(t)
 	t.releaseTokenRaw()
-	t.deliver(rt.arb.Unregister(t.tid))
+	t.deliver(rt.arb.Unregister(t.Tid()))
 	t.diagPhase.Store(diagDone)
 }
 

@@ -112,7 +112,7 @@ func (rt *Runtime) runWorker(w *worker, b host.Binding) {
 		}
 		t, fn := w.next, w.fn
 		w.next, w.fn = nil, nil
-		t.start(b)
+		t.Start(b)
 		if w.warm {
 			// Worker-side warm-up, off the spawner's critical path: rebind
 			// the still-live mappings to the new tid and pull the view
@@ -222,7 +222,7 @@ func (rt *Runtime) drainWorkers(t *Thread) {
 			w.ws = nil
 		}
 		if wake[i] != nil {
-			t.b.Wake(wake[i])
+			t.B.Wake(wake[i])
 		}
 	}
 }

@@ -55,7 +55,7 @@ func TestDeliverFromRuntimeErrorsPooled(t *testing.T) {
 				// A grant naming a tid with no registered thread: the
 				// arbiter and the thread table have diverged.
 				dt := root.(*Thread)
-				dt.rt.deliverFrom(dt.b, 9999)
+				dt.rt.deliverFrom(dt.B, 9999)
 			},
 		},
 		{
@@ -67,7 +67,7 @@ func TestDeliverFromRuntimeErrorsPooled(t *testing.T) {
 				// A grant with no waker binding outside setup: nobody can
 				// perform the wake, so the handoff protocol is corrupted.
 				dt := root.(*Thread)
-				dt.rt.deliverFrom(nil, dt.tid)
+				dt.rt.deliverFrom(nil, dt.Tid())
 			},
 		},
 	}

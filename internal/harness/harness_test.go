@@ -555,3 +555,47 @@ func TestTraceHashCoversEveryDeterministicRuntime(t *testing.T) {
 		c.Close()
 	}
 }
+
+// One program, six runtime kinds: RunStats must mean the same thing on
+// each, or Figure 10's ratios and Figure 15's categories compare nothing.
+// Every thread that ran reports exactly once, each category total is the
+// sum of its PerThread column, and no thread accounts more time than the
+// run took (the makespan is the latest finish). All six fold through
+// api.RunStats.AddThread; this is its regression net.
+func TestRunStatsMeanTheSameOnEveryRuntime(t *testing.T) {
+	kinds := append([]Kind{KindPthreads, KindRFDet}, DetKinds...)
+	for _, bench := range []string{"kmeans", "water_nsquared"} { // fork-join; locks and barriers
+		for _, k := range kinds {
+			r, err := Run(Options{Bench: bench, Runtime: k, Threads: 4, Scale: 1, Seed: 42})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := r.Stats
+			if st.SyncOps <= 0 {
+				t.Errorf("%s on %s: SyncOps = %d", bench, k, st.SyncOps)
+			}
+			if got, want := int64(len(st.PerThread)), st.ThreadsSpawned+1; got != want {
+				t.Errorf("%s on %s: %d PerThread entries for %d threads", bench, k, got, want)
+			}
+			seen := map[int]bool{}
+			var sum [6]int64
+			for _, tt := range st.PerThread {
+				if seen[tt.Tid] {
+					t.Errorf("%s on %s: tid %d reported twice", bench, k, tt.Tid)
+				}
+				seen[tt.Tid] = true
+				var own int64
+				for i, v := range [6]int64{tt.LocalWork, tt.DetermWait, tt.BarrierWait, tt.Commit, tt.Fault, tt.Lib} {
+					sum[i] += v
+					own += v
+				}
+				if own > st.WallNS {
+					t.Errorf("%s on %s: tid %d accounts %d ns of a %d ns run", bench, k, tt.Tid, own, st.WallNS)
+				}
+			}
+			if total := [6]int64{st.LocalWorkNS, st.DetermWaitNS, st.BarrierWaitNS, st.CommitNS, st.FaultNS, st.LibNS}; sum != total {
+				t.Errorf("%s on %s: category totals %v, PerThread sums %v", bench, k, total, sum)
+			}
+		}
+	}
+}

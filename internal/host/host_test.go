@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/costmodel"
 	"repro/internal/host"
 	"repro/internal/host/realhost"
@@ -133,5 +134,40 @@ func TestSimWakeLatency(t *testing.T) {
 	}
 	if want := 100 + m.Wakeup; resumeAt != want {
 		t.Fatalf("waiter resumed at %d, want %d", resumeAt, want)
+	}
+}
+
+// The ledger closes every nanosecond between Start and the fold into exactly
+// one category, on a thread that starts late (a child begins at its
+// parent's time) as on the root.
+func TestLedgerAccountsEveryInterval(t *testing.T) {
+	h := simhost.New(costmodel.Default())
+	var stats api.RunStats
+	h.Go("root", nil, func(b host.Binding) {
+		b.Charge(1000) // before the ledger starts: nobody's time
+		l := host.NewLedger(7)
+		l.Start(b)
+		l.Charge(&l.Time.LocalWork, 300)
+		b.Charge(50)
+		l.Account(&l.Time.DetermWait)
+		l.Charge(&l.Time.Lib, 0) // an empty interval
+		if from, to := l.Lap(); from != to || to != b.Now() {
+			t.Errorf("Lap after a closed interval = [%d, %d), now %d", from, to, b.Now())
+		}
+		l.SyncOps = 3
+		if id1, id2 := l.NewObjID(), l.NewObjID(); id1 != api.ObjID(7, 1) || id2 != api.ObjID(7, 2) {
+			t.Errorf("object ids %#x, %#x", id1, id2)
+		}
+		stats.AddThread(l.Time, l.SyncOps, b.Now())
+	})
+	if err := h.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := api.ThreadTime{Tid: 7, LocalWork: 300, DetermWait: 50}
+	if len(stats.PerThread) != 1 || stats.PerThread[0] != want {
+		t.Errorf("PerThread = %+v, want [%+v]", stats.PerThread, want)
+	}
+	if stats.WallNS != 1350 || stats.SyncOps != 3 || stats.LocalWorkNS != 300 || stats.DetermWaitNS != 50 {
+		t.Errorf("stats = %+v", stats)
 	}
 }

@@ -2,9 +2,7 @@ package mem
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
 )
 
 // CommitStats summarizes one commit (or pure update) for cost accounting.
@@ -50,49 +48,6 @@ func (pc PendingCommit) Stats() CommitStats { return pc.stats }
 // Version returns the version this commit created, or nil if the workspace
 // had no modified bytes (the commit degenerated to an update).
 func (pc PendingCommit) Version() *Version { return pc.version }
-
-// rediffParallelMin is the invalidated-page count at which BeginCommit
-// fans re-diffing across a worker pool instead of the inline loop;
-// rediffWorkers bounds the pool. Diffing is a pure per-page function of
-// thread-private bytes, so the fan-out cannot change results — it only
-// shortens wall time on the real host. The simulation host charges its
-// deterministic cost model per page regardless of how the host CPU
-// computed the diff, so its modeled times are unaffected (the same way
-// CompleteThrough charges "parallel" merges from one goroutine).
-const (
-	rediffParallelMin = 16
-	rediffWorkers     = 4
-)
-
-// rediff fills dp.spec for every page in misses. Pages are independent;
-// large sets are diffed by a small worker pool.
-func (ws *Workspace) rediff(misses []int) {
-	if len(misses) < rediffParallelMin {
-		for _, pg := range misses {
-			dp := ws.dirty[pg]
-			dp.spec, dp.specOK = computeDiff(dp.data, dp.twin), true
-		}
-		return
-	}
-	workers := rediffWorkers
-	if n := runtime.GOMAXPROCS(0); n < workers {
-		workers = n
-	}
-	chunk := (len(misses) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(misses); lo += chunk {
-		sub := misses[lo:min(lo+chunk, len(misses))]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, pg := range sub {
-				dp := ws.dirty[pg]
-				dp.spec, dp.specOK = computeDiff(dp.data, dp.twin), true
-			}
-		}()
-	}
-	wg.Wait()
-}
 
 // touchedScratch returns the workspace's cleared pulled-page scratch set.
 func (ws *Workspace) touchedScratch() map[int]bool {
@@ -196,7 +151,7 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 
 	// Diff dirty pages in deterministic (ascending page) order. Pages with
 	// valid speculative diffs are free; the invalidated rest are re-diffed
-	// here, fanned across a worker pool when there are many.
+	// here.
 	pages := ws.scratchPages[:0]
 	for pg := range ws.dirty {
 		pages = append(pages, pg)
@@ -206,12 +161,12 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 
 	misses := ws.scratchMisses[:0]
 	for _, pg := range pages {
-		if !ws.dirty[pg].specOK {
+		if dp := ws.dirty[pg]; !dp.specOK {
+			dp.spec, dp.specOK = computeDiff(dp.data, dp.twin), true
 			misses = append(misses, pg)
 		}
 	}
 	ws.scratchMisses = misses
-	ws.rediff(misses)
 
 	// Every diff is known now, so the version can be sized — one slot per
 	// page that changed — and allocated before the lock is taken.

@@ -166,7 +166,7 @@ func (r *Report) WriteText(w io.Writer) error {
 	p("run          %s\n", r.Process)
 	p("wall         %s ms, %d threads\n", ms(r.WallNS), r.Threads)
 	if r.Partial {
-		p("WARNING      report is PARTIAL: %d timeline events dropped (raise obs.WithLaneCap)\n", r.DroppedEvents)
+		p("WARNING      report is PARTIAL: %d timeline events dropped (each thread keeps its newest 65536; trace a smaller -scale)\n", r.DroppedEvents)
 	}
 	p("commits      %d (%d pages, %s ms serial each)\n",
 		r.Commits.Count, r.Commits.PagesTotal, ms(r.Commits.SerialNSPerCommit))

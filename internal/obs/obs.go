@@ -188,41 +188,19 @@ func (p Phase) Instant() bool { return p > NumTimePhases }
 type Observer struct {
 	reg *Registry
 
-	mu      sync.Mutex
-	lanes   map[int]*Lane
-	laneCap int
+	mu    sync.Mutex
+	lanes map[int]*Lane
 }
 
-// DefaultLaneCap is the default per-thread ring-buffer capacity, in
-// events. At roughly 3–6 spans per synchronization operation this holds
-// the full timeline of any tier-1 workload.
-const DefaultLaneCap = 1 << 16
-
-// Option configures an Observer.
-type Option func(*Observer)
-
-// WithLaneCap sets the per-thread ring capacity (events retained per
-// lane). When a lane overflows, the oldest events are dropped and counted
-// (Lane.Dropped).
-func WithLaneCap(n int) Option {
-	return func(o *Observer) {
-		if n > 0 {
-			o.laneCap = n
-		}
-	}
-}
+// laneCap is the per-thread ring-buffer capacity, in events. At roughly
+// 3–6 spans per synchronization operation this holds the full timeline of
+// any tier-1 workload; when a lane overflows, the oldest events are
+// dropped and counted (Lane.Dropped).
+const laneCap = 1 << 16
 
 // New creates an empty Observer.
-func New(opts ...Option) *Observer {
-	o := &Observer{
-		reg:     NewRegistry(),
-		lanes:   make(map[int]*Lane),
-		laneCap: DefaultLaneCap,
-	}
-	for _, opt := range opts {
-		opt(o)
-	}
-	return o
+func New() *Observer {
+	return &Observer{reg: NewRegistry(), lanes: make(map[int]*Lane)}
 }
 
 // Registry returns the observer's metrics registry.
@@ -236,7 +214,7 @@ func (o *Observer) Lane(tid int) *Lane {
 	defer o.mu.Unlock()
 	l, ok := o.lanes[tid]
 	if !ok {
-		l = newLane(tid, o.laneCap)
+		l = newLane(tid, laneCap)
 		o.lanes[tid] = l
 		// Surface ring overflow in the metrics, per thread, so truncated
 		// timelines are detectable without exporting the trace. Dropped is

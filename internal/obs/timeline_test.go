@@ -6,8 +6,7 @@ import "testing"
 // newest events are retained in order, the oldest are evicted, and the
 // eviction is counted.
 func TestLaneRingOverflowDropsOldest(t *testing.T) {
-	o := New(WithLaneCap(4))
-	l := o.Lane(3)
+	l := newLane(3, 4)
 	for i := 0; i < 10; i++ {
 		l.Span(PhaseCompute, int64(i), int64(i+1))
 	}
@@ -31,8 +30,7 @@ func TestLaneRingOverflowDropsOldest(t *testing.T) {
 // TestLaneNoOverflow verifies the ring below capacity retains everything
 // and reports zero drops.
 func TestLaneNoOverflow(t *testing.T) {
-	o := New(WithLaneCap(8))
-	l := o.Lane(0)
+	l := newLane(0, 8)
 	l.Span(PhaseCommit, 5, 9)
 	l.Mark(MarkCommit, 9, 2)
 	if got := l.Dropped(); got != 0 {

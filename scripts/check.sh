@@ -18,8 +18,8 @@ fi
 echo "== go vet ./..."
 go vet ./...
 
-echo "== lintdoc (godoc coverage of det, clock, costmodel, trace, journal, commitlog, replica, predict, harness)"
-go run ./scripts/lintdoc ./internal/det ./internal/clock ./internal/costmodel ./internal/trace ./internal/journal ./internal/commitlog ./internal/replica ./internal/predict ./internal/harness
+echo "== lintdoc (godoc coverage of det, clock, costmodel, trace, journal, commitlog, replica, predict, harness, api, host)"
+go run ./scripts/lintdoc ./internal/det ./internal/clock ./internal/costmodel ./internal/trace ./internal/journal ./internal/commitlog ./internal/replica ./internal/predict ./internal/harness ./internal/api ./internal/host
 
 echo "== go build ./..."
 go build ./...
@@ -27,21 +27,24 @@ go build ./...
 echo "== go test ./... (includes the determinism gate, internal/harness/gate_test.go, and — through cmd/cli_test.go — go vet + go test inside bench/, which has its own go.mod)"
 go test ./...
 
-echo "== go test -race (obs + mem + det + clock + trace + sim + host + chaos + replica + commitlog + journal + api)"
+echo "== go test -race (obs + mem + det + clock + trace + sim + host + chaos + replica + commitlog + journal + api + baseline)"
 # journal has no goroutine of its own; its tests drive the log's recorder
 # and drain as a run does. clock is here for the arbiter: the most contended
 # mutex in the tree, scraped while the token moves
 # (TestArbiterScrapeDuringTraffic). sim is here for its coroutine switch:
-# every simhost thread body runs on it.
-go test -race ./internal/obs/... ./internal/mem ./internal/det ./internal/clock ./internal/trace ./internal/sim ./internal/host/... ./internal/chaos/... ./internal/replica ./internal/commitlog ./internal/journal ./internal/api
+# every simhost thread body runs on it. baseline is here for the fold every
+# runtime shares (api.RunStats.AddThread under each runtime's aggMu): its
+# tests run dthreads, rfdet and pth on the real host.
+go test -race ./internal/obs/... ./internal/mem ./internal/det ./internal/clock ./internal/trace ./internal/sim ./internal/host/... ./internal/chaos/... ./internal/replica ./internal/commitlog ./internal/journal ./internal/api ./internal/baseline/...
 
 echo "== conseq-analyze smoke (golden trace)"
 go run ./cmd/conseq-analyze -input internal/obs/testdata/golden_trace.json >/dev/null
 
 echo "== bench smoke (1 iteration, allocations reported)"
 go test -run=NONE -bench=. -benchtime=1x -benchmem ./internal/mem ./internal/commitlog >/dev/null
-# The root package's real-host benchmark only: -bench=. there would run
-# BenchmarkFigures, the whole figure sweep.
+# The root package's real-host benchmark only (every ledger program on all
+# five runtimes): -bench=. there would run BenchmarkFigures, the whole
+# figure sweep.
 go test -run=NONE -bench=RealHost -benchtime=1x . >/dev/null
 
 echo "== compare smoke (every runtime tabulates at -shards 4)"
