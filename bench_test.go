@@ -54,21 +54,26 @@ func BenchmarkFigures(b *testing.B) {
 	}
 }
 
-// BenchmarkRealHost runs the ledger's four programs (bench/README.md) whole
-// on the real host at the ledger's threads 4 / shards 4 (consequence-ic is
-// the one runtime shards applies to; Build ignores it elsewhere), as the
-// sub-benchmark <bench>/<runtime> over the paper's five runtimes — the
-// real-host row set of Figure 10. The real-host CPU profile of one cell is
-// one command:
+// ledgerPrograms are the ledger's four programs at the ledger's scales
+// (bench/README.md); BenchmarkRealHost and BenchmarkSimHost run them at its
+// threads 4 / shards 4.
+var ledgerPrograms = []struct {
+	bench string
+	scale int
+}{{"water_nsquared", 8}, {"canneal", 8}, {"kmeans", 32}, {"ferret", 8}}
+
+// BenchmarkRealHost runs the ledger's four programs whole on the real host
+// (consequence-ic is the one runtime shards applies to; Build ignores it
+// elsewhere), as the sub-benchmark <bench>/<runtime> over the paper's five
+// runtimes — the real-host row set of Figure 10. The real-host CPU profile
+// of one cell is one command:
 //
 //	go test -run xxx -bench RealHost/water_nsquared/consequence-ic -cpuprofile cpu.prof .
 func BenchmarkRealHost(b *testing.B) {
-	for _, p := range []struct {
-		bench string
-		scale int
-	}{{"water_nsquared", 8}, {"canneal", 8}, {"kmeans", 32}, {"ferret", 8}} {
+	for _, p := range ledgerPrograms {
 		for _, kind := range append([]harness.Kind{harness.KindPthreads}, harness.DetKinds...) {
 			b.Run(p.bench+"/"+string(kind), func(b *testing.B) {
+				b.ReportAllocs()
 				o := harness.Options{Bench: p.bench, Runtime: kind, Threads: 4, Scale: p.scale, Seed: 42, Shards: 4}
 				for n := 0; n < b.N; n++ {
 					cell, err := harness.Build(o, realhost.New(0, 0))
@@ -84,6 +89,25 @@ func BenchmarkRealHost(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkSimHost runs the same four programs on consequence-ic on the
+// simulation host, as the sub-benchmark <bench>: the cell the ledger times
+// as sim_run_ms_p50, so its profile is one command too:
+//
+//	go test -run xxx -bench SimHost/kmeans -cpuprofile cpu.prof .
+func BenchmarkSimHost(b *testing.B) {
+	for _, p := range ledgerPrograms {
+		b.Run(p.bench, func(b *testing.B) {
+			b.ReportAllocs()
+			o := harness.Options{Bench: p.bench, Runtime: harness.KindConsequenceIC, Threads: 4, Scale: p.scale, Seed: 42, Shards: 4}
+			for n := 0; n < b.N; n++ {
+				if _, err := harness.Run(o); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

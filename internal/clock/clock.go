@@ -139,6 +139,7 @@ func newShards(n int) []Shard {
 func (a *Arbiter) Register(tid int, start int64) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.stats.Locks.Other++
 	i := a.search(tid)
 	if i < len(a.threads) && a.threads[i].tid == tid {
 		panic(fmt.Sprintf("clock: tid %d registered twice", tid))
@@ -154,6 +155,7 @@ func (a *Arbiter) Register(tid int, start int64) int {
 func (a *Arbiter) Unregister(tid int) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.stats.Locks.Other++
 	if a.state(tid).wanting {
 		panic(fmt.Sprintf("clock: tid %d unregistered while waiting for token", tid))
 	}
@@ -173,6 +175,7 @@ func (a *Arbiter) Advance(tid int, delta int64) int {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.stats.Locks.Advance++
 	a.state(tid).count += delta
 	return a.grantLocked()
 }
@@ -181,6 +184,7 @@ func (a *Arbiter) Advance(tid int, delta int64) int {
 func (a *Arbiter) Count(tid int) int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.stats.Locks.Other++
 	return a.state(tid).count
 }
 
@@ -209,6 +213,7 @@ func (a *Arbiter) Release(tid int) int { return a.ReleaseAt(tid, 0, 0, 0) }
 func (a *Arbiter) ReleaseAt(tid, scope int, now, held int64) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.stats.Locks.Release++
 	if a.holder != tid {
 		panic(fmt.Sprintf("clock: tid %d released token held by %d", tid, a.holder))
 	}
@@ -240,6 +245,7 @@ func (a *Arbiter) ReleaseAt(tid, scope int, now, held int64) int {
 func (a *Arbiter) NudgePast(tid int) (int64, int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.stats.Locks.Other++
 	st := a.state(tid)
 	target := st.count + 1
 	// Exceed the minimum clock among the other eligible threads.
@@ -271,6 +277,7 @@ func (a *Arbiter) NudgePast(tid int) (int64, int) {
 func (a *Arbiter) Depart(tid int) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.stats.Locks.DepartArrive++
 	st := a.state(tid)
 	st.eligible = false
 	st.wanting = false
@@ -297,6 +304,7 @@ func (a *Arbiter) ArriveWanting(tid int) int { return a.arrive(tid, true) }
 func (a *Arbiter) arrive(tid int, wanting bool) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.stats.Locks.DepartArrive++
 	st := a.state(tid)
 	st.eligible = true
 	if target := a.ffTargetLocked(st); a.fastForward && target > st.count {
@@ -312,6 +320,7 @@ func (a *Arbiter) arrive(tid int, wanting bool) int {
 func (a *Arbiter) Holder() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.stats.Locks.Other++
 	return a.holder
 }
 
@@ -325,6 +334,7 @@ func (a *Arbiter) Holder() int {
 func (a *Arbiter) waiterAbove(tid int, cur int64) (w int64, found, gmic bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.stats.Locks.Other++
 	var self *threadState
 	if i := a.search(tid); i < len(a.threads) && a.threads[i].tid == tid && a.threads[i].eligible {
 		self = &a.threads[i]
@@ -364,14 +374,19 @@ func (a *Arbiter) grantLocked() int {
 	if a.holder != NoGrant {
 		return NoGrant
 	}
+	grant := NoGrant
 	switch a.policy {
 	case PolicyIC:
-		return a.grantICLocked()
+		grant = a.grantICLocked()
 	case PolicyRR:
-		return a.grantRRLocked()
+		grant = a.grantRRLocked()
 	default:
 		panic("clock: unknown policy")
 	}
+	if grant == NoGrant {
+		a.stats.EmptyPasses++
+	}
+	return grant
 }
 
 // grantRRLocked: the turn belongs to the first eligible thread at or after
@@ -406,6 +421,36 @@ type Stats struct {
 	Merges       int64 // cross-shard edges (every sub-token engaged at once)
 	GlobalBusyNS int64 // token-held time of the cross-shard edges
 	Shards       []Shard
+
+	// What the token path costs in arbiter work, exactly: the mutex
+	// acquisitions by kind of call, and the grant passes — walks of the
+	// thread table with the token free — that granted nothing.
+	Locks       Locks
+	EmptyPasses int64
+
+	// The host's side of the token path, which the arbiter does not see:
+	// det's Runtime.ClockStats fills these in from a host that counts them
+	// (host.ParkCounter — the real host), zero otherwise.
+	Parks, Wakes, EarlyWakes int64
+}
+
+// Locks counts acquisitions of the arbiter's mutex by the call that made
+// them; Stats and DumpState, which observe, are not counted.
+type Locks struct {
+	Advance      int64
+	Request      int64 // Request, RequestSharded
+	Take         int64
+	Release      int64 // Release, ReleaseAt
+	DepartArrive int64 // Depart, Arrive, ArriveWanting
+	// Other is everything else: Register, Unregister, Count, Holder,
+	// NudgePast, SetScope, EnableShardGrants and the overflow policy's
+	// waiterAbove.
+	Other int64
+}
+
+// Total sums the counted acquisitions.
+func (l Locks) Total() int64 {
+	return l.Advance + l.Request + l.Take + l.Release + l.DepartArrive + l.Other
 }
 
 // DumpState renders the arbiter's tables — holder, the per-shard records,

@@ -47,6 +47,7 @@ const keyGlobal = 1 << 30
 func (a *Arbiter) EnableShardGrants(n int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.stats.Locks.Other++
 	if a.policy != PolicyIC {
 		panic("clock: sharded granting requires PolicyIC")
 	}
@@ -67,6 +68,7 @@ func (a *Arbiter) EnableShardGrants(n int) {
 func (a *Arbiter) RequestSharded(tid, shard int) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.stats.Locks.Request++
 	shard = a.scopeLocked(shard)
 	st := a.state(tid)
 	if a.holder == tid {
@@ -87,6 +89,7 @@ func (a *Arbiter) RequestSharded(tid, shard int) int {
 func (a *Arbiter) SetScope(tid, shard int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.stats.Locks.Other++
 	a.state(tid).scope = a.scopeLocked(shard)
 }
 
@@ -130,6 +133,7 @@ type Take struct {
 func (a *Arbiter) Take(tid int) Take {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.stats.Locks.Take++
 	if a.holder != tid {
 		panic(fmt.Sprintf("clock: take by tid %d, token held by %d", tid, a.holder))
 	}

@@ -547,8 +547,15 @@ func (rt *Runtime) Segment() *mem.Segment { return rt.seg }
 func (rt *Runtime) Trace() *trace.Recorder { return rt.rec }
 
 // ClockStats snapshots the arbiter's counters and per-shard records (what
-// the clock_* gauges read).
-func (rt *Runtime) ClockStats() clock.Stats { return rt.arb.Stats() }
+// the clock_* gauges read), with the host's park and wake counts beside
+// them when the host keeps any.
+func (rt *Runtime) ClockStats() clock.Stats {
+	s := rt.arb.Stats()
+	if pc, ok := rt.h.(host.ParkCounter); ok {
+		s.Parks, s.Wakes, s.EarlyWakes = pc.ParkCounts()
+	}
+	return s
+}
 
 // Run implements api.Runtime: executes root as thread 0 and waits for all
 // threads.

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -9,19 +10,16 @@ import (
 	"repro/internal/workload"
 )
 
-// TestSyncOpAllocationBudget is the whole-run gate on commit-path garbage:
-// water_nsquared (bench/'s sync_storm: ~8 200 sync ops, half of them
-// one-page commits) on the real host at threads=4, shards=4 may allocate
-// at most two heap objects per sync op — the published versions' own
-// block, run slice and backing array, averaged over the empty commits,
-// plus the run's fixed set-up. Before the token-held section was made
-// garbage-free the same run spent 5.2.
-func TestSyncOpAllocationBudget(t *testing.T) {
-	spec, err := workload.ByName("water_nsquared")
+// measuredRun runs bench on the real host at the ledger's threads 4 /
+// shards 4 twice — once to warm the runtime's caches and the input store —
+// and returns the second run's sync ops and what it allocated.
+func measuredRun(t *testing.T, bench string, scale int) (ops int64, mallocs, bytes uint64) {
+	t.Helper()
+	spec, err := workload.ByName(bench)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := workload.Params{Threads: 4, Scale: 8, Seed: 42}
+	p := workload.Params{Threads: 4, Scale: scale, Seed: 42}
 	run := func() int64 {
 		c := det.Default()
 		c.SegmentSize = spec.SegmentSize(p)
@@ -35,16 +33,82 @@ func TestSyncOpAllocationBudget(t *testing.T) {
 		}
 		return rt.Stats().SyncOps
 	}
-	run() // warm the runtime's own caches
+	run()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	ops := run()
+	ops = run()
 	runtime.ReadMemStats(&after)
-	mallocs := after.Mallocs - before.Mallocs
+	return ops, after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestSyncOpAllocationBudget is the whole-run gate on commit-path garbage:
+// water_nsquared (bench/'s sync_storm: ~8 200 sync ops, half of them
+// one-page commits) on the real host at threads=4, shards=4 may allocate
+// at most two heap objects per sync op — the published versions' own
+// block, run slice and backing array, averaged over the empty commits,
+// plus the run's fixed set-up. Before the token-held section was made
+// garbage-free the same run spent 5.2.
+func TestSyncOpAllocationBudget(t *testing.T) {
+	ops, mallocs, _ := measuredRun(t, "water_nsquared", 8)
 	if ops < 1000 {
 		t.Fatalf("run made only %d sync ops", ops)
 	}
 	if perOp := float64(mallocs) / float64(ops); perOp > 2.0 {
 		t.Errorf("%d allocations for %d sync ops = %.2f per op, budget 2.0", mallocs, ops, perOp)
+	}
+}
+
+// TestInputAllocationBudget is the whole-run gate on regenerated input:
+// kmeans at scale 32 (bench/'s forkjoin_compute) re-reads its 0.5 MiB of
+// input every iteration, and a run that finds it in the input store
+// (internal/workload) may allocate at most 1 MiB. When every 1 KiB block
+// came from a fresh 4.9 KB math/rand source the same run allocated
+// 21.6 MiB; with the store it is ~140 KiB.
+func TestInputAllocationBudget(t *testing.T) {
+	if _, _, bytes := measuredRun(t, "kmeans", 32); bytes > 1<<20 {
+		t.Errorf("second kmeans run allocated %d KiB, budget 1024", bytes>>10)
+	}
+}
+
+// TestTokenPathCounts makes the token path's cost a number a test can hold
+// (ROADMAP item 1(b)) on water_nsquared at threads 4 / shards 4. On the
+// simulation host every count — arbiter locks by caller, grant passes that
+// granted nothing — is part of the schedule and repeats exactly. On the
+// real host the arbiter is locked at most 3.5 times per sync op (3.02
+// today: one per Advance — 1.5 per op here — and one each for the
+// request, the take and the release of the ops that take the token), and
+// the host counts one Block per Wake.
+func TestTokenPathCounts(t *testing.T) {
+	o := Options{Bench: "water_nsquared", Runtime: KindConsequenceIC, Threads: 4, Scale: 8, Seed: 42, Shards: 4}
+	first, err := Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first.Sched, again.Sched) {
+		t.Errorf("simhost arbiter counts differ between two runs:\n%+v\n%+v", first.Sched, again.Sched)
+	}
+	if l := first.Sched.Locks; l.Advance == 0 || l.Request == 0 || l.Take == 0 || l.Release == 0 || l.DepartArrive == 0 || first.Sched.EmptyPasses == 0 {
+		t.Errorf("a caller of the arbiter went uncounted: %+v, %d empty passes", l, first.Sched.EmptyPasses)
+	}
+
+	cell, err := Build(o, realhost.New(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cell.Close()
+	real, err := cell.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops, s := real.Stats.SyncOps, real.Sched
+	if perOp := float64(s.Locks.Total()) / float64(ops); perOp > 3.5 {
+		t.Errorf("%d arbiter locks for %d sync ops = %.2f per op, budget 3.5 (%+v)", s.Locks.Total(), ops, perOp, s.Locks)
+	}
+	if s.Wakes == 0 || s.Parks+s.EarlyWakes != s.Wakes {
+		t.Errorf("real host counted %d parks + %d early wakes against %d wakes", s.Parks, s.EarlyWakes, s.Wakes)
 	}
 }

@@ -77,6 +77,15 @@ type AnchoredWaker interface {
 	WakeFrom(target Binding, origin int64)
 }
 
+// ParkCounter is an optional Host extension: a host that counts its side
+// of the token path reports how many Blocks waited for their wake (parks),
+// how many Wakes were sent, and how many Blocks found their wake already
+// delivered (earlyWakes). The real host counts; on the simulation host a
+// park is an event of the schedule, which the trace already pins.
+type ParkCounter interface {
+	ParkCounts() (parks, wakes, earlyWakes int64)
+}
+
 // Binding is a thread's handle to its host context. Block and Charge must
 // be called only by the bound thread itself; Wake may be called by any
 // thread.

@@ -48,6 +48,11 @@ type Host struct {
 	onStall   func(report string)
 	stalled   bool
 	blocked   map[*binding]blockedRec
+
+	// The host's side of the token path, counted per run (ParkCounts):
+	// Blocks that had to wait for their wake, Wakes, and Blocks whose wake
+	// had already arrived (the ch permit was there).
+	parks, wakes, earlyWakes atomic.Int64
 }
 
 // blockedRec is one watched Block in progress.
@@ -95,6 +100,16 @@ type binding struct {
 	// bound thread touches it; a watched Block copies it into the host's
 	// blocked table, which is what the report reads.
 	reason host.BlockReason
+	// timer is the watchdog's timeout for this thread's watched Blocks,
+	// made on the first one and stopped and drained between them.
+	timer *time.Timer
+}
+
+// ParkCounts implements host.ParkCounter. The counts depend on how the
+// goroutines happened to be scheduled: parks + earlyWakes is the number of
+// Blocks, which of the two a Block lands in is timing.
+func (h *Host) ParkCounts() (parks, wakes, earlyWakes int64) {
+	return h.parks.Load(), h.wakes.Load(), h.earlyWakes.Load()
 }
 
 // Go implements host.Host.
@@ -178,6 +193,11 @@ func (b *binding) SetBlockReason(r host.BlockReason) { b.reason = r }
 
 func (b *binding) Block() {
 	b.h.maybePerturb()
+	if len(b.ch) > 0 {
+		b.h.earlyWakes.Add(1)
+	} else {
+		b.h.parks.Add(1)
+	}
 	timeout := time.Duration(b.h.wdTimeout.Load())
 	if timeout <= 0 || b.reason.Idle() {
 		// Idle-declared parks (pooled workers awaiting adoption) wait for
@@ -188,10 +208,24 @@ func (b *binding) Block() {
 	}
 	b.h.noteBlocked(b, true)
 	defer b.h.noteBlocked(b, false)
+	// One timer per thread, not one per park: go.mod says go 1.22, so a
+	// time.After timer nobody stops stays in the timer heap until it fires
+	// — a thirty-second watchdog would leave thousands of them per run.
+	if b.timer == nil {
+		b.timer = time.NewTimer(timeout)
+	} else {
+		b.timer.Reset(timeout)
+	}
 	select {
 	case <-b.ch:
-		return
-	case <-time.After(timeout):
+		// Leave the timer stopped and its channel empty for the next
+		// Reset. Stop reports false only when the timer fired and its
+		// value, unreceived by the select above, is or is about to be in
+		// the channel.
+		if !b.timer.Stop() {
+			<-b.timer.C
+		}
+	case <-b.timer.C:
 		b.h.fireWatchdog()
 		// The handler chose not to terminate the process: keep waiting, so
 		// a wake that was merely late (not lost) still lands correctly.
@@ -202,6 +236,7 @@ func (b *binding) Block() {
 func (b *binding) Wake(target host.Binding) {
 	t := target.(*binding)
 	t.h.maybePerturb()
+	t.h.wakes.Add(1)
 	select {
 	case t.ch <- struct{}{}:
 	default:
@@ -209,4 +244,7 @@ func (b *binding) Wake(target host.Binding) {
 	}
 }
 
-var _ host.BlockReasoner = (*binding)(nil)
+var (
+	_ host.BlockReasoner = (*binding)(nil)
+	_ host.ParkCounter   = (*Host)(nil)
+)

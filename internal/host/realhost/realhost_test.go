@@ -152,3 +152,38 @@ func TestWatchdogExemptsIdleParks(t *testing.T) {
 		t.Fatalf("watchdog fired %d times on an idle-declared park", n)
 	}
 }
+
+// A watched park arms the thread's one watchdog timer and disarms it on
+// wake; it allocates nothing. (time.After per park allocated a timer and a
+// channel each time and, under go.mod's go 1.22 timer semantics, left each
+// one in the timer heap until it fired.)
+func TestWatchedBlockAllocatesNothing(t *testing.T) {
+	h := New(0, 0)
+	h.SetWatchdog(time.Hour, func(string) { t.Error("watchdog fired") })
+	b := &binding{h: h, name: "t0", ch: make(chan struct{}, 1)}
+	b.SetBlockReason(host.BlockReason{Label: "mutex %d", ID: 7})
+	waker := &binding{h: h, name: "t1", ch: make(chan struct{}, 1)}
+
+	kick := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for range kick {
+			waker.Wake(b)
+		}
+	}()
+	allocs := testing.AllocsPerRun(500, func() {
+		kick <- struct{}{}
+		b.Block()
+	})
+	close(kick)
+	<-done
+	if allocs != 0 {
+		t.Errorf("a watched Block/Wake pair allocates %.1f objects, want 0", allocs)
+	}
+	// AllocsPerRun makes one warm-up call before the 500 it measures.
+	parks, wakes, early := h.ParkCounts()
+	if wakes != 501 || parks+early != wakes {
+		t.Errorf("counted %d parks + %d early wakes for %d wakes; want 501 Blocks and 501 Wakes", parks, early, wakes)
+	}
+}

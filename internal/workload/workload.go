@@ -18,7 +18,6 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"repro/internal/api"
@@ -101,15 +100,23 @@ func ByName(name string) (Spec, error) {
 
 // fill writes n pseudo-random bytes at off, in page-sized chunks, from the
 // root thread. Use only for arrays the program will mutate and share —
-// fills pay full CoW/commit costs like any other write.
+// fills pay full CoW/commit costs like any other write. The bytes are an
+// initial file image: they come from the input store (inputs.go) when it
+// can hold them, and from a fresh generator otherwise.
 func fill(t api.T, off, n int, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	buf := make([]byte, 4096)
-	for n > 0 {
-		c := len(buf)
-		if c > n {
-			c = n
+	const chunk = 4096
+	if stored := storedInput(seed, n); stored != nil {
+		for done := 0; done < n; done += chunk {
+			end := min(done+chunk, n)
+			// Capped, so no callee can append into the store.
+			t.Write(stored[done:end:end], off+done)
 		}
+		return
+	}
+	rng := newGenerator(seed)
+	buf := make([]byte, chunk)
+	for n > 0 {
+		c := min(chunk, n)
 		rng.Read(buf[:c])
 		t.Write(buf[:c], off)
 		off += c
@@ -117,15 +124,21 @@ func fill(t api.T, off, n int, seed int64) {
 	}
 }
 
-// inputBlock generates the input bytes a real benchmark would read from
-// its mmap'd, read-only input file: deterministic in (seed, off), charged
-// as the instructions of a streaming read, but causing no copy-on-write or
+// inputBlock reads the input bytes a real benchmark would read from its
+// mmap'd, read-only input file: deterministic in (seed, off), charged as
+// the instructions of a streaming read, but causing no copy-on-write or
 // commit traffic — mmap'd files live outside the Conversion-managed
 // globals/heap segments (§2.5 note 2), so deterministic runtimes pay
-// nothing extra for them.
+// nothing extra for them. The file is the input store (inputs.go): a block
+// is generated the first time any run in the process reads it, and buf is
+// the caller's own copy.
 func inputBlock(t api.T, seed int64, off int, buf []byte) {
-	rng := rand.New(rand.NewSource(seed ^ int64(off)*2654435761))
-	rng.Read(buf)
+	blockSeed := seed ^ int64(off)*2654435761
+	if stored := storedInput(blockSeed, len(buf)); stored != nil {
+		copy(buf, stored)
+	} else {
+		newGenerator(blockSeed).Read(buf)
+	}
 	t.Compute(2 + int64(len(buf)+7)/8)
 }
 

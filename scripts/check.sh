@@ -27,25 +27,28 @@ go build ./...
 echo "== go test ./... (includes the determinism gate, internal/harness/gate_test.go, and — through cmd/cli_test.go — go vet + go test inside bench/, which has its own go.mod)"
 go test ./...
 
-echo "== go test -race (obs + mem + det + clock + trace + sim + host + chaos + replica + commitlog + journal + api + baseline)"
+echo "== go test -race (obs + mem + det + clock + trace + sim + host + chaos + replica + commitlog + journal + api + baseline + workload)"
 # journal has no goroutine of its own; its tests drive the log's recorder
 # and drain as a run does. clock is here for the arbiter: the most contended
 # mutex in the tree, scraped while the token moves
 # (TestArbiterScrapeDuringTraffic). sim is here for its coroutine switch:
 # every simhost thread body runs on it. baseline is here for the fold every
 # runtime shares (api.RunStats.AddThread under each runtime's aggMu): its
-# tests run dthreads, rfdet and pth on the real host.
-go test -race ./internal/obs/... ./internal/mem ./internal/det ./internal/clock ./internal/trace ./internal/sim ./internal/host/... ./internal/chaos/... ./internal/replica ./internal/commitlog ./internal/journal ./internal/api ./internal/baseline/...
+# tests run dthreads, rfdet and pth on the real host. workload is here for
+# the input store (inputs.go): process-wide, and read by every thread of
+# every runtime.
+go test -race ./internal/obs/... ./internal/mem ./internal/det ./internal/clock ./internal/trace ./internal/sim ./internal/host/... ./internal/chaos/... ./internal/replica ./internal/commitlog ./internal/journal ./internal/api ./internal/baseline/... ./internal/workload
 
 echo "== conseq-analyze smoke (golden trace)"
 go run ./cmd/conseq-analyze -input internal/obs/testdata/golden_trace.json >/dev/null
 
 echo "== bench smoke (1 iteration, allocations reported)"
 go test -run=NONE -bench=. -benchtime=1x -benchmem ./internal/mem ./internal/commitlog >/dev/null
-# The root package's real-host benchmark only (every ledger program on all
-# five runtimes): -bench=. there would run BenchmarkFigures, the whole
+# The root package's whole-program benchmarks only (every ledger program on
+# all five runtimes on the real host, and on consequence-ic on the
+# simulation host): -bench=. there would run BenchmarkFigures, the whole
 # figure sweep.
-go test -run=NONE -bench=RealHost -benchtime=1x . >/dev/null
+go test -run=NONE -bench='RealHost|SimHost' -benchtime=1x . >/dev/null
 
 echo "== compare smoke (every runtime tabulates at -shards 4)"
 # -compare builds every runtime from the same flags, so -shards must be
