@@ -83,8 +83,9 @@ func main() {
 	fmt.Printf("benchmark   %s (%s, %s)\n", spec.Name, spec.Suite, spec.Class)
 	fmt.Printf("runtime     %s, %d threads, scale %d, seed %d\n", cell.Runtime.Name(), *threads, *scale, *seed)
 	if in := cell.Chaos; in != nil {
+		ev := in.Stats().Events
 		fmt.Printf("chaos       %s (%d kills, %d tears, %d stalls)\n",
-			in, in.Stats().FollowerKills, in.Stats().FollowerTears, in.Stats().FollowerStalls)
+			in, ev[chaos.FollowerKill], ev[chaos.FollowerTear], ev[chaos.FollowerStall])
 	}
 	fmt.Printf("checksum    %016x\n", res.Checksum)
 	fmt.Printf("commitlog   %d commits, %d snapshots, %d segments, %d bytes (%d append stalls)\n",

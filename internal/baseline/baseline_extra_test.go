@@ -2,6 +2,7 @@ package baseline_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/api"
@@ -177,5 +178,26 @@ func TestPthreadsModelHasNoDeterminismMachinery(t *testing.T) {
 	}
 	if st.SyncOps == 0 || st.WallNS == 0 {
 		t.Errorf("pthreads model recorded no activity: %+v", st)
+	}
+}
+
+// A deadlock on the simulation host names each parked thread's blocking
+// site on the baselines too: here the root exits holding the mutex its
+// child is parked on.
+func TestSimDeadlockNamesBlockingSite(t *testing.T) {
+	for _, name := range []string{"dthreads", "pthreads", "rfdet"} {
+		rt := makeRuntime(t, name, simhost.New(costmodel.Default()))
+		err := rt.Run(func(root api.T) {
+			m := root.NewMutex()
+			root.Lock(m)
+			root.Spawn(func(t api.T) {
+				t.Lock(m)
+				t.Unlock(m)
+			})
+			root.Compute(5_000)
+		})
+		if err == nil || !strings.Contains(err.Error(), "deadlock") || !strings.Contains(err.Error(), "(mutex") {
+			t.Errorf("%s: Run() = %v, want a deadlock report naming the mutex", name, err)
+		}
 	}
 }

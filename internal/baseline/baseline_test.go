@@ -11,6 +11,7 @@ import (
 	"repro/internal/baseline/dthreads"
 	"repro/internal/baseline/dwc"
 	"repro/internal/baseline/pth"
+	"repro/internal/baseline/rfdet"
 	"repro/internal/costmodel"
 	"repro/internal/host"
 	"repro/internal/host/realhost"
@@ -30,6 +31,8 @@ func makeRuntime(t *testing.T, name string, h host.Host) api.Runtime {
 		rt, err = dwc.New(dwc.Config{SegmentSize: segSize, Model: costmodel.Default()}, h)
 	case "pthreads":
 		rt, err = pth.New(pth.Config{SegmentSize: segSize, Model: costmodel.Default()}, h)
+	case "rfdet":
+		rt, err = rfdet.New(rfdet.Config{SegmentSize: segSize, Model: costmodel.Default()}, h)
 	default:
 		t.Fatalf("unknown runtime %q", name)
 	}

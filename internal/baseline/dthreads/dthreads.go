@@ -148,9 +148,10 @@ type thread struct {
 
 	// op is the pending serial-phase action; it runs during this thread's
 	// turn and returns whether the thread proceeds to local work (false =
-	// it blocks again, category blockCat, and refreshes to updateTarget on
-	// wake).
+	// it blocks again on blockOn, category blockCat, and refreshes to
+	// updateTarget on wake).
 	op           func() bool
+	blockOn      host.BlockReason
 	blockCat     *int64
 	updateTarget int64
 }
@@ -171,7 +172,7 @@ func (t *thread) syncPoint(op func() bool) {
 		if first != nil {
 			t.B.Wake(first.B)
 		}
-		t.B.Block() // until our serial turn
+		t.B.Block(host.BlockReason{Label: "serial turn"})
 	}
 	t.Account(&t.Time.DetermWait)
 	t.serialTurn()
@@ -221,7 +222,7 @@ func (t *thread) serialTurn() {
 		if cat == nil {
 			cat = &t.Time.DetermWait
 		}
-		t.B.Block()
+		t.B.Block(t.blockOn)
 		t.Account(cat)
 		pulled := t.ws.UpdateTo(t.updateTarget)
 		t.Charge(&t.Time.Commit, int64(pulled)*m.UpdatePage)
@@ -311,6 +312,7 @@ func (t *thread) Lock(mx api.Mutex) {
 		}
 		rt.glockWaiters = append(rt.glockWaiters, t)
 		delete(rt.members, t.Tid())
+		t.blockOn = host.BlockReason{Label: "mutex %d", ID: m.id}
 		t.blockCat = &t.Time.DetermWait
 		return false
 	})
@@ -367,6 +369,7 @@ func (t *thread) Wait(cx api.Cond, mx api.Mutex) {
 		}
 		c.waiters = append(c.waiters, t)
 		delete(rt.members, t.Tid())
+		t.blockOn = host.BlockReason{Label: "cond %d", ID: c.id}
 		t.blockCat = &t.Time.DetermWait
 		rt.mu.Unlock()
 		if w != nil {
@@ -452,6 +455,7 @@ func (t *thread) BarrierWait(bx api.Barrier) {
 		}
 		bar.waiting = append(bar.waiting, t)
 		delete(rt.members, t.Tid())
+		t.blockOn = host.BlockReason{Label: "barrier %d", ID: bar.id}
 		t.blockCat = &t.Time.BarrierWait
 		rt.mu.Unlock()
 		return false
@@ -512,6 +516,7 @@ func (t *thread) Join(h api.Handle) {
 		}
 		child.joiners = append(child.joiners, t)
 		delete(rt.members, t.Tid())
+		t.blockOn = host.BlockReason{Label: "join t%d", ID: uint64(child.Tid())}
 		t.blockCat = &t.Time.DetermWait
 		return false
 	})

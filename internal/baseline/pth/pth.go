@@ -175,7 +175,7 @@ func (t *thread) Lock(mx api.Mutex) {
 	}
 	m.waiters = append(m.waiters, t)
 	t.rt.mu.Unlock()
-	t.B.Block() // woken holding the lock (direct handoff)
+	t.B.Block(host.BlockReason{Label: "mutex"}) // woken holding the lock (direct handoff)
 	t.Account(&t.Time.DetermWait)
 }
 
@@ -206,7 +206,7 @@ func (t *thread) Wait(cx api.Cond, mx api.Mutex) {
 	c.waiters = append(c.waiters, t)
 	t.rt.mu.Unlock()
 	t.Unlock(mx)
-	t.B.Block()
+	t.B.Block(host.BlockReason{Label: "cond"})
 	t.Account(&t.Time.DetermWait)
 	t.Lock(mx)
 }
@@ -260,7 +260,7 @@ func (t *thread) BarrierWait(bx api.Barrier) {
 	}
 	bar.waiting = append(bar.waiting, t)
 	t.rt.mu.Unlock()
-	t.B.Block()
+	t.B.Block(host.BlockReason{Label: "barrier"})
 	t.Account(&t.Time.BarrierWait)
 }
 
@@ -296,7 +296,7 @@ func (t *thread) Join(h api.Handle) {
 	}
 	child.joiners = append(child.joiners, t)
 	t.rt.mu.Unlock()
-	t.B.Block()
+	t.B.Block(host.BlockReason{Label: "join p%d", ID: uint64(child.Tid())})
 	t.Account(&t.Time.DetermWait)
 }
 

@@ -46,7 +46,7 @@ func (t *thread) acquireToken() {
 	t.Charge(&t.Time.Lib, m.SyscallClockRead)
 	if g := t.rt.arb.Request(t.Tid()); g != t.Tid() {
 		t.deliver(g)
-		t.B.Block()
+		t.B.Block(host.BlockReason{Label: "global token"})
 		t.icount = t.rt.arb.Count(t.Tid())
 	}
 	t.holding = true
@@ -60,8 +60,8 @@ func (t *thread) releaseToken() {
 	t.deliver(t.rt.arb.Release(t.Tid()))
 }
 
-func (t *thread) blockForToken() {
-	t.B.Block()
+func (t *thread) blockForToken(reason host.BlockReason) {
+	t.B.Block(reason)
 	t.icount = t.rt.arb.Count(t.Tid())
 	t.holding = true
 	t.Account(&t.Time.DetermWait)
@@ -226,7 +226,7 @@ func (t *thread) Lock(mx api.Mutex) {
 		m.waiters = append(m.waiters, t.Tid())
 		t.deliver(t.rt.arb.Depart(t.Tid()))
 		t.releaseToken()
-		t.blockForToken()
+		t.blockForToken(host.BlockReason{Label: "mutex %d", ID: m.id})
 	}
 	t.releaseToken()
 }
@@ -272,14 +272,14 @@ func (t *thread) Wait(cx api.Cond, mx api.Mutex) {
 	c.waiters = append(c.waiters, t.Tid())
 	t.deliver(t.rt.arb.Depart(t.Tid()))
 	t.releaseToken()
-	t.blockForToken()
+	t.blockForToken(host.BlockReason{Label: "cond %d", ID: c.id})
 	t.applyUpTo(c.vc)
 	// Reacquire the mutex (token held).
 	for m.locked {
 		m.waiters = append(m.waiters, t.Tid())
 		t.deliver(t.rt.arb.Depart(t.Tid()))
 		t.releaseToken()
-		t.blockForToken()
+		t.blockForToken(host.BlockReason{Label: "mutex %d", ID: m.id})
 	}
 	m.locked, m.owner = true, t.Tid()
 	t.rt.rec.Record(t.Tid(), trace.OpLock, m.id, t.icount)
@@ -337,7 +337,7 @@ func (t *thread) BarrierWait(bx api.Barrier) {
 		t.deliver(t.rt.arb.Depart(t.Tid()))
 		t.releaseToken()
 		t.Account(&t.Time.LocalWork)
-		t.B.Block()
+		t.B.Block(host.BlockReason{Label: "barrier %d", ID: bar.id})
 		t.Account(&t.Time.BarrierWait)
 		t.icount = t.rt.arb.Count(t.Tid())
 		// Apply the clock the releasing arrival pinned for us.
@@ -410,7 +410,7 @@ func (t *thread) Join(h api.Handle) {
 		child.joiners = append(child.joiners, t.Tid())
 		t.deliver(t.rt.arb.Depart(t.Tid()))
 		t.releaseToken()
-		t.blockForToken()
+		t.blockForToken(host.BlockReason{Label: "join t%d", ID: uint64(child.Tid())})
 	}
 }
 

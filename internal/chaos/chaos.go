@@ -10,6 +10,7 @@
 // every profile in Profiles() x five seeds and asserts byte-identical checksums and
 // sync-trace hashes against the unperturbed goldens.
 //
+// A Profile is a knob vector: one amplitude per injection point (Knob).
 // Every perturbation decision is drawn from a splitmix64 stream keyed by
 // (seed, subsystem, thread), so a run is a deterministic function of
 // (profile, seed) on the simulation host and replays exactly. Injection
@@ -29,65 +30,79 @@ import (
 	"sync/atomic"
 )
 
-// Profile is one named perturbation mix. All knobs are amplitudes; a zero
-// knob disables that injection point entirely.
-type Profile struct {
-	// Name identifies the profile in -chaos specs and reports.
-	Name string
-	// ChargeJitterPct stretches every Binding.Charge by a per-call random
-	// factor in [0, ChargeJitterPct]% — virtual-time jitter on modeled
-	// work (no effect on untimed hosts, where Charge is a no-op).
-	ChargeJitterPct int64
-	// WakeDelayNS delays token-grant (and barrier-release) wakes by up to
-	// this many nanoseconds, charged to the waking thread: the adversarial
+// Knob is one injection point. It indexes a Profile's amplitudes and the
+// injector's Stats; a zero amplitude disables that injection point
+// entirely.
+type Knob int
+
+// The knobs. Each comment gives the amplitude's unit and where the draw
+// lands.
+const (
+	// Jitter stretches every Binding.Charge by a per-call random factor in
+	// [0, amplitude]% — virtual-time jitter on modeled work (no effect on
+	// untimed hosts, where Charge is a no-op). Drawn by ChargeJitter.
+	Jitter Knob = iota
+	// Wake delays token-grant (and barrier-release) wakes by up to this
+	// many nanoseconds, charged to the waking thread: the adversarial
 	// "slow handoff" case. On untimed (real) hosts the delay is a real
 	// sleep, like the -verify schedule perturbation.
-	WakeDelayNS int64
-	// OverflowShrinkPct shrinks each counter-overflow interval by up to
-	// this percentage (clamped to at least one instruction), forcing more
+	Wake
+	// Overflow shrinks each counter-overflow interval by up to this
+	// percentage (clamped to at least one instruction), forcing more
 	// frequent clock publication and more overflow IRQs at adversarially
-	// uneven points.
-	OverflowShrinkPct int64
-	// MispredictPct drops each predicted page from a write-set prediction
+	// uneven points. Drawn by OverflowInterval.
+	Overflow
+	// Mispredict drops each predicted page from a write-set prediction
 	// with this probability (in percent): forced prefetch mispredictions.
 	// Prediction is advisory, so drops cost time, never correctness.
-	MispredictPct int64
-	// BarrierSkewNS delays each barrier arrival by up to this many
-	// nanoseconds of virtual time, randomizing rendezvous arrival order
-	// in time (the logical arrival order is token-determined).
-	BarrierSkewNS int64
-	// FaultDelayNS adds up to this many nanoseconds to each serviced
+	// Drawn by FilterPrediction.
+	Mispredict
+	// Barrier delays each barrier arrival by up to this many nanoseconds
+	// of virtual time, randomizing rendezvous arrival order in time (the
+	// logical arrival order is token-determined).
+	Barrier
+	// Fault adds up to this many nanoseconds to each serviced
 	// copy-on-write page fault (including prefetch population).
-	FaultDelayNS int64
-	// CommitDelayNS adds up to this many nanoseconds to each token-held
-	// serial commit phase: the injected commit slowdown.
-	CommitDelayNS int64
-	// LogStallNS stalls the commit log's drain goroutine by up to this
-	// many REAL nanoseconds at its write points (periodic record batches,
+	Fault
+	// Commit adds up to this many nanoseconds to each token-held serial
+	// commit phase: the injected commit slowdown.
+	Commit
+	// LogStall stalls the commit log's drain goroutine by up to this many
+	// REAL nanoseconds at its write points (periodic record batches,
 	// segment rolls, snapshots): the injected slow-disk case. The stall is
 	// wall-clock only — the drain is off the critical path, so a stalled
 	// log exerts backpressure (visible as commitlog_append_stalls) but can
 	// never move modeled time or results, and the logged bytes themselves
 	// are unchanged; TestGateCommitLog (internal/harness) gates both.
-	LogStallNS int64
-	// FollowerKillPer10K kills a replica follower (a recovered panic the
-	// fleet supervisor restarts from the newest snapshot) with this
+	LogStall
+	// FollowerKill kills a replica follower (a recovered panic the fleet
+	// supervisor restarts from the newest snapshot) with this
 	// per-ten-thousand probability at each applied commit. Followers are
 	// pure consumers of the commit log, so a kill can delay reads but
 	// never move the writer's results or what any follower serves at a
 	// version (internal/replica's determinism gate asserts exactly that).
-	FollowerKillPer10K int64
-	// FollowerStallNS stalls a replica follower's apply loop by up to
-	// this many REAL nanoseconds per applied commit — the slow-disk /
+	FollowerKill
+	// FollowerStall stalls a replica follower's apply loop by up to this
+	// many REAL nanoseconds per applied commit — the slow-disk /
 	// slow-consumer case that builds follower lag and exercises the
 	// fleet's drain-from-routing degradation path.
-	FollowerStallNS int64
-	// FollowerTearPer10K makes a replica follower abandon its
-	// subscription mid-stream (as if its read hit a torn tail or an
-	// unreadable segment) with this per-ten-thousand probability at each
-	// applied commit, forcing the retry/backoff resubscribe loop to
-	// resume without gaps or duplicates.
-	FollowerTearPer10K int64
+	FollowerStall
+	// FollowerTear makes a replica follower abandon its subscription
+	// mid-stream (as if its read hit a torn tail or an unreadable segment)
+	// with this per-ten-thousand probability at each applied commit,
+	// forcing the retry/backoff resubscribe loop to resume without gaps or
+	// duplicates.
+	FollowerTear
+	// NumKnobs is the number of knobs: the length of every knob vector.
+	NumKnobs
+)
+
+// Profile is one named perturbation mix: an amplitude per knob.
+type Profile struct {
+	// Name identifies the profile in -chaos specs and reports.
+	Name string
+	// Amp is the knob vector; see each Knob for its unit.
+	Amp [NumKnobs]int64
 }
 
 // profiles is the registry of built-in perturbation mixes. Amplitudes are
@@ -96,29 +111,22 @@ type Profile struct {
 // handoff, fault delays comparable to the fault itself), small enough
 // that gated sweeps stay fast.
 var profiles = []Profile{
-	{Name: "jitter", ChargeJitterPct: 40},
-	{Name: "token", WakeDelayNS: 2_500},
-	{Name: "overflow", OverflowShrinkPct: 75},
-	{Name: "mispredict", MispredictPct: 60},
-	{Name: "barrier", BarrierSkewNS: 6_000},
-	{Name: "mem", FaultDelayNS: 2_000, CommitDelayNS: 4_000},
-	{Name: "logstall", LogStallNS: 500_000},
+	{"jitter", [NumKnobs]int64{Jitter: 40}},
+	{"token", [NumKnobs]int64{Wake: 2_500}},
+	{"overflow", [NumKnobs]int64{Overflow: 75}},
+	{"mispredict", [NumKnobs]int64{Mispredict: 60}},
+	{"barrier", [NumKnobs]int64{Barrier: 6_000}},
+	{"mem", [NumKnobs]int64{Fault: 2_000, Commit: 4_000}},
+	{"logstall", [NumKnobs]int64{LogStall: 500_000}},
 	// Follower-side profiles perturb replica consumers only: the writer's
 	// stream is untouched, so every checksum and read answer must hold.
-	{Name: "follower-kill", FollowerKillPer10K: 120, FollowerStallNS: 30_000},
-	{Name: "follower-stall", FollowerStallNS: 400_000},
-	{Name: "follower-tear", FollowerTearPer10K: 150, FollowerStallNS: 20_000},
-	{
-		Name:              "storm",
-		ChargeJitterPct:   25,
-		WakeDelayNS:       1_500,
-		OverflowShrinkPct: 50,
-		MispredictPct:     35,
-		BarrierSkewNS:     3_000,
-		FaultDelayNS:      1_200,
-		CommitDelayNS:     2_500,
-		LogStallNS:        200_000,
-	},
+	{"follower-kill", [NumKnobs]int64{FollowerKill: 120, FollowerStall: 30_000}},
+	{"follower-stall", [NumKnobs]int64{FollowerStall: 400_000}},
+	{"follower-tear", [NumKnobs]int64{FollowerTear: 150, FollowerStall: 20_000}},
+	{"storm", [NumKnobs]int64{
+		Jitter: 25, Wake: 1_500, Overflow: 50, Mispredict: 35, Barrier: 3_000,
+		Fault: 1_200, Commit: 2_500, LogStall: 200_000,
+	}},
 }
 
 // Profiles returns the built-in profile names, sorted.
@@ -131,37 +139,17 @@ func Profiles() []string {
 	return names
 }
 
-// ProfileByName returns the named built-in profile.
-func ProfileByName(name string) (Profile, error) {
-	for _, p := range profiles {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return Profile{}, fmt.Errorf("chaos: unknown profile %q (have %s)", name, strings.Join(Profiles(), ", "))
-}
-
-// Stats counts injected perturbation events; all fields are lifetime
-// totals. Durations are virtual nanoseconds on timed hosts.
+// Stats counts injected perturbations per knob; all values are lifetime
+// totals.
 type Stats struct {
-	ChargeJitterEvents int64
-	ChargeJitterNS     int64
-	WakeDelays         int64
-	WakeDelayNS        int64
-	OverflowShrinks    int64
-	MispredictDrops    int64
-	BarrierSkews       int64
-	BarrierSkewNS      int64
-	FaultDelays        int64
-	FaultDelayNS       int64
-	CommitDelays       int64
-	CommitDelayNS      int64
-	LogStalls          int64
-	LogStallNS         int64
-	FollowerKills      int64
-	FollowerStalls     int64
-	FollowerStallNS    int64
-	FollowerTears      int64
+	// Events counts injections that changed something: a non-zero delay,
+	// a shrunk interval, a trigger that fired — and, for Mispredict, each
+	// dropped page.
+	Events [NumKnobs]int64
+	// Amount sums the injected nanoseconds of the delay knobs (virtual on
+	// timed hosts; real for LogStall and FollowerStall). It stays zero for
+	// Overflow, Mispredict, FollowerKill and FollowerTear.
+	Amount [NumKnobs]int64
 }
 
 // Injector is one run's perturbation source: a profile plus a seed.
@@ -170,40 +158,19 @@ type Stats struct {
 // Counter updates are atomic, so a live metrics scrape may read Stats
 // mid-run.
 type Injector struct {
-	prof Profile
-	seed uint64
-
-	chargeJitterEvents atomic.Int64
-	chargeJitterNS     atomic.Int64
-	wakeDelays         atomic.Int64
-	wakeDelayNS        atomic.Int64
-	overflowShrinks    atomic.Int64
-	mispredictDrops    atomic.Int64
-	barrierSkews       atomic.Int64
-	barrierSkewNS      atomic.Int64
-	faultDelays        atomic.Int64
-	faultDelayNS       atomic.Int64
-	commitDelays       atomic.Int64
-	commitDelayNS      atomic.Int64
-	logStalls          atomic.Int64
-	logStallNS         atomic.Int64
-	followerKills      atomic.Int64
-	followerStalls     atomic.Int64
-	followerStallNS    atomic.Int64
-	followerTears      atomic.Int64
+	prof           Profile
+	seed           uint64
+	events, amount [NumKnobs]atomic.Int64
 }
 
-// New creates an injector for the named profile and seed.
-func New(profile string, seed int64) (*Injector, error) {
-	p, err := ProfileByName(profile)
-	if err != nil {
-		return nil, err
-	}
-	return &Injector{prof: p, seed: uint64(seed)}, nil
+// New creates an injector for profile p and seed.
+func New(p Profile, seed int64) *Injector {
+	return &Injector{prof: p, seed: uint64(seed)}
 }
 
-// Parse builds an injector from a "profile:seed" spec (":seed" optional,
-// default seed 1). The empty spec returns nil: chaos disabled.
+// Parse builds an injector from a "profile:seed" spec naming a built-in
+// profile (":seed" optional, default seed 1). The empty spec returns nil:
+// chaos disabled.
 func Parse(spec string) (*Injector, error) {
 	if spec == "" {
 		return nil, nil
@@ -217,7 +184,12 @@ func Parse(spec string) (*Injector, error) {
 		}
 		seed = n
 	}
-	return New(name, seed)
+	for _, p := range profiles {
+		if p.Name == name {
+			return New(p, seed), nil
+		}
+	}
+	return nil, fmt.Errorf("chaos: unknown profile %q (have %s)", name, strings.Join(Profiles(), ", "))
 }
 
 // Profile returns the injector's perturbation mix.
@@ -233,25 +205,19 @@ func (in *Injector) String() string {
 
 // Stats snapshots the injected-event counters.
 func (in *Injector) Stats() Stats {
-	return Stats{
-		ChargeJitterEvents: in.chargeJitterEvents.Load(),
-		ChargeJitterNS:     in.chargeJitterNS.Load(),
-		WakeDelays:         in.wakeDelays.Load(),
-		WakeDelayNS:        in.wakeDelayNS.Load(),
-		OverflowShrinks:    in.overflowShrinks.Load(),
-		MispredictDrops:    in.mispredictDrops.Load(),
-		BarrierSkews:       in.barrierSkews.Load(),
-		BarrierSkewNS:      in.barrierSkewNS.Load(),
-		FaultDelays:        in.faultDelays.Load(),
-		FaultDelayNS:       in.faultDelayNS.Load(),
-		CommitDelays:       in.commitDelays.Load(),
-		CommitDelayNS:      in.commitDelayNS.Load(),
-		LogStalls:          in.logStalls.Load(),
-		LogStallNS:         in.logStallNS.Load(),
-		FollowerKills:      in.followerKills.Load(),
-		FollowerStalls:     in.followerStalls.Load(),
-		FollowerStallNS:    in.followerStallNS.Load(),
-		FollowerTears:      in.followerTears.Load(),
+	var st Stats
+	for k := range NumKnobs {
+		st.Events[k] = in.events[k].Load()
+		st.Amount[k] = in.amount[k].Load()
+	}
+	return st
+}
+
+// note counts events injections of knob k totalling amount.
+func (in *Injector) note(k Knob, events, amount int64) {
+	in.events[k].Add(events)
+	if amount != 0 {
+		in.amount[k].Add(amount)
 	}
 }
 
@@ -272,6 +238,8 @@ const (
 // the injector's knobs applied. A stream must only be used by the thread
 // it was created for (no internal locking) — the same ownership
 // discipline as the runtime's unlock estimators and predictor tables.
+// Every method of a nil Stream (chaos disabled) injects nothing and draws
+// nothing.
 type Stream struct {
 	in  *Injector
 	rng Rand
@@ -356,164 +324,77 @@ func (r *Rand) Below(n int64) int64 {
 	return int64(r.Next() % uint64(n))
 }
 
+// Delay draws knob k's bounded delay: uniform nanoseconds in [0, its
+// amplitude]. It serves the delay knobs — Wake, Barrier, Fault, Commit,
+// LogStall and FollowerStall.
+func (s *Stream) Delay(k Knob) int64 {
+	if s == nil || s.in.prof.Amp[k] <= 0 {
+		return 0
+	}
+	d := s.rng.Below(s.in.prof.Amp[k] + 1)
+	if d > 0 {
+		s.in.note(k, 1, d)
+	}
+	return d
+}
+
+// Trigger reports whether knob k fires at this draw, with its
+// per-ten-thousand amplitude as the probability. It serves FollowerKill
+// and FollowerTear.
+func (s *Stream) Trigger(k Knob) bool {
+	if s == nil || s.in.prof.Amp[k] <= 0 {
+		return false
+	}
+	if s.rng.Below(10_000) >= s.in.prof.Amp[k] {
+		return false
+	}
+	s.in.note(k, 1, 0)
+	return true
+}
+
 // ChargeJitter returns the extra nanoseconds to stretch an ns-long Charge
 // by (0 when the knob is off or ns is 0).
 func (s *Stream) ChargeJitter(ns int64) int64 {
-	if s == nil || s.in.prof.ChargeJitterPct <= 0 || ns <= 0 {
+	if s == nil || s.in.prof.Amp[Jitter] <= 0 || ns <= 0 {
 		return 0
 	}
-	extra := ns * s.rng.Below(s.in.prof.ChargeJitterPct+1) / 100
+	extra := ns * s.rng.Below(s.in.prof.Amp[Jitter]+1) / 100
 	if extra > 0 {
-		s.in.chargeJitterEvents.Add(1)
-		s.in.chargeJitterNS.Add(extra)
+		s.in.note(Jitter, 1, extra)
 	}
 	return extra
-}
-
-// WakeDelay returns the nanoseconds to delay a wake by.
-func (s *Stream) WakeDelay() int64 {
-	if s == nil || s.in.prof.WakeDelayNS <= 0 {
-		return 0
-	}
-	d := s.rng.Below(s.in.prof.WakeDelayNS + 1)
-	if d > 0 {
-		s.in.wakeDelays.Add(1)
-		s.in.wakeDelayNS.Add(d)
-	}
-	return d
 }
 
 // OverflowInterval perturbs a counter-overflow interval, shrinking it by
 // up to the profile's percentage. The result is always at least 1: a
 // zero interval would stall instruction retirement entirely.
 func (s *Stream) OverflowInterval(iv int64) int64 {
-	if s == nil || s.in.prof.OverflowShrinkPct <= 0 || iv <= 1 {
+	if s == nil || s.in.prof.Amp[Overflow] <= 0 || iv <= 1 {
 		return iv
 	}
-	shrunk := iv - iv*s.rng.Below(s.in.prof.OverflowShrinkPct+1)/100
-	if shrunk < 1 {
-		shrunk = 1
-	}
+	shrunk := max(iv-iv*s.rng.Below(s.in.prof.Amp[Overflow]+1)/100, 1)
 	if shrunk != iv {
-		s.in.overflowShrinks.Add(1)
+		s.in.note(Overflow, 1, 0)
 	}
 	return shrunk
 }
 
 // FilterPrediction drops each predicted page with the profile's
 // misprediction probability, filtering pages in place. Order is
-// preserved, so a sorted prediction stays sorted.
+// preserved, so a sorted prediction stays sorted, and pages are never
+// invented: an empty prediction draws nothing and stays empty.
 func (s *Stream) FilterPrediction(pages []int) []int {
-	if s == nil || s.in.prof.MispredictPct <= 0 || len(pages) == 0 {
+	if s == nil || s.in.prof.Amp[Mispredict] <= 0 || len(pages) == 0 {
 		return pages
 	}
 	kept := pages[:0]
-	dropped := int64(0)
 	for _, pg := range pages {
-		if s.rng.Below(100) < s.in.prof.MispredictPct {
-			dropped++
-			continue
+		if s.rng.Below(100) >= s.in.prof.Amp[Mispredict] {
+			kept = append(kept, pg)
 		}
-		kept = append(kept, pg)
 	}
-	if dropped > 0 {
-		s.in.mispredictDrops.Add(dropped)
+	if dropped := int64(len(pages) - len(kept)); dropped > 0 {
+		s.in.note(Mispredict, dropped, 0)
 	}
 	return kept
-}
-
-// BarrierSkew returns the nanoseconds to delay a barrier arrival by.
-func (s *Stream) BarrierSkew() int64 {
-	if s == nil || s.in.prof.BarrierSkewNS <= 0 {
-		return 0
-	}
-	d := s.rng.Below(s.in.prof.BarrierSkewNS + 1)
-	if d > 0 {
-		s.in.barrierSkews.Add(1)
-		s.in.barrierSkewNS.Add(d)
-	}
-	return d
-}
-
-// FaultDelay returns the extra nanoseconds to charge for servicing one
-// copy-on-write fault of the given page.
-func (s *Stream) FaultDelay(page int) int64 {
-	if s == nil || s.in.prof.FaultDelayNS <= 0 {
-		return 0
-	}
-	d := s.rng.Below(s.in.prof.FaultDelayNS + 1)
-	if d > 0 {
-		s.in.faultDelays.Add(1)
-		s.in.faultDelayNS.Add(d)
-	}
-	return d
-}
-
-// LogStall returns the REAL nanoseconds to stall the commit-log drain
-// goroutine by at one of its write points.
-func (s *Stream) LogStall() int64 {
-	if s == nil || s.in.prof.LogStallNS <= 0 {
-		return 0
-	}
-	d := s.rng.Below(s.in.prof.LogStallNS + 1)
-	if d > 0 {
-		s.in.logStalls.Add(1)
-		s.in.logStallNS.Add(d)
-	}
-	return d
-}
-
-// FollowerKill reports whether to kill the follower at this applied
-// commit (a panic the fleet supervisor recovers and restarts from).
-func (s *Stream) FollowerKill() bool {
-	if s == nil || s.in.prof.FollowerKillPer10K <= 0 {
-		return false
-	}
-	if s.rng.Below(10_000) >= s.in.prof.FollowerKillPer10K {
-		return false
-	}
-	s.in.followerKills.Add(1)
-	return true
-}
-
-// FollowerStall returns the REAL nanoseconds to stall a follower's apply
-// loop by at this applied commit.
-func (s *Stream) FollowerStall() int64 {
-	if s == nil || s.in.prof.FollowerStallNS <= 0 {
-		return 0
-	}
-	d := s.rng.Below(s.in.prof.FollowerStallNS + 1)
-	if d > 0 {
-		s.in.followerStalls.Add(1)
-		s.in.followerStallNS.Add(d)
-	}
-	return d
-}
-
-// FollowerTear reports whether the follower's read should tear here:
-// abandon the subscription as if the tail turned unreadable, exercising
-// the resubscribe/backoff path.
-func (s *Stream) FollowerTear() bool {
-	if s == nil || s.in.prof.FollowerTearPer10K <= 0 {
-		return false
-	}
-	if s.rng.Below(10_000) >= s.in.prof.FollowerTearPer10K {
-		return false
-	}
-	s.in.followerTears.Add(1)
-	return true
-}
-
-// CommitDelay returns the extra nanoseconds to charge a token-held serial
-// commit phase.
-func (s *Stream) CommitDelay() int64 {
-	if s == nil || s.in.prof.CommitDelayNS <= 0 {
-		return 0
-	}
-	d := s.rng.Below(s.in.prof.CommitDelayNS + 1)
-	if d > 0 {
-		s.in.commitDelays.Add(1)
-		s.in.commitDelayNS.Add(d)
-	}
-	return d
 }

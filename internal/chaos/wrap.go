@@ -75,7 +75,7 @@ func (b *chaosBinding) Charge(ns int64) {
 	b.inner.Charge(ns + b.s.ChargeJitter(ns))
 }
 
-func (b *chaosBinding) Block() { b.inner.Block() }
+func (b *chaosBinding) Block(reason host.BlockReason) { b.inner.Block(reason) }
 
 // Wake delays the handoff, then wakes the (unwrapped) target.
 func (b *chaosBinding) Wake(target host.Binding) {
@@ -101,7 +101,7 @@ func (b *chaosBinding) WakeFrom(target host.Binding, origin int64) {
 // returns the virtual-time delay charged (0 on untimed hosts, where the
 // delay is a real sleep instead).
 func (b *chaosBinding) wakeChaos() int64 {
-	d := b.s.WakeDelay()
+	d := b.s.Delay(Wake)
 	if d <= 0 {
 		return 0
 	}
@@ -113,18 +113,8 @@ func (b *chaosBinding) wakeChaos() int64 {
 	return 0
 }
 
-// SetBlockReason forwards the diagnostic block reason to hosts that
-// record one (the simulation host's deadlock report, the real host's
-// watchdog dump).
-func (b *chaosBinding) SetBlockReason(r host.BlockReason) {
-	if br, ok := b.inner.(host.BlockReasoner); ok {
-		br.SetBlockReason(r)
-	}
-}
-
 var (
 	_ host.Host          = (*chaosHost)(nil)
 	_ host.Binding       = (*chaosBinding)(nil)
-	_ host.BlockReasoner = (*chaosBinding)(nil)
 	_ host.AnchoredWaker = (*chaosBinding)(nil)
 )

@@ -21,12 +21,6 @@ type Overflow struct {
 	base     int64
 	adaptive bool
 	interval int64
-	// perturb, when set, rewrites each interval Next returns (chaos
-	// injection: forced shrinkage). Results are clamped to >= 1 — a
-	// non-positive interval would stall instruction retirement. Safe to
-	// perturb freely because overflow frequency affects only latency and
-	// overhead, never logical ordering.
-	perturb func(interval int64) int64
 }
 
 // NewOverflow creates a schedule with the given base interval (0 means
@@ -41,29 +35,9 @@ func NewOverflow(base int64, adaptive bool) *Overflow {
 // ResetChunk applies rule 1 at the start of each chunk.
 func (o *Overflow) ResetChunk() { o.interval = o.base }
 
-// SetPerturb installs an interval rewriter applied to every value Next
-// returns (nil removes it). The chaos subsystem uses this to force
-// adversarial overflow shrinkage.
-func (o *Overflow) SetPerturb(f func(interval int64) int64) { o.perturb = f }
-
 // Next returns how many instructions may retire before the next overflow,
 // given the thread's identity, current clock and the arbiter's state.
 func (o *Overflow) Next(tid int, cur int64, a *Arbiter) int64 {
-	return o.applyPerturb(o.next(tid, cur, a))
-}
-
-// applyPerturb runs the installed rewriter, clamping to >= 1.
-func (o *Overflow) applyPerturb(iv int64) int64 {
-	if o.perturb == nil {
-		return iv
-	}
-	if p := o.perturb(iv); p >= 1 {
-		return p
-	}
-	return 1
-}
-
-func (o *Overflow) next(tid int, cur int64, a *Arbiter) int64 {
 	if !o.adaptive {
 		return o.base
 	}

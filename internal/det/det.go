@@ -312,8 +312,8 @@ func New(cfg Config, h host.Host) (*Runtime, error) {
 	if cfg.SegmentSize <= 0 {
 		return nil, fmt.Errorf("det: segment size must be positive")
 	}
-	if cfg.Coarsening && cfg.StaticLevel == 1 {
-		return nil, fmt.Errorf("det: static coarsening level 1 is meaningless (use 0 for adaptive or >= 2)")
+	if cfg.StaticLevel < 0 || cfg.Coarsening && cfg.StaticLevel == 1 {
+		return nil, fmt.Errorf("det: static coarsening level %d is meaningless (use 0 for adaptive or >= 2)", cfg.StaticLevel)
 	}
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("det: negative shard count %d", cfg.Shards)
@@ -442,21 +442,25 @@ func (rt *Runtime) SetObserver(o *obs.Observer) {
 		}
 	}
 	if in := rt.cfg.Chaos; in != nil {
-		chFunc := func(f func(chaos.Stats) int64) func() int64 {
-			return func() int64 { return f(in.Stats()) }
+		// The knobs a det run draws, by their gauges' names: the event
+		// count and, for delay knobs, the injected nanoseconds.
+		for _, m := range []struct {
+			k              chaos.Knob
+			events, amount string
+		}{
+			{chaos.Jitter, "charge_jitter_events", "charge_jitter_ns"},
+			{chaos.Wake, "wake_delays", "wake_delay_ns"},
+			{chaos.Overflow, "overflow_shrinks", ""},
+			{chaos.Mispredict, "mispredict_drops", ""},
+			{chaos.Barrier, "barrier_skews", "barrier_skew_ns"},
+			{chaos.Fault, "fault_delays", "fault_delay_ns"},
+			{chaos.Commit, "commit_delays", "commit_delay_ns"},
+		} {
+			r.Func("chaos_"+m.events, func() int64 { return in.Stats().Events[m.k] })
+			if m.amount != "" {
+				r.Func("chaos_"+m.amount, func() int64 { return in.Stats().Amount[m.k] })
+			}
 		}
-		r.Func("chaos_charge_jitter_events", chFunc(func(s chaos.Stats) int64 { return s.ChargeJitterEvents }))
-		r.Func("chaos_charge_jitter_ns", chFunc(func(s chaos.Stats) int64 { return s.ChargeJitterNS }))
-		r.Func("chaos_wake_delays", chFunc(func(s chaos.Stats) int64 { return s.WakeDelays }))
-		r.Func("chaos_wake_delay_ns", chFunc(func(s chaos.Stats) int64 { return s.WakeDelayNS }))
-		r.Func("chaos_overflow_shrinks", chFunc(func(s chaos.Stats) int64 { return s.OverflowShrinks }))
-		r.Func("chaos_mispredict_drops", chFunc(func(s chaos.Stats) int64 { return s.MispredictDrops }))
-		r.Func("chaos_barrier_skews", chFunc(func(s chaos.Stats) int64 { return s.BarrierSkews }))
-		r.Func("chaos_barrier_skew_ns", chFunc(func(s chaos.Stats) int64 { return s.BarrierSkewNS }))
-		r.Func("chaos_fault_delays", chFunc(func(s chaos.Stats) int64 { return s.FaultDelays }))
-		r.Func("chaos_fault_delay_ns", chFunc(func(s chaos.Stats) int64 { return s.FaultDelayNS }))
-		r.Func("chaos_commit_delays", chFunc(func(s chaos.Stats) int64 { return s.CommitDelays }))
-		r.Func("chaos_commit_delay_ns", chFunc(func(s chaos.Stats) int64 { return s.CommitDelayNS }))
 	}
 	r.Func("det_threads_spawned", aggFunc(func(s api.RunStats) int64 { return s.ThreadsSpawned }))
 	r.Func("det_threads_reused", aggFunc(func(s api.RunStats) int64 { return s.ThreadsReused }))
@@ -500,7 +504,7 @@ func (rt *Runtime) SetCommitLog(l *commitlog.Log) error {
 	}
 	if rt.cfg.Chaos != nil {
 		cs := rt.cfg.Chaos.LogStream()
-		l.SetPerturb(func() int64 { return cs.LogStall() })
+		l.SetPerturb(func() int64 { return cs.Delay(chaos.LogStall) })
 	}
 	if err := l.Begin(rt.seg.PageSize(), rt.seg.NumPages()); err != nil {
 		return err
@@ -617,12 +621,12 @@ func (rt *Runtime) attachThread(tid int, startClock int64, ws *mem.Workspace) *T
 	t.coarse.maxChunk = maxChunkInit
 	if in := rt.cfg.Chaos; in != nil {
 		// Per-thread perturbation streams, keyed (seed, subsystem, tid):
-		// each subsystem draws independently, so one consuming more draws
-		// never shifts another's sequence. Re-arming a pooled workspace's
-		// fault perturb on reuse retargets it to the new tid's stream.
+		// a pooled workspace or worker carries none of them, so a reused
+		// one draws from the new tid's streams.
 		t.chaosT = in.ThreadStream(tid)
-		t.overflow.SetPerturb(in.OverflowStream(tid).OverflowInterval)
-		ws.SetFaultPerturb(in.FaultStream(tid).FaultDelay)
+		t.chaosOverflow = in.OverflowStream(tid)
+		t.chaosPredict = in.PredictStream(tid)
+		t.chaosFault = in.FaultStream(tid)
 	}
 	if rt.cfg.WriteSetPrediction {
 		// One history table per thread, like the unlock estimators: tables
@@ -632,11 +636,6 @@ func (rt *Runtime) attachThread(tid int, startClock int64, ws *mem.Workspace) *T
 		// re-arming is idempotent.
 		t.pred = predict.New()
 		ws.SetPredict(true)
-		if in := rt.cfg.Chaos; in != nil {
-			// Forced mispredictions: drop predicted pages per the profile.
-			// Safe because prediction is advisory by contract.
-			t.pred.SetPerturb(in.PredictStream(tid).FilterPrediction)
-		}
 	}
 	if o := rt.obs; o != nil {
 		// Per-thread instruments, cached so the hot paths pay one nil

@@ -244,10 +244,12 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := det.New(c, simhost.New(costmodel.Default())); err == nil {
 		t.Error("zero segment accepted")
 	}
-	c = cfg()
-	c.StaticLevel = 1
-	if _, err := det.New(c, simhost.New(costmodel.Default())); err == nil {
-		t.Error("static level 1 accepted")
+	for _, lvl := range []int{1, -1} {
+		c = cfg()
+		c.StaticLevel = lvl
+		if _, err := det.New(c, simhost.New(costmodel.Default())); err == nil {
+			t.Errorf("static level %d accepted", lvl)
+		}
 	}
 }
 

@@ -99,10 +99,7 @@ func (t *Thread) runtimeError(code, op string, obj uint64, format string, a ...a
 func (t *Thread) park(phase int32, reason host.BlockReason) {
 	t.diagPhase.Store(phase)
 	t.diagClock.Store(t.icount)
-	if br, ok := t.B.(host.BlockReasoner); ok {
-		br.SetBlockReason(reason)
-	}
-	t.B.Block()
+	t.B.Block(reason)
 	t.diagPhase.Store(diagRunning)
 }
 

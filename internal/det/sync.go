@@ -2,6 +2,7 @@ package det
 
 import (
 	"repro/internal/api"
+	"repro/internal/chaos"
 	"repro/internal/host"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -223,7 +224,7 @@ func (t *Thread) BarrierWait(bx api.Barrier) {
 	t.syncOpStart(siteID(siteBarrier, bar.id))
 	// Chaos arrival skew: stretch this arrival's pre-rendezvous time,
 	// randomizing when (never in what logical order) arrivals land.
-	if d := t.chaosT.BarrierSkew(); d > 0 {
+	if d := t.chaosT.Delay(chaos.Barrier); d > 0 {
 		t.charge(obs.PhaseCompute, d)
 	}
 	if !t.holding {

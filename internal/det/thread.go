@@ -115,9 +115,12 @@ type Thread struct {
 	hChunk        *obs.Histogram
 	mLockAcq      map[uint64]*obs.Counter
 
-	// chaosT is the thread's chaos stream for barrier skew and commit
-	// delays (nil when chaos is disabled; Stream methods are nil-safe).
-	chaosT *chaos.Stream
+	// chaosT (barrier skew, commit delays), chaosOverflow, chaosPredict
+	// and chaosFault are the thread's chaos streams, each drawn on the
+	// line that charges what it perturbs (nil when chaos is disabled;
+	// Stream methods are nil-safe). One stream per subsystem, so one
+	// consuming more draws never shifts another's sequence.
+	chaosT, chaosOverflow, chaosPredict, chaosFault *chaos.Stream
 
 	// diagPhase/diagClock mirror the thread's state for failure
 	// diagnostics (RuntimeError, Runtime.DumpState). Atomic because the
@@ -233,7 +236,7 @@ func (t *Thread) advance(n int64) {
 			if t.rt.timed {
 				// Split at overflow boundaries.
 				if t.toOverflow <= 0 && t.rt.cfg.Policy == clock.PolicyIC {
-					t.toOverflow = t.overflow.Next(t.Tid(), t.icount, t.rt.arb)
+					t.toOverflow = t.chaosOverflow.OverflowInterval(t.overflow.Next(t.Tid(), t.icount, t.rt.arb))
 				}
 				if t.rt.cfg.Policy == clock.PolicyIC && t.toOverflow < step {
 					step = t.toOverflow
@@ -297,10 +300,7 @@ func (t *Thread) Write(data []byte, off int) {
 	t.ws.Write(data, off)
 	if f := t.ws.TakeFaults(); f > 0 {
 		t.account(obs.PhaseCompute)
-		// Chaos fault delays accumulate per serviced fault in the
-		// workspace; charging them with the modeled fault cost keeps the
-		// perturbation pure time.
-		t.charge(obs.PhaseFault, f*t.rt.cfg.Model.PageFault+t.ws.TakeChaosFaultNS())
+		t.charge(obs.PhaseFault, f*t.rt.cfg.Model.PageFault+t.faultDelay(f))
 	}
 	t.advance(api.MemInstr(len(data)))
 	t.maybeForceCommit()
@@ -354,14 +354,25 @@ func (t *Thread) prefetchNext() {
 	}
 	// The chunk that follows the sync op now waiting is keyed by that
 	// op's site (chunkSite, set in syncOpStart before any token work).
-	t.predScratch = t.pred.Predict(t.chunkSite, t.predScratch[:0])
+	// Chaos mispredictions drop predicted pages; an empty (untrained)
+	// prediction draws nothing.
+	t.predScratch = t.chaosPredict.FilterPrediction(t.pred.Predict(t.chunkSite, t.predScratch[:0]))
 	if len(t.predScratch) > 0 {
 		t.account(obs.PhaseCompute)
-		if n := t.ws.Prepopulate(t.predScratch); n > 0 {
-			t.charge(obs.PhasePrefetch,
-				int64(n)*t.rt.cfg.Model.PrepopulatePage+t.ws.TakeChaosFaultNS())
+		if n := int64(t.ws.Prepopulate(t.predScratch)); n > 0 {
+			t.charge(obs.PhasePrefetch, n*t.rt.cfg.Model.PrepopulatePage+t.faultDelay(n))
 		}
 	}
+}
+
+// faultDelay draws the chaos fault delay for each of n serviced pages —
+// copy-on-write faults and prefetch populations alike — charged with the
+// modeled cost it stretches, so the perturbation is pure time.
+func (t *Thread) faultDelay(n int64) (ns int64) {
+	for range n {
+		ns += t.chaosFault.Delay(chaos.Fault)
+	}
+	return ns
 }
 
 // specPrepare pre-diffs the workspace ahead of a commit that never had a
@@ -412,7 +423,7 @@ func (t *Thread) serialCommitCost(st mem.CommitStats) int64 {
 // chaos profile's injected commit slowdown — and feeds the live
 // mem_commit_serial_ns metric.
 func (t *Thread) chargeCommitSerial(st mem.CommitStats) {
-	ns := t.serialCommitCost(st) + t.chaosT.CommitDelay()
+	ns := t.serialCommitCost(st) + t.chaosT.Delay(chaos.Commit)
 	t.charge(obs.PhaseCommit, ns)
 	t.rt.commitSerialNS.Add(ns)
 }

@@ -148,10 +148,7 @@ func (rt *Runtime) runWorker(w *worker, b host.Binding) {
 // reason so the real host's watchdog does not mistake a parked pool
 // worker for a stalled thread (host.IdleReasonPrefix).
 func (rt *Runtime) parkIdle(w *worker, b host.Binding) {
-	if br, ok := b.(host.BlockReasoner); ok {
-		br.SetBlockReason(host.BlockReason{Label: host.IdleReasonPrefix + "pooled worker w%d", ID: uint64(w.seq)})
-	}
-	b.Block()
+	b.Block(host.BlockReason{Label: host.IdleReasonPrefix + "pooled worker w%d", ID: uint64(w.seq)})
 }
 
 // insertWorkerLocked adds w to the free list in ascending key order.

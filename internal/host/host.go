@@ -34,8 +34,8 @@ type Host interface {
 const IdleReasonPrefix = "idle: "
 
 // BlockReason says what a thread is about to block on: a constant label
-// and the id of the object involved. A runtime declares one before every
-// park, so making it must cost nothing; the text is only built (String)
+// and the id of the object involved. A runtime passes one to every Block,
+// so making it must cost nothing; the text is only built (String)
 // when a failure report is printed. A "%d" in Label is where ID goes
 // ("mutex %d" with ID 7 reads "mutex 7"); a Label without one stands alone
 // ("global token").
@@ -55,16 +55,6 @@ func (r BlockReason) String() string {
 // Idle reports whether the reason declares intentional idleness
 // (IdleReasonPrefix).
 func (r BlockReason) Idle() bool { return strings.HasPrefix(r.Label, IdleReasonPrefix) }
-
-// BlockReasoner is an optional Binding extension: hosts that implement it
-// record what the thread is about to block on, surfaced in failure
-// diagnostics — the simulation host's deadlock report and the real host's
-// watchdog stall dump. Runtimes call it (from the bound thread)
-// immediately before Block; the reason is purely diagnostic and never
-// affects scheduling.
-type BlockReasoner interface {
-	SetBlockReason(r BlockReason)
-}
 
 // AnchoredWaker is an optional Binding extension for hosts that model
 // time: WakeFrom is Wake with an explicit virtual-time origin, used by
@@ -98,8 +88,10 @@ type Binding interface {
 	// Block suspends the thread until a Wake targets it. A Wake that
 	// arrives first is not lost: the Block returns immediately (one
 	// pending wake permit is held, and double-wake is a runtime bug that
-	// panics).
-	Block()
+	// panics). reason says what the thread is blocking on; it is purely
+	// diagnostic — the simulation host's deadlock report and the real
+	// host's watchdog stall dump print it — and never affects scheduling.
+	Block(reason BlockReason)
 	// Wake releases target from Block (or pre-arms its next Block).
 	Wake(target Binding)
 }

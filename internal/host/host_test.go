@@ -31,7 +31,7 @@ func TestBlockWake(t *testing.T) {
 			h.Go("waiter", nil, func(b host.Binding) {
 				waiter = b
 				close(ready)
-				b.Block()
+				b.Block(host.BlockReason{})
 				got.Store(1)
 			})
 			h.Go("waker", nil, func(b host.Binding) {
@@ -63,7 +63,7 @@ func TestWakeBeforeBlockNotLost(t *testing.T) {
 				// sim host, ordering guarantees it).
 				b.Charge(10_000)
 				<-woken
-				b.Block() // must return immediately: permit pending
+				b.Block(host.BlockReason{}) // must return immediately: permit pending
 			})
 			h.Go("waker", nil, func(b host.Binding) {
 				<-ready
@@ -122,7 +122,7 @@ func TestSimWakeLatency(t *testing.T) {
 	var waiter host.Binding
 	h.Go("waiter", nil, func(b host.Binding) {
 		waiter = b
-		b.Block()
+		b.Block(host.BlockReason{})
 		resumeAt = b.Now()
 	})
 	h.Go("waker", nil, func(b host.Binding) {

@@ -10,7 +10,8 @@
 // exactly as a real pthreads program would. SetWatchdog bounds that wait:
 // if any thread stays blocked longer than the timeout, the host invokes a
 // stall handler with a report of every blocked thread — its name, what it
-// declared it was blocking on (host.BlockReasoner), and for how long — so
+// declared it was blocking on (the reason given to Block), and for how
+// long — so
 // callers can dump diagnostic state and fail instead of hanging forever.
 package realhost
 
@@ -96,10 +97,6 @@ type binding struct {
 	h    *Host
 	name string
 	ch   chan struct{}
-	// reason is the declared block reason (host.BlockReasoner). Only the
-	// bound thread touches it; a watched Block copies it into the host's
-	// blocked table, which is what the report reads.
-	reason host.BlockReason
 	// timer is the watchdog's timeout for this thread's watched Blocks,
 	// made on the first one and stopped and drained between them.
 	timer *time.Timer
@@ -142,12 +139,13 @@ func (h *Host) maybePerturb() {
 	time.Sleep(d)
 }
 
-// noteBlocked registers b as blocked (or removes it) for the watchdog.
-func (h *Host) noteBlocked(b *binding, blocked bool) {
+// noteBlocked registers b as blocked on reason (or removes it) for the
+// watchdog.
+func (h *Host) noteBlocked(b *binding, reason host.BlockReason, blocked bool) {
 	h.wdMu.Lock()
 	defer h.wdMu.Unlock()
 	if blocked {
-		h.blocked[b] = blockedRec{since: time.Now(), reason: b.reason}
+		h.blocked[b] = blockedRec{since: time.Now(), reason: reason}
 	} else {
 		delete(h.blocked, b)
 	}
@@ -188,10 +186,7 @@ func (h *Host) fireWatchdog() {
 func (b *binding) Now() int64      { return time.Since(b.h.start).Nanoseconds() }
 func (b *binding) Charge(ns int64) {}
 
-// SetBlockReason implements host.BlockReasoner for the watchdog report.
-func (b *binding) SetBlockReason(r host.BlockReason) { b.reason = r }
-
-func (b *binding) Block() {
+func (b *binding) Block(reason host.BlockReason) {
 	b.h.maybePerturb()
 	if len(b.ch) > 0 {
 		b.h.earlyWakes.Add(1)
@@ -199,15 +194,15 @@ func (b *binding) Block() {
 		b.h.parks.Add(1)
 	}
 	timeout := time.Duration(b.h.wdTimeout.Load())
-	if timeout <= 0 || b.reason.Idle() {
+	if timeout <= 0 || reason.Idle() {
 		// Idle-declared parks (pooled workers awaiting adoption) wait for
 		// work indefinitely by design; counting them as stalls would trip
 		// the watchdog on every quiet pool.
 		<-b.ch
 		return
 	}
-	b.h.noteBlocked(b, true)
-	defer b.h.noteBlocked(b, false)
+	b.h.noteBlocked(b, reason, true)
+	defer b.h.noteBlocked(b, reason, false)
 	// One timer per thread, not one per park: go.mod says go 1.22, so a
 	// time.After timer nobody stops stays in the timer heap until it fires
 	// — a thirty-second watchdog would leave thousands of them per run.
@@ -244,7 +239,4 @@ func (b *binding) Wake(target host.Binding) {
 	}
 }
 
-var (
-	_ host.BlockReasoner = (*binding)(nil)
-	_ host.ParkCounter   = (*Host)(nil)
-)
+var _ host.ParkCounter = (*Host)(nil)

@@ -26,9 +26,8 @@ func TestWatchdogCatchesStallThenLateWakeLands(t *testing.T) {
 	woke := make(chan struct{})
 	h.Go("t0", nil, func(b host.Binding) {
 		blocker = b
-		b.(host.BlockReasoner).SetBlockReason(host.BlockReason{Label: "mutex %d", ID: 7})
 		close(ready)
-		b.Block() // no one wakes us until after the watchdog fires
+		b.Block(host.BlockReason{Label: "mutex %d", ID: 7}) // no one wakes us until after the watchdog fires
 		close(woke)
 	})
 	h.Go("t1", nil, func(b host.Binding) {
@@ -77,7 +76,7 @@ func TestWatchdogFiresOnce(t *testing.T) {
 	for _, name := range []string{"t0", "t1", "t2"} {
 		h.Go(name, nil, func(b host.Binding) {
 			bindings <- b
-			b.Block()
+			b.Block(host.BlockReason{})
 		})
 	}
 	h.Go("waker", nil, func(b host.Binding) {
@@ -103,7 +102,7 @@ func TestWatchdogQuietOnProgress(t *testing.T) {
 	bindings := make(chan host.Binding, 1)
 	h.Go("t0", nil, func(b host.Binding) {
 		bindings <- b
-		b.Block()
+		b.Block(host.BlockReason{})
 	})
 	h.Go("t1", nil, func(b host.Binding) {
 		b.Wake(<-bindings)
@@ -136,9 +135,8 @@ func TestWatchdogExemptsIdleParks(t *testing.T) {
 
 	bindings := make(chan host.Binding, 1)
 	h.Go("w0", nil, func(b host.Binding) {
-		b.(host.BlockReasoner).SetBlockReason(host.BlockReason{Label: host.IdleReasonPrefix + "pooled worker w%d"})
 		bindings <- b
-		b.Block() // parked idle: waits for work, not for progress
+		b.Block(host.BlockReason{Label: host.IdleReasonPrefix + "pooled worker w%d"}) // parked idle: waits for work, not for progress
 	})
 	h.Go("t1", nil, func(b host.Binding) {
 		target := <-bindings
@@ -161,7 +159,6 @@ func TestWatchedBlockAllocatesNothing(t *testing.T) {
 	h := New(0, 0)
 	h.SetWatchdog(time.Hour, func(string) { t.Error("watchdog fired") })
 	b := &binding{h: h, name: "t0", ch: make(chan struct{}, 1)}
-	b.SetBlockReason(host.BlockReason{Label: "mutex %d", ID: 7})
 	waker := &binding{h: h, name: "t1", ch: make(chan struct{}, 1)}
 
 	kick := make(chan struct{})
@@ -174,7 +171,7 @@ func TestWatchedBlockAllocatesNothing(t *testing.T) {
 	}()
 	allocs := testing.AllocsPerRun(500, func() {
 		kick <- struct{}{}
-		b.Block()
+		b.Block(host.BlockReason{Label: "mutex %d", ID: 7})
 	})
 	close(kick)
 	<-done

@@ -36,8 +36,8 @@ type binding struct {
 	// thread was still running; -1 means none. Execution is single-threaded
 	// in the engine, so no locking is needed.
 	pendingWake int64
-	// reason is the declared block reason; the proc holds a pointer to it
-	// and formats it only if the engine reports a deadlock.
+	// reason is the reason of the park in progress; the proc holds a
+	// pointer to it and formats it only if the engine reports a deadlock.
 	reason host.BlockReason
 }
 
@@ -60,14 +60,9 @@ func (h *Host) Timed() bool { return true }
 func (b *binding) Now() int64      { return b.proc.Now() }
 func (b *binding) Charge(ns int64) { b.proc.Advance(ns) }
 
-// SetBlockReason implements host.BlockReasoner: the reason appears next
-// to the proc's name in the engine's deadlock report.
-func (b *binding) SetBlockReason(r host.BlockReason) {
-	b.reason = r
-	b.proc.SetBlockReason(&b.reason)
-}
-
-func (b *binding) Block() {
+// Block implements host.Binding: reason appears next to the proc's name
+// in the engine's deadlock report.
+func (b *binding) Block(reason host.BlockReason) {
 	if b.pendingWake >= 0 {
 		// The wake raced ahead of the block: consume the permit, elapsing
 		// any remaining latency.
@@ -78,6 +73,8 @@ func (b *binding) Block() {
 		}
 		return
 	}
+	b.reason = reason
+	b.proc.SetBlockReason(&b.reason)
 	b.proc.Park()
 }
 

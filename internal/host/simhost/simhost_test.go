@@ -30,7 +30,7 @@ func TestWakeBeforeBlockIsAPermit(t *testing.T) {
 			h.Go("target", nil, func(b host.Binding) {
 				target = b
 				b.Charge(c.busy) // the waker runs inside this charge
-				b.Block()
+				b.Block(host.BlockReason{})
 				got = b.Now()
 			})
 			h.Go("waker", nil, func(b host.Binding) {
@@ -65,7 +65,7 @@ func TestWakeFromAnchorsAtOrigin(t *testing.T) {
 			h.Go("target", nil, func(b host.Binding) {
 				target = b
 				b.Charge(c.parkAt)
-				b.Block()
+				b.Block(host.BlockReason{})
 				got = b.Now()
 			})
 			h.Go("waker", nil, func(b host.Binding) {
@@ -91,7 +91,7 @@ func TestSecondWakeOnHeldPermitPanics(t *testing.T) {
 	h.Go("target", nil, func(b host.Binding) {
 		target = b
 		b.Charge(500)
-		b.Block() // consumes the one permit that was granted
+		b.Block(host.BlockReason{}) // consumes the one permit that was granted
 	})
 	h.Go("waker", nil, func(b host.Binding) {
 		b.Charge(100)
@@ -118,10 +118,7 @@ func TestDeadlockReportCarriesBlockReasons(t *testing.T) {
 		{"a", host.BlockReason{Label: "mutex %d", ID: 7}},
 	} {
 		h.Go(th.name, nil, func(b host.Binding) {
-			if th.reason != (host.BlockReason{}) {
-				b.(host.BlockReasoner).SetBlockReason(th.reason)
-			}
-			b.Block()
+			b.Block(th.reason)
 		})
 	}
 	err := h.Run()

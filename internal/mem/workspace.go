@@ -16,15 +16,6 @@ type Workspace struct {
 	// these into charged costs and stats.
 	faults int64
 
-	// faultPerturb, when set, is consulted on every serviced page fault
-	// (CoW fault or prefetch population) and its result accumulates into
-	// chaosFaultNS — the chaos subsystem's injected fault slowdown. The
-	// runtime drains the accumulator (TakeChaosFaultNS) wherever it
-	// charges fault or prefetch time, so the delay is pure modeled
-	// latency: page contents and fault counts are untouched.
-	faultPerturb func(page int) int64
-	chaosFaultNS int64
-
 	// predict enables write-set logging and page prefetching: faults and
 	// first-writes are recorded into chunkWrites (the training signal for
 	// the runtime's write-set predictor), and Prepopulate may install
@@ -131,20 +122,6 @@ func (ws *Workspace) TakeFaults() int64 {
 	return f
 }
 
-// SetFaultPerturb installs a per-fault delay source (nil removes it);
-// see the faultPerturb field contract. Must be called by the owning
-// thread.
-func (ws *Workspace) SetFaultPerturb(f func(page int) int64) { ws.faultPerturb = f }
-
-// TakeChaosFaultNS returns and resets the injected fault-servicing delay
-// accumulated since the previous call; the runtime charges it alongside
-// the modeled fault or prefetch cost it perturbs.
-func (ws *Workspace) TakeChaosFaultNS() int64 {
-	ns := ws.chaosFaultNS
-	ws.chaosFaultNS = 0
-	return ns
-}
-
 // Read copies len(buf) bytes starting at byte offset off into buf.
 // Reads see the thread's own uncommitted stores (store buffer) overlaid on
 // the snapshot, which is exactly TSO's read-own-writes-early behaviour.
@@ -209,9 +186,6 @@ func (ws *Workspace) fault(pg int) *dirtyPage {
 	dp.twin = ws.seg.copyPage(base)
 	ws.dirty[pg] = dp
 	ws.faults++
-	if ws.faultPerturb != nil {
-		ws.chaosFaultNS += ws.faultPerturb(pg)
-	}
 	ws.seg.noteFault(ws.predict)
 	if ws.predict {
 		ws.chunkWrites = append(ws.chunkWrites, pg)
@@ -355,9 +329,6 @@ func (ws *Workspace) Prepopulate(pages []int) (populated int) {
 		dp.specOK = true // data == twin: the zero Diff is its diff
 		dp.pf = pfFresh
 		ws.dirty[pg] = dp
-		if ws.faultPerturb != nil {
-			ws.chaosFaultNS += ws.faultPerturb(pg)
-		}
 		ws.seg.allocPages(2)
 		populated++
 	}

@@ -76,7 +76,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("det_sync_ops", L("tid", 0)).Add(10)
 	r.Counter("det_sync_ops", L("tid", 1)).Add(20)
-	r.Gauge("mem_peak_pages").Set(7)
+	r.Func("mem_peak_pages", func() int64 { return 7 })
 	r.Func("clock_token_grants", func() int64 { return 42 })
 	h := r.Histogram("commit_pages", L("tid", 0))
 	h.Observe(1)

@@ -16,8 +16,6 @@ type MetricKind uint8
 const (
 	// KindCounter is a monotonically increasing atomic count.
 	KindCounter MetricKind = iota
-	// KindGauge is an instantaneous atomic value.
-	KindGauge
 	// KindHistogram is a power-of-two-bucketed distribution.
 	KindHistogram
 	// KindFunc is a gauge computed by callback at snapshot time — the
@@ -31,8 +29,6 @@ func (k MetricKind) String() string {
 	switch k {
 	case KindCounter:
 		return "counter"
-	case KindGauge:
-		return "gauge"
 	case KindHistogram:
 		return "histogram"
 	case KindFunc:
@@ -64,19 +60,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is an instantaneous value. All methods are safe for concurrent
-// use.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adjusts the gauge by n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // histBuckets is the number of histogram buckets: bucket i counts
 // observations v with bits.Len64(v) == i, i.e. power-of-two ranges
@@ -193,13 +176,12 @@ type metric struct {
 	labels []Label
 	kind   MetricKind
 	c      *Counter
-	g      *Gauge
 	h      *Histogram
 	fn     func() int64
 }
 
 // Registry holds named, labeled metrics. Registration (the
-// Counter/Gauge/Histogram/Func lookups) takes a lock; the returned
+// Counter/Histogram/Func lookups) takes a lock; the returned
 // instruments mutate with lock-free atomics, so hot paths should cache
 // the instrument pointer rather than re-looking it up per event.
 type Registry struct {
@@ -256,12 +238,6 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	return r.lookup(name, labels, KindCounter, func() *metric { return &metric{c: &Counter{}} }).c
 }
 
-// Gauge returns the gauge registered under name+labels, creating it on
-// first use.
-func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	return r.lookup(name, labels, KindGauge, func() *metric { return &metric{g: &Gauge{}} }).g
-}
-
 // Histogram returns the histogram registered under name+labels, creating
 // it on first use.
 func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
@@ -284,7 +260,7 @@ type Sample struct {
 	Name   string
 	Labels []Label
 	Kind   MetricKind
-	// Value is the counter/gauge/func value; for histograms it is the
+	// Value is the counter or func value; for histograms it is the
 	// observation count.
 	Value int64
 	// Sum, Max and Buckets are populated for histograms only (see
@@ -332,8 +308,9 @@ func (s Sample) String() string {
 
 // Snapshot returns every metric's current state, sorted by canonical name
 // for deterministic rendering. It is safe to call mid-run: counters and
-// gauges are read atomically (each sample is individually consistent; the
-// set is not a global atomic cut), and func gauges are evaluated inline.
+// histograms are read atomically (each sample is individually consistent;
+// the set is not a global atomic cut), and func gauges are evaluated
+// inline.
 func (r *Registry) Snapshot() []Sample {
 	r.mu.Lock()
 	keys := make([]string, 0, len(r.metrics))
@@ -353,8 +330,6 @@ func (r *Registry) Snapshot() []Sample {
 		switch m.kind {
 		case KindCounter:
 			s.Value = m.c.Value()
-		case KindGauge:
-			s.Value = m.g.Value()
 		case KindHistogram:
 			s.Value = m.h.Count()
 			s.Sum = m.h.Sum()

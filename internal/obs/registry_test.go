@@ -3,11 +3,12 @@ package obs
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
 // TestRegistrySnapshotUnderConcurrentIncrements hammers one counter, one
-// gauge and one histogram from many goroutines while snapshotting
+// func gauge and one histogram from many goroutines while snapshotting
 // concurrently. Mid-run snapshots must be well-formed (monotone counter,
 // histogram count consistent with buckets) and the final snapshot exact.
 func TestRegistrySnapshotUnderConcurrentIncrements(t *testing.T) {
@@ -16,7 +17,8 @@ func TestRegistrySnapshotUnderConcurrentIncrements(t *testing.T) {
 	const perWorker = 5000
 
 	c := r.Counter("ops")
-	g := r.Gauge("inflight")
+	var inflight atomic.Int64
+	r.Func("inflight", inflight.Load)
 	h := r.Histogram("sizes")
 
 	var workersWG, snapWG sync.WaitGroup
@@ -55,8 +57,8 @@ func TestRegistrySnapshotUnderConcurrentIncrements(t *testing.T) {
 			mine := r.Counter("worker_ops", L("worker", w))
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
-				g.Add(1)
-				g.Add(-1)
+				inflight.Add(1)
+				inflight.Add(-1)
 				h.Observe(int64(i % 100))
 				mine.Inc()
 			}
@@ -75,8 +77,10 @@ func TestRegistrySnapshotUnderConcurrentIncrements(t *testing.T) {
 	if got := c.Value(); got != want {
 		t.Errorf("counter = %d, want %d", got, want)
 	}
-	if got := g.Value(); got != 0 {
-		t.Errorf("gauge = %d, want 0", got)
+	for _, s := range r.Snapshot() {
+		if s.Name == "inflight" && s.Value != 0 {
+			t.Errorf("inflight = %d, want 0", s.Value)
+		}
 	}
 	if got := h.Count(); got != want {
 		t.Errorf("histogram count = %d, want %d", got, want)

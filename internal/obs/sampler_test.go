@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -8,9 +9,10 @@ import (
 func TestSamplerRecordsDeltas(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("work_items")
-	g := r.Gauge("queue_depth")
+	var depth atomic.Int64
+	r.Func("queue_depth", depth.Load)
 	c.Add(5)
-	g.Set(3)
+	depth.Store(3)
 
 	s := NewSampler(r, time.Millisecond)
 	// Wait until at least one point captured the state above.
@@ -19,7 +21,7 @@ func TestSamplerRecordsDeltas(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	c.Add(2)
-	g.Set(1)
+	depth.Store(1)
 	// Wait until a point has captured the post-update state — checking the
 	// point count alone races Stop against the sampler when both early
 	// points landed before the updates above.

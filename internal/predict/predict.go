@@ -58,14 +58,6 @@ type Table struct {
 
 	// stats, reported by the runtime's metrics layer.
 	trains, predicts, evictions int64
-
-	// perturb, when set, rewrites every prediction Predict returns (chaos
-	// injection: forced mispredictions). It may drop pages but must keep
-	// the remaining ones in order; it must never invent pages, which
-	// would turn the guaranteed-waste bound of a misprediction from
-	// "pages the chunk wrote last visit" into arbitrary memory. Safe
-	// because predictions are advisory by contract.
-	perturb func(pages []int) []int
 }
 
 // site is one sync site's history.
@@ -128,18 +120,8 @@ func (t *Table) Predict(siteID uint64, dst []int) []int {
 	}
 	s.stamp = t.next()
 	t.predicts++
-	n := len(dst)
-	dst = append(dst, s.pages...)
-	if t.perturb != nil {
-		dst = append(dst[:n], t.perturb(dst[n:])...)
-	}
-	return dst
+	return append(dst, s.pages...)
 }
-
-// SetPerturb installs a prediction rewriter applied to every Predict
-// result (nil removes it). The chaos subsystem uses this to force
-// mispredictions; see the perturb field contract.
-func (t *Table) SetPerturb(f func(pages []int) []int) { t.perturb = f }
 
 // Len returns the number of sites currently retained.
 func (t *Table) Len() int { return len(t.sites) }

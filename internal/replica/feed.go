@@ -184,15 +184,15 @@ func (fl *Fleet) applyOne(s *fstate, c commitlog.Commit) error {
 		return nil
 	}
 	if cs := s.cs; cs != nil {
-		if d := cs.FollowerStall(); d > 0 {
+		if d := cs.Delay(chaos.FollowerStall); d > 0 {
 			if !fl.sleep(time.Duration(d)) {
 				return errClosing
 			}
 		}
-		if cs.FollowerTear() {
+		if cs.Trigger(chaos.FollowerTear) {
 			return errTear
 		}
-		if cs.FollowerKill() {
+		if cs.Trigger(chaos.FollowerKill) {
 			panic("injected follower kill")
 		}
 	}

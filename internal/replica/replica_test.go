@@ -2,6 +2,7 @@ package replica
 
 import (
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"runtime"
 	"sync"
@@ -242,7 +243,7 @@ func TestFleetChaosDeterminism(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			dir := t.TempDir()
 			l := writeLog(t, dir, nil, commitlog.Options{SegmentBytes: 4096, SnapshotEvery: 32}, true)
-			in, err := chaos.New(profile, seed)
+			in, err := chaos.Parse(fmt.Sprintf("%s:%d", profile, seed))
 			if err != nil {
 				t.Fatal(err)
 			}
