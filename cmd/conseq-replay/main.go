@@ -134,7 +134,7 @@ func main() {
 func followLog(dir string, poll time.Duration, maxLag int64, quiet bool) (*commitlog.State, error) {
 	fl := replica.New(dir, nil, replica.Options{
 		Followers:       1,
-		HistoryVersions: -1, // the tailer keeps full undo history; it is the only copy
+		HistoryVersions: -1, // the only copy: full undo history, each version costing its diff, not a page
 		PollInterval:    poll,
 		Seed:            1,
 		OnApply: func(_ int, c commitlog.Commit) {

@@ -1,10 +1,12 @@
 package replica
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/commitlog"
+	"repro/internal/mem"
 )
 
 // benchFleet builds a caught-up live fleet over nCommits synthetic
@@ -55,6 +57,46 @@ func BenchmarkReplicaReads(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "reads/s")
 	done()
+}
+
+// BenchmarkReplicaReadAtDeep prices a versioned read's walk back through
+// the undo history, in ferret's shape on the durable_pipeline workload: 20
+// pages of 4 KiB, one 8-byte run per commit, 3 600 commits, a 256-version
+// window, and reads drawn uniformly over the window and the pages.
+func BenchmarkReplicaReadAtDeep(b *testing.B) {
+	const (
+		pageSize = 4 << 10
+		npages   = 20
+		n        = 3600
+		window   = 256
+	)
+	rng := rand.New(rand.NewSource(1))
+	f := newFollower(0, pageSize, npages, window)
+	for v := int64(1); v <= n; v++ {
+		data := make([]byte, 8)
+		rng.Read(data)
+		run := mem.Run{Off: 8 * rng.Intn(pageSize/8), Data: data}
+		c := commitlog.Commit{Version: v, AtSeq: v, Pages: []commitlog.PageDiff{{Page: rng.Intn(npages), Runs: []mem.Run{run}}}}
+		if _, err := f.apply(c); err != nil {
+			b.Fatal(err)
+		}
+	}
+	type read struct {
+		v  int64
+		pg int
+	}
+	reads := make([]read, 1024)
+	for i := range reads {
+		reads[i] = read{v: n - window + rng.Int63n(window+1), pg: rng.Intn(npages)}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := reads[i%len(reads)]
+		if _, err := f.ReadAt(r.v, r.pg); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkRestartCatchup measures restart-to-caught-up: the

@@ -33,10 +33,11 @@ const stallTimeout = 2 * time.Second
 type Options struct {
 	// Followers is the number of serving followers (default 2).
 	Followers int
-	// HistoryVersions bounds each follower's per-page undo history: a
-	// follower at version v answers ReadAt down to v-HistoryVersions (or
-	// its restart snapshot, whichever is newer). 0 applies the default
-	// (256); negative keeps unbounded history.
+	// HistoryVersions bounds each follower's undo history: a follower at
+	// version v answers ReadAt down to v-HistoryVersions (or its restart
+	// snapshot, whichever is newer). 0 applies the default (256); negative
+	// keeps unbounded history. A retained version costs the bytes its
+	// commit overwrote plus a few bytes of framing per run, not a page.
 	HistoryVersions int64
 	// MaxLag is the staleness bound in versions (default 64): a follower
 	// lagging further is drained from latest-read routing — it still

@@ -25,6 +25,7 @@
 package replica
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -41,26 +42,27 @@ var ErrFutureVersion = fmt.Errorf("replica: version not yet applied")
 // past its undo window.
 var ErrEvictedVersion = fmt.Errorf("replica: version evicted from history")
 
-// pageRev is one undo entry: the content a page had BEFORE the commit at
-// Ver replaced it. ReadAt(v) for v < Ver serves from the first entry
-// with Ver > v; the entries for a page ascend by Ver.
+// pageRev is one undo entry: the bytes the commit at ver overwrote on one
+// page, encoded at absolute offset at of the follower's undo log. The
+// entries for a page ascend by ver.
 type pageRev struct {
-	ver  int64
-	data []byte
+	ver int64
+	at  int64
 }
 
-// undoRef names one undo entry by the commit that created it. The
-// follower keeps them in apply order, so the entries a prune must drop are
-// always a prefix.
+// undoRef names one undo entry by the commit that created it and where
+// its encoding ends in the undo log. The follower keeps them in apply
+// order, so the entries a prune must drop are always a prefix.
 type undoRef struct {
 	ver  int64
 	page int
+	end  int64
 }
 
-// Follower is one replica: the current committed pages plus a bounded
-// per-page undo history for versioned reads. Applies come from the
-// follower's feed goroutine; reads take the read-lock, so many readers
-// share a follower. All returned slices are copies.
+// Follower is one replica: the current committed pages plus a bounded log
+// of the bytes each commit overwrote, for versioned reads. Applies come
+// from the follower's feed goroutine; reads take the read-lock, so many
+// readers share a follower. All returned slices are copies.
 type Follower struct {
 	id       int
 	pageSize int
@@ -74,11 +76,14 @@ type Follower struct {
 	// window is set, so prune pops the expired prefix instead of scanning
 	// every page with history.
 	undo []undoRef
-	// free holds page buffers no reader can reach: every read copies out
-	// under the read lock, and buffers are only put under the write lock
-	// (pruned undo entries, everything at reset/restore). apply takes its
-	// undo buffers from here, so past the window it allocates no pages.
-	free    [][]byte
+	// ulog is the append-only undo log. Each entry is a uvarint run count
+	// and, per run, uvarint Off, uvarint length and the bytes the run
+	// overwrote. ulog[0] sits at absolute offset base; entries before head
+	// are pruned, and logUndo copies the live tail down over them rather
+	// than grow the log.
+	ulog       []byte
+	base, head int64
+
 	version int64 // last applied commit's version
 	atSeq   int64
 	applied int64 // commit records applied since the last restore
@@ -126,38 +131,13 @@ func (f *Follower) effectiveFloor() int64 {
 	return floor
 }
 
-// getBuf returns a page buffer with arbitrary contents (mu held).
-func (f *Follower) getBuf() []byte {
-	if n := len(f.free); n > 0 {
-		b := f.free[n-1]
-		f.free[n-1] = nil
-		f.free = f.free[:n-1]
-		return b
-	}
-	return make([]byte, f.pageSize)
-}
-
-// getZeroBuf returns a zeroed page buffer (mu held).
-func (f *Follower) getZeroBuf() []byte {
-	b := f.getBuf()
-	clear(b)
-	return b
-}
-
-// dropAll empties the replica, recycling every page and undo buffer (mu
-// held).
+// dropAll empties the replica, keeping the undo log's buffer (mu held).
 func (f *Follower) dropAll() {
-	for _, buf := range f.pages {
-		f.free = append(f.free, buf)
-	}
-	for _, revs := range f.hist {
-		for _, rev := range revs {
-			f.free = append(f.free, rev.data)
-		}
-	}
 	clear(f.pages)
 	clear(f.hist)
 	f.undo = f.undo[:0]
+	f.ulog = f.ulog[:0]
+	f.base, f.head = 0, 0
 }
 
 // reset discards all replica state (a restart from scratch).
@@ -175,7 +155,7 @@ func (f *Follower) restore(s commitlog.Snapshot) {
 	defer f.mu.Unlock()
 	f.dropAll()
 	for _, pd := range s.Pages {
-		buf := f.getZeroBuf()
+		buf := make([]byte, f.pageSize)
 		for _, r := range pd.Runs {
 			copy(buf[r.Off:], r.Data)
 		}
@@ -205,15 +185,13 @@ func (f *Follower) apply(c commitlog.Commit) (bool, error) {
 	for _, pd := range c.Pages {
 		buf := f.pages[pd.Page]
 		if buf == nil {
-			buf = f.getZeroBuf()
+			buf = make([]byte, f.pageSize)
 			f.pages[pd.Page] = buf
 		}
-		// Undo entry: the content this commit replaces.
-		prev := f.getBuf()
-		copy(prev, buf)
-		f.hist[pd.Page] = append(f.hist[pd.Page], pageRev{ver: c.Version, data: prev})
+		at := f.logUndo(buf, pd.Runs)
+		f.hist[pd.Page] = append(f.hist[pd.Page], pageRev{ver: c.Version, at: at})
 		if f.window > 0 {
-			f.undo = append(f.undo, undoRef{ver: c.Version, page: pd.Page})
+			f.undo = append(f.undo, undoRef{ver: c.Version, page: pd.Page, end: f.base + int64(len(f.ulog))})
 		}
 		for _, r := range pd.Runs {
 			copy(buf[r.Off:], r.Data)
@@ -236,18 +214,57 @@ func (f *Follower) prune() {
 	cut := f.version - f.window
 	n := 0
 	for n < len(f.undo) && f.undo[n].ver <= cut {
-		pg := f.undo[n].page
-		revs := f.hist[pg]
-		f.free = append(f.free, revs[0].data)
-		revs[0].data = nil // the trimmed slot stays in the backing array
-		if len(revs) == 1 {
-			delete(f.hist, pg)
+		u := f.undo[n]
+		if revs := f.hist[u.page]; len(revs) == 1 {
+			delete(f.hist, u.page)
 		} else {
-			f.hist[pg] = revs[1:]
+			f.hist[u.page] = revs[1:]
 		}
+		f.head = u.end
 		n++
 	}
 	f.undo = f.undo[n:]
+}
+
+// logUndo appends to the undo log the bytes runs are about to overwrite on
+// page, and returns the entry's absolute offset (mu held). The runs are
+// logged last first, so decoding the entry forward restores them in
+// reverse. If the append could outgrow the log and at least half of it is
+// pruned, the live tail moves down first; so a windowed follower settles
+// at a fixed capacity and the archive grows by diff bytes, amortized.
+func (f *Follower) logUndo(page []byte, runs []mem.Run) int64 {
+	need := binary.MaxVarintLen64
+	for _, r := range runs {
+		need += 2*binary.MaxVarintLen64 + len(r.Data)
+	}
+	if dead := int(f.head - f.base); len(f.ulog)+need > cap(f.ulog) && 2*dead >= len(f.ulog) {
+		f.ulog = f.ulog[:copy(f.ulog, f.ulog[dead:])]
+		f.base = f.head
+	}
+	at := f.base + int64(len(f.ulog))
+	b := binary.AppendUvarint(f.ulog, uint64(len(runs)))
+	for i := len(runs) - 1; i >= 0; i-- {
+		r := runs[i]
+		b = binary.AppendUvarint(b, uint64(r.Off))
+		b = binary.AppendUvarint(b, uint64(len(r.Data)))
+		b = append(b, page[r.Off:r.Off+len(r.Data)]...)
+	}
+	f.ulog = b
+	return at
+}
+
+// unapply restores into page the bytes the undo entry at absolute offset
+// at records (mu held).
+func (f *Follower) unapply(page []byte, at int64) {
+	b := f.ulog[at-f.base:]
+	n, k := binary.Uvarint(b)
+	for b = b[k:]; n > 0; n-- {
+		off, k := binary.Uvarint(b)
+		b = b[k:]
+		ln, k := binary.Uvarint(b)
+		b = b[k:]
+		b = b[copy(page[off:], b[:ln]):]
+	}
 }
 
 // ReadAt returns a copy of the page's committed content at exactly
@@ -266,19 +283,12 @@ func (f *Follower) ReadAt(v int64, pg int) ([]byte, error) {
 	if v < f.effectiveFloor() {
 		return nil, ErrEvictedVersion
 	}
-	// The first undo entry newer than v holds the content v saw; with no
-	// such entry the page has not changed since v, so current content is
-	// the answer.
-	for _, rev := range f.hist[pg] {
-		if rev.ver > v {
-			out := make([]byte, f.pageSize)
-			copy(out, rev.data)
-			return out, nil
-		}
-	}
+	// Undo, newest first, every commit after v that touched the page.
 	out := make([]byte, f.pageSize)
-	if buf, ok := f.pages[pg]; ok {
-		copy(out, buf)
+	copy(out, f.pages[pg])
+	revs := f.hist[pg]
+	for i := len(revs) - 1; i >= 0 && revs[i].ver > v; i-- {
+		f.unapply(out, revs[i].at)
 	}
 	return out, nil
 }

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -583,25 +585,14 @@ func TestFleetMetricsRegistered(t *testing.T) {
 	}
 }
 
-// Recycled undo buffers must never be served. A windowed follower past
-// 2x its window has pruned (and reused) most undo buffers it ever took;
-// every (version, page) it still answers must equal the log replayed to
-// that version from disk, and every evicted version must still be
-// refused. A snapshot restore in the middle recycles everything at once,
-// including into the zeroed first-touch pages.
-func TestFollowerRecycledHistoryStaysExact(t *testing.T) {
-	const (
-		window = 8
-		n      = 5*window + 3
-		mid    = 3 * window
-	)
-	commits := mkCommits(n)
-	dir := t.TempDir()
-	writeLog(t, dir, commits, commitlog.Options{}, false)
-	states := make([]*commitlog.State, n+1) // states[v] = replay to version v, on demand
-	stateAt := func(v int64) *commitlog.State {
+// replayedStates returns states(v): the log in dir replayed to version v
+// with commitlog.ReplayToSeq (memoized), for logs written from commits
+// whose AtSeq is 3 * Version.
+func replayedStates(t *testing.T, dir string, n int) func(v int64) *commitlog.State {
+	states := make([]*commitlog.State, n+1)
+	return func(v int64) *commitlog.State {
 		if states[v] == nil {
-			st, err := commitlog.ReplayToSeq(dir, 3*v) // mkCommits: AtSeq = 3 * version
+			st, err := commitlog.ReplayToSeq(dir, 3*v)
 			if err != nil {
 				t.Fatalf("replay to version %d: %v", v, err)
 			}
@@ -609,46 +600,40 @@ func TestFollowerRecycledHistoryStaysExact(t *testing.T) {
 		}
 		return states[v]
 	}
-	check := func(f *Follower) {
-		t.Helper()
-		floor := f.Floor()
-		for v := int64(0); v <= f.Version(); v++ {
-			for pg := 0; pg < tNumPages; pg++ {
-				got, err := f.ReadAt(v, pg)
-				if v < floor {
-					if !errors.Is(err, ErrEvictedVersion) {
-						t.Fatalf("at v%d: ReadAt(%d,%d) below floor %d: err=%v", f.Version(), v, pg, floor, err)
-					}
-					continue
+}
+
+// checkAgainstLog checks every (version, page) a follower has ever seen:
+// below its floor the read must be refused as evicted, at or above it the
+// content must equal the log replayed to that version.
+func checkAgainstLog(t *testing.T, f *Follower, stateAt func(int64) *commitlog.State) {
+	t.Helper()
+	floor := f.Floor()
+	for v := int64(0); v <= f.Version(); v++ {
+		for pg := 0; pg < tNumPages; pg++ {
+			got, err := f.ReadAt(v, pg)
+			if v < floor {
+				if !errors.Is(err, ErrEvictedVersion) {
+					t.Fatalf("at v%d: ReadAt(%d,%d) below floor %d: err=%v", f.Version(), v, pg, floor, err)
 				}
-				if err != nil {
-					t.Fatalf("at v%d: ReadAt(%d,%d): %v", f.Version(), v, pg, err)
-				}
-				if string(got) != string(stateAt(v).Page(pg)) {
-					t.Fatalf("at v%d: ReadAt(%d,%d) differs from the replayed log", f.Version(), v, pg)
-				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("at v%d: ReadAt(%d,%d): %v", f.Version(), v, pg, err)
+			}
+			if string(got) != string(stateAt(v).Page(pg)) {
+				t.Fatalf("at v%d: ReadAt(%d,%d) differs from the replayed log", f.Version(), v, pg)
 			}
 		}
 	}
+}
 
-	f := newFollower(0, tPageSize, tNumPages, window)
-	for _, c := range commits[:mid] {
-		if _, err := f.apply(c); err != nil {
-			t.Fatal(err)
-		}
-		if c.Version > 2*window {
-			check(f)
-		}
-	}
-	if len(f.free) == 0 {
-		t.Fatal("nothing was pruned onto the free list")
-	}
-
-	// Restore from a snapshot of version mid whose runs cover only each
-	// page's non-zero span: the rest of a recycled buffer must read zero.
-	snap := commitlog.Snapshot{Version: mid, AtSeq: 3 * mid}
+// sparseSnapshot encodes st as a snapshot of version v whose runs cover
+// only each page's non-zero span, so a restored page must read zero
+// outside it.
+func sparseSnapshot(st *commitlog.State, v int64) commitlog.Snapshot {
+	snap := commitlog.Snapshot{Version: v, AtSeq: 3 * v}
 	for pg := 0; pg < tNumPages; pg++ {
-		page := stateAt(mid).Page(pg)
+		page := st.Page(pg)
 		lo, hi := 0, len(page)
 		for lo < hi && page[lo] == 0 {
 			lo++
@@ -660,25 +645,151 @@ func TestFollowerRecycledHistoryStaysExact(t *testing.T) {
 			snap.Pages = append(snap.Pages, commitlog.PageDiff{Page: pg, Runs: []mem.Run{{Off: lo, Data: page[lo:hi]}}})
 		}
 	}
-	f.restore(snap)
+	return snap
+}
+
+// A compacted undo log must never serve a pruned entry. A windowed
+// follower past 2x its window has pruned most undo entries it ever wrote
+// and copied its live tail down over them; every (version, page) it still
+// answers must equal the log replayed to that version from disk, and every
+// evicted version must still be refused. A snapshot restore in the middle
+// empties the log at once.
+func TestFollowerRecycledHistoryStaysExact(t *testing.T) {
+	const (
+		window = 8
+		n      = 5*window + 3
+		mid    = 3 * window
+	)
+	commits := mkCommits(n)
+	dir := t.TempDir()
+	writeLog(t, dir, commits, commitlog.Options{}, false)
+	stateAt := replayedStates(t, dir, n)
+
+	f := newFollower(0, tPageSize, tNumPages, window)
+	for _, c := range commits[:mid] {
+		if _, err := f.apply(c); err != nil {
+			t.Fatal(err)
+		}
+		if c.Version > 2*window {
+			checkAgainstLog(t, f, stateAt)
+		}
+	}
+	if f.base == 0 {
+		t.Fatal("the undo log's head never moved past a compaction")
+	}
+
+	f.restore(sparseSnapshot(stateAt(mid), mid))
 	if f.Floor() != mid {
 		t.Fatalf("floor %d after restore, want %d", f.Floor(), mid)
 	}
-	check(f)
+	checkAgainstLog(t, f, stateAt)
 	for _, c := range commits[mid:] {
 		if _, err := f.apply(c); err != nil {
 			t.Fatal(err)
 		}
-		check(f)
+		checkAgainstLog(t, f, stateAt)
 	}
 	if f.Floor() != n-window {
 		t.Fatalf("floor %d, want %d", f.Floor(), n-window)
 	}
 }
 
-// Past its window a follower's apply takes every undo buffer from the
-// free list prune refills. Pages are 64 KiB so one page-sized allocation
-// dwarfs the small ones (history and undo slices growing).
+// mkRunCommits builds a seeded commit stream that stresses the undo log's
+// encoding where mkCommits does not: 1-4 pages per commit and 1-3 runs per
+// page, possibly overlapping, some starting at offset 0 and some ending on
+// the page's last byte; a third of the commits rewrite the previous
+// commit's exact byte ranges; and the pages in play grow with the version,
+// so pages are touched for the first time throughout the stream.
+func mkRunCommits(n int, seed int64) []commitlog.Commit {
+	rng := rand.New(rand.NewSource(seed))
+	cs := make([]commitlog.Commit, 0, n)
+	for v := 1; v <= n; v++ {
+		c := commitlog.Commit{AtSeq: int64(3 * v), Version: int64(v), Tid: v % 4, Clock: int64(100 * v)}
+		if v > 1 && rng.Intn(3) == 0 {
+			for _, pd := range cs[v-2].Pages {
+				re := commitlog.PageDiff{Page: pd.Page}
+				for _, r := range pd.Runs {
+					data := make([]byte, len(r.Data))
+					rng.Read(data)
+					re.Runs = append(re.Runs, mem.Run{Off: r.Off, Data: data})
+				}
+				c.Pages = append(c.Pages, re)
+			}
+			cs = append(cs, c)
+			continue
+		}
+		inPlay := min(tNumPages, 2+v/16)
+		for _, pg := range rng.Perm(inPlay)[:min(inPlay, 1+rng.Intn(4))] {
+			pd := commitlog.PageDiff{Page: pg}
+			for k := 1 + rng.Intn(3); k > 0; k-- {
+				ln := 1 + rng.Intn(16)
+				off := rng.Intn(tPageSize - ln + 1)
+				switch rng.Intn(4) {
+				case 0:
+					off = 0
+				case 1:
+					off = tPageSize - ln
+				}
+				data := make([]byte, ln)
+				rng.Read(data)
+				pd.Runs = append(pd.Runs, mem.Run{Off: off, Data: data})
+			}
+			c.Pages = append(c.Pages, pd)
+		}
+		slices.SortFunc(c.Pages, func(a, b commitlog.PageDiff) int { return a.Page - b.Page })
+		cs = append(cs, c)
+	}
+	return cs
+}
+
+// The undo log must reproduce every answerable version exactly, whatever
+// the shape of the runs it records, across compactions and a restore: a
+// window-8 follower (which compacts) is checked against the replayed log
+// after every apply, an archive (which never prunes) every 16 versions.
+func TestFollowerUndoLogIsExact(t *testing.T) {
+	const (
+		n   = 240
+		mid = n / 2
+	)
+	commits := mkRunCommits(n, 26)
+	dir := t.TempDir()
+	writeLog(t, dir, commits, commitlog.Options{}, false)
+	stateAt := replayedStates(t, dir, n)
+
+	for _, window := range []int64{8, -1} {
+		t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) {
+			f := newFollower(0, tPageSize, tNumPages, window)
+			compactions := 0
+			for _, c := range commits {
+				if c.Version == mid+1 {
+					f.restore(sparseSnapshot(stateAt(mid), mid))
+					checkAgainstLog(t, f, stateAt)
+				}
+				base := f.base
+				if _, err := f.apply(c); err != nil {
+					t.Fatal(err)
+				}
+				if f.base != base {
+					compactions++
+				}
+				if window > 0 || c.Version%16 == 0 || c.Version == n {
+					checkAgainstLog(t, f, stateAt)
+				}
+			}
+			if window > 0 && compactions < 3 {
+				t.Fatalf("%d log compactions, want at least 3", compactions)
+			}
+			if window <= 0 && f.head != f.base {
+				t.Fatalf("the archive pruned its undo log: head %d, base %d", f.head, f.base)
+			}
+		})
+	}
+}
+
+// Past its window a follower's apply allocates no pages: its undo entries
+// are run-sized and land in log space that prune has freed. Pages are
+// 64 KiB so one page-sized allocation dwarfs the small ones (history and
+// undo slices growing).
 func TestFollowerApplyAllocatesNoPages(t *testing.T) {
 	const (
 		pageSize = 64 << 10
@@ -708,5 +819,35 @@ func TestFollowerApplyAllocatesNoPages(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got >= pageSize {
 		t.Fatalf("apply past the window allocates %d B, at least one %d B page", got, pageSize)
+	}
+}
+
+// The archive keeps every version, so its undo entries must cost what the
+// commits changed, not a page each: one 8-byte run per apply on 64 KiB
+// pages must allocate well under a KiB per apply.
+func TestArchiveUndoIsRunSized(t *testing.T) {
+	const (
+		pageSize = 64 << 10
+		runs     = 200
+	)
+	f := newFollower(0, pageSize, 4, -1)
+	apply := func(v int64) {
+		run := mem.Run{Off: int(v*8) % pageSize, Data: []byte{byte(v), 1, 2, 3, 4, 5, 6, 7}}
+		c := commitlog.Commit{Version: v, AtSeq: v, Pages: []commitlog.PageDiff{{Page: int(v % 4), Runs: []mem.Run{run}}}}
+		if ok, err := f.apply(c); !ok || err != nil {
+			t.Fatalf("apply v%d: applied=%v err=%v", v, ok, err)
+		}
+	}
+	for v := int64(1); v <= 4; v++ {
+		apply(v) // first touches allocate the pages themselves
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for v := int64(5); v < 5+runs; v++ {
+		apply(v)
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got >= 1<<10 {
+		t.Fatalf("an archive apply allocates %d B, want < 1 KiB", got)
 	}
 }
