@@ -158,24 +158,8 @@ func (rt *Runtime) newThread(tid int, startClock int64, view []byte, vc vclock) 
 	rt.mu.Lock()
 	rt.threads[tid] = t
 	rt.mu.Unlock()
-	rt.deliverFrom(nil, rt.arb.Register(tid, startClock))
+	rt.arb.Register(tid, startClock)
 	return t
-}
-
-func (rt *Runtime) deliverFrom(waker host.Binding, grant int) {
-	if grant == clock.NoGrant {
-		return
-	}
-	rt.mu.Lock()
-	target, ok := rt.threads[grant]
-	rt.mu.Unlock()
-	if !ok {
-		panic(fmt.Sprintf("rfdet: grant for unknown tid %d", grant))
-	}
-	if waker == nil {
-		panic("rfdet: grant before any thread is running")
-	}
-	waker.Wake(target.B)
 }
 
 // gcIntervals drops interval prefixes every live thread has applied.

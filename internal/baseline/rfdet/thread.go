@@ -24,18 +24,30 @@ type thread struct {
 
 	icount  int64
 	holding bool
+	take    clock.Take // the grant that woke it, written by its waker (deliver)
 
 	done    bool
 	joiners []int
-	// barrierVC is set by the releasing barrier arrival before the wake.
-	barrierVC vclock
+	// barrierVC and barrierClock (the clock clock.Arrive re-admitted the
+	// thread at) are set by the releasing barrier arrival before the wake.
+	barrierVC    vclock
+	barrierClock int64
 }
 
-func (t *thread) deliver(grant int) {
-	if grant == clock.NoGrant {
+// deliver hands this thread's arbiter-call grant, if any, to its thread.
+func (t *thread) deliver(g clock.Take) {
+	if g.Tid == clock.NoGrant {
 		return
 	}
-	t.rt.deliverFrom(t.B, grant)
+	rt := t.rt
+	rt.mu.Lock()
+	target, ok := rt.threads[g.Tid]
+	rt.mu.Unlock()
+	if !ok {
+		panic(fmt.Sprintf("rfdet: grant for unknown tid %d", g.Tid))
+	}
+	target.take = g
+	t.B.Wake(target.B)
 }
 
 // --- token protocol (sync ordering is global, as in Consequence) ---
@@ -44,10 +56,10 @@ func (t *thread) acquireToken() {
 	m := &t.rt.cfg.Model
 	t.Account(&t.Time.LocalWork)
 	t.Charge(&t.Time.Lib, m.SyscallClockRead)
-	if g := t.rt.arb.Request(t.Tid()); g != t.Tid() {
+	if g := t.rt.arb.Acquire(t.Tid(), 0); g.Tid != t.Tid() {
 		t.deliver(g)
 		t.B.Block(host.BlockReason{Label: "global token"})
-		t.icount = t.rt.arb.Count(t.Tid())
+		t.icount = t.take.Count
 	}
 	t.holding = true
 	t.Account(&t.Time.DetermWait)
@@ -62,7 +74,7 @@ func (t *thread) releaseToken() {
 
 func (t *thread) blockForToken(reason host.BlockReason) {
 	t.B.Block(reason)
-	t.icount = t.rt.arb.Count(t.Tid())
+	t.icount = t.take.Count
 	t.holding = true
 	t.Account(&t.Time.DetermWait)
 	t.Charge(&t.Time.Lib, t.rt.cfg.Model.TokenHandoff)
@@ -224,7 +236,7 @@ func (t *thread) Lock(mx api.Mutex) {
 			break
 		}
 		m.waiters = append(m.waiters, t.Tid())
-		t.deliver(t.rt.arb.Depart(t.Tid()))
+		t.rt.arb.Depart(t.Tid())
 		t.releaseToken()
 		t.blockForToken(host.BlockReason{Label: "mutex %d", ID: m.id})
 	}
@@ -246,7 +258,7 @@ func (t *thread) Unlock(mx api.Mutex) {
 	if len(m.waiters) > 0 {
 		w := m.waiters[0]
 		m.waiters = m.waiters[1:]
-		t.deliver(t.rt.arb.ArriveWanting(w))
+		t.rt.arb.ArriveWanting(w)
 	}
 	t.releaseToken()
 }
@@ -267,17 +279,17 @@ func (t *thread) Wait(cx api.Cond, mx api.Mutex) {
 	if len(m.waiters) > 0 {
 		w := m.waiters[0]
 		m.waiters = m.waiters[1:]
-		t.deliver(t.rt.arb.ArriveWanting(w))
+		t.rt.arb.ArriveWanting(w)
 	}
 	c.waiters = append(c.waiters, t.Tid())
-	t.deliver(t.rt.arb.Depart(t.Tid()))
+	t.rt.arb.Depart(t.Tid())
 	t.releaseToken()
 	t.blockForToken(host.BlockReason{Label: "cond %d", ID: c.id})
 	t.applyUpTo(c.vc)
 	// Reacquire the mutex (token held).
 	for m.locked {
 		m.waiters = append(m.waiters, t.Tid())
-		t.deliver(t.rt.arb.Depart(t.Tid()))
+		t.rt.arb.Depart(t.Tid())
 		t.releaseToken()
 		t.blockForToken(host.BlockReason{Label: "mutex %d", ID: m.id})
 	}
@@ -298,7 +310,7 @@ func (t *thread) Signal(cx api.Cond) {
 	if len(c.waiters) > 0 {
 		w := c.waiters[0]
 		c.waiters = c.waiters[1:]
-		t.deliver(t.rt.arb.ArriveWanting(w))
+		t.rt.arb.ArriveWanting(w)
 	}
 	t.releaseToken()
 }
@@ -312,7 +324,7 @@ func (t *thread) Broadcast(cx api.Cond) {
 	t.releaseInterval()
 	c.vc.join(t.vc)
 	for _, w := range c.waiters {
-		t.deliver(t.rt.arb.ArriveWanting(w))
+		t.rt.arb.ArriveWanting(w)
 	}
 	c.waiters = nil
 	t.releaseToken()
@@ -334,12 +346,12 @@ func (t *thread) BarrierWait(bx api.Barrier) {
 	}
 	if len(bar.waiting) < bar.parties-1 {
 		bar.waiting = append(bar.waiting, t.Tid())
-		t.deliver(t.rt.arb.Depart(t.Tid()))
+		t.rt.arb.Depart(t.Tid())
 		t.releaseToken()
 		t.Account(&t.Time.LocalWork)
 		t.B.Block(host.BlockReason{Label: "barrier %d", ID: bar.id})
 		t.Account(&t.Time.BarrierWait)
-		t.icount = t.rt.arb.Count(t.Tid())
+		t.icount = t.barrierClock
 		// Apply the clock the releasing arrival pinned for us.
 		t.acquireToken()
 		t.applyUpTo(t.barrierVC)
@@ -356,7 +368,7 @@ func (t *thread) BarrierWait(bx api.Barrier) {
 		wt := rt.threads[w]
 		rt.mu.Unlock()
 		wt.barrierVC = final
-		t.deliver(t.rt.arb.Arrive(w))
+		wt.barrierClock = t.rt.arb.Arrive(w)
 		t.B.Wake(wt.B)
 	}
 	t.applyUpTo(final)
@@ -408,7 +420,7 @@ func (t *thread) Join(h api.Handle) {
 			return
 		}
 		child.joiners = append(child.joiners, t.Tid())
-		t.deliver(t.rt.arb.Depart(t.Tid()))
+		t.rt.arb.Depart(t.Tid())
 		t.releaseToken()
 		t.blockForToken(host.BlockReason{Label: "join t%d", ID: uint64(child.Tid())})
 	}
@@ -435,7 +447,7 @@ func (t *thread) exit() {
 	rt.finalVC = t.vc.clone()
 	t.done = true
 	for _, j := range t.joiners {
-		t.deliver(rt.arb.ArriveWanting(j))
+		rt.arb.ArriveWanting(j)
 	}
 	t.joiners = nil
 

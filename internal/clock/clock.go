@@ -16,12 +16,12 @@
 //     ID order, one synchronization operation per turn. This is the policy
 //     of DThreads and DWC, and of the Consequence-RR configuration.
 //
-// The Arbiter is pure bookkeeping: every mutating call returns the thread
-// (if any) that should now be granted the token. The runtime is responsible
-// for actually blocking and waking threads; determinism follows because
-// grant decisions depend only on deterministic inputs (published clock
-// values, eligibility transitions that occur at token-serialized points,
-// and thread IDs).
+// The Arbiter is pure bookkeeping: every call that can grant the token
+// returns the grant (a Take), which the caller hands to the thread it
+// wakes. The runtime is responsible for actually blocking and waking
+// threads; determinism follows because grant decisions depend only on
+// deterministic inputs (published clock values, eligibility transitions
+// that occur at token-serialized points, and thread IDs).
 package clock
 
 import (
@@ -53,8 +53,7 @@ func (p Policy) String() string {
 	}
 }
 
-// NoGrant is returned by arbiter operations when no thread becomes eligible
-// to take the token as a result of the operation.
+// NoGrant is the Take.Tid of an operation that granted nothing.
 const NoGrant = -1
 
 type threadState struct {
@@ -100,7 +99,6 @@ type Arbiter struct {
 	// the order the IC grant loop walks.
 	threads []threadState
 	holder  int
-	kind    TakeKind // how the token reached holder
 	// rrNext is the tid whose turn it is (RR policy). It may name an
 	// unregistered tid after exits; grant search starts at the first
 	// registered tid >= rrNext (cyclically).
@@ -134,9 +132,10 @@ func newShards(n int) []Shard {
 }
 
 // Register adds a thread with the given starting clock. The thread starts
-// eligible and not wanting. Returns a grant if the registration unblocks
-// one (it cannot under current policies, but the signature is uniform).
-func (a *Arbiter) Register(tid int, start int64) int {
+// eligible and not wanting, so it can hold a waiter back but never let one
+// through: registration grants nothing. A spawned thread is registered by
+// its token-holding parent; only the root registers with the token free.
+func (a *Arbiter) Register(tid int, start int64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.stats.Locks.Other++
@@ -147,12 +146,10 @@ func (a *Arbiter) Register(tid int, start int64) int {
 	a.threads = append(a.threads, threadState{})
 	copy(a.threads[i+1:], a.threads[i:])
 	a.threads[i] = threadState{tid: tid, count: start, eligible: true, scope: a.scopeLocked(GlobalScope)}
-	return a.grantLocked()
 }
 
-// Unregister removes an exited thread. Returns a grant if its removal
-// unblocks one.
-func (a *Arbiter) Unregister(tid int) int {
+// Unregister removes an exited thread and returns the grant it makes, if any.
+func (a *Arbiter) Unregister(tid int) (g Take) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.stats.Locks.Other++
@@ -164,12 +161,13 @@ func (a *Arbiter) Unregister(tid int) int {
 	}
 	i := a.search(tid)
 	a.threads = append(a.threads[:i], a.threads[i+1:]...)
-	return a.grantLocked()
+	a.grantLocked(&g)
+	return g
 }
 
 // Advance adds delta retired instructions to the thread's clock and returns
-// a grant if the advance makes some waiting thread the new global minimum.
-func (a *Arbiter) Advance(tid int, delta int64) int {
+// the grant, if the advance lets a waiting thread through.
+func (a *Arbiter) Advance(tid int, delta int64) (g Take) {
 	if delta < 0 {
 		panic("clock: negative advance")
 	}
@@ -177,40 +175,31 @@ func (a *Arbiter) Advance(tid int, delta int64) int {
 	defer a.mu.Unlock()
 	a.stats.Locks.Advance++
 	a.state(tid).count += delta
-	return a.grantLocked()
+	a.grantLocked(&g)
+	return g
 }
 
-// Count returns the thread's current clock.
-func (a *Arbiter) Count(tid int) int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.stats.Locks.Other++
-	return a.state(tid).count
-}
-
-// Request records that tid wants the token. If the grant conditions already
-// hold, the token is assigned immediately and Request returns tid; the
-// caller proceeds without blocking. Otherwise the caller must block until
-// some later operation returns tid as its grant. It is the shard-0
-// request: the whole clock domain on the single token.
-func (a *Arbiter) Request(tid int) int { return a.RequestSharded(tid, 0) }
+// Request is Acquire in shard 0 — the whole clock domain on the single
+// token — reduced to the granted tid. bench/ is frozen: its arbiter probe
+// calls this; the runtimes call Acquire.
+func (a *Arbiter) Request(tid int) int { return a.Acquire(tid, 0).Tid }
 
 // Release gives up the token and returns the next grant, if any: ReleaseAt
 // for a caller with no time model (it publishes nothing).
-func (a *Arbiter) Release(tid int) int { return a.ReleaseAt(tid, 0, 0, 0) }
+func (a *Arbiter) Release(tid int) Take { return a.ReleaseAt(tid, 0, 0, 0) }
 
 // ReleaseAt gives up the token at virtual time now, after holding it for
 // held ns, and returns the next grant, if any. scope is the scope of the
 // operation that ends the hold — a coarsened chunk carries one grant across
 // operations in other shards — and its frontier and busy time move before
-// the grant is evaluated, so a wake anchored on the grant (Take) sees this
-// release. The release clock folds into the scope the token was granted in.
+// the grant is evaluated, so the grant's Take.FrontierNS is this release's
+// instant. The release clock folds into the scope the token was granted in.
 //
 // The releaser's clock is advanced by one instruction: the synchronization
 // operation itself retires work (Kendo does the same), and without it two
 // threads at equal clocks would livelock — the smaller tid would win the
 // token forever.
-func (a *Arbiter) ReleaseAt(tid, scope int, now, held int64) int {
+func (a *Arbiter) ReleaseAt(tid, scope int, now, held int64) (g Take) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.stats.Locks.Release++
@@ -234,18 +223,20 @@ func (a *Arbiter) ReleaseAt(tid, scope int, now, held int64) int {
 	if a.policy == PolicyRR {
 		a.rrNext = tid + 1
 	}
-	return a.grantLocked()
+	a.grantLocked(&g)
+	return g
 }
 
 // NudgePast raises tid's clock to just above the smallest clock among the
 // *other* eligible threads (and by at least one), removing tid from GMIC
 // contention for one round — the Kendo polling-lock discipline: a loser
 // "increments their logical clock by some value until they are no longer
-// the GMIC". Returns the new clock and any follow-on grant.
-func (a *Arbiter) NudgePast(tid int) (int64, int) {
+// the GMIC". Runs token-held; returns the new clock.
+func (a *Arbiter) NudgePast(tid int) int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.stats.Locks.Other++
+	a.mustBeHeldLocked("nudge", tid)
 	st := a.state(tid)
 	target := st.count + 1
 	// Exceed the minimum clock among the other eligible threads.
@@ -265,46 +256,46 @@ func (a *Arbiter) NudgePast(tid int) (int64, int) {
 		target = minOther + 1
 	}
 	st.count = target
-	return target, a.grantLocked()
+	return target
 }
 
 // Depart removes tid from GMIC/ring consideration (the paper's
 // clockDepart()) — used when a thread blocks on a lock queue or condition
-// variable so that it cannot stall the global order. Departing while
-// holding the token is allowed (Figure 7 calls clockDepart before
+// variable so that it cannot stall the global order. A thread departs
+// while holding the token (Figure 7 calls clockDepart before
 // releaseToken); the token itself is relinquished separately via Release.
-// Returns the follow-on grant, if any.
-func (a *Arbiter) Depart(tid int) int {
+func (a *Arbiter) Depart(tid int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.stats.Locks.DepartArrive++
+	a.mustBeHeldLocked("depart", tid)
 	st := a.state(tid)
 	st.eligible = false
 	st.wanting = false
 	a.stats.Departs++
-	return a.grantLocked()
 }
 
-// Arrive re-adds tid to consideration after a Depart. With fast-forward
-// enabled, the thread's clock jumps to the clock of the last token releaser
-// if that is larger (§3.5), preventing a long-blocked thread from pinning
-// the global minimum. Returns the follow-on grant, if any.
-func (a *Arbiter) Arrive(tid int) int { return a.arrive(tid, false) }
+// Arrive re-adds tid to consideration after a Depart, on its behalf, by the
+// token holder. With fast-forward enabled, the thread's clock jumps to the
+// clock of the last token releaser if that is larger (§3.5), preventing a
+// long-blocked thread from pinning the global minimum. Returns the arrived
+// clock, which the holder hands to the thread it wakes.
+func (a *Arbiter) Arrive(tid int) int64 { return a.arrive(tid, false) }
 
 // ArriveWanting atomically re-admits tid to consideration (with
 // fast-forward, as Arrive) and marks it as waiting for the token — on the
 // thread's behalf, by whoever is waking it. A deterministic runtime must
 // re-arm a sleeping thread this way: if the woken thread raced to call
-// Request itself, whether it made the next grant round would depend on
-// real-time scheduling (the hazard the paper's footnote 4 describes).
-// Returns the follow-on grant, if any (none while the caller holds the
-// token).
-func (a *Arbiter) ArriveWanting(tid int) int { return a.arrive(tid, true) }
+// Acquire itself, whether it made the next grant round would depend on
+// real-time scheduling (the hazard the paper's footnote 4 describes). The
+// thread is granted later, by a release, in clock order.
+func (a *Arbiter) ArriveWanting(tid int) { a.arrive(tid, true) }
 
-func (a *Arbiter) arrive(tid int, wanting bool) int {
+func (a *Arbiter) arrive(tid int, wanting bool) int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.stats.Locks.DepartArrive++
+	a.mustBeHeldLocked("arrive", tid)
 	st := a.state(tid)
 	st.eligible = true
 	if target := a.ffTargetLocked(st); a.fastForward && target > st.count {
@@ -313,15 +304,15 @@ func (a *Arbiter) arrive(tid int, wanting bool) int {
 		st.count = target
 	}
 	st.wanting = st.wanting || wanting
-	return a.grantLocked()
+	return st.count
 }
 
-// Holder returns the tid currently holding the token, or NoGrant.
-func (a *Arbiter) Holder() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.stats.Locks.Other++
-	return a.holder
+// mustBeHeldLocked panics unless some thread holds the token: the calls
+// that check it run token-held, which is why they never grant.
+func (a *Arbiter) mustBeHeldLocked(op string, tid int) {
+	if a.holder == NoGrant {
+		panic(fmt.Sprintf("clock: %s of tid %d with no thread holding the token", op, tid))
+	}
 }
 
 // waiterAbove answers the adaptive counter-overflow policy's question
@@ -369,41 +360,46 @@ func (a *Arbiter) state(tid int) *threadState {
 }
 
 // grantLocked evaluates the grant condition and assigns the token if some
-// waiting thread qualifies. Returns the granted tid or NoGrant.
-func (a *Arbiter) grantLocked() int {
+// waiting thread qualifies, writing the grant to g (Tid NoGrant if there is
+// none). g is the caller's zeroed result, written in place: a 40-byte Take
+// is too big for the compiler to keep in registers, and returning it from
+// frame to frame doubled the cost of an arbiter call (clock.grant_ns).
+func (a *Arbiter) grantLocked(g *Take) {
+	g.Tid = NoGrant
 	if a.holder != NoGrant {
-		return NoGrant
+		return
 	}
-	grant := NoGrant
+	var st *threadState
 	switch a.policy {
 	case PolicyIC:
-		grant = a.grantICLocked()
+		st = a.pickICLocked()
 	case PolicyRR:
-		grant = a.grantRRLocked()
+		st = a.pickRRLocked()
 	default:
 		panic("clock: unknown policy")
 	}
-	if grant == NoGrant {
+	if st == nil {
 		a.stats.EmptyPasses++
+		return
 	}
-	return grant
+	a.grantToLocked(st, g)
 }
 
-// grantRRLocked: the turn belongs to the first eligible thread at or after
+// pickRRLocked: the turn belongs to the first eligible thread at or after
 // rrNext in cyclic tid order. Grant only if that specific thread is
 // waiting; otherwise everyone waits for it to synchronize (this is exactly
 // the round-robin pathology of Figure 1b).
-func (a *Arbiter) grantRRLocked() int {
+func (a *Arbiter) pickRRLocked() *threadState {
 	n := len(a.threads)
 	for i, k := a.search(a.rrNext), 0; k < n; k++ {
 		if turn := &a.threads[(i+k)%n]; turn.eligible {
 			if !turn.wanting {
-				return NoGrant
+				return nil
 			}
-			return a.grantToLocked(turn)
+			return turn
 		}
 	}
-	return NoGrant
+	return nil
 }
 
 // Stats reports arbitration counters and the per-shard records. Every take
@@ -438,19 +434,17 @@ type Stats struct {
 // them; Stats and DumpState, which observe, are not counted.
 type Locks struct {
 	Advance      int64
-	Request      int64 // Request, RequestSharded
-	Take         int64
+	Request      int64 // Acquire, and the Request / RequestSharded shims
 	Release      int64 // Release, ReleaseAt
 	DepartArrive int64 // Depart, Arrive, ArriveWanting
-	// Other is everything else: Register, Unregister, Count, Holder,
-	// NudgePast, SetScope, EnableShardGrants and the overflow policy's
-	// waiterAbove.
+	// Other is everything else: Register, Unregister, NudgePast,
+	// SetScope, EnableShardGrants and the overflow policy's waiterAbove.
 	Other int64
 }
 
 // Total sums the counted acquisitions.
 func (l Locks) Total() int64 {
-	return l.Advance + l.Request + l.Take + l.Release + l.DepartArrive + l.Other
+	return l.Advance + l.Request + l.Release + l.DepartArrive + l.Other
 }
 
 // DumpState renders the arbiter's tables — holder, the per-shard records,

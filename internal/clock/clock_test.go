@@ -7,6 +7,21 @@ import (
 	"testing/quick"
 )
 
+// countOf and holderOf read the arbiter's state for a test to assert on.
+// The runtimes never ask: a grant's Take carries the holder's clock, and
+// Arrive and NudgePast return the clock they set.
+func countOf(a *Arbiter, tid int) int64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.state(tid).count
+}
+
+func holderOf(a *Arbiter) int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.holder
+}
+
 func TestICGrantsGlobalMinimum(t *testing.T) {
 	a := New(PolicyIC, false)
 	a.Register(0, 100)
@@ -14,19 +29,19 @@ func TestICGrantsGlobalMinimum(t *testing.T) {
 	a.Register(2, 75)
 
 	// Thread 0 requests at clock 100; threads 1 and 2 are below it.
-	if g := a.Request(0); g != NoGrant {
+	if g := a.Acquire(0, 0).Tid; g != NoGrant {
 		t.Fatalf("granted %d while lower clocks exist", g)
 	}
 	// Thread 2 advances past 100: still blocked by thread 1 at 50.
-	if g := a.Advance(2, 60); g != NoGrant {
+	if g := a.Advance(2, 60).Tid; g != NoGrant {
 		t.Fatalf("granted %d while thread 1 is at 50", g)
 	}
 	// Thread 1 advances to 120: thread 0 (clock 100) is now the minimum.
-	if g := a.Advance(1, 70); g != 0 {
-		t.Fatalf("grant = %d, want 0", g)
+	if g := a.Advance(1, 70); g.Tid != 0 || g.Count != 100 {
+		t.Fatalf("grant = %+v, want tid 0 at clock 100", g)
 	}
-	if a.Holder() != 0 {
-		t.Fatalf("holder = %d, want 0", a.Holder())
+	if h := holderOf(a); h != 0 {
+		t.Fatalf("holder = %d, want 0", h)
 	}
 }
 
@@ -35,12 +50,12 @@ func TestICTieBreaksByTid(t *testing.T) {
 	a.Register(3, 10)
 	a.Register(1, 10)
 	a.Register(2, 99)
-	a.Request(3)
-	if g := a.Request(1); g != 1 {
+	a.Acquire(3, 0)
+	if g := a.Acquire(1, 0).Tid; g != 1 {
 		t.Fatalf("equal clocks: grant = %d, want tid 1", g)
 	}
 	// After 1 releases, 3 becomes the minimum and gets the queued grant.
-	if g := a.Release(1); g != 3 {
+	if g := a.Release(1).Tid; g != 3 {
 		t.Fatalf("after release grant = %d, want 3", g)
 	}
 }
@@ -49,7 +64,7 @@ func TestICImmediateGrantWhenAlreadyMinimum(t *testing.T) {
 	a := New(PolicyIC, false)
 	a.Register(0, 5)
 	a.Register(1, 10)
-	if g := a.Request(0); g != 0 {
+	if g := a.Acquire(0, 0).Tid; g != 0 {
 		t.Fatalf("minimum requester not granted immediately: %d", g)
 	}
 }
@@ -60,26 +75,26 @@ func TestRRCyclesInTidOrder(t *testing.T) {
 		a.Register(tid, 0)
 	}
 	// All three request "simultaneously": grants must come 0,1,2,0,...
-	if g := a.Request(1); g != NoGrant {
+	if g := a.Acquire(1, 0).Tid; g != NoGrant {
 		t.Fatalf("tid 1 granted out of turn: %d", g)
 	}
-	if g := a.Request(2); g != NoGrant {
+	if g := a.Acquire(2, 0).Tid; g != NoGrant {
 		t.Fatalf("tid 2 granted out of turn: %d", g)
 	}
-	if g := a.Request(0); g != 0 {
+	if g := a.Acquire(0, 0).Tid; g != 0 {
 		t.Fatalf("tid 0's turn: grant = %d", g)
 	}
-	if g := a.Release(0); g != 1 {
+	if g := a.Release(0).Tid; g != 1 {
 		t.Fatalf("next turn grant = %d, want 1", g)
 	}
-	if g := a.Release(1); g != 2 {
+	if g := a.Release(1).Tid; g != 2 {
 		t.Fatalf("next turn grant = %d, want 2", g)
 	}
-	if g := a.Release(2); g != NoGrant {
+	if g := a.Release(2).Tid; g != NoGrant {
 		t.Fatalf("nobody waiting but grant = %d", g)
 	}
 	// Ring wrapped back to 0.
-	if g := a.Request(0); g != 0 {
+	if g := a.Acquire(0, 0).Tid; g != 0 {
 		t.Fatalf("wrap-around grant = %d, want 0", g)
 	}
 	a.Release(0)
@@ -91,12 +106,25 @@ func TestRRWaitsForTurnHolder(t *testing.T) {
 	a := New(PolicyRR, false)
 	a.Register(0, 0)
 	a.Register(1, 0)
-	if g := a.Request(1); g != NoGrant {
+	if g := a.Acquire(1, 0).Tid; g != NoGrant {
 		t.Fatal("tid 1 must wait for tid 0's turn")
 	}
-	// Thread 0 departs (blocks on a lock): ring skips it.
-	if g := a.Depart(0); g != 1 {
-		t.Fatalf("depart should unblock tid 1: grant = %d", g)
+	// Thread 0 takes its turn and blocks on a lock: it departs, token
+	// held, and its release passes the turn on.
+	if g := a.Acquire(0, 0).Tid; g != 0 {
+		t.Fatalf("tid 0's turn: grant = %d", g)
+	}
+	a.Depart(0)
+	if g := a.Release(0).Tid; g != 1 {
+		t.Fatalf("release should grant tid 1: grant = %d", g)
+	}
+	// The ring wraps to the departed tid 0 and skips it: tid 1's next
+	// request is its own turn, not a wait on a thread that cannot ask.
+	if g := a.Release(1).Tid; g != NoGrant {
+		t.Fatalf("nobody waiting but grant = %d", g)
+	}
+	if g := a.Acquire(1, 0).Tid; g != 1 {
+		t.Fatalf("ring did not skip the departed tid 0: grant = %d", g)
 	}
 }
 
@@ -104,51 +132,61 @@ func TestDepartRemovesFromConsideration(t *testing.T) {
 	a := New(PolicyIC, false)
 	a.Register(0, 10)
 	a.Register(1, 1000)
-	// Thread 1 requests; thread 0 is lower but departs (blocked on lock).
-	if g := a.Request(1); g != NoGrant {
+	// Thread 1 requests; thread 0 is lower, takes the token and departs
+	// (blocked on a lock): its release grants thread 1.
+	if g := a.Acquire(1, 0).Tid; g != NoGrant {
 		t.Fatal("premature grant")
 	}
-	if g := a.Depart(0); g != 1 {
+	if g := a.Acquire(0, 0).Tid; g != 0 {
+		t.Fatalf("minimum requester not granted: %d", g)
+	}
+	a.Depart(0)
+	if g := a.Release(0).Tid; g != 1 {
 		t.Fatalf("grant after depart = %d, want 1", g)
 	}
+	// Thread 1, holding the token, re-admits thread 0 with its low clock:
+	// it is the minimum again.
+	if c := a.Arrive(0); c != 11 {
+		t.Fatalf("arrived clock = %d, want 11 (10 plus its release)", c)
+	}
 	a.Release(1)
-	// Thread 0 arrives back with its low clock: it is the minimum again.
-	a.Arrive(0)
-	if g := a.Request(0); g != 0 {
+	if g := a.Acquire(0, 0).Tid; g != 0 {
 		t.Fatal("arrived thread with min clock not granted")
 	}
 }
 
 func TestFastForward(t *testing.T) {
-	a := New(PolicyIC, true)
-	a.Register(0, 10)
-	a.Register(1, 500)
-	a.Depart(0)
-	// Thread 1 takes and releases the token at clock 500.
-	if g := a.Request(1); g != 1 {
-		t.Fatal("sole eligible thread not granted")
+	// Thread 0 blocks at clock 10 (departs, token held, and releases at
+	// 11); thread 1 takes and releases the token at clock 500; then, holding
+	// it again, re-admits thread 0. Returns the arrived clock.
+	run := func(a *Arbiter) int64 {
+		a.Register(0, 10)
+		a.Register(1, 500)
+		if g := a.Acquire(0, 0).Tid; g != 0 {
+			t.Fatalf("minimum requester not granted: %d", g)
+		}
+		a.Depart(0)
+		a.Release(0)
+		if g := a.Acquire(1, 0).Tid; g != 1 {
+			t.Fatal("sole eligible thread not granted")
+		}
+		a.Release(1)
+		a.Acquire(1, 0)
+		return a.Arrive(0)
 	}
-	a.Release(1)
-	// Thread 0 arrives: fast-forward lifts it to the releaser's clock
-	// (501: release itself retires one instruction).
-	a.Arrive(0)
-	if c := a.Count(0); c != 501 {
+	// Fast-forward lifts thread 0 to the releaser's clock (501: release
+	// itself retires one instruction).
+	a := New(PolicyIC, true)
+	if c := run(a); c != 501 {
 		t.Fatalf("fast-forwarded count = %d, want 501", c)
 	}
 	st := a.Stats()
-	if st.FastForwards != 1 || st.FastForwardSkip != 491 {
+	if st.FastForwards != 1 || st.FastForwardSkip != 490 {
 		t.Errorf("ff stats = %+v", st)
 	}
 	// Without fast-forward the clock stays put.
-	b := New(PolicyIC, false)
-	b.Register(0, 10)
-	b.Register(1, 500)
-	b.Depart(0)
-	b.Request(1)
-	b.Release(1)
-	b.Arrive(0)
-	if c := b.Count(0); c != 10 {
-		t.Fatalf("count with ff disabled = %d, want 10", c)
+	if c := run(New(PolicyIC, false)); c != 11 {
+		t.Fatalf("count with ff disabled = %d, want 11", c)
 	}
 }
 
@@ -158,12 +196,12 @@ func TestDepartWhileHoldingToken(t *testing.T) {
 	a := New(PolicyIC, false)
 	a.Register(0, 5)
 	a.Register(1, 100)
-	if g := a.Request(0); g != 0 {
+	if g := a.Acquire(0, 0).Tid; g != 0 {
 		t.Fatal("min requester not granted")
 	}
-	a.Request(1)
+	a.Acquire(1, 0)
 	a.Depart(0) // departing holder: no grant (token still held)
-	if g := a.Release(0); g != 1 {
+	if g := a.Release(0).Tid; g != 1 {
 		t.Fatalf("grant after departed holder released = %d, want 1", g)
 	}
 }
@@ -173,14 +211,14 @@ func TestReleaseAdvancesClock(t *testing.T) {
 	a := New(PolicyIC, false)
 	a.Register(0, 10)
 	a.Register(1, 10)
-	if g := a.Request(0); g != 0 {
+	if g := a.Acquire(0, 0).Tid; g != 0 {
 		t.Fatal("tid 0 should win the tie")
 	}
-	a.Request(1)
-	if g := a.Release(0); g != 1 {
+	a.Acquire(1, 0)
+	if g := a.Release(0).Tid; g != 1 {
 		t.Fatalf("after release, tid 1 must win (tid 0 advanced): grant = %d", g)
 	}
-	if c := a.Count(0); c != 11 {
+	if c := countOf(a, 0); c != 11 {
 		t.Errorf("releaser clock = %d, want 11", c)
 	}
 }
@@ -189,10 +227,10 @@ func TestUnregisterUnblocks(t *testing.T) {
 	a := New(PolicyIC, false)
 	a.Register(0, 1)
 	a.Register(1, 100)
-	if g := a.Request(1); g != NoGrant {
+	if g := a.Acquire(1, 0).Tid; g != NoGrant {
 		t.Fatal("premature grant")
 	}
-	if g := a.Unregister(0); g != 1 {
+	if g := a.Unregister(0).Tid; g != 1 {
 		t.Fatalf("grant after unregister = %d, want 1", g)
 	}
 }
@@ -202,8 +240,8 @@ func TestMinWantingAbove(t *testing.T) {
 	a.Register(0, 10)
 	a.Register(1, 100)
 	a.Register(2, 200)
-	a.Request(1)
-	a.Request(2)
+	a.Acquire(1, 0)
+	a.Acquire(2, 0)
 	// Thread 0 (clock 10) is the GMIC; thread 1 is not, whatever it asks.
 	if v, ok, gmic := a.waiterAbove(0, 10); !ok || v != 100 || !gmic {
 		t.Errorf("waiterAbove(0, 10) = %d,%v,%v", v, ok, gmic)
@@ -228,7 +266,12 @@ func TestPanicsOnMisuse(t *testing.T) {
 		{"unknown advance", func(a *Arbiter) { a.Advance(99, 1) }},
 		{"negative advance", func(a *Arbiter) { a.Advance(0, -1) }},
 		{"release not holder", func(a *Arbiter) { a.Release(0) }},
-		{"request while holding", func(a *Arbiter) { a.Request(0); a.Request(0) }},
+		{"request while holding", func(a *Arbiter) { a.Acquire(0, 0); a.Acquire(0, 0) }},
+		// The calls that run token-held, with the token free.
+		{"depart with no holder", func(a *Arbiter) { a.Depart(0) }},
+		{"arrive with no holder", func(a *Arbiter) { a.Arrive(0) }},
+		{"arrive wanting with no holder", func(a *Arbiter) { a.ArriveWanting(0) }},
+		{"nudge with no holder", func(a *Arbiter) { a.NudgePast(0) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -283,8 +326,8 @@ func TestPropICGrantOrder(t *testing.T) {
 		drain := func() {
 			for grant != NoGrant {
 				got = append(got, grant)
-				g1 := a.Release(grant)
-				g2 := a.Unregister(grant)
+				g1 := a.Release(grant).Tid
+				g2 := a.Unregister(grant).Tid
 				grant = g1
 				if g2 != NoGrant {
 					grant = g2
@@ -292,7 +335,7 @@ func TestPropICGrantOrder(t *testing.T) {
 			}
 		}
 		for tid := 0; tid < n; tid++ {
-			if g := a.Request(tid); g != NoGrant {
+			if g := a.Acquire(tid, 0).Tid; g != NoGrant {
 				grant = g
 			}
 			drain()
@@ -354,10 +397,9 @@ func TestPropOneShardIsGMIC(t *testing.T) {
 // TestPropOneShardIsGMIC holds to the reference.
 func TestPropOneShardTakesAreGlobal(t *testing.T) {
 	f := func(seed int64) bool {
-		return oneShardRun(t, seed, func(a *Arbiter, tid int) bool {
-			tk := a.Take(tid)
-			if tk.Scope != GlobalScope || tk.Kind != TakeEdge || tk.Count != a.Count(tid) {
-				t.Logf("seed %d: take by tid %d = %+v, want the global scope, an edge, the thread's clock", seed, tid, tk)
+		return oneShardRun(t, seed, func(a *Arbiter, tk Take) bool {
+			if tk.Scope != GlobalScope || tk.Kind != TakeEdge || tk.Count != countOf(a, tk.Tid) {
+				t.Logf("seed %d: take %+v, want the global scope, an edge, the thread's clock", seed, tk)
 				return false
 			}
 			st := a.Stats()
@@ -372,7 +414,9 @@ func TestPropOneShardTakesAreGlobal(t *testing.T) {
 // oneShardRun drives a one-shard arbiter and the gmic reference through one
 // seeded operation sequence and reports whether every grant and the final
 // clocks matched; onGrant, when set, also judges each grant as it happens.
-func oneShardRun(t *testing.T, seed int64, onGrant func(a *Arbiter, tid int) bool) bool {
+// The sequence keeps the runtime's discipline: only the holder departs, and
+// only the holder re-admits a departed thread.
+func oneShardRun(t *testing.T, seed int64, onGrant func(a *Arbiter, tk Take) bool) bool {
 	rng := rand.New(rand.NewSource(seed))
 	a := New(PolicyIC, true)
 	ref := &gmic{count: map[int]int64{}, eligible: map[int]bool{}, wanting: map[int]bool{}, holder: NoGrant}
@@ -387,11 +431,11 @@ func oneShardRun(t *testing.T, seed int64, onGrant func(a *Arbiter, tid int) boo
 		if len(tids) > 0 {
 			tid = tids[rng.Intn(len(tids))]
 		}
-		got, want := NoGrant, NoGrant
+		got := Take{Tid: NoGrant}
 		switch op := rng.Intn(8); {
 		case tid == NoGrant || (op == 0 && len(tids) < 6):
 			start := int64(rng.Intn(50))
-			got = a.Register(next, start)
+			a.Register(next, start)
 			ref.count[next], ref.eligible[next] = start, true
 			next++
 		case op == 1:
@@ -399,25 +443,27 @@ func oneShardRun(t *testing.T, seed int64, onGrant func(a *Arbiter, tid int) boo
 			got = a.Advance(tid, d)
 			ref.count[tid] += d
 		case op <= 3 && tid != ref.holder && ref.eligible[tid] && !ref.wanting[tid]:
-			got = a.RequestSharded(tid, []int{0, GlobalScope}[rng.Intn(2)])
+			got = a.Acquire(tid, []int{0, GlobalScope}[rng.Intn(2)])
 			ref.wanting[tid] = true
 		case op == 4 && ref.holder != NoGrant:
 			tid = ref.holder
 			got = a.Release(tid)
 			ref.count[tid]++
 			ref.holder, ref.lastRelease = NoGrant, ref.count[tid]
-		case op == 5:
-			got = a.Depart(tid)
+		case op == 5 && ref.holder != NoGrant:
+			tid = ref.holder
+			a.Depart(tid)
 			ref.eligible[tid], ref.wanting[tid] = false, false
-		case op == 6 && !ref.eligible[tid]:
+		case op == 6 && ref.holder != NoGrant && tid != ref.holder && !ref.eligible[tid]:
 			wake := rng.Intn(2) == 0
-			if wake {
-				got = a.ArriveWanting(tid)
-			} else {
-				got = a.Arrive(tid)
-			}
 			ref.eligible[tid], ref.wanting[tid] = true, wake
 			ref.count[tid] = max(ref.count[tid], ref.lastRelease)
+			if wake {
+				a.ArriveWanting(tid)
+			} else if c := a.Arrive(tid); c != ref.count[tid] {
+				t.Logf("seed %d step %d: tid %d arrived at clock %d, GMIC has %d", seed, step, tid, c, ref.count[tid])
+				return false
+			}
 		case op == 7 && tid != ref.holder && !ref.wanting[tid]:
 			got = a.Unregister(tid)
 			delete(ref.count, tid)
@@ -425,21 +471,21 @@ func oneShardRun(t *testing.T, seed int64, onGrant func(a *Arbiter, tid int) boo
 		default:
 			continue
 		}
-		if want = ref.grant(); got != want {
-			t.Logf("seed %d step %d: arbiter granted %d, GMIC grants %d", seed, step, got, want)
+		if want := ref.grant(); got.Tid != want {
+			t.Logf("seed %d step %d: arbiter granted %d, GMIC grants %d", seed, step, got.Tid, want)
 			return false
 		}
-		if got != NoGrant && onGrant != nil && !onGrant(a, got) {
+		if got.Tid != NoGrant && onGrant != nil && !onGrant(a, got) {
 			return false
 		}
 	}
 	for tid, c := range ref.count {
-		if a.Count(tid) != c {
-			t.Logf("seed %d: tid %d clock %d, GMIC has %d", seed, tid, a.Count(tid), c)
+		if countOf(a, tid) != c {
+			t.Logf("seed %d: tid %d clock %d, GMIC has %d", seed, tid, countOf(a, tid), c)
 			return false
 		}
 	}
-	return a.Holder() == ref.holder
+	return holderOf(a) == ref.holder
 }
 
 // Property: RR grants visit every requesting thread exactly once per cycle,
@@ -456,14 +502,14 @@ func TestPropRRFairness(t *testing.T) {
 		perm := rng.Perm(n)
 		grant := NoGrant
 		for _, tid := range perm {
-			if g := a.Request(tid); g != NoGrant {
+			if g := a.Acquire(tid, 0).Tid; g != NoGrant {
 				grant = g
 			}
 		}
 		var got []int
 		for grant != NoGrant {
 			got = append(got, grant)
-			grant = a.Release(grant)
+			grant = a.Release(grant).Tid
 		}
 		if len(got) != n {
 			return false
@@ -484,7 +530,7 @@ func TestOverflowAdaptive(t *testing.T) {
 	a := New(PolicyIC, false)
 	a.Register(0, 0)
 	a.Register(1, 300)
-	a.Request(1) // waiter at 300
+	a.Acquire(1, 0) // waiter at 300
 
 	o := NewOverflow(100, true)
 	// Rule 2: fire just past the waiter's clock.

@@ -16,7 +16,7 @@ import (
 
 // scriptOp is one arbiter call in a thread's script.
 type scriptOp struct {
-	kind byte // 'a' Advance(arg) · 'q' RequestSharded(arg) · 'r' ReleaseAt · 'd' Depart · 'w' ArriveWanting(arg) · 'x' Unregister
+	kind byte // 'a' Advance(arg) · 'q' Acquire(arg) · 'r' ReleaseAt · 'd' Depart · 'w' ArriveWanting(arg) · 'x' Unregister
 	arg  int
 }
 
@@ -70,13 +70,6 @@ var interleaveSets = []scriptSet{
 	}},
 }
 
-// grantRec is one grant as the run saw it: who, and the arbiter's answer
-// about the hold at that instant.
-type grantRec struct {
-	tid  int
-	take Take
-}
-
 // scriptRun is one (partial) interleaving in flight: the arbiter, each
 // thread's program counter, and the test's own mirror of who is eligible,
 // waiting and holding — kept from the ops issued, never read back.
@@ -89,7 +82,7 @@ type scriptRun struct {
 	eligible, wanting []bool
 	scope             []int
 	holder            int
-	grants            []grantRec
+	grants            []Take  // each grant as the op that made it returned it
 	final             []int64 // each thread's clock as it exited
 	path              []int
 }
@@ -177,7 +170,7 @@ func (r *scriptRun) wantGrant() int {
 	cand := NoGrant
 	for tid := range r.pc {
 		if r.eligible[tid] && r.wanting[tid] && (cand == NoGrant ||
-			less(r.a.Count(tid), r.slot(r.scope[tid]), tid, r.a.Count(cand), r.slot(r.scope[cand]), cand)) {
+			less(countOf(r.a, tid), r.slot(r.scope[tid]), tid, countOf(r.a, cand), r.slot(r.scope[cand]), cand)) {
 			cand = tid
 		}
 	}
@@ -186,7 +179,7 @@ func (r *scriptRun) wantGrant() int {
 	}
 	for tid := range r.pc {
 		if r.eligible[tid] && !r.wanting[tid] &&
-			less(r.a.Count(tid), 0, tid, r.a.Count(cand), r.slot(r.scope[cand]), cand) {
+			less(countOf(r.a, tid), 0, tid, countOf(r.a, cand), r.slot(r.scope[cand]), cand) {
 			return NoGrant
 		}
 	}
@@ -196,12 +189,13 @@ func (r *scriptRun) wantGrant() int {
 // step issues tid's next op and, when check is set, holds the arbiter's
 // answer to the three per-step properties: the grant is exactly the one the
 // rule calls for (no lost grant, no early one), nobody is granted a held
-// token, and the arbiter's holder is the mirror's.
+// token, and the arbiter's holder is the mirror's. Depart and ArriveWanting
+// run token-held and grant nothing.
 func (r *scriptRun) step(tid int, check bool) {
 	op := r.next(tid)
 	r.pc[tid]++
 	r.path = append(r.path, tid)
-	var g int
+	g := Take{Tid: NoGrant}
 	switch op.kind {
 	case 'a':
 		g = r.a.Advance(tid, int64(op.arg))
@@ -212,35 +206,35 @@ func (r *scriptRun) step(tid int, check bool) {
 			r.scope[tid] = 0
 		}
 		r.wanting[tid] = true
-		g = r.a.RequestSharded(tid, r.scope[tid])
+		g = r.a.Acquire(tid, r.scope[tid])
 	case 'r':
 		r.holder = NoGrant
 		g = r.a.ReleaseAt(tid, r.scope[tid], 0, 0)
 	case 'd':
 		r.eligible[tid], r.wanting[tid] = false, false
-		g = r.a.Depart(tid)
+		r.a.Depart(tid)
 	case 'w':
 		r.eligible[op.arg], r.wanting[op.arg] = true, true
-		g = r.a.ArriveWanting(op.arg)
+		r.a.ArriveWanting(op.arg)
 	case 'x':
-		r.final[tid], r.eligible[tid] = r.a.Count(tid), false
+		r.final[tid], r.eligible[tid] = countOf(r.a, tid), false
 		g = r.a.Unregister(tid)
 	}
 	if check {
-		if want := r.wantGrant(); g != want {
+		if want := r.wantGrant(); g.Tid != want {
 			r.t.Fatalf("%s, %d shards, interleaving %v: the last op returned grant %d, the rule grants %d\n%s",
-				r.set.name, r.shards, r.path, g, want, r.a.DumpState())
+				r.set.name, r.shards, r.path, g.Tid, want, r.a.DumpState())
 		}
 	}
-	if g != NoGrant {
+	if g.Tid != NoGrant {
 		if r.holder != NoGrant {
-			r.t.Fatalf("%s, %d shards, interleaving %v: tid %d granted while tid %d holds the token", r.set.name, r.shards, r.path, g, r.holder)
+			r.t.Fatalf("%s, %d shards, interleaving %v: tid %d granted while tid %d holds the token", r.set.name, r.shards, r.path, g.Tid, r.holder)
 		}
-		r.holder, r.wanting[g] = g, false
-		r.grants = append(r.grants, grantRec{g, r.a.Take(g)})
+		r.holder, r.wanting[g.Tid] = g.Tid, false
+		r.grants = append(r.grants, g)
 	}
-	if check && r.a.Holder() != r.holder {
-		r.t.Fatalf("%s, %d shards, interleaving %v: arbiter's holder is %d, the run's %d", r.set.name, r.shards, r.path, r.a.Holder(), r.holder)
+	if h := holderOf(r.a); check && h != r.holder {
+		r.t.Fatalf("%s, %d shards, interleaving %v: arbiter's holder is %d, the run's %d", r.set.name, r.shards, r.path, h, r.holder)
 	}
 }
 

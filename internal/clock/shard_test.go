@@ -11,34 +11,43 @@ import (
 // detection and the edge-engages-every-sub-token rule — and that the
 // records can be scraped while the token moves.
 
-// newParked builds an n-shard arbiter whose registered threads have all
-// departed, so take can bring them back one at a time.
+// setEligible puts tid in or out of consideration directly. Depart and
+// Arrive run token-held, and these tests start from threads that have
+// never held the token.
+func setEligible(a *Arbiter, tid int, eligible bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.state(tid).eligible = eligible
+}
+
+// newParked builds an n-shard arbiter whose registered threads are all out
+// of consideration, so take can bring them back one at a time.
 func newParked(t *testing.T, n int, tids ...int) *Arbiter {
 	t.Helper()
 	a := New(PolicyIC, false)
 	a.EnableShardGrants(n)
 	for _, tid := range tids {
 		a.Register(tid, 0)
-		a.Depart(tid)
+		setEligible(a, tid, false)
 	}
 	return a
 }
 
-// take drives one token hold by tid in scope and returns the arbiter's
-// answer about it. Every other thread is departed, so the request is
-// granted at once.
+// take drives one token hold by tid in scope and returns its grant. Every
+// other thread is out of consideration, so the request is granted at once;
+// the hold ends as a blocking op's does, departing before the release.
 func take(t *testing.T, a *Arbiter, tid, scope int) Take {
 	t.Helper()
-	a.Arrive(tid)
-	if g := a.RequestSharded(tid, scope); g != tid {
-		t.Fatalf("request by the only eligible tid %d granted %d", tid, g)
+	setEligible(a, tid, true)
+	tk := a.Acquire(tid, scope)
+	if tk.Tid != tid {
+		t.Fatalf("request by the only eligible tid %d granted %d", tid, tk.Tid)
 	}
-	tk := a.Take(tid)
 	if tk.Scope != scope {
 		t.Fatalf("take by tid %d reports scope %d, requested %d", tid, tk.Scope, scope)
 	}
-	a.Release(tid)
 	a.Depart(tid)
+	a.Release(tid)
 	return tk
 }
 
@@ -118,16 +127,13 @@ func TestShardSetDumpState(t *testing.T) {
 // its wake — reads this release's instant.
 func TestReleaseAtPublishesBeforeGrant(t *testing.T) {
 	a := newSharded(t, 2, map[int]int64{0: 0, 1: 5})
-	a.RequestSharded(0, 1)
-	if g := a.RequestSharded(1, 1); g != NoGrant {
+	a.Acquire(0, 1)
+	if g := a.Acquire(1, 1).Tid; g != NoGrant {
 		t.Fatalf("tid 1 granted %d while tid 0 holds", g)
 	}
 	a.Depart(0) // tid 0 blocks, as a lock loser does: it leaves the order, then releases
-	if g := a.ReleaseAt(0, 1, 700, 40); g != 1 {
-		t.Fatalf("release granted %d, want the waiter 1", g)
-	}
-	if tk := a.Take(1); tk.FrontierNS != 700 || tk.Kind != TakeTransfer || tk.Count != 5 {
-		t.Fatalf("take after the release = %+v, want frontier 700, a transfer, clock 5", tk)
+	if tk := a.ReleaseAt(0, 1, 700, 40); tk.Tid != 1 || tk.FrontierNS != 700 || tk.Kind != TakeTransfer || tk.Count != 5 {
+		t.Fatalf("the release's grant = %+v, want the waiter 1: frontier 700, a transfer, clock 5", tk)
 	}
 	// A global release moves every frontier and accrues to the edge bucket;
 	// frontiers never move backwards.
@@ -149,14 +155,15 @@ func TestArbiterScrapeDuringTraffic(t *testing.T) {
 	const threads, shards, rounds = 4, 4, 300
 	a := New(PolicyIC, true)
 	a.EnableShardGrants(shards)
-	wake := make([]chan struct{}, threads)
+	// The wake hands the grant over, as the runtime's does.
+	wake := make([]chan Take, threads)
 	for tid := range wake {
-		wake[tid] = make(chan struct{}, 1)
+		wake[tid] = make(chan Take, 1)
 		a.Register(tid, int64(tid))
 	}
-	deliver := func(g int) {
-		if g != NoGrant {
-			wake[g] <- struct{}{}
+	deliver := func(g Take) {
+		if g.Tid != NoGrant {
+			wake[g.Tid] <- g
 		}
 	}
 	var traffic sync.WaitGroup
@@ -169,11 +176,12 @@ func TestArbiterScrapeDuringTraffic(t *testing.T) {
 				if i%7 == 0 {
 					scope = GlobalScope
 				}
-				if g := a.RequestSharded(tid, scope); g != tid {
-					deliver(g)
-					<-wake[tid]
+				tk := a.Acquire(tid, scope)
+				if tk.Tid != tid {
+					deliver(tk)
+					tk = <-wake[tid]
 				}
-				if tk := a.Take(tid); tk.Scope != scope {
+				if tk.Scope != scope {
 					t.Errorf("tid %d round %d: take reports scope %d, requested %d", tid, i, tk.Scope, scope)
 				}
 				deliver(a.ReleaseAt(tid, scope, int64(i), 1))

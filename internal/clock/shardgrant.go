@@ -60,16 +60,17 @@ func (a *Arbiter) EnableShardGrants(n int) {
 	a.shards = newShards(n)
 }
 
-// RequestSharded is Request with an explicit scope: shard in [0, n) for a
+// Acquire records that tid wants the token in scope: shard in [0, n) for a
 // single-shard operation, or GlobalScope for a cross-shard edge. The scope
 // sticks to the thread — Depart/ArriveWanting re-arms and fast-forwards
-// against the same scope — until the next RequestSharded or SetScope; the
-// grant reports it (Take).
-func (a *Arbiter) RequestSharded(tid, shard int) int {
+// against the same scope — until the next Acquire or SetScope. Returns
+// the grant the request makes, if any: tid's own (it proceeds without
+// blocking), or a waiter's; otherwise tid blocks until a grant names it.
+func (a *Arbiter) Acquire(tid, scope int) (g Take) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.stats.Locks.Request++
-	shard = a.scopeLocked(shard)
+	scope = a.scopeLocked(scope)
 	st := a.state(tid)
 	if a.holder == tid {
 		panic(fmt.Sprintf("clock: tid %d requested token it already holds", tid))
@@ -77,10 +78,15 @@ func (a *Arbiter) RequestSharded(tid, shard int) int {
 	if !st.eligible {
 		panic(fmt.Sprintf("clock: departed tid %d requested token", tid))
 	}
-	st.scope = shard
+	st.scope = scope
 	st.wanting = true
-	return a.grantLocked()
+	a.grantLocked(&g)
+	return g
 }
+
+// RequestSharded is Acquire reduced to the granted tid. bench/ is frozen:
+// its arbiter probe calls this; the runtimes call Acquire.
+func (a *Arbiter) RequestSharded(tid, shard int) int { return a.Acquire(tid, shard).Tid }
 
 // SetScope retargets a blocked thread's request scope. The exit path uses
 // it to point a parked joiner at the exiting child's actual domain shard
@@ -112,8 +118,15 @@ func (k TakeKind) String() string {
 	return [...]string{"edge", "local", "transfer"}[k]
 }
 
-// Take is the arbiter's answer about the current token hold.
+// Take is a grant: the thread the token went to and the arbiter's answer
+// about that hold, built once, in the grant. The answer cannot change
+// between the grant and the holder's release — only the holder moves its
+// own clock, its scope, or any frontier — so the thread that granted hands
+// it to the thread it wakes, and nobody asks again.
 type Take struct {
+	// Tid is the thread granted the token; NoGrant means nothing was
+	// granted, and the other fields are zero.
+	Tid int
 	// Count is the holder's clock: fast-forwards and release increments
 	// happen arbiter-side.
 	Count int64
@@ -124,29 +137,6 @@ type Take struct {
 	// (the maximum over all shards for GlobalScope).
 	FrontierNS int64
 	Kind       TakeKind
-}
-
-// Take describes the token hold of tid, which must be the holder: the one
-// question a thread asks on taking the token, and a waker asks to anchor
-// the wake of the grant it was handed. The answer is the same whenever it
-// is asked between the grant and the holder's release.
-func (a *Arbiter) Take(tid int) Take {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.stats.Locks.Take++
-	if a.holder != tid {
-		panic(fmt.Sprintf("clock: take by tid %d, token held by %d", tid, a.holder))
-	}
-	st := a.state(tid)
-	t := Take{Count: st.count, Scope: a.reportLocked(st.scope), Kind: a.kind}
-	if t.Scope != GlobalScope {
-		t.FrontierNS = a.shards[t.Scope].FrontierNS
-		return t
-	}
-	for i := range a.shards {
-		t.FrontierNS = max(t.FrontierNS, a.shards[i].FrontierNS)
-	}
-	return t
 }
 
 // scopeLocked panics on a scope outside [0, n) ∪ {GlobalScope} and returns
@@ -226,12 +216,13 @@ func mergeLess(x, y *threadState) bool {
 	return x.tid < y.tid
 }
 
-// grantICLocked evaluates the grant condition in one pass over the
+// pickICLocked evaluates the grant condition in one pass over the
 // threads: the merge-rule minimum among the waiters is the candidate, and
 // the free-runner gate (see the comment at the top of this file) needs
 // only the (count, tid)-minimum free-runner — if any free-running thread
-// could still request ahead of the candidate, that one can.
-func (a *Arbiter) grantICLocked() int {
+// could still request ahead of the candidate, that one can. Returns the
+// thread to grant, or nil.
+func (a *Arbiter) pickICLocked() *threadState {
 	var cand, free *threadState
 	for i := range a.threads {
 		switch st := &a.threads[i]; {
@@ -245,40 +236,45 @@ func (a *Arbiter) grantICLocked() int {
 		}
 	}
 	if cand == nil {
-		return NoGrant
+		return nil
 	}
 	// free's earliest possible future request key is (free.count, 0,
 	// free.tid). Hold the candidate back if that key could precede the
 	// candidate's — clocks only grow, so the check is exact.
 	if free != nil && (free.count < cand.count ||
 		(free.count == cand.count && (shardKey(cand) > 0 || free.tid < cand.tid))) {
-		return NoGrant
+		return nil
 	}
-	return a.grantToLocked(cand)
+	return cand
 }
 
-// grantToLocked hands the token to st and classifies the take against the
-// scope's last holder. A cross-shard edge engages every partition: st
-// becomes the holder of every sub-token, so the next single-shard take on
-// any shard by a different thread is a transfer.
-func (a *Arbiter) grantToLocked(st *threadState) int {
+// grantToLocked hands the token to st, classifies the take against the
+// scope's last holder, and writes the Take — the grant's one description —
+// to g. A cross-shard edge engages every partition: st becomes the holder
+// of every sub-token, so the next single-shard take on any shard by a
+// different thread is a transfer.
+func (a *Arbiter) grantToLocked(st *threadState, g *Take) {
 	a.holder, st.wanting = st.tid, false
 	a.stats.Grants++
-	if scope := a.reportLocked(st.scope); scope == GlobalScope {
-		a.kind = TakeEdge
+	g.Tid, g.Count, g.Scope = st.tid, st.count, a.reportLocked(st.scope)
+	if g.Scope == GlobalScope {
+		g.Kind = TakeEdge
 		a.stats.Merges++
 		for i := range a.shards {
 			a.shards[i].Holder = st.tid
+			g.FrontierNS = max(g.FrontierNS, a.shards[i].FrontierNS)
 		}
-	} else if sh := &a.shards[scope]; sh.Holder == st.tid {
-		a.kind = TakeLocal
+		return
+	}
+	sh := &a.shards[g.Scope]
+	g.FrontierNS = sh.FrontierNS
+	sh.Grants++
+	if sh.Holder == st.tid {
+		g.Kind = TakeLocal
 		a.stats.Locals++
-		sh.Grants++
 	} else {
-		a.kind = TakeTransfer
+		g.Kind = TakeTransfer
 		a.stats.Transfers++
-		sh.Grants++
 		sh.Holder = st.tid
 	}
-	return st.tid
 }

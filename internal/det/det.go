@@ -653,7 +653,7 @@ func (rt *Runtime) attachThread(tid int, startClock int64, ws *mem.Workspace) *T
 	rt.mu.Lock()
 	rt.threads[tid] = t
 	rt.mu.Unlock()
-	rt.deliverFrom(nil, rt.arb.Register(tid, startClock))
+	rt.arb.Register(tid, startClock)
 	return t
 }
 
@@ -676,22 +676,13 @@ func (rt *Runtime) lookup(tid int) *Thread {
 	return th
 }
 
-// deliverFrom wakes the thread granted the token by an arbiter operation.
-// waker is the binding performing the wake (nil only during setup, when no
-// grant can occur). A host-level double-wake panic — a wake sent to a
-// thread that already holds its wake permit, i.e. a corrupted handoff — is
-// rewrapped as a structured RuntimeError naming the target's state.
-func (rt *Runtime) deliverFrom(waker host.Binding, grant int) {
-	if grant == clock.NoGrant {
-		return
-	}
-	target := rt.lookup(grant)
-	if waker == nil {
-		panic(&RuntimeError{
-			Code: "self-grant", Tid: -1, Op: "deliver",
-			Detail: "token grant before any thread is running",
-		})
-	}
+// deliverFrom writes the grant g into the take of the thread it names and
+// wakes that thread from waker. A host-level double-wake panic — a wake
+// sent to a thread that already holds its wake permit, i.e. a corrupted
+// handoff — is rewrapped as a structured RuntimeError naming its state.
+func (rt *Runtime) deliverFrom(waker host.Binding, g clock.Take) {
+	target := rt.lookup(g.Tid)
+	target.take = g
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(*RuntimeError); ok {
@@ -716,9 +707,9 @@ func (rt *Runtime) deliverFrom(waker host.Binding, grant int) {
 			// Anchor the wake at the granted op's scope frontier instead:
 			// the target's sub-token became free at that instant, so ops
 			// granted in different shards resume in overlapping virtual
-			// time. The release that produced this grant published the
-			// frontier in the same critical section (clock.ReleaseAt).
-			aw.WakeFrom(target.B, rt.arb.Take(grant).FrontierNS)
+			// time. The release that made this grant published the frontier
+			// in the same critical section (clock.ReleaseAt).
+			aw.WakeFrom(target.B, g.FrontierNS)
 			return
 		}
 	}

@@ -118,8 +118,9 @@ func TestMisuseRuntimeErrors(t *testing.T) {
 				// second finds the wake permit still pending — the corrupted
 				// token-handoff case the host detects.
 				dt := root.(*Thread)
-				dt.rt.deliverFrom(dt.B, dt.Tid())
-				dt.rt.deliverFrom(dt.B, dt.Tid())
+				g := clock.Take{Tid: dt.Tid()}
+				dt.rt.deliverFrom(dt.B, g)
+				dt.rt.deliverFrom(dt.B, g)
 			},
 		},
 	}

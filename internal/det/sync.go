@@ -85,13 +85,12 @@ func (t *Thread) Lock(mx api.Mutex) {
 			// GMIC contention, give up the token, and re-contend. Every
 			// failed attempt costs a full coordination round.
 			t.uncoarsen()
+			// Token held: neither clock move can grant.
 			if bump := t.rt.cfg.PollingBump; bump > 0 {
 				t.icount += bump
-				t.deliver(t.rt.arb.Advance(t.Tid(), bump))
+				t.rt.arb.Advance(t.Tid(), bump)
 			} else {
-				newCount, g := t.rt.arb.NudgePast(t.Tid())
-				t.icount = newCount
-				t.deliver(g)
+				t.icount = t.rt.arb.NudgePast(t.Tid())
 			}
 			t.releaseTokenRaw()
 			continue
@@ -102,7 +101,7 @@ func (t *Thread) Lock(mx api.Mutex) {
 		t.mark(obs.MarkLockBlock, int64(m.id))
 		m.waiters = append(m.waiters, t.Tid())
 		t.uncoarsen()
-		t.deliver(t.rt.arb.Depart(t.Tid()))
+		t.rt.arb.Depart(t.Tid())
 		t.releaseTokenRaw()
 		t.blockForToken(diagMutexWait, host.BlockReason{Label: "mutex %d", ID: m.id})
 	}
@@ -141,7 +140,7 @@ func (t *Thread) unlockLocked(m *dMutex, op trace.Op) {
 		// once we release. Passing wanting-status on the waiter's behalf —
 		// rather than letting it race to request after a wake — is what
 		// makes the handoff deterministic (the paper's footnote 4).
-		t.deliver(t.rt.arb.ArriveWanting(w))
+		t.rt.arb.ArriveWanting(w)
 	}
 }
 
@@ -155,7 +154,7 @@ func (t *Thread) Wait(cx api.Cond, mx api.Mutex) {
 	t.uncoarsen() // cond ops terminate coarsened chunks (§3.1)
 	t.unlockLocked(m, trace.OpWait)
 	c.waiters = append(c.waiters, t.Tid())
-	t.deliver(t.rt.arb.Depart(t.Tid()))
+	t.rt.arb.Depart(t.Tid())
 	t.releaseTokenRaw()
 	t.blockForToken(diagCondWait, host.BlockReason{Label: "cond %d", ID: c.id})
 	if h := t.rt.hooks; h != nil {
@@ -165,7 +164,7 @@ func (t *Thread) Wait(cx api.Cond, mx api.Mutex) {
 	for m.locked {
 		t.mark(obs.MarkLockBlock, int64(m.id))
 		m.waiters = append(m.waiters, t.Tid())
-		t.deliver(t.rt.arb.Depart(t.Tid()))
+		t.rt.arb.Depart(t.Tid())
 		t.releaseTokenRaw()
 		t.blockForToken(diagMutexWait, host.BlockReason{Label: "mutex %d", ID: m.id})
 	}
@@ -192,7 +191,7 @@ func (t *Thread) Signal(cx api.Cond) {
 	if len(c.waiters) > 0 {
 		w := c.waiters[0]
 		c.waiters = c.waiters[1:]
-		t.deliver(t.rt.arb.ArriveWanting(w))
+		t.rt.arb.ArriveWanting(w)
 	}
 	t.tokenEnd(coarsenNever, 0)
 }
@@ -208,7 +207,7 @@ func (t *Thread) Broadcast(cx api.Cond) {
 		h.OnRelease(t.Tid(), c.id)
 	}
 	for _, w := range c.waiters {
-		t.deliver(t.rt.arb.ArriveWanting(w))
+		t.rt.arb.ArriveWanting(w)
 	}
 	c.waiters = nil
 	t.tokenEnd(coarsenNever, 0)
@@ -264,7 +263,7 @@ func (t *Thread) BarrierWait(bx api.Barrier) {
 		}
 		if !last {
 			bar.waiting = append(bar.waiting, t.Tid())
-			t.deliver(t.rt.arb.Depart(t.Tid()))
+			t.rt.arb.Depart(t.Tid())
 			t.releaseTokenRaw()
 			// Phase 2 runs outside the token, in parallel with other
 			// arrivals' merges and with threads not in the barrier.
@@ -288,7 +287,7 @@ func (t *Thread) BarrierWait(bx api.Barrier) {
 		}
 		if !last {
 			bar.waiting = append(bar.waiting, t.Tid())
-			t.deliver(t.rt.arb.Depart(t.Tid()))
+			t.rt.arb.Depart(t.Tid())
 			t.releaseTokenRaw()
 			t.barrierSleep(bar)
 			return
@@ -312,7 +311,7 @@ func (t *Thread) barrierSleep(bar *dBarrier) {
 	t.account(obs.PhaseCommit)
 	t.park(diagBarrierWait, host.BlockReason{Label: "barrier %d rendezvous", ID: bar.id})
 	t.account(obs.PhaseBarrierWait)
-	t.resyncClock(t.rt.arb.Count(t.Tid()))
+	t.resyncClock(t.barrierClock)
 	pulled := t.ws.UpdateTo(t.barrierTarget)
 	t.charge(obs.PhaseCommit, int64(pulled)*m.UpdatePage)
 	t.lastCommitCount = t.icount
@@ -341,7 +340,7 @@ func (t *Thread) barrierRelease(bar *dBarrier) {
 		if h := t.rt.hooks; h != nil {
 			h.OnAcquire(w, bar.id)
 		}
-		t.deliver(t.rt.arb.Arrive(w))
+		wt.barrierClock = t.rt.arb.Arrive(w)
 		t.B.Wake(wt.B)
 	}
 	t.releaseTokenRaw()

@@ -5,10 +5,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/api"
 	"repro/internal/clock"
 	"repro/internal/costmodel"
+	"repro/internal/host"
+	"repro/internal/host/realhost"
 	"repro/internal/host/simhost"
 )
 
@@ -31,11 +34,14 @@ func (l *takeLog) note(t api.T, op string) {
 
 // TestTakeKindsAtFourShards pins what the handoff price list reads — the
 // sequence of take kinds and the arbiter's locals / transfers / merges —
-// for the two smallest programs that exercise it at Shards = 4 on the
-// simulation host: a 2-thread lock ping-pong (sub-token transfers, and
-// local re-acquires by whoever took the lock last) and a 4-party barrier
-// (every rendezvous a cross-shard edge). The gate table's wallNS column
-// asserts the same numbers only through the prices charged for them.
+// for the two smallest programs that exercise it at Shards = 4: a 2-thread
+// lock ping-pong (sub-token transfers, and local re-acquires by whoever
+// took the lock last) and a 4-party barrier (every rendezvous a cross-shard
+// edge). The gate table's wallNS column asserts the same numbers only
+// through the prices charged for them. Take kinds follow grant order, so
+// the perturbed real host (seeds 1–3) must read the very same takes: there
+// a woken thread's take is written by another goroutine, its waker, and
+// under -race this is the test that catches a stale or racy handoff.
 func TestTakeKindsAtFourShards(t *testing.T) {
 	pingPong := func(l *takeLog) func(api.T) {
 		return func(t api.T) {
@@ -110,41 +116,60 @@ func TestTakeKindsAtFourShards(t *testing.T) {
 			stats: clock.Stats{Grants: 22, Locals: 5, Transfers: 9, Merges: 8},
 			shard: []int64{7, 3, 2, 2}},
 	}
+	type hostCase struct {
+		name string
+		new  func() host.Host
+	}
+	hosts := []hostCase{{"sim", func() host.Host { return simhost.New(costmodel.Default()) }}}
+	for seed := int64(1); seed <= 3; seed++ {
+		hosts = append(hosts, hostCase{fmt.Sprintf("real_seed=%d", seed), func() host.Host { return realhost.New(50*time.Microsecond, seed) }})
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := Default()
-			c.SegmentSize = 1 << 20
-			c.EnableScaleOut(4, 4)
-			rt, err := New(c, simhost.New(costmodel.Default()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			l := &takeLog{ops: map[int][]string{}}
-			if err := rt.Run(tc.prog(l)); err != nil {
-				t.Fatal(err)
-			}
-			for tid, want := range tc.ops {
-				if got := strings.Join(l.ops[tid], " "); got != want {
-					t.Errorf("t%d takes:\n got %s\nwant %s", tid, got, want)
-				}
-			}
-			if len(l.ops) != len(tc.ops) {
-				t.Errorf("threads that logged takes: %d, want %d\n%v", len(l.ops), len(tc.ops), l.ops)
-			}
-			st := rt.ClockStats()
-			if st.Grants != tc.stats.Grants || st.Locals != tc.stats.Locals ||
-				st.Transfers != tc.stats.Transfers || st.Merges != tc.stats.Merges {
-				t.Errorf("grants/locals/transfers/merges = %d/%d/%d/%d, want %d/%d/%d/%d",
-					st.Grants, st.Locals, st.Transfers, st.Merges,
-					tc.stats.Grants, tc.stats.Locals, tc.stats.Transfers, tc.stats.Merges)
-			}
-			var perShard []int64
-			for _, sh := range st.Shards {
-				perShard = append(perShard, sh.Grants)
-			}
-			if fmt.Sprint(perShard) != fmt.Sprint(tc.shard) {
-				t.Errorf("per-shard takes = %v, want %v", perShard, tc.shard)
+			for _, h := range hosts {
+				t.Run(h.name, func(t *testing.T) {
+					checkTakes(t, h.new(), tc.prog, tc.ops, tc.stats, tc.shard)
+				})
 			}
 		})
+	}
+}
+
+// checkTakes runs prog at Shards = 4 on h and holds its takes to the
+// per-thread kinds ops, the arbiter's grants / locals / transfers / merges
+// in stats, and the per-shard single-shard takes shard.
+func checkTakes(t *testing.T, h host.Host, prog func(*takeLog) func(api.T), ops map[int]string, stats clock.Stats, shard []int64) {
+	c := Default()
+	c.SegmentSize = 1 << 20
+	c.EnableScaleOut(4, 4)
+	rt, err := New(c, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := &takeLog{ops: map[int][]string{}}
+	if err := rt.Run(prog(l)); err != nil {
+		t.Fatal(err)
+	}
+	for tid, want := range ops {
+		if got := strings.Join(l.ops[tid], " "); got != want {
+			t.Errorf("t%d takes:\n got %s\nwant %s", tid, got, want)
+		}
+	}
+	if len(l.ops) != len(ops) {
+		t.Errorf("threads that logged takes: %d, want %d\n%v", len(l.ops), len(ops), l.ops)
+	}
+	st := rt.ClockStats()
+	if st.Grants != stats.Grants || st.Locals != stats.Locals ||
+		st.Transfers != stats.Transfers || st.Merges != stats.Merges {
+		t.Errorf("grants/locals/transfers/merges = %d/%d/%d/%d, want %d/%d/%d/%d",
+			st.Grants, st.Locals, st.Transfers, st.Merges,
+			stats.Grants, stats.Locals, stats.Transfers, stats.Merges)
+	}
+	var perShard []int64
+	for _, sh := range st.Shards {
+		perShard = append(perShard, sh.Grants)
+	}
+	if fmt.Sprint(perShard) != fmt.Sprint(shard) {
+		t.Errorf("per-shard takes = %v, want %v", perShard, shard)
 	}
 }

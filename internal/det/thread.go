@@ -47,6 +47,17 @@ type Thread struct {
 	toOverflow int64
 
 	holding bool // holds the global token
+	done    bool // has exited (token-serialized, like joiners)
+	// diagPhase/diagClock mirror the thread's state for failure
+	// diagnostics (RuntimeError, Runtime.DumpState). Atomic because the
+	// real host's watchdog renders them from another goroutine; written
+	// only at sync-op and park boundaries, so a live thread's mirror may
+	// trail its true clock — fine for a diagnostic dump. diagPhase shares
+	// a word with the two bools: a Thread is allocated per spawn, and at
+	// 568 bytes or less it stays in the 576-byte size class (with Go's
+	// 8-byte allocation header).
+	diagPhase atomic.Int32
+	diagClock atomic.Int64
 
 	// worker is the pooled worker this thread runs on (nil for the root
 	// thread, and for every thread without worker reuse).
@@ -63,9 +74,12 @@ type Thread struct {
 	// and exit are arbitrated there, and exit retargets parked joiners to
 	// it.
 	domShard int
-	// take is the arbiter's answer about the current (or latest) token
-	// hold, and tokenAcqNS the host time at which the hold began (after
-	// any sub-token-busy top-up): the release reports the held span.
+	// take is the grant of the current (or latest) token hold. The thread
+	// stores its own immediate grant (acquireToken); any other is written
+	// by the thread that made it (Runtime.deliverFrom), before the wake
+	// that orders the write ahead of takeToken's read. tokenAcqNS is the
+	// host time at which the hold began (after any sub-token-busy top-up):
+	// the release reports the held span.
 	take       clock.Take
 	tokenAcqNS int64
 
@@ -122,23 +136,14 @@ type Thread struct {
 	// consuming more draws never shifts another's sequence.
 	chaosT, chaosOverflow, chaosPredict, chaosFault *chaos.Stream
 
-	// diagPhase/diagClock mirror the thread's state for failure
-	// diagnostics (RuntimeError, Runtime.DumpState). Atomic because the
-	// real host's watchdog renders them from another goroutine; written
-	// only at sync-op and park boundaries, so a live thread's mirror may
-	// trail its true clock — fine for a diagnostic dump.
-	diagPhase atomic.Int32
-	diagClock atomic.Int64
-
-	// exit/join state, token-serialized
-	done    bool
-	joiners []int
+	joiners []int // threads parked in Join on this one, token-serialized
 
 	// barrierTarget is the version this thread must update to when it
-	// leaves a barrier; written by the releasing (last) arrival before the
-	// wake, per-thread so that barrier reuse cannot leak a later round's
-	// version to an earlier round's waiter.
-	barrierTarget int64
+	// leaves a barrier, and barrierClock its clock as the release re-admits
+	// it (clock.Arrive); both written by the releasing (last) arrival
+	// before the wake, per-thread so that barrier reuse cannot leak a later
+	// round's version to an earlier round's waiter.
+	barrierTarget, barrierClock int64
 }
 
 // account closes the current accounting interval into phase p, and emits
@@ -170,16 +175,16 @@ func (t *Thread) mark(p obs.Phase, arg int64) {
 	}
 }
 
-// deliver wakes the thread granted by an arbiter result.
-func (t *Thread) deliver(grant int) {
-	if grant == clock.NoGrant {
+// deliver hands this thread's arbiter-call grant, if any, to its thread.
+func (t *Thread) deliver(g clock.Take) {
+	if g.Tid == clock.NoGrant {
 		return
 	}
-	if grant == t.Tid() {
+	if g.Tid == t.Tid() {
 		panic(t.runtimeError("self-grant", "deliver", 0,
 			"tid %d delivered a token grant to itself", t.Tid()))
 	}
-	t.rt.deliverFrom(t.B, grant)
+	t.rt.deliverFrom(t.B, g)
 }
 
 // Compute implements api.T: retire n instructions of local work.
@@ -449,7 +454,9 @@ func (t *Thread) acquireToken() {
 	}
 	t.charge(obs.PhaseLib, clockRead)
 	woken := false
-	if g := t.rt.arb.RequestSharded(t.Tid(), t.curShard); g != t.Tid() {
+	if g := t.rt.arb.Acquire(t.Tid(), t.curShard); g.Tid == t.Tid() {
+		t.take = g
+	} else {
 		t.deliver(g)
 		t.park(diagTokenWait, host.BlockReason{Label: "global token"})
 		woken = true
@@ -458,11 +465,11 @@ func (t *Thread) acquireToken() {
 }
 
 // takeToken runs on the thread just granted the token — immediately, or by
-// a wake — and asks the arbiter the one question a take needs (clock.Take):
-// the thread's clock, the scope the grant was made in (exit retargets
-// joiners to its domain shard), that scope's frontier, and how the
-// sub-token arrived. Then it prices the handoff. The price depends on how
-// the token arrived, never on anything that could change grant order.
+// a wake — and reads the grant (Thread.take), never the arbiter: the
+// thread's clock, the scope the grant was made in (exit retargets joiners
+// to its domain shard), that scope's frontier, and how the sub-token
+// arrived. Then it prices the handoff. The price depends on how the token
+// arrived, never on anything that could change grant order.
 //
 // Single token: the full Model.TokenHandoff, the paper's time model.
 //
@@ -485,7 +492,6 @@ func (t *Thread) acquireToken() {
 // Model.FastForwardResync as its own phase — here, when the thread
 // actually takes the token, not on the wake path.
 func (t *Thread) takeToken(woken bool) {
-	t.take = t.rt.arb.Take(t.Tid())
 	t.resyncClock(t.take.Count)
 	t.curShard = t.take.Scope
 	t.holding = true

@@ -178,7 +178,7 @@ func (t *Thread) Join(h api.Handle) {
 			return
 		}
 		child.joiners = append(child.joiners, t.Tid())
-		t.deliver(t.rt.arb.Depart(t.Tid()))
+		t.rt.arb.Depart(t.Tid())
 		t.releaseTokenRaw()
 		t.blockForToken(diagJoinWait, host.BlockReason{Label: "join t%d", ID: uint64(child.Tid())})
 		// Woken holding the token; loop re-checks done (guaranteed now).
@@ -202,7 +202,7 @@ func (t *Thread) exit() {
 		// join grant is arbitrated where the exit event lives; the joiner
 		// reads the scope back from the grant on wakeup (takeToken).
 		rt.arb.SetScope(j, t.curShard)
-		t.deliver(rt.arb.ArriveWanting(j))
+		rt.arb.ArriveWanting(j)
 	}
 	t.joiners = nil
 

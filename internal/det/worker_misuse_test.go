@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/clock"
 	"repro/internal/costmodel"
 	"repro/internal/host/simhost"
 )
@@ -35,14 +36,17 @@ func runMisusePooled(t *testing.T, prog func(api.T)) {
 	}
 }
 
-// deliverFrom's two corrupted-handoff guards, exercised under the pooled
-// lifecycle. Both fire before any thread context is established, so they
-// carry Tid -1 by contract — the error is about the grant, not a thread.
+// The grant-delivery path's two corrupted-handoff guards, exercised under
+// the pooled lifecycle. An unknown tid fails in the thread table before any
+// thread context is established, so it carries Tid -1 by contract — the
+// error is about the grant, not a thread; a grant a thread hands to itself
+// names that thread.
 func TestDeliverFromRuntimeErrorsPooled(t *testing.T) {
 	cases := []struct {
 		name     string
 		wantCode string
 		wantOp   string
+		wantTid  int
 		detail   string
 		trigger  func(root api.T)
 	}{
@@ -50,24 +54,27 @@ func TestDeliverFromRuntimeErrorsPooled(t *testing.T) {
 			name:     "unknown-tid",
 			wantCode: "unknown-tid",
 			wantOp:   "lookup",
+			wantTid:  -1,
 			detail:   "token grant for unknown tid 9999",
 			trigger: func(root api.T) {
 				// A grant naming a tid with no registered thread: the
 				// arbiter and the thread table have diverged.
 				dt := root.(*Thread)
-				dt.rt.deliverFrom(dt.B, 9999)
+				dt.rt.deliverFrom(dt.B, clock.Take{Tid: 9999})
 			},
 		},
 		{
 			name:     "self-grant",
 			wantCode: "self-grant",
 			wantOp:   "deliver",
-			detail:   "token grant before any thread is running",
+			wantTid:  0,
+			detail:   "tid 0 delivered a token grant to itself",
 			trigger: func(root api.T) {
-				// A grant with no waker binding outside setup: nobody can
-				// perform the wake, so the handoff protocol is corrupted.
+				// An arbiter call returning the caller's own grant as one to
+				// hand on: the caller would wake itself instead of taking
+				// the token, so the handoff protocol is corrupted.
 				dt := root.(*Thread)
-				dt.rt.deliverFrom(nil, dt.Tid())
+				dt.deliver(clock.Take{Tid: dt.Tid()})
 			},
 		},
 	}
@@ -90,8 +97,8 @@ func TestDeliverFromRuntimeErrorsPooled(t *testing.T) {
 				if re.Op != tc.wantOp {
 					t.Errorf("Op = %q, want %q", re.Op, tc.wantOp)
 				}
-				if re.Tid != -1 {
-					t.Errorf("Tid = %d, want -1 (no thread context)", re.Tid)
+				if re.Tid != tc.wantTid {
+					t.Errorf("Tid = %d, want %d", re.Tid, tc.wantTid)
 				}
 				if msg := re.Error(); !strings.Contains(msg, tc.detail) ||
 					!strings.Contains(msg, tc.wantCode) {

@@ -71,13 +71,20 @@ func TestInputAllocationBudget(t *testing.T) {
 }
 
 // TestTokenPathCounts makes the token path's cost a number a test can hold
-// (ROADMAP item 1(b)) on water_nsquared at threads 4 / shards 4. On the
-// simulation host every count — arbiter locks by caller, grant passes that
-// granted nothing — is part of the schedule and repeats exactly. On the
-// real host the arbiter is locked at most 3.5 times per sync op (3.02
-// today: one per Advance — 1.5 per op here — and one each for the
-// request, the take and the release of the ops that take the token), and
-// the host counts one Block per Wake.
+// (ROADMAP item 1(b)) at threads 4 / shards 4. On the simulation host every
+// count — arbiter locks by caller, grant passes that granted nothing — is
+// part of the schedule and repeats exactly (water_nsquared). On the real
+// host the host counts one Block per Wake, and the arbiter is locked at
+// most:
+//   - 2.75 times per sync op on water_nsquared (2.51 today: one per
+//     Advance — 1.50 per op — and one each for the request and the
+//     release of the ops that take the token, 0.51 each);
+//   - 3.6 times per sync op on ferret, the cond-var pipeline (3.40 today:
+//     Advance 1.73, request 0.47, release 0.71, and 0.48 for the Depart and
+//     ArriveWanting of its blocking waits).
+//
+// A woken thread reads the grant it was handed and never locks the arbiter
+// to learn it.
 func TestTokenPathCounts(t *testing.T) {
 	o := Options{Bench: "water_nsquared", Runtime: KindConsequenceIC, Threads: 4, Scale: 8, Seed: 42, Shards: 4}
 	first, err := Run(o)
@@ -91,24 +98,30 @@ func TestTokenPathCounts(t *testing.T) {
 	if !reflect.DeepEqual(first.Sched, again.Sched) {
 		t.Errorf("simhost arbiter counts differ between two runs:\n%+v\n%+v", first.Sched, again.Sched)
 	}
-	if l := first.Sched.Locks; l.Advance == 0 || l.Request == 0 || l.Take == 0 || l.Release == 0 || l.DepartArrive == 0 || first.Sched.EmptyPasses == 0 {
+	if l := first.Sched.Locks; l.Advance == 0 || l.Request == 0 || l.Release == 0 || l.DepartArrive == 0 || first.Sched.EmptyPasses == 0 {
 		t.Errorf("a caller of the arbiter went uncounted: %+v, %d empty passes", l, first.Sched.EmptyPasses)
 	}
 
-	cell, err := Build(o, realhost.New(0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cell.Close()
-	real, err := cell.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops, s := real.Stats.SyncOps, real.Sched
-	if perOp := float64(s.Locks.Total()) / float64(ops); perOp > 3.5 {
-		t.Errorf("%d arbiter locks for %d sync ops = %.2f per op, budget 3.5 (%+v)", s.Locks.Total(), ops, perOp, s.Locks)
-	}
-	if s.Wakes == 0 || s.Parks+s.EarlyWakes != s.Wakes {
-		t.Errorf("real host counted %d parks + %d early wakes against %d wakes", s.Parks, s.EarlyWakes, s.Wakes)
+	for _, b := range []struct {
+		bench  string
+		budget float64
+	}{{"water_nsquared", 2.75}, {"ferret", 3.6}} {
+		o.Bench = b.bench
+		cell, err := Build(o, realhost.New(0, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		real, err := cell.Run()
+		cell.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops, s := real.Stats.SyncOps, real.Sched
+		if perOp := float64(s.Locks.Total()) / float64(ops); perOp > b.budget {
+			t.Errorf("%s: %d arbiter locks for %d sync ops = %.2f per op, budget %.2f (%+v)", b.bench, s.Locks.Total(), ops, perOp, b.budget, s.Locks)
+		}
+		if s.Wakes == 0 || s.Parks+s.EarlyWakes != s.Wakes {
+			t.Errorf("%s: real host counted %d parks + %d early wakes against %d wakes", b.bench, s.Parks, s.EarlyWakes, s.Wakes)
+		}
 	}
 }

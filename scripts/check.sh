@@ -43,7 +43,9 @@ echo "== conseq-analyze smoke (golden trace)"
 go run ./cmd/conseq-analyze -input internal/obs/testdata/golden_trace.json >/dev/null
 
 echo "== bench smoke (1 iteration, allocations reported)"
-go test -run=NONE -bench=. -benchtime=1x -benchmem ./internal/mem ./internal/commitlog >/dev/null
+# internal/det's are the token-path micro-benchmarks: handoff ping-pong,
+# fork/join, and grant parallelism across shard counts.
+go test -run=NONE -bench=. -benchtime=1x -benchmem ./internal/mem ./internal/commitlog ./internal/det >/dev/null
 # The root package's whole-program benchmarks only (every ledger program on
 # all five runtimes on the real host, and on consequence-ic on the
 # simulation host): -bench=. there would run BenchmarkFigures, the whole
