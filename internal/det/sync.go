@@ -133,8 +133,7 @@ func (t *Thread) unlockLocked(m *dMutex, op trace.Op) {
 		h.OnRelease(t.Tid(), m.id)
 	}
 	if len(m.waiters) > 0 {
-		w := m.waiters[0]
-		m.waiters = m.waiters[1:]
+		w := popFront(&m.waiters)
 		// Re-arm: the waiter rejoins GMIC consideration wanting the token;
 		// it is granted (and thereby woken) in deterministic clock order
 		// once we release. Passing wanting-status on the waiter's behalf —
@@ -189,9 +188,7 @@ func (t *Thread) Signal(cx api.Cond) {
 		h.OnRelease(t.Tid(), c.id)
 	}
 	if len(c.waiters) > 0 {
-		w := c.waiters[0]
-		c.waiters = c.waiters[1:]
-		t.rt.arb.ArriveWanting(w)
+		t.rt.arb.ArriveWanting(popFront(&c.waiters))
 	}
 	t.tokenEnd(coarsenNever, 0)
 }
@@ -209,8 +206,18 @@ func (t *Thread) Broadcast(cx api.Cond) {
 	for _, w := range c.waiters {
 		t.rt.arb.ArriveWanting(w)
 	}
-	c.waiters = nil
+	c.waiters = c.waiters[:0]
 	t.tokenEnd(coarsenNever, 0)
+}
+
+// popFront removes and returns the head of a FIFO waiter queue. It copies
+// the rest down rather than re-slicing past the head, so the queue keeps
+// its whole array: a re-sliced queue loses the capacity before its head,
+// and once it reaches the array's end every append reallocates.
+func popFront(q *[]int) int {
+	w := (*q)[0]
+	*q = (*q)[:copy(*q, (*q)[1:])]
+	return w
 }
 
 // BarrierWait implements api.T (§4.2). With ParallelBarrier enabled,

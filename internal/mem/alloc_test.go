@@ -1,10 +1,12 @@
 package mem
 
 import (
+	"bytes"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // mallocsIn returns how many heap objects f allocates. Unlike
@@ -58,9 +60,9 @@ func TestEmptyCommitAllocatesNothing(t *testing.T) {
 
 // TestOnePageCommitAllocations gates the other half: a full fault → write
 // → BeginCommit → Complete → GC cycle on one page allocates the version
-// (its slot inline) and the diff's run slice and backing array, and
-// nothing else — no PendingCommit, no dirtyPage record, no slot slice, no
-// re-diff list, no version-list regrowth.
+// (its slot inline) and the one-byte diff (its run and its byte in one
+// block), and nothing else — no PendingCommit, no dirtyPage record, no slot
+// slice, no re-diff list, no version-list regrowth.
 func TestOnePageCommitAllocations(t *testing.T) {
 	s, err := NewSegment(SegmentConfig{Name: "gate", Size: 16 * DefaultPageSize})
 	if err != nil {
@@ -81,11 +83,67 @@ func TestOnePageCommitAllocations(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		cycle() // grow every scratch list and the version array to steady state
 	}
-	if n := testing.AllocsPerRun(100, cycle); n > 3 {
-		t.Errorf("one-page commit cycle made %.0f allocations, want at most 3 (version, runs, backing)", n)
+	if n := testing.AllocsPerRun(100, cycle); n > 2 {
+		t.Errorf("one-page commit cycle made %.0f allocations, want at most 2 (version, packed diff)", n)
 	}
 	if got := s.RetainedVersions(); got != 0 {
 		t.Fatalf("%d versions retained after GC", got)
+	}
+}
+
+// TestVersionLayout holds the size budget of the object a published commit
+// allocates while the token is held. The allocator rounds up to a size
+// class: at 128 bytes a one-page Version (its 88-byte slot inline) is an
+// exact class, and one pointer-sized field more in pageSlot moves every
+// such version to the 144-byte class.
+func TestVersionLayout(t *testing.T) {
+	if got := unsafe.Sizeof(pageSlot{}); got != 88 {
+		t.Errorf("pageSlot is %d bytes, want 88", got)
+	}
+	if got := unsafe.Sizeof(Version{}); got != 128 {
+		t.Errorf("Version is %d bytes, want 128", got)
+	}
+}
+
+// TestSmallDiffIsOneBlock pins computeDiff's packing: a diff of one or two
+// runs totalling at most smallDiffBytes is a single allocation whose runs'
+// data lie inside it, capped so no run can grow into its neighbour; a
+// larger diff keeps its run slice and backing array.
+func TestSmallDiffIsOneBlock(t *testing.T) {
+	twin := make([]byte, DefaultPageSize)
+	for _, tc := range []struct {
+		name   string
+		runs   [][2]int // [off, len]
+		allocs float64
+	}{
+		{"one byte", [][2]int{{7, 1}}, 1},
+		{"one word", [][2]int{{64, 8}}, 1},
+		{"two runs, 16 bytes", [][2]int{{0, 8}, {4088, 8}}, 1},
+		{"one run, 17 bytes", [][2]int{{100, 17}}, 2},
+		{"two runs, 17 bytes", [][2]int{{0, 9}, {200, 8}}, 2},
+		{"three runs", [][2]int{{0, 1}, {10, 1}, {20, 1}}, 2},
+	} {
+		cur := make([]byte, DefaultPageSize)
+		for _, r := range tc.runs {
+			for i := r[0]; i < r[0]+r[1]; i++ {
+				cur[i] = byte(i) | 1
+			}
+		}
+		var d Diff
+		if n := testing.AllocsPerRun(10, func() { d = computeDiff(cur, twin) }); n != tc.allocs {
+			t.Errorf("%s: %.0f allocations, want %.0f", tc.name, n, tc.allocs)
+		}
+		if len(d.Runs) != len(tc.runs) || cap(d.Runs) != len(tc.runs) {
+			t.Fatalf("%s: %d runs (cap %d), want %d", tc.name, len(d.Runs), cap(d.Runs), len(tc.runs))
+		}
+		for i, r := range d.Runs {
+			if r.Off != tc.runs[i][0] || len(r.Data) != tc.runs[i][1] || cap(r.Data) != len(r.Data) {
+				t.Errorf("%s: run %d = off %d len %d cap %d, want off %d len %d", tc.name, i, r.Off, len(r.Data), cap(r.Data), tc.runs[i][0], tc.runs[i][1])
+			}
+			if !bytes.Equal(r.Data, cur[r.Off:r.Off+len(r.Data)]) {
+				t.Errorf("%s: run %d data % x, want % x", tc.name, i, r.Data, cur[r.Off:r.Off+len(r.Data)])
+			}
+		}
 	}
 }
 
@@ -176,7 +234,7 @@ func TestVersionSlotAddressesStable(t *testing.T) {
 		}
 		for i, pg := range pages {
 			want := &v.slots[i]
-			if want.page != pg || want.version != v {
+			if int(want.page) != pg || want.version != v {
 				t.Errorf("version %d slot %d is page %d of version %p", v.Num, i, want.page, want.version)
 			}
 			if got := v.slot(pg); got != want {

@@ -35,10 +35,11 @@ type CommitStats struct {
 // implements Conversion's two-phase parallel commit (§4.2): phase one runs
 // under the runtime's global token and fixes the total order; phase two
 // does the expensive page merging and may run concurrently across threads.
-// It is a plain value — a version pointer and the counters — so a commit
-// with nothing to publish leaves no object behind.
+// It is a plain value — a version pointer, its segment and the counters —
+// so a commit with nothing to publish leaves no object behind.
 type PendingCommit struct {
 	version *Version // nil if the workspace had no changes
+	seg     *Segment // the version's segment, whose free list phase 2 uses
 	stats   CommitStats
 }
 
@@ -78,8 +79,9 @@ func (ws *Workspace) pullWindowLocked(head int64) (pulled int) {
 	for _, v := range s.versions[ws.version-s.floor : head-s.floor] {
 		for i := range v.slots {
 			slot := &v.slots[i]
-			touched[slot.page] = true
-			if _, dirtyHere := ws.dirty[slot.page]; dirtyHere {
+			pg := int(slot.page)
+			touched[pg] = true
+			if _, dirtyHere := ws.dirty[pg]; dirtyHere {
 				patches = append(patches, slot)
 			}
 		}
@@ -95,7 +97,7 @@ func (ws *Workspace) pullWindowLocked(head int64) (pulled int) {
 // speculative diffs survive the import.
 func (ws *Workspace) applyPatches() {
 	for _, slot := range ws.scratchPatches {
-		dp := ws.dirty[slot.page]
+		dp := ws.dirty[int(slot.page)]
 		slot.diff.applyWhereClean(dp.data, dp.twin)
 	}
 	clear(ws.scratchPatches) // do not pin the versions patched from
@@ -220,11 +222,10 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 		}
 		slot := &v.slots[si]
 		si++
-		slot.page = pg
+		slot.page = int32(pg)
 		slot.version = v
 		slot.prev = s.latest[pg]
 		slot.diff = diff
-		slot.seg = s
 		// A conflict means some other thread committed this page after our
 		// snapshot; phase 2 must merge rather than install our copy.
 		if slot.prev != nil && slot.prev.version.Num > oldV {
@@ -232,7 +233,7 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 			pc.stats.MergedPages++
 			freed = append(freed, dp.data, dp.twin) // the merge takes its own page
 		} else {
-			slot.fastData = dp.data // our copy becomes the committed page
+			slot.data = dp.data // our copy becomes the committed page
 			freed = append(freed, dp.twin)
 		}
 		s.latest[pg] = slot
@@ -259,7 +260,7 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 	s.versions = append(s.versions, v)
 	s.head = v.Num
 	ws.version = v.Num
-	pc.version = v
+	pc.version, pc.seg = v, s
 	pc.stats.CommittedPages = npub
 	s.mu.Unlock()
 
@@ -305,13 +306,14 @@ func (ws *Workspace) recycle(freed [][]byte) {
 // multiple calls (and concurrent reader-forced resolution) are idempotent.
 func (pc PendingCommit) Complete() {
 	if pc.version != nil {
-		pc.version.complete()
+		pc.version.complete(pc.seg)
 	}
 }
 
-func (v *Version) complete() {
+// complete resolves every slot of v, a version of seg.
+func (v *Version) complete(seg *Segment) {
 	for i := range v.slots {
-		v.slots[i].resolve()
+		v.slots[i].resolve(seg)
 	}
 }
 
@@ -341,7 +343,7 @@ func (s *Segment) CompleteThrough(n int64) {
 	}
 	s.mu.Unlock()
 	for _, v := range todo {
-		v.complete()
+		v.complete(s)
 	}
 }
 

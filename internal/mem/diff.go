@@ -46,6 +46,12 @@ const (
 	low7Bits   = uint64(0x7f7f7f7f7f7f7f7f)
 )
 
+// smallDiffBytes bounds the diffs computeDiff packs into one allocation:
+// one or two runs of at most this many bytes in all share a block with
+// their Run array (48 or 80 bytes, both exact size classes). A one-word
+// store — most of a sync-heavy program's commits — is such a diff.
+const smallDiffBytes = 16
+
 // hasZeroByte is the classic zero-byte probe. It may flag spurious bytes
 // above the first zero byte, but the lowest flagged byte is always the
 // first true zero, which is the only bit the kernels below consume (via
@@ -122,8 +128,9 @@ func nextSameByte(cur, twin []byte, i int) int {
 // The diff is packed: a first scan counts the runs and their bytes, a
 // second fills exactly one []Run and one backing []byte that every run's
 // Data slices into — two allocations per diffed page however fragmented
-// the changes are. Runs are immutable after publication (the commit log
-// and followers alias them), so sharing one backing array is safe.
+// the changes are, and one for a small diff (see smallDiffBytes). Runs are
+// immutable after publication (the commit log and followers alias them),
+// so sharing one backing array is safe.
 func computeDiff(cur, twin []byte) Diff {
 	n := len(cur)
 	nruns, nbytes := 0, 0
@@ -133,11 +140,26 @@ func computeDiff(cur, twin []byte) Diff {
 		nbytes += end - i
 		i = nextDiffByte(cur, twin, end)
 	}
-	if nruns == 0 {
+	var runs []Run
+	var backing []byte
+	switch {
+	case nruns == 0:
 		return Diff{}
+	case nruns == 1 && nbytes <= smallDiffBytes:
+		p := new(struct {
+			r [1]Run
+			b [smallDiffBytes]byte
+		})
+		runs, backing = p.r[:], p.b[:nbytes]
+	case nruns == 2 && nbytes <= smallDiffBytes:
+		p := new(struct {
+			r [2]Run
+			b [smallDiffBytes]byte
+		})
+		runs, backing = p.r[:], p.b[:nbytes]
+	default:
+		runs, backing = make([]Run, nruns), make([]byte, nbytes)
 	}
-	runs := make([]Run, nruns)
-	backing := make([]byte, nbytes)
 	i := 0
 	for k := range runs {
 		i = nextDiffByte(cur, twin, i)

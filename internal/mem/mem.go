@@ -24,6 +24,7 @@ package mem
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -104,8 +105,9 @@ type Segment struct {
 	//     safe for the same reason from the other side: it is w's slot,
 	//     and GC stops at the first Pending() version.
 	//
-	// The zero page and fastData handed to a slot are never put: both are
-	// (or become) committed content readers may hold.
+	// The zero page is never put, and a committer's dirty copy that
+	// BeginCommit makes a clean slot's data is put only as a superseded
+	// base[pg], above: both are committed content readers may hold.
 	freeMu sync.Mutex
 	free   [][]byte
 	// onPut, when set, sees every buffer as it is put. Test seam: the
@@ -183,8 +185,8 @@ func newVersion(committer, npages int) *Version {
 
 // slot returns the version's slot for pg, or nil if it did not modify pg.
 func (v *Version) slot(pg int) *pageSlot {
-	i := sort.Search(len(v.slots), func(i int) bool { return v.slots[i].page >= pg })
-	if i == len(v.slots) || v.slots[i].page != pg {
+	i := sort.Search(len(v.slots), func(i int) bool { return int(v.slots[i].page) >= pg })
+	if i == len(v.slots) || int(v.slots[i].page) != pg {
 		return nil
 	}
 	return &v.slots[i]
@@ -208,7 +210,7 @@ func (v *Version) Pending() bool {
 func (v *Version) PageIndexes() []int {
 	idx := make([]int, len(v.slots))
 	for i := range v.slots {
-		idx[i] = v.slots[i].page
+		idx[i] = int(v.slots[i].page)
 	}
 	return idx
 }
@@ -223,14 +225,15 @@ func (v *Version) PageIndexes() []int {
 // aliases the version's immutable buffers: read-only.
 func (v *Version) ForEachPageDiff(f func(page int, d Diff)) {
 	for i := range v.slots {
-		f(v.slots[i].page, v.slots[i].diff)
+		f(int(v.slots[i].page), v.slots[i].diff)
 	}
 }
 
 // pageSlot is the unit of the per-page merge chain. prev points at the slot
 // holding the page's content as of the previous version touching it (nil
-// means the segment base table / zero page). data is filled in during
-// phase 2.
+// means the segment base table / zero page). data is the page's committed
+// content: BeginCommit sets it to the committer's own copy when no merge is
+// needed, and phase 2 fills it with the merge when one is.
 // pageSlot is self-resolving: the committer's Complete resolves it during
 // phase 2, but any reader that needs the page earlier may force resolution
 // itself (resolve is idempotent and the result is order-independent data).
@@ -241,35 +244,34 @@ func (v *Version) ForEachPageDiff(f func(page int, d Diff)) {
 // Slots live by value inside their Version (Version.slots) and are only
 // ever handled through pointers into that array: the once and resolved
 // fields make a copy a different, unresolved slot.
+//
+// The layout is a size budget: at 88 bytes a one-page Version (its slot
+// inline) is 128 bytes, an exact size class, and one is allocated per
+// published commit while the token is held. TestVersionLayout holds it.
 type pageSlot struct {
-	page    int
-	version *Version
-	prev    *pageSlot
-	diff    Diff // the committer's own byte changes
-	data    []byte
+	page int32 // NewSegment bounds a segment's page count to fit
 	// conflict marks that another thread committed this page between the
 	// committer's snapshot and its commit; resolution must merge.
 	conflict bool
-	// fastData holds the committer's raw page when no merge is needed.
-	fastData []byte
+	version  *Version
+	prev     *pageSlot
+	diff     Diff // the committer's own byte changes
+	data     []byte
 
 	once     sync.Once
 	resolved atomic.Bool
-	seg      *Segment
 }
 
 // resolve computes (once) and returns the slot's final page content,
-// recursively forcing conflicting predecessors.
-func (s *pageSlot) resolve() []byte {
+// recursively forcing conflicting predecessors. seg is the segment the slot
+// belongs to, whose free list the merge takes its page from.
+func (s *pageSlot) resolve(seg *Segment) []byte {
 	s.once.Do(func() {
 		if s.conflict {
-			data := s.seg.copyPage(s.prev.resolve())
+			data := seg.copyPage(s.prev.resolve(seg))
 			s.diff.apply(data)
 			s.data = data
-			s.seg.allocPages(1)
-		} else {
-			s.data = s.fastData
-			s.fastData = nil
+			seg.allocPages(1)
 		}
 		s.resolved.Store(true)
 	})
@@ -289,6 +291,9 @@ func NewSegment(cfg SegmentConfig) (*Segment, error) {
 		return nil, fmt.Errorf("mem: segment %q has non-positive size %d", cfg.Name, cfg.Size)
 	}
 	np := (cfg.Size + ps - 1) / ps
+	if np > math.MaxInt32 {
+		return nil, fmt.Errorf("mem: segment %q has %d pages, more than a page index holds", cfg.Name, np)
+	}
 	log := uint(0)
 	for 1<<log != ps {
 		log++
@@ -356,7 +361,7 @@ func (s *Segment) committedPage(pg int, at int64) []byte {
 		return data
 	}
 	s.mu.Unlock()
-	return slot.resolve()
+	return slot.resolve(s)
 }
 
 // Snapshot creates a workspace view of the segment at its current head.

@@ -25,6 +25,9 @@ func TestNewSegmentValidation(t *testing.T) {
 	if _, err := NewSegment(SegmentConfig{Name: "x", Size: 100, PageSize: 100}); err == nil {
 		t.Error("non-power-of-two page size accepted")
 	}
+	if _, err := NewSegment(SegmentConfig{Name: "x", Size: 1<<31*64 + 1, PageSize: 64}); err == nil {
+		t.Error("a segment with more pages than an int32 page index holds accepted")
+	}
 	s, err := NewSegment(SegmentConfig{Name: "x", Size: 100, PageSize: 64})
 	if err != nil {
 		t.Fatalf("valid config rejected: %v", err)

@@ -8,6 +8,7 @@ package trace
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -63,13 +64,21 @@ type Sink interface {
 	RecordEvent(e Event)
 }
 
+// chunkLen is the number of events in every retained chunk but the first,
+// which grows by append up to it.
+const chunkLen = 256
+
 // Recorder accumulates events and a rolling FNV-1a hash of their canonical
 // encoding. Safe for concurrent use (events arrive token-serialized, but
 // the recorder does not rely on that).
 type Recorder struct {
-	mu     sync.Mutex
-	seq    int64
-	events []Event
+	mu  sync.Mutex
+	seq int64
+	// chunks holds the retained prefix in order; every chunk but the last
+	// holds exactly chunkLen events. Events are recorded while the runtime's
+	// token is held, so retaining one must not copy those before it: a full
+	// chunk stays where it is and the next is made at chunkLen.
+	chunks [][]Event
 	hash   uint64
 	// keep bounds memory when recording long runs
 	keep int
@@ -114,12 +123,26 @@ func (r *Recorder) RecordSharded(tid int, op Op, obj uint64, clock int64, shard 
 	e := Event{Seq: r.seq, Tid: tid, Op: op, Obj: obj, Clock: clock, Shard: shard}
 	r.seq++
 	r.hash = mix(r.hash, e)
-	if r.keep == 0 || len(r.events) < r.keep {
-		r.events = append(r.events, e)
+	if r.keep == 0 || e.Seq < int64(r.keep) {
+		r.retain(e)
 	}
 	if r.sink != nil {
 		r.sink.RecordEvent(e)
 	}
+}
+
+// retain appends e to the retained prefix (lock held).
+func (r *Recorder) retain(e Event) {
+	last := len(r.chunks) - 1
+	if last < 0 || len(r.chunks[last]) == chunkLen {
+		var c []Event // the first grows by append: a short trace stays small
+		if last >= 0 {
+			c = make([]Event, 0, chunkLen)
+		}
+		r.chunks = append(r.chunks, c)
+		last++
+	}
+	r.chunks[last] = append(r.chunks[last], e)
 }
 
 // mix folds an event into the rolling hash. Clock values are included:
@@ -154,7 +177,7 @@ func (r *Recorder) Len() int64 {
 func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]Event(nil), r.events...)
+	return slices.Concat(r.chunks...)
 }
 
 // Dump renders the retained events, one per line.

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -88,6 +89,112 @@ func TestDumpFormat(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("dump %q missing %q", out, want)
 		}
+	}
+}
+
+// record appends events from..to-1 to r, each with fields that follow from
+// its position, so a test can rebuild the event at any position; twist, if
+// in range, changes the clock of that one event.
+func record(r *Recorder, from, to, twist int) {
+	for i := from; i < to; i++ {
+		clk := int64(3 * i)
+		if i == twist {
+			clk++
+		}
+		r.RecordSharded(i%5, OpLock, uint64(i), clk, i%3)
+	}
+}
+
+// TestChunkedRetention covers the retained prefix across chunk boundaries:
+// no retention bound, a bound inside the first chunk, and a bound that
+// leaves the last chunk holding one event. Events concatenates the chunks
+// in order, Dump renders exactly them, Diff finds a divergence on either
+// side of a boundary, and a full chunk never moves once the next is made.
+func TestChunkedRetention(t *testing.T) {
+	for _, tc := range []struct {
+		keep, n int
+	}{{0, 3*chunkLen + 7}, {chunkLen / 2, chunkLen + 1}, {16*chunkLen + 1, 17*chunkLen + 3}} {
+		want := tc.n
+		if tc.keep > 0 && tc.keep < want {
+			want = tc.keep
+		}
+		ref := New(tc.keep)
+		record(ref, 0, chunkLen+1, -1)
+		var full *Event // the first chunk's head, once a second chunk exists
+		if len(ref.chunks) > 1 {
+			full = &ref.chunks[0][0]
+		}
+		record(ref, chunkLen+1, tc.n, -1)
+		if full != nil && &ref.chunks[0][0] != full {
+			t.Errorf("keep %d: the full first chunk moved", tc.keep)
+		}
+		if wantChunks := (want + chunkLen - 1) / chunkLen; len(ref.chunks) != wantChunks {
+			t.Errorf("keep %d: %d chunks, want %d", tc.keep, len(ref.chunks), wantChunks)
+		}
+		for i, c := range ref.chunks {
+			if i < len(ref.chunks)-1 && len(c) != chunkLen {
+				t.Errorf("keep %d: chunk %d of %d holds %d events, want %d", tc.keep, i, len(ref.chunks), len(c), chunkLen)
+			}
+			if i > 0 && cap(c) != chunkLen {
+				t.Errorf("keep %d: chunk %d made at cap %d, want %d", tc.keep, i, cap(c), chunkLen)
+			}
+		}
+
+		evs := ref.Events()
+		if len(evs) != want || ref.Len() != int64(tc.n) {
+			t.Fatalf("keep %d: %d events retained of %d, want %d of %d", tc.keep, len(evs), ref.Len(), want, tc.n)
+		}
+		var dump strings.Builder
+		for i, e := range evs {
+			if w := (Event{Seq: int64(i), Tid: i % 5, Op: OpLock, Obj: uint64(i), Clock: int64(3 * i), Shard: i % 3}); e != w {
+				t.Fatalf("keep %d: event %d = %v, want %v", tc.keep, i, e, w)
+			}
+			dump.WriteString(e.String() + "\n")
+		}
+		if got := ref.Dump(); got != dump.String() {
+			t.Errorf("keep %d: Dump renders %d bytes, want the %d of its %d events", tc.keep, len(got), dump.Len(), want)
+		}
+
+		same := New(tc.keep)
+		record(same, 0, tc.n, -1)
+		if d := Diff(ref, same); d != "" {
+			t.Errorf("keep %d: identical traces diff: %s", tc.keep, d)
+		}
+		// A divergence on each side of the last chunk boundary inside the
+		// retained prefix, and at its last event, is reported where it is.
+		last := (want - 1) / chunkLen * chunkLen
+		for _, at := range []int{last - 1, last, want - 1} {
+			if at < 0 {
+				continue
+			}
+			other := New(tc.keep)
+			record(other, 0, tc.n, at)
+			if d := Diff(ref, other); !strings.HasPrefix(d, fmt.Sprintf("event %d differs", at)) {
+				t.Errorf("keep %d, twist at %d: diff = %q", tc.keep, at, d)
+			}
+		}
+		if tc.n > want { // past the retained prefix only the hash can tell
+			other := New(tc.keep)
+			record(other, 0, tc.n, tc.n-1)
+			if d := Diff(ref, other); d != "hashes differ beyond retained prefix" {
+				t.Errorf("keep %d, twist past the prefix: diff = %q", tc.keep, d)
+			}
+		}
+	}
+}
+
+// BenchmarkRecordSharded records the way a run does: every event retained
+// up to det's default bound of 4096, then a fresh recorder, so the
+// allocation figures are what retaining one event costs, chunks included.
+func BenchmarkRecordSharded(b *testing.B) {
+	const keep = 4096
+	b.ReportAllocs()
+	var r *Recorder
+	for i := 0; i < b.N; i++ {
+		if i%keep == 0 {
+			r = New(keep)
+		}
+		r.RecordSharded(i&3, OpLock, uint64(i), int64(i), i&3)
 	}
 }
 

@@ -44,8 +44,9 @@ go run ./cmd/conseq-analyze -input internal/obs/testdata/golden_trace.json >/dev
 
 echo "== bench smoke (1 iteration, allocations reported)"
 # internal/det's are the token-path micro-benchmarks: handoff ping-pong,
-# fork/join, and grant parallelism across shard counts.
-go test -run=NONE -bench=. -benchtime=1x -benchmem ./internal/mem ./internal/commitlog ./internal/det >/dev/null
+# fork/join, and grant parallelism across shard counts. internal/trace's
+# records events as a run retains them, under the token.
+go test -run=NONE -bench=. -benchtime=1x -benchmem ./internal/mem ./internal/commitlog ./internal/det ./internal/trace >/dev/null
 # The root package's whole-program benchmarks only (every ledger program on
 # all five runtimes on the real host, and on consequence-ic on the
 # simulation host): -bench=. there would run BenchmarkFigures, the whole
