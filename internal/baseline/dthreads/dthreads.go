@@ -230,11 +230,12 @@ func (t *thread) serialTurn() {
 }
 
 // admitLocked re-adds a blocked thread to fence membership and records the
-// deterministic view target it must refresh to on wake. Caller holds
-// rt.mu and wakes w afterwards.
+// deterministic view target it must refresh to on wake, reserved so the
+// round-end GC keeps it readable until the thread moves there. Caller
+// holds rt.mu and wakes w afterwards.
 func (rt *Runtime) admitLocked(w *thread) {
 	rt.members[w.Tid()] = w
-	w.updateTarget = rt.seg.Head()
+	w.updateTarget = w.ws.Reserve()
 }
 
 // --- api.T ---

@@ -159,13 +159,12 @@ func TestRRPolicyDeterministic(t *testing.T) {
 	}
 }
 
-func TestCondVarPipeline(t *testing.T) {
-	// Bounded queue of capacity 4 between one producer and two consumers,
-	// built from a mutex and two cond vars. Offsets: 0=head, 8=tail,
-	// 16=closed flag, 24..: ring of 4 items; 64: consumed-sum slot per
-	// consumer.
-	const items = 40
-	prog := func(t api.T) {
+// pipelineProg: a bounded queue of capacity 4 between one producer and
+// two consumers, built from a mutex and two cond vars, carrying items
+// 1..items. Offsets: 0=head, 8=tail, 16=closed flag, 24..: ring of 4
+// items; 64: consumed-sum slot per consumer; 128: the two sums folded.
+func pipelineProg(items int) func(api.T) {
+	return func(t api.T) {
 		m := t.NewMutex()
 		notEmpty := t.NewCond()
 		notFull := t.NewCond()
@@ -214,6 +213,11 @@ func TestCondVarPipeline(t *testing.T) {
 		// Fold the two consumer sums.
 		api.PutU64(t, 128, api.U64(t, 64)+api.U64(t, 72))
 	}
+}
+
+func TestCondVarPipeline(t *testing.T) {
+	const items = 40
+	prog := pipelineProg(items)
 	want := uint64(items * (items + 1) / 2)
 	for _, hm := range allHosts() {
 		t.Run(hm.name, func(t *testing.T) {

@@ -325,8 +325,9 @@ func (t *Thread) barrierSleep(bar *dBarrier) {
 }
 
 // barrierRelease (token held, called by the last arrival) fixes the
-// barrier's final version, updates our own view, re-admits all waiters to
-// clock consideration, wakes them, and releases the token.
+// barrier's final version, updates our own view, reserves the final
+// version for every waiter, re-admits them to clock consideration, wakes
+// them, and releases the token.
 func (t *Thread) barrierRelease(bar *dBarrier) {
 	m := &t.rt.cfg.Model
 	final := t.rt.seg.Head()
@@ -343,7 +344,9 @@ func (t *Thread) barrierRelease(bar *dBarrier) {
 		// Record the release version per waiter before waking: a reused
 		// barrier may start its next round before this round's waiters
 		// have run, and they must not observe the next round's version.
-		wt.barrierTarget = final
+		// Reserving it (it is the head: the token is held) keeps GC from
+		// pruning it once later commits pass it before the waiter moves.
+		wt.barrierTarget = wt.ws.Reserve()
 		if h := t.rt.hooks; h != nil {
 			h.OnAcquire(w, bar.id)
 		}

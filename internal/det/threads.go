@@ -70,7 +70,9 @@ func (t *Thread) Spawn(fn func(api.T)) api.Handle {
 			t.charge(obs.PhaseSpawn, m.PoolAdoptDispatch)
 			child = rt.attachThread(tid, t.icount, ws)
 			child.worker = w
-			head := rt.seg.Head()
+			// Reserved, not just read: the worker moves to it later, after
+			// commits (and GC) may have passed it.
+			head := ws.Reserve()
 			// Assign under rt.mu: the started-gate. If the worker's task has
 			// not started yet (b unset), its startup section — ordered by the
 			// same mutex — sees next assigned and skips its initial park; no

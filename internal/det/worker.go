@@ -35,9 +35,10 @@ type worker struct {
 	next *Thread
 	fn   func(api.T)
 	// head is the segment version the adopted worker must update its view
-	// to before running next — pinned by the spawner under the token, so
-	// the child's initial view is byte-identical to a fresh fork's
-	// regardless of what commits while the worker wakes.
+	// to before running next — reserved on its workspace by the spawner
+	// under the token (mem.Workspace.Reserve), so the child's initial view
+	// is byte-identical to a fresh fork's regardless of what commits, and
+	// what GC frees, while the worker wakes.
 	head int64
 	// warm marks an adoption (vs. a fresh spawn run directly): the worker
 	// performs its own view warm-up off the spawner's critical path.

@@ -160,6 +160,9 @@ func TestGCReleasesFoldedVersions(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		a.Write([]byte{byte(i + 1)}, i%4*DefaultPageSize)
 		a.Commit()
+		if i == 4 {
+			b.Reserve() // version 5: the target b moves to below
+		}
 	}
 	b.UpdateTo(5)
 	s.GC()

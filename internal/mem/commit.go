@@ -125,9 +125,10 @@ func (ws *Workspace) applyPatches() {
 // wasted work, which the fault counter already recorded).
 //
 // The token-held section leaves no garbage: every list it builds is
-// workspace scratch, the result is a value, and the one allocation — the
-// version with its slots — is sized and made before the publish lock. With
-// an empty dirty set the commit is an update: one lock, no allocation.
+// workspace scratch (or, for GC's prune candidates, segment scratch), the
+// result is a value, and the one allocation — the version with its slots —
+// is sized and made before the publish lock. With an empty dirty set the
+// commit is an update: one lock, no allocation.
 func (ws *Workspace) BeginCommit() PendingCommit {
 	s := ws.seg
 	var pc PendingCommit
@@ -226,6 +227,9 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 		slot.version = v
 		slot.prev = s.latest[pg]
 		slot.diff = diff
+		if slot.prev != nil && slot.prev.version.Num > s.floor {
+			s.candidates = append(s.candidates, slot) // GC may prune prev
+		}
 		// A conflict means some other thread committed this page after our
 		// snapshot; phase 2 must merge rather than install our copy.
 		if slot.prev != nil && slot.prev.version.Num > oldV {
@@ -302,18 +306,19 @@ func (ws *Workspace) recycle(freed [][]byte) {
 
 // Complete runs the merge phase: every page the version touches gets its
 // final content, merging the committer's diff over the previous version of
-// the page where a conflict exists. Safe to call from any goroutine;
-// multiple calls (and concurrent reader-forced resolution) are idempotent.
+// the page where a conflict exists. Safe to call from any goroutine, and
+// concurrently with GC: it settles slots without reading their pages back.
+// Multiple calls (and concurrent reader-forced resolution) are idempotent.
 func (pc PendingCommit) Complete() {
 	if pc.version != nil {
 		pc.version.complete(pc.seg)
 	}
 }
 
-// complete resolves every slot of v, a version of seg.
+// complete settles every slot of v, a version of seg.
 func (v *Version) complete(seg *Segment) {
 	for i := range v.slots {
-		v.slots[i].resolve(seg)
+		v.slots[i].settle(seg)
 	}
 }
 
@@ -350,8 +355,10 @@ func (s *Segment) CompleteThrough(n int64) {
 // ReadCommitted copies bytes from the segment's state as of version `at`
 // into buf, ignoring all workspaces. Used by the harness and tests to
 // observe and hash final memory. Forces pending versions. Like every page
-// lookup it needs `at` pinned while it copies: either no GC runs
-// concurrently, or some live workspace's version is <= at.
+// lookup it needs `at` pinned while it copies: `at` is a live workspace's
+// version or a workspace's reserved UpdateTo target (Workspace.Reserve),
+// or no GC runs concurrently. A version that was neither when an earlier
+// GC ran may already be pruned, and reading it panics; the head never is.
 func (s *Segment) ReadCommitted(buf []byte, off int, at int64) {
 	if off < 0 || off+len(buf) > s.size {
 		panic("mem: ReadCommitted out of range")

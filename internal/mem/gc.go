@@ -12,12 +12,25 @@ import "slices"
 // retained versions, which is exactly the canneal / lu_ncb memory blowup in
 // Figure 12.
 //
+// After folding, GC also prunes interior versions (pruneLocked): a
+// workspace that never moves — a thread parked in Join, an idle pooled
+// worker — stops the fold at its version, but the pages committed after it
+// that no reader can reach any more go back to the free list. Pruning is
+// physical only: a pruned page stays in every modeled count (CurPages,
+// PeakPages, PopulatedPages, and the GCReclaimedPages of the fold that
+// finally passes it), so the return value and Stats are what they would
+// be without it.
+//
 // GC returns the number of pages reclaimed.
 func (s *Segment) GC() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	limit := s.minWorkspaceVersionLocked()
+	pins := s.pinsLocked()
+	limit := s.head
+	if len(pins) > 0 {
+		limit = pins[0] // a reservation is never below its own workspace
+	}
 	budget := s.stats.GCPageBudget
 	reclaimed := 0
 	folded := 0
@@ -35,7 +48,9 @@ func (s *Segment) GC() int {
 			if old := s.base[pg]; old != nil {
 				reclaimed++ // superseded base page freed
 				s.allocPages(-1)
-				s.putPages(old) // no reader can hold it: see Segment.free
+				if len(old) > 0 { // a pruned page was put when it was pruned
+					s.putPages(old) // no reader can hold it: see Segment.free
+				}
 			}
 			s.base[pg] = slot.data
 			// Drop the chain link: anything at or below the new floor is
@@ -49,6 +64,7 @@ func (s *Segment) GC() int {
 	// the folded prefix: the array is reused by later appends instead of
 	// regrown, and the folded versions are not left reachable from its head.
 	s.versions = slices.Delete(s.versions, 0, folded)
+	s.pruneLocked(pins)
 	if folded > 0 || reclaimed > 0 {
 		s.statsMu.Lock()
 		s.stats.GCRuns++
@@ -56,6 +72,55 @@ func (s *Segment) GC() int {
 		s.statsMu.Unlock()
 	}
 	return reclaimed
+}
+
+// pinsLocked returns, ascending, every version a reader may still look a
+// page up at: each live workspace's version and each reserved UpdateTo
+// target. The slice is segment scratch, valid until the next call.
+func (s *Segment) pinsLocked() []int64 {
+	pins := s.pins[:0]
+	for _, ws := range s.workspaces {
+		pins = append(pins, ws.version)
+		if ws.reserved != noReservation {
+			pins = append(pins, ws.reserved)
+		}
+	}
+	slices.Sort(pins)
+	s.pins = pins
+	return pins
+}
+
+// pruneLocked returns to the free list the page of every candidate's
+// predecessor that no reader can reach (the interval rule on Segment.free):
+// candidate T and its predecessor S = T.prev have both resolved, and no pin
+// lies in [S's version, T's version), the versions at which a lookup of
+// the page finds S. It visits only the candidate list, never a chain, and
+// allocates nothing. A candidate whose predecessor folded meanwhile is
+// dropped — the fold frees that page — and one whose predecessor is still
+// reachable is kept for the next GC.
+func (s *Segment) pruneLocked(pins []int64) {
+	kept := s.candidates[:0]
+	for _, t := range s.candidates {
+		p := t.prev // nil once t itself folded
+		if p == nil || p.version.Num <= s.floor {
+			continue
+		}
+		if !t.resolved.Load() || !p.resolved.Load() || pinnedIn(pins, p.version.Num, t.version.Num) {
+			kept = append(kept, t)
+			continue
+		}
+		s.putPages(p.data)
+		p.data = prunedPage
+		s.prunedPages++
+	}
+	clear(s.candidates[len(kept):]) // do not pin the versions dropped
+	s.candidates = kept
+}
+
+// pinnedIn reports whether some pin, ascending, lies in [from, to).
+func pinnedIn(pins []int64, from, to int64) bool {
+	i, _ := slices.BinarySearch(pins, from)
+	return i < len(pins) && pins[i] < to
 }
 
 // RetainedVersions reports how many versions are currently held in the

@@ -104,10 +104,19 @@ type Segment struct {
 	//     conflict slot that still needs the buffer as its prev.data is
 	//     safe for the same reason from the other side: it is w's slot,
 	//     and GC stops at the first Pending() version.
+	//   - an interior slot's data, put by GC when it prunes slot S of
+	//     version s whose page's next slot T (T.prev == S, version t) has
+	//     resolved. A reader reaches S only by looking pg up at some `at`
+	//     in [s, t), and GC prunes S only when no pin — a live workspace's
+	//     version or a reserved UpdateTo target (Workspace.Reserve) — lies
+	//     there; T's merge, the one other reader of S's page, has finished.
+	//     The slot's data becomes prunedPage, which the fold still counts
+	//     as the page it stood for but never puts twice.
 	//
 	// The zero page is never put, and a committer's dirty copy that
 	// BeginCommit makes a clean slot's data is put only as a superseded
-	// base[pg], above: both are committed content readers may hold.
+	// base[pg] or a pruned slot's page, above: both are committed content
+	// readers may hold.
 	freeMu sync.Mutex
 	free   [][]byte
 	// onPut, when set, sees every buffer as it is put. Test seam: the
@@ -115,8 +124,29 @@ type Segment struct {
 	// reader shows up as poison in what the reader copied.
 	onPut func([]byte)
 
+	// candidates holds, in commit order, the published slots whose
+	// predecessor was an unfolded version's slot when they superseded it:
+	// each names one page GC may prune (pruneLocked). BeginCommit appends,
+	// GC drops what it prunes or what folded; both hold mu.
+	candidates []*pageSlot
+	// pins is GC's scratch list of the versions readers may look pages up
+	// at (pinsLocked), backed by pinBuf so a segment with few workspaces
+	// never allocates one.
+	pins   []int64
+	pinBuf [8]int64
+	// prunedPages counts pages GC has pruned. It is physical, not modeled:
+	// Stats counts a pruned page live until the fold that would have freed
+	// it. Guarded by mu.
+	prunedPages int64
+
 	workspaces map[int]*Workspace // live workspaces keyed by owner tid
 }
+
+// prunedPage is the data of every pruned slot: non-nil, so the fold and
+// PopulatedPages count it as the page it replaced, and empty, so a read
+// that should never reach it panics on the slice bound instead of copying
+// recycled bytes.
+var prunedPage = []byte{}
 
 // getPage returns a page-sized buffer with arbitrary contents; the caller
 // overwrites all of it.
@@ -133,10 +163,12 @@ func (s *Segment) getPage() []byte {
 	return make([]byte, s.pageSize)
 }
 
-// copyPage returns a recycled buffer holding a copy of src.
+// copyPage returns a recycled buffer holding a copy of src, a whole page:
+// slicing it to the page size makes a pruned page panic here rather than
+// copy nothing.
 func (s *Segment) copyPage(src []byte) []byte {
 	b := s.getPage()
-	copy(b, src)
+	copy(b, src[:s.pageSize])
 	return b
 }
 
@@ -262,10 +294,13 @@ type pageSlot struct {
 	resolved atomic.Bool
 }
 
-// resolve computes (once) and returns the slot's final page content,
-// recursively forcing conflicting predecessors. seg is the segment the slot
-// belongs to, whose free list the merge takes its page from.
-func (s *pageSlot) resolve(seg *Segment) []byte {
+// settle computes (once) the slot's final page content, recursively
+// forcing conflicting predecessors, without reading it back: once settled,
+// a slot whose successor has settled too may be pruned by a concurrent GC,
+// so Complete, which pins no version, must not touch data. seg is the
+// segment the slot belongs to, whose free list the merge takes its page
+// from.
+func (s *pageSlot) settle(seg *Segment) {
 	s.once.Do(func() {
 		if s.conflict {
 			data := seg.copyPage(s.prev.resolve(seg))
@@ -275,6 +310,13 @@ func (s *pageSlot) resolve(seg *Segment) []byte {
 		}
 		s.resolved.Store(true)
 	})
+}
+
+// resolve settles the slot and returns its page content. The caller must
+// pin a version the slot governs (see Segment.free), or be the merge of
+// its successor, which GC waits for.
+func (s *pageSlot) resolve(seg *Segment) []byte {
+	s.settle(seg)
 	return s.data
 }
 
@@ -298,7 +340,7 @@ func NewSegment(cfg SegmentConfig) (*Segment, error) {
 	for 1<<log != ps {
 		log++
 	}
-	return &Segment{
+	s := &Segment{
 		name:       cfg.Name,
 		pageSize:   ps,
 		pageLog:    log,
@@ -309,7 +351,9 @@ func NewSegment(cfg SegmentConfig) (*Segment, error) {
 		latest:     make(map[int]*pageSlot),
 		workspaces: make(map[int]*Workspace),
 		stats:      Stats{GCPageBudget: cfg.GCPageBudget},
-	}, nil
+	}
+	s.pins = s.pinBuf[:0]
+	return s, nil
 }
 
 // Name returns the segment's configured name.
@@ -338,10 +382,10 @@ func (s *Segment) pageIndex(off int) (int, int) {
 
 // committedPage returns the content of pg as of version `at`, following
 // the retained delta chain. The returned slice must not be mutated, and is
-// only stable while a live workspace pins a version <= at (the recycling
-// invariant on Segment.free): callers copy out of it before their
-// workspace moves. If the governing version is still pending, its content
-// is resolved on demand.
+// only stable while `at` is pinned — a live workspace's version or a
+// reserved UpdateTo target (the recycling invariant on Segment.free):
+// callers copy out of it before their workspace moves. If the governing
+// version is still pending, its content is resolved on demand.
 func (s *Segment) committedPage(pg int, at int64) []byte {
 	s.mu.Lock()
 	var slot *pageSlot
@@ -373,10 +417,11 @@ func (s *Segment) Snapshot(tid int) (*Workspace, error) {
 		return nil, fmt.Errorf("mem: segment %q already has a workspace for tid %d", s.name, tid)
 	}
 	ws := &Workspace{
-		seg:     s,
-		tid:     tid,
-		version: s.head,
-		dirty:   make(map[int]*dirtyPage),
+		seg:      s,
+		tid:      tid,
+		version:  s.head,
+		reserved: noReservation,
+		dirty:    make(map[int]*dirtyPage),
 	}
 	s.workspaces[tid] = ws
 	return ws, nil
@@ -426,16 +471,4 @@ func (s *Segment) PopulatedPages() int {
 		n += len(v.slots)
 	}
 	return n
-}
-
-// minWorkspaceVersionLocked returns the smallest snapshot version across
-// live workspaces, or head if none.
-func (s *Segment) minWorkspaceVersionLocked() int64 {
-	minV := s.head
-	for _, ws := range s.workspaces {
-		if ws.version < minV {
-			minV = ws.version
-		}
-	}
-	return minV
 }

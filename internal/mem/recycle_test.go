@@ -32,11 +32,12 @@ type loggedDiff struct {
 
 // TestRecycleNeverReachesReaders runs every operation that takes or puts a
 // page buffer — Read, Write, Prepopulate, Commit (both phases, merges
-// included), UpdateTo, Discard, GC, ReadCommitted — concurrently, with
-// every buffer poisoned as it is put. BeginCommit is serialized by the
-// caller, as the runtimes' token does; everything else races freely. Run
-// with -race: a put that overlaps a reader is also a data race on the
-// buffer.
+// included), Reserve and UpdateTo, Discard, GC with its interior pruning,
+// ReadCommitted — concurrently, with every buffer poisoned as it is put.
+// BeginCommit is serialized by the caller, as the runtimes' token does;
+// everything else races freely. Run with -race, and repeatedly
+// (scripts/check.sh runs it -count=20): a put that overlaps a reader is
+// also a data race on the buffer, and some interleavings are rare.
 //
 // It asserts that no read ever returns poison and that the final memory
 // equals a reference that never recycles anything: the published diffs
@@ -120,7 +121,14 @@ func TestRecycleNeverReachesReaders(t *testing.T) {
 				}
 				switch rng.Intn(5) {
 				case 0:
-					ws.UpdateTo(ws.Version() + 1 + int64(rng.Intn(3)))
+					// Move to a version below the head the only legal way:
+					// reserve it, let the others commit and GC past it,
+					// read at it, then move there.
+					at := ws.Reserve()
+					runtime.Gosched()
+					s.ReadCommitted(page, rng.Intn(npages)*pageSize, at)
+					checkNoPoison(t, "ReadCommitted at a reservation", page)
+					ws.UpdateTo(at)
 				case 1:
 					ws.Update()
 				case 2:
@@ -153,8 +161,8 @@ func TestRecycleNeverReachesReaders(t *testing.T) {
 		t.Fatal("final memory differs from the diffs replayed without recycling")
 	}
 	st := s.Stats()
-	if st.MergedPages == 0 || st.GCReclaimedPages == 0 || st.PrefetchWasted == 0 {
-		t.Fatalf("stress missed a release site (merges, GC, wasted prefetches): %+v", st)
+	if st.MergedPages == 0 || st.GCReclaimedPages == 0 || st.PrefetchWasted == 0 || s.prunedPages == 0 {
+		t.Fatalf("stress missed a release site (merges, GC, wasted prefetches, %d pruned pages): %+v", s.prunedPages, st)
 	}
 	// Everything is folded and every workspace released: what is live is
 	// exactly the base table.
@@ -214,6 +222,56 @@ func TestCommitCycleAllocatesNoPages(t *testing.T) {
 	}
 	if st := s.Stats(); st.MergedPages == 0 || st.PrefetchHits == 0 || st.PrefetchWasted == 0 || st.GCReclaimedPages == 0 {
 		t.Fatalf("cycle did not exercise merge, prefetch and GC: %+v", st)
+	}
+}
+
+// TestLaggingWorkspaceRetainsNoPages is the tier-1 gate on interior
+// pruning: a workspace that snapshots and never moves — the root thread
+// parked in Join, an idle pooled worker — stops GC's fold at its version,
+// but not the recycling of the pages committed after it. Another workspace
+// rewrites the same pages and runs GC every cycle; once warm, a cycle
+// allocates less than one 64 KiB page, where keeping every committed page
+// alive cost npages of them. The modeled counts stay those of a collector
+// that only folds: the peak holds every retained page, and the final fold
+// reclaims each one.
+func TestLaggingWorkspaceRetainsNoPages(t *testing.T) {
+	const (
+		pageSize = 64 << 10
+		npages   = 4
+	)
+	s, err := NewSegment(SegmentConfig{Name: "lag", Size: pageSize * npages, PageSize: pageSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _ := s.Snapshot(0)
+	round := byte(0)
+	cycle := func() {
+		round++
+		for pg := 0; pg < npages; pg++ {
+			w.Write([]byte{round}, pg*pageSize)
+		}
+		w.Commit()
+		s.GC()
+	}
+	cycle()
+	cycle()
+	lag, _ := s.Snapshot(1) // at version 2, for good
+	cycle()
+	if got := allocBytesPerRun(20, cycle); got >= pageSize {
+		t.Fatalf("a cycle behind a lagging workspace allocates %d B, at least one %d B page", got, pageSize)
+	}
+	var b [1]byte
+	if lag.Read(b[:], (npages-1)*pageSize); b[0] != 2 {
+		t.Fatalf("lagging workspace reads %d, want its snapshot's 2", b[0])
+	}
+	s.Release(lag)
+	s.GC()
+	// 24 versions of 4 pages. The peak is the last cycle's writes: the 4
+	// base pages of version 2, 21 retained versions and 8 dirty copies and
+	// twins; every version after the first reclaims the 4 it supersedes.
+	if st := s.Stats(); st.PeakPages != 96 || st.GCReclaimedPages != 92 || s.RetainedVersions() != 0 {
+		t.Fatalf("PeakPages %d, GCReclaimedPages %d, %d versions retained; want 96, 92, 0",
+			st.PeakPages, st.GCReclaimedPages, s.RetainedVersions())
 	}
 }
 

@@ -38,7 +38,10 @@ type Stats struct {
 	GCReclaimedPages int64
 	// CurPages and PeakPages track live allocated pages (dirty copies,
 	// twins, committed version pages) — the Figure 12 memory statistic.
-	// Buffers resting on the segment's free list are not live.
+	// Buffers resting on the segment's free list are not live. They count
+	// what the modeled collector, which only folds, holds: an interior
+	// version page GC has pruned stays live here until the fold passes it,
+	// so the physical buffers are fewer than these counts.
 	CurPages  int64
 	PeakPages int64
 	// GCPageBudget is the per-invocation reclaim bound (0 = unlimited),

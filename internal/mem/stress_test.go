@@ -113,8 +113,14 @@ func TestUpdateToClampsAndPins(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		w0.Write([]byte{byte(i + 1)}, i)
 		w0.Commit()
+		if i == 1 {
+			if r := w1.Reserve(); r != 2 {
+				t.Fatalf("reserved version %d, want head 2", r)
+			}
+		}
 	}
-	// Partial update to version 2 only.
+	// Partial update to version 2 only: a target below the head, reserved
+	// when it was the head.
 	if pulled := w1.UpdateTo(2); pulled != 1 {
 		t.Fatalf("pulled %d pages, want 1 (same page each version)", pulled)
 	}

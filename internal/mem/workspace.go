@@ -10,7 +10,11 @@ type Workspace struct {
 	seg     *Segment
 	tid     int
 	version int64 // snapshot version this view reflects
-	dirty   map[int]*dirtyPage
+	// reserved is the version Reserve pinned as the target of the next
+	// UpdateTo, or noReservation. Guarded by the segment lock: the thread
+	// that reserves is usually not the owner.
+	reserved int64
+	dirty    map[int]*dirtyPage
 
 	// Counters since the last TakeCounters call; the runtime converts
 	// these into charged costs and stats.
@@ -217,12 +221,20 @@ func (ws *Workspace) Update() (pulled int) {
 // order, not by how far the head happens to have advanced when the thread
 // physically wakes.
 //
+// A target below the head must have been reserved (Reserve) when it was
+// the head: GC frees a page as soon as no live workspace and no
+// reservation can read it, so an unreserved older version may be gone.
+// UpdateTo panics on a move that breaks this rule, and every call clears
+// the reservation.
+//
 // It returns the number of distinct pages whose remote modifications were
 // imported, which the runtime converts into page-propagation cost and the
 // Figure 16 statistic.
 func (ws *Workspace) UpdateTo(at int64) (pulled int) {
 	s := ws.seg
 	s.mu.Lock()
+	reserved := ws.reserved
+	ws.reserved = noReservation
 	head := at
 	if head > s.head {
 		head = s.head
@@ -230,6 +242,12 @@ func (ws *Workspace) UpdateTo(at int64) (pulled int) {
 	if head <= ws.version {
 		s.mu.Unlock()
 		return 0
+	}
+	if head < s.head && head != reserved {
+		cur := s.head
+		s.mu.Unlock()
+		panic(fmt.Sprintf("mem: workspace for tid %d updated to version %d below head %d without reserving it: "+
+			"a target below the head must be the one Reserve pinned (reserved: %d)", ws.tid, head, cur, reserved))
 	}
 	pulled = ws.pullWindowLocked(head)
 	ws.version = head
@@ -240,6 +258,26 @@ func (ws *Workspace) UpdateTo(at int64) (pulled int) {
 	ws.applyPatches()
 	s.addPulled(int64(pulled))
 	return pulled
+}
+
+// noReservation is Workspace.reserved when no UpdateTo target is reserved.
+const noReservation = -1
+
+// Reserve pins the segment's current head as the target of the
+// workspace's next UpdateTo and returns it. Until that UpdateTo, GC keeps
+// every page a read at the target can reach, though the head moves on and
+// the workspace itself still sits at an older version. Call it at the
+// moment the target is decided — under the caller's commit serialization,
+// so no commit lands between the decision and the pin — from any thread:
+// the deterministic runtimes reserve a barrier waiter's exit version, an
+// adopted pooled worker's spawn-time view and a woken DThreads thread's
+// refresh target on the waker's side.
+func (ws *Workspace) Reserve() int64 {
+	s := ws.seg
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ws.reserved = s.head
+	return s.head
 }
 
 // PrepareCommit speculatively computes the per-page diffs the next

@@ -39,6 +39,11 @@ echo "== go test -race (obs + mem + det + clock + trace + sim + host + chaos + r
 # every runtime.
 go test -race ./internal/obs/... ./internal/mem ./internal/det ./internal/clock ./internal/trace ./internal/sim ./internal/host/... ./internal/chaos/... ./internal/replica ./internal/commitlog ./internal/journal ./internal/api ./internal/baseline/... ./internal/workload
 
+echo "== go test -race -count=20 (the page recycling stress: GC prunes pages while readers copy them)"
+# A prune that races a reader shows up only in some interleavings, so one
+# race-detector pass is not enough (docs/architecture.md, "Page buffers").
+go test -race -count=20 -run TestRecycleNeverReachesReaders ./internal/mem
+
 echo "== conseq-analyze smoke (golden trace)"
 go run ./cmd/conseq-analyze -input internal/obs/testdata/golden_trace.json >/dev/null
 
