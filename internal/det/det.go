@@ -251,13 +251,23 @@ type Hooks interface {
 	// OnRelease fires when tid performs a release-flavoured operation
 	// (unlock, signal/broadcast, barrier entry, spawn, exit).
 	OnRelease(tid int, obj uint64)
-	// OnCommit fires after tid commits version v (nil if the commit had no
-	// changed pages).
+	// OnCommit fires when tid publishes version v (nil if the commit had no
+	// changed pages): after the commit's serial phase and before its merge,
+	// at every commit, a parallel barrier's included.
 	OnCommit(tid int, v *mem.Version)
 	// OnSpawn fires when parent creates child (the fork copies the
 	// parent's view wholesale).
 	OnSpawn(parent, child int)
 }
+
+// noHooks is the Hooks of a runtime nobody observes: every event is
+// dropped.
+type noHooks struct{}
+
+func (noHooks) OnAcquire(int, uint64)      {}
+func (noHooks) OnRelease(int, uint64)      {}
+func (noHooks) OnCommit(int, *mem.Version) {}
+func (noHooks) OnSpawn(int, int)           {}
 
 // Runtime is one deterministic execution context. Create with New, use
 // once via Run.
@@ -348,6 +358,7 @@ func New(cfg Config, h host.Host) (*Runtime, error) {
 		arb:          clock.New(cfg.Policy, cfg.FastForward),
 		seg:          seg,
 		rec:          trace.New(cfg.TraceKeep),
+		hooks:        noHooks{},
 		threads:      make(map[int]*Thread),
 		workerPool:   workerPool,
 		lastCoordTid: -1,
@@ -366,10 +377,14 @@ func New(cfg Config, h host.Host) (*Runtime, error) {
 	return rt, nil
 }
 
-// SetHooks installs event hooks; must be called before Run.
+// SetHooks installs event hooks (nil removes them); must be called before
+// Run.
 func (rt *Runtime) SetHooks(h Hooks) {
 	if rt.started {
 		panic("det: SetHooks after Run")
+	}
+	if h == nil {
+		h = noHooks{}
 	}
 	rt.hooks = h
 }

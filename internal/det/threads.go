@@ -29,75 +29,62 @@ func (t *Thread) Spawn(fn func(api.T)) api.Handle {
 	tid := rt.nextTid
 	rt.nextTid++
 	t.record(trace.OpSpawn, uint64(tid))
-	if h := rt.hooks; h != nil {
-		h.OnRelease(t.Tid(), spawnObj(tid))
-	}
+	rt.hooks.OnRelease(t.Tid(), spawnObj(tid))
 
 	var child *Thread
-	reused := false
-	var adopted *worker
+	var w *worker // the adopted worker, if any
 	var adoptedB host.Binding
 	if rt.workerPool {
-		if w := rt.popWorker(); w != nil {
-			// Adopt a parked worker (docs/scheduler.md): the spawner pays
-			// only the free-list pop + registration + wake; the worker does
-			// its own view warm-up off this thread's critical path. The
-			// head pin below makes the child's initial view byte-identical
-			// to a fresh fork's.
-			var ws *mem.Workspace
-			var warmPulls int64
-			if w.ws != nil {
-				ws = w.ws
-				w.ws = nil
-				if err := rt.seg.Rebind(ws, tid); err != nil {
-					panic(fmt.Sprintf("det: pool rebind: %v", err))
-				}
-			} else {
-				// Pre-spawned worker, first adoption: its real fork happened
-				// at startup with an empty page table; the stale view it
-				// would now pull is modeled as the populated page count.
-				var err error
-				ws, err = rt.seg.Snapshot(tid)
-				if err != nil {
-					panic(fmt.Sprintf("det: spawn: %v", err))
-				}
-				warmPulls = int64(rt.seg.PopulatedPages())
+		w = rt.popWorker()
+	}
+	reused := true
+	switch {
+	case w != nil:
+		// Adopt a parked worker (docs/scheduler.md): the spawner pays only
+		// the free-list pop + registration + wake; the worker does its own
+		// view warm-up off this thread's critical path. The head pin below
+		// makes the child's initial view byte-identical to a fresh fork's.
+		var ws *mem.Workspace
+		var warmPulls int64
+		if w.ws != nil {
+			ws = w.ws
+			w.ws = nil
+			if err := rt.seg.Rebind(ws, tid); err != nil {
+				panic(fmt.Sprintf("det: pool rebind: %v", err))
 			}
-			// The spawner only dispatches the adoption; re-registration is
-			// priced by the worker's first sub-token acquisition and the
-			// wake latency host-side.
-			t.account(obs.PhaseCompute)
-			t.charge(obs.PhaseSpawn, m.PoolAdoptDispatch)
-			child = rt.attachThread(tid, t.icount, ws)
-			child.worker = w
-			// Reserved, not just read: the worker moves to it later, after
-			// commits (and GC) may have passed it.
-			head := ws.Reserve()
-			// Assign under rt.mu: the started-gate. If the worker's task has
-			// not started yet (b unset), its startup section — ordered by the
-			// same mutex — sees next assigned and skips its initial park; no
-			// wake is sent (there is no binding to wake). Otherwise the wake
-			// below pairs with the worker's park as usual.
-			rt.mu.Lock()
-			w.next, w.fn = child, fn
-			w.head = head
-			w.warm, w.warmPulls = true, warmPulls
-			adoptedB = w.b
-			rt.mu.Unlock()
-			adopted = w
-			reused = true
 		} else {
-			// No worker free: fork, and run the child on a new worker so
-			// its slot is poolable at exit.
-			t.account(obs.PhaseCompute)
-			t.charge(obs.PhaseSpawn, m.ForkBase+int64(rt.seg.PopulatedPages())*m.ForkPerPage)
+			// Pre-spawned worker, first adoption: its real fork happened at
+			// startup with an empty page table; the stale view it would now
+			// pull is modeled as the populated page count.
 			var err error
-			child, err = rt.newThread(tid, t.icount)
+			ws, err = rt.seg.Snapshot(tid)
 			if err != nil {
 				panic(fmt.Sprintf("det: spawn: %v", err))
 			}
+			warmPulls = int64(rt.seg.PopulatedPages())
 		}
-	} else if rt.cfg.ThreadPool && rt.pooledWorkspaces() > 0 {
+		// The spawner only dispatches the adoption; re-registration is
+		// priced by the worker's first sub-token acquisition and the wake
+		// latency host-side.
+		t.account(obs.PhaseCompute)
+		t.charge(obs.PhaseSpawn, m.PoolAdoptDispatch)
+		child = rt.attachThread(tid, t.icount, ws)
+		child.worker = w
+		// Reserved, not just read: the worker moves to it later, after
+		// commits (and GC) may have passed it.
+		head := ws.Reserve()
+		// Assign under rt.mu: the started-gate. If the worker's task has not
+		// started yet (b unset), its startup section — ordered by the same
+		// mutex — sees next assigned and skips its initial park; no wake is
+		// sent (there is no binding to wake). Otherwise the wake below pairs
+		// with the worker's park as usual.
+		rt.mu.Lock()
+		w.next, w.fn = child, fn
+		w.head = head
+		w.warm, w.warmPulls = true, warmPulls
+		adoptedB = w.b
+		rt.mu.Unlock()
+	case !rt.workerPool && rt.cfg.ThreadPool && rt.pooledWorkspaces() > 0:
 		rt.mu.Lock()
 		ws := rt.pool[len(rt.pool)-1]
 		rt.pool = rt.pool[:len(rt.pool)-1]
@@ -109,9 +96,11 @@ func (t *Thread) Spawn(fn func(api.T)) api.Handle {
 		pulled := ws.UpdateTo(rt.seg.Head())
 		t.charge(obs.PhaseSpawn, m.PoolReuse+int64(pulled)*m.UpdatePage)
 		child = rt.attachThread(tid, t.icount, ws)
-		reused = true
-	} else {
-		// Fork: every populated page-table entry is copied into the child.
+	default:
+		// Fork: every populated page-table entry is copied into the child
+		// (with worker reuse, onto a new worker, so that its slot is
+		// poolable at exit).
+		reused = false
 		t.account(obs.PhaseCompute)
 		t.charge(obs.PhaseSpawn, m.ForkBase+int64(rt.seg.PopulatedPages())*m.ForkPerPage)
 		var err error
@@ -121,11 +110,9 @@ func (t *Thread) Spawn(fn func(api.T)) api.Handle {
 		}
 	}
 	rt.noteSpawn(reused)
-	if h := rt.hooks; h != nil {
-		h.OnSpawn(t.Tid(), tid)
-	}
+	rt.hooks.OnSpawn(t.Tid(), tid)
 	switch {
-	case adopted != nil:
+	case w != nil:
 		if adoptedB != nil {
 			t.B.Wake(adoptedB)
 		}
@@ -173,16 +160,11 @@ func (t *Thread) Join(h api.Handle) {
 		t.uncoarsen()
 		if child.done {
 			t.record(trace.OpJoin, uint64(child.Tid()))
-			if hk := t.rt.hooks; hk != nil {
-				hk.OnAcquire(t.Tid(), spawnObj(child.Tid()))
-			}
+			t.rt.hooks.OnAcquire(t.Tid(), spawnObj(child.Tid()))
 			t.tokenEnd(coarsenNever, 0)
 			return
 		}
-		child.joiners = append(child.joiners, t.Tid())
-		t.rt.arb.Depart(t.Tid())
-		t.releaseTokenRaw()
-		t.blockForToken(diagJoinWait, host.BlockReason{Label: "join t%d", ID: uint64(child.Tid())})
+		t.sleepForToken(&child.joiners, diagJoinWait, host.BlockReason{Label: "join t%d", ID: uint64(child.Tid())})
 		// Woken holding the token; loop re-checks done (guaranteed now).
 	}
 }
@@ -196,9 +178,7 @@ func (t *Thread) exit() {
 	t.uncoarsen()
 	t.done = true
 	t.record(trace.OpExit, uint64(t.Tid()))
-	if h := rt.hooks; h != nil {
-		h.OnRelease(t.Tid(), spawnObj(t.Tid()))
-	}
+	rt.hooks.OnRelease(t.Tid(), spawnObj(t.Tid()))
 	for _, j := range t.joiners {
 		// Retarget the blocked joiner to this exit's domain shard so the
 		// join grant is arbitrated where the exit event lives; the joiner
