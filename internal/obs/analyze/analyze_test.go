@@ -176,9 +176,11 @@ func TestLiveVsParsedIdentical(t *testing.T) {
 
 // TestReportInvariants checks the properties that must hold for any run:
 // the critical path is bounded by wall time, and the report's phase totals
-// reconcile exactly with the runtime's own RunStats breakdown.
+// reconcile exactly with the runtime's own RunStats breakdown, and the
+// commit markers count every committed page. The last four programs commit
+// mostly at parallel barriers.
 func TestReportInvariants(t *testing.T) {
-	for _, bench := range []string{"histogram", "kmeans", "swaptions"} {
+	for _, bench := range []string{"histogram", "kmeans", "swaptions", "ocean_cp", "canneal", "lu_ncb", "streamcluster"} {
 		res, _, rep, err := harness.AnalyzeCell(harness.Options{
 			Bench:   bench,
 			Runtime: harness.KindConsequenceIC,
