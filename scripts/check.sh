@@ -18,8 +18,9 @@ fi
 echo "== go vet ./..."
 go vet ./...
 
-echo "== lintdoc (godoc coverage of det, clock, costmodel, trace, journal, commitlog, replica, predict, harness, api, host, chaos, mem, obs)"
-go run ./scripts/lintdoc ./internal/det ./internal/clock ./internal/costmodel ./internal/trace ./internal/journal ./internal/commitlog ./internal/replica ./internal/predict ./internal/harness ./internal/api ./internal/host ./internal/chaos ./internal/mem ./internal/obs
+echo "== lintdoc (godoc coverage of every internal package and conc)"
+pkgs=$(go list -f '{{.Dir}}' ./internal/... ./conc)
+go run ./scripts/lintdoc $pkgs
 
 echo "== go build ./..."
 go build ./...

@@ -1,9 +1,9 @@
 // Command lintdoc enforces godoc coverage on a package's exported
 // surface: every exported type, function, method (on an exported
 // receiver), and const/var block must carry a doc comment. It is the
-// scripts/check.sh lint step for internal/det, whose exported API the
-// scheduler design doc (docs/scheduler.md) leans on; stdlib-only, so the
-// gate needs no tools beyond the toolchain.
+// scripts/check.sh lint step, run over every package `go list ./internal/...
+// ./conc` names; stdlib-only, so the gate needs no tools beyond the
+// toolchain.
 //
 // Usage: lintdoc [package-dir ...]   (default ./internal/det)
 package main
