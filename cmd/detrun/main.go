@@ -35,6 +35,7 @@ import (
 	"repro/internal/host/simhost"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -148,6 +149,11 @@ func main() {
 	if *sample > 0 {
 		sampler = obs.NewSampler(observer.Registry(), *sample)
 	}
+	tr := cell.Trace()
+	var dump *trace.Collector
+	if tr != nil && *dumpTrace > 0 {
+		dump = trace.Collect(tr, *dumpTrace)
+	}
 	res, err := cell.Run()
 	if err != nil {
 		fatal(err)
@@ -162,7 +168,6 @@ func main() {
 		fmt.Printf("chaos       %s\n", cell.Chaos)
 	}
 	fmt.Printf("checksum    %016x\n", res.Checksum)
-	tr := cell.Trace()
 	if tr != nil {
 		fmt.Printf("trace       %d events, hash %016x\n", tr.Len(), res.TraceHash)
 	}
@@ -178,12 +183,8 @@ func main() {
 		fmt.Printf("commitlog   %s: %d commits, %d events, %d snapshots, %d segments (%d rolls), %d bytes (%d append stalls)\n",
 			*commitLogDir, cs.Commits, cs.Events, cs.Snapshots, cs.Segments, cs.Rolls, cs.Bytes, cs.AppendStalls)
 	}
-	if tr != nil && *dumpTrace > 0 {
-		evs := tr.Events()
-		if len(evs) > *dumpTrace {
-			evs = evs[:*dumpTrace]
-		}
-		for _, e := range evs {
+	if dump != nil {
+		for _, e := range dump.Events() {
 			fmt.Println("  ", e)
 		}
 	}

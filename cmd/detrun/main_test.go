@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -124,5 +126,60 @@ func TestBaselineRuntimesKeepTheirTrace(t *testing.T) {
 		if n := strings.Count(string(out), tc.line); n != 4 {
 			t.Errorf("detrun -runtime dthreads -bench %s -verify: %d of 4 runs report %q:\n%s", tc.bench, n, tc.line, out)
 		}
+	}
+}
+
+// eventLine matches one line of a -dump-sync listing.
+var eventLine = regexp.MustCompile(`(?m)^   \d{6} t\d{2} `)
+
+// -dump-sync N lists min(N, events) events, on either side of 4 096.
+func TestDumpSyncListsEveryEventAskedFor(t *testing.T) {
+	bin := detrunBin(t)
+	for _, tc := range []struct {
+		n    string
+		want int
+	}{{"9000", 8218}, {"5000", 5000}, {"3", 3}} {
+		out, err := exec.Command(bin, "-bench", "water_nsquared", "-threads", "4", "-scale", "8", "-shards", "4", "-dump-sync", tc.n).Output()
+		if err != nil {
+			t.Fatalf("detrun -dump-sync %s: %v", tc.n, err)
+		}
+		if !strings.Contains(string(out), "trace       8218 events,") {
+			t.Fatalf("detrun -dump-sync %s: no 8218-event trace line:\n%.500s", tc.n, out)
+		}
+		if got := len(eventLine.FindAllIndex(out, -1)); got != tc.want {
+			t.Errorf("detrun -dump-sync %s listed %d events, want %d", tc.n, got, tc.want)
+		}
+	}
+}
+
+// A run that dumps its events and writes its commit log feeds both from
+// one recorder; the log it writes is byte for byte the log of the same
+// run without -dump-sync.
+func TestDumpSyncBesideCommitLog(t *testing.T) {
+	bin := detrunBin(t)
+	var dirs [2]string
+	for i, dump := range []string{"0", "100"} {
+		dirs[i] = filepath.Join(t.TempDir(), "log")
+		out, err := exec.Command(bin, "-bench", "kmeans", "-threads", "8", "-shards", "4", "-commitlog", dirs[i], "-dump-sync", dump).Output()
+		if err != nil {
+			t.Fatalf("detrun -commitlog -dump-sync %s: %v", dump, err)
+		}
+		if want := min(100*i, 169); len(eventLine.FindAllIndex(out, -1)) != want || !strings.Contains(string(out), "169 events") {
+			t.Errorf("detrun -commitlog -dump-sync %s: want %d events listed of 169:\n%s", dump, want, out)
+		}
+	}
+	names, err := os.ReadDir(dirs[0])
+	if err != nil || len(names) == 0 {
+		t.Fatalf("log directory %s: %v, %d files", dirs[0], err, len(names))
+	}
+	for _, e := range names {
+		a, errA := os.ReadFile(filepath.Join(dirs[0], e.Name()))
+		b, errB := os.ReadFile(filepath.Join(dirs[1], e.Name()))
+		if errA != nil || errB != nil || !bytes.Equal(a, b) {
+			t.Errorf("%s differs with -dump-sync (%v, %v)", e.Name(), errA, errB)
+		}
+	}
+	if other, _ := os.ReadDir(dirs[1]); len(other) != len(names) {
+		t.Errorf("-dump-sync wrote %d log files, without it %d", len(other), len(names))
 	}
 }

@@ -211,7 +211,8 @@ func (r *Runtime) Checksum() uint64 { return r.rt.Checksum() }
 // across runs and across the real and simulated hosts.
 func (r *Runtime) TraceHash() uint64 { return r.rt.Trace().Hash() }
 
-// Trace exposes the recorded synchronization order.
+// Trace exposes the recorded synchronization order: its hash and length.
+// The recorder keeps no events.
 func (r *Runtime) Trace() *trace.Recorder { return r.rt.Trace() }
 
 // Stats reports the run's accumulated statistics.

@@ -75,7 +75,7 @@ func New(cfg Config, h host.Host) (*Runtime, error) {
 		cfg:        cfg,
 		h:          h,
 		seg:        seg,
-		rec:        trace.New(4096), // events kept for -dump-sync; the hash covers all
+		rec:        trace.New(0), // hash and length; -dump-sync attaches a collector
 		members:    make(map[int]*thread),
 		arrived:    make(map[int]*thread),
 		glockOwner: -1,

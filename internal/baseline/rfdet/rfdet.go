@@ -119,7 +119,7 @@ func New(cfg Config, h host.Host) (*Runtime, error) {
 		cfg:       cfg,
 		h:         h,
 		arb:       clock.New(clock.PolicyIC, true),
-		rec:       trace.New(4096), // events kept for -dump-sync; the hash covers all
+		rec:       trace.New(0), // hash and length; -dump-sync attaches a collector
 		threads:   make(map[int]*thread),
 		intervals: make(map[int][]*interval),
 	}, nil

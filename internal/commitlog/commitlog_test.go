@@ -99,11 +99,12 @@ func writeLog(t *testing.T, dir string, opts Options, commits []Commit) *Log {
 }
 
 // writeHistoryLog is writeLog for a run that attached its history too: a
-// recorder whose sink is the log records every sync event up to each
-// commit's AtSeq before the commit is appended, as the runtime does, and
-// three more after the last. Events rotate through the known ops, an op
-// the encoder has no code for, and sharded and unsharded provenance.
-func writeHistoryLog(t *testing.T, dir string, opts Options, commits []Commit) (*Log, *trace.Recorder) {
+// recorder whose sinks are a collector and the log records every sync
+// event up to each commit's AtSeq before the commit is appended, as the
+// runtime does, and three more after the last. Events rotate through the
+// known ops, an op the encoder has no code for, and sharded and unsharded
+// provenance.
+func writeHistoryLog(t *testing.T, dir string, opts Options, commits []Commit) (*Log, *trace.Collector) {
 	t.Helper()
 	l, err := Create(dir, opts)
 	if err != nil {
@@ -112,8 +113,8 @@ func writeHistoryLog(t *testing.T, dir string, opts Options, commits []Commit) (
 	if err := l.Begin(tPageSize, tNumPages); err != nil {
 		t.Fatal(err)
 	}
-	rec := trace.New(0)
-	rec.SetSink(l)
+	rec := trace.Collect(trace.New(0), 0)
+	rec.AddSink(l)
 	ops := []trace.Op{trace.OpLock, trace.OpUnlock, trace.OpBarrier, trace.OpSignal, "future-op"}
 	record := func(upto int64) {
 		for i := rec.Len(); i < upto; i++ {

@@ -161,12 +161,12 @@ type Config struct {
 	GCPageBudget    int
 	GCEveryNCommits int
 
-	// TraceKeep bounds retained trace events (hashing always covers all).
-	TraceKeep int
-	// JournalCheckpointK survives for bench/probes.go, its only reader:
-	// bench/ is frozen and its trace probe still passes the field to
-	// (*trace.Recorder).SetCheckpointInterval. Nothing in the runtime
-	// reads it; delete it with the next benchmark PR.
+	// TraceKeep and JournalCheckpointK survive for bench/probes.go, their
+	// only reader: bench/ is frozen and its trace probe still passes them
+	// to trace.New and (*trace.Recorder).SetCheckpointInterval, which
+	// ignore them. Nothing in the runtime reads them; delete them with the
+	// next benchmark PR.
+	TraceKeep          int
 	JournalCheckpointK int64
 	// Model is the simulation cost model (ignored on untimed hosts).
 	Model costmodel.Model
@@ -216,7 +216,6 @@ func Default() Config {
 		// canneal / lu_ncb memory growth of Figure 12.
 		GCPageBudget:    192,
 		GCEveryNCommits: 16,
-		TraceKeep:       4096,
 		Model:           costmodel.Default(),
 	}
 }
@@ -357,7 +356,7 @@ func New(cfg Config, h host.Host) (*Runtime, error) {
 		timed:        h.Timed(),
 		arb:          clock.New(cfg.Policy, cfg.FastForward),
 		seg:          seg,
-		rec:          trace.New(cfg.TraceKeep),
+		rec:          trace.New(0),
 		hooks:        noHooks{},
 		threads:      make(map[int]*Thread),
 		workerPool:   workerPool,
@@ -487,18 +486,18 @@ func (rt *Runtime) SetObserver(o *obs.Observer) {
 }
 
 // SetJournal makes the commit log the run's history too; must be called
-// before Run. Every sync-trace event then streams to l through the trace
-// sink and is framed into the same record stream as the commits, in order
-// (docs/divergence.md). l is the log given to SetCommitLog, which binds
-// it to the memory geometry: a log that has not begun drops what it is
-// handed. Recording never changes results — checksums and sync traces
-// are byte-identical with the history on or off, which TestGateJournal
-// (internal/harness) gates.
+// before Run. It attaches l to the trace recorder beside any other sink,
+// so every sync-trace event is framed into the commits' record stream,
+// in order (docs/divergence.md). l is the log given to SetCommitLog,
+// which binds it to the memory geometry: a log that has not begun drops
+// what it is handed. Recording never changes results — checksums and sync
+// traces are byte-identical with the history on or off, which
+// TestGateJournal (internal/harness) gates.
 func (rt *Runtime) SetJournal(l *commitlog.Log) {
 	if rt.started {
 		panic("det: SetJournal after Run")
 	}
-	rt.rec.SetSink(l)
+	rt.rec.AddSink(l)
 }
 
 // SetCommitLog attaches a persistent commit log; must be called before
@@ -562,7 +561,8 @@ func (rt *Runtime) Name() string {
 // Segment exposes the shared segment (tests and the harness read it).
 func (rt *Runtime) Segment() *mem.Segment { return rt.seg }
 
-// Trace exposes the sync-order trace recorder.
+// Trace exposes the sync-order trace recorder: the run's hash and length.
+// It keeps no events; attach a trace.Collector before Run to read them.
 func (rt *Runtime) Trace() *trace.Recorder { return rt.rec }
 
 // ClockStats snapshots the arbiter's counters and per-shard records (what

@@ -34,17 +34,19 @@ func allHosts() []hostMaker {
 	}
 }
 
-// run executes prog on a fresh runtime and returns (checksum, trace).
-func run(t *testing.T, c det.Config, h host.Host, prog func(api.T)) (uint64, *trace.Recorder, *det.Runtime) {
+// run executes prog on a fresh runtime and returns (checksum, trace): the
+// trace keeps every event, so trace.Diff names the first that differs.
+func run(t *testing.T, c det.Config, h host.Host, prog func(api.T)) (uint64, *trace.Collector, *det.Runtime) {
 	t.Helper()
 	rt, err := det.New(c, h)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := trace.Collect(rt.Trace(), 0)
 	if err := rt.Run(prog); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	return rt.Checksum(), rt.Trace(), rt
+	return rt.Checksum(), rec, rt
 }
 
 // counterProg: n threads increment a shared counter k times each under a
@@ -118,7 +120,7 @@ func TestDeterminismAcrossRunsAndHosts(t *testing.T) {
 				name  string
 				sum   uint64
 				thash uint64
-				rec   *trace.Recorder
+				rec   *trace.Collector
 			}
 			var results []result
 			for _, hm := range allHosts() {
@@ -335,7 +337,7 @@ func TestThreadPoolReuse(t *testing.T) {
 func TestCoarseningPreservesResults(t *testing.T) {
 	prog := counterProg(4, 30)
 	var sums []uint64
-	var recs []*trace.Recorder
+	var recs []*trace.Collector
 	for _, variant := range []struct {
 		name string
 		mod  func(*det.Config)

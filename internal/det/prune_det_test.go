@@ -105,7 +105,7 @@ func (il *interloper) OnSpawn(int, int)           { il.publish() }
 
 // runGC runs prog like run, collecting after every commit or never, with
 // or without an interloper.
-func runGC(t *testing.T, c det.Config, h host.Host, prog func(api.T), every, interlope bool) (uint64, *trace.Recorder, *det.Runtime) {
+func runGC(t *testing.T, c det.Config, h host.Host, prog func(api.T), every, interlope bool) (uint64, *trace.Collector, *det.Runtime) {
 	t.Helper()
 	c.GCEveryNCommits = 0
 	if every {
@@ -123,10 +123,11 @@ func runGC(t *testing.T, c det.Config, h host.Host, prog func(api.T), every, int
 		}
 		rt.SetHooks(&interloper{seg: seg, ws: ws, gc: every})
 	}
+	rec := trace.Collect(rt.Trace(), 0)
 	if err := rt.Run(prog); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	return rt.Checksum(), rt.Trace(), rt
+	return rt.Checksum(), rec, rt
 }
 
 // TestGCPruningInvisible runs programs whose threads move to a version

@@ -332,9 +332,9 @@ func (c *Cell) attach() error {
 	return nil
 }
 
-// Trace returns the runtime's sync-order trace: every deterministic
-// runtime records one (the det-backed ones, dthreads and rfdet-lrc);
-// pthreads does not, and yields nil.
+// Trace returns the runtime's sync-order recorder (a reader of its events
+// attaches a trace.Collector before Run). Every deterministic runtime has
+// one — the det-backed ones, dthreads and rfdet-lrc; pthreads yields nil.
 func (c *Cell) Trace() *trace.Recorder {
 	if t, ok := c.Runtime.(interface{ Trace() *trace.Recorder }); ok {
 		return t.Trace()

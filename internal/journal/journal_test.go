@@ -21,17 +21,17 @@ const (
 	tNumPages = 32
 )
 
-// history is what mkHistory recorded, as the recorder and an independent
+// history is what mkHistory recorded, as a collector and an independent
 // page array hold it: what Load must derive from the log alone.
 type history struct {
-	rec     *trace.Recorder
+	rec     *trace.Collector
 	commits []Commit
 }
 
 // mkHistory writes a commit log the way a run does — a recorder whose
-// sink is the log, n synthetic events across three threads, a two-page
-// commit after every fourth — and returns what was recorded, each
-// commit's page hashes taken from a reference page array.
+// sinks are a collector and the log, n synthetic events across three
+// threads, a two-page commit after every fourth — and returns what was
+// recorded, each commit's page hashes taken from a reference page array.
 func mkHistory(t testing.TB, dir string, n int) history {
 	t.Helper()
 	l, err := commitlog.Create(dir, commitlog.Options{SegmentBytes: 1024, Meta: map[string]string{"bench": "synthetic", "threads": "3"}})
@@ -41,8 +41,8 @@ func mkHistory(t testing.TB, dir string, n int) history {
 	if err := l.Begin(tPageSize, tNumPages); err != nil {
 		t.Fatal(err)
 	}
-	h := history{rec: trace.New(0)}
-	h.rec.SetSink(l)
+	h := history{rec: trace.Collect(trace.New(0), 0)}
+	h.rec.AddSink(l)
 	ref := make([][]byte, tNumPages)
 	for i := range ref {
 		ref[i] = make([]byte, tPageSize)

@@ -2,12 +2,12 @@
 // events a runtime produces. Two runs of a deterministic runtime must
 // produce byte-identical traces — across repetitions, schedule
 // perturbation, and real-vs-simulated hosts — which the integration tests
-// assert via the rolling hash.
+// assert via the rolling hash. The recorder keeps no events; its sinks do
+// (the commit log, and a Collector for a reader that prints them).
 package trace
 
 import (
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"strings"
 	"sync"
@@ -64,32 +64,22 @@ type Sink interface {
 	RecordEvent(e Event)
 }
 
-// chunkLen is the number of events in every retained chunk but the first,
-// which grows by append up to it.
-const chunkLen = 256
-
-// Recorder accumulates events and a rolling FNV-1a hash of their canonical
-// encoding. Safe for concurrent use (events arrive token-serialized, but
-// the recorder does not rely on that).
+// Recorder numbers events, folds them into a rolling FNV-1a hash of their
+// canonical encoding and fans each out to its sinks. Safe for concurrent
+// use (events arrive token-serialized, but the recorder does not rely on
+// that).
 type Recorder struct {
-	mu  sync.Mutex
-	seq int64
-	// chunks holds the retained prefix in order; every chunk but the last
-	// holds exactly chunkLen events. Events are recorded while the runtime's
-	// token is held, so retaining one must not copy those before it: a full
-	// chunk stays where it is and the next is made at chunkLen.
-	chunks [][]Event
-	hash   uint64
-	// keep bounds memory when recording long runs
-	keep int
-	sink Sink
+	mu    sync.Mutex
+	seq   int64
+	hash  uint64
+	sinks []Sink
 }
 
-// New creates a recorder. keep bounds how many events are retained for
-// inspection (0 = all); the hash always covers every event.
-func New(keep int) *Recorder {
-	h := fnv.New64a()
-	return &Recorder{hash: h.Sum64(), keep: keep}
+// New creates a recorder. Its argument is inert: bench/ is frozen and its
+// trace probe still passes det.Config.TraceKeep, the retention bound the
+// recorder no longer has. Drop it with the next benchmark PR.
+func New(int) *Recorder {
+	return &Recorder{hash: 14695981039346656037} // FNV-1a's offset basis
 }
 
 // SetCheckpointInterval survives for bench/probes.go, its only caller:
@@ -98,13 +88,13 @@ func New(keep int) *Recorder {
 // it with the next benchmark PR.
 func (r *Recorder) SetCheckpointInterval(int64) {}
 
-// SetSink installs s to receive every subsequent event.
-// Pass nil to detach. Must be set before the run starts for the sink to
-// see the full stream.
-func (r *Recorder) SetSink(s Sink) {
+// AddSink attaches s to receive every subsequent event, after the sinks
+// attached before it. Attach it before the run starts for s to see the
+// full stream.
+func (r *Recorder) AddSink(s Sink) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.sink = s
+	r.sinks = append(r.sinks, s)
 }
 
 // Record appends an event without shard provenance, assigning its
@@ -123,26 +113,9 @@ func (r *Recorder) RecordSharded(tid int, op Op, obj uint64, clock int64, shard 
 	e := Event{Seq: r.seq, Tid: tid, Op: op, Obj: obj, Clock: clock, Shard: shard}
 	r.seq++
 	r.hash = mix(r.hash, e)
-	if r.keep == 0 || e.Seq < int64(r.keep) {
-		r.retain(e)
+	for _, s := range r.sinks {
+		s.RecordEvent(e)
 	}
-	if r.sink != nil {
-		r.sink.RecordEvent(e)
-	}
-}
-
-// retain appends e to the retained prefix (lock held).
-func (r *Recorder) retain(e Event) {
-	last := len(r.chunks) - 1
-	if last < 0 || len(r.chunks[last]) == chunkLen {
-		var c []Event // the first grows by append: a short trace stays small
-		if last >= 0 {
-			c = make([]Event, 0, chunkLen)
-		}
-		r.chunks = append(r.chunks, c)
-		last++
-	}
-	r.chunks[last] = append(r.chunks[last], e)
 }
 
 // mix folds an event into the rolling hash. Clock values are included:
@@ -173,17 +146,43 @@ func (r *Recorder) Len() int64 {
 	return r.seq
 }
 
-// Events returns the retained event prefix.
-func (r *Recorder) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return slices.Concat(r.chunks...)
+// Collector is a Sink that keeps the first events of a run for the readers
+// that print them: detrun -dump-sync and the failure messages of tests
+// that compare two runs. It embeds the recorder it is attached to, so its
+// Hash and Len cover the whole run.
+type Collector struct {
+	*Recorder
+	keep   int
+	events []Event
 }
 
-// Dump renders the retained events, one per line.
-func (r *Recorder) Dump() string {
+// Collect attaches a Collector to r that keeps r's first keep events
+// (0 = all). Attach it before the run starts.
+func Collect(r *Recorder, keep int) *Collector {
+	c := &Collector{Recorder: r, keep: keep}
+	r.AddSink(c)
+	return c
+}
+
+// RecordEvent keeps e while the collector is below its bound (Sink; the
+// recorder's lock is held).
+func (c *Collector) RecordEvent(e Event) {
+	if c.keep == 0 || len(c.events) < c.keep {
+		c.events = append(c.events, e)
+	}
+}
+
+// Events returns the kept events.
+func (c *Collector) Events() []Event {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return slices.Clone(c.events)
+}
+
+// Dump renders the kept events, one per line.
+func (c *Collector) Dump() string {
 	var b strings.Builder
-	for _, e := range r.Events() {
+	for _, e := range c.Events() {
 		b.WriteString(e.String())
 		b.WriteByte('\n')
 	}
@@ -191,14 +190,10 @@ func (r *Recorder) Dump() string {
 }
 
 // Diff returns a description of the first divergence between two traces,
-// or "" if the retained prefixes and hashes agree.
-func Diff(a, b *Recorder) string {
+// or "" if the kept events and the hashes agree.
+func Diff(a, b *Collector) string {
 	ae, be := a.Events(), b.Events()
-	n := len(ae)
-	if len(be) < n {
-		n = len(be)
-	}
-	for i := 0; i < n; i++ {
+	for i := range min(len(ae), len(be)) {
 		if ae[i] != be[i] {
 			return fmt.Sprintf("event %d differs:\n  a: %s\n  b: %s", i, ae[i], be[i])
 		}
@@ -207,7 +202,7 @@ func Diff(a, b *Recorder) string {
 		return fmt.Sprintf("lengths differ: %d vs %d", a.Len(), b.Len())
 	}
 	if a.Hash() != b.Hash() {
-		return "hashes differ beyond retained prefix"
+		return "hashes differ beyond the kept events"
 	}
 	return ""
 }

@@ -8,15 +8,15 @@ import (
 )
 
 func TestRecordAssignsSequence(t *testing.T) {
-	r := New(0)
-	r.Record(1, OpLock, 10, 100)
-	r.Record(2, OpUnlock, 10, 200)
-	evs := r.Events()
+	c := Collect(New(0), 0)
+	c.Record(1, OpLock, 10, 100)
+	c.Record(2, OpUnlock, 10, 200)
+	evs := c.Events()
 	if len(evs) != 2 || evs[0].Seq != 0 || evs[1].Seq != 1 {
 		t.Fatalf("events = %v", evs)
 	}
-	if r.Len() != 2 {
-		t.Fatalf("Len = %d", r.Len())
+	if c.Len() != 2 {
+		t.Fatalf("Len = %d", c.Len())
 	}
 }
 
@@ -43,29 +43,32 @@ func TestHashSensitivity(t *testing.T) {
 	}
 }
 
+// TestKeepBoundsRetention: a collector keeps only its first keep events,
+// and neither the bound nor the collector moves the recorder's length or
+// hash.
 func TestKeepBoundsRetention(t *testing.T) {
-	r := New(3)
+	c := Collect(New(0), 3)
 	for i := 0; i < 10; i++ {
-		r.Record(i, OpLock, 1, int64(i))
+		c.Record(i, OpLock, 1, int64(i))
 	}
-	if got := len(r.Events()); got != 3 {
-		t.Fatalf("retained %d events, want 3", got)
+	if got := len(c.Events()); got != 3 {
+		t.Fatalf("kept %d events, want 3", got)
 	}
-	if r.Len() != 10 {
-		t.Fatalf("Len = %d, want 10", r.Len())
+	if c.Len() != 10 {
+		t.Fatalf("Len = %d, want 10", c.Len())
 	}
 	// Hash still covers all ten.
 	r2 := New(0)
 	for i := 0; i < 10; i++ {
 		r2.Record(i, OpLock, 1, int64(i))
 	}
-	if r.Hash() != r2.Hash() {
-		t.Error("retention bound changed the hash")
+	if c.Hash() != r2.Hash() {
+		t.Error("a collector changed the hash")
 	}
 }
 
 func TestDiff(t *testing.T) {
-	a, b := New(0), New(0)
+	a, b := Collect(New(0), 0), Collect(New(0), 0)
 	a.Record(1, OpLock, 10, 100)
 	b.Record(1, OpLock, 10, 100)
 	if d := Diff(a, b); d != "" {
@@ -82,9 +85,9 @@ func TestDiff(t *testing.T) {
 }
 
 func TestDumpFormat(t *testing.T) {
-	r := New(0)
-	r.Record(7, OpBarrier, 42, 1234)
-	out := r.Dump()
+	c := Collect(New(0), 0)
+	c.Record(7, OpBarrier, 42, 1234)
+	out := c.Dump()
 	for _, want := range []string{"t07", "barrier", "obj=42", "clk=1234"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dump %q missing %q", out, want)
@@ -105,44 +108,22 @@ func record(r *Recorder, from, to, twist int) {
 	}
 }
 
-// TestChunkedRetention covers the retained prefix across chunk boundaries:
-// no retention bound, a bound inside the first chunk, and a bound that
-// leaves the last chunk holding one event. Events concatenates the chunks
-// in order, Dump renders exactly them, Diff finds a divergence on either
-// side of a boundary, and a full chunk never moves once the next is made.
-func TestChunkedRetention(t *testing.T) {
-	for _, tc := range []struct {
-		keep, n int
-	}{{0, 3*chunkLen + 7}, {chunkLen / 2, chunkLen + 1}, {16*chunkLen + 1, 17*chunkLen + 3}} {
+// TestCollectorRetention covers what a collector keeps: every event with
+// no bound, the prefix with one, in order. Dump renders exactly the kept
+// events, and Diff finds a divergence where it is inside the prefix — at
+// its first event, its last, and before it — and past the prefix reports
+// that only the hash can tell.
+func TestCollectorRetention(t *testing.T) {
+	for _, tc := range []struct{ keep, n int }{{0, 1000}, {100, 1000}, {1000, 1000}, {1000, 10}} {
 		want := tc.n
 		if tc.keep > 0 && tc.keep < want {
 			want = tc.keep
 		}
-		ref := New(tc.keep)
-		record(ref, 0, chunkLen+1, -1)
-		var full *Event // the first chunk's head, once a second chunk exists
-		if len(ref.chunks) > 1 {
-			full = &ref.chunks[0][0]
-		}
-		record(ref, chunkLen+1, tc.n, -1)
-		if full != nil && &ref.chunks[0][0] != full {
-			t.Errorf("keep %d: the full first chunk moved", tc.keep)
-		}
-		if wantChunks := (want + chunkLen - 1) / chunkLen; len(ref.chunks) != wantChunks {
-			t.Errorf("keep %d: %d chunks, want %d", tc.keep, len(ref.chunks), wantChunks)
-		}
-		for i, c := range ref.chunks {
-			if i < len(ref.chunks)-1 && len(c) != chunkLen {
-				t.Errorf("keep %d: chunk %d of %d holds %d events, want %d", tc.keep, i, len(ref.chunks), len(c), chunkLen)
-			}
-			if i > 0 && cap(c) != chunkLen {
-				t.Errorf("keep %d: chunk %d made at cap %d, want %d", tc.keep, i, cap(c), chunkLen)
-			}
-		}
-
+		ref := Collect(New(0), tc.keep)
+		record(ref.Recorder, 0, tc.n, -1)
 		evs := ref.Events()
 		if len(evs) != want || ref.Len() != int64(tc.n) {
-			t.Fatalf("keep %d: %d events retained of %d, want %d of %d", tc.keep, len(evs), ref.Len(), want, tc.n)
+			t.Fatalf("keep %d: %d events kept of %d, want %d of %d", tc.keep, len(evs), ref.Len(), want, tc.n)
 		}
 		var dump strings.Builder
 		for i, e := range evs {
@@ -155,45 +136,48 @@ func TestChunkedRetention(t *testing.T) {
 			t.Errorf("keep %d: Dump renders %d bytes, want the %d of its %d events", tc.keep, len(got), dump.Len(), want)
 		}
 
-		same := New(tc.keep)
-		record(same, 0, tc.n, -1)
+		same := Collect(New(0), tc.keep)
+		record(same.Recorder, 0, tc.n, -1)
 		if d := Diff(ref, same); d != "" {
 			t.Errorf("keep %d: identical traces diff: %s", tc.keep, d)
 		}
-		// A divergence on each side of the last chunk boundary inside the
-		// retained prefix, and at its last event, is reported where it is.
-		last := (want - 1) / chunkLen * chunkLen
-		for _, at := range []int{last - 1, last, want - 1} {
-			if at < 0 {
-				continue
-			}
-			other := New(tc.keep)
-			record(other, 0, tc.n, at)
+		for _, at := range []int{0, want / 2, want - 1} {
+			other := Collect(New(0), tc.keep)
+			record(other.Recorder, 0, tc.n, at)
 			if d := Diff(ref, other); !strings.HasPrefix(d, fmt.Sprintf("event %d differs", at)) {
 				t.Errorf("keep %d, twist at %d: diff = %q", tc.keep, at, d)
 			}
 		}
-		if tc.n > want { // past the retained prefix only the hash can tell
-			other := New(tc.keep)
-			record(other, 0, tc.n, tc.n-1)
-			if d := Diff(ref, other); d != "hashes differ beyond retained prefix" {
+		if tc.n > want { // past the kept prefix only the hash can tell
+			other := Collect(New(0), tc.keep)
+			record(other.Recorder, 0, tc.n, tc.n-1)
+			if d := Diff(ref, other); d != "hashes differ beyond the kept events" {
 				t.Errorf("keep %d, twist past the prefix: diff = %q", tc.keep, d)
 			}
 		}
 	}
 }
 
-// BenchmarkRecordSharded records the way a run does: every event retained
-// up to det's default bound of 4096, then a fresh recorder, so the
-// allocation figures are what retaining one event costs, chunks included.
+// TestRecordAllocatesNothing: with no sink attached, recording an event
+// allocates nothing; a run pays for the events only a reader keeps.
+func TestRecordAllocatesNothing(t *testing.T) {
+	r := New(0)
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		r.RecordSharded(i&3, OpLock, uint64(i), int64(i), i&3)
+		i++
+	}); n != 0 {
+		t.Errorf("RecordSharded allocated %.1f objects per event, want 0", n)
+	}
+}
+
+// BenchmarkRecordSharded records the way a run without a commit log does:
+// no sink, so what it measures is numbering and hashing an event under
+// the recorder's lock.
 func BenchmarkRecordSharded(b *testing.B) {
-	const keep = 4096
 	b.ReportAllocs()
-	var r *Recorder
+	r := New(0)
 	for i := 0; i < b.N; i++ {
-		if i%keep == 0 {
-			r = New(keep)
-		}
 		r.RecordSharded(i&3, OpLock, uint64(i), int64(i), i&3)
 	}
 }
@@ -204,25 +188,31 @@ type captureSink struct {
 
 func (s *captureSink) RecordEvent(e Event) { s.events = append(s.events, e) }
 
+// TestSinkReceivesStream: every sink attached before the events sees all
+// of them in order, and one attached later sees those after it.
 func TestSinkReceivesStream(t *testing.T) {
-	r := New(1) // tiny retention: the sink must still see everything
-	s := &captureSink{}
-	r.SetSink(s)
+	r := New(0)
+	a, b, late := &captureSink{}, &captureSink{}, &captureSink{}
+	r.AddSink(a)
+	r.AddSink(b)
 	for i := 0; i < 5; i++ {
+		if i == 3 {
+			r.AddSink(late)
+		}
 		r.Record(0, OpLock, uint64(i), int64(i))
 	}
-	if len(s.events) != 5 {
-		t.Fatalf("sink saw %d events, want 5", len(s.events))
-	}
-	for i, e := range s.events {
-		if e.Seq != int64(i) || e.Obj != uint64(i) {
-			t.Fatalf("event %d = %v", i, e)
+	for name, s := range map[string]*captureSink{"first": a, "second": b} {
+		if len(s.events) != 5 {
+			t.Fatalf("%s sink saw %d events, want 5", name, len(s.events))
+		}
+		for i, e := range s.events {
+			if e.Seq != int64(i) || e.Obj != uint64(i) {
+				t.Fatalf("%s sink: event %d = %v", name, i, e)
+			}
 		}
 	}
-	r.SetSink(nil)
-	r.Record(0, OpLock, 9, 9)
-	if len(s.events) != 5 {
-		t.Error("detached sink still receiving")
+	if len(late.events) != 2 || late.events[0].Seq != 3 {
+		t.Errorf("late sink saw %v, want events 3 and 4", late.events)
 	}
 }
 

@@ -51,7 +51,8 @@ go run ./cmd/conseq-analyze -input internal/obs/testdata/golden_trace.json >/dev
 echo "== bench smoke (1 iteration, allocations reported)"
 # internal/det's are the token-path micro-benchmarks: handoff ping-pong,
 # fork/join, and grant parallelism across shard counts. internal/trace's
-# records events as a run retains them, under the token.
+# numbers and hashes an event with no sink attached, as a run without a
+# commit log does.
 go test -run=NONE -bench=. -benchtime=1x -benchmem ./internal/mem ./internal/commitlog ./internal/det ./internal/trace >/dev/null
 # The root package's whole-program benchmarks only (every ledger program on
 # all five runtimes on the real host, and on consequence-ic on the
@@ -72,8 +73,10 @@ echo "== detrun output smoke (the printed checksum / trace lines vs one golden)"
 # cmd/cli_test.go drives the conseq-diff / -replay / -serve binaries. This
 # keeps the printed format covered from the shell side: docs/divergence.md
 # and the golden table's regeneration note both quote these two lines.
-out=$(go run ./cmd/detrun -bench kmeans -threads 8 -scale 1 -seed 42 -shards 4)
+# -dump-sync 200 asks for more than the run's 169 events and lists them all.
+out=$(go run ./cmd/detrun -bench kmeans -threads 8 -scale 1 -seed 42 -shards 4 -dump-sync 200)
 printf '%s\n' "$out" | grep -qx 'checksum    1f8b09e15b1b689c'
 printf '%s\n' "$out" | grep -qx 'trace       169 events, hash cd6c25c0a0405d2b'
+[ "$(printf '%s\n' "$out" | grep -cE '^   [0-9]{6} t[0-9]{2} ')" -eq 169 ]
 
 echo "check: OK"
