@@ -22,8 +22,9 @@ import (
 )
 
 // runJournaled runs prog on h with a commit log in dir attached both ways
-// — diffs and history — and closed; it returns the runtime.
-func runJournaled(t *testing.T, c det.Config, h host.Host, dir string, opts commitlog.Options, prog func(api.T)) *det.Runtime {
+// — diffs and history — and closed; it returns the runtime. setup, unless
+// nil, sees the runtime before the run.
+func runJournaled(t *testing.T, c det.Config, h host.Host, dir string, opts commitlog.Options, setup func(*det.Runtime), prog func(api.T)) *det.Runtime {
 	t.Helper()
 	cl, err := commitlog.Create(dir, opts)
 	if err != nil {
@@ -35,6 +36,9 @@ func runJournaled(t *testing.T, c det.Config, h host.Host, dir string, opts comm
 		t.Fatal(err)
 	}
 	rt.SetJournal(cl)
+	if setup != nil {
+		setup(rt)
+	}
 	if err := rt.Run(prog); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -76,7 +80,7 @@ func TestJournalDoesNotPerturbResults(t *testing.T) {
 			for _, hm := range allHosts() {
 				t.Run(hm.name, func(t *testing.T) {
 					sum0, rec0, _ := run(t, cfg(), hm.mk(), prog.fn)
-					rt := runJournaled(t, cfg(), hm.mk(), t.TempDir(), commitlog.Options{}, prog.fn)
+					rt := runJournaled(t, cfg(), hm.mk(), t.TempDir(), commitlog.Options{}, nil, prog.fn)
 					if sum := rt.Checksum(); sum != sum0 {
 						t.Errorf("recorded checksum %x != %x", sum, sum0)
 					}
@@ -94,8 +98,8 @@ func TestJournalDoesNotPerturbResults(t *testing.T) {
 func TestJournalReproducibleAndComplete(t *testing.T) {
 	a, b := t.TempDir(), t.TempDir()
 	prog := counterProg(4, 20)
-	recA := runJournaled(t, cfg(), simhost.New(costmodel.Default()), a, commitlog.Options{}, prog).Trace()
-	runJournaled(t, cfg(), simhost.New(costmodel.Default()), b, commitlog.Options{}, prog)
+	recA := runJournaled(t, cfg(), simhost.New(costmodel.Default()), a, commitlog.Options{}, nil, prog).Trace()
+	runJournaled(t, cfg(), simhost.New(costmodel.Default()), b, commitlog.Options{}, nil, prog)
 	if !bytes.Equal(dirBytes(t, a), dirBytes(t, b)) {
 		t.Fatal("identical runs wrote different log bytes")
 	}
@@ -252,16 +256,44 @@ func TestCommitLogByteIdentical(t *testing.T) {
 	}
 }
 
+// pageHashes is a Hooks that, at every commit, hashes each page the new
+// version touched as the live segment holds it at that version. OnCommit
+// runs token-held with the committer's workspace at the version, so the
+// version is pinned while it is read; after the run, GC or a barrier's
+// prune may have recycled its pages.
+type pageHashes struct {
+	seg  *mem.Segment
+	page []byte
+	at   map[[2]int64]uint64 // {version, page} → hash
+}
+
+func (h *pageHashes) OnAcquire(int, uint64) {}
+func (h *pageHashes) OnRelease(int, uint64) {}
+func (h *pageHashes) OnSpawn(int, int)      {}
+func (h *pageHashes) OnCommit(_ int, v *mem.Version) {
+	if v == nil {
+		return
+	}
+	for _, pg := range v.PageIndexes() {
+		h.seg.ReadCommitted(h.page, pg*h.seg.PageSize(), v.Num)
+		h.at[[2]int64{v.Num, int64(pg)}] = mem.HashPage(h.page)
+	}
+}
+
 // TestCommitLogCrossChecksJournal holds the history the log yields to the
 // live run, commit for commit: every page hash journal.Load derives by
 // replaying a commit's diffs must equal the hash of what the live segment
-// holds for that page at that version. This is replica equivalence per
-// commit, not only at the end trailer.
+// held for that page at that version, read when the commit published it,
+// and every page of every commit is checked. This is replica equivalence
+// per commit, not only at the end trailer.
 func TestCommitLogCrossChecksJournal(t *testing.T) {
 	dir := t.TempDir()
-	c := cfg()
-	c.GCEveryNCommits = 0 // every version stays readable after the run
-	rt := runJournaled(t, c, simhost.New(costmodel.Default()), dir, commitlog.Options{SegmentBytes: 8192, SnapshotEvery: 32}, mixedProg(4, 12))
+	h := &pageHashes{at: map[[2]int64]uint64{}}
+	hook := func(rt *det.Runtime) {
+		h.seg, h.page = rt.Segment(), make([]byte, rt.Segment().PageSize())
+		rt.SetHooks(h)
+	}
+	runJournaled(t, cfg(), simhost.New(costmodel.Default()), dir, commitlog.Options{SegmentBytes: 8192, SnapshotEvery: 32}, hook, mixedProg(4, 12))
 	jd, err := journal.Load(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -269,15 +301,21 @@ func TestCommitLogCrossChecksJournal(t *testing.T) {
 	if len(jd.Commits) == 0 {
 		t.Fatal("the log recorded no commits")
 	}
-	seg := rt.Segment()
-	page := make([]byte, seg.PageSize())
+	checked := 0
 	for _, jc := range jd.Commits {
 		for _, ph := range jc.Pages {
-			seg.ReadCommitted(page, ph.Page*seg.PageSize(), jc.Version)
-			if live := mem.HashPage(page); live != ph.Hash {
-				t.Fatalf("commit v%d page %d: the log replays to hash %016x, the live segment holds %016x", jc.Version, ph.Page, ph.Hash, live)
+			live, ok := h.at[[2]int64{jc.Version, int64(ph.Page)}]
+			if !ok {
+				t.Fatalf("commit v%d page %d: the log has it, the live run never published it", jc.Version, ph.Page)
 			}
+			if live != ph.Hash {
+				t.Fatalf("commit v%d page %d: the log replays to hash %016x, the live segment held %016x", jc.Version, ph.Page, ph.Hash, live)
+			}
+			checked++
 		}
+	}
+	if checked != len(h.at) {
+		t.Fatalf("checked %d (version, page) pairs of the log, the live run published %d", checked, len(h.at))
 	}
 }
 

@@ -166,7 +166,7 @@ func TestCrossShardJournalsByteIdentical(t *testing.T) {
 			for rep := 0; rep < 2; rep++ {
 				for _, hm := range shardEdgeHosts() {
 					dir := t.TempDir()
-					runJournaled(t, scaleOutCfg(shards, 4), hm.mk(), dir, commitlog.Options{Meta: map[string]string{"suite": "shardedge"}}, prog)
+					runJournaled(t, scaleOutCfg(shards, 4), hm.mk(), dir, commitlog.Options{Meta: map[string]string{"suite": "shardedge"}}, nil, prog)
 					b := dirBytes(t, dir)
 					if first == nil {
 						first = b

@@ -2,6 +2,7 @@ package det_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -74,6 +75,72 @@ func forkJoinProg(rounds, kids int) func(api.T) {
 	}
 }
 
+// swapProg has canneal's shape: the root fills an array of pages of
+// 16-byte elements and forks n workers, each of which, in each of rounds
+// barrier rounds, swaps swaps random pairs of elements. Every round
+// scatters writes, many of them conflicting, over the whole array and
+// supersedes most of its pages; the only commits are at the barriers.
+func swapProg(n, pages, rounds, swaps int) func(api.T) {
+	const arr = mem.DefaultPageSize
+	elems := pages * mem.DefaultPageSize / 16
+	return func(t api.T) {
+		for e := 0; e < elems; e++ {
+			api.PutU64(t, arr+16*e, uint64(e))
+		}
+		bar := t.NewBarrier(n)
+		hs := make([]api.Handle, n)
+		for id := range hs {
+			hs[id] = t.Spawn(func(t api.T) {
+				var a, b [16]byte
+				for r := 0; r < rounds; r++ {
+					rng := rand.New(rand.NewSource(int64(id*1_000_003 + r)))
+					for s := 0; s < swaps; s++ {
+						i, j := arr+16*rng.Intn(elems), arr+16*rng.Intn(elems)
+						t.Read(a[:], i)
+						t.Read(b[:], j)
+						t.Compute(2000)
+						t.Write(b[:], i)
+						t.Write(a[:], j)
+					}
+					t.BarrierWait(bar)
+				}
+			})
+		}
+		for _, h := range hs {
+			t.Join(h)
+		}
+	}
+}
+
+// prunedLookups counts the lookups of seg's pages at its retained versions
+// that land on a pruned page: mem.Segment.ReadCommitted panics there
+// instead of copying recycled bytes. A run that pruned nothing it still
+// retains counts 0.
+func prunedLookups(seg *mem.Segment) (n int) {
+	page := make([]byte, seg.PageSize())
+	head := seg.Head()
+	for v := head - int64(seg.RetainedVersions()) + 1; v <= head; v++ {
+		for pg := 0; pg < seg.NumPages(); pg++ {
+			func() {
+				defer func() {
+					if recover() != nil {
+						n++
+					}
+				}()
+				seg.ReadCommitted(page, pg*seg.PageSize(), v)
+			}()
+		}
+	}
+	return n
+}
+
+// simPin is what a run on the simulation host must reproduce: its result,
+// its modeled time and the modeled page counts of Figure 12.
+type simPin struct {
+	sum, trace                   uint64
+	wallNS, peak, cur, reclaimed int64
+}
+
 // interloper is a Hooks that, at every spawn and every acquire — token
 // held, so serialized with the program's commits — publishes a one-byte
 // commit from a workspace of its own, on the segment's last byte, which
@@ -138,6 +205,12 @@ func runGC(t *testing.T, c det.Config, h host.Host, prog func(api.T), every, int
 // on the simulation host and on the perturbed real host. With the
 // interloper every such move lands below the head, so a move site that
 // does not reserve its target (mem.Workspace.Reserve) panics here.
+//
+// Every barrier release prunes too, so no run is prune-free. The
+// canneal-shaped case, which commits only at barriers, therefore holds its
+// simulated runs to constants read before barriers pruned — checksum, trace
+// hash, modeled time, PeakPages, CurPages, GCReclaimedPages — and its
+// never-collecting run must still have pruned.
 func TestGCPruningInvisible(t *testing.T) {
 	hosts := []hostMaker{{"sim", func() host.Host { return simhost.New(costmodel.Default()) }}}
 	for seed := int64(1); seed <= 3; seed++ {
@@ -148,16 +221,42 @@ func TestGCPruningInvisible(t *testing.T) {
 		name string
 		cfg  det.Config
 		prog func(api.T)
+		pins map[[2]bool]simPin // by {interloper, GC every commit}
 	}{
-		{"barrier", cfg(), barrierLockProg(4, 6)},
-		{"forkjoin-pooled", scaleOutCfg(2, 3), forkJoinProg(4, 3)},
-		{"condvar", cfg(), pipelineProg(24)},
+		{"barrier", cfg(), barrierLockProg(4, 6), nil},
+		{"forkjoin-pooled", scaleOutCfg(2, 3), forkJoinProg(4, 3), nil},
+		{"condvar", cfg(), pipelineProg(24), nil},
+		{"canneal", cfg(), swapProg(4, 64, 6, 16), map[[2]bool]simPin{
+			{false, false}: {0x9b490765905384e7, 0xfa4025d712f88624, 2997986, 929, 818, 0},
+			{false, true}:  {0x9b490765905384e7, 0xfa4025d712f88624, 2997986, 929, 214, 604},
+			{true, false}:  {0x9b48e76590534e87, 0xfa4025d712f88624, 3011886, 953, 850, 0},
+			{true, true}:   {0x9b48e76590534e87, 0xfa4025d712f88624, 3011886, 950, 219, 631},
+		}},
 	} {
 		for _, il := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/interloper=%v", tc.name, il), func(t *testing.T) {
-				wantSum, wantRec, _ := runGC(t, tc.cfg, simhost.New(costmodel.Default()), tc.prog, false, il)
+				checkPin := func(every bool, sum uint64, rec *trace.Collector, rt *det.Runtime) {
+					t.Helper()
+					want, ok := tc.pins[[2]bool{il, every}]
+					if !ok {
+						return
+					}
+					st := rt.Segment().Stats()
+					got := simPin{sum, rec.Hash(), rt.Stats().WallNS, st.PeakPages, st.CurPages, st.GCReclaimedPages}
+					if got != want {
+						t.Errorf("sim, GC every commit %v: got %#v, pinned %#v", every, got, want)
+					}
+				}
+				wantSum, wantRec, rt := runGC(t, tc.cfg, simhost.New(costmodel.Default()), tc.prog, false, il)
+				checkPin(false, wantSum, wantRec, rt)
+				if tc.pins != nil && prunedLookups(rt.Segment()) == 0 {
+					t.Error("a run that never collects pruned nothing at its barriers")
+				}
 				for _, hm := range hosts {
 					sum, rec, rt := runGC(t, tc.cfg, hm.mk(), tc.prog, true, il)
+					if hm.name == "sim" {
+						checkPin(true, sum, rec, rt)
+					}
 					if sum != wantSum {
 						t.Errorf("%s: checksum %016x, never collecting %016x", hm.name, sum, wantSum)
 					}

@@ -286,7 +286,7 @@ func (t *Thread) barrierSleep(bar *dBarrier) {
 // barrierRelease (token held, called by the last arrival) fixes the
 // barrier's final version, updates our own view, reserves the final
 // version for every waiter, re-admits them to clock consideration, wakes
-// them, and releases the token.
+// them, prunes, and releases the token.
 func (t *Thread) barrierRelease(bar *dBarrier) {
 	m := &t.rt.cfg.Model
 	final := t.rt.seg.Head()
@@ -308,5 +308,11 @@ func (t *Thread) barrierRelease(bar *dBarrier) {
 		wt.barrierClock = t.rt.arb.Arrive(w)
 		t.B.Wake(wt.B)
 	}
+	// Every arrival's pin has moved to the final version (ours, or a
+	// waiter's reservation), and every commit through it has merged, so
+	// the pages the round superseded go back to the free list. Barrier
+	// commits never reach commitAndUpdate's GC cadence, so without this a
+	// barrier program recycles none of them.
+	t.rt.seg.Prune()
 	t.releaseTokenRaw()
 }

@@ -83,6 +83,23 @@ func TestSyncOpAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestBarrierAllocationBudget is the whole-run gate on page churn at
+// barriers: canneal at scale 8 (bench/'s page_churn: 40 parallel-barrier
+// commits, ~2 900 committed pages) may allocate 16 MiB on the real host at
+// threads=4, shards=4 (~14 100 KiB today). Its commits never reach the GC
+// cadence, so while nothing collected at a barrier every page a round
+// superseded stayed on the Go heap and the run allocated ~20 300 KiB; each
+// barrier release now prunes them back to the free list. What remains is
+// mostly the 4 MiB fill: 1 024 faults, each a copy and a twin, whose pages
+// the root, parked in Join at the fill version, rightly keeps.
+func TestBarrierAllocationBudget(t *testing.T) {
+	_, _, bytes := measuredRun(t, "canneal", 8)
+	t.Logf("canneal s8: %d KiB", bytes>>10)
+	if bytes > 16<<20 {
+		t.Errorf("second canneal run allocated %d KiB, budget %d", bytes>>10, 16<<10)
+	}
+}
+
 // TestInputAllocationBudget is the whole-run gate on regenerated input:
 // kmeans at scale 32 (bench/'s forkjoin_compute) re-reads its 0.5 MiB of
 // input every iteration, and a run that finds it in the input store

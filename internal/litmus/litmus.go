@@ -7,10 +7,10 @@
 //   - a fence (mfence, or any sync op) waits until the buffer is empty;
 //   - buffered stores reach memory one at a time, in any interleaving.
 //
-// TSO enumerates every final register state a small straight-line test
-// can reach on it, by exhaustive search; that set is the oracle a
-// runtime's observed outcomes must fall in. SC runs the same search with
-// store buffers of length 0, which is sequential consistency.
+// TSO enumerates every final state — registers and memory — a small
+// straight-line test can reach on it, by exhaustive search; that set is
+// the oracle a runtime's observed outcomes must fall in. SC runs the same
+// search with store buffers of length 0, which is sequential consistency.
 //
 // The package also writes the classic litmus tests as api.T programs
 // (Test.Prog), so that any runtime can run them.
@@ -47,9 +47,15 @@ const (
 	Locs    = 4
 )
 
-// Outcome is a test's final register file. Registers a test does not
-// load stay 0.
-type Outcome [MaxRegs]uint64
+// Outcome is a test's final state: its register file, and memory once
+// every store has landed. Registers a test does not load, and locations
+// it does not store, stay 0. Tests whose verdict is a load (SB, MP, LB,
+// IRIW) are judged on Regs, those whose verdict is the order stores land
+// in (2+2W, R) on Mem.
+type Outcome struct {
+	Regs [MaxRegs]uint64
+	Mem  [Locs]uint64
+}
 
 // Test is a litmus test: one straight-line program per thread, over
 // locations that all start at 0.
@@ -74,7 +80,7 @@ const (
 )
 
 // The litmus tests. Registers are numbered across the test: r0 is the
-// first thread's load, r1 the second's.
+// first load, r1 the next, in thread order.
 var (
 	// SB, store buffering: each thread stores one location, then loads the
 	// other. TSO lets both loads miss the other thread's store (r0 = r1 =
@@ -91,10 +97,28 @@ var (
 	MP = Test{"MP", [][]Instr{{St(x, 1), St(y, 1)}, {Ld(y, 0), Ld(x, 1)}}}
 	// MPLock is MP with a lock pair between each thread's two accesses.
 	MPLock = Test{"MP+lock", [][]Instr{{St(x, 1), F, St(y, 1)}, {Ld(y, 0), F, Ld(x, 1)}}}
+	// LB, load buffering: each thread loads one location, then stores the
+	// other. TSO never lets a store overtake an earlier load, so both loads
+	// seeing the other thread's store (r0 = r1 = 1) is forbidden.
+	LB = Test{"LB", [][]Instr{{Ld(x, 0), St(y, 1)}, {Ld(y, 1), St(x, 1)}}}
+	// IRIW, independent reads of independent writes: two threads each store
+	// one location, two readers load both in opposite orders. TSO has one
+	// memory order every thread sees, so the readers never disagree on
+	// which store came first (r0, r1, r2, r3 = 1, 0, 1, 0).
+	IRIW = Test{"IRIW", [][]Instr{{St(x, 1)}, {St(y, 1)}, {Ld(x, 0), Ld(y, 1)}, {Ld(y, 2), Ld(x, 3)}}}
+	// TwoPlusTwoW, 2+2W: each thread stores both locations, in opposite
+	// orders. TSO lands a thread's stores in program order, so each
+	// thread's first store surviving (x = y = 1) is forbidden.
+	TwoPlusTwoW = Test{"2+2W", [][]Instr{{St(x, 1), St(y, 2)}, {St(y, 1), St(x, 2)}}}
+	// R: one thread stores x then y; the other stores y, then loads x. TSO
+	// lets the load pass the buffered store, so the second thread's store
+	// landing last on y while its load misses x (y = 2, r0 = 0) is TSO's
+	// and not SC's.
+	R = Test{"R", [][]Instr{{St(x, 1), St(y, 1)}, {St(y, 2), Ld(x, 0)}}}
 )
 
 // All lists the litmus tests.
-func All() []Test { return []Test{SB, SBLock, MP, MPLock} }
+func All() []Test { return []Test{SB, SBLock, MP, MPLock, LB, IRIW, TwoPlusTwoW, R} }
 
 // TSO returns every outcome t can reach on the x86-TSO machine.
 func TSO(t Test) map[Outcome]bool { return explore(t, true) }
@@ -115,7 +139,7 @@ type state struct {
 	pc   []int     // each thread's next instruction
 	buf  [][]write // each thread's store buffer, oldest first
 	mem  [Locs]uint64
-	regs Outcome
+	regs [MaxRegs]uint64
 }
 
 func (s state) clone() state {
@@ -140,8 +164,8 @@ func (s state) load(i, loc int) uint64 {
 }
 
 // explore searches every interleaving of t's instructions and buffer
-// flushes from the initial state, and returns the register files of the
-// final states: every instruction retired and every buffer empty. With
+// flushes from the initial state, and returns the registers and memory of
+// the final states: every instruction retired and every buffer empty. With
 // buffered false each store is flushed as it executes.
 func explore(t Test, buffered bool) map[Outcome]bool {
 	out := map[Outcome]bool{}
@@ -185,7 +209,7 @@ func explore(t Test, buffered bool) map[Outcome]bool {
 			visit(n)
 		}
 		if final {
-			out[s.regs] = true
+			out[Outcome{s.regs, s.mem}] = true
 		}
 	}
 	visit(state{pc: make([]int, len(t.Threads)), buf: make([][]write, len(t.Threads))})
@@ -205,11 +229,11 @@ const padSalt = 0x6c69746d7573 // "litmus"
 func offset(loc int) int { return 8 * loc }
 
 // Prog returns t as an api.T program. The root spawns one thread per
-// litmus thread, joins them all and copies the final registers into *out.
-// A Load writes its register to the segment, and a Fence is a lock pair on
-// one mutex the threads share. Before each spawn and each instruction a
-// thread computes for a padding drawn from seed, so that seeds interleave
-// the threads differently.
+// litmus thread, joins them all and copies the final registers and
+// locations into *out. A Load writes its register to the segment, and a
+// Fence is a lock pair on one mutex the threads share. Before each spawn
+// and each instruction a thread computes for a padding drawn from seed,
+// so that seeds interleave the threads differently.
 func (t Test) Prog(seed int64, out *Outcome) func(api.T) {
 	return func(root api.T) {
 		m := root.NewMutex()
@@ -236,8 +260,11 @@ func (t Test) Prog(seed int64, out *Outcome) func(api.T) {
 		for _, h := range hs {
 			root.Join(h)
 		}
-		for r := range out {
-			out[r] = api.U64(root, offset(Locs+r))
+		for r := range out.Regs {
+			out.Regs[r] = api.U64(root, offset(Locs+r))
+		}
+		for l := range out.Mem {
+			out.Mem[l] = api.U64(root, offset(l))
 		}
 	}
 }

@@ -11,50 +11,89 @@ import (
 	"repro/internal/litmus"
 )
 
-// outcomes renders a set of outcomes, the first n registers of each, in
-// a fixed order.
-func outcomes(set map[litmus.Outcome]bool, n int) string {
+// outcome builds the outcome with final memory x, y and the registers
+// regs, in order.
+func outcome(x, y uint64, regs ...uint64) litmus.Outcome {
+	o := litmus.Outcome{Mem: [litmus.Locs]uint64{x, y}}
+	copy(o.Regs[:], regs)
+	return o
+}
+
+// show renders o as the registers test loads and the locations it stores.
+func show(test litmus.Test, o litmus.Outcome) string {
+	regs, locs := 0, 0
+	for _, th := range test.Threads {
+		for _, in := range th {
+			switch in.Kind {
+			case litmus.Load:
+				regs = max(regs, in.Reg+1)
+			case litmus.Store:
+				locs = max(locs, in.Loc+1)
+			}
+		}
+	}
+	return fmt.Sprintf("r%v/m%v", o.Regs[:regs], o.Mem[:locs])
+}
+
+// outcomes renders a set of test's outcomes in a fixed order.
+func outcomes(test litmus.Test, set map[litmus.Outcome]bool) string {
 	var s []string
 	for o := range set {
-		s = append(s, fmt.Sprint(o[:n]))
+		s = append(s, show(test, o))
 	}
 	slices.Sort(s)
 	return fmt.Sprint(s)
 }
 
 // TestMachine pins the oracle on what the literature says of each test:
-// SB's relaxed outcome is TSO's and not SC's, MP forbids seeing the flag
-// without the data under both, and a lock pair leaves only SC outcomes.
+// how many outcomes TSO and SC reach, which outcomes neither reaches (MP's
+// flag without the data, LB's loads both seeing the other's store, IRIW's
+// readers disagreeing on the store order, 2+2W's first stores both
+// surviving, and SB's relaxed outcome once a lock pair fences it), and
+// which outcomes TSO adds to SC: exactly SB's and R's relaxed ones.
 func TestMachine(t *testing.T) {
-	relaxed := litmus.Outcome{0, 0}
-	stale := litmus.Outcome{1, 0} // MP: the flag without the data
+	sbRelaxed := outcome(1, 1, 0, 0)
+	stale := outcome(1, 1, 1, 0) // MP: the flag without the data
 	for _, tc := range []struct {
-		test    litmus.Test
-		tso, sc int
+		test      litmus.Test
+		tso, sc   int
+		forbidden []litmus.Outcome // reached by neither
+		relaxed   []litmus.Outcome // every outcome TSO reaches and SC does not
 	}{
-		{litmus.SB, 4, 3},
-		{litmus.SBLock, 3, 3},
-		{litmus.MP, 3, 3},
-		{litmus.MPLock, 3, 3},
+		{litmus.SB, 4, 3, nil, []litmus.Outcome{sbRelaxed}},
+		{litmus.SBLock, 3, 3, []litmus.Outcome{sbRelaxed}, nil},
+		{litmus.MP, 3, 3, []litmus.Outcome{stale}, nil},
+		{litmus.MPLock, 3, 3, []litmus.Outcome{stale}, nil},
+		{litmus.LB, 3, 3, []litmus.Outcome{outcome(1, 1, 1, 1)}, nil},
+		{litmus.IRIW, 15, 15, []litmus.Outcome{outcome(1, 1, 1, 0, 1, 0)}, nil},
+		{litmus.TwoPlusTwoW, 3, 3, []litmus.Outcome{outcome(1, 1)}, nil},
+		{litmus.R, 4, 3, nil, []litmus.Outcome{outcome(1, 2, 0)}},
 	} {
+		name := tc.test.Name
 		tso, sc := litmus.TSO(tc.test), litmus.SC(tc.test)
 		if len(tso) != tc.tso || len(sc) != tc.sc {
-			t.Errorf("%s: TSO %s, SC %s; want %d and %d outcomes", tc.test.Name, outcomes(tso, 2), outcomes(sc, 2), tc.tso, tc.sc)
+			t.Errorf("%s: TSO %s, SC %s; want %d and %d outcomes", name, outcomes(tc.test, tso), outcomes(tc.test, sc), tc.tso, tc.sc)
 		}
 		for o := range sc {
 			if !tso[o] {
-				t.Errorf("%s: SC outcome %v is not TSO's", tc.test.Name, o[:2])
+				t.Errorf("%s: SC outcome %s is not TSO's", name, show(tc.test, o))
 			}
 		}
-		if tc.test.Name[:2] == "MP" && tso[stale] {
-			t.Errorf("%s: TSO reaches the flag without the data", tc.test.Name)
+		for _, o := range tc.forbidden {
+			if tso[o] {
+				t.Errorf("%s: TSO reaches the forbidden %s", name, show(tc.test, o))
+			}
 		}
-		if tc.test.Name[:2] == "SB" && sc[relaxed] {
-			t.Errorf("%s: SC reaches the relaxed outcome", tc.test.Name)
+		for _, o := range tc.relaxed {
+			if !tso[o] || sc[o] {
+				t.Errorf("%s: %s is TSO's %v and SC's %v; want TSO's only", name, show(tc.test, o), tso[o], sc[o])
+			}
 		}
-	}
-	if !litmus.TSO(litmus.SB)[relaxed] {
-		t.Error("SB: TSO does not reach the relaxed outcome")
+		for o := range tso {
+			if !sc[o] && !slices.Contains(tc.relaxed, o) {
+				t.Errorf("%s: TSO reaches %s beyond SC", name, show(tc.test, o))
+			}
+		}
 	}
 }
 
@@ -77,34 +116,35 @@ func runLitmus(t *testing.T, test litmus.Test, seed int64, shards int) (litmus.O
 }
 
 // TestConsequenceIsTSO runs every litmus test on consequence-ic over
-// padding seeds 1-4 and shards {1, 4}. Every outcome is one the TSO
-// machine reaches, a test fenced by lock pairs lands in the SC subset,
-// and each cell replays to the same outcome and trace hash. Some seed
-// shows SB's relaxed outcome: a thread's stores stay in its workspace
-// until its next sync op, which is Consequence's store buffer (paper §2).
+// padding seeds 1-4 and shards {1, 2, 4, 8}. Every outcome — registers and
+// final memory — is one the TSO machine reaches, a test fenced by lock
+// pairs lands in the SC subset, and each cell replays to the same outcome
+// and trace hash. Some seed shows SB's relaxed outcome: a thread's stores
+// stay in its workspace until its next sync op, which is Consequence's
+// store buffer (paper §2).
 func TestConsequenceIsTSO(t *testing.T) {
 	for _, test := range litmus.All() {
 		tso, sc := litmus.TSO(test), litmus.SC(test)
 		fenced := slices.ContainsFunc(test.Threads, func(th []litmus.Instr) bool { return slices.Contains(th, litmus.F) })
 		seen := map[litmus.Outcome]bool{}
 		for seed := int64(1); seed <= 4; seed++ {
-			for _, shards := range []int{1, 4} {
+			for _, shards := range []int{1, 2, 4, 8} {
 				o, h := runLitmus(t, test, seed, shards)
 				cell := fmt.Sprintf("%s seed %d shards %d", test.Name, seed, shards)
 				if again, h2 := runLitmus(t, test, seed, shards); again != o || h2 != h {
-					t.Errorf("%s: replay gave %v trace %016x, first run %v trace %016x", cell, again[:2], h2, o[:2], h)
+					t.Errorf("%s: replay gave %s trace %016x, first run %s trace %016x", cell, show(test, again), h2, show(test, o), h)
 				}
 				if !tso[o] {
-					t.Errorf("%s: outcome %v is outside TSO's %s", cell, o[:2], outcomes(tso, 2))
+					t.Errorf("%s: outcome %s is outside TSO's %s", cell, show(test, o), outcomes(test, tso))
 				}
 				if fenced && !sc[o] {
-					t.Errorf("%s: outcome %v is outside SC's %s", cell, o[:2], outcomes(sc, 2))
+					t.Errorf("%s: outcome %s is outside SC's %s", cell, show(test, o), outcomes(test, sc))
 				}
 				seen[o] = true
 			}
 		}
-		t.Logf("%s: observed %s of TSO's %s", test.Name, outcomes(seen, 2), outcomes(tso, 2))
-		if test.Name == litmus.SB.Name && !seen[litmus.Outcome{0, 0}] {
+		t.Logf("%s: observed %s of TSO's %s", test.Name, outcomes(test, seen), outcomes(test, tso))
+		if test.Name == litmus.SB.Name && !seen[outcome(1, 1, 0, 0)] {
 			t.Error("SB: no padding showed the relaxed outcome, though store buffering is how Consequence is TSO")
 		}
 	}

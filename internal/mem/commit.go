@@ -357,8 +357,9 @@ func (s *Segment) CompleteThrough(n int64) {
 // observe and hash final memory. Forces pending versions. Like every page
 // lookup it needs `at` pinned while it copies: `at` is a live workspace's
 // version or a workspace's reserved UpdateTo target (Workspace.Reserve),
-// or no GC runs concurrently. A version that was neither when an earlier
-// GC ran may already be pruned, and reading it panics; the head never is.
+// or no GC or Prune runs concurrently. A version that was neither when an
+// earlier GC or Prune ran may already be pruned, and reading it panics;
+// the head never is.
 func (s *Segment) ReadCommitted(buf []byte, off int, at int64) {
 	if off < 0 || off+len(buf) > s.size {
 		panic("mem: ReadCommitted out of range")

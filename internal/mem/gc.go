@@ -74,6 +74,19 @@ func (s *Segment) GC() int {
 	return reclaimed
 }
 
+// Prune returns to the free list every interior page no reader can reach
+// (pruneLocked) without folding anything. It has no budget, and it changes
+// neither Stats nor what a later GC returns: pruning is physical only (see
+// GC). The runtime calls it where every pin has just moved — a barrier's
+// release, once each waiter's exit version is reserved — so that a program
+// whose commits never reach the GC cadence still recycles the pages its
+// rounds superseded.
+func (s *Segment) Prune() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.pruneLocked(s.pinsLocked())
+}
+
 // pinsLocked returns, ascending, every version a reader may still look a
 // page up at: each live workspace's version and each reserved UpdateTo
 // target. The slice is segment scratch, valid until the next call.
@@ -97,7 +110,7 @@ func (s *Segment) pinsLocked() []int64 {
 // the page finds S. It visits only the candidate list, never a chain, and
 // allocates nothing. A candidate whose predecessor folded meanwhile is
 // dropped — the fold frees that page — and one whose predecessor is still
-// reachable is kept for the next GC.
+// reachable is kept for the next GC or Prune.
 func (s *Segment) pruneLocked(pins []int64) {
 	kept := s.candidates[:0]
 	for _, t := range s.candidates {

@@ -104,10 +104,10 @@ type Segment struct {
 	//     conflict slot that still needs the buffer as its prev.data is
 	//     safe for the same reason from the other side: it is w's slot,
 	//     and GC stops at the first Pending() version.
-	//   - an interior slot's data, put by GC when it prunes slot S of
-	//     version s whose page's next slot T (T.prev == S, version t) has
+	//   - an interior slot's data, put by GC or Prune when it prunes slot S
+	//     of version s whose page's next slot T (T.prev == S, version t) has
 	//     resolved. A reader reaches S only by looking pg up at some `at`
-	//     in [s, t), and GC prunes S only when no pin — a live workspace's
+	//     in [s, t), and S is pruned only when no pin — a live workspace's
 	//     version or a reserved UpdateTo target (Workspace.Reserve) — lies
 	//     there; T's merge, the one other reader of S's page, has finished.
 	//     The slot's data becomes prunedPage, which the fold still counts
@@ -126,17 +126,18 @@ type Segment struct {
 
 	// candidates holds, in commit order, the published slots whose
 	// predecessor was an unfolded version's slot when they superseded it:
-	// each names one page GC may prune (pruneLocked). BeginCommit appends,
-	// GC drops what it prunes or what folded; both hold mu.
+	// each names one page GC or Prune may prune (pruneLocked). BeginCommit
+	// appends, pruneLocked drops what it prunes or what folded; both hold
+	// mu.
 	candidates []*pageSlot
-	// pins is GC's scratch list of the versions readers may look pages up
-	// at (pinsLocked), backed by pinBuf so a segment with few workspaces
-	// never allocates one.
+	// pins is GC's and Prune's scratch list of the versions readers may
+	// look pages up at (pinsLocked), backed by pinBuf so a segment with few
+	// workspaces never allocates one.
 	pins   []int64
 	pinBuf [8]int64
-	// prunedPages counts pages GC has pruned. It is physical, not modeled:
-	// Stats counts a pruned page live until the fold that would have freed
-	// it. Guarded by mu.
+	// prunedPages counts pages GC and Prune have pruned. It is physical,
+	// not modeled: Stats counts a pruned page live until the fold that
+	// would have freed it. Guarded by mu.
 	prunedPages int64
 
 	workspaces map[int]*Workspace // live workspaces keyed by owner tid

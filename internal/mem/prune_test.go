@@ -1,12 +1,13 @@
 package mem
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
 
-// Tests of GC's interior pruning (pruneLocked) and of the reservation rule
-// that makes it safe (Workspace.Reserve, UpdateTo).
+// Tests of interior pruning (pruneLocked, by GC and Prune) and of the
+// reservation rule that makes it safe (Workspace.Reserve, UpdateTo).
 
 // mustPanicWith fails unless f panics with a message containing substr.
 func mustPanicWith(t *testing.T, substr string, f func()) {
@@ -97,6 +98,65 @@ func TestPruneIntervalRule(t *testing.T) {
 	}
 	if live := int64(s.PopulatedPages()); st.CurPages != live || read(s.Head()) != 5 {
 		t.Fatalf("CurPages %d, populated %d, head byte %d", st.CurPages, live, read(s.Head()))
+	}
+}
+
+// TestPruneKeepsModeledCounts drives two segments through the same
+// barrier-shaped rounds — three workers commit scattered pages and one
+// page they all write (so phase 2 merges), then all move to the head,
+// while a fourth workspace lags as a thread parked in Join does, until a
+// fold passes it — and only one of them calls Prune at each round's end.
+// Pruning is physical only: both end with the same Stats and populated
+// pages, and every read at every pinned version returns the same bytes.
+func TestPruneKeepsModeledCounts(t *testing.T) {
+	const pages, pageSize, rounds = 8, 64, 6
+	drive := func(prune bool) (*Segment, [][]byte) {
+		s := newTestSegment(t, pages*pageSize, pageSize)
+		lag, _ := s.Snapshot(0)
+		var ws [3]*Workspace
+		for i := range ws {
+			ws[i], _ = s.Snapshot(i + 1)
+		}
+		var reads [][]byte
+		for r := 0; r < rounds; r++ {
+			for i, w := range ws {
+				w.Write([]byte{byte(r), byte(i), 1}, ((r+i)%(pages-1))*pageSize+4*i)
+				w.Write([]byte{byte(r*3 + i)}, (pages-1)*pageSize+i)
+				w.Commit()
+			}
+			for _, w := range ws {
+				w.Update()
+			}
+			if prune {
+				s.Prune()
+			}
+			if r == rounds/2 {
+				lag.Update()
+				s.GC()
+			}
+			for _, at := range []int64{lag.Version(), ws[0].Version()} {
+				b := make([]byte, s.Size())
+				s.ReadCommitted(b, 0, at)
+				reads = append(reads, b)
+			}
+		}
+		return s, reads
+	}
+	plain, plainReads := drive(false)
+	pruned, prunedReads := drive(true)
+	if plain.prunedPages != 0 || pruned.prunedPages == 0 {
+		t.Fatalf("pruned %d pages with Prune, %d without; want some and none", pruned.prunedPages, plain.prunedPages)
+	}
+	if a, b := plain.Stats(), pruned.Stats(); a != b || a.GCReclaimedPages == 0 || a.MergedPages == 0 {
+		t.Fatalf("Stats moved under Prune (or a count went unexercised):\n without %+v\n with    %+v", a, b)
+	}
+	if a, b := plain.PopulatedPages(), pruned.PopulatedPages(); a != b {
+		t.Fatalf("populated pages %d with Prune, %d without", b, a)
+	}
+	for i := range plainReads {
+		if !bytes.Equal(plainReads[i], prunedReads[i]) {
+			t.Fatalf("read %d at a pinned version differs under Prune", i)
+		}
 	}
 }
 

@@ -45,6 +45,12 @@ echo "== go test -race -count=20 (the page recycling stress: GC prunes pages whi
 # race-detector pass is not enough (docs/architecture.md, "Page buffers").
 go test -race -count=20 -run TestRecycleNeverReachesReaders ./internal/mem
 
+echo "== go test -race -count=5 (barrier pruning against real-host readers)"
+# Every barrier release prunes (Segment.Prune) while woken waiters move to
+# the barrier's version on the real host; the prunes race those readers
+# only in some interleavings.
+go test -race -count=5 -run TestGCPruningInvisible ./internal/det
+
 echo "== conseq-analyze smoke (golden trace)"
 go run ./cmd/conseq-analyze -input internal/obs/testdata/golden_trace.json >/dev/null
 
