@@ -7,6 +7,7 @@
 package cmd_test
 
 import (
+	"encoding/json"
 	"errors"
 	"os/exec"
 	"path/filepath"
@@ -48,7 +49,7 @@ func expect(t *testing.T, code int, want []string, bin string, args ...string) {
 
 func TestArtifactCLIs(t *testing.T) {
 	dir := t.TempDir()
-	if out, err := exec.Command("go", "build", "-o", dir+"/", "./detrun", "./conseq-diff", "./conseq-replay", "./conseq-serve").CombinedOutput(); err != nil {
+	if out, err := exec.Command("go", "build", "-o", dir+"/", "./detrun", "./conseq-diff", "./conseq-replay", "./conseq-analyze").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	in := func(name string) string { return filepath.Join(dir, name) }
@@ -75,11 +76,28 @@ func TestArtifactCLIs(t *testing.T) {
 	expect(t, 0, []string{"checksum    1f8b09e15b1b689c"}, in("conseq-replay"), "-dir", in("a"), "-resume", "-checksum", "1f8b09e15b1b689c")
 	expect(t, 1, nil, in("conseq-replay"), "-dir", in("a"), "-checksum", "1f8b09e15b1b688c")
 
-	// conseq-serve: the fleet's checksum and sweep-digest lines, unmoved
-	// by a follower-kill schedule.
-	served := []string{"checksum    1f8b09e15b1b689c", "sweep digest bb62a31a7e02126b"}
-	expect(t, 0, served, in("conseq-serve"), cell...)
-	expect(t, 0, served, in("conseq-serve"), append(cell, "-chaos", "follower-kill:2")...)
+	// detrun -replicas: the fleet's checksum and sweep-digest lines,
+	// unmoved by a follower-kill schedule; the fleet needs a log.
+	served := []string{"checksum    1f8b09e15b1b689c", "fleet       2 followers + archive", "sweep digest bb62a31a7e02126b"}
+	expect(t, 0, served, in("detrun"), append(cell, "-commitlog", in("f1"), "-replicas", "2")...)
+	expect(t, 0, served, in("detrun"), append(cell, "-commitlog", in("f2"), "-replicas", "2", "-chaos", "follower-kill:2")...)
+	expect(t, 2, nil, in("detrun"), append(cell, "-replicas", "2")...)
+
+	// detrun -analyze -json: stdout is one JSON report and nothing else;
+	// -json without -analyze is a usage error. conseq-analyze reads a trace
+	// file and nothing else: without -input it exits 2.
+	out, code := cli(t, in("detrun"), append(cell, "-analyze", "-json")...)
+	var rep struct {
+		Process string `json:"process"`
+		WallNS  int64  `json:"wall_ns"`
+	}
+	dec := json.NewDecoder(strings.NewReader(out))
+	if err := dec.Decode(&rep); code != 0 || err != nil || dec.More() || rep.Process != "consequence-ic kmeans t=8 scale=1 seed=42" || rep.WallNS == 0 {
+		t.Errorf("detrun -analyze -json: exit %d, decode %v, report %+v; stdout:\n%.300s", code, err, rep, out)
+	}
+	expect(t, 2, nil, in("detrun"), append(cell, "-json")...)
+	expect(t, 2, nil, in("conseq-analyze"))
+	expect(t, 2, nil, in("conseq-analyze"), "-json")
 }
 
 // consequence-bench is a name lookup over harness.Figures: a known name

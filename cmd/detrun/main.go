@@ -13,7 +13,10 @@
 //	detrun -bench ferret -trace /tmp/ferret.json    # Chrome/Perfetto trace
 //	detrun -bench ferret -metrics                   # metrics snapshot
 //	detrun -bench ferret -commitlog /tmp/alog       # the run's record (conseq-replay, conseq-diff)
+//	detrun -bench kmeans -threads 8 -commitlog /tmp/alog -replicas 2 -chaos follower-kill:3
+//	                                                # replica fleet + sweep digest
 //	detrun -bench ferret -analyze                   # critical-path report
+//	detrun -bench ferret -analyze -json > rep.json  # the report as JSON; summary on stderr
 //	detrun -bench ferret -real -listen :9090        # live /metrics + pprof
 //	detrun -list
 package main
@@ -21,6 +24,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -40,11 +44,12 @@ import (
 )
 
 func main() {
-	bench := flag.String("bench", "histogram", "benchmark name (see -list)")
-	rtName := flag.String("runtime", "consequence-ic", "consequence-ic | consequence-rr | dthreads | dwc | pthreads | rfdet-lrc")
-	threads := flag.Int("threads", 4, "thread count")
-	scale := flag.Int("scale", 1, "problem-size multiplier")
-	seed := flag.Int64("seed", 42, "input seed")
+	def := harness.Defaults
+	bench := flag.String("bench", def.Bench, "benchmark name (see -list)")
+	rtName := flag.String("runtime", string(def.Runtime), "consequence-ic | consequence-rr | dthreads | dwc | pthreads | rfdet-lrc")
+	threads := flag.Int("threads", def.Threads, "thread count")
+	scale := flag.Int("scale", def.Scale, "problem-size multiplier")
+	seed := flag.Int64("seed", def.Seed, "input seed")
 	// Results are identical with prediction on or off (it is an overlap
 	// optimization); the flag exists so timings can be compared.
 	predict := flag.Bool("predict", true, "enable write-set prediction (page prefetch during token wait) on the consequence runtimes")
@@ -55,19 +60,21 @@ func main() {
 	// sync-order hash is itself a deterministic constant (per-shard grant
 	// loops legitimately interleave threads differently at different
 	// counts, so the hash is pinned per count, not across counts).
-	shards := flag.Int("shards", 1, "token arbitration shards on consequence-ic; >= 2 selects per-shard granting with worker reuse and lazy fast-forward (consequence-rr stays on the single token: round-robin has no clock domain to shard)")
+	shards := flag.Int("shards", def.Shards, "token arbitration shards on consequence-ic; >= 2 selects per-shard granting with worker reuse and lazy fast-forward (consequence-rr stays on the single token: round-robin has no clock domain to shard)")
 	verify := flag.Bool("verify", false, "run repeatedly (sim + perturbed real host) and check determinism")
 	compare := flag.Bool("compare", false, "run the benchmark on every runtime and tabulate")
 	useReal := flag.Bool("real", false, "run on the real (goroutine) host instead of the simulator")
 	traceOut := flag.String("trace", "", "write a phase-resolved Chrome trace (chrome://tracing / Perfetto JSON) to this file")
 	metrics := flag.Bool("metrics", false, "print the observability metrics snapshot after the run")
-	analyzeRun := flag.Bool("analyze", false, "print the critical-path analysis report after the run (see conseq-analyze)")
+	analyzeRun := flag.Bool("analyze", false, "print the critical-path analysis report after the run (conseq-analyze prints it from a -trace file)")
+	jsonOut := flag.Bool("json", false, "with -analyze: print only the stable JSON report on stdout, and the run summary on stderr")
 	listen := flag.String("listen", "", "serve live /metrics (Prometheus text format) and /debug/pprof on this address during the run (e.g. :9090)")
 	sample := flag.Duration("sample", 0, "snapshot the metrics registry at this interval and print per-interval deltas after the run (e.g. 100ms)")
 	dumpTrace := flag.Int("dump-sync", 0, "dump the first N sync-order events")
 	watchdog := flag.Duration("watchdog", 0, "real-host stall watchdog: if any thread stays blocked longer than this, dump per-thread diagnostics and exit non-zero (requires -real)")
 	timeout := flag.Duration("timeout", 0, "bound the run's host wall clock: on expiry dump goroutine stacks and runtime state and exit non-zero (e.g. 30s)")
 	commitLogDir := flag.String("commitlog", "", "write the run's record (committed page diffs and sync events in one segmented log) into this empty directory; replay it with conseq-replay, compare two with conseq-diff")
+	replicas := flag.Int("replicas", 0, "with -commitlog: serve the log from this many live followers (plus an archive), check each one's final checksum, and print a digest of a seeded sweep of versioned reads")
 	list := flag.Bool("list", false, "list benchmarks and exit")
 	listChaos := flag.Bool("list-chaos", false, "list built-in chaos profiles and exit")
 	flag.Parse()
@@ -87,6 +94,13 @@ func main() {
 			fmt.Println(name)
 		}
 		return
+	}
+
+	switch {
+	case *jsonOut && !*analyzeRun:
+		usage(fmt.Errorf("-json is the format of the -analyze report; it needs -analyze"))
+	case *replicas > 0 && *commitLogDir == "":
+		usage(fmt.Errorf("-replicas serves a commit log; it needs -commitlog DIR"))
 	}
 
 	// The cell every mode builds; -verify and -compare vary the host and
@@ -135,15 +149,21 @@ func main() {
 	}
 	o.Observer = observer
 	o.CommitLogDir = *commitLogDir
+	o.Replicas = *replicas
 	cell := build(o, h)
 	spec, rt := cell.Spec, cell.Runtime
+	// With -json stdout carries the report alone.
+	var out io.Writer = os.Stdout
+	if *jsonOut {
+		out = os.Stderr
+	}
 	if *listen != "" {
 		srv, err := observer.ListenAndServe(*listen)
 		if err != nil {
 			fatal(err)
 		}
 		defer srv.Close()
-		fmt.Printf("serving      http://%s/metrics (and /debug/pprof)\n", srv.Addr())
+		fmt.Fprintf(out, "serving      http://%s/metrics (and /debug/pprof)\n", srv.Addr())
 	}
 	var sampler *obs.Sampler
 	if *sample > 0 {
@@ -158,51 +178,65 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	var digest uint64
+	if cell.Fleet != nil {
+		if digest, err = cell.SweepDigest(); err != nil {
+			fatal(err)
+		}
+	}
 	if err := cell.Close(); err != nil {
 		fatal(err)
 	}
 	st := res.Stats
-	fmt.Printf("benchmark   %s (%s, %s)\n", spec.Name, spec.Suite, spec.Class)
-	fmt.Printf("runtime     %s, %d threads, scale %d, seed %d\n", rt.Name(), *threads, *scale, *seed)
+	fmt.Fprintf(out, "benchmark   %s (%s, %s)\n", spec.Name, spec.Suite, spec.Class)
+	fmt.Fprintf(out, "runtime     %s, %d threads, scale %d, seed %d\n", rt.Name(), *threads, *scale, *seed)
 	if cell.Chaos != nil {
-		fmt.Printf("chaos       %s\n", cell.Chaos)
+		fmt.Fprintf(out, "chaos       %s\n", cell.Chaos)
 	}
-	fmt.Printf("checksum    %016x\n", res.Checksum)
+	fmt.Fprintf(out, "checksum    %016x\n", res.Checksum)
 	if tr != nil {
-		fmt.Printf("trace       %d events, hash %016x\n", tr.Len(), res.TraceHash)
+		fmt.Fprintf(out, "trace       %d events, hash %016x\n", tr.Len(), res.TraceHash)
 	}
 	if h.Timed() {
-		fmt.Printf("virtual     %.3f ms\n", float64(st.WallNS)/1e6)
+		fmt.Fprintf(out, "virtual     %.3f ms\n", float64(st.WallNS)/1e6)
 	}
-	fmt.Printf("host        %.3f ms\n", float64(res.HostNS)/1e6)
-	fmt.Printf("sync ops    %d (%d coarsened), token grants %d\n", st.SyncOps, st.CoarsenedOps, st.TokenGrants)
-	fmt.Printf("memory      %d versions, %d pages committed (%d merged), %d pulled, %d faults, peak %d pages\n",
+	fmt.Fprintf(out, "host        %.3f ms\n", float64(res.HostNS)/1e6)
+	fmt.Fprintf(out, "sync ops    %d (%d coarsened), token grants %d\n", st.SyncOps, st.CoarsenedOps, st.TokenGrants)
+	fmt.Fprintf(out, "memory      %d versions, %d pages committed (%d merged), %d pulled, %d faults, peak %d pages\n",
 		st.Versions, st.CommittedPages, st.MergedPages, st.PulledPages, st.Faults, st.PeakPages)
 	if cell.Log != nil {
 		cs := cell.Log.Stats()
-		fmt.Printf("commitlog   %s: %d commits, %d events, %d snapshots, %d segments (%d rolls), %d bytes (%d append stalls)\n",
+		fmt.Fprintf(out, "commitlog   %s: %d commits, %d events, %d snapshots, %d segments (%d rolls), %d bytes (%d append stalls)\n",
 			*commitLogDir, cs.Commits, cs.Events, cs.Snapshots, cs.Segments, cs.Rolls, cs.Bytes, cs.AppendStalls)
+	}
+	if cell.Fleet != nil {
+		fs := cell.Fleet.Stats()
+		fmt.Fprintf(out, "fleet       %d followers + archive, frontier %d, %d restarts, %d/%d admitted\n",
+			fs.Followers, fs.Frontier, fs.Restarts, fs.Admitted, fs.Followers)
+		fmt.Fprintf(out, "reads       %d swept: %d served, %d redirected, %d rejected\n",
+			harness.SweepReads, fs.ReadsServed, fs.ReadsRedirected, fs.ReadsRejected)
+		fmt.Fprintf(out, "sweep digest %016x\n", digest)
 	}
 	if dump != nil {
 		for _, e := range dump.Events() {
-			fmt.Println("  ", e)
+			fmt.Fprintln(out, "  ", e)
 		}
 	}
 	if *traceOut != "" {
 		if err := writeTraceFile(*traceOut, observer, harness.CellName(o)); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("trace json  %s (%d threads observed)\n", *traceOut, len(observer.Lanes()))
+		fmt.Fprintf(out, "trace json  %s (%d threads observed)\n", *traceOut, len(observer.Lanes()))
 	}
 	if *metrics {
-		fmt.Println("metrics:")
+		fmt.Fprintln(out, "metrics:")
 		for _, s := range observer.Registry().Snapshot() {
-			fmt.Println("  ", s)
+			fmt.Fprintln(out, "  ", s)
 		}
 	}
 	if sampler != nil {
 		sampler.Stop()
-		printSamplePoints(sampler.Points())
+		printSamplePoints(out, sampler.Points())
 	}
 	if *analyzeRun {
 		rep, err := analyze.Analyze(analyze.FromObserver(observer, harness.CellName(o)))
@@ -212,8 +246,14 @@ func main() {
 		if rep.Partial {
 			fmt.Fprintf(os.Stderr, "detrun: warning: %d timeline events dropped; analysis is partial\n", rep.DroppedEvents)
 		}
-		fmt.Println()
-		rep.WriteText(os.Stdout)
+		if !*jsonOut {
+			fmt.Println()
+			rep.WriteText(os.Stdout)
+		} else if b, err := rep.JSON(); err != nil {
+			fatal(err)
+		} else {
+			os.Stdout.Write(b)
+		}
 	}
 }
 
@@ -245,8 +285,8 @@ func run(o harness.Options, h host.Host) harness.Result {
 
 // printSamplePoints renders the sampler's per-interval deltas, skipping
 // metrics that did not move in an interval.
-func printSamplePoints(pts []obs.SamplePoint) {
-	fmt.Printf("samples     %d points\n", len(pts))
+func printSamplePoints(w io.Writer, pts []obs.SamplePoint) {
+	fmt.Fprintf(w, "samples     %d points\n", len(pts))
 	for _, pt := range pts {
 		keys := make([]string, 0, len(pt.Deltas))
 		for k, d := range pt.Deltas {
@@ -255,11 +295,11 @@ func printSamplePoints(pts []obs.SamplePoint) {
 			}
 		}
 		sort.Strings(keys)
-		fmt.Printf("  +%-10s", pt.Elapsed.Round(time.Millisecond))
+		fmt.Fprintf(w, "  +%-10s", pt.Elapsed.Round(time.Millisecond))
 		for _, k := range keys {
-			fmt.Printf(" %s=%+d", k, pt.Deltas[k])
+			fmt.Fprintf(w, " %s=%+d", k, pt.Deltas[k])
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }
 

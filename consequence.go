@@ -239,7 +239,8 @@ func (r *Runtime) WriteTrace(w io.Writer, name string) error {
 // serialization critical path, per-lock token-wait attribution, per-phase
 // utilization, commit/merge overlap, and chunk-coarsening what-if
 // estimates. See the internal/obs/analyze documentation for how each part
-// is computed; cmd/conseq-analyze is the command-line front end.
+// is computed; detrun -analyze (a live run) and conseq-analyze -input (an
+// exported trace) are the command-line front ends.
 type Report = analyze.Report
 
 // Analyze runs the critical-path analyzer over the completed run's

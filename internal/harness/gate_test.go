@@ -5,7 +5,7 @@ package harness
 // and this file checks it in tier-1 (`go test ./...`): one golden table
 // and five gates over it (determinism, chaos, the commit log as the run's
 // history and as its replayable memory, replica), all through Build — the
-// code path detrun and conseq-serve run.
+// code path detrun runs.
 //
 //	go test ./internal/harness -run Gate            # all five (~20 s)
 //	go test ./internal/harness -run GateChaos       # every profile x 5 seeds
@@ -57,8 +57,8 @@ var gateShards = [4]int{1, 2, 4, 8}
 // (2102 events) to have held any.
 //
 // Regenerate a value only if an intentional semantic change is fully
-// understood: run cmd/detrun (cmd/conseq-serve for sweep) with the flags
-// above and copy the new hashes.
+// understood: run cmd/detrun (with -commitlog DIR -replicas 2 for sweep)
+// with the flags above and copy the new hashes.
 type golden struct {
 	bench  string
 	sum    uint64
@@ -168,7 +168,7 @@ func (c gateCell) run(mod func(*Options)) error {
 }
 
 // runFleet serves the cell through a commit log and a two-follower fleet
-// (what conseq-serve does) and checks the result and the versioned-read
+// (what detrun -commitlog DIR -replicas 2 does) and checks the result and the versioned-read
 // sweep digest against the golden row. Cell.Run has already held every
 // follower's final checksum to the runtime's.
 func (c gateCell) runFleet(dir string) error {
@@ -187,7 +187,7 @@ func (c gateCell) runFleet(dir string) error {
 	if err := c.check(r); err != nil {
 		return err
 	}
-	digest, err := cell.SweepDigest(256)
+	digest, err := cell.SweepDigest()
 	if err != nil {
 		return fmt.Errorf("%s: %w", c, err)
 	}

@@ -6,8 +6,7 @@
 //
 // It is also the one place a run is assembled: Build turns Options and a
 // host into a Cell (runtime kind, chaos, commit log, replica fleet,
-// observer), and the figures, cmd/detrun, cmd/conseq-serve and the
-// determinism gate (gate_test.go: the golden table and the determinism,
+// observer), and the figures, cmd/detrun and the determinism gate (gate_test.go: the golden table and the determinism,
 // chaos, commit-log and replica gates over it) all go through it.
 package harness
 
@@ -110,6 +109,18 @@ type Options struct {
 	Replicas int
 }
 
+// Defaults is the cell a run is when it names nothing else: detrun's flag
+// defaults, and what optionsFromMeta fills in for a key a commit log's run
+// metadata lacks.
+var Defaults = Options{Bench: "histogram", Runtime: KindConsequenceIC, Threads: 4, Scale: 1, Seed: 42, Shards: 1}
+
+// CellName is the canonical process description for one observed cell —
+// the string traces are exported under and analysis reports are headed
+// with.
+func CellName(o Options) string {
+	return fmt.Sprintf("%s %s t=%d scale=%d seed=%d", o.Runtime, o.Bench, o.Threads, o.Scale, o.Seed)
+}
+
 // Result is one run's outcome.
 type Result struct {
 	Opts   Options
@@ -133,9 +144,9 @@ type Result struct {
 
 // Cell is one assembled run: the runtime Options selects, built on a
 // host, with everything Options asks for attached. Build is the only
-// place a run is put together — the figures, the gate tests, detrun and
-// conseq-serve all go through it — so the CLIs run exactly what the
-// tests test. Run it once, then Close it.
+// place a run is put together — the figures, the gate tests and detrun
+// all go through it — so the CLI runs exactly what the tests test. Run it
+// once, then Close it.
 type Cell struct {
 	Opts    Options
 	Spec    workload.Spec
@@ -150,8 +161,8 @@ type Cell struct {
 	Log   *commitlog.Log
 	Fleet *replica.Fleet
 	// Registry is where the fleet's replica_* metrics land: the
-	// Observer's registry when one is attached, so AnalyzeCell picks up
-	// the replication section.
+	// Observer's registry when one is attached, so the analysis report
+	// picks up the replication section.
 	Registry *obs.Registry
 
 	params  workload.Params
@@ -172,7 +183,7 @@ func runMeta(o Options) map[string]string {
 }
 
 // optionsFromMeta is runMeta's inverse: the cell a commit log's run
-// metadata describes. Keys an older artifact lacks take detrun's defaults.
+// metadata describes. Keys an older artifact lacks take Defaults'.
 func optionsFromMeta(meta map[string]string) (Options, error) {
 	if meta["bench"] == "" || meta["runtime"] == "" {
 		return Options{}, fmt.Errorf("harness: artifact lacks run metadata (bench/runtime); cannot re-execute")
@@ -192,10 +203,10 @@ func optionsFromMeta(meta map[string]string) (Options, error) {
 	o := Options{
 		Bench:   meta["bench"],
 		Runtime: Kind(meta["runtime"]),
-		Threads: int(num("threads", 0)),
-		Scale:   int(num("scale", 1)),
-		Seed:    num("seed", 42),
-		Shards:  int(num("shards", 1)),
+		Threads: int(num("threads", int64(Defaults.Threads))),
+		Scale:   int(num("scale", int64(Defaults.Scale))),
+		Seed:    num("seed", Defaults.Seed),
+		Shards:  int(num("shards", int64(Defaults.Shards))),
 	}
 	return o, firstErr
 }
@@ -383,14 +394,17 @@ func (c *Cell) Run() (Result, error) {
 	return res, nil
 }
 
-// SweepDigest reads n seeded (version, page) samples across the whole
-// committed history through the fleet's routing and hashes every answer
-// (FNV-1a over version, page, content). The sample sequence is a pure
-// function of the final version and the segment geometry, so two runs of
-// the same cell sweep the same reads — and replica equivalence demands
-// the same digest, whatever chaos the followers absorbed. Call between
-// Run and Close.
-func (c *Cell) SweepDigest(n int) (uint64, error) {
+// SweepReads is how many versioned reads SweepDigest makes.
+const SweepReads = 256
+
+// SweepDigest reads SweepReads seeded (version, page) samples across the
+// whole committed history through the fleet's routing and hashes every
+// answer (FNV-1a over version, page, content). The sample sequence is a
+// pure function of the final version and the segment geometry, so two
+// runs of the same cell sweep the same reads — and replica equivalence
+// demands the same digest, whatever chaos the followers absorbed. Call
+// between Run and Close.
+func (c *Cell) SweepDigest() (uint64, error) {
 	if c.Fleet == nil {
 		return 0, fmt.Errorf("harness: sweep digest needs a replica fleet (set Replicas)")
 	}
@@ -399,7 +413,7 @@ func (c *Cell) SweepDigest(n int) (uint64, error) {
 	h := fnv.New64a()
 	rng := chaos.NewRand(1, 0, 0x636f6e736571) // "conseq"
 	var rec [16]byte
-	for i := 0; i < n; i++ {
+	for i := 0; i < SweepReads; i++ {
 		v := rng.Below(final + 1)
 		pg := int(rng.Below(int64(npages)))
 		b, err := c.Fleet.ReadAt(v, pg)

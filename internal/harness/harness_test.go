@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -499,6 +500,20 @@ func TestOptionsFromMetaInvertsRunMeta(t *testing.T) {
 	}
 	if _, err := optionsFromMeta(map[string]string{"bench": "kmeans", "runtime": "dwc", "threads": "x"}); err == nil {
 		t.Error("non-numeric thread count accepted")
+	}
+}
+
+// A log whose metadata names only the bench and runtime re-executes as
+// that bench and runtime on the default cell — the one detrun runs when
+// given no other flag — and not with zero threads, which Build refuses.
+func TestOptionsFromMetaFillsDefaults(t *testing.T) {
+	got, err := optionsFromMeta(map[string]string{"bench": "kmeans", "runtime": "dwc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Options{Bench: "kmeans", Runtime: KindDWC, Threads: 4, Scale: 1, Seed: 42, Shards: 1}
+	if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+		t.Errorf("metadata {bench, runtime} gave %+v, want %+v", got, want)
 	}
 }
 

@@ -12,6 +12,11 @@
 // the oracle a runtime's observed outcomes must fall in. SC runs the same
 // search with store buffers of length 0, which is sequential consistency.
 //
+// Flushed is a second oracle, from Cohen & Schirmer's reduction theorem
+// ("A Better Reduction Theorem for Store Buffers"): a program in which a
+// fence separates every store from its thread's next load reaches only SC
+// outcomes on TSO.
+//
 // The package also writes the classic litmus tests as api.T programs
 // (Test.Prog), so that any runtime can run them.
 package litmus
@@ -90,6 +95,11 @@ var (
 	// SBLock is SB with a lock pair between each store and load: only the
 	// SC outcomes remain.
 	SBLock = Test{"SB+lock", [][]Instr{{St(x, 1), F, Ld(y, 0)}, {St(y, 1), F, Ld(x, 1)}}}
+	// SBLockPO is SB with the lock pair in the first thread only. The
+	// second thread's load may still pass its buffered store, so SB's
+	// relaxed outcome stays reachable: a fence somewhere is not enough,
+	// every thread must flush (Flushed).
+	SBLockPO = Test{"SB+lock+po", [][]Instr{{St(x, 1), F, Ld(y, 0)}, {St(y, 1), Ld(x, 1)}}}
 	// MP, message passing: one thread stores the data, then the flag; the
 	// other loads the flag, then the data. TSO keeps a thread's stores in
 	// order and its loads in order, so a load that sees the flag (r0 = 1)
@@ -118,7 +128,31 @@ var (
 )
 
 // All lists the litmus tests.
-func All() []Test { return []Test{SB, SBLock, MP, MPLock, LB, IRIW, TwoPlusTwoW, R} }
+func All() []Test { return []Test{SB, SBLock, SBLockPO, MP, MPLock, LB, IRIW, TwoPlusTwoW, R} }
+
+// Flushed reports whether t obeys the flush discipline: in every thread, a
+// fence lies between each store and the thread's next load. Every load of
+// such a test runs with its own thread's buffer empty, so each buffered
+// store can be moved to the moment it lands without any load noticing, and
+// TSO reaches exactly SC's outcomes for it (Cohen & Schirmer).
+func Flushed(t Test) bool {
+	for _, th := range t.Threads {
+		buffered := false // a store since the last fence
+		for _, in := range th {
+			switch in.Kind {
+			case Store:
+				buffered = true
+			case Fence:
+				buffered = false
+			case Load:
+				if buffered {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
 
 // TSO returns every outcome t can reach on the x86-TSO machine.
 func TSO(t Test) map[Outcome]bool { return explore(t, true) }

@@ -2,11 +2,15 @@ package litmus_test
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/costmodel"
 	"repro/internal/det"
+	"repro/internal/host"
+	"repro/internal/host/realhost"
 	"repro/internal/host/simhost"
 	"repro/internal/litmus"
 )
@@ -49,30 +53,41 @@ func outcomes(test litmus.Test, set map[litmus.Outcome]bool) string {
 // how many outcomes TSO and SC reach, which outcomes neither reaches (MP's
 // flag without the data, LB's loads both seeing the other's store, IRIW's
 // readers disagreeing on the store order, 2+2W's first stores both
-// surviving, and SB's relaxed outcome once a lock pair fences it), and
-// which outcomes TSO adds to SC: exactly SB's and R's relaxed ones.
+// surviving, and SB's relaxed outcome once a lock pair fences both
+// threads), which outcomes TSO adds to SC (exactly SB's and R's relaxed
+// ones, and SB's again when only one thread is fenced), and which tests
+// obey the flush discipline: for those, Cohen & Schirmer's reduction
+// theorem says TSO reaches exactly SC's outcomes, and the machine agrees.
 func TestMachine(t *testing.T) {
 	sbRelaxed := outcome(1, 1, 0, 0)
 	stale := outcome(1, 1, 1, 0) // MP: the flag without the data
 	for _, tc := range []struct {
 		test      litmus.Test
 		tso, sc   int
+		flushed   bool
 		forbidden []litmus.Outcome // reached by neither
 		relaxed   []litmus.Outcome // every outcome TSO reaches and SC does not
 	}{
-		{litmus.SB, 4, 3, nil, []litmus.Outcome{sbRelaxed}},
-		{litmus.SBLock, 3, 3, []litmus.Outcome{sbRelaxed}, nil},
-		{litmus.MP, 3, 3, []litmus.Outcome{stale}, nil},
-		{litmus.MPLock, 3, 3, []litmus.Outcome{stale}, nil},
-		{litmus.LB, 3, 3, []litmus.Outcome{outcome(1, 1, 1, 1)}, nil},
-		{litmus.IRIW, 15, 15, []litmus.Outcome{outcome(1, 1, 1, 0, 1, 0)}, nil},
-		{litmus.TwoPlusTwoW, 3, 3, []litmus.Outcome{outcome(1, 1)}, nil},
-		{litmus.R, 4, 3, nil, []litmus.Outcome{outcome(1, 2, 0)}},
+		{litmus.SB, 4, 3, false, nil, []litmus.Outcome{sbRelaxed}},
+		{litmus.SBLock, 3, 3, true, []litmus.Outcome{sbRelaxed}, nil},
+		{litmus.SBLockPO, 4, 3, false, nil, []litmus.Outcome{sbRelaxed}},
+		{litmus.MP, 3, 3, true, []litmus.Outcome{stale}, nil},
+		{litmus.MPLock, 3, 3, true, []litmus.Outcome{stale}, nil},
+		{litmus.LB, 3, 3, true, []litmus.Outcome{outcome(1, 1, 1, 1)}, nil},
+		{litmus.IRIW, 15, 15, true, []litmus.Outcome{outcome(1, 1, 1, 0, 1, 0)}, nil},
+		{litmus.TwoPlusTwoW, 3, 3, true, []litmus.Outcome{outcome(1, 1)}, nil},
+		{litmus.R, 4, 3, false, nil, []litmus.Outcome{outcome(1, 2, 0)}},
 	} {
 		name := tc.test.Name
 		tso, sc := litmus.TSO(tc.test), litmus.SC(tc.test)
 		if len(tso) != tc.tso || len(sc) != tc.sc {
 			t.Errorf("%s: TSO %s, SC %s; want %d and %d outcomes", name, outcomes(tc.test, tso), outcomes(tc.test, sc), tc.tso, tc.sc)
+		}
+		if got := litmus.Flushed(tc.test); got != tc.flushed {
+			t.Errorf("%s: Flushed %t, want %t", name, got, tc.flushed)
+		}
+		if tc.flushed && !maps.Equal(tso, sc) {
+			t.Errorf("%s is flushed, but TSO reaches %s and SC %s", name, outcomes(tc.test, tso), outcomes(tc.test, sc))
 		}
 		for o := range sc {
 			if !tso[o] {
@@ -97,14 +112,14 @@ func TestMachine(t *testing.T) {
 	}
 }
 
-// runLitmus runs test's program with padding seed on consequence-ic on the
-// simulation host, and returns its outcome and trace hash.
-func runLitmus(t *testing.T, test litmus.Test, seed int64, shards int) (litmus.Outcome, uint64) {
+// runLitmus runs test's program with padding seed on consequence-ic on h,
+// and returns its outcome and trace hash.
+func runLitmus(t *testing.T, h host.Host, test litmus.Test, seed int64, shards int) (litmus.Outcome, uint64) {
 	t.Helper()
 	c := det.Default()
 	c.SegmentSize = 1 << 16
 	c.EnableScaleOut(shards, len(test.Threads)+1)
-	rt, err := det.New(c, simhost.New(costmodel.Default()))
+	rt, err := det.New(c, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,35 +132,41 @@ func runLitmus(t *testing.T, test litmus.Test, seed int64, shards int) (litmus.O
 
 // TestConsequenceIsTSO runs every litmus test on consequence-ic over
 // padding seeds 1-4 and shards {1, 2, 4, 8}. Every outcome — registers and
-// final memory — is one the TSO machine reaches, a test fenced by lock
-// pairs lands in the SC subset, and each cell replays to the same outcome
-// and trace hash. Some seed shows SB's relaxed outcome: a thread's stores
-// stay in its workspace until its next sync op, which is Consequence's
-// store buffer (paper §2).
+// final memory — is one the TSO machine reaches, a test that obeys the
+// flush discipline (litmus.Flushed) lands in the SC subset, and each cell
+// replays to the same outcome and trace hash, both on the simulation host
+// and on a real host that sleeps up to 200 µs, drawn from the seed, before
+// each block and wake. Some seed shows SB's relaxed outcome: a thread's
+// stores stay in its workspace until its next sync op, which is
+// Consequence's store buffer (paper §2). So does SB+lock+po, whose one
+// lock pair does not flush the other thread.
 func TestConsequenceIsTSO(t *testing.T) {
 	for _, test := range litmus.All() {
 		tso, sc := litmus.TSO(test), litmus.SC(test)
-		fenced := slices.ContainsFunc(test.Threads, func(th []litmus.Instr) bool { return slices.Contains(th, litmus.F) })
+		flushed := litmus.Flushed(test)
 		seen := map[litmus.Outcome]bool{}
 		for seed := int64(1); seed <= 4; seed++ {
 			for _, shards := range []int{1, 2, 4, 8} {
-				o, h := runLitmus(t, test, seed, shards)
+				o, h := runLitmus(t, simhost.New(costmodel.Default()), test, seed, shards)
 				cell := fmt.Sprintf("%s seed %d shards %d", test.Name, seed, shards)
-				if again, h2 := runLitmus(t, test, seed, shards); again != o || h2 != h {
+				if again, h2 := runLitmus(t, simhost.New(costmodel.Default()), test, seed, shards); again != o || h2 != h {
 					t.Errorf("%s: replay gave %s trace %016x, first run %s trace %016x", cell, show(test, again), h2, show(test, o), h)
+				}
+				if real, h2 := runLitmus(t, realhost.New(200*time.Microsecond, seed), test, seed, shards); real != o || h2 != h {
+					t.Errorf("%s: the perturbed real host gave %s trace %016x, the simulation host %s trace %016x", cell, show(test, real), h2, show(test, o), h)
 				}
 				if !tso[o] {
 					t.Errorf("%s: outcome %s is outside TSO's %s", cell, show(test, o), outcomes(test, tso))
 				}
-				if fenced && !sc[o] {
+				if flushed && !sc[o] {
 					t.Errorf("%s: outcome %s is outside SC's %s", cell, show(test, o), outcomes(test, sc))
 				}
 				seen[o] = true
 			}
 		}
 		t.Logf("%s: observed %s of TSO's %s", test.Name, outcomes(test, seen), outcomes(test, tso))
-		if test.Name == litmus.SB.Name && !seen[outcome(1, 1, 0, 0)] {
-			t.Error("SB: no padding showed the relaxed outcome, though store buffering is how Consequence is TSO")
+		if (test.Name == litmus.SB.Name || test.Name == litmus.SBLockPO.Name) && !seen[outcome(1, 1, 0, 0)] {
+			t.Errorf("%s: no padding showed the relaxed outcome, though store buffering is how Consequence is TSO", test.Name)
 		}
 	}
 }

@@ -40,6 +40,23 @@ func analyzeGolden(t *testing.T) *analyze.Report {
 	return rep
 }
 
+// analyzeCell runs o with a fresh observer attached and returns the
+// result, the observer and the critical-path report of the run.
+func analyzeCell(t *testing.T, o harness.Options) (harness.Result, *obs.Observer, *analyze.Report) {
+	t.Helper()
+	ob := obs.New()
+	o.Observer = ob
+	res, err := harness.Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := analyze.Analyze(analyze.FromObserver(ob, harness.CellName(o)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, ob, rep
+}
+
 // TestGoldenReport pins the analyzer's JSON output on the golden trace
 // byte-for-byte: the trace bytes are pinned by TestChromeTraceGolden, so
 // any report change here is an analyzer behavior change and must be
@@ -150,10 +167,7 @@ func TestLiveVsParsedIdentical(t *testing.T) {
 			Scale:   1,
 			Seed:    42,
 		}
-		_, ob, live, err := harness.AnalyzeCell(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, ob, live := analyzeCell(t, opts)
 		var trace bytes.Buffer
 		if err := ob.WriteChromeTrace(&trace, harness.CellName(opts)); err != nil {
 			t.Fatal(err)
@@ -181,16 +195,13 @@ func TestLiveVsParsedIdentical(t *testing.T) {
 // mostly at parallel barriers.
 func TestReportInvariants(t *testing.T) {
 	for _, bench := range []string{"histogram", "kmeans", "swaptions", "ocean_cp", "canneal", "lu_ncb", "streamcluster"} {
-		res, _, rep, err := harness.AnalyzeCell(harness.Options{
+		res, _, rep := analyzeCell(t, harness.Options{
 			Bench:   bench,
 			Runtime: harness.KindConsequenceIC,
 			Threads: 8,
 			Scale:   1,
 			Seed:    42,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		if rep.CriticalPath.TotalNS > rep.WallNS {
 			t.Errorf("%s: critical path %d > wall %d", bench, rep.CriticalPath.TotalNS, rep.WallNS)
 		}

@@ -52,6 +52,8 @@ echo "== go test -race -count=5 (barrier pruning against real-host readers)"
 go test -race -count=5 -run TestGCPruningInvisible ./internal/det
 
 echo "== conseq-analyze smoke (golden trace)"
+# conseq-analyze reads an exported trace; a live run's report is
+# detrun -analyze's (cmd/cli_test.go checks its -json stdout).
 go run ./cmd/conseq-analyze -input internal/obs/testdata/golden_trace.json >/dev/null
 
 echo "== bench smoke (1 iteration, allocations reported)"
@@ -76,7 +78,8 @@ echo "== detrun output smoke (the printed checksum / trace lines vs one golden)"
 # The determinism, chaos, commit-log (history and memory) and replica
 # gates are Go tests (internal/harness/gate_test.go, run by `go test ./...`
 # above), and
-# cmd/cli_test.go drives the conseq-diff / -replay / -serve binaries. This
+# cmd/cli_test.go drives the conseq-diff, conseq-replay and conseq-analyze
+# binaries and detrun's -commitlog, -replicas and -analyze -json. This
 # keeps the printed format covered from the shell side: docs/divergence.md
 # and the golden table's regeneration note both quote these two lines.
 # -dump-sync 200 asks for more than the run's 169 events and lists them all.
