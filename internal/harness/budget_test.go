@@ -44,30 +44,31 @@ func measuredRun(t *testing.T, bench string, scale int) (ops int64, mallocs, byt
 // TestSyncOpAllocationBudget is the whole-run gate on sync-path garbage, on
 // the real host at threads=4, shards=4:
 //   - water_nsquared (bench/'s sync_storm: 8 218 sync ops, half of them
-//     one-page commits) may allocate 1.25 heap objects and 140 bytes per
-//     sync op (1.10 and 125 today). A published one-page commit costs two
-//     objects — its 128-byte version and its packed one-run diff —
-//     averaged over the empty commits, plus the run's fixed set-up. Before
-//     the token-held section was made garbage-free the same run spent 5.2
-//     objects per op; before the diff was packed and the version shrunk,
-//     1.60 and 235 bytes; while the recorder kept the first 4 096 trace
-//     events, 159 bytes.
+//     one-page commits) may allocate 0.70 heap objects and 140 bytes per
+//     sync op (0.605 and 125 today). A published one-page commit costs one
+//     object — its packed one-run diff with the 128-byte version header in
+//     front, 176 bytes — averaged over the empty commits, plus the run's
+//     fixed set-up. Before the token-held section was made garbage-free the
+//     same run spent 5.2 objects per op; before the diff was packed and the
+//     version shrunk, 1.60 and 235 bytes; while the version and the diff
+//     were two objects, 1.10 and the same 125 bytes; while the recorder kept
+//     the first 4 096 trace events, 159 bytes.
 //   - ferret (durable_pipeline's program: 11 661 sync ops, stages joined by
-//     cond-var queues) may allocate 0.75 objects and 90 bytes per sync op
-//     (0.64 and 76 today; 100 while the recorder kept events). While GC
-//     only folded, the root thread parked in Join pinned every version
-//     committed after its snapshot, and the run allocated a fresh 4 KiB
-//     page buffer for each one it retained: 3 266 buffers, 0.92 objects
-//     and 1 261 bytes per op. GC now prunes the interior versions no
-//     workspace can read, so those buffers come back to the free list. Its
-//     mutex and cond waiter queues keep their arrays; while a pop
-//     re-sliced past the head they reallocated, and the run spent 1.16
-//     objects per op.
+//     cond-var queues) may allocate 0.40 objects and 90 bytes per sync op
+//     (0.335 and 76 today; 0.64 while the version and the diff were two
+//     objects; 100 bytes while the recorder kept events). While GC only
+//     folded, the root thread parked in Join pinned every version committed
+//     after its snapshot, and the run allocated a fresh 4 KiB page buffer
+//     for each one it retained: 3 266 buffers, 0.92 objects and 1 261 bytes
+//     per op. GC now prunes the interior versions no workspace can read, so
+//     those buffers come back to the free list. Its mutex and cond waiter
+//     queues keep their arrays; while a pop re-sliced past the head they
+//     reallocated, and the run spent 1.16 objects per op.
 func TestSyncOpAllocationBudget(t *testing.T) {
 	for _, b := range []struct {
 		bench             string
 		perOp, bytesPerOp float64
-	}{{"water_nsquared", 1.25, 140}, {"ferret", 0.75, 90}} {
+	}{{"water_nsquared", 0.70, 140}, {"ferret", 0.40, 90}} {
 		ops, mallocs, bytes := measuredRun(t, b.bench, 8)
 		if ops < 1000 {
 			t.Fatalf("%s: run made only %d sync ops", b.bench, ops)

@@ -18,7 +18,8 @@
 // outcomes on TSO.
 //
 // The package also writes the classic litmus tests as api.T programs
-// (Test.Prog), so that any runtime can run them.
+// (Test.Prog), so that any runtime can run them, under each Placement of
+// their threads and locations.
 package litmus
 
 import (
@@ -26,6 +27,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/chaos"
+	"repro/internal/mem"
 )
 
 // Kind names an instruction kind.
@@ -258,47 +260,91 @@ const maxPad = 20000
 // padSalt separates the padding streams from the repo's other draws.
 const padSalt = 0x6c69746d7573 // "litmus"
 
+// Placement is where a Prog puts a test: the order the root spawns the
+// test's threads in, and how its locations and registers lie in the shared
+// segment.
+type Placement struct {
+	// Reversed spawns the test's last thread first; otherwise the root
+	// spawns them in order.
+	Reversed bool
+	// Spread puts every location and every register on a page of its own,
+	// so a thread that stores two locations between sync ops publishes a
+	// multi-page version. Otherwise they are packed into consecutive words
+	// of page 0, and every version is one page. Pages are
+	// mem.DefaultPageSize bytes, the runtimes' default; a spread test needs
+	// (Locs+MaxRegs) of them.
+	Spread bool
+}
+
+// Placements lists the four placements, packed and in order first.
+func Placements() []Placement {
+	return []Placement{{}, {Reversed: true}, {Spread: true}, {Reversed: true, Spread: true}}
+}
+
+// String names p as "<spawn order>/<layout>", as test cells print it.
+func (p Placement) String() string {
+	order, layout := "in order", "packed"
+	if p.Reversed {
+		order = "reversed"
+	}
+	if p.Spread {
+		layout = "spread"
+	}
+	return order + "/" + layout
+}
+
 // offset is the byte offset in the shared segment of location loc, and
 // that of register r is offset(Locs+r): each is one 8-byte word.
-func offset(loc int) int { return 8 * loc }
+func (p Placement) offset(loc int) int {
+	if p.Spread {
+		return mem.DefaultPageSize * loc
+	}
+	return 8 * loc
+}
 
-// Prog returns t as an api.T program. The root spawns one thread per
-// litmus thread, joins them all and copies the final registers and
-// locations into *out. A Load writes its register to the segment, and a
-// Fence is a lock pair on one mutex the threads share. Before each spawn
-// and each instruction a thread computes for a padding drawn from seed,
-// so that seeds interleave the threads differently.
-func (t Test) Prog(seed int64, out *Outcome) func(api.T) {
+// Prog returns t as an api.T program placed by place. The root spawns one
+// thread per litmus thread, joins them all and copies the final registers
+// and locations into *out. A Load writes its register to the segment, and
+// a Fence is a lock pair on one mutex the threads share. Before each spawn
+// and each instruction a thread computes for a padding drawn from seed, so
+// that seeds interleave the threads differently; a thread's padding stream
+// is its own whatever the spawn order.
+func (t Test) Prog(seed int64, place Placement, out *Outcome) func(api.T) {
 	return func(root api.T) {
 		m := root.NewMutex()
 		rootPad := chaos.NewRand(seed, -1, padSalt)
-		hs := make([]api.Handle, len(t.Threads))
-		for i, th := range t.Threads {
+		hs := make([]api.Handle, 0, len(t.Threads))
+		for k := range t.Threads {
+			i := k
+			if place.Reversed {
+				i = len(t.Threads) - 1 - k
+			}
+			th := t.Threads[i]
 			pad := chaos.NewRand(seed, int64(i), padSalt)
 			root.Compute(1 + rootPad.Below(maxPad))
-			hs[i] = root.Spawn(func(w api.T) {
+			hs = append(hs, root.Spawn(func(w api.T) {
 				for _, in := range th {
 					w.Compute(1 + pad.Below(maxPad))
 					switch in.Kind {
 					case Store:
-						api.PutU64(w, offset(in.Loc), in.Val)
+						api.PutU64(w, place.offset(in.Loc), in.Val)
 					case Load:
-						api.PutU64(w, offset(Locs+in.Reg), api.U64(w, offset(in.Loc)))
+						api.PutU64(w, place.offset(Locs+in.Reg), api.U64(w, place.offset(in.Loc)))
 					case Fence:
 						w.Lock(m)
 						w.Unlock(m)
 					}
 				}
-			})
+			}))
 		}
 		for _, h := range hs {
 			root.Join(h)
 		}
 		for r := range out.Regs {
-			out.Regs[r] = api.U64(root, offset(Locs+r))
+			out.Regs[r] = api.U64(root, place.offset(Locs+r))
 		}
 		for l := range out.Mem {
-			out.Mem[l] = api.U64(root, offset(l))
+			out.Mem[l] = api.U64(root, place.offset(l))
 		}
 	}
 }

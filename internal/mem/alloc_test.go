@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -59,56 +60,76 @@ func TestEmptyCommitAllocatesNothing(t *testing.T) {
 }
 
 // TestOnePageCommitAllocations gates the other half: a full fault → write
-// → BeginCommit → Complete → GC cycle on one page allocates the version
-// (its slot inline) and the one-byte diff (its run and its byte in one
-// block), and nothing else — no PendingCommit, no dirtyPage record, no slot
-// slice, no re-diff list, no version-list regrowth.
+// → BeginCommit → Complete → GC cycle on one page allocates one object, the
+// one-byte diff's block with the version header in front of it (its slot
+// inline, its run and its byte behind), and nothing else — no
+// PendingCommit, no dirtyPage record, no slot slice, no re-diff list, no
+// version-list regrowth. It does so whether PrepareCommit diffed the page
+// off the token or BeginCommit diffs it.
 func TestOnePageCommitAllocations(t *testing.T) {
-	s, err := NewSegment(SegmentConfig{Name: "gate", Size: 16 * DefaultPageSize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := s.Snapshot(0)
-	round := byte(0)
-	cycle := func() {
-		round++
-		a.Write([]byte{round}, 3*DefaultPageSize+7)
-		pc := a.BeginCommit()
-		pc.Complete()
-		if pc.Version() == nil || pc.Stats().CommittedPages != 1 {
-			t.Fatalf("cycle published %+v", pc.Stats())
+	for _, speculate := range []bool{false, true} {
+		s, err := NewSegment(SegmentConfig{Name: "gate", Size: 16 * DefaultPageSize})
+		if err != nil {
+			t.Fatal(err)
 		}
-		s.GC()
-	}
-	for i := 0; i < 40; i++ {
-		cycle() // grow every scratch list and the version array to steady state
-	}
-	if n := testing.AllocsPerRun(100, cycle); n > 2 {
-		t.Errorf("one-page commit cycle made %.0f allocations, want at most 2 (version, packed diff)", n)
-	}
-	if got := s.RetainedVersions(); got != 0 {
-		t.Fatalf("%d versions retained after GC", got)
+		a, _ := s.Snapshot(0)
+		round := byte(0)
+		cycle := func() {
+			round++
+			a.Write([]byte{round}, 3*DefaultPageSize+7)
+			if speculate {
+				a.PrepareCommit()
+			}
+			pc := a.BeginCommit()
+			pc.Complete()
+			if pc.Version() == nil || pc.Stats().CommittedPages != 1 {
+				t.Fatalf("cycle published %+v", pc.Stats())
+			}
+			s.GC()
+		}
+		for i := 0; i < 40; i++ {
+			cycle() // grow every scratch list and the version array to steady state
+		}
+		if n := testing.AllocsPerRun(100, cycle); n > 1 {
+			t.Errorf("speculate=%t: one-page commit cycle made %.0f allocations, want at most 1 (the version with its packed diff)", speculate, n)
+		}
+		if got := s.RetainedVersions(); got != 0 {
+			t.Fatalf("%d versions retained after GC", got)
+		}
 	}
 }
 
 // TestVersionLayout holds the size budget of the object a published commit
-// allocates while the token is held. The allocator rounds up to a size
-// class: at 128 bytes a one-page Version (its 88-byte slot inline) is an
-// exact class, and one pointer-sized field more in pageSlot moves every
-// such version to the 144-byte class.
+// allocates. The allocator rounds up to a size class: at 128 bytes a
+// one-page Version (its 88-byte slot inline) is an exact class, and one
+// pointer-sized field more in pageSlot moves every such version to the
+// 144-byte class. A small diff's block is 48 or 80 bytes alone, and 176 or
+// 208 with the version header in front: exact classes too, so a one-page
+// commit costs the bytes of its two former objects in one.
 func TestVersionLayout(t *testing.T) {
-	if got := unsafe.Sizeof(pageSlot{}); got != 88 {
-		t.Errorf("pageSlot is %d bytes, want 88", got)
-	}
-	if got := unsafe.Sizeof(Version{}); got != 128 {
-		t.Errorf("Version is %d bytes, want 128", got)
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"pageSlot", unsafe.Sizeof(pageSlot{}), 88},
+		{"Version", unsafe.Sizeof(Version{}), 128},
+		{"diff1", unsafe.Sizeof(diff1{}), 48},
+		{"diff2", unsafe.Sizeof(diff2{}), 80},
+		{"versionDiff1", unsafe.Sizeof(versionDiff1{}), 176},
+		{"versionDiff2", unsafe.Sizeof(versionDiff2{}), 208},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)
+		}
 	}
 }
 
 // TestSmallDiffIsOneBlock pins computeDiff's packing: a diff of one or two
 // runs totalling at most smallDiffBytes is a single allocation whose runs'
 // data lie inside it, capped so no run can grow into its neighbour; a
-// larger diff keeps its run slice and backing array.
+// larger diff keeps its run slice and backing array. Asked for a spare, a
+// small diff is still one allocation, its runs lie inside the block of the
+// zero Version it returns, and a larger diff returns none.
 func TestSmallDiffIsOneBlock(t *testing.T) {
 	twin := make([]byte, DefaultPageSize)
 	for _, tc := range []struct {
@@ -129,19 +150,56 @@ func TestSmallDiffIsOneBlock(t *testing.T) {
 				cur[i] = byte(i) | 1
 			}
 		}
-		var d Diff
-		if n := testing.AllocsPerRun(10, func() { d = computeDiff(cur, twin) }); n != tc.allocs {
-			t.Errorf("%s: %.0f allocations, want %.0f", tc.name, n, tc.allocs)
-		}
-		if len(d.Runs) != len(tc.runs) || cap(d.Runs) != len(tc.runs) {
-			t.Fatalf("%s: %d runs (cap %d), want %d", tc.name, len(d.Runs), cap(d.Runs), len(tc.runs))
-		}
-		for i, r := range d.Runs {
-			if r.Off != tc.runs[i][0] || len(r.Data) != tc.runs[i][1] || cap(r.Data) != len(r.Data) {
-				t.Errorf("%s: run %d = off %d len %d cap %d, want off %d len %d", tc.name, i, r.Off, len(r.Data), cap(r.Data), tc.runs[i][0], tc.runs[i][1])
+		for _, withSpare := range []bool{false, true} {
+			name := fmt.Sprintf("%s (spare %t)", tc.name, withSpare)
+			var d Diff
+			var spare *Version
+			diff := func() {
+				if !withSpare {
+					d = computeDiff(cur, twin, nil)
+					return
+				}
+				spare = nil
+				d = computeDiff(cur, twin, &spare)
 			}
-			if !bytes.Equal(r.Data, cur[r.Off:r.Off+len(r.Data)]) {
-				t.Errorf("%s: run %d data % x, want % x", tc.name, i, r.Data, cur[r.Off:r.Off+len(r.Data)])
+			if n := testing.AllocsPerRun(10, diff); n != tc.allocs {
+				t.Errorf("%s: %.0f allocations, want %.0f", name, n, tc.allocs)
+			}
+			if len(d.Runs) != len(tc.runs) || cap(d.Runs) != len(tc.runs) {
+				t.Fatalf("%s: %d runs (cap %d), want %d", name, len(d.Runs), cap(d.Runs), len(tc.runs))
+			}
+			for i, r := range d.Runs {
+				if r.Off != tc.runs[i][0] || len(r.Data) != tc.runs[i][1] || cap(r.Data) != len(r.Data) {
+					t.Errorf("%s: run %d = off %d len %d cap %d, want off %d len %d", name, i, r.Off, len(r.Data), cap(r.Data), tc.runs[i][0], tc.runs[i][1])
+				}
+				if !bytes.Equal(r.Data, cur[r.Off:r.Off+len(r.Data)]) {
+					t.Errorf("%s: run %d data % x, want % x", name, i, r.Data, cur[r.Off:r.Off+len(r.Data)])
+				}
+			}
+			if small := tc.allocs == 1; (spare != nil) != (withSpare && small) {
+				t.Fatalf("%s: spare %p", name, spare)
+			}
+			if spare == nil {
+				continue
+			}
+			if spare.Num != 0 || spare.Committer != 0 || spare.slots != nil {
+				t.Errorf("%s: spare header is not a zero Version: num %d, committer %d, %d slots", name, spare.Num, spare.Committer, len(spare.slots))
+			}
+			block := unsafe.Sizeof(versionDiff1{})
+			if len(d.Runs) == 2 {
+				block = unsafe.Sizeof(versionDiff2{})
+			}
+			lo := uintptr(unsafe.Pointer(spare))
+			inside := func(p unsafe.Pointer, n uintptr) bool {
+				return uintptr(p) >= lo+unsafe.Sizeof(Version{}) && uintptr(p)+n <= lo+block
+			}
+			if !inside(unsafe.Pointer(&d.Runs[0]), uintptr(len(d.Runs))*unsafe.Sizeof(Run{})) {
+				t.Errorf("%s: runs at %p lie outside the %d-byte block at %p", name, &d.Runs[0], block, spare)
+			}
+			for i, r := range d.Runs {
+				if !inside(unsafe.Pointer(unsafe.SliceData(r.Data)), uintptr(len(r.Data))) {
+					t.Errorf("%s: run %d data at %p lies outside the %d-byte block at %p", name, i, unsafe.SliceData(r.Data), block, spare)
+				}
 			}
 		}
 	}

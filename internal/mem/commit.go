@@ -126,9 +126,14 @@ func (ws *Workspace) applyPatches() {
 //
 // The token-held section leaves no garbage: every list it builds is
 // workspace scratch (or, for GC's prune candidates, segment scratch), the
-// result is a value, and the one allocation — the version with its slots —
-// is sized and made before the publish lock. With an empty dirty set the
-// commit is an update: one lock, no allocation.
+// result is a value, and the version is sized and made before the publish
+// lock. Its header is the workspace's spare — allocated off the token by
+// PrepareCommit together with a small diff — whenever one exists, so a
+// speculated one-page commit allocates nothing here, and an unspeculated
+// one allocates one block: its diff, with the header in front. A version of
+// more pages also makes its slot array, and a header of its own only when
+// none of its diffs brought a spare. With an empty dirty set the commit is
+// an update: one lock, no allocation.
 func (ws *Workspace) BeginCommit() PendingCommit {
 	s := ws.seg
 	var pc PendingCommit
@@ -165,14 +170,15 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 	misses := ws.scratchMisses[:0]
 	for _, pg := range pages {
 		if dp := ws.dirty[pg]; !dp.specOK {
-			dp.spec, dp.specOK = computeDiff(dp.data, dp.twin), true
+			ws.diff(dp)
 			misses = append(misses, pg)
 		}
 	}
 	ws.scratchMisses = misses
 
 	// Every diff is known now, so the version can be sized — one slot per
-	// page that changed — and allocated before the lock is taken.
+	// page that changed — and made before the lock is taken: on the spare
+	// header a small diff was allocated with, if there is one.
 	npub := 0
 	for _, pg := range pages {
 		if !ws.dirty[pg].spec.Empty() {
@@ -180,9 +186,14 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 		}
 	}
 	var v *Version
-	if npub > 0 {
+	switch {
+	case npub == 0:
+	case ws.spare != nil:
+		v = ws.spare.init(ws.tid, npub)
+	default:
 		v = newVersion(ws.tid, npub)
 	}
+	ws.spare = nil
 
 	// Serial decision 2 (locked): conflict checks against the latest table
 	// and version publication. Nothing below computes diffs or allocates;

@@ -52,6 +52,29 @@ const (
 // store — most of a sync-heavy program's commits — is such a diff.
 const smallDiffBytes = 16
 
+// The blocks of a small diff: its runs and their bytes, and, in the
+// versionDiff forms, the header of the version that will publish it in
+// front of them (176 and 208 bytes, exact size classes again: a 128-byte
+// Version plus the 48- or 80-byte diff). TestVersionLayout holds the sizes.
+type (
+	diff1 struct {
+		r [1]Run
+		b [smallDiffBytes]byte
+	}
+	diff2 struct {
+		r [2]Run
+		b [smallDiffBytes]byte
+	}
+	versionDiff1 struct {
+		v Version
+		diff1
+	}
+	versionDiff2 struct {
+		v Version
+		diff2
+	}
+)
+
 // hasZeroByte is the classic zero-byte probe. It may flag spurious bytes
 // above the first zero byte, but the lowest flagged byte is always the
 // first true zero, which is the only bit the kernels below consume (via
@@ -131,7 +154,12 @@ func nextSameByte(cur, twin []byte, i int) int {
 // the changes are, and one for a small diff (see smallDiffBytes). Runs are
 // immutable after publication (the commit log and followers alias them),
 // so sharing one backing array is safe.
-func computeDiff(cur, twin []byte) Diff {
+//
+// With a non-nil spare, a small diff's block also carries a zero Version in
+// front of its runs, and *spare is set to it: the workspace keeps it as the
+// header of the next version it publishes (Workspace.spare), so a one-page
+// commit is one object. A larger diff leaves *spare alone.
+func computeDiff(cur, twin []byte, spare **Version) Diff {
 	n := len(cur)
 	nruns, nbytes := 0, 0
 	for i := nextDiffByte(cur, twin, 0); i < n; {
@@ -145,20 +173,20 @@ func computeDiff(cur, twin []byte) Diff {
 	switch {
 	case nruns == 0:
 		return Diff{}
-	case nruns == 1 && nbytes <= smallDiffBytes:
-		p := new(struct {
-			r [1]Run
-			b [smallDiffBytes]byte
-		})
-		runs, backing = p.r[:], p.b[:nbytes]
-	case nruns == 2 && nbytes <= smallDiffBytes:
-		p := new(struct {
-			r [2]Run
-			b [smallDiffBytes]byte
-		})
-		runs, backing = p.r[:], p.b[:nbytes]
-	default:
+	case nruns > 2 || nbytes > smallDiffBytes:
 		runs, backing = make([]Run, nruns), make([]byte, nbytes)
+	case spare == nil && nruns == 1:
+		p := new(diff1)
+		runs, backing = p.r[:], p.b[:nbytes]
+	case spare == nil:
+		p := new(diff2)
+		runs, backing = p.r[:], p.b[:nbytes]
+	case nruns == 1:
+		p := new(versionDiff1)
+		*spare, runs, backing = &p.v, p.r[:], p.b[:nbytes]
+	default:
+		p := new(versionDiff2)
+		*spare, runs, backing = &p.v, p.r[:], p.b[:nbytes]
 	}
 	i := 0
 	for k := range runs {

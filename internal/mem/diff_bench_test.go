@@ -55,7 +55,7 @@ func BenchmarkComputeDiff(b *testing.B) {
 			b.SetBytes(benchPage)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				computeDiff(cur, twin)
+				computeDiff(cur, twin, nil)
 			}
 		})
 		b.Run(pattern+"/byte", func(b *testing.B) {

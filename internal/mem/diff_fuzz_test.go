@@ -63,7 +63,7 @@ func FuzzComputeDiff(f *testing.F) {
 	fuzzSeedPairs(f)
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		cur, twin := clip(a, b)
-		got, want := computeDiff(cur, twin), computeDiffRef(cur, twin)
+		got, want := computeDiff(cur, twin, nil), computeDiffRef(cur, twin)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("computeDiff mismatch\ncur  %x\ntwin %x\ngot  %+v\nwant %+v", cur, twin, got, want)
 		}
@@ -105,14 +105,14 @@ func FuzzApplyWhereClean(f *testing.F) {
 
 		dst2 := append([]byte(nil), dst...)
 		twin2 := append([]byte(nil), twin...)
-		before := computeDiff(dst, twin)
+		before := computeDiff(dst, twin, nil)
 
 		d.applyWhereClean(dst, twin)
 		applyWhereCleanRef(d, dst2, twin2)
 		if !bytes.Equal(dst, dst2) || !bytes.Equal(twin, twin2) {
 			t.Fatalf("applyWhereClean mismatch\ndst  %x\nref  %x\ntwin %x\nref  %x", dst, dst2, twin, twin2)
 		}
-		if after := computeDiff(dst, twin); !reflect.DeepEqual(before, after) {
+		if after := computeDiff(dst, twin, nil); !reflect.DeepEqual(before, after) {
 			t.Fatalf("patch changed the local diff\nbefore %+v\nafter  %+v", before, after)
 		}
 	})
@@ -128,7 +128,7 @@ func TestApplyWhereCleanPreservesDiff(t *testing.T) {
 	copy(dst[10:14], "WXYZ") // local store buffer: bytes 10..13 dirty
 
 	d := Diff{Runs: []Run{{Off: 8, Data: []byte("remotekin")}}} // pulls 8..16
-	before := computeDiff(dst, twin)
+	before := computeDiff(dst, twin, nil)
 
 	d.applyWhereClean(dst, twin)
 
@@ -141,7 +141,7 @@ func TestApplyWhereCleanPreservesDiff(t *testing.T) {
 	if !bytes.Equal(dst[8:10], twin[8:10]) || !bytes.Equal(dst[14:17], twin[14:17]) {
 		t.Error("twin not kept in sync at imported bytes")
 	}
-	after := computeDiff(dst, twin)
+	after := computeDiff(dst, twin, nil)
 	if !reflect.DeepEqual(before, after) {
 		t.Errorf("import changed the local diff\nbefore %+v\nafter  %+v", before, after)
 	}

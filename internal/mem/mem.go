@@ -205,9 +205,16 @@ type Version struct {
 }
 
 // newVersion allocates a version with room for npages slots; the caller
-// fills them in place.
+// fills them in place. BeginCommit's other source of versions is the
+// workspace's spare header (Workspace.spare).
 func newVersion(committer, npages int) *Version {
-	v := &Version{Committer: committer}
+	return new(Version).init(committer, npages)
+}
+
+// init makes v, a zero Version, one with room for npages slots, and
+// returns it.
+func (v *Version) init(committer, npages int) *Version {
+	v.Committer = committer
 	if npages == 1 {
 		v.slots = v.one[:]
 	} else {
@@ -254,8 +261,10 @@ func (v *Version) PageIndexes() []int {
 // version order onto a zero replica reproduces the committed content
 // exactly (the merge chain resolves to "previous content + this diff" for
 // conflict and non-conflict slots alike), which is what the commit log
-// persists. The Diff's run data
-// aliases the version's immutable buffers: read-only.
+// persists. The Diff's run data aliases the version's immutable buffers:
+// read-only. A small diff shares one block with its version's header
+// (Workspace.spare), so whoever holds its runs keeps the version's block
+// alive too.
 func (v *Version) ForEachPageDiff(f func(page int, d Diff)) {
 	for i := range v.slots {
 		f(int(v.slots[i].page), v.slots[i].diff)
@@ -279,8 +288,9 @@ func (v *Version) ForEachPageDiff(f func(page int, d Diff)) {
 // fields make a copy a different, unresolved slot.
 //
 // The layout is a size budget: at 88 bytes a one-page Version (its slot
-// inline) is 128 bytes, an exact size class, and one is allocated per
-// published commit while the token is held. TestVersionLayout holds it.
+// inline) is 128 bytes, and with a small diff's block behind it 176 or 208,
+// exact size classes all; one such block is allocated per published
+// one-page commit (Workspace.spare). TestVersionLayout holds it.
 type pageSlot struct {
 	page int32 // NewSegment bounds a segment's page count to fit
 	// conflict marks that another thread committed this page between the

@@ -512,7 +512,7 @@ func TestPropDiffRoundtrip(t *testing.T) {
 		for i := 0; i < rng.Intn(50); i++ {
 			cur[rng.Intn(n)] = byte(rng.Intn(256))
 		}
-		d := computeDiff(cur, twin)
+		d := computeDiff(cur, twin, nil)
 		for _, r := range d.Runs {
 			for k, b := range r.Data {
 				if twin[r.Off+k] == b {

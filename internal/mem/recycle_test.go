@@ -286,7 +286,7 @@ func TestPackedDiffLayout(t *testing.T) {
 			cur[i] = 1
 		}
 	}
-	d := computeDiff(cur, twin)
+	d := computeDiff(cur, twin, nil)
 	if len(d.Runs) != 4 {
 		t.Fatalf("got %d runs, want 4", len(d.Runs))
 	}
@@ -295,7 +295,7 @@ func TestPackedDiffLayout(t *testing.T) {
 			t.Errorf("run %d has slack: len %d cap %d", i, len(r.Data), cap(r.Data))
 		}
 	}
-	if n := testing.AllocsPerRun(50, func() { computeDiff(cur, twin) }); n > 2 {
+	if n := testing.AllocsPerRun(50, func() { computeDiff(cur, twin, nil) }); n > 2 {
 		t.Errorf("computeDiff made %.0f allocations, want the run slice and one backing array", n)
 	}
 }

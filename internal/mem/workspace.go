@@ -50,6 +50,15 @@ type Workspace struct {
 	// that were in the dirty set once, so it never outgrows the dirty
 	// set's high-water mark.
 	freeDirty []*dirtyPage
+
+	// spare is the zero Version header that the first small diff computed
+	// since the last BeginCommit was allocated with (computeDiff), or nil.
+	// BeginCommit publishes it as its version, so a one-page commit of a
+	// small diff is one object, and clears it on every call; discardLocked
+	// clears it too. The page whose diff made it may have been re-diffed
+	// since: the header is used all the same, and the runs behind it are
+	// dead bytes of the block.
+	spare *Version
 }
 
 // Prefetch states of a dirty page (dirtyPage.pf).
@@ -73,7 +82,7 @@ type dirtyPage struct {
 	twin []byte
 	// spec is the page's speculative diff (PrepareCommit), meaningful only
 	// while specOK is set. The invariant: a valid spec always equals
-	// computeDiff(data, twin) over the current contents. Local writes
+	// computeDiff(data, twin, ...) over the current contents. Local writes
 	// clear specOK; remote imports do NOT, because
 	// applyWhereClean is diff-preserving — it writes each pulled byte to
 	// both data and twin only at positions where data[i] == twin[i], so
@@ -300,11 +309,21 @@ func (ws *Workspace) PrepareCommit() int {
 	prepared := 0
 	for _, dp := range ws.dirty {
 		if !dp.specOK {
-			dp.spec, dp.specOK = computeDiff(dp.data, dp.twin), true
+			ws.diff(dp)
 			prepared++
 		}
 	}
 	return prepared
+}
+
+// diff recomputes dp's diff. While the workspace holds no spare version
+// header, a small diff is allocated together with one (see spare).
+func (ws *Workspace) diff(dp *dirtyPage) {
+	var spare **Version
+	if ws.spare == nil {
+		spare = &ws.spare
+	}
+	dp.spec, dp.specOK = computeDiff(dp.data, dp.twin, spare), true
 }
 
 // SetPredict switches write-set logging and prefetch support on or off.
@@ -381,6 +400,7 @@ func (ws *Workspace) Discard() {
 }
 
 func (ws *Workspace) discardLocked() {
+	ws.spare = nil
 	if n := len(ws.dirty); n > 0 {
 		ws.seg.allocPages(int64(-2 * n))
 		for _, dp := range ws.dirty {
