@@ -252,10 +252,15 @@ func explore(t Test, buffered bool) map[Outcome]bool {
 	return out
 }
 
-// maxPad bounds the compute padding before each instruction of a Prog,
-// in instructions: wide enough that seeds reorder the threads' accesses
-// across their spawns, which take the token.
-const maxPad = 20000
+// MaxPad is the widest padding bound Pads lists, in instructions: wide
+// enough that seeds reorder the threads' accesses across their spawns,
+// which take the token.
+const MaxPad = 20000
+
+// Pads lists the padding bounds a Prog is swept over: none, where every
+// thread runs its instructions back to back from its spawn; 200, far less
+// than a spawn or sync op costs; and MaxPad.
+func Pads() []int64 { return []int64{0, 200, MaxPad} }
 
 // padSalt separates the padding streams from the repo's other draws.
 const padSalt = 0x6c69746d7573 // "litmus"
@@ -306,10 +311,16 @@ func (p Placement) offset(loc int) int {
 // thread per litmus thread, joins them all and copies the final registers
 // and locations into *out. A Load writes its register to the segment, and
 // a Fence is a lock pair on one mutex the threads share. Before each spawn
-// and each instruction a thread computes for a padding drawn from seed, so
-// that seeds interleave the threads differently; a thread's padding stream
-// is its own whatever the spawn order.
-func (t Test) Prog(seed int64, place Placement, out *Outcome) func(api.T) {
+// and each instruction a thread computes for a padding drawn from seed
+// below the bound pad (none if pad is 0), so that seeds interleave the
+// threads differently; a thread's padding stream is its own whatever the
+// spawn order.
+func (t Test) Prog(seed int64, place Placement, pad int64, out *Outcome) func(api.T) {
+	compute := func(w api.T, r *chaos.Rand) {
+		if pad > 0 {
+			w.Compute(1 + r.Below(pad))
+		}
+	}
 	return func(root api.T) {
 		m := root.NewMutex()
 		rootPad := chaos.NewRand(seed, -1, padSalt)
@@ -320,11 +331,11 @@ func (t Test) Prog(seed int64, place Placement, out *Outcome) func(api.T) {
 				i = len(t.Threads) - 1 - k
 			}
 			th := t.Threads[i]
-			pad := chaos.NewRand(seed, int64(i), padSalt)
-			root.Compute(1 + rootPad.Below(maxPad))
+			thPad := chaos.NewRand(seed, int64(i), padSalt)
+			compute(root, &rootPad)
 			hs = append(hs, root.Spawn(func(w api.T) {
 				for _, in := range th {
-					w.Compute(1 + pad.Below(maxPad))
+					compute(w, &thPad)
 					switch in.Kind {
 					case Store:
 						api.PutU64(w, place.offset(in.Loc), in.Val)

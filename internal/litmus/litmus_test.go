@@ -112,10 +112,10 @@ func TestMachine(t *testing.T) {
 	}
 }
 
-// runLitmus runs test's program with padding seed and placement place on
-// consequence-ic on h, and returns its outcome, trace hash and the number
-// of versions and committed pages.
-func runLitmus(t *testing.T, h host.Host, test litmus.Test, seed int64, place litmus.Placement, shards int) (o litmus.Outcome, hash uint64, versions, pages int64) {
+// runLitmus runs test's program with padding seed and bound pad and
+// placement place on consequence-ic on h, and returns its outcome, trace
+// hash and the number of versions and committed pages.
+func runLitmus(t *testing.T, h host.Host, test litmus.Test, seed int64, place litmus.Placement, pad int64, shards int) (o litmus.Outcome, hash uint64, versions, pages int64) {
 	t.Helper()
 	c := det.Default()
 	c.SegmentSize = 1 << 16
@@ -124,7 +124,7 @@ func runLitmus(t *testing.T, h host.Host, test litmus.Test, seed int64, place li
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.Run(test.Prog(seed, place, &o)); err != nil {
+	if err := rt.Run(test.Prog(seed, place, pad, &o)); err != nil {
 		t.Fatal(err)
 	}
 	st := rt.Stats()
@@ -155,48 +155,62 @@ func storesTwice(test litmus.Test) bool {
 
 // TestConsequenceIsTSO runs every litmus test on consequence-ic under each
 // placement (spawn order in order or reversed, locations packed into one
-// page or spread one per page) over padding seeds 1-4 and shards
-// {1, 2, 4, 8}. Every outcome — registers and final memory — is one the TSO
-// machine reaches, a test that obeys the flush discipline (litmus.Flushed)
-// lands in the SC subset, and each cell replays to the same outcome and
-// trace hash, both on the simulation host and on a real host that sleeps up
-// to 200 µs, drawn from the seed, before each block and wake. A packed
-// cell publishes only one-page versions; a spread cell of a test with two
+// page or spread one per page) over padding bounds litmus.Pads(), padding
+// seeds 1-4 and shards {1, 2, 4, 8}. Every outcome — registers and final
+// memory — is one the TSO machine reaches, a test that obeys the flush
+// discipline (litmus.Flushed) lands in the SC subset, and each cell replays
+// to the same outcome and trace hash on the simulation host; at the widest
+// bound, litmus.MaxPad, it also does on a real host that sleeps up to
+// 200 µs, drawn from the seed, before each block and wake. A packed cell
+// publishes only one-page versions; a spread cell of a test with two
 // unfenced stores in a thread (MP, 2+2W, R) publishes a multi-page one, so
 // the oracle judges both commit shapes. Some cell shows SB's relaxed
 // outcome: a thread's stores stay in its workspace until its next sync op,
 // which is Consequence's store buffer (paper §2). So does SB+lock+po, whose
 // one lock pair does not flush the other thread.
+//
+// Every location starts on a never-written page, and a spread cell gives
+// each its own, so their first stores fault the shared zero page: the twin
+// each fault lends (mem's dirtyPage.lent) is that page, and the twins a
+// later sync op's pull window copies are committed pages other threads
+// still read. The oracle judges what those twins make of the diffs.
 func TestConsequenceIsTSO(t *testing.T) {
 	for _, test := range litmus.All() {
 		tso, sc := litmus.TSO(test), litmus.SC(test)
 		flushed := litmus.Flushed(test)
 		seen := map[litmus.Outcome]bool{}
-		for _, place := range litmus.Placements() {
-			for seed := int64(1); seed <= 4; seed++ {
-				for _, shards := range []int{1, 2, 4, 8} {
-					o, h, versions, pages := runLitmus(t, simhost.New(costmodel.Default()), test, seed, place, shards)
-					cell := fmt.Sprintf("%s %v seed %d shards %d", test.Name, place, seed, shards)
-					if again, h2, _, _ := runLitmus(t, simhost.New(costmodel.Default()), test, seed, place, shards); again != o || h2 != h {
-						t.Errorf("%s: replay gave %s trace %016x, first run %s trace %016x", cell, show(test, again), h2, show(test, o), h)
+		for _, pad := range litmus.Pads() {
+			seenAt := map[litmus.Outcome]bool{}
+			for _, place := range litmus.Placements() {
+				for seed := int64(1); seed <= 4; seed++ {
+					for _, shards := range []int{1, 2, 4, 8} {
+						o, h, versions, pages := runLitmus(t, simhost.New(costmodel.Default()), test, seed, place, pad, shards)
+						cell := fmt.Sprintf("%s %v pad %d seed %d shards %d", test.Name, place, pad, seed, shards)
+						if again, h2, _, _ := runLitmus(t, simhost.New(costmodel.Default()), test, seed, place, pad, shards); again != o || h2 != h {
+							t.Errorf("%s: replay gave %s trace %016x, first run %s trace %016x", cell, show(test, again), h2, show(test, o), h)
+						}
+						if pad == litmus.MaxPad {
+							if real, h2, _, _ := runLitmus(t, realhost.New(200*time.Microsecond, seed), test, seed, place, pad, shards); real != o || h2 != h {
+								t.Errorf("%s: the perturbed real host gave %s trace %016x, the simulation host %s trace %016x", cell, show(test, real), h2, show(test, o), h)
+							}
+						}
+						if !tso[o] {
+							t.Errorf("%s: outcome %s is outside TSO's %s", cell, show(test, o), outcomes(test, tso))
+						}
+						if flushed && !sc[o] {
+							t.Errorf("%s: outcome %s is outside SC's %s", cell, show(test, o), outcomes(test, sc))
+						}
+						if multi := pages > versions; multi && !place.Spread {
+							t.Errorf("%s: packed, yet %d versions publish %d pages", cell, versions, pages)
+						} else if !multi && place.Spread && storesTwice(test) {
+							t.Errorf("%s: spread with two unfenced stores, yet %d versions publish %d pages", cell, versions, pages)
+						}
+						seenAt[o] = true
+						seen[o] = true
 					}
-					if real, h2, _, _ := runLitmus(t, realhost.New(200*time.Microsecond, seed), test, seed, place, shards); real != o || h2 != h {
-						t.Errorf("%s: the perturbed real host gave %s trace %016x, the simulation host %s trace %016x", cell, show(test, real), h2, show(test, o), h)
-					}
-					if !tso[o] {
-						t.Errorf("%s: outcome %s is outside TSO's %s", cell, show(test, o), outcomes(test, tso))
-					}
-					if flushed && !sc[o] {
-						t.Errorf("%s: outcome %s is outside SC's %s", cell, show(test, o), outcomes(test, sc))
-					}
-					if multi := pages > versions; multi && !place.Spread {
-						t.Errorf("%s: packed, yet %d versions publish %d pages", cell, versions, pages)
-					} else if !multi && place.Spread && storesTwice(test) {
-						t.Errorf("%s: spread with two unfenced stores, yet %d versions publish %d pages", cell, versions, pages)
-					}
-					seen[o] = true
 				}
 			}
+			t.Logf("%s pad %d: observed %s", test.Name, pad, outcomes(test, seenAt))
 		}
 		t.Logf("%s: observed %s of TSO's %s", test.Name, outcomes(test, seen), outcomes(test, tso))
 		if (test.Name == litmus.SB.Name || test.Name == litmus.SBLockPO.Name) && !seen[outcome(1, 1, 0, 0)] {

@@ -65,6 +65,11 @@ func (ws *Workspace) touchedScratch() map[int]bool {
 // order, the published slots that must patch pages dirty here
 // (applyPatches). Caller holds the segment lock and guarantees head <=
 // s.head.
+//
+// A patched page's twin is written, so a lent one is copied here, when the
+// page's first patch is queued: under the lock, while ws.version still pins
+// the committed page it points at. UpdateTo moves the version before it
+// patches off-lock, and from then on GC or Prune may recycle that page.
 func (ws *Workspace) pullWindowLocked(head int64) (pulled int) {
 	s := ws.seg
 	if ws.version >= head {
@@ -81,7 +86,10 @@ func (ws *Workspace) pullWindowLocked(head int64) (pulled int) {
 			slot := &v.slots[i]
 			pg := int(slot.page)
 			touched[pg] = true
-			if _, dirtyHere := ws.dirty[pg]; dirtyHere {
+			if dp, dirtyHere := ws.dirty[pg]; dirtyHere {
+				if dp.lent {
+					dp.twin, dp.lent = s.copyPage(dp.twin), false
+				}
 				patches = append(patches, slot)
 			}
 		}
@@ -201,10 +209,11 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 	// latest/head update.
 	kept := ws.scratchKept[:0]
 	var wasted int64
-	// Buffers this commit releases, recycled once the lock is dropped.
-	// Their count is also the live-page delta: every page that stops being
-	// live here is one buffer put.
+	// Buffers this commit releases, recycled once the lock is dropped, and
+	// the lent twins that leave the dirty set with them: committed pages,
+	// never put, but each one a live page of the modeled count.
 	freed := ws.scratchFreed[:0]
+	var lent int64
 	mi, si := 0, 0
 	s.mu.Lock()
 	for _, pg := range pages {
@@ -229,34 +238,38 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 			if dp.pf != pfNone {
 				wasted++
 			}
-			freed = append(freed, dp.data, dp.twin)
-			continue
-		}
-		slot := &v.slots[si]
-		si++
-		slot.page = int32(pg)
-		slot.version = v
-		slot.prev = s.latest[pg]
-		slot.diff = diff
-		if slot.prev != nil && slot.prev.version.Num > s.floor {
-			s.candidates = append(s.candidates, slot) // GC may prune prev
-		}
-		// A conflict means some other thread committed this page after our
-		// snapshot; phase 2 must merge rather than install our copy.
-		if slot.prev != nil && slot.prev.version.Num > oldV {
-			slot.conflict = true
-			pc.stats.MergedPages++
-			freed = append(freed, dp.data, dp.twin) // the merge takes its own page
+			freed = append(freed, dp.data)
 		} else {
-			slot.data = dp.data // our copy becomes the committed page
+			slot := &v.slots[si]
+			si++
+			slot.page = int32(pg)
+			slot.version = v
+			slot.prev = s.latest[pg]
+			slot.diff = diff
+			if slot.prev != nil && slot.prev.version.Num > s.floor {
+				s.candidates = append(s.candidates, slot) // GC may prune prev
+			}
+			// A conflict means some other thread committed this page after
+			// our snapshot; phase 2 must merge rather than install our copy.
+			if slot.prev != nil && slot.prev.version.Num > oldV {
+				slot.conflict = true
+				pc.stats.MergedPages++
+				freed = append(freed, dp.data) // the merge takes its own page
+			} else {
+				slot.data = dp.data // our copy becomes the committed page
+			}
+			s.latest[pg] = slot
+			pc.stats.DiffBytes += diff.Bytes()
+			if miss {
+				pc.stats.SpecMisses++
+			} else {
+				pc.stats.SpecHits++
+			}
+		}
+		if dp.lent {
+			lent++
+		} else {
 			freed = append(freed, dp.twin)
-		}
-		s.latest[pg] = slot
-		pc.stats.DiffBytes += diff.Bytes()
-		if miss {
-			pc.stats.SpecMisses++
-		} else {
-			pc.stats.SpecHits++
 		}
 	}
 
@@ -265,7 +278,7 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 		ws.version = headBefore
 		s.mu.Unlock()
 		ws.resetDirty(pages, kept)
-		ws.recycle(freed)
+		ws.recycle(freed, lent)
 		s.addPulled(int64(pc.stats.PulledPages))
 		s.notePrefetchWasted(wasted)
 		return pc
@@ -280,7 +293,7 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 	s.mu.Unlock()
 
 	ws.resetDirty(pages, kept)
-	ws.recycle(freed)
+	ws.recycle(freed, lent)
 	s.noteCommit(pc.stats)
 	s.notePrefetchWasted(wasted)
 	return pc
@@ -307,10 +320,11 @@ func (ws *Workspace) resetDirty(pages, kept []int) {
 }
 
 // recycle returns the buffers a commit released (workspace scratch) to the
-// segment's free list and takes them off the live-page count.
-func (ws *Workspace) recycle(freed [][]byte) {
+// segment's free list and takes them, and the lent twins that left the
+// dirty set, off the live-page count.
+func (ws *Workspace) recycle(freed [][]byte, lent int64) {
 	ws.seg.putPages(freed...)
-	ws.seg.allocPages(-int64(len(freed)))
+	ws.seg.allocPages(-int64(len(freed)) - lent)
 	clear(freed)
 	ws.scratchFreed = freed[:0]
 }

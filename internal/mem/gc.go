@@ -45,14 +45,15 @@ func (s *Segment) GC() int {
 		for i := range v.slots {
 			slot := &v.slots[i]
 			pg := slot.page
-			if old := s.base[pg]; old != nil {
+			old := s.base[pg]
+			s.base[pg] = slot.data
+			if old != nil {
 				reclaimed++ // superseded base page freed
 				s.allocPages(-1)
 				if len(old) > 0 { // a pruned page was put when it was pruned
 					s.putPages(old) // no reader can hold it: see Segment.free
 				}
 			}
-			s.base[pg] = slot.data
 			// Drop the chain link: anything at or below the new floor is
 			// reachable through the base table.
 			slot.prev = nil
@@ -122,8 +123,9 @@ func (s *Segment) pruneLocked(pins []int64) {
 			kept = append(kept, t)
 			continue
 		}
-		s.putPages(p.data)
+		data := p.data
 		p.data = prunedPage
+		s.putPages(data)
 		s.prunedPages++
 	}
 	clear(s.candidates[len(kept):]) // do not pin the versions dropped

@@ -5,8 +5,11 @@
 // A Segment is a paged, versioned address space. Each thread operates on a
 // Workspace: an isolated snapshot of the segment at some version. Writes to
 // a workspace trigger a copy-on-write "fault" that copies the page into a
-// thread-local dirty set together with a twin (the pristine snapshot copy),
-// exactly mirroring the kernel implementation's private page-table entries.
+// thread-local dirty set, mirroring the kernel implementation's private
+// page-table entries. The page's twin — the pristine snapshot the diff is
+// taken against — is the committed page the copy was taken from, which the
+// workspace's version pins: the fault lends it rather than copying it
+// again, and the workspace copies it only when an update must patch it.
 //
 // A commit publishes the workspace's dirty pages as a new immutable Version.
 // If another thread committed to the same page since the workspace's
@@ -82,20 +85,23 @@ type Segment struct {
 	statsMu sync.Mutex
 
 	// free is the segment's stack of recycled page buffers. Every page
-	// buffer (dirty copy, twin, merged page) is taken from it and returned
-	// to it, so the steady-state commit path allocates no pages; it holds
-	// only buffers that were live once, so it never outgrows the segment's
-	// own live-page high-water mark. A plain stack rather than a sync.Pool:
-	// the collector must not decide how many pages a run allocates.
+	// buffer (dirty copy, patched twin, merged page) is taken from it and
+	// returned to it, so the steady-state commit path allocates no pages;
+	// it holds only buffers that were live once, so it never outgrows the
+	// segment's own live-page high-water mark. A plain stack rather than a
+	// sync.Pool: the collector must not decide how many pages a run
+	// allocates.
 	//
 	// The invariant: only a buffer with NO READER may be put. Page slices
 	// escape the segment lock — committedPage returns one after unlocking
 	// and the caller copies from it — so a put buffer must be unreachable
 	// from every lookup a reader can still make:
 	//
-	//   - thread-private buffers: a twin, a dirty copy dropped unpublished
-	//     (empty diff, wasted prefetch, discard), and a conflicting page's
-	//     raw copy (the version publishes the merge, not the copy);
+	//   - thread-private buffers: a twin once a patch copied it (a lent twin
+	//     is committed content, never put: see dirtyPage), a dirty copy
+	//     dropped unpublished (empty diff, wasted prefetch, discard), and a
+	//     conflicting page's raw copy (the version publishes the merge, not
+	//     the copy);
 	//   - a superseded base[pg], put by GC when it folds version w over it.
 	//     A reader holding it looked up pg at some `at` and found no version
 	//     in (floor, at] touching pg, so at < w; but GC folds w only when
@@ -116,12 +122,15 @@ type Segment struct {
 	// The zero page is never put, and a committer's dirty copy that
 	// BeginCommit makes a clean slot's data is put only as a superseded
 	// base[pg] or a pruned slot's page, above: both are committed content
-	// readers may hold.
+	// readers may hold. A lent twin is one such reader: its workspace's
+	// version pins the page it points at, so the interval rule keeps it.
 	freeMu sync.Mutex
 	free   [][]byte
-	// onPut, when set, sees every buffer as it is put. Test seam: the
-	// recycling stress test poisons buffers here, so a put that races a
-	// reader shows up as poison in what the reader copied.
+	// onPut, when set, sees every buffer as it is put, after every holder
+	// above has let go of it. Test seam: the recycling stress test poisons
+	// buffers here, so a put that races a reader shows up as poison in
+	// what the reader copied, and the lent-twin test fails on a put buffer
+	// a holder still reaches.
 	onPut func([]byte)
 
 	// candidates holds, in commit order, the published slots whose

@@ -32,8 +32,10 @@ type loggedDiff struct {
 
 // TestRecycleNeverReachesReaders runs every operation that takes or puts a
 // page buffer — Read, Write, Prepopulate, Commit (both phases, merges
-// included), Reserve and UpdateTo, Discard, GC with its interior pruning,
-// ReadCommitted — concurrently, with every buffer poisoned as it is put.
+// included), Reserve and UpdateTo, an Update between a write and its
+// commit (which moves the pin under lent twins), Discard, GC with its
+// interior pruning, ReadCommitted — concurrently, with every buffer
+// poisoned as it is put.
 // BeginCommit is serialized by the caller, as the runtimes' token does;
 // everything else races freely. Run with -race, and repeatedly
 // (scripts/check.sh runs it -count=20): a put that overlaps a reader is
@@ -99,6 +101,12 @@ func TestRecycleNeverReachesReaders(t *testing.T) {
 				}
 				s.ReadCommitted(page, rng.Intn(npages)*pageSize, ws.Version())
 				checkNoPoison(t, "ReadCommitted", page)
+				if rng.Intn(3) == 0 {
+					// Move the pin from under the dirty pages' lent twins
+					// while the others commit, GC and prune: a twin the
+					// window patches must be copied before it moves.
+					ws.Update()
+				}
 
 				switch rng.Intn(8) {
 				case 0:
@@ -222,6 +230,49 @@ func TestCommitCycleAllocatesNoPages(t *testing.T) {
 	}
 	if st := s.Stats(); st.MergedPages == 0 || st.PrefetchHits == 0 || st.PrefetchWasted == 0 || st.GCReclaimedPages == 0 {
 		t.Fatalf("cycle did not exercise merge, prefetch and GC: %+v", st)
+	}
+}
+
+// TestFaultAllocatesOnePage is the tier-1 gate on lent twins: on a fresh
+// segment, whose free list is empty, a copy-on-write fault allocates one
+// 64 KiB page, the dirty copy, and so does a Prepopulate of one page. The
+// twin is the committed page the copy was taken from (dirtyPage.lent);
+// while each fault copied it too, both allocated two pages.
+func TestFaultAllocatesOnePage(t *testing.T) {
+	const (
+		pageSize = 64 << 10
+		tries    = 8
+	)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, op := range []struct {
+		name string
+		do   func(ws *Workspace)
+	}{
+		{"fault", func(ws *Workspace) { ws.Write([]byte{1}, 3*pageSize+5) }},
+		{"Prepopulate", func(ws *Workspace) { ws.Prepopulate([]int{3}) }},
+	} {
+		wss := make([]*Workspace, tries)
+		for i := range wss {
+			s, err := NewSegment(SegmentConfig{Name: "fault", Size: 4 * pageSize, PageSize: pageSize})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wss[i], _ = s.Snapshot(0)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, ws := range wss {
+			op.do(ws)
+		}
+		runtime.ReadMemStats(&after)
+		if got := (after.TotalAlloc - before.TotalAlloc) / tries; got >= 2*pageSize {
+			t.Errorf("%s on a fresh segment allocates %d B, at least two %d B pages", op.name, got, pageSize)
+		}
+		for _, ws := range wss {
+			if ws.DirtyPages() != 1 {
+				t.Fatalf("%s left %d dirty pages, want 1", op.name, ws.DirtyPages())
+			}
+		}
 	}
 }
 

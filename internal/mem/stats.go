@@ -39,9 +39,11 @@ type Stats struct {
 	// CurPages and PeakPages track live allocated pages (dirty copies,
 	// twins, committed version pages) — the Figure 12 memory statistic.
 	// Buffers resting on the segment's free list are not live. They count
-	// what the modeled collector, which only folds, holds: an interior
-	// version page GC has pruned stays live here until the fold passes it,
-	// so the physical buffers are fewer than these counts.
+	// what the modeled Conversion holds, whose fault copies a twin and
+	// whose collector only folds: every dirty page counts two pages though
+	// its twin is lent (dirtyPage.lent) until a patch copies it, and an
+	// interior version page GC has pruned stays live here until the fold
+	// passes it, so the physical buffers are fewer than these counts.
 	CurPages  int64
 	PeakPages int64
 	// GCPageBudget is the per-invocation reclaim bound (0 = unlimited),
@@ -92,9 +94,10 @@ func (s *Segment) noteCommit(cs CommitStats) {
 	s.statsMu.Unlock()
 }
 
-// noteFault records one copy-on-write fault and the two live pages it
-// creates (dirty copy and twin); with prediction enabled the fault is also
-// a prefetch miss (the predictor did not cover the page).
+// noteFault records one copy-on-write fault and the two live pages the
+// modeled count gives it (dirty copy and twin, lent or not); with
+// prediction enabled the fault is also a prefetch miss (the predictor did
+// not cover the page).
 func (s *Segment) noteFault(predicted bool) {
 	s.statsMu.Lock()
 	s.stats.Faults++

@@ -76,10 +76,24 @@ const (
 	pfStale
 )
 
-// dirtyPage is a privately writable copy of a page plus its pristine twin.
+// dirtyPage is a privately writable copy of a page plus its pristine twin,
+// the page as of the workspace's version that the diff is taken against.
+//
+// The twin starts lent: fault and Prepopulate point it at the committed
+// page they copied data from (a slot's data, a base page or the zero page)
+// instead of copying that page a second time. A lent twin is committed
+// content: the workspace must never write it or put it, and it stays
+// readable only while the workspace's version pins it (Segment.free). The
+// one writer of a twin is a patch (applyWhereClean), so pullWindowLocked
+// copies a lent twin, under the segment lock and before the version moves,
+// when it queues the page's first patch; from then on the twin is the
+// workspace's own buffer. A dirty page that no version in the window
+// touches has the same committed page at the new version, so its twin
+// stays lent.
 type dirtyPage struct {
 	data []byte
 	twin []byte
+	lent bool // twin is a committed page, not the workspace's buffer
 	// spec is the page's speculative diff (PrepareCommit), meaningful only
 	// while specOK is set. The invariant: a valid spec always equals
 	// computeDiff(data, twin, ...) over the current contents. Local writes
@@ -109,6 +123,16 @@ func (ws *Workspace) newDirty() *dirtyPage {
 		return dp
 	}
 	return &dirtyPage{}
+}
+
+// lendDirty returns a new dirty record for pg: its data a copy of the page
+// at the workspace's version, its twin that page itself, lent.
+func (ws *Workspace) lendDirty(pg int) *dirtyPage {
+	base := ws.seg.committedPage(pg, ws.version)
+	dp := ws.newDirty()
+	dp.data = ws.seg.copyPage(base)
+	dp.twin, dp.lent = base, true
+	return dp
 }
 
 // putDirty recycles the record of a page that left the dirty set. The
@@ -193,10 +217,7 @@ func (ws *Workspace) fault(pg int) *dirtyPage {
 	if dp, ok := ws.dirty[pg]; ok {
 		return dp
 	}
-	base := ws.seg.committedPage(pg, ws.version)
-	dp := ws.newDirty()
-	dp.data = ws.seg.copyPage(base)
-	dp.twin = ws.seg.copyPage(base)
+	dp := ws.lendDirty(pg)
 	ws.dirty[pg] = dp
 	ws.faults++
 	ws.seg.noteFault(ws.predict)
@@ -379,14 +400,11 @@ func (ws *Workspace) Prepopulate(pages []int) (populated int) {
 			}
 			continue
 		}
-		base := ws.seg.committedPage(pg, ws.version)
-		dp := ws.newDirty()
-		dp.data = ws.seg.copyPage(base)
-		dp.twin = ws.seg.copyPage(base)
+		dp := ws.lendDirty(pg)
 		dp.specOK = true // data == twin: the zero Diff is its diff
 		dp.pf = pfFresh
 		ws.dirty[pg] = dp
-		ws.seg.allocPages(2)
+		ws.seg.allocPages(2) // modeled: a copy and a twin, as a fault
 		populated++
 	}
 	return populated
@@ -402,9 +420,12 @@ func (ws *Workspace) Discard() {
 func (ws *Workspace) discardLocked() {
 	ws.spare = nil
 	if n := len(ws.dirty); n > 0 {
-		ws.seg.allocPages(int64(-2 * n))
+		ws.seg.allocPages(int64(-2 * n)) // modeled: a copy and a twin per page
 		for _, dp := range ws.dirty {
-			ws.seg.putPages(dp.data, dp.twin)
+			ws.seg.putPages(dp.data)
+			if !dp.lent {
+				ws.seg.putPages(dp.twin)
+			}
 			ws.putDirty(dp)
 		}
 		clear(ws.dirty)

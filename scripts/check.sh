@@ -40,12 +40,14 @@ echo "== go test -race (obs + mem + det + clock + trace + sim + host + chaos + r
 # every runtime.
 go test -race ./internal/obs/... ./internal/mem ./internal/det ./internal/clock ./internal/trace ./internal/sim ./internal/host/... ./internal/chaos/... ./internal/replica ./internal/commitlog ./internal/journal ./internal/api ./internal/baseline/... ./internal/workload
 
-echo "== go test -race -count=20 (the page recycling stress: GC prunes pages while readers copy them; the spare version header's ownership)"
+echo "== go test -race -count=20 (the page recycling stress: GC prunes pages while readers copy them; the spare version header's and the lent twins' ownership)"
 # A prune that races a reader shows up only in some interleavings, so one
 # race-detector pass is not enough (docs/architecture.md, "Page buffers").
 # TestSpareOwnership runs beside it: a version header that outlived its
-# BeginCommit would be re-used under a published version.
-go test -race -count=20 -run 'TestRecycleNeverReachesReaders|TestSpareOwnership' ./internal/mem
+# BeginCommit would be re-used under a published version. So does
+# TestLentTwinOwnership: a twin lent from a committed page must never be
+# put, nor patched in place.
+go test -race -count=20 -run 'TestRecycleNeverReachesReaders|TestSpareOwnership|TestLentTwinOwnership' ./internal/mem
 
 echo "== go test -race -count=5 (barrier pruning against real-host readers)"
 # Every barrier release prunes (Segment.Prune) while woken waiters move to
