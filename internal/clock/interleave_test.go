@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// The arbiter's contract, checked outright at small scope (ROADMAP 1(c),
-// after Aviram et al.'s determinism-as-a-checkable-property): the grant
+// The arbiter's contract, checked outright at small scope (after Aviram et
+// al.'s determinism-as-a-checkable-property): the grant
 // sequence is a function of the per-thread op scripts, not of how the
 // threads' calls interleave. TestArbiterGrantOrderIsInterleavingFree
 // enumerates EVERY interleaving of a few short scripts and holds each to

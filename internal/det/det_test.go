@@ -12,6 +12,7 @@ import (
 	"repro/internal/host"
 	"repro/internal/host/realhost"
 	"repro/internal/host/simhost"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -384,6 +385,67 @@ func TestCoarseningActuallyCoarsens(t *testing.T) {
 	st := rt.Stats()
 	if st.CoarsenedOps == 0 {
 		t.Errorf("no ops coarsened (syncOps=%d)", st.SyncOps)
+	}
+}
+
+// TestChunkEndCommitDiffsUnderToken pins where a coarsened chunk's diff is
+// made and how it is priced: the token never left the thread, so there was
+// no wait to overlap, and the chunk-end commit diffs its page inside
+// BeginCommit at the serial price — a speculation miss, with no spec-diff
+// time. One thread runs the loop, so its token waits pull nothing and find
+// nothing dirty: any spec-diff time would have been accrued token-held.
+func TestChunkEndCommitDiffsUnderToken(t *testing.T) {
+	const chunks = 3
+	prog := func(t api.T) {
+		m := t.NewMutex()
+		for c := 0; c < chunks; c++ {
+			for j := 0; j < 2; j++ { // StaticLevel 4: two lock pairs per chunk
+				t.Lock(m)
+				api.PutU64(t, c*4096, uint64(10*c+j+1))
+				t.Unlock(m)
+			}
+		}
+	}
+	c := cfg()
+	c.StaticLevel = 4
+	rt, err := det.New(c, simhost.New(costmodel.Default()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.New()
+	rt.SetObserver(o)
+	if err := rt.Run(prog); err != nil {
+		t.Fatal(err)
+	}
+	var commits, chunkEnds int
+	var specDiffNS int64
+	for _, l := range o.Lanes() {
+		for _, e := range l.Events() {
+			switch {
+			case e.Phase == obs.MarkCommit && e.Arg > 0:
+				commits++
+				if e.Arg != 1 {
+					t.Errorf("commit of %d pages, want one page per chunk", e.Arg)
+				}
+			case e.Phase == obs.MarkCoarsenEnd:
+				chunkEnds++
+			case e.Phase == obs.PhaseSpecDiff:
+				specDiffNS += e.End - e.Start
+			}
+		}
+	}
+	if commits != chunks || chunkEnds != chunks {
+		t.Fatalf("%d non-empty commits and %d chunk ends, want %d of each", commits, chunkEnds, chunks)
+	}
+	reg := map[string]int64{}
+	for _, s := range o.Registry().Snapshot() {
+		reg[s.Name] = s.Value
+	}
+	if h, m := reg["mem_spec_diff_hits"], reg["mem_spec_diff_misses"]; h != 0 || m != chunks {
+		t.Errorf("spec diff hits/misses %d/%d, want 0/%d: one serial diff per chunk-end commit", h, m, chunks)
+	}
+	if specDiffNS != 0 {
+		t.Errorf("%d ns of spec-diff accrued with the token held", specDiffNS)
 	}
 }
 

@@ -378,26 +378,6 @@ func (t *Thread) faultDelay(n int64) (ns int64) {
 	return ns
 }
 
-// specPrepare pre-diffs the workspace ahead of a commit that never had a
-// token wait to overlap — the commits that end or punctuate a coarsened
-// chunk, where the token never left the thread and speculate never ran.
-// The diff work still happens token-held, but through the speculative
-// path (SpecDiffPage + CommitPagePublish per page) instead of the heavier
-// in-commit serial path (CommitPageSerial per page). Gated with the
-// prediction knob so that disabling WriteSetPrediction reproduces the
-// pre-prediction time model exactly; a no-op after a speculated wait
-// (everything is already diffed).
-func (t *Thread) specPrepare() {
-	cfg := &t.rt.cfg
-	if !cfg.WriteSetPrediction || !cfg.SpeculativeDiff {
-		return
-	}
-	t.account(obs.PhaseCompute)
-	if n := t.ws.PrepareCommit(); n > 0 {
-		t.charge(obs.PhaseSpecDiff, int64(n)*cfg.Model.SpecDiffPage)
-	}
-}
-
 // serialCommitCost models the token-held serial phase of a commit:
 // speculatively diffed pages pay only ordering/publication bookkeeping,
 // pages whose diff had to be computed under the token pay the full serial
@@ -497,8 +477,8 @@ func (t *Thread) takeToken(woken bool) {
 	m := &t.rt.cfg.Model
 	base, ff := m.TokenHandoff, int64(0)
 	// Handoff pricing — time model: the single token priced as a one-shard
-	// edge moves the gate table's wallNS column (water_nsquared 15 166 761
-	// → 12 839 249) and Fig. 10 of docs/figures-scale1.txt.
+	// edge moves the gate table's wallNS column and Fig. 10 of
+	// docs/figures-scale1.txt (docs/scheduler.md, "Sharded arbitration").
 	if t.rt.cfg.Shards >= 2 {
 		if woken && t.rt.cfg.FastForward {
 			base, ff = m.WakeHandoff, m.FastForwardResync
@@ -582,10 +562,7 @@ func (t *Thread) tokenBegin() {
 	if t.holding {
 		// Inside a coarsened chunk: the token never left us, remote commits
 		// are impossible, so no commit/update is needed. Pay the chunk-end
-		// clock read — user-space if the optimization is on (§3.4) — and
-		// pre-diff what the chunk has written so far, spreading the
-		// eventual chunk-ending commit's diff work across the chunk's sync
-		// ops instead of leaving it all for the in-commit serial path.
+		// clock read — user-space if the optimization is on (§3.4).
 		m := &t.rt.cfg.Model
 		cost := m.SyscallClockRead
 		if t.rt.cfg.UserspaceClockRead {
@@ -593,7 +570,6 @@ func (t *Thread) tokenBegin() {
 		}
 		t.account(obs.PhaseCompute)
 		t.charge(obs.PhaseLib, cost)
-		t.specPrepare()
 		return
 	}
 	t.acquireToken()
@@ -641,10 +617,6 @@ func (t *Thread) publish() mem.PendingCommit {
 		panic(t.runtimeError("commit-without-token", "commit", 0,
 			"commit attempted without holding the global token"))
 	}
-	// Commits that end a coarsened chunk never waited, so speculate never
-	// pre-diffed them; do it here through the cheaper speculative path
-	// (a no-op after a speculated wait — everything is already diffed).
-	t.specPrepare()
 	t.account(obs.PhaseCompute)
 	pc := t.ws.BeginCommit()
 	t.chargeCommitSerial(pc.Stats())

@@ -119,11 +119,11 @@ func TestInputAllocationBudget(t *testing.T) {
 }
 
 // TestTokenPathCounts makes the token path's cost a number a test can hold
-// (ROADMAP item 1(b)) at threads 4 / shards 4. On the simulation host every
-// count — arbiter locks by caller, grant passes that granted nothing — is
-// part of the schedule and repeats exactly (water_nsquared). On the real
-// host the host counts one Block per Wake, and the arbiter is locked at
-// most:
+// (ROADMAP, "The rest of the real-host sync gap") at threads 4 / shards 4.
+// On the simulation host every count — arbiter locks by caller, grant
+// passes that granted nothing — is part of the schedule and repeats
+// exactly (water_nsquared). On the real host the host counts one Block
+// per Wake, and the arbiter is locked at most:
 //   - 2.75 times per sync op on water_nsquared (2.51 today: one per
 //     Advance — 1.50 per op — and one each for the request and the
 //     release of the ops that take the token, 0.51 each);

@@ -75,7 +75,7 @@ var historyShards = [2]int{1, 4}
 var goldens = []golden{
 	{"water_nsquared", 0x8cd4c7596c268f28,
 		[4]uint64{0xaadb9ab2a9588a2a, 0xed0e122f20ce827b, 0xc56202d013570111, 0x0d3e1d9b985f439d},
-		[4]int64{15166761, 0, 5037955, 0}, 0x63895402ea9faa4f,
+		[4]int64{15285801, 0, 5072679, 0}, 0x63895402ea9faa4f,
 		[2][2]uint64{{0xb4d3bfed0aca311e, 0x4746ea42d6384716}, {0x5caec1a90ea240bc, 0x8244ac28d59591f2}}},
 	{"canneal", 0x52afe913b556d5da,
 		[4]uint64{0x054928fab9f631f8, 0xb7be0c1e137f8578, 0xd294fd670ca2f9b8, 0x054928fab9f631f8},

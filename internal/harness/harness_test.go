@@ -614,3 +614,26 @@ func TestRunStatsMeanTheSameOnEveryRuntime(t *testing.T) {
 		}
 	}
 }
+
+// TestSpecDiffSplitPinned pins where water_nsquared's diffs are made
+// (consequence-ic, t=8, scale 1, seed 42, one shard). Of its 1025 committed
+// pages, 33 were diffed speculatively on the way into a token wait. The
+// other 992 sat in commits that had no wait to overlap, at a coarsened
+// chunk's end or a barrier, and were diffed under the token in BeginCommit
+// at the serial price.
+func TestSpecDiffSplitPinned(t *testing.T) {
+	ob := obs.New()
+	r, err := Run(Options{Bench: "water_nsquared", Runtime: KindConsequenceIC, Threads: 8, Scale: 1, Seed: 42, Observer: ob})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := map[string]int64{}
+	for _, s := range ob.Registry().Snapshot() {
+		reg[s.Name] = s.Value
+	}
+	hits, misses := reg["mem_spec_diff_hits"], reg["mem_spec_diff_misses"]
+	if r.Stats.CommittedPages != 1025 || hits+misses != r.Stats.CommittedPages || hits != 33 {
+		t.Errorf("committed %d pages, spec diff hits/misses %d/%d; want 1025 = 33 + 992",
+			r.Stats.CommittedPages, hits, misses)
+	}
+}

@@ -114,11 +114,11 @@ func (h *parkLog) waitParks(t *testing.T) (waits, parks, twice int) {
 	return waits, parks, twice
 }
 
-// TestWaitParksTwice pins how often a cond-var Wait parks twice (ROADMAP
-// item 1(iv)): woken by a signal holding the token, it finds the mutex
-// still held by the signaler and parks again on the mutex. That second
-// park is what wait-morphing removes, so these are the counts it must
-// lower. The pipelines run at scale 8 and 4 threads, on the single token
+// TestWaitParksTwice pins how often a cond-var Wait parks twice: woken
+// by a signal holding the token, it finds the mutex still held by the
+// signaler and parks again on the mutex. That second park is what
+// wait-morphing (ROADMAP, "The rest of the real-host sync gap") removes,
+// so these are the counts it must lower. The pipelines run at scale 8 and 4 threads, on the single token
 // and at 4 shards; the wrapped run must take exactly the virtual time of
 // an unwrapped one.
 func TestWaitParksTwice(t *testing.T) {

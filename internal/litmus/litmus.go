@@ -24,6 +24,7 @@ package litmus
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/api"
 	"repro/internal/chaos"
@@ -46,6 +47,10 @@ type Instr struct {
 	Loc  int    // the location a Store or Load touches
 	Val  uint64 // the value a Store writes
 	Reg  int    // the register a Load writes
+	// Own scopes a Fence to its thread: Prog makes it a lock pair on a
+	// mutex no other thread takes. On TSO every sync op drains the store
+	// buffer, so the machine and Flushed treat it as any other fence.
+	Own bool
 }
 
 // MaxRegs bounds the registers, and Locs the locations, a test may use.
@@ -77,8 +82,15 @@ func St(loc int, val uint64) Instr { return Instr{Kind: Store, Loc: loc, Val: va
 // Ld loads loc into register reg.
 func Ld(loc, reg int) Instr { return Instr{Kind: Load, Loc: loc, Reg: reg} }
 
-// F is a fence.
+// F is a fence: in Prog, a lock pair on the mutex every thread shares.
 var F = Instr{Kind: Fence}
+
+// FOwn is a thread-private fence: in Prog, a lock pair on the thread's own
+// mutex. No other thread's sync op orders against it, so a runtime
+// that propagates writes only along a lock's release-acquire chain (lazy
+// release consistency) sends nothing across it, while on TSO it drains
+// the buffer as F does.
+var FOwn = Instr{Kind: Fence, Own: true}
 
 // The locations the tests below use.
 const (
@@ -127,10 +139,22 @@ var (
 	// landing last on y while its load misses x (y = 2, r0 = 0) is TSO's
 	// and not SC's.
 	R = Test{"R", [][]Instr{{St(x, 1), St(y, 1)}, {St(y, 2), Ld(x, 0)}}}
+	// SBOwn is SB+lock with each thread's lock its own: still only the SC
+	// outcomes, because any fence drains the buffer.
+	SBOwn = Test{"SB+own", [][]Instr{{St(x, 1), FOwn, Ld(y, 0)}, {St(y, 1), FOwn, Ld(x, 1)}}}
+	// MPOwn is MP+lock with each thread's lock its own, and the reader
+	// taking it before each load, as a reader polling the flag would. TSO
+	// reaches the same outcomes as MP+lock, the flag seen (r0 = 1) among
+	// them; lazy release consistency never shows the reader the flag,
+	// because no lock the reader takes was released after the flag was
+	// written.
+	MPOwn = Test{"MP+own", [][]Instr{{St(x, 1), FOwn, St(y, 1)}, {FOwn, Ld(y, 0), FOwn, Ld(x, 1)}}}
 )
 
 // All lists the litmus tests.
-func All() []Test { return []Test{SB, SBLock, SBLockPO, MP, MPLock, LB, IRIW, TwoPlusTwoW, R} }
+func All() []Test {
+	return []Test{SB, SBLock, SBLockPO, MP, MPLock, LB, IRIW, TwoPlusTwoW, R, SBOwn, MPOwn}
+}
 
 // Flushed reports whether t obeys the flush discipline: in every thread, a
 // fence lies between each store and the thread's next load. Every load of
@@ -309,8 +333,10 @@ func (p Placement) offset(loc int) int {
 
 // Prog returns t as an api.T program placed by place. The root spawns one
 // thread per litmus thread, joins them all and copies the final registers
-// and locations into *out. A Load writes its register to the segment, and
-// a Fence is a lock pair on one mutex the threads share. Before each spawn
+// and locations into *out. A Load writes its register to the segment. An F
+// is a lock pair on one mutex the threads share, and an FOwn one on a mutex
+// the root makes for that thread alone (only for a thread that has an
+// FOwn, so a test without one runs as it always has). Before each spawn
 // and each instruction a thread computes for a padding drawn from seed
 // below the bound pad (none if pad is 0), so that seeds interleave the
 // threads differently; a thread's padding stream is its own whatever the
@@ -332,6 +358,10 @@ func (t Test) Prog(seed int64, place Placement, pad int64, out *Outcome) func(ap
 			}
 			th := t.Threads[i]
 			thPad := chaos.NewRand(seed, int64(i), padSalt)
+			var own api.Mutex // the thread's own lock, for its FOwns
+			if slices.Contains(th, FOwn) {
+				own = root.NewMutex()
+			}
 			compute(root, &rootPad)
 			hs = append(hs, root.Spawn(func(w api.T) {
 				for _, in := range th {
@@ -342,8 +372,12 @@ func (t Test) Prog(seed int64, place Placement, pad int64, out *Outcome) func(ap
 					case Load:
 						api.PutU64(w, place.offset(Locs+in.Reg), api.U64(w, place.offset(in.Loc)))
 					case Fence:
-						w.Lock(m)
-						w.Unlock(m)
+						mu := m
+						if in.Own {
+							mu = own
+						}
+						w.Lock(mu)
+						w.Unlock(mu)
 					}
 				}
 			}))

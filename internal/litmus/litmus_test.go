@@ -54,7 +54,8 @@ func outcomes(test litmus.Test, set map[litmus.Outcome]bool) string {
 // flag without the data, LB's loads both seeing the other's store, IRIW's
 // readers disagreeing on the store order, 2+2W's first stores both
 // surviving, and SB's relaxed outcome once a lock pair fences both
-// threads), which outcomes TSO adds to SC (exactly SB's and R's relaxed
+// threads, whether the lock is shared or each thread's own), which
+// outcomes TSO adds to SC (exactly SB's and R's relaxed
 // ones, and SB's again when only one thread is fenced), and which tests
 // obey the flush discipline: for those, Cohen & Schirmer's reduction
 // theorem says TSO reaches exactly SC's outcomes, and the machine agrees.
@@ -77,6 +78,8 @@ func TestMachine(t *testing.T) {
 		{litmus.IRIW, 15, 15, true, []litmus.Outcome{outcome(1, 1, 1, 0, 1, 0)}, nil},
 		{litmus.TwoPlusTwoW, 3, 3, true, []litmus.Outcome{outcome(1, 1)}, nil},
 		{litmus.R, 4, 3, false, nil, []litmus.Outcome{outcome(1, 2, 0)}},
+		{litmus.SBOwn, 3, 3, true, []litmus.Outcome{sbRelaxed}, nil},
+		{litmus.MPOwn, 3, 3, true, []litmus.Outcome{stale}, nil},
 	} {
 		name := tc.test.Name
 		tso, sc := litmus.TSO(tc.test), litmus.SC(tc.test)
@@ -169,6 +172,12 @@ func storesTwice(test litmus.Test) bool {
 // which is Consequence's store buffer (paper §2). So does SB+lock+po, whose
 // one lock pair does not flush the other thread.
 //
+// The thread-private fences hold too. SB+own is flushed, so it lands in
+// SC, and some cell of MP+own shows the reader the flag (r0 = 1): any sync
+// op publishes the thread's writes and pulls everyone's, which is TSO's
+// drain. Under lazy release consistency a lock no other thread takes
+// carries nothing, and the reader would never see the flag.
+//
 // Every location starts on a never-written page, and a spread cell gives
 // each its own, so their first stores fault the shared zero page: the twin
 // each fault lends (mem's dirtyPage.lent) is that page, and the twins a
@@ -215,6 +224,15 @@ func TestConsequenceIsTSO(t *testing.T) {
 		t.Logf("%s: observed %s of TSO's %s", test.Name, outcomes(test, seen), outcomes(test, tso))
 		if (test.Name == litmus.SB.Name || test.Name == litmus.SBLockPO.Name) && !seen[outcome(1, 1, 0, 0)] {
 			t.Errorf("%s: no padding showed the relaxed outcome, though store buffering is how Consequence is TSO", test.Name)
+		}
+		if test.Name == litmus.MPOwn.Name {
+			sawFlag := false
+			for o := range seen {
+				sawFlag = sawFlag || o.Regs[0] == 1
+			}
+			if !sawFlag {
+				t.Errorf("%s: no cell saw the flag across the thread-private locks", test.Name)
+			}
 		}
 	}
 }

@@ -15,6 +15,18 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
+echo "== no ROADMAP item numbers in code or docs"
+# ROADMAP renumbers its items at every re-anchor, so a comment or a doc that
+# cites one by number goes stale; cite the section by its name instead.
+# bench/ is frozen and keeps its own.
+cites=$({ find . -name '*.go' -not -path './bench/*'; find docs -type f; echo README.md; echo DESIGN.md; } |
+    xargs grep -nE 'ROADMAP (item )?[0-9]' || true)
+if [ -n "$cites" ]; then
+    echo "cite ROADMAP sections by name, not by item number:" >&2
+    echo "$cites" >&2
+    exit 1
+fi
+
 echo "== go vet ./..."
 go vet ./...
 
