@@ -171,9 +171,9 @@ func chaosCheck(t *testing.T, base [2]uint64, in *chaos.Injector) int64 {
 }
 
 // chaosGolden is each non-follower profile's mixedProg(4, 12) virtual wall
-// time and chaos Stats (events, then amounts, in knob order), recorded
-// before Profile became a knob vector; it must never be re-pinned to make
-// a change pass.
+// time and chaos Stats (events, then amounts, in knob order). It must never
+// be re-pinned to make a change pass: only a change that means to move the
+// time model re-pins it, and argues each moved value in EXPERIMENTS.md.
 var chaosGolden = map[string]string{
 	"barrier:1":    "1287554 [0 0 0 0 48 0 0 0 0 0 0] [0 0 0 0 154902 0 0 0 0 0 0]",
 	"barrier:2":    "1268893 [0 0 0 0 48 0 0 0 0 0 0] [0 0 0 0 136241 0 0 0 0 0 0]",

@@ -108,14 +108,13 @@ type Config struct {
 	// SpeculativeDiff hoists commit diff computation off the token path: a
 	// thread about to wait for the global token pre-diffs its dirty pages
 	// (mem.Workspace.PrepareCommit), and the token-held serial phase reuses
-	// those diffs, re-diffing only pages a local write invalidated. A pulled
-	// remote version leaves a pre-diff valid: the import patches data and
-	// twin only where they agree. A commit with no wait before it (at a
-	// coarsened chunk's end or a barrier) diffs under the token at the
-	// serial price. Commit order and memory contents are byte-identical
-	// either way (Determinator and the Deterministic Consistency model make
-	// the same observation: only publication must be ordered, diffing is
-	// free to overlap).
+	// those diffs, re-diffing only pages a local write invalidated (a pulled
+	// remote version patches data and twin only where they agree, so it
+	// leaves a pre-diff valid). A commit with no wait before it diffs under
+	// the token at the serial price. Commit order and memory contents are
+	// byte-identical either way (Determinator and the Deterministic
+	// Consistency model make the same observation: only publication must
+	// be ordered, diffing is free to overlap).
 	SpeculativeDiff bool
 	// WriteSetPrediction moves copy-on-write fault servicing off the token
 	// critical path the same way SpeculativeDiff moves diffing: each

@@ -47,10 +47,7 @@ type Instr struct {
 	Loc  int    // the location a Store or Load touches
 	Val  uint64 // the value a Store writes
 	Reg  int    // the register a Load writes
-	// Own scopes a Fence to its thread: Prog makes it a lock pair on a
-	// mutex no other thread takes. On TSO every sync op drains the store
-	// buffer, so the machine and Flushed treat it as any other fence.
-	Own bool
+	Own  bool   // a Fence on the thread's own lock (FOwn), not the shared one
 }
 
 // MaxRegs bounds the registers, and Locs the locations, a test may use.
@@ -86,10 +83,8 @@ func Ld(loc, reg int) Instr { return Instr{Kind: Load, Loc: loc, Reg: reg} }
 var F = Instr{Kind: Fence}
 
 // FOwn is a thread-private fence: in Prog, a lock pair on the thread's own
-// mutex. No other thread's sync op orders against it, so a runtime
-// that propagates writes only along a lock's release-acquire chain (lazy
-// release consistency) sends nothing across it, while on TSO it drains
-// the buffer as F does.
+// mutex. TSO drains the buffer at it as at F; lazy release consistency
+// carries nothing across it.
 var FOwn = Instr{Kind: Fence, Own: true}
 
 // The locations the tests below use.
@@ -142,12 +137,10 @@ var (
 	// SBOwn is SB+lock with each thread's lock its own: still only the SC
 	// outcomes, because any fence drains the buffer.
 	SBOwn = Test{"SB+own", [][]Instr{{St(x, 1), FOwn, Ld(y, 0)}, {St(y, 1), FOwn, Ld(x, 1)}}}
-	// MPOwn is MP+lock with each thread's lock its own, and the reader
-	// taking it before each load, as a reader polling the flag would. TSO
-	// reaches the same outcomes as MP+lock, the flag seen (r0 = 1) among
-	// them; lazy release consistency never shows the reader the flag,
-	// because no lock the reader takes was released after the flag was
-	// written.
+	// MPOwn is MP+lock with each thread's lock its own, taken by the
+	// reader before each load as a poller would. TSO reaches MP+lock's
+	// outcomes, the flag seen (r0 = 1) among them; under lazy release
+	// consistency no lock the reader takes carries the flag.
 	MPOwn = Test{"MP+own", [][]Instr{{St(x, 1), FOwn, St(y, 1)}, {FOwn, Ld(y, 0), FOwn, Ld(x, 1)}}}
 )
 
@@ -334,13 +327,12 @@ func (p Placement) offset(loc int) int {
 // Prog returns t as an api.T program placed by place. The root spawns one
 // thread per litmus thread, joins them all and copies the final registers
 // and locations into *out. A Load writes its register to the segment. An F
-// is a lock pair on one mutex the threads share, and an FOwn one on a mutex
-// the root makes for that thread alone (only for a thread that has an
-// FOwn, so a test without one runs as it always has). Before each spawn
-// and each instruction a thread computes for a padding drawn from seed
-// below the bound pad (none if pad is 0), so that seeds interleave the
-// threads differently; a thread's padding stream is its own whatever the
-// spawn order.
+// is a lock pair on one mutex the threads share, an FOwn one on a mutex the
+// root makes for a thread that has an FOwn. Before each spawn and each
+// instruction a thread computes for a padding drawn from seed below the
+// bound pad (none if pad is 0), so that seeds interleave the threads
+// differently; a thread's padding stream is its own whatever the spawn
+// order.
 func (t Test) Prog(seed int64, place Placement, pad int64, out *Outcome) func(api.T) {
 	compute := func(w api.T, r *chaos.Rand) {
 		if pad > 0 {
@@ -358,9 +350,9 @@ func (t Test) Prog(seed int64, place Placement, pad int64, out *Outcome) func(ap
 			}
 			th := t.Threads[i]
 			thPad := chaos.NewRand(seed, int64(i), padSalt)
-			var own api.Mutex // the thread's own lock, for its FOwns
+			locks := map[bool]api.Mutex{false: m} // a Fence's, by Own
 			if slices.Contains(th, FOwn) {
-				own = root.NewMutex()
+				locks[true] = root.NewMutex()
 			}
 			compute(root, &rootPad)
 			hs = append(hs, root.Spawn(func(w api.T) {
@@ -372,12 +364,8 @@ func (t Test) Prog(seed int64, place Placement, pad int64, out *Outcome) func(ap
 					case Load:
 						api.PutU64(w, place.offset(Locs+in.Reg), api.U64(w, place.offset(in.Loc)))
 					case Fence:
-						mu := m
-						if in.Own {
-							mu = own
-						}
-						w.Lock(mu)
-						w.Unlock(mu)
+						w.Lock(locks[in.Own])
+						w.Unlock(locks[in.Own])
 					}
 				}
 			}))
