@@ -145,3 +145,21 @@ func TestBenchModuleVets(t *testing.T) {
 		}
 	}
 }
+
+// The runtime is a library a host program links, so it must not pull in
+// the network stack (and, with it, init-time registrations such as
+// net/http/pprof's handlers on http.DefaultServeMux). `go list -deps`
+// without -test lists the non-test imports of every package in the module.
+func TestModuleLinksNoNetwork(t *testing.T) {
+	cmd := exec.Command("go", "list", "-deps", "./...")
+	cmd.Dir = ".."
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list -deps ./...: %v", err)
+	}
+	for _, pkg := range strings.Fields(string(out)) {
+		if pkg == "net" || strings.HasPrefix(pkg, "net/") || pkg == "crypto/tls" {
+			t.Errorf("the module's non-test code depends on %s", pkg)
+		}
+	}
+}

@@ -17,7 +17,6 @@
 //	                                                # replica fleet + sweep digest
 //	detrun -bench ferret -analyze                   # critical-path report
 //	detrun -bench ferret -analyze -json > rep.json  # the report as JSON; summary on stderr
-//	detrun -bench ferret -real -listen :9090        # live /metrics + pprof
 //	detrun -list
 package main
 
@@ -26,7 +25,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -68,8 +66,6 @@ func main() {
 	metrics := flag.Bool("metrics", false, "print the observability metrics snapshot after the run")
 	analyzeRun := flag.Bool("analyze", false, "print the critical-path analysis report after the run (conseq-analyze prints it from a -trace file)")
 	jsonOut := flag.Bool("json", false, "with -analyze: print only the stable JSON report on stdout, and the run summary on stderr")
-	listen := flag.String("listen", "", "serve live /metrics (Prometheus text format) and /debug/pprof on this address during the run (e.g. :9090)")
-	sample := flag.Duration("sample", 0, "snapshot the metrics registry at this interval and print per-interval deltas after the run (e.g. 100ms)")
 	dumpTrace := flag.Int("dump-sync", 0, "dump the first N sync-order events")
 	watchdog := flag.Duration("watchdog", 0, "real-host stall watchdog: if any thread stays blocked longer than this, dump per-thread diagnostics and exit non-zero (requires -real)")
 	timeout := flag.Duration("timeout", 0, "bound the run's host wall clock: on expiry dump goroutine stacks and runtime state and exit non-zero (e.g. 30s)")
@@ -144,7 +140,7 @@ func main() {
 		fatal(fmt.Errorf("-watchdog requires -real (the simulation host proves deadlocks itself)"))
 	}
 	var observer *obs.Observer
-	if *traceOut != "" || *metrics || *analyzeRun || *listen != "" || *sample > 0 {
+	if *traceOut != "" || *metrics || *analyzeRun {
 		observer = obs.New()
 	}
 	o.Observer = observer
@@ -156,18 +152,6 @@ func main() {
 	var out io.Writer = os.Stdout
 	if *jsonOut {
 		out = os.Stderr
-	}
-	if *listen != "" {
-		srv, err := observer.ListenAndServe(*listen)
-		if err != nil {
-			fatal(err)
-		}
-		defer srv.Close()
-		fmt.Fprintf(out, "serving      http://%s/metrics (and /debug/pprof)\n", srv.Addr())
-	}
-	var sampler *obs.Sampler
-	if *sample > 0 {
-		sampler = obs.NewSampler(observer.Registry(), *sample)
 	}
 	tr := cell.Trace()
 	var dump *trace.Collector
@@ -234,10 +218,6 @@ func main() {
 			fmt.Fprintln(out, "  ", s)
 		}
 	}
-	if sampler != nil {
-		sampler.Stop()
-		printSamplePoints(out, sampler.Points())
-	}
 	if *analyzeRun {
 		rep, err := analyze.Analyze(analyze.FromObserver(observer, harness.CellName(o)))
 		if err != nil {
@@ -281,26 +261,6 @@ func run(o harness.Options, h host.Host) harness.Result {
 		fatal(err)
 	}
 	return res
-}
-
-// printSamplePoints renders the sampler's per-interval deltas, skipping
-// metrics that did not move in an interval.
-func printSamplePoints(w io.Writer, pts []obs.SamplePoint) {
-	fmt.Fprintf(w, "samples     %d points\n", len(pts))
-	for _, pt := range pts {
-		keys := make([]string, 0, len(pt.Deltas))
-		for k, d := range pt.Deltas {
-			if d != 0 {
-				keys = append(keys, k)
-			}
-		}
-		sort.Strings(keys)
-		fmt.Fprintf(w, "  +%-10s", pt.Elapsed.Round(time.Millisecond))
-		for _, k := range keys {
-			fmt.Fprintf(w, " %s=%+d", k, pt.Deltas[k])
-		}
-		fmt.Fprintln(w)
-	}
 }
 
 // writeTraceFile exports the observer's timeline as Chrome trace JSON.

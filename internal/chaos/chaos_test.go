@@ -438,7 +438,7 @@ func TestStatsCount(t *testing.T) {
 }
 
 // Stats must be safe to snapshot while streams inject from other
-// goroutines (the live metrics scrape path). Run under -race.
+// goroutines (a mid-run registry snapshot). Run under -race.
 func TestStatsConcurrentScrape(t *testing.T) {
 	in := builtin(t, "storm", 5)
 	stop := make(chan struct{})

@@ -308,7 +308,7 @@ type Runtime struct {
 
 	// commitSerialNS accumulates the time charged inside token-held serial
 	// commit phases (BeginCommit charges only — merge and speculation are
-	// excluded). Atomic so a live metrics scrape can read it mid-run.
+	// excluded). Atomic so a registry snapshot can read it mid-run.
 	commitSerialNS atomic.Int64
 
 	started bool

@@ -2,12 +2,9 @@ package det_test
 
 import (
 	"fmt"
-	"io"
-	"net/http"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/costmodel"
 	"repro/internal/det"
@@ -17,11 +14,12 @@ import (
 )
 
 // TestExpositionDoesNotPerturbDeterminism extends the observer regression
-// gate to the live exposition paths: a run with the metrics HTTP endpoint
-// serving scrapes and the background sampler snapshotting the registry
-// mid-run must still produce exactly the same checksum, sync-order hash,
-// and RunStats as an unobserved run. The exposition side only reads atomic
-// instruments, so the deterministic schedule cannot see it.
+// gate to a mid-run reader: a run whose registry is snapshotted over and
+// over while it executes (what a caller of consequence.Runtime.Observer
+// may do) must still produce exactly the same checksum, sync-order hash,
+// and RunStats as an unobserved run. A snapshot only reads atomic
+// instruments and callback gauges, so the deterministic schedule cannot
+// see it.
 func TestExpositionDoesNotPerturbDeterminism(t *testing.T) {
 	plain, _ := runFP(t, false)
 
@@ -34,44 +32,31 @@ func TestExpositionDoesNotPerturbDeterminism(t *testing.T) {
 	o := obs.New()
 	rt.SetObserver(o)
 
-	srv, err := o.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	sampler := obs.NewSampler(o.Registry(), time.Millisecond)
-
-	// Scrape concurrently with the run, so exposition demonstrably
-	// overlaps execution rather than just bracketing it.
-	scrapes := make(chan error, 1)
-	stop := make(chan struct{})
+	// Snapshot in a loop from another goroutine that has taken its first
+	// snapshot before the run starts, so the reads overlap execution
+	// rather than just bracketing it.
+	started, stop, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	go func() {
-		var last error
-		for {
+		defer close(done)
+		for first := true; ; first = false {
+			o.Registry().Snapshot()
+			if first {
+				close(started)
+			}
 			select {
 			case <-stop:
-				scrapes <- last
 				return
 			default:
 			}
-			resp, err := http.Get(fmt.Sprintf("http://%s/metrics", srv.Addr()))
-			if err != nil {
-				last = err
-				continue
-			}
-			_, last = io.ReadAll(resp.Body)
-			resp.Body.Close()
 		}
 	}()
-
-	if err := rt.Run(obsProg(4, 20)); err != nil {
+	<-started
+	err = rt.Run(obsProg(4, 20))
+	close(stop)
+	<-done
+	if err != nil {
 		t.Fatal(err)
 	}
-	close(stop)
-	if err := <-scrapes; err != nil {
-		t.Fatalf("scraping during the run failed: %v", err)
-	}
-	sampler.Stop()
 
 	observed := fingerprint{
 		checksum:  rt.Checksum(),
@@ -79,29 +64,20 @@ func TestExpositionDoesNotPerturbDeterminism(t *testing.T) {
 		stats:     rt.Stats(),
 	}
 	if observed.checksum != plain.checksum {
-		t.Errorf("checksum with exposition %x != plain %x", observed.checksum, plain.checksum)
+		t.Errorf("checksum with mid-run snapshots %x != plain %x", observed.checksum, plain.checksum)
 	}
 	if observed.traceHash != plain.traceHash {
-		t.Errorf("sync-order hash with exposition %x != plain %x", observed.traceHash, plain.traceHash)
+		t.Errorf("sync-order hash with mid-run snapshots %x != plain %x", observed.traceHash, plain.traceHash)
 	}
 	if !reflect.DeepEqual(observed.stats, plain.stats) {
-		t.Errorf("RunStats with exposition differ from plain:\n%+v\nvs\n%+v", observed.stats, plain.stats)
+		t.Errorf("RunStats with mid-run snapshots differ from plain:\n%+v\nvs\n%+v", observed.stats, plain.stats)
 	}
 
-	// The final scrape must expose the run's metrics in parseable form.
-	resp, err := http.Get(fmt.Sprintf("http://%s/metrics", srv.Addr()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(body)
-	for _, want := range []string{"# TYPE clock_token_grants gauge", "obs_lane_dropped_total{tid=\"0\"} 0"} {
+	// The final snapshot carries the run's metrics.
+	text := fmt.Sprint(o.Registry().Snapshot())
+	for _, want := range []string{"clock_token_grants", "obs_lane_dropped_total{tid=0} 0"} {
 		if !strings.Contains(text, want) {
-			t.Errorf("final /metrics missing %q", want)
+			t.Errorf("final snapshot missing %q in %s", want, text)
 		}
 	}
 }

@@ -7,6 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
+	"repro/internal/baseline/dthreads"
+	"repro/internal/baseline/dwc"
+	"repro/internal/baseline/pth"
+	"repro/internal/baseline/rfdet"
+	"repro/internal/clock"
 	"repro/internal/costmodel"
 	"repro/internal/det"
 	"repro/internal/host"
@@ -227,6 +233,96 @@ func TestConsequenceIsTSO(t *testing.T) {
 		}
 		if test.Name == litmus.MPOwn.Name && !seen[outcome(1, 1, 1, 1)] {
 			t.Errorf("%s: no cell saw the flag across the thread-private locks", test.Name)
+		}
+	}
+}
+
+// baselines builds, per runtime name, the comparison runtimes on a fresh
+// simulation host, each with the segment runLitmus gives consequence-ic.
+var baselines = []struct {
+	name  string
+	build func(h host.Host) (api.Runtime, error)
+}{
+	{"consequence-rr", func(h host.Host) (api.Runtime, error) {
+		c := det.Default()
+		c.SegmentSize = 1 << 16
+		c.Policy = clock.PolicyRR
+		return det.New(c, h)
+	}},
+	{"dthreads", func(h host.Host) (api.Runtime, error) {
+		return dthreads.New(dthreads.Config{SegmentSize: 1 << 16, Model: costmodel.Default()}, h)
+	}},
+	{"dwc", func(h host.Host) (api.Runtime, error) {
+		return dwc.New(dwc.Config{SegmentSize: 1 << 16, Model: costmodel.Default()}, h)
+	}},
+	{"rfdet-lrc", func(h host.Host) (api.Runtime, error) {
+		return rfdet.New(rfdet.Config{SegmentSize: 1 << 16, Model: costmodel.Default()}, h)
+	}},
+	{"pthreads", func(h host.Host) (api.Runtime, error) {
+		return pth.New(pth.Config{SegmentSize: 1 << 16, Model: costmodel.Default()}, h)
+	}},
+}
+
+// TestBaselinesLitmus runs every litmus test on the comparison runtimes
+// on the simulation host, over the four placements and padding seeds 1-2
+// at litmus.MaxPad. Every outcome is inside TSO but one: rfdet-lrc on
+// SB+own shows 00 in every cell, which no TSO machine reaches — a
+// private lock's release carries nothing to a thread that never takes
+// it, so lazy release consistency is weaker than TSO, and this is the
+// cell that tells the two apart. SB's relaxed 00 is pinned per runtime:
+// dthreads and rfdet-lrc, which keep a thread's stores private until its
+// next fence, show it in every cell; consequence-rr and dwc, whose round
+// robin runs each litmus thread's straight-line code in one turn, never
+// do.
+func TestBaselinesLitmus(t *testing.T) {
+	sbRelaxed := outcome(1, 1, 0, 0)
+	for _, rt := range baselines {
+		for _, test := range litmus.All() {
+			tso := litmus.TSO(test)
+			seen := map[litmus.Outcome]int{}
+			cells := 0
+			for _, place := range litmus.Placements() {
+				for seed := int64(1); seed <= 2; seed++ {
+					r, err := rt.build(simhost.New(costmodel.Default()))
+					if err != nil {
+						t.Fatal(err)
+					}
+					var o litmus.Outcome
+					if err := r.Run(test.Prog(seed, place, litmus.MaxPad, &o)); err != nil {
+						t.Fatal(err)
+					}
+					cell := fmt.Sprintf("%s %s %v seed %d", rt.name, test.Name, place, seed)
+					switch {
+					case rt.name == "rfdet-lrc" && test.Name == litmus.SBOwn.Name:
+						if o != sbRelaxed {
+							t.Errorf("%s: outcome %s, want LRC's 00 outside TSO's %s", cell, show(test, o), outcomes(test, tso))
+						}
+					case !tso[o]:
+						t.Errorf("%s: outcome %s is outside TSO's %s", cell, show(test, o), outcomes(test, tso))
+					}
+					seen[o]++
+					cells++
+				}
+			}
+			var counts []string
+			for o, n := range seen {
+				counts = append(counts, fmt.Sprintf("%s: %d", show(test, o), n))
+			}
+			slices.Sort(counts)
+			t.Logf("%s %s: %v", rt.name, test.Name, counts)
+			if test.Name != litmus.SB.Name {
+				continue
+			}
+			switch rt.name {
+			case "dthreads", "rfdet-lrc":
+				if seen[sbRelaxed] != cells {
+					t.Errorf("%s SB: relaxed 00 in %d of %d cells, want every cell", rt.name, seen[sbRelaxed], cells)
+				}
+			case "consequence-rr", "dwc":
+				if seen[sbRelaxed] != 0 {
+					t.Errorf("%s SB: relaxed 00 in %d of %d cells, want none", rt.name, seen[sbRelaxed], cells)
+				}
+			}
 		}
 	}
 }

@@ -59,9 +59,10 @@ type Lane struct {
 type Input struct {
 	Process string
 	Lanes   []Lane
-	// Metrics is the run's metric snapshot (nil for Chrome-trace inputs,
-	// which carry no registry). Used for analyses that need runtime state
-	// the timelines don't record, e.g. the per-shard arbiter gauges.
+	// Metrics is the run's metric snapshot (a Chrome trace carries the
+	// final one; nil for a trace written without it). Used for analyses
+	// that need runtime state the timelines don't record, e.g. the
+	// per-shard arbiter gauges.
 	Metrics []obs.Sample
 }
 

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -157,24 +158,40 @@ func TestGoldenReportShape(t *testing.T) {
 
 // TestLiveVsParsedIdentical is the analyzer's round-trip contract: a
 // report built from a live Observer and one built from that observer's
-// exported Chrome trace must be byte-identical.
+// exported Chrome trace must be byte-identical. The sharded and fleet
+// cells feed the gauge-read sections (sharding, replication), so the
+// trace must carry the registry's final snapshot exactly; every cell is
+// exported after harness.Run has closed it.
 func TestLiveVsParsedIdentical(t *testing.T) {
-	for _, bench := range []string{"histogram", "ferret"} {
-		opts := harness.Options{
-			Bench:   bench,
-			Runtime: harness.KindConsequenceIC,
-			Threads: 4,
-			Scale:   1,
-			Seed:    42,
-		}
-		_, ob, live := analyzeCell(t, opts)
+	cell := func(bench string) harness.Options {
+		return harness.Options{Bench: bench, Runtime: harness.KindConsequenceIC, Threads: 4, Scale: 1, Seed: 42}
+	}
+	sharded := cell("ferret")
+	sharded.Shards = 4
+	fleet := cell("kmeans")
+	fleet.CommitLogDir = t.TempDir()
+	fleet.Replicas = 2
+	for _, tc := range []struct {
+		name    string
+		opts    harness.Options
+		section string
+	}{
+		{"histogram", cell("histogram"), ""},
+		{"ferret", cell("ferret"), ""},
+		{"ferret shards=4", sharded, `"sharding"`},
+		{"kmeans replicas=2", fleet, `"replication"`},
+	} {
+		_, ob, live := analyzeCell(t, tc.opts)
 		var trace bytes.Buffer
-		if err := ob.WriteChromeTrace(&trace, harness.CellName(opts)); err != nil {
+		if err := ob.WriteChromeTrace(&trace, harness.CellName(tc.opts)); err != nil {
 			t.Fatal(err)
 		}
 		in, err := analyze.ParseChromeTrace(&trace)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if want := ob.Registry().Snapshot(); !reflect.DeepEqual(in.Metrics, want) {
+			t.Errorf("%s: parsed metrics differ from the registry snapshot:\n%v\nvs\n%v", tc.name, in.Metrics, want)
 		}
 		parsed, err := analyze.Analyze(in)
 		if err != nil {
@@ -183,8 +200,42 @@ func TestLiveVsParsedIdentical(t *testing.T) {
 		lj, _ := live.JSON()
 		pj, _ := parsed.JSON()
 		if !bytes.Equal(lj, pj) {
-			t.Errorf("%s: live and parsed-trace reports differ:\n--- live ---\n%s\n--- parsed ---\n%s", bench, lj, pj)
+			t.Errorf("%s: live and parsed-trace reports differ:\n--- live ---\n%s\n--- parsed ---\n%s", tc.name, lj, pj)
 		}
+		if tc.section != "" && !bytes.Contains(lj, []byte(tc.section)) {
+			t.Errorf("%s: report has no %s section", tc.name, tc.section)
+		}
+	}
+}
+
+// TestTraceWithoutMetricsParses keeps traces written before the exporter
+// carried the registry readable: without otherData the input has no
+// metrics, and the golden run (one token, no fleet) reports the same.
+func TestTraceWithoutMetricsParses(t *testing.T) {
+	raw, err := os.ReadFile(goldenTrace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.Index(raw, []byte("],\n\"otherData\""))
+	if i < 0 {
+		t.Fatal("golden trace has no otherData record")
+	}
+	old := append(raw[:i:i], "]}\n"...)
+	in, err := analyze.ParseChromeTrace(bytes.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.Metrics != nil {
+		t.Errorf("a trace without otherData parsed %d metrics", len(in.Metrics))
+	}
+	rep, err := analyze.Analyze(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := rep.JSON()
+	want, _ := analyzeGolden(t).JSON()
+	if !bytes.Equal(got, want) {
+		t.Errorf("report without the metrics record differs from the golden trace's:\n%s\nvs\n%s", got, want)
 	}
 }
 

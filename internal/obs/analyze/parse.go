@@ -20,7 +20,10 @@ import (
 //
 // Events whose name is not a known phase (a future exporter addition, or a
 // foreign trace) are skipped rather than rejected; the metadata events
-// supply the process name and the set of thread lanes.
+// supply the process name and the set of thread lanes. The top-level
+// otherData.metrics record is restored into Input.Metrics sample for
+// sample; a trace without it (written before the exporter carried it)
+// parses with nil Metrics.
 func ParseChromeTrace(r io.Reader) (*Input, error) {
 	var doc struct {
 		TraceEvents []struct {
@@ -35,6 +38,17 @@ func ParseChromeTrace(r io.Reader) (*Input, error) {
 				Dropped int64  `json:"dropped"`
 			} `json:"args"`
 		} `json:"traceEvents"`
+		OtherData struct {
+			Metrics []struct {
+				Name    string            `json:"name"`
+				Labels  map[string]string `json:"labels"`
+				Kind    string            `json:"kind"`
+				Value   int64             `json:"value"`
+				Sum     int64             `json:"sum"`
+				Max     int64             `json:"max"`
+				Buckets []int64           `json:"buckets"`
+			} `json:"metrics"`
+		} `json:"otherData"`
 	}
 	dec := json.NewDecoder(r)
 	dec.UseNumber()
@@ -105,7 +119,34 @@ func ParseChromeTrace(r io.Reader) (*Input, error) {
 	for _, tid := range tids {
 		in.Lanes = append(in.Lanes, *lanes[tid])
 	}
+
+	for _, m := range doc.OtherData.Metrics {
+		s := obs.Sample{Name: m.Name, Value: m.Value}
+		var ok bool
+		if s.Kind, ok = metricKind(m.Kind); !ok {
+			return nil, fmt.Errorf("analyze: metric %s has unknown kind %q", m.Name, m.Kind)
+		}
+		// The registry keeps labels sorted by key (its canonical form).
+		for k, v := range m.Labels {
+			s.Labels = append(s.Labels, obs.Label{Key: k, Value: v})
+		}
+		sort.Slice(s.Labels, func(i, j int) bool { return s.Labels[i].Key < s.Labels[j].Key })
+		if s.Kind == obs.KindHistogram {
+			s.Sum, s.Max, s.Buckets = m.Sum, m.Max, m.Buckets
+		}
+		in.Metrics = append(in.Metrics, s)
+	}
 	return in, nil
+}
+
+// metricKind is the inverse of obs.MetricKind.String.
+func metricKind(name string) (obs.MetricKind, bool) {
+	for _, k := range []obs.MetricKind{obs.KindCounter, obs.KindHistogram, obs.KindFunc} {
+		if k.String() == name {
+			return k, true
+		}
+	}
+	return 0, false
 }
 
 // usecToNS converts a microsecond decimal string ("1.234", the exporter's

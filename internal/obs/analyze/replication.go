@@ -12,9 +12,9 @@ import (
 // append stalls say whether the WRITER was ever held back, the replica
 // fleet's lag distribution and restart counters say how far the READ
 // side trailed and how hard its supervisor worked. Present only when the
-// run exported replica_* metrics — runs without a fleet (and trace-file
-// inputs, which carry no metrics) omit the section so their reports are
-// unchanged.
+// run exported replica_* metrics — runs without a fleet (and traces
+// written without the metrics record) omit the section so their reports
+// are unchanged.
 type ReplicationReport struct {
 	// AppendStalls counts writer appends that blocked on the log's drain
 	// goroutine — backpressure on the commit path itself.

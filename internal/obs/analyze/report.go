@@ -36,11 +36,12 @@ type Report struct {
 	// Coarsening holds the §3.1 what-if estimates per fusion factor k.
 	Coarsening []WhatIf `json:"coarsening_what_if"`
 	// Sharding is the per-shard arbiter breakdown under per-shard
-	// granting; nil (and omitted) for unsharded runs and trace-file inputs.
+	// granting; nil (and omitted) for unsharded runs and for traces
+	// written without the metrics record.
 	Sharding *ShardingReport `json:"sharding,omitempty"`
 	// Replication attributes writer backpressure (commit-log append
 	// stalls) vs. replica-fleet follower lag; nil (and omitted) for runs
-	// without a fleet and trace-file inputs.
+	// without a fleet and for traces written without the metrics record.
 	Replication *ReplicationReport `json:"replication,omitempty"`
 }
 

@@ -10,8 +10,8 @@ import (
 // ShardingReport summarizes per-shard arbiter activity under
 // per-shard granting (docs/scheduler.md). It is present only when the run
 // exported the clock_shard_busy_ns gauges — i.e. the runtime actually
-// granted per shard; unsharded runs (and Chrome-trace inputs, which carry
-// no metrics) omit the section entirely so their reports are unchanged.
+// granted per shard; unsharded runs (and traces written without the
+// metrics record) omit the section entirely so their reports are unchanged.
 type ShardingReport struct {
 	Shards []ShardLane `json:"shards"`
 	// GlobalEdgeBusyNS is arbiter time spent inside cross-shard

@@ -6,6 +6,9 @@ package obs
 // renders as one lane (trace tid = runtime tid), each time-category phase
 // as a complete ("X") event whose name and category are the Phase's
 // stable string, and each marker as a thread-scoped instant ("i") event.
+// The top-level "otherData" object carries the registry's final snapshot
+// as "metrics": one record per sample, in Snapshot order, so a trace file
+// holds the gauges the analyzer reads as well as the timeline.
 //
 // The encoding is hand-rolled rather than encoding/json for a contract
 // the tests rely on: a fixed simhost run must export byte-identical JSON
@@ -53,6 +56,43 @@ func writeChromeTrace(w io.Writer, o *Observer, process string) error {
 				tid, name, name, usec(e.Start), usec(e.End-e.Start))
 		}
 	}
-	fmt.Fprintf(bw, "\n]}\n")
+	fmt.Fprintf(bw, "\n],\n\"otherData\":{\"metrics\":[")
+	for i, s := range o.reg.Snapshot() {
+		if i > 0 {
+			bw.WriteByte(',')
+		}
+		writeMetric(bw, s)
+	}
+	fmt.Fprintf(bw, "\n]}}\n")
 	return bw.Flush()
+}
+
+// writeMetric renders one sample as
+// {"name":N,"labels":{K:V,...},"kind":K,"value":V} — labels omitted when
+// there are none, and histograms adding "sum", "max" and their trimmed
+// "buckets", which is everything Sample.Quantile reads.
+func writeMetric(bw *bufio.Writer, s Sample) {
+	fmt.Fprintf(bw, "\n{\"name\":%q", s.Name)
+	if len(s.Labels) > 0 {
+		bw.WriteString(",\"labels\":{")
+		for i, l := range s.Labels {
+			if i > 0 {
+				bw.WriteByte(',')
+			}
+			fmt.Fprintf(bw, "%q:%q", l.Key, l.Value)
+		}
+		bw.WriteByte('}')
+	}
+	fmt.Fprintf(bw, ",\"kind\":%q,\"value\":%d", s.Kind, s.Value)
+	if s.Kind == KindHistogram {
+		fmt.Fprintf(bw, ",\"sum\":%d,\"max\":%d,\"buckets\":[", s.Sum, s.Max)
+		for i, n := range s.Buckets {
+			if i > 0 {
+				bw.WriteByte(',')
+			}
+			fmt.Fprintf(bw, "%d", n)
+		}
+		bw.WriteByte(']')
+	}
+	bw.WriteByte('}')
 }
