@@ -9,8 +9,10 @@ package cmd_test
 import (
 	"encoding/json"
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -162,4 +164,119 @@ func TestModuleLinksNoNetwork(t *testing.T) {
 			t.Errorf("the module's non-test code depends on %s", pkg)
 		}
 	}
+}
+
+// Docs cite flags in commands (`detrun -real -timeout 30s`, a fenced
+// `go run ./cmd/detrun …` line) and in spans that open with a flag
+// (`-timeout 30s`). Every flag cited must exist: one after a binary's name
+// must be that binary's, and a span's opening flag must be some binary's
+// or the go command's (`-race`, `-short`). A span opening with `--` cites
+// bench/run.sh and is not checked.
+func TestDocsCiteOnlyDefinedFlags(t *testing.T) {
+	dir := t.TempDir()
+	bins := []string{"detrun", "conseq-diff", "conseq-replay", "conseq-analyze", "consequence-bench"}
+	args := []string{"build", "-o", dir + "/"}
+	for _, b := range bins {
+		args = append(args, "./"+b)
+	}
+	if out, err := exec.Command("go", args...).CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	// Go's flag package lists a flag as "  -name type"; go help as "\t-name".
+	listed := regexp.MustCompile(`(?m)^(?:  |\t)-([\w.-]+)`)
+	defined := map[string]map[string]bool{}
+	anyFlag := map[string]bool{}
+	for _, b := range bins {
+		out, _ := exec.Command(filepath.Join(dir, b), "-h").CombinedOutput()
+		defined[b] = map[string]bool{}
+		for _, m := range listed.FindAllStringSubmatch(string(out), -1) {
+			defined[b][m[1]], anyFlag[m[1]] = true, true
+		}
+		if len(defined[b]) == 0 {
+			t.Fatalf("%s -h lists no flags:\n%s", b, out)
+		}
+	}
+	for _, topic := range []string{"testflag", "build"} {
+		out, err := exec.Command("go", "help", topic).Output()
+		if err != nil {
+			t.Fatalf("go help %s: %v", topic, err)
+		}
+		for _, m := range listed.FindAllStringSubmatch(string(out), -1) {
+			anyFlag[m[1]] = true
+		}
+	}
+
+	docs, _ := filepath.Glob("../docs/*.md")
+	docs = append(docs, "../README.md", "../DESIGN.md", "../.claude/skills/verify/SKILL.md")
+	flagWord := regexp.MustCompile(`^--?([A-Za-z][\w.-]*)`)
+	binOf := func(w string) string {
+		for _, b := range bins {
+			if w == b || strings.HasSuffix(w, "/"+b) {
+				return b
+			}
+		}
+		return ""
+	}
+	for _, doc := range docs {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cmd := range docCommands(string(text)) {
+			for _, seg := range strings.FieldsFunc(cmd, func(r rune) bool { return strings.ContainsRune("|;&()", r) }) {
+				seg, _, _ = strings.Cut(seg, " #")
+				words := strings.Fields(seg)
+				if len(words) == 0 {
+					continue
+				}
+				if m := flagWord.FindStringSubmatch(words[0]); m != nil {
+					if !strings.HasPrefix(words[0], "--") && !anyFlag[m[1]] {
+						t.Errorf("%s: `%s` cites -%s, which no binary and no go command defines", doc, cmd, m[1])
+					}
+					continue
+				}
+				for i, w := range words {
+					if w == "go" && i+1 < len(words) && words[i+1] != "run" {
+						break // go test ./cmd/detrun -run X: the flags are go's
+					}
+					bin := binOf(w)
+					if bin == "" {
+						continue
+					}
+					for _, u := range words[i+1:] {
+						if strings.HasPrefix(u, ">") || strings.HasPrefix(u, "2>") {
+							break
+						}
+						if m := flagWord.FindStringSubmatch(u); m != nil && !defined[bin][m[1]] {
+							t.Errorf("%s: `%s` cites %s -%s, which %s does not define", doc, cmd, bin, m[1], bin)
+						}
+					}
+					break
+				}
+			}
+		}
+	}
+}
+
+// docCommands returns a markdown text's code: each line of a fenced block,
+// with backslash-continued lines joined, and each inline code span.
+func docCommands(text string) []string {
+	var cmds []string
+	fenced, cont := false, ""
+	span := regexp.MustCompile("`([^`]+)`")
+	for _, line := range strings.Split(text, "\n") {
+		switch {
+		case strings.HasPrefix(line, "```"):
+			fenced = !fenced
+		case fenced && strings.HasSuffix(line, "\\"):
+			cont += strings.TrimSuffix(line, "\\") + " "
+		case fenced:
+			cmds, cont = append(cmds, cont+line), ""
+		default:
+			for _, m := range span.FindAllStringSubmatch(line, -1) {
+				cmds = append(cmds, m[1])
+			}
+		}
+	}
+	return cmds
 }

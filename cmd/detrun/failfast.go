@@ -11,10 +11,9 @@ import (
 )
 
 // lastRuntime holds the most recently built det-backed runtime (stored
-// by build), so failure dumps triggered from timers and watchdog handlers
-// can include its diagnostic state — per-thread phase, clock and held
-// locks, plus the arbiter's token state — regardless of which mode
-// (direct, -verify, -compare) built it.
+// by build), so the -timeout dump can include its diagnostic state —
+// per-thread phase, clock and held locks, plus the arbiter's token state —
+// regardless of which mode (direct, -verify, -compare) built it.
 var lastRuntime atomic.Pointer[det.Runtime]
 
 // dumpDiagnostics writes the failure bundle to stderr: the triggering
@@ -33,19 +32,12 @@ func dumpDiagnostics(reason string) {
 
 // armTimeout bounds the process's real wall clock: if the run has not
 // completed within d, dump diagnostics and exit non-zero instead of
-// hanging forever. Applies on both hosts (a simulated deadlock is caught
-// by the sim host itself; the timeout catches livelock and real-host
-// stalls the watchdog is not armed for).
+// hanging forever. It is the one bound on a hung run, on either host: the
+// simulation host proves a deadlock itself, so the timeout is what catches
+// a livelock, and a real-host run that stalls.
 func armTimeout(d time.Duration) *time.Timer {
 	return time.AfterFunc(d, func() {
 		dumpDiagnostics(fmt.Sprintf("timeout: run did not complete within %s", d))
 		os.Exit(2)
 	})
-}
-
-// onStall is the real-host watchdog handler: report what every blocked
-// thread was waiting on, dump runtime state and stacks, and fail.
-func onStall(report string) {
-	dumpDiagnostics(report)
-	os.Exit(2)
 }

@@ -67,7 +67,6 @@ func main() {
 	analyzeRun := flag.Bool("analyze", false, "print the critical-path analysis report after the run (conseq-analyze prints it from a -trace file)")
 	jsonOut := flag.Bool("json", false, "with -analyze: print only the stable JSON report on stdout, and the run summary on stderr")
 	dumpTrace := flag.Int("dump-sync", 0, "dump the first N sync-order events")
-	watchdog := flag.Duration("watchdog", 0, "real-host stall watchdog: if any thread stays blocked longer than this, dump per-thread diagnostics and exit non-zero (requires -real)")
 	timeout := flag.Duration("timeout", 0, "bound the run's host wall clock: on expiry dump goroutine stacks and runtime state and exit non-zero (e.g. 30s)")
 	commitLogDir := flag.String("commitlog", "", "write the run's record (committed page diffs and sync events in one segmented log) into this empty directory; replay it with conseq-replay, compare two with conseq-diff")
 	replicas := flag.Int("replicas", 0, "with -commitlog: serve the log from this many live followers (plus an archive), check each one's final checksum, and print a digest of a seeded sweep of versioned reads")
@@ -131,13 +130,7 @@ func main() {
 
 	var h host.Host = simhost.New(costmodel.Default())
 	if *useReal {
-		rh := realhost.New(0, 0)
-		if *watchdog > 0 {
-			rh.SetWatchdog(*watchdog, onStall)
-		}
-		h = rh
-	} else if *watchdog > 0 {
-		fatal(fmt.Errorf("-watchdog requires -real (the simulation host proves deadlocks itself)"))
+		h = realhost.New(0, 0)
 	}
 	var observer *obs.Observer
 	if *traceOut != "" || *metrics || *analyzeRun {

@@ -183,3 +183,30 @@ func TestDumpSyncBesideCommitLog(t *testing.T) {
 		t.Errorf("-dump-sync wrote %d log files, without it %d", len(other), len(names))
 	}
 }
+
+// -timeout is the one bound on a hung run. A run it cuts short exits 2 and
+// leaves on stderr the reason, the runtime's state (a row per live thread
+// and the arbiter's table) and every goroutine stack. water_nsquared at
+// scale 64 builds in a few milliseconds and runs for about half a second
+// on the simulation host, so the dump lands mid-run.
+func TestTimeoutDumpsRuntimeState(t *testing.T) {
+	bin := detrunBin(t)
+	cmd := exec.Command(bin, "-bench", "water_nsquared", "-scale", "64", "-threads", "8", "-timeout", "100ms")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	_, err := cmd.Output()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+		t.Errorf("detrun -timeout 100ms: err %v, want exit status 2", err)
+	}
+	for _, want := range []string{
+		"timeout: run did not complete within 100ms",
+		"det: runtime state (consequence-ic, 8 live thread(s))",
+		"\narbiter: ",
+		"goroutine stacks:",
+	} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("detrun -timeout 100ms: stderr lacks %q:\n%.2000s", want, stderr.String())
+		}
+	}
+}

@@ -449,7 +449,7 @@ func (l Locks) Total() int64 {
 
 // DumpState renders the arbiter's tables — holder, the per-shard records,
 // and each registered thread's clock, eligibility, wanting flag and scope —
-// for failure diagnostics (watchdog stall dumps, RuntimeError context).
+// for failure diagnostics (the detrun -timeout dump, RuntimeError context).
 // Safe to call from any goroutine at any time.
 func (a *Arbiter) DumpState() string {
 	a.mu.Lock()

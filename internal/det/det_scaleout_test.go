@@ -2,9 +2,7 @@ package det_test
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/api"
 	"repro/internal/costmodel"
@@ -149,20 +147,28 @@ func TestStartedGateRecoversPrespawnedWorkers(t *testing.T) {
 	}
 }
 
-// On the real host, parked pool workers declare their blocks idle
-// (host.IdleReasonPrefix), so an armed stall watchdog must stay quiet
-// through a pooled run even though workers sit blocked between threads.
-func TestWorkerPoolQuietUnderWatchdog(t *testing.T) {
-	h := realhost.New(0, 0)
-	var fires atomic.Int32
-	h.SetWatchdog(5*time.Second, func(string) { fires.Add(1) })
-	sum0, _, _ := run(t, cfg(), realhost.New(0, 0), counterProg(4, 20))
-	sum1, _, _ := run(t, scaleOutCfg(4, 4), h, counterProg(4, 20))
-	if sum1 != sum0 {
-		t.Errorf("checksum %x != legacy %x", sum1, sum0)
+// A pooled worker parks between threads under the label "idle: pooled
+// worker w%d". On the simulation host's deadlock report it reads as idle
+// beside the thread that is stuck, so a program deadlock under a
+// pre-spawned pool names both: three workers never adopted, and the one
+// running the child, parked on the mutex its exited parent still holds.
+func TestSimDeadlockNamesIdleWorkers(t *testing.T) {
+	rt, err := det.New(scaleOutCfg(2, 4), simhost.New(costmodel.Default()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := fires.Load(); n != 0 {
-		t.Errorf("watchdog fired %d times during a pooled run", n)
+	err = rt.Run(func(root api.T) {
+		m := root.NewMutex()
+		root.Lock(m)
+		root.Spawn(func(t api.T) {
+			t.Lock(m)
+			t.Unlock(m)
+		})
+		root.Compute(5_000)
+	})
+	want := "sim: deadlock — 4 proc(s) parked forever: [w0 (idle: pooled worker w0) w1 (idle: pooled worker w1) w2 (idle: pooled worker w2) w3 (mutex 1)]"
+	if err == nil || err.Error() != want {
+		t.Errorf("deadlock report %v, want %s", err, want)
 	}
 }
 

@@ -54,8 +54,8 @@ func (e *RuntimeError) Error() string {
 	return b.String()
 }
 
-// Diagnostic thread phases, stored atomically so the real host's watchdog
-// (a different goroutine) can render DumpState while threads run.
+// Diagnostic thread phases, stored atomically so a -timeout dump (a
+// different goroutine) can render DumpState while threads run.
 const (
 	diagRunning int32 = iota
 	diagTokenWait
@@ -94,8 +94,8 @@ func (t *Thread) runtimeError(code, op string, obj uint64, format string, a ...a
 
 // park records why the thread is about to sleep — the diagnostic phase
 // (read by DumpState) and the host block reason (rendered by the sim
-// host's deadlock report and the real host's watchdog dump) — then blocks,
-// clearing the phase on wake. All runtime blocking funnels through here.
+// host's deadlock report) — then blocks, clearing the phase on wake. All
+// runtime blocking funnels through here.
 func (t *Thread) park(phase int32, reason host.BlockReason) {
 	t.diagPhase.Store(phase)
 	t.diagClock.Store(t.icount)
@@ -143,8 +143,8 @@ func (rt *Runtime) heldLocksOf(tid int) []uint64 {
 
 // DumpState renders the runtime's failure-diagnostic snapshot: every live
 // thread's phase, last-recorded clock and held locks, plus the arbiter's
-// token state. Safe to call from any goroutine at any time (the watchdog
-// and -timeout handlers call it while threads run), so it reads only the
+// token state. Safe to call from any goroutine at any time (detrun's
+// -timeout handler calls it while threads run), so it reads only the
 // atomic diagnostic mirrors — live threads may be mid-operation and their
 // clocks slightly stale.
 func (rt *Runtime) DumpState() string {

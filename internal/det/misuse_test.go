@@ -226,7 +226,7 @@ func TestRuntimeErrorCountsPendingCommits(t *testing.T) {
 }
 
 // DumpState must render every live thread with phase, clock and held
-// locks, plus the arbiter's token state — the -timeout/-watchdog bundle.
+// locks, plus the arbiter's token state — the bundle detrun -timeout prints.
 func TestDumpState(t *testing.T) {
 	runMisuse(t, func(root api.T) {
 		m := root.NewMutex()

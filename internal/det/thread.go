@@ -49,8 +49,8 @@ type Thread struct {
 	holding bool // holds the global token
 	done    bool // has exited (token-serialized, like joiners)
 	// diagPhase/diagClock mirror the thread's state for failure
-	// diagnostics (RuntimeError, Runtime.DumpState). Atomic because the
-	// real host's watchdog renders them from another goroutine; written
+	// diagnostics (RuntimeError, Runtime.DumpState). Atomic because a
+	// -timeout dump renders them from another goroutine; written
 	// only at sync-op and park boundaries, so a live thread's mirror may
 	// trail its true clock — fine for a diagnostic dump. diagPhase shares
 	// a word with the two bools: a Thread is allocated per spawn, and at

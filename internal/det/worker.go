@@ -105,7 +105,7 @@ func (rt *Runtime) runWorker(w *worker, b host.Binding) {
 		// thread's next real block. (A fresh-spawn worker has next
 		// pre-assigned and no wake pending, so it must not park; neither
 		// must an early-adopted pre-spawned worker — see above.)
-		rt.parkIdle(w, b)
+		parkIdle(w, b)
 	}
 	for {
 		if w.terminate {
@@ -141,15 +141,15 @@ func (rt *Runtime) runWorker(w *worker, b host.Binding) {
 			return
 		}
 		w.pooled = false
-		rt.parkIdle(w, b)
+		parkIdle(w, b)
 	}
 }
 
-// parkIdle blocks a worker between threads, with an idle-exempt block
-// reason so the real host's watchdog does not mistake a parked pool
-// worker for a stalled thread (host.IdleReasonPrefix).
-func (rt *Runtime) parkIdle(w *worker, b host.Binding) {
-	b.Block(host.BlockReason{Label: host.IdleReasonPrefix + "pooled worker w%d", ID: uint64(w.seq)})
+// parkIdle blocks a worker between threads. The label names it idle, so
+// a simulation-host deadlock report that lists the worker tells it from a
+// stuck thread.
+func parkIdle(w *worker, b host.Binding) {
+	b.Block(host.BlockReason{Label: "idle: pooled worker w%d", ID: uint64(w.seq)})
 }
 
 // insertWorkerLocked adds w to the free list in ascending key order.

@@ -25,14 +25,6 @@ type Host interface {
 	Timed() bool
 }
 
-// IdleReasonPrefix marks a block reason as intentional idleness: the
-// thread is parked waiting for work (a pooled scheduler worker between
-// assignments), not stuck waiting on progress another thread owes it.
-// Hosts with stall detection exempt idle-prefixed blocks from their
-// watchdog; the simulation host still reports them in deadlock dumps,
-// since an idle thread at simulation end is a drain bug in the runtime.
-const IdleReasonPrefix = "idle: "
-
 // BlockReason says what a thread is about to block on: a constant label
 // and the id of the object involved. A runtime passes one to every Block,
 // so making it must cost nothing; the text is only built (String)
@@ -51,10 +43,6 @@ func (r BlockReason) String() string {
 	}
 	return r.Label
 }
-
-// Idle reports whether the reason declares intentional idleness
-// (IdleReasonPrefix).
-func (r BlockReason) Idle() bool { return strings.HasPrefix(r.Label, IdleReasonPrefix) }
 
 // AnchoredWaker is an optional Binding extension for hosts that model
 // time: WakeFrom is Wake with an explicit virtual-time origin, used by
@@ -89,8 +77,8 @@ type Binding interface {
 	// arrives first is not lost: the Block returns immediately (one
 	// pending wake permit is held, and double-wake is a runtime bug that
 	// panics). reason says what the thread is blocking on; it is purely
-	// diagnostic — the simulation host's deadlock report and the real
-	// host's watchdog stall dump print it — and never affects scheduling.
+	// diagnostic — the simulation host's deadlock report prints it — and
+	// never affects scheduling.
 	Block(reason BlockReason)
 	// Wake releases target from Block (or pre-arms its next Block).
 	Wake(target Binding)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -29,7 +30,8 @@ func outcome(x, y uint64, regs ...uint64) litmus.Outcome {
 	return o
 }
 
-// show renders o as the registers test loads and the locations it stores.
+// show renders o as the registers test loads and the locations it
+// stores, one digit each: SB's relaxed outcome is r00/m11, R's r0/m12.
 func show(test litmus.Test, o litmus.Outcome) string {
 	regs, locs := 0, 0
 	for _, th := range test.Threads {
@@ -42,7 +44,14 @@ func show(test litmus.Test, o litmus.Outcome) string {
 			}
 		}
 	}
-	return fmt.Sprintf("r%v/m%v", o.Regs[:regs], o.Mem[:locs])
+	digits := func(vs []uint64) string {
+		var b strings.Builder
+		for _, v := range vs {
+			fmt.Fprint(&b, v)
+		}
+		return b.String()
+	}
+	return "r" + digits(o.Regs[:regs]) + "/m" + digits(o.Mem[:locs])
 }
 
 // outcomes renders a set of test's outcomes in a fixed order.
@@ -53,6 +62,32 @@ func outcomes(test litmus.Test, set map[litmus.Outcome]bool) string {
 	}
 	slices.Sort(s)
 	return fmt.Sprint(s)
+}
+
+// checkFloor holds a runtime's observed outcomes of test to a floor: every
+// outcome in floor must be among those seen inside TSO, or the runtime has
+// lost reach it had. An outcome seen beyond the floor is only logged, as
+// is the coverage, k of TSO's outcomes.
+func checkFloor(t *testing.T, who string, test litmus.Test, seen map[litmus.Outcome]bool, floor []string) {
+	t.Helper()
+	tso := litmus.TSO(test)
+	got := map[string]bool{}
+	for o := range seen {
+		if tso[o] {
+			got[show(test, o)] = true
+		}
+	}
+	covered := len(got)
+	for _, o := range floor {
+		if !got[o] {
+			t.Errorf("%s %s: no cell shows %s, which the floor pins; seen inside TSO: %s", who, test.Name, o, outcomes(test, seen))
+		}
+		delete(got, o)
+	}
+	for o := range got {
+		t.Logf("%s %s: %s is seen beyond the floor", who, test.Name, o)
+	}
+	t.Logf("%s %s: covers %d/%d of TSO", who, test.Name, covered, len(tso))
 }
 
 // TestMachine pins the oracle on what the literature says of each test:
@@ -189,6 +224,10 @@ func storesTwice(test litmus.Test) bool {
 // each fault lends (mem's dirtyPage.lent) is that page, and the twins a
 // later sync op's pull window copies are committed pages other threads
 // still read. The oracle judges what those twins make of the diffs.
+//
+// What the cells show together is held to consequenceFloor: a change that
+// loses an outcome the runtime reached fails, one that gains an outcome
+// logs it (checkFloor).
 func TestConsequenceIsTSO(t *testing.T) {
 	for _, test := range litmus.All() {
 		tso, sc := litmus.TSO(test), litmus.SC(test)
@@ -228,6 +267,7 @@ func TestConsequenceIsTSO(t *testing.T) {
 			t.Logf("%s pad %d: observed %s", test.Name, pad, outcomes(test, seenAt))
 		}
 		t.Logf("%s: observed %s of TSO's %s", test.Name, outcomes(test, seen), outcomes(test, tso))
+		checkFloor(t, "consequence-ic", test, seen, consequenceFloor[test.Name])
 		if (test.Name == litmus.SB.Name || test.Name == litmus.SBLockPO.Name) && !seen[outcome(1, 1, 0, 0)] {
 			t.Errorf("%s: no padding showed the relaxed outcome, though store buffering is how Consequence is TSO", test.Name)
 		}
@@ -273,13 +313,15 @@ var baselines = []struct {
 // dthreads and rfdet-lrc, which keep a thread's stores private until its
 // next fence, show it in every cell; consequence-rr and dwc, whose round
 // robin runs each litmus thread's straight-line code in one turn, never
-// do.
+// do. What each runtime's cells show inside TSO is held to baselineFloor,
+// as consequence-ic's is to consequenceFloor.
 func TestBaselinesLitmus(t *testing.T) {
 	sbRelaxed := outcome(1, 1, 0, 0)
 	for _, rt := range baselines {
 		for _, test := range litmus.All() {
 			tso := litmus.TSO(test)
 			seen := map[litmus.Outcome]int{}
+			reached := map[litmus.Outcome]bool{}
 			cells := 0
 			for _, place := range litmus.Placements() {
 				for seed := int64(1); seed <= 2; seed++ {
@@ -301,6 +343,7 @@ func TestBaselinesLitmus(t *testing.T) {
 						t.Errorf("%s: outcome %s is outside TSO's %s", cell, show(test, o), outcomes(test, tso))
 					}
 					seen[o]++
+					reached[o] = true
 					cells++
 				}
 			}
@@ -310,6 +353,7 @@ func TestBaselinesLitmus(t *testing.T) {
 			}
 			slices.Sort(counts)
 			t.Logf("%s %s: %v", rt.name, test.Name, counts)
+			checkFloor(t, rt.name, test, reached, baselineFloor[rt.name][test.Name])
 			if test.Name != litmus.SB.Name {
 				continue
 			}
@@ -325,4 +369,91 @@ func TestBaselinesLitmus(t *testing.T) {
 			}
 		}
 	}
+}
+
+// consequenceFloor pins, per test, the outcomes inside TSO that
+// TestConsequenceIsTSO's cells show on consequence-ic. MP shows 2 of
+// TSO's 3 and IRIW 5 of its 15.
+var consequenceFloor = map[string][]string{
+	"SB":         {"r00/m11", "r01/m11", "r10/m11"},
+	"SB+lock":    {"r01/m11", "r10/m11"},
+	"SB+lock+po": {"r00/m11", "r01/m11", "r10/m11"},
+	"MP":         {"r00/m11", "r11/m11"},
+	"MP+lock":    {"r00/m11", "r01/m11"},
+	"LB":         {"r00/m11", "r01/m11", "r10/m11"},
+	"IRIW":       {"r0000/m11", "r0011/m11", "r1001/m11", "r1011/m11", "r1111/m11"},
+	"2+2W":       {"r/m12", "r/m21"},
+	"R":          {"r0/m11", "r0/m12", "r1/m12"},
+	"SB+own":     {"r01/m11", "r10/m11", "r11/m11"},
+	"MP+own":     {"r00/m11", "r01/m11", "r11/m11"},
+}
+
+// baselineFloor pins, per runtime and test, the outcomes inside TSO that
+// TestBaselinesLitmus's cells show. rfdet-lrc shows none on SB+own: its
+// one outcome there, 00, is outside TSO.
+var baselineFloor = map[string]map[string][]string{
+	"consequence-rr": {
+		"SB":         {"r01/m11", "r10/m11"},
+		"SB+lock":    {"r01/m11", "r10/m11"},
+		"SB+lock+po": {"r01/m11", "r10/m11"},
+		"MP":         {"r00/m11", "r11/m11"},
+		"MP+lock":    {"r00/m11", "r01/m11"},
+		"LB":         {"r01/m11", "r10/m11"},
+		"IRIW":       {"r0000/m11", "r1111/m11"},
+		"2+2W":       {"r/m12", "r/m21"},
+		"R":          {"r0/m11", "r1/m12"},
+		"SB+own":     {"r01/m11", "r10/m11"},
+		"MP+own":     {"r01/m11", "r11/m11"},
+	},
+	"dthreads": {
+		"SB":         {"r00/m11"},
+		"SB+lock":    {"r01/m11", "r10/m11"},
+		"SB+lock+po": {"r00/m11", "r10/m11"},
+		"MP":         {"r00/m11"},
+		"MP+lock":    {"r00/m11", "r01/m11"},
+		"LB":         {"r00/m11"},
+		"IRIW":       {"r0000/m11", "r1011/m11"},
+		"2+2W":       {"r/m12", "r/m21"},
+		"R":          {"r0/m11", "r0/m12"},
+		"SB+own":     {"r01/m11", "r10/m11"},
+		"MP+own":     {"r01/m11", "r11/m11"},
+	},
+	"dwc": {
+		"SB":         {"r01/m11", "r10/m11"},
+		"SB+lock":    {"r01/m11", "r10/m11"},
+		"SB+lock+po": {"r01/m11", "r10/m11"},
+		"MP":         {"r00/m11", "r11/m11"},
+		"MP+lock":    {"r00/m11", "r01/m11"},
+		"LB":         {"r01/m11", "r10/m11"},
+		"IRIW":       {"r0000/m11", "r1111/m11"},
+		"2+2W":       {"r/m12", "r/m21"},
+		"R":          {"r0/m11", "r1/m12"},
+		"SB+own":     {"r01/m11", "r10/m11"},
+		"MP+own":     {"r01/m11", "r11/m11"},
+	},
+	"rfdet-lrc": {
+		"SB":         {"r00/m11"},
+		"SB+lock":    {"r01/m11", "r10/m11"},
+		"SB+lock+po": {"r00/m11"},
+		"MP":         {"r00/m11"},
+		"MP+lock":    {"r00/m11", "r01/m11"},
+		"LB":         {"r00/m11"},
+		"IRIW":       {"r0000/m11"},
+		"2+2W":       {"r/m12", "r/m21"},
+		"R":          {"r0/m11", "r0/m12"},
+		"MP+own":     {"r00/m11"},
+	},
+	"pthreads": {
+		"SB":         {"r01/m11", "r10/m11"},
+		"SB+lock":    {"r01/m11", "r10/m11"},
+		"SB+lock+po": {"r01/m11", "r10/m11"},
+		"MP":         {"r00/m11", "r11/m11"},
+		"MP+lock":    {"r00/m11", "r11/m11"},
+		"LB":         {"r01/m11", "r10/m11"},
+		"IRIW":       {"r0000/m11", "r1111/m11"},
+		"2+2W":       {"r/m12", "r/m21"},
+		"R":          {"r0/m11", "r1/m12"},
+		"SB+own":     {"r01/m11", "r10/m11"},
+		"MP+own":     {"r00/m11", "r11/m11"},
+	},
 }
