@@ -71,12 +71,29 @@ func TestArtifactCLIs(t *testing.T) {
 	expect(t, 0, nil, in("conseq-diff"), "-live", in("a"))
 	expect(t, 2, nil, in("conseq-diff"), in("a"))
 	expect(t, 2, nil, in("conseq-diff"), "-perturb", "swap-grant", "-at", "100", in("a"), in("b"))
+	expect(t, 2, nil, in("conseq-diff"), "-at", "100", in("a"), in("b"))
 
 	// conseq-replay: the full replay and -resume reach the checksum, and
 	// -checksum exits 1 on a mismatch.
 	expect(t, 0, []string{"checksum    1f8b09e15b1b689c", "end trailer present"}, in("conseq-replay"), "-dir", in("a"), "-checksum", "1f8b09e15b1b689c")
 	expect(t, 0, []string{"checksum    1f8b09e15b1b689c"}, in("conseq-replay"), "-dir", in("a"), "-resume", "-checksum", "1f8b09e15b1b689c")
 	expect(t, 1, nil, in("conseq-replay"), "-dir", in("a"), "-checksum", "1f8b09e15b1b688c")
+
+	// -follow tails the closed log to its trailer and cross-checks the
+	// incremental follower against the resume replay.
+	expect(t, 0, []string{"followed    incremental follower checksum matches the resume replay", "checksum    1f8b09e15b1b689c"},
+		in("conseq-replay"), "-dir", in("a"), "-follow", "-follow-poll", "5ms")
+
+	// A target past the log's end is an error by seq as by version, and a
+	// flag the chosen mode would ignore is a usage error.
+	expect(t, 1, nil, in("conseq-replay"), "-dir", in("a"), "-at", "100")
+	expect(t, 1, nil, in("conseq-replay"), "-dir", in("a"), "-at-seq", "100000")
+	for _, args := range [][]string{
+		{"-at", "3", "-resume"}, {"-at", "3", "-at-seq", "5"}, {"-at", "3", "-follow"},
+		{"-quiet"}, {"-follow-poll", "5ms"}, {"-max-lag", "4"},
+	} {
+		expect(t, 2, nil, in("conseq-replay"), append([]string{"-dir", in("a")}, args...)...)
+	}
 
 	// detrun -replicas: the fleet's checksum and sweep-digest lines,
 	// unmoved by a follower-kill schedule; the fleet needs a log.
@@ -206,8 +223,6 @@ func TestDocsCiteOnlyDefinedFlags(t *testing.T) {
 		}
 	}
 
-	docs, _ := filepath.Glob("../docs/*.md")
-	docs = append(docs, "../README.md", "../DESIGN.md", "../.claude/skills/verify/SKILL.md")
 	flagWord := regexp.MustCompile(`^--?([A-Za-z][\w.-]*)`)
 	binOf := func(w string) string {
 		for _, b := range bins {
@@ -217,7 +232,7 @@ func TestDocsCiteOnlyDefinedFlags(t *testing.T) {
 		}
 		return ""
 	}
-	for _, doc := range docs {
+	for _, doc := range docFiles() {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -256,6 +271,77 @@ func TestDocsCiteOnlyDefinedFlags(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Docs cite metrics by name (`mem_faults`, `clock_shard_grants{shard=i}`,
+// `replica_reads_{served,redirected,rejected}`, `commitlog_*`). Every name
+// cited must be one a run emits: a cell that attaches every metric family
+// (shards, chaos, commit log, fleet) lists them under detrun -metrics. A
+// brace group without '=' expands to its alternatives, one with '=' is a
+// label set, and a name ending in '_' cites a family by its prefix.
+func TestDocsCiteOnlyEmittedMetrics(t *testing.T) {
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "detrun")
+	if out, err := exec.Command("go", "build", "-o", bin, "./detrun").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	out, code := cli(t, bin, "-bench", "kmeans", "-threads", "4", "-shards", "4", "-chaos", "storm:1",
+		"-commitlog", filepath.Join(dir, "log"), "-replicas", "2", "-metrics")
+	_, list, ok := strings.Cut(out, "\nmetrics:\n")
+	if code != 0 || !ok {
+		t.Fatalf("detrun -metrics: exit %d, no metrics list:\n%s", code, out)
+	}
+	emitted := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(list), "\n") {
+		name, _, _ := strings.Cut(strings.Fields(line)[0], "{")
+		emitted[name] = true
+	}
+	t.Logf("detrun -metrics emits %d metric names", len(emitted))
+	isEmitted := func(name string) bool {
+		if !strings.HasSuffix(name, "_") {
+			return emitted[name]
+		}
+		for e := range emitted {
+			if strings.HasPrefix(e, name) {
+				return true
+			}
+		}
+		return false
+	}
+
+	// A name preceded by '/' or '.' is a path, and one followed by .go a file.
+	cited := regexp.MustCompile(`(?:^|[^\w/.])((?:det|mem|clock|commitlog|replica|chaos|obs)_\w*)(\{[^}]*\})?(\w*)(\.go)?`)
+	for _, doc := range docFiles() {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, code := range docCommands(string(text)) {
+			for _, m := range cited.FindAllStringSubmatch(code, -1) {
+				if m[4] != "" {
+					continue
+				}
+				names := []string{m[1] + m[3]}
+				if m[2] != "" && !strings.Contains(m[2], "=") {
+					names = names[:0]
+					for _, alt := range strings.Split(strings.Trim(m[2], "{}"), ",") {
+						names = append(names, m[1]+alt+m[3])
+					}
+				}
+				for _, name := range names {
+					if !isEmitted(name) {
+						t.Errorf("%s: `%s` cites %s, which detrun -metrics does not emit", doc, code, name)
+					}
+				}
+			}
+		}
+	}
+}
+
+// docFiles lists the documents whose code spans the doc tests read.
+func docFiles() []string {
+	docs, _ := filepath.Glob("../docs/*.md")
+	return append(docs, "../README.md", "../DESIGN.md", "../.claude/skills/verify/SKILL.md")
 }
 
 // docCommands returns a markdown text's code: each line of a fenced block,

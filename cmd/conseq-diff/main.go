@@ -42,6 +42,8 @@ func main() {
 	flag.Parse()
 
 	switch {
+	case *at >= 0 && *perturbMode == "":
+		usage("-at requires -perturb")
 	case *perturbMode != "" && *live:
 		usage("-perturb and -live are mutually exclusive")
 	case *perturbMode != "" || *live:

@@ -60,8 +60,15 @@ func main() {
 	if modes > 1 {
 		fatalUsage(fmt.Errorf("-at-seq, -resume and -follow are mutually exclusive"))
 	}
-	if *maxLag >= 0 && !*follow {
-		fatalUsage(fmt.Errorf("-max-lag requires -follow"))
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if set["at"] && modes > 0 {
+		fatalUsage(fmt.Errorf("-at cannot be combined with -at-seq, -resume or -follow"))
+	}
+	for _, name := range []string{"max-lag", "quiet", "follow-poll"} {
+		if set[name] && !*follow {
+			fatalUsage(fmt.Errorf("-%s requires -follow", name))
+		}
 	}
 
 	var want uint64

@@ -156,10 +156,11 @@ func WithDetConfig(f func(*det.Config)) Option {
 	return func(o *options) { f(&o.cfg) }
 }
 
-// WithObservability attaches the runtime observability layer: a metrics
-// registry and a per-thread phase timeline, retrievable after (or during)
-// the run via Runtime.Observer and exportable as Chrome trace-event JSON
-// via Runtime.WriteTrace. Observability never changes results — sync
+// WithObservability attaches the runtime observability layer: a
+// per-thread phase timeline, the one per-thread record, and a metrics
+// registry of gauges over the run's stats, retrievable after the run via
+// Runtime.Observer and exportable as Chrome trace-event JSON via
+// Runtime.WriteTrace. Observability never changes results — sync
 // order, memory state, and Stats are identical with it on or off; without
 // this option the instrumentation compiles down to nil-check fast paths.
 func WithObservability() Option {
@@ -219,8 +220,8 @@ func (r *Runtime) Trace() *trace.Recorder { return r.rt.Trace() }
 func (r *Runtime) Stats() Stats { return r.rt.Stats() }
 
 // Observer returns the observability layer attached by WithObservability,
-// or nil. Its registry (metrics) may be snapshotted mid-run; its timeline
-// lanes must only be read after Run returns.
+// or nil. Read it after Run returns: its timeline lanes must not be read
+// before, and its registry's gauges give the run's totals only then.
 func (r *Runtime) Observer() *obs.Observer { return r.rt.Observer() }
 
 // WriteTrace exports the observed phase timeline as Chrome trace-event

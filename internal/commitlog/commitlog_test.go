@@ -500,9 +500,16 @@ func TestReplayResumeAndTimeTravel(t *testing.T) {
 		t.Fatalf("resume applied %d commits, full replay %d — no snapshot shortcut", rst.Commits, st.Commits)
 	}
 
-	// Beyond-the-end target is an error, not a silent short replay.
+	// Beyond-the-end target is an error, not a silent short replay, by
+	// version and by seq (the last commit's AtSeq is 750).
 	if _, err := Replay(dir, 251); err == nil {
 		t.Fatal("replay past the end succeeded")
+	}
+	if st, err := ReplayToSeq(dir, 750); err != nil || st.Version != 250 {
+		t.Fatalf("replay to the last seq: %v", err)
+	}
+	if _, err := ReplayToSeq(dir, 751); err == nil {
+		t.Fatal("replay past the last seq succeeded")
 	}
 }
 

@@ -128,11 +128,12 @@ func (st *State) ApplyRecord(rc Record) error {
 
 // replayFrom is the strict replay loop: every commit, snapshot and end
 // record numbered from and up goes through ApplyRecord, stopping short of
-// the first commit include refuses.
-func replayFrom(r *Reader, from int64, include func(c Commit) bool) (*State, error) {
+// the first record include refuses. History records are read only when
+// history is set (include sees them; ApplyRecord passes them).
+func replayFrom(r *Reader, from int64, history bool, include func(rc Record) bool) (*State, error) {
 	st := NewState(r)
-	_, err := r.walk(from, true, false, func(rec int64, rc Record) error {
-		if rc.Kind == kindCommit && !include(rc.Commit) {
+	_, err := r.walk(from, true, history, func(rec int64, rc Record) error {
+		if !include(rc) {
 			return errStop
 		}
 		if err := st.ApplyRecord(rc); err != nil {
@@ -155,7 +156,9 @@ func Replay(dir string, toVersion int64) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := replayFrom(r, 0, func(c Commit) bool { return toVersion < 0 || c.Version <= toVersion })
+	st, err := replayFrom(r, 0, false, func(rc Record) bool {
+		return rc.Kind != kindCommit || toVersion < 0 || rc.Commit.Version <= toVersion
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -167,13 +170,32 @@ func Replay(dir string, toVersion int64) (*State, error) {
 
 // ReplayToSeq reconstructs the replica as of sync-order seq: every commit
 // whose AtSeq is at most seq is applied (AtSeq orders commits against the
-// sync events).
+// sync events). A seq past the log's last position — its last sync
+// event's seq or its last commit's AtSeq, whichever is later — is an
+// error, as Replay past the last version is.
 func ReplayToSeq(dir string, seq int64) (*State, error) {
 	r, err := OpenReader(dir)
 	if err != nil {
 		return nil, err
 	}
-	return replayFrom(r, 0, func(c Commit) bool { return c.AtSeq <= seq })
+	var last int64 // the latest seq read; past seq once the replay stops
+	st, err := replayFrom(r, 0, true, func(rc Record) bool {
+		for _, e := range rc.Events {
+			last = max(last, e.Seq)
+		}
+		if rc.Kind == kindCommit {
+			last = max(last, rc.Commit.AtSeq)
+			return rc.Commit.AtSeq <= seq
+		}
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	if seq > last {
+		return nil, fmt.Errorf("commitlog: log ends at seq %d, before requested %d", last, seq)
+	}
+	return st, nil
 }
 
 // Resume reconstructs the replica from the newest snapshot anchor plus
@@ -190,5 +212,5 @@ func Resume(dir string) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
-	return replayFrom(r, anchor, func(Commit) bool { return true })
+	return replayFrom(r, anchor, false, func(Record) bool { return true })
 }

@@ -653,17 +653,8 @@ func (rt *Runtime) attachThread(tid int, startClock int64, ws *mem.Workspace) *T
 		ws.SetPredict(true)
 	}
 	if o := rt.obs; o != nil {
-		// Per-thread instruments, cached so the hot paths pay one nil
-		// check (lane) or one atomic add (counters), never a registry
-		// lookup.
-		r := o.Registry()
+		// Cached so the hot paths pay one nil check, never a lookup.
 		t.lane = o.Lane(tid)
-		tl := obs.L("tid", tid)
-		t.mSyncOps = r.Counter("det_sync_ops", tl)
-		t.mCoarsenedOps = r.Counter("det_coarsened_ops", tl)
-		t.mCommits = r.Counter("det_commits", tl)
-		t.hChunk = r.Histogram("det_chunk_instructions", tl)
-		t.mLockAcq = make(map[uint64]*obs.Counter)
 	}
 	rt.mu.Lock()
 	rt.threads[tid] = t

@@ -17,9 +17,9 @@ import (
 // gate to a mid-run reader: a run whose registry is snapshotted over and
 // over while it executes (what a caller of consequence.Runtime.Observer
 // may do) must still produce exactly the same checksum, sync-order hash,
-// and RunStats as an unobserved run. A snapshot only reads atomic
-// instruments and callback gauges, so the deterministic schedule cannot
-// see it.
+// and RunStats as an unobserved run. A snapshot only evaluates callback
+// gauges over the runtime's stats structs, so the deterministic schedule
+// cannot see it.
 func TestExpositionDoesNotPerturbDeterminism(t *testing.T) {
 	plain, _ := runFP(t, false)
 
@@ -75,7 +75,7 @@ func TestExpositionDoesNotPerturbDeterminism(t *testing.T) {
 
 	// The final snapshot carries the run's metrics.
 	text := fmt.Sprint(o.Registry().Snapshot())
-	for _, want := range []string{"clock_token_grants", "obs_lane_dropped_total{tid=0} 0"} {
+	for _, want := range []string{"clock_token_grants", fmt.Sprintf("det_threads_spawned %d", plain.stats.ThreadsSpawned)} {
 		if !strings.Contains(text, want) {
 			t.Errorf("final snapshot missing %q in %s", want, text)
 		}

@@ -174,15 +174,4 @@ func TestObserverRegistrySubsumesRunStats(t *testing.T) {
 			t.Errorf("registry %s = %d (present=%v), want %d", name, got, ok, want)
 		}
 	}
-
-	// Per-thread labeled counters must sum to the aggregate.
-	var syncOps int64
-	for _, s := range o.Registry().Snapshot() {
-		if s.Name == "det_sync_ops" {
-			syncOps += s.Value
-		}
-	}
-	if syncOps != st.SyncOps {
-		t.Errorf("sum of det_sync_ops{tid} = %d, want %d", syncOps, st.SyncOps)
-	}
 }

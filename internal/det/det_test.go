@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/api"
 	"repro/internal/clock"
@@ -577,5 +578,16 @@ func TestManyThreadsStress(t *testing.T) {
 	}
 	if r1.Hash() != r2.Hash() {
 		t.Errorf("stress traces differ:\n%s", trace.Diff(r1, r2))
+	}
+}
+
+// TestThreadSizeClass holds det.Thread in the allocator's 576-byte size
+// class: every spawn allocates one, so a field that pushes it past 576 B
+// moves every thread into the 640-byte class.
+func TestThreadSizeClass(t *testing.T) {
+	size := unsafe.Sizeof(det.Thread{})
+	t.Logf("det.Thread is %d B", size)
+	if size > 576 {
+		t.Errorf("det.Thread is %d B, past the 576-byte size class", size)
 	}
 }

@@ -110,7 +110,7 @@ func (t *Thread) takeMutex(m *dMutex) bool {
 	m.locked, m.owner, m.acquiredAt = true, t.Tid(), t.icount
 	t.rt.noteLockHeld(t.Tid(), m.id, true)
 	t.record(trace.OpLock, m.id)
-	t.noteLockAcquire(m.id)
+	t.mark(obs.MarkLockAcquire, int64(m.id))
 	t.rt.hooks.OnAcquire(t.Tid(), m.id)
 	return true
 }

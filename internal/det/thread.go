@@ -119,15 +119,6 @@ type Thread struct {
 	lane *obs.Lane
 
 	coarsenedOps int64
-	// mSyncOps/mCoarsenedOps/mCommits/hChunk are live per-thread labeled
-	// metrics, non-nil only when an observer is attached. mLockAcq caches
-	// per-(thread, mutex) acquisition counters so the hot path skips the
-	// registry lookup.
-	mSyncOps      *obs.Counter
-	mCoarsenedOps *obs.Counter
-	mCommits      *obs.Counter
-	hChunk        *obs.Histogram
-	mLockAcq      map[uint64]*obs.Counter
 
 	// chaosT (barrier skew, commit delays), chaosOverflow, chaosPredict
 	// and chaosFault are the thread's chaos streams, each drawn on the
@@ -583,9 +574,6 @@ func (t *Thread) tokenEnd(kind coarsenKind, nextEstimate int64) {
 	wasCoarse := t.coarse.active
 	if t.maybeCoarsen(kind, nextEstimate) {
 		t.coarsenedOps++
-		if t.mCoarsenedOps != nil {
-			t.mCoarsenedOps.Inc()
-		}
 		if !wasCoarse {
 			t.mark(obs.MarkCoarsenBegin, nextEstimate)
 		}
@@ -626,13 +614,10 @@ func (t *Thread) publish() mem.PendingCommit {
 }
 
 // chargeMerge charges a commit's merge phase and then marks the commit on
-// the timeline (commit-mark) and in det_commits, at both commit sites.
+// the timeline (commit-mark), at both commit sites.
 func (t *Thread) chargeMerge(st mem.CommitStats) {
 	t.charge(obs.PhaseMerge, int64(st.CommittedPages)*t.rt.cfg.Model.CommitPageMerge)
 	t.mark(obs.MarkCommit, int64(st.CommittedPages))
-	if t.mCommits != nil {
-		t.mCommits.Inc()
-	}
 }
 
 // commitAndUpdate publishes the workspace's dirty pages as a new version
@@ -765,28 +750,6 @@ func (t *Thread) syncOpStart(site uint64) {
 	t.lastSyncIcount = t.icount
 	t.diagClock.Store(t.icount)
 	t.SyncOps++
-	if t.mSyncOps != nil {
-		t.mSyncOps.Inc()
-		t.hChunk.Observe(chunk)
-	}
-}
-
-// noteLockAcquire bumps the per-(thread, mutex) acquisition counter and
-// drops a lock-acquire marker on the timeline; a no-op without an
-// observer. The counter pointer is cached per mutex so repeated
-// acquisitions skip the registry lookup.
-func (t *Thread) noteLockAcquire(mutexID uint64) {
-	if t.rt.obs == nil {
-		return
-	}
-	t.mark(obs.MarkLockAcquire, int64(mutexID))
-	c, ok := t.mLockAcq[mutexID]
-	if !ok {
-		c = t.rt.obs.Registry().Counter("det_lock_acquires",
-			obs.L("tid", t.Tid()), obs.L("mutex", mutexID))
-		t.mLockAcq[mutexID] = c
-	}
-	c.Inc()
 }
 
 // unlockEstimator returns this thread's post-unlock chunk estimator for

@@ -160,10 +160,6 @@ type Cell struct {
 	Chaos *chaos.Injector
 	Log   *commitlog.Log
 	Fleet *replica.Fleet
-	// Registry is where the fleet's replica_* metrics land: the
-	// Observer's registry when one is attached, so the analysis report
-	// picks up the replication section.
-	Registry *obs.Registry
 
 	params  workload.Params
 	tracker *lrc.Tracker
@@ -314,10 +310,13 @@ func (c *Cell) attach() error {
 		c.tracker = lrc.New()
 		c.Det.SetHooks(c.tracker)
 	}
-	c.Registry = obs.NewRegistry()
+	// The fleet's replica_* metrics land in the observer's registry, so
+	// the analysis report picks up the replication section; without an
+	// observer the fleet runs headless (nil registry).
+	var reg *obs.Registry
 	if o.Observer != nil {
 		c.Det.SetObserver(o.Observer)
-		c.Registry = o.Observer.Registry()
+		reg = o.Observer.Registry()
 	}
 	if o.CommitLogDir == "" {
 		return nil
@@ -336,7 +335,7 @@ func (c *Cell) attach() error {
 			Archive:   true,
 			Seed:      o.Seed,
 			Chaos:     c.Chaos,
-			Registry:  c.Registry,
+			Registry:  reg,
 		})
 		return c.Fleet.Start()
 	}

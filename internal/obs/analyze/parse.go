@@ -141,7 +141,7 @@ func ParseChromeTrace(r io.Reader) (*Input, error) {
 
 // metricKind is the inverse of obs.MetricKind.String.
 func metricKind(name string) (obs.MetricKind, bool) {
-	for _, k := range []obs.MetricKind{obs.KindCounter, obs.KindHistogram, obs.KindFunc} {
+	for _, k := range []obs.MetricKind{obs.KindHistogram, obs.KindFunc} {
 		if k.String() == name {
 			return k, true
 		}

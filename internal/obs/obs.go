@@ -21,9 +21,12 @@
 //
 //  2. Recording must not synchronize threads. Each thread writes spans
 //     only to its own Lane (a fixed-capacity ring; oldest events are
-//     dropped and counted when it overflows), and registry counters are
-//     single atomic adds. Nothing recording-side takes a lock that another
-//     recording thread contends.
+//     dropped and counted when it overflows) with plain stores, and the
+//     timeline is the one per-thread record: the registry holds only func
+//     gauges over the runtime's stats structs, read at snapshot time, and
+//     histograms observed off the threads' hot paths. Nothing
+//     recording-side takes a lock or an atomic that another recording
+//     thread contends.
 //
 //  3. Host-agnostic time. Spans carry whatever the host's clock returns:
 //     virtual nanoseconds on simhost (so traces of simulated runs are
@@ -132,7 +135,7 @@ const (
 	MarkLockBlock
 	// MarkLockAcquire records a completed mutex acquisition. Arg is the
 	// mutex id. Emitted for contended and uncontended acquisitions alike,
-	// so per-mutex counts match det_lock_acquires.
+	// so counting these markers gives each mutex's acquisitions.
 	MarkLockAcquire
 )
 
@@ -216,10 +219,6 @@ func (o *Observer) Lane(tid int) *Lane {
 	if !ok {
 		l = newLane(tid, laneCap)
 		o.lanes[tid] = l
-		// Surface ring overflow in the metrics, per thread, so truncated
-		// timelines are detectable without exporting the trace. Dropped is
-		// an atomic read, safe to sample mid-run.
-		o.reg.Func("obs_lane_dropped_total", l.Dropped, L("tid", tid))
 	}
 	return l
 }

@@ -90,14 +90,14 @@ func TestHistogramSampleString(t *testing.T) {
 		t.Errorf("Sample.Quantile(1) = %v, want 100", sample.Quantile(1))
 	}
 	// Non-histogram samples render plain values and report zero quantiles.
-	r.Counter("c").Add(7)
+	r.Func("c", func() int64 { return 7 })
 	for _, s := range r.Snapshot() {
 		if s.Name == "c" {
 			if s.String() != "c 7" {
-				t.Errorf("counter String() = %q, want \"c 7\"", s.String())
+				t.Errorf("func String() = %q, want \"c 7\"", s.String())
 			}
 			if s.Quantile(0.5) != 0 {
-				t.Errorf("counter Quantile = %v, want 0", s.Quantile(0.5))
+				t.Errorf("func Quantile = %v, want 0", s.Quantile(0.5))
 			}
 		}
 	}

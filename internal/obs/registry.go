@@ -12,12 +12,11 @@ import (
 // MetricKind distinguishes the instrument behind a Sample.
 type MetricKind uint8
 
-// Metric kinds.
+// Metric kinds. The zero MetricKind is invalid, so a Sample that never
+// had its kind set renders as "unknown".
 const (
-	// KindCounter is a monotonically increasing atomic count.
-	KindCounter MetricKind = iota
 	// KindHistogram is a power-of-two-bucketed distribution.
-	KindHistogram
+	KindHistogram MetricKind = iota + 1
 	// KindFunc is a gauge computed by callback at snapshot time — the
 	// bridge that subsumes pre-existing stats structs (mem.Segment.Stats,
 	// clock.Arbiter.Stats, the det aggregates) under one snapshot API.
@@ -27,8 +26,6 @@ const (
 // String names the kind.
 func (k MetricKind) String() string {
 	switch k {
-	case KindCounter:
-		return "counter"
 	case KindHistogram:
 		return "histogram"
 	case KindFunc:
@@ -47,19 +44,6 @@ type Label struct {
 func L(key string, value any) Label {
 	return Label{Key: key, Value: fmt.Sprint(value)}
 }
-
-// Counter is a monotonically increasing metric. All methods are safe for
-// concurrent use; mutation is a single atomic add.
-type Counter struct{ v atomic.Int64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n (n must be non-negative for the value to stay monotonic).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
 
 // histBuckets is the number of histogram buckets: bucket i counts
 // observations v with bits.Len64(v) == i, i.e. power-of-two ranges
@@ -175,15 +159,16 @@ type metric struct {
 	name   string
 	labels []Label
 	kind   MetricKind
-	c      *Counter
 	h      *Histogram
 	fn     func() int64
 }
 
-// Registry holds named, labeled metrics. Registration (the
-// Counter/Histogram/Func lookups) takes a lock; the returned
-// instruments mutate with lock-free atomics, so hot paths should cache
-// the instrument pointer rather than re-looking it up per event.
+// Registry holds named, labeled metrics: func gauges over a run's stats
+// structs, evaluated at Snapshot, and histograms. Registration (the
+// Histogram/Func lookups) takes a lock; a Histogram observes with
+// lock-free atomics, so a hot path caches the pointer rather than
+// re-looking it up per event. Per-thread detail is not kept here: it is
+// the timeline's (Lane).
 type Registry struct {
 	mu      sync.Mutex
 	metrics map[string]*metric
@@ -232,12 +217,6 @@ func (r *Registry) lookup(name string, labels []Label, kind MetricKind, mk func(
 	return m
 }
 
-// Counter returns the counter registered under name+labels, creating it
-// on first use.
-func (r *Registry) Counter(name string, labels ...Label) *Counter {
-	return r.lookup(name, labels, KindCounter, func() *metric { return &metric{c: &Counter{}} }).c
-}
-
 // Histogram returns the histogram registered under name+labels, creating
 // it on first use.
 func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
@@ -260,8 +239,8 @@ type Sample struct {
 	Name   string
 	Labels []Label
 	Kind   MetricKind
-	// Value is the counter or func value; for histograms it is the
-	// observation count.
+	// Value is the func value; for histograms it is the observation
+	// count.
 	Value int64
 	// Sum, Max and Buckets are populated for histograms only (see
 	// Histogram.Buckets for bucket semantics).
@@ -307,10 +286,9 @@ func (s Sample) String() string {
 }
 
 // Snapshot returns every metric's current state, sorted by canonical name
-// for deterministic rendering. It is safe to call mid-run: counters and
-// histograms are read atomically (each sample is individually consistent;
-// the set is not a global atomic cut), and func gauges are evaluated
-// inline.
+// for deterministic rendering. It is safe to call mid-run: histograms
+// are read atomically (each sample is individually consistent; the set is
+// not a global atomic cut), and func gauges are evaluated inline.
 func (r *Registry) Snapshot() []Sample {
 	r.mu.Lock()
 	keys := make([]string, 0, len(r.metrics))
@@ -328,8 +306,6 @@ func (r *Registry) Snapshot() []Sample {
 	for _, m := range ms {
 		s := Sample{Name: m.name, Labels: m.labels, Kind: m.kind}
 		switch m.kind {
-		case KindCounter:
-			s.Value = m.c.Value()
 		case KindHistogram:
 			s.Value = m.h.Count()
 			s.Sum = m.h.Sum()

@@ -7,17 +7,18 @@ import (
 	"testing"
 )
 
-// TestRegistrySnapshotUnderConcurrentIncrements hammers one counter, one
-// func gauge and one histogram from many goroutines while snapshotting
-// concurrently. Mid-run snapshots must be well-formed (monotone counter,
-// histogram count consistent with buckets) and the final snapshot exact.
+// TestRegistrySnapshotUnderConcurrentIncrements hammers one func gauge
+// and one histogram from many goroutines, which also register labeled
+// series concurrently, while snapshotting concurrently. Mid-run snapshots
+// must be well-formed (a gauge over a monotone count never goes
+// backwards) and the final snapshot exact.
 func TestRegistrySnapshotUnderConcurrentIncrements(t *testing.T) {
 	r := NewRegistry()
 	const workers = 8
 	const perWorker = 5000
 
-	c := r.Counter("ops")
-	var inflight atomic.Int64
+	var ops, inflight atomic.Int64
+	r.Func("ops", ops.Load)
 	r.Func("inflight", inflight.Load)
 	h := r.Histogram("sizes")
 
@@ -39,7 +40,7 @@ func TestRegistrySnapshotUnderConcurrentIncrements(t *testing.T) {
 				if s.Name == "ops" {
 					if s.Value < last {
 						snapMu.Lock()
-						snapErr = fmt.Errorf("counter went backwards: %d -> %d", last, s.Value)
+						snapErr = fmt.Errorf("ops gauge went backwards: %d -> %d", last, s.Value)
 						snapMu.Unlock()
 						return
 					}
@@ -54,13 +55,13 @@ func TestRegistrySnapshotUnderConcurrentIncrements(t *testing.T) {
 		go func(w int) {
 			defer workersWG.Done()
 			// Also exercise concurrent registration of labeled series.
-			mine := r.Counter("worker_ops", L("worker", w))
+			mine := r.Histogram("worker_ops", L("worker", w))
 			for i := 0; i < perWorker; i++ {
-				c.Inc()
+				ops.Add(1)
 				inflight.Add(1)
 				inflight.Add(-1)
 				h.Observe(int64(i % 100))
-				mine.Inc()
+				mine.Observe(1)
 			}
 		}(w)
 	}
@@ -74,10 +75,10 @@ func TestRegistrySnapshotUnderConcurrentIncrements(t *testing.T) {
 	}
 
 	want := int64(workers * perWorker)
-	if got := c.Value(); got != want {
-		t.Errorf("counter = %d, want %d", got, want)
-	}
 	for _, s := range r.Snapshot() {
+		if s.Name == "ops" && s.Value != want {
+			t.Errorf("ops = %d, want %d", s.Value, want)
+		}
 		if s.Name == "inflight" && s.Value != 0 {
 			t.Errorf("inflight = %d, want 0", s.Value)
 		}
@@ -93,37 +94,44 @@ func TestRegistrySnapshotUnderConcurrentIncrements(t *testing.T) {
 		t.Errorf("histogram bucket sum = %d, want %d", bucketSum, want)
 	}
 	for w := 0; w < workers; w++ {
-		if got := r.Counter("worker_ops", L("worker", w)).Value(); got != perWorker {
-			t.Errorf("worker_ops{worker=%d} = %d, want %d", w, got, perWorker)
+		if got := r.Histogram("worker_ops", L("worker", w)).Count(); got != perWorker {
+			t.Errorf("worker_ops{worker=%d} count = %d, want %d", w, got, perWorker)
 		}
 	}
 }
 
 // TestRegistryLabelsDistinguishSeries verifies that the same name with
-// different labels yields independent instruments, that label order does
-// not matter, and that snapshots render in a stable sorted order.
+// different labels yields independent series, that label order does not
+// matter, and that snapshots render in a stable sorted order.
 func TestRegistryLabelsDistinguishSeries(t *testing.T) {
 	r := NewRegistry()
-	a := r.Counter("lock_acquires", L("tid", 1), L("mutex", 7))
-	b := r.Counter("lock_acquires", L("tid", 2), L("mutex", 7))
-	if a == b {
-		t.Fatal("different label sets returned the same counter")
+	a := r.Histogram("lock_wait_ns", L("tid", 1), L("mutex", 7))
+	if b := r.Histogram("lock_wait_ns", L("tid", 2), L("mutex", 7)); a == b {
+		t.Fatal("different label sets returned the same histogram")
 	}
 	// Same labels in a different order must alias.
-	if c := r.Counter("lock_acquires", L("mutex", 7), L("tid", 1)); c != a {
+	if c := r.Histogram("lock_wait_ns", L("mutex", 7), L("tid", 1)); c != a {
 		t.Fatal("label order changed series identity")
 	}
-	a.Add(3)
-	b.Inc()
 
-	snap := r.Snapshot()
-	if len(snap) != 2 {
-		t.Fatalf("snapshot has %d samples, want 2", len(snap))
+	r.Func("lock_acquires", func() int64 { return 9 }, L("tid", 1), L("mutex", 7))
+	r.Func("lock_acquires", func() int64 { return 1 }, L("tid", 2), L("mutex", 7))
+	// Re-registering under the reordered label set replaces the callback
+	// of the same series rather than adding a third.
+	r.Func("lock_acquires", func() int64 { return 3 }, L("mutex", 7), L("tid", 1))
+
+	var got []string
+	for _, s := range r.Snapshot() {
+		if s.Name == "lock_acquires" {
+			got = append(got, s.String())
+		}
 	}
-	got := []string{snap[0].String(), snap[1].String()}
 	want := []string{
 		"lock_acquires{mutex=7,tid=1} 3",
 		"lock_acquires{mutex=7,tid=2} 1",
+	}
+	if len(got) != len(want) {
+		t.Fatalf("lock_acquires samples = %q, want %q", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {

@@ -1,7 +1,5 @@
 package obs
 
-import "sync/atomic"
-
 // Event is one timeline entry: a span (time-category phase, End >= Start)
 // or an instantaneous marker (End == Start, Phase.Instant() true). Times
 // are host nanoseconds: virtual on simhost, wall-clock on realhost.
@@ -18,16 +16,14 @@ type Event struct {
 
 // Lane is one thread's event ring. It is deliberately not synchronized:
 // exactly one thread (the lane's owner) may call Add, which makes
-// recording lock-free; Events must wait until the owning thread has
-// finished, which the exporter's contract guarantees. The event counters
-// (Total, Dropped) are atomics so mid-run metric snapshots — the
-// obs_lane_dropped_total series — can read them from any goroutine.
+// recording lock-free; Events, Total and Dropped must wait until the
+// owning thread has finished, which the exporter's contract guarantees.
 type Lane struct {
 	tid     int
 	ring    []Event
 	next    int // ring index of the next write
-	total   atomic.Int64
-	dropped atomic.Int64
+	total   int64
+	dropped int64
 }
 
 // newLane creates a lane with the given ring capacity.
@@ -49,9 +45,9 @@ func (l *Lane) Add(e Event) {
 		if l.next == len(l.ring) {
 			l.next = 0
 		}
-		l.dropped.Add(1)
+		l.dropped++
 	}
-	l.total.Add(1)
+	l.total++
 }
 
 // Span records a time-category span from start to end.
@@ -65,13 +61,12 @@ func (l *Lane) Mark(p Phase, at, arg int64) {
 }
 
 // Total returns the number of events ever added (retained + dropped).
-// Safe to call from any goroutine.
-func (l *Lane) Total() int64 { return l.total.Load() }
+// Call only after the owning thread has finished.
+func (l *Lane) Total() int64 { return l.total }
 
 // Dropped returns how many of the oldest events were evicted by ring
-// overflow. Safe to call from any goroutine (it backs the per-thread
-// obs_lane_dropped_total metric).
-func (l *Lane) Dropped() int64 { return l.dropped.Load() }
+// overflow. Call only after the owning thread has finished.
+func (l *Lane) Dropped() int64 { return l.dropped }
 
 // Events returns the retained events, oldest first. Call only after the
 // owning thread has finished.

@@ -242,9 +242,6 @@ func (fl *Fleet) noteProgress(s *fstate) {
 				break
 			}
 		}
-		if fl.catchupHist != nil {
-			fl.catchupHist.Observe(ns)
-		}
 	}
 	fl.updateAdmission(s)
 }
@@ -368,7 +365,7 @@ func (b *backoff) next(attempt int) time.Duration {
 
 // registerMetrics exposes the fleet on the run's obs registry; nil
 // registry means headless (tests, conseq-replay) and skips the
-// histograms too.
+// histogram too.
 func (fl *Fleet) registerMetrics() {
 	reg := fl.o.Registry
 	if reg == nil {
@@ -403,5 +400,4 @@ func (fl *Fleet) registerMetrics() {
 		return n
 	})
 	fl.lagHist = reg.Histogram("replica_lag_hist")
-	fl.catchupHist = reg.Histogram("replica_catchup_ns_hist")
 }

@@ -162,8 +162,7 @@ type Fleet struct {
 	catchupNSLast   atomic.Int64
 	catchupNSMax    atomic.Int64
 
-	lagHist     *obs.Histogram // nil without a registry
-	catchupHist *obs.Histogram
+	lagHist *obs.Histogram // nil without a registry
 }
 
 // New prepares a fleet over a commit-log directory. live, when non-nil,

@@ -568,7 +568,6 @@ func TestFleetMetricsRegistered(t *testing.T) {
 		"replica_reads_served": false, "replica_reads_redirected": false,
 		"replica_reads_rejected": false, "replica_catchup_ns": false,
 		"replica_admitted": false, "replica_lag_hist": false,
-		"replica_catchup_ns_hist": false,
 	}
 	for _, s := range reg.Snapshot() {
 		if _, ok := want[s.Name]; ok {
