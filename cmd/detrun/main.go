@@ -11,7 +11,7 @@
 //	detrun -bench canneal -runtime dthreads -verify
 //	detrun -bench histogram -runtime pthreads       # nondeterministic ref
 //	detrun -bench ferret -trace /tmp/ferret.json    # Chrome/Perfetto trace
-//	detrun -bench ferret -metrics                   # metrics snapshot
+//	detrun -bench ferret -metrics                   # the run's metrics
 //	detrun -bench ferret -commitlog /tmp/alog       # the run's record (conseq-replay, conseq-diff)
 //	detrun -bench kmeans -threads 8 -commitlog /tmp/alog -replicas 2 -chaos follower-kill:3
 //	                                                # replica fleet + sweep digest
@@ -63,7 +63,7 @@ func main() {
 	compare := flag.Bool("compare", false, "run the benchmark on every runtime and tabulate")
 	useReal := flag.Bool("real", false, "run on the real (goroutine) host instead of the simulator")
 	traceOut := flag.String("trace", "", "write a phase-resolved Chrome trace (chrome://tracing / Perfetto JSON) to this file")
-	metrics := flag.Bool("metrics", false, "print the observability metrics snapshot after the run")
+	metrics := flag.Bool("metrics", false, "print the run's metrics (gauges read from its stats) after it ends")
 	analyzeRun := flag.Bool("analyze", false, "print the critical-path analysis report after the run (conseq-analyze prints it from a -trace file)")
 	jsonOut := flag.Bool("json", false, "with -analyze: print only the stable JSON report on stdout, and the run summary on stderr")
 	dumpTrace := flag.Int("dump-sync", 0, "dump the first N sync-order events")
@@ -132,14 +132,20 @@ func main() {
 	if *useReal {
 		h = realhost.New(0, 0)
 	}
+	// The timeline is recorded only for what reads it; -metrics reads the
+	// stats structs the runtime keeps anyway.
 	var observer *obs.Observer
-	if *traceOut != "" || *metrics || *analyzeRun {
+	if *traceOut != "" || *analyzeRun {
 		observer = obs.New()
 	}
 	o.Observer = observer
 	o.CommitLogDir = *commitLogDir
 	o.Replicas = *replicas
 	cell := build(o, h)
+	if *metrics && cell.Det == nil {
+		cell.Close()
+		fatal(fmt.Errorf("-metrics requires a det-backed runtime (consequence-ic, consequence-rr or dwc; got %s)", o.Runtime))
+	}
 	spec, rt := cell.Spec, cell.Runtime
 	// With -json stdout carries the report alone.
 	var out io.Writer = os.Stdout
@@ -164,6 +170,7 @@ func main() {
 	if err := cell.Close(); err != nil {
 		fatal(err)
 	}
+	ms := cell.Metrics()
 	st := res.Stats
 	fmt.Fprintf(out, "benchmark   %s (%s, %s)\n", spec.Name, spec.Suite, spec.Class)
 	fmt.Fprintf(out, "runtime     %s, %d threads, scale %d, seed %d\n", rt.Name(), *threads, *scale, *seed)
@@ -200,19 +207,19 @@ func main() {
 		}
 	}
 	if *traceOut != "" {
-		if err := writeTraceFile(*traceOut, observer, harness.CellName(o)); err != nil {
+		if err := writeTraceFile(*traceOut, observer, harness.CellName(o), ms); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(out, "trace json  %s (%d threads observed)\n", *traceOut, len(observer.Lanes()))
 	}
 	if *metrics {
 		fmt.Fprintln(out, "metrics:")
-		for _, s := range observer.Registry().Snapshot() {
+		for _, s := range ms {
 			fmt.Fprintln(out, "  ", s)
 		}
 	}
 	if *analyzeRun {
-		rep, err := analyze.Analyze(analyze.FromObserver(observer, harness.CellName(o)))
+		rep, err := analyze.Analyze(analyze.FromObserver(observer, harness.CellName(o), ms))
 		if err != nil {
 			fatal(err)
 		}
@@ -256,13 +263,14 @@ func run(o harness.Options, h host.Host) harness.Result {
 	return res
 }
 
-// writeTraceFile exports the observer's timeline as Chrome trace JSON.
-func writeTraceFile(path string, o *obs.Observer, name string) error {
+// writeTraceFile exports the observer's timeline and the run's metrics as
+// Chrome trace JSON.
+func writeTraceFile(path string, o *obs.Observer, name string, ms []obs.Sample) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := o.WriteChromeTrace(f, name); err != nil {
+	if err := o.WriteChromeTrace(f, name, ms); err != nil {
 		f.Close()
 		return err
 	}

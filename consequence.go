@@ -157,12 +157,13 @@ func WithDetConfig(f func(*det.Config)) Option {
 }
 
 // WithObservability attaches the runtime observability layer: a
-// per-thread phase timeline, the one per-thread record, and a metrics
-// registry of gauges over the run's stats, retrievable after the run via
-// Runtime.Observer and exportable as Chrome trace-event JSON via
-// Runtime.WriteTrace. Observability never changes results — sync
-// order, memory state, and Stats are identical with it on or off; without
-// this option the instrumentation compiles down to nil-check fast paths.
+// per-thread phase timeline, retrievable after the run via
+// Runtime.Observer, exportable as Chrome trace-event JSON via
+// Runtime.WriteTrace and analyzed by Runtime.Analyze. The run's gauges
+// (Runtime.Metrics) need no observer. Observability never changes
+// results — sync order, memory state, and Stats are identical with it on
+// or off; without this option the instrumentation compiles down to
+// nil-check fast paths.
 func WithObservability() Option {
 	return func(o *options) { o.observe = true }
 }
@@ -221,19 +222,25 @@ func (r *Runtime) Stats() Stats { return r.rt.Stats() }
 
 // Observer returns the observability layer attached by WithObservability,
 // or nil. Read it after Run returns: its timeline lanes must not be read
-// before, and its registry's gauges give the run's totals only then.
+// before.
 func (r *Runtime) Observer() *obs.Observer { return r.rt.Observer() }
 
+// Metrics returns the run's gauges (memory, scheduler and runtime
+// totals, by name; docs/observability.md lists them), sorted by name.
+// Call after Run returns; it works with or without WithObservability.
+func (r *Runtime) Metrics() []obs.Sample { return r.rt.Metrics() }
+
 // WriteTrace exports the observed phase timeline as Chrome trace-event
-// JSON (loadable in chrome://tracing or Perfetto), one lane per thread.
-// name labels the process in the viewer. It is an error if the runtime
-// was created without WithObservability.
+// JSON (loadable in chrome://tracing or Perfetto), one lane per thread,
+// with the run's Metrics as its closing record. name labels the process
+// in the viewer. It is an error if the runtime was created without
+// WithObservability.
 func (r *Runtime) WriteTrace(w io.Writer, name string) error {
 	o := r.rt.Observer()
 	if o == nil {
 		return fmt.Errorf("consequence: WriteTrace requires WithObservability")
 	}
-	return o.WriteChromeTrace(w, name)
+	return o.WriteChromeTrace(w, name, r.rt.Metrics())
 }
 
 // Report is the critical-path analysis of an observed run: the
@@ -253,7 +260,7 @@ func (r *Runtime) Analyze(name string) (*Report, error) {
 	if o == nil {
 		return nil, fmt.Errorf("consequence: Analyze requires WithObservability")
 	}
-	return analyze.Analyze(analyze.FromObserver(o, name))
+	return analyze.Analyze(analyze.FromObserver(o, name, r.rt.Metrics()))
 }
 
 // WriteReport analyzes the completed run and writes the human-readable

@@ -155,8 +155,7 @@ type Stats struct {
 // Injector is one run's perturbation source: a profile plus a seed.
 // Injectors are single-use per run (streams carry per-thread sequence
 // state); create a fresh one for each runtime so replays line up.
-// Counter updates are atomic, so a mid-run registry snapshot may read
-// Stats.
+// Counter updates are atomic, so Stats may be read from any goroutine.
 type Injector struct {
 	prof           Profile
 	seed           uint64

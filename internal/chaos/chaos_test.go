@@ -437,8 +437,8 @@ func TestStatsCount(t *testing.T) {
 	}
 }
 
-// Stats must be safe to snapshot while streams inject from other
-// goroutines (a mid-run registry snapshot). Run under -race.
+// Stats must be safe to read while streams inject from other goroutines
+// (a caller of det.Runtime.Metrics on another goroutine). Run under -race.
 func TestStatsConcurrentScrape(t *testing.T) {
 	in := builtin(t, "storm", 5)
 	stop := make(chan struct{})

@@ -148,8 +148,8 @@ func TestReleaseAtPublishesBeforeGrant(t *testing.T) {
 }
 
 // Scraping is the one reason the shard records sit behind a mutex: a
-// -timeout dump or a mid-run registry snapshot reads them while the token
-// moves.
+// -timeout dump, or det.Runtime.Metrics called from another goroutine,
+// reads them while the token moves.
 // Four threads ping-pong the token across four shards while another
 // goroutine loops Stats and DumpState; meaningful under -race.
 func TestArbiterScrapeDuringTraffic(t *testing.T) {

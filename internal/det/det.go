@@ -308,7 +308,7 @@ type Runtime struct {
 
 	// commitSerialNS accumulates the time charged inside token-held serial
 	// commit phases (BeginCommit charges only — merge and speculation are
-	// excluded). Atomic so a registry snapshot can read it mid-run.
+	// excluded). Atomic so Metrics may read it from any goroutine.
 	commitSerialNS atomic.Int64
 
 	started bool
@@ -389,75 +389,71 @@ func (rt *Runtime) SetHooks(h Hooks) {
 }
 
 // SetObserver attaches an observability layer; must be called before Run
-// (pass nil to detach). Attaching registers func gauges that subsume the
-// pre-existing ad-hoc counters — the memory substrate's Segment.Stats,
-// the arbiter's Arbiter.Stats, and the runtime's own aggregates — under
-// the observer's single snapshot API, and makes every thread record
-// phase spans into its timeline lane. An attached observer never changes
-// runtime behaviour: sync order, logical clocks, memory state and
-// RunStats are identical with and without it (asserted by
+// (pass nil to detach). Attaching makes every thread record phase spans
+// into its timeline lane. An attached observer never changes runtime
+// behaviour: sync order, logical clocks, memory state and RunStats are
+// identical with and without it (asserted by
 // TestObserverDoesNotPerturbDeterminism).
 func (rt *Runtime) SetObserver(o *obs.Observer) {
 	if rt.started {
 		panic("det: SetObserver after Run")
 	}
 	rt.obs = o
-	if o == nil {
-		return
+}
+
+// Metrics returns the run's gauges, built from the stats structs they
+// read — the memory substrate's Segment.Stats, the arbiter's
+// Arbiter.Stats, the runtime's own aggregates, the chaos injector's and
+// the commit log's counters — in SortSamples' order. Call it after Run;
+// it needs no observer. The per-shard arbiter gauges exist only at
+// Shards >= 2, the chaos_* ones only with an injector armed and the
+// commitlog_* ones only with a log attached, so a single-token run lists
+// what it always did (internal/obs/testdata/golden_report.json pins it).
+func (rt *Runtime) Metrics() []obs.Sample {
+	var out []obs.Sample
+	g := func(name string, v int64, labels ...obs.Label) {
+		out = append(out, obs.Gauge(name, v, labels...))
 	}
-	r := o.Registry()
-	memFunc := func(f func(mem.Stats) int64) func() int64 {
-		return func() int64 { return f(rt.seg.Stats()) }
-	}
-	r.Func("mem_faults", memFunc(func(s mem.Stats) int64 { return s.Faults }))
-	r.Func("mem_versions", memFunc(func(s mem.Stats) int64 { return s.Versions }))
-	r.Func("mem_committed_pages", memFunc(func(s mem.Stats) int64 { return s.CommittedPages }))
-	r.Func("mem_merged_pages", memFunc(func(s mem.Stats) int64 { return s.MergedPages }))
-	r.Func("mem_diff_bytes", memFunc(func(s mem.Stats) int64 { return s.DiffBytes }))
-	r.Func("mem_pulled_pages", memFunc(func(s mem.Stats) int64 { return s.PulledPages }))
-	r.Func("mem_spec_diff_hits", memFunc(func(s mem.Stats) int64 { return s.SpecDiffHits }))
-	r.Func("mem_spec_diff_misses", memFunc(func(s mem.Stats) int64 { return s.SpecDiffMisses }))
-	r.Func("mem_prefetch_hits", memFunc(func(s mem.Stats) int64 { return s.PrefetchHits }))
-	r.Func("mem_prefetch_misses", memFunc(func(s mem.Stats) int64 { return s.PrefetchMisses }))
-	r.Func("mem_prefetch_wasted", memFunc(func(s mem.Stats) int64 { return s.PrefetchWasted }))
-	r.Func("mem_commit_serial_ns", rt.commitSerialNS.Load)
-	r.Func("mem_gc_runs", memFunc(func(s mem.Stats) int64 { return s.GCRuns }))
-	r.Func("mem_gc_reclaimed_pages", memFunc(func(s mem.Stats) int64 { return s.GCReclaimedPages }))
-	r.Func("mem_cur_pages", memFunc(func(s mem.Stats) int64 { return s.CurPages }))
-	r.Func("mem_peak_pages", memFunc(func(s mem.Stats) int64 { return s.PeakPages }))
-	arbFunc := func(f func(clock.Stats) int64) func() int64 {
-		return func() int64 { return f(rt.arb.Stats()) }
-	}
-	r.Func("clock_token_grants", arbFunc(func(s clock.Stats) int64 { return s.Grants }))
-	r.Func("clock_departs", arbFunc(func(s clock.Stats) int64 { return s.Departs }))
-	r.Func("clock_fast_forwards", arbFunc(func(s clock.Stats) int64 { return s.FastForwards }))
-	r.Func("clock_fast_forward_skip", arbFunc(func(s clock.Stats) int64 { return s.FastForwardSkip }))
-	// Gauge registration: the sub-token gauges exist only at Shards >= 2,
-	// pinned by internal/obs/testdata/golden_report.json (a single-token
-	// run lists what it always did). The analyzer divides busy by wall for
-	// per-shard arbiter utilization and the grant-parallelism metric.
+	ms := rt.seg.Stats()
+	g("mem_faults", ms.Faults)
+	g("mem_versions", ms.Versions)
+	g("mem_committed_pages", ms.CommittedPages)
+	g("mem_merged_pages", ms.MergedPages)
+	g("mem_diff_bytes", ms.DiffBytes)
+	g("mem_pulled_pages", ms.PulledPages)
+	g("mem_spec_diff_hits", ms.SpecDiffHits)
+	g("mem_spec_diff_misses", ms.SpecDiffMisses)
+	g("mem_prefetch_hits", ms.PrefetchHits)
+	g("mem_prefetch_misses", ms.PrefetchMisses)
+	g("mem_prefetch_wasted", ms.PrefetchWasted)
+	g("mem_commit_serial_ns", rt.commitSerialNS.Load())
+	g("mem_gc_runs", ms.GCRuns)
+	g("mem_gc_reclaimed_pages", ms.GCReclaimedPages)
+	g("mem_cur_pages", ms.CurPages)
+	g("mem_peak_pages", ms.PeakPages)
+	cs := rt.arb.Stats()
+	g("clock_token_grants", cs.Grants)
+	g("clock_departs", cs.Departs)
+	g("clock_fast_forwards", cs.FastForwards)
+	g("clock_fast_forward_skip", cs.FastForwardSkip)
+	// The analyzer divides busy by wall for per-shard arbiter utilization
+	// and the grant-parallelism metric.
 	if rt.cfg.Shards >= 2 {
-		r.Func("clock_shard_local_reacquires", arbFunc(func(s clock.Stats) int64 { return s.Locals }))
-		r.Func("clock_shard_transfers", arbFunc(func(s clock.Stats) int64 { return s.Transfers }))
-		r.Func("clock_shard_merges", arbFunc(func(s clock.Stats) int64 { return s.Merges }))
-		r.Func("clock_global_edge_busy_ns", arbFunc(func(s clock.Stats) int64 { return s.GlobalBusyNS }))
+		g("clock_shard_local_reacquires", cs.Locals)
+		g("clock_shard_transfers", cs.Transfers)
+		g("clock_shard_merges", cs.Merges)
+		g("clock_global_edge_busy_ns", cs.GlobalBusyNS)
 		for sh := 0; sh < rt.cfg.Shards; sh++ {
 			l := obs.L("shard", sh)
-			r.Func("clock_shard_grants", arbFunc(func(s clock.Stats) int64 { return s.Shards[sh].Grants }), l)
-			r.Func("clock_shard_busy_ns", arbFunc(func(s clock.Stats) int64 { return s.Shards[sh].BusyNS }), l)
-			r.Func("clock_shard_frontier_ns", arbFunc(func(s clock.Stats) int64 { return s.Shards[sh].FrontierNS }), l)
-		}
-	}
-	aggFunc := func(f func(api.RunStats) int64) func() int64 {
-		return func() int64 {
-			rt.aggMu.Lock()
-			defer rt.aggMu.Unlock()
-			return f(rt.agg)
+			g("clock_shard_grants", cs.Shards[sh].Grants, l)
+			g("clock_shard_busy_ns", cs.Shards[sh].BusyNS, l)
+			g("clock_shard_frontier_ns", cs.Shards[sh].FrontierNS, l)
 		}
 	}
 	if in := rt.cfg.Chaos; in != nil {
 		// The knobs a det run draws, by their gauges' names: the event
 		// count and, for delay knobs, the injected nanoseconds.
+		st := in.Stats()
 		for _, m := range []struct {
 			k              chaos.Knob
 			events, amount string
@@ -470,19 +466,33 @@ func (rt *Runtime) SetObserver(o *obs.Observer) {
 			{chaos.Fault, "fault_delays", "fault_delay_ns"},
 			{chaos.Commit, "commit_delays", "commit_delay_ns"},
 		} {
-			r.Func("chaos_"+m.events, func() int64 { return in.Stats().Events[m.k] })
+			g("chaos_"+m.events, st.Events[m.k])
 			if m.amount != "" {
-				r.Func("chaos_"+m.amount, func() int64 { return in.Stats().Amount[m.k] })
+				g("chaos_"+m.amount, st.Amount[m.k])
 			}
 		}
 	}
-	r.Func("det_threads_spawned", aggFunc(func(s api.RunStats) int64 { return s.ThreadsSpawned }))
-	r.Func("det_threads_reused", aggFunc(func(s api.RunStats) int64 { return s.ThreadsReused }))
-	r.Func("det_local_work_ns", aggFunc(func(s api.RunStats) int64 { return s.LocalWorkNS }))
-	r.Func("det_determ_wait_ns", aggFunc(func(s api.RunStats) int64 { return s.DetermWaitNS }))
-	r.Func("det_barrier_wait_ns", aggFunc(func(s api.RunStats) int64 { return s.BarrierWaitNS }))
-	r.Func("det_commit_ns", aggFunc(func(s api.RunStats) int64 { return s.CommitNS }))
-	rt.registerCommitLogMetrics()
+	rt.aggMu.Lock()
+	agg := rt.agg
+	rt.aggMu.Unlock()
+	g("det_threads_spawned", agg.ThreadsSpawned)
+	g("det_threads_reused", agg.ThreadsReused)
+	g("det_local_work_ns", agg.LocalWorkNS)
+	g("det_determ_wait_ns", agg.DetermWaitNS)
+	g("det_barrier_wait_ns", agg.BarrierWaitNS)
+	g("det_commit_ns", agg.CommitNS)
+	if rt.clog != nil {
+		ls := rt.clog.Stats()
+		g("commitlog_commits", ls.Commits)
+		g("commitlog_events", ls.Events)
+		g("commitlog_snapshots", ls.Snapshots)
+		g("commitlog_segments", ls.Segments)
+		g("commitlog_rolls", ls.Rolls)
+		g("commitlog_bytes", ls.Bytes)
+		g("commitlog_append_stalls", ls.AppendStalls)
+	}
+	obs.SortSamples(out)
+	return out
 }
 
 // SetJournal makes the commit log the run's history too; must be called
@@ -520,31 +530,7 @@ func (rt *Runtime) SetCommitLog(l *commitlog.Log) error {
 		cs := rt.cfg.Chaos.LogStream()
 		l.SetPerturb(func() int64 { return cs.Delay(chaos.LogStall) })
 	}
-	if err := l.Begin(rt.seg.PageSize(), rt.seg.NumPages()); err != nil {
-		return err
-	}
-	rt.registerCommitLogMetrics()
-	return nil
-}
-
-// registerCommitLogMetrics exposes commitlog_* func gauges once both an
-// observer and a commit log are attached (either attach order works:
-// SetObserver and SetCommitLog both call this).
-func (rt *Runtime) registerCommitLogMetrics() {
-	if rt.obs == nil || rt.clog == nil {
-		return
-	}
-	r := rt.obs.Registry()
-	cFunc := func(f func(commitlog.Stats) int64) func() int64 {
-		return func() int64 { return f(rt.clog.Stats()) }
-	}
-	r.Func("commitlog_commits", cFunc(func(s commitlog.Stats) int64 { return s.Commits }))
-	r.Func("commitlog_events", cFunc(func(s commitlog.Stats) int64 { return s.Events }))
-	r.Func("commitlog_snapshots", cFunc(func(s commitlog.Stats) int64 { return s.Snapshots }))
-	r.Func("commitlog_segments", cFunc(func(s commitlog.Stats) int64 { return s.Segments }))
-	r.Func("commitlog_rolls", cFunc(func(s commitlog.Stats) int64 { return s.Rolls }))
-	r.Func("commitlog_bytes", cFunc(func(s commitlog.Stats) int64 { return s.Bytes }))
-	r.Func("commitlog_append_stalls", cFunc(func(s commitlog.Stats) int64 { return s.AppendStalls }))
+	return l.Begin(rt.seg.PageSize(), rt.seg.NumPages())
 }
 
 // Observer returns the attached observability layer, or nil.

@@ -439,7 +439,7 @@ func TestChunkEndCommitDiffsUnderToken(t *testing.T) {
 		t.Fatalf("%d non-empty commits and %d chunk ends, want %d of each", commits, chunkEnds, chunks)
 	}
 	reg := map[string]int64{}
-	for _, s := range o.Registry().Snapshot() {
+	for _, s := range rt.Metrics() {
 		reg[s.Name] = s.Value
 	}
 	if h, m := reg["mem_spec_diff_hits"], reg["mem_spec_diff_misses"]; h != 0 || m != chunks {

@@ -79,8 +79,9 @@ type Options struct {
 	// Consequence runtimes and dwc are).
 	WithLRC bool
 	// Observer, when non-nil, is attached to the run so the cell records
-	// a phase timeline and metrics (det-backed runtimes only). Use a
-	// fresh Observer per cell; attaching never changes the cell's result.
+	// a phase timeline (det-backed runtimes only); the run's gauges are
+	// Cell.Metrics, with or without one. Use a fresh Observer per cell;
+	// attaching never changes the cell's result.
 	Observer *obs.Observer
 	// Chaos, when non-empty, arms seeded fault injection for the cell: a
 	// "profile[:seed]" spec (see internal/chaos). Consequence runtimes
@@ -104,8 +105,8 @@ type Options struct {
 	// catch up and verifies every follower's checksum against the
 	// runtime's — the replication determinism gate. The fleet shares the
 	// cell's chaos injector, so follower-kill/stall/tear profiles reach
-	// it, and its metrics land in the Observer's registry when one is
-	// attached; the cell's own checksum is unchanged by construction.
+	// it, and its replica_* metrics join the runtime's in Cell.Metrics;
+	// the cell's own checksum is unchanged by construction.
 	Replicas int
 }
 
@@ -310,14 +311,7 @@ func (c *Cell) attach() error {
 		c.tracker = lrc.New()
 		c.Det.SetHooks(c.tracker)
 	}
-	// The fleet's replica_* metrics land in the observer's registry, so
-	// the analysis report picks up the replication section; without an
-	// observer the fleet runs headless (nil registry).
-	var reg *obs.Registry
-	if o.Observer != nil {
-		c.Det.SetObserver(o.Observer)
-		reg = o.Observer.Registry()
-	}
+	c.Det.SetObserver(o.Observer)
 	if o.CommitLogDir == "" {
 		return nil
 	}
@@ -335,7 +329,6 @@ func (c *Cell) attach() error {
 			Archive:   true,
 			Seed:      o.Seed,
 			Chaos:     c.Chaos,
-			Registry:  reg,
 		})
 		return c.Fleet.Start()
 	}
@@ -391,6 +384,22 @@ func (c *Cell) Run() (Result, error) {
 		res.Replica = &st
 	}
 	return res, nil
+}
+
+// Metrics returns the run's gauges: the runtime's and, with a fleet, the
+// fleet's replica_* ones, in SortSamples' order — what detrun -metrics
+// prints and a trace's metrics record carries. Nil on a runtime that is
+// not det-backed. Call it after Run.
+func (c *Cell) Metrics() []obs.Sample {
+	if c.Det == nil {
+		return nil
+	}
+	ms := c.Det.Metrics()
+	if c.Fleet != nil {
+		ms = append(ms, c.Fleet.Metrics()...)
+		obs.SortSamples(ms)
+	}
+	return ms
 }
 
 // SweepReads is how many versioned reads SweepDigest makes.

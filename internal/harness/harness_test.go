@@ -384,23 +384,18 @@ func TestFiguresGolden(t *testing.T) {
 
 // Replicas must attach a live replica fleet without changing the cell's
 // result, pass the follower-checksum determinism gate (including under
-// follower chaos), export replica metrics into the cell's observer, and
-// refuse to run without a commit log.
+// follower chaos), list the fleet's metrics beside the runtime's in
+// Cell.Metrics, and refuse to run without a commit log.
 func TestReplicasOption(t *testing.T) {
 	o := Options{Bench: "word_count", Runtime: KindConsequenceIC, Threads: 4, Scale: 1, Seed: 9}
 	plain, err := Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ob := obs.New()
 	or := o
 	or.CommitLogDir = filepath.Join(t.TempDir(), "clog")
 	or.Replicas = 2
-	or.Observer = ob
-	a, err := Run(or)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, ms := runMetrics(t, or)
 	if a.Checksum != plain.Checksum || a.WallNS != plain.WallNS {
 		t.Fatalf("replica fleet perturbed the cell: sum %x vs %x, wall %d vs %d",
 			a.Checksum, plain.Checksum, a.WallNS, plain.WallNS)
@@ -411,14 +406,12 @@ func TestReplicasOption(t *testing.T) {
 	if a.Replica.Followers != 2 { // serving only; the archive is not counted
 		t.Fatalf("fleet had %d serving followers, want 2", a.Replica.Followers)
 	}
-	found := false
-	for _, s := range ob.Registry().Snapshot() {
-		if s.Name == "replica_lag" {
-			found = true
-		}
+	found := map[string]bool{}
+	for _, s := range ms {
+		found[s.Name] = true
 	}
-	if !found {
-		t.Error("replica_lag missing from the cell observer's registry")
+	if !found["replica_lag"] || !found["replica_lag_hist"] || !found["mem_faults"] {
+		t.Errorf("Cell.Metrics lacks replica_lag, replica_lag_hist or mem_faults: %v", ms)
 	}
 
 	oc := o
@@ -622,13 +615,9 @@ func TestRunStatsMeanTheSameOnEveryRuntime(t *testing.T) {
 // chunk's end or a barrier, and were diffed under the token in BeginCommit
 // at the serial price.
 func TestSpecDiffSplitPinned(t *testing.T) {
-	ob := obs.New()
-	r, err := Run(Options{Bench: "water_nsquared", Runtime: KindConsequenceIC, Threads: 8, Scale: 1, Seed: 42, Observer: ob})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, ms := runMetrics(t, Options{Bench: "water_nsquared", Runtime: KindConsequenceIC, Threads: 8, Scale: 1, Seed: 42})
 	reg := map[string]int64{}
-	for _, s := range ob.Registry().Snapshot() {
+	for _, s := range ms {
 		reg[s.Name] = s.Value
 	}
 	hits, misses := reg["mem_spec_diff_hits"], reg["mem_spec_diff_misses"]
@@ -636,4 +625,22 @@ func TestSpecDiffSplitPinned(t *testing.T) {
 		t.Errorf("committed %d pages, spec diff hits/misses %d/%d; want 1025 = 33 + 992",
 			r.Stats.CommittedPages, hits, misses)
 	}
+}
+
+// runMetrics builds o on a fresh simulation host, runs and closes it, and
+// returns the result and the cell's metrics.
+func runMetrics(t *testing.T, o Options) (Result, []obs.Sample) {
+	t.Helper()
+	c, err := Build(o, simhost.New(costmodel.Default()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run()
+	if cerr := c.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, c.Metrics()
 }

@@ -5,10 +5,10 @@
 // what chunk coarsening would buy.
 //
 // The analyzer is strictly post-hoc: it consumes either a finished
-// Observer (FromObserver) or a previously exported Chrome trace JSON
-// (ParseChromeTrace), normalizes both into the same Input, and produces an
-// identical Report either way — a trace file is as actionable as a live
-// run. Nothing here feeds back into the runtime; determinism is untouched
+// Observer and the run's metrics (FromObserver) or a previously exported
+// Chrome trace JSON (ParseChromeTrace), normalizes both into the same
+// Input, and produces an identical Report either way — a trace file is as
+// actionable as a live run. Nothing here feeds back into the runtime; determinism is untouched
 // by construction.
 //
 // Three analyses beyond simple phase accounting:
@@ -59,17 +59,18 @@ type Lane struct {
 type Input struct {
 	Process string
 	Lanes   []Lane
-	// Metrics is the run's metric snapshot (a Chrome trace carries the
-	// final one; nil for a trace written without it). Used for analyses
-	// that need runtime state the timelines don't record, e.g. the
-	// per-shard arbiter gauges.
+	// Metrics is the run's metrics (a Chrome trace carries them; nil for
+	// a trace written without them). Used for analyses that need runtime
+	// state the timelines don't record, e.g. the per-shard arbiter
+	// gauges.
 	Metrics []obs.Sample
 }
 
-// FromObserver snapshots a finished Observer into an Input. Call only
+// FromObserver makes a finished Observer's lanes and the run's metrics
+// (det.Runtime.Metrics, harness.Cell.Metrics) into an Input. Call only
 // after the observed run has completed (Observer.Lanes' contract).
-func FromObserver(o *obs.Observer, process string) *Input {
-	in := &Input{Process: process, Metrics: o.Registry().Snapshot()}
+func FromObserver(o *obs.Observer, process string, metrics []obs.Sample) *Input {
+	in := &Input{Process: process, Metrics: metrics}
 	for _, l := range o.Lanes() {
 		in.Lanes = append(in.Lanes, Lane{
 			Tid:     l.Tid(),

@@ -9,7 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/costmodel"
 	"repro/internal/harness"
+	"repro/internal/host/simhost"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
 )
@@ -41,21 +43,38 @@ func analyzeGolden(t *testing.T) *analyze.Report {
 	return rep
 }
 
-// analyzeCell runs o with a fresh observer attached and returns the
-// result, the observer and the critical-path report of the run.
-func analyzeCell(t *testing.T, o harness.Options) (harness.Result, *obs.Observer, *analyze.Report) {
+// observed is one analyzed cell: its result, observer, metrics and the
+// critical-path report of the run.
+type observed struct {
+	res     harness.Result
+	ob      *obs.Observer
+	metrics []obs.Sample
+	rep     *analyze.Report
+}
+
+// analyzeCell runs o on the simulation host with a fresh observer
+// attached, closes it, and analyzes the run with the cell's metrics.
+func analyzeCell(t *testing.T, o harness.Options) observed {
 	t.Helper()
 	ob := obs.New()
 	o.Observer = ob
-	res, err := harness.Run(o)
+	c, err := harness.Build(o, simhost.New(costmodel.Default()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := analyze.Analyze(analyze.FromObserver(ob, harness.CellName(o)))
+	res, err := c.Run()
+	if cerr := c.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, ob, rep
+	ms := c.Metrics()
+	rep, err := analyze.Analyze(analyze.FromObserver(ob, harness.CellName(o), ms))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return observed{res, ob, ms, rep}
 }
 
 // TestGoldenReport pins the analyzer's JSON output on the golden trace
@@ -160,8 +179,8 @@ func TestGoldenReportShape(t *testing.T) {
 // report built from a live Observer and one built from that observer's
 // exported Chrome trace must be byte-identical. The sharded and fleet
 // cells feed the gauge-read sections (sharding, replication), so the
-// trace must carry the registry's final snapshot exactly; every cell is
-// exported after harness.Run has closed it.
+// trace must carry the cell's metrics exactly; every cell is exported
+// after it has been closed.
 func TestLiveVsParsedIdentical(t *testing.T) {
 	cell := func(bench string) harness.Options {
 		return harness.Options{Bench: bench, Runtime: harness.KindConsequenceIC, Threads: 4, Scale: 1, Seed: 42}
@@ -181,17 +200,18 @@ func TestLiveVsParsedIdentical(t *testing.T) {
 		{"ferret shards=4", sharded, `"sharding"`},
 		{"kmeans replicas=2", fleet, `"replication"`},
 	} {
-		_, ob, live := analyzeCell(t, tc.opts)
+		run := analyzeCell(t, tc.opts)
+		live := run.rep
 		var trace bytes.Buffer
-		if err := ob.WriteChromeTrace(&trace, harness.CellName(tc.opts)); err != nil {
+		if err := run.ob.WriteChromeTrace(&trace, harness.CellName(tc.opts), run.metrics); err != nil {
 			t.Fatal(err)
 		}
 		in, err := analyze.ParseChromeTrace(&trace)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := ob.Registry().Snapshot(); !reflect.DeepEqual(in.Metrics, want) {
-			t.Errorf("%s: parsed metrics differ from the registry snapshot:\n%v\nvs\n%v", tc.name, in.Metrics, want)
+		if want := run.metrics; !reflect.DeepEqual(in.Metrics, want) {
+			t.Errorf("%s: parsed metrics differ from Cell.Metrics:\n%v\nvs\n%v", tc.name, in.Metrics, want)
 		}
 		parsed, err := analyze.Analyze(in)
 		if err != nil {
@@ -209,7 +229,7 @@ func TestLiveVsParsedIdentical(t *testing.T) {
 }
 
 // TestTraceWithoutMetricsParses keeps traces written before the exporter
-// carried the registry readable: without otherData the input has no
+// carried the metrics readable: without otherData the input has no
 // metrics, and the golden run (one token, no fleet) reports the same.
 func TestTraceWithoutMetricsParses(t *testing.T) {
 	raw, err := os.ReadFile(goldenTrace)
@@ -246,13 +266,14 @@ func TestTraceWithoutMetricsParses(t *testing.T) {
 // mostly at parallel barriers.
 func TestReportInvariants(t *testing.T) {
 	for _, bench := range []string{"histogram", "kmeans", "swaptions", "ocean_cp", "canneal", "lu_ncb", "streamcluster"} {
-		res, _, rep := analyzeCell(t, harness.Options{
+		run := analyzeCell(t, harness.Options{
 			Bench:   bench,
 			Runtime: harness.KindConsequenceIC,
 			Threads: 8,
 			Scale:   1,
 			Seed:    42,
 		})
+		res, rep := run.res, run.rep
 		if rep.CriticalPath.TotalNS > rep.WallNS {
 			t.Errorf("%s: critical path %d > wall %d", bench, rep.CriticalPath.TotalNS, rep.WallNS)
 		}
@@ -346,21 +367,24 @@ func TestReplicationReport(t *testing.T) {
 		Tid:    0,
 		Events: []obs.Event{{Phase: obs.PhaseCompute, Start: 0, End: 100}},
 	}}
-	reg := obs.NewRegistry()
-	reg.Func("commitlog_append_stalls", func() int64 { return 3 })
-	reg.Func("replica_restarts_total", func() int64 { return 2 })
-	reg.Func("replica_reads_served", func() int64 { return 10 })
-	reg.Func("replica_reads_redirected", func() int64 { return 4 })
-	reg.Func("replica_reads_rejected", func() int64 { return 1 })
-	reg.Func("replica_admitted", func() int64 { return 2 })
-	reg.Func("replica_catchup_ns", func() int64 { return 5_000_000 })
-	reg.Func("replica_lag", func() int64 { return 1 }, obs.L("follower", 0), obs.L("role", "serve"))
-	reg.Func("replica_lag", func() int64 { return 7 }, obs.L("follower", 2), obs.L("role", "archive"))
-	h := reg.Histogram("replica_lag_hist")
+	var h obs.Histogram
 	for i := 0; i < 100; i++ {
 		h.Observe(int64(i % 5))
 	}
-	rep, err := analyze.Analyze(&analyze.Input{Process: "fleet", Lanes: lanes, Metrics: reg.Snapshot()})
+	metrics := []obs.Sample{
+		obs.Gauge("commitlog_append_stalls", 3),
+		obs.Gauge("replica_restarts_total", 2),
+		obs.Gauge("replica_reads_served", 10),
+		obs.Gauge("replica_reads_redirected", 4),
+		obs.Gauge("replica_reads_rejected", 1),
+		obs.Gauge("replica_admitted", 2),
+		obs.Gauge("replica_catchup_ns", 5_000_000),
+		obs.Gauge("replica_lag", 1, obs.L("follower", 0), obs.L("role", "serve")),
+		obs.Gauge("replica_lag", 7, obs.L("follower", 2), obs.L("role", "archive")),
+		h.Sample("replica_lag_hist"),
+	}
+	obs.SortSamples(metrics)
+	rep, err := analyze.Analyze(&analyze.Input{Process: "fleet", Lanes: lanes, Metrics: metrics})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,7 +126,7 @@ func ParseChromeTrace(r io.Reader) (*Input, error) {
 		if s.Kind, ok = metricKind(m.Kind); !ok {
 			return nil, fmt.Errorf("analyze: metric %s has unknown kind %q", m.Name, m.Kind)
 		}
-		// The registry keeps labels sorted by key (its canonical form).
+		// A sample keeps its labels sorted by key (their canonical form).
 		for k, v := range m.Labels {
 			s.Labels = append(s.Labels, obs.Label{Key: k, Value: v})
 		}

@@ -19,10 +19,10 @@ type ReplicationReport struct {
 	// AppendStalls counts writer appends that blocked on the log's drain
 	// goroutine — backpressure on the commit path itself.
 	AppendStalls int64 `json:"append_stalls"`
-	// Followers is the per-follower lag table at snapshot time.
+	// Followers is the per-follower lag table when the metrics were read.
 	Followers []FollowerLane `json:"followers"`
 	// Admitted is how many serving followers were inside the staleness
-	// bound at snapshot time.
+	// bound when the metrics were read.
 	Admitted int64 `json:"admitted"`
 	// Restarts counts follower feed restarts (kills, tears, stalls).
 	Restarts int64 `json:"restarts"`
@@ -39,7 +39,7 @@ type ReplicationReport struct {
 	CatchupMaxNS int64 `json:"catchup_max_ns"`
 }
 
-// FollowerLane is one follower's standing at snapshot time.
+// FollowerLane is one follower's standing when the metrics were read.
 type FollowerLane struct {
 	Follower int `json:"follower"`
 	// Role is "serve" or "archive" (the chaos-exempt full-history

@@ -6,9 +6,10 @@ package obs
 // renders as one lane (trace tid = runtime tid), each time-category phase
 // as a complete ("X") event whose name and category are the Phase's
 // stable string, and each marker as a thread-scoped instant ("i") event.
-// The top-level "otherData" object carries the registry's final snapshot
-// as "metrics": one record per sample, in Snapshot order, so a trace file
-// holds the gauges the analyzer reads as well as the timeline.
+// The top-level "otherData" object carries the run's metrics as
+// "metrics": one record per sample, in the order given (SortSamples'
+// canonical order), so a trace file holds the gauges the analyzer reads
+// as well as the timeline.
 //
 // The encoding is hand-rolled rather than encoding/json for a contract
 // the tests rely on: a fixed simhost run must export byte-identical JSON
@@ -30,8 +31,8 @@ func usec(ns int64) string {
 }
 
 // writeChromeTrace emits the observer's timeline for process (a free-form
-// run description, e.g. "consequence-ic ferret t=8").
-func writeChromeTrace(w io.Writer, o *Observer, process string) error {
+// run description, e.g. "consequence-ic ferret t=8"), then metrics.
+func writeChromeTrace(w io.Writer, o *Observer, process string, metrics []Sample) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")
 	fmt.Fprintf(bw, "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":%q}}", process)
@@ -57,7 +58,7 @@ func writeChromeTrace(w io.Writer, o *Observer, process string) error {
 		}
 	}
 	fmt.Fprintf(bw, "\n],\n\"otherData\":{\"metrics\":[")
-	for i, s := range o.reg.Snapshot() {
+	for i, s := range metrics {
 		if i > 0 {
 			bw.WriteByte(',')
 		}

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
@@ -17,9 +16,10 @@ type MetricKind uint8
 const (
 	// KindHistogram is a power-of-two-bucketed distribution.
 	KindHistogram MetricKind = iota + 1
-	// KindFunc is a gauge computed by callback at snapshot time — the
-	// bridge that subsumes pre-existing stats structs (mem.Segment.Stats,
-	// clock.Arbiter.Stats, the det aggregates) under one snapshot API.
+	// KindFunc is a gauge: one value read from a stats struct
+	// (mem.Segment.Stats, clock.Arbiter.Stats, the det aggregates, the
+	// commit log's and the fleet's counters) when the samples are built.
+	// Its export name, "func", is part of the trace format.
 	KindFunc
 )
 
@@ -35,7 +35,8 @@ func (k MetricKind) String() string {
 	}
 }
 
-// Label is one key=value metric dimension (e.g. tid, mutex).
+// Label is one key=value metric dimension (e.g. shard, follower). A
+// sample's labels are in key order.
 type Label struct {
 	Key, Value string
 }
@@ -98,7 +99,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 // quantile interpolates a quantile from non-cumulative power-of-two
 // bucket counts (bucket 0: v <= 0; bucket i: [2^(i-1), 2^i)), the total
 // count, and the observed maximum. Shared by Histogram.Quantile and
-// Sample rendering, which only has the snapshot's bucket slice.
+// Sample rendering, which only has the sample's bucket slice.
 func quantile(buckets []int64, count, max int64, q float64) float64 {
 	if count <= 0 {
 		return 0
@@ -154,87 +155,9 @@ func (h *Histogram) Buckets() []int64 {
 	return out[:last+1]
 }
 
-// metric is one registered instrument.
-type metric struct {
-	name   string
-	labels []Label
-	kind   MetricKind
-	h      *Histogram
-	fn     func() int64
-}
-
-// Registry holds named, labeled metrics: func gauges over a run's stats
-// structs, evaluated at Snapshot, and histograms. Registration (the
-// Histogram/Func lookups) takes a lock; a Histogram observes with
-// lock-free atomics, so a hot path caches the pointer rather than
-// re-looking it up per event. Per-thread detail is not kept here: it is
-// the timeline's (Lane).
-type Registry struct {
-	mu      sync.Mutex
-	metrics map[string]*metric
-}
-
-// NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{metrics: make(map[string]*metric)}
-}
-
-// key canonicalizes a name + label set (labels sorted by key).
-func key(name string, labels []Label) (string, []Label) {
-	if len(labels) == 0 {
-		return name, nil
-	}
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	var b strings.Builder
-	b.WriteString(name)
-	for _, l := range ls {
-		b.WriteByte('{')
-		b.WriteString(l.Key)
-		b.WriteByte('=')
-		b.WriteString(l.Value)
-		b.WriteByte('}')
-	}
-	return b.String(), ls
-}
-
-// lookup returns the metric for (name, labels), creating it with mk if
-// absent. Panics if the name+labels is already registered with a
-// different kind — that is a programming error, not a runtime condition.
-func (r *Registry) lookup(name string, labels []Label, kind MetricKind, mk func() *metric) *metric {
-	k, ls := key(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.metrics[k]; ok {
-		if m.kind != kind {
-			panic(fmt.Sprintf("obs: metric %q re-registered as %v (was %v)", k, kind, m.kind))
-		}
-		return m
-	}
-	m := mk()
-	m.name, m.labels, m.kind = name, ls, kind
-	r.metrics[k] = m
-	return m
-}
-
-// Histogram returns the histogram registered under name+labels, creating
-// it on first use.
-func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
-	return r.lookup(name, labels, KindHistogram, func() *metric { return &metric{h: &Histogram{}} }).h
-}
-
-// Func registers a callback gauge: fn is evaluated at every Snapshot.
-// fn must be safe to call from any goroutine (typically it reads an
-// existing mutex-guarded stats struct). Re-registering the same
-// name+labels replaces the callback.
-func (r *Registry) Func(name string, fn func() int64, labels ...Label) {
-	m := r.lookup(name, labels, KindFunc, func() *metric { return &metric{} })
-	r.mu.Lock()
-	m.fn = fn
-	r.mu.Unlock()
-}
-
-// Sample is one metric's state in a Snapshot.
+// Sample is one metric's state after a run: what det.Runtime.Metrics and
+// replica.Fleet.Metrics return, the Chrome trace's metrics record carries
+// and the analyzer reads.
 type Sample struct {
 	Name   string
 	Labels []Label
@@ -285,36 +208,35 @@ func (s Sample) String() string {
 	return b.String()
 }
 
-// Snapshot returns every metric's current state, sorted by canonical name
-// for deterministic rendering. It is safe to call mid-run: histograms
-// are read atomically (each sample is individually consistent; the set is
-// not a global atomic cut), and func gauges are evaluated inline.
-func (r *Registry) Snapshot() []Sample {
-	r.mu.Lock()
-	keys := make([]string, 0, len(r.metrics))
-	for k := range r.metrics {
-		keys = append(keys, k)
-	}
-	ms := make([]*metric, 0, len(keys))
-	sort.Strings(keys)
-	for _, k := range keys {
-		ms = append(ms, r.metrics[k])
-	}
-	r.mu.Unlock()
+// Gauge returns a KindFunc sample of value v.
+func Gauge(name string, v int64, labels ...Label) Sample {
+	return Sample{Name: name, Labels: labels, Kind: KindFunc, Value: v}
+}
 
-	out := make([]Sample, 0, len(ms))
-	for _, m := range ms {
-		s := Sample{Name: m.name, Labels: m.labels, Kind: m.kind}
-		switch m.kind {
-		case KindHistogram:
-			s.Value = m.h.Count()
-			s.Sum = m.h.Sum()
-			s.Max = m.h.Max()
-			s.Buckets = m.h.Buckets()
-		case KindFunc:
-			s.Value = m.fn()
-		}
-		out = append(out, s)
+// Sample returns the histogram's current state as a KindHistogram sample
+// named name.
+func (h *Histogram) Sample(name string, labels ...Label) Sample {
+	return Sample{Name: name, Labels: labels, Kind: KindHistogram,
+		Value: h.Count(), Sum: h.Sum(), Max: h.Max(), Buckets: h.Buckets()}
+}
+
+// key is the sample's canonical name: the name, then each label as
+// {key=value}.
+func (s Sample) key() string {
+	var b strings.Builder
+	b.WriteString(s.Name)
+	for _, l := range s.Labels {
+		b.WriteByte('{')
+		b.WriteString(l.Key)
+		b.WriteByte('=')
+		b.WriteString(l.Value)
+		b.WriteByte('}')
 	}
-	return out
+	return b.String()
+}
+
+// SortSamples puts samples in canonical-name order, the order every
+// rendering of a run's metrics uses, so the list is deterministic.
+func SortSamples(ss []Sample) {
+	sort.Slice(ss, func(i, j int) bool { return ss[i].key() < ss[j].key() })
 }

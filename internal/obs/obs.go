@@ -1,6 +1,6 @@
-// Package obs is the runtime observability layer: a low-overhead metrics
-// registry and a phase-resolved span timeline, exportable as Chrome
-// trace-event JSON (chrome://tracing / Perfetto).
+// Package obs is the runtime observability layer: a phase-resolved span
+// timeline, exportable as Chrome trace-event JSON (chrome://tracing /
+// Perfetto), and the Sample type a run's gauges are read as after it ends.
 //
 // The package answers the question the end-of-run aggregate statistics
 // (api.RunStats) cannot: *where* a run spent its time. The paper's
@@ -20,13 +20,13 @@
 //     never feeds back into scheduling, arbitration or memory state.
 //
 //  2. Recording must not synchronize threads. Each thread writes spans
-//     only to its own Lane (a fixed-capacity ring; oldest events are
-//     dropped and counted when it overflows) with plain stores, and the
-//     timeline is the one per-thread record: the registry holds only func
-//     gauges over the runtime's stats structs, read at snapshot time, and
-//     histograms observed off the threads' hot paths. Nothing
-//     recording-side takes a lock or an atomic that another recording
-//     thread contends.
+//     only to its own Lane (a ring of fixed blocks, allocated as the lane
+//     reaches them; oldest events are dropped and counted when it
+//     overflows) with plain stores. The timeline is the one per-thread
+//     record and the Observer holds nothing else: a run's gauges are
+//     built from its stats structs when asked for, after the run
+//     (det.Runtime.Metrics, replica.Fleet.Metrics), with or without an
+//     observer.
 //
 //  3. Host-agnostic time. Spans carry whatever the host's clock returns:
 //     virtual nanoseconds on simhost (so traces of simulated runs are
@@ -37,8 +37,8 @@
 //	o := obs.New()
 //	rt.SetObserver(o)          // before Run
 //	rt.Run(prog)
-//	o.WriteChromeTrace(w, "consequence-ic histogram")
-//	for _, s := range o.Registry().Snapshot() { fmt.Println(s) }
+//	o.WriteChromeTrace(w, "consequence-ic histogram", rt.Metrics())
+//	for _, s := range rt.Metrics() { fmt.Println(s) }
 package obs
 
 import (
@@ -186,28 +186,28 @@ func PhaseByName(name string) (Phase, bool) {
 // category.
 func (p Phase) Instant() bool { return p > NumTimePhases }
 
-// Observer bundles a metrics registry and a span timeline for one run.
-// One Observer observes one Runtime; attach it before Run.
+// Observer is one run's span timeline: a lane per thread. One Observer
+// observes one Runtime; attach it before Run.
 type Observer struct {
-	reg *Registry
-
 	mu    sync.Mutex
 	lanes map[int]*Lane
 }
 
-// laneCap is the per-thread ring-buffer capacity, in events. At roughly
-// 3–6 spans per synchronization operation this holds the full timeline of
-// any tier-1 workload; when a lane overflows, the oldest events are
-// dropped and counted (Lane.Dropped).
-const laneCap = 1 << 16
+// laneCap is the per-thread ring capacity, in events. At roughly 3–6
+// spans per synchronization operation this holds the full timeline of any
+// tier-1 workload; when a lane overflows, the oldest events are dropped
+// and counted (Lane.Dropped). A lane allocates its ring laneBlock events
+// at a time, as it reaches them, so a thread that records little costs
+// little.
+const (
+	laneCap   = 1 << 16
+	laneBlock = 1 << 10
+)
 
 // New creates an empty Observer.
 func New() *Observer {
-	return &Observer{reg: NewRegistry(), lanes: make(map[int]*Lane)}
+	return &Observer{lanes: make(map[int]*Lane)}
 }
-
-// Registry returns the observer's metrics registry.
-func (o *Observer) Registry() *Registry { return o.reg }
 
 // Lane returns (creating if needed) the span lane for thread tid. The
 // returned lane must only be written by the thread that owns tid; the
@@ -237,8 +237,9 @@ func (o *Observer) Lanes() []*Lane {
 	return ls
 }
 
-// WriteChromeTrace exports the timeline (and a registry snapshot) as
-// Chrome trace-event JSON. See chrometrace.go for the format contract.
-func (o *Observer) WriteChromeTrace(w io.Writer, process string) error {
-	return writeChromeTrace(w, o, process)
+// WriteChromeTrace exports the timeline, and the run's metrics as its
+// closing record, as Chrome trace-event JSON. See chrometrace.go for the
+// format contract.
+func (o *Observer) WriteChromeTrace(w io.Writer, process string, metrics []Sample) error {
+	return writeChromeTrace(w, o, process, metrics)
 }

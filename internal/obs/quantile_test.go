@@ -69,17 +69,11 @@ func TestHistogramQuantile(t *testing.T) {
 }
 
 func TestHistogramSampleString(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lock_wait_ns", L("tid", 1))
+	var h Histogram
 	for i := 0; i < 4; i++ {
 		h.Observe(100)
 	}
-	var sample Sample
-	for _, s := range r.Snapshot() {
-		if s.Name == "lock_wait_ns" {
-			sample = s
-		}
-	}
+	sample := h.Sample("lock_wait_ns", L("tid", 1))
 	got := sample.String()
 	for _, want := range []string{"lock_wait_ns{tid=1}", "count=4", "sum=400", "mean=100.0", "p50=", "p95=", "max=100"} {
 		if !strings.Contains(got, want) {
@@ -90,15 +84,9 @@ func TestHistogramSampleString(t *testing.T) {
 		t.Errorf("Sample.Quantile(1) = %v, want 100", sample.Quantile(1))
 	}
 	// Non-histogram samples render plain values and report zero quantiles.
-	r.Func("c", func() int64 { return 7 })
-	for _, s := range r.Snapshot() {
-		if s.Name == "c" {
-			if s.String() != "c 7" {
-				t.Errorf("func String() = %q, want \"c 7\"", s.String())
-			}
-			if s.Quantile(0.5) != 0 {
-				t.Errorf("func Quantile = %v, want 0", s.Quantile(0.5))
-			}
-		}
+	if s := Gauge("c", 7); s.String() != "c 7" {
+		t.Errorf("gauge String() = %q, want \"c 7\"", s.String())
+	} else if s.Quantile(0.5) != 0 {
+		t.Errorf("gauge Quantile = %v, want 0", s.Quantile(0.5))
 	}
 }

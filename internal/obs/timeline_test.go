@@ -1,6 +1,9 @@
 package obs
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestLaneRingOverflowDropsOldest verifies the overflow contract: the
 // newest events are retained in order, the oldest are evicted, and the
@@ -45,6 +48,67 @@ func TestLaneNoOverflow(t *testing.T) {
 	}
 	if evs[1].Phase != MarkCommit || !evs[1].Phase.Instant() || evs[1].Arg != 2 {
 		t.Errorf("mark event mangled: %+v", evs[1])
+	}
+}
+
+// TestLaneAllocatesByBlock pins what a lane costs: a fresh lane's first
+// Add allocates one block of laneBlock events, not the ring's capacity,
+// and later blocks come one at a time as the lane reaches them. Once the
+// ring is full it wraps in place — no further block — and returns the
+// newest laneCap events in order, with the rest counted as dropped.
+func TestLaneAllocatesByBlock(t *testing.T) {
+	bare := testing.AllocsPerRun(10, func() { newLane(0, laneCap) })
+	first := testing.AllocsPerRun(10, func() { newLane(0, laneCap).Span(PhaseCompute, 0, 1) })
+	if first-bare != 1 {
+		t.Errorf("first Add made %v allocations, want 1 (one block)", first-bare)
+	}
+	l := newLane(0, laneCap)
+	l.Span(PhaseCompute, 0, 1)
+	if len(l.blocks) != 1 || len(l.blocks[0]) != laneBlock {
+		t.Fatalf("after one Add: %d blocks of %d events, want 1 of %d", len(l.blocks), len(l.blocks[0]), laneBlock)
+	}
+	for i := 1; i <= laneBlock; i++ {
+		l.Span(PhaseCompute, int64(i), int64(i+1))
+	}
+	if len(l.blocks) != 2 {
+		t.Fatalf("after %d Adds: %d blocks, want 2", laneBlock+1, len(l.blocks))
+	}
+
+	const extra = laneBlock + 17 // wrap past a block boundary
+	total := int64(laneCap + extra)
+	for i := int64(laneBlock + 1); i < total; i++ {
+		l.Span(PhaseCompute, i, i+1)
+	}
+	if got, want := len(l.blocks), laneCap/laneBlock; got != want {
+		t.Errorf("full ring: %d blocks, want %d", got, want)
+	}
+	if l.Total() != total || l.Dropped() != total-laneCap {
+		t.Errorf("Total = %d, Dropped = %d, want %d and Total-laneCap = %d", l.Total(), l.Dropped(), total, total-laneCap)
+	}
+	evs := l.Events()
+	if len(evs) != laneCap {
+		t.Fatalf("retained %d events, want %d", len(evs), laneCap)
+	}
+	for i, e := range evs {
+		if want := total - laneCap + int64(i); e.Start != want {
+			t.Fatalf("event %d start = %d, want %d (newest laneCap, oldest first)", i, e.Start, want)
+		}
+	}
+}
+
+// BenchmarkLaneAdd is a new lane plus N adds: what a thread's timeline
+// costs a traced run, allocation included (-benchmem).
+func BenchmarkLaneAdd(b *testing.B) {
+	for _, n := range []int{16, 1 << 12, 1 << 17} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				l := newLane(0, laneCap)
+				for i := range n {
+					l.Span(PhaseCompute, int64(i), int64(i+1))
+				}
+			}
+		})
 	}
 }
 

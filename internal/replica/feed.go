@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/commitlog"
-	"repro/internal/obs"
 )
 
 // errKilled marks a follower death (panic or injected kill): its
@@ -224,13 +223,7 @@ func (fl *Fleet) noteProgress(s *fstate) {
 	fl.raiseFrontier(v)
 	s.lastVersion.Store(v)
 	s.lastMoveNS.Store(time.Now().UnixNano())
-	if fl.lagHist != nil {
-		lag := fl.frontier.Load() - v
-		if lag < 0 {
-			lag = 0
-		}
-		fl.lagHist.Observe(lag)
-	}
+	fl.lagHist.Observe(max(fl.frontier.Load()-v, 0))
 	if !s.caughtUp.Load() && v >= s.restartTarget.Load() {
 		s.caughtUp.Store(true)
 		ns := time.Now().UnixNano() - s.restartStartNS.Load()
@@ -361,43 +354,4 @@ func (b *backoff) next(attempt int) time.Duration {
 	}
 	half := int64(d / 2)
 	return time.Duration(half + b.rng.Below(half+1))
-}
-
-// registerMetrics exposes the fleet on the run's obs registry; nil
-// registry means headless (tests, conseq-replay) and skips the
-// histogram too.
-func (fl *Fleet) registerMetrics() {
-	reg := fl.o.Registry
-	if reg == nil {
-		return
-	}
-	for _, s := range fl.states {
-		s := s
-		role := "serve"
-		if s.archive {
-			role = "archive"
-		}
-		reg.Func("replica_lag", func() int64 {
-			lag := fl.frontier.Load() - s.f.Version()
-			if lag < 0 {
-				lag = 0
-			}
-			return lag
-		}, obs.L("follower", s.f.id), obs.L("role", role))
-	}
-	reg.Func("replica_restarts_total", fl.restarts.Load)
-	reg.Func("replica_reads_served", fl.readsServed.Load)
-	reg.Func("replica_reads_redirected", fl.readsRedirected.Load)
-	reg.Func("replica_reads_rejected", fl.readsRejected.Load)
-	reg.Func("replica_catchup_ns", fl.catchupNSMax.Load)
-	reg.Func("replica_admitted", func() int64 {
-		n := int64(0)
-		for _, s := range fl.states {
-			if s.admitted.Load() {
-				n++
-			}
-		}
-		return n
-	})
-	fl.lagHist = reg.Histogram("replica_lag_hist")
 }

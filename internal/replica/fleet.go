@@ -61,11 +61,6 @@ type Options struct {
 	// follower-stall, follower-tear knobs); each follower draws from its
 	// own stream. Never applied to the archive follower.
 	Chaos *chaos.Injector
-	// Registry, when non-nil, registers the replica_* metrics
-	// (replica_lag per follower, replica_restarts_total,
-	// replica_reads_{served,redirected,rejected}, the replica_lag_hist
-	// histogram and replica_catchup_ns) for the analyzer.
-	Registry *obs.Registry
 	// OnApply, when non-nil, observes every commit a follower applies
 	// (called from the follower's feed goroutine, after the apply).
 	// conseq-replay -follow uses it for per-commit output.
@@ -162,7 +157,7 @@ type Fleet struct {
 	catchupNSLast   atomic.Int64
 	catchupNSMax    atomic.Int64
 
-	lagHist *obs.Histogram // nil without a registry
+	lagHist obs.Histogram // each applied record's lag behind the frontier
 }
 
 // New prepares a fleet over a commit-log directory. live, when non-nil,
@@ -211,7 +206,6 @@ func (fl *Fleet) Start() error {
 		// The archive is chaos-exempt and keeps unbounded history.
 		fl.states = append(fl.states, &fstate{f: newFollower(len(fl.states), fl.pageSize, fl.npages, -1), archive: true, cursor: -1})
 	}
-	fl.registerMetrics()
 	now := time.Now().UnixNano()
 	for _, s := range fl.states {
 		s.lastMoveNS.Store(now)
@@ -295,6 +289,37 @@ func (fl *Fleet) Stats() FleetStats {
 		}
 	}
 	return st
+}
+
+// Metrics returns the fleet's replica_* gauges — each follower's lag
+// behind the frontier (labelled with its id and role), the restart and
+// read counters, the slowest catch-up, the admitted count — and the
+// replica_lag_hist histogram of every applied record's lag, in
+// SortSamples' order: the analyzer's replication section reads them.
+func (fl *Fleet) Metrics() []obs.Sample {
+	out := []obs.Sample{
+		obs.Gauge("replica_restarts_total", fl.restarts.Load()),
+		obs.Gauge("replica_reads_served", fl.readsServed.Load()),
+		obs.Gauge("replica_reads_redirected", fl.readsRedirected.Load()),
+		obs.Gauge("replica_reads_rejected", fl.readsRejected.Load()),
+		obs.Gauge("replica_catchup_ns", fl.catchupNSMax.Load()),
+		fl.lagHist.Sample("replica_lag_hist"),
+	}
+	admitted := int64(0)
+	for _, s := range fl.states {
+		role := "serve"
+		if s.archive {
+			role = "archive"
+		}
+		lag := max(fl.frontier.Load()-s.f.Version(), 0)
+		out = append(out, obs.Gauge("replica_lag", lag, obs.L("follower", s.f.id), obs.L("role", role)))
+		if s.admitted.Load() {
+			admitted++
+		}
+	}
+	out = append(out, obs.Gauge("replica_admitted", admitted))
+	obs.SortSamples(out)
+	return out
 }
 
 // WaitCaughtUp blocks until every follower (archive included) has

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -541,15 +543,16 @@ func TestBackoffDeterministicCapped(t *testing.T) {
 	}
 }
 
-// An obs registry attached to the fleet must expose the replica metric
-// family.
+// A fleet started with no observer lists the replica metric family after
+// its followers catch up — a lag gauge per follower with its role, the
+// read counters, and the lag histogram, which counts every applied record
+// — in SortSamples' order.
 func TestFleetMetricsRegistered(t *testing.T) {
 	const n = 50
 	dir := t.TempDir()
 	commits := mkCommits(n)
 	l := writeLog(t, dir, nil, commitlog.Options{}, true)
-	reg := obs.NewRegistry()
-	fl := New(dir, l, Options{Followers: 1, Archive: true, Registry: reg, Seed: 1})
+	fl := New(dir, l, Options{Followers: 1, Archive: true, Seed: 1})
 	if err := fl.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -563,21 +566,33 @@ func TestFleetMetricsRegistered(t *testing.T) {
 	if _, err := fl.ReadAt(n, 0); err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]bool{
-		"replica_lag": false, "replica_restarts_total": false,
-		"replica_reads_served": false, "replica_reads_redirected": false,
-		"replica_reads_rejected": false, "replica_catchup_ns": false,
-		"replica_admitted": false, "replica_lag_hist": false,
+	ms := fl.Metrics()
+	sorted := append([]obs.Sample(nil), ms...)
+	obs.SortSamples(sorted)
+	if !reflect.DeepEqual(ms, sorted) {
+		t.Error("Metrics is not in SortSamples' order")
 	}
-	for _, s := range reg.Snapshot() {
-		if _, ok := want[s.Name]; ok {
-			want[s.Name] = true
+	got := map[string]obs.Sample{}
+	for _, s := range ms {
+		name, _, _ := strings.Cut(s.String(), " ")
+		got[name] = s
+	}
+	for _, name := range []string{
+		"replica_lag{follower=0,role=serve}", "replica_lag{follower=1,role=archive}",
+		"replica_restarts_total", "replica_reads_served", "replica_reads_redirected",
+		"replica_reads_rejected", "replica_catchup_ns", "replica_admitted", "replica_lag_hist",
+	} {
+		if _, ok := got[name]; !ok {
+			t.Errorf("metric %s missing from %v", name, ms)
 		}
 	}
-	for name, seen := range want {
-		if !seen {
-			t.Fatalf("metric %s not registered", name)
-		}
+	if s := got["replica_reads_served"]; s.Value != 1 {
+		t.Errorf("replica_reads_served = %d, want 1", s.Value)
+	}
+	// Both followers apply all n commits; each applied record is one
+	// observation.
+	if h := got["replica_lag_hist"]; h.Kind != obs.KindHistogram || h.Value < 2*n {
+		t.Errorf("replica_lag_hist = %v, want a histogram of at least %d observations", h, 2*n)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)

@@ -76,8 +76,9 @@ echo "== bench smoke (1 iteration, allocations reported)"
 # internal/det's are the token-path micro-benchmarks: handoff ping-pong,
 # fork/join, and grant parallelism across shard counts. internal/trace's
 # numbers and hashes an event with no sink attached, as a run without a
-# commit log does.
-go test -run=NONE -bench=. -benchtime=1x -benchmem ./internal/mem ./internal/commitlog ./internal/det ./internal/trace >/dev/null
+# commit log does. internal/obs's is a new timeline lane plus N adds, so
+# what a lane allocates shows here.
+go test -run=NONE -bench=. -benchtime=1x -benchmem ./internal/mem ./internal/commitlog ./internal/det ./internal/trace ./internal/obs >/dev/null
 # The root package's whole-program benchmarks only (every ledger program on
 # all five runtimes on the real host, and on consequence-ic on the
 # simulation host): -bench=. there would run BenchmarkFigures, the whole
