@@ -50,10 +50,13 @@ type Instr struct {
 	Own  bool   // a Fence on the thread's own lock (FOwn), not the shared one
 }
 
-// MaxRegs bounds the registers, and Locs the locations, a test may use.
+// MaxRegs bounds the registers, Locs the locations and MaxThreads the
+// threads a test may use; a thread runs at most MaxInstrs instructions.
 const (
-	MaxRegs = 4
-	Locs    = 4
+	MaxRegs    = 4
+	Locs       = 4
+	MaxThreads = 4
+	MaxInstrs  = 255
 )
 
 // Outcome is a test's final state: its register file, and memory once
@@ -205,6 +208,25 @@ func (s state) clone() state {
 	return n
 }
 
+// key is a state's identity in explore's visited set: comparable and of
+// fixed size, so the set hashes it without formatting it. A buffer is
+// named by its length: stores enter it in program order and leave it
+// oldest first, so it holds the last n stores its thread executed, which
+// the thread's pc fixes.
+type key struct {
+	pc, buffered [MaxThreads]uint8
+	mem          [Locs]uint64
+	regs         [MaxRegs]uint64
+}
+
+func (s state) key() key {
+	k := key{mem: s.mem, regs: s.regs}
+	for i := range s.pc {
+		k.pc[i], k.buffered[i] = uint8(s.pc[i]), uint8(len(s.buf[i]))
+	}
+	return k
+}
+
 // load is what thread i reads at loc: its newest buffered store there,
 // or else memory.
 func (s state) load(i, loc int) uint64 {
@@ -221,15 +243,23 @@ func (s state) load(i, loc int) uint64 {
 // the final states: every instruction retired and every buffer empty. With
 // buffered false each store is flushed as it executes.
 func explore(t Test, buffered bool) map[Outcome]bool {
+	if len(t.Threads) > MaxThreads {
+		panic(fmt.Sprintf("litmus: %s has %d threads, more than MaxThreads (%d)", t.Name, len(t.Threads), MaxThreads))
+	}
+	for i, th := range t.Threads {
+		if len(th) > MaxInstrs {
+			panic(fmt.Sprintf("litmus: %s thread %d has %d instructions, more than MaxInstrs (%d)", t.Name, i, len(th), MaxInstrs))
+		}
+	}
 	out := map[Outcome]bool{}
-	seen := map[string]bool{}
+	seen := map[key]bool{}
 	var visit func(s state)
 	visit = func(s state) {
-		key := fmt.Sprint(s.pc, s.buf, s.mem, s.regs)
-		if seen[key] {
+		k := s.key()
+		if seen[k] {
 			return
 		}
-		seen[key] = true
+		seen[k] = true
 		final := true
 		for i, th := range t.Threads {
 			if len(s.buf[i]) > 0 { // the oldest buffered store reaches memory

@@ -105,13 +105,15 @@ func TestOnePageCommitAllocations(t *testing.T) {
 // pointer-sized field more in pageSlot moves every such version to the
 // 144-byte class. A small diff's block is 48 or 80 bytes alone, and 176 or
 // 208 with the version header in front: exact classes too, so a one-page
-// commit costs the bytes of its two former objects in one.
+// commit costs the bytes of its two former objects in one. A fault's
+// dirtyPage record, write window included, is 96 bytes, an exact class.
 func TestVersionLayout(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		got, want uintptr
 	}{
 		{"pageSlot", unsafe.Sizeof(pageSlot{}), 88},
+		{"dirtyPage", unsafe.Sizeof(dirtyPage{}), 96},
 		{"Version", unsafe.Sizeof(Version{}), 128},
 		{"diff1", unsafe.Sizeof(diff1{}), 48},
 		{"diff2", unsafe.Sizeof(diff2{}), 80},
@@ -156,11 +158,11 @@ func TestSmallDiffIsOneBlock(t *testing.T) {
 			var spare *Version
 			diff := func() {
 				if !withSpare {
-					d = computeDiff(cur, twin, nil)
+					d = computeDiff(cur, twin, 0, len(cur), nil)
 					return
 				}
 				spare = nil
-				d = computeDiff(cur, twin, &spare)
+				d = computeDiff(cur, twin, 0, len(cur), &spare)
 			}
 			if n := testing.AllocsPerRun(10, diff); n != tc.allocs {
 				t.Errorf("%s: %.0f allocations, want %.0f", name, n, tc.allocs)

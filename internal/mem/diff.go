@@ -142,28 +142,48 @@ func nextSameByte(cur, twin []byte, i int) int {
 	return i
 }
 
-// computeDiff compares cur against twin and returns byte-exact runs where
-// they differ, capturing cur's bytes. Both slices must be the same length.
-// The scan is word-wide (8 bytes per compare) in both the clean-skip and
-// the run-extent phases; the runs produced are identical to a
-// byte-at-a-time scan (FuzzComputeDiff pins this against the reference).
+// diffStackRuns is how many run bounds computeDiff records on the stack
+// during its scan. A page with more runs than this finishes with a second
+// scan, from the first unrecorded run. The array is a stack variable, so
+// it costs no allocation (TestPackedDiffLayout).
+const diffStackRuns = 32
+
+// computeDiff compares cur against twin within the window [lo, hi) and
+// returns byte-exact runs where they differ, capturing cur's bytes. Both
+// slices must be the same length, and the caller guarantees cur == twin
+// outside the window: a dirty page's window is the span of its local
+// writes (dirtyPage.lo), so the diff costs what the thread wrote, not the
+// page. Under that guarantee the runs are those of the whole page — a run
+// cannot cross a window edge, because the byte beyond it agrees. The scan
+// is word-wide (8 bytes per compare) in both the clean-skip and the
+// run-extent phases; the runs produced are identical to a byte-at-a-time
+// scan of the whole page (FuzzComputeDiff pins this against the reference,
+// over random windows).
 //
-// The diff is packed: a first scan counts the runs and their bytes, a
-// second fills exactly one []Run and one backing []byte that every run's
-// Data slices into — two allocations per diffed page however fragmented
-// the changes are, and one for a small diff (see smallDiffBytes). Runs are
-// immutable after publication (the commit log and followers alias them),
-// so sharing one backing array is safe.
+// The diff is packed: one scan counts the runs and their bytes, recording
+// the first diffStackRuns runs' bounds on the stack, then the fill makes
+// exactly one []Run and one backing []byte that every run's Data slices
+// into — two allocations per diffed page however fragmented the changes
+// are, and one for a small diff (see smallDiffBytes). Runs are immutable
+// after publication (the commit log and followers alias them), so sharing
+// one backing array is safe.
 //
 // With a non-nil spare, a small diff's block also carries a zero Version in
 // front of its runs, and *spare is set to it: the workspace keeps it as the
 // header of the next version it publishes (Workspace.spare), so a one-page
 // commit is one object. A larger diff leaves *spare alone.
-func computeDiff(cur, twin []byte, spare **Version) Diff {
-	n := len(cur)
+func computeDiff(cur, twin []byte, lo, hi int, spare **Version) Diff {
+	cur, twin = cur[:hi], twin[:hi]
+	var bounds [diffStackRuns]struct{ off, end int32 }
 	nruns, nbytes := 0, 0
-	for i := nextDiffByte(cur, twin, 0); i < n; {
+	rescan := hi // the first unrecorded run's offset, if there is one
+	for i := nextDiffByte(cur, twin, lo); i < hi; {
 		end := nextSameByte(cur, twin, i)
+		if nruns < len(bounds) {
+			bounds[nruns].off, bounds[nruns].end = int32(i), int32(end)
+		} else if nruns == len(bounds) {
+			rescan = i
+		}
 		nruns++
 		nbytes += end - i
 		i = nextDiffByte(cur, twin, end)
@@ -188,17 +208,26 @@ func computeDiff(cur, twin []byte, spare **Version) Diff {
 		p := new(versionDiff2)
 		*spare, runs, backing = &p.v, p.r[:], p.b[:nbytes]
 	}
-	i := 0
-	for k := range runs {
+	k := 0
+	for ; k < nruns && k < len(bounds); k++ {
+		backing = fillRun(&runs[k], backing, cur, int(bounds[k].off), int(bounds[k].end))
+	}
+	for i := rescan; k < nruns; k++ {
 		i = nextDiffByte(cur, twin, i)
 		end := nextSameByte(cur, twin, i)
-		data := backing[: end-i : end-i]
-		backing = backing[end-i:]
-		copy(data, cur[i:end])
-		runs[k] = Run{Off: i, Data: data}
+		backing = fillRun(&runs[k], backing, cur, i, end)
 		i = end
 	}
 	return Diff{Runs: runs}
+}
+
+// fillRun makes *r the run of cur[off:end], its data carved from the front
+// of backing with no slack, and returns the rest of backing.
+func fillRun(r *Run, backing, cur []byte, off, end int) []byte {
+	data := backing[: end-off : end-off]
+	copy(data, cur[off:end])
+	*r = Run{Off: off, Data: data}
+	return backing[end-off:]
 }
 
 // apply overwrites dst with the diff's bytes. dst must be at least as long

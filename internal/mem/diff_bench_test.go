@@ -7,6 +7,9 @@ import (
 
 const benchPage = 4096
 
+// storeOff is where the "store" pattern's one word lies.
+const storeOff = 1024
+
 // benchPair builds a page-size cur/twin pair with the given dirty-byte
 // pattern (seeded, so every benchmark run sees the same bytes).
 func benchPair(pattern string) (cur, twin []byte) {
@@ -16,6 +19,11 @@ func benchPair(pattern string) (cur, twin []byte) {
 	cur = append([]byte(nil), twin...)
 	switch pattern {
 	case "clean":
+	case "store":
+		// One word stored, as a sync-heavy program's commit usually is.
+		for k := 0; k < wordBytes; k++ {
+			cur[storeOff+k] ^= 0x5a
+		}
 	case "sparse":
 		// A handful of short runs, like a few scattered stores.
 		for i := 0; i < 8; i++ {
@@ -46,18 +54,30 @@ func benchPair(pattern string) (cur, twin []byte) {
 }
 
 // BenchmarkComputeDiff compares the word-wide kernel against the byte-loop
-// reference on clean, sparse-dirty and dense-dirty pages. The perf_opt
-// acceptance bar is ≥2x on dense pages (word vs byte).
+// reference, both over the whole page, on clean, sparse-dirty, dense-dirty
+// and mixed pages and on a page with one word stored. The stored page is
+// also diffed over its write window, the word itself, which is what a
+// dirty page's diff scans (dirtyPage.lo): "store/window" against
+// "store/word" is what the window saves a one-word commit.
 func BenchmarkComputeDiff(b *testing.B) {
-	for _, pattern := range []string{"clean", "sparse", "dense", "mixed"} {
+	for _, pattern := range []string{"clean", "sparse", "dense", "mixed", "store"} {
 		cur, twin := benchPair(pattern)
 		b.Run(pattern+"/word", func(b *testing.B) {
 			b.SetBytes(benchPage)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				computeDiff(cur, twin, nil)
+				computeDiff(cur, twin, 0, len(cur), nil)
 			}
 		})
+		if pattern == "store" {
+			b.Run(pattern+"/window", func(b *testing.B) {
+				b.SetBytes(benchPage)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					computeDiff(cur, twin, storeOff, storeOff+wordBytes, nil)
+				}
+			})
+		}
 		b.Run(pattern+"/byte", func(b *testing.B) {
 			b.SetBytes(benchPage)
 			b.ReportAllocs()

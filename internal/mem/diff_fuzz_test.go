@@ -45,27 +45,68 @@ func clip(a, b []byte) ([]byte, []byte) {
 	return append([]byte(nil), a[:n]...), append([]byte(nil), b[:n]...)
 }
 
-func fuzzSeedPairs(f *testing.F) {
-	f.Add([]byte{}, []byte{})
-	f.Add([]byte{1}, []byte{2})
-	f.Add([]byte("12345678"), []byte("12345678"))                         // exactly one word, clean
-	f.Add([]byte("abcdefgh"), []byte("abcdefgX"))                         // word with tail byte dirty
-	f.Add([]byte("123456789abcd"), []byte("x23456789abcY"))               // 13 bytes: word + 5-byte tail
-	f.Add(bytes.Repeat([]byte{0xaa}, 64), bytes.Repeat([]byte{0x55}, 64)) // dense
-	f.Add(bytes.Repeat([]byte{7}, 31), bytes.Repeat([]byte{7}, 31))       // clean, 8∤31
-	f.Add([]byte("same....DIFF....same....X"), []byte("same....diff....same....Y"))
+// seedPairs are the cur/twin pairs both fuzz targets start from.
+func seedPairs() [][2][]byte {
+	// Pages with more runs than computeDiff records on the stack, so the
+	// rescan from the first unrecorded run is seeded: every other byte of
+	// a 4 KiB page, and one run past the array.
+	alternate := make([]byte, DefaultPageSize)
+	oneOver := make([]byte, 2*(diffStackRuns+1)*wordBytes)
+	for i := range alternate {
+		alternate[i] = byte(i & 1)
+	}
+	for i := 0; i < len(oneOver); i += 2 * wordBytes {
+		oneOver[i+3] = 9
+	}
+	return [][2][]byte{
+		{[]byte{}, []byte{}},
+		{[]byte{1}, []byte{2}},
+		{[]byte("12345678"), []byte("12345678")},                         // exactly one word, clean
+		{[]byte("abcdefgh"), []byte("abcdefgX")},                         // word with tail byte dirty
+		{[]byte("123456789abcd"), []byte("x23456789abcY")},               // 13 bytes: word + 5-byte tail
+		{bytes.Repeat([]byte{0xaa}, 64), bytes.Repeat([]byte{0x55}, 64)}, // dense
+		{bytes.Repeat([]byte{7}, 31), bytes.Repeat([]byte{7}, 31)},       // clean, 8∤31
+		{[]byte("same....DIFF....same....X"), []byte("same....diff....same....Y")},
+		{alternate, make([]byte, len(alternate))},
+		{oneOver, make([]byte, len(oneOver))},
+	}
+}
+
+// window maps two fuzzed numbers onto a window [lo, hi) of a page of n
+// bytes that encloses every byte in [first, last), the span the page
+// differs over (first == last: it differs nowhere).
+func window(n, first, last int, a, b uint16) (lo, hi int) {
+	if first == last {
+		lo = int(a) % (n + 1)
+		return lo, lo + int(b)%(n-lo+1)
+	}
+	return first - int(a)%(first+1), last + int(b)%(n-last+1)
 }
 
 // FuzzComputeDiff pins the word-wide diff kernel to the byte-loop
 // reference: identical runs (offsets, lengths, bytes) for every cur/twin
-// pair, including lengths not divisible by the word size.
+// pair, including lengths not divisible by the word size, both over the
+// whole page and over a fuzzed window that encloses every differing byte,
+// as a dirty page's write window does (dirtyPage.lo).
 func FuzzComputeDiff(f *testing.F) {
-	fuzzSeedPairs(f)
-	f.Fuzz(func(t *testing.T, a, b []byte) {
+	for _, p := range seedPairs() {
+		f.Add(p[0], p[1], uint16(0), uint16(0))
+		f.Add(p[0], p[1], uint16(3), uint16(17))
+	}
+	f.Fuzz(func(t *testing.T, a, b []byte, wlo, whi uint16) {
 		cur, twin := clip(a, b)
-		got, want := computeDiff(cur, twin, nil), computeDiffRef(cur, twin)
+		want := computeDiffRef(cur, twin)
+		got := computeDiff(cur, twin, 0, len(cur), nil)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("computeDiff mismatch\ncur  %x\ntwin %x\ngot  %+v\nwant %+v", cur, twin, got, want)
+		}
+		first, last := 0, 0
+		if k := len(want.Runs); k > 0 {
+			first, last = want.Runs[0].Off, want.Runs[k-1].Off+len(want.Runs[k-1].Data)
+		}
+		lo, hi := window(len(cur), first, last, wlo, whi)
+		if got := computeDiff(cur, twin, lo, hi, nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("computeDiff over [%d,%d) mismatch\ncur  %x\ntwin %x\ngot  %+v\nwant %+v", lo, hi, cur, twin, got, want)
 		}
 		// Byte-exactness invariant: runs never include an unchanged byte,
 		// and applying the diff to a copy of twin reproduces cur.
@@ -89,7 +130,9 @@ func FuzzComputeDiff(f *testing.F) {
 // commit path depends on (see dirtyPage.spec): patching a page pair never
 // changes what computeDiff reports for it.
 func FuzzApplyWhereClean(f *testing.F) {
-	fuzzSeedPairs(f)
+	for _, p := range seedPairs() {
+		f.Add(p[0], p[1])
+	}
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		dst, twin := clip(a, b)
 		// The incoming diff models a remote commit against the same base:
@@ -105,14 +148,14 @@ func FuzzApplyWhereClean(f *testing.F) {
 
 		dst2 := append([]byte(nil), dst...)
 		twin2 := append([]byte(nil), twin...)
-		before := computeDiff(dst, twin, nil)
+		before := computeDiff(dst, twin, 0, len(dst), nil)
 
 		d.applyWhereClean(dst, twin)
 		applyWhereCleanRef(d, dst2, twin2)
 		if !bytes.Equal(dst, dst2) || !bytes.Equal(twin, twin2) {
 			t.Fatalf("applyWhereClean mismatch\ndst  %x\nref  %x\ntwin %x\nref  %x", dst, dst2, twin, twin2)
 		}
-		if after := computeDiff(dst, twin, nil); !reflect.DeepEqual(before, after) {
+		if after := computeDiff(dst, twin, 0, len(dst), nil); !reflect.DeepEqual(before, after) {
 			t.Fatalf("patch changed the local diff\nbefore %+v\nafter  %+v", before, after)
 		}
 	})
@@ -128,7 +171,7 @@ func TestApplyWhereCleanPreservesDiff(t *testing.T) {
 	copy(dst[10:14], "WXYZ") // local store buffer: bytes 10..13 dirty
 
 	d := Diff{Runs: []Run{{Off: 8, Data: []byte("remotekin")}}} // pulls 8..16
-	before := computeDiff(dst, twin, nil)
+	before := computeDiff(dst, twin, 0, len(dst), nil)
 
 	d.applyWhereClean(dst, twin)
 
@@ -141,7 +184,7 @@ func TestApplyWhereCleanPreservesDiff(t *testing.T) {
 	if !bytes.Equal(dst[8:10], twin[8:10]) || !bytes.Equal(dst[14:17], twin[14:17]) {
 		t.Error("twin not kept in sync at imported bytes")
 	}
-	after := computeDiff(dst, twin, nil)
+	after := computeDiff(dst, twin, 0, len(dst), nil)
 	if !reflect.DeepEqual(before, after) {
 		t.Errorf("import changed the local diff\nbefore %+v\nafter  %+v", before, after)
 	}

@@ -28,7 +28,6 @@ package mem
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -76,10 +75,13 @@ type Segment struct {
 	// versions holds the retained delta chain, versions[i] has
 	// Num == floor+1+i. Entries may be pending (phase 2 incomplete).
 	versions []*Version
-	// latest[pg] points at the most recent committed or pending version
-	// touching pg, or nil if base content is current. Used to chain
-	// parallel phase-2 merges per page.
-	latest map[int]*pageSlot
+	// latest[pg] is the slot of the most recent committed or pending
+	// version touching pg, or nil if no version ever has: npages entries,
+	// like base. Through prev it heads pg's own version chain, newest
+	// first, which chains the parallel phase-2 merges per page and is what
+	// committedPage walks. A slot at or below floor has folded into base,
+	// and its prev is nil.
+	latest []*pageSlot
 
 	stats   Stats
 	statsMu sync.Mutex
@@ -201,12 +203,12 @@ type Version struct {
 	// Committer is the thread ID that produced this version.
 	Committer int
 	// slots holds one slot per modified page, by value, in ascending page
-	// order (the deterministic phase-2 processing order, and what slot
-	// looks pages up in). BeginCommit fills the array in place before the
-	// version is published; after that it is never copied, re-sliced or
-	// appended to, because latest, the next committer's prev and pending
-	// patch lists all hold &slots[i], and a pageSlot carries a sync.Once
-	// that must not be duplicated. Walk it by index, never by value.
+	// order (the deterministic phase-2 processing order). BeginCommit fills
+	// the array in place before the version is published; after that it is
+	// never copied, re-sliced or appended to, because latest, the next
+	// committer's prev and pending patch lists all hold &slots[i], and a
+	// pageSlot carries a sync.Once that must not be duplicated. Walk it by
+	// index, never by value.
 	slots []pageSlot
 	// one backs slots for a one-page version, so the version and its slot
 	// are a single allocation.
@@ -230,15 +232,6 @@ func (v *Version) init(committer, npages int) *Version {
 		v.slots = make([]pageSlot, npages)
 	}
 	return v
-}
-
-// slot returns the version's slot for pg, or nil if it did not modify pg.
-func (v *Version) slot(pg int) *pageSlot {
-	i := sort.Search(len(v.slots), func(i int) bool { return int(v.slots[i].page) >= pg })
-	if i == len(v.slots) || int(v.slots[i].page) != pg {
-		return nil
-	}
-	return &v.slots[i]
 }
 
 // NumPages returns the number of pages this version modified.
@@ -349,6 +342,9 @@ func NewSegment(cfg SegmentConfig) (*Segment, error) {
 	if ps <= 0 || ps&(ps-1) != 0 {
 		return nil, fmt.Errorf("mem: page size %d is not a power of two", ps)
 	}
+	if ps > math.MaxInt32 {
+		return nil, fmt.Errorf("mem: page size %d is more than a page offset holds", ps)
+	}
 	if cfg.Size <= 0 {
 		return nil, fmt.Errorf("mem: segment %q has non-positive size %d", cfg.Name, cfg.Size)
 	}
@@ -368,7 +364,7 @@ func NewSegment(cfg SegmentConfig) (*Segment, error) {
 		size:       np * ps,
 		base:       make([][]byte, np),
 		zero:       make([]byte, ps),
-		latest:     make(map[int]*pageSlot),
+		latest:     make([]*pageSlot, np),
 		workspaces: make(map[int]*Workspace),
 		stats:      Stats{GCPageBudget: cfg.GCPageBudget},
 	}
@@ -400,22 +396,16 @@ func (s *Segment) pageIndex(off int) (int, int) {
 	return off >> s.pageLog, off & (s.pageSize - 1)
 }
 
-// committedPage returns the content of pg as of version `at`, following
-// the retained delta chain. The returned slice must not be mutated, and is
-// only stable while `at` is pinned — a live workspace's version or a
-// reserved UpdateTo target (the recycling invariant on Segment.free):
-// callers copy out of it before their workspace moves. If the governing
-// version is still pending, its content is resolved on demand.
+// committedPage returns the content of pg as of version `at`, found on
+// pg's own version chain (slotAtLocked). The returned slice must not be
+// mutated, and is only stable while `at` is pinned — a live workspace's
+// version or a reserved UpdateTo target (the recycling invariant on
+// Segment.free): callers copy out of it before their workspace moves. If
+// the governing version is still pending, its content is resolved on
+// demand.
 func (s *Segment) committedPage(pg int, at int64) []byte {
 	s.mu.Lock()
-	var slot *pageSlot
-	// Walk back from `at` to floor looking for the newest version <= at
-	// touching pg.
-	for i := at - s.floor - 1; i >= 0; i-- {
-		if slot = s.versions[i].slot(pg); slot != nil {
-			break
-		}
-	}
+	slot := s.slotAtLocked(pg, at)
 	if slot == nil {
 		data := s.base[pg]
 		s.mu.Unlock()
@@ -426,6 +416,24 @@ func (s *Segment) committedPage(pg int, at int64) []byte {
 	}
 	s.mu.Unlock()
 	return slot.resolve(s)
+}
+
+// slotAtLocked returns the slot that governs pg at version `at` — that of
+// the newest version at or below `at` touching pg — or nil if the base
+// table does. It walks pg's own chain, from latest[pg] along prev, so it
+// costs a step per version above `at` that touched pg — none for a read
+// at the head — however many versions are retained and however many pages
+// they touch. A slot at or below floor has folded into base. Caller holds
+// mu.
+func (s *Segment) slotAtLocked(pg int, at int64) *pageSlot {
+	slot := s.latest[pg]
+	for slot != nil && slot.version.Num > at {
+		slot = slot.prev
+	}
+	if slot != nil && slot.version.Num <= s.floor {
+		return nil // folded: base[pg] holds it
+	}
+	return slot
 }
 
 // Snapshot creates a workspace view of the segment at its current head.

@@ -28,6 +28,9 @@ func TestNewSegmentValidation(t *testing.T) {
 	if _, err := NewSegment(SegmentConfig{Name: "x", Size: 1<<31*64 + 1, PageSize: 64}); err == nil {
 		t.Error("a segment with more pages than an int32 page index holds accepted")
 	}
+	if _, err := NewSegment(SegmentConfig{Name: "x", Size: 1, PageSize: 1 << 31}); err == nil {
+		t.Error("a page size larger than an int32 write window holds accepted")
+	}
 	s, err := NewSegment(SegmentConfig{Name: "x", Size: 100, PageSize: 64})
 	if err != nil {
 		t.Fatalf("valid config rejected: %v", err)
@@ -512,7 +515,7 @@ func TestPropDiffRoundtrip(t *testing.T) {
 		for i := 0; i < rng.Intn(50); i++ {
 			cur[rng.Intn(n)] = byte(rng.Intn(256))
 		}
-		d := computeDiff(cur, twin, nil)
+		d := computeDiff(cur, twin, 0, len(cur), nil)
 		for _, r := range d.Runs {
 			for k, b := range r.Data {
 				if twin[r.Off+k] == b {

@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -328,25 +329,36 @@ func TestLaggingWorkspaceRetainsNoPages(t *testing.T) {
 
 // TestPackedDiffLayout pins the packed representation: however many runs,
 // a diff is one run slice and one backing array, and no run has slack an
-// append could grow into its neighbour.
+// append could grow into its neighbour — for a page of a few runs, and for
+// one with more runs than computeDiff records on the stack, which finishes
+// with a rescan.
 func TestPackedDiffLayout(t *testing.T) {
-	twin := make([]byte, 256)
-	cur := make([]byte, 256)
+	few := make([]byte, 256)
 	for _, span := range [][2]int{{0, 3}, {9, 10}, {64, 100}, {250, 256}} {
 		for i := span[0]; i < span[1]; i++ {
-			cur[i] = 1
+			few[i] = 1
 		}
 	}
-	d := computeDiff(cur, twin, nil)
-	if len(d.Runs) != 4 {
-		t.Fatalf("got %d runs, want 4", len(d.Runs))
+	many := make([]byte, DefaultPageSize)
+	for i := 5; i < len(many); i += 7 {
+		many[i] = byte(i) | 1
 	}
-	for i, r := range d.Runs {
-		if cap(r.Data) != len(r.Data) {
-			t.Errorf("run %d has slack: len %d cap %d", i, len(r.Data), cap(r.Data))
+	for _, cur := range [][]byte{few, many} {
+		twin := make([]byte, len(cur))
+		d := computeDiff(cur, twin, 0, len(cur), nil)
+		if want := computeDiffRef(cur, twin); !reflect.DeepEqual(d, want) {
+			t.Fatalf("%d-byte page: diff of %d runs is not the reference's %d", len(cur), len(d.Runs), len(want.Runs))
 		}
-	}
-	if n := testing.AllocsPerRun(50, func() { computeDiff(cur, twin, nil) }); n > 2 {
-		t.Errorf("computeDiff made %.0f allocations, want the run slice and one backing array", n)
+		if len(cur) == len(many) && len(d.Runs) <= diffStackRuns {
+			t.Fatalf("%d runs, want more than the %d recorded on the stack", len(d.Runs), diffStackRuns)
+		}
+		for i, r := range d.Runs {
+			if cap(r.Data) != len(r.Data) {
+				t.Errorf("%d runs: run %d has slack: len %d cap %d", len(d.Runs), i, len(r.Data), cap(r.Data))
+			}
+		}
+		if n := testing.AllocsPerRun(50, func() { computeDiff(cur, twin, 0, len(cur), nil) }); n > 2 {
+			t.Errorf("%d runs: computeDiff made %.0f allocations, want the run slice and one backing array", len(d.Runs), n)
+		}
 	}
 }

@@ -95,9 +95,9 @@ type dirtyPage struct {
 	twin []byte
 	lent bool // twin is a committed page, not the workspace's buffer
 	// spec is the page's speculative diff (PrepareCommit), meaningful only
-	// while specOK is set. The invariant: a valid spec always equals
-	// computeDiff(data, twin, ...) over the current contents. Local writes
-	// clear specOK; remote imports do NOT, because
+	// while specOK is set. The invariant: a valid spec always equals the
+	// diff of the current contents. Local writes clear specOK (and widen
+	// the write window); remote imports do NOT, because
 	// applyWhereClean is diff-preserving — it writes each pulled byte to
 	// both data and twin only at positions where data[i] == twin[i], so
 	// clean positions stay clean (both take the pulled byte) and dirty
@@ -112,6 +112,16 @@ type dirtyPage struct {
 	// commits drop it before any stats are counted — so prefetching can
 	// never change memory contents, commit order, or commit statistics.
 	pf uint8
+	// [lo, hi) is the write window: the span of the bytes Write stored
+	// since the record was made, empty (lo == hi) until the first store.
+	// The invariant: outside the window, data == twin. A fault's or a
+	// prefetch's copy starts equal to its twin; a patch (applyWhereClean)
+	// writes data and twin together, and only where they agree; copying a
+	// lent twin copies it byte for byte. So the diff scans only the window
+	// (computeDiff), and a one-word store costs a one-word diff.
+	// TestWriteWindowCoversDiff holds the invariant. The pair packs after
+	// pf, so the record is 96 bytes, an exact size class.
+	lo, hi int32
 }
 
 // newDirty returns an empty dirtyPage record, recycled if one is free.
@@ -205,6 +215,11 @@ func (ws *Workspace) Write(data []byte, off int) {
 			}
 		}
 		dp.specOK = false // the write invalidates any speculative diff
+		if dp.lo == dp.hi {
+			dp.lo, dp.hi = int32(po), int32(po+n)
+		} else {
+			dp.lo, dp.hi = min(dp.lo, int32(po)), max(dp.hi, int32(po+n))
+		}
 		copy(dp.data[po:po+n], data[:n])
 		data = data[n:]
 		off += n
@@ -337,14 +352,15 @@ func (ws *Workspace) PrepareCommit() int {
 	return prepared
 }
 
-// diff recomputes dp's diff. While the workspace holds no spare version
-// header, a small diff is allocated together with one (see spare).
+// diff recomputes dp's diff over its write window. While the workspace
+// holds no spare version header, a small diff is allocated together with
+// one (see spare).
 func (ws *Workspace) diff(dp *dirtyPage) {
 	var spare **Version
 	if ws.spare == nil {
 		spare = &ws.spare
 	}
-	dp.spec, dp.specOK = computeDiff(dp.data, dp.twin, spare), true
+	dp.spec, dp.specOK = computeDiff(dp.data, dp.twin, int(dp.lo), int(dp.hi), spare), true
 }
 
 // SetPredict switches write-set logging and prefetch support on or off.

@@ -52,14 +52,24 @@ echo "== go test -race (obs + mem + det + clock + trace + sim + host + chaos + r
 # every runtime.
 go test -race ./internal/obs/... ./internal/mem ./internal/det ./internal/clock ./internal/trace ./internal/sim ./internal/host/... ./internal/chaos/... ./internal/replica ./internal/commitlog ./internal/journal ./internal/api ./internal/baseline/... ./internal/workload
 
-echo "== go test -race -count=20 (the page recycling stress: GC prunes pages while readers copy them; the spare version header's and the lent twins' ownership)"
+echo "== go test -race -count=20 (the page recycling stress: GC prunes pages while readers copy them; the spare version header's and the lent twins' ownership; the per-page chain walk)"
 # A prune that races a reader shows up only in some interleavings, so one
 # race-detector pass is not enough (docs/architecture.md, "Page buffers").
 # TestSpareOwnership runs beside it: a version header that outlived its
 # BeginCommit would be re-used under a published version. So does
 # TestLentTwinOwnership: a twin lent from a committed page must never be
-# put, nor patched in place.
-go test -race -count=20 -run 'TestRecycleNeverReachesReaders|TestSpareOwnership|TestLentTwinOwnership' ./internal/mem
+# put, nor patched in place. TestCommittedPageWalksChain holds the page
+# lookup's chain walk equal to a scan of every retained version, across
+# conflicts, pending merges, prunes, budgeted GC folds and reserved moves.
+go test -race -count=20 -run 'TestRecycleNeverReachesReaders|TestSpareOwnership|TestLentTwinOwnership|TestCommittedPageWalksChain' ./internal/mem
+
+echo "== go test -fuzz (the diff and patch kernels, 10 s each)"
+# Beyond their seed corpus, which go test ./... replays: FuzzComputeDiff
+# pins the windowed one-pass diff to the byte-loop reference, and
+# FuzzApplyWhereClean the masked merge and the diff preservation the
+# speculative commit path relies on.
+go test -run=NONE -fuzz=FuzzComputeDiff -fuzztime=10s ./internal/mem
+go test -run=NONE -fuzz=FuzzApplyWhereClean -fuzztime=10s ./internal/mem
 
 echo "== go test -race -count=5 (barrier pruning against real-host readers)"
 # Every barrier release prunes (Segment.Prune) while woken waiters move to
