@@ -115,6 +115,18 @@ func TestArtifactCLIs(t *testing.T) {
 		t.Errorf("detrun -analyze -json: exit %d, decode %v, report %+v; stdout:\n%.300s", code, err, rep, out)
 	}
 	expect(t, 2, nil, in("detrun"), append(cell, "-json")...)
+
+	// A flag the run would ignore is a usage error: -dump-sync on a runtime
+	// with no sync trace, and an explicit -predict on one det.Config does
+	// not configure. -compare runs the consequence runtimes too, so
+	// -predict stays valid there.
+	small := []string{"-bench", "kmeans", "-threads", "4"}
+	expect(t, 2, nil, in("detrun"), append(small, "-runtime", "pthreads", "-dump-sync", "5")...)
+	for _, rt := range []string{"dthreads", "dwc", "pthreads", "rfdet-lrc"} {
+		expect(t, 2, nil, in("detrun"), append(small, "-runtime", rt, "-predict=false")...)
+	}
+	expect(t, 0, []string{"dthreads"}, in("detrun"), append(small, "-runtime", "dthreads", "-predict=false", "-compare")...)
+	expect(t, 0, []string{"checksum"}, in("detrun"), append(small, "-runtime", "consequence-rr", "-predict=false")...)
 	expect(t, 2, nil, in("conseq-analyze"))
 	expect(t, 2, nil, in("conseq-analyze"), "-json")
 }

@@ -91,17 +91,24 @@ func main() {
 		return
 	}
 
+	// -predict reaches a run only through det.Config, which only the
+	// consequence runtimes read; -compare runs those beside the others.
+	predictSet := false
+	flag.Visit(func(f *flag.Flag) { predictSet = predictSet || f.Name == "predict" })
+	kind := harness.Kind(*rtName)
 	switch {
 	case *jsonOut && !*analyzeRun:
 		usage(fmt.Errorf("-json is the format of the -analyze report; it needs -analyze"))
 	case *replicas > 0 && *commitLogDir == "":
 		usage(fmt.Errorf("-replicas serves a commit log; it needs -commitlog DIR"))
+	case predictSet && !*compare && kind != harness.KindConsequenceIC && kind != harness.KindConsequenceRR:
+		usage(fmt.Errorf("-predict configures the consequence runtimes; %s has no write-set prediction", kind))
 	}
 
 	// The cell every mode builds; -verify and -compare vary the host and
 	// the runtime around it.
 	o := harness.Options{
-		Bench: *bench, Runtime: harness.Kind(*rtName),
+		Bench: *bench, Runtime: kind,
 		Threads: *threads, Scale: *scale, Seed: *seed,
 		Shards: *shards, Chaos: *chaosSpec,
 		Modify: func(c *det.Config) { c.WriteSetPrediction = *predict },
@@ -154,7 +161,11 @@ func main() {
 	}
 	tr := cell.Trace()
 	var dump *trace.Collector
-	if tr != nil && *dumpTrace > 0 {
+	if *dumpTrace > 0 {
+		if tr == nil {
+			cell.Close()
+			usage(fmt.Errorf("-dump-sync lists the sync-order trace; %s records none", o.Runtime))
+		}
 		dump = trace.Collect(tr, *dumpTrace)
 	}
 	res, err := cell.Run()

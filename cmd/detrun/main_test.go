@@ -79,7 +79,8 @@ func TestCommitLogWithVerifyOrCompareIsAUsageError(t *testing.T) {
 // own: detrun prints it, -dump-sync lists it, and -verify compares its
 // hash across the sim and perturbed real-host runs (a zero there would
 // let a sync-order divergence pass on checksums alone). pthreads records
-// no trace and prints no trace line.
+// no trace and prints no trace line; -dump-sync beside it is a usage
+// error (cmd/cli_test.go).
 func TestBaselineRuntimesKeepTheirTrace(t *testing.T) {
 	bin := detrunBin(t)
 	for _, tc := range []struct{ runtime, trace string }{
@@ -87,7 +88,11 @@ func TestBaselineRuntimesKeepTheirTrace(t *testing.T) {
 		{"rfdet-lrc", "trace       73 events, hash 7421576b94bcda74"},
 		{"pthreads", ""},
 	} {
-		out, err := exec.Command(bin, "-bench", "kmeans", "-threads", "4", "-runtime", tc.runtime, "-dump-sync", "2").Output()
+		args := []string{"-bench", "kmeans", "-threads", "4", "-runtime", tc.runtime}
+		if tc.trace != "" {
+			args = append(args, "-dump-sync", "2")
+		}
+		out, err := exec.Command(bin, args...).Output()
 		if err != nil {
 			t.Fatalf("detrun -runtime %s: %v", tc.runtime, err)
 		}

@@ -410,8 +410,10 @@ func TestReplicasOption(t *testing.T) {
 	for _, s := range ms {
 		found[s.Name] = true
 	}
-	if !found["replica_lag"] || !found["replica_lag_hist"] || !found["mem_faults"] {
-		t.Errorf("Cell.Metrics lacks replica_lag, replica_lag_hist or mem_faults: %v", ms)
+	for _, name := range []string{"replica_lag", "replica_lag_p50", "replica_lag_p95", "replica_lag_max", "mem_faults"} {
+		if !found[name] {
+			t.Errorf("Cell.Metrics lacks %s: %v", name, ms)
+		}
 	}
 
 	oc := o

@@ -259,6 +259,37 @@ func TestTraceWithoutMetricsParses(t *testing.T) {
 	}
 }
 
+// TestMetricRecordKind keeps a trace written while metric records still
+// carried "kind":"func" readable, sample for sample, and rejects a record
+// of any other kind: a histogram record holds no one number to read.
+func TestMetricRecordKind(t *testing.T) {
+	raw, err := os.ReadFile(goldenTrace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parse := func(b []byte) (*analyze.Input, error) { return analyze.ParseChromeTrace(bytes.NewReader(b)) }
+	want, err := parse(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Metrics) == 0 {
+		t.Fatal("golden trace parsed no metrics")
+	}
+	withKind := func(kind string) []byte {
+		return bytes.ReplaceAll(raw, []byte(`,"value":`), []byte(`,"kind":"`+kind+`","value":`))
+	}
+	got, err := parse(withKind("func"))
+	if err != nil {
+		t.Fatalf("a trace with \"kind\":\"func\" records: %v", err)
+	}
+	if !reflect.DeepEqual(got.Metrics, want.Metrics) {
+		t.Errorf("\"kind\":\"func\" records parsed differently:\n%v\nvs\n%v", got.Metrics, want.Metrics)
+	}
+	if _, err := parse(withKind("histogram")); err == nil || !strings.Contains(err.Error(), `unknown kind "histogram"`) {
+		t.Errorf("a \"kind\":\"histogram\" record: err %v, want an unknown-kind error", err)
+	}
+}
+
 // TestReportInvariants checks the properties that must hold for any run:
 // the critical path is bounded by wall time, and the report's phase totals
 // reconcile exactly with the runtime's own RunStats breakdown, and the
@@ -367,10 +398,6 @@ func TestReplicationReport(t *testing.T) {
 		Tid:    0,
 		Events: []obs.Event{{Phase: obs.PhaseCompute, Start: 0, End: 100}},
 	}}
-	var h obs.Histogram
-	for i := 0; i < 100; i++ {
-		h.Observe(int64(i % 5))
-	}
 	metrics := []obs.Sample{
 		obs.Gauge("commitlog_append_stalls", 3),
 		obs.Gauge("replica_restarts_total", 2),
@@ -381,7 +408,9 @@ func TestReplicationReport(t *testing.T) {
 		obs.Gauge("replica_catchup_ns", 5_000_000),
 		obs.Gauge("replica_lag", 1, obs.L("follower", 0), obs.L("role", "serve")),
 		obs.Gauge("replica_lag", 7, obs.L("follower", 2), obs.L("role", "archive")),
-		h.Sample("replica_lag_hist"),
+		obs.Gauge("replica_lag_p50", 2),
+		obs.Gauge("replica_lag_p95", 4),
+		obs.Gauge("replica_lag_max", 9),
 	}
 	obs.SortSamples(metrics)
 	rep, err := analyze.Analyze(&analyze.Input{Process: "fleet", Lanes: lanes, Metrics: metrics})
@@ -398,8 +427,8 @@ func TestReplicationReport(t *testing.T) {
 	if rp.ReadsServed != 10 || rp.ReadsRedirected != 4 || rp.ReadsRejected != 1 {
 		t.Errorf("reads = %d/%d/%d, want 10/4/1", rp.ReadsServed, rp.ReadsRedirected, rp.ReadsRejected)
 	}
-	if rp.CatchupMaxNS != 5_000_000 || rp.LagMax != 4 || rp.LagP95 <= 0 {
-		t.Errorf("catchup/lag = %d/%d/%.2f", rp.CatchupMaxNS, rp.LagMax, rp.LagP95)
+	if rp.CatchupMaxNS != 5_000_000 || rp.LagP50 != 2 || rp.LagP95 != 4 || rp.LagMax != 9 {
+		t.Errorf("catchup/lag p50/p95/max = %d/%d/%d/%d, want 5000000/2/4/9", rp.CatchupMaxNS, rp.LagP50, rp.LagP95, rp.LagMax)
 	}
 	if len(rp.Followers) != 2 || rp.Followers[0].Role != "serve" || rp.Followers[1].Role != "archive" ||
 		rp.Followers[1].Follower != 2 || rp.Followers[1].Lag != 7 {
@@ -409,7 +438,8 @@ func TestReplicationReport(t *testing.T) {
 	if err := rep.WriteText(&b); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), "replication") || !strings.Contains(b.String(), "archive") {
+	if !strings.Contains(b.String(), "replication") || !strings.Contains(b.String(), "archive") ||
+		!strings.Contains(b.String(), "lag          p50 2, p95 4, max 9 versions") {
 		t.Errorf("text report missing replication section:\n%s", b.String())
 	}
 

@@ -23,7 +23,9 @@ import (
 // supply the process name and the set of thread lanes. The top-level
 // otherData.metrics record is restored into Input.Metrics sample for
 // sample; a trace without it (written before the exporter carried it)
-// parses with nil Metrics.
+// parses with nil Metrics. A metric record is {"name","labels","value"};
+// one that still carries "kind":"func" (the older format) parses the
+// same, and any other kind is an error.
 func ParseChromeTrace(r io.Reader) (*Input, error) {
 	var doc struct {
 		TraceEvents []struct {
@@ -40,13 +42,10 @@ func ParseChromeTrace(r io.Reader) (*Input, error) {
 		} `json:"traceEvents"`
 		OtherData struct {
 			Metrics []struct {
-				Name    string            `json:"name"`
-				Labels  map[string]string `json:"labels"`
-				Kind    string            `json:"kind"`
-				Value   int64             `json:"value"`
-				Sum     int64             `json:"sum"`
-				Max     int64             `json:"max"`
-				Buckets []int64           `json:"buckets"`
+				Name   string            `json:"name"`
+				Labels map[string]string `json:"labels"`
+				Kind   string            `json:"kind"`
+				Value  int64             `json:"value"`
 			} `json:"metrics"`
 		} `json:"otherData"`
 	}
@@ -121,32 +120,20 @@ func ParseChromeTrace(r io.Reader) (*Input, error) {
 	}
 
 	for _, m := range doc.OtherData.Metrics {
-		s := obs.Sample{Name: m.Name, Value: m.Value}
-		var ok bool
-		if s.Kind, ok = metricKind(m.Kind); !ok {
+		// A record written before metrics lost their kind says "func";
+		// any other kind is a metric this reader cannot represent.
+		if m.Kind != "" && m.Kind != "func" {
 			return nil, fmt.Errorf("analyze: metric %s has unknown kind %q", m.Name, m.Kind)
 		}
+		s := obs.Sample{Name: m.Name, Value: m.Value}
 		// A sample keeps its labels sorted by key (their canonical form).
 		for k, v := range m.Labels {
 			s.Labels = append(s.Labels, obs.Label{Key: k, Value: v})
 		}
 		sort.Slice(s.Labels, func(i, j int) bool { return s.Labels[i].Key < s.Labels[j].Key })
-		if s.Kind == obs.KindHistogram {
-			s.Sum, s.Max, s.Buckets = m.Sum, m.Max, m.Buckets
-		}
 		in.Metrics = append(in.Metrics, s)
 	}
 	return in, nil
-}
-
-// metricKind is the inverse of obs.MetricKind.String.
-func metricKind(name string) (obs.MetricKind, bool) {
-	for _, k := range []obs.MetricKind{obs.KindHistogram, obs.KindFunc} {
-		if k.String() == name {
-			return k, true
-		}
-	}
-	return 0, false
 }
 
 // usecToNS converts a microsecond decimal string ("1.234", the exporter's

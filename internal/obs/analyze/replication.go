@@ -30,11 +30,12 @@ type ReplicationReport struct {
 	ReadsServed     int64 `json:"reads_served"`
 	ReadsRedirected int64 `json:"reads_redirected"`
 	ReadsRejected   int64 `json:"reads_rejected"`
-	// Lag quantiles (in versions) over every applied record, from the
-	// replica_lag_hist histogram.
-	LagP50 float64 `json:"lag_p50"`
-	LagP95 float64 `json:"lag_p95"`
-	LagMax int64   `json:"lag_max"`
+	// Lag quantiles (in versions, nearest rank) over every applied
+	// record, from the replica_lag_p50, replica_lag_p95 and
+	// replica_lag_max gauges.
+	LagP50 int64 `json:"lag_p50"`
+	LagP95 int64 `json:"lag_p95"`
+	LagMax int64 `json:"lag_max"`
 	// CatchupMaxNS is the slowest restart-to-caught-up cycle.
 	CatchupMaxNS int64 `json:"catchup_max_ns"`
 }
@@ -100,10 +101,14 @@ func replicationReport(metrics []obs.Sample, r *Report) {
 		case "replica_reads_rejected":
 			rep.ReadsRejected = s.Value
 			sawFleet = true
-		case "replica_lag_hist":
-			rep.LagP50 = round2(s.Quantile(0.50))
-			rep.LagP95 = round2(s.Quantile(0.95))
-			rep.LagMax = s.Max
+		case "replica_lag_p50":
+			rep.LagP50 = s.Value
+			sawFleet = true
+		case "replica_lag_p95":
+			rep.LagP95 = s.Value
+			sawFleet = true
+		case "replica_lag_max":
+			rep.LagMax = s.Value
 			sawFleet = true
 		case "replica_catchup_ns":
 			rep.CatchupMaxNS = s.Value

@@ -226,7 +226,7 @@ func (r *Report) WriteText(w io.Writer) error {
 			rp.AppendStalls, rp.Restarts, rp.Admitted)
 		p("  reads        %d served, %d redirected, %d rejected\n",
 			rp.ReadsServed, rp.ReadsRedirected, rp.ReadsRejected)
-		p("  lag          p50 %.2f, p95 %.2f, max %d versions; slowest catch-up %s ms\n",
+		p("  lag          p50 %d, p95 %d, max %d versions; slowest catch-up %s ms\n",
 			rp.LagP50, rp.LagP95, rp.LagMax, ms(rp.CatchupMaxNS))
 		for _, f := range rp.Followers {
 			p("  follower %-4d %-8s lag %d\n", f.Follower, f.Role, f.Lag)

@@ -7,9 +7,10 @@ package obs
 // as a complete ("X") event whose name and category are the Phase's
 // stable string, and each marker as a thread-scoped instant ("i") event.
 // The top-level "otherData" object carries the run's metrics as
-// "metrics": one record per sample, in the order given (SortSamples'
-// canonical order), so a trace file holds the gauges the analyzer reads
-// as well as the timeline.
+// "metrics": one {"name","labels","value"} record per sample, in the
+// order given (SortSamples' canonical order), so a trace file holds the
+// gauges the analyzer reads as well as the timeline. A metric is one
+// number; a record carries no kind.
 //
 // The encoding is hand-rolled rather than encoding/json for a contract
 // the tests rely on: a fixed simhost run must export byte-identical JSON
@@ -68,10 +69,8 @@ func writeChromeTrace(w io.Writer, o *Observer, process string, metrics []Sample
 	return bw.Flush()
 }
 
-// writeMetric renders one sample as
-// {"name":N,"labels":{K:V,...},"kind":K,"value":V} — labels omitted when
-// there are none, and histograms adding "sum", "max" and their trimmed
-// "buckets", which is everything Sample.Quantile reads.
+// writeMetric renders one sample as {"name":N,"labels":{K:V,...},"value":V},
+// labels omitted when there are none.
 func writeMetric(bw *bufio.Writer, s Sample) {
 	fmt.Fprintf(bw, "\n{\"name\":%q", s.Name)
 	if len(s.Labels) > 0 {
@@ -84,16 +83,5 @@ func writeMetric(bw *bufio.Writer, s Sample) {
 		}
 		bw.WriteByte('}')
 	}
-	fmt.Fprintf(bw, ",\"kind\":%q,\"value\":%d", s.Kind, s.Value)
-	if s.Kind == KindHistogram {
-		fmt.Fprintf(bw, ",\"sum\":%d,\"max\":%d,\"buckets\":[", s.Sum, s.Max)
-		for i, n := range s.Buckets {
-			if i > 0 {
-				bw.WriteByte(',')
-			}
-			fmt.Fprintf(bw, "%d", n)
-		}
-		bw.WriteByte(']')
-	}
-	bw.WriteByte('}')
+	fmt.Fprintf(bw, ",\"value\":%d}", s.Value)
 }

@@ -1,6 +1,7 @@
 // Package obs is the runtime observability layer: a phase-resolved span
 // timeline, exportable as Chrome trace-event JSON (chrome://tracing /
-// Perfetto), and the Sample type a run's gauges are read as after it ends.
+// Perfetto), and the Sample type a run's gauges are read as after it ends:
+// one number per name and label set.
 //
 // The package answers the question the end-of-run aggregate statistics
 // (api.RunStats) cannot: *where* a run spent its time. The paper's

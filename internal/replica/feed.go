@@ -223,7 +223,7 @@ func (fl *Fleet) noteProgress(s *fstate) {
 	fl.raiseFrontier(v)
 	s.lastVersion.Store(v)
 	s.lastMoveNS.Store(time.Now().UnixNano())
-	fl.lagHist.Observe(max(fl.frontier.Load()-v, 0))
+	fl.lags.observe(max(fl.frontier.Load()-v, 0))
 	if !s.caughtUp.Load() && v >= s.restartTarget.Load() {
 		s.caughtUp.Store(true)
 		ns := time.Now().UnixNano() - s.restartStartNS.Load()

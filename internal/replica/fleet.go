@@ -157,7 +157,55 @@ type Fleet struct {
 	catchupNSLast   atomic.Int64
 	catchupNSMax    atomic.Int64
 
-	lagHist obs.Histogram // each applied record's lag behind the frontier
+	lags lagCounts // each applied record's lag behind the frontier
+}
+
+// lagCounts counts applied records per lag value, so the fleet's lag
+// quantiles are exact: n[l] is how many records were applied l versions
+// behind the frontier. The slice grows, by doubling, only when a larger
+// lag appears.
+type lagCounts struct {
+	mu sync.Mutex
+	n  []int64
+}
+
+// observe counts one applied record that trailed the frontier by lag.
+func (c *lagCounts) observe(lag int64) {
+	c.mu.Lock()
+	if lag >= int64(len(c.n)) {
+		grown := make([]int64, max(2*int64(len(c.n)), lag+1))
+		copy(grown, c.n)
+		c.n = grown
+	}
+	c.n[lag]++
+	c.mu.Unlock()
+}
+
+// quantiles returns the nearest-rank p50 and p95 lag and the largest
+// lag counted (all 0 before any record was applied).
+func (c *lagCounts) quantiles() (p50, p95, maxLag int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var total int64
+	for l, k := range c.n {
+		total += k
+		if k > 0 {
+			maxLag = int64(l)
+		}
+	}
+	// rank returns the smallest lag at or below which at least
+	// ceil(pct/100 * total) records fall.
+	rank := func(pct int64) int64 {
+		want := max((pct*total+99)/100, 1)
+		var cum int64
+		for l, k := range c.n {
+			if cum += k; cum >= want {
+				return int64(l)
+			}
+		}
+		return 0
+	}
+	return rank(50), rank(95), maxLag
 }
 
 // New prepares a fleet over a commit-log directory. live, when non-nil,
@@ -293,17 +341,20 @@ func (fl *Fleet) Stats() FleetStats {
 
 // Metrics returns the fleet's replica_* gauges — each follower's lag
 // behind the frontier (labelled with its id and role), the restart and
-// read counters, the slowest catch-up, the admitted count — and the
-// replica_lag_hist histogram of every applied record's lag, in
-// SortSamples' order: the analyzer's replication section reads them.
+// read counters, the slowest catch-up, the admitted count, and the exact
+// p50, p95 and max of every applied record's lag — in SortSamples' order:
+// the analyzer's replication section reads them.
 func (fl *Fleet) Metrics() []obs.Sample {
+	p50, p95, maxLag := fl.lags.quantiles()
 	out := []obs.Sample{
 		obs.Gauge("replica_restarts_total", fl.restarts.Load()),
 		obs.Gauge("replica_reads_served", fl.readsServed.Load()),
 		obs.Gauge("replica_reads_redirected", fl.readsRedirected.Load()),
 		obs.Gauge("replica_reads_rejected", fl.readsRejected.Load()),
 		obs.Gauge("replica_catchup_ns", fl.catchupNSMax.Load()),
-		fl.lagHist.Sample("replica_lag_hist"),
+		obs.Gauge("replica_lag_p50", p50),
+		obs.Gauge("replica_lag_p95", p95),
+		obs.Gauge("replica_lag_max", maxLag),
 	}
 	admitted := int64(0)
 	for _, s := range fl.states {

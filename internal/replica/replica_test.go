@@ -545,7 +545,7 @@ func TestBackoffDeterministicCapped(t *testing.T) {
 
 // A fleet started with no observer lists the replica metric family after
 // its followers catch up — a lag gauge per follower with its role, the
-// read counters, and the lag histogram, which counts every applied record
+// read counters, and the p50, p95 and max of every applied record's lag
 // — in SortSamples' order.
 func TestFleetMetricsRegistered(t *testing.T) {
 	const n = 50
@@ -580,7 +580,8 @@ func TestFleetMetricsRegistered(t *testing.T) {
 	for _, name := range []string{
 		"replica_lag{follower=0,role=serve}", "replica_lag{follower=1,role=archive}",
 		"replica_restarts_total", "replica_reads_served", "replica_reads_redirected",
-		"replica_reads_rejected", "replica_catchup_ns", "replica_admitted", "replica_lag_hist",
+		"replica_reads_rejected", "replica_catchup_ns", "replica_admitted",
+		"replica_lag_p50", "replica_lag_p95", "replica_lag_max",
 	} {
 		if _, ok := got[name]; !ok {
 			t.Errorf("metric %s missing from %v", name, ms)
@@ -589,14 +590,62 @@ func TestFleetMetricsRegistered(t *testing.T) {
 	if s := got["replica_reads_served"]; s.Value != 1 {
 		t.Errorf("replica_reads_served = %d, want 1", s.Value)
 	}
-	// Both followers apply all n commits; each applied record is one
-	// observation.
-	if h := got["replica_lag_hist"]; h.Kind != obs.KindHistogram || h.Value < 2*n {
-		t.Errorf("replica_lag_hist = %v, want a histogram of at least %d observations", h, 2*n)
+	if p50, p95, mx := got["replica_lag_p50"].Value, got["replica_lag_p95"].Value, got["replica_lag_max"].Value; p50 < 0 || p50 > p95 || p95 > mx || mx > n {
+		t.Errorf("replica_lag p50/p95/max = %d/%d/%d, want 0 <= p50 <= p95 <= max <= %d", p50, p95, mx, n)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// The fleet's lag quantiles are exact nearest-rank values over every
+// applied record, whatever order the lags arrive in and however many
+// followers count at once.
+func TestExactLagPercentiles(t *testing.T) {
+	check := func(name string, c *lagCounts, p50, p95, mx int64) {
+		t.Helper()
+		if g50, g95, gmax := c.quantiles(); g50 != p50 || g95 != p95 || gmax != mx {
+			t.Errorf("%s: p50/p95/max = %d/%d/%d, want %d/%d/%d", name, g50, g95, gmax, p50, p95, mx)
+		}
+	}
+	check("empty", new(lagCounts), 0, 0, 0)
+
+	one := new(lagCounts)
+	one.observe(7)
+	check("one record", one, 7, 7, 7)
+
+	// 99 records at lags 9 down to 0 (ten each, nine at lag 0), then one
+	// outlier far above the rest: ranks 50 and 95 of 100 land at lags 5
+	// and 9, and the outlier moves only the max.
+	outlier := new(lagCounts)
+	for i := 0; i < 99; i++ {
+		outlier.observe(int64(9 - i/10))
+	}
+	outlier.observe(5000)
+	check("outlier", outlier, 5, 9, 5000)
+
+	// Six records out of order: ranks 3 and 6 (ceil of 0.5*6 and 0.95*6).
+	mixed := new(lagCounts)
+	for _, l := range []int64{3, 0, 12, 1, 1, 2} {
+		mixed.observe(l)
+	}
+	check("out of order", mixed, 1, 12, 12)
+
+	// Four observers count at once: 4 x 1000 records at lags 0..99, ten
+	// per lag each, grown from empty while the others count.
+	var wg sync.WaitGroup
+	concurrent := new(lagCounts)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				concurrent.observe(int64((i*7 + w*13) % 100))
+			}
+		}(w)
+	}
+	wg.Wait()
+	check("concurrent", concurrent, 49, 94, 99)
 }
 
 // replayedStates returns states(v): the log in dir replayed to version v

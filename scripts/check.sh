@@ -71,6 +71,13 @@ echo "== go test -fuzz (the diff and patch kernels, 10 s each)"
 go test -run=NONE -fuzz=FuzzComputeDiff -fuzztime=10s ./internal/mem
 go test -run=NONE -fuzz=FuzzApplyWhereClean -fuzztime=10s ./internal/mem
 
+echo "== go test -fuzz (the on-disk log format, 10 s each)"
+# The commit log is the crash-recovery surface: FuzzDecodeRecord throws
+# arbitrary payloads at the one record decoder, FuzzDecode a whole mutated
+# segment through journal.Load (header, framing, decoder and replay).
+go test -run=NONE -fuzz='^FuzzDecodeRecord$' -fuzztime=10s ./internal/commitlog
+go test -run=NONE -fuzz='^FuzzDecode$' -fuzztime=10s ./internal/journal
+
 echo "== go test -race -count=5 (barrier pruning against real-host readers)"
 # Every barrier release prunes (Segment.Prune) while woken waiters move to
 # the barrier's version on the real host; the prunes race those readers
