@@ -410,8 +410,8 @@ const SweepReads = 256
 // answer (FNV-1a over version, page, content). The sample sequence is a
 // pure function of the final version and the segment geometry, so two
 // runs of the same cell sweep the same reads — and replica equivalence
-// demands the same digest, whatever chaos the followers absorbed. Call
-// between Run and Close.
+// demands the same digest, whatever chaos the followers absorbed. It only
+// reads the pages the fleet lends it. Call between Run and Close.
 func (c *Cell) SweepDigest() (uint64, error) {
 	if c.Fleet == nil {
 		return 0, fmt.Errorf("harness: sweep digest needs a replica fleet (set Replicas)")

@@ -59,41 +59,73 @@ func BenchmarkReplicaReads(b *testing.B) {
 	done()
 }
 
-// BenchmarkReplicaReadAtDeep prices a versioned read's walk back through
-// the undo history, in ferret's shape on the durable_pipeline workload: 20
-// pages of 4 KiB, one 8-byte run per commit, 3 600 commits, a 256-version
-// window, and reads drawn uniformly over the window and the pages.
-func BenchmarkReplicaReadAtDeep(b *testing.B) {
-	const (
-		pageSize = 4 << 10
-		npages   = 20
-		n        = 3600
-		window   = 256
-	)
-	rng := rand.New(rand.NewSource(1))
-	f := newFollower(0, pageSize, npages, window)
-	for v := int64(1); v <= n; v++ {
+// Ferret's shape on the durable_pipeline workload: 20 pages of 4 KiB, one
+// 8-byte run per commit, 3 600 commits, a 256-version window.
+const (
+	deepPageSize = 4 << 10
+	deepPages    = 20
+	deepCommits  = 3600
+	deepWindow   = 256
+)
+
+// deepFollower applies deepCommits seeded commits, each writing one run to
+// one of the first hot pages, to a windowed follower.
+func deepFollower(b *testing.B, rng *rand.Rand, hot int) *Follower {
+	b.Helper()
+	f := newFollower(0, deepPageSize, deepPages, deepWindow)
+	for v := int64(1); v <= deepCommits; v++ {
 		data := make([]byte, 8)
 		rng.Read(data)
-		run := mem.Run{Off: 8 * rng.Intn(pageSize/8), Data: data}
-		c := commitlog.Commit{Version: v, AtSeq: v, Pages: []commitlog.PageDiff{{Page: rng.Intn(npages), Runs: []mem.Run{run}}}}
+		run := mem.Run{Off: 8 * rng.Intn(deepPageSize/8), Data: data}
+		c := commitlog.Commit{Version: v, AtSeq: v, Pages: []commitlog.PageDiff{{Page: rng.Intn(hot), Runs: []mem.Run{run}}}}
 		if _, err := f.apply(c); err != nil {
 			b.Fatal(err)
 		}
 	}
-	type read struct {
-		v  int64
-		pg int
+	return f
+}
+
+// BenchmarkReplicaReadAtDeep prices a versioned read, with reads drawn
+// uniformly over the window and the pages. With writes spread over every
+// page (uniform) most reads walk back through the undo history and build
+// a page of their own; with writes on three hot pages, as the ledger's
+// sweep sees them, most reads lend the current page.
+func BenchmarkReplicaReadAtDeep(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		hot  int
+	}{{"uniform", deepPages}, {"hot3", 3}} {
+		b.Run(bc.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			f := deepFollower(b, rng, bc.hot)
+			type read struct {
+				v  int64
+				pg int
+			}
+			reads := make([]read, 1024)
+			for i := range reads {
+				reads[i] = read{v: deepCommits - deepWindow + rng.Int63n(deepWindow+1), pg: rng.Intn(deepPages)}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r := reads[i%len(reads)]
+				if _, err := f.ReadAt(r.v, r.pg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	reads := make([]read, 1024)
-	for i := range reads {
-		reads[i] = read{v: n - window + rng.Int63n(window+1), pg: rng.Intn(npages)}
-	}
+}
+
+// BenchmarkReplicaReadLatest prices a latest read on a bare follower in
+// the same shape, every page written.
+func BenchmarkReplicaReadLatest(b *testing.B) {
+	f := deepFollower(b, rand.New(rand.NewSource(1)), deepPages)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := reads[i%len(reads)]
-		if _, err := f.ReadAt(r.v, r.pg); err != nil {
+		if _, _, err := f.ReadLatest(i % deepPages); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,6 +16,9 @@ import (
 // version's history (ReadAt).
 var ErrNoFollower = fmt.Errorf("replica: no follower can serve this read")
 
+// errNotStarted answers a read on a fleet that has no followers yet.
+var errNotStarted = fmt.Errorf("replica: fleet not started")
+
 // retryBase and retryCap bound the exponential backoff between a
 // follower's restart attempts. Jitter is seeded-deterministic: the k-th
 // backoff of follower i is a pure function of (Seed, i, k).
@@ -396,14 +399,15 @@ func (fl *Fleet) WaitCaughtUp(target int64, timeout time.Duration) error {
 }
 
 // ReadAt serves a versioned read: byte-identical on every follower able
-// to serve it, by the replica-equivalence argument. Routing prefers
-// admitted followers round-robin; a read only a drained or archive
-// follower can answer counts as redirected; a read nobody can answer is
-// rejected with the last follower error.
+// to serve it, by the replica-equivalence argument. The page is shared
+// and read-only: the bytes never change after the call returns. Routing
+// prefers admitted followers round-robin; a read only a drained or
+// archive follower can answer counts as redirected; a read nobody can
+// answer is rejected with the last follower error.
 func (fl *Fleet) ReadAt(v int64, pg int) ([]byte, error) {
 	n := len(fl.states)
 	if n == 0 {
-		return nil, fmt.Errorf("replica: fleet not started")
+		return nil, errNotStarted
 	}
 	start := int(fl.rr.Add(1))
 	var lastErr error
@@ -436,10 +440,15 @@ func (fl *Fleet) ReadAt(v int64, pg int) ([]byte, error) {
 
 // ReadLatest serves the newest state within the staleness bound: the
 // least-lagged admitted follower answers, with the version the content
-// is current as of. With every serving follower drained the read is
-// rejected — bounded staleness degrades to unavailability, never to a
-// silent stale answer.
+// is current as of. The page is shared and read-only: the bytes never
+// change after the call returns. With every serving follower drained the
+// read is rejected — bounded staleness degrades to unavailability, never
+// to a silent stale answer. A fleet not yet started refuses the read, as
+// ReadAt does, without counting it.
 func (fl *Fleet) ReadLatest(pg int) ([]byte, int64, error) {
+	if len(fl.states) == 0 {
+		return nil, 0, errNotStarted
+	}
 	frontier := fl.Frontier()
 	var best *fstate
 	var bestV int64 = -1

@@ -25,9 +25,11 @@
 package replica
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/commitlog"
 	"repro/internal/mem"
@@ -62,7 +64,9 @@ type undoRef struct {
 // Follower is one replica: the current committed pages plus a bounded log
 // of the bytes each commit overwrote, for versioned reads. Applies come
 // from the follower's feed goroutine; reads take the read-lock, so many
-// readers share a follower. All returned slices are copies.
+// readers share a follower. A returned page is shared and read-only: the
+// bytes never change after the call returns. A read that can answer from
+// the current page lends it, and the next apply to that page writes a copy.
 type Follower struct {
 	id       int
 	pageSize int
@@ -71,7 +75,12 @@ type Follower struct {
 
 	mu    sync.RWMutex
 	pages map[int][]byte
-	hist  map[int][]pageRev
+	// lent[pg] marks pages[pg] as handed to a reader: apply must not write
+	// it, so it writes a copy and clears the flag. Readers set it under the
+	// read-lock, hence atomic; apply and dropAll clear it under the lock.
+	lent []atomic.Bool
+	zero []byte // what a never-written page reads as; never written
+	hist map[int][]pageRev
 	// undo lists every hist entry in apply order (ascending ver) while a
 	// window is set, so prune pops the expired prefix instead of scanning
 	// every page with history.
@@ -98,6 +107,8 @@ func newFollower(id, pageSize, npages int, window int64) *Follower {
 		npages:   npages,
 		window:   window,
 		pages:    make(map[int][]byte),
+		lent:     make([]atomic.Bool, npages),
+		zero:     make([]byte, pageSize),
 		hist:     make(map[int][]pageRev),
 	}
 }
@@ -132,8 +143,12 @@ func (f *Follower) effectiveFloor() int64 {
 }
 
 // dropAll empties the replica, keeping the undo log's buffer (mu held).
+// The dropped pages are not reused, so lent ones stay as readers saw them.
 func (f *Follower) dropAll() {
 	clear(f.pages)
+	for i := range f.lent {
+		f.lent[i].Store(false)
+	}
 	clear(f.hist)
 	f.undo = f.undo[:0]
 	f.ulog = f.ulog[:0]
@@ -172,7 +187,8 @@ func (f *Follower) restore(s commitlog.Snapshot) {
 // than serve a state no writer ever had. This is the follower's own,
 // tolerant rule, not commitlog.State.ApplyRecord's strict one: its input
 // overlaps by design, it captures an undo entry per page, and its
-// allocations are gated (TestFollowerApplyAllocatesNoPages).
+// allocations are gated (TestFollowerApplyAllocatesNoPages). A page a
+// reader holds is copied before its first write, once per lending.
 func (f *Follower) apply(c commitlog.Commit) (bool, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -184,9 +200,14 @@ func (f *Follower) apply(c commitlog.Commit) (bool, error) {
 	}
 	for _, pd := range c.Pages {
 		buf := f.pages[pd.Page]
-		if buf == nil {
+		switch {
+		case buf == nil:
 			buf = make([]byte, f.pageSize)
 			f.pages[pd.Page] = buf
+		case f.lent[pd.Page].Load():
+			buf = bytes.Clone(buf)
+			f.pages[pd.Page] = buf
+			f.lent[pd.Page].Store(false)
 		}
 		at := f.logUndo(buf, pd.Runs)
 		f.hist[pd.Page] = append(f.hist[pd.Page], pageRev{ver: c.Version, at: at})
@@ -267,10 +288,12 @@ func (f *Follower) unapply(page []byte, at int64) {
 	}
 }
 
-// ReadAt returns a copy of the page's committed content at exactly
-// version v. The determinism contract: every follower able to serve
-// (v, pg) returns byte-identical content, regardless of its own crash or
-// chaos history.
+// ReadAt returns the page's committed content at exactly version v,
+// shared and read-only. If no commit after v touched the page, that is the
+// current page, lent; otherwise a copy of it with the newer commits
+// undone. The determinism contract: every follower able to serve (v, pg)
+// returns byte-identical content, regardless of its own crash or chaos
+// history.
 func (f *Follower) ReadAt(v int64, pg int) ([]byte, error) {
 	if pg < 0 || pg >= f.npages {
 		return nil, fmt.Errorf("replica: page %d out of range [0,%d)", pg, f.npages)
@@ -283,30 +306,42 @@ func (f *Follower) ReadAt(v int64, pg int) ([]byte, error) {
 	if v < f.effectiveFloor() {
 		return nil, ErrEvictedVersion
 	}
-	// Undo, newest first, every commit after v that touched the page.
-	out := make([]byte, f.pageSize)
-	copy(out, f.pages[pg])
 	revs := f.hist[pg]
+	if len(revs) == 0 || revs[len(revs)-1].ver <= v {
+		return f.lend(pg), nil
+	}
+	// Undo, newest first, every commit after v that touched the page.
+	out := bytes.Clone(f.pages[pg])
 	for i := len(revs) - 1; i >= 0 && revs[i].ver > v; i-- {
 		f.unapply(out, revs[i].at)
 	}
 	return out, nil
 }
 
-// ReadLatest returns a copy of the page's newest applied content and the
-// version it is current as of. Staleness policy (the lag bound) is the
-// fleet's job; a bare follower always answers.
+// ReadLatest returns the page's newest applied content, lent shared and
+// read-only, and the version it is current as of. Staleness policy (the
+// lag bound) is the fleet's job; a bare follower always answers.
 func (f *Follower) ReadLatest(pg int) ([]byte, int64, error) {
 	if pg < 0 || pg >= f.npages {
 		return nil, 0, fmt.Errorf("replica: page %d out of range [0,%d)", pg, f.npages)
 	}
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	out := make([]byte, f.pageSize)
-	if buf, ok := f.pages[pg]; ok {
-		copy(out, buf)
+	return f.lend(pg), f.version, nil
+}
+
+// lend returns the current page itself and marks it lent, so the next
+// apply to it writes a copy; a never-written page is the shared zero page
+// (mu read-held).
+func (f *Follower) lend(pg int) []byte {
+	buf := f.pages[pg]
+	if buf == nil {
+		return f.zero
 	}
-	return out, f.version, nil
+	if !f.lent[pg].Load() { // readers of a lent page then share its cache line
+		f.lent[pg].Store(true)
+	}
+	return buf
 }
 
 // Checksum hashes the follower's current state — every page ascending,

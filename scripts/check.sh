@@ -52,7 +52,7 @@ echo "== go test -race (obs + mem + det + clock + trace + sim + host + chaos + r
 # every runtime.
 go test -race ./internal/obs/... ./internal/mem ./internal/det ./internal/clock ./internal/trace ./internal/sim ./internal/host/... ./internal/chaos/... ./internal/replica ./internal/commitlog ./internal/journal ./internal/api ./internal/baseline/... ./internal/workload
 
-echo "== go test -race -count=20 (the page recycling stress: GC prunes pages while readers copy them; the spare version header's and the lent twins' ownership; the per-page chain walk)"
+echo "== go test -race -count=20 (the page recycling stress: GC prunes pages while readers copy them; the spare version header's and the lent twins' ownership; the per-page chain walk; the replica's lent pages)"
 # A prune that races a reader shows up only in some interleavings, so one
 # race-detector pass is not enough (docs/architecture.md, "Page buffers").
 # TestSpareOwnership runs beside it: a version header that outlived its
@@ -62,6 +62,11 @@ echo "== go test -race -count=20 (the page recycling stress: GC prunes pages whi
 # lookup's chain walk equal to a scan of every retained version, across
 # conflicts, pending merges, prunes, budgeted GC folds and reserved moves.
 go test -race -count=20 -run 'TestRecycleNeverReachesReaders|TestSpareOwnership|TestLentTwinOwnership|TestCommittedPageWalksChain' ./internal/mem
+# The replica's twin of the lent-twin rule: a follower lends its current
+# page to readers, so an apply must write a copy of a lent page, never the
+# page itself; four readers race the feed through prune, undo-log
+# compaction, restore and reset.
+go test -race -count=20 -run 'TestLentPagesNeverChange' ./internal/replica
 
 echo "== go test -fuzz (the diff and patch kernels, 10 s each)"
 # Beyond their seed corpus, which go test ./... replays: FuzzComputeDiff
@@ -94,8 +99,9 @@ echo "== bench smoke (1 iteration, allocations reported)"
 # fork/join, and grant parallelism across shard counts. internal/trace's
 # numbers and hashes an event with no sink attached, as a run without a
 # commit log does. internal/obs's is a new timeline lane plus N adds, so
-# what a lane allocates shows here.
-go test -run=NONE -bench=. -benchtime=1x -benchmem ./internal/mem ./internal/commitlog ./internal/det ./internal/trace ./internal/obs >/dev/null
+# what a lane allocates shows here. internal/replica's are the fleet's read
+# paths (latest, versioned, deep undo walks) and a follower's restart.
+go test -run=NONE -bench=. -benchtime=1x -benchmem ./internal/mem ./internal/commitlog ./internal/det ./internal/trace ./internal/obs ./internal/replica >/dev/null
 # The root package's whole-program benchmarks only (every ledger program on
 # all five runtimes on the real host, and on consequence-ic on the
 # simulation host): -bench=. there would run BenchmarkFigures, the whole
