@@ -30,7 +30,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/costmodel"
-	"repro/internal/det"
 	"repro/internal/harness"
 	"repro/internal/host"
 	"repro/internal/host/realhost"
@@ -48,11 +47,8 @@ func main() {
 	threads := flag.Int("threads", def.Threads, "thread count")
 	scale := flag.Int("scale", def.Scale, "problem-size multiplier")
 	seed := flag.Int64("seed", def.Seed, "input seed")
-	// Results are identical with prediction on or off (it is an overlap
-	// optimization); the flag exists so timings can be compared.
-	predict := flag.Bool("predict", true, "enable write-set prediction (page prefetch during token wait) on the consequence runtimes")
 	// Results are identical with chaos on or off: perturbations are
-	// confined to modeled time and advisory predictions.
+	// confined to modeled time and notification schedules.
 	chaosSpec := flag.String("chaos", "", "arm seeded fault injection on the consequence runtimes: profile[:seed], e.g. storm:7 (profiles: "+strings.Join(chaos.Profiles(), ", ")+")")
 	// Checksums are identical at every shard count, and each count's
 	// sync-order hash is itself a deterministic constant (per-shard grant
@@ -91,18 +87,12 @@ func main() {
 		return
 	}
 
-	// -predict reaches a run only through det.Config, which only the
-	// consequence runtimes read; -compare runs those beside the others.
-	predictSet := false
-	flag.Visit(func(f *flag.Flag) { predictSet = predictSet || f.Name == "predict" })
 	kind := harness.Kind(*rtName)
 	switch {
 	case *jsonOut && !*analyzeRun:
 		usage(fmt.Errorf("-json is the format of the -analyze report; it needs -analyze"))
 	case *replicas > 0 && *commitLogDir == "":
 		usage(fmt.Errorf("-replicas serves a commit log; it needs -commitlog DIR"))
-	case predictSet && !*compare && kind != harness.KindConsequenceIC && kind != harness.KindConsequenceRR:
-		usage(fmt.Errorf("-predict configures the consequence runtimes; %s has no write-set prediction", kind))
 	}
 
 	// The cell every mode builds; -verify and -compare vary the host and
@@ -111,7 +101,6 @@ func main() {
 		Bench: *bench, Runtime: kind,
 		Threads: *threads, Scale: *scale, Seed: *seed,
 		Shards: *shards, Chaos: *chaosSpec,
-		Modify: func(c *det.Config) { c.WriteSetPrediction = *predict },
 	}
 
 	if *verify || *compare {

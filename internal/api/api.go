@@ -114,10 +114,10 @@ type RunStats struct {
 	MergedPages    int64
 	PulledPages    int64 // Figure 16 TSO page propagation
 	PeakPages      int64 // Figure 12 memory metric
-	// Write-set prediction counters (Consequence runtimes; zero when the
-	// runtime has no predictor or it is disabled): writes that found
-	// their page prefetched, faults the predictor failed to cover, and
-	// prefetched pages dropped unwritten.
+	// The prefetch counters are always zero: no runtime prefetches pages.
+	// They survive for bench/layers.go, their only reader: bench/ is
+	// frozen and still reports them. Delete them with the next benchmark
+	// change.
 	PrefetchHits   int64
 	PrefetchMisses int64
 	PrefetchWasted int64
@@ -167,9 +167,6 @@ func (s *RunStats) SetMem(ms mem.Stats) {
 	s.MergedPages = ms.MergedPages
 	s.PulledPages = ms.PulledPages
 	s.PeakPages = ms.PeakPages
-	s.PrefetchHits = ms.PrefetchHits
-	s.PrefetchMisses = ms.PrefetchMisses
-	s.PrefetchWasted = ms.PrefetchWasted
 }
 
 // MemInstr is the retired-instruction count of an n-byte Read or Write:

@@ -36,7 +36,6 @@ func New(cfg Config, h host.Host) (api.Runtime, error) {
 	d.ThreadPool = false
 	d.ParallelBarrier = false
 	d.SpeculativeDiff = false
-	d.WriteSetPrediction = false
 	d.Shards = 1
 	d.SingleGlobalLock = true
 	d.NameOverride = "dwc"

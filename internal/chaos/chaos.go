@@ -1,9 +1,8 @@
 // Package chaos is a seeded, fully deterministic fault-injection
 // subsystem for the deterministic runtime: it perturbs *timing* —
 // virtual-time jitter on modeled work, adversarial token-grant delays,
-// counter-overflow shrinkage, forced prefetch mispredictions, barrier
-// arrival skew, page-fault and commit slowdowns — without being allowed
-// to perturb *results*. The paper's central claim is that a racy program
+// counter-overflow shrinkage, barrier arrival skew, page-fault and commit
+// slowdowns — without being allowed to perturb *results*. The paper's central claim is that a racy program
 // under Consequence yields the same output regardless of thread timing;
 // chaos exists to exercise that claim adversarially: the chaos gate
 // (TestGateChaos in internal/harness) runs every golden benchmark under
@@ -16,10 +15,9 @@
 // (profile, seed) on the simulation host and replays exactly. Injection
 // points are confined to quantities the determinism argument already
 // covers: modeled durations (never instruction counts or logical
-// clocks), advisory predictions (droppable by construction), and
-// notification schedules (overflow intervals, wake latency) that affect
-// only when — never whether or in what logical order — the arbiter
-// grants the token.
+// clocks) and notification schedules (overflow intervals, wake latency)
+// that affect only when — never whether or in what logical order — the
+// arbiter grants the token.
 package chaos
 
 import (
@@ -52,17 +50,12 @@ const (
 	// frequent clock publication and more overflow IRQs at adversarially
 	// uneven points. Drawn by OverflowInterval.
 	Overflow
-	// Mispredict drops each predicted page from a write-set prediction
-	// with this probability (in percent): forced prefetch mispredictions.
-	// Prediction is advisory, so drops cost time, never correctness.
-	// Drawn by FilterPrediction.
-	Mispredict
 	// Barrier delays each barrier arrival by up to this many nanoseconds
 	// of virtual time, randomizing rendezvous arrival order in time (the
 	// logical arrival order is token-determined).
 	Barrier
 	// Fault adds up to this many nanoseconds to each serviced
-	// copy-on-write page fault (including prefetch population).
+	// copy-on-write page fault.
 	Fault
 	// Commit adds up to this many nanoseconds to each token-held serial
 	// commit phase: the injected commit slowdown.
@@ -114,7 +107,6 @@ var profiles = []Profile{
 	{"jitter", [NumKnobs]int64{Jitter: 40}},
 	{"token", [NumKnobs]int64{Wake: 2_500}},
 	{"overflow", [NumKnobs]int64{Overflow: 75}},
-	{"mispredict", [NumKnobs]int64{Mispredict: 60}},
 	{"barrier", [NumKnobs]int64{Barrier: 6_000}},
 	{"mem", [NumKnobs]int64{Fault: 2_000, Commit: 4_000}},
 	{"logstall", [NumKnobs]int64{LogStall: 500_000}},
@@ -124,7 +116,7 @@ var profiles = []Profile{
 	{"follower-stall", [NumKnobs]int64{FollowerStall: 400_000}},
 	{"follower-tear", [NumKnobs]int64{FollowerTear: 150, FollowerStall: 20_000}},
 	{"storm", [NumKnobs]int64{
-		Jitter: 25, Wake: 1_500, Overflow: 50, Mispredict: 35, Barrier: 3_000,
+		Jitter: 25, Wake: 1_500, Overflow: 50, Barrier: 3_000,
 		Fault: 1_200, Commit: 2_500, LogStall: 200_000,
 	}},
 }
@@ -143,12 +135,11 @@ func Profiles() []string {
 // totals.
 type Stats struct {
 	// Events counts injections that changed something: a non-zero delay,
-	// a shrunk interval, a trigger that fired — and, for Mispredict, each
-	// dropped page.
+	// a shrunk interval, a trigger that fired.
 	Events [NumKnobs]int64
 	// Amount sums the injected nanoseconds of the delay knobs (virtual on
 	// timed hosts; real for LogStall and FollowerStall). It stays zero for
-	// Overflow, Mispredict, FollowerKill and FollowerTear.
+	// Overflow, FollowerKill and FollowerTear.
 	Amount [NumKnobs]int64
 }
 
@@ -227,7 +218,6 @@ const (
 	saltHost     = 0x686f7374 // "host": binding wrapper (charge + wake)
 	saltThread   = 0x74687264 // "thrd": det thread (barrier, commit)
 	saltOverflow = 0x6f766572 // "over": counter-overflow schedule
-	saltPredict  = 0x70726564 // "pred": write-set prediction filter
 	saltFault    = 0x666c7400 // "flt":  page-fault servicing
 	saltLog      = 0x6c6f6773 // "logs": commit-log drain stalls
 	saltReplica  = 0x72657061 // "repa": replica follower faults
@@ -236,7 +226,7 @@ const (
 // Stream is a per-(subsystem, thread) deterministic random sequence with
 // the injector's knobs applied. A stream must only be used by the thread
 // it was created for (no internal locking) — the same ownership
-// discipline as the runtime's unlock estimators and predictor tables.
+// discipline as the runtime's unlock estimators.
 // Every method of a nil Stream (chaos disabled) injects nothing and draws
 // nothing.
 type Stream struct {
@@ -265,9 +255,6 @@ func (in *Injector) HostStream(id uint64) *Stream { return in.stream(saltHost, i
 
 // OverflowStream returns the counter-overflow stream for tid.
 func (in *Injector) OverflowStream(tid int) *Stream { return in.stream(saltOverflow, uint64(tid)) }
-
-// PredictStream returns the prediction-filter stream for tid.
-func (in *Injector) PredictStream(tid int) *Stream { return in.stream(saltPredict, uint64(tid)) }
 
 // FaultStream returns the fault-delay stream for tid.
 func (in *Injector) FaultStream(tid int) *Stream { return in.stream(saltFault, uint64(tid)) }
@@ -376,24 +363,4 @@ func (s *Stream) OverflowInterval(iv int64) int64 {
 		s.in.note(Overflow, 1, 0)
 	}
 	return shrunk
-}
-
-// FilterPrediction drops each predicted page with the profile's
-// misprediction probability, filtering pages in place. Order is
-// preserved, so a sorted prediction stays sorted, and pages are never
-// invented: an empty prediction draws nothing and stays empty.
-func (s *Stream) FilterPrediction(pages []int) []int {
-	if s == nil || s.in.prof.Amp[Mispredict] <= 0 || len(pages) == 0 {
-		return pages
-	}
-	kept := pages[:0]
-	for _, pg := range pages {
-		if s.rng.Below(100) >= s.in.prof.Amp[Mispredict] {
-			kept = append(kept, pg)
-		}
-	}
-	if dropped := int64(len(pages) - len(kept)); dropped > 0 {
-		s.in.note(Mispredict, dropped, 0)
-	}
-	return kept
 }

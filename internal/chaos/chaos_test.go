@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -50,7 +49,6 @@ var goldenStreams = []struct {
 	{"host", func(in *Injector) *Stream { return in.HostStream(nameID("t1")) }},
 	{"thread", func(in *Injector) *Stream { return in.ThreadStream(1) }},
 	{"overflow", func(in *Injector) *Stream { return in.OverflowStream(1) }},
-	{"predict", func(in *Injector) *Stream { return in.PredictStream(1) }},
 	{"fault", func(in *Injector) *Stream { return in.FaultStream(1) }},
 	{"log", func(in *Injector) *Stream { return in.LogStream() }},
 	{"follower", func(in *Injector) *Stream { return in.FollowerStream(1) }},
@@ -61,13 +59,6 @@ var goldenDraws = []func(s *Stream, i int) int64{
 	func(s *Stream, i int) int64 { return s.ChargeJitter(int64(1000 + 37*i)) },
 	func(s *Stream, _ int) int64 { return s.Delay(Wake) },
 	func(s *Stream, i int) int64 { return s.OverflowInterval(int64(1 + 997*i)) },
-	func(s *Stream, i int) int64 {
-		var h int64
-		for _, pg := range s.FilterPrediction([]int{i, i + 3, i + 5, i + 8, i + 13, i + 21}) {
-			h = h*31 + int64(pg) + 1
-		}
-		return h
-	},
 	func(s *Stream, _ int) int64 { return s.Delay(Barrier) },
 	func(s *Stream, _ int) int64 { return s.Delay(Fault) },
 	func(s *Stream, _ int) int64 { return s.Delay(Commit) },
@@ -105,85 +96,74 @@ func streamDigest(t *testing.T, profile string, mk func(*Injector) *Stream) stri
 }
 
 // drawGolden was recorded before Profile became a knob vector; it must
-// never be re-pinned to make a change pass.
+// never be re-pinned to make a change pass. It was re-derived once, when
+// the Mispredict knob, its profile and the prediction stream were
+// deleted: the old digest hashed that stream, the FilterPrediction draw
+// and 11-wide counter vectors, so it could not hold. The new values are
+// the old code's digests with the predict stream, the FilterPrediction
+// draw, the mispredict profile and the Mispredict counter column left
+// out; every remaining draw is the old code's, unmoved.
 var drawGolden = map[string]string{
-	"barrier/host":            "f82fead85b0a59c8",
-	"barrier/thread":          "4ccc24e20ada9018",
-	"barrier/overflow":        "f364e25661d259a2",
-	"barrier/predict":         "ef450579f5bbfb8b",
-	"barrier/fault":           "d80872e310b378ee",
-	"barrier/log":             "a14eca538e50f859",
-	"barrier/follower":        "45814a2af6d2bdde",
-	"follower-kill/host":      "db29dcc82b058d42",
-	"follower-kill/thread":    "b5af89f27c35e2df",
-	"follower-kill/overflow":  "cfb45d6d432830dc",
-	"follower-kill/predict":   "4ec13da1e8713bac",
-	"follower-kill/fault":     "5dd61ea833214e68",
-	"follower-kill/log":       "f922e8428c9cd916",
-	"follower-kill/follower":  "39a5f3047d246853",
-	"follower-stall/host":     "e6bc0b3da3fa2c3d",
-	"follower-stall/thread":   "160c2af54f83c752",
-	"follower-stall/overflow": "a7f02993a37d94d4",
-	"follower-stall/predict":  "7072eb2a66b10784",
-	"follower-stall/fault":    "5cc27255d6431103",
-	"follower-stall/log":      "53d5624ae2a69c41",
-	"follower-stall/follower": "c0fefbb573349990",
-	"follower-tear/host":      "5616d8a6c20818bf",
-	"follower-tear/thread":    "4d04daef1f22d252",
-	"follower-tear/overflow":  "a60794ff22626ef7",
-	"follower-tear/predict":   "50a8e425bffe23ba",
-	"follower-tear/fault":     "1053edcd459079e1",
-	"follower-tear/log":       "85e631452804e63c",
-	"follower-tear/follower":  "c212ddf11b38ec90",
-	"jitter/host":             "7298fa1c65e8f8a5",
-	"jitter/thread":           "57d6c0340f5581cc",
-	"jitter/overflow":         "c15ef3352c23350e",
-	"jitter/predict":          "113b269e6256576b",
-	"jitter/fault":            "4400a5d364c84f6b",
-	"jitter/log":              "afc5acfe9eafb4c1",
-	"jitter/follower":         "0cf3b66db16d0f6f",
-	"logstall/host":           "339ecc5788a9e1ba",
-	"logstall/thread":         "ce2beb1649e38aca",
-	"logstall/overflow":       "9c30cbeabb2e3fda",
-	"logstall/predict":        "4c137be6cee83d31",
-	"logstall/fault":          "9581756257e9ca57",
-	"logstall/log":            "7a6e938c23ec4500",
-	"logstall/follower":       "8f296f3f5cafc768",
-	"mem/host":                "2afad98d544ca7f7",
-	"mem/thread":              "60dac10d5d77e3b4",
-	"mem/overflow":            "b58de1c23c84ecdc",
-	"mem/predict":             "0328e2d63494b1cf",
-	"mem/fault":               "f13aa908f1ce111f",
-	"mem/log":                 "64e669e9a6105fb5",
-	"mem/follower":            "66c74af9766a2041",
-	"mispredict/host":         "09b6053d78a79057",
-	"mispredict/thread":       "320d7a4b6699eca3",
-	"mispredict/overflow":     "10775cbbfc19e298",
-	"mispredict/predict":      "5c98d7411eda2192",
-	"mispredict/fault":        "e8ffb4d23fe865ac",
-	"mispredict/log":          "8db2591418688d9b",
-	"mispredict/follower":     "ae18d2c7f46d3ff9",
-	"overflow/host":           "195a3f3c06151523",
-	"overflow/thread":         "41ff6398a940c8b1",
-	"overflow/overflow":       "798e9637f3fbb292",
-	"overflow/predict":        "9fcd8abcecfcef7d",
-	"overflow/fault":          "194b507d488c2dce",
-	"overflow/log":            "6ade735b19f8b7c8",
-	"overflow/follower":       "fc59243127e1d0a7",
-	"storm/host":              "682fe9fbec09aff3",
-	"storm/thread":            "d9c04aa238f78bfa",
-	"storm/overflow":          "68f847116c04baab",
-	"storm/predict":           "23be3ced835b50e1",
-	"storm/fault":             "71474f1476d58cb3",
-	"storm/log":               "7ac758a203c01401",
-	"storm/follower":          "1437d2b708f46c34",
-	"token/host":              "6b6de1dc5072d5a5",
-	"token/thread":            "a504cd6266c94cbd",
-	"token/overflow":          "f36f77a917a4f91c",
-	"token/predict":           "3b549b3b00140819",
-	"token/fault":             "56f1e6b7138921ea",
-	"token/log":               "c744acaae0127f82",
-	"token/follower":          "1324da06247277f0",
+	"barrier/host":            "e88907d23ec17cc1",
+	"barrier/thread":          "0375c5d1c45bf479",
+	"barrier/overflow":        "e46d5220e9ce9737",
+	"barrier/fault":           "aca1320f8e4b0767",
+	"barrier/log":             "c73e6a0942614580",
+	"barrier/follower":        "5ff7ad90b762c44b",
+	"follower-kill/host":      "484c3d759abb7157",
+	"follower-kill/thread":    "44fbb52e4abd7c1a",
+	"follower-kill/overflow":  "b96018fb114ff359",
+	"follower-kill/fault":     "6c2bb7ddcb75f001",
+	"follower-kill/log":       "3994081a4ac6ae39",
+	"follower-kill/follower":  "ed16d104568ff60a",
+	"follower-stall/host":     "09c98262f5fd2828",
+	"follower-stall/thread":   "7facf8a3378320f3",
+	"follower-stall/overflow": "f89965e526dcf461",
+	"follower-stall/fault":    "a9f7ed8c9f1744ca",
+	"follower-stall/log":      "6214b472abe96f9c",
+	"follower-stall/follower": "55105fb86f391629",
+	"follower-tear/host":      "520d93b49f8764ea",
+	"follower-tear/thread":    "12a17e512d35e823",
+	"follower-tear/overflow":  "afba0c4346fac3ee",
+	"follower-tear/fault":     "0610df2055f89e1c",
+	"follower-tear/log":       "34051d82138f4795",
+	"follower-tear/follower":  "e82e33f2b9e8450d",
+	"jitter/host":             "e90dd7ad4d9d53b0",
+	"jitter/thread":           "abf2e495dfbe2119",
+	"jitter/overflow":         "81cf113293a1ad1f",
+	"jitter/fault":            "08db291dc33cefea",
+	"jitter/log":              "166b0a82a0055ed4",
+	"jitter/follower":         "8a3927f00287b9ce",
+	"logstall/host":           "c554dcd6b96fe17b",
+	"logstall/thread":         "b42eaade1b6b2a57",
+	"logstall/overflow":       "b2031890d5af96c7",
+	"logstall/fault":          "73577c7a0b44e8da",
+	"logstall/log":            "c2e8dd131e66cacd",
+	"logstall/follower":       "ce274a1f865444dd",
+	"mem/host":                "134d826bfe433fda",
+	"mem/thread":              "af5f103a0a542925",
+	"mem/overflow":            "83a41abf290a0d61",
+	"mem/fault":               "5f8197abbe799a32",
+	"mem/log":                 "7ca575f1084c6ac8",
+	"mem/follower":            "dbf203f7711ede00",
+	"overflow/host":           "3c5309af1594bab2",
+	"overflow/thread":         "f0954aec5037df34",
+	"overflow/overflow":       "b8e9d49abd7666fb",
+	"overflow/fault":          "ff1a91d66002c67b",
+	"overflow/log":            "f4b6774b654e8ca1",
+	"overflow/follower":       "2354929f2b5aacc2",
+	"storm/host":              "9728cdda36ad85f7",
+	"storm/thread":            "4cffbfc0b68fdd6b",
+	"storm/overflow":          "1e647d70d67b789b",
+	"storm/fault":             "1452150054b841a1",
+	"storm/log":               "56651f17c6df7375",
+	"storm/follower":          "92a4b4f561d76afa",
+	"token/host":              "a9398307314b43a4",
+	"token/thread":            "083fbd045942f844",
+	"token/overflow":          "4780ed5e22f845fd",
+	"token/fault":             "97847eda74aaee83",
+	"token/log":               "ec846ad94970d107",
+	"token/follower":          "f8bf352435a0772d",
 }
 
 // Streams of different subsystems and tids are independent: consuming one
@@ -287,10 +267,6 @@ func TestNilStreamSafe(t *testing.T) {
 	if iv := s.OverflowInterval(5000); iv != 5000 {
 		t.Fatalf("nil stream changed overflow interval: %d", iv)
 	}
-	pages := []int{1, 2, 3}
-	if got := s.FilterPrediction(pages); len(got) != 3 {
-		t.Fatalf("nil stream filtered a prediction: %v", got)
-	}
 }
 
 // Follower streams must replay exactly and fire each fault class under
@@ -370,53 +346,6 @@ func TestOverflowIntervalBounds(t *testing.T) {
 		}
 		if iv > 1+int64(i%7) {
 			t.Fatalf("interval grew: %d > %d", iv, 1+i%7)
-		}
-	}
-}
-
-// FilterPrediction may drop pages but must preserve order and never
-// invent pages.
-func TestFilterPredictionDropsInOrder(t *testing.T) {
-	in := builtin(t, "mispredict", 11)
-	s := in.PredictStream(0)
-	orig := []int{2, 5, 9, 14, 20, 33, 40, 51}
-	dropped := false
-	for i := 0; i < 200; i++ {
-		pages := append([]int(nil), orig...)
-		got := s.FilterPrediction(pages)
-		if len(got) < len(orig) {
-			dropped = true
-		}
-		if !sort.IntsAreSorted(got) {
-			t.Fatalf("order not preserved: %v", got)
-		}
-		allowed := make(map[int]bool)
-		for _, p := range orig {
-			allowed[p] = true
-		}
-		for _, p := range got {
-			if !allowed[p] {
-				t.Fatalf("invented page %d in %v", p, got)
-			}
-		}
-	}
-	if !dropped {
-		t.Fatal("mispredict profile never dropped a page in 200 rounds")
-	}
-	if in.Stats().Events[Mispredict] == 0 {
-		t.Fatal("drops not counted")
-	}
-
-	// An empty prediction (an untrained site) stays empty and draws
-	// nothing: the stream stays in step with one that never saw it.
-	a, b := in.PredictStream(1), in.PredictStream(1)
-	if got := a.FilterPrediction(nil); len(got) != 0 {
-		t.Fatalf("empty prediction filtered to %v", got)
-	}
-	for i := 0; i < 20; i++ {
-		x := a.FilterPrediction(append([]int(nil), orig...))
-		if y := b.FilterPrediction(append([]int(nil), orig...)); !slices.Equal(x, y) {
-			t.Fatalf("round %d after an empty prediction: %v, want %v", i, x, y)
 		}
 	}
 }

@@ -34,15 +34,6 @@ type Model struct {
 	// waiting for its turn in the deterministic order — i.e. in parallel
 	// with other threads' token-held work.
 	SpecDiffPage int64
-	// PrepopulatePage is the cost of pre-populating one predicted page off
-	// the token path (mem.Workspace.Prepopulate): the CoW copy is taken
-	// during a token wait instead of at the chunk's first write. Cheaper
-	// than PageFault because the copy happens in user space on a warm
-	// path, with no trap, no kernel entry, and the twin written in the
-	// same pass; but the page must be charged — the copy is real work the
-	// waiting thread performs. A misprediction wastes exactly this much
-	// off-token time and nothing on the serial path.
-	PrepopulatePage int64
 	// CommitPageMerge is phase-2 work per committed page: diffing the twin
 	// and installing (or byte-merging) the result.
 	CommitPageMerge int64
@@ -139,7 +130,6 @@ func Default() Model {
 		CommitPageSerial:  300,
 		CommitPagePublish: 60,
 		SpecDiffPage:      120,
-		PrepopulatePage:   1_200,
 		CommitPageMerge:   2_400,
 		UpdatePage:        700,
 		TokenHandoff:      350,

@@ -36,7 +36,6 @@ import (
 	"repro/internal/host"
 	"repro/internal/mem"
 	"repro/internal/obs"
-	"repro/internal/predict"
 	"repro/internal/trace"
 )
 
@@ -116,19 +115,6 @@ type Config struct {
 	// Consistency model make the same observation: only publication must
 	// be ordered, diffing is free to overlap).
 	SpeculativeDiff bool
-	// WriteSetPrediction moves copy-on-write fault servicing off the token
-	// critical path the same way SpeculativeDiff moves diffing: each
-	// thread keeps a deterministic per-sync-site history of the pages its
-	// chunks wrote (internal/predict, keyed like the unlock chunk
-	// estimators), and on the next visit to a site pre-populates the
-	// predicted pages (mem.Workspace.Prepopulate) while waiting for the
-	// deterministic order. Prediction is advisory: a mispredicted page is
-	// byte-identical to the committed state and is dropped unpublished, so
-	// checksums, sync traces and commit order are identical with it on or
-	// off — only the modeled time moves. The knob also gates one
-	// serial-path trim, skipping the publish floor for empty commits, so
-	// disabling it reproduces the pre-prediction time model exactly.
-	WriteSetPrediction bool
 
 	// ChunkLimit > 0 forces a commit+update after that many instructions
 	// without one, supporting ad-hoc synchronization (§2.7). The paper's
@@ -173,12 +159,12 @@ type Config struct {
 
 	// Chaos, when non-nil, arms seeded fault injection: New wraps the host
 	// so every Charge is jittered and every wake delayed per the profile,
-	// and each thread draws its overflow-shrink, misprediction, barrier-
-	// skew, fault- and commit-delay streams from the injector. Injectors
-	// are single-use — create a fresh one per runtime so replays line up.
-	// Perturbations are confined to modeled time and advisory predictions,
-	// so results (checksums, sync traces) are identical with chaos on or
-	// off; TestGateChaos (internal/harness) gates on exactly that.
+	// and each thread draws its overflow-shrink, barrier-skew, fault- and
+	// commit-delay streams from the injector. Injectors are single-use —
+	// create a fresh one per runtime so replays line up. Perturbations are
+	// confined to modeled time and notification schedules, so results
+	// (checksums, sync traces) are identical with chaos on or off;
+	// TestGateChaos (internal/harness) gates on exactly that.
 	Chaos *chaos.Injector
 
 	// CommitLog, when non-nil, attaches a persistent commit log: both
@@ -208,7 +194,6 @@ func Default() Config {
 		Shards:             1,
 		ParallelBarrier:    true,
 		SpeculativeDiff:    true,
-		WriteSetPrediction: true,
 		SegmentSize:        1 << 24,
 		// GCPageBudget models the single-threaded Conversion collector: a
 		// bounded reclaim per pass, so programs that churn pages faster
@@ -423,9 +408,6 @@ func (rt *Runtime) Metrics() []obs.Sample {
 	g("mem_pulled_pages", ms.PulledPages)
 	g("mem_spec_diff_hits", ms.SpecDiffHits)
 	g("mem_spec_diff_misses", ms.SpecDiffMisses)
-	g("mem_prefetch_hits", ms.PrefetchHits)
-	g("mem_prefetch_misses", ms.PrefetchMisses)
-	g("mem_prefetch_wasted", ms.PrefetchWasted)
 	g("mem_commit_serial_ns", rt.commitSerialNS.Load())
 	g("mem_gc_runs", ms.GCRuns)
 	g("mem_gc_reclaimed_pages", ms.GCReclaimedPages)
@@ -461,7 +443,6 @@ func (rt *Runtime) Metrics() []obs.Sample {
 			{chaos.Jitter, "charge_jitter_events", "charge_jitter_ns"},
 			{chaos.Wake, "wake_delays", "wake_delay_ns"},
 			{chaos.Overflow, "overflow_shrinks", ""},
-			{chaos.Mispredict, "mispredict_drops", ""},
 			{chaos.Barrier, "barrier_skews", "barrier_skew_ns"},
 			{chaos.Fault, "fault_delays", "fault_delay_ns"},
 			{chaos.Commit, "commit_delays", "commit_delay_ns"},
@@ -626,17 +607,7 @@ func (rt *Runtime) attachThread(tid int, startClock int64, ws *mem.Workspace) *T
 		// one draws from the new tid's streams.
 		t.chaosT = in.ThreadStream(tid)
 		t.chaosOverflow = in.OverflowStream(tid)
-		t.chaosPredict = in.PredictStream(tid)
 		t.chaosFault = in.FaultStream(tid)
-	}
-	if rt.cfg.WriteSetPrediction {
-		// One history table per thread, like the unlock estimators: tables
-		// are consulted only from the owning thread and trained only on its
-		// own deterministic chunk history, so no cross-thread state exists
-		// to perturb. A pooled workspace keeps SetPredict across Rebind;
-		// re-arming is idempotent.
-		t.pred = predict.New()
-		ws.SetPredict(true)
 	}
 	if o := rt.obs; o != nil {
 		// Cached so the hot paths pay one nil check, never a lookup.
@@ -727,13 +698,13 @@ func (rt *Runtime) Stats() api.RunStats {
 func (rt *Runtime) aggregate(t *Thread) {
 	// Commit, merge and speculative diffing are distinct trace phases but
 	// one RunStats category, preserving the seed's Figure 15 breakdown;
-	// likewise prefetch is page-population time and folds into Fault, and
-	// spawn, handoff and fast-forward are the scheduler refinement of Lib.
+	// likewise spawn, handoff and fast-forward are the scheduler
+	// refinement of Lib.
 	t.Time.LocalWork = t.bd[obs.PhaseCompute]
 	t.Time.DetermWait = t.bd[obs.PhaseTokenWait]
 	t.Time.BarrierWait = t.bd[obs.PhaseBarrierWait]
 	t.Time.Commit = t.bd[obs.PhaseCommit] + t.bd[obs.PhaseMerge] + t.bd[obs.PhaseSpecDiff]
-	t.Time.Fault = t.bd[obs.PhaseFault] + t.bd[obs.PhasePrefetch]
+	t.Time.Fault = t.bd[obs.PhaseFault]
 	t.Time.Lib = t.bd[obs.PhaseLib] + t.bd[obs.PhaseSpawn] + t.bd[obs.PhaseHandoff] + t.bd[obs.PhaseFastForward]
 	rt.aggMu.Lock()
 	defer rt.aggMu.Unlock()

@@ -581,13 +581,13 @@ func TestManyThreadsStress(t *testing.T) {
 	}
 }
 
-// TestThreadSizeClass holds det.Thread in the allocator's 576-byte size
-// class: every spawn allocates one, so a field that pushes it past 576 B
-// moves every thread into the 640-byte class.
+// TestThreadSizeClass holds det.Thread within 512 bytes, an allocator
+// size class: every spawn allocates one, so a field that pushes it past
+// 512 B moves every thread into the 576-byte class.
 func TestThreadSizeClass(t *testing.T) {
 	size := unsafe.Sizeof(det.Thread{})
 	t.Logf("det.Thread is %d B", size)
-	if size > 576 {
-		t.Errorf("det.Thread is %d B, past the 576-byte size class", size)
+	if size > 512 {
+		t.Errorf("det.Thread is %d B, past the 512-byte size class", size)
 	}
 }

@@ -227,10 +227,10 @@ func TestGCPruningInvisible(t *testing.T) {
 		{"forkjoin-pooled", scaleOutCfg(2, 3), forkJoinProg(4, 3), nil},
 		{"condvar", cfg(), pipelineProg(24), nil},
 		{"canneal", cfg(), swapProg(4, 64, 6, 16), map[[2]bool]simPin{
-			{false, false}: {0x9b490765905384e7, 0xfa4025d712f88624, 2997986, 929, 818, 0},
-			{false, true}:  {0x9b490765905384e7, 0xfa4025d712f88624, 2997986, 929, 214, 604},
-			{true, false}:  {0x9b48e76590534e87, 0xfa4025d712f88624, 3011886, 953, 850, 0},
-			{true, true}:   {0x9b48e76590534e87, 0xfa4025d712f88624, 3011886, 950, 219, 631},
+			{false, false}: {0x9b490765905384e7, 0xfa4025d712f88624, 3147286, 769, 668, 0},
+			{false, true}:  {0x9b490765905384e7, 0xfa4025d712f88624, 3147286, 769, 64, 604},
+			{true, false}:  {0x9b48e76590534e87, 0xfa4025d712f88624, 3163986, 793, 700, 0},
+			{true, true}:   {0x9b48e76590534e87, 0xfa4025d712f88624, 3163986, 790, 69, 631},
 		}},
 	} {
 		for _, il := range []bool{false, true} {

@@ -2,11 +2,9 @@ package det
 
 import "testing"
 
-// TestSiteIDKeying pins the predictor key composition: kinds and object
-// ids must never collide (a Lock and an Unlock of the same mutex lead into
-// different chunks with different write sets), the kind must occupy the
-// top byte, and keys must be nonzero for every real kind (zero is the
-// predictor's "no site" sentinel).
+// TestSiteIDKeying pins the site key composition: kinds and object ids
+// must never collide, the kind must occupy the top byte (shardOf switches
+// on it), and keys must be nonzero for every real kind.
 func TestSiteIDKeying(t *testing.T) {
 	kinds := []uint64{siteLock, siteUnlock, siteCondWait, siteSignal,
 		siteBroadcast, siteBarrier, siteSpawn, siteJoin, siteExit}
@@ -15,7 +13,7 @@ func TestSiteIDKeying(t *testing.T) {
 		for _, obj := range []uint64{0, 1, 5, 1<<56 - 1} {
 			id := siteID(k, obj)
 			if id == 0 {
-				t.Errorf("siteID(%d, %d) = 0, the no-site sentinel", k, obj)
+				t.Errorf("siteID(%d, %d) = 0", k, obj)
 			}
 			if id>>56 != k {
 				t.Errorf("siteID(%d, %d) top byte = %d, want the kind", k, obj, id>>56)

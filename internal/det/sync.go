@@ -268,12 +268,6 @@ func (t *Thread) BarrierWait(bx api.Barrier) {
 // where the token is not held.
 func (t *Thread) barrierSleep(bar *dBarrier) {
 	m := &t.rt.cfg.Model
-	// The rendezvous is the barrier path's off-token wait: prefetch the
-	// next chunk's predicted write set here, like speculate does for token
-	// waits. The copies are taken at the pre-barrier version; the UpdateTo
-	// below patches them forward like any clean page, so they stay
-	// byte-identical to committed state until written.
-	t.prefetchNext()
 	t.account(obs.PhaseCommit)
 	t.park(diagBarrierWait, host.BlockReason{Label: "barrier %d rendezvous", ID: bar.id})
 	t.account(obs.PhaseBarrierWait)

@@ -10,7 +10,6 @@ import (
 	"repro/internal/host"
 	"repro/internal/mem"
 	"repro/internal/obs"
-	"repro/internal/predict"
 	"repro/internal/trace"
 )
 
@@ -97,16 +96,6 @@ type Thread struct {
 	prevUnlockID uint64
 	unlockEWMA   map[uint64]*ewma
 
-	// pred is the thread's write-set history (nil when prediction is
-	// disabled), keyed by sync site like unlockEWMA: chunkSite is the
-	// site of the sync op that started the current chunk, so at the next
-	// sync op the chunk's observed write set (ws.TakeChunkWrites) trains
-	// that site, and speculate consults the same key to prefetch.
-	// predScratch is the reused prediction output buffer.
-	pred        *predict.Table
-	chunkSite   uint64
-	predScratch []int
-
 	// bd accumulates the per-phase time breakdown: every call to
 	// account/charge closes the ledger's current interval (Ledger.Lap) into
 	// one obs.Phase bucket and — when an observer lane is attached — emits
@@ -120,12 +109,12 @@ type Thread struct {
 
 	coarsenedOps int64
 
-	// chaosT (barrier skew, commit delays), chaosOverflow, chaosPredict
-	// and chaosFault are the thread's chaos streams, each drawn on the
-	// line that charges what it perturbs (nil when chaos is disabled;
-	// Stream methods are nil-safe). One stream per subsystem, so one
-	// consuming more draws never shifts another's sequence.
-	chaosT, chaosOverflow, chaosPredict, chaosFault *chaos.Stream
+	// chaosT (barrier skew, commit delays), chaosOverflow and chaosFault
+	// are the thread's chaos streams, each drawn on the line that charges
+	// what it perturbs (nil when chaos is disabled; Stream methods are
+	// nil-safe). One stream per subsystem, so one consuming more draws
+	// never shifts another's sequence.
+	chaosT, chaosOverflow, chaosFault *chaos.Stream
 
 	joiners []int // threads parked in Join on this one, token-serialized
 
@@ -304,64 +293,33 @@ func (t *Thread) Write(data []byte, off int) {
 
 // speculate runs the off-token commit pipeline on the way into a token
 // wait (§4.2 extended: only publication must be ordered — everything else
-// may overlap the deterministic-order wait). Three steps: import the
-// remote versions already published (their diffs are immutable after
-// phase 1, the same property barrierSleep's off-token update relies on),
-// shrinking the pull window the token-held serial phase must process to
-// whatever commits during the wait; pre-diff the workspace's dirty pages,
-// so the serial phase pays only publication cost for every page not
-// locally rewritten in the meantime; and pre-populate the pages the
-// write-set predictor expects the next chunk to touch, so its
-// copy-on-write faults are serviced here instead of on the path. The
-// import is a prefix of the window the commit would import anyway,
-// patched in the same version order, and prefetched pages are
-// byte-identical to the committed state until written (dropped unwritten),
-// so commit results are byte-identical with and without any of it.
-// A no-op when disabled or when there is nothing to import, diff, or
-// prefetch.
+// may overlap the deterministic-order wait). Two steps: import the remote
+// versions already published (their diffs are immutable after phase 1,
+// the same property barrierSleep's off-token update relies on), shrinking
+// the pull window the token-held serial phase must process to whatever
+// commits during the wait; and pre-diff the workspace's dirty pages, so
+// the serial phase pays only publication cost for every page not locally
+// rewritten in the meantime. The import is a prefix of the window the
+// commit would import anyway, patched in the same version order, so
+// commit results are byte-identical with and without it. A no-op when
+// disabled or when there is nothing to import or diff.
 func (t *Thread) speculate() {
 	cfg := &t.rt.cfg
-	m := &cfg.Model
-	if cfg.SpeculativeDiff {
-		t.account(obs.PhaseCompute)
-		ns := int64(t.ws.Update()) * m.UpdatePage
-		ns += int64(t.ws.PrepareCommit()) * m.SpecDiffPage
-		if ns > 0 {
-			t.charge(obs.PhaseSpecDiff, ns)
-		}
-	}
-	t.prefetchNext()
-}
-
-// prefetchNext pre-populates the pages the write-set predictor expects
-// the next chunk to write, charging prefetch time off the critical path.
-// Called wherever a thread is about to wait with the token released: on
-// the way into a token wait (speculate) and on the way into a barrier
-// rendezvous sleep (barrierSleep) — the latter matters because barrier
-// programs never block in acquireToken, so without it the whole barrier
-// class (stencil codes re-writing the same tile every iteration) would
-// never prefetch. A no-op when prediction is disabled or the site is
-// untrained.
-func (t *Thread) prefetchNext() {
-	if t.pred == nil {
+	if !cfg.SpeculativeDiff {
 		return
 	}
-	// The chunk that follows the sync op now waiting is keyed by that
-	// op's site (chunkSite, set in syncOpStart before any token work).
-	// Chaos mispredictions drop predicted pages; an empty (untrained)
-	// prediction draws nothing.
-	t.predScratch = t.chaosPredict.FilterPrediction(t.pred.Predict(t.chunkSite, t.predScratch[:0]))
-	if len(t.predScratch) > 0 {
-		t.account(obs.PhaseCompute)
-		if n := int64(t.ws.Prepopulate(t.predScratch)); n > 0 {
-			t.charge(obs.PhasePrefetch, n*t.rt.cfg.Model.PrepopulatePage+t.faultDelay(n))
-		}
+	m := &cfg.Model
+	t.account(obs.PhaseCompute)
+	ns := int64(t.ws.Update()) * m.UpdatePage
+	ns += int64(t.ws.PrepareCommit()) * m.SpecDiffPage
+	if ns > 0 {
+		t.charge(obs.PhaseSpecDiff, ns)
 	}
 }
 
-// faultDelay draws the chaos fault delay for each of n serviced pages —
-// copy-on-write faults and prefetch populations alike — charged with the
-// modeled cost it stretches, so the perturbation is pure time.
+// faultDelay draws the chaos fault delay for each of n copy-on-write
+// faults, charged with the modeled cost it stretches, so the perturbation
+// is pure time.
 func (t *Thread) faultDelay(n int64) (ns int64) {
 	for range n {
 		ns += t.chaosFault.Delay(chaos.Fault)
@@ -374,19 +332,8 @@ func (t *Thread) faultDelay(n int64) (ns int64) {
 // pages whose diff had to be computed under the token pay the full serial
 // cost. With speculation disabled every page is a miss and the cost
 // reduces exactly to the pre-speculation model.
-//
-// A commit whose dirty set turned out empty after diffing publishes
-// nothing — no version, no conflict checks, no head movement — so with
-// prediction enabled it skips the per-commit publication floor
-// (CommitFixed) and pays only for the pages it pulled. Lock-heavy
-// programs commit at every unlock whether or not the critical section
-// wrote; their empty commits are pure floor. Gated with the prediction
-// knob so disabling it reproduces the earlier time model exactly.
 func (t *Thread) serialCommitCost(st mem.CommitStats) int64 {
 	m := &t.rt.cfg.Model
-	if t.rt.cfg.WriteSetPrediction && st.CommittedPages == 0 {
-		return int64(st.PulledPages) * m.UpdatePage
-	}
 	return m.CommitFixed +
 		int64(st.SpecMisses)*m.CommitPageSerial +
 		int64(st.SpecHits)*m.CommitPagePublish +
@@ -674,10 +621,7 @@ func (t *Thread) logCommit(v *mem.Version) {
 }
 
 // Sync-site kinds, composed with the operation's object id into the
-// write-set predictor's site keys. Distinct kinds keep a Lock and an
-// Unlock of the same mutex from sharing one history entry: the chunk
-// after a Lock is the critical section, the chunk after its Unlock is
-// whatever follows — different code, different write sets.
+// site keys shardOf selects a request scope from.
 const (
 	siteLock uint64 = iota + 1
 	siteUnlock
@@ -690,11 +634,10 @@ const (
 	siteExit
 )
 
-// siteID composes a predictor site key from a sync-op kind and its object
-// id. Object ids are deterministic (tid-and-sequence for user objects), so
-// site keys are too. Spawn/join/exit pass obj 0: their per-instance ids
-// never repeat, so keying on them would never produce a second visit to
-// train against.
+// siteID composes a site key from a sync-op kind and its object id.
+// Object ids are deterministic (tid-and-sequence for user objects), so
+// site keys are too. Spawn/join/exit pass obj 0: their scope comes from
+// the thread's domain shard (a join's from the child, threads.go).
 func siteID(kind, obj uint64) uint64 { return kind<<56 | obj&(1<<56-1) }
 
 // shardOf is scope selection: it maps a sync site to its request scope.
@@ -727,25 +670,16 @@ func (t *Thread) shardOf(site uint64) int {
 }
 
 // syncOpStart updates per-thread chunk statistics at the start of every
-// synchronization operation; site is the operation's predictor key
-// (siteID). Unlock estimates only learn from chunks that followed an
-// unlock of the matching mutex — the case they are consulted for. The
-// write-set predictor follows the same discipline: the chunk now ending
-// trains the site that started it, and the site now starting becomes the
-// key the next speculate consults.
+// synchronization operation; site is the operation's key (siteID), which
+// selects its request scope. Unlock estimates only learn from chunks that
+// followed an unlock of the matching mutex — the case they are consulted
+// for.
 func (t *Thread) syncOpStart(site uint64) {
 	t.curShard = t.shardOf(site)
 	chunk := t.icount - t.lastSyncIcount
 	if t.prevUnlockID != 0 {
 		t.unlockEstimator(t.prevUnlockID).update(float64(chunk))
 		t.prevUnlockID = 0
-	}
-	if t.pred != nil {
-		writes := t.ws.TakeChunkWrites()
-		if t.chunkSite != 0 {
-			t.pred.Train(t.chunkSite, writes)
-		}
-		t.chunkSite = site
 	}
 	t.lastSyncIcount = t.icount
 	t.diagClock.Store(t.icount)

@@ -432,28 +432,6 @@ var Figures = []Figure{
 		},
 	},
 	{
-		// Results are identical either way (TestGateDeterminism), so the
-		// interesting columns are the wall-time delta and how well the
-		// last-value predictor covers the fault stream.
-		Name: "prefetch", Extra: true, Title: "Write-set prediction ablation (8 threads; hits = writes landing on prefetched pages, coverage = hits/(hits+misses))",
-		Header:  []string{"benchmark", "off(ms)", "on(ms)", "off/on", "hits", "misses", "wasted", "coverage"},
-		Benches: []string{"canneal", "water_nsquared", "kmeans", "histogram", "ocean_cp", "dedup"},
-		Threads: at8,
-		Variants: []Variant{
-			modify("off", func(c *det.Config) { c.WriteSetPrediction = false }),
-			{Name: "on"},
-		},
-		Row: func(_ Sweep, rs []Result) ([][]string, error) {
-			off, st := rs[0], rs[1].Stats
-			covered := ""
-			if tot := st.PrefetchHits + st.PrefetchMisses; tot > 0 {
-				covered = percent(float64(st.PrefetchHits), float64(tot))
-			}
-			return [][]string{{benchOf(off), ms(off.WallNS), ms(rs[1].WallNS), ratio(off.WallNS, rs[1].WallNS),
-				fmt.Sprint(st.PrefetchHits), fmt.Sprint(st.PrefetchMisses), fmt.Sprint(st.PrefetchWasted), covered}}, nil
-		},
-	},
-	{
 		// The sharded scheduler (docs/scheduler.md) against the paper's
 		// single token. Results are identical at every shard count, so the
 		// interesting columns are the speedup and how many sub-token grants

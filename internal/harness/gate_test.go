@@ -24,7 +24,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/commitlog"
 	"repro/internal/costmodel"
-	"repro/internal/det"
 	"repro/internal/host/simhost"
 	"repro/internal/journal"
 )
@@ -40,9 +39,9 @@ var gateShards = [4]int{1, 2, 4, 8}
 // pinned per shard count — under per-shard granting (shards >= 2,
 // docs/scheduler.md) the merge rule may legitimately reorder independent
 // grants between shards, so each count has its own golden interleave,
-// byte-stable across runs, hosts, prediction and chaos. wallNS is the
-// modeled wall time with prediction on (0: not pinned): a refactor that
-// moves it has changed the time model, not just the code. sweep is the
+// byte-stable across runs, hosts and chaos. wallNS is the modeled wall
+// time at each shard count: a refactor that moves it has changed the time
+// model, not just the code. sweep is the
 // replica fleet's versioned-read digest (Cell.SweepDigest, 256 reads).
 // history is the run's whole recorded history at 1 and at 4 shards, as
 // journal.Load yields it from the commit log, folded by historyDigests
@@ -75,19 +74,19 @@ var historyShards = [2]int{1, 4}
 var goldens = []golden{
 	{"water_nsquared", 0x8cd4c7596c268f28,
 		[4]uint64{0xaadb9ab2a9588a2a, 0xed0e122f20ce827b, 0xc56202d013570111, 0x0d3e1d9b985f439d},
-		[4]int64{15285801, 0, 5072679, 0}, 0x63895402ea9faa4f,
+		[4]int64{19533918, 9249432, 6419450, 5219960}, 0x63895402ea9faa4f,
 		[2][2]uint64{{0xb4d3bfed0aca311e, 0x4746ea42d6384716}, {0x5caec1a90ea240bc, 0x8244ac28d59591f2}}},
 	{"canneal", 0x52afe913b556d5da,
 		[4]uint64{0x054928fab9f631f8, 0xb7be0c1e137f8578, 0xd294fd670ca2f9b8, 0x054928fab9f631f8},
-		[4]int64{}, 0xd94cce37c4bfd06c,
+		[4]int64{14134920, 11728409, 11728249, 11737449}, 0xd94cce37c4bfd06c,
 		[2][2]uint64{{0x7f38278438e8a17e, 0x45bacf7654bc5b43}, {0x0d2ad7baaadf6346, 0x45bacf7654bc5b43}}},
 	{"histogram", 0x09e07ed580954ecc,
 		[4]uint64{0xcaafd5842fd5020b, 0xcaafd5842fd5020b, 0xcaafd5842fd5020b, 0xcaafd5842fd5020b},
-		[4]int64{}, 0x38698e66044577cb,
+		[4]int64{2412938, 649517, 646317, 646557}, 0x38698e66044577cb,
 		[2][2]uint64{{0x045c3e5fe7c051c4, 0x0958d3db0164e029}, {0x79732bd795e24b24, 0x0958d3db0164e029}}},
 	{"kmeans", 0x1f8b09e15b1b689c,
 		[4]uint64{0xcd6c25c0a0405d2b, 0xcd6c25c0a0405d2b, 0xcd6c25c0a0405d2b, 0xcd6c25c0a0405d2b},
-		[4]int64{3245522, 0, 602806, 0}, 0xbb62a31a7e02126b,
+		[4]int64{3449922, 779046, 728806, 693166}, 0xbb62a31a7e02126b,
 		[2][2]uint64{{0xb1755620a73a6bff, 0x6dc7daedc08cc4b8}, {0xb4388f45f2486537, 0x6dc7daedc08cc4b8}}},
 }
 
@@ -104,14 +103,14 @@ func goldenFor(t *testing.T, bench string) golden {
 // gateCell is one cell of the gate matrix: a golden row under one
 // scheduler configuration and, optionally, one chaos spec.
 type gateCell struct {
-	g       golden
-	predict bool
-	shards  int
-	chaos   string
+	g      golden
+	shards int
+	chaos  string
 }
 
 func (c gateCell) String() string {
-	s := fmt.Sprintf("%s predict=%t shards=%d", c.g.bench, c.predict, c.shards)
+	// "predict=true" names the deleted prediction knob; kept so no test id moves.
+	s := fmt.Sprintf("%s predict=true shards=%d", c.g.bench, c.shards)
 	if c.chaos != "" {
 		s += " chaos=" + c.chaos
 	}
@@ -119,14 +118,10 @@ func (c gateCell) String() string {
 }
 
 func (c gateCell) options() Options {
-	o := Options{
+	return Options{
 		Bench: c.g.bench, Runtime: KindConsequenceIC, Threads: 8, Scale: 1, Seed: 42,
 		Shards: c.shards, Chaos: c.chaos,
 	}
-	if !c.predict {
-		o.Modify = func(dc *det.Config) { dc.WriteSetPrediction = false }
-	}
-	return o
 }
 
 // check compares a result with the cell's golden row. The error names the
@@ -143,8 +138,8 @@ func (c gateCell) check(r Result) error {
 	if r.TraceHash != c.g.trace[i] {
 		moved = append(moved, fmt.Sprintf("trace %016x (golden %016x)", r.TraceHash, c.g.trace[i]))
 	}
-	// Chaos and prediction move modeled time by design; nothing else may.
-	if want := c.g.wallNS[i]; want != 0 && c.predict && c.chaos == "" && r.WallNS != want {
+	// Chaos moves modeled time by design; nothing else may.
+	if want := c.g.wallNS[i]; c.chaos == "" && r.WallNS != want {
 		moved = append(moved, fmt.Sprintf("modeled wall %d ns (golden %d)", r.WallNS, want))
 	}
 	if len(moved) == 0 {
@@ -208,24 +203,22 @@ func gate(t *testing.T, name string, fn func(t *testing.T) error) {
 }
 
 // TestGateDeterminism: every golden over the full scheduler matrix —
-// write-set prediction on and off, crossed with 1/2/4/8 arbitration
-// shards — must hit the same checksum and its shard count's trace
-// golden: the sharded scheduler never moves program results, and within
-// a shard count the grant interleave is replay-stable by the merge rule.
+// 1/2/4/8 arbitration shards — must hit the same checksum and its shard
+// count's trace golden and modeled wall: the sharded scheduler never
+// moves program results, and within a shard count the grant interleave
+// is replay-stable by the merge rule.
 func TestGateDeterminism(t *testing.T) {
 	for _, g := range goldens {
-		for _, predict := range []bool{true, false} {
-			for _, shards := range gateShards {
-				c := gateCell{g: g, predict: predict, shards: shards}
-				gate(t, c.String(), func(*testing.T) error { return c.run(nil) })
-			}
+		for _, shards := range gateShards {
+			c := gateCell{g: g, shards: shards}
+			gate(t, c.String(), func(*testing.T) error { return c.run(nil) })
 		}
 	}
 }
 
 // TestGateNamesTheCell is the gate's own negative test: a golden with one
 // hex digit flipped must fail, and the failure must name the cell
-// (bench, predict, shards) and the field that moved.
+// (bench, shards) and the field that moved.
 func TestGateNamesTheCell(t *testing.T) {
 	wrongSum := goldenFor(t, "kmeans")
 	wrongSum.sum ^= 0x10
@@ -237,9 +230,9 @@ func TestGateNamesTheCell(t *testing.T) {
 		c    gateCell
 		want []string
 	}{
-		{gateCell{g: wrongSum, predict: false, shards: 2}, []string{"kmeans predict=false shards=2", "checksum 1f8b09e15b1b689c (golden 1f8b09e15b1b688c)"}},
-		{gateCell{g: wrongTrace, predict: true, shards: 4}, []string{"kmeans predict=true shards=4", "trace cd6c25c0a0405d2b (golden cd6c25c0a0405d2a)"}},
-		{gateCell{g: wrongWall, predict: true, shards: 4}, []string{"kmeans predict=true shards=4", "modeled wall 602806 ns (golden 602807)"}},
+		{gateCell{g: wrongSum, shards: 2}, []string{"kmeans predict=true shards=2", "checksum 1f8b09e15b1b689c (golden 1f8b09e15b1b688c)"}},
+		{gateCell{g: wrongTrace, shards: 4}, []string{"kmeans predict=true shards=4", "trace cd6c25c0a0405d2b (golden cd6c25c0a0405d2a)"}},
+		{gateCell{g: wrongWall, shards: 4}, []string{"kmeans predict=true shards=4", "modeled wall 728806 ns (golden 728807)"}},
 	} {
 		err := tc.c.run(nil)
 		if err == nil {
@@ -254,13 +247,13 @@ func TestGateNamesTheCell(t *testing.T) {
 	}
 	// The untouched neighbours of a wrong cell still pass: the report is
 	// per cell, not per benchmark.
-	if err := (gateCell{g: wrongTrace, predict: true, shards: 1}).run(nil); err != nil {
+	if err := (gateCell{g: wrongTrace, shards: 1}).run(nil); err != nil {
 		t.Errorf("a golden wrong at 4 shards failed the 1-shard cell: %v", err)
 	}
 }
 
 // TestGateChaos: chaos perturbs timing (jitter, token-grant delay,
-// overflow shrinkage, mispredictions, barrier skew, fault/commit/log
+// overflow shrinkage, barrier skew, fault/commit/log
 // slowdowns, follower kills/stalls/tears) but must never perturb
 // results. Every built-in profile — from the registry itself, so a new
 // profile cannot be skipped — over seeds 1–5 must reproduce each
@@ -278,7 +271,7 @@ func TestGateChaos(t *testing.T) {
 	for _, g := range goldens {
 		for _, profile := range chaos.Profiles() {
 			for _, seed := range seeds {
-				c := gateCell{g: g, predict: true, shards: 1, chaos: fmt.Sprintf("%s:%d", profile, seed)}
+				c := gateCell{g: g, shards: 1, chaos: fmt.Sprintf("%s:%d", profile, seed)}
 				if strings.HasPrefix(profile, "follower-") {
 					gate(t, c.String(), func(t *testing.T) error { return c.runFleet(filepath.Join(t.TempDir(), "log")) })
 				} else {
@@ -287,7 +280,7 @@ func TestGateChaos(t *testing.T) {
 			}
 		}
 		for seed := 1; seed <= 3; seed++ {
-			c := gateCell{g: g, predict: true, shards: 4, chaos: fmt.Sprintf("storm:%d", seed)}
+			c := gateCell{g: g, shards: 4, chaos: fmt.Sprintf("storm:%d", seed)}
 			gate(t, c.String(), func(*testing.T) error { return c.run(nil) })
 		}
 	}
@@ -415,7 +408,7 @@ func (c gateCell) logged(dir string) error {
 func TestGateJournal(t *testing.T) {
 	for _, g := range goldens {
 		for hi, shards := range historyShards {
-			c := gateCell{g: g, predict: true, shards: shards}
+			c := gateCell{g: g, shards: shards}
 			gate(t, c.String(), func(t *testing.T) error {
 				dir := t.TempDir()
 				logA, logB := filepath.Join(dir, "a"), filepath.Join(dir, "b")
@@ -464,7 +457,7 @@ func TestGateJournal(t *testing.T) {
 // move — the stalled run's directory is byte-identical to the first's.
 func TestGateCommitLog(t *testing.T) {
 	for _, g := range goldens {
-		c := gateCell{g: g, predict: true, shards: 1}
+		c := gateCell{g: g, shards: 1}
 		gate(t, c.String(), func(t *testing.T) error {
 			dir := t.TempDir()
 			logA, logC := filepath.Join(dir, "a"), filepath.Join(dir, "c")
@@ -507,12 +500,12 @@ func TestGateCommitLog(t *testing.T) {
 // which bytes any version's read returns.
 func TestGateReplica(t *testing.T) {
 	for _, g := range goldens {
-		c := gateCell{g: g, predict: true, shards: 1}
+		c := gateCell{g: g, shards: 1}
 		gate(t, c.String(), func(t *testing.T) error { return c.runFleet(filepath.Join(t.TempDir(), "log")) })
 	}
 	for _, profile := range []string{"follower-kill", "follower-tear", "logstall"} {
 		for seed := 1; seed <= 3; seed++ {
-			c := gateCell{g: goldenFor(t, "kmeans"), predict: true, shards: 1, chaos: fmt.Sprintf("%s:%d", profile, seed)}
+			c := gateCell{g: goldenFor(t, "kmeans"), shards: 1, chaos: fmt.Sprintf("%s:%d", profile, seed)}
 			gate(t, c.String(), func(t *testing.T) error { return c.runFleet(filepath.Join(t.TempDir(), "log")) })
 		}
 	}

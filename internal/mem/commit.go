@@ -207,8 +207,6 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 	// and version publication. Nothing below computes diffs or allocates;
 	// the lock covers only filling the version's slots in place and the
 	// latest/head update.
-	kept := ws.scratchKept[:0]
-	var wasted int64
 	// Buffers this commit releases, recycled once the lock is dropped, and
 	// the lent twins that leave the dirty set with them: committed pages,
 	// never put, but each one a live page of the modeled count.
@@ -224,20 +222,6 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 		dp := ws.dirty[pg]
 		diff := dp.spec
 		if diff.Empty() {
-			// Prefetched pages never written live through exactly one
-			// commit: fresh ones are retained (demoted to stale) so the
-			// chunk they were prefetched for — which runs after this very
-			// commit — still finds them; stale ones were a wasted
-			// prediction and are dropped. Either way the empty diff keeps
-			// them out of every commit statistic.
-			if ws.predict && dp.pf == pfFresh {
-				dp.pf = pfStale
-				kept = append(kept, pg)
-				continue
-			}
-			if dp.pf != pfNone {
-				wasted++
-			}
 			freed = append(freed, dp.data)
 		} else {
 			slot := &v.slots[si]
@@ -277,10 +261,9 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 		// Nothing to publish: behave as an update.
 		ws.version = headBefore
 		s.mu.Unlock()
-		ws.resetDirty(pages, kept)
+		ws.resetDirty(pages)
 		ws.recycle(freed, lent)
 		s.addPulled(int64(pc.stats.PulledPages))
-		s.notePrefetchWasted(wasted)
 		return pc
 	}
 
@@ -292,28 +275,16 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 	pc.stats.CommittedPages = npub
 	s.mu.Unlock()
 
-	ws.resetDirty(pages, kept)
+	ws.resetDirty(pages)
 	ws.recycle(freed, lent)
 	s.noteCommit(pc.stats)
-	s.notePrefetchWasted(wasted)
 	return pc
 }
 
-// resetDirty clears the dirty set after a commit, retaining only the
-// prefetched pages in kept. pages is the commit's full (ascending) page
-// list and kept an ascending subset of it; both are workspace scratch.
-// A retained page stays byte-identical to the committed state at the
-// workspace's new version: its own commit did not publish it (empty
-// diff), and every prior patch imported remote bytes into data and twin
-// alike.
-func (ws *Workspace) resetDirty(pages, kept []int) {
-	ws.scratchKept = kept
-	ki := 0
+// resetDirty clears the dirty set after a commit. pages is the commit's
+// full (ascending) page list, workspace scratch.
+func (ws *Workspace) resetDirty(pages []int) {
 	for _, pg := range pages {
-		if ki < len(kept) && kept[ki] == pg {
-			ki++
-			continue
-		}
 		ws.putDirty(ws.dirty[pg])
 		delete(ws.dirty, pg)
 	}

@@ -133,12 +133,6 @@ func (r *lentRun) write(ws *Workspace, pg, off, n int, val byte) {
 	r.own()
 }
 
-// prepopulate prefetches pages into ws.
-func (r *lentRun) prepopulate(ws *Workspace, pages ...int) {
-	ws.Prepopulate(pages)
-	r.own()
-}
-
 // update moves ws to the head.
 func (r *lentRun) update(ws *Workspace) {
 	ws.Update()
@@ -237,26 +231,6 @@ func TestLentTwinOwnership(t *testing.T) {
 			r.expectLent(r.a, 4, true)
 			r.s.GC()
 			r.s.Prune()
-			r.commit(r.a)
-		}},
-		{"a prefetched page kept across a commit whose window touches it", func(r *lentRun) {
-			r.a.SetPredict(true)
-			r.write(r.b, 3, 0, 4, 0xb3)
-			r.commit(r.b)
-			r.update(r.a)
-			r.prepopulate(r.a, 3, 1) // page 3's twin is v1's slot data, page 1's the zero page
-			r.expectLent(r.a, 3, true)
-			r.expectLent(r.a, 1, true)
-			r.write(r.b, 3, 64, 4, 0xb4)
-			r.commit(r.b)
-			r.write(r.a, 0, 0, 1, 0xa0)
-			r.commit(r.a) // keeps both prefetches; b's v2 patches page 3
-			r.expectLent(r.a, 3, false)
-			r.expectLent(r.a, 1, true)
-			r.s.GC()
-			r.s.Prune()
-			r.write(r.a, 3, 128, 2, 0xa3) // a prefetch hit on the owned twin
-			r.write(r.a, 1, 5, 1, 0xa1)   // and on the lent one
 			r.commit(r.a)
 		}},
 		{"Discard and Release with lent twins", func(r *lentRun) {

@@ -101,9 +101,8 @@ type Segment struct {
 	//
 	//   - thread-private buffers: a twin once a patch copied it (a lent twin
 	//     is committed content, never put: see dirtyPage), a dirty copy
-	//     dropped unpublished (empty diff, wasted prefetch, discard), and a
-	//     conflicting page's raw copy (the version publishes the merge, not
-	//     the copy);
+	//     dropped unpublished (empty diff, discard), and a conflicting
+	//     page's raw copy (the version publishes the merge, not the copy);
 	//   - a superseded base[pg], put by GC when it folds version w over it.
 	//     A reader holding it looked up pg at some `at` and found no version
 	//     in (floor, at] touching pg, so at < w; but GC folds w only when

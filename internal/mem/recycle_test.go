@@ -32,7 +32,7 @@ type loggedDiff struct {
 }
 
 // TestRecycleNeverReachesReaders runs every operation that takes or puts a
-// page buffer — Read, Write, Prepopulate, Commit (both phases, merges
+// page buffer — Read, Write, Commit (both phases, merges
 // included), Reserve and UpdateTo, an Update between a write and its
 // commit (which moves the pin under lent twins), Discard, GC with its
 // interior pruning, ReadCommitted — concurrently, with every buffer
@@ -81,15 +81,11 @@ func TestRecycleNeverReachesReaders(t *testing.T) {
 				return
 			}
 			snapped.Wait()
-			ws.SetPredict(w%2 == 0) // half the threads keep fresh prefetches across a commit
 			rng := rand.New(rand.NewSource(int64(w) + 1))
 			buf := make([]byte, 96)
 			page := make([]byte, pageSize)
 			var late []PendingCommit // merge phases left pending for readers to force
 			for i := 0; i < iters; i++ {
-				if rng.Intn(3) == 0 {
-					ws.Prepopulate([]int{rng.Intn(npages), rng.Intn(npages)})
-				}
 				for k := 0; k < 3; k++ {
 					off := rng.Intn(size - len(buf))
 					n := 1 + rng.Intn(len(buf)-1)
@@ -170,8 +166,8 @@ func TestRecycleNeverReachesReaders(t *testing.T) {
 		t.Fatal("final memory differs from the diffs replayed without recycling")
 	}
 	st := s.Stats()
-	if st.MergedPages == 0 || st.GCReclaimedPages == 0 || st.PrefetchWasted == 0 || s.prunedPages == 0 {
-		t.Fatalf("stress missed a release site (merges, GC, wasted prefetches, %d pruned pages): %+v", s.prunedPages, st)
+	if st.MergedPages == 0 || st.GCReclaimedPages == 0 || s.prunedPages == 0 {
+		t.Fatalf("stress missed a release site (merges, GC, %d pruned pages): %+v", s.prunedPages, st)
 	}
 	// Everything is folded and every workspace released: what is live is
 	// exactly the base table.
@@ -210,18 +206,15 @@ func TestCommitCycleAllocatesNoPages(t *testing.T) {
 	}
 	a, _ := s.Snapshot(0)
 	b, _ := s.Snapshot(1)
-	a.SetPredict(true)
 	round := byte(0)
 	cycle := func() {
 		round++
-		a.Prepopulate([]int{6, 7}) // 6 is written (a hit), 7 never is
 		for pg := 0; pg < 7; pg++ {
 			a.Write([]byte{round}, pg*pageSize)
 			b.Write([]byte{round}, pg*pageSize+1)
 		}
 		b.Commit()
 		a.Commit() // conflicts with b on every page: the merge takes a page too
-		a.Commit() // nothing to publish; drops the stale prefetch of 7
 		b.Update()
 		s.GC()
 	}
@@ -229,50 +222,42 @@ func TestCommitCycleAllocatesNoPages(t *testing.T) {
 	if got := allocBytesPerRun(20, cycle); got >= pageSize {
 		t.Fatalf("steady-state commit cycle allocates %d B, at least one %d B page", got, pageSize)
 	}
-	if st := s.Stats(); st.MergedPages == 0 || st.PrefetchHits == 0 || st.PrefetchWasted == 0 || st.GCReclaimedPages == 0 {
-		t.Fatalf("cycle did not exercise merge, prefetch and GC: %+v", st)
+	if st := s.Stats(); st.MergedPages == 0 || st.GCReclaimedPages == 0 {
+		t.Fatalf("cycle did not exercise merge and GC: %+v", st)
 	}
 }
 
 // TestFaultAllocatesOnePage is the tier-1 gate on lent twins: on a fresh
 // segment, whose free list is empty, a copy-on-write fault allocates one
-// 64 KiB page, the dirty copy, and so does a Prepopulate of one page. The
-// twin is the committed page the copy was taken from (dirtyPage.lent);
-// while each fault copied it too, both allocated two pages.
+// 64 KiB page, the dirty copy. The twin is the committed page the copy
+// was taken from (dirtyPage.lent); while each fault copied it too, a fault
+// allocated two pages.
 func TestFaultAllocatesOnePage(t *testing.T) {
 	const (
 		pageSize = 64 << 10
 		tries    = 8
 	)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	for _, op := range []struct {
-		name string
-		do   func(ws *Workspace)
-	}{
-		{"fault", func(ws *Workspace) { ws.Write([]byte{1}, 3*pageSize+5) }},
-		{"Prepopulate", func(ws *Workspace) { ws.Prepopulate([]int{3}) }},
-	} {
-		wss := make([]*Workspace, tries)
-		for i := range wss {
-			s, err := NewSegment(SegmentConfig{Name: "fault", Size: 4 * pageSize, PageSize: pageSize})
-			if err != nil {
-				t.Fatal(err)
-			}
-			wss[i], _ = s.Snapshot(0)
+	wss := make([]*Workspace, tries)
+	for i := range wss {
+		s, err := NewSegment(SegmentConfig{Name: "fault", Size: 4 * pageSize, PageSize: pageSize})
+		if err != nil {
+			t.Fatal(err)
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for _, ws := range wss {
-			op.do(ws)
-		}
-		runtime.ReadMemStats(&after)
-		if got := (after.TotalAlloc - before.TotalAlloc) / tries; got >= 2*pageSize {
-			t.Errorf("%s on a fresh segment allocates %d B, at least two %d B pages", op.name, got, pageSize)
-		}
-		for _, ws := range wss {
-			if ws.DirtyPages() != 1 {
-				t.Fatalf("%s left %d dirty pages, want 1", op.name, ws.DirtyPages())
-			}
+		wss[i], _ = s.Snapshot(0)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, ws := range wss {
+		ws.Write([]byte{1}, 3*pageSize+5)
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / tries; got >= 2*pageSize {
+		t.Errorf("a fault on a fresh segment allocates %d B, at least two %d B pages", got, pageSize)
+	}
+	for _, ws := range wss {
+		if ws.DirtyPages() != 1 {
+			t.Fatalf("a fault left %d dirty pages, want 1", ws.DirtyPages())
 		}
 	}
 }

@@ -23,15 +23,6 @@ type Stats struct {
 	// committed pages that had to be diffed inside BeginCommit.
 	SpecDiffHits   int64
 	SpecDiffMisses int64
-	// PrefetchHits counts writes that found their page already prefetched
-	// (Workspace.Prepopulate) — each one a copy-on-write fault moved off
-	// the serial path into a token wait. PrefetchMisses counts faults
-	// taken while prediction was enabled (pages the predictor did not
-	// cover). PrefetchWasted counts prefetched pages dropped unwritten at
-	// a commit — mispredicted off-token work.
-	PrefetchHits   int64
-	PrefetchMisses int64
-	PrefetchWasted int64
 	// GCRuns is the number of garbage-collection invocations.
 	GCRuns int64
 	// GCReclaimedPages is the total pages reclaimed by GC.
@@ -95,30 +86,10 @@ func (s *Segment) noteCommit(cs CommitStats) {
 }
 
 // noteFault records one copy-on-write fault and the two live pages the
-// modeled count gives it (dirty copy and twin, lent or not); with
-// prediction enabled the fault is also a prefetch miss (the predictor did
-// not cover the page).
-func (s *Segment) noteFault(predicted bool) {
+// modeled count gives it (dirty copy and twin, lent or not).
+func (s *Segment) noteFault() {
 	s.statsMu.Lock()
 	s.stats.Faults++
-	if predicted {
-		s.stats.PrefetchMisses++
-	}
 	s.allocPagesLocked(2)
-	s.statsMu.Unlock()
-}
-
-func (s *Segment) notePrefetchHits(n int64) {
-	s.statsMu.Lock()
-	s.stats.PrefetchHits += n
-	s.statsMu.Unlock()
-}
-
-func (s *Segment) notePrefetchWasted(n int64) {
-	if n == 0 {
-		return
-	}
-	s.statsMu.Lock()
-	s.stats.PrefetchWasted += n
 	s.statsMu.Unlock()
 }

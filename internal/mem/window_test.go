@@ -34,10 +34,10 @@ func checkWriteWindows(t *testing.T, ws *Workspace, where string) {
 
 // TestWriteWindowCoversDiff drives seeded random sequences of writes
 // (zero-length and page-spanning ones among them), updates over remote
-// commits that patch dirty pages and copy lent twins, prefetches,
-// speculative diffs, commits and discards, and checks after every step
-// that each dirty page's bytes differ from its twin only inside its write
-// window, so that the windowed diff is the whole page's.
+// commits that patch dirty pages and copy lent twins, speculative diffs,
+// commits and discards, and checks after every step that each dirty page's
+// bytes differ from its twin only inside its write window, so that the
+// windowed diff is the whole page's.
 func TestWriteWindowCoversDiff(t *testing.T) {
 	const (
 		npages  = 4
@@ -54,7 +54,6 @@ func TestWriteWindowCoversDiff(t *testing.T) {
 		ws := make([]*Workspace, threads)
 		for i := range ws {
 			ws[i], _ = s.Snapshot(i)
-			ws[i].SetPredict(i != 0) // prefetched pages survive a commit only with predict on
 		}
 		// Draw a few byte values so that writes often store what the page
 		// already holds, and patches land on clean and dirty bytes alike.
@@ -62,7 +61,7 @@ func TestWriteWindowCoversDiff(t *testing.T) {
 		for step := 0; step < steps; step++ {
 			w := ws[rng.Intn(threads)]
 			var what string
-			switch op := rng.Intn(12); {
+			switch op := rng.Intn(11); {
 			case op < 5:
 				what = "write"
 				n := rng.Intn(page / 2)
@@ -82,12 +81,9 @@ func TestWriteWindowCoversDiff(t *testing.T) {
 				what = "update"
 				w.Update()
 			case op == 7:
-				what = "prepopulate"
-				w.Prepopulate([]int{rng.Intn(npages), rng.Intn(npages)})
-			case op == 8:
 				what = "prepare"
 				w.PrepareCommit()
-			case op < 11:
+			case op < 10:
 				what = "commit"
 				w.BeginCommit().Complete()
 			default:

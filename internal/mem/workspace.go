@@ -20,33 +20,22 @@ type Workspace struct {
 	// these into charged costs and stats.
 	faults int64
 
-	// predict enables write-set logging and page prefetching: faults and
-	// first-writes are recorded into chunkWrites (the training signal for
-	// the runtime's write-set predictor), and Prepopulate may install
-	// prefetched pages that survive exactly one commit (see dirtyPage.pf).
-	predict bool
-	// chunkWrites logs the pages this chunk wrote (CoW faults plus first
-	// writes to prefetched pages), in first-touch order, since the last
-	// TakeChunkWrites. Only maintained while predict is set.
-	chunkWrites []int
-
 	// Commit-path scratch, reused across BeginCommit and UpdateTo calls so
 	// neither allocates the sorted page list, the re-diff list, the
-	// retained-prefetch list, the released-buffer list, the pulled-page set
-	// or the patch list. Owned by the workspace's thread, like dirty;
-	// scratchPatches and scratchFreed are cleared after use so they pin
-	// neither versions nor page buffers.
+	// released-buffer list, the pulled-page set or the patch list. Owned
+	// by the workspace's thread, like dirty; scratchPatches and
+	// scratchFreed are cleared after use so they pin neither versions nor
+	// page buffers.
 	scratchPages   []int
 	scratchMisses  []int
-	scratchKept    []int
 	scratchFreed   [][]byte
 	scratchTouched map[int]bool
 	scratchPatches []*pageSlot
 
 	// freeDirty is the workspace's stack of recycled dirtyPage records:
 	// every page that leaves the dirty set (resetDirty, discardLocked) puts
-	// its record here zeroed, and fault and Prepopulate take from it, so
-	// the steady-state fault path allocates none. It holds only records
+	// its record here zeroed, and fault takes from it, so the steady-state
+	// fault path allocates none. It holds only records
 	// that were in the dirty set once, so it never outgrows the dirty
 	// set's high-water mark.
 	freeDirty []*dirtyPage
@@ -61,25 +50,10 @@ type Workspace struct {
 	spare *Version
 }
 
-// Prefetch states of a dirty page (dirtyPage.pf).
-const (
-	// pfNone: an ordinary copy-on-write page (faulted by a local write).
-	pfNone uint8 = iota
-	// pfFresh: installed by Prepopulate and not yet written. A fresh page
-	// survives the next commit (the commit of the very sync op whose wait
-	// the prefetch overlapped — the chunk it was prefetched for runs after
-	// that commit), demoted to stale.
-	pfFresh
-	// pfStale: a prefetched page that survived one commit without ever
-	// being written. The next commit drops it as a wasted prefetch unless
-	// a Prepopulate re-predicts it first (refreshing it to pfFresh).
-	pfStale
-)
-
 // dirtyPage is a privately writable copy of a page plus its pristine twin,
 // the page as of the workspace's version that the diff is taken against.
 //
-// The twin starts lent: fault and Prepopulate point it at the committed
+// The twin starts lent: fault points it at the committed
 // page they copied data from (a slot's data, a base page or the zero page)
 // instead of copying that page a second time. A lent twin is committed
 // content: the workspace must never write it or put it, and it stays
@@ -105,22 +79,15 @@ type dirtyPage struct {
 	// TestApplyWhereCleanPreservesDiff/FuzzApplyWhereClean pin this.
 	spec   Diff
 	specOK bool
-	// pf is the page's prefetch state. A prefetched page holds data == twin
-	// (no local modifications), which makes it semantically equivalent to a
-	// clean page: updates import every remote byte into both copies
-	// (applyWhereClean degenerates to a full copy), its diff is empty, and
-	// commits drop it before any stats are counted — so prefetching can
-	// never change memory contents, commit order, or commit statistics.
-	pf uint8
 	// [lo, hi) is the write window: the span of the bytes Write stored
 	// since the record was made, empty (lo == hi) until the first store.
-	// The invariant: outside the window, data == twin. A fault's or a
-	// prefetch's copy starts equal to its twin; a patch (applyWhereClean)
+	// The invariant: outside the window, data == twin. A fault's copy
+	// starts equal to its twin; a patch (applyWhereClean)
 	// writes data and twin together, and only where they agree; copying a
 	// lent twin copies it byte for byte. So the diff scans only the window
 	// (computeDiff), and a one-word store costs a one-word diff.
 	// TestWriteWindowCoversDiff holds the invariant. The pair packs after
-	// pf, so the record is 96 bytes, an exact size class.
+	// specOK, so the record is 96 bytes, an exact size class.
 	lo, hi int32
 }
 
@@ -203,17 +170,6 @@ func (ws *Workspace) Write(data []byte, off int) {
 			n = len(data)
 		}
 		dp := ws.fault(pg)
-		if dp.pf != pfNone {
-			// First write to a prefetched page: the copy is already here, so
-			// no fault was taken — the prefetch hit. It now carries local
-			// modifications like any other dirty page, and it belongs in the
-			// chunk's write set.
-			dp.pf = pfNone
-			ws.seg.notePrefetchHits(1)
-			if ws.predict {
-				ws.chunkWrites = append(ws.chunkWrites, pg)
-			}
-		}
 		dp.specOK = false // the write invalidates any speculative diff
 		if dp.lo == dp.hi {
 			dp.lo, dp.hi = int32(po), int32(po+n)
@@ -235,10 +191,7 @@ func (ws *Workspace) fault(pg int) *dirtyPage {
 	dp := ws.lendDirty(pg)
 	ws.dirty[pg] = dp
 	ws.faults++
-	ws.seg.noteFault(ws.predict)
-	if ws.predict {
-		ws.chunkWrites = append(ws.chunkWrites, pg)
-	}
+	ws.seg.noteFault()
 	return dp
 }
 
@@ -361,69 +314,6 @@ func (ws *Workspace) diff(dp *dirtyPage) {
 		spare = &ws.spare
 	}
 	dp.spec, dp.specOK = computeDiff(dp.data, dp.twin, int(dp.lo), int(dp.hi), spare), true
-}
-
-// SetPredict switches write-set logging and prefetch support on or off.
-// While enabled, the workspace records each chunk's written pages (see
-// TakeChunkWrites) and BeginCommit retains unwritten prefetched pages for
-// one commit instead of dropping them. Off by default; the deterministic
-// runtime enables it when write-set prediction is configured.
-func (ws *Workspace) SetPredict(on bool) {
-	ws.predict = on
-	if !on {
-		ws.chunkWrites = nil
-	}
-}
-
-// TakeChunkWrites returns the pages written since the previous call (CoW
-// faults plus first writes to prefetched pages, in first-touch order,
-// possibly with duplicates across Take boundaries — callers canonicalize)
-// and resets the log. The returned slice is only valid until the next
-// workspace write: it aliases the log buffer, which is reused. Always
-// empty when predict is off.
-func (ws *Workspace) TakeChunkWrites() []int {
-	w := ws.chunkWrites
-	ws.chunkWrites = ws.chunkWrites[:0]
-	return w
-}
-
-// Prepopulate installs copy-on-write copies of the given pages ahead of
-// the writes a predictor expects, so those writes will not fault. It is
-// the fault-servicing analogue of PrepareCommit: work hoisted off the
-// serial token path into the deterministic-order wait.
-//
-// Pages already dirty are skipped (a previously prefetched page is
-// refreshed to survive the next commit — re-predicting it renews its
-// lease). Populated pages take the CoW copy without counting a fault and
-// with an empty speculative diff pre-installed (valid because data ==
-// twin). A mispredicted page is pure off-token waste: it stays
-// byte-identical to the committed state through every update and commit
-// patch (applyWhereClean imports all remote bytes into both copies), its
-// commit diff is empty, and BeginCommit drops it before any statistic is
-// counted — memory contents, commit order, and commit stats are exactly
-// as if it had never been prefetched.
-//
-// Returns the number of pages newly populated (the runtime charges
-// prefetch cost from it; refreshes are free — no copy happens).
-func (ws *Workspace) Prepopulate(pages []int) (populated int) {
-	for _, pg := range pages {
-		if pg < 0 || pg >= ws.seg.NumPages() {
-			continue
-		}
-		if dp, ok := ws.dirty[pg]; ok {
-			if dp.pf == pfStale {
-				dp.pf = pfFresh
-			}
-			continue
-		}
-		dp := ws.lendDirty(pg)
-		dp.specOK = true // data == twin: the zero Diff is its diff
-		dp.pf = pfFresh
-		ws.dirty[pg] = dp
-		ws.seg.allocPages(2) // modeled: a copy and a twin, as a fault
-		populated++
-	}
-	return populated
 }
 
 // Discard drops all uncommitted local modifications.

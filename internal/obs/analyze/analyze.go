@@ -182,7 +182,6 @@ func phaseTotals(lanes []Lane, r *Report) {
 		tr.HandoffNS = sums[obs.PhaseHandoff]
 		tr.FastForwardNS = sums[obs.PhaseFastForward]
 		tr.SpecDiffNS = sums[obs.PhaseSpecDiff]
-		tr.PrefetchNS = sums[obs.PhasePrefetch]
 		if live := tr.EndNS - tr.StartNS; live > 0 {
 			tr.UtilizationPct = pct(tr.ComputeNS, live)
 		}

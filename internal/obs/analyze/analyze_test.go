@@ -331,7 +331,7 @@ func TestReportInvariants(t *testing.T) {
 			{"token-wait", total("token-wait"), st.DetermWaitNS},
 			{"barrier-wait", total("barrier-wait"), st.BarrierWaitNS},
 			{"commit+merge", total("commit") + total("merge") + total("spec-diff"), st.CommitNS},
-			{"fault", total("fault") + total("prefetch"), st.FaultNS},
+			{"fault", total("fault"), st.FaultNS},
 			{"lib", total("lib") + total("spawn") + total("handoff") +
 				total("fast-forward"), st.LibNS},
 		} {

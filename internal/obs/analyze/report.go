@@ -70,7 +70,6 @@ type ThreadReport struct {
 	HandoffNS      int64   `json:"handoff_ns"`
 	FastForwardNS  int64   `json:"fast_forward_ns"`
 	SpecDiffNS     int64   `json:"spec_diff_ns"`
-	PrefetchNS     int64   `json:"prefetch_ns"`
 	UtilizationPct float64 `json:"utilization_pct"`
 	CritPathNS     int64   `json:"critical_path_ns"`
 }

@@ -56,8 +56,8 @@ type Phase uint8
 
 // Time-category phases (span events). These refine the api.RunStats
 // breakdown: Commit, Merge and SpecDiff together are RunStats.CommitNS;
-// Fault and Prefetch together are RunStats.FaultNS; Lib, Spawn, Handoff
-// and FastForward together are RunStats.LibNS.
+// Fault is RunStats.FaultNS; Lib, Spawn, Handoff and FastForward together
+// are RunStats.LibNS.
 const (
 	// PhaseCompute is thread-local work: Compute instructions, memory
 	// operations, and benchmark logic between runtime entry points.
@@ -89,13 +89,6 @@ const (
 	// threads' token-held work. Folds into RunStats.CommitNS together with
 	// Commit and Merge.
 	PhaseSpecDiff
-	// PhasePrefetch is predicted page pre-population
-	// (mem.Workspace.Prepopulate): copy-on-write copies taken during a
-	// token wait for the pages the write-set predictor expects the next
-	// chunk to touch, so the chunk's faults are serviced off the serial
-	// path. The fault-servicing analogue of PhaseSpecDiff; folds into
-	// RunStats.FaultNS together with Fault.
-	PhasePrefetch
 	// PhaseSpawn is thread-creation cost on whichever thread pays it: the
 	// fork/page-table-population charge on a fresh spawn, the free-list
 	// pop + worker wake on a pooled spawn (spawner side), and the view
@@ -152,7 +145,6 @@ var phaseNames = map[Phase]string{
 	PhaseFault:       "fault",
 	PhaseLib:         "lib",
 	PhaseSpecDiff:    "spec-diff",
-	PhasePrefetch:    "prefetch",
 	PhaseSpawn:       "spawn",
 	PhaseHandoff:     "handoff",
 	PhaseFastForward: "fast-forward",
