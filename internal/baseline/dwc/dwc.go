@@ -35,7 +35,6 @@ func New(cfg Config, h host.Host) (api.Runtime, error) {
 	d.UserspaceClockRead = false
 	d.ThreadPool = false
 	d.ParallelBarrier = false
-	d.SpeculativeDiff = false
 	d.Shards = 1
 	d.SingleGlobalLock = true
 	d.NameOverride = "dwc"

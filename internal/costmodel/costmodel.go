@@ -21,19 +21,9 @@ type Model struct {
 
 	// CommitFixed is the per-commit syscall/bookkeeping floor.
 	CommitFixed int64
-	// CommitPageSerial is phase-1 (ordering) work per committed page when
-	// the page's diff must be computed inside the token-held serial phase
-	// (no speculation, or the speculative diff was invalidated).
+	// CommitPageSerial is phase-1 (ordering) work per committed page: its
+	// diff and its publication, inside the token-held serial phase.
 	CommitPageSerial int64
-	// CommitPagePublish is phase-1 work per committed page whose diff was
-	// already computed speculatively: only the ordering/publication
-	// bookkeeping remains under the token.
-	CommitPagePublish int64
-	// SpecDiffPage is the cost of speculatively diffing one dirty page off
-	// the token path (word-wide twin comparison), paid while the thread is
-	// waiting for its turn in the deterministic order — i.e. in parallel
-	// with other threads' token-held work.
-	SpecDiffPage int64
 	// CommitPageMerge is phase-2 work per committed page: diffing the twin
 	// and installing (or byte-merging) the result.
 	CommitPageMerge int64
@@ -128,8 +118,6 @@ func Default() Model {
 		MprotectFault:     12_000,
 		CommitFixed:       1_400,
 		CommitPageSerial:  300,
-		CommitPagePublish: 60,
-		SpecDiffPage:      120,
 		CommitPageMerge:   2_400,
 		UpdatePage:        700,
 		TokenHandoff:      350,

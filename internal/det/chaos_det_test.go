@@ -173,27 +173,27 @@ func chaosCheck(t *testing.T, base [2]uint64, in *chaos.Injector) int64 {
 // be re-pinned to make a change pass: only a change that means to move the
 // time model re-pins it, and argues each moved value in EXPERIMENTS.md.
 var chaosGolden = map[string]string{
-	"barrier:1":  "1349154 [0 0 0 48 0 0 0 0 0 0] [0 0 0 154902 0 0 0 0 0 0]",
-	"barrier:2":  "1330493 [0 0 0 48 0 0 0 0 0 0] [0 0 0 136241 0 0 0 0 0 0]",
-	"barrier:3":  "1351932 [0 0 0 48 0 0 0 0 0 0] [0 0 0 157680 0 0 0 0 0 0]",
-	"jitter:1":   "1398253 [645 0 0 0 0 0 0 0 0 0] [256052 0 0 0 0 0 0 0 0 0]",
-	"jitter:2":   "1378724 [645 0 0 0 0 0 0 0 0 0] [238874 0 0 0 0 0 0 0 0 0]",
-	"jitter:3":   "1407676 [638 0 0 0 0 0 0 0 0 0] [263415 0 0 0 0 0 0 0 0 0]",
-	"logstall:1": "1194252 [0 0 0 0 0 0 22 0 0 0] [0 0 0 0 0 0 4686192 0 0 0]",
-	"logstall:2": "1194252 [0 0 0 0 0 0 22 0 0 0] [0 0 0 0 0 0 5613808 0 0 0]",
-	"logstall:3": "1194252 [0 0 0 0 0 0 22 0 0 0] [0 0 0 0 0 0 5381449 0 0 0]",
-	"mem:1":      "1456754 [0 0 0 0 96 114 0 0 0 0] [0 0 0 0 96529 196892 0 0 0 0]",
-	"mem:2":      "1487343 [0 0 0 0 96 113 0 0 0 0] [0 0 0 0 94535 227202 0 0 0 0]",
-	"mem:3":      "1500373 [0 0 0 0 96 114 0 0 0 0] [0 0 0 0 93494 234093 0 0 0 0]",
-	"overflow:1": "1197124 [0 0 85 0 0 0 0 0 0 0] [0 0 0 0 0 0 0 0 0 0]",
-	"overflow:2": "1197124 [0 0 83 0 0 0 0 0 0 0] [0 0 0 0 0 0 0 0 0 0]",
-	"overflow:3": "1197124 [0 0 82 0 0 0 0 0 0 0] [0 0 0 0 0 0 0 0 0 0]",
-	"storm:1":    "1650734 [697 87 82 48 96 114 22 0 0 0] [192309 65728 0 65455 54149 129003 2135190 0 0 0]",
-	"storm:2":    "1698323 [695 85 81 48 96 114 22 0 0 0] [213024 59650 0 84560 56605 147117 1865674 0 0 0]",
-	"storm:3":    "1724775 [691 88 82 48 96 114 22 0 0 0] [224992 69147 0 76904 65500 147285 2148304 0 0 0]",
-	"token:1":    "1314988 [0 91 0 0 0 0 0 0 0 0] [0 118234 0 0 0 0 0 0 0 0]",
-	"token:2":    "1302528 [0 87 0 0 0 0 0 0 0 0] [0 111282 0 0 0 0 0 0 0 0]",
-	"token:3":    "1305730 [0 88 0 0 0 0 0 0 0 0] [0 112135 0 0 0 0 0 0 0 0]",
+	"barrier:1":  "1359114 [0 0 0 48 0 0 0 0 0 0] [0 0 0 154902 0 0 0 0 0 0]",
+	"barrier:2":  "1340453 [0 0 0 48 0 0 0 0 0 0] [0 0 0 136241 0 0 0 0 0 0]",
+	"barrier:3":  "1361892 [0 0 0 48 0 0 0 0 0 0] [0 0 0 157680 0 0 0 0 0 0]",
+	"jitter:1":   "1406112 [590 0 0 0 0 0 0 0 0 0] [256717 0 0 0 0 0 0 0 0 0]",
+	"jitter:2":   "1390540 [597 0 0 0 0 0 0 0 0 0] [236786 0 0 0 0 0 0 0 0 0]",
+	"jitter:3":   "1419993 [593 0 0 0 0 0 0 0 0 0] [271070 0 0 0 0 0 0 0 0 0]",
+	"logstall:1": "1204212 [0 0 0 0 0 0 22 0 0 0] [0 0 0 0 0 0 4686192 0 0 0]",
+	"logstall:2": "1204212 [0 0 0 0 0 0 22 0 0 0] [0 0 0 0 0 0 5613808 0 0 0]",
+	"logstall:3": "1204212 [0 0 0 0 0 0 22 0 0 0] [0 0 0 0 0 0 5381449 0 0 0]",
+	"mem:1":      "1466714 [0 0 0 0 96 114 0 0 0 0] [0 0 0 0 96529 196892 0 0 0 0]",
+	"mem:2":      "1497303 [0 0 0 0 96 113 0 0 0 0] [0 0 0 0 94535 227202 0 0 0 0]",
+	"mem:3":      "1510333 [0 0 0 0 96 114 0 0 0 0] [0 0 0 0 93494 234093 0 0 0 0]",
+	"overflow:1": "1206964 [0 0 85 0 0 0 0 0 0 0] [0 0 0 0 0 0 0 0 0 0]",
+	"overflow:2": "1206964 [0 0 83 0 0 0 0 0 0 0] [0 0 0 0 0 0 0 0 0 0]",
+	"overflow:3": "1206964 [0 0 82 0 0 0 0 0 0 0] [0 0 0 0 0 0 0 0 0 0]",
+	"storm:1":    "1658205 [649 87 82 48 96 114 22 0 0 0] [190457 65491 0 65455 54149 129003 2135190 0 0 0]",
+	"storm:2":    "1721984 [649 87 81 48 96 114 22 0 0 0] [218705 64763 0 84560 56605 147117 1865674 0 0 0]",
+	"storm:3":    "1706127 [639 86 82 48 96 114 22 0 0 0] [208400 66307 0 76904 65500 147285 2148304 0 0 0]",
+	"token:1":    "1324948 [0 91 0 0 0 0 0 0 0 0] [0 118234 0 0 0 0 0 0 0 0]",
+	"token:2":    "1312488 [0 87 0 0 0 0 0 0 0 0] [0 111282 0 0 0 0 0 0 0 0]",
+	"token:3":    "1315690 [0 88 0 0 0 0 0 0 0 0] [0 112135 0 0 0 0 0 0 0 0]",
 }
 
 // Chaos replay: the same (profile, seed) must reproduce not only results

@@ -21,7 +21,6 @@ var configNeeds = map[string]string{
 	"ThreadPool":         "Figure 13's thread-reuse ablation; dwc",
 	"Shards":             "the gate's shard dimension; the shards table; detrun -shards",
 	"ParallelBarrier":    "Figure 13's parallel-barrier ablation; dwc",
-	"SpeculativeDiff":    "dwc, which diffs under the token (Figures 10-12)",
 	"ChunkLimit":         "the chunklimit table (§2.7 ad-hoc synchronization); the library's option",
 	"SingleGlobalLock":   "dwc's one global lock (Figures 10-12)",
 	"PollingMutex":       "the polling table (§4.1 blocking vs Kendo-style polling)",

@@ -104,17 +104,6 @@ type Config struct {
 	Shards int
 	// ParallelBarrier enables the two-phase parallel barrier commit (§4.2).
 	ParallelBarrier bool
-	// SpeculativeDiff hoists commit diff computation off the token path: a
-	// thread about to wait for the global token pre-diffs its dirty pages
-	// (mem.Workspace.PrepareCommit), and the token-held serial phase reuses
-	// those diffs, re-diffing only pages a local write invalidated (a pulled
-	// remote version patches data and twin only where they agree, so it
-	// leaves a pre-diff valid). A commit with no wait before it diffs under
-	// the token at the serial price. Commit order and memory contents are
-	// byte-identical either way (Determinator and the Deterministic
-	// Consistency model make the same observation: only publication must
-	// be ordered, diffing is free to overlap).
-	SpeculativeDiff bool
 
 	// ChunkLimit > 0 forces a commit+update after that many instructions
 	// without one, supporting ad-hoc synchronization (§2.7). The paper's
@@ -193,7 +182,6 @@ func Default() Config {
 		poolCap:            64,
 		Shards:             1,
 		ParallelBarrier:    true,
-		SpeculativeDiff:    true,
 		SegmentSize:        1 << 24,
 		// GCPageBudget models the single-threaded Conversion collector: a
 		// bounded reclaim per pass, so programs that churn pages faster
@@ -292,8 +280,8 @@ type Runtime struct {
 	globalMutex  *dMutex // all mutexes alias here when SingleGlobalLock
 
 	// commitSerialNS accumulates the time charged inside token-held serial
-	// commit phases (BeginCommit charges only — merge and speculation are
-	// excluded). Atomic so Metrics may read it from any goroutine.
+	// commit phases (BeginCommit charges only — merge is excluded). Atomic
+	// so Metrics may read it from any goroutine.
 	commitSerialNS atomic.Int64
 
 	started bool
@@ -406,8 +394,6 @@ func (rt *Runtime) Metrics() []obs.Sample {
 	g("mem_merged_pages", ms.MergedPages)
 	g("mem_diff_bytes", ms.DiffBytes)
 	g("mem_pulled_pages", ms.PulledPages)
-	g("mem_spec_diff_hits", ms.SpecDiffHits)
-	g("mem_spec_diff_misses", ms.SpecDiffMisses)
 	g("mem_commit_serial_ns", rt.commitSerialNS.Load())
 	g("mem_gc_runs", ms.GCRuns)
 	g("mem_gc_reclaimed_pages", ms.GCReclaimedPages)
@@ -696,14 +682,13 @@ func (rt *Runtime) Stats() api.RunStats {
 // Called with the token held (exit is a sync op), so it is serialized, but
 // Stats may read concurrently — hence aggMu.
 func (rt *Runtime) aggregate(t *Thread) {
-	// Commit, merge and speculative diffing are distinct trace phases but
-	// one RunStats category, preserving the seed's Figure 15 breakdown;
-	// likewise spawn, handoff and fast-forward are the scheduler
-	// refinement of Lib.
+	// Commit and merge are distinct trace phases but one RunStats
+	// category, preserving the seed's Figure 15 breakdown; likewise spawn,
+	// handoff and fast-forward are the scheduler refinement of Lib.
 	t.Time.LocalWork = t.bd[obs.PhaseCompute]
 	t.Time.DetermWait = t.bd[obs.PhaseTokenWait]
 	t.Time.BarrierWait = t.bd[obs.PhaseBarrierWait]
-	t.Time.Commit = t.bd[obs.PhaseCommit] + t.bd[obs.PhaseMerge] + t.bd[obs.PhaseSpecDiff]
+	t.Time.Commit = t.bd[obs.PhaseCommit] + t.bd[obs.PhaseMerge]
 	t.Time.Fault = t.bd[obs.PhaseFault]
 	t.Time.Lib = t.bd[obs.PhaseLib] + t.bd[obs.PhaseSpawn] + t.bd[obs.PhaseHandoff] + t.bd[obs.PhaseFastForward]
 	rt.aggMu.Lock()

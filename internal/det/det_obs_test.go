@@ -139,7 +139,7 @@ func TestObserverDoesNotPerturbDeterminism(t *testing.T) {
 			{"compute", sums[obs.PhaseCompute], tt.LocalWork},
 			{"token-wait", sums[obs.PhaseTokenWait], tt.DetermWait},
 			{"barrier-wait", sums[obs.PhaseBarrierWait], tt.BarrierWait},
-			{"commit+merge", sums[obs.PhaseCommit] + sums[obs.PhaseMerge] + sums[obs.PhaseSpecDiff], tt.Commit},
+			{"commit+merge", sums[obs.PhaseCommit] + sums[obs.PhaseMerge], tt.Commit},
 			{"fault", sums[obs.PhaseFault], tt.Fault},
 			{"lib", sums[obs.PhaseLib] + sums[obs.PhaseSpawn] +
 				sums[obs.PhaseHandoff] + sums[obs.PhaseFastForward], tt.Lib},
@@ -334,7 +334,7 @@ func TestAnalyzerReconcilesWithRunStats(t *testing.T) {
 	if got := total("token-wait"); got != st.DetermWaitNS {
 		t.Errorf("token-wait total %d != DetermWaitNS %d", got, st.DetermWaitNS)
 	}
-	if got := total("commit") + total("merge") + total("spec-diff"); got != st.CommitNS {
+	if got := total("commit") + total("merge"); got != st.CommitNS {
 		t.Errorf("commit+merge total %d != CommitNS %d", got, st.CommitNS)
 	}
 	if rep.CriticalPath.TotalNS <= 0 || rep.CriticalPath.TotalNS > rep.WallNS {

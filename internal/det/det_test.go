@@ -389,12 +389,9 @@ func TestCoarseningActuallyCoarsens(t *testing.T) {
 	}
 }
 
-// TestChunkEndCommitDiffsUnderToken pins where a coarsened chunk's diff is
-// made and how it is priced: the token never left the thread, so there was
-// no wait to overlap, and the chunk-end commit diffs its page inside
-// BeginCommit at the serial price — a speculation miss, with no spec-diff
-// time. One thread runs the loop, so its token waits pull nothing and find
-// nothing dirty: any spec-diff time would have been accrued token-held.
+// TestChunkEndCommitDiffsUnderToken pins what a coarsened chunk commits:
+// the token never left the thread, and the chunk-end commit publishes the
+// chunk's one page, once per chunk.
 func TestChunkEndCommitDiffsUnderToken(t *testing.T) {
 	const chunks = 3
 	prog := func(t api.T) {
@@ -419,7 +416,6 @@ func TestChunkEndCommitDiffsUnderToken(t *testing.T) {
 		t.Fatal(err)
 	}
 	var commits, chunkEnds int
-	var specDiffNS int64
 	for _, l := range o.Lanes() {
 		for _, e := range l.Events() {
 			switch {
@@ -430,23 +426,11 @@ func TestChunkEndCommitDiffsUnderToken(t *testing.T) {
 				}
 			case e.Phase == obs.MarkCoarsenEnd:
 				chunkEnds++
-			case e.Phase == obs.PhaseSpecDiff:
-				specDiffNS += e.End - e.Start
 			}
 		}
 	}
 	if commits != chunks || chunkEnds != chunks {
 		t.Fatalf("%d non-empty commits and %d chunk ends, want %d of each", commits, chunkEnds, chunks)
-	}
-	reg := map[string]int64{}
-	for _, s := range rt.Metrics() {
-		reg[s.Name] = s.Value
-	}
-	if h, m := reg["mem_spec_diff_hits"], reg["mem_spec_diff_misses"]; h != 0 || m != chunks {
-		t.Errorf("spec diff hits/misses %d/%d, want 0/%d: one serial diff per chunk-end commit", h, m, chunks)
-	}
-	if specDiffNS != 0 {
-		t.Errorf("%d ns of spec-diff accrued with the token held", specDiffNS)
 	}
 }
 

@@ -291,32 +291,6 @@ func (t *Thread) Write(data []byte, off int) {
 
 // --- token protocol ---
 
-// speculate runs the off-token commit pipeline on the way into a token
-// wait (§4.2 extended: only publication must be ordered — everything else
-// may overlap the deterministic-order wait). Two steps: import the remote
-// versions already published (their diffs are immutable after phase 1,
-// the same property barrierSleep's off-token update relies on), shrinking
-// the pull window the token-held serial phase must process to whatever
-// commits during the wait; and pre-diff the workspace's dirty pages, so
-// the serial phase pays only publication cost for every page not locally
-// rewritten in the meantime. The import is a prefix of the window the
-// commit would import anyway, patched in the same version order, so
-// commit results are byte-identical with and without it. A no-op when
-// disabled or when there is nothing to import or diff.
-func (t *Thread) speculate() {
-	cfg := &t.rt.cfg
-	if !cfg.SpeculativeDiff {
-		return
-	}
-	m := &cfg.Model
-	t.account(obs.PhaseCompute)
-	ns := int64(t.ws.Update()) * m.UpdatePage
-	ns += int64(t.ws.PrepareCommit()) * m.SpecDiffPage
-	if ns > 0 {
-		t.charge(obs.PhaseSpecDiff, ns)
-	}
-}
-
 // faultDelay draws the chaos fault delay for each of n copy-on-write
 // faults, charged with the modeled cost it stretches, so the perturbation
 // is pure time.
@@ -327,16 +301,13 @@ func (t *Thread) faultDelay(n int64) (ns int64) {
 	return ns
 }
 
-// serialCommitCost models the token-held serial phase of a commit:
-// speculatively diffed pages pay only ordering/publication bookkeeping,
-// pages whose diff had to be computed under the token pay the full serial
-// cost. With speculation disabled every page is a miss and the cost
-// reduces exactly to the pre-speculation model.
+// serialCommitCost models the token-held serial phase of a commit: every
+// committed page is diffed and published under the token, and every pulled
+// page imported.
 func (t *Thread) serialCommitCost(st mem.CommitStats) int64 {
 	m := &t.rt.cfg.Model
 	return m.CommitFixed +
-		int64(st.SpecMisses)*m.CommitPageSerial +
-		int64(st.SpecHits)*m.CommitPagePublish +
+		int64(st.CommittedPages)*m.CommitPageSerial +
 		int64(st.PulledPages)*m.UpdatePage
 }
 
@@ -353,9 +324,6 @@ func (t *Thread) chargeCommitSerial(st mem.CommitStats) {
 // already hold it.
 func (t *Thread) acquireToken() {
 	m := &t.rt.cfg.Model
-	// The wait ahead is exactly the window speculation exists for: pre-diff
-	// dirty pages now, so the token-held commit only publishes.
-	t.speculate()
 	t.publishPending()
 	t.account(obs.PhaseCompute)
 	// End-of-chunk clock read. A global edge — every op on the single
@@ -487,7 +455,6 @@ func (t *Thread) leaveToken(q *[]int) {
 // the wait for failure diagnostics.
 func (t *Thread) sleepForToken(q *[]int, phase int32, reason host.BlockReason) {
 	t.leaveToken(q)
-	t.speculate() // overlap the sleep with pre-diffing, like acquireToken
 	t.park(phase, reason)
 	t.takeToken(true)
 	// Acquire semantics: import everything committed while we slept.

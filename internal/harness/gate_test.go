@@ -74,19 +74,19 @@ var historyShards = [2]int{1, 4}
 var goldens = []golden{
 	{"water_nsquared", 0x8cd4c7596c268f28,
 		[4]uint64{0xaadb9ab2a9588a2a, 0xed0e122f20ce827b, 0xc56202d013570111, 0x0d3e1d9b985f439d},
-		[4]int64{19533918, 9249432, 6419450, 5219960}, 0x63895402ea9faa4f,
+		[4]int64{20068263, 9700096, 6704977, 5349758}, 0x63895402ea9faa4f,
 		[2][2]uint64{{0xb4d3bfed0aca311e, 0x4746ea42d6384716}, {0x5caec1a90ea240bc, 0x8244ac28d59591f2}}},
 	{"canneal", 0x52afe913b556d5da,
 		[4]uint64{0x054928fab9f631f8, 0xb7be0c1e137f8578, 0xd294fd670ca2f9b8, 0x054928fab9f631f8},
-		[4]int64{14134920, 11728409, 11728249, 11737449}, 0xd94cce37c4bfd06c,
+		[4]int64{14871887, 12438849, 12438849, 12448369}, 0xd94cce37c4bfd06c,
 		[2][2]uint64{{0x7f38278438e8a17e, 0x45bacf7654bc5b43}, {0x0d2ad7baaadf6346, 0x45bacf7654bc5b43}}},
 	{"histogram", 0x09e07ed580954ecc,
 		[4]uint64{0xcaafd5842fd5020b, 0xcaafd5842fd5020b, 0xcaafd5842fd5020b, 0xcaafd5842fd5020b},
-		[4]int64{2412938, 649517, 646317, 646557}, 0x38698e66044577cb,
+		[4]int64{2413298, 649877, 646677, 646917}, 0x38698e66044577cb,
 		[2][2]uint64{{0x045c3e5fe7c051c4, 0x0958d3db0164e029}, {0x79732bd795e24b24, 0x0958d3db0164e029}}},
 	{"kmeans", 0x1f8b09e15b1b689c,
 		[4]uint64{0xcd6c25c0a0405d2b, 0xcd6c25c0a0405d2b, 0xcd6c25c0a0405d2b, 0xcd6c25c0a0405d2b},
-		[4]int64{3449922, 779046, 728806, 693166}, 0xbb62a31a7e02126b,
+		[4]int64{3450402, 778686, 727966, 692086}, 0xbb62a31a7e02126b,
 		[2][2]uint64{{0xb1755620a73a6bff, 0x6dc7daedc08cc4b8}, {0xb4388f45f2486537, 0x6dc7daedc08cc4b8}}},
 }
 
@@ -232,7 +232,7 @@ func TestGateNamesTheCell(t *testing.T) {
 	}{
 		{gateCell{g: wrongSum, shards: 2}, []string{"kmeans predict=true shards=2", "checksum 1f8b09e15b1b689c (golden 1f8b09e15b1b688c)"}},
 		{gateCell{g: wrongTrace, shards: 4}, []string{"kmeans predict=true shards=4", "trace cd6c25c0a0405d2b (golden cd6c25c0a0405d2a)"}},
-		{gateCell{g: wrongWall, shards: 4}, []string{"kmeans predict=true shards=4", "modeled wall 728806 ns (golden 728807)"}},
+		{gateCell{g: wrongWall, shards: 4}, []string{"kmeans predict=true shards=4", "modeled wall 727966 ns (golden 727967)"}},
 	} {
 		err := tc.c.run(nil)
 		if err == nil {

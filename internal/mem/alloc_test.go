@@ -63,39 +63,33 @@ func TestEmptyCommitAllocatesNothing(t *testing.T) {
 // → BeginCommit → Complete → GC cycle on one page allocates one object, the
 // one-byte diff's block with the version header in front of it (its slot
 // inline, its run and its byte behind), and nothing else — no
-// PendingCommit, no dirtyPage record, no slot slice, no re-diff list, no
-// version-list regrowth. It does so whether PrepareCommit diffed the page
-// off the token or BeginCommit diffs it.
+// PendingCommit, no dirtyPage record, no slot slice, no version-list
+// regrowth.
 func TestOnePageCommitAllocations(t *testing.T) {
-	for _, speculate := range []bool{false, true} {
-		s, err := NewSegment(SegmentConfig{Name: "gate", Size: 16 * DefaultPageSize})
-		if err != nil {
-			t.Fatal(err)
+	s, err := NewSegment(SegmentConfig{Name: "gate", Size: 16 * DefaultPageSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := s.Snapshot(0)
+	round := byte(0)
+	cycle := func() {
+		round++
+		a.Write([]byte{round}, 3*DefaultPageSize+7)
+		pc := a.BeginCommit()
+		pc.Complete()
+		if pc.Version() == nil || pc.Stats().CommittedPages != 1 {
+			t.Fatalf("cycle published %+v", pc.Stats())
 		}
-		a, _ := s.Snapshot(0)
-		round := byte(0)
-		cycle := func() {
-			round++
-			a.Write([]byte{round}, 3*DefaultPageSize+7)
-			if speculate {
-				a.PrepareCommit()
-			}
-			pc := a.BeginCommit()
-			pc.Complete()
-			if pc.Version() == nil || pc.Stats().CommittedPages != 1 {
-				t.Fatalf("cycle published %+v", pc.Stats())
-			}
-			s.GC()
-		}
-		for i := 0; i < 40; i++ {
-			cycle() // grow every scratch list and the version array to steady state
-		}
-		if n := testing.AllocsPerRun(100, cycle); n > 1 {
-			t.Errorf("speculate=%t: one-page commit cycle made %.0f allocations, want at most 1 (the version with its packed diff)", speculate, n)
-		}
-		if got := s.RetainedVersions(); got != 0 {
-			t.Fatalf("%d versions retained after GC", got)
-		}
+		s.GC()
+	}
+	for i := 0; i < 40; i++ {
+		cycle() // grow every scratch list and the version array to steady state
+	}
+	if n := testing.AllocsPerRun(100, cycle); n > 1 {
+		t.Errorf("one-page commit cycle made %.0f allocations, want at most 1 (the version with its packed diff)", n)
+	}
+	if got := s.RetainedVersions(); got != 0 {
+		t.Fatalf("%d versions retained after GC", got)
 	}
 }
 
@@ -106,14 +100,15 @@ func TestOnePageCommitAllocations(t *testing.T) {
 // 144-byte class. A small diff's block is 48 or 80 bytes alone, and 176 or
 // 208 with the version header in front: exact classes too, so a one-page
 // commit costs the bytes of its two former objects in one. A fault's
-// dirtyPage record, write window included, is 96 bytes, an exact class.
+// dirtyPage record, write window and diff included, is 88 bytes, in the
+// 96-byte class.
 func TestVersionLayout(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		got, want uintptr
 	}{
 		{"pageSlot", unsafe.Sizeof(pageSlot{}), 88},
-		{"dirtyPage", unsafe.Sizeof(dirtyPage{}), 96},
+		{"dirtyPage", unsafe.Sizeof(dirtyPage{}), 88},
 		{"Version", unsafe.Sizeof(Version{}), 128},
 		{"diff1", unsafe.Sizeof(diff1{}), 48},
 		{"diff2", unsafe.Sizeof(diff2{}), 80},

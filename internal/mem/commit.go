@@ -18,16 +18,6 @@ type CommitStats struct {
 	// PulledPages is the number of distinct remote pages whose
 	// modifications became visible by advancing the snapshot.
 	PulledPages int
-	// SpecHits counts committed pages whose diff was computed speculatively
-	// (PrepareCommit, off the serial token path) and reused as-is by the
-	// serial phase; SpecMisses counts committed pages whose diff had to be
-	// computed inside BeginCommit because no valid speculation existed —
-	// the page was written after the speculation, or PrepareCommit was
-	// never called (e.g. a commit inside a coarsened chunk, where the token
-	// never left the thread and there was no wait to overlap).
-	// SpecHits + SpecMisses == CommittedPages.
-	SpecHits   int
-	SpecMisses int
 }
 
 // PendingCommit is a commit whose serial ordering phase (BeginCommit) has
@@ -101,8 +91,7 @@ func (ws *Workspace) pullWindowLocked(head int64) (pulled int) {
 // applyPatches imports the remote bytes pullWindowLocked collected into
 // the dirty pages they touch. Published diffs are immutable and the
 // patched pages are the workspace's own, so it runs outside the segment
-// lock. applyWhereClean is diff-preserving (see dirtyPage.spec), so
-// speculative diffs survive the import.
+// lock.
 func (ws *Workspace) applyPatches() {
 	for _, slot := range ws.scratchPatches {
 		dp := ws.dirty[int(slot.page)]
@@ -126,8 +115,7 @@ func (ws *Workspace) applyPatches() {
 // thread-private (dirty pages) or immutable (published diffs). The lock is
 // held only for the two decisions that read or write shared segment state:
 // choosing the pull window, and publishing the version (conflict checks,
-// latest/head update). Diffs are reused from PrepareCommit speculation
-// where valid; only invalidated pages are re-diffed here.
+// latest/head update). Every dirty page is diffed here, once.
 //
 // Pages whose bytes did not actually change are dropped (their fault was
 // wasted work, which the fault counter already recorded).
@@ -135,13 +123,11 @@ func (ws *Workspace) applyPatches() {
 // The token-held section leaves no garbage: every list it builds is
 // workspace scratch (or, for GC's prune candidates, segment scratch), the
 // result is a value, and the version is sized and made before the publish
-// lock. Its header is the workspace's spare — allocated off the token by
-// PrepareCommit together with a small diff — whenever one exists, so a
-// speculated one-page commit allocates nothing here, and an unspeculated
-// one allocates one block: its diff, with the header in front. A version of
-// more pages also makes its slot array, and a header of its own only when
-// none of its diffs brought a spare. With an empty dirty set the commit is
-// an update: one lock, no allocation.
+// lock. Its header is allocated with the first small diff (computeDiff's
+// spare), so a one-page commit allocates one block: its diff, with the
+// header in front. A version of more pages also makes its slot array, and
+// a header of its own only when none of its diffs is small. With an empty
+// dirty set the commit is an update: one lock, no allocation.
 func (ws *Workspace) BeginCommit() PendingCommit {
 	s := ws.seg
 	var pc PendingCommit
@@ -165,9 +151,9 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 	// cannot resurrect stale values for bytes this thread never wrote.
 	ws.applyPatches()
 
-	// Diff dirty pages in deterministic (ascending page) order. Pages with
-	// valid speculative diffs are free; the invalidated rest are re-diffed
-	// here.
+	// Diff dirty pages in deterministic (ascending page) order, counting
+	// the pages that changed. The first small diff is allocated with the
+	// version's header in front of it (spare).
 	pages := ws.scratchPages[:0]
 	for pg := range ws.dirty {
 		pages = append(pages, pg)
@@ -175,33 +161,30 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 	slices.Sort(pages)
 	ws.scratchPages = pages
 
-	misses := ws.scratchMisses[:0]
-	for _, pg := range pages {
-		if dp := ws.dirty[pg]; !dp.specOK {
-			ws.diff(dp)
-			misses = append(misses, pg)
-		}
-	}
-	ws.scratchMisses = misses
-
-	// Every diff is known now, so the version can be sized — one slot per
-	// page that changed — and made before the lock is taken: on the spare
-	// header a small diff was allocated with, if there is one.
+	var spare *Version
 	npub := 0
 	for _, pg := range pages {
-		if !ws.dirty[pg].spec.Empty() {
+		dp := ws.dirty[pg]
+		var sp **Version
+		if spare == nil {
+			sp = &spare
+		}
+		dp.diff = computeDiff(dp.data, dp.twin, int(dp.lo), int(dp.hi), sp)
+		if !dp.diff.Empty() {
 			npub++
 		}
 	}
+
+	// Every diff is known now, so the version can be sized — one slot per
+	// page that changed — and made before the lock is taken.
 	var v *Version
 	switch {
 	case npub == 0:
-	case ws.spare != nil:
-		v = ws.spare.init(ws.tid, npub)
+	case spare != nil:
+		v = spare.init(ws.tid, npub)
 	default:
 		v = newVersion(ws.tid, npub)
 	}
-	ws.spare = nil
 
 	// Serial decision 2 (locked): conflict checks against the latest table
 	// and version publication. Nothing below computes diffs or allocates;
@@ -212,15 +195,11 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 	// never put, but each one a live page of the modeled count.
 	freed := ws.scratchFreed[:0]
 	var lent int64
-	mi, si := 0, 0
+	si := 0
 	s.mu.Lock()
 	for _, pg := range pages {
-		miss := mi < len(misses) && misses[mi] == pg
-		if miss {
-			mi++
-		}
 		dp := ws.dirty[pg]
-		diff := dp.spec
+		diff := dp.diff
 		if diff.Empty() {
 			freed = append(freed, dp.data)
 		} else {
@@ -244,11 +223,6 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 			}
 			s.latest[pg] = slot
 			pc.stats.DiffBytes += diff.Bytes()
-			if miss {
-				pc.stats.SpecMisses++
-			} else {
-				pc.stats.SpecHits++
-			}
 		}
 		if dp.lent {
 			lent++

@@ -169,9 +169,9 @@ const diffStackRuns = 32
 // one backing array is safe.
 //
 // With a non-nil spare, a small diff's block also carries a zero Version in
-// front of its runs, and *spare is set to it: the workspace keeps it as the
-// header of the next version it publishes (Workspace.spare), so a one-page
-// commit is one object. A larger diff leaves *spare alone.
+// front of its runs, and *spare is set to it: BeginCommit makes it the
+// header of the version it publishes, so a one-page commit is one object.
+// A larger diff leaves *spare alone.
 func computeDiff(cur, twin []byte, lo, hi int, spare **Version) Diff {
 	cur, twin = cur[:hi], twin[:hi]
 	var bounds [diffStackRuns]struct{ off, end int32 }

@@ -127,41 +127,32 @@ func BenchmarkApplyWhereClean(b *testing.B) {
 }
 
 // BenchmarkBeginCommit measures the serial commit phase over 16 dense-dirty
-// pages, with and without speculative pre-diffing. The speculated variant
-// times only BeginCommit — PrepareCommit runs off the timer, as it runs off
-// the token in the runtime — so the delta is the work speculation removes
-// from the serial phase.
+// pages: the diffs and the publication, timed without the writes before
+// it or the merge after it.
 func BenchmarkBeginCommit(b *testing.B) {
 	const pages = 16
-	run := func(b *testing.B, speculate bool) {
-		s, err := NewSegment(SegmentConfig{Name: "bench", Size: pages * benchPage, PageSize: benchPage})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ws, err := s.Snapshot(0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		buf := make([]byte, benchPage)
-		rand.New(rand.NewSource(42)).Read(buf)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			buf[0] = byte(i) // keep every round's pages genuinely dirty
-			for pg := 0; pg < pages; pg++ {
-				ws.Write(buf, pg*benchPage)
-			}
-			if speculate {
-				ws.PrepareCommit()
-			}
-			b.StartTimer()
-			pc := ws.BeginCommit()
-			b.StopTimer()
-			pc.Complete()
-			b.StartTimer()
-		}
+	s, err := NewSegment(SegmentConfig{Name: "bench", Size: pages * benchPage, PageSize: benchPage})
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.Run("speculated", func(b *testing.B) { run(b, true) })
-	b.Run("cold", func(b *testing.B) { run(b, false) })
+	ws, err := s.Snapshot(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]byte, benchPage)
+	rand.New(rand.NewSource(42)).Read(buf)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		buf[0] = byte(i) // keep every round's pages genuinely dirty
+		for pg := 0; pg < pages; pg++ {
+			ws.Write(buf, pg*benchPage)
+		}
+		b.StartTimer()
+		pc := ws.BeginCommit()
+		b.StopTimer()
+		pc.Complete()
+		b.StartTimer()
+	}
 }

@@ -126,9 +126,10 @@ func FuzzComputeDiff(f *testing.F) {
 }
 
 // FuzzApplyWhereClean pins the masked word-wide merge to the byte-loop
-// reference, and checks the diff-preservation property the speculative
-// commit path depends on (see dirtyPage.spec): patching a page pair never
-// changes what computeDiff reports for it.
+// reference, and checks the diff-preservation property the write window
+// rests on (see dirtyPage.lo): patching a page pair never changes what
+// computeDiff reports for it, so a patch keeps data == twin outside the
+// window and the commit's diff is the page's.
 func FuzzApplyWhereClean(f *testing.F) {
 	for _, p := range seedPairs() {
 		f.Add(p[0], p[1])

@@ -266,3 +266,11 @@ func TestLentTwinOwnership(t *testing.T) {
 		}
 	}
 }
+
+// line returns lines[k], or "(end)" past the last.
+func line(lines []string, k int) string {
+	if k < len(lines) {
+		return lines[k]
+	}
+	return "(end)"
+}

@@ -216,7 +216,7 @@ type Version struct {
 
 // newVersion allocates a version with room for npages slots; the caller
 // fills them in place. BeginCommit's other source of versions is the
-// workspace's spare header (Workspace.spare).
+// header a small diff is allocated with (computeDiff's spare).
 func newVersion(committer, npages int) *Version {
 	return new(Version).init(committer, npages)
 }
@@ -264,7 +264,7 @@ func (v *Version) PageIndexes() []int {
 // conflict and non-conflict slots alike), which is what the commit log
 // persists. The Diff's run data aliases the version's immutable buffers:
 // read-only. A small diff shares one block with its version's header
-// (Workspace.spare), so whoever holds its runs keeps the version's block
+// (computeDiff's spare), so whoever holds its runs keeps the version's block
 // alive too.
 func (v *Version) ForEachPageDiff(f func(page int, d Diff)) {
 	for i := range v.slots {
@@ -291,7 +291,7 @@ func (v *Version) ForEachPageDiff(f func(page int, d Diff)) {
 // The layout is a size budget: at 88 bytes a one-page Version (its slot
 // inline) is 128 bytes, and with a small diff's block behind it 176 or 208,
 // exact size classes all; one such block is allocated per published
-// one-page commit (Workspace.spare). TestVersionLayout holds it.
+// one-page commit (computeDiff's spare). TestVersionLayout holds it.
 type pageSlot struct {
 	page int32 // NewSegment bounds a segment's page count to fit
 	// conflict marks that another thread committed this page between the

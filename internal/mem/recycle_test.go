@@ -105,11 +105,8 @@ func TestRecycleNeverReachesReaders(t *testing.T) {
 					ws.Update()
 				}
 
-				switch rng.Intn(8) {
-				case 0:
+				if rng.Intn(8) == 0 {
 					ws.Discard()
-				case 1:
-					ws.PrepareCommit()
 				}
 				token.Lock()
 				pc := ws.BeginCommit()

@@ -2,200 +2,192 @@ package mem
 
 import (
 	"bytes"
-	"fmt"
 	"slices"
-	"strings"
 	"testing"
+	"unsafe"
 )
 
 // spareRun is one sequence of TestSpareOwnership, on a segment of
 // spareRunPages pages and a workspace a (tid 0) and b (tid 1).
 type spareRun struct {
-	t         *testing.T
-	speculate bool
-	s         *Segment
-	a, b      *Workspace
-	// log renders every published version — number, committer, pages,
-	// diffs and the pages' content at that version — and, last, the
-	// segment's content at the head.
-	log bytes.Buffer
-	// spares counts the BeginCommit and Discard calls that found a spare.
+	t    *testing.T
+	s    *Segment
+	a, b *Workspace
+	// model is the memory every published version must hold, and base and
+	// view each workspace's: the model as of its version, and that with its
+	// own stores on top.
+	model      []byte
+	base, view map[*Workspace][]byte
+	// spares counts the versions published on the header of a small diff.
 	spares int
 }
 
 const spareRunPages = 8
 
-func newSpareRun(t *testing.T, speculate bool) *spareRun {
+func newSpareRun(t *testing.T) *spareRun {
 	s, err := NewSegment(SegmentConfig{Name: "spare", Size: spareRunPages * DefaultPageSize})
 	if err != nil {
 		t.Fatal(err)
 	}
 	a, _ := s.Snapshot(0)
 	b, _ := s.Snapshot(1)
-	return &spareRun{t: t, speculate: speculate, s: s, a: a, b: b}
-}
-
-// prepare is the speculation step: PrepareCommit in the speculating run,
-// nothing in the other.
-func (r *spareRun) prepare(ws *Workspace) {
-	if r.speculate {
-		ws.PrepareCommit()
+	r := &spareRun{t: t, s: s, a: a, b: b, model: make([]byte, s.Size()),
+		base: map[*Workspace][]byte{}, view: map[*Workspace][]byte{}}
+	for _, ws := range []*Workspace{a, b} {
+		r.base[ws], r.view[ws] = bytes.Clone(r.model), bytes.Clone(r.model)
 	}
+	return r
 }
 
 // write stores n copies of val at byte off of page pg.
 func (r *spareRun) write(ws *Workspace, pg, off, n int, val byte) {
-	ws.Write(bytes.Repeat([]byte{val}, n), pg*DefaultPageSize+off)
+	at := pg*DefaultPageSize + off
+	data := bytes.Repeat([]byte{val}, n)
+	ws.Write(data, at)
+	copy(r.view[ws][at:], data)
 }
 
-// commit publishes ws's changes and logs the version. A spare header ws
-// held must become the version, and BeginCommit must leave none behind.
+// commit publishes ws's changes: every byte its view holds apart from its
+// base goes over the model, and the version must publish exactly the pages
+// that moved, by ws's tid, and hold the model's bytes (ReadCommitted). A
+// version with a small diff must be the header that diff was allocated
+// with: the first small diff's runs sit right behind it, in one block.
 func (r *spareRun) commit(ws *Workspace) {
 	r.t.Helper()
-	spare := ws.spare
-	if spare != nil {
-		r.spares++
+	var want []int
+	for pg := range spareRunPages {
+		lo, hi := pg*DefaultPageSize, (pg+1)*DefaultPageSize
+		moved := false
+		for i := lo; i < hi; i++ {
+			if r.view[ws][i] != r.base[ws][i] {
+				r.model[i], moved = r.view[ws][i], true
+			}
+		}
+		if moved {
+			want = append(want, pg)
+		}
 	}
+	r.base[ws], r.view[ws] = bytes.Clone(r.model), bytes.Clone(r.model)
+
 	pc := ws.BeginCommit()
-	if ws.spare != nil {
-		r.t.Fatalf("tid %d: BeginCommit left a spare version header", ws.tid)
-	}
-	v := pc.Version()
-	if spare != nil && v != nil && v != spare {
-		r.t.Fatalf("tid %d: version %d is not the spare header %p", ws.tid, v.Num, spare)
-	}
 	pc.Complete()
+	v := pc.Version()
 	if v == nil {
-		fmt.Fprintf(&r.log, "tid %d: nothing published\n", ws.tid)
+		if len(want) > 0 {
+			r.t.Fatalf("tid %d: nothing published, want pages %v", ws.tid, want)
+		}
 		return
 	}
-	fmt.Fprintf(&r.log, "v%d by %d pages %v\n", v.Num, v.Committer, v.PageIndexes())
+	if got := v.PageIndexes(); v.Committer != ws.tid || !slices.Equal(got, want) {
+		r.t.Fatalf("v%d: published pages %v by %d, want %v by %d", v.Num, got, v.Committer, want, ws.tid)
+	}
+	small := false
 	v.ForEachPageDiff(func(pg int, d Diff) {
-		for _, run := range d.Runs {
-			fmt.Fprintf(&r.log, "  p%d +%d % x\n", pg, run.Off, run.Data)
+		if small || len(d.Runs) > 2 || d.Bytes() > smallDiffBytes {
+			return
 		}
-	})
-	page := make([]byte, DefaultPageSize)
-	for _, pg := range v.PageIndexes() {
-		r.s.ReadCommitted(page, pg*DefaultPageSize, v.Num) // ws sits at v.Num
-		fmt.Fprintf(&r.log, "  p%d content %x\n", pg, page)
-	}
-}
-
-// discard drops ws's changes, which must drop its spare too.
-func (r *spareRun) discard(ws *Workspace) {
-	r.t.Helper()
-	if ws.spare != nil {
+		small = true
+		if uintptr(unsafe.Pointer(&d.Runs[0]))-uintptr(unsafe.Pointer(v)) != unsafe.Sizeof(Version{}) {
+			r.t.Fatalf("v%d: page %d's small diff is not in the version's block", v.Num, pg)
+		}
 		r.spares++
-	}
-	ws.Discard()
-	if ws.spare != nil {
-		r.t.Fatalf("tid %d: Discard left a spare version header", ws.tid)
+	})
+	got := make([]byte, r.s.Size())
+	r.s.ReadCommitted(got, 0, v.Num) // ws sits at v.Num
+	if i := firstDiff(got, r.model); i >= 0 {
+		r.t.Fatalf("v%d: byte %d (page %d) is %#x, want %#x", v.Num, i, i/DefaultPageSize, got[i], r.model[i])
 	}
 }
 
-// finish releases both workspaces — with one more speculated change
-// pending in a, so Release has a spare to drop — and logs the head.
-func (r *spareRun) finish() string {
+// discard drops ws's changes: its view goes back to its base.
+func (r *spareRun) discard(ws *Workspace) {
+	ws.Discard()
+	r.view[ws] = bytes.Clone(r.base[ws])
+}
+
+// finish releases both workspaces, with one more change pending in a that
+// the release drops, and checks the head against the model.
+func (r *spareRun) finish() {
 	r.t.Helper()
 	r.write(r.a, 7, 40, 2, 0x77)
-	r.prepare(r.a)
 	for _, ws := range []*Workspace{r.a, r.b} {
 		r.s.Release(ws)
-		if ws.spare != nil {
-			r.t.Fatalf("tid %d: Release left a spare version header", ws.tid)
-		}
 	}
-	all := make([]byte, spareRunPages*DefaultPageSize)
-	r.s.ReadCommitted(all, 0, r.s.Head())
-	fmt.Fprintf(&r.log, "head v%d content %x\n", r.s.Head(), all)
-	return r.log.String()
+	got := make([]byte, r.s.Size())
+	r.s.ReadCommitted(got, 0, r.s.Head())
+	if i := firstDiff(got, r.model); i >= 0 {
+		r.t.Fatalf("head v%d: byte %d is %#x, want %#x", r.s.Head(), i, got[i], r.model[i])
+	}
 }
 
-// TestSpareOwnership runs each sequence that moves a spare version header
-// (Workspace.spare) once with PrepareCommit as its speculation step and
-// once without. The published versions — committers, pages, diffs and the
-// pages' content — and the final memory must be byte-identical between the
-// two, and no BeginCommit, Discard or Release may leave a spare behind. In
-// the speculating run a small diff is allocated with the header, so every
-// sequence below exercises the spare there and the plain path in the other.
+// TestSpareOwnership runs each sequence that decides where a commit's
+// version header comes from: the block of its first small diff
+// (computeDiff's spare) or an allocation of its own. Every published
+// version must carry the model's pages and bytes, by its committer, read
+// back through ReadCommitted, and a version with a small diff must be that
+// diff's header.
 func TestSpareOwnership(t *testing.T) {
 	for _, seq := range []struct {
-		name string
-		run  func(r *spareRun)
+		name   string
+		spares int // versions published on a small diff's header
+		run    func(r *spareRun)
 	}{
-		{"speculate, write again, re-diff", func(r *spareRun) {
+		{"two small pages, one header", 1, func(r *spareRun) {
 			r.write(r.a, 2, 10, 1, 0x21)
-			r.prepare(r.a)
-			r.write(r.a, 2, 300, 4, 0x22) // a second run: the diff is re-made
-			r.prepare(r.a)
+			r.write(r.a, 2, 300, 4, 0x22) // a second run in the same small diff
+			r.write(r.a, 4, 0, 1, 0x41)   // a second small diff: no header of its own
 			r.commit(r.a)
 		}},
-		{"speculate one page, dirty a second, publish both", func(r *spareRun) {
+		{"a small and a large page, one a merge", 2, func(r *spareRun) {
 			r.write(r.a, 3, 0, 8, 0x31)
-			r.prepare(r.a)
 			r.write(r.a, 5, 100, 40, 0x51) // a large diff: two allocations of its own
 			r.write(r.b, 3, 8, 8, 0xb3)    // b's commit makes a's page 3 a merge
-			r.prepare(r.b)
 			r.commit(r.b)
 			r.commit(r.a)
 		}},
-		{"speculate, then Discard", func(r *spareRun) {
+		{"Discard, then commit", 1, func(r *spareRun) {
 			r.write(r.a, 2, 0, 1, 0x23)
-			r.prepare(r.a)
 			r.discard(r.a)
 			r.write(r.a, 2, 1, 1, 0x24)
 			r.commit(r.a)
 		}},
-		{"speculate, then Rebind", func(r *spareRun) {
+		{"Rebind, then commit", 1, func(r *spareRun) {
 			r.write(r.a, 6, 64, 8, 0x61)
-			r.prepare(r.a)
 			if err := r.s.Rebind(r.a, 9); err != nil {
 				r.t.Fatal(err)
 			}
 			r.commit(r.a) // committer 9: the header takes the tid at commit
 		}},
-		{"a spare whose own diff was replaced", func(r *spareRun) {
-			// Page 1's diff makes the spare, then page 1 goes back to its
-			// twin: the header publishes page 4 alone.
+		{"a page written back to its twin", 0, func(r *spareRun) {
+			// Page 1 goes back to its twin, so it has no diff: the version
+			// publishes page 4 alone, on a header of its own.
 			r.write(r.a, 1, 5, 1, 0x11)
-			r.prepare(r.a)
 			r.write(r.a, 1, 5, 1, 0)
 			r.write(r.a, 4, 0, 32, 0x41)
-			r.prepare(r.a)
 			r.commit(r.a)
-			// Again with nothing else dirty: nothing is published, and the
-			// spare is dropped all the same.
+			// Again with nothing else dirty: nothing is published.
 			r.write(r.a, 1, 6, 1, 0x12)
-			r.prepare(r.a)
 			r.write(r.a, 1, 6, 1, 0)
 			r.commit(r.a)
 		}},
 	} {
-		var logs [2][]string
-		for i, speculate := range []bool{false, true} {
-			r := newSpareRun(t, speculate)
+		t.Run(seq.name, func(t *testing.T) {
+			r := newSpareRun(t)
 			seq.run(r)
-			logs[i] = strings.Split(r.finish(), "\n")
-			if speculate && r.spares == 0 {
-				t.Errorf("%s: no BeginCommit or Discard found a spare to drop", seq.name)
+			r.finish()
+			if r.spares != seq.spares {
+				t.Errorf("%d versions published on a small diff's header, want %d", r.spares, seq.spares)
 			}
-		}
-		if !slices.Equal(logs[0], logs[1]) {
-			k := 0
-			for k < min(len(logs[0]), len(logs[1])) && logs[0][k] == logs[1][k] {
-				k++
-			}
-			t.Errorf("%s: speculation changed what was published, first at line %d\nwithout PrepareCommit: %.200s\nwith it:               %.200s",
-				seq.name, k, line(logs[0], k), line(logs[1], k))
-		}
+		})
 	}
 }
 
-// line returns lines[k], or "(end)" past the last.
-func line(lines []string, k int) string {
-	if k < len(lines) {
-		return lines[k]
+// firstDiff returns the first index where a and b differ, or -1.
+func firstDiff(a, b []byte) int {
+	for i := range a {
+		if a[i] != b[i] {
+			return i
+		}
 	}
-	return "(end)"
+	return -1
 }

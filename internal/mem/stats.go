@@ -18,11 +18,6 @@ type Stats struct {
 	// by updates and commits (the Figure 16 "pages propagated" statistic
 	// under TSO).
 	PulledPages int64
-	// SpecDiffHits counts committed pages whose speculative (pre-token)
-	// diff was reused by the serial commit phase; SpecDiffMisses counts
-	// committed pages that had to be diffed inside BeginCommit.
-	SpecDiffHits   int64
-	SpecDiffMisses int64
 	// GCRuns is the number of garbage-collection invocations.
 	GCRuns int64
 	// GCReclaimedPages is the total pages reclaimed by GC.
@@ -80,8 +75,6 @@ func (s *Segment) noteCommit(cs CommitStats) {
 	s.stats.MergedPages += int64(cs.MergedPages)
 	s.stats.DiffBytes += int64(cs.DiffBytes)
 	s.stats.PulledPages += int64(cs.PulledPages)
-	s.stats.SpecDiffHits += int64(cs.SpecHits)
-	s.stats.SpecDiffMisses += int64(cs.SpecMisses)
 	s.statsMu.Unlock()
 }
 

@@ -8,8 +8,7 @@ import (
 
 // checkWriteWindows fails unless every dirty page of ws holds the write
 // window invariant — data[i] != twin[i] only inside [lo, hi) — and its
-// windowed diff equals the byte-loop reference over the whole page, as
-// does its speculative diff while valid.
+// windowed diff equals the byte-loop reference over the whole page.
 func checkWriteWindows(t *testing.T, ws *Workspace, where string) {
 	t.Helper()
 	for pg, dp := range ws.dirty {
@@ -26,16 +25,13 @@ func checkWriteWindows(t *testing.T, ws *Workspace, where string) {
 		if got := computeDiff(dp.data, dp.twin, lo, hi, nil); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: tid %d page %d: windowed diff %+v, whole-page reference %+v", where, ws.tid, pg, got, want)
 		}
-		if dp.specOK && !reflect.DeepEqual(dp.spec, want) {
-			t.Fatalf("%s: tid %d page %d: speculative diff %+v, reference %+v", where, ws.tid, pg, dp.spec, want)
-		}
 	}
 }
 
 // TestWriteWindowCoversDiff drives seeded random sequences of writes
 // (zero-length and page-spanning ones among them), updates over remote
-// commits that patch dirty pages and copy lent twins, speculative diffs,
-// commits and discards, and checks after every step that each dirty page's
+// commits that patch dirty pages and copy lent twins, commits and
+// discards, and checks after every step that each dirty page's
 // bytes differ from its twin only inside its write window, so that the
 // windowed diff is the whole page's.
 func TestWriteWindowCoversDiff(t *testing.T) {
@@ -61,7 +57,7 @@ func TestWriteWindowCoversDiff(t *testing.T) {
 		for step := 0; step < steps; step++ {
 			w := ws[rng.Intn(threads)]
 			var what string
-			switch op := rng.Intn(11); {
+			switch op := rng.Intn(10); {
 			case op < 5:
 				what = "write"
 				n := rng.Intn(page / 2)
@@ -80,10 +76,7 @@ func TestWriteWindowCoversDiff(t *testing.T) {
 			case op < 7:
 				what = "update"
 				w.Update()
-			case op == 7:
-				what = "prepare"
-				w.PrepareCommit()
-			case op < 10:
+			case op < 9:
 				what = "commit"
 				w.BeginCommit().Complete()
 			default:

@@ -21,13 +21,11 @@ type Workspace struct {
 	faults int64
 
 	// Commit-path scratch, reused across BeginCommit and UpdateTo calls so
-	// neither allocates the sorted page list, the re-diff list, the
-	// released-buffer list, the pulled-page set or the patch list. Owned
-	// by the workspace's thread, like dirty; scratchPatches and
-	// scratchFreed are cleared after use so they pin neither versions nor
-	// page buffers.
+	// neither allocates the sorted page list, the released-buffer list,
+	// the pulled-page set or the patch list. Owned by the workspace's
+	// thread, like dirty; scratchPatches and scratchFreed are cleared
+	// after use so they pin neither versions nor page buffers.
 	scratchPages   []int
-	scratchMisses  []int
 	scratchFreed   [][]byte
 	scratchTouched map[int]bool
 	scratchPatches []*pageSlot
@@ -39,15 +37,6 @@ type Workspace struct {
 	// that were in the dirty set once, so it never outgrows the dirty
 	// set's high-water mark.
 	freeDirty []*dirtyPage
-
-	// spare is the zero Version header that the first small diff computed
-	// since the last BeginCommit was allocated with (computeDiff), or nil.
-	// BeginCommit publishes it as its version, so a one-page commit of a
-	// small diff is one object, and clears it on every call; discardLocked
-	// clears it too. The page whose diff made it may have been re-diffed
-	// since: the header is used all the same, and the runs behind it are
-	// dead bytes of the block.
-	spare *Version
 }
 
 // dirtyPage is a privately writable copy of a page plus its pristine twin,
@@ -68,26 +57,20 @@ type dirtyPage struct {
 	data []byte
 	twin []byte
 	lent bool // twin is a committed page, not the workspace's buffer
-	// spec is the page's speculative diff (PrepareCommit), meaningful only
-	// while specOK is set. The invariant: a valid spec always equals the
-	// diff of the current contents. Local writes clear specOK (and widen
-	// the write window); remote imports do NOT, because
-	// applyWhereClean is diff-preserving — it writes each pulled byte to
-	// both data and twin only at positions where data[i] == twin[i], so
-	// clean positions stay clean (both take the pulled byte) and dirty
-	// positions are untouched in both, leaving the diff byte-identical.
-	// TestApplyWhereCleanPreservesDiff/FuzzApplyWhereClean pin this.
-	spec   Diff
-	specOK bool
+	// diff is the page's diff, which BeginCommit computes for every dirty
+	// page and then publishes; meaningless outside that call.
+	diff Diff
 	// [lo, hi) is the write window: the span of the bytes Write stored
 	// since the record was made, empty (lo == hi) until the first store.
 	// The invariant: outside the window, data == twin. A fault's copy
 	// starts equal to its twin; a patch (applyWhereClean)
-	// writes data and twin together, and only where they agree; copying a
+	// writes data and twin together, and only where they agree, so clean
+	// positions stay clean and dirty ones keep their bytes in both
+	// (TestApplyWhereCleanPreservesDiff, FuzzApplyWhereClean); copying a
 	// lent twin copies it byte for byte. So the diff scans only the window
 	// (computeDiff), and a one-word store costs a one-word diff.
-	// TestWriteWindowCoversDiff holds the invariant. The pair packs after
-	// specOK, so the record is 96 bytes, an exact size class.
+	// TestWriteWindowCoversDiff holds the invariant. The record is 88
+	// bytes, in the 96-byte size class.
 	lo, hi int32
 }
 
@@ -170,7 +153,6 @@ func (ws *Workspace) Write(data []byte, off int) {
 			n = len(data)
 		}
 		dp := ws.fault(pg)
-		dp.specOK = false // the write invalidates any speculative diff
 		if dp.lo == dp.hi {
 			dp.lo, dp.hi = int32(po), int32(po+n)
 		} else {
@@ -278,44 +260,6 @@ func (ws *Workspace) Reserve() int64 {
 	return s.head
 }
 
-// PrepareCommit speculatively computes the per-page diffs the next
-// BeginCommit will need, so that work happens off the serial token path —
-// the deterministic runtimes call it while a thread is still waiting for
-// its turn in the global order. Pages that already hold a valid
-// speculative diff are skipped, so repeated calls are cheap. A later local
-// write invalidates a page's speculation (remote imports preserve it — see
-// dirtyPage.spec) and BeginCommit re-diffs exactly the invalidated pages,
-// making speculation invisible to commit results: version contents are
-// byte-identical with and without it.
-//
-// Must be called by the owning thread; it reads and writes only
-// thread-private state, so unlike BeginCommit it needs neither the
-// caller's commit serialization nor the segment lock.
-//
-// Returns the number of pages diffed by this call (the runtime charges
-// speculation cost from it).
-func (ws *Workspace) PrepareCommit() int {
-	prepared := 0
-	for _, dp := range ws.dirty {
-		if !dp.specOK {
-			ws.diff(dp)
-			prepared++
-		}
-	}
-	return prepared
-}
-
-// diff recomputes dp's diff over its write window. While the workspace
-// holds no spare version header, a small diff is allocated together with
-// one (see spare).
-func (ws *Workspace) diff(dp *dirtyPage) {
-	var spare **Version
-	if ws.spare == nil {
-		spare = &ws.spare
-	}
-	dp.spec, dp.specOK = computeDiff(dp.data, dp.twin, int(dp.lo), int(dp.hi), spare), true
-}
-
 // Discard drops all uncommitted local modifications.
 func (ws *Workspace) Discard() {
 	ws.seg.mu.Lock()
@@ -324,7 +268,6 @@ func (ws *Workspace) Discard() {
 }
 
 func (ws *Workspace) discardLocked() {
-	ws.spare = nil
 	if n := len(ws.dirty); n > 0 {
 		ws.seg.allocPages(int64(-2 * n)) // modeled: a copy and a twin per page
 		for _, dp := range ws.dirty {

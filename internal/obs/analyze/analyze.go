@@ -181,7 +181,6 @@ func phaseTotals(lanes []Lane, r *Report) {
 		tr.SpawnNS = sums[obs.PhaseSpawn]
 		tr.HandoffNS = sums[obs.PhaseHandoff]
 		tr.FastForwardNS = sums[obs.PhaseFastForward]
-		tr.SpecDiffNS = sums[obs.PhaseSpecDiff]
 		if live := tr.EndNS - tr.StartNS; live > 0 {
 			tr.UtilizationPct = pct(tr.ComputeNS, live)
 		}

@@ -330,7 +330,7 @@ func TestReportInvariants(t *testing.T) {
 			{"compute", total("compute"), st.LocalWorkNS},
 			{"token-wait", total("token-wait"), st.DetermWaitNS},
 			{"barrier-wait", total("barrier-wait"), st.BarrierWaitNS},
-			{"commit+merge", total("commit") + total("merge") + total("spec-diff"), st.CommitNS},
+			{"commit+merge", total("commit") + total("merge"), st.CommitNS},
 			{"fault", total("fault"), st.FaultNS},
 			{"lib", total("lib") + total("spawn") + total("handoff") +
 				total("fast-forward"), st.LibNS},

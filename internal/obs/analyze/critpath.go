@@ -35,10 +35,9 @@ var workPriority = map[obs.Phase]int{
 	obs.PhaseFastForward: 4,
 	obs.PhaseFault:       5,
 	obs.PhaseMerge:       6,
-	obs.PhaseSpecDiff:    7, // like merge: commit work that runs in parallel
-	obs.PhaseCompute:     8,
-	obs.PhaseTokenWait:   9,
-	obs.PhaseBarrierWait: 10,
+	obs.PhaseCompute:     7,
+	obs.PhaseTokenWait:   8,
+	obs.PhaseBarrierWait: 9,
 }
 
 // isWait reports whether p is a blocked phase.

@@ -69,7 +69,6 @@ type ThreadReport struct {
 	SpawnNS        int64   `json:"spawn_ns"`
 	HandoffNS      int64   `json:"handoff_ns"`
 	FastForwardNS  int64   `json:"fast_forward_ns"`
-	SpecDiffNS     int64   `json:"spec_diff_ns"`
 	UtilizationPct float64 `json:"utilization_pct"`
 	CritPathNS     int64   `json:"critical_path_ns"`
 }

@@ -55,7 +55,7 @@ import (
 type Phase uint8
 
 // Time-category phases (span events). These refine the api.RunStats
-// breakdown: Commit, Merge and SpecDiff together are RunStats.CommitNS;
+// breakdown: Commit and Merge together are RunStats.CommitNS;
 // Fault is RunStats.FaultNS; Lib, Spawn, Handoff and FastForward together
 // are RunStats.LibNS.
 const (
@@ -83,12 +83,6 @@ const (
 	// PhaseHandoff and PhaseSpawn; all four (with PhaseFastForward) fold
 	// into RunStats.LibNS so the Figure 15 breakdown is unchanged.
 	PhaseLib
-	// PhaseSpecDiff is speculative pre-token diffing: commit diff work
-	// hoisted off the serial token path into the window where the thread
-	// is about to wait for the deterministic order, so it overlaps other
-	// threads' token-held work. Folds into RunStats.CommitNS together with
-	// Commit and Merge.
-	PhaseSpecDiff
 	// PhaseSpawn is thread-creation cost on whichever thread pays it: the
 	// fork/page-table-population charge on a fresh spawn, the free-list
 	// pop + worker wake on a pooled spawn (spawner side), and the view
@@ -135,7 +129,7 @@ const (
 
 // phaseNames maps phases to their stable export names. These strings are
 // part of the trace format (docs/observability.md documents them); do not
-// reuse or renumber.
+// reuse one. Phase numbers are never exported or stored, only names.
 var phaseNames = map[Phase]string{
 	PhaseCompute:     "compute",
 	PhaseTokenWait:   "token-wait",
@@ -144,7 +138,6 @@ var phaseNames = map[Phase]string{
 	PhaseMerge:       "merge",
 	PhaseFault:       "fault",
 	PhaseLib:         "lib",
-	PhaseSpecDiff:    "spec-diff",
 	PhaseSpawn:       "spawn",
 	PhaseHandoff:     "handoff",
 	PhaseFastForward: "fast-forward",

@@ -143,7 +143,6 @@ func TestPhaseNames(t *testing.T) {
 		PhaseMerge:       "merge",
 		PhaseFault:       "fault",
 		PhaseLib:         "lib",
-		PhaseSpecDiff:    "spec-diff",
 		MarkCoarsenBegin: "coarsen-begin",
 		MarkCoarsenEnd:   "coarsen-end",
 		MarkCommit:       "commit-mark",

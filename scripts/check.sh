@@ -55,8 +55,9 @@ go test -race ./internal/obs/... ./internal/mem ./internal/det ./internal/clock 
 echo "== go test -race -count=20 (the page recycling stress: GC prunes pages while readers copy them; the spare version header's and the lent twins' ownership; the per-page chain walk; the replica's lent pages)"
 # A prune that races a reader shows up only in some interleavings, so one
 # race-detector pass is not enough (docs/architecture.md, "Page buffers").
-# TestSpareOwnership runs beside it: a version header that outlived its
-# BeginCommit would be re-used under a published version. So does
+# TestSpareOwnership runs beside it: a commit's version header shares a
+# block with its first small diff, and every version it publishes must
+# read back as the reference model. So does
 # TestLentTwinOwnership: a twin lent from a committed page must never be
 # put, nor patched in place. TestCommittedPageWalksChain holds the page
 # lookup's chain walk equal to a scan of every retained version, across
@@ -71,8 +72,8 @@ go test -race -count=20 -run 'TestLentPagesNeverChange' ./internal/replica
 echo "== go test -fuzz (the diff and patch kernels, 10 s each)"
 # Beyond their seed corpus, which go test ./... replays: FuzzComputeDiff
 # pins the windowed one-pass diff to the byte-loop reference, and
-# FuzzApplyWhereClean the masked merge and the diff preservation the
-# speculative commit path relies on.
+# FuzzApplyWhereClean the masked merge and the write window: a patch keeps
+# data == twin outside the bytes a thread wrote.
 go test -run=NONE -fuzz=FuzzComputeDiff -fuzztime=10s ./internal/mem
 go test -run=NONE -fuzz=FuzzApplyWhereClean -fuzztime=10s ./internal/mem
 
