@@ -12,11 +12,14 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/obs/analyze"
 )
 
 // cli runs one built binary and returns its stdout and exit code.
@@ -339,6 +342,64 @@ func TestDocsCiteOnlyEmittedMetrics(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// reportHeaderKeys are analyze.Report's scalar header fields, which the
+// "Report fields" table may leave out; every other top-level key is a
+// section the table must list.
+var reportHeaderKeys = []string{"process", "threads", "start_ns", "wall_ns"}
+
+// TestDocsListEveryReportSection holds docs/observability.md's "Report
+// fields" table to analyze.Report: the JSON keys in its first column are
+// the report's top-level keys, less the exempt header fields. A section
+// added to the report without a row fails, and so does a row left behind
+// by a deleted section.
+func TestDocsListEveryReportSection(t *testing.T) {
+	keys := map[string]bool{}
+	rt := reflect.TypeOf(analyze.Report{})
+	for i := 0; i < rt.NumField(); i++ {
+		name, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ",")
+		keys[name] = true
+	}
+	for _, k := range reportHeaderKeys {
+		if !keys[k] {
+			t.Errorf("exempt header key %q is not a field of analyze.Report", k)
+		}
+	}
+
+	text, err := os.ReadFile("../docs/observability.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(text), "\n### Report fields\n")
+	if !ok {
+		t.Fatal(`docs/observability.md has no "### Report fields" section`)
+	}
+	table, _, _ = strings.Cut(table, "\n#")
+	span := regexp.MustCompile("`([^`]+)`")
+	listed := map[string]bool{}
+	for _, line := range strings.Split(table, "\n") {
+		cells := strings.Split(line, "|")
+		if !strings.HasPrefix(line, "|") || len(cells) < 3 {
+			continue
+		}
+		for _, m := range span.FindAllStringSubmatch(cells[1], -1) {
+			listed[m[1]] = true
+		}
+	}
+	if len(listed) == 0 {
+		t.Fatal(`docs/observability.md: the "Report fields" table lists no keys`)
+	}
+	for k := range listed {
+		if !keys[k] {
+			t.Errorf("docs/observability.md lists report key %q, which analyze.Report does not have", k)
+		}
+	}
+	for k := range keys {
+		if !listed[k] && !slices.Contains(reportHeaderKeys, k) {
+			t.Errorf("analyze.Report section %q has no row in docs/observability.md's \"Report fields\" table", k)
 		}
 	}
 }

@@ -1,9 +1,8 @@
 // Command conseq-analyze attributes where a Consequence run spent its
-// time: the serialization critical path, per-lock token-wait attribution,
-// commit/merge overlap, and a chunk-coarsening what-if estimate (see
-// internal/obs/analyze and docs/observability.md). It reads a Chrome trace
-// a run exported, beside conseq-diff and conseq-replay, which read the
-// commit log a run wrote:
+// time: the serialization critical path, per-lock token-wait attribution
+// and commit/merge overlap (see internal/obs/analyze and
+// docs/observability.md). It reads a Chrome trace a run exported, beside
+// conseq-diff and conseq-replay, which read the commit log a run wrote:
 //
 //	detrun -bench ferret -threads 8 -trace /tmp/ferret.json
 //	conseq-analyze -input /tmp/ferret.json

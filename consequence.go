@@ -245,7 +245,7 @@ func (r *Runtime) WriteTrace(w io.Writer, name string) error {
 
 // Report is the critical-path analysis of an observed run: the
 // serialization critical path, per-lock token-wait attribution, per-phase
-// utilization, commit/merge overlap, and chunk-coarsening what-if
+// utilization and commit/merge overlap — what the run did, with no
 // estimates. See the internal/obs/analyze documentation for how each part
 // is computed; detrun -analyze (a live run) and conseq-analyze -input (an
 // exported trace) are the command-line front ends.

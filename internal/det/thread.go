@@ -52,9 +52,8 @@ type Thread struct {
 	// -timeout dump renders them from another goroutine; written
 	// only at sync-op and park boundaries, so a live thread's mirror may
 	// trail its true clock — fine for a diagnostic dump. diagPhase shares
-	// a word with the two bools: a Thread is allocated per spawn, and at
-	// 568 bytes or less it stays in the 576-byte size class (with Go's
-	// 8-byte allocation header).
+	// a word with the two bools: a Thread is allocated per spawn, and
+	// TestThreadSizeClass holds it within the 512-byte size class.
 	diagPhase atomic.Int32
 	diagClock atomic.Int64
 

@@ -1,8 +1,10 @@
 // Package analyze turns a recorded observability timeline (internal/obs)
 // into the attribution answers the paper's evaluation (§5, Figures 10–16)
 // is built on: which work sits on the serialized token critical path, which
-// locks cause the token waiting, how much of the commit work overlaps, and
-// what chunk coarsening would buy.
+// locks cause the token waiting, and how much of the commit work overlaps.
+// It reports what the run did and estimates nothing: what chunk coarsening
+// would buy is measured by rerunning the cell at det.Config.StaticLevel
+// (Figure 14), not guessed from the timeline.
 //
 // The analyzer is strictly post-hoc: it consumes either a finished
 // Observer and the run's metrics (FromObserver) or a previously exported
@@ -11,7 +13,7 @@
 // actionable as a live run. Nothing here feeds back into the runtime; determinism is untouched
 // by construction.
 //
-// Three analyses beyond simple phase accounting:
+// Two analyses beyond simple phase accounting:
 //
 //   - Critical path. The serialization critical path is reconstructed by a
 //     backward sticky scan from the run's finish: walking time backwards,
@@ -30,12 +32,6 @@
 //     contention on that mutex. Token-wait outside such a window is
 //     token-order wait (the cost of determinism itself: waiting for the
 //     global token with no lock involved, or in cond/join/barrier paths).
-//
-//   - Coarsening what-if. From the recorded commit markers the analyzer
-//     finds runs of coordination phases separated by short chunks (the
-//     fusible ones, in the spirit of §3.1's chunk coarsening) and
-//     estimates, for fusion factors k, the serial and wait time that
-//     removing the redundant token round-trips would save.
 package analyze
 
 import (
@@ -81,9 +77,6 @@ func FromObserver(o *obs.Observer, process string, metrics []obs.Sample) *Input 
 	return in
 }
 
-// whatIfKs are the fusion factors the coarsening estimate is evaluated at.
-var whatIfKs = []int{2, 4, 8}
-
 // Analyze runs every analysis over the input and assembles the Report.
 func Analyze(in *Input) (*Report, error) {
 	if len(in.Lanes) == 0 {
@@ -113,7 +106,6 @@ func Analyze(in *Input) (*Report, error) {
 	attributeLocks(lanes, r)
 	criticalPath(lanes, r)
 	mergeOverlap(lanes, r)
-	whatIfCoarsen(lanes, r)
 	shardingReport(in.Metrics, r)
 	replicationReport(in.Metrics, r)
 	return r, nil
@@ -318,91 +310,6 @@ func mergeOverlap(lanes []Lane, r *Report) {
 	r.MergeOverlap.OverlapNS = r.MergeOverlap.TotalNS - r.MergeOverlap.BusyNS
 	if r.MergeOverlap.BusyNS > 0 {
 		r.MergeOverlap.ParallelismX = round2(float64(r.MergeOverlap.TotalNS) / float64(r.MergeOverlap.BusyNS))
-	}
-}
-
-// whatIfCoarsen estimates what fusing k consecutive coordination phases
-// would save, from the recorded commit markers. A coordination phase is a
-// token-held commit; two consecutive phases on a thread are fusible when
-// the chunk between them is short — at most fusibleChunkFactor times the
-// fixed serial cost of a coordination round, mirroring the adaptive
-// policy's rationale (§3.1: fuse only chunks comparable to the
-// coordination overhead they eliminate). Fusing a maximal run of m
-// fusible phases into groups of k leaves ceil(m/k) phases; each removed
-// phase saves one fixed serial round (estimated as the minimum observed
-// commit span plus the mean lib cost per coordination phase) and the mean
-// token-wait it induced on the queue.
-const fusibleChunkFactor = 4
-
-func whatIfCoarsen(lanes []Lane, r *Report) {
-	// Fixed serial cost per coordination phase.
-	minCommit := int64(math.MaxInt64)
-	var libNS, tokenWaitNS, tokenWaits int64
-	for _, l := range lanes {
-		for _, e := range l.Events {
-			switch e.Phase {
-			case obs.PhaseCommit:
-				if d := e.End - e.Start; d > 0 && d < minCommit {
-					minCommit = d
-				}
-			case obs.PhaseLib, obs.PhaseSpawn, obs.PhaseHandoff, obs.PhaseFastForward:
-				// All four are runtime-library overhead (the pre-split
-				// PhaseLib); the round-cost estimate must not change with
-				// the phase refinement.
-				libNS += e.End - e.Start
-			case obs.PhaseTokenWait:
-				tokenWaitNS += e.End - e.Start
-				tokenWaits++
-			}
-		}
-	}
-	if r.Commits.Count == 0 || minCommit == math.MaxInt64 {
-		return
-	}
-	roundNS := minCommit + libNS/r.Commits.Count
-	meanWaitNS := int64(0)
-	if tokenWaits > 0 {
-		meanWaitNS = tokenWaitNS / tokenWaits
-	}
-	fusibleGap := int64(fusibleChunkFactor) * roundNS
-
-	// Per thread: lengths of maximal runs of commit marks whose gaps are
-	// all fusible.
-	var runs []int64
-	for _, l := range lanes {
-		var lastCommit int64 = -1
-		run := int64(0)
-		for _, e := range l.Events {
-			if e.Phase != obs.MarkCommit {
-				continue
-			}
-			if lastCommit >= 0 && e.Start-lastCommit <= fusibleGap {
-				run++
-			} else {
-				if run > 1 {
-					runs = append(runs, run)
-				}
-				run = 1
-			}
-			lastCommit = e.Start
-		}
-		if run > 1 {
-			runs = append(runs, run)
-		}
-	}
-	for _, k := range whatIfKs {
-		var removed int64
-		for _, m := range runs {
-			removed += m - (m+int64(k)-1)/int64(k)
-		}
-		w := WhatIf{
-			K:                k,
-			FusedPhases:      removed,
-			EstSavedSerialNS: removed * roundNS,
-			EstSavedWaitNS:   removed * meanWaitNS,
-		}
-		w.EstWallPct = pct(w.EstSavedSerialNS, r.WallNS)
-		r.Coarsening = append(r.Coarsening, w)
 	}
 }
 

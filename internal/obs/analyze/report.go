@@ -33,8 +33,6 @@ type Report struct {
 	// MergeOverlap quantifies the §4.2 parallel-commit overlap.
 	MergeOverlap MergeOverlap  `json:"merge_overlap"`
 	Commits      CommitSummary `json:"commits"`
-	// Coarsening holds the §3.1 what-if estimates per fusion factor k.
-	Coarsening []WhatIf `json:"coarsening_what_if"`
 	// Sharding is the per-shard arbiter breakdown under per-shard
 	// granting; nil (and omitted) for unsharded runs and for traces
 	// written without the metrics record.
@@ -131,16 +129,6 @@ type CommitSummary struct {
 	SerialNSPerCommit int64 `json:"serial_ns_per_commit"`
 }
 
-// WhatIf is the coarsening estimate for one fusion factor (see
-// whatIfCoarsen).
-type WhatIf struct {
-	K                int     `json:"k"`
-	FusedPhases      int64   `json:"fused_phases"`
-	EstSavedSerialNS int64   `json:"est_saved_serial_ns"`
-	EstSavedWaitNS   int64   `json:"est_saved_wait_ns"`
-	EstWallPct       float64 `json:"est_wall_pct"`
-}
-
 // JSON renders the report as stable, indented JSON (a trailing newline
 // included, so files are diff-friendly).
 func (r *Report) JSON() ([]byte, error) {
@@ -228,15 +216,6 @@ func (r *Report) WriteText(w io.Writer) error {
 			rp.LagP50, rp.LagP95, rp.LagMax, ms(rp.CatchupMaxNS))
 		for _, f := range rp.Followers {
 			p("  follower %-4d %-8s lag %d\n", f.Follower, f.Role, f.Lag)
-		}
-	}
-
-	if len(r.Coarsening) > 0 {
-		p("\ncoarsening what-if (fuse k consecutive coordination phases; estimates)\n")
-		p("  k   fused phases   saved serial ms   saved wait ms   ~wall%%\n")
-		for _, wi := range r.Coarsening {
-			p("  %-3d %12d %17s %15s %8.2f\n",
-				wi.K, wi.FusedPhases, ms(wi.EstSavedSerialNS), ms(wi.EstSavedWaitNS), wi.EstWallPct)
 		}
 	}
 	return nil
