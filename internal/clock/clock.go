@@ -426,8 +426,10 @@ type Stats struct {
 
 	// The host's side of the token path, which the arbiter does not see:
 	// det's Runtime.ClockStats fills these in from a host that counts them
-	// (host.ParkCounter — the real host), zero otherwise.
+	// (host.ParkCounter — the real host), zero otherwise. ClockReads is
+	// the host clock reads of the run's finished threads.
 	Parks, Wakes, EarlyWakes int64
+	ClockReads               int64
 }
 
 // Locks counts acquisitions of the arbiter's mutex by the call that made

@@ -53,6 +53,53 @@ func TestAppendAndDrainAllocateNothing(t *testing.T) {
 	}
 }
 
+// TestRollsShareOneWriter gates the drain's buffered writer: a log that
+// rolls many segments allocates one 64 KiB write buffer in all, not one
+// per segment. The same commits go to a log that never rolls and to one
+// that rolls at every few records; all the rolls together must cost less
+// than half a buffer more. (A fresh writer per segment made them cost one
+// buffer each.)
+func TestRollsShareOneWriter(t *testing.T) {
+	// Every commit rewrites the same page, so the drain's replica holds
+	// one page however many records there are.
+	data := bytes.Repeat([]byte{0xA5}, 512)
+	commits := make([]Commit, 256)
+	for i := range commits {
+		v := int64(i + 1)
+		commits[i] = Commit{AtSeq: v, Version: v, Pages: []PageDiff{{Page: 0, Runs: []mem.Run{{Off: 0, Data: data}}}}}
+	}
+	logged := func(segBytes int) (rolls int64, alloc uint64) {
+		l, err := Create(t.TempDir(), Options{SegmentBytes: segBytes, SnapshotEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := l.Begin(4096, 256); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range commits {
+			l.Append(c)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return l.Stats().Rolls, after.TotalAlloc - before.TotalAlloc
+	}
+	_, flat := logged(64 << 20)
+	rolls, rolled := logged(4096)
+	if rolls < 16 {
+		t.Fatalf("the small-segment log rolled %d times, want at least 16", rolls)
+	}
+	extra := int64(rolled) - int64(flat)
+	t.Logf("no roll: %d KiB; %d rolls: %d KiB", flat>>10, rolls, rolled>>10)
+	if extra >= storeBufBytes/2 {
+		t.Errorf("%d rolls allocated %d KiB more than no roll, want under %d: one write buffer serves every segment",
+			rolls, extra>>10, storeBufBytes/2>>10)
+	}
+}
+
 // TestWriteRecordMatchesAppendFrame pins the unassembled frame: what
 // writeRecord puts in the store file is byte for byte what appendFrame
 // builds.

@@ -59,6 +59,10 @@ const perturbPeriod = 128
 // flush it.
 const eventBatchBytes = 32 << 10
 
+// storeBufBytes is the drain's write buffer; one serves the log's whole
+// life, across every segment roll.
+const storeBufBytes = 64 << 10
+
 // freeBatches is how many written batch buffers the drain goroutine keeps
 // for the recording side to reuse; a recorder that finds none allocates.
 const freeBatches = 4
@@ -501,7 +505,13 @@ func (d *drain) openSegment(base int64) error {
 		return err
 	}
 	d.store = store
-	d.sw = bufio.NewWriterSize(store, 64<<10)
+	// One writer serves every segment: closeSegment flushed it, so a roll
+	// only points it at the new file.
+	if d.sw == nil {
+		d.sw = bufio.NewWriterSize(store, storeBufBytes)
+	} else {
+		d.sw.Reset(store)
+	}
 	if _, err := d.sw.Write(d.header); err != nil {
 		return err
 	}

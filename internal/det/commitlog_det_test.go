@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/api"
@@ -389,5 +390,92 @@ func TestCommitLogStreamFollowsRun(t *testing.T) {
 	}
 	if n != cl.Stats().Commits {
 		t.Fatalf("follower saw %d commits, log has %d", n, cl.Stats().Commits)
+	}
+}
+
+// diffCapture is a Hooks that copies every commit's page diffs at
+// OnCommit, before anything later in the run can touch them.
+type diffCapture struct {
+	byVersion map[int64][]commitlog.PageDiff
+}
+
+func (*diffCapture) OnAcquire(int, uint64) {}
+func (*diffCapture) OnRelease(int, uint64) {}
+func (*diffCapture) OnSpawn(int, int)      {}
+
+func (c *diffCapture) OnCommit(_ int, v *mem.Version) {
+	if v == nil {
+		return
+	}
+	var pages []commitlog.PageDiff
+	v.ForEachPageDiff(func(pg int, d mem.Diff) {
+		runs := make([]mem.Run, len(d.Runs))
+		for i, r := range d.Runs {
+			runs[i] = mem.Run{Off: r.Off, Data: bytes.Clone(r.Data)}
+		}
+		pages = append(pages, commitlog.PageDiff{Page: pg, Runs: runs})
+	})
+	c.byVersion[v.Num] = pages
+}
+
+// TestLateStreamSeesEveryCommit: a stream subscribed before the run but
+// read only after Close holds every record the run appended, each still
+// aliasing the page list the committing thread built. Every one must be
+// byte-equal to the diffs captured at OnCommit and the whole stream must
+// replay to the runtime's checksum, so no later append may overwrite an
+// earlier record's page list (logCommit carves them from a shared slab).
+func TestLateStreamSeesEveryCommit(t *testing.T) {
+	for _, hm := range allHosts() {
+		t.Run(hm.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cl, err := commitlog.Create(dir, commitlog.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := cfg()
+			c.CommitLog = cl
+			rt, err := det.New(c, hm.mk())
+			if err != nil {
+				t.Fatal(err)
+			}
+			captured := &diffCapture{byVersion: map[int64][]commitlog.PageDiff{}}
+			rt.SetHooks(captured)
+			s, err := cl.Stream()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rt.Run(mixedProg(4, 100)); err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			r, err := commitlog.OpenReader(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := commitlog.NewState(r)
+			n := 0
+			for c, ok := s.Next(); ok; c, ok = s.Next() {
+				n++
+				want, found := captured.byVersion[c.Version]
+				if !found {
+					t.Fatalf("stream carries version %d, which no OnCommit saw", c.Version)
+				}
+				if !reflect.DeepEqual(c.Pages, want) {
+					t.Fatalf("version %d streamed pages %v, want %v as published", c.Version, c.Pages, want)
+				}
+				if err := st.ApplyRecord(commitlog.Record{Kind: commitlog.KindCommit, Commit: c}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n != len(captured.byVersion) || n < 600 {
+				t.Fatalf("stream carried %d commits of %d published; want every one, and more than 600", n, len(captured.byVersion))
+			}
+			if got := st.Checksum(); got != rt.Checksum() {
+				t.Fatalf("the late stream replays to checksum %016x, the runtime's is %016x", got, rt.Checksum())
+			}
+		})
 	}
 }

@@ -70,6 +70,11 @@ func splitStores(t *testing.T, dir string, versionAt map[int64]int64) []storeFil
 // the uncut log replays to at the last commit that survived whole. A
 // second Repair finds nothing to fix. Offsets are a seeded sample spread
 // over every segment.
+//
+// Each offset that lands inside a record is also a bit flip in the whole
+// log: the record's CRC rejects it, so Repair cuts the log at that
+// record's frame and drops every later segment, and Resume lands on the
+// last commit before it.
 func TestCrashAnywhereResumesAtLastWholeCommit(t *testing.T) {
 	dir := t.TempDir()
 	runJournaled(t, cfg(), simhost.New(costmodel.Default()), dir,
@@ -114,6 +119,7 @@ func TestCrashAnywhereResumesAtLastWholeCommit(t *testing.T) {
 
 	const samples = 200
 	rng := rand.New(rand.NewSource(42))
+	flips := 0
 	for n := 0; n < samples; n++ {
 		seg := n % len(stores)
 		cut := rng.Int63n(stores[seg].size)
@@ -129,11 +135,39 @@ func TestCrashAnywhereResumesAtLastWholeCommit(t *testing.T) {
 				break
 			}
 		}
+		frameStart := stores[seg].headerEnd // of the frame the offset falls in
 		for _, fr := range stores[seg].frames {
 			if fr.end > cut {
 				break
 			}
-			survivor, atBoundary = fr.version, fr.end == cut
+			survivor, atBoundary, frameStart = fr.version, fr.end == cut, fr.end
+		}
+
+		if cut >= stores[seg].headerEnd {
+			flips++
+			flipDir := t.TempDir()
+			for i, sf := range stores {
+				data, err := os.ReadFile(filepath.Join(dir, sf.name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i == seg {
+					data[cut] ^= 1 << (cut % 8)
+				}
+				if err := os.WriteFile(filepath.Join(flipDir, sf.name), data, 0o666); err != nil {
+					t.Fatal(err)
+				}
+			}
+			flip := stores[seg].name + "@" + strconv.FormatInt(cut, 10) + " flipped"
+			rep, err := commitlog.Repair(flipDir)
+			if err != nil {
+				t.Fatalf("%s: repair: %v", flip, err)
+			}
+			if !rep.Repaired || rep.TruncatedBytes != stores[seg].size-frameStart || rep.DroppedSegments != len(stores)-seg-1 {
+				t.Fatalf("%s: repair %+v; want the segment cut to its %d bytes before the record and %d later segments dropped",
+					flip, rep, frameStart, len(stores)-seg-1)
+			}
+			checkResume(t, flip, flipDir, survivor, wantAt(survivor))
 		}
 
 		cutDir := t.TempDir()
@@ -164,16 +198,24 @@ func TestCrashAnywhereResumesAtLastWholeCommit(t *testing.T) {
 		if rep.Repaired == atBoundary {
 			t.Fatalf("%s: repair reported Repaired=%v for a cut with atBoundary=%v: %+v", what, rep.Repaired, atBoundary, rep)
 		}
-		st, err := commitlog.Resume(cutDir)
-		if err != nil {
-			t.Fatalf("%s: resume after repair %+v: %v", what, rep, err)
-		}
-		if st.Version != survivor || st.Checksum() != wantAt(survivor) {
-			t.Fatalf("%s: resumed at version %d checksum %016x, want version %d checksum %016x",
-				what, st.Version, st.Checksum(), survivor, wantAt(survivor))
-		}
-		if rep2, err := commitlog.Repair(cutDir); err != nil || rep2.Repaired {
-			t.Fatalf("%s: second repair: %+v, %v", what, rep2, err)
-		}
+		checkResume(t, what, cutDir, survivor, wantAt(survivor))
+	}
+	t.Logf("%d of %d offsets fell inside a record and were flipped too", flips, samples)
+}
+
+// checkResume resumes a repaired log directory and wants it at version
+// with the given checksum; a second Repair must find nothing to fix.
+func checkResume(t *testing.T, what, dir string, version int64, checksum uint64) {
+	t.Helper()
+	st, err := commitlog.Resume(dir)
+	if err != nil {
+		t.Fatalf("%s: resume after repair: %v", what, err)
+	}
+	if st.Version != version || st.Checksum() != checksum {
+		t.Fatalf("%s: resumed at version %d checksum %016x, want version %d checksum %016x",
+			what, st.Version, st.Checksum(), version, checksum)
+	}
+	if rep, err := commitlog.Repair(dir); err != nil || rep.Repaired {
+		t.Fatalf("%s: second repair: %+v, %v", what, rep, err)
 	}
 }

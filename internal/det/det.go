@@ -278,6 +278,9 @@ type Runtime struct {
 	lastCoordTid int
 	commitCount  int64
 	globalMutex  *dMutex // all mutexes alias here when SingleGlobalLock
+	// logSlab is where logCommit carves each commit record's page list
+	// from; append-only (see logCommit).
+	logSlab []commitlog.PageDiff
 
 	// commitSerialNS accumulates the time charged inside token-held serial
 	// commit phases (BeginCommit charges only — merge is excluded). Atomic
@@ -519,12 +522,13 @@ func (rt *Runtime) Segment() *mem.Segment { return rt.seg }
 func (rt *Runtime) Trace() *trace.Recorder { return rt.rec }
 
 // ClockStats snapshots the arbiter's counters and per-shard records (what
-// the clock_* gauges read), with the host's park and wake counts beside
-// them when the host keeps any.
+// the clock_* gauges read), with the host's park, wake and clock-read
+// counts beside them when the host keeps any.
 func (rt *Runtime) ClockStats() clock.Stats {
 	s := rt.arb.Stats()
 	if pc, ok := rt.h.(host.ParkCounter); ok {
 		s.Parks, s.Wakes, s.EarlyWakes = pc.ParkCounts()
+		s.ClockReads = pc.ClockReads()
 	}
 	return s
 }
@@ -693,7 +697,9 @@ func (rt *Runtime) aggregate(t *Thread) {
 	t.Time.Lib = t.bd[obs.PhaseLib] + t.bd[obs.PhaseSpawn] + t.bd[obs.PhaseHandoff] + t.bd[obs.PhaseFastForward]
 	rt.aggMu.Lock()
 	defer rt.aggMu.Unlock()
-	rt.agg.AddThread(t.Time, t.SyncOps, t.B.Now())
+	// exit calls this straight after its last boundary: the thread's
+	// finish is that boundary's reading.
+	rt.agg.AddThread(t.Time, t.SyncOps, t.stamp())
 	rt.agg.CoarsenedOps += t.coarsenedOps
 }
 

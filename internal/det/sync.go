@@ -233,7 +233,7 @@ func (t *Thread) BarrierWait(bx api.Barrier) {
 		// Serial barrier: the whole commit (ordering + merge) happens
 		// under the token, arrival by arrival. A lone party has no other
 		// arrival to overlap its merge with.
-		t.commitAndUpdate()
+		t.commitAndUpdate(false)
 		t.rt.hooks.OnRelease(t.Tid(), bar.id)
 		if !last {
 			t.leaveToken(&bar.waiting)
@@ -243,7 +243,7 @@ func (t *Thread) BarrierWait(bx api.Barrier) {
 		t.barrierRelease(bar)
 		return
 	}
-	pc := t.publish()
+	pc := t.publish(false)
 	t.rt.hooks.OnRelease(t.Tid(), bar.id) // entry edge: after the commit
 	if !last {
 		t.leaveToken(&bar.waiting)

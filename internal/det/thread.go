@@ -146,6 +146,35 @@ func (t *Thread) charge(p obs.Phase, ns int64) {
 	t.account(p)
 }
 
+// chargeModeled charges a modeled cost that no host work stands behind: a
+// clock read, a handoff, a fault's trap. On a timed host it is charge. On
+// an untimed host the cost still reaches the binding (a chaos wrapper
+// draws its jitter there), but the interval stays open: nothing ran since
+// the previous boundary, so closing it would only read the clock, and the
+// next boundary accounts the nanoseconds in between with the work around
+// them. So on the real host phase p holds no time.
+func (t *Thread) chargeModeled(p obs.Phase, ns int64) {
+	if t.rt.timed {
+		t.charge(p, ns)
+		return
+	}
+	if ns > 0 {
+		t.B.Charge(ns)
+	}
+}
+
+// stamp is the host time for a stamp that directly follows an accounting
+// boundary: that boundary's reading on an untimed host, where a fresh one
+// would differ only by the bookkeeping in between. A timed host reads its
+// clock as before (the two are equal there: time moves only on Charge),
+// so the simulation's output stays byte-identical by construction.
+func (t *Thread) stamp() int64 {
+	if t.rt.timed {
+		return t.B.Now()
+	}
+	return t.Last()
+}
+
 // mark emits an instantaneous observer marker at the thread's current
 // host time; a no-op without an observer.
 func (t *Thread) mark(p obs.Phase, arg int64) {
@@ -243,8 +272,7 @@ func (t *Thread) advance(n int64) {
 		if overBudget && t.holding && t.coarse.active {
 			// End the coarsened chunk mid-stream: publish and hand the
 			// token back.
-			t.uncoarsen()
-			t.releaseTokenRaw()
+			t.endChunk()
 		}
 	}
 }
@@ -277,12 +305,16 @@ func (t *Thread) Read(buf []byte, off int) {
 	t.advance(api.MemInstr(len(buf)))
 }
 
-// Write implements api.T.
+// Write implements api.T. On an untimed host a fault's copy ran inside
+// ws.Write: it is compute, closed by the next boundary, and the fault's
+// modeled trap holds no host time.
 func (t *Thread) Write(data []byte, off int) {
 	t.ws.Write(data, off)
 	if f := t.ws.TakeFaults(); f > 0 {
-		t.account(obs.PhaseCompute)
-		t.charge(obs.PhaseFault, f*t.rt.cfg.Model.PageFault+t.faultDelay(f))
+		if t.rt.timed {
+			t.account(obs.PhaseCompute)
+		}
+		t.chargeModeled(obs.PhaseFault, f*t.rt.cfg.Model.PageFault+t.faultDelay(f))
 	}
 	t.advance(api.MemInstr(len(data)))
 	t.maybeForceCommit()
@@ -335,7 +367,7 @@ func (t *Thread) acquireToken() {
 	if t.curShard != clock.GlobalScope {
 		clockRead = m.UserClockRead
 	}
-	t.charge(obs.PhaseLib, clockRead)
+	t.chargeModeled(obs.PhaseLib, clockRead)
 	woken := false
 	if g := t.rt.arb.Acquire(t.Tid(), t.curShard); g.Tid == t.Tid() {
 		t.take = g
@@ -404,10 +436,10 @@ func (t *Thread) takeToken(woken bool) {
 			base += int64(t.rt.cfg.Shards-1) * m.ShardClockRead
 		}
 	}
-	t.tokenAcqNS = t.B.Now()
-	t.charge(obs.PhaseHandoff, base)
+	t.tokenAcqNS = t.stamp()
+	t.chargeModeled(obs.PhaseHandoff, base)
 	if ff > 0 {
-		t.charge(obs.PhaseFastForward, ff)
+		t.chargeModeled(obs.PhaseFastForward, ff)
 	}
 	t.overflow.ResetChunk()
 	t.toOverflow = 0
@@ -421,10 +453,28 @@ func (t *Thread) takeToken(woken bool) {
 // (the grant-parallelism metric) before it evaluates the next grant.
 func (t *Thread) releaseTokenRaw() {
 	t.publishPending()
+	t.releaseAt(t.B.Now())
+}
+
+// releaseAt is releaseTokenRaw after its publishPending, with the host
+// time now as the release's instant.
+func (t *Thread) releaseAt(now int64) {
 	t.holding = false
 	t.icount++
-	now := t.B.Now()
 	t.deliver(t.rt.arb.ReleaseAt(t.Tid(), t.curShard, now, now-t.tokenAcqNS))
+}
+
+// endChunk ends a token hold at a chunk boundary: it commits a coarsened
+// chunk's deferred writes, if one is open, and releases. A release that
+// directly follows that commit's merge is stamped with the merge's
+// reading (stamp).
+func (t *Thread) endChunk() {
+	if !t.uncoarsen() {
+		t.releaseTokenRaw()
+		return
+	}
+	t.publishPending()
+	t.releaseAt(t.stamp())
 }
 
 // resyncClock refreshes the local clock mirror after a wake or a take:
@@ -457,7 +507,7 @@ func (t *Thread) sleepForToken(q *[]int, phase int32, reason host.BlockReason) {
 	t.park(phase, reason)
 	t.takeToken(true)
 	// Acquire semantics: import everything committed while we slept.
-	t.commitAndUpdate()
+	t.commitAndUpdate(true)
 }
 
 // tokenBegin enters the global coordination phase: acquire the token (if
@@ -473,12 +523,12 @@ func (t *Thread) tokenBegin() {
 			cost = m.UserClockRead
 		}
 		t.account(obs.PhaseCompute)
-		t.charge(obs.PhaseLib, cost)
+		t.chargeModeled(obs.PhaseLib, cost)
 		return
 	}
 	t.acquireToken()
 	t.mimdAdapt()
-	t.commitAndUpdate()
+	t.commitAndUpdate(true)
 }
 
 // tokenEnd leaves the coordination phase: either keep holding the token
@@ -492,20 +542,21 @@ func (t *Thread) tokenEnd(kind coarsenKind, nextEstimate int64) {
 		}
 		return
 	}
-	t.uncoarsen()
-	t.releaseTokenRaw()
+	t.endChunk()
 }
 
 // uncoarsen force-ends a coarsened chunk while still holding the token,
-// publishing deferred writes. Operations that terminate coarsening (cond,
-// join, spawn, exit) call it on entry; tokenEnd and advance end a chunk
-// through it.
-func (t *Thread) uncoarsen() {
-	if t.coarse.active {
-		t.mark(obs.MarkCoarsenEnd, int64(t.coarse.ops))
-		t.coarse.active = false
-		t.commitAndUpdate()
+// publishing deferred writes, and reports whether a chunk was open.
+// Operations that terminate coarsening (cond, join, spawn, exit) call it
+// on entry; tokenEnd and advance end a chunk through it (endChunk).
+func (t *Thread) uncoarsen() bool {
+	if !t.coarse.active {
+		return false
 	}
+	t.mark(obs.MarkCoarsenEnd, int64(t.coarse.ops))
+	t.coarse.active = false
+	t.commitAndUpdate(false)
+	return true
 }
 
 // publish runs a commit's token-held serial phase and returns the commit
@@ -513,12 +564,18 @@ func (t *Thread) uncoarsen() {
 // order, so this is the part that needs the token; the merge may run
 // anywhere (§4.2), and each caller completes it in its own order:
 // commitAndUpdate under the token, the parallel barrier after releasing it.
-func (t *Thread) publish() mem.PendingCommit {
+//
+// afterTake says the commit follows takeToken with nothing in between but
+// token-held bookkeeping: on an untimed host the take's boundary already
+// closed the compute interval this would close, so it is not read again.
+func (t *Thread) publish(afterTake bool) mem.PendingCommit {
 	if !t.holding {
 		panic(t.runtimeError("commit-without-token", "commit", 0,
 			"commit attempted without holding the global token"))
 	}
-	t.account(obs.PhaseCompute)
+	if !afterTake || t.rt.timed {
+		t.account(obs.PhaseCompute)
+	}
 	pc := t.ws.BeginCommit()
 	t.chargeCommitSerial(pc.Stats())
 	t.logCommit(pc.Version())
@@ -540,8 +597,9 @@ func (t *Thread) chargeMerge(st mem.CommitStats) {
 // distinct commit and merge phases; api.RunStats folds both into CommitNS.
 // Only these commits advance the GC cadence (GCEveryNCommits), not the
 // parallel barrier's: Figure 12's retained pages are pinned on it.
-func (t *Thread) commitAndUpdate() {
-	pc := t.publish()
+// afterTake is publish's.
+func (t *Thread) commitAndUpdate(afterTake bool) {
+	pc := t.publish(afterTake)
 	pc.Complete()
 	t.chargeMerge(pc.Stats())
 	t.lastCommitCount = t.icount
@@ -568,23 +626,41 @@ func (t *Thread) record(op trace.Op, obj uint64) {
 // committer's own byte runs — immutable once published — so the
 // log's drain goroutine can encode them off the critical path without
 // copying.
+//
+// The record's page list is carved from the runtime's log slab, which the
+// token owns like the rest of the runtime's token-serialized state. The
+// slab is append-only: each record gets a cap-limited window no later
+// record overlaps, and a full slab is replaced, never reused, so nothing
+// is ever overwritten. The drain, a stream and a follower alias a record
+// for as long as they like, exactly as they would a slice of its own.
 func (t *Thread) logCommit(v *mem.Version) {
 	l := t.rt.clog
 	if l == nil || v == nil {
 		return
 	}
-	c := commitlog.Commit{
+	n := v.NumPages()
+	slab := t.rt.logSlab
+	if cap(slab)-len(slab) < n {
+		slab = make([]commitlog.PageDiff, 0, max(logSlabLen, n))
+	}
+	at := len(slab)
+	pages := slab[at : at : at+n]
+	v.ForEachPageDiff(func(pg int, d mem.Diff) {
+		pages = append(pages, commitlog.PageDiff{Page: pg, Runs: d.Runs})
+	})
+	t.rt.logSlab = slab[:at+len(pages)]
+	l.Append(commitlog.Commit{
 		AtSeq:   t.rt.rec.Len(),
 		Version: v.Num,
 		Tid:     t.Tid(),
 		Clock:   t.icount,
-	}
-	c.Pages = make([]commitlog.PageDiff, 0, v.NumPages())
-	v.ForEachPageDiff(func(pg int, d mem.Diff) {
-		c.Pages = append(c.Pages, commitlog.PageDiff{Page: pg, Runs: d.Runs})
+		Pages:   pages,
 	})
-	l.Append(c)
 }
+
+// logSlabLen is the page records a log slab holds (32 B each): one
+// allocation per 256 one-page commits instead of one per commit.
+const logSlabLen = 256
 
 // Sync-site kinds, composed with the operation's object id into the
 // site keys shardOf selects a request scope from.

@@ -133,6 +133,12 @@ func TestInputAllocationBudget(t *testing.T) {
 //
 // A woken thread reads the grant it was handed and never locks the arbiter
 // to learn it.
+//
+// The real host also counts its clock reads, which follow the code path
+// and repeat exactly: 4.02 per sync op on water_nsquared and 4.65 on
+// ferret, held at those figures, so a new read on the token path fails
+// here. (An accounting boundary reads the clock only when host work ran
+// since the previous one; reading at every boundary took 8.03 and 8.40.)
 func TestTokenPathCounts(t *testing.T) {
 	o := Options{Bench: "water_nsquared", Runtime: KindConsequenceIC, Threads: 4, Scale: 8, Seed: 42, Shards: 4}
 	first, err := Run(o)
@@ -151,9 +157,9 @@ func TestTokenPathCounts(t *testing.T) {
 	}
 
 	for _, b := range []struct {
-		bench  string
-		budget float64
-	}{{"water_nsquared", 2.75}, {"ferret", 3.6}} {
+		bench         string
+		budget, reads float64
+	}{{"water_nsquared", 2.75, 4.03}, {"ferret", 3.6, 4.65}} {
 		o.Bench = b.bench
 		cell, err := Build(o, realhost.New(0, 0))
 		if err != nil {
@@ -167,6 +173,9 @@ func TestTokenPathCounts(t *testing.T) {
 		ops, s := real.Stats.SyncOps, real.Sched
 		if perOp := float64(s.Locks.Total()) / float64(ops); perOp > b.budget {
 			t.Errorf("%s: %d arbiter locks for %d sync ops = %.2f per op, budget %.2f (%+v)", b.bench, s.Locks.Total(), ops, perOp, b.budget, s.Locks)
+		}
+		if perOp := float64(s.ClockReads) / float64(ops); perOp > b.reads {
+			t.Errorf("%s: %d clock reads for %d sync ops = %.3f per op, budget %.2f", b.bench, s.ClockReads, ops, perOp, b.reads)
 		}
 		if s.Wakes == 0 || s.Parks+s.EarlyWakes != s.Wakes {
 			t.Errorf("%s: real host counted %d parks + %d early wakes against %d wakes", b.bench, s.Parks, s.EarlyWakes, s.Wakes)

@@ -58,10 +58,13 @@ type AnchoredWaker interface {
 // ParkCounter is an optional Host extension: a host that counts its side
 // of the token path reports how many Blocks waited for their wake (parks),
 // how many Wakes were sent, and how many Blocks found their wake already
-// delivered (earlyWakes). The real host counts; on the simulation host a
-// park is an event of the schedule, which the trace already pins.
+// delivered (earlyWakes), and how many times its threads read the clock
+// (Binding.Now). The real host counts; on the simulation host a park is
+// an event of the schedule, which the trace already pins, and a clock
+// read costs nothing.
 type ParkCounter interface {
 	ParkCounts() (parks, wakes, earlyWakes int64)
+	ClockReads() int64
 }
 
 // Binding is a thread's handle to its host context. Block and Charge must

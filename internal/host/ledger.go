@@ -51,6 +51,11 @@ func (l *Ledger) Lap() (from, to int64) {
 	return from, to
 }
 
+// Last returns the host time of the latest accounting boundary: the
+// reading that opened the current interval. A stamp taken right after a
+// boundary can reuse it instead of reading the clock again.
+func (l *Ledger) Last() int64 { return l.lastEvent }
+
 // Account closes the current interval into *cat, one of Time's fields.
 func (l *Ledger) Account(cat *int64) {
 	from, to := l.Lap()

@@ -36,8 +36,10 @@ type Host struct {
 
 	// The host's side of the token path, counted per run (ParkCounts):
 	// Blocks that had to wait for their wake, Wakes, and Blocks whose wake
-	// had already arrived (the ch permit was there).
+	// had already arrived (the ch permit was there). clockReads sums the
+	// bindings' Now calls, each added when its thread finishes.
 	parks, wakes, earlyWakes atomic.Int64
+	clockReads               atomic.Int64
 }
 
 // New creates a real host. perturb > 0 enables schedule perturbation with
@@ -57,6 +59,9 @@ type binding struct {
 	h    *Host
 	name string
 	ch   chan struct{}
+	// reads counts Now calls. Only the bound thread reads its clock, so a
+	// plain counter does; Go folds it into the host's total at the end.
+	reads int64
 }
 
 // ParkCounts implements host.ParkCounter. The counts depend on how the
@@ -66,6 +71,12 @@ func (h *Host) ParkCounts() (parks, wakes, earlyWakes int64) {
 	return h.parks.Load(), h.wakes.Load(), h.earlyWakes.Load()
 }
 
+// ClockReads implements host.ParkCounter: the clock reads (Now calls) of
+// every thread that has finished, so the whole run's once Run returns.
+// Unlike the park counts it does not depend on scheduling: a runtime's
+// reads follow its own code path.
+func (h *Host) ClockReads() int64 { return h.clockReads.Load() }
+
 // Go implements host.Host.
 func (h *Host) Go(name string, parent host.Binding, fn func(host.Binding)) {
 	b := &binding{h: h, name: name, ch: make(chan struct{}, 1)}
@@ -74,6 +85,7 @@ func (h *Host) Go(name string, parent host.Binding, fn func(host.Binding)) {
 		defer h.wg.Done()
 		h.maybePerturb()
 		fn(b)
+		h.clockReads.Add(b.reads)
 	}()
 }
 
@@ -96,7 +108,11 @@ func (h *Host) maybePerturb() {
 	time.Sleep(d)
 }
 
-func (b *binding) Now() int64      { return time.Since(b.h.start).Nanoseconds() }
+func (b *binding) Now() int64 {
+	b.reads++
+	return time.Since(b.h.start).Nanoseconds()
+}
+
 func (b *binding) Charge(ns int64) {}
 
 // Block implements host.Binding. reason is for a deadlock report, which

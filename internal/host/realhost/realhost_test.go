@@ -37,3 +37,23 @@ func TestWatchedBlockAllocatesNothing(t *testing.T) {
 		t.Errorf("counted %d parks + %d early wakes for %d wakes; want 501 Blocks and 501 Wakes", parks, early, wakes)
 	}
 }
+
+// Each thread counts its own clock reads without an atomic, and the host
+// sums them as the threads finish: after Run, ClockReads is every Now call
+// of the run.
+func TestClockReadsCountEveryNow(t *testing.T) {
+	h := New(0, 0)
+	for i := 1; i <= 3; i++ {
+		h.Go("t", nil, func(b host.Binding) {
+			for range 100 * i {
+				b.Now()
+			}
+		})
+	}
+	if err := h.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.ClockReads(); got != 600 {
+		t.Errorf("ClockReads = %d after three threads read the clock 100, 200 and 300 times", got)
+	}
+}

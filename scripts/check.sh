@@ -52,7 +52,7 @@ echo "== go test -race (obs + mem + det + clock + trace + sim + host + chaos + r
 # every runtime.
 go test -race ./internal/obs/... ./internal/mem ./internal/det ./internal/clock ./internal/trace ./internal/sim ./internal/host/... ./internal/chaos/... ./internal/replica ./internal/commitlog ./internal/journal ./internal/api ./internal/baseline/... ./internal/workload
 
-echo "== go test -race -count=20 (the page recycling stress: GC prunes pages while readers copy them; the spare version header's and the lent twins' ownership; the per-page chain walk; the replica's lent pages)"
+echo "== go test -race -count=20 (the page recycling stress: GC prunes pages while readers copy them; the spare version header's and the lent twins' ownership; the per-page chain walk; the replica's lent pages; real-host time accounting; the commit-record slab)"
 # A prune that races a reader shows up only in some interleavings, so one
 # race-detector pass is not enough (docs/architecture.md, "Page buffers").
 # TestSpareOwnership runs beside it: a commit's version header shares a
@@ -68,6 +68,13 @@ go test -race -count=20 -run 'TestRecycleNeverReachesReaders|TestSpareOwnership|
 # page itself; four readers race the feed through prune, undo-log
 # compaction, restore and reset.
 go test -race -count=20 -run 'TestLentPagesNeverChange' ./internal/replica
+# The token path's two shortcuts: a real-host boundary reads the clock
+# only when host work ran since the previous one, yet every nanosecond of
+# a thread's life is accounted exactly once (TestRealHostTimeAddsUp); and
+# commit records are carved from an append-only slab, so a stream read
+# only after Close still sees every record as published
+# (TestLateStreamSeesEveryCommit).
+go test -race -count=20 -run 'TestRealHostTimeAddsUp|TestLateStreamSeesEveryCommit' ./internal/det
 
 echo "== go test -fuzz (the diff and patch kernels, 10 s each)"
 # Beyond their seed corpus, which go test ./... replays: FuzzComputeDiff
