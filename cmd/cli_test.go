@@ -119,6 +119,18 @@ func TestArtifactCLIs(t *testing.T) {
 	}
 	expect(t, 2, nil, in("detrun"), append(cell, "-json")...)
 
+	// The trace file is the whole of the analyzer's input: on a sharded
+	// cell with a commit log and a replica fleet, conseq-analyze of the
+	// trace detrun wrote after closing the cell prints, byte for byte, the
+	// JSON report detrun printed live.
+	live, code := cli(t, in("detrun"), append(cell, "-shards", "4", "-commitlog", in("t"), "-replicas", "2",
+		"-trace", in("t.json"), "-analyze", "-json")...)
+	parsed, pcode := cli(t, in("conseq-analyze"), "-input", in("t.json"), "-json")
+	if code != 0 || pcode != 0 || !strings.HasPrefix(live, "{") || live != parsed {
+		t.Errorf("detrun -trace -analyze -json (exit %d) and conseq-analyze -input -json (exit %d) differ:\n%.300s\nvs\n%.300s",
+			code, pcode, live, parsed)
+	}
+
 	// A flag the run would ignore is a usage error: -dump-sync on a runtime
 	// with no sync trace.
 	small := []string{"-bench", "kmeans", "-threads", "4"}

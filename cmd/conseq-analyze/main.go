@@ -10,9 +10,10 @@
 //
 // `detrun -analyze [-json]` prints the identical report for a live run:
 // the analyzer normalizes live lanes and parsed traces into the same
-// input. If the timeline dropped events (ring overflow), the report is
-// marked partial and a warning is printed to stderr. Without -input it
-// exits 2.
+// input, and the timeline is all it reads (a run's gauges are
+// `detrun -metrics`). If the timeline dropped events (ring overflow),
+// the report is marked partial and a warning is printed to stderr.
+// Without -input it exits 2.
 package main
 
 import (

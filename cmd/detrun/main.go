@@ -170,7 +170,6 @@ func main() {
 	if err := cell.Close(); err != nil {
 		fatal(err)
 	}
-	ms := cell.Metrics()
 	st := res.Stats
 	fmt.Fprintf(out, "benchmark   %s (%s, %s)\n", spec.Name, spec.Suite, spec.Class)
 	fmt.Fprintf(out, "runtime     %s, %d threads, scale %d, seed %d\n", rt.Name(), *threads, *scale, *seed)
@@ -207,19 +206,19 @@ func main() {
 		}
 	}
 	if *traceOut != "" {
-		if err := writeTraceFile(*traceOut, observer, harness.CellName(o), ms); err != nil {
+		if err := writeTraceFile(*traceOut, observer, harness.CellName(o)); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(out, "trace json  %s (%d threads observed)\n", *traceOut, len(observer.Lanes()))
 	}
 	if *metrics {
 		fmt.Fprintln(out, "metrics:")
-		for _, s := range ms {
+		for _, s := range cell.Metrics() {
 			fmt.Fprintln(out, "  ", s)
 		}
 	}
 	if *analyzeRun {
-		rep, err := analyze.Analyze(analyze.FromObserver(observer, harness.CellName(o), ms))
+		rep, err := analyze.Analyze(analyze.FromObserver(observer, harness.CellName(o)))
 		if err != nil {
 			fatal(err)
 		}
@@ -263,14 +262,13 @@ func run(o harness.Options, h host.Host) harness.Result {
 	return res
 }
 
-// writeTraceFile exports the observer's timeline and the run's metrics as
-// Chrome trace JSON.
-func writeTraceFile(path string, o *obs.Observer, name string, ms []obs.Sample) error {
+// writeTraceFile exports the observer's timeline as Chrome trace JSON.
+func writeTraceFile(path string, o *obs.Observer, name string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := o.WriteChromeTrace(f, name, ms); err != nil {
+	if err := o.WriteChromeTrace(f, name); err != nil {
 		f.Close()
 		return err
 	}

@@ -231,16 +231,16 @@ func (r *Runtime) Observer() *obs.Observer { return r.rt.Observer() }
 func (r *Runtime) Metrics() []obs.Sample { return r.rt.Metrics() }
 
 // WriteTrace exports the observed phase timeline as Chrome trace-event
-// JSON (loadable in chrome://tracing or Perfetto), one lane per thread,
-// with the run's Metrics as its closing record. name labels the process
-// in the viewer. It is an error if the runtime was created without
-// WithObservability.
+// JSON (loadable in chrome://tracing or Perfetto), one lane per thread.
+// The trace is the timeline only; the run's gauges are Metrics. name
+// labels the process in the viewer. It is an error if the runtime was
+// created without WithObservability.
 func (r *Runtime) WriteTrace(w io.Writer, name string) error {
 	o := r.rt.Observer()
 	if o == nil {
 		return fmt.Errorf("consequence: WriteTrace requires WithObservability")
 	}
-	return o.WriteChromeTrace(w, name, r.rt.Metrics())
+	return o.WriteChromeTrace(w, name)
 }
 
 // Report is the critical-path analysis of an observed run: the
@@ -260,7 +260,7 @@ func (r *Runtime) Analyze(name string) (*Report, error) {
 	if o == nil {
 		return nil, fmt.Errorf("consequence: Analyze requires WithObservability")
 	}
-	return analyze.Analyze(analyze.FromObserver(o, name, r.rt.Metrics()))
+	return analyze.Analyze(analyze.FromObserver(o, name))
 }
 
 // WriteReport analyzes the completed run and writes the human-readable

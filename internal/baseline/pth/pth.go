@@ -30,6 +30,7 @@ type Config struct {
 type Runtime struct {
 	cfg   Config
 	h     host.Host
+	timed bool       // h.Timed(): modeled costs elapse virtual time
 	mu    sync.Mutex // guards all runtime state below
 	mem   []byte
 	wg    sync.WaitGroup
@@ -44,7 +45,7 @@ func New(cfg Config, h host.Host) (*Runtime, error) {
 	if cfg.SegmentSize <= 0 {
 		return nil, fmt.Errorf("pth: segment size must be positive")
 	}
-	return &Runtime{cfg: cfg, h: h, mem: make([]byte, cfg.SegmentSize)}, nil
+	return &Runtime{cfg: cfg, h: h, timed: h.Timed(), mem: make([]byte, cfg.SegmentSize)}, nil
 }
 
 // Name implements api.Runtime.
@@ -100,8 +101,23 @@ func (t *thread) finish() {
 	}
 	t.Account(&t.Time.LocalWork)
 	t.rt.aggMu.Lock()
-	t.rt.agg.AddThread(t.Time, t.SyncOps, t.B.Now())
+	t.rt.agg.AddThread(t.Time, t.SyncOps, t.Last())
 	t.rt.aggMu.Unlock()
+}
+
+// work charges ns of modeled local work. On a timed host it elapses and
+// closes the interval, as Charge does. On an untimed host the charge
+// reaches the binding but closes nothing: the host work it models ran in
+// the open LocalWork interval, which the next boundary accounts, so
+// closing it here would only read the clock.
+func (t *thread) work(ns int64) {
+	if t.rt.timed {
+		t.Charge(&t.Time.LocalWork, ns)
+		return
+	}
+	if ns > 0 {
+		t.B.Charge(ns)
+	}
 }
 
 // Compute implements api.T.
@@ -109,7 +125,7 @@ func (t *thread) Compute(n int64) {
 	if n < 0 {
 		panic("pth: negative compute")
 	}
-	t.Charge(&t.Time.LocalWork, t.rt.cfg.Model.Instr(n))
+	t.work(t.rt.cfg.Model.Instr(n))
 }
 
 // Read implements api.T. Reads under the runtime lock: the model is not in
@@ -118,7 +134,7 @@ func (t *thread) Read(buf []byte, off int) {
 	t.rt.mu.Lock()
 	copy(buf, t.rt.mem[off:off+len(buf)])
 	t.rt.mu.Unlock()
-	t.Charge(&t.Time.LocalWork, t.rt.cfg.Model.Instr(api.MemInstr(len(buf))))
+	t.work(t.rt.cfg.Model.Instr(api.MemInstr(len(buf))))
 }
 
 // Write implements api.T.
@@ -126,7 +142,7 @@ func (t *thread) Write(data []byte, off int) {
 	t.rt.mu.Lock()
 	copy(t.rt.mem[off:off+len(data)], data)
 	t.rt.mu.Unlock()
-	t.Charge(&t.Time.LocalWork, t.rt.cfg.Model.Instr(api.MemInstr(len(data))))
+	t.work(t.rt.cfg.Model.Instr(api.MemInstr(len(data))))
 }
 
 type pMutex struct {
@@ -170,7 +186,7 @@ func (t *thread) Lock(mx api.Mutex) {
 	if !m.locked {
 		m.locked = true
 		t.rt.mu.Unlock()
-		t.Charge(&t.Time.LocalWork, t.rt.cfg.Model.SyncOpLocal)
+		t.work(t.rt.cfg.Model.SyncOpLocal)
 		return
 	}
 	m.waiters = append(m.waiters, t)
@@ -194,7 +210,7 @@ func (t *thread) Unlock(mx api.Mutex) {
 		m.locked = false
 		t.rt.mu.Unlock()
 	}
-	t.Charge(&t.Time.LocalWork, t.rt.cfg.Model.SyncOpLocal)
+	t.work(t.rt.cfg.Model.SyncOpLocal)
 }
 
 // Wait implements api.T.
@@ -225,7 +241,7 @@ func (t *thread) Signal(cx api.Cond) {
 	if w != nil {
 		t.B.Wake(w.B)
 	}
-	t.Charge(&t.Time.LocalWork, t.rt.cfg.Model.SyncOpLocal)
+	t.work(t.rt.cfg.Model.SyncOpLocal)
 }
 
 // Broadcast implements api.T.
@@ -239,7 +255,7 @@ func (t *thread) Broadcast(cx api.Cond) {
 	for _, w := range ws {
 		t.B.Wake(w.B)
 	}
-	t.Charge(&t.Time.LocalWork, t.rt.cfg.Model.SyncOpLocal)
+	t.work(t.rt.cfg.Model.SyncOpLocal)
 }
 
 // BarrierWait implements api.T.
@@ -255,7 +271,7 @@ func (t *thread) BarrierWait(bx api.Barrier) {
 		for _, w := range ws {
 			t.B.Wake(w.B)
 		}
-		t.Charge(&t.Time.LocalWork, t.rt.cfg.Model.SyncOpLocal)
+		t.work(t.rt.cfg.Model.SyncOpLocal)
 		return
 	}
 	bar.waiting = append(bar.waiting, t)
@@ -272,7 +288,7 @@ func (t *thread) Spawn(fn func(api.T)) api.Handle {
 	t.SyncOps++
 	t.nextTid++
 	child := &thread{Ledger: host.NewLedger(t.Tid()*100 + t.nextTid), rt: t.rt}
-	t.Charge(&t.Time.LocalWork, t.rt.cfg.Model.ForkBase/5) // pthread_create
+	t.work(t.rt.cfg.Model.ForkBase / 5) // pthread_create
 	t.rt.aggMu.Lock()
 	t.rt.agg.ThreadsSpawned++
 	t.rt.aggMu.Unlock()

@@ -84,9 +84,8 @@ type Shard struct {
 	// FrontierNS is the virtual time at which the shard's last operation
 	// released — an operation entering the shard may not begin before it,
 	// which is what lets operations in different shards overlap in modeled
-	// time — and BusyNS the summed token-held time of its operations.
+	// time.
 	FrontierNS int64
-	BusyNS     int64
 }
 
 // Arbiter is the deterministic token arbiter. All methods are safe for
@@ -186,20 +185,20 @@ func (a *Arbiter) Request(tid int) int { return a.Acquire(tid, 0).Tid }
 
 // Release gives up the token and returns the next grant, if any: ReleaseAt
 // for a caller with no time model (it publishes nothing).
-func (a *Arbiter) Release(tid int) Take { return a.ReleaseAt(tid, 0, 0, 0) }
+func (a *Arbiter) Release(tid int) Take { return a.ReleaseAt(tid, 0, 0) }
 
-// ReleaseAt gives up the token at virtual time now, after holding it for
-// held ns, and returns the next grant, if any. scope is the scope of the
-// operation that ends the hold — a coarsened chunk carries one grant across
-// operations in other shards — and its frontier and busy time move before
-// the grant is evaluated, so the grant's Take.FrontierNS is this release's
-// instant. The release clock folds into the scope the token was granted in.
+// ReleaseAt gives up the token at virtual time now and returns the next
+// grant, if any. scope is the scope of the operation that ends the hold —
+// a coarsened chunk carries one grant across operations in other shards —
+// and its frontier moves before the grant is evaluated, so the grant's
+// Take.FrontierNS is this release's instant. The release clock folds into
+// the scope the token was granted in.
 //
 // The releaser's clock is advanced by one instruction: the synchronization
 // operation itself retires work (Kendo does the same), and without it two
 // threads at equal clocks would livelock — the smaller tid would win the
 // token forever.
-func (a *Arbiter) ReleaseAt(tid, scope int, now, held int64) (g Take) {
+func (a *Arbiter) ReleaseAt(tid, scope int, now int64) (g Take) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.stats.Locks.Release++
@@ -210,12 +209,10 @@ func (a *Arbiter) ReleaseAt(tid, scope int, now, held int64) (g Take) {
 	if scope = a.scopeLocked(scope); scope != GlobalScope {
 		sh := &a.shards[scope]
 		sh.FrontierNS = max(sh.FrontierNS, now)
-		sh.BusyNS += held
 	} else {
 		for i := range a.shards {
 			a.shards[i].FrontierNS = max(a.shards[i].FrontierNS, now)
 		}
-		a.stats.GlobalBusyNS += held
 	}
 	st := a.state(tid)
 	st.count++
@@ -412,11 +409,10 @@ type Stats struct {
 	FastForwards    int64
 	FastForwardSkip int64 // total instructions skipped by fast-forwards
 
-	Locals       int64 // shard-local sub-token re-acquires (cheap path)
-	Transfers    int64 // cross-thread sub-token handoffs
-	Merges       int64 // cross-shard edges (every sub-token engaged at once)
-	GlobalBusyNS int64 // token-held time of the cross-shard edges
-	Shards       []Shard
+	Locals    int64 // shard-local sub-token re-acquires (cheap path)
+	Transfers int64 // cross-thread sub-token handoffs
+	Merges    int64 // cross-shard edges (every sub-token engaged at once)
+	Shards    []Shard
 
 	// What the token path costs in arbiter work, exactly: the mutex
 	// acquisitions by kind of call, and the grant passes — walks of the

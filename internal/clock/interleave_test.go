@@ -209,7 +209,7 @@ func (r *scriptRun) step(tid int, check bool) {
 		g = r.a.Acquire(tid, r.scope[tid])
 	case 'r':
 		r.holder = NoGrant
-		g = r.a.ReleaseAt(tid, r.scope[tid], 0, 0)
+		g = r.a.ReleaseAt(tid, r.scope[tid], 0)
 	case 'd':
 		r.eligible[tid], r.wanting[tid] = false, false
 		r.a.Depart(tid)

@@ -122,8 +122,8 @@ func TestShardSetDumpState(t *testing.T) {
 	}
 }
 
-// A release publishes its scope's frontier and busy time before the next
-// grant is evaluated, so the thread that grant wakes — and whoever anchors
+// A release publishes its scope's frontier before the next grant is
+// evaluated, so the thread that grant wakes — and whoever anchors
 // its wake — reads this release's instant.
 func TestReleaseAtPublishesBeforeGrant(t *testing.T) {
 	a := newSharded(t, 2, map[int]int64{0: 0, 1: 5})
@@ -132,18 +132,15 @@ func TestReleaseAtPublishesBeforeGrant(t *testing.T) {
 		t.Fatalf("tid 1 granted %d while tid 0 holds", g)
 	}
 	a.Depart(0) // tid 0 blocks, as a lock loser does: it leaves the order, then releases
-	if tk := a.ReleaseAt(0, 1, 700, 40); tk.Tid != 1 || tk.FrontierNS != 700 || tk.Kind != TakeTransfer || tk.Count != 5 {
+	if tk := a.ReleaseAt(0, 1, 700); tk.Tid != 1 || tk.FrontierNS != 700 || tk.Kind != TakeTransfer || tk.Count != 5 {
 		t.Fatalf("the release's grant = %+v, want the waiter 1: frontier 700, a transfer, clock 5", tk)
 	}
-	// A global release moves every frontier and accrues to the edge bucket;
-	// frontiers never move backwards.
-	a.ReleaseAt(1, GlobalScope, 600, 9)
+	// A global release moves every frontier; frontiers never move
+	// backwards.
+	a.ReleaseAt(1, GlobalScope, 600)
 	st := a.Stats()
 	if st.Shards[0].FrontierNS != 600 || st.Shards[1].FrontierNS != 700 {
 		t.Errorf("frontiers = %d, %d, want 600, 700", st.Shards[0].FrontierNS, st.Shards[1].FrontierNS)
-	}
-	if st.Shards[1].BusyNS != 40 || st.GlobalBusyNS != 9 {
-		t.Errorf("busy = shard 1 %d, global %d, want 40, 9", st.Shards[1].BusyNS, st.GlobalBusyNS)
 	}
 }
 
@@ -185,7 +182,7 @@ func TestArbiterScrapeDuringTraffic(t *testing.T) {
 				if tk.Scope != scope {
 					t.Errorf("tid %d round %d: take reports scope %d, requested %d", tid, i, tk.Scope, scope)
 				}
-				deliver(a.ReleaseAt(tid, scope, int64(i), 1))
+				deliver(a.ReleaseAt(tid, scope, int64(i)))
 				deliver(a.Advance(tid, int64(1+tid)))
 			}
 			deliver(a.Unregister(tid))

@@ -13,13 +13,15 @@ import (
 	"repro/internal/commitlog"
 	"repro/internal/costmodel"
 	"repro/internal/host/simhost"
+	"repro/internal/journal"
 )
 
 // storeFrame is one record frame of a store file: the offset just past
-// it and the last commit version through its record.
+// it and what the log holds through its record — the last commit version,
+// and how many events and commits.
 type storeFrame struct {
-	end     int64
-	version int64
+	end                      int64
+	version, events, commits int64
 }
 
 // storeFile is one segment's store file, split along the framing
@@ -33,9 +35,9 @@ type storeFile struct {
 }
 
 // splitStores reads a log directory's store files in record order and
-// frames them; versionAt maps a global record number to the last commit
-// version through it.
-func splitStores(t *testing.T, dir string, versionAt map[int64]int64) []storeFile {
+// frames them; through maps a global record number to what the log holds
+// through it (every storeFrame field but end).
+func splitStores(t *testing.T, dir string, through map[int64]storeFrame) []storeFile {
 	t.Helper()
 	names, err := filepath.Glob(filepath.Join(dir, "*.store"))
 	if err != nil {
@@ -56,7 +58,9 @@ func splitStores(t *testing.T, dir string, versionAt map[int64]int64) []storeFil
 		sf := storeFile{name: filepath.Base(name), size: int64(len(data)), headerEnd: frameEnd(5)}
 		for pos, rec := sf.headerEnd, base; pos < sf.size; rec++ {
 			pos = frameEnd(pos)
-			sf.frames = append(sf.frames, storeFrame{end: pos, version: versionAt[rec]})
+			fr := through[rec]
+			fr.end = pos
+			sf.frames = append(sf.frames, fr)
 		}
 		stores = append(stores, sf)
 	}
@@ -75,6 +79,11 @@ func splitStores(t *testing.T, dir string, versionAt map[int64]int64) []storeFil
 // log: the record's CRC rejects it, so Repair cuts the log at that
 // record's frame and drops every later segment, and Resume lands on the
 // last commit before it.
+//
+// Each repaired log is also a history (journal.Load) that journal.Diff
+// finds to be a clean prefix of the uncut one: DivLength at the surviving
+// event count when the cut dropped events or commits, DivNone when it
+// dropped only frames that carry neither (a snapshot, the end trailer).
 func TestCrashAnywhereResumesAtLastWholeCommit(t *testing.T) {
 	dir := t.TempDir()
 	runJournaled(t, cfg(), simhost.New(costmodel.Default()), dir,
@@ -84,20 +93,28 @@ func TestCrashAnywhereResumesAtLastWholeCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	versionAt := map[int64]int64{}
+	through := map[int64]storeFrame{}
 	kinds := map[byte]int{}
-	var v int64
+	var sofar storeFrame
 	if err := r.ForEach(func(rec int64, rc commitlog.Record) error {
 		kinds[rc.Kind]++
-		if rc.Kind == commitlog.KindCommit {
-			v = rc.Commit.Version
+		switch rc.Kind {
+		case commitlog.KindCommit:
+			sofar.version = rc.Commit.Version
+			sofar.commits++
+		case commitlog.KindEvents:
+			sofar.events += int64(len(rc.Events))
 		}
-		versionAt[rec] = v
+		through[rec] = sofar
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	stores := splitStores(t, dir, versionAt)
+	stores := splitStores(t, dir, through)
+	whole, err := journal.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(stores) < 2 || kinds[commitlog.KindEvents] == 0 || kinds[commitlog.KindCommit] == 0 || kinds[commitlog.KindSnapshot] == 0 {
 		t.Fatalf("log has %d segments and record kinds %v; want a roll, events, commits and a snapshot", len(stores), kinds)
 	}
@@ -117,21 +134,39 @@ func TestCrashAnywhereResumesAtLastWholeCommit(t *testing.T) {
 		return want[version]
 	}
 
+	// The seeded sample, then the middle of every frame of the last
+	// segment: a cut there drops the end trailer, so at least one repaired
+	// history holds every event and commit.
 	const samples = 200
+	type offset struct {
+		seg int
+		cut int64
+	}
+	var offsets []offset
 	rng := rand.New(rand.NewSource(42))
-	flips := 0
 	for n := 0; n < samples; n++ {
 		seg := n % len(stores)
-		cut := rng.Int63n(stores[seg].size)
+		offsets = append(offsets, offset{seg, rng.Int63n(stores[seg].size)})
+	}
+	last := len(stores) - 1
+	for i, start := 0, stores[last].headerEnd; i < len(stores[last].frames); i++ {
+		end := stores[last].frames[i].end
+		offsets = append(offsets, offset{last, (start + end) / 2})
+		start = end
+	}
+	flips := 0
+	diffs := map[string]int{} // repaired histories by journal.Diff kind
+	for _, off := range offsets {
+		seg, cut := off.seg, off.cut
 		what := stores[seg].name + "@" + strconv.FormatInt(cut, 10)
 
 		// The last whole record before the cut: a frame of this segment
 		// that ends at or before it, else the previous segment's last.
-		var survivor int64
+		var survivor storeFrame
 		atBoundary := cut == stores[seg].headerEnd
 		for i := seg - 1; i >= 0; i-- {
 			if fs := stores[i].frames; len(fs) > 0 {
-				survivor = fs[len(fs)-1].version
+				survivor = fs[len(fs)-1]
 				break
 			}
 		}
@@ -140,7 +175,7 @@ func TestCrashAnywhereResumesAtLastWholeCommit(t *testing.T) {
 			if fr.end > cut {
 				break
 			}
-			survivor, atBoundary, frameStart = fr.version, fr.end == cut, fr.end
+			survivor, atBoundary, frameStart = fr, fr.end == cut, fr.end
 		}
 
 		if cut >= stores[seg].headerEnd {
@@ -167,7 +202,8 @@ func TestCrashAnywhereResumesAtLastWholeCommit(t *testing.T) {
 				t.Fatalf("%s: repair %+v; want the segment cut to its %d bytes before the record and %d later segments dropped",
 					flip, rep, frameStart, len(stores)-seg-1)
 			}
-			checkResume(t, flip, flipDir, survivor, wantAt(survivor))
+			checkResume(t, flip, flipDir, survivor.version, wantAt(survivor.version))
+			diffs[checkPrefix(t, flip, flipDir, whole, survivor)]++
 		}
 
 		cutDir := t.TempDir()
@@ -198,9 +234,37 @@ func TestCrashAnywhereResumesAtLastWholeCommit(t *testing.T) {
 		if rep.Repaired == atBoundary {
 			t.Fatalf("%s: repair reported Repaired=%v for a cut with atBoundary=%v: %+v", what, rep.Repaired, atBoundary, rep)
 		}
-		checkResume(t, what, cutDir, survivor, wantAt(survivor))
+		checkResume(t, what, cutDir, survivor.version, wantAt(survivor.version))
+		diffs[checkPrefix(t, what, cutDir, whole, survivor)]++
 	}
-	t.Logf("%d of %d offsets fell inside a record and were flipped too", flips, samples)
+	t.Logf("%d of %d offsets fell inside a record and were flipped too; diffs of the repaired histories: %v", flips, len(offsets), diffs)
+	if diffs[journal.DivLength] == 0 || diffs[journal.DivNone] == 0 {
+		t.Errorf("repaired histories diffed as %v; the offsets must reach both a dropped event or commit and a dropped trailer", diffs)
+	}
+}
+
+// checkPrefix loads a repaired log directory's history and diffs it
+// against the uncut log's: a clean prefix holding exactly survivor's
+// events and commits.
+func checkPrefix(t *testing.T, what, dir string, whole *journal.Data, survivor storeFrame) string {
+	t.Helper()
+	cut, err := journal.Load(dir)
+	if err != nil {
+		t.Fatalf("%s: load after repair: %v", what, err)
+	}
+	if n, c := int64(len(cut.Events)), int64(len(cut.Commits)); n != survivor.events || c != survivor.commits {
+		t.Fatalf("%s: repaired history has %d events and %d commits, want %d and %d", what, n, c, survivor.events, survivor.commits)
+	}
+	rep := journal.Diff(cut, whole, journal.DiffOptions{})
+	kind, seq := journal.DivNone, int64(0)
+	if survivor.events < int64(len(whole.Events)) || survivor.commits < int64(len(whole.Commits)) {
+		kind, seq = journal.DivLength, survivor.events
+	}
+	if rep.Kind != kind || rep.Seq != seq {
+		t.Fatalf("%s: diff against the uncut history = %s at seq %d (%s), want %s at seq %d",
+			what, rep.Kind, rep.Seq, rep.Detail, kind, seq)
+	}
+	return kind
 }
 
 // checkResume resumes a repaired log directory and wants it at version

@@ -384,7 +384,8 @@ func (rt *Runtime) SetObserver(o *obs.Observer) {
 // it needs no observer. The per-shard arbiter gauges exist only at
 // Shards >= 2, the chaos_* ones only with an injector armed and the
 // commitlog_* ones only with a log attached, so a single-token run lists
-// what it always did (internal/obs/testdata/golden_report.json pins it).
+// what it always did (TestMetricsConditions pins which gauges a run
+// lists).
 func (rt *Runtime) Metrics() []obs.Sample {
 	var out []obs.Sample
 	g := func(name string, v int64, labels ...obs.Label) {
@@ -407,18 +408,12 @@ func (rt *Runtime) Metrics() []obs.Sample {
 	g("clock_departs", cs.Departs)
 	g("clock_fast_forwards", cs.FastForwards)
 	g("clock_fast_forward_skip", cs.FastForwardSkip)
-	// The analyzer divides busy by wall for per-shard arbiter utilization
-	// and the grant-parallelism metric.
 	if rt.cfg.Shards >= 2 {
 		g("clock_shard_local_reacquires", cs.Locals)
 		g("clock_shard_transfers", cs.Transfers)
 		g("clock_shard_merges", cs.Merges)
-		g("clock_global_edge_busy_ns", cs.GlobalBusyNS)
 		for sh := 0; sh < rt.cfg.Shards; sh++ {
-			l := obs.L("shard", sh)
-			g("clock_shard_grants", cs.Shards[sh].Grants, l)
-			g("clock_shard_busy_ns", cs.Shards[sh].BusyNS, l)
-			g("clock_shard_frontier_ns", cs.Shards[sh].FrontierNS, l)
+			g("clock_shard_grants", cs.Shards[sh].Grants, obs.L("shard", sh))
 		}
 	}
 	if in := rt.cfg.Chaos; in != nil {

@@ -196,9 +196,7 @@ func TestMetricsConditions(t *testing.T) {
 	shardNames := func(n int) []string {
 		var out []string
 		for sh := 0; sh < n; sh++ {
-			for _, m := range []string{"grants", "busy_ns", "frontier_ns"} {
-				out = append(out, fmt.Sprintf("clock_shard_%s{shard=%d}", m, sh))
-			}
+			out = append(out, fmt.Sprintf("clock_shard_grants{shard=%d}", sh))
 		}
 		return out
 	}
@@ -216,8 +214,8 @@ func TestMetricsConditions(t *testing.T) {
 		{
 			name:  "shards 4",
 			setup: func(_ *testing.T, c *det.Config) func(*det.Runtime) { c.Shards = 4; return nil },
-			want:  append(shardNames(4), "clock_shard_transfers", "clock_global_edge_busy_ns"),
-			none:  []string{"clock_shard_grants{shard=4}", "chaos_", "commitlog_"},
+			want:  append(shardNames(4), "clock_shard_transfers", "clock_shard_merges"),
+			none:  []string{"clock_shard_grants{shard=4}", "clock_shard_busy_", "clock_shard_frontier_", "clock_global_", "chaos_", "commitlog_"},
 		},
 		{
 			name: "chaos armed",
@@ -315,7 +313,7 @@ func createLog(t *testing.T) *commitlog.Log {
 // per-lock attribution must see the obsProg mutex from every worker.
 func TestAnalyzerReconcilesWithRunStats(t *testing.T) {
 	observed, o := runFP(t, true)
-	rep, err := analyze.Analyze(analyze.FromObserver(o, "obsProg", nil))
+	rep, err := analyze.Analyze(analyze.FromObserver(o, "obsProg"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,11 +75,8 @@ type Thread struct {
 	// take is the grant of the current (or latest) token hold. The thread
 	// stores its own immediate grant (acquireToken); any other is written
 	// by the thread that made it (Runtime.deliverFrom), before the wake
-	// that orders the write ahead of takeToken's read. tokenAcqNS is the
-	// host time at which the hold began (after any sub-token-busy top-up):
-	// the release reports the held span.
-	take       clock.Take
-	tokenAcqNS int64
+	// that orders the write ahead of takeToken's read.
+	take clock.Take
 
 	coarse          coarsenState
 	lastSyncIcount  int64
@@ -436,7 +433,6 @@ func (t *Thread) takeToken(woken bool) {
 			base += int64(t.rt.cfg.Shards-1) * m.ShardClockRead
 		}
 	}
-	t.tokenAcqNS = t.stamp()
 	t.chargeModeled(obs.PhaseHandoff, base)
 	if ff > 0 {
 		t.chargeModeled(obs.PhaseFastForward, ff)
@@ -449,8 +445,8 @@ func (t *Thread) takeToken(woken bool) {
 // advances our clock by one (the sync op itself) and folds it into the
 // grant's shard clock (every shard clock for a cross-shard edge); mirror
 // the increment. The same critical section publishes the op's scope
-// frontier — which a grant-time wake anchors against — and the held span
-// (the grant-parallelism metric) before it evaluates the next grant.
+// frontier — which a grant-time wake anchors against — before it
+// evaluates the next grant.
 func (t *Thread) releaseTokenRaw() {
 	t.publishPending()
 	t.releaseAt(t.B.Now())
@@ -461,7 +457,7 @@ func (t *Thread) releaseTokenRaw() {
 func (t *Thread) releaseAt(now int64) {
 	t.holding = false
 	t.icount++
-	t.deliver(t.rt.arb.ReleaseAt(t.Tid(), t.curShard, now, now-t.tokenAcqNS))
+	t.deliver(t.rt.arb.ReleaseAt(t.Tid(), t.curShard, now))
 }
 
 // endChunk ends a token hold at a chunk boundary: it commits a coarsened

@@ -1,11 +1,14 @@
 package harness
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/det"
+	"repro/internal/host"
 	"repro/internal/host/realhost"
 	"repro/internal/workload"
 )
@@ -179,6 +182,87 @@ func TestTokenPathCounts(t *testing.T) {
 		}
 		if s.Wakes == 0 || s.Parks+s.EarlyWakes != s.Wakes {
 			t.Errorf("%s: real host counted %d parks + %d early wakes against %d wakes", b.bench, s.Parks, s.EarlyWakes, s.Wakes)
+		}
+	}
+}
+
+// lifeHost is a real host that keeps, by thread name, the span from each
+// thread's first clock reading to its last: what its ledger accounts.
+type lifeHost struct {
+	*realhost.Host
+	mu   sync.Mutex
+	life map[string]int64
+}
+
+type lifeBinding struct {
+	host.Binding
+	first, last int64
+	begun       bool
+}
+
+func (h *lifeHost) Go(name string, parent host.Binding, fn func(host.Binding)) {
+	h.Host.Go(name, unwrapLife(parent), func(b host.Binding) {
+		lb := &lifeBinding{Binding: b}
+		fn(lb)
+		h.mu.Lock()
+		h.life[name] = lb.last - lb.first
+		h.mu.Unlock()
+	})
+}
+
+func (b *lifeBinding) Now() int64 {
+	now := b.Binding.Now()
+	if !b.begun {
+		b.first, b.begun = now, true
+	}
+	b.last = now
+	return now
+}
+
+func (b *lifeBinding) Wake(target host.Binding) { b.Binding.Wake(unwrapLife(target)) }
+
+func unwrapLife(b host.Binding) host.Binding {
+	if lb, ok := b.(*lifeBinding); ok {
+		return lb.Binding
+	}
+	return b
+}
+
+// TestPthreadsClockReads is TestTokenPathCounts' row for the pthreads
+// baseline, the denominator of every real-host slowdown: on the real
+// host its modeled charges (compute, memory ops, a sync op's local cost,
+// pthread_create) close no accounting interval, so it reads the clock
+// about once per sync op on water_nsquared t4 s8 (3.50 while every charge
+// read it). The count is not exact: a lock or barrier that blocks reads
+// once more, and which ones block is timing, so the budget is 1.5. Every
+// nanosecond is still accounted once: each thread's ThreadTime sums to
+// the span from its first clock reading to its last.
+func TestPthreadsClockReads(t *testing.T) {
+	h := &lifeHost{Host: realhost.New(0, 0), life: map[string]int64{}}
+	cell, err := Build(Options{Bench: "water_nsquared", Runtime: KindPthreads, Threads: 4, Scale: 8, Seed: 42}, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cell.Run()
+	cell.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops, reads := res.Stats.SyncOps, h.ClockReads()
+	if perOp := float64(reads) / float64(ops); perOp > 1.5 {
+		t.Errorf("%d clock reads for %d sync ops = %.3f per op, budget 1.5", reads, ops, perOp)
+	}
+	if len(res.Stats.PerThread) != len(h.life) {
+		t.Fatalf("%d threads reported, %d ran", len(res.Stats.PerThread), len(h.life))
+	}
+	for _, tt := range res.Stats.PerThread {
+		name := fmt.Sprintf("p%d", tt.Tid)
+		if tt.Tid == 0 {
+			name = "t0"
+		}
+		sum := tt.LocalWork + tt.DetermWait + tt.BarrierWait + tt.Commit + tt.Fault + tt.Lib
+		if life, ok := h.life[name]; !ok || sum != life {
+			t.Errorf("%s accounts %d ns, its clock readings span %d ns (ran: %v)", name, sum, life, ok)
 		}
 	}
 }

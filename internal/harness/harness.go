@@ -388,8 +388,7 @@ func (c *Cell) Run() (Result, error) {
 
 // Metrics returns the run's gauges: the runtime's and, with a fleet, the
 // fleet's replica_* ones, in SortSamples' order — what detrun -metrics
-// prints and a trace's metrics record carries. Nil on a runtime that is
-// not det-backed. Call it after Run.
+// prints. Nil on a runtime that is not det-backed. Call it after Run.
 func (c *Cell) Metrics() []obs.Sample {
 	if c.Det == nil {
 		return nil

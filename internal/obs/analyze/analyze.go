@@ -6,12 +6,14 @@
 // would buy is measured by rerunning the cell at det.Config.StaticLevel
 // (Figure 14), not guessed from the timeline.
 //
-// The analyzer is strictly post-hoc: it consumes either a finished
-// Observer and the run's metrics (FromObserver) or a previously exported
-// Chrome trace JSON (ParseChromeTrace), normalizes both into the same
-// Input, and produces an identical Report either way — a trace file is as
-// actionable as a live run. Nothing here feeds back into the runtime; determinism is untouched
-// by construction.
+// The analyzer is strictly post-hoc and reads the timeline only: it
+// consumes either a finished Observer (FromObserver) or a previously
+// exported Chrome trace JSON (ParseChromeTrace), normalizes both into the
+// same Input, and produces an identical Report either way — a trace file
+// is as actionable as a live run. A run's gauges are not its input; they
+// are read from the run's stats structs (det.Runtime.Metrics). Nothing
+// here feeds back into the runtime; determinism is untouched by
+// construction.
 //
 // Two analyses beyond simple phase accounting:
 //
@@ -55,18 +57,12 @@ type Lane struct {
 type Input struct {
 	Process string
 	Lanes   []Lane
-	// Metrics is the run's metrics (a Chrome trace carries them; nil for
-	// a trace written without them). Used for analyses that need runtime
-	// state the timelines don't record, e.g. the per-shard arbiter
-	// gauges.
-	Metrics []obs.Sample
 }
 
-// FromObserver makes a finished Observer's lanes and the run's metrics
-// (det.Runtime.Metrics, harness.Cell.Metrics) into an Input. Call only
+// FromObserver makes a finished Observer's lanes into an Input. Call only
 // after the observed run has completed (Observer.Lanes' contract).
-func FromObserver(o *obs.Observer, process string, metrics []obs.Sample) *Input {
-	in := &Input{Process: process, Metrics: metrics}
+func FromObserver(o *obs.Observer, process string) *Input {
+	in := &Input{Process: process}
 	for _, l := range o.Lanes() {
 		in.Lanes = append(in.Lanes, Lane{
 			Tid:     l.Tid(),
@@ -106,8 +102,6 @@ func Analyze(in *Input) (*Report, error) {
 	attributeLocks(lanes, r)
 	criticalPath(lanes, r)
 	mergeOverlap(lanes, r)
-	shardingReport(in.Metrics, r)
-	replicationReport(in.Metrics, r)
 	return r, nil
 }
 

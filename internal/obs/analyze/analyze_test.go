@@ -2,10 +2,10 @@ package analyze_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -43,17 +43,16 @@ func analyzeGolden(t *testing.T) *analyze.Report {
 	return rep
 }
 
-// observed is one analyzed cell: its result, observer, metrics and the
+// observed is one analyzed cell: its result, observer and the
 // critical-path report of the run.
 type observed struct {
-	res     harness.Result
-	ob      *obs.Observer
-	metrics []obs.Sample
-	rep     *analyze.Report
+	res harness.Result
+	ob  *obs.Observer
+	rep *analyze.Report
 }
 
 // analyzeCell runs o on the simulation host with a fresh observer
-// attached, closes it, and analyzes the run with the cell's metrics.
+// attached, closes it, and analyzes the run's timeline.
 func analyzeCell(t *testing.T, o harness.Options) observed {
 	t.Helper()
 	ob := obs.New()
@@ -69,12 +68,11 @@ func analyzeCell(t *testing.T, o harness.Options) observed {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := c.Metrics()
-	rep, err := analyze.Analyze(analyze.FromObserver(ob, harness.CellName(o), ms))
+	rep, err := analyze.Analyze(analyze.FromObserver(ob, harness.CellName(o)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return observed{res, ob, ms, rep}
+	return observed{res, ob, rep}
 }
 
 // TestGoldenReport pins the analyzer's JSON output on the golden trace
@@ -178,9 +176,9 @@ func TestGoldenReportShape(t *testing.T) {
 // TestLiveVsParsedIdentical is the analyzer's round-trip contract: a
 // report built from a live Observer and one built from that observer's
 // exported Chrome trace must be byte-identical. The sharded and fleet
-// cells feed the gauge-read sections (sharding, replication), so the
-// trace must carry the cell's metrics exactly; every cell is exported
-// after it has been closed.
+// cells attach what a timeline does not carry (per-shard arbiters, a
+// commit log and its replicas); the trace holds their lanes and nothing
+// else, and every cell is exported after it has been closed.
 func TestLiveVsParsedIdentical(t *testing.T) {
 	cell := func(bench string) harness.Options {
 		return harness.Options{Bench: bench, Runtime: harness.KindConsequenceIC, Threads: 4, Scale: 1, Seed: 42}
@@ -191,27 +189,26 @@ func TestLiveVsParsedIdentical(t *testing.T) {
 	fleet.CommitLogDir = t.TempDir()
 	fleet.Replicas = 2
 	for _, tc := range []struct {
-		name    string
-		opts    harness.Options
-		section string
+		name string
+		opts harness.Options
 	}{
-		{"histogram", cell("histogram"), ""},
-		{"ferret", cell("ferret"), ""},
-		{"ferret shards=4", sharded, `"sharding"`},
-		{"kmeans replicas=2", fleet, `"replication"`},
+		{"histogram", cell("histogram")},
+		{"ferret", cell("ferret")},
+		{"ferret shards=4", sharded},
+		{"kmeans replicas=2", fleet},
 	} {
 		run := analyzeCell(t, tc.opts)
 		live := run.rep
 		var trace bytes.Buffer
-		if err := run.ob.WriteChromeTrace(&trace, harness.CellName(tc.opts), run.metrics); err != nil {
+		if err := run.ob.WriteChromeTrace(&trace, harness.CellName(tc.opts)); err != nil {
 			t.Fatal(err)
 		}
 		in, err := analyze.ParseChromeTrace(&trace)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := run.metrics; !reflect.DeepEqual(in.Metrics, want) {
-			t.Errorf("%s: parsed metrics differ from Cell.Metrics:\n%v\nvs\n%v", tc.name, in.Metrics, want)
+		if len(in.Lanes) != len(run.ob.Lanes()) {
+			t.Errorf("%s: parsed %d lanes, the observer has %d", tc.name, len(in.Lanes), len(run.ob.Lanes()))
 		}
 		parsed, err := analyze.Analyze(in)
 		if err != nil {
@@ -222,71 +219,49 @@ func TestLiveVsParsedIdentical(t *testing.T) {
 		if !bytes.Equal(lj, pj) {
 			t.Errorf("%s: live and parsed-trace reports differ:\n--- live ---\n%s\n--- parsed ---\n%s", tc.name, lj, pj)
 		}
-		if tc.section != "" && !bytes.Contains(lj, []byte(tc.section)) {
-			t.Errorf("%s: report has no %s section", tc.name, tc.section)
-		}
 	}
 }
 
-// TestTraceWithoutMetricsParses keeps traces written before the exporter
-// carried the metrics readable: without otherData the input has no
-// metrics, and the golden run (one token, no fleet) reports the same.
-func TestTraceWithoutMetricsParses(t *testing.T) {
+// TestOldTraceWithMetricsRecordParses keeps traces written while the
+// exporter still closed them with a top-level otherData.metrics record
+// readable: the golden run's record, spliced back onto the golden trace
+// (with and without the "kind":"func" field older records carried, and
+// with a kind no sample ever had), parses without error into the golden
+// trace's report. The record is ignored; the timeline is the input.
+func TestOldTraceWithMetricsRecordParses(t *testing.T) {
 	raw, err := os.ReadFile(goldenTrace)
 	if err != nil {
 		t.Fatal(err)
 	}
-	i := bytes.Index(raw, []byte("],\n\"otherData\""))
-	if i < 0 {
-		t.Fatal("golden trace has no otherData record")
-	}
-	old := append(raw[:i:i], "]}\n"...)
-	in, err := analyze.ParseChromeTrace(bytes.NewReader(old))
+	tail, err := os.ReadFile("../testdata/metrics_record_tail.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.Metrics != nil {
-		t.Errorf("a trace without otherData parsed %d metrics", len(in.Metrics))
+	end := []byte("\n]}\n")
+	if !bytes.HasSuffix(raw, end) || !bytes.HasPrefix(tail, []byte("],\n\"otherData\":{\"metrics\":[")) {
+		t.Fatal("golden trace or metrics record tail is not in the expected shape")
 	}
-	rep, err := analyze.Analyze(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := rep.JSON()
+	spliced := append(raw[:len(raw)-len(end)+1:len(raw)-len(end)+1], tail...)
 	want, _ := analyzeGolden(t).JSON()
-	if !bytes.Equal(got, want) {
-		t.Errorf("report without the metrics record differs from the golden trace's:\n%s\nvs\n%s", got, want)
-	}
-}
-
-// TestMetricRecordKind keeps a trace written while metric records still
-// carried "kind":"func" readable, sample for sample, and rejects a record
-// of any other kind: a histogram record holds no one number to read.
-func TestMetricRecordKind(t *testing.T) {
-	raw, err := os.ReadFile(goldenTrace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parse := func(b []byte) (*analyze.Input, error) { return analyze.ParseChromeTrace(bytes.NewReader(b)) }
-	want, err := parse(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Metrics) == 0 {
-		t.Fatal("golden trace parsed no metrics")
-	}
-	withKind := func(kind string) []byte {
-		return bytes.ReplaceAll(raw, []byte(`,"value":`), []byte(`,"kind":"`+kind+`","value":`))
-	}
-	got, err := parse(withKind("func"))
-	if err != nil {
-		t.Fatalf("a trace with \"kind\":\"func\" records: %v", err)
-	}
-	if !reflect.DeepEqual(got.Metrics, want.Metrics) {
-		t.Errorf("\"kind\":\"func\" records parsed differently:\n%v\nvs\n%v", got.Metrics, want.Metrics)
-	}
-	if _, err := parse(withKind("histogram")); err == nil || !strings.Contains(err.Error(), `unknown kind "histogram"`) {
-		t.Errorf("a \"kind\":\"histogram\" record: err %v, want an unknown-kind error", err)
+	for _, kind := range []string{"", "func", "histogram"} {
+		old := spliced
+		if kind != "" {
+			old = bytes.ReplaceAll(spliced, []byte(`,"value":`), []byte(`,"kind":"`+kind+`","value":`))
+		}
+		if !json.Valid(old) {
+			t.Fatalf("kind %q: spliced trace is not valid JSON", kind)
+		}
+		in, err := analyze.ParseChromeTrace(bytes.NewReader(old))
+		if err != nil {
+			t.Fatalf("kind %q: %v", kind, err)
+		}
+		rep, err := analyze.Analyze(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := rep.JSON(); !bytes.Equal(got, want) {
+			t.Errorf("kind %q: report of the trace with a metrics record differs from the golden trace's:\n%s\nvs\n%s", kind, got, want)
+		}
 	}
 }
 
@@ -387,67 +362,5 @@ func TestPartialReport(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "PARTIAL") {
 		t.Errorf("text report does not warn about partial data:\n%s", b.String())
-	}
-}
-
-// TestReplicationReport: a run exporting replica fleet metrics must get
-// the replication section (writer backpressure and follower lag in one
-// place); runs without a fleet omit it so their reports are unchanged.
-func TestReplicationReport(t *testing.T) {
-	lanes := []analyze.Lane{{
-		Tid:    0,
-		Events: []obs.Event{{Phase: obs.PhaseCompute, Start: 0, End: 100}},
-	}}
-	metrics := []obs.Sample{
-		obs.Gauge("commitlog_append_stalls", 3),
-		obs.Gauge("replica_restarts_total", 2),
-		obs.Gauge("replica_reads_served", 10),
-		obs.Gauge("replica_reads_redirected", 4),
-		obs.Gauge("replica_reads_rejected", 1),
-		obs.Gauge("replica_admitted", 2),
-		obs.Gauge("replica_catchup_ns", 5_000_000),
-		obs.Gauge("replica_lag", 1, obs.L("follower", 0), obs.L("role", "serve")),
-		obs.Gauge("replica_lag", 7, obs.L("follower", 2), obs.L("role", "archive")),
-		obs.Gauge("replica_lag_p50", 2),
-		obs.Gauge("replica_lag_p95", 4),
-		obs.Gauge("replica_lag_max", 9),
-	}
-	obs.SortSamples(metrics)
-	rep, err := analyze.Analyze(&analyze.Input{Process: "fleet", Lanes: lanes, Metrics: metrics})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp := rep.Replication
-	if rp == nil {
-		t.Fatal("replication section missing despite replica metrics")
-	}
-	if rp.AppendStalls != 3 || rp.Restarts != 2 || rp.Admitted != 2 {
-		t.Errorf("stalls/restarts/admitted = %d/%d/%d, want 3/2/2", rp.AppendStalls, rp.Restarts, rp.Admitted)
-	}
-	if rp.ReadsServed != 10 || rp.ReadsRedirected != 4 || rp.ReadsRejected != 1 {
-		t.Errorf("reads = %d/%d/%d, want 10/4/1", rp.ReadsServed, rp.ReadsRedirected, rp.ReadsRejected)
-	}
-	if rp.CatchupMaxNS != 5_000_000 || rp.LagP50 != 2 || rp.LagP95 != 4 || rp.LagMax != 9 {
-		t.Errorf("catchup/lag p50/p95/max = %d/%d/%d/%d, want 5000000/2/4/9", rp.CatchupMaxNS, rp.LagP50, rp.LagP95, rp.LagMax)
-	}
-	if len(rp.Followers) != 2 || rp.Followers[0].Role != "serve" || rp.Followers[1].Role != "archive" ||
-		rp.Followers[1].Follower != 2 || rp.Followers[1].Lag != 7 {
-		t.Errorf("follower lanes wrong: %+v", rp.Followers)
-	}
-	var b strings.Builder
-	if err := rep.WriteText(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "replication") || !strings.Contains(b.String(), "archive") ||
-		!strings.Contains(b.String(), "lag          p50 2, p95 4, max 9 versions") {
-		t.Errorf("text report missing replication section:\n%s", b.String())
-	}
-
-	bare, err := analyze.Analyze(&analyze.Input{Process: "nofleet", Lanes: lanes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bare.Replication != nil {
-		t.Error("replication section present without replica metrics")
 	}
 }

@@ -20,12 +20,9 @@ import (
 //
 // Events whose name is not a known phase (a future exporter addition, or a
 // foreign trace) are skipped rather than rejected; the metadata events
-// supply the process name and the set of thread lanes. The top-level
-// otherData.metrics record is restored into Input.Metrics sample for
-// sample; a trace without it (written before the exporter carried it)
-// parses with nil Metrics. A metric record is {"name","labels","value"};
-// one that still carries "kind":"func" (the older format) parses the
-// same, and any other kind is an error.
+// supply the process name and the set of thread lanes. Only traceEvents
+// is read: any other top-level key, such as the metrics record older
+// exporters appended, is ignored.
 func ParseChromeTrace(r io.Reader) (*Input, error) {
 	var doc struct {
 		TraceEvents []struct {
@@ -40,14 +37,6 @@ func ParseChromeTrace(r io.Reader) (*Input, error) {
 				Dropped int64  `json:"dropped"`
 			} `json:"args"`
 		} `json:"traceEvents"`
-		OtherData struct {
-			Metrics []struct {
-				Name   string            `json:"name"`
-				Labels map[string]string `json:"labels"`
-				Kind   string            `json:"kind"`
-				Value  int64             `json:"value"`
-			} `json:"metrics"`
-		} `json:"otherData"`
 	}
 	dec := json.NewDecoder(r)
 	dec.UseNumber()
@@ -119,20 +108,6 @@ func ParseChromeTrace(r io.Reader) (*Input, error) {
 		in.Lanes = append(in.Lanes, *lanes[tid])
 	}
 
-	for _, m := range doc.OtherData.Metrics {
-		// A record written before metrics lost their kind says "func";
-		// any other kind is a metric this reader cannot represent.
-		if m.Kind != "" && m.Kind != "func" {
-			return nil, fmt.Errorf("analyze: metric %s has unknown kind %q", m.Name, m.Kind)
-		}
-		s := obs.Sample{Name: m.Name, Value: m.Value}
-		// A sample keeps its labels sorted by key (their canonical form).
-		for k, v := range m.Labels {
-			s.Labels = append(s.Labels, obs.Label{Key: k, Value: v})
-		}
-		sort.Slice(s.Labels, func(i, j int) bool { return s.Labels[i].Key < s.Labels[j].Key })
-		in.Metrics = append(in.Metrics, s)
-	}
 	return in, nil
 }
 

@@ -33,14 +33,6 @@ type Report struct {
 	// MergeOverlap quantifies the §4.2 parallel-commit overlap.
 	MergeOverlap MergeOverlap  `json:"merge_overlap"`
 	Commits      CommitSummary `json:"commits"`
-	// Sharding is the per-shard arbiter breakdown under per-shard
-	// granting; nil (and omitted) for unsharded runs and for traces
-	// written without the metrics record.
-	Sharding *ShardingReport `json:"sharding,omitempty"`
-	// Replication attributes writer backpressure (commit-log append
-	// stalls) vs. replica-fleet follower lag; nil (and omitted) for runs
-	// without a fleet and for traces written without the metrics record.
-	Replication *ReplicationReport `json:"replication,omitempty"`
 }
 
 // PhaseTotal is one phase's share of some whole (thread-time for
@@ -197,26 +189,5 @@ func (r *Report) WriteText(w io.Writer) error {
 			ms(mo.TotalNS), ms(mo.BusyNS), mo.ParallelismX, ms(mo.OverlapNS))
 	}
 
-	if sh := r.Sharding; sh != nil {
-		p("\nshard arbiters  %.2fx grant parallelism, %s ms on cross-shard edges\n",
-			sh.GrantParallelismX, ms(sh.GlobalEdgeBusyNS))
-		p("  shard      busy ms   frontier ms    util%%\n")
-		for _, l := range sh.Shards {
-			p("  %-5d %12s %13s %8.2f\n",
-				l.Shard, ms(l.BusyNS), ms(l.FrontierNS), l.UtilizationPct)
-		}
-	}
-
-	if rp := r.Replication; rp != nil {
-		p("\nreplication    %d append stalls (writer backpressure); fleet: %d restarts, %d admitted\n",
-			rp.AppendStalls, rp.Restarts, rp.Admitted)
-		p("  reads        %d served, %d redirected, %d rejected\n",
-			rp.ReadsServed, rp.ReadsRedirected, rp.ReadsRejected)
-		p("  lag          p50 %d, p95 %d, max %d versions; slowest catch-up %s ms\n",
-			rp.LagP50, rp.LagP95, rp.LagMax, ms(rp.CatchupMaxNS))
-		for _, f := range rp.Followers {
-			p("  follower %-4d %-8s lag %d\n", f.Follower, f.Role, f.Lag)
-		}
-	}
 	return nil
 }

@@ -6,11 +6,8 @@ package obs
 // renders as one lane (trace tid = runtime tid), each time-category phase
 // as a complete ("X") event whose name and category are the Phase's
 // stable string, and each marker as a thread-scoped instant ("i") event.
-// The top-level "otherData" object carries the run's metrics as
-// "metrics": one {"name","labels","value"} record per sample, in the
-// order given (SortSamples' canonical order), so a trace file holds the
-// gauges the analyzer reads as well as the timeline. A metric is one
-// number; a record carries no kind.
+// The trace is the timeline and nothing else: a run's gauges are read
+// after it from its stats structs (det.Runtime.Metrics), not from here.
 //
 // The encoding is hand-rolled rather than encoding/json for a contract
 // the tests rely on: a fixed simhost run must export byte-identical JSON
@@ -32,8 +29,8 @@ func usec(ns int64) string {
 }
 
 // writeChromeTrace emits the observer's timeline for process (a free-form
-// run description, e.g. "consequence-ic ferret t=8"), then metrics.
-func writeChromeTrace(w io.Writer, o *Observer, process string, metrics []Sample) error {
+// run description, e.g. "consequence-ic ferret t=8").
+func writeChromeTrace(w io.Writer, o *Observer, process string) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")
 	fmt.Fprintf(bw, "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":%q}}", process)
@@ -58,30 +55,6 @@ func writeChromeTrace(w io.Writer, o *Observer, process string, metrics []Sample
 				tid, name, name, usec(e.Start), usec(e.End-e.Start))
 		}
 	}
-	fmt.Fprintf(bw, "\n],\n\"otherData\":{\"metrics\":[")
-	for i, s := range metrics {
-		if i > 0 {
-			bw.WriteByte(',')
-		}
-		writeMetric(bw, s)
-	}
-	fmt.Fprintf(bw, "\n]}}\n")
+	fmt.Fprintf(bw, "\n]}\n")
 	return bw.Flush()
-}
-
-// writeMetric renders one sample as {"name":N,"labels":{K:V,...},"value":V},
-// labels omitted when there are none.
-func writeMetric(bw *bufio.Writer, s Sample) {
-	fmt.Fprintf(bw, "\n{\"name\":%q", s.Name)
-	if len(s.Labels) > 0 {
-		bw.WriteString(",\"labels\":{")
-		for i, l := range s.Labels {
-			if i > 0 {
-				bw.WriteByte(',')
-			}
-			fmt.Fprintf(bw, "%q:%q", l.Key, l.Value)
-		}
-		bw.WriteByte('}')
-	}
-	fmt.Fprintf(bw, ",\"value\":%d}", s.Value)
 }

@@ -67,7 +67,7 @@ func observedRun(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := o.WriteChromeTrace(&buf, "golden", rt.Metrics()); err != nil {
+	if err := o.WriteChromeTrace(&buf, "golden"); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -20,8 +20,7 @@ func L(key string, value any) Label {
 // Sample is one metric after a run: a gauge, one value read from a stats
 // struct (mem.Segment.Stats, clock.Arbiter.Stats, the det aggregates, the
 // commit log's and the fleet's counters) when the samples are built. It
-// is what det.Runtime.Metrics and replica.Fleet.Metrics return, the
-// Chrome trace's metrics record carries and the analyzer reads.
+// is what det.Runtime.Metrics and replica.Fleet.Metrics return.
 type Sample struct {
 	Name   string
 	Labels []Label

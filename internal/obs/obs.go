@@ -38,7 +38,7 @@
 //	o := obs.New()
 //	rt.SetObserver(o)          // before Run
 //	rt.Run(prog)
-//	o.WriteChromeTrace(w, "consequence-ic histogram", rt.Metrics())
+//	o.WriteChromeTrace(w, "consequence-ic histogram")
 //	for _, s := range rt.Metrics() { fmt.Println(s) }
 package obs
 
@@ -223,9 +223,8 @@ func (o *Observer) Lanes() []*Lane {
 	return ls
 }
 
-// WriteChromeTrace exports the timeline, and the run's metrics as its
-// closing record, as Chrome trace-event JSON. See chrometrace.go for the
-// format contract.
-func (o *Observer) WriteChromeTrace(w io.Writer, process string, metrics []Sample) error {
-	return writeChromeTrace(w, o, process, metrics)
+// WriteChromeTrace exports the timeline as Chrome trace-event JSON. See
+// chrometrace.go for the format contract.
+func (o *Observer) WriteChromeTrace(w io.Writer, process string) error {
+	return writeChromeTrace(w, o, process)
 }

@@ -345,8 +345,8 @@ func (fl *Fleet) Stats() FleetStats {
 // Metrics returns the fleet's replica_* gauges — each follower's lag
 // behind the frontier (labelled with its id and role), the restart and
 // read counters, the slowest catch-up, the admitted count, and the exact
-// p50, p95 and max of every applied record's lag — in SortSamples' order:
-// the analyzer's replication section reads them.
+// p50, p95 and max of every applied record's lag — in SortSamples' order.
+// harness.Cell.Metrics joins them to the runtime's.
 func (fl *Fleet) Metrics() []obs.Sample {
 	p50, p95, maxLag := fl.lags.quantiles()
 	out := []obs.Sample{

@@ -32,8 +32,8 @@ func observedProg(root consequence.T) {
 
 // TestPublicAPIObservability drives the public observability surface: an
 // observed simulated run's exported trace parses back into the report
-// Analyze gives live, byte for byte in JSON, and carries the run's
-// metrics; without WithObservability the timeline readers refuse while
+// Analyze gives live, byte for byte in JSON, and Metrics reads the run's
+// stats; without WithObservability the timeline readers refuse while
 // Metrics still answers.
 func TestPublicAPIObservability(t *testing.T) {
 	rt, err := consequence.New(
@@ -69,13 +69,13 @@ func TestPublicAPIObservability(t *testing.T) {
 		t.Errorf("parsed-trace and live reports differ:\n%s\nvs\n%s", pj, lj)
 	}
 	spawned := int64(-1)
-	for _, s := range in.Metrics {
+	for _, s := range rt.Metrics() {
 		if s.Name == "det_threads_spawned" {
 			spawned = s.Value
 		}
 	}
 	if want := rt.Stats().ThreadsSpawned; spawned != want {
-		t.Errorf("trace's det_threads_spawned = %d, want Stats().ThreadsSpawned = %d", spawned, want)
+		t.Errorf("Metrics' det_threads_spawned = %d, want Stats().ThreadsSpawned = %d", spawned, want)
 	}
 	var text strings.Builder
 	if err := rt.WriteReport(&text, "observed"); err != nil {
