@@ -98,7 +98,7 @@ func (rt *Runtime) Run(root func(api.T)) error {
 	if err != nil {
 		return err
 	}
-	t := &thread{Ledger: host.NewLedger(0), rt: rt, ws: ws}
+	t := &thread{Ledger: host.NewLedger(0, rt.h), rt: rt, ws: ws}
 	rt.members[0] = t
 	rt.nextTid = 1
 	rt.h.Go("t0", nil, func(b host.Binding) {
@@ -245,24 +245,24 @@ func (t *thread) Compute(n int64) {
 	if n < 0 {
 		panic("dthreads: negative compute")
 	}
-	t.Charge(&t.Time.LocalWork, t.rt.cfg.Model.Instr(n))
+	t.Model(&t.Time.LocalWork, t.rt.cfg.Model.Instr(n))
 }
 
 // Read implements api.T.
 func (t *thread) Read(buf []byte, off int) {
 	t.ws.Read(buf, off)
-	t.Charge(&t.Time.LocalWork, t.rt.cfg.Model.Instr(api.MemInstr(len(buf))))
+	t.Model(&t.Time.LocalWork, t.rt.cfg.Model.Instr(api.MemInstr(len(buf))))
 }
 
 // Write implements api.T. Faults cost the mprotect path: SIGSEGV, handler,
-// mprotect syscalls.
+// mprotect syscalls, a modeled trap: the copy ran inside ws.Write.
 func (t *thread) Write(data []byte, off int) {
 	t.ws.Write(data, off)
 	if f := t.ws.TakeFaults(); f > 0 {
-		t.Account(&t.Time.LocalWork)
-		t.Charge(&t.Time.Fault, f*t.rt.cfg.Model.MprotectFault)
+		t.Model(&t.Time.LocalWork, 0)
+		t.Model(&t.Time.Fault, f*t.rt.cfg.Model.MprotectFault)
 	}
-	t.Charge(&t.Time.LocalWork, t.rt.cfg.Model.Instr(api.MemInstr(len(data))))
+	t.Model(&t.Time.LocalWork, t.rt.cfg.Model.Instr(api.MemInstr(len(data))))
 }
 
 type dtMutex struct{ id uint64 }
@@ -478,13 +478,13 @@ func (t *thread) Spawn(fn func(api.T)) api.Handle {
 		rt.rec.Record(t.Tid(), trace.OpSpawn, uint64(tid), 0)
 		rt.mu.Unlock()
 		// Fork: DThreads threads are processes; copying the page table
-		// costs per populated page (plus re-protection).
-		t.Charge(&t.Time.Lib, m.ForkBase+int64(rt.seg.PopulatedPages())*m.ForkPerPage)
+		// costs per populated page (plus re-protection), all modeled.
+		t.Model(&t.Time.Lib, m.ForkBase+int64(rt.seg.PopulatedPages())*m.ForkPerPage)
 		ws, err := rt.seg.Snapshot(tid)
 		if err != nil {
 			panic(fmt.Sprintf("dthreads: spawn: %v", err))
 		}
-		child = &thread{Ledger: host.NewLedger(tid), rt: rt, ws: ws}
+		child = &thread{Ledger: host.NewLedger(tid, rt.h), rt: rt, ws: ws}
 		rt.mu.Lock()
 		rt.members[tid] = child
 		rt.mu.Unlock()
@@ -544,7 +544,7 @@ func (t *thread) exit() {
 		rt.seg.GC()
 		t.Account(&t.Time.LocalWork)
 		rt.aggMu.Lock()
-		rt.agg.AddThread(t.Time, t.SyncOps, t.B.Now())
+		rt.agg.AddThread(t.Time, t.SyncOps, t.Stamp())
 		rt.aggMu.Unlock()
 		return true
 	})

@@ -30,7 +30,6 @@ type Config struct {
 type Runtime struct {
 	cfg   Config
 	h     host.Host
-	timed bool       // h.Timed(): modeled costs elapse virtual time
 	mu    sync.Mutex // guards all runtime state below
 	mem   []byte
 	wg    sync.WaitGroup
@@ -45,7 +44,7 @@ func New(cfg Config, h host.Host) (*Runtime, error) {
 	if cfg.SegmentSize <= 0 {
 		return nil, fmt.Errorf("pth: segment size must be positive")
 	}
-	return &Runtime{cfg: cfg, h: h, timed: h.Timed(), mem: make([]byte, cfg.SegmentSize)}, nil
+	return &Runtime{cfg: cfg, h: h, mem: make([]byte, cfg.SegmentSize)}, nil
 }
 
 // Name implements api.Runtime.
@@ -57,7 +56,7 @@ func (rt *Runtime) Run(root func(api.T)) error {
 		panic("pth: Runtime is single-use")
 	}
 	rt.began = true
-	t := &thread{Ledger: host.NewLedger(0), rt: rt}
+	t := &thread{Ledger: host.NewLedger(0, rt.h), rt: rt}
 	rt.h.Go("t0", nil, func(b host.Binding) {
 		t.Start(b)
 		root(t)
@@ -101,23 +100,8 @@ func (t *thread) finish() {
 	}
 	t.Account(&t.Time.LocalWork)
 	t.rt.aggMu.Lock()
-	t.rt.agg.AddThread(t.Time, t.SyncOps, t.Last())
+	t.rt.agg.AddThread(t.Time, t.SyncOps, t.Stamp())
 	t.rt.aggMu.Unlock()
-}
-
-// work charges ns of modeled local work. On a timed host it elapses and
-// closes the interval, as Charge does. On an untimed host the charge
-// reaches the binding but closes nothing: the host work it models ran in
-// the open LocalWork interval, which the next boundary accounts, so
-// closing it here would only read the clock.
-func (t *thread) work(ns int64) {
-	if t.rt.timed {
-		t.Charge(&t.Time.LocalWork, ns)
-		return
-	}
-	if ns > 0 {
-		t.B.Charge(ns)
-	}
 }
 
 // Compute implements api.T.
@@ -125,7 +109,7 @@ func (t *thread) Compute(n int64) {
 	if n < 0 {
 		panic("pth: negative compute")
 	}
-	t.work(t.rt.cfg.Model.Instr(n))
+	t.Model(&t.Time.LocalWork, t.rt.cfg.Model.Instr(n))
 }
 
 // Read implements api.T. Reads under the runtime lock: the model is not in
@@ -134,7 +118,7 @@ func (t *thread) Read(buf []byte, off int) {
 	t.rt.mu.Lock()
 	copy(buf, t.rt.mem[off:off+len(buf)])
 	t.rt.mu.Unlock()
-	t.work(t.rt.cfg.Model.Instr(api.MemInstr(len(buf))))
+	t.Model(&t.Time.LocalWork, t.rt.cfg.Model.Instr(api.MemInstr(len(buf))))
 }
 
 // Write implements api.T.
@@ -142,7 +126,7 @@ func (t *thread) Write(data []byte, off int) {
 	t.rt.mu.Lock()
 	copy(t.rt.mem[off:off+len(data)], data)
 	t.rt.mu.Unlock()
-	t.work(t.rt.cfg.Model.Instr(api.MemInstr(len(data))))
+	t.Model(&t.Time.LocalWork, t.rt.cfg.Model.Instr(api.MemInstr(len(data))))
 }
 
 type pMutex struct {
@@ -186,7 +170,7 @@ func (t *thread) Lock(mx api.Mutex) {
 	if !m.locked {
 		m.locked = true
 		t.rt.mu.Unlock()
-		t.work(t.rt.cfg.Model.SyncOpLocal)
+		t.Model(&t.Time.LocalWork, t.rt.cfg.Model.SyncOpLocal)
 		return
 	}
 	m.waiters = append(m.waiters, t)
@@ -210,7 +194,7 @@ func (t *thread) Unlock(mx api.Mutex) {
 		m.locked = false
 		t.rt.mu.Unlock()
 	}
-	t.work(t.rt.cfg.Model.SyncOpLocal)
+	t.Model(&t.Time.LocalWork, t.rt.cfg.Model.SyncOpLocal)
 }
 
 // Wait implements api.T.
@@ -241,7 +225,7 @@ func (t *thread) Signal(cx api.Cond) {
 	if w != nil {
 		t.B.Wake(w.B)
 	}
-	t.work(t.rt.cfg.Model.SyncOpLocal)
+	t.Model(&t.Time.LocalWork, t.rt.cfg.Model.SyncOpLocal)
 }
 
 // Broadcast implements api.T.
@@ -255,7 +239,7 @@ func (t *thread) Broadcast(cx api.Cond) {
 	for _, w := range ws {
 		t.B.Wake(w.B)
 	}
-	t.work(t.rt.cfg.Model.SyncOpLocal)
+	t.Model(&t.Time.LocalWork, t.rt.cfg.Model.SyncOpLocal)
 }
 
 // BarrierWait implements api.T.
@@ -271,7 +255,7 @@ func (t *thread) BarrierWait(bx api.Barrier) {
 		for _, w := range ws {
 			t.B.Wake(w.B)
 		}
-		t.work(t.rt.cfg.Model.SyncOpLocal)
+		t.Model(&t.Time.LocalWork, t.rt.cfg.Model.SyncOpLocal)
 		return
 	}
 	bar.waiting = append(bar.waiting, t)
@@ -287,8 +271,8 @@ func (t *thread) ImplHandle() {}
 func (t *thread) Spawn(fn func(api.T)) api.Handle {
 	t.SyncOps++
 	t.nextTid++
-	child := &thread{Ledger: host.NewLedger(t.Tid()*100 + t.nextTid), rt: t.rt}
-	t.work(t.rt.cfg.Model.ForkBase / 5) // pthread_create
+	child := &thread{Ledger: host.NewLedger(t.Tid()*100+t.nextTid, t.rt.h), rt: t.rt}
+	t.Model(&t.Time.LocalWork, t.rt.cfg.Model.ForkBase/5) // pthread_create
 	t.rt.aggMu.Lock()
 	t.rt.agg.ThreadsSpawned++
 	t.rt.aggMu.Unlock()

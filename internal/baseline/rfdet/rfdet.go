@@ -149,7 +149,7 @@ func (rt *Runtime) Run(root func(api.T)) error {
 
 func (rt *Runtime) newThread(tid int, startClock int64, view []byte, vc vclock) *thread {
 	t := &thread{
-		Ledger: host.NewLedger(tid),
+		Ledger: host.NewLedger(tid, rt.h),
 		rt:     rt,
 		view:   view,
 		vc:     vc,

@@ -55,7 +55,7 @@ func (t *thread) deliver(g clock.Take) {
 func (t *thread) acquireToken() {
 	m := &t.rt.cfg.Model
 	t.Account(&t.Time.LocalWork)
-	t.Charge(&t.Time.Lib, m.SyscallClockRead)
+	t.Model(&t.Time.Lib, m.SyscallClockRead)
 	if g := t.rt.arb.Acquire(t.Tid(), 0); g.Tid != t.Tid() {
 		t.deliver(g)
 		t.B.Block(host.BlockReason{Label: "global token"})
@@ -63,7 +63,7 @@ func (t *thread) acquireToken() {
 	}
 	t.holding = true
 	t.Account(&t.Time.DetermWait)
-	t.Charge(&t.Time.Lib, m.TokenHandoff)
+	t.Model(&t.Time.Lib, m.TokenHandoff)
 }
 
 func (t *thread) releaseToken() {
@@ -77,7 +77,7 @@ func (t *thread) blockForToken(reason host.BlockReason) {
 	t.icount = t.take.Count
 	t.holding = true
 	t.Account(&t.Time.DetermWait)
-	t.Charge(&t.Time.Lib, t.rt.cfg.Model.TokenHandoff)
+	t.Model(&t.Time.Lib, t.rt.cfg.Model.TokenHandoff)
 }
 
 // --- LRC memory ---
@@ -88,7 +88,7 @@ func (t *thread) Compute(n int64) {
 		panic("rfdet: negative compute")
 	}
 	t.icount += n
-	t.Charge(&t.Time.LocalWork, t.rt.cfg.Model.Instr(n))
+	t.Model(&t.Time.LocalWork, t.rt.cfg.Model.Instr(n))
 	t.deliver(t.rt.arb.Advance(t.Tid(), n))
 }
 
@@ -97,7 +97,7 @@ func (t *thread) Read(buf []byte, off int) {
 	copy(buf, t.view[off:off+len(buf)])
 	n := api.MemInstr(len(buf))
 	t.icount += n
-	t.Charge(&t.Time.LocalWork, t.rt.cfg.Model.Instr(n))
+	t.Model(&t.Time.LocalWork, t.rt.cfg.Model.Instr(n))
 	t.deliver(t.rt.arb.Advance(t.Tid(), n))
 }
 
@@ -110,7 +110,7 @@ func (t *thread) Write(data []byte, off int) {
 	t.pendingBytes += int64(len(data))
 	n := 2 * api.MemInstr(len(data))
 	t.icount += n
-	t.Charge(&t.Time.LocalWork, t.rt.cfg.Model.Instr(n))
+	t.Model(&t.Time.LocalWork, t.rt.cfg.Model.Instr(n))
 	t.deliver(t.rt.arb.Advance(t.Tid(), n))
 }
 
@@ -453,7 +453,7 @@ func (t *thread) exit() {
 
 	t.Account(&t.Time.LocalWork)
 	rt.aggMu.Lock()
-	rt.agg.AddThread(t.Time, t.SyncOps, t.B.Now())
+	rt.agg.AddThread(t.Time, t.SyncOps, t.Stamp())
 	rt.aggMu.Unlock()
 
 	t.releaseToken()

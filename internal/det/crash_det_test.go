@@ -9,11 +9,13 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/commitlog"
 	"repro/internal/costmodel"
 	"repro/internal/host/simhost"
 	"repro/internal/journal"
+	"repro/internal/replica"
 )
 
 // storeFrame is one record frame of a store file: the offset just past
@@ -84,6 +86,10 @@ func splitStores(t *testing.T, dir string, through map[int64]storeFrame) []store
 // finds to be a clean prefix of the uncut one: DivLength at the surviving
 // event count when the cut dropped events or commits, DivNone when it
 // dropped only frames that carry neither (a snapshot, the end trailer).
+//
+// A fresh directory-mode replica fleet, started on a repaired log, must
+// reach that same state: for the first repairable cut in each segment,
+// and for the cut that drops only the end trailer.
 func TestCrashAnywhereResumesAtLastWholeCommit(t *testing.T) {
 	dir := t.TempDir()
 	runJournaled(t, cfg(), simhost.New(costmodel.Default()), dir,
@@ -156,7 +162,8 @@ func TestCrashAnywhereResumesAtLastWholeCommit(t *testing.T) {
 	}
 	flips := 0
 	diffs := map[string]int{} // repaired histories by journal.Diff kind
-	for _, off := range offsets {
+	fleets := map[int]bool{}  // segments whose cut a fleet has served
+	for i, off := range offsets {
 		seg, cut := off.seg, off.cut
 		what := stores[seg].name + "@" + strconv.FormatInt(cut, 10)
 
@@ -236,6 +243,13 @@ func TestCrashAnywhereResumesAtLastWholeCommit(t *testing.T) {
 		}
 		checkResume(t, what, cutDir, survivor.version, wantAt(survivor.version))
 		diffs[checkPrefix(t, what, cutDir, whole, survivor)]++
+		if !fleets[seg] || i == len(offsets)-1 {
+			fleets[seg] = true
+			checkFleet(t, what, cutDir, survivor.version, wantAt(survivor.version))
+		}
+	}
+	if len(fleets) != len(stores) {
+		t.Errorf("fleets served cuts in %d of %d segments", len(fleets), len(stores))
 	}
 	t.Logf("%d of %d offsets fell inside a record and were flipped too; diffs of the repaired histories: %v", flips, len(offsets), diffs)
 	if diffs[journal.DivLength] == 0 || diffs[journal.DivNone] == 0 {
@@ -265,6 +279,26 @@ func checkPrefix(t *testing.T, what, dir string, whole *journal.Data, survivor s
 			what, rep.Kind, rep.Seq, rep.Detail, kind, seq)
 	}
 	return kind
+}
+
+// checkFleet starts a fresh directory-mode fleet on a repaired log and
+// wants every follower at version with the given checksum.
+func checkFleet(t *testing.T, what, dir string, version int64, checksum uint64) {
+	t.Helper()
+	fl := replica.New(dir, nil, replica.Options{Seed: 1, PollInterval: time.Millisecond})
+	if err := fl.Start(); err != nil {
+		t.Fatalf("%s: fleet start: %v", what, err)
+	}
+	defer fl.Close()
+	if err := fl.WaitCaughtUp(version, 10*time.Second); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	for _, f := range fl.Followers() {
+		if f.Version() != version || f.Checksum() != checksum {
+			t.Fatalf("%s: follower %d at version %d checksum %016x, want version %d checksum %016x",
+				what, f.ID(), f.Version(), f.Checksum(), version, checksum)
+		}
+	}
 }
 
 // checkResume resumes a repaired log directory and wants it at version

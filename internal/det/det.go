@@ -574,7 +574,7 @@ const overflowBase = 10_000
 
 func (rt *Runtime) attachThread(tid int, startClock int64, ws *mem.Workspace) *Thread {
 	t := &Thread{
-		Ledger:   host.NewLedger(tid),
+		Ledger:   host.NewLedger(tid, rt.h),
 		rt:       rt,
 		ws:       ws,
 		icount:   startClock,
@@ -694,7 +694,7 @@ func (rt *Runtime) aggregate(t *Thread) {
 	defer rt.aggMu.Unlock()
 	// exit calls this straight after its last boundary: the thread's
 	// finish is that boundary's reading.
-	rt.agg.AddThread(t.Time, t.SyncOps, t.stamp())
+	rt.agg.AddThread(t.Time, t.SyncOps, t.Stamp())
 	rt.agg.CoarsenedOps += t.coarsenedOps
 }
 

@@ -137,39 +137,18 @@ func (t *Thread) account(p obs.Phase) {
 
 // charge elapses modeled time and accounts it to phase p.
 func (t *Thread) charge(p obs.Phase, ns int64) {
-	if ns > 0 {
-		t.B.Charge(ns)
-	}
+	t.Elapse(ns)
 	t.account(p)
 }
 
-// chargeModeled charges a modeled cost that no host work stands behind: a
-// clock read, a handoff, a fault's trap. On a timed host it is charge. On
-// an untimed host the cost still reaches the binding (a chaos wrapper
-// draws its jitter there), but the interval stays open: nothing ran since
-// the previous boundary, so closing it would only read the clock, and the
-// next boundary accounts the nanoseconds in between with the work around
-// them. So on the real host phase p holds no time.
+// chargeModeled is host.Ledger.Model by phase: a modeled cost that no
+// host work stands behind (a clock read, a handoff, a fault's trap)
+// closes phase p only where the ledger's boundary rule closes it, so on
+// the real host p holds no time.
 func (t *Thread) chargeModeled(p obs.Phase, ns int64) {
-	if t.rt.timed {
-		t.charge(p, ns)
-		return
+	if t.Elapse(ns) {
+		t.account(p)
 	}
-	if ns > 0 {
-		t.B.Charge(ns)
-	}
-}
-
-// stamp is the host time for a stamp that directly follows an accounting
-// boundary: that boundary's reading on an untimed host, where a fresh one
-// would differ only by the bookkeeping in between. A timed host reads its
-// clock as before (the two are equal there: time moves only on Charge),
-// so the simulation's output stays byte-identical by construction.
-func (t *Thread) stamp() int64 {
-	if t.rt.timed {
-		return t.B.Now()
-	}
-	return t.Last()
 }
 
 // mark emits an instantaneous observer marker at the thread's current
@@ -308,9 +287,7 @@ func (t *Thread) Read(buf []byte, off int) {
 func (t *Thread) Write(data []byte, off int) {
 	t.ws.Write(data, off)
 	if f := t.ws.TakeFaults(); f > 0 {
-		if t.rt.timed {
-			t.account(obs.PhaseCompute)
-		}
+		t.chargeModeled(obs.PhaseCompute, 0)
 		t.chargeModeled(obs.PhaseFault, f*t.rt.cfg.Model.PageFault+t.faultDelay(f))
 	}
 	t.advance(api.MemInstr(len(data)))
@@ -463,14 +440,14 @@ func (t *Thread) releaseAt(now int64) {
 // endChunk ends a token hold at a chunk boundary: it commits a coarsened
 // chunk's deferred writes, if one is open, and releases. A release that
 // directly follows that commit's merge is stamped with the merge's
-// reading (stamp).
+// reading (Ledger.Stamp).
 func (t *Thread) endChunk() {
 	if !t.uncoarsen() {
 		t.releaseTokenRaw()
 		return
 	}
 	t.publishPending()
-	t.releaseAt(t.stamp())
+	t.releaseAt(t.Stamp())
 }
 
 // resyncClock refreshes the local clock mirror after a wake or a take:
@@ -562,14 +539,16 @@ func (t *Thread) uncoarsen() bool {
 // commitAndUpdate under the token, the parallel barrier after releasing it.
 //
 // afterTake says the commit follows takeToken with nothing in between but
-// token-held bookkeeping: on an untimed host the take's boundary already
-// closed the compute interval this would close, so it is not read again.
+// token-held bookkeeping: the take's boundary already closed the compute
+// interval this would close, so it is a zero modeled charge.
 func (t *Thread) publish(afterTake bool) mem.PendingCommit {
 	if !t.holding {
 		panic(t.runtimeError("commit-without-token", "commit", 0,
 			"commit attempted without holding the global token"))
 	}
-	if !afterTake || t.rt.timed {
+	if afterTake {
+		t.chargeModeled(obs.PhaseCompute, 0)
+	} else {
 		t.account(obs.PhaseCompute)
 	}
 	pc := t.ws.BeginCommit()

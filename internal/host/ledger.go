@@ -19,10 +19,13 @@ type Ledger struct {
 	lastEvent int64 // host time at the last accounting boundary
 	objSeq    uint64
 	word      [8]byte
+	timed     bool // the host models time (Host.Timed)
 }
 
-// NewLedger returns the ledger of thread tid, not yet started.
-func NewLedger(tid int) Ledger { return Ledger{Time: api.ThreadTime{Tid: tid}} }
+// NewLedger returns the ledger of thread tid on host h, not yet started.
+func NewLedger(tid int, h Host) Ledger {
+	return Ledger{Time: api.ThreadTime{Tid: tid}, timed: h.Timed()}
+}
 
 // Start binds the ledger to its host context and opens the first
 // accounting interval; first thing run on the thread's goroutine/proc.
@@ -51,11 +54,6 @@ func (l *Ledger) Lap() (from, to int64) {
 	return from, to
 }
 
-// Last returns the host time of the latest accounting boundary: the
-// reading that opened the current interval. A stamp taken right after a
-// boundary can reuse it instead of reading the clock again.
-func (l *Ledger) Last() int64 { return l.lastEvent }
-
 // Account closes the current interval into *cat, one of Time's fields.
 func (l *Ledger) Account(cat *int64) {
 	from, to := l.Lap()
@@ -64,8 +62,44 @@ func (l *Ledger) Account(cat *int64) {
 
 // Charge elapses ns of modeled time and accounts it to *cat.
 func (l *Ledger) Charge(cat *int64, ns int64) {
+	l.Elapse(ns)
+	l.Account(cat)
+}
+
+// Model charges ns of modeled time that no host work stands behind to
+// *cat: a clock read, a token handoff, a fault's trap, the instructions
+// of a Compute. This is the one boundary rule every runtime keeps. On a
+// timed host Model is Charge, so nothing modeled moves. On an untimed
+// host the ns still reach the binding (a chaos wrapper draws its jitter
+// there), but no interval closes: the next boundary accounts whatever
+// ran since the previous one with the work around it, so closing here
+// would only read the clock. So on the real host *cat gains no time.
+func (l *Ledger) Model(cat *int64, ns int64) {
+	if l.Elapse(ns) {
+		l.Account(cat)
+	}
+}
+
+// Elapse is Model without the close: it charges ns to the binding and
+// reports whether the boundary closes the current interval (on a timed
+// host only). A runtime that closes intervals its own way, det by phase,
+// calls it and closes on true.
+func (l *Ledger) Elapse(ns int64) bool {
 	if ns > 0 {
 		l.B.Charge(ns)
 	}
-	l.Account(cat)
+	return l.timed
+}
+
+// Stamp is the host time for a stamp that directly follows an accounting
+// boundary: that boundary's reading on an untimed host, where a fresh
+// one would differ only by the bookkeeping in between. A timed host reads
+// its clock, so no modeled stamp moves. A thread's finish is its Stamp
+// after its last boundary, so on the real host its accounts sum to its
+// life.
+func (l *Ledger) Stamp() int64 {
+	if l.timed {
+		return l.B.Now()
+	}
+	return l.lastEvent
 }

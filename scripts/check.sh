@@ -73,8 +73,12 @@ go test -race -count=20 -run 'TestLentPagesNeverChange' ./internal/replica
 # a thread's life is accounted exactly once (TestRealHostTimeAddsUp); and
 # commit records are carved from an append-only slab, so a stream read
 # only after Close still sees every record as published
-# (TestLateStreamSeesEveryCommit).
+# (TestLateStreamSeesEveryCommit). The baselines keep the same boundary
+# rule (host.Ledger.Model): pthreads, dthreads and rfdet-lrc stay within
+# their clock-read budgets and account each thread's whole life
+# (TestPthreadsClockReads).
 go test -race -count=20 -run 'TestRealHostTimeAddsUp|TestLateStreamSeesEveryCommit' ./internal/det
+go test -race -count=5 -run TestPthreadsClockReads ./internal/harness
 
 echo "== go test -fuzz (the diff and patch kernels, 10 s each)"
 # Beyond their seed corpus, which go test ./... replays: FuzzComputeDiff
