@@ -597,10 +597,10 @@ func (t *Thread) record(op trace.Op, obj uint64) {
 // logCommit appends a just-published version's page diffs to the commit
 // log (no-op without one, or for empty commits). Called token-held
 // immediately after BeginCommit, so the version number and the
-// event-order position (AtSeq) are replay-stable. The diffs are the
-// committer's own byte runs — immutable once published — so the
-// log's drain goroutine can encode them off the critical path without
-// copying.
+// event-order position (AtSeq) are replay-stable, and so
+// ForEachPageDiff may still copy out the runs a sole commit published in
+// its page. The runs it passes are owned and immutable, so the log's
+// drain goroutine can encode them off the critical path without copying.
 //
 // The record's page list is carved from the runtime's log slab, which the
 // token owns like the rest of the runtime's token-serialized state. The

@@ -153,11 +153,11 @@ func TestSmallDiffIsOneBlock(t *testing.T) {
 			var spare *Version
 			diff := func() {
 				if !withSpare {
-					d = computeDiff(cur, twin, 0, len(cur), nil)
+					d, _ = computeDiff(cur, twin, 0, len(cur), nil, false)
 					return
 				}
 				spare = nil
-				d = computeDiff(cur, twin, 0, len(cur), &spare)
+				d, _ = computeDiff(cur, twin, 0, len(cur), &spare, false)
 			}
 			if n := testing.AllocsPerRun(10, diff); n != tc.allocs {
 				t.Errorf("%s: %.0f allocations, want %.0f", name, n, tc.allocs)

@@ -128,6 +128,14 @@ func (ws *Workspace) applyPatches() {
 // header in front. A version of more pages also makes its slot array, and
 // a header of its own only when none of its diffs is small. With an empty
 // dirty set the commit is an update: one lock, no allocation.
+//
+// A page no other workspace can patch from publishes a large diff's runs
+// in the committed page itself and makes no backing for them
+// (pageSlot.inPlace): the workspace is the segment's only one, so no pull
+// window will ever read the runs, and the page was not patched in this
+// commit's pull window, so it is no conflict and the page is what the
+// version publishes. ForEachPageDiff copies the runs out when they leave
+// the segment.
 func (ws *Workspace) BeginCommit() PendingCommit {
 	s := ws.seg
 	var pc PendingCommit
@@ -138,6 +146,7 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 	oldV := ws.version
 	headBefore := s.head
 	pc.stats.PulledPages = ws.pullWindowLocked(headBefore)
+	sole := len(s.workspaces) == 1
 	if len(ws.dirty) == 0 {
 		// Nothing to diff, so nothing to publish: behave as an update.
 		ws.version = headBefore
@@ -169,7 +178,11 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 		if spare == nil {
 			sp = &spare
 		}
-		dp.diff = computeDiff(dp.data, dp.twin, int(dp.lo), int(dp.hi), sp)
+		// A page the window touched is dirty here, so it was patched
+		// (pullWindowLocked); the touched set is this window's only when
+		// the window pulled a page.
+		inPlace := sole && !(pc.stats.PulledPages > 0 && ws.scratchTouched[pg])
+		dp.diff, dp.inPlace = computeDiff(dp.data, dp.twin, int(dp.lo), int(dp.hi), sp, inPlace)
 		if !dp.diff.Empty() {
 			npub++
 		}
@@ -187,7 +200,8 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 	}
 
 	// Serial decision 2 (locked): conflict checks against the latest table
-	// and version publication. Nothing below computes diffs or allocates;
+	// and version publication. Nothing below computes diffs or allocates
+	// (but for the copy a Snapshot racing the commit forces, v.own below);
 	// the lock covers only filling the version's slots in place and the
 	// latest/head update.
 	// Buffers this commit releases, recycled once the lock is dropped, and
@@ -208,7 +222,7 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 			slot.page = int32(pg)
 			slot.version = v
 			slot.prev = s.latest[pg]
-			slot.diff = diff
+			slot.diff, slot.inPlace = diff, dp.inPlace
 			if slot.prev != nil && slot.prev.version.Num > s.floor {
 				s.candidates = append(s.candidates, slot) // GC may prune prev
 			}
@@ -241,6 +255,12 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 		return pc
 	}
 
+	if sole && len(s.workspaces) > 1 {
+		// A workspace snapshotted since the pull window, at headBefore: its
+		// next pull window patches from this version, so the runs must not
+		// slice pages a later commit may supersede and put.
+		v.own()
+	}
 	v.Num = headBefore + 1
 	s.versions = append(s.versions, v)
 	s.head = v.Num

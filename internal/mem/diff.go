@@ -172,7 +172,13 @@ const diffStackRuns = 32
 // front of its runs, and *spare is set to it: BeginCommit makes it the
 // header of the version it publishes, so a one-page commit is one object.
 // A larger diff leaves *spare alone.
-func computeDiff(cur, twin []byte, lo, hi int, spare **Version) Diff {
+//
+// With inPlace, a larger diff makes no backing: each run's Data is cur's
+// own bytes, cap-limited, and computeDiff reports that it aliased cur.
+// BeginCommit asks for it where cur becomes a committed page no other
+// workspace can patch from (pageSlot.inPlace). A small diff is packed
+// either way: it costs no allocation of its own.
+func computeDiff(cur, twin []byte, lo, hi int, spare **Version, inPlace bool) (d Diff, aliased bool) {
 	cur, twin = cur[:hi], twin[:hi]
 	var bounds [diffStackRuns]struct{ off, end int32 }
 	nruns, nbytes := 0, 0
@@ -192,9 +198,12 @@ func computeDiff(cur, twin []byte, lo, hi int, spare **Version) Diff {
 	var backing []byte
 	switch {
 	case nruns == 0:
-		return Diff{}
+		return Diff{}, false
 	case nruns > 2 || nbytes > smallDiffBytes:
-		runs, backing = make([]Run, nruns), make([]byte, nbytes)
+		runs, aliased = make([]Run, nruns), inPlace
+		if !aliased {
+			backing = make([]byte, nbytes)
+		}
 	case spare == nil && nruns == 1:
 		p := new(diff1)
 		runs, backing = p.r[:], p.b[:nbytes]
@@ -218,12 +227,18 @@ func computeDiff(cur, twin []byte, lo, hi int, spare **Version) Diff {
 		backing = fillRun(&runs[k], backing, cur, i, end)
 		i = end
 	}
-	return Diff{Runs: runs}
+	return Diff{Runs: runs}, aliased
 }
 
 // fillRun makes *r the run of cur[off:end], its data carved from the front
-// of backing with no slack, and returns the rest of backing.
+// of backing with no slack, and returns the rest of backing. With a nil
+// backing the data is cur[off:end] itself, cap-limited so that no append
+// through the run can reach the bytes past it.
 func fillRun(r *Run, backing, cur []byte, off, end int) []byte {
+	if backing == nil {
+		*r = Run{Off: off, Data: cur[off:end:end]}
+		return nil
+	}
 	data := backing[: end-off : end-off]
 	copy(data, cur[off:end])
 	*r = Run{Off: off, Data: data}

@@ -66,7 +66,7 @@ func BenchmarkComputeDiff(b *testing.B) {
 			b.SetBytes(benchPage)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				computeDiff(cur, twin, 0, len(cur), nil)
+				computeDiff(cur, twin, 0, len(cur), nil, false)
 			}
 		})
 		if pattern == "store" {
@@ -74,7 +74,7 @@ func BenchmarkComputeDiff(b *testing.B) {
 				b.SetBytes(benchPage)
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					computeDiff(cur, twin, storeOff, storeOff+wordBytes, nil)
+					computeDiff(cur, twin, storeOff, storeOff+wordBytes, nil, false)
 				}
 			})
 		}
@@ -126,33 +126,56 @@ func BenchmarkApplyWhereClean(b *testing.B) {
 	})
 }
 
-// BenchmarkBeginCommit measures the serial commit phase over 16 dense-dirty
-// pages: the diffs and the publication, timed without the writes before
-// it or the merge after it.
+// BenchmarkBeginCommit measures the serial commit phase over 16
+// dense-dirty pages: the diffs and the publication, timed without the
+// writes before it or the merge and GC after it. Each round writes the
+// other of two random buffers, so every page's diff is large. "sole" is the
+// segment's only workspace, which publishes the runs in its committed
+// pages (pageSlot.inPlace); "shared" has a second, idle workspace beside
+// it, so every run is copied into a backing of its own.
 func BenchmarkBeginCommit(b *testing.B) {
-	const pages = 16
-	s, err := NewSegment(SegmentConfig{Name: "bench", Size: pages * benchPage, PageSize: benchPage})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ws, err := s.Snapshot(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	buf := make([]byte, benchPage)
-	rand.New(rand.NewSource(42)).Read(buf)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		buf[0] = byte(i) // keep every round's pages genuinely dirty
-		for pg := 0; pg < pages; pg++ {
-			ws.Write(buf, pg*benchPage)
+	for _, shared := range []bool{false, true} {
+		name := "sole"
+		if shared {
+			name = "shared"
 		}
-		b.StartTimer()
-		pc := ws.BeginCommit()
-		b.StopTimer()
-		pc.Complete()
-		b.StartTimer()
+		b.Run(name, func(b *testing.B) {
+			const pages = 16
+			s, err := NewSegment(SegmentConfig{Name: "bench", Size: pages * benchPage, PageSize: benchPage})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ws, err := s.Snapshot(0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var idle *Workspace
+			if shared {
+				idle, _ = s.Snapshot(1)
+			}
+			var bufs [2][]byte
+			rng := rand.New(rand.NewSource(42))
+			for i := range bufs {
+				bufs[i] = make([]byte, benchPage)
+				rng.Read(bufs[i])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for pg := 0; pg < pages; pg++ {
+					ws.Write(bufs[i%2], pg*benchPage)
+				}
+				b.StartTimer()
+				pc := ws.BeginCommit()
+				b.StopTimer()
+				pc.Complete()
+				if idle != nil {
+					idle.Update() // no dirty pages: it only lets GC fold
+				}
+				s.GC()
+				b.StartTimer()
+			}
+		})
 	}
 }

@@ -87,7 +87,10 @@ func window(n, first, last int, a, b uint16) (lo, hi int) {
 // reference: identical runs (offsets, lengths, bytes) for every cur/twin
 // pair, including lengths not divisible by the word size, both over the
 // whole page and over a fuzzed window that encloses every differing byte,
-// as a dirty page's write window does (dirtyPage.lo).
+// as a dirty page's write window does (dirtyPage.lo). The in-place form
+// (computeDiff's inPlace) must find the same runs, each a cap-limited
+// slice of cur at its offset wherever the diff is larger than the packed
+// form.
 func FuzzComputeDiff(f *testing.F) {
 	for _, p := range seedPairs() {
 		f.Add(p[0], p[1], uint16(0), uint16(0))
@@ -96,7 +99,7 @@ func FuzzComputeDiff(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a, b []byte, wlo, whi uint16) {
 		cur, twin := clip(a, b)
 		want := computeDiffRef(cur, twin)
-		got := computeDiff(cur, twin, 0, len(cur), nil)
+		got, _ := computeDiff(cur, twin, 0, len(cur), nil, false)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("computeDiff mismatch\ncur  %x\ntwin %x\ngot  %+v\nwant %+v", cur, twin, got, want)
 		}
@@ -105,8 +108,20 @@ func FuzzComputeDiff(f *testing.F) {
 			first, last = want.Runs[0].Off, want.Runs[k-1].Off+len(want.Runs[k-1].Data)
 		}
 		lo, hi := window(len(cur), first, last, wlo, whi)
-		if got := computeDiff(cur, twin, lo, hi, nil); !reflect.DeepEqual(got, want) {
+		if got, _ := computeDiff(cur, twin, lo, hi, nil, false); !reflect.DeepEqual(got, want) {
 			t.Fatalf("computeDiff over [%d,%d) mismatch\ncur  %x\ntwin %x\ngot  %+v\nwant %+v", lo, hi, cur, twin, got, want)
+		}
+		in, aliased := computeDiff(cur, twin, lo, hi, nil, true)
+		if !reflect.DeepEqual(in, want) {
+			t.Fatalf("in-place computeDiff over [%d,%d) mismatch\ngot  %+v\nwant %+v", lo, hi, in, want)
+		}
+		if packed := len(want.Runs) <= 2 && want.Bytes() <= smallDiffBytes; aliased == packed {
+			t.Fatalf("in-place computeDiff of %d runs, %d bytes: aliased %v", len(want.Runs), want.Bytes(), aliased)
+		}
+		for _, r := range in.Runs {
+			if aliased && (&r.Data[0] != &cur[r.Off] || cap(r.Data) != len(r.Data)) {
+				t.Fatalf("in-place run [%d,+%d) is not a cap-limited slice of cur at its offset", r.Off, len(r.Data))
+			}
 		}
 		// Byte-exactness invariant: runs never include an unchanged byte,
 		// and applying the diff to a copy of twin reproduces cur.
@@ -149,14 +164,14 @@ func FuzzApplyWhereClean(f *testing.F) {
 
 		dst2 := append([]byte(nil), dst...)
 		twin2 := append([]byte(nil), twin...)
-		before := computeDiff(dst, twin, 0, len(dst), nil)
+		before, _ := computeDiff(dst, twin, 0, len(dst), nil, false)
 
 		d.applyWhereClean(dst, twin)
 		applyWhereCleanRef(d, dst2, twin2)
 		if !bytes.Equal(dst, dst2) || !bytes.Equal(twin, twin2) {
 			t.Fatalf("applyWhereClean mismatch\ndst  %x\nref  %x\ntwin %x\nref  %x", dst, dst2, twin, twin2)
 		}
-		if after := computeDiff(dst, twin, 0, len(dst), nil); !reflect.DeepEqual(before, after) {
+		if after, _ := computeDiff(dst, twin, 0, len(dst), nil, false); !reflect.DeepEqual(before, after) {
 			t.Fatalf("patch changed the local diff\nbefore %+v\nafter  %+v", before, after)
 		}
 	})
@@ -172,7 +187,7 @@ func TestApplyWhereCleanPreservesDiff(t *testing.T) {
 	copy(dst[10:14], "WXYZ") // local store buffer: bytes 10..13 dirty
 
 	d := Diff{Runs: []Run{{Off: 8, Data: []byte("remotekin")}}} // pulls 8..16
-	before := computeDiff(dst, twin, 0, len(dst), nil)
+	before, _ := computeDiff(dst, twin, 0, len(dst), nil, false)
 
 	d.applyWhereClean(dst, twin)
 
@@ -185,7 +200,7 @@ func TestApplyWhereCleanPreservesDiff(t *testing.T) {
 	if !bytes.Equal(dst[8:10], twin[8:10]) || !bytes.Equal(dst[14:17], twin[14:17]) {
 		t.Error("twin not kept in sync at imported bytes")
 	}
-	after := computeDiff(dst, twin, 0, len(dst), nil)
+	after, _ := computeDiff(dst, twin, 0, len(dst), nil, false)
 	if !reflect.DeepEqual(before, after) {
 		t.Errorf("import changed the local diff\nbefore %+v\nafter  %+v", before, after)
 	}

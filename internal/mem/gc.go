@@ -57,6 +57,7 @@ func (s *Segment) GC() int {
 			// Drop the chain link: anything at or below the new floor is
 			// reachable through the base table.
 			slot.prev = nil
+			slot.retire()
 		}
 		s.floor++
 		folded++
@@ -119,12 +120,13 @@ func (s *Segment) pruneLocked(pins []int64) {
 		if p == nil || p.version.Num <= s.floor {
 			continue
 		}
-		if !t.resolved.Load() || !p.resolved.Load() || pinnedIn(pins, p.version.Num, t.version.Num) {
+		if !t.resolved() || !p.resolved() || pinnedIn(pins, p.version.Num, t.version.Num) {
 			kept = append(kept, t)
 			continue
 		}
 		data := p.data
 		p.data = prunedPage
+		p.retire()
 		s.putPages(data)
 		s.prunedPages++
 	}

@@ -14,14 +14,14 @@ func HashPage(data []byte) uint64 {
 }
 
 // Checksum is the FNV-1a hash of the segment's final committed state,
-// pages ascending: the checksum a runtime over the segment reports.
+// pages ascending: the checksum a runtime over the segment reports. Each
+// page is hashed where it is committed, which, like ReadCommitted, needs
+// no GC or Prune to run concurrently: the head's pages are never pruned.
 func (s *Segment) Checksum() uint64 {
 	h := fnv.New64a()
-	buf := make([]byte, s.PageSize())
 	at := s.Head()
-	for pg := 0; pg < s.NumPages(); pg++ {
-		s.ReadCommitted(buf, pg*s.PageSize(), at)
-		h.Write(buf)
+	for pg := 0; pg < s.npages; pg++ {
+		h.Write(s.committedPage(pg, at))
 	}
 	return h.Sum64()
 }

@@ -125,6 +125,10 @@ type Segment struct {
 	// base[pg] or a pruned slot's page, above: both are committed content
 	// readers may hold. A lent twin is one such reader: its workspace's
 	// version pins the page it points at, so the interval rule keeps it.
+	// An in-place diff's runs (pageSlot.inPlace) slice a slot's data too,
+	// but they add no reader: no pull window reads them, and Version.own
+	// copies them out before the next BeginCommit, while the page is
+	// still the head's, so neither rule can have put it yet.
 	freeMu sync.Mutex
 	free   [][]byte
 	// onPut, when set, sees every buffer as it is put, after every holder
@@ -240,7 +244,7 @@ func (v *Version) NumPages() int { return len(v.slots) }
 // merge phase.
 func (v *Version) Pending() bool {
 	for i := range v.slots {
-		if !v.slots[i].resolved.Load() {
+		if !v.slots[i].resolved() {
 			return true
 		}
 	}
@@ -262,13 +266,51 @@ func (v *Version) PageIndexes() []int {
 // version order onto a zero replica reproduces the committed content
 // exactly (the merge chain resolves to "previous content + this diff" for
 // conflict and non-conflict slots alike), which is what the commit log
-// persists. The Diff's run data aliases the version's immutable buffers:
-// read-only. A small diff shares one block with its version's header
-// (computeDiff's spare), so whoever holds its runs keeps the version's block
-// alive too.
+// persists. It is the one way runs leave the segment, and the runs it
+// passes are owned: read-only, and readable for as long as they are held.
+// A small diff shares one block with its version's header (computeDiff's
+// spare), so whoever holds its runs keeps the version's block alive too.
+//
+// A commit no other workspace could patch from publishes a large diff's
+// runs in its committed page (pageSlot.inPlace). The first call copies
+// them out (own), so it must come under the commit serialization before
+// the next BeginCommit, while that page is still the head's; it panics if
+// the version has folded or been pruned by then.
 func (v *Version) ForEachPageDiff(f func(page int, d Diff)) {
+	v.own()
 	for i := range v.slots {
 		f(int(v.slots[i].page), v.slots[i].diff)
+	}
+}
+
+// own copies the runs of every slot that publishes them in place into one
+// backing the version owns, and clears the slots' inPlace. A version with
+// no such slot allocates nothing.
+func (v *Version) own() {
+	n := 0
+	for i := range v.slots {
+		if slot := &v.slots[i]; slot.inPlace {
+			if slot.state.Load()&slotRetired != 0 {
+				panic(fmt.Sprintf("mem: version %d's in-place diffs read after GC folded or pruned it: "+
+					"they may slice a recycled page (read them before the next BeginCommit)", v.Num))
+			}
+			n += slot.diff.Bytes()
+		}
+	}
+	if n == 0 {
+		return
+	}
+	backing := make([]byte, n)
+	for i := range v.slots {
+		slot := &v.slots[i]
+		if !slot.inPlace {
+			continue
+		}
+		for k := range slot.diff.Runs {
+			r := &slot.diff.Runs[k]
+			backing = fillRun(r, backing, slot.data, r.Off, r.Off+len(r.Data))
+		}
+		slot.inPlace = false
 	}
 }
 
@@ -285,7 +327,7 @@ func (v *Version) ForEachPageDiff(f func(page int, d Diff)) {
 // for deadlock-freedom in general.
 //
 // Slots live by value inside their Version (Version.slots) and are only
-// ever handled through pointers into that array: the once and resolved
+// ever handled through pointers into that array: the once and state
 // fields make a copy a different, unresolved slot.
 //
 // The layout is a size budget: at 88 bytes a one-page Version (its slot
@@ -297,14 +339,35 @@ type pageSlot struct {
 	// conflict marks that another thread committed this page between the
 	// committer's snapshot and its commit; resolution must merge.
 	conflict bool
-	version  *Version
-	prev     *pageSlot
-	diff     Diff // the committer's own byte changes
-	data     []byte
+	// inPlace marks a diff whose runs slice data itself (computeDiff's
+	// inPlace): BeginCommit sets it where no other workspace can patch from
+	// the page, and Version.own clears it when it copies the runs out.
+	// Owned by the commit serialization, like the diff.
+	inPlace bool
+	version *Version
+	prev    *pageSlot
+	diff    Diff // the committer's own byte changes
+	data    []byte
 
-	once     sync.Once
-	resolved atomic.Bool
+	once  sync.Once
+	state atomic.Uint32 // slotResolved, then slotRetired too
 }
+
+// The bits of pageSlot.state. A slot resolves once (settle), and retires
+// once, after it resolved: when GC folds its version into the base table
+// or prunes its page. From then on its page may be put (a pruned one
+// already is), so runs that still slice it must not be read (Version.own).
+const (
+	slotResolved uint32 = 1 << iota
+	slotRetired
+)
+
+// resolved reports whether the slot's content is final.
+func (s *pageSlot) resolved() bool { return s.state.Load()&slotResolved != 0 }
+
+// retire marks a resolved slot folded or pruned. Caller holds the segment
+// lock.
+func (s *pageSlot) retire() { s.state.Store(slotResolved | slotRetired) }
 
 // settle computes (once) the slot's final page content, recursively
 // forcing conflicting predecessors, without reading it back: once settled,
@@ -320,7 +383,7 @@ func (s *pageSlot) settle(seg *Segment) {
 			s.data = data
 			seg.allocPages(1)
 		}
-		s.resolved.Store(true)
+		s.state.Store(slotResolved)
 	})
 }
 

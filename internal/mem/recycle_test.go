@@ -44,11 +44,15 @@ type loggedDiff struct {
 //
 // It asserts that no read ever returns poison and that the final memory
 // equals a reference that never recycles anything: the published diffs
-// replayed in version order onto a zero array.
+// replayed in version order onto a zero array. Thread 0 runs on alone once
+// the others have left, so its commits publish their runs in place
+// (pageSlot.inPlace) and the diffs logged for the reference are the
+// copies ForEachPageDiff makes of them, read after their pages are put.
 func TestRecycleNeverReachesReaders(t *testing.T) {
 	const (
 		threads  = 6
 		iters    = 150
+		solo     = 30 // thread 0's iterations after the others left
 		pageSize = 256
 		npages   = 24
 		size     = pageSize * npages
@@ -65,11 +69,13 @@ func TestRecycleNeverReachesReaders(t *testing.T) {
 
 	var token sync.Mutex
 	var history [][]loggedDiff // history[v-1] = version v's diffs; token-guarded
+	inPlace := 0               // pages published in place; token-guarded
 	// Every thread snapshots before any commits, so even if the scheduler
 	// runs them back to back the later ones commit against a moved head
 	// and take the merge path.
-	var wg, snapped sync.WaitGroup
+	var wg, snapped, others sync.WaitGroup
 	snapped.Add(threads)
+	others.Add(threads - 1)
 	for w := 0; w < threads; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -85,7 +91,14 @@ func TestRecycleNeverReachesReaders(t *testing.T) {
 			buf := make([]byte, 96)
 			page := make([]byte, pageSize)
 			var late []PendingCommit // merge phases left pending for readers to force
-			for i := 0; i < iters; i++ {
+			rounds := iters
+			if w == 0 {
+				rounds += solo
+			}
+			for i := 0; i < rounds; i++ {
+				if i == iters {
+					others.Wait()
+				}
 				for k := 0; k < 3; k++ {
 					off := rng.Intn(size - len(buf))
 					n := 1 + rng.Intn(len(buf)-1)
@@ -111,6 +124,11 @@ func TestRecycleNeverReachesReaders(t *testing.T) {
 				token.Lock()
 				pc := ws.BeginCommit()
 				if v := pc.Version(); v != nil {
+					for j := range v.slots {
+						if v.slots[j].inPlace {
+							inPlace++
+						}
+					}
 					var ds []loggedDiff
 					v.ForEachPageDiff(func(pg int, d Diff) { ds = append(ds, loggedDiff{pg, d}) })
 					history = append(history, ds)
@@ -145,6 +163,9 @@ func TestRecycleNeverReachesReaders(t *testing.T) {
 				pc.Complete()
 			}
 			s.Release(ws)
+			if w != 0 {
+				others.Done()
+			}
 		}(w)
 	}
 	wg.Wait()
@@ -163,8 +184,8 @@ func TestRecycleNeverReachesReaders(t *testing.T) {
 		t.Fatal("final memory differs from the diffs replayed without recycling")
 	}
 	st := s.Stats()
-	if st.MergedPages == 0 || st.GCReclaimedPages == 0 || s.prunedPages == 0 {
-		t.Fatalf("stress missed a release site (merges, GC, %d pruned pages): %+v", s.prunedPages, st)
+	if st.MergedPages == 0 || st.GCReclaimedPages == 0 || s.prunedPages == 0 || inPlace == 0 {
+		t.Fatalf("stress missed a release site (merges, GC, %d pruned pages, %d in-place pages): %+v", s.prunedPages, inPlace, st)
 	}
 	// Everything is folded and every workspace released: what is live is
 	// exactly the base table.
@@ -327,7 +348,7 @@ func TestPackedDiffLayout(t *testing.T) {
 	}
 	for _, cur := range [][]byte{few, many} {
 		twin := make([]byte, len(cur))
-		d := computeDiff(cur, twin, 0, len(cur), nil)
+		d, _ := computeDiff(cur, twin, 0, len(cur), nil, false)
 		if want := computeDiffRef(cur, twin); !reflect.DeepEqual(d, want) {
 			t.Fatalf("%d-byte page: diff of %d runs is not the reference's %d", len(cur), len(d.Runs), len(want.Runs))
 		}
@@ -339,7 +360,7 @@ func TestPackedDiffLayout(t *testing.T) {
 				t.Errorf("%d runs: run %d has slack: len %d cap %d", len(d.Runs), i, len(r.Data), cap(r.Data))
 			}
 		}
-		if n := testing.AllocsPerRun(50, func() { computeDiff(cur, twin, 0, len(cur), nil) }); n > 2 {
+		if n := testing.AllocsPerRun(50, func() { computeDiff(cur, twin, 0, len(cur), nil, false) }); n > 2 {
 			t.Errorf("%d runs: computeDiff made %.0f allocations, want the run slice and one backing array", len(d.Runs), n)
 		}
 	}

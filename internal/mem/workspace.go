@@ -58,8 +58,10 @@ type dirtyPage struct {
 	twin []byte
 	lent bool // twin is a committed page, not the workspace's buffer
 	// diff is the page's diff, which BeginCommit computes for every dirty
-	// page and then publishes; meaningless outside that call.
-	diff Diff
+	// page and then publishes, and inPlace whether its runs slice data
+	// (pageSlot.inPlace); meaningless outside that call.
+	inPlace bool
+	diff    Diff
 	// [lo, hi) is the write window: the span of the bytes Write stored
 	// since the record was made, empty (lo == hi) until the first store.
 	// The invariant: outside the window, data == twin. A fault's copy

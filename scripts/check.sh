@@ -52,7 +52,7 @@ echo "== go test -race (obs + mem + det + clock + trace + sim + host + chaos + r
 # every runtime.
 go test -race ./internal/obs/... ./internal/mem ./internal/det ./internal/clock ./internal/trace ./internal/sim ./internal/host/... ./internal/chaos/... ./internal/replica ./internal/commitlog ./internal/journal ./internal/api ./internal/baseline/... ./internal/workload
 
-echo "== go test -race -count=20 (the page recycling stress: GC prunes pages while readers copy them; the spare version header's and the lent twins' ownership; the per-page chain walk; the replica's lent pages; real-host time accounting; the commit-record slab)"
+echo "== go test -race -count=20 (the page recycling stress: GC prunes pages while readers copy them; the spare version header's and the lent twins' ownership; the per-page chain walk; in-place runs; the replica's lent pages; real-host time accounting; the commit-record slab)"
 # A prune that races a reader shows up only in some interleavings, so one
 # race-detector pass is not enough (docs/architecture.md, "Page buffers").
 # TestSpareOwnership runs beside it: a commit's version header shares a
@@ -62,7 +62,10 @@ echo "== go test -race -count=20 (the page recycling stress: GC prunes pages whi
 # put, nor patched in place. TestCommittedPageWalksChain holds the page
 # lookup's chain walk equal to a scan of every retained version, across
 # conflicts, pending merges, prunes, budgeted GC folds and reserved moves.
-go test -race -count=20 -run 'TestRecycleNeverReachesReaders|TestSpareOwnership|TestLentTwinOwnership|TestCommittedPageWalksChain' ./internal/mem
+# The in-place tests (inplace_test.go) hold the runs a sole commit
+# publishes in its page: owned once ForEachPageDiff has copied them, and
+# never read after the page is put.
+go test -race -count=20 -run 'TestRecycleNeverReachesReaders|TestSpareOwnership|TestLentTwinOwnership|TestCommittedPageWalksChain|TestSoleCommitPublishesRunsInPlace|TestSharedOrPatchedRunsAreOwned|TestForEachPageDiffRunsOutliveThePage|TestLateForEachPageDiffPanics' ./internal/mem
 # The replica's twin of the lent-twin rule: a follower lends its current
 # page to readers, so an apply must write a copy of a lent page, never the
 # page itself; four readers race the feed through prune, undo-log
