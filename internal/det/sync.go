@@ -254,10 +254,9 @@ func (t *Thread) BarrierWait(bx api.Barrier) {
 		t.barrierSleep(bar)
 		return
 	}
-	// Last arrival: finish our merge, then release everyone at one
-	// deterministic version.
+	// Last arrival: merge our commit and any earlier arrival's still
+	// pending, then release everyone at one deterministic version.
 	t.chargeMerge(pc.Stats())
-	pc.Complete()
 	t.rt.seg.CompleteThrough(t.rt.seg.Head())
 	t.barrierRelease(bar)
 }
@@ -277,15 +276,12 @@ func (t *Thread) barrierSleep(bar *dBarrier) {
 	t.lastCommitCount = t.icount
 }
 
-// barrierRelease (token held, called by the last arrival) fixes the
-// barrier's final version, updates our own view, reserves the final
-// version for every waiter, re-admits them to clock consideration, wakes
-// them, prunes, and releases the token.
+// barrierRelease (token held, called by the last arrival) reserves the
+// barrier's final version for every waiter — our own view is there
+// already, as we committed last under the token — re-admits them to clock
+// consideration, wakes them, prunes, and releases the token.
 func (t *Thread) barrierRelease(bar *dBarrier) {
-	m := &t.rt.cfg.Model
-	final := t.rt.seg.Head()
-	pulled := t.ws.UpdateTo(final)
-	t.charge(obs.PhaseCommit, int64(pulled)*m.UpdatePage)
+	t.account(obs.PhaseCommit) // closes our merge
 	t.lastCommitCount = t.icount
 	t.rt.hooks.OnAcquire(t.Tid(), bar.id)
 	waiters := bar.waiting

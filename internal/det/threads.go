@@ -200,12 +200,11 @@ func (t *Thread) exit() {
 	switch {
 	case t.worker != nil && remaining > 0 && rt.workerSlotFree():
 		// Park this thread's worker, keeping the workspace warm for the
-		// next Spawn to adopt. The snapshot stays at the current head,
-		// pinning later versions until reuse — the realistic memory cost
-		// of pooling. Insertion is token-held, keyed (exit clock, tid), so
-		// the free-list order — and every later adoption — is
-		// replay-stable.
-		t.ws.UpdateTo(rt.seg.Head())
+		// next Spawn to adopt. The exit's commit left the workspace at the
+		// head, and it stays there, pinning later versions until reuse —
+		// the realistic memory cost of pooling. Insertion is token-held,
+		// keyed (exit clock, tid), so the free-list order — and every
+		// later adoption — is replay-stable.
 		w := t.worker
 		w.ws = t.ws
 		w.pooled = true
@@ -214,7 +213,6 @@ func (t *Thread) exit() {
 		rt.mu.Unlock()
 	case rt.cfg.ThreadPool && !rt.workerPool && rt.pooledWorkspaces() < rt.cfg.poolCap:
 		// Single-token §3.3 reuse: keep the workspace, the host task ends.
-		t.ws.UpdateTo(rt.seg.Head())
 		rt.mu.Lock()
 		rt.pool = append(rt.pool, t.ws)
 		rt.mu.Unlock()

@@ -321,13 +321,16 @@ func (ws *Workspace) Commit() CommitStats {
 }
 
 // CompleteThrough finishes the merge phase of every pending version with
-// Num <= n, in version order. The simulation host uses this to execute the
-// "parallel" barrier merges deterministically from a single goroutine while
-// charging each virtual thread its own parallel cost; the result is
-// byte-identical to truly parallel Complete calls.
+// Num <= n, in version order; the result is byte-identical to Complete
+// calls on each, in any order and on any goroutines. det's parallel
+// barrier calls it on every host, from the last arrival with n at the
+// head: it completes that arrival's own commit and any earlier arrival's
+// still merging, so the release's Prune finds every slot of the round
+// resolved (pruneLocked skips an unresolved one).
 func (s *Segment) CompleteThrough(n int64) {
 	s.mu.Lock()
-	var todo []*Version
+	var buf [8]*Version // a barrier round's commits, without an allocation
+	todo := buf[:0]
 	for _, v := range s.versions {
 		if v.Num > n {
 			break

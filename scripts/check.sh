@@ -40,6 +40,14 @@ go build ./...
 echo "== go test ./... (includes the determinism gate, internal/harness/gate_test.go, and — through cmd/cli_test.go — go vet + go test inside bench/, which has its own go.mod)"
 go test ./...
 
+echo "== kill table (every protocol site of det's sync.go and threads.go fails its named test when mutated)"
+# ROADMAP "Every protocol site is proven necessary, or deleted": each entry
+# of scripts/mutants.txt mutates one site in a temporary copy of the tree
+# and runs only the test named as its killer, which must fail. A stale
+# entry (its original lines no longer occur exactly once) fails the step
+# too; EXPERIMENTS.md "Protocol sites and their killers" argues each site.
+go run ./scripts/mutate scripts/mutants.txt
+
 echo "== go test -race (obs + mem + det + clock + trace + sim + host + chaos + replica + commitlog + journal + api + baseline + workload)"
 # journal has no goroutine of its own; its tests drive the log's recorder
 # and drain as a run does. clock is here for the arbiter: the most contended

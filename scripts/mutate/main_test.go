@@ -1,0 +1,137 @@
+package main
+
+import (
+	"bytes"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// fixture is a tiny module: two functions, each held by its own test, and
+// a line that occurs twice.
+var fixture = map[string]string{
+	"go.mod": "module fixture\n\ngo 1.22\n",
+	"fix.go": `package fixture
+
+func Add(a, b int) int {
+	return a + b
+}
+
+func Twice(a int) int {
+	x := a
+	x += a
+	return x
+}
+
+func Same(a int) int {
+	x := a
+	return x
+}
+`,
+	"fix_test.go": `package fixture
+
+import "testing"
+
+func TestAdd(t *testing.T) {
+	if Add(2, 3) != 5 {
+		t.Fatal("Add")
+	}
+}
+
+func TestTwice(t *testing.T) {
+	if Twice(2) != 4 {
+		t.Fatal("Twice")
+	}
+}
+`,
+}
+
+// writeFixture writes the fixture module to a fresh directory.
+func writeFixture(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	for name, text := range fixture {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+func mustParse(t *testing.T, table string) []entry {
+	t.Helper()
+	entries, err := parse(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return entries
+}
+
+// TestRefusesStaleEntries: an original that is missing, or that occurs
+// twice, is refused before anything runs.
+func TestRefusesStaleEntries(t *testing.T) {
+	dir := writeFixture(t)
+	for _, tc := range []struct{ name, table, want string }{
+		{"missing", "@ fix.go . ^TestAdd$\n- return a * b\n", "occurs 0 times"},
+		{"twice", "@ fix.go . ^TestTwice$\n- x := a\n+ x := 0\n", "occurs 2 times"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := locateAll(dir, mustParse(t, tc.table))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("locateAll: %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+	// Context makes the twice-occurring line unique.
+	if err := locateAll(dir, mustParse(t, "@ fix.go . ^TestTwice$\n  func Twice(a int) int {\n- x := a\n+ x := 0\n")); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestKillsAndSurvivors: a killed mutant passes, a surviving one and one
+// that does not build fail the table, and every entry leaves the source
+// byte-identical.
+func TestKillsAndSurvivors(t *testing.T) {
+	dir := writeFixture(t)
+	for _, tc := range []struct {
+		name, table, want string
+	}{
+		{"killed", "@ fix.go . ^TestAdd$\n- return a + b\n+ return a - b\n", ""},
+		{"survived", "@ fix.go . ^TestAdd$\n  func Twice(a int) int {\n  x := a\n- x += a\n", "survived ^TestAdd$"},
+		{"does-not-build", "@ fix.go . ^TestAdd$\n  func Twice(a int) int {\n- x := a\n", "does not build"},
+		{"killer-selects-nothing", "@ fix.go . ^TestNone$\n- return a + b\n+ return a - b\n", "selects no test"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := check(dir, mustParse(t, tc.table), io.Discard)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("check: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("check: %v, want an error containing %q", err, tc.want)
+			}
+			got, err := os.ReadFile(filepath.Join(dir, "fix.go"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, []byte(fixture["fix.go"])) {
+				t.Fatalf("fix.go changed:\n%s", got)
+			}
+		})
+	}
+}
+
+// TestApplyKeepsIndentation: an added line takes the indentation of the
+// original line before it, and context lines are kept as they are.
+func TestApplyKeepsIndentation(t *testing.T) {
+	e := mustParse(t, "@ fix.go . x\n  func Twice(a int) int {\n- x := a\n+ x := 2 * a\n+ _ = x\n")[0]
+	got, err := apply([]byte(fixture["fix.go"]), e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Replace(fixture["fix.go"], "func Twice(a int) int {\n\tx := a\n", "func Twice(a int) int {\n\tx := 2 * a\n\t_ = x\n", 1)
+	if string(got) != want {
+		t.Fatalf("apply:\n%s\nwant:\n%s", got, want)
+	}
+}
