@@ -105,7 +105,7 @@ func TestMisuseRuntimeErrors(t *testing.T) {
 			trigger: func(root api.T) {
 				// Reach into the internal commit path the way a corrupted
 				// token protocol would: a commit attempt with no token held.
-				root.(*Thread).commitAndUpdate(false)
+				root.(*Thread).commitAndUpdate()
 			},
 		},
 		{
@@ -214,7 +214,7 @@ func TestRuntimeErrorCountsPendingCommits(t *testing.T) {
 	runMisuse(t, func(root api.T) {
 		api.PutU64(root, 0, 42)   // one dirty page, uncommitted
 		api.PutU64(root, 4096, 7) // a second page
-		re := catchRuntimeError(func() { root.(*Thread).commitAndUpdate(false) })
+		re := catchRuntimeError(func() { root.(*Thread).commitAndUpdate() })
 		if re == nil {
 			t.Error("commit-without-token did not surface a RuntimeError")
 			return

@@ -221,6 +221,10 @@ func (t *Thread) BarrierWait(bx api.Barrier) {
 	if !t.holding {
 		t.acquireToken()
 		t.mimdAdapt()
+	} else {
+		// Held through a coarsened chunk: close its program code, which
+		// the commit below does not.
+		t.account(obs.PhaseCompute)
 	}
 	if t.coarse.active {
 		t.mark(obs.MarkCoarsenEnd, int64(t.coarse.ops))
@@ -233,7 +237,7 @@ func (t *Thread) BarrierWait(bx api.Barrier) {
 		// Serial barrier: the whole commit (ordering + merge) happens
 		// under the token, arrival by arrival. A lone party has no other
 		// arrival to overlap its merge with.
-		t.commitAndUpdate(false)
+		t.commitAndUpdate()
 		t.rt.hooks.OnRelease(t.Tid(), bar.id)
 		if !last {
 			t.leaveToken(&bar.waiting)
@@ -243,7 +247,7 @@ func (t *Thread) BarrierWait(bx api.Barrier) {
 		t.barrierRelease(bar)
 		return
 	}
-	pc := t.publish(false)
+	pc := t.publish()
 	t.rt.hooks.OnRelease(t.Tid(), bar.id) // entry edge: after the commit
 	if !last {
 		t.leaveToken(&bar.waiting)

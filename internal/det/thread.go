@@ -215,7 +215,6 @@ func (t *Thread) advance(n int64) {
 			budget := t.coarse.startIcount + t.coarse.maxChunk - t.icount
 			if budget <= 0 {
 				overBudget = true
-				budget = 0
 			} else if budget < step {
 				step = budget
 				overBudget = true
@@ -246,8 +245,10 @@ func (t *Thread) advance(n int64) {
 			rem -= step
 		}
 		if overBudget && t.holding && t.coarse.active {
-			// End the coarsened chunk mid-stream: publish and hand the
-			// token back.
+			// End the coarsened chunk mid-stream: close the program code
+			// run since the last boundary, publish and hand the token
+			// back.
+			t.account(obs.PhaseCompute)
 			t.endChunk()
 		}
 	}
@@ -287,7 +288,6 @@ func (t *Thread) Read(buf []byte, off int) {
 func (t *Thread) Write(data []byte, off int) {
 	t.ws.Write(data, off)
 	if f := t.ws.TakeFaults(); f > 0 {
-		t.chargeModeled(obs.PhaseCompute, 0)
 		t.chargeModeled(obs.PhaseFault, f*t.rt.cfg.Model.PageFault+t.faultDelay(f))
 	}
 	t.advance(api.MemInstr(len(data)))
@@ -317,8 +317,8 @@ func (t *Thread) serialCommitCost(st mem.CommitStats) int64 {
 }
 
 // chargeCommitSerial charges the commit's serial-phase cost — plus the
-// chaos profile's injected commit slowdown — and feeds the live
-// mem_commit_serial_ns metric.
+// chaos profile's injected commit slowdown — and adds it to
+// commitSerialNS, which Runtime.Metrics reads after the run.
 func (t *Thread) chargeCommitSerial(st mem.CommitStats) {
 	ns := t.serialCommitCost(st) + t.chaosT.Delay(chaos.Commit)
 	t.charge(obs.PhaseCommit, ns)
@@ -423,31 +423,21 @@ func (t *Thread) takeToken(woken bool) {
 // grant's shard clock (every shard clock for a cross-shard edge); mirror
 // the increment. The same critical section publishes the op's scope
 // frontier — which a grant-time wake anchors against — before it
-// evaluates the next grant.
+// evaluates the next grant. The frontier is read only on a timed host
+// (Runtime.deliverFrom, takeToken), whose Ledger.Stamp reads the clock;
+// on the real host the release reuses the last boundary's reading.
 func (t *Thread) releaseTokenRaw() {
 	t.publishPending()
-	t.releaseAt(t.B.Now())
-}
-
-// releaseAt is releaseTokenRaw after its publishPending, with the host
-// time now as the release's instant.
-func (t *Thread) releaseAt(now int64) {
 	t.holding = false
 	t.icount++
-	t.deliver(t.rt.arb.ReleaseAt(t.Tid(), t.curShard, now))
+	t.deliver(t.rt.arb.ReleaseAt(t.Tid(), t.curShard, t.Stamp()))
 }
 
 // endChunk ends a token hold at a chunk boundary: it commits a coarsened
-// chunk's deferred writes, if one is open, and releases. A release that
-// directly follows that commit's merge is stamped with the merge's
-// reading (Ledger.Stamp).
+// chunk's deferred writes, if one is open, and releases.
 func (t *Thread) endChunk() {
-	if !t.uncoarsen() {
-		t.releaseTokenRaw()
-		return
-	}
-	t.publishPending()
-	t.releaseAt(t.Stamp())
+	t.uncoarsen()
+	t.releaseTokenRaw()
 }
 
 // resyncClock refreshes the local clock mirror after a wake or a take:
@@ -480,7 +470,7 @@ func (t *Thread) sleepForToken(q *[]int, phase int32, reason host.BlockReason) {
 	t.park(phase, reason)
 	t.takeToken(true)
 	// Acquire semantics: import everything committed while we slept.
-	t.commitAndUpdate(true)
+	t.commitAndUpdate()
 }
 
 // tokenBegin enters the global coordination phase: acquire the token (if
@@ -501,7 +491,7 @@ func (t *Thread) tokenBegin() {
 	}
 	t.acquireToken()
 	t.mimdAdapt()
-	t.commitAndUpdate(true)
+	t.commitAndUpdate()
 }
 
 // tokenEnd leaves the coordination phase: either keep holding the token
@@ -519,17 +509,16 @@ func (t *Thread) tokenEnd(kind coarsenKind, nextEstimate int64) {
 }
 
 // uncoarsen force-ends a coarsened chunk while still holding the token,
-// publishing deferred writes, and reports whether a chunk was open.
-// Operations that terminate coarsening (cond, join, spawn, exit) call it
-// on entry; tokenEnd and advance end a chunk through it (endChunk).
-func (t *Thread) uncoarsen() bool {
+// publishing deferred writes; a no-op outside a chunk. Operations that
+// terminate coarsening (cond, join, spawn, exit) call it on entry;
+// tokenEnd and advance end a chunk through it (endChunk).
+func (t *Thread) uncoarsen() {
 	if !t.coarse.active {
-		return false
+		return
 	}
 	t.mark(obs.MarkCoarsenEnd, int64(t.coarse.ops))
 	t.coarse.active = false
-	t.commitAndUpdate(false)
-	return true
+	t.commitAndUpdate()
 }
 
 // publish runs a commit's token-held serial phase and returns the commit
@@ -538,18 +527,15 @@ func (t *Thread) uncoarsen() bool {
 // anywhere (§4.2), and each caller completes it in its own order:
 // commitAndUpdate under the token, the parallel barrier after releasing it.
 //
-// afterTake says the commit follows takeToken with nothing in between but
-// token-held bookkeeping: the take's boundary already closed the compute
-// interval this would close, so it is a zero modeled charge.
-func (t *Thread) publish(afterTake bool) mem.PendingCommit {
+// It closes no compute interval: every commit follows a boundary that
+// closed the program code before it (a take, a coarsened tokenBegin,
+// advance's over-budget chunk end, a coarsened barrier arrival), with
+// only token-held bookkeeping since, which the serial phase's charge
+// accounts as commit.
+func (t *Thread) publish() mem.PendingCommit {
 	if !t.holding {
 		panic(t.runtimeError("commit-without-token", "commit", 0,
 			"commit attempted without holding the global token"))
-	}
-	if afterTake {
-		t.chargeModeled(obs.PhaseCompute, 0)
-	} else {
-		t.account(obs.PhaseCompute)
 	}
 	pc := t.ws.BeginCommit()
 	t.chargeCommitSerial(pc.Stats())
@@ -572,9 +558,8 @@ func (t *Thread) chargeMerge(st mem.CommitStats) {
 // distinct commit and merge phases; api.RunStats folds both into CommitNS.
 // Only these commits advance the GC cadence (GCEveryNCommits), not the
 // parallel barrier's: Figure 12's retained pages are pinned on it.
-// afterTake is publish's.
-func (t *Thread) commitAndUpdate(afterTake bool) {
-	pc := t.publish(afterTake)
+func (t *Thread) commitAndUpdate() {
+	pc := t.publish()
 	pc.Complete()
 	t.chargeMerge(pc.Stats())
 	t.lastCommitCount = t.icount

@@ -12,8 +12,11 @@ import (
 
 // mallocsIn returns how many heap objects f allocates. Unlike
 // testing.AllocsPerRun it measures one call, so the caller can set a state
-// up between measurements without the set-up being counted.
+// up between measurements without the set-up being counted. The count is
+// process-wide, so like AllocsPerRun it runs f at GOMAXPROCS 1: another
+// goroutine's allocation would otherwise land in it.
 func mallocsIn(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	f()

@@ -40,7 +40,7 @@ go build ./...
 echo "== go test ./... (includes the determinism gate, internal/harness/gate_test.go, and — through cmd/cli_test.go — go vet + go test inside bench/, which has its own go.mod)"
 go test ./...
 
-echo "== kill table (every protocol site of det's sync.go and threads.go fails its named test when mutated)"
+echo "== kill table (every protocol site of det's sync.go, threads.go and thread.go fails its named test when mutated)"
 # ROADMAP "Every protocol site is proven necessary, or deleted": each entry
 # of scripts/mutants.txt mutates one site in a temporary copy of the tree
 # and runs only the test named as its killer, which must fail. A stale
@@ -84,11 +84,14 @@ go test -race -count=20 -run 'TestLentPagesNeverChange' ./internal/replica
 # a thread's life is accounted exactly once (TestRealHostTimeAddsUp); and
 # commit records are carved from an append-only slab, so a stream read
 # only after Close still sees every record as published
-# (TestLateStreamSeesEveryCommit). The baselines keep the same boundary
+# (TestLateStreamSeesEveryCommit). Host work the program does between sync
+# ops is compute at whichever boundary closes it: an acquire, a coarsened
+# op, an over-budget chunk end, a coarsened barrier arrival
+# (TestRealHostProgramCodeIsCompute). The baselines keep the same boundary
 # rule (host.Ledger.Model): pthreads, dthreads and rfdet-lrc stay within
 # their clock-read budgets and account each thread's whole life
 # (TestPthreadsClockReads).
-go test -race -count=20 -run 'TestRealHostTimeAddsUp|TestLateStreamSeesEveryCommit' ./internal/det
+go test -race -count=20 -run 'TestRealHostTimeAddsUp|TestRealHostProgramCodeIsCompute|TestLateStreamSeesEveryCommit' ./internal/det
 go test -race -count=5 -run TestPthreadsClockReads ./internal/harness
 
 echo "== go test -fuzz (the diff and patch kernels, 10 s each)"
