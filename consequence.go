@@ -106,9 +106,21 @@ func WithOrdering(ord Ordering) Option {
 	}
 }
 
-// WithCoarsening enables or disables adaptive chunk coarsening (§3.1).
+// WithCoarsening enables or disables chunk coarsening (§3.1). Off is
+// det.Config.StaticLevel 1, one coordination phase per chunk; on restores
+// the adaptive policy, unless WithDetConfig set a static level of 2 or
+// more. Both set the one field StaticLevel, so of this option and a
+// WithDetConfig that sets StaticLevel, the one applied last wins: off
+// followed by a static level of 4 fuses four phases.
 func WithCoarsening(on bool) Option {
-	return func(o *options) { o.cfg.Coarsening = on }
+	return func(o *options) {
+		switch {
+		case !on:
+			o.cfg.StaticLevel = 1
+		case o.cfg.StaticLevel == 1:
+			o.cfg.StaticLevel = 0
+		}
+	}
 }
 
 // WithThreadPool enables or disables thread reuse for fork-join programs

@@ -183,3 +183,61 @@ func TestPublicAPIDetConfigEscapeHatch(t *testing.T) {
 		t.Fatal("static coarsening config not applied")
 	}
 }
+
+// TestPublicAPIWithCoarsening: WithCoarsening(false) runs one coordination
+// phase per chunk, so nothing is coarsened, and a race-free program's
+// memory is the same either way. Switched back on after being switched
+// off, the adaptive policy is restored; a static level WithDetConfig set
+// stays. The option and WithDetConfig's StaticLevel are one field, so the
+// last applied wins: off, then static 4, is static 4.
+func TestPublicAPIWithCoarsening(t *testing.T) {
+	prog := func(root consequence.T) {
+		m := root.NewMutex()
+		h := root.Spawn(func(w consequence.T) {
+			for j := 0; j < 100; j++ {
+				w.Lock(m)
+				w.Compute(50)
+				consequence.AddU64(w, 0, 1)
+				w.Unlock(m)
+				w.Compute(50)
+			}
+		})
+		for j := 0; j < 10; j++ {
+			root.Compute(20_000)
+			root.Lock(m)
+			consequence.AddU64(root, 8, 1)
+			root.Unlock(m)
+		}
+		root.Join(h)
+	}
+	static4 := consequence.WithDetConfig(func(c *det.Config) { c.StaticLevel = 4 })
+	run := func(opts ...consequence.Option) (sum uint64, coarsened int64) {
+		t.Helper()
+		rt, err := consequence.New(append([]consequence.Option{consequence.WithSegmentSize(1 << 20), consequence.WithSimulatedTime()}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Run(prog); err != nil {
+			t.Fatal(err)
+		}
+		return rt.Checksum(), rt.Stats().CoarsenedOps
+	}
+	onSum, on := run(consequence.WithCoarsening(true))
+	offSum, off := run(consequence.WithCoarsening(false))
+	_, restored := run(consequence.WithCoarsening(false), consequence.WithCoarsening(true))
+	_, static := run(static4)
+	_, kept := run(static4, consequence.WithCoarsening(true))
+	_, overridden := run(consequence.WithCoarsening(false), static4)
+	if on == 0 || off != 0 {
+		t.Errorf("coarsened ops: %d with coarsening on, %d off; want some, then none", on, off)
+	}
+	if offSum != onSum {
+		t.Errorf("checksum %x with coarsening off, %x on", offSum, onSum)
+	}
+	if restored != on || kept != static || static == on {
+		t.Errorf("coarsened ops: off then on %d, want adaptive's %d; static 4 then on %d, want static 4's %d", restored, on, kept, static)
+	}
+	if overridden != static {
+		t.Errorf("coarsened ops: off then static 4 %d, want static 4's %d", overridden, static)
+	}
+}

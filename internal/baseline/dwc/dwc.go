@@ -30,7 +30,7 @@ func New(cfg Config, h host.Host) (api.Runtime, error) {
 	d := det.Default()
 	d.Policy = clock.PolicyRR
 	d.FastForward = false
-	d.Coarsening = false
+	d.StaticLevel = 1
 	d.AdaptiveOverflow = false
 	d.UserspaceClockRead = false
 	d.ThreadPool = false

@@ -5,27 +5,14 @@ package det
 // trading the fixed costs of coordination against serializing other
 // threads' sync ops. The runtime estimates the next chunk's length with
 // exponentially weighted moving averages (one per lock for lock
-// operations, one per thread for unlock operations) and coarsens only
-// while the estimated total stays under a per-thread maximum chunk length
-// adapted by an MIMD policy (see Thread.mimdAdapt). All inputs are
-// deterministic (instruction counts and token order), so coarsening
-// decisions are too.
-
-// coarsenKind classifies a sync op's eligibility for continuing a
-// coarsened chunk.
-type coarsenKind int
-
-const (
-	// coarsenNever: operations that terminate coarsening (cond, barrier,
-	// spawn, join, exit — per §3.1 rule (b), extended to thread events).
-	coarsenNever coarsenKind = iota
-	// coarsenLock: a lock acquisition; the next chunk is the critical
-	// section, estimated by the lock's own EWMA.
-	coarsenLock
-	// coarsenUnlock: a lock release; the next chunk runs to the thread's
-	// next sync op, estimated by the thread-local EWMA.
-	coarsenUnlock
-)
+// operations, one per (thread, mutex) for unlock operations) and
+// coarsens only while the estimated total stays under a per-thread
+// maximum chunk length adapted by an MIMD policy (see Thread.mimdAdapt).
+// All inputs are deterministic (instruction counts and token order), so
+// coarsening decisions are too. Only a lock and an unlock can continue a
+// chunk (tokenEnd); the ops that end one — cond, barrier, spawn, join,
+// exit, a forced commit (§3.1 rule (b), extended to thread events) — call
+// endChunk instead.
 
 const (
 	// maxChunkInit/Floor/Cap bound the MIMD adaptation of the maximum
@@ -49,49 +36,77 @@ type coarsenState struct {
 	maxChunk    int64
 }
 
-// maybeCoarsen decides, at the end of a token-held operation, whether to
-// keep holding the token through the next chunk. Returns true to coarsen
-// (caller skips commit and release).
-func (t *Thread) maybeCoarsen(kind coarsenKind, nextEstimate int64) bool {
-	cfg := &t.rt.cfg
-	if !cfg.Coarsening || kind == coarsenNever {
+// maybeCoarsen decides, at the end of a token-held lock or unlock,
+// whether to keep holding the token through the next chunk, whose length
+// nextEstimate predicts. Returns true to coarsen (caller skips commit and
+// release). StaticLevel 1 never coarsens; a static level L >= 2 fuses
+// exactly L coordination phases; 0 is the adaptive policy.
+func (t *Thread) maybeCoarsen(nextEstimate int64) bool {
+	level := t.rt.cfg.StaticLevel
+	if level == 1 {
 		return false
 	}
 	c := &t.coarse
-	if cfg.StaticLevel >= 2 {
-		// Static level L: fuse exactly L coordination phases.
-		if !c.active {
-			c.active = true
-			c.ops = 1
-			c.startIcount = t.icount
-			return true
+	if level == 0 {
+		// Adaptive: continue only if (a) the estimated next chunk is small
+		// enough that serializing it costs no more than the coordination it
+		// saves, and (b) the chunk so far plus the estimate fits the MIMD
+		// budget. No history means no estimate — be conservative and end
+		// the chunk.
+		if nextEstimate < 0 || nextEstimate > coarsenChunkThreshold {
+			return false
 		}
-		c.ops++
-		return c.ops < cfg.StaticLevel
-	}
-	// Adaptive: continue only if (a) the estimated next chunk is small
-	// enough that serializing it costs no more than the coordination it
-	// saves, and (b) the chunk so far plus the estimate fits the MIMD
-	// budget. No history means no estimate — be conservative and end the
-	// chunk.
-	if nextEstimate < 0 || nextEstimate > coarsenChunkThreshold {
-		return false
-	}
-	var soFar int64
-	if c.active {
-		soFar = t.icount - c.startIcount
-	}
-	if soFar+nextEstimate > c.maxChunk {
-		return false
+		var soFar int64
+		if c.active {
+			soFar = t.icount - c.startIcount
+		}
+		if soFar+nextEstimate > c.maxChunk {
+			return false
+		}
 	}
 	if !c.active {
 		c.active = true
 		c.ops = 1
 		c.startIcount = t.icount
-	} else {
-		c.ops++
+		return true
 	}
-	return true
+	c.ops++
+	return level == 0 || c.ops < level
+}
+
+// unlockEstimator returns this thread's post-unlock chunk estimator for
+// the given mutex.
+func (t *Thread) unlockEstimator(mutexID uint64) *ewma {
+	if t.unlockEWMA == nil {
+		t.unlockEWMA = make(map[uint64]*ewma)
+	}
+	e, ok := t.unlockEWMA[mutexID]
+	if !ok {
+		e = &ewma{}
+		t.unlockEWMA[mutexID] = e
+	}
+	return e
+}
+
+// mimdAdapt implements the multiplicative-increase, multiplicative-decrease
+// max-chunk policy (§3.1): consecutive coordination entries by the same
+// thread double its budget; interleaved entries halve it. Token-held.
+// Only the adaptive policy reads the budget (StaticLevel 0), so under a
+// static level what it adapts is never read.
+func (t *Thread) mimdAdapt() {
+	c := &t.coarse
+	if t.rt.lastCoordTid == t.Tid() {
+		c.maxChunk *= 2
+		if c.maxChunk > maxChunkCap {
+			c.maxChunk = maxChunkCap
+		}
+	} else {
+		c.maxChunk /= 2
+		if c.maxChunk < maxChunkFloor {
+			c.maxChunk = maxChunkFloor
+		}
+	}
+	t.rt.lastCoordTid = t.Tid()
 }
 
 // ewma is an exponentially weighted moving average of chunk lengths.

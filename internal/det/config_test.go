@@ -14,8 +14,7 @@ import (
 var configNeeds = map[string]string{
 	"Policy":             "Figures 10-12: consequence-rr and dwc beside consequence-ic",
 	"FastForward":        "Figure 13's fast-forward ablation; dwc",
-	"Coarsening":         "Figure 13's adaptive-coarsening ablation; Figure 14's adaptive column",
-	"StaticLevel":        "Figure 14's static coarsening levels",
+	"StaticLevel":        "Figure 13's adaptive-coarsening ablation (1); Figure 14's static levels and adaptive column (0)",
 	"AdaptiveOverflow":   "Figure 13's adaptive-overflow ablation; dwc",
 	"UserspaceClockRead": "Figure 13's userspace-reads ablation; dwc",
 	"ThreadPool":         "Figure 13's thread-reuse ablation; dwc",

@@ -49,11 +49,10 @@ type Config struct {
 	// token releaser's clock.
 	FastForward bool
 
-	// Coarsening enables §3.1 chunk coarsening. With StaticLevel == 0 the
-	// adaptive policy is used (per-lock and per-thread EWMA chunk
-	// estimates bounded by an MIMD-adapted max chunk length); with
-	// StaticLevel >= 2, exactly that many coordination phases are fused.
-	Coarsening  bool
+	// StaticLevel is §3.1 chunk coarsening's one setting. 0 (Default) is
+	// the adaptive policy: per-lock and per-thread EWMA chunk estimates
+	// bounded by an MIMD-adapted max chunk length. 1 is one coordination
+	// phase per chunk: coarsening off. L >= 2 fuses exactly L phases.
 	StaticLevel int
 
 	// AdaptiveOverflow enables §3.2; off, the counter overflows every
@@ -175,7 +174,6 @@ func Default() Config {
 	return Config{
 		Policy:             clock.PolicyIC,
 		FastForward:        true,
-		Coarsening:         true,
 		AdaptiveOverflow:   true,
 		UserspaceClockRead: true,
 		ThreadPool:         true,
@@ -297,8 +295,8 @@ func New(cfg Config, h host.Host) (*Runtime, error) {
 	if cfg.SegmentSize <= 0 {
 		return nil, fmt.Errorf("det: segment size must be positive")
 	}
-	if cfg.StaticLevel < 0 || cfg.Coarsening && cfg.StaticLevel == 1 {
-		return nil, fmt.Errorf("det: static coarsening level %d is meaningless (use 0 for adaptive or >= 2)", cfg.StaticLevel)
+	if cfg.StaticLevel < 0 {
+		return nil, fmt.Errorf("det: negative static coarsening level %d (0 is adaptive, 1 off, L >= 2 fuses L phases)", cfg.StaticLevel)
 	}
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("det: negative shard count %d", cfg.Shards)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/det"
 	"repro/internal/host/realhost"
 	"repro/internal/host/simhost"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -90,7 +91,7 @@ func TestSingleGlobalLockAliasing(t *testing.T) {
 	// Two distinct mutexes must exclude each other under SingleGlobalLock.
 	c := cfg()
 	c.SingleGlobalLock = true
-	c.Coarsening = false
+	c.StaticLevel = 1
 	_, _, rt := run(t, c, simhost.New(costmodel.Default()), func(root api.T) {
 		m1 := root.NewMutex()
 		m2 := root.NewMutex()
@@ -164,7 +165,7 @@ func TestDeadlockReportedOnSim(t *testing.T) {
 	// Classic AB/BA deadlock: the simulated host must report it rather
 	// than hang.
 	c := cfg()
-	c.Coarsening = false
+	c.StaticLevel = 1
 	rt, _ := det.New(c, simhost.New(costmodel.Default()))
 	err := rt.Run(func(root api.T) {
 		a, b := root.NewMutex(), root.NewMutex()
@@ -244,11 +245,32 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := det.New(c, simhost.New(costmodel.Default())); err == nil {
 		t.Error("zero segment accepted")
 	}
-	for _, lvl := range []int{1, -1} {
-		c = cfg()
-		c.StaticLevel = lvl
-		if _, err := det.New(c, simhost.New(costmodel.Default())); err == nil {
-			t.Errorf("static level %d accepted", lvl)
+	c = cfg()
+	c.StaticLevel = -1
+	if _, err := det.New(c, simhost.New(costmodel.Default())); err == nil {
+		t.Error("static level -1 accepted")
+	}
+	// Level 1 is one coordination phase per chunk: coarsening off. The
+	// lock pairs below are what adaptive coarsening fuses.
+	c = cfg()
+	c.StaticLevel = 1
+	rt, err := det.New(c, simhost.New(costmodel.Default()))
+	if err != nil {
+		t.Fatalf("static level 1 refused: %v", err)
+	}
+	o := obs.New()
+	rt.SetObserver(o)
+	if err := rt.Run(counterProg(2, 50)); err != nil {
+		t.Fatal(err)
+	}
+	if n := rt.Stats().CoarsenedOps; n != 0 {
+		t.Errorf("static level 1 coarsened %d ops, want none", n)
+	}
+	for _, l := range o.Lanes() {
+		for _, e := range l.Events() {
+			if e.Phase == obs.MarkCoarsenBegin {
+				t.Fatalf("static level 1 opened a coarsened chunk on t%d", l.Tid())
+			}
 		}
 	}
 }

@@ -152,7 +152,7 @@ func TestDeterminismAcrossRunsAndHosts(t *testing.T) {
 func TestRRPolicyDeterministic(t *testing.T) {
 	c := cfg()
 	c.Policy = clock.PolicyRR
-	c.Coarsening = false
+	c.StaticLevel = 1
 	sum1, rec1, _ := run(t, c, simhost.New(costmodel.Default()), counterProg(3, 10))
 	sum2, rec2, _ := run(t, c, realhost.New(200*time.Microsecond, 7), counterProg(3, 10))
 	if sum1 != sum2 {
@@ -344,7 +344,7 @@ func TestCoarseningPreservesResults(t *testing.T) {
 		name string
 		mod  func(*det.Config)
 	}{
-		{"off", func(c *det.Config) { c.Coarsening = false }},
+		{"off", func(c *det.Config) { c.StaticLevel = 1 }},
 		{"adaptive", func(c *det.Config) {}},
 		{"static4", func(c *det.Config) { c.StaticLevel = 4 }},
 	} {
@@ -391,7 +391,8 @@ func TestCoarseningActuallyCoarsens(t *testing.T) {
 
 // TestChunkEndCommitDiffsUnderToken pins what a coarsened chunk commits:
 // the token never left the thread, and the chunk-end commit publishes the
-// chunk's one page, once per chunk.
+// chunk's one page, once per chunk. Each chunk is marked once at its
+// beginning and once at its end, which counts the four ops it fused.
 func TestChunkEndCommitDiffsUnderToken(t *testing.T) {
 	const chunks = 3
 	prog := func(t api.T) {
@@ -415,7 +416,7 @@ func TestChunkEndCommitDiffsUnderToken(t *testing.T) {
 	if err := rt.Run(prog); err != nil {
 		t.Fatal(err)
 	}
-	var commits, chunkEnds int
+	var commits, chunkBegins, chunkEnds int
 	for _, l := range o.Lanes() {
 		for _, e := range l.Events() {
 			switch {
@@ -424,13 +425,18 @@ func TestChunkEndCommitDiffsUnderToken(t *testing.T) {
 				if e.Arg != 1 {
 					t.Errorf("commit of %d pages, want one page per chunk", e.Arg)
 				}
+			case e.Phase == obs.MarkCoarsenBegin:
+				chunkBegins++
 			case e.Phase == obs.MarkCoarsenEnd:
 				chunkEnds++
+				if e.Arg != 4 {
+					t.Errorf("chunk end after %d ops, want the 4 StaticLevel fuses", e.Arg)
+				}
 			}
 		}
 	}
-	if commits != chunks || chunkEnds != chunks {
-		t.Fatalf("%d non-empty commits and %d chunk ends, want %d of each", commits, chunkEnds, chunks)
+	if commits != chunks || chunkBegins != chunks || chunkEnds != chunks {
+		t.Fatalf("%d non-empty commits, %d chunk beginnings and %d chunk ends, want %d of each", commits, chunkBegins, chunkEnds, chunks)
 	}
 }
 

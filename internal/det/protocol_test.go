@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/api"
 	"repro/internal/costmodel"
@@ -61,11 +62,25 @@ func simRuntime(t *testing.T, c Config, h Hooks) *Runtime {
 	return rt
 }
 
-// runOn runs prog on rt and fails the test on an error.
+// runDeadline bounds a test run, which takes milliseconds, so a run that
+// spins (a lost grant, a chunk that never ends) fails in seconds instead
+// of at go test's timeout.
+const runDeadline = 10 * time.Second
+
+// runOn runs prog on rt and fails the test on an error. A run that has not
+// finished by runDeadline cannot be stopped, so runOn panics with the
+// runtime's state, which ends the test binary with it.
 func runOn(t *testing.T, rt *Runtime, prog func(api.T)) {
 	t.Helper()
-	if err := rt.Run(prog); err != nil {
-		t.Fatalf("run: %v", err)
+	done := make(chan error, 1)
+	go func() { done <- rt.Run(prog) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+	case <-time.After(runDeadline):
+		panic(fmt.Sprintf("%s: the run has not finished after %v:\n%s", t.Name(), runDeadline, rt.DumpState()))
 	}
 }
 
@@ -95,7 +110,7 @@ func TestHooksSeeEveryEdge(t *testing.T) {
 	}{
 		{"default", func(*Config) {}},
 		{"serial-barrier", func(c *Config) { c.ParallelBarrier = false }},
-		{"no-coarsening", func(c *Config) { c.Coarsening = false }},
+		{"no-coarsening", func(c *Config) { c.StaticLevel = 1 }},
 		{"static-coarsening", func(c *Config) { c.StaticLevel = 4 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -550,7 +565,7 @@ func arbiterClock(t *testing.T, rt *Runtime, tid int) int64 {
 // the distance to the next waiter from.
 func TestClockMirrorAfterBarrier(t *testing.T) {
 	c := Default()
-	c.Coarsening = false
+	c.StaticLevel = 1
 	rt := simRuntime(t, c, nil)
 	check := func(tt api.T, where string) {
 		th := tt.(*Thread)

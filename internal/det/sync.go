@@ -92,7 +92,7 @@ func (t *Thread) Lock(mx api.Mutex) {
 		// in-chunk branch and pays one more clock read (Wait's retry does
 		// not — the time model of both is pinned).
 	}
-	t.tokenEnd(coarsenLock, m.csEWMA.estimate())
+	t.tokenEnd(m.csEWMA.estimate())
 }
 
 // takeMutex acquires m for the token holder and reports true. While
@@ -122,7 +122,7 @@ func (t *Thread) Unlock(mx api.Mutex) {
 	t.syncOpStart(siteID(siteUnlock, m.id))
 	t.tokenBegin()
 	t.unlockLocked(m, trace.OpUnlock)
-	t.tokenEnd(coarsenUnlock, t.unlockEstimator(m.id).estimate())
+	t.tokenEnd(t.unlockEstimator(m.id).estimate())
 	t.prevUnlockID = m.id
 }
 
@@ -163,7 +163,7 @@ func (t *Thread) Wait(cx api.Cond, mx api.Mutex) {
 	// after every sleep on the mutex.
 	for !t.takeMutex(m) {
 	}
-	t.tokenEnd(coarsenNever, 0)
+	t.endChunk()
 }
 
 // Signal implements api.T: wake (re-arm) the longest-waiting thread.
@@ -177,7 +177,7 @@ func (t *Thread) Signal(cx api.Cond) {
 	if len(c.waiters) > 0 {
 		t.rt.arb.ArriveWanting(popFront(&c.waiters))
 	}
-	t.tokenEnd(coarsenNever, 0)
+	t.endChunk()
 }
 
 // Broadcast implements api.T: wake all waiters.
@@ -192,7 +192,7 @@ func (t *Thread) Broadcast(cx api.Cond) {
 		t.rt.arb.ArriveWanting(w)
 	}
 	c.waiters = c.waiters[:0]
-	t.tokenEnd(coarsenNever, 0)
+	t.endChunk()
 }
 
 // popFront removes and returns the head of a FIFO waiter queue. It copies

@@ -212,10 +212,9 @@ func (t *Thread) advance(n int64) {
 		// and deterministic).
 		overBudget := false
 		if t.holding && t.coarse.active && t.rt.cfg.StaticLevel == 0 {
-			budget := t.coarse.startIcount + t.coarse.maxChunk - t.icount
-			if budget <= 0 {
-				overBudget = true
-			} else if budget < step {
+			// A spent budget leaves step non-positive: nothing runs, and
+			// the chunk ends before the request does.
+			if budget := t.coarse.startIcount + t.coarse.maxChunk - t.icount; budget < step {
 				step = budget
 				overBudget = true
 			}
@@ -273,7 +272,7 @@ func (t *Thread) maybeForceCommit() {
 	// global publication, i.e. a cross-shard edge.
 	t.curShard = clock.GlobalScope
 	t.tokenBegin()
-	t.tokenEnd(coarsenNever, 0)
+	t.endChunk()
 }
 
 // Read implements api.T.
@@ -494,11 +493,13 @@ func (t *Thread) tokenBegin() {
 	t.commitAndUpdate()
 }
 
-// tokenEnd leaves the coordination phase: either keep holding the token
-// (coarsening) or commit any deferred writes and release.
-func (t *Thread) tokenEnd(kind coarsenKind, nextEstimate int64) {
+// tokenEnd leaves a lock's or an unlock's coordination phase: either
+// keep holding the token through the next chunk, whose length
+// nextEstimate predicts (coarsening), or commit any deferred writes and
+// release.
+func (t *Thread) tokenEnd(nextEstimate int64) {
 	wasCoarse := t.coarse.active
-	if t.maybeCoarsen(kind, nextEstimate) {
+	if t.maybeCoarsen(nextEstimate) {
 		t.coarsenedOps++
 		if !wasCoarse {
 			t.mark(obs.MarkCoarsenBegin, nextEstimate)
@@ -686,43 +687,6 @@ func (t *Thread) syncOpStart(site uint64) {
 	t.lastSyncIcount = t.icount
 	t.diagClock.Store(t.icount)
 	t.SyncOps++
-}
-
-// unlockEstimator returns this thread's post-unlock chunk estimator for
-// the given mutex.
-func (t *Thread) unlockEstimator(mutexID uint64) *ewma {
-	if t.unlockEWMA == nil {
-		t.unlockEWMA = make(map[uint64]*ewma)
-	}
-	e, ok := t.unlockEWMA[mutexID]
-	if !ok {
-		e = &ewma{}
-		t.unlockEWMA[mutexID] = e
-	}
-	return e
-}
-
-// mimdAdapt implements the multiplicative-increase, multiplicative-decrease
-// max-chunk policy (§3.1): consecutive coordination entries by the same
-// thread double its budget; interleaved entries halve it. Token-held.
-func (t *Thread) mimdAdapt() {
-	cfg := &t.rt.cfg
-	if !cfg.Coarsening || cfg.StaticLevel >= 2 {
-		return
-	}
-	c := &t.coarse
-	if t.rt.lastCoordTid == t.Tid() {
-		c.maxChunk *= 2
-		if c.maxChunk > maxChunkCap {
-			c.maxChunk = maxChunkCap
-		}
-	} else {
-		c.maxChunk /= 2
-		if c.maxChunk < maxChunkFloor {
-			c.maxChunk = maxChunkFloor
-		}
-	}
-	t.rt.lastCoordTid = t.Tid()
 }
 
 var _ api.T = (*Thread)(nil)

@@ -2,7 +2,6 @@ package det
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/api"
 	"repro/internal/host/realhost"
@@ -39,9 +38,11 @@ func coarsenOn(t *testing.T, root api.T, m api.Mutex) {
 // "next chunk is very long" hazard). An adaptive chunk ends exactly at its
 // budget, the MIMD maximum chunk, even where the step that crosses it is
 // split at overflow boundaries on the way; a chunk whose budget a step
-// spent exactly ends at the next advance; and a chunk StaticLevel fuses
-// has no budget. The root is the only thread, so every coordination entry
-// is its own and MIMD has doubled its maximum chunk to the cap.
+// spent exactly ends at the next advance, before that advance runs; and a
+// chunk StaticLevel fuses has no budget. The root is the only thread, so
+// every coordination entry is its own and MIMD has doubled its maximum
+// chunk to the cap. A spent budget that never ends its chunk spins advance
+// forever, which runOn's deadline ends.
 func TestCoarsenedChunkBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -89,8 +90,8 @@ func TestCoarsenedChunkBudget(t *testing.T) {
 						t.Errorf("chunk ended at clock %v, before its budget %d was spent", commits, end)
 					}
 					root.Compute(1000)
-					if len(commits) != 1 {
-						t.Errorf("the advance after the budget was spent committed at clocks %v, want once", commits)
+					if len(commits) != 1 || commits[0] != end {
+						t.Errorf("the advance after the budget was spent committed at clocks %v, want once at %d, before it ran", commits, end)
 					}
 				case "static":
 					root.Compute(3 * maxChunkCap)
@@ -116,7 +117,7 @@ func TestCoarsenedChunkBudget(t *testing.T) {
 func TestOverflowIntervalResetsPerChunk(t *testing.T) {
 	const chunks = 10
 	c := Default()
-	c.Coarsening = false
+	c.StaticLevel = 1
 	rt := simRuntime(t, c, nil)
 	var published int64
 	runOn(t, rt, func(root api.T) {
@@ -180,7 +181,7 @@ func TestJoinTakesTheExitsScope(t *testing.T) {
 // mutex acquire checks it, token-held.
 func TestClockMirrorAfterTake(t *testing.T) {
 	c := Default()
-	c.Coarsening = false
+	c.StaticLevel = 1
 	var rt *Runtime
 	var acquires, off int
 	rt = simRuntime(t, c, &hookFunc{acquire: func(tid int, obj uint64) {
@@ -243,42 +244,31 @@ func TestClockMirrorAfterTake(t *testing.T) {
 // thread, and the grant reaches it (deliver); a lost grant leaves the
 // holder asleep and every other thread waiting on it. Four threads
 // contend on a mutex between long computations; the run must finish
-// within 10 s, where it takes milliseconds.
+// within runOn's deadline, where it takes milliseconds.
 func TestRealHostDeliversEveryGrant(t *testing.T) {
 	rt, err := New(Default(), realhost.New(0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() {
-		done <- rt.Run(func(root api.T) {
-			m := root.NewMutex()
-			body := func(t api.T) {
-				for range 50 {
-					t.Compute(int64(10_000 * (1 + t.Tid())))
-					t.Lock(m)
-					api.PutU64(t, 0, api.U64(t, 0)+1)
-					t.Unlock(m)
-				}
+	runOn(t, rt, func(root api.T) {
+		m := root.NewMutex()
+		body := func(t api.T) {
+			for range 50 {
+				t.Compute(int64(10_000 * (1 + t.Tid())))
+				t.Lock(m)
+				api.PutU64(t, 0, api.U64(t, 0)+1)
+				t.Unlock(m)
 			}
-			var hs []api.Handle
-			for range 3 {
-				hs = append(hs, root.Spawn(body))
-			}
-			body(root)
-			for _, h := range hs {
-				root.Join(h)
-			}
-		})
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatalf("the run is stuck:\n%s", rt.DumpState())
-	}
+		var hs []api.Handle
+		for range 3 {
+			hs = append(hs, root.Spawn(body))
+		}
+		body(root)
+		for _, h := range hs {
+			root.Join(h)
+		}
+	})
 }
 
 // TestOpsBeginAfterTheirScopeReleased holds takeToken's frontier top-up,
@@ -291,7 +281,7 @@ func TestRealHostDeliversEveryGrant(t *testing.T) {
 func TestOpsBeginAfterTheirScopeReleased(t *testing.T) {
 	c := Default()
 	c.EnableScaleOut(4, 4)
-	c.Coarsening = false
+	c.StaticLevel = 1
 	var rt *Runtime
 	shardOf := map[uint64]int{}
 	last := map[int]int64{} // per shard: the latest hook time
@@ -477,7 +467,7 @@ func TestForcedCommitIsACrossShardEdge(t *testing.T) {
 func TestTokenCommitsMergeUnderTheToken(t *testing.T) {
 	c := Default()
 	c.GCEveryNCommits = 0 // versions stay in the chain for the check
-	c.Coarsening = false  // every Lock commits
+	c.StaticLevel = 1     // every Lock commits
 	var versions []*mem.Version
 	var pending int
 	check := func(_ int, obj uint64) {
@@ -535,7 +525,7 @@ func TestGCFollowsTheCommitCadence(t *testing.T) {
 	const every, commits = 16, 256
 	c := Default()
 	c.GCEveryNCommits = every
-	c.Coarsening = false
+	c.StaticLevel = 1
 	rt := simRuntime(t, c, nil)
 	runOn(t, rt, func(root api.T) {
 		cv := root.NewCond()

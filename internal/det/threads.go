@@ -124,7 +124,7 @@ func (t *Thread) Spawn(fn func(api.T)) api.Handle {
 			rt.threadMain(child, fn)
 		})
 	}
-	t.tokenEnd(coarsenNever, 0)
+	t.endChunk()
 	return child
 }
 
@@ -161,7 +161,7 @@ func (t *Thread) Join(h api.Handle) {
 		if child.done {
 			t.record(trace.OpJoin, uint64(child.Tid()))
 			t.rt.hooks.OnAcquire(t.Tid(), spawnObj(child.Tid()))
-			t.tokenEnd(coarsenNever, 0)
+			t.endChunk()
 			return
 		}
 		t.sleepForToken(&child.joiners, diagJoinWait, host.BlockReason{Label: "join t%d", ID: uint64(child.Tid())})

@@ -233,7 +233,7 @@ var allKinds = kinds(append([]Kind{KindPthreads}, DetKinds...)...)
 // disables it, after the full configuration they are measured against.
 var fig13Variants = []Variant{
 	{Name: "full"},
-	modify("adaptive-coarsening", func(c *det.Config) { c.Coarsening = false }),
+	modify("adaptive-coarsening", func(c *det.Config) { c.StaticLevel = 1 }),
 	modify("fast-forward", func(c *det.Config) { c.FastForward = false }),
 	modify("parallel-barrier", func(c *det.Config) { c.ParallelBarrier = false }),
 	modify("thread-reuse", func(c *det.Config) { c.ThreadPool = false }),
@@ -294,13 +294,8 @@ var Figures = []Figure{
 		Threads: at8,
 		Variants: append(modifies([]int{0, 2, 4, 8, 16, 32, 64, 128},
 			func(lvl int) string { return fmt.Sprintf("static=%d", lvl) },
-			func(c *det.Config, lvl int) {
-				if lvl == 0 {
-					c.Coarsening = false
-				} else {
-					c.StaticLevel = lvl
-				}
-			}), Variant{Name: "adaptive"}),
+			// static=0 is no coarsening: one phase per chunk, level 1.
+			func(c *det.Config, lvl int) { c.StaticLevel = max(lvl, 1) }), Variant{Name: "adaptive"}),
 		Row: each(benchOf, wallMS),
 	},
 	{

@@ -40,7 +40,7 @@ go build ./...
 echo "== go test ./... (includes the determinism gate, internal/harness/gate_test.go, and — through cmd/cli_test.go — go vet + go test inside bench/, which has its own go.mod)"
 go test ./...
 
-echo "== kill table (every protocol site of det's sync.go, threads.go and thread.go fails its named test when mutated)"
+echo "== kill table (every protocol site of det's sync.go, threads.go, thread.go and coarsen.go fails its named test when mutated)"
 # ROADMAP "Every protocol site is proven necessary, or deleted": each entry
 # of scripts/mutants.txt mutates one site in a temporary copy of the tree
 # and runs only the test named as its killer, which must fail. A stale

@@ -6,16 +6,20 @@
 //
 // Usage: mutate [-sweep] [-only REGEX] TABLE   (run from the module root)
 //
-// It copies the module once to a temporary directory. Per entry it applies
-// the mutant to the copy, runs `go test -run KILLER PKG` there, and writes
-// the file back byte for byte. The table fails on a surviving mutant, on a
-// mutant that does not compile, on a killer that fails or selects nothing
-// on the unmutated tree, and on a stale entry: one whose original lines do
-// not occur exactly once in its file.
+// It copies the module once to a temporary directory and builds each
+// package's test binary there once (`go test -c`), from which every
+// distinct killer must pass on the unmutated tree. Per entry it then
+// applies the mutant to the copy, builds the package's test binary there,
+// runs it with `-test.run KILLER`, and writes the file back byte for byte.
+// The table fails on a surviving mutant, on a mutant that does not
+// compile, on a killer that fails or selects nothing on the unmutated
+// tree, and on a stale entry: one whose original lines do not occur
+// exactly once in its file.
 //
 // -sweep is the manual search for killers: per entry it runs the whole
-// package instead of the killer and prints every top-level test that
-// fails. -only restricts either mode to the entries whose header matches.
+// package's binary instead of the killer and prints every top-level test
+// that fails. -only restricts either mode to the entries whose header
+// matches.
 //
 // Table format. '#' lines and blank lines are comments. An entry is a
 // header and a hunk:
@@ -240,23 +244,6 @@ func apply(src []byte, e entry) ([]byte, error) {
 
 func leading(s string) string { return s[:len(s)-len(strings.TrimLeft(s, " \t"))] }
 
-// goTest runs `go test -count=1` with args in dir and reports whether it
-// passed, with its output. A mutant that does not build is an error, not
-// a kill: it would fail every killer.
-func goTest(dir string, args ...string) (passed bool, out string, err error) {
-	cmd := exec.Command("go", append([]string{"test", "-count=1"}, args...)...)
-	cmd.Dir = dir
-	b, runErr := cmd.CombinedOutput()
-	out = string(b)
-	if strings.Contains(out, "[build failed]") || strings.Contains(out, "[setup failed]") {
-		return false, out, fmt.Errorf("does not build:\n%s", out)
-	}
-	if _, ok := runErr.(*exec.ExitError); runErr != nil && !ok {
-		return false, out, runErr
-	}
-	return runErr == nil, out, nil
-}
-
 // withMutant applies e in dir, calls fn, and restores the file byte for
 // byte, whatever fn returned.
 func withMutant(dir string, e entry, fn func() error) error {
@@ -282,11 +269,59 @@ func withMutant(dir string, e entry, fn func() error) error {
 	return runErr
 }
 
+// testBinary builds pkg's test binary from the tree in dir into bin (go
+// test -c), without debug information, as go test links the binaries it
+// runs. A package that does not build is an error, not a kill: a mutant
+// that does not build would fail every killer.
+func testBinary(dir, pkg, bin string) error {
+	cmd := exec.Command("go", "test", "-c", "-ldflags=-s -w", "-o", bin, pkg)
+	cmd.Dir = dir
+	if b, err := cmd.CombinedOutput(); err != nil {
+		return fmt.Errorf("does not build:\n%s", b)
+	}
+	return nil
+}
+
+// runBinary runs a test binary built by testBinary in its package's
+// directory under dir, as go test would, and reports whether it passed,
+// with its output.
+func runBinary(dir, pkg, bin string, args ...string) (passed bool, out string, err error) {
+	cmd := exec.Command(bin, args...)
+	cmd.Dir = filepath.Join(dir, pkg)
+	b, runErr := cmd.CombinedOutput()
+	if _, ok := runErr.(*exec.ExitError); runErr != nil && !ok {
+		return false, string(b), runErr
+	}
+	return runErr == nil, string(b), nil
+}
+
+// testMutant applies e in dir, builds its package's test binary into bin,
+// runs it with args, and restores the file.
+func testMutant(dir string, e entry, bin string, args ...string) (passed bool, out string, err error) {
+	err = withMutant(dir, e, func() error {
+		if err := testBinary(dir, e.pkg, bin); err != nil {
+			return err
+		}
+		passed, out, err = runBinary(dir, e.pkg, bin, args...)
+		return err
+	})
+	return passed, out, err
+}
+
 // check runs every entry's killer on the unmutated tree in dir, where each
 // must pass and select a test, and then on the entry's mutant, where it
-// must fail. It returns an error naming every entry that fell short.
+// must fail. It returns an error naming every entry that fell short. The
+// unmutated tree builds each package's test binary once and runs every
+// distinct killer from it; a mutant is one build of its package.
 func check(dir string, entries []entry, w io.Writer) error {
+	bins, err := os.MkdirTemp("", "mutate-bin-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(bins)
+	mutant := filepath.Join(bins, "mutant.test")
 	var bad []string
+	built := map[string]string{} // package -> its binary, "" if it did not build
 	seen := map[[2]string]bool{}
 	for _, e := range entries {
 		k := [2]string{e.pkg, e.run}
@@ -294,7 +329,19 @@ func check(dir string, entries []entry, w io.Writer) error {
 			continue
 		}
 		seen[k] = true
-		passed, out, err := goTest(dir, "-run", e.run, e.pkg)
+		bin, ok := built[e.pkg]
+		if !ok {
+			bin = filepath.Join(bins, fmt.Sprintf("%d.test", len(built)))
+			if err := testBinary(dir, e.pkg, bin); err != nil {
+				bad = append(bad, fmt.Sprintf("package %s: %v", e.pkg, err))
+				bin = ""
+			}
+			built[e.pkg] = bin
+		}
+		if bin == "" {
+			continue
+		}
+		passed, out, err := runBinary(dir, e.pkg, bin, "-test.timeout=120s", "-test.run", e.run)
 		switch {
 		case err != nil:
 			bad = append(bad, fmt.Sprintf("killer %s %s: %v", e.pkg, e.run, err))
@@ -308,13 +355,10 @@ func check(dir string, entries []entry, w io.Writer) error {
 		return fmt.Errorf("%s", strings.Join(bad, "\n"))
 	}
 	for _, e := range entries {
-		err := withMutant(dir, e, func() error {
-			passed, _, err := goTest(dir, "-timeout", "120s", "-run", e.run, e.pkg)
-			if err == nil && passed {
-				err = fmt.Errorf("survived %s", e.run)
-			}
-			return err
-		})
+		passed, _, err := testMutant(dir, e, mutant, "-test.timeout=120s", "-test.run", e.run)
+		if err == nil && passed {
+			err = fmt.Errorf("survived %s", e.run)
+		}
 		verdict := "killed"
 		if err != nil {
 			verdict = "FAILED"
@@ -329,8 +373,8 @@ func check(dir string, entries []entry, w io.Writer) error {
 	return nil
 }
 
-// failRE matches a failing top-level test in `go test -v` output, and
-// panicRE a panic that killed the test binary.
+// failRE matches a failing top-level test in a test binary's -test.v
+// output, and panicRE a panic that killed the binary.
 var (
 	failRE  = regexp.MustCompile(`(?m)^--- FAIL: (\S+)`)
 	panicRE = regexp.MustCompile(`(?m)^panic: .*`)
@@ -339,28 +383,29 @@ var (
 // sweepAll runs each entry's whole package on its mutant and prints the
 // top-level tests that fail: a starting point for picking a killer.
 func sweepAll(dir string, entries []entry, w io.Writer) error {
+	bins, err := os.MkdirTemp("", "mutate-bin-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(bins)
+	mutant := filepath.Join(bins, "mutant.test")
 	for _, e := range entries {
-		err := withMutant(dir, e, func() error {
-			passed, out, err := goTest(dir, "-v", "-timeout", "60s", e.pkg)
-			if err != nil {
-				return err
-			}
-			var failed []string
-			for _, m := range failRE.FindAllStringSubmatch(out, -1) {
-				failed = append(failed, m[1])
-			}
-			switch {
-			case passed:
-				fmt.Fprintf(w, "SURVIVED %v\n", e)
-			case failed == nil:
-				fmt.Fprintf(w, "KILLED   %v: %s\n", e, panicRE.FindString(out))
-			default:
-				fmt.Fprintf(w, "KILLED   %v: %s\n", e, strings.Join(failed, " "))
-			}
-			return nil
-		})
+		passed, out, err := testMutant(dir, e, mutant, "-test.v", "-test.timeout=60s")
 		if err != nil {
 			fmt.Fprintf(w, "ERROR    %v: %v\n", e, firstLine(err.Error()))
+			continue
+		}
+		var failed []string
+		for _, m := range failRE.FindAllStringSubmatch(out, -1) {
+			failed = append(failed, m[1])
+		}
+		switch {
+		case passed:
+			fmt.Fprintf(w, "SURVIVED %v\n", e)
+		case failed == nil:
+			fmt.Fprintf(w, "KILLED   %v: %s\n", e, panicRE.FindString(out))
+		default:
+			fmt.Fprintf(w, "KILLED   %v: %s\n", e, strings.Join(failed, " "))
 		}
 	}
 	return nil

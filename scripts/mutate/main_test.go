@@ -9,8 +9,8 @@ import (
 	"testing"
 )
 
-// fixture is a tiny module: two functions, each held by its own test, and
-// a line that occurs twice.
+// fixture is a tiny module: two functions, each held by its own test, a
+// third whose test fails, and a line that occurs twice.
 var fixture = map[string]string{
 	"go.mod": "module fixture\n\ngo 1.22\n",
 	"fix.go": `package fixture
@@ -43,6 +43,12 @@ func TestAdd(t *testing.T) {
 func TestTwice(t *testing.T) {
 	if Twice(2) != 4 {
 		t.Fatal("Twice")
+	}
+}
+
+func TestSame(t *testing.T) {
+	if Same(2) != 3 {
+		t.Fatal("Same")
 	}
 }
 `,
@@ -90,9 +96,10 @@ func TestRefusesStaleEntries(t *testing.T) {
 	}
 }
 
-// TestKillsAndSurvivors: a killed mutant passes, a surviving one and one
-// that does not build fail the table, and every entry leaves the source
-// byte-identical.
+// TestKillsAndSurvivors: a killed mutant passes; a surviving one, one
+// that does not build, and a killer that selects nothing or fails on the
+// unmutated tree (both run from the package's test binary) fail the
+// table; and every entry leaves the source byte-identical.
 func TestKillsAndSurvivors(t *testing.T) {
 	dir := writeFixture(t)
 	for _, tc := range []struct {
@@ -102,6 +109,7 @@ func TestKillsAndSurvivors(t *testing.T) {
 		{"survived", "@ fix.go . ^TestAdd$\n  func Twice(a int) int {\n  x := a\n- x += a\n", "survived ^TestAdd$"},
 		{"does-not-build", "@ fix.go . ^TestAdd$\n  func Twice(a int) int {\n- x := a\n", "does not build"},
 		{"killer-selects-nothing", "@ fix.go . ^TestNone$\n- return a + b\n+ return a - b\n", "selects no test"},
+		{"killer-fails-unmutated", "@ fix.go . ^TestSame$\n- return a + b\n+ return a - b\n", "fails on the unmutated tree"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := check(dir, mustParse(t, tc.table), io.Discard)
@@ -119,6 +127,30 @@ func TestKillsAndSurvivors(t *testing.T) {
 				t.Fatalf("fix.go changed:\n%s", got)
 			}
 		})
+	}
+}
+
+// TestSweepListsFailingTests: -sweep runs the mutant's whole package and
+// names the tests that fail, a survivor, and a mutant that does not build.
+// TestSame, which fails unmutated, is left out.
+func TestSweepListsFailingTests(t *testing.T) {
+	dir := writeFixture(t)
+	tests, _, _ := strings.Cut(fixture["fix_test.go"], "func TestSame")
+	if err := os.WriteFile(filepath.Join(dir, "fix_test.go"), []byte(tests), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	table := "@ fix.go . x\n- return a + b\n+ return a - b\n" +
+		"@ fix.go . x\n  func Twice(a int) int {\n  x := a\n- x += a\n+ x *= 2\n" +
+		"@ fix.go . x\n  func Twice(a int) int {\n- x := a\n"
+	var out strings.Builder
+	if err := sweepAll(dir, mustParse(t, table), &out); err != nil {
+		t.Fatal(err)
+	}
+	want := "KILLED   table line 1 (fix.go: return a + b): TestAdd\n" +
+		"SURVIVED table line 4 (fix.go: x += a)\n" +
+		"ERROR    table line 9 (fix.go: x := a): does not build:\n"
+	if out.String() != want {
+		t.Fatalf("sweep printed:\n%s\nwant:\n%s", out.String(), want)
 	}
 }
 
