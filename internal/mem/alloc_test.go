@@ -63,11 +63,12 @@ func TestEmptyCommitAllocatesNothing(t *testing.T) {
 }
 
 // TestOnePageCommitAllocations gates the other half: a full fault → write
-// → BeginCommit → Complete → GC cycle on one page allocates one object, the
-// one-byte diff's block with the version header in front of it (its slot
-// inline, its run and its byte behind), and nothing else — no
-// PendingCommit, no dirtyPage record, no slot slice, no version-list
-// regrowth.
+// → BeginCommit → Complete → GC cycle on one page allocates, amortized, at
+// most one object in 32: its one-byte diff's block, with the version
+// header in front of it (its slot inline, its run and its byte behind), is
+// carved from the segment's chunk, and a full chunk holds 58 such blocks.
+// Nothing else allocates — no PendingCommit, no dirtyPage record, no slot
+// slice, no version-list regrowth.
 func TestOnePageCommitAllocations(t *testing.T) {
 	s, err := NewSegment(SegmentConfig{Name: "gate", Size: 16 * DefaultPageSize})
 	if err != nil {
@@ -88,8 +89,13 @@ func TestOnePageCommitAllocations(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		cycle() // grow every scratch list and the version array to steady state
 	}
-	if n := testing.AllocsPerRun(100, cycle); n > 1 {
-		t.Errorf("one-page commit cycle made %.0f allocations, want at most 1 (the version with its packed diff)", n)
+	const cycles = 580 // ten full chunks' worth
+	if n := mallocsIn(func() {
+		for i := 0; i < cycles; i++ {
+			cycle()
+		}
+	}); n*32 > cycles {
+		t.Errorf("%d one-page commit cycles made %d allocations, want at most 1 in 32 (the chunks the versions are carved from)", cycles, n)
 	}
 	if got := s.RetainedVersions(); got != 0 {
 		t.Fatalf("%d versions retained after GC", got)
@@ -105,6 +111,13 @@ func TestOnePageCommitAllocations(t *testing.T) {
 // commit costs the bytes of its two former objects in one. A fault's
 // dirtyPage record, write window and diff included, is 88 bytes, in the
 // 96-byte class.
+//
+// The version blocks are carved from chunks, and every chunk length fills
+// its size class: the bytes the allocator charges for one chunk
+// (TotalAlloc) hold no further block. The 176-byte block's lengths 1, 2, 4
+// and 8 and the 208-byte one's 1 and 2 fill their classes exactly; the
+// rest leave less than a block (10 240-byte class: 58 × 176 = 10 208,
+// 49 × 208 = 10 192).
 func TestVersionLayout(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -122,15 +135,46 @@ func TestVersionLayout(t *testing.T) {
 			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)
 		}
 	}
+	checkChunkLengths[versionDiff1](t, "versionDiff1", []int{1, 2, 4, 8, 58, 58})
+	checkChunkLengths[versionDiff2](t, "versionDiff2", []int{1, 2, 4, 8, 49, 49})
+}
+
+// checkChunkLengths makes chunks one at a time and fails unless their
+// lengths are want and each one's bytes fill the size class the allocator
+// charges for it.
+func checkChunkLengths[T any](t *testing.T, name string, want []int) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	size := uint64(unsafe.Sizeof(*new(T)))
+	var c chunks[T]
+	for i, n := range want {
+		c.free = nil // spent: the next take makes a chunk
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c.takeLocked()
+		runtime.ReadMemStats(&after)
+		class := after.TotalAlloc - before.TotalAlloc
+		if c.n != n {
+			t.Errorf("%s chunk %d holds %d blocks, want %d", name, i, c.n, n)
+		}
+		if bytes := uint64(c.n) * size; bytes > class || class-bytes >= size {
+			t.Errorf("%s chunk %d: %d blocks are %d bytes in a %d-byte size class, want no room for one more", name, i, c.n, bytes, class)
+		}
+	}
 }
 
 // TestSmallDiffIsOneBlock pins computeDiff's packing: a diff of one or two
 // runs totalling at most smallDiffBytes is a single allocation whose runs'
 // data lie inside it, capped so no run can grow into its neighbour; a
-// larger diff keeps its run slice and backing array. Asked for a spare, a
-// small diff is still one allocation, its runs lie inside the block of the
-// zero Version it returns, and a larger diff returns none.
+// larger diff keeps its run slice and backing array. Given small scratch, a
+// small diff allocates nothing: its runs are the scratch's, slicing the
+// page, until packLocked moves them into a block carved from the segment's
+// chunks, behind the zero Version it returns; a larger diff is as before.
 func TestSmallDiffIsOneBlock(t *testing.T) {
+	seg, err := NewSegment(SegmentConfig{Name: "pack", Size: DefaultPageSize})
+	if err != nil {
+		t.Fatal(err)
+	}
 	twin := make([]byte, DefaultPageSize)
 	for _, tc := range []struct {
 		name   string
@@ -150,20 +194,44 @@ func TestSmallDiffIsOneBlock(t *testing.T) {
 				cur[i] = byte(i) | 1
 			}
 		}
-		for _, withSpare := range []bool{false, true} {
-			name := fmt.Sprintf("%s (spare %t)", tc.name, withSpare)
+		isSmall := tc.allocs == 1
+		for _, withSmall := range []bool{false, true} {
+			name := fmt.Sprintf("%s (small scratch %t)", tc.name, withSmall)
 			var d Diff
-			var spare *Version
+			var scratch [2]Run
 			diff := func() {
-				if !withSpare {
+				if !withSmall {
 					d, _ = computeDiff(cur, twin, 0, len(cur), nil, false)
 					return
 				}
-				spare = nil
-				d, _ = computeDiff(cur, twin, 0, len(cur), &spare, false)
+				d, _ = computeDiff(cur, twin, 0, len(cur), &scratch, false)
 			}
-			if n := testing.AllocsPerRun(10, diff); n != tc.allocs {
-				t.Errorf("%s: %.0f allocations, want %.0f", name, n, tc.allocs)
+			want := tc.allocs
+			if withSmall && isSmall {
+				want = 0
+			}
+			if n := testing.AllocsPerRun(10, diff); n != want {
+				t.Errorf("%s: %.0f allocations, want %.0f", name, n, want)
+			}
+			if d.small() != isSmall {
+				t.Errorf("%s: small() = %v", name, d.small())
+			}
+			var v *Version
+			if withSmall && isSmall {
+				if &d.Runs[0] != &scratch[0] {
+					t.Fatalf("%s: runs at %p, not the scratch at %p", name, &d.Runs[0], &scratch[0])
+				}
+				for i, r := range d.Runs {
+					if unsafe.SliceData(r.Data) != &cur[r.Off] || cap(r.Data) != len(r.Data) {
+						t.Errorf("%s: unpacked run %d does not slice the page, cap-limited", name, i)
+					}
+				}
+				seg.mu.Lock()
+				v = seg.packLocked(&d, cur)
+				seg.mu.Unlock()
+				if scratch[0].Data != nil || scratch[1].Data != nil {
+					t.Errorf("%s: packLocked left the scratch holding the page: %+v", name, scratch)
+				}
 			}
 			if len(d.Runs) != len(tc.runs) || cap(d.Runs) != len(tc.runs) {
 				t.Fatalf("%s: %d runs (cap %d), want %d", name, len(d.Runs), cap(d.Runs), len(tc.runs))
@@ -176,29 +244,26 @@ func TestSmallDiffIsOneBlock(t *testing.T) {
 					t.Errorf("%s: run %d data % x, want % x", name, i, r.Data, cur[r.Off:r.Off+len(r.Data)])
 				}
 			}
-			if small := tc.allocs == 1; (spare != nil) != (withSpare && small) {
-				t.Fatalf("%s: spare %p", name, spare)
-			}
-			if spare == nil {
+			if v == nil {
 				continue
 			}
-			if spare.Num != 0 || spare.Committer != 0 || spare.slots != nil {
-				t.Errorf("%s: spare header is not a zero Version: num %d, committer %d, %d slots", name, spare.Num, spare.Committer, len(spare.slots))
+			if v.Num != 0 || v.Committer != 0 || v.slots != nil {
+				t.Errorf("%s: packed header is not a zero Version: num %d, committer %d, %d slots", name, v.Num, v.Committer, len(v.slots))
 			}
 			block := unsafe.Sizeof(versionDiff1{})
 			if len(d.Runs) == 2 {
 				block = unsafe.Sizeof(versionDiff2{})
 			}
-			lo := uintptr(unsafe.Pointer(spare))
+			lo := uintptr(unsafe.Pointer(v))
 			inside := func(p unsafe.Pointer, n uintptr) bool {
 				return uintptr(p) >= lo+unsafe.Sizeof(Version{}) && uintptr(p)+n <= lo+block
 			}
 			if !inside(unsafe.Pointer(&d.Runs[0]), uintptr(len(d.Runs))*unsafe.Sizeof(Run{})) {
-				t.Errorf("%s: runs at %p lie outside the %d-byte block at %p", name, &d.Runs[0], block, spare)
+				t.Errorf("%s: runs at %p lie outside the %d-byte block at %p", name, &d.Runs[0], block, v)
 			}
 			for i, r := range d.Runs {
 				if !inside(unsafe.Pointer(unsafe.SliceData(r.Data)), uintptr(len(r.Data))) {
-					t.Errorf("%s: run %d data at %p lies outside the %d-byte block at %p", name, i, unsafe.SliceData(r.Data), block, spare)
+					t.Errorf("%s: run %d data at %p lies outside the %d-byte block at %p", name, i, unsafe.SliceData(r.Data), block, v)
 				}
 			}
 		}
@@ -206,8 +271,8 @@ func TestSmallDiffIsOneBlock(t *testing.T) {
 }
 
 // TestGCReleasesFoldedVersions pins the in-place compaction: folding never
-// leaves a folded version referenced from the version array, and the array
-// is reused rather than regrown.
+// leaves a folded version referenced from the version array or the latest
+// table, and the array is reused rather than regrown.
 func TestGCReleasesFoldedVersions(t *testing.T) {
 	s, err := NewSegment(SegmentConfig{Name: "gc", Size: 4 * DefaultPageSize})
 	if err != nil {
@@ -235,6 +300,14 @@ func TestGCReleasesFoldedVersions(t *testing.T) {
 	}
 	if s.versions[0].Num != 6 {
 		t.Fatalf("first retained version is %d, want 6", s.versions[0].Num)
+	}
+	for pg, slot := range s.latest {
+		if slot != nil && slot.version.Num <= s.floor {
+			t.Fatalf("latest[%d] holds folded version %d", pg, slot.version.Num)
+		}
+	}
+	if s.latest[0] != nil || s.latest[3] == nil { // page 0 last moved in version 5, page 3 in version 8
+		t.Fatalf("latest table after folding through version 5: page 0 %p, page 3 %p", s.latest[0], s.latest[3])
 	}
 	before := &full[0]
 	for i := 0; i < 5; i++ {

@@ -78,7 +78,7 @@ func (ws *Workspace) pullWindowLocked(head int64) (pulled int) {
 			touched[pg] = true
 			if dp, dirtyHere := ws.dirty[pg]; dirtyHere {
 				if dp.lent {
-					dp.twin, dp.lent = s.copyPage(dp.twin), false
+					dp.twin, dp.lent = s.copyPage(s.popPageLocked(), dp.twin), false
 				}
 				patches = append(patches, slot)
 			}
@@ -113,21 +113,22 @@ func (ws *Workspace) applyPatches() {
 // pages — happens outside the segment lock: commit serialization already
 // excludes concurrent commits, and everything touched off-lock is
 // thread-private (dirty pages) or immutable (published diffs). The lock is
-// held only for the two decisions that read or write shared segment state:
-// choosing the pull window, and publishing the version (conflict checks,
-// latest/head update). Every dirty page is diffed here, once.
+// taken twice, for the two decisions that read or write shared segment
+// state: choosing the pull window, and publishing the version (conflict
+// checks, latest/head update, the released buffers and the counters).
+// Every dirty page is diffed here, once.
 //
 // Pages whose bytes did not actually change are dropped (their fault was
 // wasted work, which the fault counter already recorded).
 //
 // The token-held section leaves no garbage: every list it builds is
-// workspace scratch (or, for GC's prune candidates, segment scratch), the
-// result is a value, and the version is sized and made before the publish
-// lock. Its header is allocated with the first small diff (computeDiff's
-// spare), so a one-page commit allocates one block: its diff, with the
-// header in front. A version of more pages also makes its slot array, and
-// a header of its own only when none of its diffs is small. With an empty
-// dirty set the commit is an update: one lock, no allocation.
+// workspace scratch (or, for GC's prune candidates, segment scratch), and
+// the result is a value. The version's header is carved with the first
+// small diff's block from the segment's chunks (packLocked), so a one-page
+// commit allocates nothing but, amortized, its share of a chunk. A version
+// of more pages also makes its slot array, and a header of its own only
+// when none of its diffs is small. With an empty dirty set the commit is an
+// update: one lock, no allocation.
 //
 // A page no other workspace can patch from publishes a large diff's runs
 // in the committed page itself and makes no backing for them
@@ -150,8 +151,8 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 	if len(ws.dirty) == 0 {
 		// Nothing to diff, so nothing to publish: behave as an update.
 		ws.version = headBefore
+		s.stats.PulledPages += int64(pc.stats.PulledPages)
 		s.mu.Unlock()
-		s.addPulled(int64(pc.stats.PulledPages))
 		return pc
 	}
 	s.mu.Unlock()
@@ -161,8 +162,9 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 	ws.applyPatches()
 
 	// Diff dirty pages in deterministic (ascending page) order, counting
-	// the pages that changed. The first small diff is allocated with the
-	// version's header in front of it (spare).
+	// the pages that changed. The first small diff is left unpacked (hdr):
+	// its runs are workspace scratch slicing its page until the publish
+	// section packs them behind the version's header.
 	pages := ws.scratchPages[:0]
 	for pg := range ws.dirty {
 		pages = append(pages, pg)
@@ -170,47 +172,60 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 	slices.Sort(pages)
 	ws.scratchPages = pages
 
-	var spare *Version
+	var hdr *dirtyPage
 	npub := 0
 	for _, pg := range pages {
 		dp := ws.dirty[pg]
-		var sp **Version
-		if spare == nil {
-			sp = &spare
+		var small *[2]Run
+		if hdr == nil {
+			small = &ws.scratchRuns
 		}
 		// A page the window touched is dirty here, so it was patched
 		// (pullWindowLocked); the touched set is this window's only when
 		// the window pulled a page.
 		inPlace := sole && !(pc.stats.PulledPages > 0 && ws.scratchTouched[pg])
-		dp.diff, dp.inPlace = computeDiff(dp.data, dp.twin, int(dp.lo), int(dp.hi), sp, inPlace)
-		if !dp.diff.Empty() {
-			npub++
+		dp.diff, dp.inPlace = computeDiff(dp.data, dp.twin, int(dp.lo), int(dp.hi), small, inPlace)
+		if dp.diff.Empty() {
+			continue
+		}
+		npub++
+		if small != nil && dp.diff.small() {
+			hdr = dp
 		}
 	}
 
 	// Every diff is known now, so the version can be sized — one slot per
-	// page that changed — and made before the lock is taken.
+	// page that changed — and all but a small diff's header made before
+	// the lock is taken.
+	var slots []pageSlot
+	if npub > 1 {
+		slots = make([]pageSlot, npub)
+	}
 	var v *Version
-	switch {
-	case npub == 0:
-	case spare != nil:
-		v = spare.init(ws.tid, npub)
-	default:
-		v = newVersion(ws.tid, npub)
+	if npub > 0 && hdr == nil {
+		v = new(Version)
 	}
 
 	// Serial decision 2 (locked): conflict checks against the latest table
-	// and version publication. Nothing below computes diffs or allocates
-	// (but for the copy a Snapshot racing the commit forces, v.own below);
-	// the lock covers only filling the version's slots in place and the
-	// latest/head update.
-	// Buffers this commit releases, recycled once the lock is dropped, and
-	// the lent twins that leave the dirty set with them: committed pages,
-	// never put, but each one a live page of the modeled count.
+	// and version publication. Nothing below computes diffs, and nothing
+	// allocates but a new chunk once the segment's is spent (packLocked)
+	// and the copy a Snapshot racing the commit forces (v.own below); the
+	// lock covers packing the first small diff, filling the version's slots
+	// in place, the latest/head update, the released buffers and the
+	// counters.
+	// Buffers this commit releases, recycled before the lock is dropped,
+	// and the lent twins that leave the dirty set with them: committed
+	// pages, never put, but each one a live page of the modeled count.
 	freed := ws.scratchFreed[:0]
 	var lent int64
 	si := 0
 	s.mu.Lock()
+	if hdr != nil {
+		v = s.packLocked(&hdr.diff, hdr.data)
+	}
+	if v != nil {
+		v.init(ws.tid, slots)
+	}
 	for _, pg := range pages {
 		dp := ws.dirty[pg]
 		diff := dp.diff
@@ -248,10 +263,10 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 	if v == nil {
 		// Nothing to publish: behave as an update.
 		ws.version = headBefore
+		s.stats.PulledPages += int64(pc.stats.PulledPages)
+		ws.recycleLocked(freed, lent)
 		s.mu.Unlock()
 		ws.resetDirty(pages)
-		ws.recycle(freed, lent)
-		s.addPulled(int64(pc.stats.PulledPages))
 		return pc
 	}
 
@@ -267,11 +282,11 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 	ws.version = v.Num
 	pc.version, pc.seg = v, s
 	pc.stats.CommittedPages = npub
+	s.noteCommitLocked(pc.stats)
+	ws.recycleLocked(freed, lent)
 	s.mu.Unlock()
 
 	ws.resetDirty(pages)
-	ws.recycle(freed, lent)
-	s.noteCommit(pc.stats)
 	return pc
 }
 
@@ -284,12 +299,12 @@ func (ws *Workspace) resetDirty(pages []int) {
 	}
 }
 
-// recycle returns the buffers a commit released (workspace scratch) to the
-// segment's free list and takes them, and the lent twins that left the
-// dirty set, off the live-page count.
-func (ws *Workspace) recycle(freed [][]byte, lent int64) {
-	ws.seg.putPages(freed...)
-	ws.seg.allocPages(-int64(len(freed)) - lent)
+// recycleLocked returns the buffers a commit released (workspace scratch)
+// to the segment's free list and takes them, and the lent twins that left
+// the dirty set, off the live-page count. Caller holds the segment lock.
+func (ws *Workspace) recycleLocked(freed [][]byte, lent int64) {
+	ws.seg.putPagesLocked(freed...)
+	ws.seg.allocPagesLocked(-int64(len(freed)) - lent)
 	clear(freed)
 	ws.scratchFreed = freed[:0]
 }

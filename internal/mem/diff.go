@@ -3,6 +3,7 @@ package mem
 import (
 	"encoding/binary"
 	"math/bits"
+	"unsafe"
 )
 
 // Diff is a sparse description of the bytes a committer changed within one
@@ -52,6 +53,10 @@ const (
 // store — most of a sync-heavy program's commits — is such a diff.
 const smallDiffBytes = 16
 
+// small reports whether d, a non-empty diff, is one computeDiff packs
+// into one block: one or two runs of at most smallDiffBytes in all.
+func (d Diff) small() bool { return len(d.Runs) <= 2 && d.Bytes() <= smallDiffBytes }
+
 // The blocks of a small diff: its runs and their bytes, and, in the
 // versionDiff forms, the header of the version that will publish it in
 // front of them (176 and 208 bytes, exact size classes again: a 128-byte
@@ -74,6 +79,66 @@ type (
 		diff2
 	}
 )
+
+// chunkBytes is the size class a full chunk of version blocks fills:
+// 58 versionDiff1 (10 208 bytes) or 49 versionDiff2 (10 192), each with
+// less than one block of slack.
+const chunkBytes = 10240
+
+// chunks hands out the version blocks of one small-diff form, carved from
+// chunks the segment allocates one at a time: 1, 2, 4 and 8 blocks long,
+// so a segment that commits little makes little, and then chunkBytes'
+// worth. A block is never handed out twice; a chunk stays reachable while
+// any block carved from it is. Guarded by the segment lock.
+type chunks[T any] struct {
+	free []T // the current chunk's blocks not yet handed out
+	n    int // the current chunk's length
+}
+
+// takeLocked returns a zero block, making the next chunk if the current
+// one is spent: its length doubles from 1 to 8, then stays at the most
+// blocks chunkBytes holds. Caller holds the segment lock.
+func (c *chunks[T]) takeLocked() *T {
+	if len(c.free) == 0 {
+		switch {
+		case c.n == 0:
+			c.n = 1
+		case c.n < 8:
+			c.n *= 2
+		default:
+			c.n = int(chunkBytes / unsafe.Sizeof(*new(T)))
+		}
+		c.free = make([]T, c.n)
+	}
+	b := &c.free[0]
+	c.free = c.free[1:]
+	return b
+}
+
+// packLocked moves *d, a small diff whose runs slice page (computeDiff's
+// small), into a version block carved from the segment's chunks, and
+// returns the zero Version in front of it: BeginCommit makes that the
+// header of the version it publishes, so a one-page commit allocates only
+// its share of a chunk. The runs' bytes are copied from page, which the
+// caller has not written since the diff. Caller holds mu.
+func (s *Segment) packLocked(d *Diff, page []byte) *Version {
+	var v *Version
+	var runs []Run
+	var backing []byte
+	if len(d.Runs) == 1 {
+		p := s.vd1.takeLocked()
+		v, runs, backing = &p.v, p.r[:], p.b[:]
+	} else {
+		p := s.vd2.takeLocked()
+		v, runs, backing = &p.v, p.r[:], p.b[:]
+	}
+	for k, r := range d.Runs {
+		backing = fillRun(&runs[k], backing, page, r.Off, r.Off+len(r.Data))
+	}
+	clear(d.Runs) // scratch: do not pin the page
+	*d = Diff{Runs: runs}
+	return v
+}
 
 // hasZeroByte is the classic zero-byte probe. It may flag spurious bytes
 // above the first zero byte, but the lowest flagged byte is always the
@@ -168,17 +233,17 @@ const diffStackRuns = 32
 // after publication (the commit log and followers alias them), so sharing
 // one backing array is safe.
 //
-// With a non-nil spare, a small diff's block also carries a zero Version in
-// front of its runs, and *spare is set to it: BeginCommit makes it the
-// header of the version it publishes, so a one-page commit is one object.
-// A larger diff leaves *spare alone.
+// With a non-nil small, a small diff is not packed and allocates nothing:
+// its runs are small's, slicing cur, cap-limited, and BeginCommit packs
+// them under its publish lock behind the version's header
+// (Segment.packLocked). A larger diff leaves small alone.
 //
 // With inPlace, a larger diff makes no backing: each run's Data is cur's
 // own bytes, cap-limited, and computeDiff reports that it aliased cur.
 // BeginCommit asks for it where cur becomes a committed page no other
 // workspace can patch from (pageSlot.inPlace). A small diff is packed
 // either way: it costs no allocation of its own.
-func computeDiff(cur, twin []byte, lo, hi int, spare **Version, inPlace bool) (d Diff, aliased bool) {
+func computeDiff(cur, twin []byte, lo, hi int, small *[2]Run, inPlace bool) (d Diff, aliased bool) {
 	cur, twin = cur[:hi], twin[:hi]
 	var bounds [diffStackRuns]struct{ off, end int32 }
 	nruns, nbytes := 0, 0
@@ -204,18 +269,14 @@ func computeDiff(cur, twin []byte, lo, hi int, spare **Version, inPlace bool) (d
 		if !aliased {
 			backing = make([]byte, nbytes)
 		}
-	case spare == nil && nruns == 1:
+	case small != nil:
+		runs = small[:nruns:nruns]
+	case nruns == 1:
 		p := new(diff1)
 		runs, backing = p.r[:], p.b[:nbytes]
-	case spare == nil:
+	default:
 		p := new(diff2)
 		runs, backing = p.r[:], p.b[:nbytes]
-	case nruns == 1:
-		p := new(versionDiff1)
-		*spare, runs, backing = &p.v, p.r[:], p.b[:nbytes]
-	default:
-		p := new(versionDiff2)
-		*spare, runs, backing = &p.v, p.r[:], p.b[:nbytes]
 	}
 	k := 0
 	for ; k < nruns && k < len(bounds); k++ {

@@ -49,14 +49,18 @@ func (s *Segment) GC() int {
 			s.base[pg] = slot.data
 			if old != nil {
 				reclaimed++ // superseded base page freed
-				s.allocPages(-1)
+				s.allocPagesLocked(-1)
 				if len(old) > 0 { // a pruned page was put when it was pruned
-					s.putPages(old) // no reader can hold it: see Segment.free
+					s.putPagesLocked(old) // no reader can hold it: see Segment.free
 				}
 			}
-			// Drop the chain link: anything at or below the new floor is
-			// reachable through the base table.
+			// Drop the chain link, and the latest entry if it is this slot:
+			// anything at or below the new floor is reachable through the
+			// base table.
 			slot.prev = nil
+			if s.latest[pg] == slot {
+				s.latest[pg] = nil
+			}
 			slot.retire()
 		}
 		s.floor++
@@ -68,10 +72,8 @@ func (s *Segment) GC() int {
 	s.versions = slices.Delete(s.versions, 0, folded)
 	s.pruneLocked(pins)
 	if folded > 0 || reclaimed > 0 {
-		s.statsMu.Lock()
 		s.stats.GCRuns++
 		s.stats.GCReclaimedPages += int64(reclaimed)
-		s.statsMu.Unlock()
 	}
 	return reclaimed
 }
@@ -127,7 +129,7 @@ func (s *Segment) pruneLocked(pins []int64) {
 		data := p.data
 		p.data = prunedPage
 		p.retire()
-		s.putPages(data)
+		s.putPagesLocked(data)
 		s.prunedPages++
 	}
 	clear(s.candidates[len(kept):]) // do not pin the versions dropped

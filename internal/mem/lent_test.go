@@ -82,10 +82,12 @@ func (r *lentRun) own() {
 	if r.lend {
 		return
 	}
+	r.s.mu.Lock()
+	defer r.s.mu.Unlock()
 	for _, ws := range r.s.workspaces {
 		for _, dp := range ws.dirty {
 			if dp.lent {
-				dp.twin, dp.lent = r.s.copyPage(dp.twin), false
+				dp.twin, dp.lent = r.s.copyPage(r.s.popPageLocked(), dp.twin), false
 			}
 		}
 	}

@@ -76,21 +76,25 @@ type Segment struct {
 	// Num == floor+1+i. Entries may be pending (phase 2 incomplete).
 	versions []*Version
 	// latest[pg] is the slot of the most recent committed or pending
-	// version touching pg, or nil if no version ever has: npages entries,
-	// like base. Through prev it heads pg's own version chain, newest
-	// first, which chains the parallel phase-2 merges per page and is what
-	// committedPage walks. A slot at or below floor has folded into base,
-	// and its prev is nil.
+	// version touching pg, or nil if no version ever has or GC has folded
+	// that one (base then holds the page, and the table keeps no folded
+	// version's block, nor the chunk it was carved from, alive): npages
+	// entries, like base. Through prev it heads pg's own version chain,
+	// newest first, which chains the parallel phase-2 merges per page and
+	// is what committedPage walks. A slot at or below floor has folded into
+	// base, and its prev is nil.
 	latest []*pageSlot
 
-	stats   Stats
-	statsMu sync.Mutex
+	// stats is guarded by mu (see allocPagesLocked).
+	stats Stats
 
-	// free is the segment's stack of recycled page buffers. Every page
-	// buffer (dirty copy, patched twin, merged page) is taken from it and
-	// returned to it, so the steady-state commit path allocates no pages;
-	// it holds only buffers that were live once, so it never outgrows the
-	// segment's own live-page high-water mark. A plain stack rather than a
+	// free is the segment's stack of recycled page buffers, guarded by mu:
+	// a fault pops its copy's buffer in the section that looks its page
+	// up, and a commit pushes what it released in its publish section.
+	// Every page buffer (dirty copy, patched twin, merged page) is taken
+	// from it and returned to it, so the steady-state commit path allocates
+	// no pages; it holds only buffers that were live once, so it never
+	// outgrows the segment's own live-page high-water mark. A plain stack rather than a
 	// sync.Pool: the collector must not decide how many pages a run
 	// allocates.
 	//
@@ -129,8 +133,7 @@ type Segment struct {
 	// but they add no reader: no pull window reads them, and Version.own
 	// copies them out before the next BeginCommit, while the page is
 	// still the head's, so neither rule can have put it yet.
-	freeMu sync.Mutex
-	free   [][]byte
+	free [][]byte
 	// onPut, when set, sees every buffer as it is put, after every holder
 	// above has let go of it. Test seam: the recycling stress test poisons
 	// buffers here, so a put that races a reader shows up as poison in
@@ -154,6 +157,11 @@ type Segment struct {
 	// would have freed it. Guarded by mu.
 	prunedPages int64
 
+	// vd1 and vd2 are the chunks the version blocks of small diffs are
+	// carved from (packLocked). Guarded by mu.
+	vd1 chunks[versionDiff1]
+	vd2 chunks[versionDiff2]
+
 	workspaces map[int]*Workspace // live workspaces keyed by owner tid
 }
 
@@ -163,40 +171,40 @@ type Segment struct {
 // recycled bytes.
 var prunedPage = []byte{}
 
-// getPage returns a page-sized buffer with arbitrary contents; the caller
-// overwrites all of it.
-func (s *Segment) getPage() []byte {
-	s.freeMu.Lock()
-	if n := len(s.free); n > 0 {
-		b := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		s.freeMu.Unlock()
-		return b
+// popPageLocked returns a page-sized buffer with arbitrary contents off
+// the free list, or nil if the list is empty; copyPage then makes one, and
+// overwrites all of it either way. Caller holds mu.
+func (s *Segment) popPageLocked() []byte {
+	n := len(s.free)
+	if n == 0 {
+		return nil
 	}
-	s.freeMu.Unlock()
-	return make([]byte, s.pageSize)
-}
-
-// copyPage returns a recycled buffer holding a copy of src, a whole page:
-// slicing it to the page size makes a pruned page panic here rather than
-// copy nothing.
-func (s *Segment) copyPage(src []byte) []byte {
-	b := s.getPage()
-	copy(b, src[:s.pageSize])
+	b := s.free[n-1]
+	s.free[n-1] = nil
+	s.free = s.free[:n-1]
 	return b
 }
 
-// putPages recycles buffers that no reader can reach (see free).
-func (s *Segment) putPages(bufs ...[]byte) {
+// copyPage copies src, a whole page, into buf, or into a new page if buf
+// is nil, and returns it: slicing src to the page size makes a pruned page
+// panic here rather than copy nothing.
+func (s *Segment) copyPage(buf, src []byte) []byte {
+	if buf == nil {
+		buf = make([]byte, s.pageSize)
+	}
+	copy(buf, src[:s.pageSize])
+	return buf
+}
+
+// putPagesLocked recycles buffers that no reader can reach (see free).
+// Caller holds mu.
+func (s *Segment) putPagesLocked(bufs ...[]byte) {
 	if s.onPut != nil {
 		for _, b := range bufs {
 			s.onPut(b)
 		}
 	}
-	s.freeMu.Lock()
 	s.free = append(s.free, bufs...)
-	s.freeMu.Unlock()
 }
 
 // Version is one committed (or pending) set of page modifications.
@@ -218,23 +226,16 @@ type Version struct {
 	one [1]pageSlot
 }
 
-// newVersion allocates a version with room for npages slots; the caller
-// fills them in place. BeginCommit's other source of versions is the
-// header a small diff is allocated with (computeDiff's spare).
-func newVersion(committer, npages int) *Version {
-	return new(Version).init(committer, npages)
-}
-
-// init makes v, a zero Version, one with room for npages slots, and
-// returns it.
-func (v *Version) init(committer, npages int) *Version {
+// init makes v, a zero Version, one of committer's whose slots are slots,
+// or its inline one if slots is nil; the caller fills them in place.
+// BeginCommit takes v from the block of its first small diff (packLocked),
+// or allocates it when no diff is small.
+func (v *Version) init(committer int, slots []pageSlot) {
 	v.Committer = committer
-	if npages == 1 {
-		v.slots = v.one[:]
-	} else {
-		v.slots = make([]pageSlot, npages)
+	if slots == nil {
+		slots = v.one[:]
 	}
-	return v
+	v.slots = slots
 }
 
 // NumPages returns the number of pages this version modified.
@@ -268,8 +269,9 @@ func (v *Version) PageIndexes() []int {
 // conflict and non-conflict slots alike), which is what the commit log
 // persists. It is the one way runs leave the segment, and the runs it
 // passes are owned: read-only, and readable for as long as they are held.
-// A small diff shares one block with its version's header (computeDiff's
-// spare), so whoever holds its runs keeps the version's block alive too.
+// A small diff shares one block with its version's header (packLocked),
+// and the block is carved from a chunk of the segment's, so whoever holds
+// its runs keeps the version and every block of that chunk alive too.
 //
 // A commit no other workspace could patch from publishes a large diff's
 // runs in its committed page (pageSlot.inPlace). The first call copies
@@ -332,8 +334,9 @@ func (v *Version) own() {
 //
 // The layout is a size budget: at 88 bytes a one-page Version (its slot
 // inline) is 128 bytes, and with a small diff's block behind it 176 or 208,
-// exact size classes all; one such block is allocated per published
-// one-page commit (computeDiff's spare). TestVersionLayout holds it.
+// exact size classes all; one such block is carved per published one-page
+// commit (packLocked), from chunks whose lengths fill a size class.
+// TestVersionLayout holds it.
 type pageSlot struct {
 	page int32 // NewSegment bounds a segment's page count to fit
 	// conflict marks that another thread committed this page between the
@@ -378,10 +381,14 @@ func (s *pageSlot) retire() { s.state.Store(slotResolved | slotRetired) }
 func (s *pageSlot) settle(seg *Segment) {
 	s.once.Do(func() {
 		if s.conflict {
-			data := seg.copyPage(s.prev.resolve(seg))
+			prev := s.prev.resolve(seg)
+			seg.mu.Lock()
+			buf := seg.popPageLocked()
+			seg.allocPagesLocked(1)
+			seg.mu.Unlock()
+			data := seg.copyPage(buf, prev)
 			s.diff.apply(data)
 			s.data = data
-			seg.allocPages(1)
 		}
 		s.state.Store(slotResolved)
 	})
@@ -467,17 +474,26 @@ func (s *Segment) pageIndex(off int) (int, int) {
 // demand.
 func (s *Segment) committedPage(pg int, at int64) []byte {
 	s.mu.Lock()
-	slot := s.slotAtLocked(pg, at)
-	if slot == nil {
-		data := s.base[pg]
-		s.mu.Unlock()
-		if data == nil {
-			return s.zero
-		}
-		return data
-	}
+	slot, data := s.pageAtLocked(pg, at)
 	s.mu.Unlock()
-	return slot.resolve(s)
+	if slot != nil {
+		return slot.resolve(s)
+	}
+	return data
+}
+
+// pageAtLocked looks pg up at version `at` (slotAtLocked): it returns the
+// governing slot, which the caller resolves after it lets go of the lock,
+// or, if the base table governs, nil and the base page (the zero page for
+// one never written). Caller holds mu.
+func (s *Segment) pageAtLocked(pg int, at int64) (*pageSlot, []byte) {
+	if slot := s.slotAtLocked(pg, at); slot != nil {
+		return slot, nil
+	}
+	if data := s.base[pg]; data != nil {
+		return nil, data
+	}
+	return nil, s.zero
 }
 
 // slotAtLocked returns the slot that governs pg at version `at` — that of

@@ -122,7 +122,7 @@ func (r *spareRun) finish() {
 
 // TestSpareOwnership runs each sequence that decides where a commit's
 // version header comes from: the block of its first small diff
-// (computeDiff's spare) or an allocation of its own. Every published
+// (packLocked, from the segment's chunks) or an allocation of its own. Every published
 // version must carry the model's pages and bytes, by its committer, read
 // back through ReadCommitted, and a version with a small diff must be that
 // diff's header.

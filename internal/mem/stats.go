@@ -39,19 +39,18 @@ type Stats struct {
 
 // Stats returns a snapshot of the segment's counters.
 func (s *Segment) Stats() Stats {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.stats
 }
 
-// allocPages adjusts the live page count by n (which may be negative) and
-// tracks the peak.
-func (s *Segment) allocPages(n int64) {
-	s.statsMu.Lock()
-	s.allocPagesLocked(n)
-	s.statsMu.Unlock()
-}
+// The counters are guarded by the segment lock, and each path updates them
+// inside a section it takes anyway: a fault in its page lookup (lendDirty),
+// a commit in its publish or early-return section, an update in its pull
+// window's, a merge in the one that takes its page (settle), GC in its own.
 
+// allocPagesLocked adjusts the live page count by n (which may be
+// negative) and tracks the peak. Caller holds mu.
 func (s *Segment) allocPagesLocked(n int64) {
 	s.stats.CurPages += n
 	if s.stats.CurPages > s.stats.PeakPages {
@@ -59,30 +58,11 @@ func (s *Segment) allocPagesLocked(n int64) {
 	}
 }
 
-func (s *Segment) addPulled(n int64) {
-	if n == 0 {
-		return
-	}
-	s.statsMu.Lock()
-	s.stats.PulledPages += n
-	s.statsMu.Unlock()
-}
-
-func (s *Segment) noteCommit(cs CommitStats) {
-	s.statsMu.Lock()
+// noteCommitLocked counts a published commit. Caller holds mu.
+func (s *Segment) noteCommitLocked(cs CommitStats) {
 	s.stats.Versions++
 	s.stats.CommittedPages += int64(cs.CommittedPages)
 	s.stats.MergedPages += int64(cs.MergedPages)
 	s.stats.DiffBytes += int64(cs.DiffBytes)
 	s.stats.PulledPages += int64(cs.PulledPages)
-	s.statsMu.Unlock()
-}
-
-// noteFault records one copy-on-write fault and the two live pages the
-// modeled count gives it (dirty copy and twin, lent or not).
-func (s *Segment) noteFault() {
-	s.statsMu.Lock()
-	s.stats.Faults++
-	s.allocPagesLocked(2)
-	s.statsMu.Unlock()
 }

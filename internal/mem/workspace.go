@@ -29,6 +29,9 @@ type Workspace struct {
 	scratchFreed   [][]byte
 	scratchTouched map[int]bool
 	scratchPatches []*pageSlot
+	// scratchRuns holds a commit's first small diff, unpacked, between
+	// its computeDiff and the publish section's packLocked.
+	scratchRuns [2]Run
 
 	// freeDirty is the workspace's stack of recycled dirtyPage records:
 	// every page that leaves the dirty set (resetDirty, discardLocked) puts
@@ -88,11 +91,23 @@ func (ws *Workspace) newDirty() *dirtyPage {
 }
 
 // lendDirty returns a new dirty record for pg: its data a copy of the page
-// at the workspace's version, its twin that page itself, lent.
+// at the workspace's version, its twin that page itself, lent. It counts
+// the fault, and the two live pages the modeled count gives it (dirty copy
+// and twin, lent or not), in the one section that looks the page up and
+// takes the copy's buffer; a pending slot's merge and the copy run after.
 func (ws *Workspace) lendDirty(pg int) *dirtyPage {
-	base := ws.seg.committedPage(pg, ws.version)
+	s := ws.seg
+	s.mu.Lock()
+	slot, base := s.pageAtLocked(pg, ws.version)
+	buf := s.popPageLocked()
+	s.stats.Faults++
+	s.allocPagesLocked(2)
+	s.mu.Unlock()
+	if slot != nil {
+		base = slot.resolve(s)
+	}
 	dp := ws.newDirty()
-	dp.data = ws.seg.copyPage(base)
+	dp.data = s.copyPage(buf, base)
 	dp.twin, dp.lent = base, true
 	return dp
 }
@@ -175,7 +190,6 @@ func (ws *Workspace) fault(pg int) *dirtyPage {
 	dp := ws.lendDirty(pg)
 	ws.dirty[pg] = dp
 	ws.faults++
-	ws.seg.noteFault()
 	return dp
 }
 
@@ -233,12 +247,12 @@ func (ws *Workspace) UpdateTo(at int64) (pulled int) {
 	}
 	pulled = ws.pullWindowLocked(head)
 	ws.version = head
+	s.stats.PulledPages += int64(pulled)
 	s.mu.Unlock()
 	// Patch dirty pages outside the segment lock; diffs are immutable after
 	// phase 1 and the patch list is in version order because the version
 	// list is.
 	ws.applyPatches()
-	s.addPulled(int64(pulled))
 	return pulled
 }
 
@@ -271,11 +285,11 @@ func (ws *Workspace) Discard() {
 
 func (ws *Workspace) discardLocked() {
 	if n := len(ws.dirty); n > 0 {
-		ws.seg.allocPages(int64(-2 * n)) // modeled: a copy and a twin per page
+		ws.seg.allocPagesLocked(int64(-2 * n)) // modeled: a copy and a twin per page
 		for _, dp := range ws.dirty {
-			ws.seg.putPages(dp.data)
+			ws.seg.putPagesLocked(dp.data)
 			if !dp.lent {
-				ws.seg.putPages(dp.twin)
+				ws.seg.putPagesLocked(dp.twin)
 			}
 			ws.putDirty(dp)
 		}

@@ -44,21 +44,13 @@ var ErrFutureVersion = fmt.Errorf("replica: version not yet applied")
 // past its undo window.
 var ErrEvictedVersion = fmt.Errorf("replica: version evicted from history")
 
-// pageRev is one undo entry: the bytes the commit at ver overwrote on one
-// page, encoded at absolute offset at of the follower's undo log. The
-// entries for a page ascend by ver.
-type pageRev struct {
-	ver int64
-	at  int64
-}
-
-// undoRef names one undo entry by the commit that created it and where
-// its encoding ends in the undo log. The follower keeps them in apply
-// order, so the entries a prune must drop are always a prefix.
-type undoRef struct {
-	ver  int64
-	page int
-	end  int64
+// undoEntry is one undo entry: the bytes the commit at ver overwrote on one
+// page, encoded at absolute offset at of the follower's undo log. prev is
+// the absolute index, in the follower's undo list, of the same page's
+// previous entry, or -1; an index below the list's first live one
+// (Follower.ufirst) has been pruned.
+type undoEntry struct {
+	ver, at, prev int64
 }
 
 // Follower is one replica: the current committed pages plus a bounded log
@@ -80,11 +72,17 @@ type Follower struct {
 	// read-lock, hence atomic; apply and dropAll clear it under the lock.
 	lent []atomic.Bool
 	zero []byte // what a never-written page reads as; never written
-	hist map[int][]pageRev
-	// undo lists every hist entry in apply order (ascending ver) while a
-	// window is set, so prune pops the expired prefix instead of scanning
-	// every page with history.
-	undo []undoRef
+	// undo lists every undo entry in apply order (ascending ver), which is
+	// also the order of their encodings in ulog, so the entries a prune
+	// drops are a prefix. undo[0] has absolute index ubase; entries before
+	// ufirst are pruned, and pushUndo copies the live tail down over them
+	// rather than grow the list, as logUndo does the log.
+	undo          []undoEntry
+	ubase, ufirst int64
+	// newest[pg] is the absolute index of pg's newest undo entry, which
+	// heads, through prev, the page's entries newest first; below ufirst,
+	// the page has none left.
+	newest map[int]int64
 	// ulog is the append-only undo log. Each entry is a uvarint run count
 	// and, per run, uvarint Off, uvarint length and the bytes the run
 	// overwrote. ulog[0] sits at absolute offset base; entries before head
@@ -109,7 +107,7 @@ func newFollower(id, pageSize, npages int, window int64) *Follower {
 		pages:    make(map[int][]byte),
 		lent:     make([]atomic.Bool, npages),
 		zero:     make([]byte, pageSize),
-		hist:     make(map[int][]pageRev),
+		newest:   make(map[int]int64),
 	}
 }
 
@@ -149,8 +147,9 @@ func (f *Follower) dropAll() {
 	for i := range f.lent {
 		f.lent[i].Store(false)
 	}
-	clear(f.hist)
+	clear(f.newest)
 	f.undo = f.undo[:0]
+	f.ubase, f.ufirst = 0, 0
 	f.ulog = f.ulog[:0]
 	f.base, f.head = 0, 0
 }
@@ -209,11 +208,11 @@ func (f *Follower) apply(c commitlog.Commit) (bool, error) {
 			f.pages[pd.Page] = buf
 			f.lent[pd.Page].Store(false)
 		}
-		at := f.logUndo(buf, pd.Runs)
-		f.hist[pd.Page] = append(f.hist[pd.Page], pageRev{ver: c.Version, at: at})
-		if f.window > 0 {
-			f.undo = append(f.undo, undoRef{ver: c.Version, page: pd.Page, end: f.base + int64(len(f.ulog))})
+		e := undoEntry{ver: c.Version, at: f.logUndo(buf, pd.Runs), prev: -1}
+		if prev, ok := f.newest[pd.Page]; ok {
+			e.prev = prev
 		}
+		f.newest[pd.Page] = f.pushUndo(e)
 		for _, r := range pd.Runs {
 			copy(buf[r.Off:], r.Data)
 		}
@@ -229,22 +228,40 @@ func (f *Follower) apply(c commitlog.Commit) (bool, error) {
 // answerable version has a newer entry or the current page to serve from.
 // The expired entries are a prefix of undo, and each is the oldest entry
 // of its page, so the cost is the number of entries dropped — one commit's
-// worth in the steady state — not the number of pages with history. A
-// follower with no window keeps undo empty and never prunes.
+// worth in the steady state — not the number of pages with history. The
+// log's head moves to the first kept entry's encoding, or to the log's end
+// when none is kept. A follower with no window never prunes.
 func (f *Follower) prune() {
-	cut := f.version - f.window
-	n := 0
-	for n < len(f.undo) && f.undo[n].ver <= cut {
-		u := f.undo[n]
-		if revs := f.hist[u.page]; len(revs) == 1 {
-			delete(f.hist, u.page)
-		} else {
-			f.hist[u.page] = revs[1:]
-		}
-		f.head = u.end
-		n++
+	if f.window <= 0 {
+		return
 	}
-	f.undo = f.undo[n:]
+	cut := f.version - f.window
+	i := f.ufirst - f.ubase
+	for i < int64(len(f.undo)) && f.undo[i].ver <= cut {
+		i++
+	}
+	if f.ubase+i == f.ufirst {
+		return
+	}
+	f.ufirst = f.ubase + i
+	if i < int64(len(f.undo)) {
+		f.head = f.undo[i].at
+	} else {
+		f.head = f.base + int64(len(f.ulog))
+	}
+}
+
+// pushUndo appends e to the undo list and returns its absolute index (mu
+// held). If the list is full and at least half of it is pruned, the live
+// tail moves down first, so a windowed follower's list settles at a fixed
+// capacity.
+func (f *Follower) pushUndo(e undoEntry) int64 {
+	if dead := int(f.ufirst - f.ubase); len(f.undo) == cap(f.undo) && dead > 0 && 2*dead >= len(f.undo) {
+		f.undo = f.undo[:copy(f.undo, f.undo[dead:])]
+		f.ubase = f.ufirst
+	}
+	f.undo = append(f.undo, e)
+	return f.ubase + int64(len(f.undo)) - 1
 }
 
 // logUndo appends to the undo log the bytes runs are about to overwrite on
@@ -306,14 +323,19 @@ func (f *Follower) ReadAt(v int64, pg int) ([]byte, error) {
 	if v < f.effectiveFloor() {
 		return nil, ErrEvictedVersion
 	}
-	revs := f.hist[pg]
-	if len(revs) == 0 || revs[len(revs)-1].ver <= v {
+	i, ok := f.newest[pg]
+	if !ok || i < f.ufirst || f.undo[i-f.ubase].ver <= v {
 		return f.lend(pg), nil
 	}
 	// Undo, newest first, every commit after v that touched the page.
 	out := bytes.Clone(f.pages[pg])
-	for i := len(revs) - 1; i >= 0 && revs[i].ver > v; i-- {
-		f.unapply(out, revs[i].at)
+	for i >= f.ufirst {
+		e := &f.undo[i-f.ubase]
+		if e.ver <= v {
+			break
+		}
+		f.unapply(out, e.at)
+		i = e.prev
 	}
 	return out, nil
 }

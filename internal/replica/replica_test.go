@@ -849,39 +849,44 @@ func TestFollowerUndoLogIsExact(t *testing.T) {
 	}
 }
 
-// Past its window a follower's apply allocates no pages: its undo entries
-// are run-sized and land in log space that prune has freed. Pages are
-// 64 KiB so one page-sized allocation dwarfs the small ones (history and
-// undo slices growing).
+// Past its window a follower's apply allocates nothing: its undo entries
+// are run-sized and land in log space that prune has freed, and its undo
+// list compacts in place. Pages are 64 KiB so that a page copy would also
+// show in the bytes.
 func TestFollowerApplyAllocatesNoPages(t *testing.T) {
 	const (
 		pageSize = 64 << 10
 		window   = 4
+		warm     = 16 * window
+		runs     = 50
 	)
 	f := newFollower(0, pageSize, 4, window)
-	v := int64(0)
-	apply := func() {
-		v++
+	commits := make([]commitlog.Commit, warm+runs)
+	for i := range commits {
+		v := int64(i + 1)
 		c := commitlog.Commit{Version: v, AtSeq: v}
 		for pg := 0; pg < 3; pg++ {
 			c.Pages = append(c.Pages, commitlog.PageDiff{Page: pg, Runs: []mem.Run{{Off: int(v) % 64, Data: []byte{byte(v)}}}})
 		}
+		commits[i] = c
+	}
+	apply := func(c commitlog.Commit) {
 		if ok, err := f.apply(c); !ok || err != nil {
-			t.Fatalf("apply v%d: applied=%v err=%v", v, ok, err)
+			t.Fatalf("apply v%d: applied=%v err=%v", c.Version, ok, err)
 		}
 	}
-	for v <= window {
-		apply()
+	for _, c := range commits[:warm] {
+		apply(c)
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	const runs = 50
-	for i := 0; i < runs; i++ {
-		apply()
+	for _, c := range commits[warm:] {
+		apply(c)
 	}
 	runtime.ReadMemStats(&after)
-	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got >= pageSize {
-		t.Fatalf("apply past the window allocates %d B, at least one %d B page", got, pageSize)
+	if n, b := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc; n != 0 || b != 0 {
+		t.Fatalf("%d applies past the window made %d allocations (%d B), want none", runs, n, b)
 	}
 }
 

@@ -72,8 +72,12 @@ echo "== go test -race -count=20 (the page recycling stress: GC prunes pages whi
 # conflicts, pending merges, prunes, budgeted GC folds and reserved moves.
 # The in-place tests (inplace_test.go) hold the runs a sole commit
 # publishes in its page: owned once ForEachPageDiff has copied them, and
-# never read after the page is put.
-go test -race -count=20 -run 'TestRecycleNeverReachesReaders|TestSpareOwnership|TestLentTwinOwnership|TestCommittedPageWalksChain|TestSoleCommitPublishesRunsInPlace|TestSharedOrPatchedRunsAreOwned|TestForEachPageDiffRunsOutliveThePage|TestLateForEachPageDiffPanics' ./internal/mem
+# never read after the page is put. TestChunkBlocksNeverShared holds the
+# version blocks carved from the segment's chunks to one owner each, and
+# TestStatsDuringTraffic reads the counters, guarded by the segment lock
+# since the fault and commit paths update them in sections they already
+# take, while two workspaces fault, commit and GC.
+go test -race -count=20 -run 'TestRecycleNeverReachesReaders|TestSpareOwnership|TestLentTwinOwnership|TestCommittedPageWalksChain|TestSoleCommitPublishesRunsInPlace|TestSharedOrPatchedRunsAreOwned|TestForEachPageDiffRunsOutliveThePage|TestLateForEachPageDiffPanics|TestChunkBlocksNeverShared|TestStatsDuringTraffic' ./internal/mem
 # The replica's twin of the lent-twin rule: a follower lends its current
 # page to readers, so an apply must write a copy of a lent page, never the
 # page itself; four readers race the feed through prune, undo-log

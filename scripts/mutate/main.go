@@ -16,6 +16,10 @@
 // tree, and on a stale entry: one whose original lines do not occur
 // exactly once in its file.
 //
+// SIGINT or SIGTERM stops the run: the command it is running is
+// interrupted, and the tree copy and the test binaries are removed before
+// it exits, as on any other failure.
+//
 // -sweep is the manual search for killers: per entry it runs the whole
 // package's binary instead of the killer and prints every top-level test
 // that fails. -only restricts either mode to the entries whose header
@@ -37,16 +41,20 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"io/fs"
 	"os"
 	"os/exec"
+	"os/signal"
 	"path/filepath"
 	"regexp"
 	"slices"
 	"strings"
+	"syscall"
+	"time"
 )
 
 func main() {
@@ -75,23 +83,43 @@ func main() {
 	if err := locateAll(".", entries); err != nil {
 		fail(err)
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	dir, err := os.MkdirTemp("", "mutate-")
 	if err != nil {
 		fail(err)
 	}
-	defer os.RemoveAll(dir)
-	if err := copyTree(".", dir); err != nil {
-		fail(err)
+	err = copyTree(ctx, ".", dir)
+	switch {
+	case err != nil:
+	case *sweep:
+		err = sweepAll(ctx, dir, entries, os.Stdout)
+	default:
+		err = check(ctx, dir, entries, os.Stdout)
 	}
-	if *sweep {
-		err = sweepAll(dir, entries, os.Stdout)
-	} else {
-		err = check(dir, entries, os.Stdout)
-	}
+	os.RemoveAll(dir)
 	if err != nil {
-		os.RemoveAll(dir)
 		fail(err)
 	}
+}
+
+// command returns a command that ctx stops: when ctx is done, the process
+// gets an interrupt, so a go command removes its own work directory, and
+// is killed if it has not exited a few seconds later.
+func command(ctx context.Context, name string, args ...string) *exec.Cmd {
+	cmd := exec.CommandContext(ctx, name, args...)
+	cmd.Cancel = func() error { return cmd.Process.Signal(os.Interrupt) }
+	cmd.WaitDelay = 5 * time.Second
+	return cmd
+}
+
+// stopped returns ctx's error, wrapped to say the run was stopped, or nil
+// while ctx is live.
+func stopped(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("stopped by a signal: %w", err)
+	}
+	return nil
 }
 
 func fail(err error) {
@@ -273,8 +301,8 @@ func withMutant(dir string, e entry, fn func() error) error {
 // test -c), without debug information, as go test links the binaries it
 // runs. A package that does not build is an error, not a kill: a mutant
 // that does not build would fail every killer.
-func testBinary(dir, pkg, bin string) error {
-	cmd := exec.Command("go", "test", "-c", "-ldflags=-s -w", "-o", bin, pkg)
+func testBinary(ctx context.Context, dir, pkg, bin string) error {
+	cmd := command(ctx, "go", "test", "-c", "-ldflags=-s -w", "-o", bin, pkg)
 	cmd.Dir = dir
 	if b, err := cmd.CombinedOutput(); err != nil {
 		return fmt.Errorf("does not build:\n%s", b)
@@ -285,8 +313,8 @@ func testBinary(dir, pkg, bin string) error {
 // runBinary runs a test binary built by testBinary in its package's
 // directory under dir, as go test would, and reports whether it passed,
 // with its output.
-func runBinary(dir, pkg, bin string, args ...string) (passed bool, out string, err error) {
-	cmd := exec.Command(bin, args...)
+func runBinary(ctx context.Context, dir, pkg, bin string, args ...string) (passed bool, out string, err error) {
+	cmd := command(ctx, bin, args...)
 	cmd.Dir = filepath.Join(dir, pkg)
 	b, runErr := cmd.CombinedOutput()
 	if _, ok := runErr.(*exec.ExitError); runErr != nil && !ok {
@@ -297,12 +325,12 @@ func runBinary(dir, pkg, bin string, args ...string) (passed bool, out string, e
 
 // testMutant applies e in dir, builds its package's test binary into bin,
 // runs it with args, and restores the file.
-func testMutant(dir string, e entry, bin string, args ...string) (passed bool, out string, err error) {
+func testMutant(ctx context.Context, dir string, e entry, bin string, args ...string) (passed bool, out string, err error) {
 	err = withMutant(dir, e, func() error {
-		if err := testBinary(dir, e.pkg, bin); err != nil {
+		if err := testBinary(ctx, dir, e.pkg, bin); err != nil {
 			return err
 		}
-		passed, out, err = runBinary(dir, e.pkg, bin, args...)
+		passed, out, err = runBinary(ctx, dir, e.pkg, bin, args...)
 		return err
 	})
 	return passed, out, err
@@ -312,8 +340,9 @@ func testMutant(dir string, e entry, bin string, args ...string) (passed bool, o
 // must pass and select a test, and then on the entry's mutant, where it
 // must fail. It returns an error naming every entry that fell short. The
 // unmutated tree builds each package's test binary once and runs every
-// distinct killer from it; a mutant is one build of its package.
-func check(dir string, entries []entry, w io.Writer) error {
+// distinct killer from it; a mutant is one build of its package. A stop
+// (ctx done) ends it at once with the error stopped names.
+func check(ctx context.Context, dir string, entries []entry, w io.Writer) error {
 	bins, err := os.MkdirTemp("", "mutate-bin-")
 	if err != nil {
 		return err
@@ -332,7 +361,11 @@ func check(dir string, entries []entry, w io.Writer) error {
 		bin, ok := built[e.pkg]
 		if !ok {
 			bin = filepath.Join(bins, fmt.Sprintf("%d.test", len(built)))
-			if err := testBinary(dir, e.pkg, bin); err != nil {
+			err := testBinary(ctx, dir, e.pkg, bin)
+			if err := stopped(ctx); err != nil {
+				return err
+			}
+			if err != nil {
 				bad = append(bad, fmt.Sprintf("package %s: %v", e.pkg, err))
 				bin = ""
 			}
@@ -341,7 +374,10 @@ func check(dir string, entries []entry, w io.Writer) error {
 		if bin == "" {
 			continue
 		}
-		passed, out, err := runBinary(dir, e.pkg, bin, "-test.timeout=120s", "-test.run", e.run)
+		passed, out, err := runBinary(ctx, dir, e.pkg, bin, "-test.timeout=120s", "-test.run", e.run)
+		if err := stopped(ctx); err != nil {
+			return err
+		}
 		switch {
 		case err != nil:
 			bad = append(bad, fmt.Sprintf("killer %s %s: %v", e.pkg, e.run, err))
@@ -355,7 +391,10 @@ func check(dir string, entries []entry, w io.Writer) error {
 		return fmt.Errorf("%s", strings.Join(bad, "\n"))
 	}
 	for _, e := range entries {
-		passed, _, err := testMutant(dir, e, mutant, "-test.timeout=120s", "-test.run", e.run)
+		passed, _, err := testMutant(ctx, dir, e, mutant, "-test.timeout=120s", "-test.run", e.run)
+		if err := stopped(ctx); err != nil {
+			return err
+		}
 		if err == nil && passed {
 			err = fmt.Errorf("survived %s", e.run)
 		}
@@ -382,7 +421,7 @@ var (
 
 // sweepAll runs each entry's whole package on its mutant and prints the
 // top-level tests that fail: a starting point for picking a killer.
-func sweepAll(dir string, entries []entry, w io.Writer) error {
+func sweepAll(ctx context.Context, dir string, entries []entry, w io.Writer) error {
 	bins, err := os.MkdirTemp("", "mutate-bin-")
 	if err != nil {
 		return err
@@ -390,7 +429,10 @@ func sweepAll(dir string, entries []entry, w io.Writer) error {
 	defer os.RemoveAll(bins)
 	mutant := filepath.Join(bins, "mutant.test")
 	for _, e := range entries {
-		passed, out, err := testMutant(dir, e, mutant, "-test.v", "-test.timeout=60s")
+		passed, out, err := testMutant(ctx, dir, e, mutant, "-test.v", "-test.timeout=60s")
+		if err := stopped(ctx); err != nil {
+			return err
+		}
 		if err != nil {
 			fmt.Fprintf(w, "ERROR    %v: %v\n", e, firstLine(err.Error()))
 			continue
@@ -417,10 +459,14 @@ func firstLine(s string) string {
 }
 
 // copyTree copies the regular files under src into dst, skipping
-// directories whose name starts with a dot (.git, build caches).
-func copyTree(src, dst string) error {
+// directories whose name starts with a dot (.git, build caches). A stop
+// (ctx done) ends it.
+func copyTree(ctx context.Context, src, dst string) error {
 	return filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
+			return err
+		}
+		if err := stopped(ctx); err != nil {
 			return err
 		}
 		rel, err := filepath.Rel(src, path)

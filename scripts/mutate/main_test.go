@@ -2,11 +2,15 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 )
 
 // fixture is a tiny module: two functions, each held by its own test, a
@@ -112,7 +116,7 @@ func TestKillsAndSurvivors(t *testing.T) {
 		{"killer-fails-unmutated", "@ fix.go . ^TestSame$\n- return a + b\n+ return a - b\n", "fails on the unmutated tree"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			err := check(dir, mustParse(t, tc.table), io.Discard)
+			err := check(context.Background(), dir, mustParse(t, tc.table), io.Discard)
 			switch {
 			case tc.want == "" && err != nil:
 				t.Fatalf("check: %v", err)
@@ -143,7 +147,7 @@ func TestSweepListsFailingTests(t *testing.T) {
 		"@ fix.go . x\n  func Twice(a int) int {\n  x := a\n- x += a\n+ x *= 2\n" +
 		"@ fix.go . x\n  func Twice(a int) int {\n- x := a\n"
 	var out strings.Builder
-	if err := sweepAll(dir, mustParse(t, table), &out); err != nil {
+	if err := sweepAll(context.Background(), dir, mustParse(t, table), &out); err != nil {
 		t.Fatal(err)
 	}
 	want := "KILLED   table line 1 (fix.go: return a + b): TestAdd\n" +
@@ -165,5 +169,77 @@ func TestApplyKeepsIndentation(t *testing.T) {
 	want := strings.Replace(fixture["fix.go"], "func Twice(a int) int {\n\tx := a\n", "func Twice(a int) int {\n\tx := 2 * a\n\t_ = x\n", 1)
 	if string(got) != want {
 		t.Fatalf("apply:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestSignalRemovesTemporaries: a run stopped by SIGTERM or SIGINT while a
+// killer runs exits non-zero, promptly, and leaves neither its tree copy
+// (mutate-*) nor its test binaries (mutate-bin-*) in its temporary
+// directory. The killer sleeps, so the signal lands while it runs.
+func TestSignalRemovesTemporaries(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "mutate")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, sig := range []syscall.Signal{syscall.SIGTERM, syscall.SIGINT} {
+		t.Run(sig.String(), func(t *testing.T) {
+			dir := writeFixture(t)
+			slow := "package fixture\n\nimport (\n\t\"testing\"\n\t\"time\"\n)\n\n" +
+				"func TestSlow(t *testing.T) { time.Sleep(time.Minute) }\n"
+			if err := os.WriteFile(filepath.Join(dir, "slow_test.go"), []byte(slow), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			table := filepath.Join(dir, "table.txt")
+			if err := os.WriteFile(table, []byte("@ fix.go . ^TestSlow$\n- return a + b\n+ return a - b\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			tmp := t.TempDir()
+			cmd := exec.Command(bin, table)
+			cmd.Dir = dir
+			cmd.Env = append(os.Environ(), "TMPDIR="+tmp)
+			var out bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &out, &out
+			if err := cmd.Start(); err != nil {
+				t.Fatal(err)
+			}
+			// Wait until the killer's binary exists: the run is then inside
+			// the killer, with both temporaries made.
+			deadline := time.Now().Add(time.Minute)
+			for {
+				bins, _ := filepath.Glob(filepath.Join(tmp, "mutate-bin-*", "*.test"))
+				if len(bins) > 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					cmd.Process.Kill()
+					cmd.Wait()
+					t.Fatalf("no test binary after a minute:\n%s", out.String())
+				}
+				time.Sleep(20 * time.Millisecond)
+			}
+			time.Sleep(200 * time.Millisecond) // let the killer start
+			start := time.Now()
+			if err := cmd.Process.Signal(sig); err != nil {
+				t.Fatal(err)
+			}
+			err := cmd.Wait()
+			if err == nil {
+				t.Fatalf("the stopped run exited 0:\n%s", out.String())
+			}
+			if took := time.Since(start); took > 20*time.Second {
+				t.Errorf("the run took %v to stop", took)
+			}
+			if !strings.Contains(out.String(), "stopped by a signal") {
+				t.Errorf("the run did not say it was stopped:\n%s", out.String())
+			}
+			left, err := filepath.Glob(filepath.Join(tmp, "mutate-*"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(left) > 0 {
+				t.Fatalf("left behind after %v: %v", sig, left)
+			}
+		})
 	}
 }
