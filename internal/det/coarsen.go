@@ -76,16 +76,30 @@ func (t *Thread) maybeCoarsen(nextEstimate int64) bool {
 
 // unlockEstimator returns this thread's post-unlock chunk estimator for
 // the given mutex.
-func (t *Thread) unlockEstimator(mutexID uint64) *ewma {
-	if t.unlockEWMA == nil {
-		t.unlockEWMA = make(map[uint64]*ewma)
+func (t *Thread) unlockEstimator(mutexID uint64) unlockEstimate {
+	return unlockEstimate{t, mutexID}
+}
+
+// unlockEstimate is a thread's EWMA for one mutex. The EWMAs are kept by
+// value in the thread's map, so a mutex costs no object of its own, and
+// one that has never trained has no entry: its zero EWMA estimates -1.
+type unlockEstimate struct {
+	t       *Thread
+	mutexID uint64
+}
+
+func (u unlockEstimate) estimate() int64 {
+	e := u.t.unlockEWMA[u.mutexID]
+	return e.estimate()
+}
+
+func (u unlockEstimate) update(x float64) {
+	if u.t.unlockEWMA == nil {
+		u.t.unlockEWMA = make(map[uint64]ewma)
 	}
-	e, ok := t.unlockEWMA[mutexID]
-	if !ok {
-		e = &ewma{}
-		t.unlockEWMA[mutexID] = e
-	}
-	return e
+	e := u.t.unlockEWMA[u.mutexID]
+	e.update(x)
+	u.t.unlockEWMA[u.mutexID] = e
 }
 
 // mimdAdapt implements the multiplicative-increase, multiplicative-decrease

@@ -90,7 +90,7 @@ type Thread struct {
 	// mixes a long processing chunk with a tiny loop-back chunk and
 	// mispredicts both (see DESIGN.md).
 	prevUnlockID uint64
-	unlockEWMA   map[uint64]*ewma
+	unlockEWMA   map[uint64]ewma
 
 	// bd accumulates the per-phase time breakdown: every call to
 	// account/charge closes the ledger's current interval (Ledger.Lap) into

@@ -93,7 +93,7 @@ func TestSyncOpAllocationBudget(t *testing.T) {
 // TestBarrierAllocationBudget is the whole-run gate on page churn at
 // barriers: canneal at scale 8 (bench/'s page_churn: 40 parallel-barrier
 // commits, ~2 900 committed pages) may allocate 13 MiB on the real host at
-// threads=4, shards=4 (~12 480 KiB today). Its commits never reach the GC
+// threads=4, shards=4 (~6 960 KiB today). Its commits never reach the GC
 // cadence, so while nothing collected at a barrier every page a round
 // superseded stayed on the Go heap and the run allocated ~20 300 KiB; each
 // barrier release now prunes them back to the free list. What remains is
@@ -101,11 +101,20 @@ func TestSyncOpAllocationBudget(t *testing.T) {
 // root, parked in Join at the fill version, rightly keeps. While a fault
 // copied the page a second time for its twin, the run allocated
 // ~14 100 KiB.
+//
+// It may allocate 2 400 objects (~2 055 today, 1 365 of them page
+// buffers). While every diffed page made its own run array and backing
+// (or a small diff's block) and every fault its own dirty record, the run
+// allocated ~5 980: a commit now packs its pages' runs per stage of 255
+// (mem's stage) and carves records from the workspace's chunks.
 func TestBarrierAllocationBudget(t *testing.T) {
-	_, _, bytes := measuredRun(t, "canneal", 8)
-	t.Logf("canneal s8: %d KiB", bytes>>10)
+	_, mallocs, bytes := measuredRun(t, "canneal", 8)
+	t.Logf("canneal s8: %d KiB, %d objects", bytes>>10, mallocs)
 	if bytes > 13<<20 {
 		t.Errorf("second canneal run allocated %d KiB, budget %d", bytes>>10, 13<<10)
+	}
+	if mallocs > 2400 {
+		t.Errorf("second canneal run allocated %d objects, budget 2400", mallocs)
 	}
 }
 

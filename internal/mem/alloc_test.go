@@ -109,15 +109,16 @@ func TestOnePageCommitAllocations(t *testing.T) {
 // 144-byte class. A small diff's block is 48 or 80 bytes alone, and 176 or
 // 208 with the version header in front: exact classes too, so a one-page
 // commit costs the bytes of its two former objects in one. A fault's
-// dirtyPage record, write window and diff included, is 88 bytes, in the
-// 96-byte class.
+// dirtyPage record, write window, diff and page index included, is 88
+// bytes, in the 96-byte class.
 //
-// The version blocks are carved from chunks, and every chunk length fills
-// its size class: the bytes the allocator charges for one chunk
-// (TotalAlloc) hold no further block. The 176-byte block's lengths 1, 2, 4
-// and 8 and the 208-byte one's 1 and 2 fill their classes exactly; the
-// rest leave less than a block (10 240-byte class: 58 × 176 = 10 208,
-// 49 × 208 = 10 192).
+// The version blocks and the dirty records are carved from chunks, and
+// every chunk length fills its size class: the bytes the allocator charges
+// for one chunk (TotalAlloc) hold no further block. The 176-byte block's
+// lengths 1, 2, 4 and 8, the 208-byte one's 1 and 2 and the 88-byte
+// record's 2 and 4 fill their classes exactly; the rest leave less than a
+// block (10 240-byte class: 58 × 176 = 10 208, 49 × 208 = 10 192,
+// 116 × 88 = 10 208).
 func TestVersionLayout(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -137,6 +138,7 @@ func TestVersionLayout(t *testing.T) {
 	}
 	checkChunkLengths[versionDiff1](t, "versionDiff1", []int{1, 2, 4, 8, 58, 58})
 	checkChunkLengths[versionDiff2](t, "versionDiff2", []int{1, 2, 4, 8, 49, 49})
+	checkChunkLengths[dirtyPage](t, "dirtyPage", []int{1, 2, 4, 8, 116, 116})
 }
 
 // checkChunkLengths makes chunks one at a time and fails unless their
@@ -151,7 +153,7 @@ func checkChunkLengths[T any](t *testing.T, name string, want []int) {
 		c.free = nil // spent: the next take makes a chunk
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		c.takeLocked()
+		c.take()
 		runtime.ReadMemStats(&after)
 		class := after.TotalAlloc - before.TotalAlloc
 		if c.n != n {
@@ -163,108 +165,69 @@ func checkChunkLengths[T any](t *testing.T, name string, want []int) {
 	}
 }
 
-// TestSmallDiffIsOneBlock pins computeDiff's packing: a diff of one or two
-// runs totalling at most smallDiffBytes is a single allocation whose runs'
-// data lie inside it, capped so no run can grow into its neighbour; a
-// larger diff keeps its run slice and backing array. Given small scratch, a
-// small diff allocates nothing: its runs are the scratch's, slicing the
-// page, until packLocked moves them into a block carved from the segment's
-// chunks, behind the zero Version it returns; a larger diff is as before.
+// TestSmallDiffIsOneBlock pins the packing of a commit's first small diff:
+// a diff of one or two runs totalling at most smallDiffBytes is published
+// inside one block with the version's zero-initialized header in front of
+// it, its runs and their bytes inside the block and each run capped so
+// none can grow into its neighbour. A larger diff's runs lie outside the
+// header's object. A second workspace keeps every run out of the page
+// (pageSlot.inPlace).
 func TestSmallDiffIsOneBlock(t *testing.T) {
-	seg, err := NewSegment(SegmentConfig{Name: "pack", Size: DefaultPageSize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	twin := make([]byte, DefaultPageSize)
 	for _, tc := range []struct {
-		name   string
-		runs   [][2]int // [off, len]
-		allocs float64
+		name  string
+		runs  [][2]int // [off, len]
+		small bool
 	}{
-		{"one byte", [][2]int{{7, 1}}, 1},
-		{"one word", [][2]int{{64, 8}}, 1},
-		{"two runs, 16 bytes", [][2]int{{0, 8}, {4088, 8}}, 1},
-		{"one run, 17 bytes", [][2]int{{100, 17}}, 2},
-		{"two runs, 17 bytes", [][2]int{{0, 9}, {200, 8}}, 2},
-		{"three runs", [][2]int{{0, 1}, {10, 1}, {20, 1}}, 2},
+		{"one byte", [][2]int{{7, 1}}, true},
+		{"one word", [][2]int{{64, 8}}, true},
+		{"two runs, 16 bytes", [][2]int{{0, 8}, {4088, 8}}, true},
+		{"one run, 17 bytes", [][2]int{{100, 17}}, false},
+		{"two runs, 17 bytes", [][2]int{{0, 9}, {200, 8}}, false},
+		{"three runs", [][2]int{{0, 1}, {10, 1}, {20, 1}}, false},
 	} {
+		seg, err := NewSegment(SegmentConfig{Name: "pack", Size: DefaultPageSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, _ := seg.Snapshot(0)
+		seg.Snapshot(1)
 		cur := make([]byte, DefaultPageSize)
 		for _, r := range tc.runs {
 			for i := r[0]; i < r[0]+r[1]; i++ {
 				cur[i] = byte(i) | 1
 			}
+			a.Write(cur[r[0]:r[0]+r[1]], r[0])
 		}
-		isSmall := tc.allocs == 1
-		for _, withSmall := range []bool{false, true} {
-			name := fmt.Sprintf("%s (small scratch %t)", tc.name, withSmall)
-			var d Diff
-			var scratch [2]Run
-			diff := func() {
-				if !withSmall {
-					d, _ = computeDiff(cur, twin, 0, len(cur), nil, false)
-					return
-				}
-				d, _ = computeDiff(cur, twin, 0, len(cur), &scratch, false)
+		v := a.BeginCommit().Version()
+		d := v.slots[0].diff
+		if got := smallDiff(len(d.Runs), d.Bytes()); got != tc.small {
+			t.Errorf("%s: smallDiff = %v", tc.name, got)
+		}
+		if len(d.Runs) != len(tc.runs) || cap(d.Runs) != len(tc.runs) {
+			t.Fatalf("%s: %d runs (cap %d), want %d", tc.name, len(d.Runs), cap(d.Runs), len(tc.runs))
+		}
+		for i, r := range d.Runs {
+			if r.Off != tc.runs[i][0] || len(r.Data) != tc.runs[i][1] || cap(r.Data) != len(r.Data) {
+				t.Errorf("%s: run %d = off %d len %d cap %d, want off %d len %d", tc.name, i, r.Off, len(r.Data), cap(r.Data), tc.runs[i][0], tc.runs[i][1])
 			}
-			want := tc.allocs
-			if withSmall && isSmall {
-				want = 0
+			if !bytes.Equal(r.Data, cur[r.Off:r.Off+len(r.Data)]) {
+				t.Errorf("%s: run %d data % x, want % x", tc.name, i, r.Data, cur[r.Off:r.Off+len(r.Data)])
 			}
-			if n := testing.AllocsPerRun(10, diff); n != want {
-				t.Errorf("%s: %.0f allocations, want %.0f", name, n, want)
-			}
-			if d.small() != isSmall {
-				t.Errorf("%s: small() = %v", name, d.small())
-			}
-			var v *Version
-			if withSmall && isSmall {
-				if &d.Runs[0] != &scratch[0] {
-					t.Fatalf("%s: runs at %p, not the scratch at %p", name, &d.Runs[0], &scratch[0])
-				}
-				for i, r := range d.Runs {
-					if unsafe.SliceData(r.Data) != &cur[r.Off] || cap(r.Data) != len(r.Data) {
-						t.Errorf("%s: unpacked run %d does not slice the page, cap-limited", name, i)
-					}
-				}
-				seg.mu.Lock()
-				v = seg.packLocked(&d, cur)
-				seg.mu.Unlock()
-				if scratch[0].Data != nil || scratch[1].Data != nil {
-					t.Errorf("%s: packLocked left the scratch holding the page: %+v", name, scratch)
-				}
-			}
-			if len(d.Runs) != len(tc.runs) || cap(d.Runs) != len(tc.runs) {
-				t.Fatalf("%s: %d runs (cap %d), want %d", name, len(d.Runs), cap(d.Runs), len(tc.runs))
-			}
-			for i, r := range d.Runs {
-				if r.Off != tc.runs[i][0] || len(r.Data) != tc.runs[i][1] || cap(r.Data) != len(r.Data) {
-					t.Errorf("%s: run %d = off %d len %d cap %d, want off %d len %d", name, i, r.Off, len(r.Data), cap(r.Data), tc.runs[i][0], tc.runs[i][1])
-				}
-				if !bytes.Equal(r.Data, cur[r.Off:r.Off+len(r.Data)]) {
-					t.Errorf("%s: run %d data % x, want % x", name, i, r.Data, cur[r.Off:r.Off+len(r.Data)])
-				}
-			}
-			if v == nil {
-				continue
-			}
-			if v.Num != 0 || v.Committer != 0 || v.slots != nil {
-				t.Errorf("%s: packed header is not a zero Version: num %d, committer %d, %d slots", name, v.Num, v.Committer, len(v.slots))
-			}
-			block := unsafe.Sizeof(versionDiff1{})
-			if len(d.Runs) == 2 {
-				block = unsafe.Sizeof(versionDiff2{})
-			}
-			lo := uintptr(unsafe.Pointer(v))
-			inside := func(p unsafe.Pointer, n uintptr) bool {
-				return uintptr(p) >= lo+unsafe.Sizeof(Version{}) && uintptr(p)+n <= lo+block
-			}
-			if !inside(unsafe.Pointer(&d.Runs[0]), uintptr(len(d.Runs))*unsafe.Sizeof(Run{})) {
-				t.Errorf("%s: runs at %p lie outside the %d-byte block at %p", name, &d.Runs[0], block, v)
-			}
-			for i, r := range d.Runs {
-				if !inside(unsafe.Pointer(unsafe.SliceData(r.Data)), uintptr(len(r.Data))) {
-					t.Errorf("%s: run %d data at %p lies outside the %d-byte block at %p", name, i, unsafe.SliceData(r.Data), block, v)
-				}
+		}
+		block := unsafe.Sizeof(versionDiff1{})
+		if len(d.Runs) == 2 {
+			block = unsafe.Sizeof(versionDiff2{})
+		}
+		lo := uintptr(unsafe.Pointer(v))
+		inside := func(p unsafe.Pointer, n uintptr) bool {
+			return uintptr(p) >= lo+unsafe.Sizeof(Version{}) && uintptr(p)+n <= lo+block
+		}
+		if got := inside(unsafe.Pointer(&d.Runs[0]), uintptr(len(d.Runs))*unsafe.Sizeof(Run{})); got != tc.small {
+			t.Errorf("%s: runs at %p inside the %d bytes behind the header at %p: %v", tc.name, &d.Runs[0], block, v, got)
+		}
+		for i, r := range d.Runs {
+			if got := inside(unsafe.Pointer(unsafe.SliceData(r.Data)), uintptr(len(r.Data))); got != tc.small {
+				t.Errorf("%s: run %d data at %p inside the %d bytes behind the header at %p: %v", tc.name, i, unsafe.SliceData(r.Data), block, v, got)
 			}
 		}
 	}
@@ -424,5 +387,95 @@ func TestVersionSlotAddressesStable(t *testing.T) {
 				t.Fatalf("page %d merged to % x, want a0 b0", pg, got)
 			}
 		}
+	}
+}
+
+// TestMultiPageCommitAllocations gates what a commit allocates against its
+// page count: nothing per page. Every page's runs are scanned into a stage
+// on BeginCommit's stack, and each time it fills, and at the end, the
+// staged pages get one []Run and one backing between them (stage.flush).
+// So a commit of 2, 64 or 1 024 pages, each page one word (a small diff)
+// or 16 runs of 8 bytes (a fragmented one), allocates at most its slot
+// array and its version header (or its share of a chunk) plus 2 per
+// flush. A second workspace keeps every run out of its page, so every
+// flush makes both arrays; it updates between commits, so GC folds each
+// version and its pages come back for the next round's faults.
+//
+// The faults are measured too: in steady state a fault allocates nothing
+// (its record and page recycled), and a fresh workspace that faults 1 024
+// pages takes their records from a few chunks, not an object each.
+func TestMultiPageCommitAllocations(t *testing.T) {
+	const maxPages = 1024
+	for _, shape := range []struct {
+		name string
+		runs int // per page, 8 bytes each, 8 bytes apart
+	}{{"small", 1}, {"fragmented", 16}} {
+		for _, npages := range []int{2, 64, maxPages} {
+			name := fmt.Sprintf("%s/%d pages", shape.name, npages)
+			s, err := NewSegment(SegmentConfig{Name: "multi", Size: maxPages * DefaultPageSize})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, _ := s.Snapshot(0)
+			b, _ := s.Snapshot(1)
+			word := make([]byte, 8)
+			write := func() {
+				for i := range word {
+					word[i]++
+				}
+				for pg := 0; pg < npages; pg++ {
+					for r := 0; r < shape.runs; r++ {
+						a.Write(word, pg*DefaultPageSize+16*r)
+					}
+				}
+			}
+			var pc PendingCommit
+			commit := func() {
+				pc = a.BeginCommit()
+				pc.Complete()
+			}
+			settle := func() {
+				if pc.Stats().CommittedPages != npages {
+					t.Fatalf("%s: commit published %d pages", name, pc.Stats().CommittedPages)
+				}
+				b.Update()
+				s.GC()
+			}
+			for range 3 { // grow every scratch list to steady state
+				write()
+				commit()
+				settle()
+			}
+			perFlush := stageRuns / shape.runs
+			flushes := uint64((npages + perFlush - 1) / perFlush)
+			for i := range 3 {
+				if n := mallocsIn(write); n != 0 {
+					t.Errorf("%s: round %d's %d faults made %d allocations, want 0", name, i, npages, n)
+				}
+				if n := mallocsIn(commit); n > 3+2*flushes {
+					t.Errorf("%s: round %d's commit made %d allocations, want at most 3 + 2 per stage flush (%d flushes)", name, i, n, flushes)
+				}
+				settle()
+			}
+		}
+	}
+
+	s, err := NewSegment(SegmentConfig{Name: "fresh", Size: maxPages * DefaultPageSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := s.Snapshot(0)
+	for pg := 0; pg < maxPages; pg++ {
+		a.Write([]byte{1}, pg*DefaultPageSize)
+	}
+	a.Discard() // every page buffer back on the free list
+	s.Release(a)
+	fresh, _ := s.Snapshot(0)
+	if n := mallocsIn(func() {
+		for pg := 0; pg < maxPages; pg++ {
+			fresh.Write([]byte{2}, pg*DefaultPageSize)
+		}
+	}); n > maxPages/16 {
+		t.Errorf("a fresh workspace's %d faults made %d allocations, want at most %d (records from chunks, the dirty map's and list's growth)", maxPages, n, maxPages/16)
 	}
 }

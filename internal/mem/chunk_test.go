@@ -183,3 +183,128 @@ func TestStatsDuringTraffic(t *testing.T) {
 		t.Errorf("Stats counts %d versions, the workspaces published %d", st.Versions, want)
 	}
 }
+
+// TestPackedRunsNeverChange: a commit packs the runs of a group of its
+// pages into one []Run and one backing (stage.flush), so a later commit
+// that wrote into them, or a GC that recycled them, would change diffs the
+// commit log and followers still hold. Workspace a makes 60 commits of 40
+// pages each, every page 12 runs and a first page of one word, so every
+// commit packs a small diff behind its header and two stage groups; each
+// version's diffs are copied out with ForEachPageDiff right after its
+// BeginCommit, as det's logCommit does. Two readers walk every published
+// version's ForEachPageDiff meanwhile and compare it with that copy, while
+// a commits, b updates and GC and Prune run. b is released halfway, so the
+// later commits publish their large diffs in place and ForEachPageDiff
+// owns them first. Run under -race: a write into a held run races them.
+func TestPackedRunsNeverChange(t *testing.T) {
+	const (
+		npages  = 41
+		runs    = 12
+		commits = 60
+	)
+	s, err := NewSegment(SegmentConfig{Name: "packed", Size: npages * DefaultPageSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := s.Snapshot(0)
+	b, _ := s.Snapshot(1)
+
+	type published struct {
+		v     *Version
+		diffs []Diff
+	}
+	copyOut := func(v *Version) []Diff {
+		var out []Diff
+		v.ForEachPageDiff(func(pg int, d Diff) {
+			c := Diff{Runs: make([]Run, len(d.Runs))}
+			for k, r := range d.Runs {
+				c.Runs[k] = Run{Off: pg*DefaultPageSize + r.Off, Data: bytes.Clone(r.Data)}
+			}
+			out = append(out, c)
+		})
+		return out
+	}
+	same := func(v *Version, want []Diff) bool {
+		i := 0
+		ok := true
+		v.ForEachPageDiff(func(pg int, d Diff) {
+			w := want[i].Runs
+			i++
+			if len(d.Runs) != len(w) {
+				ok = false
+				return
+			}
+			for k, r := range d.Runs {
+				if pg*DefaultPageSize+r.Off != w[k].Off || !bytes.Equal(r.Data, w[k].Data) {
+					ok = false
+				}
+			}
+		})
+		return ok && i == len(want)
+	}
+
+	var mu sync.Mutex // guards log
+	var log []published
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				mu.Lock()
+				seen := log
+				mu.Unlock()
+				for i, p := range seen {
+					if !same(p.v, p.diffs) {
+						t.Errorf("commit %d's diffs changed after it was published", i)
+						return
+					}
+				}
+			}
+		}()
+	}
+
+	for i := 0; i < commits; i++ {
+		if i == commits/2 {
+			s.Release(b)
+			b = nil
+		}
+		a.Write([]byte{byte(i), byte(i + 1)}, 8*(i%8)) // page 0: a small diff
+		for pg := 1; pg < npages; pg++ {
+			for k := 0; k < runs; k++ {
+				a.Write([]byte{byte(i + pg), byte(i + k), byte(i)}, pg*DefaultPageSize+k*100+i%7)
+			}
+		}
+		pc := a.BeginCommit()
+		v := pc.Version()
+		if v == nil || v.NumPages() != npages {
+			t.Fatalf("commit %d published %v", i, v)
+		}
+		p := published{v, copyOut(v)}
+		mu.Lock()
+		log = append(log, p)
+		mu.Unlock()
+		pc.Complete()
+		if b != nil && i%3 == 0 {
+			b.Update()
+		}
+		if i%4 == 1 {
+			s.GC()
+		} else if i%4 == 3 {
+			s.Prune()
+		}
+	}
+	close(stop)
+	wg.Wait()
+	for i, p := range log {
+		if !same(p.v, p.diffs) {
+			t.Fatalf("commit %d's diffs changed after it was published", i)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 )
@@ -126,9 +127,11 @@ func (ws *Workspace) applyPatches() {
 // the result is a value. The version's header is carved with the first
 // small diff's block from the segment's chunks (packLocked), so a one-page
 // commit allocates nothing but, amortized, its share of a chunk. A version
-// of more pages also makes its slot array, and a header of its own only
-// when none of its diffs is small. With an empty dirty set the commit is an
-// update: one lock, no allocation.
+// of more pages also makes its slot array, a header of its own only when
+// none of its diffs is small, and its other pages' runs and bytes: one
+// []Run and one backing per stage of runs (stage), however many pages they
+// cover. With an empty dirty set the commit is an update: one lock, no
+// allocation.
 //
 // A page no other workspace can patch from publishes a large diff's runs
 // in the committed page itself and makes no backing for them
@@ -162,57 +165,88 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 	ws.applyPatches()
 
 	// Diff dirty pages in deterministic (ascending page) order, counting
-	// the pages that changed. The first small diff is left unpacked (hdr):
-	// its runs are workspace scratch slicing its page until the publish
-	// section packs them behind the version's header.
-	pages := ws.scratchPages[:0]
-	for pg := range ws.dirty {
-		pages = append(pages, pg)
-	}
-	slices.Sort(pages)
-	ws.scratchPages = pages
+	// the pages that changed. Each page's runs are scanned into the stage
+	// and packed with the rest of their group when it fills (stage.flush);
+	// a page whose runs alone overflow it is packed on its own
+	// (computeDiff). The first small diff is left unpacked (hdr): the
+	// publish section packs it, from its bounds and its page, behind the
+	// version's header.
+	pages := ws.pages
+	slices.SortFunc(pages, func(a, b *dirtyPage) int { return cmp.Compare(a.page, b.page) })
 
 	var hdr *dirtyPage
-	npub := 0
-	for _, pg := range pages {
-		dp := ws.dirty[pg]
-		var small *[2]Run
-		if hdr == nil {
-			small = &ws.scratchRuns
-		}
+	var hdrBuf [2]runBounds
+	hdrBounds := hdrBuf[:0] // hdr's runs
+	// A one-page commit — most of a sync-heavy program's — stages no more
+	// than a small diff's runs: zeroing stageRuns bounds would cost it more
+	// than its diff, and its page is its group anyway.
+	var one [2]runBounds
+	st := stage{bounds: one[:]}
+	if len(pages) > 1 {
+		var bounds [stageRuns]runBounds
+		st.bounds = bounds[:]
+	}
+	npub, group := 0, 0 // group: the first page the stage may hold runs of
+	for i, dp := range pages {
 		// A page the window touched is dirty here, so it was patched
 		// (pullWindowLocked); the touched set is this window's only when
 		// the window pulled a page.
-		inPlace := sole && !(pc.stats.PulledPages > 0 && ws.scratchTouched[pg])
-		dp.diff, dp.inPlace = computeDiff(dp.data, dp.twin, int(dp.lo), int(dp.hi), small, inPlace)
-		if dp.diff.Empty() {
+		inPlace := sole && !(pc.stats.PulledPages > 0 && ws.scratchTouched[int(dp.page)])
+		lo, hi := int(dp.lo), int(dp.hi)
+		free := st.free()
+		n, nbytes, _ := scanRuns(dp.data, dp.twin, lo, hi, free)
+		if n > len(free) && n <= len(st.bounds) {
+			// The page fits an empty stage: pack the pages before it.
+			st.flush(pages[group:i])
+			group = i
+			free = st.free()
+			scanRuns(dp.data, dp.twin, lo, hi, free)
+		}
+		if n == 0 {
 			continue
 		}
 		npub++
-		if small != nil && dp.diff.small() {
-			hdr = dp
+		small := smallDiff(n, nbytes)
+		switch {
+		case n > len(free):
+			dp.diff, dp.inPlace = computeDiff(dp.data, dp.twin, lo, hi, inPlace)
+		case small && hdr == nil:
+			hdr, hdrBounds = dp, append(hdrBounds, free[:n]...)
+		default:
+			st.add(dp, n, nbytes, inPlace && !small)
 		}
 	}
+	st.flush(pages[group:])
 
 	// Every diff is known now, so the version can be sized — one slot per
 	// page that changed — and all but a small diff's header made before
-	// the lock is taken.
+	// the lock is taken: with a small diff, the chunk its block is carved
+	// from if the current one is spent (packLocked). BeginCommit is the
+	// only taker of those blocks, and its callers serialize it, so reading
+	// the chunks here races no other commit.
 	var slots []pageSlot
 	if npub > 1 {
 		slots = make([]pageSlot, npub)
 	}
 	var v *Version
-	if npub > 0 && hdr == nil {
+	var vd1 []versionDiff1
+	var vd2 []versionDiff2
+	switch {
+	case npub == 0:
+	case hdr == nil:
 		v = new(Version)
+	case len(hdrBounds) == 1:
+		vd1 = s.vd1.successor()
+	default:
+		vd2 = s.vd2.successor()
 	}
 
 	// Serial decision 2 (locked): conflict checks against the latest table
 	// and version publication. Nothing below computes diffs, and nothing
-	// allocates but a new chunk once the segment's is spent (packLocked)
-	// and the copy a Snapshot racing the commit forces (v.own below); the
-	// lock covers packing the first small diff, filling the version's slots
-	// in place, the latest/head update, the released buffers and the
-	// counters.
+	// allocates but the copy a Snapshot racing the commit forces (v.own
+	// below); the lock covers packing the first small diff, filling the
+	// version's slots in place, the latest/head update, the released
+	// buffers and the counters.
 	// Buffers this commit releases, recycled before the lock is dropped,
 	// and the lent twins that leave the dirty set with them: committed
 	// pages, never put, but each one a live page of the modeled count.
@@ -221,20 +255,22 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 	si := 0
 	s.mu.Lock()
 	if hdr != nil {
-		v = s.packLocked(&hdr.diff, hdr.data)
+		s.vd1.install(vd1)
+		s.vd2.install(vd2)
+		v, hdr.diff = s.packLocked(hdrBounds, hdr.data)
 	}
 	if v != nil {
 		v.init(ws.tid, slots)
 	}
-	for _, pg := range pages {
-		dp := ws.dirty[pg]
+	for _, dp := range pages {
+		pg := int(dp.page)
 		diff := dp.diff
 		if diff.Empty() {
 			freed = append(freed, dp.data)
 		} else {
 			slot := &v.slots[si]
 			si++
-			slot.page = int32(pg)
+			slot.page = dp.page
 			slot.version = v
 			slot.prev = s.latest[pg]
 			slot.diff, slot.inPlace = diff, dp.inPlace
@@ -266,7 +302,7 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 		s.stats.PulledPages += int64(pc.stats.PulledPages)
 		ws.recycleLocked(freed, lent)
 		s.mu.Unlock()
-		ws.resetDirty(pages)
+		ws.resetDirty()
 		return pc
 	}
 
@@ -286,17 +322,19 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 	ws.recycleLocked(freed, lent)
 	s.mu.Unlock()
 
-	ws.resetDirty(pages)
+	ws.resetDirty()
 	return pc
 }
 
-// resetDirty clears the dirty set after a commit. pages is the commit's
-// full (ascending) page list, workspace scratch.
-func (ws *Workspace) resetDirty(pages []int) {
-	for _, pg := range pages {
-		ws.putDirty(ws.dirty[pg])
-		delete(ws.dirty, pg)
+// resetDirty empties the dirty set, after a commit or a discard that has
+// disposed of the buffers: every record is zeroed and left in pages, past
+// its length, for the next faults (newDirty).
+func (ws *Workspace) resetDirty() {
+	for _, dp := range ws.pages {
+		delete(ws.dirty, int(dp.page))
+		*dp = dirtyPage{}
 	}
+	ws.pages = ws.pages[:0]
 }
 
 // recycleLocked returns the buffers a commit released (workspace scratch)

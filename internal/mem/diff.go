@@ -47,15 +47,16 @@ const (
 	low7Bits   = uint64(0x7f7f7f7f7f7f7f7f)
 )
 
-// smallDiffBytes bounds the diffs computeDiff packs into one allocation:
-// one or two runs of at most this many bytes in all share a block with
-// their Run array (48 or 80 bytes, both exact size classes). A one-word
-// store — most of a sync-heavy program's commits — is such a diff.
+// smallDiffBytes bounds a small diff: one or two runs of at most this
+// many bytes in all, which share a block with their Run array (48 or 80
+// bytes, both exact size classes) and with the header of the version that
+// publishes them (packLocked). A one-word store — most of a sync-heavy
+// program's commits — is such a diff.
 const smallDiffBytes = 16
 
-// small reports whether d, a non-empty diff, is one computeDiff packs
-// into one block: one or two runs of at most smallDiffBytes in all.
-func (d Diff) small() bool { return len(d.Runs) <= 2 && d.Bytes() <= smallDiffBytes }
+// smallDiff reports whether a non-empty diff of nruns runs holding nbytes
+// bytes is small: one or two runs of at most smallDiffBytes in all.
+func smallDiff(nruns, nbytes int) bool { return nruns <= 2 && nbytes <= smallDiffBytes }
 
 // The blocks of a small diff: its runs and their bytes, and, in the
 // versionDiff forms, the header of the version that will publish it in
@@ -80,64 +81,82 @@ type (
 	}
 )
 
-// chunkBytes is the size class a full chunk of version blocks fills:
-// 58 versionDiff1 (10 208 bytes) or 49 versionDiff2 (10 192), each with
-// less than one block of slack.
+// chunkBytes is the size class a full chunk fills: 58 versionDiff1
+// (10 208 bytes), 49 versionDiff2 (10 192) or 116 dirtyPage records
+// (10 208), each with less than one block of slack.
 const chunkBytes = 10240
 
-// chunks hands out the version blocks of one small-diff form, carved from
-// chunks the segment allocates one at a time: 1, 2, 4 and 8 blocks long,
-// so a segment that commits little makes little, and then chunkBytes'
-// worth. A block is never handed out twice; a chunk stays reachable while
-// any block carved from it is. Guarded by the segment lock.
+// chunks hands out blocks of one type — a small diff's version block, a
+// workspace's dirty-page record — carved from chunks allocated one at a
+// time: 1, 2, 4 and 8 blocks long, so an owner that takes little makes
+// little, and then chunkBytes' worth. A block is never handed out twice; a
+// chunk stays reachable while any block carved from it is. Its owner
+// guards it: the segment lock for the version blocks, the workspace's
+// thread for its records.
 type chunks[T any] struct {
 	free []T // the current chunk's blocks not yet handed out
 	n    int // the current chunk's length
 }
 
-// takeLocked returns a zero block, making the next chunk if the current
-// one is spent: its length doubles from 1 to 8, then stays at the most
-// blocks chunkBytes holds. Caller holds the segment lock.
-func (c *chunks[T]) takeLocked() *T {
-	if len(c.free) == 0 {
-		switch {
-		case c.n == 0:
-			c.n = 1
-		case c.n < 8:
-			c.n *= 2
-		default:
-			c.n = int(chunkBytes / unsafe.Sizeof(*new(T)))
-		}
-		c.free = make([]T, c.n)
-	}
+// take returns a zero block, making the next chunk if the current one is
+// spent.
+func (c *chunks[T]) take() *T {
+	c.install(c.successor())
 	b := &c.free[0]
 	c.free = c.free[1:]
 	return b
 }
 
-// packLocked moves *d, a small diff whose runs slice page (computeDiff's
-// small), into a version block carved from the segment's chunks, and
-// returns the zero Version in front of it: BeginCommit makes that the
+// successor returns the chunk the next take carves from if the current one
+// is spent, and nil if it is not: its length doubles from 1 to 8, then
+// stays at the most blocks chunkBytes holds. It only reads c, so a caller
+// may make the chunk before it takes the lock that guards c, and install
+// it under that lock.
+func (c *chunks[T]) successor() []T {
+	if len(c.free) > 0 {
+		return nil
+	}
+	n := int(chunkBytes / unsafe.Sizeof(*new(T)))
+	switch {
+	case c.n == 0:
+		n = 1
+	case c.n < 8:
+		n = 2 * c.n
+	}
+	return make([]T, n)
+}
+
+// install makes next, a chunk successor returned, the current one; a nil
+// next leaves c as it is.
+func (c *chunks[T]) install(next []T) {
+	if next != nil {
+		c.free, c.n = next, len(next)
+	}
+}
+
+// packLocked packs a small diff — one or two runs, bounds, of page —
+// into a version block carved from the segment's chunks, and returns the
+// diff and the zero Version in front of it: BeginCommit makes that the
 // header of the version it publishes, so a one-page commit allocates only
-// its share of a chunk. The runs' bytes are copied from page, which the
-// caller has not written since the diff. Caller holds mu.
-func (s *Segment) packLocked(d *Diff, page []byte) *Version {
+// its share of a chunk, and BeginCommit makes that chunk, when one is due,
+// before it takes the lock (chunks.successor). The runs' bytes are copied
+// from page, which the caller has not written since it scanned them.
+// Caller holds mu.
+func (s *Segment) packLocked(bounds []runBounds, page []byte) (*Version, Diff) {
 	var v *Version
 	var runs []Run
 	var backing []byte
-	if len(d.Runs) == 1 {
-		p := s.vd1.takeLocked()
+	if len(bounds) == 1 {
+		p := s.vd1.take()
 		v, runs, backing = &p.v, p.r[:], p.b[:]
 	} else {
-		p := s.vd2.takeLocked()
+		p := s.vd2.take()
 		v, runs, backing = &p.v, p.r[:], p.b[:]
 	}
-	for k, r := range d.Runs {
-		backing = fillRun(&runs[k], backing, page, r.Off, r.Off+len(r.Data))
+	for k, b := range bounds {
+		backing = fillRun(&runs[k], backing, page, int(b.off), int(b.end))
 	}
-	clear(d.Runs) // scratch: do not pin the page
-	*d = Diff{Runs: runs}
-	return v
+	return v, Diff{Runs: runs}
 }
 
 // hasZeroByte is the classic zero-byte probe. It may flag spurious bytes
@@ -207,51 +226,24 @@ func nextSameByte(cur, twin []byte, i int) int {
 	return i
 }
 
-// diffStackRuns is how many run bounds computeDiff records on the stack
-// during its scan. A page with more runs than this finishes with a second
-// scan, from the first unrecorded run. The array is a stack variable, so
-// it costs no allocation (TestPackedDiffLayout).
-const diffStackRuns = 32
+// runBounds is one run's extent in its page: [off, end).
+type runBounds struct{ off, end int32 }
 
-// computeDiff compares cur against twin within the window [lo, hi) and
-// returns byte-exact runs where they differ, capturing cur's bytes. Both
-// slices must be the same length, and the caller guarantees cur == twin
-// outside the window: a dirty page's window is the span of its local
-// writes (dirtyPage.lo), so the diff costs what the thread wrote, not the
-// page. Under that guarantee the runs are those of the whole page — a run
-// cannot cross a window edge, because the byte beyond it agrees. The scan
-// is word-wide (8 bytes per compare) in both the clean-skip and the
-// run-extent phases; the runs produced are identical to a byte-at-a-time
-// scan of the whole page (FuzzComputeDiff pins this against the reference,
-// over random windows).
-//
-// The diff is packed: one scan counts the runs and their bytes, recording
-// the first diffStackRuns runs' bounds on the stack, then the fill makes
-// exactly one []Run and one backing []byte that every run's Data slices
-// into — two allocations per diffed page however fragmented the changes
-// are, and one for a small diff (see smallDiffBytes). Runs are immutable
-// after publication (the commit log and followers alias them), so sharing
-// one backing array is safe.
-//
-// With a non-nil small, a small diff is not packed and allocates nothing:
-// its runs are small's, slicing cur, cap-limited, and BeginCommit packs
-// them under its publish lock behind the version's header
-// (Segment.packLocked). A larger diff leaves small alone.
-//
-// With inPlace, a larger diff makes no backing: each run's Data is cur's
-// own bytes, cap-limited, and computeDiff reports that it aliased cur.
-// BeginCommit asks for it where cur becomes a committed page no other
-// workspace can patch from (pageSlot.inPlace). A small diff is packed
-// either way: it costs no allocation of its own.
-func computeDiff(cur, twin []byte, lo, hi int, small *[2]Run, inPlace bool) (d Diff, aliased bool) {
+// scanRuns finds the runs where cur and twin differ within the window
+// [lo, hi), recording the bounds of the first len(bounds) of them. It
+// returns how many runs there are, how many bytes they hold, and where the
+// first unrecorded run starts (hi if every run was recorded). The scan is
+// word-wide (8 bytes per compare) in both the clean-skip and the run-extent
+// phases, and the runs it finds are identical to a byte-at-a-time scan of
+// the whole page when cur == twin outside the window (FuzzComputeDiff pins
+// this against the reference, over random windows).
+func scanRuns(cur, twin []byte, lo, hi int, bounds []runBounds) (nruns, nbytes, rescan int) {
 	cur, twin = cur[:hi], twin[:hi]
-	var bounds [diffStackRuns]struct{ off, end int32 }
-	nruns, nbytes := 0, 0
-	rescan := hi // the first unrecorded run's offset, if there is one
+	rescan = hi
 	for i := nextDiffByte(cur, twin, lo); i < hi; {
 		end := nextSameByte(cur, twin, i)
 		if nruns < len(bounds) {
-			bounds[nruns].off, bounds[nruns].end = int32(i), int32(end)
+			bounds[nruns] = runBounds{int32(i), int32(end)}
 		} else if nruns == len(bounds) {
 			rescan = i
 		}
@@ -259,29 +251,52 @@ func computeDiff(cur, twin []byte, lo, hi int, small *[2]Run, inPlace bool) (d D
 		nbytes += end - i
 		i = nextDiffByte(cur, twin, end)
 	}
-	var runs []Run
-	var backing []byte
-	switch {
-	case nruns == 0:
+	return nruns, nbytes, rescan
+}
+
+// diffStackRuns is how many run bounds computeDiff records on the stack
+// during its scan. A page with more runs than this finishes with a second
+// scan, from the first unrecorded run. The array is a stack variable, so
+// it costs no allocation (TestPackedDiffLayout).
+const diffStackRuns = 32
+
+// computeDiff compares cur against twin within the window [lo, hi) and
+// returns the page's byte-exact runs on their own, capturing cur's bytes.
+// Both slices must be the same length, and the caller guarantees
+// cur == twin outside the window: a dirty page's window is the span of its
+// local writes (dirtyPage.lo), so the diff costs what the thread wrote, not
+// the page. Under that guarantee the runs are those of the whole page — a
+// run cannot cross a window edge, because the byte beyond it agrees.
+//
+// The diff is packed: one scan (scanRuns) counts the runs and their bytes,
+// recording the first diffStackRuns runs' bounds on the stack, then the
+// fill makes exactly one []Run and one backing []byte that every run's
+// Data slices into. Runs are immutable after publication (the commit log
+// and followers alias them), so sharing one backing array is safe.
+// BeginCommit packs a group of pages this way at once (stage) and calls
+// computeDiff only for a page whose runs alone overflow its stage.
+//
+// With inPlace, a diff larger than small makes no backing: each run's
+// Data is cur's own bytes, cap-limited, and computeDiff reports that it
+// aliased cur. BeginCommit asks for it where cur becomes a committed page
+// no other workspace can patch from (pageSlot.inPlace). A small diff is
+// copied either way.
+func computeDiff(cur, twin []byte, lo, hi int, inPlace bool) (d Diff, aliased bool) {
+	var bounds [diffStackRuns]runBounds
+	nruns, nbytes, rescan := scanRuns(cur, twin, lo, hi, bounds[:])
+	if nruns == 0 {
 		return Diff{}, false
-	case nruns > 2 || nbytes > smallDiffBytes:
-		runs, aliased = make([]Run, nruns), inPlace
-		if !aliased {
-			backing = make([]byte, nbytes)
-		}
-	case small != nil:
-		runs = small[:nruns:nruns]
-	case nruns == 1:
-		p := new(diff1)
-		runs, backing = p.r[:], p.b[:nbytes]
-	default:
-		p := new(diff2)
-		runs, backing = p.r[:], p.b[:nbytes]
+	}
+	runs := make([]Run, nruns)
+	var backing []byte
+	if aliased = inPlace && !smallDiff(nruns, nbytes); !aliased {
+		backing = make([]byte, nbytes)
 	}
 	k := 0
 	for ; k < nruns && k < len(bounds); k++ {
 		backing = fillRun(&runs[k], backing, cur, int(bounds[k].off), int(bounds[k].end))
 	}
+	cur, twin = cur[:hi], twin[:hi]
 	for i := rescan; k < nruns; k++ {
 		i = nextDiffByte(cur, twin, i)
 		end := nextSameByte(cur, twin, i)
@@ -289,6 +304,89 @@ func computeDiff(cur, twin []byte, lo, hi int, small *[2]Run, inPlace bool) (d D
 		i = end
 	}
 	return Diff{Runs: runs}, aliased
+}
+
+// stageRuns is how many run bounds a commit of several pages stages before
+// it packs them (stage): 2 KiB of BeginCommit's stack, and a full stage's
+// []Run, 8 160 bytes behind the allocator's 8-byte header, fills the
+// 8 KiB size class (256 runs would take the 9 472-byte one). A page's
+// staged count fits dirtyPage.staged.
+const stageRuns = 255
+
+// A stage holds the run bounds of a group of a commit's pages, so that one
+// []Run and one backing []byte serve every page of the group (flush): a
+// commit allocates two objects per stage of runs, not two per page. Its
+// bounds are a fixed array on BeginCommit's stack: a buffer that grew with
+// the commit would stay behind in every workspace, most of them
+// short-lived, and cost more bytes than it saves (a fill commit stages
+// ~17 000 runs). A page whose runs alone overflow the stage is packed on
+// its own (computeDiff).
+type stage struct {
+	bounds []runBounds
+	n      int // bounds staged, at the front of bounds
+	nbytes int // bytes the staged runs copy; an in-place page's copy none
+}
+
+// free returns the bounds not yet staged, where the next page is scanned.
+func (st *stage) free() []runBounds { return st.bounds[st.n:] }
+
+// add stages dp's n runs, which scanRuns has just recorded at the front of
+// free(), holding nbytes bytes; inPlace says they will slice dp's data
+// rather than take bytes of the backing (dirtyPage.inPlace).
+func (st *stage) add(dp *dirtyPage, n, nbytes int, inPlace bool) {
+	dp.staged, dp.inPlace = uint16(n), inPlace
+	st.n += n
+	if !inPlace {
+		st.nbytes += nbytes
+	}
+}
+
+// flush packs the staged runs into one []Run and their bytes into one
+// backing, each sized exactly, and empties the stage; runs and bytes that
+// fit a small diff's block take one (diff1, diff2), one allocation rather
+// than two. group lists, in the order they were staged, the pages whose
+// runs it holds (dirtyPage.staged; a page that staged none is skipped):
+// each page's diff becomes its cap-limited window of the runs, so no
+// append through it reaches the next page's. An in-place page's runs are
+// cap-limited slices of its data; every other run's Data is carved from
+// the backing with no slack. The pages share the arrays, so holding any
+// one page's runs keeps the group's alive.
+func (st *stage) flush(group []*dirtyPage) {
+	var runs []Run
+	var backing []byte
+	switch {
+	case st.n == 0:
+		return
+	case st.nbytes == 0: // every run in place
+		runs = make([]Run, st.n)
+	case st.n == 1 && st.nbytes <= smallDiffBytes:
+		p := new(diff1)
+		runs, backing = p.r[:], p.b[:st.nbytes]
+	case st.n == 2 && st.nbytes <= smallDiffBytes:
+		p := new(diff2)
+		runs, backing = p.r[:], p.b[:st.nbytes]
+	default:
+		runs, backing = make([]Run, st.n), make([]byte, st.nbytes)
+	}
+	k := 0
+	for _, dp := range group {
+		n := int(dp.staged)
+		if n == 0 {
+			continue
+		}
+		d := runs[k : k+n : k+n]
+		for j := range d {
+			b := st.bounds[k+j]
+			if dp.inPlace {
+				fillRun(&d[j], nil, dp.data, int(b.off), int(b.end))
+			} else {
+				backing = fillRun(&d[j], backing, dp.data, int(b.off), int(b.end))
+			}
+		}
+		dp.diff, dp.staged = Diff{Runs: d}, 0
+		k += n
+	}
+	st.n, st.nbytes = 0, 0
 }
 
 // fillRun makes *r the run of cur[off:end], its data carved from the front

@@ -66,7 +66,7 @@ func BenchmarkComputeDiff(b *testing.B) {
 			b.SetBytes(benchPage)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				computeDiff(cur, twin, 0, len(cur), nil, false)
+				computeDiff(cur, twin, 0, len(cur), false)
 			}
 		})
 		if pattern == "store" {
@@ -74,7 +74,7 @@ func BenchmarkComputeDiff(b *testing.B) {
 				b.SetBytes(benchPage)
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					computeDiff(cur, twin, storeOff, storeOff+wordBytes, nil, false)
+					computeDiff(cur, twin, storeOff, storeOff+wordBytes, false)
 				}
 			})
 		}

@@ -99,7 +99,7 @@ func FuzzComputeDiff(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a, b []byte, wlo, whi uint16) {
 		cur, twin := clip(a, b)
 		want := computeDiffRef(cur, twin)
-		got, _ := computeDiff(cur, twin, 0, len(cur), nil, false)
+		got, _ := computeDiff(cur, twin, 0, len(cur), false)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("computeDiff mismatch\ncur  %x\ntwin %x\ngot  %+v\nwant %+v", cur, twin, got, want)
 		}
@@ -108,10 +108,10 @@ func FuzzComputeDiff(f *testing.F) {
 			first, last = want.Runs[0].Off, want.Runs[k-1].Off+len(want.Runs[k-1].Data)
 		}
 		lo, hi := window(len(cur), first, last, wlo, whi)
-		if got, _ := computeDiff(cur, twin, lo, hi, nil, false); !reflect.DeepEqual(got, want) {
+		if got, _ := computeDiff(cur, twin, lo, hi, false); !reflect.DeepEqual(got, want) {
 			t.Fatalf("computeDiff over [%d,%d) mismatch\ncur  %x\ntwin %x\ngot  %+v\nwant %+v", lo, hi, cur, twin, got, want)
 		}
-		in, aliased := computeDiff(cur, twin, lo, hi, nil, true)
+		in, aliased := computeDiff(cur, twin, lo, hi, true)
 		if !reflect.DeepEqual(in, want) {
 			t.Fatalf("in-place computeDiff over [%d,%d) mismatch\ngot  %+v\nwant %+v", lo, hi, in, want)
 		}
@@ -164,14 +164,14 @@ func FuzzApplyWhereClean(f *testing.F) {
 
 		dst2 := append([]byte(nil), dst...)
 		twin2 := append([]byte(nil), twin...)
-		before, _ := computeDiff(dst, twin, 0, len(dst), nil, false)
+		before, _ := computeDiff(dst, twin, 0, len(dst), false)
 
 		d.applyWhereClean(dst, twin)
 		applyWhereCleanRef(d, dst2, twin2)
 		if !bytes.Equal(dst, dst2) || !bytes.Equal(twin, twin2) {
 			t.Fatalf("applyWhereClean mismatch\ndst  %x\nref  %x\ntwin %x\nref  %x", dst, dst2, twin, twin2)
 		}
-		if after, _ := computeDiff(dst, twin, 0, len(dst), nil, false); !reflect.DeepEqual(before, after) {
+		if after, _ := computeDiff(dst, twin, 0, len(dst), false); !reflect.DeepEqual(before, after) {
 			t.Fatalf("patch changed the local diff\nbefore %+v\nafter  %+v", before, after)
 		}
 	})
@@ -187,7 +187,7 @@ func TestApplyWhereCleanPreservesDiff(t *testing.T) {
 	copy(dst[10:14], "WXYZ") // local store buffer: bytes 10..13 dirty
 
 	d := Diff{Runs: []Run{{Off: 8, Data: []byte("remotekin")}}} // pulls 8..16
-	before, _ := computeDiff(dst, twin, 0, len(dst), nil, false)
+	before, _ := computeDiff(dst, twin, 0, len(dst), false)
 
 	d.applyWhereClean(dst, twin)
 
@@ -200,7 +200,7 @@ func TestApplyWhereCleanPreservesDiff(t *testing.T) {
 	if !bytes.Equal(dst[8:10], twin[8:10]) || !bytes.Equal(dst[14:17], twin[14:17]) {
 		t.Error("twin not kept in sync at imported bytes")
 	}
-	after, _ := computeDiff(dst, twin, 0, len(dst), nil, false)
+	after, _ := computeDiff(dst, twin, 0, len(dst), false)
 	if !reflect.DeepEqual(before, after) {
 		t.Errorf("import changed the local diff\nbefore %+v\nafter  %+v", before, after)
 	}
@@ -229,4 +229,135 @@ func TestNonzeroByteMask(t *testing.T) {
 			t.Errorf("nonzeroByteMask(%#016x) = %#016x, want %#016x", x, got, want)
 		}
 	}
+}
+
+// FuzzCommitDiffs pins a commit's staged and packed diffs (stage) to the
+// byte-loop reference, page by page. A base commit writes, on each of up
+// to 16 pages, a prefix of the fuzzed pattern rotated by one byte (the
+// page's prefix halves from page to page, so pages differ in size, down to
+// none), and the measured commit writes the prefixes themselves at the same
+// offsets. Every slot of the version it publishes must carry exactly
+// computeDiffRef of its page against the base, with no run slack and no
+// two pages' runs sharing bytes, and ForEachPageDiff must hand the same
+// diffs out and still hold them after a later commit over the same pages
+// and a GC. With sole, a large diff's runs start in its page
+// (pageSlot.inPlace); otherwise a second workspace makes every run copy.
+// The seeds cover one-word pages (two and three of them: the stage packs
+// the runs after the first into one small block), fragmented pages that
+// fill the stage more than once, and pages whose runs alone overflow it
+// (a 1100 pattern: a run every other byte, 2 048 to a page).
+func FuzzCommitDiffs(f *testing.F) {
+	fragmented := make([]byte, 160) // a one-byte run every other byte
+	for i := range fragmented {
+		fragmented[i] = byte(i / 2)
+	}
+	f.Add([]byte("12345678"), uint8(1), uint16(520), false)
+	f.Add([]byte("12345678"), uint8(2), uint16(520), false)
+	f.Add([]byte("12345678"), uint8(15), uint16(520), false)
+	f.Add(fragmented, uint8(15), uint16(200), true)
+	f.Add(fragmented, uint8(15), uint16(200), false)
+	f.Add(bytes.Repeat([]byte{1, 1, 0, 0}, DefaultPageSize/4), uint8(4), uint16(0), true)
+	f.Add(bytes.Repeat([]byte{1, 1, 0, 0}, DefaultPageSize/4), uint8(4), uint16(0), false)
+	f.Fuzz(func(t *testing.T, pattern []byte, npages uint8, shift uint16, sole bool) {
+		n := 1 + int(npages)%16
+		s, err := NewSegment(SegmentConfig{Name: "fuzz", Size: n * DefaultPageSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, _ := s.Snapshot(0)
+		if !sole {
+			s.Snapshot(1)
+		}
+		// prefix returns page p's bytes, rotated by rot, and where they go.
+		prefix := func(p, rot int) ([]byte, int) {
+			off := p * int(shift) % DefaultPageSize
+			k := min(len(pattern)>>(p%4), DefaultPageSize-off)
+			out := make([]byte, k)
+			for i := range out {
+				out[i] = pattern[(i+rot)%k]
+			}
+			return out, p*DefaultPageSize + off
+		}
+		for p := 0; p < n; p++ {
+			b, off := prefix(p, 1)
+			a.Write(b, off)
+		}
+		a.Commit()
+		base := make([]byte, s.Size())
+		s.ReadCommitted(base, 0, a.Version())
+		want := bytes.Clone(base)
+		for p := 0; p < n; p++ {
+			b, off := prefix(p, 0)
+			a.Write(b, off)
+			copy(want[off:], b)
+		}
+
+		pc := a.BeginCommit()
+		v := pc.Version()
+		var wantPages []int
+		var wantDiffs []Diff
+		for p := 0; p < n; p++ {
+			page := p * DefaultPageSize
+			if d := computeDiffRef(want[page:page+DefaultPageSize], base[page:page+DefaultPageSize]); !d.Empty() {
+				wantPages, wantDiffs = append(wantPages, p), append(wantDiffs, d)
+			}
+		}
+		if v == nil {
+			if len(wantPages) > 0 {
+				t.Fatalf("nothing published, want pages %v", wantPages)
+			}
+			return
+		}
+		if len(v.slots) != len(wantPages) {
+			t.Fatalf("published %d pages, want %v", len(v.slots), wantPages)
+		}
+		held := map[*byte]int{} // every run's first byte, and its page
+		for i := range v.slots {
+			slot := &v.slots[i]
+			if int(slot.page) != wantPages[i] || !reflect.DeepEqual(slot.diff, wantDiffs[i]) {
+				t.Fatalf("slot %d: page %d diff %+v, want page %d diff %+v", i, slot.page, slot.diff, wantPages[i], wantDiffs[i])
+			}
+			if cap(slot.diff.Runs) != len(slot.diff.Runs) {
+				t.Fatalf("page %d: %d runs with capacity %d", slot.page, len(slot.diff.Runs), cap(slot.diff.Runs))
+			}
+			for _, r := range slot.diff.Runs {
+				if cap(r.Data) != len(r.Data) {
+					t.Fatalf("page %d: run at %d has slack", slot.page, r.Off)
+				}
+				if pg, ok := held[&r.Data[0]]; ok {
+					t.Fatalf("page %d's run at %d shares bytes with page %d's", slot.page, r.Off, pg)
+				}
+				held[&r.Data[0]] = int(slot.page)
+			}
+		}
+		var out []Diff
+		v.ForEachPageDiff(func(pg int, d Diff) {
+			c := Diff{Runs: make([]Run, len(d.Runs))}
+			for k, r := range d.Runs {
+				c.Runs[k] = Run{Off: r.Off, Data: bytes.Clone(r.Data)}
+			}
+			out = append(out, c)
+		})
+		if !reflect.DeepEqual(out, wantDiffs) {
+			t.Fatalf("ForEachPageDiff handed out %+v, want %+v", out, wantDiffs)
+		}
+		pc.Complete()
+		got := make([]byte, s.Size())
+		s.ReadCommitted(got, 0, a.Version())
+		if i := firstDiff(got, want); i >= 0 {
+			t.Fatalf("byte %d committed as %#x, want %#x", i, got[i], want[i])
+		}
+
+		for p := 0; p < n; p++ { // the base again, over the same pages
+			b, off := prefix(p, 1)
+			a.Write(b, off)
+		}
+		a.Commit()
+		s.GC()
+		for i := range v.slots {
+			if !reflect.DeepEqual(v.slots[i].diff, wantDiffs[i]) {
+				t.Fatalf("page %d's diff changed after a later commit and GC: %+v, want %+v", v.slots[i].page, v.slots[i].diff, wantDiffs[i])
+			}
+		}
+	})
 }

@@ -158,7 +158,9 @@ type Segment struct {
 	prunedPages int64
 
 	// vd1 and vd2 are the chunks the version blocks of small diffs are
-	// carved from (packLocked). Guarded by mu.
+	// carved from (packLocked). Written under mu, and only by BeginCommit,
+	// which its callers serialize: BeginCommit reads them before it takes
+	// the lock, to make a spent chunk's successor there.
 	vd1 chunks[versionDiff1]
 	vd2 chunks[versionDiff2]
 
@@ -187,12 +189,19 @@ func (s *Segment) popPageLocked() []byte {
 
 // copyPage copies src, a whole page, into buf, or into a new page if buf
 // is nil, and returns it: slicing src to the page size makes a pruned page
-// panic here rather than copy nothing.
+// panic here rather than copy nothing. The zero page is not copied: a new
+// page is zero already, and a recycled one is cleared.
 func (s *Segment) copyPage(buf, src []byte) []byte {
+	src = src[:s.pageSize]
+	zero := &src[0] == &s.zero[0]
 	if buf == nil {
 		buf = make([]byte, s.pageSize)
+	} else if zero {
+		clear(buf)
 	}
-	copy(buf, src[:s.pageSize])
+	if !zero {
+		copy(buf, src)
+	}
 	return buf
 }
 
@@ -271,7 +280,9 @@ func (v *Version) PageIndexes() []int {
 // passes are owned: read-only, and readable for as long as they are held.
 // A small diff shares one block with its version's header (packLocked),
 // and the block is carved from a chunk of the segment's, so whoever holds
-// its runs keeps the version and every block of that chunk alive too.
+// its runs keeps the version and every block of that chunk alive too. The
+// other pages' runs share one []Run and one backing per group of pages
+// (stage), so holding one page's runs keeps its whole group's alive.
 //
 // A commit no other workspace could patch from publishes a large diff's
 // runs in its committed page (pageSlot.inPlace). The first call copies

@@ -515,7 +515,7 @@ func TestPropDiffRoundtrip(t *testing.T) {
 		for i := 0; i < rng.Intn(50); i++ {
 			cur[rng.Intn(n)] = byte(rng.Intn(256))
 		}
-		d, _ := computeDiff(cur, twin, 0, len(cur), nil, false)
+		d, _ := computeDiff(cur, twin, 0, len(cur), false)
 		for _, r := range d.Runs {
 			for k, b := range r.Data {
 				if twin[r.Off+k] == b {

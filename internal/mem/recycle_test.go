@@ -280,6 +280,46 @@ func TestFaultAllocatesOnePage(t *testing.T) {
 	}
 }
 
+// TestZeroPageFaultReadsZeros: a first touch of a never-written page
+// copies nothing — a new buffer is zero already, and a recycled one is
+// cleared (copyPage) — so a fault whose buffer comes off the free list
+// poisoned must still read zeros everywhere but the bytes it wrote, both
+// in the workspace and once committed. The poison goes in through the
+// onPut seam, as the buffers are put.
+func TestZeroPageFaultReadsZeros(t *testing.T) {
+	s, err := NewSegment(SegmentConfig{Name: "zero", Size: 8 * DefaultPageSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.onPut = func(b []byte) {
+		for i := range b {
+			b[i] = 0xee
+		}
+	}
+	a, _ := s.Snapshot(0)
+	for pg := 0; pg < 4; pg++ {
+		a.Write([]byte{9}, pg*DefaultPageSize)
+	}
+	a.Discard() // four poisoned buffers on the free list
+	want := make([]byte, DefaultPageSize)
+	want[100] = 7
+	got := make([]byte, DefaultPageSize)
+	for pg := 4; pg < 8; pg++ {
+		a.Write([]byte{7}, pg*DefaultPageSize+100)
+		a.Read(got, pg*DefaultPageSize)
+		if i := firstDiff(got, want); i >= 0 {
+			t.Fatalf("page %d reads %#x at %d after its first touch, want %#x", pg, got[i], i, want[i])
+		}
+	}
+	a.Commit()
+	for pg := 4; pg < 8; pg++ {
+		s.ReadCommitted(got, pg*DefaultPageSize, s.Head())
+		if i := firstDiff(got, want); i >= 0 {
+			t.Fatalf("committed page %d reads %#x at %d, want %#x", pg, got[i], i, want[i])
+		}
+	}
+}
+
 // TestLaggingWorkspaceRetainsNoPages is the tier-1 gate on interior
 // pruning: a workspace that snapshots and never moves — the root thread
 // parked in Join, an idle pooled worker — stops GC's fold at its version,
@@ -348,7 +388,7 @@ func TestPackedDiffLayout(t *testing.T) {
 	}
 	for _, cur := range [][]byte{few, many} {
 		twin := make([]byte, len(cur))
-		d, _ := computeDiff(cur, twin, 0, len(cur), nil, false)
+		d, _ := computeDiff(cur, twin, 0, len(cur), false)
 		if want := computeDiffRef(cur, twin); !reflect.DeepEqual(d, want) {
 			t.Fatalf("%d-byte page: diff of %d runs is not the reference's %d", len(cur), len(d.Runs), len(want.Runs))
 		}
@@ -360,7 +400,7 @@ func TestPackedDiffLayout(t *testing.T) {
 				t.Errorf("%d runs: run %d has slack: len %d cap %d", len(d.Runs), i, len(r.Data), cap(r.Data))
 			}
 		}
-		if n := testing.AllocsPerRun(50, func() { computeDiff(cur, twin, 0, len(cur), nil, false) }); n > 2 {
+		if n := testing.AllocsPerRun(50, func() { computeDiff(cur, twin, 0, len(cur), false) }); n > 2 {
 			t.Errorf("%d runs: computeDiff made %.0f allocations, want the run slice and one backing array", len(d.Runs), n)
 		}
 	}

@@ -22,7 +22,7 @@ func checkWriteWindows(t *testing.T, ws *Workspace, where string) {
 			}
 		}
 		want := computeDiffRef(dp.data, dp.twin)
-		if got, _ := computeDiff(dp.data, dp.twin, lo, hi, nil, false); !reflect.DeepEqual(got, want) {
+		if got, _ := computeDiff(dp.data, dp.twin, lo, hi, false); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: tid %d page %d: windowed diff %+v, whole-page reference %+v", where, ws.tid, pg, got, want)
 		}
 	}

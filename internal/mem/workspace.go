@@ -14,32 +14,32 @@ type Workspace struct {
 	// UpdateTo, or noReservation. Guarded by the segment lock: the thread
 	// that reserves is usually not the owner.
 	reserved int64
-	dirty    map[int]*dirtyPage
+	// dirty is the dirty set, by page; pages lists its records too, in
+	// fault order until BeginCommit sorts them, so no commit ranges over
+	// the map (a map never shrinks, and ranging one walks every group it
+	// ever grew). Past its length, pages keeps the records of the pages
+	// that left the dirty set, zeroed (resetDirty), and a fault reuses
+	// them before it carves a record from records (1, 2, 4, 8, then 116 to
+	// a chunk: chunks). So the steady-state fault allocates no record, and
+	// a dirty set that grows costs a few chunks, not an object per page;
+	// the records never outnumber the dirty set's high-water mark by more
+	// than the last chunk's unused part.
+	dirty   map[int]*dirtyPage
+	pages   []*dirtyPage
+	records chunks[dirtyPage]
 
 	// Counters since the last TakeCounters call; the runtime converts
 	// these into charged costs and stats.
 	faults int64
 
 	// Commit-path scratch, reused across BeginCommit and UpdateTo calls so
-	// neither allocates the sorted page list, the released-buffer list,
-	// the pulled-page set or the patch list. Owned by the workspace's
-	// thread, like dirty; scratchPatches and scratchFreed are cleared
-	// after use so they pin neither versions nor page buffers.
-	scratchPages   []int
+	// neither allocates the released-buffer list, the pulled-page set or
+	// the patch list. Owned by the workspace's thread, like dirty;
+	// scratchPatches and scratchFreed are cleared after use so they pin
+	// neither versions nor page buffers.
 	scratchFreed   [][]byte
 	scratchTouched map[int]bool
 	scratchPatches []*pageSlot
-	// scratchRuns holds a commit's first small diff, unpacked, between
-	// its computeDiff and the publish section's packLocked.
-	scratchRuns [2]Run
-
-	// freeDirty is the workspace's stack of recycled dirtyPage records:
-	// every page that leaves the dirty set (resetDirty, discardLocked) puts
-	// its record here zeroed, and fault takes from it, so the steady-state
-	// fault path allocates none. It holds only records
-	// that were in the dirty set once, so it never outgrows the dirty
-	// set's high-water mark.
-	freeDirty []*dirtyPage
 }
 
 // dirtyPage is a privately writable copy of a page plus its pristine twin,
@@ -56,15 +56,15 @@ type Workspace struct {
 // workspace's own buffer. A dirty page that no version in the window
 // touches has the same committed page at the new version, so its twin
 // stays lent.
+//
+// The record is 88 bytes, in the 96-byte size class (TestVersionLayout).
 type dirtyPage struct {
 	data []byte
 	twin []byte
-	lent bool // twin is a committed page, not the workspace's buffer
 	// diff is the page's diff, which BeginCommit computes for every dirty
-	// page and then publishes, and inPlace whether its runs slice data
-	// (pageSlot.inPlace); meaningless outside that call.
-	inPlace bool
-	diff    Diff
+	// page and then publishes; meaningless outside that call, like staged
+	// and inPlace below.
+	diff Diff
 	// [lo, hi) is the write window: the span of the bytes Write stored
 	// since the record was made, empty (lo == hi) until the first store.
 	// The invariant: outside the window, data == twin. A fault's copy
@@ -73,21 +73,31 @@ type dirtyPage struct {
 	// positions stay clean and dirty ones keep their bytes in both
 	// (TestApplyWhereCleanPreservesDiff, FuzzApplyWhereClean); copying a
 	// lent twin copies it byte for byte. So the diff scans only the window
-	// (computeDiff), and a one-word store costs a one-word diff.
-	// TestWriteWindowCoversDiff holds the invariant. The record is 88
-	// bytes, in the 96-byte size class.
+	// (scanRuns), and a one-word store costs a one-word diff.
+	// TestWriteWindowCoversDiff holds the invariant.
 	lo, hi int32
+	page   int32 // the page's index, for the dirty set's list (pages)
+	// staged is how many of the diff's runs wait in BeginCommit's stage to
+	// be packed with the rest of their group: at most stageRuns.
+	staged uint16
+	lent   bool // twin is a committed page, not the workspace's buffer
+	// inPlace is whether the diff's runs slice data (pageSlot.inPlace).
+	inPlace bool
 }
 
-// newDirty returns an empty dirtyPage record, recycled if one is free.
+// newDirty returns an empty dirtyPage record, listed in pages: the next
+// one a page that left the dirty set gave back, or, if there is none, one
+// carved from the workspace's chunk.
 func (ws *Workspace) newDirty() *dirtyPage {
-	if n := len(ws.freeDirty); n > 0 {
-		dp := ws.freeDirty[n-1]
-		ws.freeDirty[n-1] = nil
-		ws.freeDirty = ws.freeDirty[:n-1]
-		return dp
+	if n := len(ws.pages); n < cap(ws.pages) {
+		if dp := ws.pages[:n+1][n]; dp != nil {
+			ws.pages = ws.pages[:n+1]
+			return dp
+		}
 	}
-	return &dirtyPage{}
+	dp := ws.records.take()
+	ws.pages = append(ws.pages, dp)
+	return dp
 }
 
 // lendDirty returns a new dirty record for pg: its data a copy of the page
@@ -110,13 +120,6 @@ func (ws *Workspace) lendDirty(pg int) *dirtyPage {
 	dp.data = s.copyPage(buf, base)
 	dp.twin, dp.lent = base, true
 	return dp
-}
-
-// putDirty recycles the record of a page that left the dirty set. The
-// caller has already disposed of its buffers.
-func (ws *Workspace) putDirty(dp *dirtyPage) {
-	*dp = dirtyPage{}
-	ws.freeDirty = append(ws.freeDirty, dp)
 }
 
 // Tid returns the owning thread id.
@@ -188,6 +191,7 @@ func (ws *Workspace) fault(pg int) *dirtyPage {
 		return dp
 	}
 	dp := ws.lendDirty(pg)
+	dp.page = int32(pg)
 	ws.dirty[pg] = dp
 	ws.faults++
 	return dp
@@ -284,15 +288,14 @@ func (ws *Workspace) Discard() {
 }
 
 func (ws *Workspace) discardLocked() {
-	if n := len(ws.dirty); n > 0 {
+	if n := len(ws.pages); n > 0 {
 		ws.seg.allocPagesLocked(int64(-2 * n)) // modeled: a copy and a twin per page
-		for _, dp := range ws.dirty {
+		for _, dp := range ws.pages {
 			ws.seg.putPagesLocked(dp.data)
 			if !dp.lent {
 				ws.seg.putPagesLocked(dp.twin)
 			}
-			ws.putDirty(dp)
 		}
-		clear(ws.dirty)
+		ws.resetDirty()
 	}
 }

@@ -76,8 +76,14 @@ echo "== go test -race -count=20 (the page recycling stress: GC prunes pages whi
 # version blocks carved from the segment's chunks to one owner each, and
 # TestStatsDuringTraffic reads the counters, guarded by the segment lock
 # since the fault and commit paths update them in sections they already
-# take, while two workspaces fault, commit and GC.
-go test -race -count=20 -run 'TestRecycleNeverReachesReaders|TestSpareOwnership|TestLentTwinOwnership|TestCommittedPageWalksChain|TestSoleCommitPublishesRunsInPlace|TestSharedOrPatchedRunsAreOwned|TestForEachPageDiffRunsOutliveThePage|TestLateForEachPageDiffPanics|TestChunkBlocksNeverShared|TestStatsDuringTraffic' ./internal/mem
+# take, while two workspaces fault, commit and GC. A commit packs the runs
+# of a group of its pages into shared arrays (stage.flush):
+# TestPackedRunsNeverChange reads every published version's runs while
+# later commits, GC and Prune run, FuzzCommitDiffs' seeds hold each
+# page's packed runs to the byte-loop reference, and
+# TestZeroPageFaultReadsZeros holds a first touch, which copies nothing,
+# to zeros in a recycled buffer.
+go test -race -count=20 -run 'TestRecycleNeverReachesReaders|TestSpareOwnership|TestLentTwinOwnership|TestCommittedPageWalksChain|TestSoleCommitPublishesRunsInPlace|TestSharedOrPatchedRunsAreOwned|TestForEachPageDiffRunsOutliveThePage|TestLateForEachPageDiffPanics|TestChunkBlocksNeverShared|TestStatsDuringTraffic|TestPackedRunsNeverChange|FuzzCommitDiffs|TestZeroPageFaultReadsZeros' ./internal/mem
 # The replica's twin of the lent-twin rule: a follower lends its current
 # page to readers, so an apply must write a copy of a lent page, never the
 # page itself; four readers race the feed through prune, undo-log
@@ -102,9 +108,12 @@ echo "== go test -fuzz (the diff and patch kernels, 10 s each)"
 # Beyond their seed corpus, which go test ./... replays: FuzzComputeDiff
 # pins the windowed one-pass diff to the byte-loop reference, and
 # FuzzApplyWhereClean the masked merge and the write window: a patch keeps
-# data == twin outside the bytes a thread wrote.
+# data == twin outside the bytes a thread wrote. FuzzCommitDiffs holds a
+# whole commit's staged and packed runs to the same reference, page by
+# page.
 go test -run=NONE -fuzz=FuzzComputeDiff -fuzztime=10s ./internal/mem
 go test -run=NONE -fuzz=FuzzApplyWhereClean -fuzztime=10s ./internal/mem
+go test -run=NONE -fuzz=FuzzCommitDiffs -fuzztime=10s ./internal/mem
 
 echo "== go test -fuzz (the on-disk log format, 10 s each)"
 # The commit log is the crash-recovery surface: FuzzDecodeRecord throws
