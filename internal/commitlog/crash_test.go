@@ -225,8 +225,9 @@ func TestRepairCorruptMiddleSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.DroppedSegments == 0 || !rep.Repaired {
-		t.Fatalf("corrupt middle segment not detected: %+v", rep)
+	mid := len(r.bases) / 2
+	if !rep.Repaired || rep.Segments != mid+1 || rep.DroppedSegments != len(r.bases)-mid-1 {
+		t.Fatalf("corrupt middle segment %d of %d: repair %+v, want it kept, cut, and the later ones dropped", mid, len(r.bases), rep)
 	}
 	st, err := Replay(dir, -1)
 	if err != nil {
@@ -237,6 +238,57 @@ func TestRepairCorruptMiddleSegment(t *testing.T) {
 	}
 	if st.Checksum() != sums[st.Version] {
 		t.Fatal("surviving prefix replay diverged")
+	}
+}
+
+// TestRepairCutsAtUndecodableFrame: a frame whose CRC is valid but whose
+// payload does not decode (format v2's checkpoint kind) ends the log as a
+// torn frame does. A tolerant reader stops in front of it, Repair cuts
+// the store there, and the repaired log replays to its last commit.
+func TestRepairCutsAtUndecodableFrame(t *testing.T) {
+	dir, sums, lastBase, _ := buildCrashFixture(t)
+	records := func() (n int, complete bool) {
+		t.Helper()
+		r, err := OpenReader(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		complete, err = r.ForEachAvailableFrom(0, func(int64, Record) error { n++; return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n, complete
+	}
+	whole, _ := records()
+	want, err := Replay(dir, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := appendFrame(nil, append([]byte{0x06, 0x80, 0x02}, make([]byte, 10)...))
+	f, err := os.OpenFile(filepath.Join(dir, segName(lastBase))+".store", os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(bad); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if n, complete := records(); n != whole || complete {
+		t.Fatalf("tolerant read passed %d records (complete %v), want the %d before the frame, incomplete", n, complete, whole)
+	}
+	rep, err := Repair(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Repaired || rep.TruncatedBytes != int64(len(bad)) || rep.DroppedSegments != 0 {
+		t.Fatalf("repair %+v, want the %d-byte frame cut and no segment dropped", rep, len(bad))
+	}
+	st, err := Replay(dir, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Version != want.Version || st.Checksum() != sums[want.Version] {
+		t.Fatalf("repaired log replays to version %d, want %d with its checksum", st.Version, want.Version)
 	}
 }
 

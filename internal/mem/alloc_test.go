@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -36,6 +37,9 @@ func TestEmptyCommitAllocatesNothing(t *testing.T) {
 	a, _ := s.Snapshot(0)
 	b, _ := s.Snapshot(1)
 
+	if n := mallocsIn(func() { a.BeginCommit().Complete() }); n != 0 {
+		t.Errorf("a fresh workspace's empty commit at head made %d allocations, want 0", n)
+	}
 	if n := testing.AllocsPerRun(100, func() {
 		pc := a.BeginCommit()
 		pc.Complete()
@@ -234,8 +238,9 @@ func TestSmallDiffIsOneBlock(t *testing.T) {
 }
 
 // TestGCReleasesFoldedVersions pins the in-place compaction: folding never
-// leaves a folded version referenced from the version array or the latest
-// table, and the array is reused rather than regrown.
+// leaves a folded version referenced from the version array, the latest
+// table, a folded slot's chain link, the prune candidates or a
+// workspace's patch list, and the array is reused rather than regrown.
 func TestGCReleasesFoldedVersions(t *testing.T) {
 	s, err := NewSegment(SegmentConfig{Name: "gc", Size: 4 * DefaultPageSize})
 	if err != nil {
@@ -243,17 +248,33 @@ func TestGCReleasesFoldedVersions(t *testing.T) {
 	}
 	a, _ := s.Snapshot(0)
 	b, _ := s.Snapshot(1) // pins version 0 until it updates
+	var vs []*Version
 	for i := 0; i < 8; i++ {
 		a.Write([]byte{byte(i + 1)}, i%4*DefaultPageSize)
-		a.Commit()
+		pc := a.BeginCommit()
+		pc.Complete()
+		vs = append(vs, pc.Version())
 		if i == 4 {
 			b.Reserve() // version 5: the target b moves to below
 		}
 	}
+	b.Write([]byte{9}, 1) // dirty: versions 1 and 5 patch page 0
 	b.UpdateTo(5)
 	s.GC()
 	if got := s.RetainedVersions(); got != 3 {
 		t.Fatalf("%d versions retained, want 3", got)
+	}
+	nonNil := func(p *pageSlot) bool { return p != nil }
+	if slices.ContainsFunc(b.scratchPatches[:cap(b.scratchPatches)], nonNil) {
+		t.Fatal("b's patch list holds the slots it patched from")
+	}
+	if c := s.candidates; slices.ContainsFunc(c[len(c):cap(c)], nonNil) {
+		t.Fatal("the prune candidates' spare capacity holds the dropped ones")
+	}
+	for _, v := range vs[:5] {
+		if v.slots[0].prev != nil {
+			t.Fatalf("folded version %d's slot still links its predecessor", v.Num)
+		}
 	}
 	full := s.versions[:cap(s.versions)]
 	for i, v := range full {
@@ -279,6 +300,22 @@ func TestGCReleasesFoldedVersions(t *testing.T) {
 	}
 	if &s.versions[0] != before {
 		t.Fatal("version array was reallocated although the folded prefix left room")
+	}
+}
+
+// TestCompleteThroughAllocatesNothing: a barrier's CompleteThrough
+// collects the versions still pending on its stack, so with few pending it
+// allocates nothing, however many versions are retained.
+func TestCompleteThroughAllocatesNothing(t *testing.T) {
+	s := newTestSegment(t, 4*DefaultPageSize, DefaultPageSize)
+	a, _ := s.Snapshot(0)
+	s.Snapshot(1) // pins version 0: nothing folds
+	for i := 0; i < 20; i++ {
+		a.Write([]byte{byte(i + 1)}, i%4*DefaultPageSize)
+		a.Commit()
+	}
+	if n := testing.AllocsPerRun(10, func() { s.CompleteThrough(s.Head()) }); n != 0 {
+		t.Errorf("CompleteThrough over %d retained versions made %.0f allocations, want 0", s.RetainedVersions(), n)
 	}
 }
 

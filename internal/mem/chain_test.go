@@ -28,85 +28,33 @@ func scanSlotLocked(s *Segment, pg int, at int64) *pageSlot {
 	return nil
 }
 
-// TestCommittedPageWalksChain checks that walking a page's own version
-// chain finds the slot the scan of every retained version finds, for every
-// page and every version from floor to head, after every step of seeded
-// histories with conflicting commits whose merges are left pending, Prune,
-// GC folds under a page budget, and moves to Reserve'd targets. The walk
-// is compared by slot, not by content, so a pruned slot — which a read
-// must never reach — counts as found too.
+// TestCommittedPageWalksChain runs seeded model sequences of four
+// workspaces on six 64-byte pages under a GC page budget of 1 to 3 —
+// conflicting commits whose merges are left pending, Prune, budgeted GC
+// folds and moves to Reserve'd targets among them — and checks after
+// every op that walking a page's own version chain finds the slot the
+// scan of every retained version finds, for every page and every version
+// from floor to head. The walk is compared by slot, not by content, so a
+// pruned slot — which a read must never reach — counts as found too.
 func TestCommittedPageWalksChain(t *testing.T) {
-	const (
-		npages  = 6
-		page    = 64
-		threads = 4
-		steps   = 120
-	)
 	for seed := int64(1); seed <= 24; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		s, err := NewSegment(SegmentConfig{Name: "chain", Size: npages * page, PageSize: page, GCPageBudget: 1 + int(seed%3)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws := make([]*Workspace, threads)
-		reserved := make([]int64, threads) // -1: none
-		for i := range ws {
-			ws[i], _ = s.Snapshot(i)
-			reserved[i] = -1
-		}
-		var pending []PendingCommit
-		check := func(step int, what string) {
-			t.Helper()
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			for pg := 0; pg < npages; pg++ {
-				for at := s.floor; at <= s.head; at++ {
-					if got, want := s.slotAtLocked(pg, at), scanSlotLocked(s, pg, at); got != want {
-						t.Fatalf("seed %d step %d (%s): page %d at %d (floor %d, head %d): chain walk found %p, scan %p",
-							seed, step, what, pg, at, s.floor, s.head, got, want)
+		g := geometry{64, 6, 1 + int(seed%3), 4}
+		ops := drawOps(randSource{rand.New(rand.NewSource(seed))}, g, 120)
+		runModel(t, g, ops, func(r *modelRun) {
+			r.check = func(r *modelRun) error {
+				s := r.s
+				s.mu.Lock()
+				defer s.mu.Unlock()
+				for pg := 0; pg < s.npages; pg++ {
+					for at := s.floor; at <= s.head; at++ {
+						if got, want := s.slotAtLocked(pg, at), scanSlotLocked(s, pg, at); got != want {
+							return fmt.Errorf("page %d at %d (floor %d, head %d): chain walk found %p, scan %p", pg, at, s.floor, s.head, got, want)
+						}
 					}
 				}
+				return nil
 			}
-		}
-		for step := 0; step < steps; step++ {
-			w := rng.Intn(threads)
-			var what string
-			switch op := rng.Intn(10); {
-			case op < 4: // writes to one or two pages, then a commit left pending
-				what = "commit"
-				for k := 0; k <= rng.Intn(2); k++ {
-					ws[w].Write([]byte{byte(rng.Intn(256)), byte(step)}, rng.Intn(npages)*page+rng.Intn(page-1))
-				}
-				pending = append(pending, ws[w].BeginCommit())
-			case op == 4 && len(pending) > 0: // a merge completes, out of order
-				what = "complete"
-				k := rng.Intn(len(pending))
-				pending[k].Complete()
-				pending = append(pending[:k], pending[k+1:]...)
-			case op == 5:
-				what = "reserve"
-				reserved[w] = ws[w].Reserve()
-			case op == 6 && reserved[w] >= 0:
-				what = "reserved move"
-				ws[w].UpdateTo(reserved[w])
-				reserved[w] = -1
-			case op == 7:
-				what = "update"
-				ws[w].Update()
-				reserved[w] = -1
-			case op == 8:
-				what = "prune"
-				s.Prune()
-			default:
-				what = "gc"
-				if rng.Intn(2) == 0 {
-					s.CompleteThrough(s.Head())
-					pending = pending[:0]
-				}
-				s.GC()
-			}
-			check(step, what)
-		}
+		})
 	}
 }
 

@@ -2,7 +2,6 @@ package mem
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 )
 
@@ -11,8 +10,8 @@ type CommitStats struct {
 	// CommittedPages is the number of pages with at least one changed byte.
 	CommittedPages int
 	// MergedPages counts committed pages that conflicted (another thread
-	// committed the same page since this workspace's snapshot) and thus
-	// required a byte-granularity merge.
+	// committed the page since this workspace faulted it, so an update
+	// patched it) and thus required a byte-granularity merge.
 	MergedPages int
 	// DiffBytes is the total number of bytes this commit changed.
 	DiffBytes int
@@ -41,15 +40,6 @@ func (pc PendingCommit) Stats() CommitStats { return pc.stats }
 // had no modified bytes (the commit degenerated to an update).
 func (pc PendingCommit) Version() *Version { return pc.version }
 
-// touchedScratch returns the workspace's cleared pulled-page scratch set.
-func (ws *Workspace) touchedScratch() map[int]bool {
-	if ws.scratchTouched == nil {
-		ws.scratchTouched = make(map[int]bool)
-	}
-	clear(ws.scratchTouched)
-	return ws.scratchTouched
-}
-
 // pullWindowLocked walks the versions in (ws.version, head], which the
 // caller is about to advance the workspace past: it returns the number of
 // distinct pages they touch and leaves in ws.scratchPatches, in version
@@ -66,12 +56,11 @@ func (ws *Workspace) pullWindowLocked(head int64) (pulled int) {
 	if ws.version >= head {
 		return 0
 	}
-	if ws.version < s.floor {
-		// Should not happen: GC never passes a live workspace.
-		panic(fmt.Sprintf("mem: workspace for tid %d (version %d) behind GC floor %d", ws.tid, ws.version, s.floor))
+	if ws.scratchTouched == nil {
+		ws.scratchTouched = make(map[int]bool)
 	}
-	touched := ws.touchedScratch()
-	patches := ws.scratchPatches
+	touched, patches := ws.scratchTouched, ws.scratchPatches
+	clear(touched)
 	for _, v := range s.versions[ws.version-s.floor : head-s.floor] {
 		for i := range v.slots {
 			slot := &v.slots[i]
@@ -134,12 +123,11 @@ func (ws *Workspace) applyPatches() {
 // allocation.
 //
 // A page no other workspace can patch from publishes a large diff's runs
-// in the committed page itself and makes no backing for them
-// (pageSlot.inPlace): the workspace is the segment's only one, so no pull
-// window will ever read the runs, and the page was not patched in this
-// commit's pull window, so it is no conflict and the page is what the
-// version publishes. ForEachPageDiff copies the runs out when they leave
-// the segment.
+// in the committed page itself, with no backing (pageSlot.inPlace): the
+// workspace is the segment's only one, and the page's twin is lent, so it
+// was never patched, is no conflict, and is what the version publishes.
+// ForEachPageDiff copies the runs out, and so does the publish section
+// if a Snapshot landed between the two sections (Version.own).
 func (ws *Workspace) BeginCommit() PendingCommit {
 	s := ws.seg
 	var pc PendingCommit
@@ -147,7 +135,6 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 	// Serial decision 1 (locked): fix the pull window and collect the
 	// published slots that must patch our dirty pages.
 	s.mu.Lock()
-	oldV := ws.version
 	headBefore := s.head
 	pc.stats.PulledPages = ws.pullWindowLocked(headBefore)
 	sole := len(s.workspaces) == 1
@@ -188,10 +175,9 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 	}
 	npub, group := 0, 0 // group: the first page the stage may hold runs of
 	for i, dp := range pages {
-		// A page the window touched is dirty here, so it was patched
-		// (pullWindowLocked); the touched set is this window's only when
-		// the window pulled a page.
-		inPlace := sole && !(pc.stats.PulledPages > 0 && ws.scratchTouched[int(dp.page)])
+		// A lent twin was never patched (dirtyPage.lent), so the page is
+		// no conflict and the version publishes it.
+		inPlace := sole && dp.lent
 		lo, hi := int(dp.lo), int(dp.hi)
 		free := st.free()
 		n, nbytes, _ := scanRuns(dp.data, dp.twin, lo, hi, free)
@@ -253,6 +239,9 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 	freed := ws.scratchFreed[:0]
 	var lent int64
 	si := 0
+	if s.beforePublish != nil {
+		s.beforePublish()
+	}
 	s.mu.Lock()
 	if hdr != nil {
 		s.vd1.install(vd1)
@@ -260,7 +249,10 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 		v, hdr.diff = s.packLocked(hdrBounds, hdr.data)
 	}
 	if v != nil {
-		v.init(ws.tid, slots)
+		v.Committer, v.slots = ws.tid, slots
+		if slots == nil {
+			v.slots = v.one[:]
+		}
 	}
 	for _, dp := range pages {
 		pg := int(dp.page)
@@ -274,12 +266,14 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 			slot.version = v
 			slot.prev = s.latest[pg]
 			slot.diff, slot.inPlace = diff, dp.inPlace
-			if slot.prev != nil && slot.prev.version.Num > s.floor {
+			if slot.prev != nil {
 				s.candidates = append(s.candidates, slot) // GC may prune prev
 			}
-			// A conflict means some other thread committed this page after
-			// our snapshot; phase 2 must merge rather than install our copy.
-			if slot.prev != nil && slot.prev.version.Num > oldV {
+			// A patched page is a conflict: phase 2 merges the diff over the
+			// page's latest content. Our copy may hold a byte a patch
+			// skipped and we then stored the twin's value back to, which
+			// the diff, and so the version, does not publish.
+			if !dp.lent {
 				slot.conflict = true
 				pc.stats.MergedPages++
 				freed = append(freed, dp.data) // the merge takes its own page

@@ -109,12 +109,14 @@ func (s *Segment) pinsLocked() []int64 {
 
 // pruneLocked returns to the free list the page of every candidate's
 // predecessor that no reader can reach (the interval rule on Segment.free):
-// candidate T and its predecessor S = T.prev have both resolved, and no pin
-// lies in [S's version, T's version), the versions at which a lookup of
-// the page finds S. It visits only the candidate list, never a chain, and
-// allocates nothing. A candidate whose predecessor folded meanwhile is
-// dropped — the fold frees that page — and one whose predecessor is still
-// reachable is kept for the next GC or Prune.
+// candidate T has resolved, and no pin lies in [S's version, T's version),
+// the versions at which a lookup of the page finds its predecessor S =
+// T.prev. S has resolved too: T's merge resolves it, and a T that is no
+// merge was diffed against the twin its committer's fault resolved S for.
+// It visits only the candidate list, never a chain, and allocates nothing.
+// A candidate whose predecessor has folded is dropped — the fold frees
+// that page — and one whose predecessor is still reachable is kept for the
+// next GC or Prune.
 func (s *Segment) pruneLocked(pins []int64) {
 	kept := s.candidates[:0]
 	for _, t := range s.candidates {
@@ -122,7 +124,7 @@ func (s *Segment) pruneLocked(pins []int64) {
 		if p == nil || p.version.Num <= s.floor {
 			continue
 		}
-		if !t.resolved() || !p.resolved() || pinnedIn(pins, p.version.Num, t.version.Num) {
+		if !t.resolved() || pinnedIn(pins, p.version.Num, t.version.Num) {
 			kept = append(kept, t)
 			continue
 		}

@@ -2,7 +2,6 @@ package mem
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 	"unsafe"
 )
@@ -41,9 +40,10 @@ func TestSoleCommitPublishesRunsInPlace(t *testing.T) {
 	}
 	a, _ := s.Snapshot(0)
 	largeWrite(a, 1, runBytes, 1)
-	a.Write([]byte{1}, 3*DefaultPageSize) // a small diff on page 3
+	a.Write([]byte{1}, 2*DefaultPageSize) // small diffs on page 2, packed with the header,
+	a.Write([]byte{1}, 3*DefaultPageSize) // and 3, staged
 	v := a.BeginCommit().Version()
-	large, small := &v.slots[0], &v.slots[1]
+	large := &v.slots[0]
 	if !large.inPlace || len(large.diff.Runs) != 2 {
 		t.Fatalf("sole commit: page 1 inPlace %v with %d runs, want in place with 2", large.inPlace, len(large.diff.Runs))
 	}
@@ -52,8 +52,10 @@ func TestSoleCommitPublishesRunsInPlace(t *testing.T) {
 			t.Errorf("run %d at %d is not a cap-limited slice of the published page at its offset", i, r.Off)
 		}
 	}
-	if small.inPlace || sliceOf(small.diff.Runs[0].Data, small.data) {
-		t.Error("a small diff's run slices its page: it must stay packed")
+	for i := 1; i < 3; i++ {
+		if small := &v.slots[i]; small.inPlace || sliceOf(small.diff.Runs[0].Data, small.data) {
+			t.Errorf("page %d's small diff's run slices its page: it must stay packed", small.page)
+		}
 	}
 	v.complete(s)
 	s.GC()
@@ -229,11 +231,16 @@ func TestLateForEachPageDiffPanics(t *testing.T) {
 			t.Errorf("folded small version passes page %d %+v, want page 1's byte 2", pg, d)
 		}
 	})
-	defer func() {
-		msg, _ := recover().(string)
-		if !strings.Contains(msg, "after GC folded or pruned it") {
-			t.Fatalf("late ForEachPageDiff recovered %q, want the folded-version panic", msg)
-		}
-	}()
-	v.ForEachPageDiff(func(int, Diff) {})
+	late := func() { v.ForEachPageDiff(func(int, Diff) {}) }
+	mustPanicWith(t, "after GC folded or pruned it", late)
+
+	// Pruned rather than folded: a reservation pins the fold at 3, and no
+	// pin lies in [4, 5), where version 4's page is read.
+	a.Reserve()
+	largeWrite(a, 0, 64, 4)
+	v = commit()
+	largeWrite(a, 0, 64, 5)
+	commit()
+	s.Prune()
+	mustPanicWith(t, "after GC folded or pruned it", late)
 }

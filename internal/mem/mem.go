@@ -94,9 +94,9 @@ type Segment struct {
 	// Every page buffer (dirty copy, patched twin, merged page) is taken
 	// from it and returned to it, so the steady-state commit path allocates
 	// no pages; it holds only buffers that were live once, so it never
-	// outgrows the segment's own live-page high-water mark. A plain stack rather than a
-	// sync.Pool: the collector must not decide how many pages a run
-	// allocates.
+	// outgrows the segment's own live-page high-water mark. A plain stack
+	// rather than a sync.Pool: the collector must not decide how many pages
+	// a run allocates.
 	//
 	// The invariant: only a buffer with NO READER may be put. Page slices
 	// escape the segment lock — committedPage returns one after unlocking
@@ -112,9 +112,10 @@ type Segment struct {
 	//     in (floor, at] touching pg, so at < w; but GC folds w only when
 	//     w <= limit <= every live workspace's version, and readers read at
 	//     a version a live workspace pins (see ReadCommitted). A pending
-	//     conflict slot that still needs the buffer as its prev.data is
-	//     safe for the same reason from the other side: it is w's slot,
-	//     and GC stops at the first Pending() version.
+	//     conflict slot that still needs the buffer as its prev.data, or as
+	//     the base page it merges over, is safe for the same reason from
+	//     the other side: it is w's slot, and GC stops at the first
+	//     Pending() version.
 	//   - an interior slot's data, put by GC or Prune when it prunes slot S
 	//     of version s whose page's next slot T (T.prev == S, version t) has
 	//     resolved. A reader reaches S only by looking pg up at some `at`
@@ -135,17 +136,18 @@ type Segment struct {
 	// still the head's, so neither rule can have put it yet.
 	free [][]byte
 	// onPut, when set, sees every buffer as it is put, after every holder
-	// above has let go of it. Test seam: the recycling stress test poisons
-	// buffers here, so a put that races a reader shows up as poison in
-	// what the reader copied, and the lent-twin test fails on a put buffer
-	// a holder still reaches.
+	// above has let go of it. Test seam: the tests poison buffers here, so
+	// a put that races a reader shows up as poison in what it copied.
 	onPut func([]byte)
+	// beforePublish, when set, runs between BeginCommit's two lock
+	// sections. Test seam: a Snapshot there makes a sole commit's in-place
+	// runs ones another workspace will patch from (Version.own).
+	beforePublish func()
 
-	// candidates holds, in commit order, the published slots whose
-	// predecessor was an unfolded version's slot when they superseded it:
-	// each names one page GC or Prune may prune (pruneLocked). BeginCommit
-	// appends, pruneLocked drops what it prunes or what folded; both hold
-	// mu.
+	// candidates holds, in commit order, the published slots that
+	// superseded another: each names one page GC or Prune may prune
+	// (pruneLocked). BeginCommit appends, pruneLocked drops what it prunes
+	// or what folded; both hold mu.
 	candidates []*pageSlot
 	// pins is GC's and Prune's scratch list of the versions readers may
 	// look pages up at (pinsLocked), backed by pinBuf so a segment with few
@@ -231,20 +233,10 @@ type Version struct {
 	// index, never by value.
 	slots []pageSlot
 	// one backs slots for a one-page version, so the version and its slot
-	// are a single allocation.
+	// are a single allocation. BeginCommit takes the version from the
+	// block of its first small diff (packLocked), or allocates it when no
+	// diff is small.
 	one [1]pageSlot
-}
-
-// init makes v, a zero Version, one of committer's whose slots are slots,
-// or its inline one if slots is nil; the caller fills them in place.
-// BeginCommit takes v from the block of its first small diff (packLocked),
-// or allocates it when no diff is small.
-func (v *Version) init(committer int, slots []pageSlot) {
-	v.Committer = committer
-	if slots == nil {
-		slots = v.one[:]
-	}
-	v.slots = slots
 }
 
 // NumPages returns the number of pages this version modified.
@@ -298,7 +290,7 @@ func (v *Version) ForEachPageDiff(f func(page int, d Diff)) {
 
 // own copies the runs of every slot that publishes them in place into one
 // backing the version owns, and clears the slots' inPlace. A version with
-// no such slot allocates nothing.
+// no such slot allocates nothing: the backing is empty.
 func (v *Version) own() {
 	n := 0
 	for i := range v.slots {
@@ -309,9 +301,6 @@ func (v *Version) own() {
 			}
 			n += slot.diff.Bytes()
 		}
-	}
-	if n == 0 {
-		return
 	}
 	backing := make([]byte, n)
 	for i := range v.slots {
@@ -350,8 +339,9 @@ func (v *Version) own() {
 // TestVersionLayout holds it.
 type pageSlot struct {
 	page int32 // NewSegment bounds a segment's page count to fit
-	// conflict marks that another thread committed this page between the
-	// committer's snapshot and its commit; resolution must merge.
+	// conflict marks a page the committer's copy was patched on, by its
+	// own update or by the commit's pull window: resolution must merge,
+	// over prev's content, or the base table's if prev is nil.
 	conflict bool
 	// inPlace marks a diff whose runs slice data itself (computeDiff's
 	// inPlace): BeginCommit sets it where no other workspace can patch from
@@ -392,8 +382,14 @@ func (s *pageSlot) retire() { s.state.Store(slotResolved | slotRetired) }
 func (s *pageSlot) settle(seg *Segment) {
 	s.once.Do(func() {
 		if s.conflict {
-			prev := s.prev.resolve(seg)
+			var prev []byte
+			if s.prev != nil {
+				prev = s.prev.resolve(seg)
+			}
 			seg.mu.Lock()
+			if prev == nil {
+				_, prev = seg.pageAtLocked(int(s.page), seg.floor) // the base table's
+			}
 			buf := seg.popPageLocked()
 			seg.allocPagesLocked(1)
 			seg.mu.Unlock()

@@ -1,12 +1,10 @@
 package mem
 
 import (
-	"bytes"
 	"fmt"
-	"math/rand"
+	"slices"
 	"sync"
 	"testing"
-	"testing/quick"
 )
 
 func newTestSegment(t *testing.T, size, pageSize int) *Segment {
@@ -43,231 +41,106 @@ func TestNewSegmentValidation(t *testing.T) {
 	}
 }
 
+// TestZeroInitialized: a fresh segment reads zeros, and reading it
+// allocates no page.
 func TestZeroInitialized(t *testing.T) {
-	s := newTestSegment(t, 4*64, 64)
-	ws, err := s.Snapshot(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 4*64)
-	ws.Read(buf, 0)
-	for i, b := range buf {
-		if b != 0 {
-			t.Fatalf("byte %d = %d, want 0", i, b)
-		}
-	}
-	if got := s.Stats().CurPages; got != 0 {
-		t.Errorf("reading untouched segment allocated %d pages", got)
-	}
+	runModel(t, g4, append(snapshots(1), read(0, 0, 256)))
 }
 
+// TestReadOwnWrites: a workspace reads its own uncommitted stores, here
+// across a page boundary, which dirty both pages, and no other workspace
+// does.
 func TestReadOwnWrites(t *testing.T) {
-	s := newTestSegment(t, 256, 64)
-	ws, _ := s.Snapshot(0)
-	ws.Write([]byte{1, 2, 3}, 62) // crosses page boundary at 64
-	buf := make([]byte, 3)
-	ws.Read(buf, 62)
-	if !bytes.Equal(buf, []byte{1, 2, 3}) {
-		t.Fatalf("read-own-writes failed: %v", buf)
-	}
-	if ws.DirtyPages() != 2 {
-		t.Errorf("crossing write dirtied %d pages, want 2", ws.DirtyPages())
-	}
-	// Uncommitted writes are invisible to other workspaces.
-	ws2, _ := s.Snapshot(1)
-	ws2.Read(buf, 62)
-	if !bytes.Equal(buf, []byte{0, 0, 0}) {
-		t.Fatalf("isolation violated: %v", buf)
-	}
+	runModel(t, g4, append(snapshots(1), write(0, 62, 3, 1), read(0, 62, 3), do(func(r *modelRun) error {
+		if n := r.ws[0].w.DirtyPages(); n != 2 {
+			return fmt.Errorf("a write across a page boundary dirtied %d pages, want 2", n)
+		}
+		return nil
+	}), on(opSnapshot, 1, 0), read(1, 62, 3)))
 }
 
+// The tests below run short sequences beside the model (model_test.go),
+// which checks every read and every commit's stats and published pages;
+// g is their segment: four 64-byte pages.
+var g4 = geometry{64, 4, 0, 4}
+
+// TestCommitPublishes: another workspace sees a commit only after it
+// updates.
 func TestCommitPublishes(t *testing.T) {
-	s := newTestSegment(t, 256, 64)
-	w0, _ := s.Snapshot(0)
-	w1, _ := s.Snapshot(1)
-
-	w0.Write([]byte("hello"), 10)
-	cs := w0.Commit()
-	if cs.CommittedPages != 1 || cs.MergedPages != 0 || cs.DiffBytes != 5 {
-		t.Errorf("commit stats = %+v", cs)
-	}
-	if s.Head() != 1 {
-		t.Errorf("head = %d, want 1", s.Head())
-	}
-
-	// w1 does not see it until update.
-	buf := make([]byte, 5)
-	w1.Read(buf, 10)
-	if !bytes.Equal(buf, make([]byte, 5)) {
-		t.Fatal("w1 saw uncommitted-to-it data before update")
-	}
-	if pulled := w1.Update(); pulled != 1 {
-		t.Errorf("pulled = %d, want 1", pulled)
-	}
-	w1.Read(buf, 10)
-	if string(buf) != "hello" {
-		t.Fatalf("after update read %q", buf)
-	}
+	runModel(t, g4, append(snapshots(2), write(0, 10, 5, 'h'), commit(0), read(1, 10, 5), on(opUpdate, 1, 0), read(1, 10, 5)))
 }
 
+// TestEmptyDiffProducesNoVersion: a store of the value a byte holds
+// faults the page but publishes nothing.
 func TestEmptyDiffProducesNoVersion(t *testing.T) {
-	s := newTestSegment(t, 256, 64)
-	ws, _ := s.Snapshot(0)
-	// Write the value that's already there (zero): a fault but no change.
-	ws.Write([]byte{0, 0, 0}, 0)
-	if ws.DirtyPages() != 1 {
-		t.Fatal("expected a dirty page")
-	}
-	cs := ws.Commit()
-	if cs.CommittedPages != 0 {
-		t.Errorf("no-op commit published %d pages", cs.CommittedPages)
-	}
-	if s.Head() != 0 {
-		t.Errorf("head advanced to %d on no-op commit", s.Head())
-	}
-	if got := s.Stats().CurPages; got != 0 {
-		t.Errorf("no-op commit leaked %d pages", got)
-	}
+	runModel(t, g4, append(snapshots(1), write(0, 0, 3, 0), commit(0)))
 }
 
-// TestByteMergeLastWriterWins is the core TSO merge semantics test:
-// two threads write disjoint bytes of the same page; both writes survive.
-// Overlapping bytes take the later committer's value.
+// TestByteMergeLastWriterWins is the core TSO merge: two workspaces write
+// disjoint bytes of one page, and both survive; a byte both wrote takes
+// the later committer's value, and its page is a merge.
 func TestByteMergeLastWriterWins(t *testing.T) {
-	s := newTestSegment(t, 64, 64)
-	w0, _ := s.Snapshot(0)
-	w1, _ := s.Snapshot(1)
-
-	w0.Write([]byte{0xAA}, 0)
-	w0.Write([]byte{0x11}, 32) // overlap with w1
-	w1.Write([]byte{0xBB}, 63)
-	w1.Write([]byte{0x22}, 32) // overlap with w0
-
-	w0.Commit()
-	cs := w1.Commit() // w1 commits second: conflict merge
-	if cs.MergedPages != 1 {
-		t.Errorf("expected 1 merged page, got %+v", cs)
-	}
-
-	buf := make([]byte, 64)
-	s.ReadCommitted(buf, 0, s.Head())
-	if buf[0] != 0xAA {
-		t.Errorf("w0's disjoint byte lost: %#x", buf[0])
-	}
-	if buf[63] != 0xBB {
-		t.Errorf("w1's disjoint byte lost: %#x", buf[63])
-	}
-	if buf[32] != 0x22 {
-		t.Errorf("last-writer-wins violated at overlap: %#x want 0x22", buf[32])
-	}
+	runModel(t, g4, append(snapshots(2), write(0, 0, 1, 0xaa), write(0, 32, 1, 0x11), write(1, 63, 1, 0xbb),
+		write(1, 32, 1, 0x22), commit(0), commit(1), readable))
 }
 
+// TestCommitOrderDeterminesWinner: the same writes in the opposite commit
+// order have the opposite winner.
 func TestCommitOrderDeterminesWinner(t *testing.T) {
-	// Same writes, opposite commit order: opposite winner.
-	s := newTestSegment(t, 64, 64)
-	w0, _ := s.Snapshot(0)
-	w1, _ := s.Snapshot(1)
-	w0.Write([]byte{0x11}, 32)
-	w1.Write([]byte{0x22}, 32)
-	w1.Commit()
-	w0.Commit()
-	var b [1]byte
-	s.ReadCommitted(b[:], 32, s.Head())
-	if b[0] != 0x11 {
-		t.Errorf("w0 committed last but byte = %#x", b[0])
-	}
+	runModel(t, g4, append(snapshots(2), write(0, 32, 1, 0x11), write(1, 32, 1, 0x22), commit(1), commit(0), readable))
 }
 
 // TestUpdatePreservesLocalStores checks the store-buffer property: an
-// update imports remote bytes only where the local thread has not written.
+// update imports remote bytes only where the local thread has not written,
+// and the later commit's byte wins.
 func TestUpdatePreservesLocalStores(t *testing.T) {
-	s := newTestSegment(t, 64, 64)
-	w0, _ := s.Snapshot(0)
-	w1, _ := s.Snapshot(1)
-
-	w1.Write([]byte{7}, 5) // local uncommitted store
-	w0.Write([]byte{9}, 5) // remote store, same byte
-	w0.Write([]byte{3}, 6) // remote store, different byte
-	w0.Commit()
-
-	w1.Update()
-	buf := make([]byte, 2)
-	w1.Read(buf, 5)
-	if buf[0] != 7 {
-		t.Errorf("local store clobbered by update: %d", buf[0])
-	}
-	if buf[1] != 3 {
-		t.Errorf("remote store not imported: %d", buf[1])
-	}
-	// When w1 commits, its byte 5 wins (it is the later commit) but byte 6
-	// keeps w0's value (w1 never wrote it).
-	w1.Commit()
-	s.ReadCommitted(buf, 5, s.Head())
-	if buf[0] != 7 || buf[1] != 3 {
-		t.Errorf("final state = %v, want [7 3]", buf)
-	}
+	runModel(t, g4, append(snapshots(2), write(1, 5, 1, 7), write(0, 5, 1, 9), write(0, 6, 1, 3), commit(0),
+		on(opUpdate, 1, 0), read(1, 5, 2), commit(1), readable))
 }
 
+// TestTwoPhaseCommitParallel: three committers touch the same page; phase
+// 1 runs in order, then the three Completes run concurrently in reverse.
 func TestTwoPhaseCommitParallel(t *testing.T) {
-	// Three committers touch the same page; phase 1 in order 0,1,2, then
-	// Complete runs concurrently in reverse order. The chain must resolve
-	// and yield the same result as sequential commits.
+	ops := snapshots(3)
+	for i := 0; i < 3; i++ {
+		ops = append(ops, write(i, i, 1, byte(i+1)), write(i, 40, 1, byte(i+1)), commit(i))
+	}
+	runModel(t, g4, append(ops, on(opComplete, 0, 2), on(opComplete, 0, 1), on(opComplete, 0, 0), readable))
+}
+
+// TestCompleteThroughMatchesParallelComplete: four pending commits to two
+// shared pages resolve to the model's bytes whether CompleteThrough or
+// concurrent Completes merge them.
+func TestCompleteThroughMatchesParallelComplete(t *testing.T) {
+	ops := snapshots(4)
+	for i := 0; i < 4; i++ {
+		ops = append(ops, write(i, 3, 1, byte(10+i)), write(i, 64+i, 1, byte(i)), commit(i))
+	}
+	runModel(t, g4, append(slices.Clone(ops), on(opCompleteThrough, 0, 0), readable))
+	for i := 3; i >= 0; i-- {
+		ops = append(ops, on(opComplete, 0, i))
+	}
+	runModel(t, g4, append(ops, readable))
+}
+
+// TestCompleteThroughStopsAtN: CompleteThrough(n) merges every pending
+// version up to n, in order, and leaves the ones above it pending.
+func TestCompleteThroughStopsAtN(t *testing.T) {
 	s := newTestSegment(t, 64, 64)
 	var ws [3]*Workspace
-	var pcs [3]PendingCommit
 	for i := range ws {
 		ws[i], _ = s.Snapshot(i)
+		ws[i].Write([]byte{byte(i + 1)}, i) // page 0: v2 and v3 are merges
 	}
-	for i := range ws {
-		ws[i].Write([]byte{byte(i + 1)}, i)  // disjoint bytes
-		ws[i].Write([]byte{byte(i + 1)}, 40) // overlapping byte
-		pcs[i] = ws[i].BeginCommit()
+	var vs []*Version
+	for _, w := range ws {
+		vs = append(vs, w.BeginCommit().Version())
 	}
-	var wg sync.WaitGroup
-	for i := 2; i >= 0; i-- {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			pcs[i].Complete()
-		}(i)
-	}
-	wg.Wait()
-	buf := make([]byte, 64)
-	s.ReadCommitted(buf, 0, s.Head())
-	if buf[0] != 1 || buf[1] != 2 || buf[2] != 3 {
-		t.Errorf("disjoint bytes lost: % x", buf[:3])
-	}
-	if buf[40] != 3 {
-		t.Errorf("overlap should be last committer's (3): %d", buf[40])
-	}
-}
-
-func TestCompleteThroughMatchesParallelComplete(t *testing.T) {
-	run := func(useThrough bool) []byte {
-		s := newTestSegment(t, 128, 64)
-		var pcs []PendingCommit
-		for i := 0; i < 4; i++ {
-			w, _ := s.Snapshot(i)
-			w.Write([]byte{byte(10 + i)}, 3)
-			w.Write([]byte{byte(i)}, 64+i)
-			pcs = append(pcs, w.BeginCommit())
+	s.CompleteThrough(2)
+	for _, v := range vs {
+		if v.Pending() != (v.Num > 2) {
+			t.Errorf("v%d pending = %v after CompleteThrough(2)", v.Num, v.Pending())
 		}
-		if useThrough {
-			s.CompleteThrough(s.Head())
-		} else {
-			var wg sync.WaitGroup
-			for _, pc := range pcs {
-				wg.Add(1)
-				go func(pc PendingCommit) { defer wg.Done(); pc.Complete() }(pc)
-			}
-			wg.Wait()
-		}
-		buf := make([]byte, 128)
-		s.ReadCommitted(buf, 0, s.Head())
-		return buf
-	}
-	if !bytes.Equal(run(true), run(false)) {
-		t.Fatal("CompleteThrough result differs from parallel Complete")
 	}
 }
 
@@ -350,14 +223,9 @@ func TestGCBudget(t *testing.T) {
 	}
 }
 
+// TestSnapshotPerTidExclusive: a tid has at most one live workspace.
 func TestSnapshotPerTidExclusive(t *testing.T) {
-	s := newTestSegment(t, 64, 64)
-	if _, err := s.Snapshot(7); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Snapshot(7); err == nil {
-		t.Fatal("duplicate workspace for same tid allowed")
-	}
+	runModel(t, g4, []op{on(opSnapshot, 7, 0), on(opSnapshot, 7, 0)})
 }
 
 func TestReleaseUnpinsGC(t *testing.T) {
@@ -381,17 +249,10 @@ func TestReleaseUnpinsGC(t *testing.T) {
 	}
 }
 
+// TestDiscardDropsWrites: a discarded change is not committed, and its
+// pages leave the live count.
 func TestDiscardDropsWrites(t *testing.T) {
-	s := newTestSegment(t, 64, 64)
-	w, _ := s.Snapshot(0)
-	w.Write([]byte{1, 2, 3}, 0)
-	w.Discard()
-	if cs := w.Commit(); cs.CommittedPages != 0 {
-		t.Errorf("discarded writes still committed: %+v", cs)
-	}
-	if got := s.Stats().CurPages; got != 0 {
-		t.Errorf("discard leaked %d pages", got)
-	}
+	runModel(t, g4, append(snapshots(1), write(0, 0, 3, 1), on(opDiscard, 0, 0), commit(0)))
 }
 
 func TestFaultAccounting(t *testing.T) {
@@ -434,185 +295,8 @@ func TestPeakPagesTracksDirtyAndCommitted(t *testing.T) {
 func TestOutOfRangePanics(t *testing.T) {
 	s := newTestSegment(t, 64, 64)
 	w, _ := s.Snapshot(0)
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("write past end", func() { w.Write([]byte{1}, 64) })
-	mustPanic("negative read", func() { w.Read(make([]byte, 1), -1) })
-}
-
-// --- property-based tests ---
-
-// propMergeEquivalence: for random write sets by two threads, committing
-// through workspaces yields the same final page as applying the writes to a
-// flat array in commit order.
-func TestPropMergeMatchesFlatReplay(t *testing.T) {
-	const pageSize = 64
-	f := func(seed int64, nWrites uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		s, _ := NewSegment(SegmentConfig{Name: "p", Size: pageSize, PageSize: pageSize})
-		w0, _ := s.Snapshot(0)
-		w1, _ := s.Snapshot(1)
-		flat := make([]byte, pageSize)
-
-		type write struct {
-			tid, off int
-			val      byte
-		}
-		var writes []write
-		n := int(nWrites%16) + 1
-		for i := 0; i < n; i++ {
-			writes = append(writes, write{
-				tid: rng.Intn(2),
-				off: rng.Intn(pageSize),
-				val: byte(rng.Intn(255) + 1),
-			})
-		}
-		for _, wr := range writes {
-			ws := w0
-			if wr.tid == 1 {
-				ws = w1
-			}
-			ws.Write([]byte{wr.val}, wr.off)
-		}
-		// Commit order decided by seed; replay respects it: first committer's
-		// bytes land first, second overwrite where they overlap.
-		order := []*Workspace{w0, w1}
-		if seed%2 == 0 {
-			order[0], order[1] = order[1], order[0]
-		}
-		for _, ws := range order {
-			for _, wr := range writes {
-				if (wr.tid == 0) == (ws == w0) {
-					flat[wr.off] = wr.val
-				}
-			}
-			ws.Commit()
-		}
-		got := make([]byte, pageSize)
-		s.ReadCommitted(got, 0, s.Head())
-		return bytes.Equal(got, flat)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// propDiffRoundtrip: diff(twin→cur) applied to twin reproduces cur, and the
-// diff never contains an unchanged byte.
-func TestPropDiffRoundtrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(200) + 1
-		twin := make([]byte, n)
-		rng.Read(twin)
-		cur := append([]byte(nil), twin...)
-		for i := 0; i < rng.Intn(50); i++ {
-			cur[rng.Intn(n)] = byte(rng.Intn(256))
-		}
-		d, _ := computeDiff(cur, twin, 0, len(cur), false)
-		for _, r := range d.Runs {
-			for k, b := range r.Data {
-				if twin[r.Off+k] == b {
-					return false // unchanged byte captured: merge hazard
-				}
-			}
-		}
-		out := append([]byte(nil), twin...)
-		d.apply(out)
-		return bytes.Equal(out, cur)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-// propVersionMonotonic: heads and workspace versions never move backwards
-// under an arbitrary interleaving of writes/commits/updates.
-func TestPropVersionMonotonic(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		s, _ := NewSegment(SegmentConfig{Name: "m", Size: 512, PageSize: 64})
-		var wss []*Workspace
-		for i := 0; i < 3; i++ {
-			w, _ := s.Snapshot(i)
-			wss = append(wss, w)
-		}
-		lastHead := int64(0)
-		lastV := make([]int64, 3)
-		for step := 0; step < 100; step++ {
-			i := rng.Intn(3)
-			w := wss[i]
-			switch rng.Intn(4) {
-			case 0:
-				w.Write([]byte{byte(rng.Intn(256))}, rng.Intn(512))
-			case 1:
-				w.Commit()
-			case 2:
-				w.Update()
-			case 3:
-				s.GC()
-			}
-			if h := s.Head(); h < lastHead {
-				return false
-			} else {
-				lastHead = h
-			}
-			if w.Version() < lastV[i] {
-				return false
-			}
-			lastV[i] = w.Version()
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-// propInterleavingIndependence: with commits serialized in a fixed order,
-// the final memory state does not depend on when updates happen.
-func TestPropUpdateTimingIrrelevant(t *testing.T) {
-	run := func(seed int64, updateEvery int) []byte {
-		rng := rand.New(rand.NewSource(seed))
-		s, _ := NewSegment(SegmentConfig{Name: "u", Size: 256, PageSize: 64})
-		var wss []*Workspace
-		for i := 0; i < 3; i++ {
-			w, _ := s.Snapshot(i)
-			wss = append(wss, w)
-		}
-		for step := 0; step < 60; step++ {
-			w := wss[step%3]
-			w.Write([]byte{byte(rng.Intn(256))}, rng.Intn(256))
-			if step%4 == 3 {
-				w.Commit()
-			}
-			// Draw unconditionally so both runs consume the same stream.
-			who := rng.Intn(3)
-			if updateEvery > 0 && step%updateEvery == 0 {
-				wss[who].Update()
-			}
-		}
-		for _, w := range wss {
-			w.Commit()
-		}
-		buf := make([]byte, 256)
-		s.ReadCommitted(buf, 0, s.Head())
-		return buf
-	}
-	for seed := int64(0); seed < 10; seed++ {
-		a := run(seed, 0)
-		b := run(seed, 1)
-		c := run(seed, 7)
-		if !bytes.Equal(a, b) || !bytes.Equal(a, c) {
-			t.Fatalf("seed %d: update timing changed final state", seed)
-		}
-	}
+	mustPanicWith(t, "out of range", func() { w.Write([]byte{1}, 64) })
+	mustPanicWith(t, "out of range", func() { w.Read(make([]byte, 1), -1) })
 }
 
 func TestManyConcurrentReaders(t *testing.T) {
@@ -646,35 +330,12 @@ func TestManyConcurrentReaders(t *testing.T) {
 	wg.Wait()
 }
 
+// TestUpdateTimingExample: an update between two remote commits to the
+// same dirty page neither applies a diff twice nor skips one, and the
+// workspace's commit carries only its own byte.
 func TestUpdateTimingExample(t *testing.T) {
-	// Regression: update between two remote commits to the same dirty page
-	// must not double-apply or skip diffs.
-	s := newTestSegment(t, 64, 64)
-	w0, _ := s.Snapshot(0)
-	w1, _ := s.Snapshot(1)
-	w1.Write([]byte{50}, 10) // local store at byte 10
-
-	w0.Write([]byte{1}, 0)
-	w0.Commit()
-	w1.Update() // imports byte0=1
-	w0.Write([]byte{2}, 1)
-	w0.Commit()
-	w1.Update() // imports byte1=2 only (byte0 diff already applied)
-
-	buf := make([]byte, 3)
-	w1.Read(buf, 0)
-	if buf[0] != 1 || buf[1] != 2 {
-		t.Errorf("view = %v", buf)
-	}
-	cs := w1.Commit()
-	if cs.DiffBytes != 1 {
-		t.Errorf("w1 commit should contain only its own byte: %+v", cs)
-	}
-	var b [1]byte
-	s.ReadCommitted(b[:], 10, s.Head())
-	if b[0] != 50 {
-		t.Errorf("w1's store lost: %d", b[0])
-	}
+	runModel(t, g4, append(snapshots(2), write(1, 10, 1, 50), write(0, 0, 1, 1), commit(0), on(opUpdate, 1, 0),
+		write(0, 1, 1, 2), commit(0), on(opUpdate, 1, 0), read(1, 0, 3), commit(1), readable))
 }
 
 func ExampleWorkspace_Commit() {

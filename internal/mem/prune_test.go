@@ -2,29 +2,18 @@ package mem
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 )
 
 // Tests of interior pruning (pruneLocked, by GC and Prune) and of the
 // reservation rule that makes it safe (Workspace.Reserve, UpdateTo).
 
-// mustPanicWith fails unless f panics with a message containing substr.
+// mustPanicWith fails t unless f panics with a message containing substr.
 func mustPanicWith(t *testing.T, substr string, f func()) {
 	t.Helper()
-	defer func() {
-		t.Helper()
-		r := recover()
-		if r == nil {
-			t.Fatalf("no panic, want one containing %q", substr)
-		}
-		if msg, _ := r.(string); !strings.Contains(msg, substr) {
-			if err, ok := r.(error); !ok || !strings.Contains(err.Error(), substr) {
-				t.Fatalf("panic %v, want one containing %q", r, substr)
-			}
-		}
-	}()
-	f()
+	if err := mustPanic(substr, f); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestPruneIntervalRule walks one page's chain through the rule: a slot's

@@ -283,41 +283,19 @@ func TestFaultAllocatesOnePage(t *testing.T) {
 // TestZeroPageFaultReadsZeros: a first touch of a never-written page
 // copies nothing — a new buffer is zero already, and a recycled one is
 // cleared (copyPage) — so a fault whose buffer comes off the free list
-// poisoned must still read zeros everywhere but the bytes it wrote, both
-// in the workspace and once committed. The poison goes in through the
-// onPut seam, as the buffers are put.
+// poisoned, as the model poisons every buffer put, must still read zeros
+// everywhere but the bytes it wrote, in the workspace and once committed.
 func TestZeroPageFaultReadsZeros(t *testing.T) {
-	s, err := NewSegment(SegmentConfig{Name: "zero", Size: 8 * DefaultPageSize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.onPut = func(b []byte) {
-		for i := range b {
-			b[i] = 0xee
-		}
-	}
-	a, _ := s.Snapshot(0)
+	const p = DefaultPageSize
+	ops := snapshots(1)
 	for pg := 0; pg < 4; pg++ {
-		a.Write([]byte{9}, pg*DefaultPageSize)
+		ops = append(ops, write(0, pg*p, 1, 9))
 	}
-	a.Discard() // four poisoned buffers on the free list
-	want := make([]byte, DefaultPageSize)
-	want[100] = 7
-	got := make([]byte, DefaultPageSize)
+	ops = append(ops, on(opDiscard, 0, 0)) // four poisoned buffers on the free list
 	for pg := 4; pg < 8; pg++ {
-		a.Write([]byte{7}, pg*DefaultPageSize+100)
-		a.Read(got, pg*DefaultPageSize)
-		if i := firstDiff(got, want); i >= 0 {
-			t.Fatalf("page %d reads %#x at %d after its first touch, want %#x", pg, got[i], i, want[i])
-		}
+		ops = append(ops, write(0, pg*p+100, 1, 7), read(0, pg*p, p))
 	}
-	a.Commit()
-	for pg := 4; pg < 8; pg++ {
-		s.ReadCommitted(got, pg*DefaultPageSize, s.Head())
-		if i := firstDiff(got, want); i >= 0 {
-			t.Fatalf("committed page %d reads %#x at %d, want %#x", pg, got[i], i, want[i])
-		}
-	}
+	runModel(t, geometry{p, 8, 0, 1}, append(ops, commit(0), readable))
 }
 
 // TestLaggingWorkspaceRetainsNoPages is the tier-1 gate on interior

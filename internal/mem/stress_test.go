@@ -1,7 +1,6 @@
 package mem
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -71,99 +70,50 @@ func TestConcurrentCommitUpdateStress(t *testing.T) {
 	}
 }
 
+// TestConcurrentReadersDuringPendingMerges: readers force pending merges
+// on demand while the committers' Completes run late, in reverse, on
+// goroutines of their own.
 func TestConcurrentReadersDuringPendingMerges(t *testing.T) {
-	// Readers force pending merges on demand; committers Complete late.
-	s, _ := NewSegment(SegmentConfig{Name: "pend", Size: 1 << 16})
-	var pcs []PendingCommit
+	ops := snapshots(6)
 	for w := 0; w < 6; w++ {
-		ws, _ := s.Snapshot(w)
 		for pg := 0; pg < 8; pg++ {
-			ws.Write([]byte{byte(w + 1)}, pg*4096+w)
+			ops = append(ops, write(w, pg*64+w, 1, byte(w+1)))
 		}
-		pcs = append(pcs, ws.BeginCommit())
+		ops = append(ops, commit(w))
 	}
-	var wg sync.WaitGroup
-	for r := 0; r < 8; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			buf := make([]byte, 64)
-			s.ReadCommitted(buf, (r%8)*4096, s.Head())
-			for w := 0; w < 6; w++ {
-				if buf[w] != byte(w+1) {
-					t.Errorf("reader %d: byte %d = %d", r, w, buf[w])
-				}
-			}
-		}(r)
+	for w := 5; w >= 0; w-- {
+		ops = append(ops, on(opComplete, 0, w), readable)
 	}
-	for i := len(pcs) - 1; i >= 0; i-- {
-		wg.Add(1)
-		go func(pc PendingCommit) {
-			defer wg.Done()
-			pc.Complete()
-		}(pcs[i])
-	}
-	wg.Wait()
+	runModel(t, geometry{64, 8, 0, 6}, ops)
 }
 
+// TestUpdateToClampsAndPins: a move to a reserved version below the head
+// pulls only the versions up to it; a target past the head is clamped to
+// it, and one at or below the workspace's version does not move it.
 func TestUpdateToClampsAndPins(t *testing.T) {
-	s, _ := NewSegment(SegmentConfig{Name: "ut", Size: 1 << 14})
-	w0, _ := s.Snapshot(0)
-	w1, _ := s.Snapshot(1)
+	ops := snapshots(2)
 	for i := 0; i < 5; i++ {
-		w0.Write([]byte{byte(i + 1)}, i)
-		w0.Commit()
+		ops = append(ops, write(0, i, 1, byte(i+1)), commit(0))
 		if i == 1 {
-			if r := w1.Reserve(); r != 2 {
-				t.Fatalf("reserved version %d, want head 2", r)
-			}
+			ops = append(ops, on(opReserve, 1, 0))
 		}
 	}
-	// Partial update to version 2 only: a target below the head, reserved
-	// when it was the head.
-	if pulled := w1.UpdateTo(2); pulled != 1 {
-		t.Fatalf("pulled %d pages, want 1 (same page each version)", pulled)
-	}
-	if w1.Version() != 2 {
-		t.Fatalf("version = %d, want 2", w1.Version())
-	}
-	var b [5]byte
-	w1.Read(b[:], 0)
-	if b[0] != 1 || b[1] != 2 || b[2] != 0 {
-		t.Fatalf("view at v2 = %v", b)
-	}
-	// Clamped to head.
-	w1.UpdateTo(99)
-	if w1.Version() != 5 {
-		t.Fatalf("version = %d, want head 5", w1.Version())
-	}
-	// Backwards is a no-op.
-	if pulled := w1.UpdateTo(1); pulled != 0 {
-		t.Fatalf("backwards update pulled %d", pulled)
-	}
+	runModel(t, g4, append(ops, on(opUpdateTo, 1, 0), read(1, 0, 5), on(opUpdateTo, 1, 2), on(opUpdateTo, 1, 3)))
 }
 
+// TestRebind: a workspace moves to a new tid, the old tid is free again
+// and the new one taken, and a released workspace cannot be rebound.
 func TestRebind(t *testing.T) {
-	s, _ := NewSegment(SegmentConfig{Name: "rb", Size: 1 << 14})
-	ws, _ := s.Snapshot(3)
-	if err := s.Rebind(ws, 9); err != nil {
-		t.Fatal(err)
-	}
-	if ws.Tid() != 9 {
-		t.Fatalf("tid = %d", ws.Tid())
-	}
-	// Old tid is free again; new tid is taken.
-	if _, err := s.Snapshot(3); err != nil {
-		t.Errorf("old tid not freed: %v", err)
-	}
-	if _, err := s.Snapshot(9); err == nil {
-		t.Error("new tid not reserved")
-	}
-	// Rebinding a released workspace fails.
-	s.Release(ws)
-	if err := s.Rebind(ws, 12); err == nil {
-		t.Error("rebind of released workspace accepted")
-	}
+	runModel(t, g4, []op{on(opSnapshot, 3, 0), on(opRebind, 3, 9), on(opSnapshot, 3, 0), on(opSnapshot, 9, 0),
+		do(func(r *modelRun) error {
+			w := r.ws[9].w
+			r.s.Release(w)
+			delete(r.ws, 9)
+			if r.s.Rebind(w, 12) == nil {
+				return fmt.Errorf("rebind of a released workspace accepted")
+			}
+			return nil
+		})})
 }
 
 func TestPopulatedPagesGrows(t *testing.T) {
@@ -185,59 +135,24 @@ func TestPopulatedPagesGrows(t *testing.T) {
 	}
 }
 
-// TestLinearizableWithTokenDiscipline: under serialized commits, the final
-// state equals a sequential replay in commit order — across random
-// interleavings of the parallel phase-2 work.
+// TestLinearizableWithTokenDiscipline runs, beside the model, four
+// workspaces that each write a few bytes of one 4 KiB page and commit,
+// serialized, while the merge phases stay pending and complete out of
+// order on goroutines.
 func TestLinearizableWithTokenDiscipline(t *testing.T) {
-	for trial := 0; trial < 6; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial)))
-		const size = 4096
-		s, _ := NewSegment(SegmentConfig{Name: fmt.Sprint("lin", trial), Size: size})
-		flat := make([]byte, size)
-		var wss []*Workspace
-		for w := 0; w < 4; w++ {
-			ws, _ := s.Snapshot(w)
-			wss = append(wss, ws)
-		}
-		type commitRec struct {
-			pc     PendingCommit
-			writes map[int]byte
-		}
-		var pending []commitRec
+	for trial := int64(0); trial < 6; trial++ {
+		rng := rand.New(rand.NewSource(trial))
+		ops := snapshots(4)
 		for step := 0; step < 40; step++ {
 			w := rng.Intn(4)
-			writes := map[int]byte{}
-			for k := 0; k < rng.Intn(5); k++ {
-				off := rng.Intn(size)
-				// Per-step-unique values: a store of the value a byte
-				// already holds is invisible to twin-diffing (the paper's
-				// documented byte-merge artifact) and would desynchronize
-				// the replay model.
-				v := byte(step + 1)
-				wss[w].Write([]byte{v}, off)
-				writes[off] = v
+			for k := rng.Intn(5); k > 0; k-- {
+				ops = append(ops, write(w, rng.Intn(4096), 1, byte(rng.Intn(4))))
 			}
-			// Serialized phase 1; phase 2 deferred to a random later point.
-			pending = append(pending, commitRec{wss[w].BeginCommit(), writes})
-			// Replay into the flat model in commit order: only the bytes
-			// the workspace actually changed (its diff semantics).
-			for off, v := range writes {
-				flat[off] = v
-			}
-			// Randomly complete a few outstanding commits out of order.
-			for len(pending) > 3 {
-				i := rng.Intn(len(pending))
-				pending[i].pc.Complete()
-				pending = append(pending[:i], pending[i+1:]...)
+			ops = append(ops, commit(w))
+			if rng.Intn(2) == 0 {
+				ops = append(ops, on(opComplete, 0, rng.Intn(4)))
 			}
 		}
-		for _, p := range pending {
-			p.pc.Complete()
-		}
-		got := make([]byte, size)
-		s.ReadCommitted(got, 0, s.Head())
-		if !bytes.Equal(got, flat) {
-			t.Fatalf("trial %d: final state diverges from sequential replay", trial)
-		}
+		runModel(t, geometry{4096, 1, 0, 4}, append(ops, readable))
 	}
 }

@@ -55,7 +55,8 @@ type Workspace struct {
 // when it queues the page's first patch; from then on the twin is the
 // workspace's own buffer. A dirty page that no version in the window
 // touches has the same committed page at the new version, so its twin
-// stays lent.
+// stays lent. An owned twin marks a page a patch wrote, which BeginCommit
+// publishes as a merge.
 //
 // The record is 88 bytes, in the 96-byte size class (TestVersionLayout).
 type dirtyPage struct {
@@ -74,7 +75,8 @@ type dirtyPage struct {
 	// (TestApplyWhereCleanPreservesDiff, FuzzApplyWhereClean); copying a
 	// lent twin copies it byte for byte. So the diff scans only the window
 	// (scanRuns), and a one-word store costs a one-word diff.
-	// TestWriteWindowCoversDiff holds the invariant.
+	// TestWriteWindowCoversDiff checks the invariant after every op of the
+	// memory model's seeded sequences (model_test.go).
 	lo, hi int32
 	page   int32 // the page's index, for the dirty set's list (pages)
 	// staged is how many of the diff's runs wait in BeginCommit's stage to

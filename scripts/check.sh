@@ -40,12 +40,13 @@ go build ./...
 echo "== go test ./... (includes the determinism gate, internal/harness/gate_test.go, and — through cmd/cli_test.go — go vet + go test inside bench/, which has its own go.mod)"
 go test ./...
 
-echo "== kill table (every protocol site of det's sync.go, threads.go, thread.go and coarsen.go fails its named test when mutated)"
+echo "== kill table (every protocol site of det's sync.go, threads.go, thread.go and coarsen.go, of internal/mem and of commitlog's Repair fails its named test when mutated)"
 # ROADMAP "Every protocol site is proven necessary, or deleted": each entry
 # of scripts/mutants.txt mutates one site in a temporary copy of the tree
 # and runs only the test named as its killer, which must fail. A stale
 # entry (its original lines no longer occur exactly once) fails the step
-# too; EXPERIMENTS.md "Protocol sites and their killers" argues each site.
+# too; the EXPERIMENTS.md sections "Protocol sites and their killers"
+# argue each site.
 go run ./scripts/mutate scripts/mutants.txt
 
 echo "== go test -race (obs + mem + det + clock + trace + sim + host + chaos + replica + commitlog + journal + api + baseline + workload)"
@@ -60,16 +61,18 @@ echo "== go test -race (obs + mem + det + clock + trace + sim + host + chaos + r
 # every runtime.
 go test -race ./internal/obs/... ./internal/mem ./internal/det ./internal/clock ./internal/trace ./internal/sim ./internal/host/... ./internal/chaos/... ./internal/replica ./internal/commitlog ./internal/journal ./internal/api ./internal/baseline/... ./internal/workload
 
-echo "== go test -race -count=20 (the page recycling stress: GC prunes pages while readers copy them; the spare version header's and the lent twins' ownership; the per-page chain walk; in-place runs; the replica's lent pages; real-host time accounting; the commit-record slab)"
+echo "== go test -race -count=20 (the page recycling stress: GC prunes pages while readers copy them; the memory model; the spare version header's and the lent twins' ownership; the per-page chain walk; in-place runs; the replica's lent pages; real-host time accounting; the commit-record slab)"
 # A prune that races a reader shows up only in some interleavings, so one
 # race-detector pass is not enough (docs/architecture.md, "Page buffers").
-# TestSpareOwnership runs beside it: a commit's version header shares a
-# block with its first small diff, and every version it publishes must
-# read back as the reference model. So does
-# TestLentTwinOwnership: a twin lent from a committed page must never be
-# put, nor patched in place. TestCommittedPageWalksChain holds the page
-# lookup's chain walk equal to a scan of every retained version, across
-# conflicts, pending merges, prunes, budgeted GC folds and reserved moves.
+# The memory model (internal/mem/model_test.go) runs beside it:
+# FuzzMemModel's corpus and TestMemModel's named sequences, with Complete,
+# CompleteThrough and ReadCommitted on goroutines of their own and every
+# put buffer poisoned. Three tests run model sequences with checks of
+# their own: TestSpareOwnership holds a commit's version header to the
+# block of its first small diff, TestLentTwinOwnership holds that a twin
+# lent from a committed page is never put, nor patched in place, and
+# TestCommittedPageWalksChain holds the page lookup's chain walk equal to
+# a scan of every retained version after every op.
 # The in-place tests (inplace_test.go) hold the runs a sole commit
 # publishes in its page: owned once ForEachPageDiff has copied them, and
 # never read after the page is put. TestChunkBlocksNeverShared holds the
@@ -83,7 +86,7 @@ echo "== go test -race -count=20 (the page recycling stress: GC prunes pages whi
 # page's packed runs to the byte-loop reference, and
 # TestZeroPageFaultReadsZeros holds a first touch, which copies nothing,
 # to zeros in a recycled buffer.
-go test -race -count=20 -run 'TestRecycleNeverReachesReaders|TestSpareOwnership|TestLentTwinOwnership|TestCommittedPageWalksChain|TestSoleCommitPublishesRunsInPlace|TestSharedOrPatchedRunsAreOwned|TestForEachPageDiffRunsOutliveThePage|TestLateForEachPageDiffPanics|TestChunkBlocksNeverShared|TestStatsDuringTraffic|TestPackedRunsNeverChange|FuzzCommitDiffs|TestZeroPageFaultReadsZeros' ./internal/mem
+go test -race -count=20 -run 'TestRecycleNeverReachesReaders|FuzzMemModel|TestMemModel|TestSpareOwnership|TestLentTwinOwnership|TestCommittedPageWalksChain|TestSoleCommitPublishesRunsInPlace|TestSharedOrPatchedRunsAreOwned|TestForEachPageDiffRunsOutliveThePage|TestLateForEachPageDiffPanics|TestChunkBlocksNeverShared|TestStatsDuringTraffic|TestPackedRunsNeverChange|FuzzCommitDiffs|TestZeroPageFaultReadsZeros' ./internal/mem
 # The replica's twin of the lent-twin rule: a follower lends its current
 # page to readers, so an apply must write a copy of a lent page, never the
 # page itself; four readers race the feed through prune, undo-log
@@ -104,13 +107,16 @@ go test -race -count=20 -run 'TestLentPagesNeverChange' ./internal/replica
 go test -race -count=20 -run 'TestRealHostTimeAddsUp|TestRealHostProgramCodeIsCompute|TestLateStreamSeesEveryCommit' ./internal/det
 go test -race -count=5 -run TestPthreadsClockReads ./internal/harness
 
-echo "== go test -fuzz (the diff and patch kernels, 10 s each)"
+echo "== go test -fuzz (the memory model, and the diff and patch kernels, 10 s each)"
 # Beyond their seed corpus, which go test ./... replays: FuzzComputeDiff
 # pins the windowed one-pass diff to the byte-loop reference, and
 # FuzzApplyWhereClean the masked merge and the write window: a patch keeps
 # data == twin outside the bytes a thread wrote. FuzzCommitDiffs holds a
 # whole commit's staged and packed runs to the same reference, page by
-# page.
+# page. FuzzMemModel is the memory model's long run: new op sequences
+# over the whole public surface of internal/mem, beside the flat byte
+# arrays.
+go test -run=NONE -fuzz=FuzzMemModel -fuzztime=10s ./internal/mem
 go test -run=NONE -fuzz=FuzzComputeDiff -fuzztime=10s ./internal/mem
 go test -run=NONE -fuzz=FuzzApplyWhereClean -fuzztime=10s ./internal/mem
 go test -run=NONE -fuzz=FuzzCommitDiffs -fuzztime=10s ./internal/mem

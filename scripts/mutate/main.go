@@ -1,8 +1,8 @@
 // Command mutate checks a kill table: every mutant it lists must make its
 // named killer test fail. It is the scripts/check.sh step that holds each
-// protocol site of internal/det to a test (ROADMAP "Every protocol site is
-// proven necessary, or deleted"); stdlib-only, so the gate needs no tools
-// beyond the toolchain.
+// protocol site of internal/det, internal/mem and commitlog's Repair to a
+// test (ROADMAP "Every protocol site is proven necessary, or deleted");
+// stdlib-only, so the gate needs no tools beyond the toolchain.
 //
 // Usage: mutate [-sweep] [-only REGEX] TABLE   (run from the module root)
 //
