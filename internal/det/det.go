@@ -223,7 +223,11 @@ type Hooks interface {
 	OnRelease(tid int, obj uint64)
 	// OnCommit fires when tid publishes version v (nil if the commit had no
 	// changed pages): after the commit's serial phase and before its merge,
-	// at every commit, a parallel barrier's included.
+	// at every commit, a parallel barrier's included. v is the commit's
+	// escaped version (mem.PendingCommit.Version): the hook may keep it as
+	// long as it likes, and its header and small diff are never reused,
+	// though GC may fold it. Its in-place runs must be read here, before
+	// the next commit (mem.Version.ForEachPageDiff).
 	OnCommit(tid int, v *mem.Version)
 	// OnSpawn fires when parent creates child (the fork copies the
 	// parent's view wholesale).

@@ -2,6 +2,7 @@ package det
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -265,6 +266,50 @@ func TestPoolExitLeavesViewAtHead(t *testing.T) {
 	}
 }
 
+// TestBarrierGivesCommitsBack holds every arrival at a parallel barrier,
+// the last one included, to completing its own commit: the commit's
+// version keeps its block until its committer's Complete, so a version
+// whose Complete never comes is never given back, and every round would
+// carve a block more. Two threads each take a lock and write a word, then
+// meet at the barrier; GC runs at every lock commit and folds the
+// previous round. Four hundred rounds must then allocate no more bytes
+// than a hundred, give or take 16 KiB (one version block is 176 bytes;
+// three hundred rounds of lost blocks are ~52 KiB).
+func TestBarrierGivesCommitsBack(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	allocated := func(rounds int) uint64 {
+		c := Default()
+		c.GCEveryNCommits = 1
+		rt := simRuntime(t, c, nil)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		runOn(t, rt, func(root api.T) {
+			m, b := root.NewMutex(), root.NewBarrier(2)
+			body := func(id int) func(api.T) {
+				return func(t api.T) {
+					for r := 0; r < rounds; r++ {
+						t.Lock(m)
+						api.PutU64(t, 8*id, uint64(r))
+						t.Unlock(m)
+						api.PutU64(t, 64+8*id, uint64(r)) // the barrier's commit
+						t.BarrierWait(b)
+					}
+				}
+			}
+			h := root.Spawn(body(1))
+			body(0)(root)
+			root.Join(h)
+		})
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	allocated(100) // warm: what only a first run allocates
+	few, many := allocated(100), allocated(400)
+	if many > few+16<<10 {
+		t.Errorf("400 rounds allocated %d bytes, 100 rounds %d: the rounds' commits do not give their version blocks back", many, few)
+	}
+}
+
 // TestBarrierMergesBeforeRelease holds the parallel barrier (§4.2) to its
 // two-phase contract on the simulation host. An arrival that is not the
 // last merges its own commit after giving up the token and before it
@@ -272,8 +317,27 @@ func TestPoolExitLeavesViewAtHead(t *testing.T) {
 // earlier commit has merged. And the release merges every commit through
 // the barrier's version before it re-admits anyone, so the Prune that
 // follows finds every slot of the round resolved and recycles the pages
-// the round superseded.
+// the round superseded: also when the last arrival comes while the
+// others, whose commits span 64 pages more, are still merging, and
+// releases before they would have finished.
 func TestBarrierMergesBeforeRelease(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		lateBy int64 // the last arrival's compute each round
+		// merging: the others commit 64 pages more each round, and the
+		// last arrival commits while they merge.
+		merging bool
+	}{
+		{"far behind", 1_000_000, false},
+		{"while the others merge", 100_000, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			barrierMergesBeforeRelease(t, c.lateBy, c.merging)
+		})
+	}
+}
+
+func barrierMergesBeforeRelease(t *testing.T, lateBy int64, merging bool) {
 	const n, rounds = 4, 3
 	c := Default()
 	c.GCEveryNCommits = 0 // versions stay in the chain for the check
@@ -282,6 +346,7 @@ func TestBarrierMergesBeforeRelease(t *testing.T) {
 		bar      uint64
 		versions []*mem.Version
 		arrivals int
+		early    int // rounds whose last arrival committed before the others merged
 	)
 	pending := func(upTo int64) (out []int64) {
 		for _, v := range versions {
@@ -305,7 +370,10 @@ func TestBarrierMergesBeforeRelease(t *testing.T) {
 			arrivals++
 			if arrivals%n == 0 { // the last arrival, just after its commit
 				if p := pending(rt.seg.Head() - 1); p != nil {
-					t.Errorf("round %d: the last arrival commits before versions %v merged", arrivals/n, p)
+					early++
+					if !merging {
+						t.Errorf("round %d: the last arrival commits before versions %v merged", arrivals/n, p)
+					}
 				}
 			}
 		},
@@ -329,7 +397,11 @@ func TestBarrierMergesBeforeRelease(t *testing.T) {
 			return func(t api.T) {
 				for r := 0; r < rounds; r++ {
 					if id == 0 {
-						t.Compute(1_000_000) // arrive far behind the others
+						t.Compute(lateBy) // arrive behind the others
+					} else if merging {
+						for pg := 0; pg < 64; pg++ {
+							api.PutU64(t, 2*4096+4096*pg+8*id, uint64(r))
+						}
 					}
 					// Every arrival writes the same two pages, so the
 					// round's commits conflict and each merge has work.
@@ -350,6 +422,9 @@ func TestBarrierMergesBeforeRelease(t *testing.T) {
 	})
 	if released != rounds || arrivals != n*rounds {
 		t.Errorf("saw %d releases and %d arrivals, want %d and %d", released, arrivals, rounds, n*rounds)
+	}
+	if merging && early == 0 {
+		t.Error("no last arrival committed while an earlier one was still merging: the case tests nothing")
 	}
 }
 

@@ -259,9 +259,12 @@ func (t *Thread) BarrierWait(bx api.Barrier) {
 		return
 	}
 	// Last arrival: merge our commit and any earlier arrival's still
-	// pending, then release everyone at one deterministic version.
+	// pending, then release everyone at one deterministic version. Our own
+	// Complete then merges nothing; it gives the commit back, so that its
+	// version's block may be reused once GC folds it.
 	t.chargeMerge(pc.Stats())
 	t.rt.seg.CompleteThrough(t.rt.seg.Head())
+	pc.Complete()
 	t.barrierRelease(bar)
 }
 

@@ -533,6 +533,11 @@ func (t *Thread) uncoarsen() {
 // advance's over-budget chunk end, a coarsened barrier arrival), with
 // only token-held bookkeeping since, which the serial phase's charge
 // accounts as commit.
+//
+// It asks for the version only when a commit log or a hook will hold it:
+// a version whose pointer leaves mem keeps its block for good
+// (PendingCommit.Version), and one that never does gives it back to the
+// segment once GC has folded it.
 func (t *Thread) publish() mem.PendingCommit {
 	if !t.holding {
 		panic(t.runtimeError("commit-without-token", "commit", 0,
@@ -540,8 +545,11 @@ func (t *Thread) publish() mem.PendingCommit {
 	}
 	pc := t.ws.BeginCommit()
 	t.chargeCommitSerial(pc.Stats())
-	t.logCommit(pc.Version())
-	t.rt.hooks.OnCommit(t.Tid(), pc.Version())
+	if _, unobserved := t.rt.hooks.(noHooks); t.rt.clog != nil || !unobserved {
+		v := pc.Version()
+		t.logCommit(v)
+		t.rt.hooks.OnCommit(t.Tid(), v)
+	}
 	return pc
 }
 

@@ -66,43 +66,74 @@ func TestEmptyCommitAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestOnePageCommitAllocations gates the other half: a full fault → write
-// → BeginCommit → Complete → GC cycle on one page allocates, amortized, at
-// most one object in 32: its one-byte diff's block, with the version
-// header in front of it (its slot inline, its run and its byte behind), is
-// carved from the segment's chunk, and a full chunk holds 58 such blocks.
-// Nothing else allocates — no PendingCommit, no dirtyPage record, no slot
-// slice, no version-list regrowth.
+// TestOnePageCommitAllocations gates the other half: a warm fault → write
+// → BeginCommit → Complete → GC cycle on one page allocates nothing, for a
+// one-run and a two-run small diff. Its block, the version header in
+// front of the diff (its slot inline, its runs and bytes behind), is the
+// one GC put back when it folded the cycle before's version (reapLocked),
+// so the first commit's chunk of one block is the only one ever carved,
+// and nothing else allocates — no PendingCommit, no dirtyPage record, no
+// slot slice, no version-list regrowth.
+//
+// A commit whose version escapes (PendingCommit.Version, as a commit log
+// or a hook asks for it) never gets its block back, so it allocates,
+// amortized, at most one object in 32: its block is carved from the
+// segment's chunk, and a full chunk holds 58 (or 49) such blocks.
 func TestOnePageCommitAllocations(t *testing.T) {
-	s, err := NewSegment(SegmentConfig{Name: "gate", Size: 16 * DefaultPageSize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := s.Snapshot(0)
-	round := byte(0)
-	cycle := func() {
-		round++
-		a.Write([]byte{round}, 3*DefaultPageSize+7)
-		pc := a.BeginCommit()
-		pc.Complete()
-		if pc.Version() == nil || pc.Stats().CommittedPages != 1 {
-			t.Fatalf("cycle published %+v", pc.Stats())
-		}
-		s.GC()
-	}
-	for i := 0; i < 40; i++ {
-		cycle() // grow every scratch list and the version array to steady state
-	}
-	const cycles = 580 // ten full chunks' worth
-	if n := mallocsIn(func() {
-		for i := 0; i < cycles; i++ {
-			cycle()
-		}
-	}); n*32 > cycles {
-		t.Errorf("%d one-page commit cycles made %d allocations, want at most 1 in 32 (the chunks the versions are carved from)", cycles, n)
-	}
-	if got := s.RetainedVersions(); got != 0 {
-		t.Fatalf("%d versions retained after GC", got)
+	for _, shape := range []struct {
+		name string
+		offs []int // the cycle's one-byte stores on page 3
+		// chunk is the chunks its blocks come from: their length and spare
+		// blocks.
+		chunk func(s *Segment) (n, spare int)
+	}{
+		{"one run", []int{7}, func(s *Segment) (int, int) { return s.vd1.n, len(s.vd1.spare) }},
+		{"two runs", []int{7, 700}, func(s *Segment) (int, int) { return s.vd2.n, len(s.vd2.spare) }},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			s, err := NewSegment(SegmentConfig{Name: "gate", Size: 16 * DefaultPageSize})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, _ := s.Snapshot(0)
+			round := byte(0)
+			cycle := func(escape bool) {
+				round++
+				for _, off := range shape.offs {
+					a.Write([]byte{round}, 3*DefaultPageSize+off)
+				}
+				pc := a.BeginCommit()
+				if escape && pc.Version() == nil {
+					t.Fatal("cycle published nothing")
+				}
+				pc.Complete()
+				if pc.Stats().CommittedPages != 1 {
+					t.Fatalf("cycle published %+v", pc.Stats())
+				}
+				s.GC()
+			}
+			for i := 0; i < 40; i++ {
+				cycle(false) // grow every scratch list and the version array to steady state
+			}
+			if n := testing.AllocsPerRun(100, func() { cycle(false) }); n != 0 {
+				t.Errorf("a one-page commit cycle made %.2f allocations, want 0 (its block comes back at GC)", n)
+			}
+			if n, spare := shape.chunk(s); n != 1 || spare != 1 {
+				t.Errorf("the cycles carved a chunk of %d blocks and left %d put back, want only the first commit's chunk of 1, and the last version's block", n, spare)
+			}
+
+			const cycles = 580 // ten full chunks' worth
+			if n := mallocsIn(func() {
+				for i := 0; i < cycles; i++ {
+					cycle(true)
+				}
+			}); n*32 > cycles {
+				t.Errorf("%d escaping one-page commit cycles made %d allocations, want at most 1 in 32 (the chunks the versions are carved from)", cycles, n)
+			}
+			if got := s.RetainedVersions(); got != 0 {
+				t.Fatalf("%d versions retained after GC", got)
+			}
+		})
 	}
 }
 
@@ -239,8 +270,10 @@ func TestSmallDiffIsOneBlock(t *testing.T) {
 
 // TestGCReleasesFoldedVersions pins the in-place compaction: folding never
 // leaves a folded version referenced from the version array, the latest
-// table, a folded slot's chain link, the prune candidates or a
-// workspace's patch list, and the array is reused rather than regrown.
+// table, a folded slot's chain link, the prune candidates, the versions
+// waiting for their blocks to go back or a workspace's patch list (whose
+// large diff's runs are their own arrays), and the array is reused rather
+// than regrown.
 func TestGCReleasesFoldedVersions(t *testing.T) {
 	s, err := NewSegment(SegmentConfig{Name: "gc", Size: 4 * DefaultPageSize})
 	if err != nil {
@@ -250,26 +283,34 @@ func TestGCReleasesFoldedVersions(t *testing.T) {
 	b, _ := s.Snapshot(1) // pins version 0 until it updates
 	var vs []*Version
 	for i := 0; i < 8; i++ {
-		a.Write([]byte{byte(i + 1)}, i%4*DefaultPageSize)
+		n := 1
+		if i == 4 {
+			n = smallDiffBytes + 1 // a large diff: its runs are their own arrays
+		}
+		a.Write(bytes.Repeat([]byte{byte(i + 1)}, n), i%4*DefaultPageSize)
 		pc := a.BeginCommit()
+		vs = append(vs, pc.version) // not escaped: GC puts the folded blocks back
 		pc.Complete()
-		vs = append(vs, pc.Version())
 		if i == 4 {
 			b.Reserve() // version 5: the target b moves to below
 		}
 	}
+	s.Prune()             // prunes version 1's page: version 5 is no prune candidate any more
 	b.Write([]byte{9}, 1) // dirty: versions 1 and 5 patch page 0
 	b.UpdateTo(5)
 	s.GC()
 	if got := s.RetainedVersions(); got != 3 {
 		t.Fatalf("%d versions retained, want 3", got)
 	}
-	nonNil := func(p *pageSlot) bool { return p != nil }
-	if slices.ContainsFunc(b.scratchPatches[:cap(b.scratchPatches)], nonNil) {
-		t.Fatal("b's patch list holds the slots it patched from")
+	if slices.ContainsFunc(b.scratchPatches[:cap(b.scratchPatches)], func(p patch) bool { return p.diff.Runs != nil }) {
+		t.Fatal("b's patch list holds the runs it patched from")
 	}
+	nonNil := func(p *pageSlot) bool { return p != nil }
 	if c := s.candidates; slices.ContainsFunc(c[len(c):cap(c)], nonNil) {
 		t.Fatal("the prune candidates' spare capacity holds the dropped ones")
+	}
+	if f := s.folded; len(f) != 0 || slices.ContainsFunc(f[:cap(f)], func(v *Version) bool { return v != nil }) {
+		t.Fatalf("%d folded versions wait for their blocks to go back, or the list's spare capacity holds them", len(f))
 	}
 	for _, v := range vs[:5] {
 		if v.slots[0].prev != nil {

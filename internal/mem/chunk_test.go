@@ -7,14 +7,16 @@ import (
 )
 
 // TestChunkBlocksNeverShared: a version's header and small diff are a
-// block carved from the segment's chunk, so a block handed out twice
-// would let a later commit overwrite an older version. Workspace b
-// publishes a version and stays at it, pinning it; a then makes 200
-// commits of one- and two-run small diffs (both block forms, across
-// several chunks), with GC and Prune between them. The pinned version's
-// header, its ForEachPageDiff runs and its ReadCommitted bytes must come
-// out as they were, every later version's runs must still hold what its
-// commit wrote, and no two versions may share a header.
+// block carved from the segment's chunk, so a block handed out while its
+// version can still be reached would let a later commit overwrite an
+// older version. Every version here escapes (PendingCommit.Version), as a
+// commit log's do, so none may ever be reused. Workspace b publishes a
+// version and stays at it, pinning it; a then makes 200 commits of one-
+// and two-run small diffs (both block forms, across several chunks), with
+// GC and Prune between them. The pinned version's header, its
+// ForEachPageDiff runs and its ReadCommitted bytes must come out as they
+// were, every later version's runs must still hold what its commit wrote,
+// and no two versions may share a header.
 func TestChunkBlocksNeverShared(t *testing.T) {
 	const (
 		npages  = 8
@@ -52,11 +54,12 @@ func TestChunkBlocksNeverShared(t *testing.T) {
 
 	b.Write([]byte{0xb1, 0xb2, 0xb3}, 2*DefaultPageSize+100)
 	b.Write([]byte{0xb4}, 5*DefaultPageSize+9)
-	pinned := b.Commit()
-	if pinned.CommittedPages != 2 {
-		t.Fatalf("b's commit published %d pages, want 2", pinned.CommittedPages)
+	pinned := b.BeginCommit()
+	pv := pinned.Version()
+	pinned.Complete()
+	if pinned.Stats().CommittedPages != 2 {
+		t.Fatalf("b's commit published %d pages, want 2", pinned.Stats().CommittedPages)
 	}
-	pv := s.versions[len(s.versions)-1]
 	pinnedRuns := runsOf(pv)
 	pinnedMem := make([]byte, s.Size())
 	s.ReadCommitted(pinnedMem, 0, b.Version())

@@ -37,15 +37,27 @@ type PendingCommit struct {
 func (pc PendingCommit) Stats() CommitStats { return pc.stats }
 
 // Version returns the version this commit created, or nil if the workspace
-// had no modified bytes (the commit degenerated to an update).
-func (pc PendingCommit) Version() *Version { return pc.version }
+// had no modified bytes (the commit degenerated to an update). Call it
+// before Complete, which is the commit's last use of the version. The
+// pointer leaves the package and stays valid for as long as it is held:
+// Version marks the version escaped, and an escaped version's block is
+// never put back for reuse (the block rule on Segment.free). So a caller
+// that needs only the counters does not ask for it, and the block of a
+// version that never escaped goes back to the segment once GC has folded
+// it.
+func (pc PendingCommit) Version() *Version {
+	if pc.version != nil {
+		pc.version.escape()
+	}
+	return pc.version
+}
 
 // pullWindowLocked walks the versions in (ws.version, head], which the
 // caller is about to advance the workspace past: it returns the number of
 // distinct pages they touch and leaves in ws.scratchPatches, in version
-// order, the published slots that must patch pages dirty here
-// (applyPatches). Caller holds the segment lock and guarantees head <=
-// s.head.
+// order, copies of the published slots that must patch pages dirty here
+// (patch, applyPatches). Caller holds the segment lock and guarantees
+// head <= s.head.
 //
 // A patched page's twin is written, so a lent one is copied here, when the
 // page's first patch is queued: under the lock, while ws.version still pins
@@ -70,7 +82,8 @@ func (ws *Workspace) pullWindowLocked(head int64) (pulled int) {
 				if dp.lent {
 					dp.twin, dp.lent = s.copyPage(s.popPageLocked(), dp.twin), false
 				}
-				patches = append(patches, slot)
+				patches = append(patches, patch{})
+				patches[len(patches)-1].set(slot)
 			}
 		}
 	}
@@ -79,15 +92,14 @@ func (ws *Workspace) pullWindowLocked(head int64) (pulled int) {
 }
 
 // applyPatches imports the remote bytes pullWindowLocked collected into
-// the dirty pages they touch. Published diffs are immutable and the
-// patched pages are the workspace's own, so it runs outside the segment
-// lock.
+// the dirty pages they touch. The patches are copies and the patched pages
+// are the workspace's own, so it runs outside the segment lock.
 func (ws *Workspace) applyPatches() {
-	for _, slot := range ws.scratchPatches {
-		dp := ws.dirty[int(slot.page)]
-		slot.diff.applyWhereClean(dp.data, dp.twin)
+	for i := range ws.scratchPatches {
+		p := &ws.scratchPatches[i]
+		p.apply(ws.dirty[int(p.page)])
 	}
-	clear(ws.scratchPatches) // do not pin the versions patched from
+	clear(ws.scratchPatches) // do not keep the runs patched from alive
 	ws.scratchPatches = ws.scratchPatches[:0]
 }
 
@@ -102,11 +114,12 @@ func (ws *Workspace) applyPatches() {
 // The expensive work — importing pulled remote bytes and diffing dirty
 // pages — happens outside the segment lock: commit serialization already
 // excludes concurrent commits, and everything touched off-lock is
-// thread-private (dirty pages) or immutable (published diffs). The lock is
-// taken twice, for the two decisions that read or write shared segment
-// state: choosing the pull window, and publishing the version (conflict
-// checks, latest/head update, the released buffers and the counters).
-// Every dirty page is diffed here, once.
+// thread-private (dirty pages, the patches copied from published diffs).
+// The lock is taken twice, for the two decisions that read or write shared
+// segment state: choosing the pull window, and publishing the version
+// (conflict checks, latest/head update, the released buffers and the
+// counters). Each is a section of its own, which a panic releases. Every
+// dirty page is diffed here, once.
 //
 // Pages whose bytes did not actually change are dropped (their fault was
 // wasted work, which the fault counter already recorded).
@@ -115,7 +128,8 @@ func (ws *Workspace) applyPatches() {
 // workspace scratch (or, for GC's prune candidates, segment scratch), and
 // the result is a value. The version's header is carved with the first
 // small diff's block from the segment's chunks (packLocked), so a one-page
-// commit allocates nothing but, amortized, its share of a chunk. A version
+// commit allocates nothing once GC puts folded versions' blocks back, and
+// otherwise, amortized, its share of a chunk. A version
 // of more pages also makes its slot array, a header of its own only when
 // none of its diffs is small, and its other pages' runs and bytes: one
 // []Run and one backing per stage of runs (stage), however many pages they
@@ -133,19 +147,26 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 	var pc PendingCommit
 
 	// Serial decision 1 (locked): fix the pull window and collect the
-	// published slots that must patch our dirty pages.
-	s.mu.Lock()
-	headBefore := s.head
-	pc.stats.PulledPages = ws.pullWindowLocked(headBefore)
-	sole := len(s.workspaces) == 1
+	// patches our dirty pages take from it, and see which block forms GC
+	// has put back: nothing but this commit takes them.
+	var headBefore int64
+	var sole, spare1, spare2 bool
+	func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		headBefore = s.head
+		pc.stats.PulledPages = ws.pullWindowLocked(headBefore)
+		sole = len(s.workspaces) == 1
+		spare1, spare2 = len(s.vd1.spare) > 0, len(s.vd2.spare) > 0
+		if len(ws.dirty) == 0 {
+			// Nothing to diff, so nothing to publish: behave as an update.
+			ws.version = headBefore
+			s.stats.PulledPages += int64(pc.stats.PulledPages)
+		}
+	}()
 	if len(ws.dirty) == 0 {
-		// Nothing to diff, so nothing to publish: behave as an update.
-		ws.version = headBefore
-		s.stats.PulledPages += int64(pc.stats.PulledPages)
-		s.mu.Unlock()
 		return pc
 	}
-	s.mu.Unlock()
 
 	// Import remote bytes into dirty pages before diffing so the commit
 	// cannot resurrect stale values for bytes this thread never wrote.
@@ -207,9 +228,10 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 	// Every diff is known now, so the version can be sized — one slot per
 	// page that changed — and all but a small diff's header made before
 	// the lock is taken: with a small diff, the chunk its block is carved
-	// from if the current one is spent (packLocked). BeginCommit is the
-	// only taker of those blocks, and its callers serialize it, so reading
-	// the chunks here races no other commit.
+	// from if no block of its form was put back and the current chunk is
+	// spent (packLocked). BeginCommit is the only taker of those blocks,
+	// and its callers serialize it, so reading the chunks here races no
+	// other commit, and a block put back by then is still there.
 	var slots []pageSlot
 	if npub > 1 {
 		slots = make([]pageSlot, npub)
@@ -222,9 +244,13 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 	case hdr == nil:
 		v = new(Version)
 	case len(hdrBounds) == 1:
-		vd1 = s.vd1.successor()
+		if !spare1 {
+			vd1 = s.vd1.successor()
+		}
 	default:
-		vd2 = s.vd2.successor()
+		if !spare2 {
+			vd2 = s.vd2.successor()
+		}
 	}
 
 	// Serial decision 2 (locked): conflict checks against the latest table
@@ -233,88 +259,92 @@ func (ws *Workspace) BeginCommit() PendingCommit {
 	// below); the lock covers packing the first small diff, filling the
 	// version's slots in place, the latest/head update, the released
 	// buffers and the counters.
-	// Buffers this commit releases, recycled before the lock is dropped,
-	// and the lent twins that leave the dirty set with them: committed
-	// pages, never put, but each one a live page of the modeled count.
-	freed := ws.scratchFreed[:0]
-	var lent int64
-	si := 0
 	if s.beforePublish != nil {
 		s.beforePublish()
 	}
-	s.mu.Lock()
-	if hdr != nil {
-		s.vd1.install(vd1)
-		s.vd2.install(vd2)
-		v, hdr.diff = s.packLocked(hdrBounds, hdr.data)
-	}
-	if v != nil {
-		v.Committer, v.slots = ws.tid, slots
-		if slots == nil {
-			v.slots = v.one[:]
+	func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		// Buffers this commit releases, recycled before the lock is
+		// dropped, and the lent twins that leave the dirty set with them:
+		// committed pages, never put, but each one a live page of the
+		// modeled count.
+		freed := ws.scratchFreed[:0]
+		var lent int64
+		si := 0
+		if hdr != nil {
+			s.vd1.install(vd1)
+			s.vd2.install(vd2)
+			v, hdr.diff = s.packLocked(hdrBounds, hdr.data)
 		}
-	}
-	for _, dp := range pages {
-		pg := int(dp.page)
-		diff := dp.diff
-		if diff.Empty() {
-			freed = append(freed, dp.data)
-		} else {
-			slot := &v.slots[si]
-			si++
-			slot.page = dp.page
-			slot.version = v
-			slot.prev = s.latest[pg]
-			slot.diff, slot.inPlace = diff, dp.inPlace
-			if slot.prev != nil {
-				s.candidates = append(s.candidates, slot) // GC may prune prev
+		if v != nil {
+			v.Committer, v.slots = ws.tid, slots
+			if slots == nil {
+				v.slots = v.one[:]
 			}
-			// A patched page is a conflict: phase 2 merges the diff over the
-			// page's latest content. Our copy may hold a byte a patch
-			// skipped and we then stored the twin's value back to, which
-			// the diff, and so the version, does not publish.
-			if !dp.lent {
-				slot.conflict = true
-				pc.stats.MergedPages++
-				freed = append(freed, dp.data) // the merge takes its own page
+		}
+		for _, dp := range pages {
+			pg := int(dp.page)
+			diff := dp.diff
+			if diff.Empty() {
+				freed = append(freed, dp.data)
 			} else {
-				slot.data = dp.data // our copy becomes the committed page
+				slot := &v.slots[si]
+				si++
+				slot.page = dp.page
+				slot.version = v
+				slot.prev = s.latest[pg]
+				slot.diff, slot.inPlace = diff, dp.inPlace
+				if slot.prev != nil {
+					// prev's block waits for this slot to let go of it.
+					slot.prev.link()
+					s.candidates = append(s.candidates, slot) // GC may prune prev
+				}
+				// A patched page is a conflict: phase 2 merges the diff over
+				// the page's latest content. Our copy may hold a byte a patch
+				// skipped and we then stored the twin's value back to, which
+				// the diff, and so the version, does not publish.
+				if !dp.lent {
+					slot.conflict = true
+					pc.stats.MergedPages++
+					freed = append(freed, dp.data) // the merge takes its own page
+				} else {
+					slot.data = dp.data // our copy becomes the committed page
+				}
+				s.latest[pg] = slot
+				pc.stats.DiffBytes += diff.Bytes()
 			}
-			s.latest[pg] = slot
-			pc.stats.DiffBytes += diff.Bytes()
+			if dp.lent {
+				lent++
+			} else {
+				freed = append(freed, dp.twin)
+			}
 		}
-		if dp.lent {
-			lent++
-		} else {
-			freed = append(freed, dp.twin)
-		}
-	}
 
-	if v == nil {
-		// Nothing to publish: behave as an update.
-		ws.version = headBefore
-		s.stats.PulledPages += int64(pc.stats.PulledPages)
+		if v == nil {
+			// Nothing to publish: behave as an update.
+			ws.version = headBefore
+			s.stats.PulledPages += int64(pc.stats.PulledPages)
+			ws.recycleLocked(freed, lent)
+			return
+		}
+
+		if sole && len(s.workspaces) > 1 {
+			// A workspace snapshotted since the pull window, at headBefore:
+			// its next pull window patches from this version, so the runs
+			// must not slice pages a later commit may supersede and put.
+			v.own()
+		}
+		v.Num = headBefore + 1
+		v.hold() // the committer's, until its Complete returns
+		s.versions = append(s.versions, v)
+		s.head = v.Num
+		ws.version = v.Num
+		pc.version, pc.seg = v, s
+		pc.stats.CommittedPages = npub
+		s.noteCommitLocked(pc.stats)
 		ws.recycleLocked(freed, lent)
-		s.mu.Unlock()
-		ws.resetDirty()
-		return pc
-	}
-
-	if sole && len(s.workspaces) > 1 {
-		// A workspace snapshotted since the pull window, at headBefore: its
-		// next pull window patches from this version, so the runs must not
-		// slice pages a later commit may supersede and put.
-		v.own()
-	}
-	v.Num = headBefore + 1
-	s.versions = append(s.versions, v)
-	s.head = v.Num
-	ws.version = v.Num
-	pc.version, pc.seg = v, s
-	pc.stats.CommittedPages = npub
-	s.noteCommitLocked(pc.stats)
-	ws.recycleLocked(freed, lent)
-	s.mu.Unlock()
+	}()
 
 	ws.resetDirty()
 	return pc
@@ -344,11 +374,17 @@ func (ws *Workspace) recycleLocked(freed [][]byte, lent int64) {
 // Complete runs the merge phase: every page the version touches gets its
 // final content, merging the committer's diff over the previous version of
 // the page where a conflict exists. Safe to call from any goroutine, and
-// concurrently with GC: it settles slots without reading their pages back.
-// Multiple calls (and concurrent reader-forced resolution) are idempotent.
+// concurrently with GC: it settles slots without reading their pages back,
+// and concurrent reader-forced resolution is idempotent.
+//
+// Call it once for each commit: it is the committer's last use of the
+// version, and ends the hold BeginCommit took on it, so that GC may put
+// the version's block back once it has folded. A commit never completed
+// (its pages merged by CompleteThrough, say) keeps its block.
 func (pc PendingCommit) Complete() {
-	if pc.version != nil {
-		pc.version.complete(pc.seg)
+	if v := pc.version; v != nil {
+		v.complete(pc.seg)
+		v.release() // the committer's hold: the last touch of v
 	}
 }
 
@@ -375,20 +411,24 @@ func (ws *Workspace) Commit() CommitStats {
 // still merging, so the release's Prune finds every slot of the round
 // resolved (pruneLocked skips an unresolved one).
 func (s *Segment) CompleteThrough(n int64) {
-	s.mu.Lock()
 	var buf [8]*Version // a barrier round's commits, without an allocation
 	todo := buf[:0]
-	for _, v := range s.versions {
-		if v.Num > n {
-			break
+	func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for _, v := range s.versions {
+			if v.Num > n {
+				break
+			}
+			if v.Pending() {
+				v.hold() // it may resolve, fold and be put back meanwhile
+				todo = append(todo, v)
+			}
 		}
-		if v.Pending() {
-			todo = append(todo, v)
-		}
-	}
-	s.mu.Unlock()
+	}()
 	for _, v := range todo {
 		v.complete(s)
+		v.release()
 	}
 }
 

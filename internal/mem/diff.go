@@ -89,29 +89,46 @@ const chunkBytes = 10240
 // chunks hands out blocks of one type — a small diff's version block, a
 // workspace's dirty-page record — carved from chunks allocated one at a
 // time: 1, 2, 4 and 8 blocks long, so an owner that takes little makes
-// little, and then chunkBytes' worth. A block is never handed out twice; a
-// chunk stays reachable while any block carved from it is. Its owner
-// guards it: the segment lock for the version blocks, the workspace's
-// thread for its records.
+// little, and then chunkBytes' worth. A chunk stays reachable while any
+// block carved from it is. A block is handed out again only after its
+// owner has put it back, which it may do only once nothing can reach the
+// block (the block rule on Segment.free: only the segment puts version
+// blocks back, when GC has folded their versions; a workspace never puts
+// a record). Its owner guards it: the segment lock for the version blocks,
+// the workspace's thread for its records.
 type chunks[T any] struct {
-	free []T // the current chunk's blocks not yet handed out
-	n    int // the current chunk's length
+	free  []T  // the current chunk's blocks not yet handed out
+	n     int  // the current chunk's length
+	spare []*T // blocks put back, a stack taken before the chunk
 }
 
-// take returns a zero block, making the next chunk if the current one is
-// spent.
+// take returns a zero block: the last one put back, or one carved from the
+// current chunk, making the next chunk if that one is spent.
 func (c *chunks[T]) take() *T {
+	if n := len(c.spare); n > 0 {
+		b := c.spare[n-1]
+		c.spare[n-1] = nil
+		c.spare = c.spare[:n-1]
+		*b = *new(T)
+		return b
+	}
 	c.install(c.successor())
 	b := &c.free[0]
 	c.free = c.free[1:]
 	return b
 }
 
+// put gives b back for a later take, which zeroes it. Nothing may reach b
+// any more.
+func (c *chunks[T]) put(b *T) { c.spare = append(c.spare, b) }
+
 // successor returns the chunk the next take carves from if the current one
 // is spent, and nil if it is not: its length doubles from 1 to 8, then
-// stays at the most blocks chunkBytes holds. It only reads c, so a caller
-// may make the chunk before it takes the lock that guards c, and install
-// it under that lock.
+// stays at the most blocks chunkBytes holds. It reads only free and n,
+// which only take writes, so a caller that serializes its takes may make
+// the chunk before it takes the lock that guards c, and install it under
+// that lock. It does not look at spare, which put writes: a caller that
+// knows a block is put back skips it.
 func (c *chunks[T]) successor() []T {
 	if len(c.free) > 0 {
 		return nil
@@ -135,28 +152,52 @@ func (c *chunks[T]) install(next []T) {
 }
 
 // packLocked packs a small diff — one or two runs, bounds, of page —
-// into a version block carved from the segment's chunks, and returns the
-// diff and the zero Version in front of it: BeginCommit makes that the
-// header of the version it publishes, so a one-page commit allocates only
-// its share of a chunk, and BeginCommit makes that chunk, when one is due,
-// before it takes the lock (chunks.successor). The runs' bytes are copied
-// from page, which the caller has not written since it scanned them.
-// Caller holds mu.
+// into a version block taken from the segment's chunks, and returns the
+// diff and the zero Version in front of it, its word marked with the
+// block's form: BeginCommit makes that the header of the version it
+// publishes. The block is one GC put back (reapLocked) if there is one,
+// so a warm one-page commit allocates nothing; else it is carved, its
+// share of a chunk, and BeginCommit makes the chunk, when one is due,
+// before it takes the lock (chunks.successor). The runs' bytes are copied from page,
+// which the caller has not written since it scanned them. Caller holds mu.
 func (s *Segment) packLocked(bounds []runBounds, page []byte) (*Version, Diff) {
 	var v *Version
 	var runs []Run
 	var backing []byte
+	var form uint32
 	if len(bounds) == 1 {
 		p := s.vd1.take()
-		v, runs, backing = &p.v, p.r[:], p.b[:]
+		v, runs, backing, form = &p.v, p.r[:], p.b[:], versionBlock1
 	} else {
 		p := s.vd2.take()
-		v, runs, backing = &p.v, p.r[:], p.b[:]
+		v, runs, backing, form = &p.v, p.r[:], p.b[:], versionBlock2
 	}
 	for k, b := range bounds {
 		backing = fillRun(&runs[k], backing, page, int(b.off), int(b.end))
 	}
+	v.word().Store(form)
 	return v, Diff{Runs: runs}
+}
+
+// putBlockLocked puts the block v heads back on its chunks' stack, for
+// packLocked to take again: GC's reapLocked calls it once nothing can
+// reach v (the block rule on Segment.free). v is the first field of its
+// block, so its address is the block's. Caller holds mu.
+func (s *Segment) putBlockLocked(v *Version) {
+	var runs []Run
+	var b []byte
+	if v.word().Load()&versionBlock1 != 0 {
+		p := (*versionDiff1)(unsafe.Pointer(v))
+		s.vd1.put(p)
+		runs, b = p.r[:], p.b[:]
+	} else {
+		p := (*versionDiff2)(unsafe.Pointer(v))
+		s.vd2.put(p)
+		runs, b = p.r[:], p.b[:]
+	}
+	if s.onPutBlock != nil {
+		s.onPutBlock(v, runs, b)
+	}
 }
 
 // hasZeroByte is the classic zero-byte probe. It may flag spurious bytes

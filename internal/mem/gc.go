@@ -21,6 +21,10 @@ import "slices"
 // finally passes it), so the return value and Stats are what they would
 // be without it.
 //
+// Last, GC puts back on its chunks' stack the block of every folded
+// version nothing can reach any more (reapLocked), so that the next small
+// commit takes it instead of carving a new one.
+//
 // GC returns the number of pages reclaimed.
 func (s *Segment) GC() int {
 	s.mu.Lock()
@@ -57,11 +61,17 @@ func (s *Segment) GC() int {
 			// Drop the chain link, and the latest entry if it is this slot:
 			// anything at or below the new floor is reachable through the
 			// base table.
-			slot.prev = nil
+			if slot.prev != nil {
+				slot.prev.unlink()
+				slot.prev = nil
+			}
 			if s.latest[pg] == slot {
 				s.latest[pg] = nil
 			}
 			slot.retire()
+		}
+		if w := v.word().Load(); w&(versionBlock1|versionBlock2) != 0 && w&versionEscaped == 0 {
+			s.folded = append(s.folded, v) // its block may go back (reapLocked)
 		}
 		s.floor++
 		folded++
@@ -71,6 +81,7 @@ func (s *Segment) GC() int {
 	// regrown, and the folded versions are not left reachable from its head.
 	s.versions = slices.Delete(s.versions, 0, folded)
 	s.pruneLocked(pins)
+	s.reapLocked()
 	if folded > 0 || reclaimed > 0 {
 		s.stats.GCRuns++
 		s.stats.GCReclaimedPages += int64(reclaimed)
@@ -115,13 +126,25 @@ func (s *Segment) pinsLocked() []int64 {
 // merge was diffed against the twin its committer's fault resolved S for.
 // It visits only the candidate list, never a chain, and allocates nothing.
 // A candidate whose predecessor has folded is dropped — the fold frees
-// that page — and one whose predecessor is still reachable is kept for the
-// next GC or Prune.
+// that page — once it has resolved: then its merge no longer reads the
+// predecessor, so it lets go of it (prev = nil; a lookup that stepped
+// there found the base table anyway), and the predecessor's block may go
+// back (reapLocked). A candidate still merging, or whose predecessor is
+// still reachable, is kept for the next GC or Prune.
 func (s *Segment) pruneLocked(pins []int64) {
 	kept := s.candidates[:0]
 	for _, t := range s.candidates {
 		p := t.prev // nil once t itself folded
-		if p == nil || p.version.Num <= s.floor {
+		if p == nil {
+			continue
+		}
+		if p.version.Num <= s.floor {
+			if !t.resolved() {
+				kept = append(kept, t) // its merge may be reading p
+				continue
+			}
+			p.unlink()
+			t.prev = nil
 			continue
 		}
 		if !t.resolved() || pinnedIn(pins, p.version.Num, t.version.Num) {
@@ -136,6 +159,29 @@ func (s *Segment) pruneLocked(pins []int64) {
 	}
 	clear(s.candidates[len(kept):]) // do not pin the versions dropped
 	s.candidates = kept
+}
+
+// reapLocked puts back the block of every folded version in s.folded that
+// nothing can reach any more (Version.unreachable), drops an escaped one,
+// whose block is never reused, and keeps the rest for a later GC: a
+// version the committer or CompleteThrough still holds, or one of whose
+// slots a later slot still links (one still merging, or one whose
+// predecessor was pruned, until it folds). The fold has dropped the versions
+// from every table of the segment's, and pruneLocked the candidates whose
+// predecessors folded, before it runs (the block rule on Segment.free).
+func (s *Segment) reapLocked() {
+	kept := s.folded[:0]
+	for _, v := range s.folded {
+		switch {
+		case v.word().Load()&versionEscaped != 0:
+		case v.unreachable():
+			s.putBlockLocked(v)
+		default:
+			kept = append(kept, v)
+		}
+	}
+	clear(s.folded[len(kept):]) // do not keep the versions dropped alive
+	s.folded = kept
 }
 
 // pinnedIn reports whether some pin, ascending, lies in [from, to).

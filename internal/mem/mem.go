@@ -134,11 +134,45 @@ type Segment struct {
 	// but they add no reader: no pull window reads them, and Version.own
 	// copies them out before the next BeginCommit, while the page is
 	// still the head's, so neither rule can have put it yet.
+	//
+	// The same invariant holds for the version blocks packLocked carves
+	// (a small diff's version header, its slot inline for one page, and
+	// the diff's runs and bytes behind it): GC puts a block back on its
+	// chunks' stack (vd1, vd2) only when NOTHING CAN REACH IT. A version's
+	// slots are reached under mu through versions, latest and the chains,
+	// and outside it by whoever holds a pointer; the block rule closes
+	// each way in (reapLocked checks the last three: its slots' link bits
+	// and the version's word):
+	//
+	//   - the segment's own tables: the fold drops the version from
+	//     versions and its slots from latest, and reapLocked runs after
+	//     pruneLocked has dropped the candidates the fold unlinked;
+	//   - resolved slots: a page lookup (pageAtLocked) returns a resolved
+	//     slot's data under mu, so a reader or a fault holds no slot once
+	//     it lets go of the lock. A slot still pending cannot fold, but it
+	//     may resolve and fold while the reader that found it settles it
+	//     outside the lock, so that reader marks its version escaped;
+	//   - patch lists: pullWindowLocked copies what applyPatches needs of
+	//     each slot — its page and diff, a small diff's runs and bytes
+	//     whole — so no slot pointer outlives its section;
+	//   - the successor's prev: a slot a later slot's prev points at is
+	//     linked (slotLinked), and stays so until that successor lets go,
+	//     which it does only once it has resolved (pruneLocked) or folded
+	//     itself: its merge reads the predecessor through prev;
+	//   - holds: the committer holds its version until its Complete has
+	//     returned, and CompleteThrough the versions it settles (hold);
+	//   - escaped versions: a pointer PendingCommit.Version handed out may
+	//     live anywhere (the commit log, hooks, ForEachPageDiff's runs), so
+	//     such a version's block is never put.
 	free [][]byte
 	// onPut, when set, sees every buffer as it is put, after every holder
 	// above has let go of it. Test seam: the tests poison buffers here, so
 	// a put that races a reader shows up as poison in what it copied.
 	onPut func([]byte)
+	// onPutBlock, when set, sees every version block as it is put back —
+	// its header and the runs and bytes behind it — so that the tests can
+	// poison it, as onPut does a page.
+	onPutBlock func(v *Version, runs []Run, b []byte)
 	// beforePublish, when set, runs between BeginCommit's two lock
 	// sections. Test seam: a Snapshot there makes a sole commit's in-place
 	// runs ones another workspace will patch from (Version.own).
@@ -160,11 +194,16 @@ type Segment struct {
 	prunedPages int64
 
 	// vd1 and vd2 are the chunks the version blocks of small diffs are
-	// carved from (packLocked). Written under mu, and only by BeginCommit,
-	// which its callers serialize: BeginCommit reads them before it takes
-	// the lock, to make a spent chunk's successor there.
+	// carved from (packLocked). Guarded by mu. Their chunks are written
+	// only by BeginCommit, which its callers serialize: BeginCommit reads
+	// them before it takes the lock, to make a spent chunk's successor
+	// there. GC puts folded blocks back on their stacks (reapLocked).
 	vd1 chunks[versionDiff1]
 	vd2 chunks[versionDiff2]
+	// folded holds, in fold order, the folded versions whose blocks wait
+	// to be put back: something may still reach them (reapLocked).
+	// Guarded by mu.
+	folded []*Version
 
 	workspaces map[int]*Workspace // live workspaces keyed by owner tid
 }
@@ -227,16 +266,55 @@ type Version struct {
 	// slots holds one slot per modified page, by value, in ascending page
 	// order (the deterministic phase-2 processing order). BeginCommit fills
 	// the array in place before the version is published; after that it is
-	// never copied, re-sliced or appended to, because latest, the next
-	// committer's prev and pending patch lists all hold &slots[i], and a
-	// pageSlot carries a sync.Once that must not be duplicated. Walk it by
-	// index, never by value.
+	// never copied, re-sliced or appended to, because latest and the next
+	// committer's prev hold &slots[i], and a pageSlot carries a sync.Once
+	// that must not be duplicated. Walk it by index, never by value.
 	slots []pageSlot
 	// one backs slots for a one-page version, so the version and its slot
 	// are a single allocation. BeginCommit takes the version from the
 	// block of its first small diff (packLocked), or allocates it when no
-	// diff is small.
+	// diff is small. one[0]'s state is the version's word (word).
 	one [1]pageSlot
+}
+
+// word returns the version's state word: its inline slot's state, which a
+// version of several pages does not use as a slot's. Beside that slot's
+// bits it holds the version's own: versionEscaped, the block form and the
+// hold count. Every write is atomic, and every one but the first (Store,
+// before the version is published) is an add or a swap, because holders
+// change it outside the lock.
+func (v *Version) word() *atomic.Uint32 { return &v.one[0].state }
+
+// hold keeps v's block from being put back until the matching release.
+func (v *Version) hold() { v.word().Add(versionHold) }
+
+// release ends a hold: the holder's last touch of v.
+func (v *Version) release() { v.word().Add(^(versionHold - 1)) }
+
+// escape marks v's block as one never to be put back: its pointer leaves
+// the package, or a reader settles one of its slots outside the lock.
+func (v *Version) escape() {
+	w := v.word()
+	for old := w.Load(); old&versionEscaped == 0; old = w.Load() {
+		if w.CompareAndSwap(old, old|versionEscaped) {
+			return
+		}
+	}
+}
+
+// unreachable reports whether nothing but an escaped pointer can reach
+// v's block any more, once v has folded: nobody holds it, and no later
+// slot's prev points at one of its slots. Caller holds mu.
+func (v *Version) unreachable() bool {
+	if v.word().Load() >= versionHold {
+		return false
+	}
+	for i := range v.slots {
+		if v.slots[i].state.Load()&slotLinked != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // NumPages returns the number of pages this version modified.
@@ -272,8 +350,10 @@ func (v *Version) PageIndexes() []int {
 // passes are owned: read-only, and readable for as long as they are held.
 // A small diff shares one block with its version's header (packLocked),
 // and the block is carved from a chunk of the segment's, so whoever holds
-// its runs keeps the version and every block of that chunk alive too. The
-// other pages' runs share one []Run and one backing per group of pages
+// its runs keeps the version and every block of that chunk alive too.
+// Those runs stay v's: v came from PendingCommit.Version, and an escaped
+// version's block is never put back for reuse (Segment.free). The other
+// pages' runs share one []Run and one backing per group of pages
 // (stage), so holding one page's runs keeps its whole group's alive.
 //
 // A commit no other workspace could patch from publishes a large diff's
@@ -354,24 +434,46 @@ type pageSlot struct {
 	data    []byte
 
 	once  sync.Once
-	state atomic.Uint32 // slotResolved, then slotRetired too
+	state atomic.Uint32 // slotResolved, then slotRetired too; slotLinked
 }
 
 // The bits of pageSlot.state. A slot resolves once (settle), and retires
 // once, after it resolved: when GC folds its version into the base table
 // or prunes its page. From then on its page may be put (a pruned one
 // already is), so runs that still slice it must not be read (Version.own).
+// A slot is linked while a later slot's prev points at it.
+//
+// The version's own bits live in its word (Version.word), above the
+// slot's: escaped, the form of the block it was carved as (none for a
+// header of its own, which is never put back), and, from versionHold up,
+// the count of its holds.
 const (
 	slotResolved uint32 = 1 << iota
 	slotRetired
+	slotLinked
+	versionEscaped
+	versionBlock1 // carved as a versionDiff1
+	versionBlock2 // carved as a versionDiff2
+	versionHold
 )
 
 // resolved reports whether the slot's content is final.
 func (s *pageSlot) resolved() bool { return s.state.Load()&slotResolved != 0 }
 
-// retire marks a resolved slot folded or pruned. Caller holds the segment
-// lock.
-func (s *pageSlot) retire() { s.state.Store(slotResolved | slotRetired) }
+// retire marks a resolved slot folded or pruned; a pruned slot retires
+// again when its version folds. Caller holds the segment lock, the only
+// place slotRetired is set.
+func (s *pageSlot) retire() {
+	if s.state.Load()&slotRetired == 0 {
+		s.state.Add(slotRetired)
+	}
+}
+
+// link marks s as a later slot's prev, and unlink as no longer one. Caller
+// holds the segment lock: each slot is linked at most once, by the commit
+// that publishes its successor.
+func (s *pageSlot) link()   { s.state.Add(slotLinked) }
+func (s *pageSlot) unlink() { s.state.Add(^(slotLinked - 1)) }
 
 // settle computes (once) the slot's final page content, recursively
 // forcing conflicting predecessors, without reading it back: once settled,
@@ -397,13 +499,15 @@ func (s *pageSlot) settle(seg *Segment) {
 			s.diff.apply(data)
 			s.data = data
 		}
-		s.state.Store(slotResolved)
+		s.state.Add(slotResolved)
 	})
 }
 
 // resolve settles the slot and returns its page content. The caller must
 // pin a version the slot governs (see Segment.free), or be the merge of
-// its successor, which GC waits for.
+// its successor, which GC waits for; and it must keep the slot's block
+// from being put back meanwhile: a hold, an escape or the link its prev
+// makes (the block rule on Segment.free).
 func (s *pageSlot) resolve(seg *Segment) []byte {
 	s.settle(seg)
 	return s.data
@@ -480,21 +584,35 @@ func (s *Segment) pageIndex(off int) (int, int) {
 // the governing version is still pending, its content is resolved on
 // demand.
 func (s *Segment) committedPage(pg int, at int64) []byte {
-	s.mu.Lock()
-	slot, data := s.pageAtLocked(pg, at)
-	s.mu.Unlock()
+	slot, data := s.pageAt(pg, at)
 	if slot != nil {
 		return slot.resolve(s)
 	}
 	return data
 }
 
-// pageAtLocked looks pg up at version `at` (slotAtLocked): it returns the
-// governing slot, which the caller resolves after it lets go of the lock,
-// or, if the base table governs, nil and the base page (the zero page for
-// one never written). Caller holds mu.
+// pageAt is pageAtLocked in a section of its own, which a panic releases.
+func (s *Segment) pageAt(pg int, at int64) (*pageSlot, []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.pageAtLocked(pg, at)
+}
+
+// pageAtLocked looks pg up at version `at` (slotAtLocked). If a slot
+// governs that has resolved, it returns nil and the slot's data, read
+// under the lock: the slot's version may fold, and its block be put back,
+// as soon as the lock is let go. If the slot is still pending, it returns
+// the slot, for the caller to resolve after it lets go of the lock, and
+// marks the slot's version escaped: the slot may resolve and its version
+// fold while the caller is still in it (the block rule on Segment.free).
+// If the base table governs, it returns nil and the base page (the zero
+// page for one never written). Caller holds mu.
 func (s *Segment) pageAtLocked(pg int, at int64) (*pageSlot, []byte) {
 	if slot := s.slotAtLocked(pg, at); slot != nil {
+		if slot.resolved() {
+			return nil, slot.data
+		}
+		slot.version.escape()
 		return slot, nil
 	}
 	if data := s.base[pg]; data != nil {

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -39,7 +40,7 @@ const (
 	// has none.
 	opWrite    opKind = iota // Write(tid, off, n bytes of val, every stride-th; 0 between)
 	opRead                   // Read(tid, off, n)
-	opCommit                 // BeginCommit(tid); arg >= 0 snapshots that tid between its sections
+	opCommit                 // BeginCommit(tid); arg >= 0 snapshots that tid between its sections; val 1: its version escapes
 	opUpdate                 // Update(tid)
 	opUpdateTo               // UpdateTo(tid, its reservation or the head); arg 1: an unreserved target below the head, refused; 2: past the head; 3: its own version
 	opReserve                // Reserve(tid)
@@ -50,9 +51,9 @@ const (
 	opSnapshot        // Snapshot(tid)
 	opComplete        // Complete of pending commit arg (mod their count), on a goroutine
 	opCompleteThrough // CompleteThrough(head - arg), on a goroutine
-	opGC              // GC
-	opPrune           // Prune
-	opForEachPageDiff // ForEachPageDiff of the version the last BeginCommit published, if no GC ran since
+	opGC              // GC, on a goroutine
+	opPrune           // Prune, on a goroutine
+	opForEachPageDiff // ForEachPageDiff of the version the last BeginCommit published, if it escaped and no GC ran since
 	opReadCommitted   // ReadCommitted of every readable version, on goroutines
 	opChecksum        // Checksum
 	opDo              // a named case's own check
@@ -140,6 +141,7 @@ func drawOps(src source, g geometry, max int) []op {
 			o.off = src.draw(size - o.n + 1)
 		case k < 52:
 			o.kind = opCommit
+			o.val = byte(k % 2) // an escape, drawn with the kind
 			if src.draw(6) == 0 {
 				o.arg = src.draw(modelTids)
 			}
@@ -199,13 +201,20 @@ type modelRun struct {
 	diffs   map[int64]map[int]byte // the versions a workspace may still pull
 	faults  int64
 	pending []PendingCommit
-	// last is the version the last BeginCommit published, and lastDiff its
-	// diff, until the next BeginCommit or a GC.
-	last     *Version
-	lastDiff map[int]byte
-	async    sync.WaitGroup
-	// serial runs Complete and CompleteThrough on the sequence's goroutine,
-	// for a check that reads slots unlocked; check runs after every op.
+	// last is the version the last BeginCommit published if it escaped,
+	// and lastDiff its diff, until the next BeginCommit or a GC.
+	// published is that version escaped or not, for a check to read until
+	// the next GC, which may put its block back.
+	last, published *Version
+	lastDiff        map[int]byte
+	async           sync.WaitGroup
+	// gcs counts the GCs still running: an escaping commit waits for them,
+	// so that no GC spawned before it folds its version, and its in-place
+	// runs, before the sequence's ForEachPageDiff reads them.
+	gcs sync.WaitGroup
+	// serial runs Complete, CompleteThrough, GC and Prune on the
+	// sequence's goroutine, for a check that reads slots unlocked; check
+	// runs after every op.
 	serial bool
 	check  func(r *modelRun) error
 }
@@ -224,6 +233,7 @@ func runModel(t *testing.T, g geometry, ops []op, setup ...func(*modelRun)) {
 		t.Fatal(err)
 	}
 	s.onPut = func(b []byte) { clear(b); b[0] = 0xee } // a reader of a put buffer sees a byte no op stores
+	s.onPutBlock = poisonBlock(g.pageSize)
 	r := &modelRun{g: g, s: s, ws: map[int]*modelWS{}, mem: map[int64][]byte{0: make([]byte, s.Size())}, diffs: map[int64]map[int]byte{}}
 	for _, f := range setup {
 		f(r)
@@ -337,7 +347,7 @@ func (r *modelRun) step(o op) error {
 			}
 		}
 	case opCommit:
-		if err := r.commit(o.tid, m, o.arg); err != nil {
+		if err := r.commit(o.tid, m, o.arg, o.val == 1); err != nil {
 			return err
 		}
 	case opComplete:
@@ -361,10 +371,14 @@ func (r *modelRun) step(o op) error {
 		if bad == m.reserved {
 			bad++
 		}
+		if o.arg == 1 && bad < r.head {
+			m.reserved = -1 // refused, and the reservation is gone
+			if err := mustPanic("without reserving", func() { m.w.UpdateTo(bad) }); err != nil {
+				return err
+			}
+			break
+		}
 		switch {
-		case o.arg == 1 && bad < r.head:
-			m.reserved = -1
-			return mustPanic("without reserving", func() { m.w.UpdateTo(bad) })
 		case o.arg == 2:
 			target = r.head + 5 // clamped to the head
 		case o.arg == 3:
@@ -381,13 +395,12 @@ func (r *modelRun) step(o op) error {
 		if m.reserved = m.w.Reserve(); m.reserved != r.head {
 			return fmt.Errorf("reserved %d, want the head %d", m.reserved, r.head)
 		}
-	case opGC, opPrune:
-		if o.kind == opGC {
-			r.s.GC()
-			r.last = nil // GC may fold it: its in-place runs are gone
-		} else {
-			r.s.Prune()
-		}
+	case opGC:
+		r.last, r.published = nil, nil // GC may fold it: its in-place runs are gone
+		r.gcs.Add(1)
+		r.spawn(func() { defer r.gcs.Done(); r.s.GC() })
+	case opPrune:
+		r.spawn(r.s.Prune)
 	case opForEachPageDiff:
 		if r.last != nil {
 			if err := r.checkDiffs(r.last); err != nil {
@@ -452,7 +465,14 @@ func (r *modelRun) step(o op) error {
 
 // commit runs tid's BeginCommit, with a Snapshot of tid gap between its
 // sections if gap >= 0 has no workspace, and checks what it published.
-func (r *modelRun) commit(tid int, m *modelWS, gap int) error {
+// With escape the version's pointer leaves the package
+// (PendingCommit.Version), and its block is never reused; without, the
+// checks read it before the commit completes, while its committer holds
+// it, and GC may put its block back once it has folded.
+func (r *modelRun) commit(tid int, m *modelWS, gap int, escape bool) error {
+	if escape {
+		r.gcs.Wait()
+	}
 	before := r.head
 	var gapWS *Workspace
 	if gap >= 0 && r.ws[gap] == nil {
@@ -481,11 +501,17 @@ func (r *modelRun) commit(tid int, m *modelWS, gap int) error {
 	if got := pc.Stats(); got != want {
 		return fmt.Errorf("commit stats %+v, want %+v", got, want)
 	}
-	v := pc.Version()
+	v := pc.version
+	if escape {
+		v = pc.Version()
+	}
 	if (v != nil) != (len(diff) > 0) {
 		return fmt.Errorf("published %v, want a version for %d bytes", v != nil, len(diff))
 	}
-	r.last, r.lastDiff = v, diff
+	r.last, r.published, r.lastDiff = nil, v, diff
+	if escape {
+		r.last = v
+	}
 	if v == nil {
 		return nil
 	}
@@ -630,6 +656,31 @@ func (r *modelRun) finish() error {
 	return nil
 }
 
+// poisonBlock returns the block seam of a model segment of pages of
+// pageSize bytes: it makes every version block put back read as a one-page
+// version that governs page 0 at every version, whose merged page and
+// diff are bytes no op stores, and makes the runs and bytes behind its
+// header read as such a diff too. So a reader, a patch or a merge that
+// reaches a block after it was put back reads poison, and the model
+// reports the mismatch.
+func poisonBlock(pageSize int) func(*Version, []Run, []byte) {
+	return func(v *Version, runs []Run, b []byte) {
+		poison := bytes.Repeat([]byte{0xee}, pageSize)
+		for k := range runs {
+			runs[k] = Run{Off: 0, Data: poison}
+		}
+		for k := range b {
+			b[k] = 0xee
+		}
+		slot := &v.one[0]
+		v.Num, v.Committer, v.slots = 0, -1, v.one[:]
+		slot.version, slot.data = v, poison
+		slot.diff = Diff{Runs: runs}
+		slot.once.Do(func() {})
+		slot.state.Store(slotResolved)
+	}
+}
+
 // mustPanic returns an error unless f panics with a message holding want.
 func mustPanic(want string, f func()) (err error) {
 	defer func() {
@@ -689,6 +740,15 @@ func TestMemModel(t *testing.T) {
 			gc,        // v1 folds: page 0 has no version left
 			commit(1), // a merge over the base table's page
 			readable,
+		}},
+		{"a merge still running when its predecessor folds", []op{
+			on(opSnapshot, 0, 0), on(opSnapshot, 1, 0), write(1, 1, 1, 9), write(0, 0, 1, 5), commit(0),
+			on(opComplete, 0, 0),
+			on(opUpdate, 1, 0), // patches 1's page 0: its commit merges over v1's slot
+			write(1, 2, 1, 7), commit(1),
+			gc,                   // v1 folds while v2's merge, which reads it, has not run
+			on(opComplete, 0, 0), // v2's merge
+			gc, readable, read(1, 0, 64),
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -63,7 +63,7 @@ func TestSpareOwnership(t *testing.T) {
 			ops = append(ops, readable, write(0, 7*p+40, 2, 0x77))
 			runModel(t, geometry{p, 8, 0, 2}, ops, func(r *modelRun) {
 				r.check = func(r *modelRun) error {
-					v := r.last
+					v := r.published
 					if v == nil || seen[v] {
 						return nil
 					}

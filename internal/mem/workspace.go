@@ -36,10 +36,57 @@ type Workspace struct {
 	// neither allocates the released-buffer list, the pulled-page set or
 	// the patch list. Owned by the workspace's thread, like dirty;
 	// scratchPatches and scratchFreed are cleared after use so they pin
-	// neither versions nor page buffers.
+	// neither runs nor page buffers.
 	scratchFreed   [][]byte
 	scratchTouched map[int]bool
-	scratchPatches []*pageSlot
+	scratchPatches []patch
+}
+
+// patch is what applyPatches needs of one published slot that patches a
+// page dirty here, copied out of the slot under the segment lock
+// (pullWindowLocked): the slot's version may fold, and its block be put
+// back and reused, as soon as the lock is let go. A small diff's runs and
+// bytes may lie in that block, so they are copied whole, into n, bounds
+// and b; any other diff's runs are their own arrays (stage, computeDiff),
+// which diff keeps alive.
+type patch struct {
+	page   int32
+	n      uint8                // a small diff's run count; 0: diff holds the runs
+	bounds [2]runBounds         // a small diff's runs
+	b      [smallDiffBytes]byte // and their bytes, one after the other
+	diff   Diff
+}
+
+// set makes p a copy of what slot patches with. Caller holds the segment
+// lock.
+func (p *patch) set(slot *pageSlot) {
+	runs := slot.diff.Runs
+	*p = patch{page: slot.page}
+	if len(runs) > len(p.bounds) || slot.diff.Bytes() > len(p.b) {
+		p.diff = slot.diff
+		return
+	}
+	b := p.b[:]
+	for k, r := range runs {
+		p.bounds[k] = runBounds{int32(r.Off), int32(r.Off + len(r.Data))}
+		b = b[copy(b, r.Data):]
+	}
+	p.n = uint8(len(runs))
+}
+
+// apply patches dp with p's diff where dp is clean (applyWhereClean).
+func (p *patch) apply(dp *dirtyPage) {
+	d := p.diff
+	var runs [2]Run
+	if p.n > 0 {
+		b := p.b[:]
+		for k, r := range p.bounds[:p.n] {
+			n := int(r.end - r.off)
+			runs[k], b = Run{Off: int(r.off), Data: b[:n:n]}, b[n:]
+		}
+		d = Diff{Runs: runs[:p.n]}
+	}
+	d.applyWhereClean(dp.data, dp.twin)
 }
 
 // dirtyPage is a privately writable copy of a page plus its pristine twin,
@@ -109,12 +156,7 @@ func (ws *Workspace) newDirty() *dirtyPage {
 // takes the copy's buffer; a pending slot's merge and the copy run after.
 func (ws *Workspace) lendDirty(pg int) *dirtyPage {
 	s := ws.seg
-	s.mu.Lock()
-	slot, base := s.pageAtLocked(pg, ws.version)
-	buf := s.popPageLocked()
-	s.stats.Faults++
-	s.allocPagesLocked(2)
-	s.mu.Unlock()
+	slot, base, buf := s.faultPage(pg, ws.version)
 	if slot != nil {
 		base = slot.resolve(s)
 	}
@@ -122,6 +164,18 @@ func (ws *Workspace) lendDirty(pg int) *dirtyPage {
 	dp.data = s.copyPage(buf, base)
 	dp.twin, dp.lent = base, true
 	return dp
+}
+
+// faultPage is a fault's one section: it looks pg up at version `at`
+// (pageAtLocked), counts the fault and its two pages, and takes a buffer
+// for the copy off the free list (nil if it is empty).
+func (s *Segment) faultPage(pg int, at int64) (slot *pageSlot, base, buf []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	slot, base = s.pageAtLocked(pg, at)
+	s.stats.Faults++
+	s.allocPagesLocked(2)
+	return slot, base, s.popPageLocked()
 }
 
 // Tid returns the owning thread id.
@@ -233,8 +287,21 @@ func (ws *Workspace) Update() (pulled int) {
 // imported, which the runtime converts into page-propagation cost and the
 // Figure 16 statistic.
 func (ws *Workspace) UpdateTo(at int64) (pulled int) {
+	pulled = ws.advance(at)
+	// Patch dirty pages outside the segment lock, from the copies the
+	// pull window made; the patch list is in version order because the
+	// version list is.
+	ws.applyPatches()
+	return pulled
+}
+
+// advance is UpdateTo's section: it clamps and checks the target, collects
+// the pull window's patches and moves the workspace there. A panic in it
+// releases the lock.
+func (ws *Workspace) advance(at int64) (pulled int) {
 	s := ws.seg
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	reserved := ws.reserved
 	ws.reserved = noReservation
 	head := at
@@ -242,23 +309,15 @@ func (ws *Workspace) UpdateTo(at int64) (pulled int) {
 		head = s.head
 	}
 	if head <= ws.version {
-		s.mu.Unlock()
 		return 0
 	}
 	if head < s.head && head != reserved {
-		cur := s.head
-		s.mu.Unlock()
 		panic(fmt.Sprintf("mem: workspace for tid %d updated to version %d below head %d without reserving it: "+
-			"a target below the head must be the one Reserve pinned (reserved: %d)", ws.tid, head, cur, reserved))
+			"a target below the head must be the one Reserve pinned (reserved: %d)", ws.tid, head, s.head, reserved))
 	}
 	pulled = ws.pullWindowLocked(head)
 	ws.version = head
 	s.stats.PulledPages += int64(pulled)
-	s.mu.Unlock()
-	// Patch dirty pages outside the segment lock; diffs are immutable after
-	// phase 1 and the patch list is in version order because the version
-	// list is.
-	ws.applyPatches()
 	return pulled
 }
 

@@ -66,8 +66,8 @@ echo "== go test -race -count=20 (the page recycling stress: GC prunes pages whi
 # race-detector pass is not enough (docs/architecture.md, "Page buffers").
 # The memory model (internal/mem/model_test.go) runs beside it:
 # FuzzMemModel's corpus and TestMemModel's named sequences, with Complete,
-# CompleteThrough and ReadCommitted on goroutines of their own and every
-# put buffer poisoned. Three tests run model sequences with checks of
+# CompleteThrough, GC, Prune and ReadCommitted on goroutines of their own,
+# and every put buffer and every version block GC puts back poisoned. Three tests run model sequences with checks of
 # their own: TestSpareOwnership holds a commit's version header to the
 # block of its first small diff, TestLentTwinOwnership holds that a twin
 # lent from a committed page is never put, nor patched in place, and
@@ -115,8 +115,10 @@ echo "== go test -fuzz (the memory model, and the diff and patch kernels, 10 s e
 # whole commit's staged and packed runs to the same reference, page by
 # page. FuzzMemModel is the memory model's long run: new op sequences
 # over the whole public surface of internal/mem, beside the flat byte
-# arrays.
-go test -run=NONE -fuzz=FuzzMemModel -fuzztime=10s ./internal/mem
+# arrays. Its minimization is capped at 100 runs an input: uncapped, it
+# spends most of the 10 s minimizing the first new input found, at no
+# executions a second.
+go test -run=NONE -fuzz=FuzzMemModel -fuzztime=10s -fuzzminimizetime=100x ./internal/mem
 go test -run=NONE -fuzz=FuzzComputeDiff -fuzztime=10s ./internal/mem
 go test -run=NONE -fuzz=FuzzApplyWhereClean -fuzztime=10s ./internal/mem
 go test -run=NONE -fuzz=FuzzCommitDiffs -fuzztime=10s ./internal/mem
